@@ -208,8 +208,7 @@ impl Rule {
                  catalog records to a series no dashboard knows; a catalog variant never \
                  referenced outside `crates/obs` is dead weight.",
                 "Fix the typo at the call site, or add the name to the catalog enum in \
-                 `crates/obs/src/observer.rs`; delete (or wire up) dead variants. Derived \
-                 `<name>.count` series from indexed counters are recognised automatically.",
+                 `crates/obs/src/observer.rs`; delete (or wire up) dead variants.",
             ),
             Rule::AuditEventExhaustiveness => (
                 "`verify_lifecycles` replays the audit log against a per-task legality \

@@ -271,9 +271,7 @@ impl SymbolTable {
     pub fn check_obs_catalog(&self, files: &[FileAnalysis]) -> Vec<Violation> {
         let rule = Rule::ObsCatalog;
         let mut out = Vec::new();
-        // Direction 1: unknown names at call sites. Indexed counters
-        // derive a `<name>.count` sibling series (see
-        // `MetricsObserver::record_indexed`), recognised automatically.
+        // Direction 1: unknown names at call sites.
         for fa in files {
             if !rule.applies_to(&fa.scanned.path) {
                 continue;
@@ -285,9 +283,7 @@ impl SymbolTable {
                 if !METRIC_CALLEES.contains(&callee) || !is_dotted_name(&lit.text) {
                     continue;
                 }
-                let base = lit.text.strip_suffix(".count").unwrap_or(&lit.text);
                 if self.catalog_names.contains(lit.text.as_str())
-                    || self.catalog_names.contains(base)
                     || fa.scanned.allowed(lit.line, rule)
                 {
                     continue;
@@ -401,7 +397,7 @@ fn collect_variant_refs(code: &str, mut sink: impl FnMut(&str, &str)) {
 }
 
 /// A catalog-shaped metric name: lowercase dotted segments
-/// (`tasks.assigned`, `tick.match.count`).
+/// (`tasks.assigned`, `tick.match`).
 fn is_dotted_name(s: &str) -> bool {
     if !s.contains('.') {
         return false;
@@ -541,8 +537,8 @@ mod tests {
             "pub enum CounterKind {\n    TasksAssigned,\n    NeverUsed,\n}\nimpl CounterKind {\n    pub fn name(&self) -> &'static str {\n        match self {\n            CounterKind::TasksAssigned => \"tasks.assigned\",\n            CounterKind::NeverUsed => \"never.used\",\n        }\n    }\n}\n",
         );
         let user = analyze(
-            "crates/metrics/src/registry.rs",
-            "fn f(reg: &Registry) {\n    reg.counter(\"tasks.assigned\");\n    reg.counter(\"tasks.assigned.count\");\n    reg.counter(\"tasks.asigned\");\n    obs.record(CounterKind::TasksAssigned);\n}\n",
+            "crates/metrics/src/kpi.rs",
+            "fn f(reg: &Registry) {\n    reg.counter(\"tasks.assigned\");\n    reg.counter(\"tasks.asigned\");\n    obs.record(CounterKind::TasksAssigned);\n}\n",
         );
         let files = vec![obs, user];
         let table = SymbolTable::build(&files);
@@ -552,7 +548,7 @@ mod tests {
         assert_eq!(v.len(), 2, "{v:#?}");
         assert!(v
             .iter()
-            .any(|x| x.file == "crates/metrics/src/registry.rs" && x.line == 4));
+            .any(|x| x.file == "crates/metrics/src/kpi.rs" && x.line == 3));
         assert!(v
             .iter()
             .any(|x| x.file == "crates/obs/src/observer.rs" && x.line == 3));

@@ -151,8 +151,8 @@ fn obs_catalog_family_fires_on_typo_and_dead_entry() {
         "pub enum CounterKind {\n    TasksAssigned,\n    Orphaned,\n}\nimpl CounterKind {\n    pub fn name(&self) -> &'static str {\n        match self {\n            CounterKind::TasksAssigned => \"tasks.assigned\",\n            CounterKind::Orphaned => \"tasks.orphaned\",\n        }\n    }\n}\n",
     );
     let good_user = FileAnalysis::new(
-        "crates/metrics/src/registry.rs",
-        "fn f(r: &Registry) {\n    r.counter(\"tasks.assigned\");\n    r.counter(\"tasks.assigned.count\");\n    obs(CounterKind::TasksAssigned);\n    obs(CounterKind::Orphaned);\n}\n",
+        "crates/metrics/src/kpi.rs",
+        "fn f(r: &Registry) {\n    r.counter(\"tasks.assigned\");\n    obs(CounterKind::TasksAssigned);\n    obs(CounterKind::Orphaned);\n}\n",
     );
     let files = vec![obs.clone(), good_user];
     let table = SymbolTable::build(&files);
@@ -162,7 +162,7 @@ fn obs_catalog_family_fires_on_typo_and_dead_entry() {
     );
 
     let bad_user = FileAnalysis::new(
-        "crates/metrics/src/registry.rs",
+        "crates/metrics/src/kpi.rs",
         "fn f(r: &Registry) {\n    r.counter(\"tasks.asigned\");\n}\n",
     );
     let files = vec![obs, bad_user];
@@ -184,7 +184,7 @@ fn obs_catalog_family_fires_on_typo_and_dead_entry() {
         "pub enum CounterKind {\n    TasksAssigned,\n    // analyze: allow(obs-catalog) reserved for the ingest front-end\n    Orphaned,\n}\nimpl CounterKind {\n    pub fn name(&self) -> &'static str {\n        match self {\n            CounterKind::TasksAssigned => \"tasks.assigned\",\n            CounterKind::Orphaned => \"tasks.orphaned\",\n        }\n    }\n}\n",
     );
     let user = FileAnalysis::new(
-        "crates/metrics/src/registry.rs",
+        "crates/metrics/src/kpi.rs",
         "fn f(r: &Registry) {\n    obs(CounterKind::TasksAssigned);\n}\n",
     );
     let files = vec![obs_allowed, user];

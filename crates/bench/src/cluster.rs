@@ -9,10 +9,8 @@
 //!    same workload an `S`-shard cluster does ~`1/S` the edge work of a
 //!    monolith — the sweep should show near-linear throughput scaling
 //!    even with the shards ticking *serially*.
-//! 2. **Fallback identity** — the degenerate single-tier mode must
-//!    reproduce `react_crowd::MultiRegionRunner` bit-for-bit, the
-//!    coupled mode must conserve every task, and serial vs parallel
-//!    shard execution must be bit-identical.
+//! 2. **Identities** — the coupled mode must conserve every task, and
+//!    serial vs parallel shard execution must be bit-identical.
 //!
 //! The `react-experiments cluster` subcommand renders the tables and
 //! archives the machine-readable summary as `BENCH_cluster.json` at the
@@ -30,7 +28,7 @@ use react_cluster::{
     RebalancePolicy, Submission,
 };
 use react_core::{BatchTrigger, Config, MatcherPolicy, Task, TaskCategory, TaskId};
-use react_crowd::{MultiRegionRunner, MultiRegionScenario, Scenario};
+use react_crowd::Scenario;
 use react_geo::BoundingBox;
 use react_metrics::{write_stamped, ArtifactOutcome, KpiReport, KpiRow, Provenance};
 use std::path::{Path, PathBuf};
@@ -99,11 +97,9 @@ pub struct ScalingPoint {
     pub conserved: bool,
 }
 
-/// The fallback identity checks (run once per report).
+/// The identity checks (run once per report).
 #[derive(Debug, Clone)]
 pub struct FallbackPoint {
-    /// Single-tier cluster run ≡ `MultiRegionRunner`, bit-for-bit.
-    pub single_tier_identical: bool,
     /// The coupled run satisfies the conservation identity.
     pub coupled_conserved: bool,
     /// Serial and parallel shard execution are bit-identical.
@@ -115,7 +111,7 @@ pub struct FallbackPoint {
 pub struct ClusterBenchReport {
     /// Throughput points, pool-major then grid order.
     pub scaling: Vec<ScalingPoint>,
-    /// The fallback identity checks.
+    /// The identity checks.
     pub fallback: FallbackPoint,
     /// Whether the quick parameter set produced this report.
     pub quick: bool,
@@ -281,28 +277,13 @@ pub fn scaling(params: &ClusterParams) -> Vec<ScalingPoint> {
     points
 }
 
-/// The fallback identity checks, on the smoke-scenario scale.
+/// The identity checks, on the smoke-scenario scale.
 pub fn fallback(seed: u64, quick: bool) -> FallbackPoint {
     let (n_workers, total_tasks) = if quick { (30, 90) } else { (60, 240) };
     let mut global = Scenario::smoke(MatcherPolicy::React { cycles: 200 }, seed);
     global.n_workers = n_workers;
     global.arrival_rate = 4.0;
     global.total_tasks = total_tasks;
-
-    let single = ClusterScenario {
-        global: global.clone(),
-        rows: 2,
-        cols: 2,
-        policy: ClusterPolicy::single_tier(),
-    };
-    let from_cluster = ClusterRunner::new(single).run_single_tier();
-    let from_multi = MultiRegionRunner::new(MultiRegionScenario {
-        global: global.clone(),
-        rows: 2,
-        cols: 2,
-    })
-    .run_serial();
-    let single_tier_identical = from_cluster.identical(&from_multi);
 
     let coupled = ClusterScenario {
         global,
@@ -314,7 +295,6 @@ pub fn fallback(seed: u64, quick: bool) -> FallbackPoint {
     let serial = runner.run_serial();
     let parallel = runner.run_parallel();
     FallbackPoint {
-        single_tier_identical,
         coupled_conserved: serial.conserved(),
         serial_parallel_identical: serial.identical(&parallel),
     }
@@ -372,14 +352,13 @@ pub fn to_json_with(report: &ClusterBenchReport, provenance: Option<&Provenance>
     format!(
         "{{\n  \"schema\": \"react-cluster-v1\",\n{}  \"quick\": {},\n  \
          \"threads\": {},\n  \"scaling\": [\n{}\n  ],\n  \
-         \"fallback\": {{\"single_tier_identical\": {}, \
-         \"coupled_conserved\": {}, \"serial_parallel_identical\": {}, \
+         \"fallback\": {{\"coupled_conserved\": {}, \
+         \"serial_parallel_identical\": {}, \
          \"speedup_8_over_1\": {:.3}}}\n}}\n",
         stamp,
         report.quick,
         react_core::par::parallelism(),
         scaling.join(",\n"),
-        report.fallback.single_tier_identical,
         report.fallback.coupled_conserved,
         report.fallback.serial_parallel_identical,
         report.speedup_over_monolith(8).unwrap_or(0.0)
@@ -426,10 +405,9 @@ pub fn kpi_rows(points: &[ScalingPoint]) -> Vec<KpiRow> {
         .collect()
 }
 
-/// The fallback identity checks as shared KPI rows (one per check).
+/// The identity checks as shared KPI rows (one per check).
 pub fn fallback_kpi_rows(fallback: &FallbackPoint) -> Vec<KpiRow> {
     [
-        ("single_tier_identical", fallback.single_tier_identical),
         ("coupled_conserved", fallback.coupled_conserved),
         (
             "serial_parallel_identical",
@@ -452,7 +430,8 @@ pub fn render(report: &ClusterBenchReport, sink: &OutputSink) -> String {
 
     let fallback_kpi = KpiReport::from_rows(fallback_kpi_rows(&report.fallback));
     sink.write("cluster_fallback", &fallback_kpi.to_csv_rows(None));
-    let fallback_table = fallback_kpi.table("Cluster — fallback and determinism identities", None);
+    let fallback_table =
+        fallback_kpi.table("Cluster — conservation and determinism identities", None);
 
     let speedup = report
         .speedup_over_monolith(8)
@@ -495,10 +474,6 @@ mod tests {
     #[test]
     fn fallback_identities_hold() {
         let f = fallback(42, true);
-        assert!(
-            f.single_tier_identical,
-            "single-tier must match multiregion"
-        );
         assert!(f.coupled_conserved, "coupled run must conserve");
         assert!(f.serial_parallel_identical, "shard exec paths must agree");
     }

@@ -220,7 +220,7 @@ pub fn graph_build(params: &HotpathParams) -> Vec<BuildPoint> {
             for _ in 0..params.build_iters {
                 let t0 = Instant::now();
                 let builder = GraphBuilder::prepare(&config, &mut profiling);
-                cold = Some(builder.instantiate_serial(&profiling, &tm, 0.0));
+                cold = Some(builder.instantiate(&profiling, &tm, 0.0));
                 cold_secs = cold_secs.min(t0.elapsed().as_secs_f64());
             }
             let (cold_graph, ..) = cold.expect("build_iters ≥ 1");
@@ -262,7 +262,7 @@ pub fn matcher_throughput(params: &HotpathParams) -> Vec<MatcherPoint> {
         .map(|&n_workers| {
             let (mut profiling, tm) = seasoned_components(n_workers, params.tasks);
             let builder = GraphBuilder::prepare(&config, &mut profiling);
-            let (graph, ..) = builder.instantiate_serial(&profiling, &tm, 0.0);
+            let (graph, ..) = builder.instantiate(&profiling, &tm, 0.0);
             let matcher = ReactMatcher::with_cycles(CYCLES);
             let t0 = Instant::now();
             for i in 0..params.matcher_iters {

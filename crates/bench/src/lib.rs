@@ -11,12 +11,11 @@
 //! | [`fig34`] | Fig. 3 (matching time) and Fig. 4 (matching weight) |
 //! | [`endtoend`] | Figs. 5–8 (deadline curve, feedback curve, execution times) |
 //! | [`sweep`] | Figs. 9–10 (scalability sweep) |
-//! | [`regions`] | serial-vs-parallel region execution and graph build |
 //! | [`hotpath`] | scheduling hot-path micro-benchmarks (no paper counterpart: cold vs incremental graph build, matcher cycles/s, tick throughput → `BENCH_hotpath.json`) |
 //! | [`casestudy`] | the Sec. V-C CrowdFlower case-study statistics |
 //! | [`ablation`] | the design-choice ablations listed in `DESIGN.md` |
 //! | [`chaos`] | fault-injection sweep (no paper counterpart: REACT vs baselines under worker dropout, stragglers, message loss) |
-//! | [`cluster`] | sharded cluster-mode scaling sweep (no paper counterpart: ticks/sec across 1–16 shards + fallback identities → `BENCH_cluster.json`) |
+//! | [`cluster`] | sharded cluster-mode scaling sweep (no paper counterpart: ticks/sec across 1–16 shards + conservation/determinism identities → `BENCH_cluster.json`) |
 
 #![warn(missing_docs)]
 
@@ -27,6 +26,5 @@ pub mod cluster;
 pub mod endtoend;
 pub mod fig34;
 pub mod hotpath;
-pub mod regions;
 pub mod report;
 pub mod sweep;

@@ -24,9 +24,11 @@
 //!   through a [`Cluster`], with per-shard reports, a cluster-wide
 //!   conservation identity, and serial/parallel bit-identity.
 //!
-//! With [`ClusterPolicy::single_tier`] every mechanism is off and a 1×1
-//! cluster run reproduces `MultiRegionRunner` bit for bit — the
-//! refactoring proof that this layer is a superset of the old one.
+//! With [`ClusterPolicy::single_tier`] every mechanism is off and the
+//! shards never interact. That is the multi-region decomposition in
+//! spirit, but not in bytes: [`ClusterRunner`] keeps its own event loop
+//! (seed root, preloaded arrivals, per-shard arrival ticks), so use
+//! `MultiRegionRunner` itself when the uncoupled numbers are wanted.
 
 mod cluster;
 mod policy;

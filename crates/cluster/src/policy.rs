@@ -91,9 +91,8 @@ pub struct ClusterPolicy {
 }
 
 impl ClusterPolicy {
-    /// All mechanisms off: shards are fully independent, exactly the
-    /// multi-region decomposition. A 1×1 single-tier cluster run is
-    /// bit-identical to `MultiRegionRunner` under this policy.
+    /// All mechanisms off: shards are fully independent, as in the
+    /// multi-region decomposition.
     pub fn single_tier() -> Self {
         ClusterPolicy {
             split_threshold: u64::MAX,

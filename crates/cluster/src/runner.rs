@@ -7,18 +7,11 @@
 //! caps shed overload at the door. This is the coupled counterpart of
 //! `react_crowd::MultiRegionRunner`, whose regions never interact.
 //!
-//! Two execution paths:
-//!
-//! * [`ClusterRunner::run`] — the coupled event loop. One global event
-//!   queue; every control tick steps all shards (serially or on scoped
-//!   threads) and then runs the cluster passes. Serial and parallel
-//!   shard execution are bit-identical.
-//! * [`ClusterRunner::run_single_tier`] — the degenerate fallback:
-//!   partitions the scenario with `react_crowd::partition_scenarios`
-//!   and replays each region through a plain `ScenarioRunner`, exactly
-//!   as `MultiRegionRunner` does. Because both call the same partition
-//!   function and the same per-region runner, the result is
-//!   bit-identical to `MultiRegionRunner` *by construction*.
+//! [`ClusterRunner::run`] is the coupled event loop: one global event
+//! queue; every control tick steps all shards (serially or on scoped
+//! threads) and then runs the cluster passes. Serial and parallel shard
+//! execution are bit-identical. A scenario with no coupling at all is a
+//! `MultiRegionRunner` run; there is no second copy of that here.
 //!
 //! Scope of the coupled mode: `global.replication` and `global.churn`
 //! are ignored (replica voting and autonomous churn cycles stay on the
@@ -27,21 +20,13 @@
 
 use crate::cluster::Cluster;
 use crate::policy::ClusterPolicy;
-use rand::Rng;
-use react_core::{AuditLog, Task, TaskCategory, TaskId, WorkerId};
-use react_crowd::{
-    generate_population, partition_scenarios, MultiRegionReport, Scenario, ScenarioRunner,
-    WorkerBehavior,
-};
+use react_core::{AuditLog, Task, TaskId, WorkerId};
+use react_crowd::{generate_population, Scenario, WorkerBehavior};
 use react_faults::FaultSchedule;
 use react_geo::{GeoPoint, RegionGrid, ServerId};
-use react_obs::{null_observer, CounterKind, ObserverHandle, SpanKind, SpanTimer};
+use react_obs::{null_observer, ObserverHandle};
 use react_sim::{RngStreams, SimDuration, SimTime, Simulator};
 use std::collections::HashMap;
-
-/// Burst task ids live far outside the workload id space (same base as
-/// the single-server runner).
-const BURST_ID_BASE: u64 = 1 << 40;
 
 /// Configuration of a cluster run.
 #[derive(Debug, Clone)]
@@ -116,6 +101,8 @@ pub struct ClusterReport {
     pub workers_rebalanced: u64,
     /// Injected burst tasks.
     pub burst_tasks: u64,
+    /// Worker dropouts injected by the fault plan.
+    pub dropouts: u64,
     /// Assignments silently abandoned by the fault plan.
     pub abandons: u64,
     /// Completion messages lost in flight.
@@ -195,6 +182,7 @@ impl ClusterReport {
             && self.unroutable == other.unroutable
             && self.workers_rebalanced == other.workers_rebalanced
             && self.burst_tasks == other.burst_tasks
+            && self.dropouts == other.dropouts
             && self.abandons == other.abandons
             && self.completions_lost == other.completions_lost
             && self.duplicates_rejected == other.duplicates_rejected
@@ -299,36 +287,6 @@ impl ClusterRunner {
         self.run_with(ShardExec::Parallel)
     }
 
-    /// The degenerate single-tier fallback: no coupling mechanisms, no
-    /// shared event queue — the scenario is partitioned by
-    /// `react_crowd::partition_scenarios` and each region replays
-    /// through a plain `ScenarioRunner`, exactly as
-    /// `MultiRegionRunner::run_serial` does. Bit-identical to the
-    /// multi-region runner by construction (both call the same
-    /// partition function and per-region runner with the same seeds).
-    pub fn run_single_tier(&self) -> MultiRegionReport {
-        let per_region = partition_scenarios(
-            &self.scenario.global,
-            self.scenario.rows,
-            self.scenario.cols,
-        )
-        .into_iter()
-        .map(|(region_id, sc)| {
-            let enabled = self.observer.enabled();
-            let timer = enabled.then(SpanTimer::start);
-            let report = ScenarioRunner::new(sc)
-                .with_observer(self.observer.clone())
-                .run();
-            if let Some(timer) = timer {
-                timer.finish(self.observer.as_ref(), SpanKind::RegionRun);
-                self.observer.incr(CounterKind::RegionsRun, 1);
-            }
-            (region_id, report)
-        })
-        .collect();
-        MultiRegionReport { per_region }
-    }
-
     fn run_with(&self, exec: ShardExec) -> ClusterReport {
         let sc = &self.scenario.global;
         let grid = RegionGrid::new(sc.region, self.scenario.rows, self.scenario.cols)
@@ -403,6 +361,7 @@ impl ClusterRunner {
             unroutable: 0,
             workers_rebalanced: 0,
             burst_tasks: 0,
+            dropouts: 0,
             abandons: 0,
             completions_lost: 0,
             duplicates_rejected: 0,
@@ -428,6 +387,7 @@ impl ClusterRunner {
             if d.worker >= sc.n_workers {
                 continue;
             }
+            report.dropouts += 1;
             sim.schedule_at(
                 SimTime::from_secs(d.at),
                 Event::WorkerOffline(WorkerId(d.worker as u64)),
@@ -487,21 +447,8 @@ impl ClusterRunner {
                 }
                 Event::Burst { size } => {
                     for _ in 0..size {
-                        let id = TaskId(BURST_ID_BASE + report.burst_tasks);
-                        let deadline = burst_rng.gen_range(
-                            sc.deadline_range.0
-                                ..sc.deadline_range.1.max(sc.deadline_range.0 + f64::EPSILON),
-                        );
-                        let reward = burst_rng.gen_range(0.01..0.10);
-                        let category = TaskCategory(burst_rng.gen_range(0..sc.n_categories.max(1)));
-                        let task = Task::new(
-                            id,
-                            sc.region.random_point(&mut burst_rng),
-                            deadline,
-                            reward,
-                            category,
-                            "burst",
-                        );
+                        let task = sc.burst_task(report.burst_tasks, &mut burst_rng);
+                        let id = task.id;
                         report.received += 1;
                         report.burst_tasks += 1;
                         if let crate::cluster::Submission::Accepted(server) =
@@ -674,7 +621,6 @@ mod tests {
     use super::*;
     use crate::policy::{AdmissionPolicy, HandoffPolicy, RebalancePolicy};
     use react_core::MatcherPolicy;
-    use react_crowd::MultiRegionRunner;
 
     fn scenario(seed: u64, rows: u32, cols: u32, policy: ClusterPolicy) -> ClusterScenario {
         let mut global = Scenario::smoke(MatcherPolicy::React { cycles: 200 }, seed);
@@ -717,22 +663,6 @@ mod tests {
     }
 
     #[test]
-    fn single_tier_matches_multiregion_bit_for_bit() {
-        let sc = scenario(4, 2, 2, ClusterPolicy::single_tier());
-        let cluster = ClusterRunner::new(sc.clone()).run_single_tier();
-        let multi = MultiRegionRunner::new(react_crowd::MultiRegionScenario {
-            global: sc.global,
-            rows: sc.rows,
-            cols: sc.cols,
-        })
-        .run_serial();
-        assert!(
-            cluster.identical(&multi),
-            "single-tier cluster must reproduce the multi-region runner"
-        );
-    }
-
-    #[test]
     fn handoffs_rescue_tasks_from_a_depleted_shard() {
         // Drop half the crowd early via the fault plan; handoff keeps
         // queues moving toward whichever shards still have workers.
@@ -752,6 +682,7 @@ mod tests {
         });
         let r = ClusterRunner::new(sc).run_serial();
         assert!(r.conserved(), "conservation under handoff: {r:?}");
+        assert!(r.dropouts > 0, "the plan's dropouts are counted: {r:?}");
         assert!(
             r.handoffs() > 0,
             "pool collapse must trigger handoffs: {r:?}"

@@ -27,11 +27,6 @@
 //!   [`WorkerRow`]s.
 //! * **Phase B** ([`GraphBuilder::instantiate`]) — pure edge
 //!   instantiation over the precomputed rows against immutable state.
-//!   Each row's edges are independent, so phase B can fan rows out over
-//!   scoped threads ([`GraphBuilder::instantiate_parallel`]) and merge
-//!   them back in row order — bit-identical to the serial pass. The
-//!   `parallel` cargo feature makes the parallel path the default for
-//!   large pools; both paths are always compiled.
 //!
 //! [`GraphBuilder`] is the *cold* reference path: it allocates fresh
 //! buffers and evaluates Eq. (3) exactly on every edge. The server's hot
@@ -93,8 +88,9 @@ pub struct GraphBuilder<'a> {
     rows: Vec<WorkerRow>,
 }
 
-/// Pools below this size stay on the serial path even when the
-/// `parallel` feature is active — thread spawn would dominate.
+/// Pools below this size keep [`BatchScratch`]'s row fill on the serial
+/// path even when the `parallel` feature is active — thread spawn would
+/// dominate.
 const PARALLEL_MIN_ROWS: usize = 32;
 
 impl<'a> GraphBuilder<'a> {
@@ -141,27 +137,7 @@ impl<'a> GraphBuilder<'a> {
     }
 
     /// **Phase B**: edge instantiation over the precomputed rows.
-    /// Dispatches to the parallel path for large pools when the
-    /// `parallel` feature is enabled, the serial path otherwise; both
-    /// produce bit-identical graphs.
     pub fn instantiate(
-        &self,
-        profiling: &ProfilingComponent,
-        tasks: &TaskManagementComponent,
-        now: f64,
-    ) -> (BipartiteGraph, Vec<WorkerId>, Vec<TaskId>, usize) {
-        #[cfg(feature = "parallel")]
-        {
-            let threads = crate::par::parallelism();
-            if threads > 1 && self.rows.len() >= PARALLEL_MIN_ROWS {
-                return self.instantiate_parallel(profiling, tasks, now, threads);
-            }
-        }
-        self.instantiate_serial(profiling, tasks, now)
-    }
-
-    /// Phase B, single-threaded.
-    pub fn instantiate_serial(
         &self,
         profiling: &ProfilingComponent,
         tasks: &TaskManagementComponent,
@@ -186,66 +162,6 @@ impl<'a> GraphBuilder<'a> {
         (graph, self.worker_ids(), task_ids, pruned)
     }
 
-    /// Phase B over scoped threads: rows are split into contiguous
-    /// chunks, each chunk's edges computed independently, then merged
-    /// back in row order — bit-identical to the serial pass. Always
-    /// compiled; the `parallel` feature only routes the default
-    /// [`GraphBuilder::instantiate`] here.
-    pub fn instantiate_parallel(
-        &self,
-        profiling: &ProfilingComponent,
-        tasks: &TaskManagementComponent,
-        now: f64,
-        threads: usize,
-    ) -> (BipartiteGraph, Vec<WorkerId>, Vec<TaskId>, usize) {
-        let (task_ids, recs) = Self::task_rows(tasks);
-        let deadline_model = DeadlineModel::new(self.config.deadline);
-        // One immutable profile lookup per worker, like the serial pass.
-        // A `None` (profile vanished between phases) leaves that row
-        // edgeless, matching the serial path's skip.
-        let profiles: Vec<Option<&WorkerProfile>> = self
-            .rows
-            .iter()
-            .map(|row| profiling.profile(row.id).ok())
-            .collect();
-        let n = self.rows.len();
-        let mut per_row: Vec<(Vec<(u32, f64)>, usize)> = vec![(Vec::new(), 0); n];
-        let chunk = crate::par::chunk_len(n, threads);
-        std::thread::scope(|scope| {
-            let recs = &recs;
-            let deadline_model = &deadline_model;
-            let config = self.config;
-            for ((row_chunk, profile_chunk), out_chunk) in self
-                .rows
-                .chunks(chunk)
-                .zip(profiles.chunks(chunk))
-                .zip(per_row.chunks_mut(chunk))
-            {
-                scope.spawn(move || {
-                    for ((row, profile), out) in row_chunk
-                        .iter()
-                        .zip(profile_chunk.iter())
-                        .zip(out_chunk.iter_mut())
-                    {
-                        let Some(profile) = *profile else {
-                            debug_assert!(false, "phase-A {} vanished from the registry", row.id);
-                            continue;
-                        };
-                        *out = Self::row_edges(config, deadline_model, row, profile, recs, now);
-                    }
-                });
-            }
-        });
-        // Deterministic merge in row order.
-        let mut graph = BipartiteGraph::new(n, task_ids.len());
-        let mut pruned = 0usize;
-        for (u, (edges, row_pruned)) in per_row.iter().enumerate() {
-            Self::push_row(&mut graph, u, edges);
-            pruned += row_pruned;
-        }
-        (graph, self.worker_ids(), task_ids, pruned)
-    }
-
     fn worker_ids(&self) -> Vec<WorkerId> {
         self.rows.iter().map(|r| r.id).collect()
     }
@@ -265,7 +181,7 @@ impl<'a> GraphBuilder<'a> {
         (task_ids, recs)
     }
 
-    /// The pure per-row kernel shared by both phase-B paths: the edges
+    /// The pure per-row kernel of phase B: the edges
     /// (task index, weight) one worker contributes, plus how many of
     /// their candidate edges the two pruning rules dropped.
     fn row_edges(
@@ -589,7 +505,7 @@ impl BatchScratch {
         {
             let builder = GraphBuilder::prepare(config, profiling);
             let (cold, cold_workers, cold_tasks, cold_pruned) =
-                builder.instantiate_serial(profiling, tasks, now);
+                builder.instantiate(profiling, tasks, now);
             assert_eq!(
                 self.graph.edges(),
                 cold.edges(),
@@ -638,9 +554,9 @@ impl BatchScratch {
         }
     }
 
-    /// Phase B over scoped threads, chunked like
-    /// [`GraphBuilder::instantiate_parallel`]; rows land in the same
-    /// per-row buffers, so the merged graph is bit-identical to serial.
+    /// Phase B over scoped threads: rows are split into contiguous
+    /// chunks and land in the same per-row buffers as the serial fill,
+    /// so the merged graph is bit-identical to it.
     fn fill_rows_parallel(
         &mut self,
         config: &Config,
@@ -1096,38 +1012,13 @@ mod tests {
         tm.submit(task(100, 10.0), 0.0).unwrap();
         let builder = GraphBuilder::prepare(&config, &mut p);
         assert_eq!(builder.rows().len(), 6);
-        let (staged, workers_a, tasks_a, pruned_a) = builder.instantiate_serial(&p, &tm, 0.0);
+        let (staged, workers_a, tasks_a, pruned_a) = builder.instantiate(&p, &tm, 0.0);
         let (combined, workers_b, tasks_b, pruned_b) =
             SchedulingComponent::build_graph(&config, &mut p, &tm, 0.0);
         assert_eq!(staged.edges(), combined.edges());
         assert_eq!(workers_a, workers_b);
         assert_eq!(tasks_a, tasks_b);
         assert_eq!(pruned_a, pruned_b);
-    }
-
-    #[test]
-    fn parallel_instantiation_is_bit_identical_to_serial() {
-        let config = Config::paper_defaults();
-        let (mut p, mut tm) = setup(40, 12);
-        // A mix of training, seasoned-fast and seasoned-slow workers so
-        // both pruning rules and the training rule all fire.
-        for w in 0..10 {
-            season_worker(&mut p, WorkerId(w), &[50.0, 80.0, 120.0]);
-        }
-        for w in 10..20 {
-            season_worker(&mut p, WorkerId(w), &[1.0, 1.5, 2.0]);
-        }
-        p.set_reward_range(WorkerId(21), Some((0.5, 2.0))).unwrap();
-        tm.submit(task(100, 8.0), 0.0).unwrap();
-        let builder = GraphBuilder::prepare(&config, &mut p);
-        let (serial, sw, st, sp) = builder.instantiate_serial(&p, &tm, 0.0);
-        for threads in [1, 2, 3, 8] {
-            let (par, pw, pt, pp) = builder.instantiate_parallel(&p, &tm, 0.0, threads);
-            assert_eq!(serial.edges(), par.edges(), "threads={threads}");
-            assert_eq!(sw, pw);
-            assert_eq!(st, pt);
-            assert_eq!(sp, pp);
-        }
     }
 
     #[test]
@@ -1179,7 +1070,7 @@ mod tests {
         for now in [0.0, 1.0, 5.0] {
             let (cold, cw, ct, cp) = {
                 let b = GraphBuilder::prepare(&config, &mut p);
-                b.instantiate_serial(&p, &tm, now)
+                b.instantiate(&p, &tm, now)
             };
             let built = scratch.build(&config, &mut p, &tm, now);
             assert_eq!(built.graph.edges(), cold.edges(), "now={now}");

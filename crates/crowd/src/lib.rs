@@ -35,9 +35,6 @@ pub use analysis::{AuditAnalysis, TaskLatency};
 pub use behavior::{generate_population, BehaviorParams, ExecModel, LatencyModel, WorkerBehavior};
 pub use casestudy::{CaseStudySummary, CaseStudyTrace};
 pub use generator::TaskGenerator;
-pub use multiregion::{
-    partition_scenarios, MultiRegionReport, MultiRegionRunner, MultiRegionScenario,
-    SchedulePermutationMismatch,
-};
+pub use multiregion::{MultiRegionReport, MultiRegionRunner, MultiRegionScenario};
 pub use runner::{FaultStats, RunReport, ScenarioRunner};
 pub use scenario::{ChurnParams, Scenario};

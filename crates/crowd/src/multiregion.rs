@@ -72,8 +72,7 @@ impl MultiRegionReport {
     }
 
     /// Whether two multi-region reports are bit-identical across every
-    /// per-region metric, including the full per-task time series —
-    /// the check behind the parallel-execution determinism guarantee.
+    /// per-region metric, including the full per-task time series.
     pub fn identical(&self, other: &MultiRegionReport) -> bool {
         self.per_region.len() == other.per_region.len()
             && self
@@ -108,29 +107,6 @@ impl MultiRegionReport {
     }
 }
 
-/// A schedule permutation under which the merged multi-region result
-/// diverged from the serial baseline — evidence of a region-ordering
-/// race (hidden shared state between supposedly independent regions).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SchedulePermutationMismatch {
-    /// The execution order (indices into the region-id-ordered scenario
-    /// list) that produced the divergent report.
-    pub order: Vec<usize>,
-}
-
-impl std::fmt::Display for SchedulePermutationMismatch {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "region execution order {:?} produced a report that is not \
-             bit-identical to the serial baseline",
-            self.order
-        )
-    }
-}
-
-impl std::error::Error for SchedulePermutationMismatch {}
-
 /// Executes a [`MultiRegionScenario`].
 pub struct MultiRegionRunner {
     scenario: MultiRegionScenario,
@@ -150,10 +126,8 @@ impl MultiRegionRunner {
     /// Each region's execution is wrapped in a `region.run` span and
     /// bumps the `regions.run` counter; the per-region [`ReactServer`]s
     /// report their stage spans and matcher counters to the same sink.
-    /// The sink must tolerate concurrent reporting when the `parallel`
-    /// feature routes regions onto scoped threads (every bundled
-    /// observer does). Observers are write-only — reports stay
-    /// bit-identical whatever sink is attached.
+    /// Observers are write-only — reports stay bit-identical whatever
+    /// sink is attached.
     pub fn with_observer(mut self, observer: ObserverHandle) -> Self {
         self.observer = observer;
         self
@@ -174,131 +148,19 @@ impl MultiRegionRunner {
     }
 
     /// Generates the global stream, partitions it by region, and runs
-    /// each region server independently.
-    ///
-    /// With the `parallel` feature the regions execute on scoped
-    /// threads ([`MultiRegionRunner::run_parallel`]); otherwise — or
-    /// when `REACT_PARALLEL_THREADS=1` — serially. Both paths produce
-    /// bit-identical reports.
+    /// each region server independently, one after another. Regions
+    /// share no state, so callers that want host parallelism run whole
+    /// scenarios side by side (as `react-experiments`' executor does).
     pub fn run(&self) -> MultiRegionReport {
-        #[cfg(feature = "parallel")]
-        {
-            if react_core::par::parallelism() > 1 {
-                return self.run_parallel();
-            }
-        }
-        self.run_serial()
-    }
-
-    /// The serial baseline: regions run one after another.
-    pub fn run_serial(&self) -> MultiRegionReport {
-        let per_region = self
-            .region_scenarios()
-            .into_iter()
-            .map(|(region_id, sc)| (region_id, self.run_region(sc)))
-            .collect();
-        MultiRegionReport { per_region }
-    }
-
-    /// Runs the regions on parallel scoped threads, merging the reports
-    /// in deterministic region order.
-    ///
-    /// Regions share no state — each gets its own preset workload slice
-    /// and its own per-region RNG stream factory (seeded from the
-    /// global seed and the region id), so concurrent execution is
-    /// bit-identical to [`MultiRegionRunner::run_serial`]. Always
-    /// compiled; the `parallel` feature only routes the default
-    /// [`MultiRegionRunner::run`] here. Thread count is bounded by
-    /// `react_core::par::parallelism()`.
-    pub fn run_parallel(&self) -> MultiRegionReport {
-        let scenarios = self.region_scenarios();
-        let n = scenarios.len();
-        let threads = react_core::par::parallelism().min(n.max(1));
-        if threads <= 1 || n <= 1 {
-            return MultiRegionReport {
-                per_region: scenarios
-                    .into_iter()
-                    .map(|(region_id, sc)| (region_id, self.run_region(sc)))
-                    .collect(),
-            };
-        }
-        let mut slots: Vec<(RegionId, Option<Scenario>, Option<RunReport>)> = scenarios
-            .into_iter()
-            .map(|(region_id, sc)| (region_id, Some(sc), None))
-            .collect();
-        let chunk = react_core::par::chunk_len(n, threads);
-        std::thread::scope(|scope| {
-            for part in slots.chunks_mut(chunk) {
-                scope.spawn(move || {
-                    for (_, sc, out) in part.iter_mut() {
-                        let sc = sc.take().expect("scenario consumed once");
-                        *out = Some(self.run_region(sc));
-                    }
-                });
-            }
-        });
-        MultiRegionReport {
-            per_region: slots
-                .into_iter()
-                .map(|(region_id, _, report)| {
-                    (region_id, report.expect("every region thread completed"))
-                })
-                .collect(),
-        }
-    }
-
-    /// The schedule-permutation race checker: replays the regions under
-    /// adversarial execution orderings (reversed, rotated, and seeded
-    /// shuffles — up to `max_orders` of them), merges each result back
-    /// into region-id order, and demands every merged report be
-    /// bit-identical to the serial baseline.
-    ///
-    /// The parallel path's determinism guarantee rests on regions being
-    /// truly independent; any hidden coupling (shared RNG, global state,
-    /// order-dependent workload preparation) shows up here as a
-    /// divergence long before it becomes a once-in-a-thousand-runs CI
-    /// flake in the threaded scheduler. Returns the number of orderings
-    /// checked.
-    pub fn check_schedule_permutations(
-        &self,
-        max_orders: usize,
-    ) -> Result<usize, SchedulePermutationMismatch> {
-        let baseline = self.run_serial();
-        let n = baseline.per_region.len();
-        if n <= 1 || max_orders == 0 {
-            return Ok(0);
-        }
-        let orders = adversarial_orders(n, max_orders, self.scenario.global.seed);
-        let checked = orders.len();
-        for order in orders {
-            let mut pool: Vec<Option<(RegionId, Scenario)>> =
-                self.region_scenarios().into_iter().map(Some).collect();
-            let mut merged: Vec<Option<(RegionId, RunReport)>> = (0..n).map(|_| None).collect();
-            for &idx in &order {
-                let (region_id, sc) = pool[idx].take().expect("each index visited once");
-                merged[idx] = Some((region_id, ScenarioRunner::new(sc).run()));
-            }
-            let report = MultiRegionReport {
-                per_region: merged
-                    .into_iter()
-                    .map(|slot| slot.expect("order is a permutation"))
-                    .collect(),
-            };
-            if !baseline.identical(&report) {
-                return Err(SchedulePermutationMismatch { order });
-            }
-        }
-        Ok(checked)
-    }
-
-    /// Deterministic preparation shared by both execution paths — see
-    /// [`partition_scenarios`].
-    fn region_scenarios(&self) -> Vec<(RegionId, Scenario)> {
-        partition_scenarios(
+        let per_region = partition_scenarios(
             &self.scenario.global,
             self.scenario.rows,
             self.scenario.cols,
         )
+        .into_iter()
+        .map(|(region_id, sc)| (region_id, self.run_region(sc)))
+        .collect();
+        MultiRegionReport { per_region }
     }
 }
 
@@ -307,11 +169,8 @@ impl MultiRegionRunner {
 /// region, the worker split, and one seeded scenario per region (in
 /// region-id order).
 ///
-/// This is the single source of truth for the decomposition. Both
-/// [`MultiRegionRunner`] and `react-cluster`'s single-tier fallback path
-/// call it, which is what makes a 1-tier cluster run bit-identical to
-/// the multi-region demo runner by construction.
-pub fn partition_scenarios(global: &Scenario, rows: u32, cols: u32) -> Vec<(RegionId, Scenario)> {
+/// This is the single source of truth for the decomposition.
+fn partition_scenarios(global: &Scenario, rows: u32, cols: u32) -> Vec<(RegionId, Scenario)> {
     let grid = RegionGrid::new(global.region, rows, cols).expect("non-zero grid dimensions");
     let streams = RngStreams::new(global.seed ^ 0x9e0);
     let mut workload_rng = streams.stream("global-workload");
@@ -345,37 +204,6 @@ pub fn partition_scenarios(global: &Scenario, rows: u32, cols: u32) -> Vec<(Regi
             (region_id, sc)
         })
         .collect()
-}
-
-/// Adversarial region execution orders: reversed, rotated by one, and
-/// deterministic seeded shuffles, `max_orders` in total. The identity
-/// order is never emitted (it *is* the baseline).
-fn adversarial_orders(n: usize, max_orders: usize, seed: u64) -> Vec<Vec<usize>> {
-    use rand::Rng;
-    let mut orders: Vec<Vec<usize>> = Vec::new();
-    let push = |candidate: Vec<usize>, orders: &mut Vec<Vec<usize>>| {
-        let identity = candidate.iter().enumerate().all(|(i, &v)| i == v);
-        if !identity && !orders.contains(&candidate) {
-            orders.push(candidate);
-        }
-    };
-    push((0..n).rev().collect(), &mut orders);
-    push((0..n).map(|i| (i + 1) % n).collect(), &mut orders);
-    let streams = RngStreams::new(seed ^ 0x5ced);
-    let mut shuffle_rng = streams.stream("schedule-permutations");
-    let mut guard = 0;
-    while orders.len() < max_orders && guard < max_orders * 8 {
-        guard += 1;
-        let mut candidate: Vec<usize> = (0..n).collect();
-        // Fisher–Yates with the sanctioned seeded stream.
-        for i in (1..n).rev() {
-            let j = shuffle_rng.gen_range(0..=i);
-            candidate.swap(i, j);
-        }
-        push(candidate, &mut orders);
-    }
-    orders.truncate(max_orders);
-    orders
 }
 
 #[cfg(test)]
@@ -451,76 +279,6 @@ mod tests {
     }
 
     #[test]
-    fn parallel_run_is_bit_identical_to_serial_baseline() {
-        let runner = MultiRegionRunner::new(MultiRegionScenario {
-            global: global(9),
-            rows: 2,
-            cols: 2,
-        });
-        let serial = runner.run_serial();
-        let parallel = runner.run_parallel();
-        assert!(
-            serial.identical(&parallel),
-            "parallel region execution must not perturb any result"
-        );
-        // And the default entry point matches both.
-        assert!(serial.identical(&runner.run()));
-        // Self-inequality guard: a different seed must differ.
-        let other = MultiRegionRunner::new(MultiRegionScenario {
-            global: global(10),
-            rows: 2,
-            cols: 2,
-        })
-        .run_serial();
-        assert!(!serial.identical(&other), "different seeds should differ");
-    }
-
-    #[test]
-    fn schedule_permutations_are_race_free() {
-        let runner = MultiRegionRunner::new(MultiRegionScenario {
-            global: global(7),
-            rows: 2,
-            cols: 2,
-        });
-        let checked = runner
-            .check_schedule_permutations(4)
-            .expect("region merges must be order-independent");
-        assert!(checked >= 3, "expected several orderings, got {checked}");
-    }
-
-    #[test]
-    fn permutation_checker_handles_degenerate_grids() {
-        let runner = MultiRegionRunner::new(MultiRegionScenario {
-            global: global(8),
-            rows: 1,
-            cols: 1,
-        });
-        // One region has no non-identity orders to check.
-        assert_eq!(runner.check_schedule_permutations(4), Ok(0));
-    }
-
-    #[test]
-    fn adversarial_orders_are_permutations_without_identity() {
-        for n in [2usize, 3, 5, 8] {
-            let orders = adversarial_orders(n, 6, 42);
-            assert!(!orders.is_empty());
-            for order in &orders {
-                let mut sorted = order.clone();
-                sorted.sort_unstable();
-                assert_eq!(sorted, (0..n).collect::<Vec<_>>(), "not a permutation");
-                assert!(
-                    order.iter().enumerate().any(|(i, &v)| i != v),
-                    "identity must be excluded"
-                );
-            }
-            // No duplicate orderings.
-            for (i, a) in orders.iter().enumerate() {
-                assert!(!orders[i + 1..].contains(a), "duplicate ordering");
-            }
-        }
-    }
-
-    #[test]
     fn observer_counts_regions_and_leaves_results_identical() {
         use react_obs::RecordingObserver;
         use std::sync::Arc;
@@ -534,11 +292,11 @@ mod tests {
             rows: 2,
             cols: 2,
         })
-        .run_serial();
+        .run();
         let recording = RecordingObserver::new();
         let observed = MultiRegionRunner::new(scenario)
             .with_observer(Arc::new(recording.clone()))
-            .run_serial();
+            .run();
         assert!(
             baseline.identical(&observed),
             "attaching a recording observer must not perturb any result"

@@ -19,19 +19,13 @@
 use crate::behavior::{generate_population, WorkerBehavior};
 use crate::generator::TaskGenerator;
 use crate::scenario::Scenario;
-use rand::Rng;
-use react_core::{AuditLog, ReactServer, Task, TaskCategory, TaskId, WorkerId};
-use react_faults::FaultSchedule;
+use react_core::{AuditLog, ReactServer, Task, TaskId, WorkerId};
+use react_faults::{FaultSchedule, BURST_ID_BASE};
 use react_metrics::TimeSeries;
 use react_obs::{null_observer, CounterKind, ObserverHandle};
 use react_prob::distributions::{Exponential, UniformRange};
 use react_sim::{RngStreams, SimDuration, SimTime, Simulator};
 use std::collections::BTreeMap;
-
-/// Task ids at or above this base are injected burst tasks: far outside
-/// the sequential generator id space and the replica-id arithmetic
-/// (`logical_id * k + j`), so they can never collide with workload ids.
-const BURST_ID_BASE: u64 = 1 << 40;
 
 /// Events driving the simulation.
 #[derive(Debug)]
@@ -124,11 +118,11 @@ pub struct RunReport {
     /// Logical task groups (= received / replication).
     pub groups: u64,
     /// Groups where a strict majority of replicas earned positive
-    /// feedback (the voting scheme's success criterion; needs
+    /// feedback (the voting scheme's success condition; needs
     /// per-replica success above ½ to help).
     pub groups_majority_positive: u64,
     /// Groups where at least one replica earned positive feedback (the
-    /// best-answer redundancy criterion).
+    /// best-answer redundancy condition).
     pub groups_any_positive: u64,
     /// Groups where at least one replica met the deadline.
     pub groups_any_met: u64,
@@ -409,21 +403,7 @@ impl ScenarioRunner {
                 }
                 Event::Burst { size } => {
                     for _ in 0..size {
-                        let id = TaskId(BURST_ID_BASE + report.faults.burst_tasks);
-                        let deadline = burst_rng.gen_range(
-                            sc.deadline_range.0
-                                ..sc.deadline_range.1.max(sc.deadline_range.0 + f64::EPSILON),
-                        );
-                        let reward = burst_rng.gen_range(0.01..0.10);
-                        let category = TaskCategory(burst_rng.gen_range(0..sc.n_categories.max(1)));
-                        let task = Task::new(
-                            id,
-                            sc.region.random_point(&mut burst_rng),
-                            deadline,
-                            reward,
-                            category,
-                            "burst",
-                        );
+                        let task = sc.burst_task(report.faults.burst_tasks, &mut burst_rng);
                         report.received += 1;
                         report.faults.burst_tasks += 1;
                         server.submit_task(task, now);

@@ -27,7 +27,6 @@ COMMANDS:
     fig3|fig4               WBGM matching micro-benchmarks (Figures 3-4)
     fig5|fig6|fig7|fig8     end-to-end comparison (Figures 5-8)
     fig9|fig10              scalability sweep (Figures 9-10)
-    regions                 region/graph-build wall-clock scaling
     hotpath                 scheduling hot-path micro-benchmarks
     case                    CrowdFlower case study (Sec. V-C)
     ablation                the eleven design-choice ablations
@@ -37,7 +36,6 @@ COMMANDS:
 
 FLAGS:
     --quick        reduced sizes (seconds instead of minutes)
-    --observe      add the observability-overhead pass to `regions`
     --no-csv       skip CSV/JSON-lines artifacts
     --seed N       base seed (default 42; overrides a manifest's seed)
     --out DIR      artifact directory (default results/)
@@ -49,7 +47,6 @@ struct Cli {
     command: String,
     manifest_path: Option<PathBuf>,
     quick: bool,
-    observe: bool,
     no_csv: bool,
     seed: u64,
     seed_given: bool,
@@ -64,7 +61,6 @@ fn parse_cli() -> Result<Cli, String> {
         command: String::new(),
         manifest_path: None,
         quick: false,
-        observe: false,
         no_csv: false,
         seed: 42,
         seed_given: false,
@@ -76,7 +72,6 @@ fn parse_cli() -> Result<Cli, String> {
     while let Some(arg) = args.next() {
         match arg.as_str() {
             "--quick" => cli.quick = true,
-            "--observe" => cli.observe = true,
             "--no-csv" => cli.no_csv = true,
             "--serial" => cli.serial = true,
             "--seed" => {
@@ -159,7 +154,7 @@ fn run(cli: &Cli) -> Result<(), String> {
         OutputSink::to_dir(&cli.out)
     }
     .with_provenance(provenance);
-    let all = registry(&sink, cli.observe);
+    let all = registry(&sink);
     if cli.command == "list" {
         for s in &all {
             println!("{:12} {}", s.name(), s.title());

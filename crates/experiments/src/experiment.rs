@@ -46,7 +46,7 @@ pub trait Experiment: Sync {
     fn run(&self, spec: &RunSpec) -> Result<Vec<KpiRow>, String>;
 
     /// Whether cells may execute concurrently. Suites measuring
-    /// wall-clock throughput (hotpath, regions, cluster, fig34) return
+    /// wall-clock throughput (hotpath, cluster, fig34) return
     /// `false` so concurrent cells don't poison each other's timings;
     /// purely sim-time suites keep the all-cores default.
     fn parallel_safe(&self) -> bool {

@@ -9,13 +9,13 @@
 //! held [`OutputSink`]) and returns the module's KPI rows for the
 //! aggregated sweep report.
 //!
-//! Suites that measure wall-clock throughput (`fig34`, `regions`,
-//! `hotpath`, `cluster`) report `parallel_safe() == false` so the
-//! driver pins them to one cell at a time — concurrent cells would
-//! poison each other's timings.
+//! Suites that measure wall-clock throughput (`fig34`, `hotpath`,
+//! `cluster`) report `parallel_safe() == false` so the driver pins them
+//! to one cell at a time — concurrent cells would poison each other's
+//! timings.
 
 use react_bench::report::OutputSink;
-use react_bench::{ablation, casestudy, chaos, cluster, endtoend, fig34, hotpath, regions, sweep};
+use react_bench::{ablation, casestudy, chaos, cluster, endtoend, fig34, hotpath, sweep};
 use react_metrics::KpiRow;
 
 use crate::experiment::{ExpandCtx, Experiment};
@@ -134,54 +134,6 @@ impl Experiment for Scalability {
     }
 }
 
-/// Region-execution and graph-build scalability (wall clock).
-pub struct Regions {
-    sink: OutputSink,
-    observe: bool,
-}
-
-impl Experiment for Regions {
-    fn name(&self) -> &'static str {
-        "regions"
-    }
-    fn title(&self) -> &'static str {
-        "Region execution and graph build — serial vs parallel wall clock"
-    }
-    fn expand(&self, ctx: &ExpandCtx) -> Result<Vec<RunSpec>, String> {
-        single_spec(self.name(), ctx)
-    }
-    fn run(&self, spec: &RunSpec) -> Result<Vec<KpiRow>, String> {
-        let params = params_for!(spec, regions::RegionSweepParams);
-        let points = regions::run(&params);
-        let pools: &[usize] = if spec.quick {
-            &[40, 120]
-        } else {
-            &[100, 300, 1000]
-        };
-        let builds = regions::build_scaling(pools, if spec.quick { 30 } else { 100 });
-        println!("{}", regions::report(&points, &builds, &self.sink));
-        let mut rows = prefixed("series", "regions", regions::kpi_rows(&points));
-        rows.extend(prefixed(
-            "series",
-            "graph_build",
-            regions::build_kpi_rows(&builds),
-        ));
-        if self.observe {
-            let observed = regions::observe(&params);
-            println!("{}", regions::observe_report(&observed, &self.sink));
-            rows.extend(prefixed(
-                "series",
-                "observability",
-                regions::observe_kpi_rows(&observed),
-            ));
-        }
-        Ok(rows)
-    }
-    fn parallel_safe(&self) -> bool {
-        false
-    }
-}
-
 /// Scheduling hot-path micro-benchmarks (wall clock, BENCH_hotpath.json).
 pub struct Hotpath {
     sink: OutputSink,
@@ -238,7 +190,7 @@ impl Experiment for ClusterSuite {
         "cluster"
     }
     fn title(&self) -> &'static str {
-        "Cluster — shard-scaling throughput and fallback identities (BENCH_cluster.json)"
+        "Cluster — shard-scaling throughput and determinism identities (BENCH_cluster.json)"
     }
     fn expand(&self, ctx: &ExpandCtx) -> Result<Vec<RunSpec>, String> {
         single_spec(self.name(), ctx)
@@ -360,17 +312,13 @@ impl Experiment for Ablation {
     }
 }
 
-/// All nine legacy suites, in the classic `all` presentation order,
+/// All eight legacy suites, in the classic `all` presentation order,
 /// sharing one output sink.
-pub fn legacy_suites(sink: &OutputSink, observe: bool) -> Vec<Box<dyn Experiment>> {
+pub fn legacy_suites(sink: &OutputSink) -> Vec<Box<dyn Experiment>> {
     vec![
         Box::new(Fig34 { sink: sink.clone() }),
         Box::new(EndToEnd { sink: sink.clone() }),
         Box::new(Scalability { sink: sink.clone() }),
-        Box::new(Regions {
-            sink: sink.clone(),
-            observe,
-        }),
         Box::new(Hotpath { sink: sink.clone() }),
         Box::new(CaseStudy { sink: sink.clone() }),
         Box::new(Ablation { sink: sink.clone() }),
@@ -394,7 +342,7 @@ mod tests {
     #[test]
     fn every_legacy_suite_expands_to_one_unseeded_spec() {
         let sink = OutputSink::discard();
-        for suite in legacy_suites(&sink, false) {
+        for suite in legacy_suites(&sink) {
             let specs = suite.expand(&ctx(true, 1234)).unwrap();
             assert_eq!(specs.len(), 1, "{} must expand to one spec", suite.name());
             let spec = &specs[0];
@@ -408,17 +356,13 @@ mod tests {
     #[test]
     fn suite_names_are_unique_and_stable() {
         let sink = OutputSink::discard();
-        let names: Vec<&str> = legacy_suites(&sink, false)
-            .iter()
-            .map(|s| s.name())
-            .collect();
+        let names: Vec<&str> = legacy_suites(&sink).iter().map(|s| s.name()).collect();
         assert_eq!(
             names,
             vec![
                 "fig34",
                 "endtoend",
                 "scalability",
-                "regions",
                 "hotpath",
                 "case",
                 "ablation",
@@ -431,8 +375,8 @@ mod tests {
     #[test]
     fn wall_clock_suites_refuse_parallel_cells() {
         let sink = OutputSink::discard();
-        for suite in legacy_suites(&sink, false) {
-            let expected = !matches!(suite.name(), "fig34" | "regions" | "hotpath" | "cluster");
+        for suite in legacy_suites(&sink) {
+            let expected = !matches!(suite.name(), "fig34" | "hotpath" | "cluster");
             assert_eq!(
                 suite.parallel_safe(),
                 expected,

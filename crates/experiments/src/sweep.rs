@@ -67,11 +67,11 @@ pub struct SweepOutcome {
 }
 
 /// Every registered suite: the manifest-driven `scenario` sweep, the
-/// nine legacy figure suites and the live-ingest `load` suite, sharing
+/// eight legacy figure suites and the live-ingest `load` suite, sharing
 /// one output sink.
-pub fn registry(sink: &OutputSink, observe: bool) -> Vec<Box<dyn Experiment>> {
+pub fn registry(sink: &OutputSink) -> Vec<Box<dyn Experiment>> {
     let mut suites: Vec<Box<dyn Experiment>> = vec![Box::new(ScenarioSweep)];
-    suites.extend(legacy_suites(sink, observe));
+    suites.extend(legacy_suites(sink));
     suites.push(Box::new(LoadSuite::new(sink.clone())));
     suites
 }
@@ -83,7 +83,6 @@ pub fn suite(name: &str) -> Option<&'static str> {
         "fig3" | "fig4" | "fig34" => "fig34",
         "fig5" | "fig6" | "fig7" | "fig8" | "fig5-8" | "endtoend" => "endtoend",
         "fig9" | "fig10" | "fig9-10" | "scalability" => "scalability",
-        "regions" => "regions",
         "hotpath" => "hotpath",
         "case" => "case",
         "ablation" => "ablation",
@@ -277,9 +276,9 @@ mod tests {
     }
 
     #[test]
-    fn registry_lists_scenario_the_nine_legacy_suites_then_load() {
+    fn registry_lists_scenario_the_eight_legacy_suites_then_load() {
         let sink = OutputSink::discard();
-        let names: Vec<&str> = registry(&sink, false).iter().map(|s| s.name()).collect();
+        let names: Vec<&str> = registry(&sink).iter().map(|s| s.name()).collect();
         assert_eq!(
             names,
             vec![
@@ -287,7 +286,6 @@ mod tests {
                 "fig34",
                 "endtoend",
                 "scalability",
-                "regions",
                 "hotpath",
                 "case",
                 "ablation",

@@ -32,4 +32,4 @@ pub mod plan;
 pub mod schedule;
 
 pub use plan::{BurstPlan, DropoutPlan, FaultPlan, StragglerPlan};
-pub use schedule::{Dropout, FaultSchedule};
+pub use schedule::{Dropout, FaultSchedule, BURST_ID_BASE};

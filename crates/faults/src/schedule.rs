@@ -1,6 +1,11 @@
 //! The materialised [`FaultSchedule`]: a frozen fault timeline plus
 //! order-independent per-event fault decisions.
 
+/// Task ids at or above this base are injected burst tasks: far outside
+/// the sequential generator id space and the replica-id arithmetic
+/// (`logical_id * k + j`), so they can never collide with workload ids.
+pub const BURST_ID_BASE: u64 = 1 << 40;
+
 /// One scheduled worker dropout.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Dropout {

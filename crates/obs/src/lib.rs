@@ -15,9 +15,6 @@
 //!   `Write` sink for offline analysis.
 //! * [`FanoutObserver`] — composes several sinks behind one handle.
 //!
-//! A bridge into `react-metrics::registry` lives in the `react-metrics`
-//! crate (`MetricsObserver`) to keep this crate dependency-free.
-//!
 //! This crate is a *leaf*: it sits below `react-core` and therefore
 //! cannot use `react-runtime`'s clock layer (which depends on core).
 //! It owns the only other sanctioned use of monotonic wall-clock reads

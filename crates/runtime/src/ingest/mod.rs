@@ -1,16 +1,17 @@
-//! Live TCP ingest: an HTTP/1.1 front-end over the live runtime.
+//! Live TCP ingest: an HTTP/1.1 front-end, the scheduler thread and the
+//! worker-host fleet.
 //!
-//! This is the wire boundary the paper's middleware implies but the
-//! in-process [`crate::LiveRuntime`] demo lacked: requesters submit
-//! tasks with `POST /tasks` and poll with `GET /tasks/<id>`; acceptor
-//! threads apply the admission-control ladder (framing → backlog
-//! watermark → bounded queue, see [`server`]) and hand admitted tasks
-//! to the scheduler thread over a *bounded* channel — the backpressure
-//! edge between the door and the middleware. The scheduler drives the
-//! same `ReactServer` tick pipeline and worker-host fleet as the live
-//! runtime, publishes its backlog back to the door every tick, and
-//! records door-to-assignment latencies for the load generator's
-//! p50/p99/p999 report.
+//! This is the wire boundary the paper's middleware implies: requesters
+//! submit tasks with `POST /tasks` and poll with `GET /tasks/<id>`;
+//! acceptor threads apply the admission-control ladder (framing →
+//! backlog watermark → bounded queue, see [`server`]) and hand admitted
+//! tasks to the scheduler thread over a *bounded* channel — the
+//! backpressure edge between the door and the middleware. The scheduler
+//! thread is the crate's one live control loop: it owns the
+//! `ReactServer` and the worker hosts, applies the fault timeline and
+//! the loss/duplication/abandon shims, publishes its backlog back to
+//! the door every tick, and records door-to-assignment latencies for
+//! the load generator's p50/p99/p999 report.
 //!
 //! `std::net` usage is sanctioned here (and in `react-load`) by the
 //! `react-analyze` `net-boundary` rule; the rest of the workspace
@@ -27,7 +28,7 @@ use parking_lot::Mutex;
 use rand::Rng;
 use react_core::{verify_lifecycles, Config, ReactServer, Task, TaskCategory, TaskId, WorkerId};
 use react_crowd::{generate_population, BehaviorParams, WorkerBehavior};
-use react_faults::{FaultPlan, FaultSchedule};
+use react_faults::{FaultPlan, FaultSchedule, BURST_ID_BASE};
 use react_geo::BoundingBox;
 use react_obs::{null_observer, HistogramKind, ObserverHandle};
 use react_sim::RngStreams;
@@ -39,10 +40,6 @@ use std::thread::JoinHandle;
 use std::time::Duration;
 
 pub use server::{DoorStats, IngestTask, Shared, TaskStatus};
-
-/// Task ids at or above this base are injected burst tasks (same
-/// convention as the DES runner and the live runtime).
-const BURST_ID_BASE: u64 = 1 << 40;
 
 /// A timed fault applied when the scaled clock reaches its instant.
 enum FaultAction {
@@ -95,7 +92,8 @@ pub struct IngestConfig {
 impl Default for IngestConfig {
     fn default() -> Self {
         let mut config = Config::paper_defaults();
-        // As in the live runtime: real wall time is the latency here.
+        // The matcher's real wall time *is* the latency here; don't
+        // also charge the modelled PlanetLab-era cost.
         config.charge_matching_time = false;
         // A live front-end also matches on a period: the paper's
         // threshold-only trigger (>10 unassigned) would starve a
@@ -690,6 +688,34 @@ mod tests {
         (status, String::from_utf8(body).expect("utf8 body"))
     }
 
+    /// Submits one task with the given deadline; returns (status, body).
+    fn post_task(stream: &mut TcpStream, deadline: u32) -> (u16, String) {
+        let body = format!("{{\"deadline\": {deadline}, \"reward\": 0.05}}");
+        let req = format!(
+            "POST /tasks HTTP/1.1\r\ncontent-length: {}\r\n\r\n{}",
+            body.len(),
+            body
+        );
+        roundtrip(stream, &req)
+    }
+
+    /// Starts a stack, submits one task per deadline over one connection
+    /// (each must be admitted) and shuts down at once: tasks are still
+    /// queued or executing, so the drain path does the rest.
+    fn submit_then_shutdown(
+        config: IngestConfig,
+        deadlines: impl IntoIterator<Item = u32>,
+    ) -> IngestReport {
+        let handle = IngestRuntime::new(config).start().expect("start");
+        let mut stream = TcpStream::connect(handle.local_addr()).expect("connect");
+        for deadline in deadlines {
+            let (status, _) = post_task(&mut stream, deadline);
+            assert_eq!(status, 202);
+        }
+        drop(stream);
+        handle.shutdown()
+    }
+
     fn quick_config() -> IngestConfig {
         IngestConfig {
             n_workers: 4,
@@ -710,13 +736,7 @@ mod tests {
         let mut stream = TcpStream::connect(addr).expect("connect");
         let mut ids = Vec::new();
         for _ in 0..5 {
-            let body = "{\"deadline\": 120, \"reward\": 0.05}";
-            let req = format!(
-                "POST /tasks HTTP/1.1\r\ncontent-length: {}\r\n\r\n{}",
-                body.len(),
-                body
-            );
-            let (status, resp) = roundtrip(&mut stream, &req);
+            let (status, resp) = post_task(&mut stream, 120);
             assert_eq!(status, 202, "submit accepted: {resp}");
             let id: u64 = resp
                 .split("\"task\":")
@@ -789,24 +809,49 @@ mod tests {
         let mut config = quick_config();
         config.audit = true;
         config.seed = 23;
-        let handle = IngestRuntime::new(config).start().expect("start");
-        let mut stream = TcpStream::connect(handle.local_addr()).expect("connect");
-        for i in 0..12 {
-            let body = format!("{{\"deadline\": {}, \"reward\": 0.05}}", 60 + i * 10);
-            let req = format!(
-                "POST /tasks HTTP/1.1\r\ncontent-length: {}\r\n\r\n{}",
-                body.len(),
-                body
-            );
-            let (status, _) = roundtrip(&mut stream, &req);
-            assert_eq!(status, 202);
-        }
-        drop(stream);
-        // Shut down immediately: tasks are still queued or executing,
-        // so completions race the teardown path.
-        let report = handle.shutdown();
+        // Completions race the teardown path.
+        let report = submit_then_shutdown(config, (0..12).map(|i| 60 + i * 10));
         assert!(report.audit_events > 0, "audit log was recorded");
         assert!(report.conserved(), "conservation identity: {report:?}");
+    }
+
+    #[test]
+    fn traditional_policy_issues_no_recalls() {
+        let mut config = quick_config();
+        config.config.matcher = react_core::MatcherPolicy::Traditional;
+        let report = submit_then_shutdown(config, [120; 20]);
+        assert_eq!(report.accepted, 20);
+        assert_eq!(report.recalls, 0, "traditional never recalls: {report:?}");
+        assert!(report.completed > 0);
+        assert!(report.conserved(), "conservation identity: {report:?}");
+    }
+
+    #[test]
+    fn fault_plan_fires_the_shims_and_recovery_drains_every_task() {
+        use react_core::RecoveryConfig;
+        use react_faults::DropoutPlan;
+        let mut config = quick_config();
+        config.n_workers = 10;
+        config.config.recovery = RecoveryConfig::aggressive(20.0);
+        config.faults = Some(FaultPlan {
+            dropout: Some(DropoutPlan {
+                probability: 0.5,
+                window: (5.0, 40.0),
+                offline_range: Some((10.0, 20.0)),
+            }),
+            abandon_probability: 0.3,
+            loss_probability: 0.1,
+            duplication_probability: 0.2,
+            ..FaultPlan::none()
+        });
+        let report = submit_then_shutdown(config, [120; 30]);
+        assert_eq!(report.accepted, 30);
+        assert!(report.fault_events > 0, "shims must fire: {report:?}");
+        assert!(report.conserved(), "conservation identity: {report:?}");
+        assert_eq!(
+            report.stranded, 0,
+            "recovery must drain every faulted task: {report:?}"
+        );
     }
 
     #[test]

@@ -18,7 +18,7 @@
 //!
 //! Everything is instrumented through the `ingest.*` observer catalog.
 
-use super::http::{parse_request, parse_submit_body, Request, Response};
+use super::http::{parse_request, parse_submit_body, HttpError, Request, Response};
 use crate::clock::ScaledClock;
 use crossbeam::channel::{Sender, TrySendError};
 use parking_lot::Mutex;
@@ -26,7 +26,7 @@ use react_core::{Task, TaskCategory, TaskId};
 use react_geo::GeoPoint;
 use react_obs::{CounterKind, ObserverHandle, SpanKind, SpanTimer};
 use std::collections::HashMap;
-use std::io::BufReader;
+use std::io::{BufRead, BufReader};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -197,8 +197,18 @@ fn serve_connection(stream: TcpStream, idle_timeout: Duration, shared: &Shared) 
     };
     let mut reader = BufReader::new(stream);
     loop {
+        // Block for the request's first byte *before* starting the span,
+        // so `ingest.request` times the request and not the keep-alive
+        // idle gap in front of it. End of stream and read errors map to
+        // what `parse_request` returns for them at a request boundary.
+        let first_byte = reader.fill_buf().map(|buf| !buf.is_empty());
         let timer = SpanTimer::start();
-        let request = match parse_request(&mut reader) {
+        let parsed = match first_byte {
+            Ok(true) => parse_request(&mut reader),
+            Ok(false) => Ok(None),
+            Err(_) => Err(HttpError::Truncated),
+        };
+        let request = match parsed {
             Ok(Some(request)) => request,
             Ok(None) => return,
             Err(err) => {

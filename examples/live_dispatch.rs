@@ -1,54 +1,58 @@
-//! Live dispatch — the middleware on real threads and the wall clock.
+//! Live dispatch — the middleware on real threads, real sockets and the
+//! wall clock.
 //!
-//! Spawns one host thread per crowd worker plus a requester thread, and
-//! runs the REACT scheduler loop against them with time compressed 120×
-//! (two simulated minutes per wall second). Demonstrates asynchronous
+//! Self-hosts the ingest stack (TCP acceptors, the scheduler thread and
+//! one host thread per crowd worker) and replays a seeded Poisson trace
+//! through it over real connections, with time compressed 120× (two
+//! simulated minutes per wall second). Demonstrates asynchronous
 //! assignment, interruptible execution (Eq. 2 recalls actually abort the
-//! sleeping "human"), and clean shutdown.
+//! sleeping "human"), and a clean drain on shutdown.
 //!
 //! ```text
 //! cargo run --release --example live_dispatch
 //! ```
 
-use react::crowd::BehaviorParams;
-use react::runtime::{LiveConfig, LiveRuntime};
-use std::time::Instant;
+use react::load::{run, LoadParams};
 
-fn main() {
-    let config = LiveConfig {
+fn main() -> std::io::Result<()> {
+    let params = LoadParams {
         n_workers: 40,
-        total_tasks: 200,
-        arrival_rate: 4.0,
+        tasks: 200,
+        rate: 4.0,
         time_scale: 120.0,
-        behavior: BehaviorParams::default(),
         seed: 2013,
-        ..LiveConfig::default()
+        ..LoadParams::default()
     };
     println!(
         "spawning {} worker threads; {} tasks at {}/crowd-second, {}× time compression…",
-        config.n_workers, config.total_tasks, config.arrival_rate, config.time_scale
+        params.n_workers, params.tasks, params.rate, params.time_scale
     );
 
-    let t0 = Instant::now();
-    let report = LiveRuntime::new(config).run();
-    let wall = t0.elapsed().as_secs_f64();
+    let report = run(&params)?;
 
-    println!("\nlive run finished in {wall:.1} wall-seconds:");
-    println!("  submitted          {}", report.submitted);
-    println!("  completed          {}", report.completed);
     println!(
-        "  met deadline       {} ({:.1}%)",
+        "\nlive run finished in {:.1} wall-seconds:",
+        report.wall_seconds
+    );
+    println!("  offered at the door {}", report.offered);
+    println!("  accepted            {}", report.accepted);
+    println!("  completed           {}", report.completed);
+    println!(
+        "  met deadline        {} ({:.1}%)",
         report.met_deadline,
-        100.0 * report.met_deadline as f64 / report.submitted.max(1) as f64
+        100.0 * report.met_deadline as f64 / report.accepted.max(1) as f64
     );
-    println!("  positive feedback  {}", report.positive_feedback);
-    println!("  Eq.(2) recalls     {}", report.recalls);
-    println!("  expired in queue   {}", report.expired);
-    println!("  matching batches   {}", report.batches);
+    println!("  recalls             {}", report.recalls);
+    println!("  expired in queue    {}", report.expired);
+    println!("  matching batches    {}", report.batches);
+    println!(
+        "  assign latency      p50 {:.1}s  p99 {:.1}s (crowd time)",
+        report.p50_assign, report.p99_assign
+    );
 
-    assert_eq!(
-        report.completed + report.expired,
-        report.submitted,
-        "every task must complete or expire"
+    assert!(
+        report.conserved,
+        "every accepted task must complete, expire or be shed"
     );
+    Ok(())
 }
