@@ -1052,7 +1052,7 @@ fn f() {
     fn tests_dir_exempt_from_token_rules() {
         let src = "fn f() { let t = Instant::now(); x.unwrap(); }\n";
         assert!(scan("tests/end_to_end.rs", src).is_empty());
-        assert!(scan("crates/bench/benches/fig3.rs", src).is_empty());
+        assert!(scan("crates/core/benches/fig3.rs", src).is_empty());
         assert!(scan("examples/quickstart.rs", src).is_empty());
     }
 

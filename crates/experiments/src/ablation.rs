@@ -3,36 +3,38 @@
 //! The paper motivates several mechanisms without isolating them; these
 //! experiments isolate each one:
 //!
-//! 1. [`conflict_rule`] — REACT's g(x′)=0 replacement rule vs plain
+//! 1. [`conflict_rule_rows`] — REACT's g(x′)=0 replacement rule vs plain
 //!    Metropolis rejection, across cycle budgets.
-//! 2. [`adaptive_cycles`] — fixed `c` vs the suggested `c = κ·|E|`.
-//! 3. [`edge_threshold`] — the Eq. (3) pruning bound, 0 → 0.8.
-//! 4. [`reassign_threshold`] — the Eq. (2) recall bound, 0 → 0.5.
-//! 5. [`weight_function`] — accuracy (Eq. 1) vs geographic distance vs a
+//! 2. [`adaptive_cycles_rows`] — fixed `c` vs the suggested `c = κ·|E|`.
+//! 3. [`edge_threshold_rows`] — the Eq. (3) pruning bound, 0 → 0.8.
+//! 4. [`reassign_threshold_rows`] — the Eq. (2) recall bound, 0 → 0.5.
+//! 5. [`weight_function_rows`] — accuracy (Eq. 1) vs geographic distance vs a
 //!    blend.
-//! 6. [`batch_trigger`] — queue-threshold vs periodic batching.
-//! 7. [`frontier`] — matching quality vs compute time across all five
+//! 6. [`batch_trigger_rows`] — queue-threshold vs periodic batching.
+//! 7. [`frontier_rows`] — matching quality vs compute time across all five
 //!    matchers on one contended graph.
-//! 8. [`region_decomposition`] — the paper's overload fix: one global
+//! 8. [`region_decomposition_rows`] — the paper's overload fix: one global
 //!    load over 1×1 / 2×2 / 3×3 region grids.
-//! 9. [`latency_model`] — uniform-with-delay vs power-law crowds (the
+//! 9. [`latency_model_rows`] — uniform-with-delay vs power-law crowds (the
 //!    estimator's modelling assumption made true).
-//! 10. [`model_kind`] — the paper's parametric power-law fit vs the
+//! 10. [`model_kind_rows`] — the paper's parametric power-law fit vs the
 //!     distribution-free empirical CCDF vs KS-gated auto selection.
-//! 11. [`replication`] — REACT's pre-execution worker selection vs
+//! 11. [`replication_rows`] — REACT's pre-execution worker selection vs
 //!     CDAS/Karger-style k-fold redundancy (the related-work claim:
 //!     choosing the right worker *before* execution avoids the cost of
 //!     multiple assignments).
 //!
-//! Every ablation is a pure `*_rows` function returning [`KpiRow`]s plus
-//! a thin rendering wrapper; [`SUITE`] lists all eleven so drivers can
-//! iterate them without duplicating titles or CSV names.
+//! Every ablation is a pure `*_rows` function returning [`KpiRow`]s;
+//! [`SUITE`] lists all eleven with their titles and CSV names, and the
+//! [`Ablation`] experiment iterates it.
 
-// analyze: allow-file(no-wall-clock) — benchmark harness: wall-clock
-// timing IS the measurement here, and react-bench has no react-runtime
-// dependency to borrow a Stopwatch from.
+// analyze: allow-file(no-wall-clock) — the frontier ablation's `wall_ms`
+// column: wall-clock timing IS the measurement there, and
+// react-experiments has no react-runtime dependency to borrow a
+// Stopwatch from.
 
-use crate::report::OutputSink;
+use crate::experiment::{prefixed, Experiment, RunOutput};
+use crate::spec::RunSpec;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use react_core::{BatchTrigger, LatencyModelKind, MatcherPolicy, WeightFunction};
@@ -159,11 +161,39 @@ pub const SUITE: &[AblationEntry] = &[
     ),
 ];
 
-/// Renders one ablation's table and archives its CSV.
-fn emit(title: &str, csv_name: &str, rows: Vec<KpiRow>, sink: &OutputSink) -> String {
-    let report = KpiReport::from_rows(rows);
-    sink.write(csv_name, &report.to_csv_rows(None));
-    report.table(title, None).render()
+/// All eleven ablations as one [`Experiment`] cell: each contributes its
+/// figure CSV, its table and its KPI rows tagged with an `ablation`
+/// column.
+pub struct Ablation;
+
+impl Experiment for Ablation {
+    fn name(&self) -> &'static str {
+        "ablation"
+    }
+    fn title(&self) -> &'static str {
+        "Ablations — the eleven design-choice isolations of DESIGN.md"
+    }
+    fn figures(&self) -> Vec<&'static str> {
+        SUITE.iter().map(|entry| entry.2).collect()
+    }
+    fn run(&self, spec: &RunSpec) -> Result<RunOutput, String> {
+        let params = AblationParams {
+            seed: spec.seed,
+            ..spec.sized(AblationParams::quick)
+        };
+        let mut out = RunOutput::default();
+        for (name, title, csv_name, rows_fn) in SUITE {
+            let report = KpiReport::from_rows(rows_fn(&params));
+            out.figures.push((csv_name, report.to_csv_rows(None)));
+            out.text.push_str(&report.table(title, None).render());
+            out.text.push('\n');
+            for row in &report.rows {
+                out.rows
+                    .push(prefixed(KpiRow::new().label("ablation", *name), row));
+            }
+        }
+        Ok(out)
+    }
 }
 
 fn contended_graph(side: usize, seed: u64) -> BipartiteGraph {
@@ -214,11 +244,6 @@ pub fn conflict_rule_rows(params: &AblationParams) -> Vec<KpiRow> {
         .collect()
 }
 
-/// See [`conflict_rule_rows`].
-pub fn conflict_rule(params: &AblationParams, sink: &OutputSink) -> String {
-    emit(SUITE[0].1, SUITE[0].2, conflict_rule_rows(params), sink)
-}
-
 /// Ablation 2 — fixed cycle budgets vs the adaptive `c = κ·|E|` rule.
 pub fn adaptive_cycles_rows(params: &AblationParams) -> Vec<KpiRow> {
     let cost_model = CostModel::paper_calibrated();
@@ -249,11 +274,6 @@ pub fn adaptive_cycles_rows(params: &AblationParams) -> Vec<KpiRow> {
     rows
 }
 
-/// See [`adaptive_cycles_rows`].
-pub fn adaptive_cycles(params: &AblationParams, sink: &OutputSink) -> String {
-    emit(SUITE[1].1, SUITE[1].2, adaptive_cycles_rows(params), sink)
-}
-
 /// Ablation 3 — the Eq. (3) edge-instantiation threshold.
 pub fn edge_threshold_rows(params: &AblationParams) -> Vec<KpiRow> {
     [0.0, 0.1, 0.3, 0.5, 0.8]
@@ -271,11 +291,6 @@ pub fn edge_threshold_rows(params: &AblationParams) -> Vec<KpiRow> {
         .collect()
 }
 
-/// See [`edge_threshold_rows`].
-pub fn edge_threshold(params: &AblationParams, sink: &OutputSink) -> String {
-    emit(SUITE[2].1, SUITE[2].2, edge_threshold_rows(params), sink)
-}
-
 /// Ablation 4 — the Eq. (2) reassignment threshold (0 = never recall).
 pub fn reassign_threshold_rows(params: &AblationParams) -> Vec<KpiRow> {
     [0.0, 0.05, 0.1, 0.25, 0.5]
@@ -291,16 +306,6 @@ pub fn reassign_threshold_rows(params: &AblationParams) -> Vec<KpiRow> {
                 .float("kpi.avg_exec_s", r.avg_exec_time())
         })
         .collect()
-}
-
-/// See [`reassign_threshold_rows`].
-pub fn reassign_threshold(params: &AblationParams, sink: &OutputSink) -> String {
-    emit(
-        SUITE[3].1,
-        SUITE[3].2,
-        reassign_threshold_rows(params),
-        sink,
-    )
 }
 
 /// Ablation 5 — the weight function: accuracy vs distance vs blend.
@@ -328,11 +333,6 @@ pub fn weight_function_rows(params: &AblationParams) -> Vec<KpiRow> {
                 .pct("kpi.positive_rate", r.positive_ratio())
         })
         .collect()
-}
-
-/// See [`weight_function_rows`].
-pub fn weight_function(params: &AblationParams, sink: &OutputSink) -> String {
-    emit(SUITE[4].1, SUITE[4].2, weight_function_rows(params), sink)
 }
 
 /// Ablation 6 — batch trigger policy: queue threshold vs period.
@@ -382,11 +382,6 @@ pub fn batch_trigger_rows(params: &AblationParams) -> Vec<KpiRow> {
         .collect()
 }
 
-/// See [`batch_trigger_rows`].
-pub fn batch_trigger(params: &AblationParams, sink: &OutputSink) -> String {
-    emit(SUITE[5].1, SUITE[5].2, batch_trigger_rows(params), sink)
-}
-
 /// Ablation 7 — the quality-vs-time frontier across all matchers.
 pub fn frontier_rows(params: &AblationParams) -> Vec<KpiRow> {
     let graph = contended_graph(params.graph_side, params.seed ^ 0xf00d);
@@ -423,11 +418,6 @@ pub fn frontier_rows(params: &AblationParams) -> Vec<KpiRow> {
         .collect()
 }
 
-/// See [`frontier_rows`].
-pub fn frontier(params: &AblationParams, sink: &OutputSink) -> String {
-    emit(SUITE[6].1, SUITE[6].2, frontier_rows(params), sink)
-}
-
 /// Ablation 8 — region decomposition under load (the paper's proposed
 /// overload fix): the same global workload over 1×1, 2×2 and 3×3 grids.
 pub fn region_decomposition_rows(params: &AblationParams) -> Vec<KpiRow> {
@@ -449,16 +439,6 @@ pub fn region_decomposition_rows(params: &AblationParams) -> Vec<KpiRow> {
                 .float("kpi.max_matching_s", report.max_matching_seconds())
         })
         .collect()
-}
-
-/// See [`region_decomposition_rows`].
-pub fn region_decomposition(params: &AblationParams, sink: &OutputSink) -> String {
-    emit(
-        SUITE[7].1,
-        SUITE[7].2,
-        region_decomposition_rows(params),
-        sink,
-    )
 }
 
 /// Ablation 9 — latency-model sensitivity. The paper's Eq. (2)/(3)
@@ -494,11 +474,6 @@ pub fn latency_model_rows(params: &AblationParams) -> Vec<KpiRow> {
     rows
 }
 
-/// See [`latency_model_rows`].
-pub fn latency_model(params: &AblationParams, sink: &OutputSink) -> String {
-    emit(SUITE[8].1, SUITE[8].2, latency_model_rows(params), sink)
-}
-
 /// Ablation 10 — which latency distribution Eq. (2)/(3) evaluates: the
 /// paper's power-law fit, the empirical CCDF, or KS-gated auto
 /// selection. The paper's own synthetic crowd is *bimodal* (uniform
@@ -523,11 +498,6 @@ pub fn model_kind_rows(params: &AblationParams) -> Vec<KpiRow> {
                 .int("tasks.reassigned", r.reassignments as i64)
         })
         .collect()
-}
-
-/// See [`model_kind_rows`].
-pub fn model_kind(params: &AblationParams, sink: &OutputSink) -> String {
-    emit(SUITE[9].1, SUITE[9].2, model_kind_rows(params), sink)
 }
 
 /// Ablation 11 — selection vs redundancy. The paper's related-work
@@ -570,17 +540,12 @@ pub fn replication_rows(params: &AblationParams) -> Vec<KpiRow> {
         .collect()
 }
 
-/// See [`replication_rows`].
-pub fn replication(params: &AblationParams, sink: &OutputSink) -> String {
-    emit(SUITE[10].1, SUITE[10].2, replication_rows(params), sink)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn sink() -> OutputSink {
-        OutputSink::discard()
+    fn rendered(rows: Vec<KpiRow>) -> String {
+        KpiReport::from_rows(rows).table("ablation", None).render()
     }
 
     #[test]
@@ -598,7 +563,7 @@ mod tests {
 
     #[test]
     fn conflict_rule_shows_react_advantage() {
-        let text = conflict_rule(&AblationParams::quick(), &sink());
+        let text = rendered(conflict_rule_rows(&AblationParams::quick()));
         assert!(text.contains("react_weight"));
         // Every advantage cell should be positive (REACT ≥ Metropolis).
         let plus = text.matches('+').count();
@@ -607,14 +572,14 @@ mod tests {
 
     #[test]
     fn adaptive_cycles_renders() {
-        let text = adaptive_cycles(&AblationParams::quick(), &sink());
+        let text = rendered(adaptive_cycles_rows(&AblationParams::quick()));
         assert!(text.contains("adaptive-k0.2"));
         assert!(text.contains("fixed-1000"));
     }
 
     #[test]
     fn edge_threshold_sweep_runs() {
-        let text = edge_threshold(&AblationParams::quick(), &sink());
+        let text = rendered(edge_threshold_rows(&AblationParams::quick()));
         assert!(text.contains("0.8"));
     }
 
@@ -636,20 +601,20 @@ mod tests {
     #[test]
     fn weight_function_and_batch_trigger_render() {
         let p = AblationParams::quick();
-        assert!(weight_function(&p, &sink()).contains("accuracy"));
-        assert!(batch_trigger(&p, &sink()).contains("threshold-10"));
+        assert!(rendered(weight_function_rows(&p)).contains("accuracy"));
+        assert!(rendered(batch_trigger_rows(&p)).contains("threshold-10"));
     }
 
     #[test]
     fn region_decomposition_renders_and_splits_load() {
-        let text = region_decomposition(&AblationParams::quick(), &sink());
+        let text = rendered(region_decomposition_rows(&AblationParams::quick()));
         assert!(text.contains("1x1"));
         assert!(text.contains("3x3"));
     }
 
     #[test]
     fn latency_model_runs_both_crowds() {
-        let text = latency_model(&AblationParams::quick(), &sink());
+        let text = rendered(latency_model_rows(&AblationParams::quick()));
         assert!(text.contains("paper-uniform"));
         assert!(text.contains("power-law"));
         assert!(text.contains("react"));
@@ -658,7 +623,7 @@ mod tests {
 
     #[test]
     fn model_kind_runs_all_three() {
-        let text = model_kind(&AblationParams::quick(), &sink());
+        let text = rendered(model_kind_rows(&AblationParams::quick()));
         assert!(text.contains("power-law"));
         assert!(text.contains("empirical"));
         assert!(text.contains("auto-ks0.1"));
@@ -666,18 +631,42 @@ mod tests {
 
     #[test]
     fn replication_compares_schemes() {
-        let text = replication(&AblationParams::quick(), &sink());
+        let text = rendered(replication_rows(&AblationParams::quick()));
         assert!(text.contains("traditional k=3"));
         assert!(text.contains("react k=1"));
     }
 
     #[test]
     fn frontier_hungarian_tops_weight() {
-        let text = frontier(&AblationParams::quick(), &sink());
+        let text = rendered(frontier_rows(&AblationParams::quick()));
         assert!(text.contains("hungarian"));
         assert!(
             text.contains("100.0%"),
             "hungarian is its own optimum:\n{text}"
         );
+    }
+
+    #[test]
+    fn suite_cell_tags_rows_and_emits_every_declared_table() {
+        use crate::experiment::ExpandCtx;
+        let ctx = ExpandCtx {
+            quick: true,
+            seed: 42,
+            manifest: None,
+        };
+        let spec = &Ablation.expand(&ctx).unwrap()[0];
+        let out = Ablation.run(spec).unwrap();
+        let emitted: Vec<&str> = out.figures.iter().map(|(name, _)| *name).collect();
+        assert_eq!(emitted, Ablation.figures());
+        for (name, title, _, _) in SUITE {
+            assert!(out.text.contains(title), "missing table {title}");
+            assert!(
+                out.rows.iter().any(|r| r.text("ablation") == Some(name)),
+                "no rows tagged {name}"
+            );
+        }
+        for row in &out.rows {
+            assert_eq!(row.columns().next(), Some("ablation"));
+        }
     }
 }

@@ -1,18 +1,17 @@
 //! `react-experiments` — one CLI for every experiment suite.
 //!
-//! The classic figure commands (`fig3` … `cluster`, `all`) are kept
-//! verbatim; the new `sweep <manifest.toml>` command expands a
-//! declarative manifest into a deterministic run grid and fans it out
-//! across cores. Either way the generic driver in
-//! [`react_experiments::sweep`] aggregates one provenance-stamped KPI
-//! report.
+//! The classic figure commands (`fig3` … `chaos`, `all`) regenerate the
+//! paper's artefacts; `sweep <manifest.toml>` expands a declarative
+//! manifest into a deterministic run grid and fans it out across cores.
+//! Either way the generic driver in [`react_experiments::sweep`] prints
+//! each run's report and writes every artifact — figure CSVs plus one
+//! aggregated KPI report — provenance-stamped under `--out`.
 
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
-use react_bench::report::OutputSink;
 use react_experiments::{registry, run_suites, suite, Experiment, Manifest, SweepOptions};
-use react_metrics::{ArtifactOutcome, Provenance};
+use react_metrics::ArtifactOutcome;
 
 const USAGE: &str = "\
 react-experiments — unified experiment runner
@@ -22,16 +21,14 @@ USAGE:
 
 COMMANDS:
     sweep <manifest.toml>   expand and run a declarative sweep manifest
-    all                     every legacy suite (examples/sweep_all.toml)
+    all                     every paper-artefact suite (examples/sweep_all.toml)
     list                    list registered suites
     fig3|fig4               WBGM matching micro-benchmarks (Figures 3-4)
     fig5|fig6|fig7|fig8     end-to-end comparison (Figures 5-8)
     fig9|fig10              scalability sweep (Figures 9-10)
-    hotpath                 scheduling hot-path micro-benchmarks
     case                    CrowdFlower case study (Sec. V-C)
     ablation                the eleven design-choice ablations
     chaos                   fault-injection chaos sweep
-    cluster                 sharded cluster-mode scaling
     load                    open-loop TCP replay through the ingest door
 
 FLAGS:
@@ -39,8 +36,8 @@ FLAGS:
     --no-csv       skip CSV/JSON-lines artifacts
     --seed N       base seed (default 42; overrides a manifest's seed)
     --out DIR      artifact directory (default results/)
-    --jobs N       worker cap for parallel-safe suites (default: cores)
-    --serial       force single-threaded execution
+    --jobs N       worker cap for parallel-safe suites (default: cores;
+                   1 = single-threaded)
 ";
 
 struct Cli {
@@ -52,7 +49,6 @@ struct Cli {
     seed_given: bool,
     out: PathBuf,
     jobs: Option<usize>,
-    serial: bool,
 }
 
 fn parse_cli() -> Result<Cli, String> {
@@ -66,14 +62,12 @@ fn parse_cli() -> Result<Cli, String> {
         seed_given: false,
         out: PathBuf::from("results"),
         jobs: None,
-        serial: false,
     };
     let mut positional = Vec::new();
     while let Some(arg) = args.next() {
         match arg.as_str() {
             "--quick" => cli.quick = true,
             "--no-csv" => cli.no_csv = true,
-            "--serial" => cli.serial = true,
             "--seed" => {
                 let v = args.next().ok_or("--seed needs a value")?;
                 cli.seed = v.parse().map_err(|_| format!("bad --seed `{v}`"))?;
@@ -139,30 +133,12 @@ fn run(cli: &Cli) -> Result<(), String> {
     }
     let base_seed = manifest.as_ref().map(|m| m.seed).unwrap_or(cli.seed);
 
-    let mut provenance = Provenance::new(base_seed);
-    if let Some(m) = &manifest {
-        provenance = provenance.with_manifest_hash(m.hash);
-    }
-    provenance = provenance
-        .with_git_revision_from(&std::env::current_dir().unwrap_or_else(|_| PathBuf::from(".")));
-
-    // Even a discard sink carries the stamp: the BENCH JSONs are
-    // written regardless of `--no-csv` and must stay attributable.
-    let sink = if cli.no_csv {
-        OutputSink::discard()
-    } else {
-        OutputSink::to_dir(&cli.out)
-    }
-    .with_provenance(provenance);
-    let all = registry(&sink);
+    let all = registry();
     if cli.command == "list" {
         for s in &all {
             println!("{:12} {}", s.name(), s.title());
         }
         return Ok(());
-    }
-    if let Some(dir) = sink.dir() {
-        println!("# CSVs → {}/\n", dir.display());
     }
 
     let names: Vec<String> = match &manifest {
@@ -183,41 +159,29 @@ fn run(cli: &Cli) -> Result<(), String> {
         quick: cli.quick,
         seed: cli.seed,
         jobs: cli.jobs,
-        serial: cli.serial,
         out_dir: if cli.no_csv {
             None
         } else {
             Some(cli.out.clone())
         },
     };
+    if let Some(dir) = &opts.out_dir {
+        println!("# artifacts → {}/\n", dir.display());
+    }
     let outcome = run_suites(&selected, manifest.as_ref(), &opts)?;
 
-    // Legacy suites print their classic reports while running; the
-    // driver's aggregate table is the view for manifest-grid suites.
-    for (exp, table) in selected.iter().zip(&outcome.tables) {
-        if exp.name() == "scenario" {
-            println!("{table}");
-        }
-    }
     println!(
         "# {} run(s) across {} suite(s), base seed {base_seed}",
         outcome.total_runs,
         selected.len()
     );
     for (path, result) in &outcome.artifacts {
-        match result {
-            ArtifactOutcome::Created => println!("# KPI → {}", path.display()),
-            ArtifactOutcome::Unchanged => {
-                println!("# KPI → {} (unchanged)", path.display())
-            }
-            ArtifactOutcome::BackedUp(prev) => {
-                println!(
-                    "# KPI → {} (prior kept as {})",
-                    path.display(),
-                    prev.display()
-                )
-            }
-        }
+        let note = match result {
+            ArtifactOutcome::Created => String::new(),
+            ArtifactOutcome::Unchanged => " (unchanged)".to_string(),
+            ArtifactOutcome::BackedUp(prev) => format!(" (prior kept as {})", prev.display()),
+        };
+        println!("# artifact {}{note}", path.display());
     }
     Ok(())
 }

@@ -1,12 +1,13 @@
 //! The Sec. V-C CrowdFlower case study, regenerated from the synthetic
 //! trace.
 
-use crate::report::OutputSink;
+use crate::experiment::{Experiment, RunOutput};
+use crate::spec::RunSpec;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use react_crowd::{CaseStudySummary, CaseStudyTrace};
 use react_metrics::table::pct;
-use react_metrics::{KpiReport, KpiRow, Table};
+use react_metrics::{KpiRow, Table};
 
 /// Synthesizes a trace of `n` responses and summarizes it.
 pub fn run(n: usize, seed: u64) -> CaseStudySummary {
@@ -24,8 +25,11 @@ pub fn kpi_rows(summary: &CaseStudySummary) -> Vec<KpiRow> {
         .float("kpi.max_response_s", summary.max_response)]
 }
 
-/// Prints the case-study table and archives the CSV.
-pub fn report(summary: &CaseStudySummary, sink: &OutputSink) -> String {
+/// The figure table a run archives.
+const FIGURE: &str = "case_study";
+
+/// The case-study table plus the figure CSV.
+pub fn report(summary: &CaseStudySummary) -> RunOutput {
     let mut t = Table::new(&["statistic", "paper", "synthetic trace"])
         .with_title("CrowdFlower case study (Sec. V-C)");
     t.add_row(vec![
@@ -48,9 +52,26 @@ pub fn report(summary: &CaseStudySummary, sink: &OutputSink) -> String {
         "up to 6 h".to_string(),
         format!("{:.2} h", summary.max_response / 3600.0),
     ]);
-    let kpi = KpiReport::from_rows(kpi_rows(summary));
-    sink.write("case_study", &kpi.to_csv_rows(None));
-    t.render()
+    RunOutput::figure(FIGURE, kpi_rows(summary), t.render())
+}
+
+/// The Sec. V-C case study as an [`Experiment`].
+pub struct CaseStudy;
+
+impl Experiment for CaseStudy {
+    fn name(&self) -> &'static str {
+        "case"
+    }
+    fn title(&self) -> &'static str {
+        "CrowdFlower case study — synthetic-trace statistics (Sec. V-C)"
+    }
+    fn figures(&self) -> Vec<&'static str> {
+        vec![FIGURE]
+    }
+    fn run(&self, spec: &RunSpec) -> Result<RunOutput, String> {
+        let n = if spec.quick { 5_000 } else { 50_000 };
+        Ok(report(&run(n, spec.seed)))
+    }
 }
 
 #[cfg(test)]
@@ -66,11 +87,23 @@ mod tests {
 
     #[test]
     fn report_renders() {
-        let s = run(5_000, 1);
-        let dir = std::env::temp_dir().join("react_case_test");
-        let text = report(&s, &OutputSink::to_dir(&dir));
-        assert!(text.contains("CrowdFlower"));
-        assert!(dir.join("case_study.csv").exists());
-        let _ = std::fs::remove_dir_all(&dir);
+        let out = report(&run(5_000, 1));
+        assert!(out.text.contains("CrowdFlower"));
+        assert_eq!(out.figures[0].0, "case_study");
+        assert_eq!(out.rows.len(), 1);
+    }
+
+    #[test]
+    fn suite_cell_reproduces_the_direct_call() {
+        use crate::experiment::ExpandCtx;
+        let ctx = ExpandCtx {
+            quick: true,
+            seed: 42,
+            manifest: None,
+        };
+        let spec = &CaseStudy.expand(&ctx).unwrap()[0];
+        let out = CaseStudy.run(spec).unwrap();
+        // Same synthesis path as a direct `run(5_000, 42)`.
+        assert_eq!(out.rows, kpi_rows(&run(5_000, 42)));
     }
 }

@@ -15,7 +15,8 @@
 //! dropping out.
 
 use crate::endtoend::paper_policies;
-use crate::report::OutputSink;
+use crate::experiment::{Experiment, RunOutput};
+use crate::spec::RunSpec;
 use react_core::{AuditLog, MatcherPolicy, RecoveryConfig, TaskEventKind, TaskId};
 use react_crowd::{RunReport, Scenario, ScenarioRunner};
 use react_faults::FaultPlan;
@@ -177,10 +178,12 @@ pub fn kpi_rows(points: &[ChaosPoint]) -> Vec<KpiRow> {
         .collect()
 }
 
-/// Prints the chaos table and archives the `chaos_sweep` CSV.
-pub fn report(points: &[ChaosPoint], sink: &OutputSink) -> String {
+/// The figure table a run archives.
+const FIGURE: &str = "chaos_sweep";
+
+/// The chaos table and headline plus the `chaos_sweep` CSV.
+pub fn report(points: &[ChaosPoint]) -> RunOutput {
     let kpi = KpiReport::from_rows(kpi_rows(points));
-    sink.write("chaos_sweep", &kpi.to_csv_rows(None));
     let table = kpi.table(
         "Chaos sweep — deadline misses and recovery under injected faults",
         None,
@@ -205,7 +208,29 @@ pub fn report(points: &[ChaosPoint], sink: &OutputSink) -> String {
             trad.recovery_latency,
         ));
     }
-    out
+    RunOutput::figure(FIGURE, kpi.rows, out)
+}
+
+/// The chaos sweep as an [`Experiment`].
+pub struct Chaos;
+
+impl Experiment for Chaos {
+    fn name(&self) -> &'static str {
+        "chaos"
+    }
+    fn title(&self) -> &'static str {
+        "Chaos — deadline misses and recovery latency under injected faults"
+    }
+    fn figures(&self) -> Vec<&'static str> {
+        vec![FIGURE]
+    }
+    fn run(&self, spec: &RunSpec) -> Result<RunOutput, String> {
+        let params = ChaosParams {
+            seed: spec.seed,
+            ..spec.sized(ChaosParams::quick)
+        };
+        Ok(report(&run(&params)))
+    }
 }
 
 #[cfg(test)]
@@ -270,13 +295,11 @@ mod tests {
     fn report_renders_and_archives() {
         let mut params = ChaosParams::quick();
         params.intensities = vec![0.0, 1.0];
-        let points = run(&params);
-        let dir = std::env::temp_dir().join("react_chaos_test");
-        let text = report(&points, &OutputSink::to_dir(&dir));
-        assert!(text.contains("Chaos sweep"));
-        assert!(text.contains("REACT misses"));
-        assert!(dir.join("chaos_sweep.csv").exists());
-        let _ = std::fs::remove_dir_all(&dir);
+        let out = report(&run(&params));
+        assert!(out.text.contains("Chaos sweep"));
+        assert!(out.text.contains("REACT misses"));
+        assert_eq!(out.figures[0].0, "chaos_sweep");
+        assert_eq!(out.figures[0].1.len(), out.rows.len() + 1);
     }
 
     #[test]

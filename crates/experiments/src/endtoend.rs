@@ -14,10 +14,11 @@
 //! execution times are the worst (Fig. 7) and REACT cuts total
 //! execution time by up to ≈ 45 % (Fig. 8).
 
-use crate::report::{num, OutputSink};
+use crate::experiment::{Experiment, RunOutput};
+use crate::spec::RunSpec;
 use react_core::MatcherPolicy;
 use react_crowd::{RunReport, Scenario, ScenarioRunner};
-use react_metrics::{ascii_chart, ChartSeries, KpiReport, KpiRow};
+use react_metrics::{ascii_chart, ChartSeries, KpiReport, KpiRow, TimeSeries};
 
 /// The three policies of the paper's end-to-end comparison.
 pub fn paper_policies() -> [MatcherPolicy; 3] {
@@ -99,35 +100,47 @@ pub fn kpi_rows(reports: &[RunReport]) -> Vec<KpiRow> {
         .collect()
 }
 
-/// Prints the Figs. 5–8 tables and archives CSVs (summary + the two
-/// cumulative curves, thinned to ≤ 200 points each).
-pub fn report(reports: &[RunReport], sink: &OutputSink) -> String {
-    let kpi = KpiReport::from_rows(kpi_rows(reports));
-    sink.write("fig5_8_summary", &kpi.to_csv_rows(None));
-    let summary = kpi.table("Figures 5-8 — end-to-end comparison", None);
-
-    // Curve CSVs (Figs. 5 and 6).
-    for (name, series_of) in [
-        ("fig5_deadline_curve", 0usize),
-        ("fig6_feedback_curve", 1usize),
-    ] {
-        let mut rows = vec![vec![
-            "policy".to_string(),
-            "received".to_string(),
-            "cumulative".to_string(),
-        ]];
-        for r in reports {
-            let series = if series_of == 0 {
-                &r.series_met
-            } else {
-                &r.series_positive
-            };
-            for (x, y) in series.thin(200) {
-                rows.push(vec![r.matcher_name.to_string(), num(x), num(y)]);
-            }
-        }
-        sink.write(name, &rows);
+/// Formats a float for the curve CSVs (enough digits, no noise).
+fn num(x: f64) -> String {
+    if x == x.trunc() && x.abs() < 1e15 {
+        format!("{}", x as i64)
+    } else {
+        format!("{x:.4}")
     }
+}
+
+/// One cumulative curve (Fig. 5 or 6) as CSV rows, thinned to ≤ 200
+/// points per policy.
+fn curve_csv(reports: &[RunReport], series_of: fn(&RunReport) -> &TimeSeries) -> Vec<Vec<String>> {
+    let mut rows = vec![vec![
+        "policy".to_string(),
+        "received".to_string(),
+        "cumulative".to_string(),
+    ]];
+    for r in reports {
+        for (x, y) in series_of(r).thin(200) {
+            rows.push(vec![r.matcher_name.to_string(), num(x), num(y)]);
+        }
+    }
+    rows
+}
+
+/// The figure tables a run archives: summary, Fig. 5 and Fig. 6 curves.
+const FIGURES: [&str; 3] = [
+    "fig5_8_summary",
+    "fig5_deadline_curve",
+    "fig6_feedback_curve",
+];
+
+/// The Figs. 5–8 tables and chart plus the three figure CSVs.
+pub fn report(reports: &[RunReport]) -> RunOutput {
+    let kpi = KpiReport::from_rows(kpi_rows(reports));
+    let summary = kpi.table("Figures 5-8 — end-to-end comparison", None);
+    let figures = vec![
+        (FIGURES[0], kpi.to_csv_rows(None)),
+        (FIGURES[1], curve_csv(reports, |r| &r.series_met)),
+        (FIGURES[2], curve_csv(reports, |r| &r.series_positive)),
+    ];
 
     let mut out = summary.render();
     // Terminal rendition of the Fig. 5 curves (thinned).
@@ -170,7 +183,33 @@ pub fn report(reports: &[RunReport], sink: &OutputSink) -> String {
             ));
         }
     }
-    out
+    RunOutput {
+        rows: kpi.rows,
+        figures,
+        text: out,
+    }
+}
+
+/// Figures 5–8 as an [`Experiment`].
+pub struct EndToEnd;
+
+impl Experiment for EndToEnd {
+    fn name(&self) -> &'static str {
+        "endtoend"
+    }
+    fn title(&self) -> &'static str {
+        "Figures 5-8 — end-to-end comparison (REACT / Greedy / Traditional)"
+    }
+    fn figures(&self) -> Vec<&'static str> {
+        FIGURES.to_vec()
+    }
+    fn run(&self, spec: &RunSpec) -> Result<RunOutput, String> {
+        let params = EndToEndParams {
+            seed: spec.seed,
+            ..spec.sized(EndToEndParams::quick)
+        };
+        Ok(report(&run(&params)))
+    }
 }
 
 #[cfg(test)]
@@ -228,14 +267,19 @@ mod tests {
 
     #[test]
     fn report_renders_and_archives() {
-        let rs = quick_reports();
-        let dir = std::env::temp_dir().join("react_e2e_test");
-        let text = report(&rs, &OutputSink::to_dir(&dir));
-        assert!(text.contains("Figures 5-8"));
-        assert!(text.contains("more tasks in time"));
-        assert!(dir.join("fig5_8_summary.csv").exists());
-        assert!(dir.join("fig5_deadline_curve.csv").exists());
-        assert!(dir.join("fig6_feedback_curve.csv").exists());
-        let _ = std::fs::remove_dir_all(&dir);
+        let out = report(&quick_reports());
+        assert!(out.text.contains("Figures 5-8"));
+        assert!(out.text.contains("more tasks in time"));
+        let names: Vec<&str> = out.figures.iter().map(|(name, _)| *name).collect();
+        assert_eq!(names, FIGURES);
+        assert_eq!(out.figures[1].1[0], ["policy", "received", "cumulative"]);
+        assert_eq!(out.rows.len(), 3);
+    }
+
+    #[test]
+    fn num_formatting() {
+        assert_eq!(num(3.0), "3");
+        assert_eq!(num(1.23456), "1.2346");
+        assert_eq!(num(-2.0), "-2");
     }
 }

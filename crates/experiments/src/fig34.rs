@@ -12,11 +12,12 @@
 //! numbers) and the **measured** wall seconds of this Rust
 //! implementation.
 
-// analyze: allow-file(no-wall-clock) — benchmark harness: wall-clock
-// timing IS the measurement here, and react-bench has no react-runtime
-// dependency to borrow a Stopwatch from.
+// analyze: allow-file(no-wall-clock) — the figure's `wall_secs` column:
+// wall-clock timing IS the measurement here, and react-experiments has
+// no react-runtime dependency to borrow a Stopwatch from.
 
-use crate::report::OutputSink;
+use crate::experiment::{Experiment, RunOutput};
+use crate::spec::RunSpec;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use react_matching::{
@@ -147,10 +148,12 @@ pub fn kpi_rows(points: &[MatchPoint]) -> Vec<KpiRow> {
         .collect()
 }
 
-/// Prints the Fig. 3 and Fig. 4 tables and archives the CSV.
-pub fn report(points: &[MatchPoint], sink: &OutputSink) -> String {
+/// The figure table a run archives.
+const FIGURE: &str = "fig3_fig4_matching";
+
+/// The Fig. 3 and Fig. 4 tables plus the figure CSV.
+pub fn report(points: &[MatchPoint]) -> RunOutput {
     let report = KpiReport::from_rows(kpi_rows(points));
-    sink.write("fig3_fig4_matching", &report.to_csv_rows(None));
     let fig3 = report.table(
         "Figure 3 — matching execution time (1000 workers, full graph)",
         Some(&["algorithm", "tasks", "modeled_secs", "wall_secs"]),
@@ -159,7 +162,33 @@ pub fn report(points: &[MatchPoint], sink: &OutputSink) -> String {
         "Figure 4 — matching output (Σ w_ij of the selected edges)",
         Some(&["algorithm", "tasks", "weight", "matched"]),
     );
-    format!("{}\n{}", fig3.render(), fig4.render())
+    let text = format!("{}\n{}", fig3.render(), fig4.render());
+    RunOutput::figure(FIGURE, report.rows, text)
+}
+
+/// Figures 3–4 as an [`Experiment`]: one wall-clock cell.
+pub struct Fig34;
+
+impl Experiment for Fig34 {
+    fn name(&self) -> &'static str {
+        "fig34"
+    }
+    fn title(&self) -> &'static str {
+        "Figures 3-4 — WBGM matching time and weight micro-benchmarks"
+    }
+    fn figures(&self) -> Vec<&'static str> {
+        vec![FIGURE]
+    }
+    fn run(&self, spec: &RunSpec) -> Result<RunOutput, String> {
+        let params = Fig34Params {
+            seed: spec.seed,
+            ..spec.sized(Fig34Params::quick)
+        };
+        Ok(report(&run(&params)))
+    }
+    fn parallel_safe(&self) -> bool {
+        false
+    }
 }
 
 #[cfg(test)]
@@ -243,12 +272,12 @@ mod tests {
 
     #[test]
     fn report_renders_and_archives() {
-        let pts = quick_points();
-        let dir = std::env::temp_dir().join("react_fig34_test");
-        let text = report(&pts, &OutputSink::to_dir(&dir));
-        assert!(text.contains("Figure 3"));
-        assert!(text.contains("Figure 4"));
-        assert!(dir.join("fig3_fig4_matching.csv").exists());
-        let _ = std::fs::remove_dir_all(&dir);
+        let out = report(&quick_points());
+        assert!(out.text.contains("Figure 3"));
+        assert!(out.text.contains("Figure 4"));
+        assert_eq!(out.figures.len(), 1);
+        assert_eq!(out.figures[0].0, "fig3_fig4_matching");
+        // Header + one CSV row per KPI row.
+        assert_eq!(out.figures[0].1.len(), out.rows.len() + 1);
     }
 }

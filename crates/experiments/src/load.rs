@@ -4,50 +4,25 @@
 //! boundary — `react-load` self-hosts an
 //! [`react_runtime::IngestRuntime`](../../runtime), replays a seeded
 //! arrival trace over sockets and reports sustained throughput,
-//! p50/p99/p999 assignment latency and the door shed rate into
-//! `BENCH_load.json`.
+//! p50/p99/p999 assignment latency and the door shed rate as KPI rows
+//! (the `react-load` binary, not this suite, writes `BENCH_load.json`).
 //!
 //! Manifest-driven when axes are given (`shape`, plus the `rate` /
 //! `tasks` / `scale` / `workers` knobs); otherwise it expands to its
 //! intrinsic two-cell list: one Poisson cell and one bursty cell.
 //! Wall-clock suite → `parallel_safe() == false`.
 
-use react_bench::report::OutputSink;
-use react_load::{LoadParams, LoadRunReport, Shape};
-use react_metrics::KpiRow;
-use std::sync::Mutex;
+use react_load::{LoadParams, Shape};
 
-use crate::experiment::{ExpandCtx, Experiment};
+use crate::experiment::{ExpandCtx, Experiment, RunOutput};
 use crate::spec::{derive_seed, expand, RunSpec};
 
 /// The load suite (see module docs).
-pub struct LoadSuite {
-    sink: OutputSink,
-    /// Reports collected across this sweep's cells; the artifact is
-    /// written once, when the last expected cell lands (cells run
-    /// serially — the suite is not parallel-safe).
-    collected: Mutex<Vec<LoadRunReport>>,
-    expected: Mutex<usize>,
-}
-
-impl LoadSuite {
-    /// Creates the suite against the shared output sink.
-    pub fn new(sink: OutputSink) -> Self {
-        LoadSuite {
-            sink,
-            collected: Mutex::new(Vec::new()),
-            expected: Mutex::new(0),
-        }
-    }
-}
+pub struct LoadSuite;
 
 /// Resolves one spec's [`LoadParams`] (quick/default base + overrides).
 fn build_params(spec: &RunSpec) -> Result<LoadParams, String> {
-    let mut params = if spec.quick {
-        LoadParams::quick()
-    } else {
-        LoadParams::default()
-    };
+    let mut params = spec.sized(LoadParams::quick);
     params.seed = spec.seed;
     if let Some(shape) = spec.str_param("shape") {
         params.shape = Shape::parse(shape).ok_or_else(|| format!("unknown shape `{shape}`"))?;
@@ -85,7 +60,7 @@ impl Experiment for LoadSuite {
     }
 
     fn title(&self) -> &'static str {
-        "Load — open-loop TCP replay through the ingest door (BENCH_load.json)"
+        "Load — open-loop TCP replay through the ingest door"
     }
 
     fn expand(&self, ctx: &ExpandCtx) -> Result<Vec<RunSpec>, String> {
@@ -127,59 +102,30 @@ impl Experiment for LoadSuite {
         for spec in &specs {
             build_params(spec).map_err(|e| format!("run '{}': {e}", spec.label))?;
         }
-        *self.expected.lock().expect("expected count lock") = specs.len();
-        self.collected.lock().expect("collected lock").clear();
         Ok(specs)
     }
 
-    fn run(&self, spec: &RunSpec) -> Result<Vec<KpiRow>, String> {
+    fn run(&self, spec: &RunSpec) -> Result<RunOutput, String> {
         let params = build_params(spec)?;
         let report = react_load::run(&params)
             .map_err(|e| format!("load run '{}' failed: {e}", spec.label))?;
-        println!("{}", react_load::render(std::slice::from_ref(&report)));
-        if !report.conserved {
+        let report = std::slice::from_ref(&report);
+        let text = react_load::render(report);
+        if !report[0].conserved {
             return Err(format!(
-                "run '{}' violated the conservation identity",
+                "run '{}' violated the conservation identity\n{text}",
                 spec.label
             ));
         }
-        let rows = react_load::kpi_rows(std::slice::from_ref(&report));
-        let mut collected = self.collected.lock().expect("collected lock");
-        collected.push(report);
-        // Last expected cell: write the aggregated artifact once.
-        if collected.len() == *self.expected.lock().expect("expected count lock") {
-            let path = react_load::default_json_path();
-            let provenance = self
-                .sink
-                .provenance()
-                .cloned()
-                .unwrap_or_else(|| react_metrics::Provenance::new(spec.seed));
-            match react_load::write_json_stamped(&collected, &path, &provenance) {
-                Ok(_) => println!("# JSON → {}", path.display()),
-                Err(e) => eprintln!("# failed to write {}: {e}", path.display()),
-            }
-        }
-        Ok(rows)
+        Ok(RunOutput {
+            rows: react_load::kpi_rows(report),
+            text,
+            ..RunOutput::default()
+        })
     }
 
     fn parallel_safe(&self) -> bool {
         false
-    }
-
-    fn table_columns(&self) -> Option<Vec<&'static str>> {
-        Some(vec![
-            "suite",
-            "run",
-            "offered",
-            "accepted",
-            "shed_door",
-            "offered_per_hour",
-            "p50_assign",
-            "p99_assign",
-            "p999_assign",
-            "shed_rate",
-            "conserved",
-        ])
     }
 }
 
@@ -198,7 +144,7 @@ mod tests {
 
     #[test]
     fn intrinsic_expansion_is_poisson_then_burst() {
-        let suite = LoadSuite::new(OutputSink::discard());
+        let suite = LoadSuite;
         let specs = suite.expand(&ctx(99)).unwrap();
         assert_eq!(specs.len(), 2);
         assert_eq!(specs[0].label, "shape=poisson");
@@ -217,7 +163,7 @@ mod tests {
              [axes]\nshape = [\"poisson\", \"burst\"]\nrate = [4.0, 9.375]\n",
         )
         .unwrap();
-        let suite = LoadSuite::new(OutputSink::discard());
+        let suite = LoadSuite;
         let specs = suite
             .expand(&ExpandCtx {
                 quick: true,
@@ -240,7 +186,7 @@ mod tests {
              [axes]\nshape = [\"sawtooth\"]\n",
         )
         .unwrap();
-        let suite = LoadSuite::new(OutputSink::discard());
+        let suite = LoadSuite;
         let err = suite
             .expand(&ExpandCtx {
                 quick: true,
@@ -258,7 +204,7 @@ mod tests {
              [axes]\nrate = [-2.0]\n",
         )
         .unwrap();
-        let suite = LoadSuite::new(OutputSink::discard());
+        let suite = LoadSuite;
         let err = suite
             .expand(&ExpandCtx {
                 quick: true,

@@ -9,7 +9,8 @@
 //! Traditional is roughly flat.
 
 use crate::endtoend::paper_policies;
-use crate::report::OutputSink;
+use crate::experiment::{Experiment, RunOutput};
+use crate::spec::RunSpec;
 use react_crowd::{RunReport, Scenario, ScenarioRunner};
 use react_metrics::{KpiReport, KpiRow};
 
@@ -101,10 +102,12 @@ pub fn kpi_rows(points: &[SweepPoint]) -> Vec<KpiRow> {
         .collect()
 }
 
-/// Prints the Fig. 9/10 tables and archives the CSV.
-pub fn report(points: &[SweepPoint], sink: &OutputSink) -> String {
+/// The figure table a run archives.
+const FIGURE: &str = "fig9_fig10_scalability";
+
+/// The Fig. 9/10 tables plus the figure CSV.
+pub fn report(points: &[SweepPoint]) -> RunOutput {
     let kpi = KpiReport::from_rows(kpi_rows(points));
-    sink.write("fig9_fig10_scalability", &kpi.to_csv_rows(None));
     let fig9 = kpi.table(
         "Figure 9 — % of tasks before deadline vs graph size",
         Some(&["policy", "workers", "rate", "kpi.deadline_hit_rate"]),
@@ -113,7 +116,30 @@ pub fn report(points: &[SweepPoint], sink: &OutputSink) -> String {
         "Figure 10 — % of positive feedback vs graph size",
         Some(&["policy", "workers", "rate", "kpi.positive_rate"]),
     );
-    format!("{}\n{}", fig9.render(), fig10.render())
+    let text = format!("{}\n{}", fig9.render(), fig10.render());
+    RunOutput::figure(FIGURE, kpi.rows, text)
+}
+
+/// Figures 9–10 as an [`Experiment`].
+pub struct Scalability;
+
+impl Experiment for Scalability {
+    fn name(&self) -> &'static str {
+        "scalability"
+    }
+    fn title(&self) -> &'static str {
+        "Figures 9-10 — deadline/feedback ratios vs graph size"
+    }
+    fn figures(&self) -> Vec<&'static str> {
+        vec![FIGURE]
+    }
+    fn run(&self, spec: &RunSpec) -> Result<RunOutput, String> {
+        let params = SweepParams {
+            seed: spec.seed,
+            ..spec.sized(SweepParams::quick)
+        };
+        Ok(report(&run(&params)))
+    }
 }
 
 #[cfg(test)]
@@ -165,12 +191,11 @@ mod tests {
 
     #[test]
     fn report_renders_and_archives() {
-        let pts = quick_points();
-        let dir = std::env::temp_dir().join("react_sweep_test");
-        let text = report(&pts, &OutputSink::to_dir(&dir));
-        assert!(text.contains("Figure 9"));
-        assert!(text.contains("Figure 10"));
-        assert!(dir.join("fig9_fig10_scalability.csv").exists());
-        let _ = std::fs::remove_dir_all(&dir);
+        let out = report(&quick_points());
+        assert!(out.text.contains("Figure 9"));
+        assert!(out.text.contains("Figure 10"));
+        assert_eq!(out.figures.len(), 1);
+        assert_eq!(out.figures[0].0, "fig9_fig10_scalability");
+        assert_eq!(out.figures[0].1.len(), out.rows.len() + 1);
     }
 }

@@ -31,10 +31,10 @@ use react_core::events::{AuditLog, TaskEventKind};
 use react_core::{MatcherPolicy, RecoveryConfig, TaskId};
 use react_crowd::{RunReport, Scenario, ScenarioRunner};
 use react_faults::FaultPlan;
-use react_metrics::KpiRow;
+use react_metrics::{KpiRow, KpiValue};
 use react_obs::{CounterKind, RecordingObserver};
 
-use crate::experiment::{ExpandCtx, Experiment};
+use crate::experiment::{ExpandCtx, Experiment, RunOutput};
 use crate::spec::{expand, RunSpec};
 
 /// The manifest-driven scenario sweep suite.
@@ -62,26 +62,35 @@ impl Experiment for ScenarioSweep {
         Ok(specs)
     }
 
-    fn run(&self, spec: &RunSpec) -> Result<Vec<KpiRow>, String> {
+    fn run(&self, spec: &RunSpec) -> Result<RunOutput, String> {
         let cfg = build_config(spec)?;
-        Ok(vec![run_config(&cfg, spec)])
+        let row = run_config(&cfg, spec);
+        Ok(RunOutput {
+            text: summary_line(spec, &row),
+            rows: vec![row],
+            ..RunOutput::default()
+        })
     }
+}
 
-    fn table_columns(&self) -> Option<Vec<&'static str>> {
-        Some(vec![
-            "suite",
-            "run",
-            "kpi.received",
-            "tasks.completed",
-            "deadlines.met",
-            "kpi.deadline_hit_rate",
-            "kpi.assign_latency_p50_s",
-            "kpi.assign_latency_p99_s",
-            "recovery.tasks_shed",
-            "shard.handoffs",
-            "kpi.tasks_per_sim_s",
-        ])
-    }
+/// One terminal line per run: the headline KPIs (the report files carry
+/// every column).
+fn summary_line(spec: &RunSpec, row: &KpiRow) -> String {
+    let cell = |name: &str| row.get(name).map(KpiValue::render).unwrap_or_default();
+    format!(
+        "{:<58} received {:>5}  completed {:>5}  on time {:>5} ({:>6})  \
+         assign p50 {:>7}s p99 {:>7}s  shed {:>3}  handoffs {:>3}  {:>6} tasks/s",
+        spec.label,
+        cell("kpi.received"),
+        cell("tasks.completed"),
+        cell("deadlines.met"),
+        cell("kpi.deadline_hit_rate"),
+        cell("kpi.assign_latency_p50_s"),
+        cell("kpi.assign_latency_p99_s"),
+        cell("recovery.tasks_shed"),
+        cell("shard.handoffs"),
+        cell("kpi.tasks_per_sim_s"),
+    )
 }
 
 /// A validated scenario configuration.
@@ -401,10 +410,10 @@ mod tests {
         };
         let specs = ScenarioSweep.expand(&ctx).expect("expand");
         assert_eq!(specs.len(), 4);
-        let first = ScenarioSweep.run(&specs[3]).expect("run");
-        let again = ScenarioSweep.run(&specs[3]).expect("run");
+        let first = ScenarioSweep.run(&specs[3]).expect("run").rows;
+        let again = ScenarioSweep.run(&specs[3]).expect("run").rows;
         assert_eq!(first, again, "same spec must reproduce identical KPIs");
-        let single = ScenarioSweep.run(&specs[0]).expect("run");
+        let single = ScenarioSweep.run(&specs[0]).expect("run").rows;
         let cols_a: Vec<&str> = first[0].columns().collect();
         let cols_b: Vec<&str> = single[0].columns().collect();
         assert_eq!(cols_a, cols_b, "cluster and single rows share one schema");

@@ -69,6 +69,16 @@ impl RunSpec {
         self.get(name).and_then(ManifestValue::as_f64)
     }
 
+    /// A suite's parameter block at this run's size: `quick()` under
+    /// `--quick`, the paper-scale default otherwise.
+    pub fn sized<T: Default>(&self, quick: fn() -> T) -> T {
+        if self.quick {
+            quick()
+        } else {
+            T::default()
+        }
+    }
+
     /// A required parameter, as an error message when missing.
     pub fn require(&self, name: &str) -> Result<&ManifestValue, String> {
         self.get(name)

@@ -1,29 +1,37 @@
 //! The generic sweep driver: expand → fan out → aggregate → stamp.
 //!
 //! This is the code every suite used to duplicate: walking its own
-//! config grid, collecting its own report struct, rendering its own
-//! table and CSV. Under the [`Experiment`] API the driver does it once —
-//! it expands each suite into [`RunSpec`]s, fans the specs out across
-//! cores with [`run_indexed`] (pinned to one job for wall-clock suites),
-//! prefixes every returned [`KpiRow`] with the `suite` / `run` / `seed`
-//! identity columns, and aggregates one provenance-stamped [`KpiReport`]
-//! written as JSON-lines + CSV.
+//! config grid, collecting its own report struct, writing its own CSV.
+//! Under the [`Experiment`] API the driver does it once — it expands
+//! each suite into [`RunSpec`]s, fans the specs out across cores with
+//! [`run_indexed`] (pinned to one job for wall-clock suites), prints
+//! each run's terminal text, prefixes every returned [`KpiRow`] with the
+//! `suite` / `run` / `seed` identity columns, and is the **single
+//! writer** of artifacts: every figure CSV and the aggregated
+//! JSON-lines + CSV [`KpiReport`] go through one provenance-stamped,
+//! backup-protected [`write_stamped`] path.
 //!
 //! Determinism: specs are run in expansion order and results are
-//! re-ordered by index, so serial and parallel execution produce
+//! re-ordered by index, so one-job and parallel execution produce
 //! byte-identical reports.
+//!
+//! [`RunSpec`]: crate::spec::RunSpec
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
-use react_bench::report::OutputSink;
 use react_metrics::csv::to_csv_string;
 use react_metrics::{write_stamped, ArtifactOutcome, KpiReport, KpiRow, Provenance};
 
+use crate::ablation::Ablation;
+use crate::case::CaseStudy;
+use crate::chaos::Chaos;
+use crate::endtoend::EndToEnd;
 use crate::executor::run_indexed;
-use crate::experiment::{ExpandCtx, Experiment};
-use crate::legacy::legacy_suites;
+use crate::experiment::{prefixed, ExpandCtx, Experiment};
+use crate::fig34::Fig34;
 use crate::load::LoadSuite;
 use crate::manifest::Manifest;
+use crate::scalability::Scalability;
 use crate::scenario::ScenarioSweep;
 
 /// Driver knobs, shared by every CLI entry point.
@@ -33,12 +41,11 @@ pub struct SweepOptions {
     pub quick: bool,
     /// Base seed when no manifest supplies one.
     pub seed: u64,
-    /// Worker cap for parallel-safe suites (`None` = all cores).
+    /// Worker cap for parallel-safe suites (`None` = all cores,
+    /// `Some(1)` = everything on the calling thread).
     pub jobs: Option<usize>,
-    /// Force single-threaded execution for every suite.
-    pub serial: bool,
-    /// Where the aggregated `.kpi.jsonl` / `.kpi.csv` artifacts land
-    /// (`None` = stdout tables only).
+    /// Where the figure CSVs and the aggregated `.kpi.jsonl` /
+    /// `.kpi.csv` report land (`None` = terminal output only).
     pub out_dir: Option<PathBuf>,
 }
 
@@ -48,7 +55,6 @@ impl Default for SweepOptions {
             quick: false,
             seed: 42,
             jobs: None,
-            serial: false,
             out_dir: None,
         }
     }
@@ -60,20 +66,25 @@ pub struct SweepOutcome {
     pub report: KpiReport,
     /// Number of runs executed.
     pub total_runs: usize,
-    /// Artifacts written (path, created/unchanged/backed-up).
+    /// Artifacts written (path, created/unchanged/backed-up): the
+    /// figure CSVs in run order, then the KPI report pair.
     pub artifacts: Vec<(PathBuf, ArtifactOutcome)>,
-    /// One rendered summary table per suite, in suite order.
-    pub tables: Vec<String>,
 }
 
-/// Every registered suite: the manifest-driven `scenario` sweep, the
-/// eight legacy figure suites and the live-ingest `load` suite, sharing
-/// one output sink.
-pub fn registry(sink: &OutputSink) -> Vec<Box<dyn Experiment>> {
-    let mut suites: Vec<Box<dyn Experiment>> = vec![Box::new(ScenarioSweep)];
-    suites.extend(legacy_suites(sink));
-    suites.push(Box::new(LoadSuite::new(sink.clone())));
-    suites
+/// Every registered suite: the manifest-driven `scenario` sweep, the six
+/// paper-artefact suites in the classic `all` presentation order, and
+/// the live-ingest `load` suite.
+pub fn registry() -> Vec<Box<dyn Experiment>> {
+    vec![
+        Box::new(ScenarioSweep),
+        Box::new(Fig34),
+        Box::new(EndToEnd),
+        Box::new(Scalability),
+        Box::new(CaseStudy),
+        Box::new(Ablation),
+        Box::new(Chaos),
+        Box::new(LoadSuite),
+    ]
 }
 
 /// Resolves a CLI command or manifest `suites` entry — including the
@@ -83,11 +94,9 @@ pub fn suite(name: &str) -> Option<&'static str> {
         "fig3" | "fig4" | "fig34" => "fig34",
         "fig5" | "fig6" | "fig7" | "fig8" | "fig5-8" | "endtoend" => "endtoend",
         "fig9" | "fig10" | "fig9-10" | "scalability" => "scalability",
-        "hotpath" => "hotpath",
         "case" => "case",
         "ablation" => "ablation",
         "chaos" => "chaos",
-        "cluster" => "cluster",
         "scenario" => "scenario",
         "load" => "load",
         _ => return None,
@@ -104,6 +113,23 @@ fn provenance_for(base_seed: u64, manifest: Option<&Manifest>) -> Provenance {
     p.with_git_revision_from(&cwd)
 }
 
+/// The one place an artifact reaches disk.
+fn write_artifact(
+    dir: &Path,
+    file_name: &str,
+    content: &str,
+) -> Result<(PathBuf, ArtifactOutcome), String> {
+    let path = dir.join(file_name);
+    let outcome = write_stamped(&path, content)
+        .map_err(|e| format!("could not write {}: {e}", path.display()))?;
+    Ok((path, outcome))
+}
+
+/// CSV rows under the provenance comment line.
+fn stamped_csv(provenance: &Provenance, rows: &[Vec<String>]) -> String {
+    format!("{}\n{}", provenance.comment_line(), to_csv_string(rows))
+}
+
 /// Expands, runs and aggregates `suites` into one [`SweepOutcome`].
 ///
 /// The base seed is the manifest's when one is given, else
@@ -111,6 +137,10 @@ fn provenance_for(base_seed: u64, manifest: Option<&Manifest>) -> Provenance {
 /// defaults. Suites whose cells measure wall clock
 /// (`parallel_safe() == false`) are pinned to one job; everything else
 /// fans out across `opts.jobs` (default: all cores).
+///
+/// The KPI report is named after the manifest, else after the suite
+/// when exactly one is selected (so `fig5` then `case` into one
+/// directory keep both reports), else `experiments`.
 pub fn run_suites(
     suites: &[&dyn Experiment],
     manifest: Option<&Manifest>,
@@ -124,21 +154,21 @@ pub fn run_suites(
     };
     let provenance = provenance_for(base_seed, manifest);
     let mut report = KpiReport::new().with_provenance(provenance.clone());
-    let mut tables = Vec::new();
+    let mut artifacts = Vec::new();
     let mut total_runs = 0usize;
 
     for suite in suites {
         let specs = suite.expand(&ctx)?;
         total_runs += specs.len();
-        let jobs = if opts.serial || !suite.parallel_safe() {
-            Some(1)
-        } else {
+        let jobs = if suite.parallel_safe() {
             opts.jobs
+        } else {
+            Some(1)
         };
+        let declared = suite.figures();
         let results = run_indexed(specs.len(), jobs, |i| suite.run(&specs[i]));
-        let mut suite_report = KpiReport::new();
         for (spec, result) in specs.iter().zip(results) {
-            let rows = result.map_err(|e| {
+            let output = result.map_err(|e| {
                 format!(
                     "suite `{}` run {} ({}): {e}",
                     suite.name(),
@@ -146,106 +176,137 @@ pub fn run_suites(
                     spec.label
                 )
             })?;
-            for row in rows {
-                let mut full = KpiRow::new()
-                    .label("suite", spec.suite.clone())
-                    .label(
-                        "run",
-                        if spec.label.is_empty() {
-                            spec.index.to_string()
-                        } else {
-                            spec.label.clone()
-                        },
-                    )
-                    .label("seed", format!("{:#018x}", spec.seed));
-                for (name, value) in row.cells() {
-                    full.set(name, value.clone());
+            if !output.text.is_empty() {
+                println!("{}", output.text);
+            }
+            for (name, rows) in &output.figures {
+                if !declared.contains(name) {
+                    return Err(format!(
+                        "suite `{}` emitted undeclared figure table `{name}`",
+                        suite.name()
+                    ));
                 }
-                suite_report.push(full.clone());
-                report.push(full);
+                if let Some(dir) = &opts.out_dir {
+                    let csv = stamped_csv(&provenance, rows);
+                    artifacts.push(write_artifact(dir, &format!("{name}.csv"), &csv)?);
+                }
+            }
+            let run = if spec.label.is_empty() {
+                spec.index.to_string()
+            } else {
+                spec.label.clone()
+            };
+            for row in &output.rows {
+                let identity = KpiRow::new()
+                    .label("suite", spec.suite.clone())
+                    .label("run", run.clone())
+                    .label("seed", format!("{:#018x}", spec.seed));
+                report.push(prefixed(identity, row));
             }
         }
-        let columns = suite.table_columns();
-        tables.push(
-            suite_report
-                .table(suite.title(), columns.as_deref())
-                .render(),
-        );
     }
 
-    let mut artifacts = Vec::new();
     if let Some(dir) = &opts.out_dir {
-        let name = manifest.map(|m| m.name.as_str()).unwrap_or("experiments");
-        let jsonl_path = dir.join(format!("{name}.kpi.jsonl"));
-        let outcome = write_stamped(&jsonl_path, &report.to_jsonl())
-            .map_err(|e| format!("could not write {}: {e}", jsonl_path.display()))?;
-        artifacts.push((jsonl_path, outcome));
-
-        let csv_path = dir.join(format!("{name}.kpi.csv"));
-        let csv = format!(
-            "{}\n{}",
-            provenance.comment_line(),
-            to_csv_string(&report.to_csv_rows(None))
-        );
-        let outcome = write_stamped(&csv_path, &csv)
-            .map_err(|e| format!("could not write {}: {e}", csv_path.display()))?;
-        artifacts.push((csv_path, outcome));
+        let name = match (manifest, suites) {
+            (Some(m), _) => m.name.as_str(),
+            (None, [only]) => only.name(),
+            (None, _) => "experiments",
+        };
+        let jsonl = report.to_jsonl();
+        artifacts.push(write_artifact(dir, &format!("{name}.kpi.jsonl"), &jsonl)?);
+        let csv = stamped_csv(&provenance, &report.to_csv_rows(None));
+        artifacts.push(write_artifact(dir, &format!("{name}.kpi.csv"), &csv)?);
     }
 
     Ok(SweepOutcome {
         report,
         total_runs,
         artifacts,
-        tables,
     })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::experiment::RunOutput;
     use crate::spec::{derive_seed, RunSpec};
 
-    /// A deterministic sim-only suite for driver tests.
+    /// A deterministic sim-only suite for driver tests. It declares the
+    /// `counting_cells` figure table; cell 0 emits its row under every
+    /// name in `emits`.
     struct Counting {
+        name: &'static str,
         cells: usize,
+        emits: Vec<&'static str>,
+    }
+
+    fn counting(cells: usize) -> Counting {
+        Counting {
+            name: "counting",
+            cells,
+            emits: Vec::new(),
+        }
     }
 
     impl Experiment for Counting {
         fn name(&self) -> &'static str {
-            "counting"
+            self.name
         }
         fn title(&self) -> &'static str {
             "Counting — driver test suite"
         }
+        fn figures(&self) -> Vec<&'static str> {
+            vec!["counting_cells"]
+        }
         fn expand(&self, ctx: &ExpandCtx) -> Result<Vec<RunSpec>, String> {
             Ok((0..self.cells)
                 .map(|i| RunSpec {
-                    suite: "counting".to_string(),
+                    suite: self.name.to_string(),
                     index: i,
                     label: format!("cell={i}"),
                     seed_key: format!("cell={i}"),
                     params: Vec::new(),
-                    seed: derive_seed(ctx.seed, "counting", &format!("cell={i}")),
+                    seed: derive_seed(ctx.seed, self.name, &format!("cell={i}")),
                     quick: ctx.quick,
                 })
                 .collect())
         }
-        fn run(&self, spec: &RunSpec) -> Result<Vec<KpiRow>, String> {
-            Ok(vec![KpiRow::new()
+        fn run(&self, spec: &RunSpec) -> Result<RunOutput, String> {
+            let row = KpiRow::new()
                 .int("cell", spec.index as i64)
-                .int("seed_lo", (spec.seed & 0xffff) as i64)])
+                .int("seed_lo", (spec.seed & 0xffff) as i64);
+            let mut out = RunOutput {
+                rows: vec![row],
+                ..RunOutput::default()
+            };
+            if spec.index == 0 {
+                let table = KpiReport::from_rows(out.rows.clone()).to_csv_rows(None);
+                out.figures = self
+                    .emits
+                    .iter()
+                    .map(|&name| (name, table.clone()))
+                    .collect();
+            }
+            Ok(out)
         }
     }
 
+    /// A fresh scratch directory under the system temp dir.
+    fn scratch(tag: &str) -> PathBuf {
+        let dir = std::env::temp_dir().join(format!("react_experiments_sweep_{tag}"));
+        let _ = std::fs::remove_dir_all(&dir);
+        dir
+    }
+
     #[test]
-    fn serial_and_parallel_reports_are_byte_identical() {
-        let suite = Counting { cells: 9 };
+    fn one_job_and_parallel_reports_are_byte_identical() {
+        let suite = counting(9);
         let suites: Vec<&dyn Experiment> = vec![&suite];
-        let serial = run_suites(
+        let one_job = run_suites(
             &suites,
             None,
             &SweepOptions {
-                serial: true,
+                jobs: Some(1),
                 ..SweepOptions::default()
             },
         )
@@ -259,13 +320,13 @@ mod tests {
             },
         )
         .unwrap();
-        assert_eq!(serial.report.to_jsonl(), parallel.report.to_jsonl());
-        assert_eq!(serial.total_runs, 9);
+        assert_eq!(one_job.report.to_jsonl(), parallel.report.to_jsonl());
+        assert_eq!(one_job.total_runs, 9);
     }
 
     #[test]
     fn rows_carry_suite_run_seed_identity_columns() {
-        let suite = Counting { cells: 2 };
+        let suite = counting(2);
         let suites: Vec<&dyn Experiment> = vec![&suite];
         let outcome = run_suites(&suites, None, &SweepOptions::default()).unwrap();
         let cols = outcome.report.columns();
@@ -276,9 +337,8 @@ mod tests {
     }
 
     #[test]
-    fn registry_lists_scenario_the_eight_legacy_suites_then_load() {
-        let sink = OutputSink::discard();
-        let names: Vec<&str> = registry(&sink).iter().map(|s| s.name()).collect();
+    fn registry_lists_scenario_the_six_paper_suites_then_load() {
+        let names: Vec<&str> = registry().iter().map(|s| s.name()).collect();
         assert_eq!(
             names,
             vec![
@@ -286,14 +346,50 @@ mod tests {
                 "fig34",
                 "endtoend",
                 "scalability",
-                "hotpath",
                 "case",
                 "ablation",
                 "chaos",
-                "cluster",
                 "load",
             ]
         );
+        for name in names {
+            assert_eq!(suite(name), Some(name), "{name} must resolve to itself");
+        }
+    }
+
+    #[test]
+    fn paper_suites_expand_to_one_cell_on_the_base_seed_verbatim() {
+        let ctx = ExpandCtx {
+            quick: true,
+            seed: 1234,
+            manifest: None,
+        };
+        for suite in registry() {
+            if matches!(suite.name(), "scenario" | "load") {
+                continue;
+            }
+            let specs = suite.expand(&ctx).unwrap();
+            assert_eq!(specs.len(), 1, "{} must expand to one spec", suite.name());
+            let spec = &specs[0];
+            assert_eq!(spec.seed, 1234, "{} must take the base seed", suite.name());
+            assert!(spec.quick);
+            assert_eq!(spec.label, "");
+            assert_eq!(spec.suite, suite.name());
+            assert!(!suite.figures().is_empty(), "{} figures", suite.name());
+        }
+    }
+
+    #[test]
+    fn wall_clock_suites_refuse_parallel_cells() {
+        for suite in registry() {
+            let expected = !matches!(suite.name(), "fig34" | "load");
+            assert_eq!(
+                suite.parallel_safe(),
+                expected,
+                "{} parallel_safe",
+                suite.name()
+            );
+        }
     }
 
     #[test]
@@ -302,30 +398,55 @@ mod tests {
         assert_eq!(suite("fig7"), Some("endtoend"));
         assert_eq!(suite("fig9"), Some("scalability"));
         assert_eq!(suite("scenario"), Some("scenario"));
+        assert_eq!(suite("hotpath"), None);
         assert_eq!(suite("nope"), None);
     }
 
     #[test]
     fn artifacts_are_stamped_and_not_silently_overwritten() {
-        let dir = std::env::temp_dir().join("react_experiments_sweep_test");
-        let _ = std::fs::remove_dir_all(&dir);
-        let suite = Counting { cells: 3 };
+        let dir = scratch("stamped");
+        let suite = Counting {
+            emits: vec!["counting_cells"],
+            ..counting(3)
+        };
         let suites: Vec<&dyn Experiment> = vec![&suite];
         let opts = SweepOptions {
             out_dir: Some(dir.clone()),
             ..SweepOptions::default()
         };
+        // The figure CSV, then the KPI report pair.
         let first = run_suites(&suites, None, &opts).unwrap();
-        assert_eq!(first.artifacts.len(), 2);
-        assert!(matches!(first.artifacts[0].1, ArtifactOutcome::Created));
-        let jsonl = std::fs::read_to_string(&first.artifacts[0].0).unwrap();
+        let names: Vec<_> = first
+            .artifacts
+            .iter()
+            .map(|(path, _)| path.file_name().unwrap().to_str().unwrap())
+            .collect();
+        assert_eq!(
+            names,
+            [
+                "counting_cells.csv",
+                "counting.kpi.jsonl",
+                "counting.kpi.csv"
+            ]
+        );
+        for (path, outcome) in &first.artifacts {
+            assert!(matches!(outcome, ArtifactOutcome::Created), "{path:?}");
+        }
+        let figure = std::fs::read_to_string(&first.artifacts[0].0).unwrap();
+        let mut lines = figure.lines();
+        let stamp = lines.next().unwrap();
+        assert!(stamp.starts_with("# provenance: seed=42"), "{figure}");
+        assert_eq!(lines.next(), Some("cell,seed_lo"), "{figure}");
+        let jsonl = std::fs::read_to_string(&first.artifacts[1].0).unwrap();
         assert!(jsonl.starts_with("{\"provenance\":{\"seed\":42"), "{jsonl}");
 
-        // Identical rerun: byte-identical artifact, no backup.
+        // Identical rerun: byte-identical artifacts, no backup.
         let second = run_suites(&suites, None, &opts).unwrap();
-        assert!(matches!(second.artifacts[0].1, ArtifactOutcome::Unchanged));
+        for (path, outcome) in &second.artifacts {
+            assert!(matches!(outcome, ArtifactOutcome::Unchanged), "{path:?}");
+        }
 
-        // A differing run backs the old artifact up instead of clobbering.
+        // A differing run backs the old report up instead of clobbering.
         let third = run_suites(
             &suites,
             None,
@@ -335,7 +456,66 @@ mod tests {
             },
         )
         .unwrap();
-        assert!(matches!(third.artifacts[0].1, ArtifactOutcome::BackedUp(_)));
+        for (path, outcome) in &third.artifacts {
+            assert!(matches!(outcome, ArtifactOutcome::BackedUp(_)), "{path:?}");
+        }
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn single_suite_commands_keep_each_others_reports() {
+        let dir = scratch("single_suite_names");
+        let opts = SweepOptions {
+            out_dir: Some(dir.clone()),
+            ..SweepOptions::default()
+        };
+        let (alpha, beta) = (
+            Counting {
+                name: "alpha",
+                ..counting(1)
+            },
+            Counting {
+                name: "beta",
+                ..counting(1)
+            },
+        );
+        let first = run_suites(&[&alpha], None, &opts).unwrap();
+        let alpha_jsonl = std::fs::read_to_string(dir.join("alpha.kpi.jsonl")).unwrap();
+        assert_eq!(alpha_jsonl, first.report.to_jsonl());
+        let second = run_suites(&[&beta], None, &opts).unwrap();
+
+        // Both reports intact, each under its suite's name.
+        assert_eq!(
+            std::fs::read_to_string(dir.join("alpha.kpi.jsonl")).unwrap(),
+            alpha_jsonl
+        );
+        assert_eq!(
+            std::fs::read_to_string(dir.join("beta.kpi.jsonl")).unwrap(),
+            second.report.to_jsonl()
+        );
+        assert!(dir.join("alpha.kpi.csv").exists() && dir.join("beta.kpi.csv").exists());
+        let displaced: Vec<String> = std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+            .filter(|name| name.contains(".prev."))
+            .collect();
+        assert!(displaced.is_empty(), "{displaced:?}");
+
+        // Several suites without a manifest fall back to `experiments`.
+        run_suites(&[&alpha, &beta], None, &opts).unwrap();
+        assert!(dir.join("experiments.kpi.jsonl").exists());
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn undeclared_figure_tables_are_rejected() {
+        let suite = Counting {
+            emits: vec!["surprise"],
+            ..counting(1)
+        };
+        let err = run_suites(&[&suite], None, &SweepOptions::default())
+            .err()
+            .expect("undeclared figure must fail the sweep");
+        assert!(err.contains("undeclared figure table `surprise`"), "{err}");
     }
 }

@@ -35,13 +35,12 @@ fn manifest_text(
     )
 }
 
-fn jsonl_for(manifest: &Manifest, serial: bool) -> String {
+fn jsonl_for(manifest: &Manifest, jobs: usize) -> String {
     let scenario = ScenarioSweep;
     let suites: Vec<&dyn Experiment> = vec![&scenario];
     let opts = SweepOptions {
         quick: true,
-        serial,
-        jobs: if serial { None } else { Some(4) },
+        jobs: Some(jobs),
         ..SweepOptions::default()
     };
     run_suites(&suites, Some(manifest), &opts)
@@ -78,8 +77,8 @@ proptest! {
         let shards: Vec<u32> = if both_shards == 1 { vec![1, 2] } else { vec![1] };
         let text = manifest_text(seed, &pools, &matchers, &shards, tasks);
         let manifest = Manifest::parse(&text).expect("parse");
-        let serial = jsonl_for(&manifest, true);
-        let parallel = jsonl_for(&manifest, false);
+        let serial = jsonl_for(&manifest, 1);
+        let parallel = jsonl_for(&manifest, 4);
         prop_assert!(
             serial.lines().count() > pools.len() * matchers.len() * shards.len(),
             "report must carry one line per run plus the provenance header"

@@ -1,5 +1,4 @@
-//! The matching engine: policy descriptors, matcher reuse and a named
-//! registry.
+//! The matching engine: policy descriptors and matcher reuse.
 //!
 //! Earlier revisions dispatched from the middleware configuration
 //! straight to concrete matcher constructors and re-`Box`ed a fresh
@@ -13,11 +12,7 @@
 //!   batches, rebuilding only when the spec's edge-count-dependent
 //!   cycle budget actually changes (only the adaptive spec's does);
 //! * [`MatchContext`] — what one assignment pass needs from the caller:
-//!   the RNG stream and the edge budget of the graph at hand;
-//! * [`MatcherRegistry`] — an object-safe name → constructor table, so
-//!   embedders can resolve matchers by string (experiment CLIs, config
-//!   files) and register their own implementations next to the
-//!   built-ins.
+//!   the RNG stream and the edge budget of the graph at hand.
 //!
 //! All shipped matchers are stateless (`assign` takes `&self`), so
 //! reusing a built matcher is behaviourally identical to rebuilding it —
@@ -188,18 +183,14 @@ impl MatcherEngine {
     /// rebuilding only when required.
     pub fn matcher(&mut self, edge_budget: usize) -> &dyn Matcher {
         let budget = self.spec.cycle_budget(edge_budget);
-        let stale = match &self.built {
-            Some((built_for, _)) => *built_for != budget,
-            None => true,
+        let built = match self.built.take() {
+            Some(built) if built.0 == budget => built,
+            _ => {
+                self.rebuilds += 1;
+                (budget, self.spec.build(edge_budget))
+            }
         };
-        if stale {
-            self.built = Some((budget, self.spec.build(edge_budget)));
-            self.rebuilds += 1;
-        }
-        self.built
-            .as_ref()
-            .map(|(_, m)| m.as_ref())
-            .expect("just built")
+        self.built.insert(built).1.as_ref()
     }
 
     /// Runs one assignment pass over `graph` under `ctx`.
@@ -208,8 +199,7 @@ impl MatcherEngine {
         let timer = enabled.then(SpanTimer::start);
         let rebuilds_before = self.rebuilds;
         let m = self.matcher(ctx.edge_budget).assign(graph, ctx.rng);
-        // Engine-level safety net: also covers matchers registered by
-        // embedders, which the per-algorithm hooks cannot see.
+        // Engine-level safety net behind the per-algorithm hooks.
         crate::invariants::debug_check_matching(self.name(), graph, &m);
         if enabled {
             if let Some(timer) = timer {
@@ -245,79 +235,6 @@ impl Clone for MatcherEngine {
     /// stateless, so this cannot change behaviour).
     fn clone(&self) -> Self {
         MatcherEngine::new(self.spec).with_observer(self.observer.clone())
-    }
-}
-
-/// A named matcher constructor: `edge_budget` in, built matcher out.
-pub type MatcherBuilder = Box<dyn Fn(usize) -> Box<dyn Matcher> + Send + Sync>;
-
-/// An object-safe name → constructor table.
-///
-/// Lookup is last-registration-wins, so embedders can shadow a built-in
-/// under the same name.
-#[derive(Default)]
-pub struct MatcherRegistry {
-    entries: Vec<(String, MatcherBuilder)>,
-}
-
-impl MatcherRegistry {
-    /// An empty registry.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// A registry pre-loaded with every shipped algorithm family under
-    /// its canonical name, at the paper's default parameters where the
-    /// algorithm takes any.
-    pub fn with_builtins() -> Self {
-        let mut r = Self::new();
-        r.register_spec("react", MatcherSpec::React { cycles: 1000 });
-        r.register_spec("react-adaptive", MatcherSpec::ReactAdaptive { kappa: 1.0 });
-        r.register_spec("metropolis", MatcherSpec::Metropolis { cycles: 1000 });
-        r.register_spec("greedy", MatcherSpec::Greedy);
-        r.register_spec("traditional", MatcherSpec::Traditional);
-        r.register_spec("hungarian", MatcherSpec::Hungarian);
-        r.register_spec("auction", MatcherSpec::Auction);
-        r.register_spec("hopcroft-karp", MatcherSpec::MaxCardinality);
-        r
-    }
-
-    /// Registers a constructor under `name`.
-    pub fn register(&mut self, name: impl Into<String>, builder: MatcherBuilder) {
-        self.entries.push((name.into(), builder));
-    }
-
-    /// Registers a [`MatcherSpec`] under `name`.
-    pub fn register_spec(&mut self, name: impl Into<String>, spec: MatcherSpec) {
-        self.register(name, Box::new(move |edge_budget| spec.build(edge_budget)));
-    }
-
-    /// Builds the matcher registered under `name` for a graph with
-    /// `edge_budget` edges, or `None` for an unknown name.
-    pub fn build(&self, name: &str, edge_budget: usize) -> Option<Box<dyn Matcher>> {
-        self.entries
-            .iter()
-            .rev()
-            .find(|(n, _)| n == name)
-            .map(|(_, b)| b(edge_budget))
-    }
-
-    /// Whether `name` is registered.
-    pub fn contains(&self, name: &str) -> bool {
-        self.entries.iter().any(|(n, _)| n == name)
-    }
-
-    /// Registered names, in registration order (duplicates included).
-    pub fn names(&self) -> Vec<&str> {
-        self.entries.iter().map(|(n, _)| n.as_str()).collect()
-    }
-}
-
-impl std::fmt::Debug for MatcherRegistry {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("MatcherRegistry")
-            .field("names", &self.names())
-            .finish()
     }
 }
 
@@ -386,38 +303,6 @@ mod tests {
                 assert_eq!(reused.total_weight, fresh.total_weight);
             }
         }
-    }
-
-    #[test]
-    fn registry_builtins_cover_all_families() {
-        let r = MatcherRegistry::with_builtins();
-        for name in [
-            "react",
-            "react-adaptive",
-            "metropolis",
-            "greedy",
-            "traditional",
-            "hungarian",
-            "auction",
-            "hopcroft-karp",
-        ] {
-            assert!(r.contains(name), "missing builtin {name}");
-            let m = r.build(name, 64).unwrap();
-            if name == "react-adaptive" {
-                assert_eq!(m.name(), "react");
-            } else {
-                assert_eq!(m.name(), name);
-            }
-        }
-        assert!(r.build("nope", 1).is_none());
-        assert!(!r.contains("nope"));
-    }
-
-    #[test]
-    fn registry_last_registration_wins() {
-        let mut r = MatcherRegistry::with_builtins();
-        r.register_spec("react", MatcherSpec::Greedy);
-        assert_eq!(r.build("react", 1).unwrap().name(), "greedy");
     }
 
     #[test]

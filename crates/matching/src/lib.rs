@@ -19,8 +19,7 @@
 //! | [`RandomMatcher`] | "traditional" AMT-style uniform assignment | `O(V+E)` |
 //!
 //! The [`engine`] module hosts the policy layer above the algorithms:
-//! [`MatcherSpec`] descriptors, the batch-reusing [`MatcherEngine`] and
-//! the name-keyed [`MatcherRegistry`].
+//! [`MatcherSpec`] descriptors and the batch-reusing [`MatcherEngine`].
 //!
 //! Every matcher reports abstract **cost units** alongside its result so
 //! the simulation can charge scheduler compute time through the
@@ -46,7 +45,7 @@ pub mod state;
 
 pub use auction::AuctionMatcher;
 pub use cost::CostModel;
-pub use engine::{MatchContext, MatcherEngine, MatcherRegistry, MatcherSpec};
+pub use engine::{MatchContext, MatcherEngine, MatcherSpec};
 pub use graph::{BipartiteGraph, EdgeId, GraphError, TaskIdx, WorkerIdx};
 pub use greedy::GreedyMatcher;
 pub use hopcroft_karp::HopcroftKarpMatcher;

@@ -1,8 +1,5 @@
-//! Minimal CSV output (RFC-4180 quoting) for archiving figure data.
-
-use std::fs::File;
-use std::io::{BufWriter, Write};
-use std::path::Path;
+//! Minimal CSV rendering (RFC-4180 quoting) for archiving figure data;
+//! [`crate::write_stamped`] puts the string on disk.
 
 /// Quotes a cell when it contains a comma, quote or newline.
 fn quote(cell: &str) -> String {
@@ -24,34 +21,6 @@ pub fn to_csv_string(rows: &[Vec<String>]) -> String {
     out
 }
 
-/// Writes rows (first row = header) to `path`, creating parent
-/// directories as needed.
-pub fn write_csv(path: &Path, rows: &[Vec<String>]) -> std::io::Result<()> {
-    if let Some(parent) = path.parent() {
-        std::fs::create_dir_all(parent)?;
-    }
-    let mut w = BufWriter::new(File::create(path)?);
-    w.write_all(to_csv_string(rows).as_bytes())?;
-    w.flush()
-}
-
-/// Convenience: builds CSV rows from named columns of equal length.
-///
-/// # Panics
-/// Panics when columns have unequal lengths.
-pub fn columns_to_rows(columns: &[(&str, &[f64])]) -> Vec<Vec<String>> {
-    let mut rows = Vec::new();
-    rows.push(columns.iter().map(|(n, _)| n.to_string()).collect());
-    let len = columns.first().map_or(0, |(_, c)| c.len());
-    for (name, col) in columns {
-        assert_eq!(col.len(), len, "column '{name}' length mismatch");
-    }
-    for i in 0..len {
-        rows.push(columns.iter().map(|(_, c)| format!("{}", c[i])).collect());
-    }
-    rows
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -69,35 +38,5 @@ mod tests {
     fn special_cells_quoted() {
         let rows = vec![vec!["he,llo".to_string(), "say \"hi\"".to_string()]];
         assert_eq!(to_csv_string(&rows), "\"he,llo\",\"say \"\"hi\"\"\"\n");
-    }
-
-    #[test]
-    fn roundtrip_to_disk() {
-        let dir = std::env::temp_dir().join("react_metrics_csv_test");
-        let path = dir.join("sub").join("out.csv");
-        let rows = vec![
-            vec!["x".to_string(), "y".to_string()],
-            vec!["1".to_string(), "2.5".to_string()],
-        ];
-        write_csv(&path, &rows).unwrap();
-        let text = std::fs::read_to_string(&path).unwrap();
-        assert_eq!(text, "x,y\n1,2.5\n");
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn columns_helper() {
-        let x = [1.0, 2.0];
-        let y = [3.0, 4.0];
-        let rows = columns_to_rows(&[("x", &x), ("y", &y)]);
-        assert_eq!(to_csv_string(&rows), "x,y\n1,3\n2,4\n");
-    }
-
-    #[test]
-    #[should_panic(expected = "length mismatch")]
-    fn columns_helper_rejects_ragged() {
-        let x = [1.0];
-        let y = [3.0, 4.0];
-        let _ = columns_to_rows(&[("x", &x), ("y", &y)]);
     }
 }

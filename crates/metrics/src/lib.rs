@@ -4,7 +4,7 @@
 //! cumulative curves (Figs. 5–6) and sweep series (Figs. 9–10), the
 //! [`KpiRow`]/[`KpiReport`] schema every experiment suite reports in, a
 //! plain-text table renderer for terminal reports, a hand-rolled CSV
-//! writer for archiving the regenerated figure data (no `serde` needed —
+//! renderer for archiving the regenerated figure data (no `serde` needed —
 //! see `DESIGN.md`), and provenance-stamped artifact writes. Live
 //! telemetry (spans, counters, histograms) is aggregated by
 //! `react-obs`' `RecordingObserver`, not here.
@@ -19,7 +19,6 @@ pub mod series;
 pub mod table;
 
 pub use chart::{ascii_chart, ChartSeries};
-pub use csv::write_csv;
 pub use kpi::{KpiReport, KpiRow, KpiValue};
 pub use provenance::{fnv1a64, git_revision, write_stamped, ArtifactOutcome, Provenance};
 pub use series::TimeSeries;

@@ -1,12 +1,12 @@
 //! Integration coverage for the matcher engine layer: every
 //! `MatcherPolicy` the middleware accepts must flow through the
-//! object-safe engine API (`MatcherSpec` → `MatcherEngine` /
-//! `MatcherRegistry`) and behave exactly like a throwaway matcher.
+//! object-safe engine API (`MatcherSpec` → `MatcherEngine`) and behave
+//! exactly like a throwaway matcher.
 
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use react::core::prelude::*;
-use react::matching::{BipartiteGraph, MatchContext, MatcherEngine, MatcherRegistry};
+use react::matching::{BipartiteGraph, MatchContext, MatcherEngine};
 
 fn all_policies() -> Vec<MatcherPolicy> {
     vec![
@@ -42,22 +42,6 @@ fn every_policy_runs_through_the_engine() {
         // Fixed-budget specs build once; only the adaptive spec may
         // rebuild, and with a constant edge budget even it must not.
         assert_eq!(engine.rebuilds(), 1, "{}", policy.name());
-    }
-}
-
-#[test]
-fn registry_resolves_every_policy_name() {
-    let registry = MatcherRegistry::with_builtins();
-    for policy in all_policies() {
-        // `react-adaptive` registers under its own name even though the
-        // built matcher reports the base algorithm's name.
-        let key = match policy {
-            MatcherPolicy::ReactAdaptive { .. } => "react-adaptive",
-            _ => policy.name(),
-        };
-        assert!(registry.contains(key), "registry missing {key}");
-        let matcher = registry.build(key, 32).expect("builtin builds");
-        assert_eq!(matcher.name(), policy.name());
     }
 }
 
