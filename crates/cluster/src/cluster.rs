@@ -425,7 +425,7 @@ impl Cluster {
         };
         let mut handoffs = Vec::new();
         for i in 0..self.shards.len() {
-            let online = self.shards[i].server.profiling().online_workers().len();
+            let online = self.shards[i].server.profiling().online_count();
             if online >= policy.pool_floor || self.shards[i].server.tasks().unassigned_count() == 0
             {
                 continue;
@@ -441,7 +441,7 @@ impl Cluster {
                 .into_iter()
                 .filter_map(|id| self.index.get(&id).map(|&j| (id, j)))
                 .map(|(id, j)| {
-                    let n = self.shards[j].server.profiling().online_workers().len();
+                    let n = self.shards[j].server.profiling().online_count();
                     (n, std::cmp::Reverse(id), j)
                 })
                 .max()

@@ -1,10 +1,14 @@
 //! The Dynamic Assignment Component.
 //!
-//! Periodically evaluates Eq. (2) — `Pr(t_ij < ExecTime_ij < TTD_ij)` —
+//! Periodically decides Eq. (2) — `Pr(t_ij < ExecTime_ij < TTD_ij)` —
 //! for every in-flight assignment, using the executing worker's fitted
 //! power-law model. When the probability falls below the configured
 //! threshold (10 % in the paper) the task is recalled so the Scheduling
-//! Component can find a better worker. Two guards from the paper:
+//! Component can find a better worker. The server's tick evaluates it
+//! once per assignment and keeps the inverted threshold
+//! ([`DynamicAssignmentComponent::check_due`]); the exact scan of every
+//! assignment ([`DynamicAssignmentComponent::check`]) is the reference.
+//! Two guards from the paper:
 //!
 //! * the model *"needs at least 3 completed tasks in the worker's
 //!   profile to be initiated"* — cold workers are never second-guessed;
@@ -16,8 +20,8 @@
 use crate::config::Config;
 use crate::ids::{TaskId, WorkerId};
 use crate::profiling::ProfilingComponent;
-use crate::task_mgmt::TaskManagementComponent;
-use react_prob::DeadlineModel;
+use crate::task_mgmt::{TaskManagementComponent, TaskRecord};
+use react_prob::{DeadlineDecision, DeadlineModel, FittedModel};
 
 /// One recall decision: which task to pull back from which worker, and
 /// the Eq. (2) probability that triggered it.
@@ -31,13 +35,70 @@ pub struct Recall {
     pub probability: f64,
 }
 
-/// Stateless in-flight checker.
+/// What the exact evaluation concluded about one in-flight assignment.
+enum Verdict {
+    /// No recall now, nor at any later check of this assignment: the
+    /// deadline has passed (and stays passed), or the profile is cold
+    /// (samples only arrive through a completion, which ends the
+    /// assignment).
+    Settled,
+    /// No recall now, nothing learned about later: the worker is missing
+    /// from the registry.
+    Skipped,
+    /// Eq. (2) was evaluated over `model` with this time-to-deadline.
+    Evaluated {
+        decision: DeadlineDecision,
+        model: FittedModel,
+        ttd: f64,
+    },
+}
+
+/// In-flight checker. Holds no state of its own: what it memoizes lives
+/// in the task component's in-flight entries.
 #[derive(Debug, Default, Clone, Copy)]
 pub struct DynamicAssignmentComponent;
 
 impl DynamicAssignmentComponent {
+    /// The exact Eq. (2) evaluation of one assignment — the only one:
+    /// [`Self::check`] runs it for every entry, [`Self::check_due`] for
+    /// the entries its memo cannot answer.
+    fn evaluate(
+        config: &Config,
+        deadline_model: &DeadlineModel,
+        profiling: &mut ProfilingComponent,
+        rec: &TaskRecord,
+        worker: WorkerId,
+        now: f64,
+    ) -> Verdict {
+        let (Some(elapsed), Some(ttd)) =
+            (rec.elapsed_since_assignment(now), rec.time_to_deadline())
+        else {
+            debug_assert!(false, "in-flight {} is not assigned", rec.task.id);
+            return Verdict::Skipped;
+        };
+        // Past-due tasks are left to finish late.
+        if rec.remaining_time(now) <= 0.0 {
+            return Verdict::Settled;
+        }
+        let Ok(profile) = profiling.profile_mut(worker) else {
+            return Verdict::Skipped; // worker deregistered mid-flight
+        };
+        let Some(model) = profile.deadline_dist(config.latency_model) else {
+            return Verdict::Settled; // cold profile: model not initiated yet
+        };
+        Verdict::Evaluated {
+            decision: deadline_model.check_in_flight(&model, elapsed, ttd),
+            model,
+            ttd,
+        }
+    }
+
     /// Scans all in-flight assignments at time `now` and returns the
-    /// recalls mandated by Eq. (2). Does not mutate any component.
+    /// recalls mandated by Eq. (2), in ascending task-id order. Does not
+    /// mutate any component (beyond lazily refitting a stale model).
+    ///
+    /// This is the exact full scan: the reference [`Self::check_due`] is
+    /// asserted against on every tick under `debug-invariants`.
     pub fn check(
         config: &Config,
         profiling: &mut ProfilingComponent,
@@ -49,32 +110,92 @@ impl DynamicAssignmentComponent {
         }
         let deadline_model = DeadlineModel::new(config.deadline);
         let mut recalls = Vec::new();
-        for (task_id, worker_id) in tasks.assigned() {
-            let rec = tasks.record(task_id).expect("assigned ids are tracked");
-            // Past-due tasks are left to finish late.
-            if rec.remaining_time(now) <= 0.0 {
+        for (task, worker) in tasks.assigned() {
+            let Ok(rec) = tasks.record(task) else {
+                debug_assert!(false, "assigned {task} is not tracked");
                 continue;
-            }
-            let Ok(profile) = profiling.profile_mut(worker_id) else {
-                continue; // worker deregistered mid-flight
             };
-            let Some(model) = profile.deadline_dist(config.latency_model) else {
-                continue; // cold profile: model not initiated yet
-            };
-            let elapsed = rec
-                .elapsed_since_assignment(now)
-                .expect("assigned tasks have an assignment timestamp");
-            let ttd = rec.time_to_deadline().expect("assigned tasks have a TTD");
-            let decision = deadline_model.check_in_flight(&model, elapsed, ttd);
-            if decision.is_reassign() {
-                recalls.push(Recall {
-                    task: task_id,
-                    worker: worker_id,
-                    probability: decision.probability(),
-                });
+            if let Verdict::Evaluated { decision, .. } =
+                Self::evaluate(config, &deadline_model, profiling, rec, worker, now)
+            {
+                if decision.is_reassign() {
+                    recalls.push(Recall {
+                        task,
+                        worker,
+                        probability: decision.probability(),
+                    });
+                }
             }
         }
         recalls
+    }
+
+    /// [`Self::check`], paying for the exact evaluation only where its
+    /// outcome is not already known. Also returns how many entries did
+    /// reach the exact evaluation.
+    ///
+    /// For a fixed assignment the Eq. (2) probability is monotone
+    /// non-increasing in elapsed time, so *keep* turns into *reassign*
+    /// once, at an elapsed time [`DeadlineModel::recall_gate`] brackets
+    /// from the worker's model and the assignment's TTD. The first check
+    /// of an assignment evaluates it exactly (so a stale model is refit
+    /// when it always was) and stores the bracket's lower end in the
+    /// in-flight entry; until the elapsed time reaches it the entry costs
+    /// one compare per tick, and from then on it is evaluated exactly
+    /// again. A past-due task and a cold profile can never produce a
+    /// recall for the rest of the assignment and are parked for good.
+    ///
+    /// The memo rests on the worker's model not changing while the entry
+    /// lives. That is the server's invariant, not this function's:
+    /// model-using policies pick from the *available* workers, so a
+    /// worker holds at most one task; execution-time samples arrive only
+    /// through `complete_task`, which removes the entry; and every other
+    /// way an assignment ends or restarts replaces the entry. Hence
+    /// `pub(crate)` — with raw components, use [`Self::check`].
+    pub(crate) fn check_due(
+        config: &Config,
+        profiling: &mut ProfilingComponent,
+        tasks: &mut TaskManagementComponent,
+        now: f64,
+    ) -> (Vec<Recall>, u64) {
+        if !config.matcher.uses_probabilistic_model() {
+            return (Vec::new(), 0);
+        }
+        let deadline_model = DeadlineModel::new(config.deadline);
+        let mut recalls = Vec::new();
+        let mut exact_checks = 0u64;
+        let (records, in_flight) = tasks.records_and_in_flight_mut();
+        for (task, entry) in in_flight {
+            if entry.held_for(now) < entry.recall_keep_before {
+                continue;
+            }
+            let Some(rec) = records.get(&task) else {
+                debug_assert!(false, "assigned {task} is not tracked");
+                continue;
+            };
+            exact_checks += 1;
+            match Self::evaluate(config, &deadline_model, profiling, rec, entry.worker, now) {
+                Verdict::Settled => entry.recall_keep_before = f64::INFINITY,
+                Verdict::Skipped => {}
+                Verdict::Evaluated {
+                    decision,
+                    model,
+                    ttd,
+                } => {
+                    if decision.is_reassign() {
+                        recalls.push(Recall {
+                            task,
+                            worker: entry.worker,
+                            probability: decision.probability(),
+                        });
+                    } else if entry.recall_keep_before.is_nan() {
+                        entry.recall_keep_before =
+                            deadline_model.recall_gate(&model, ttd).keep_before();
+                    }
+                }
+            }
+        }
+        (recalls, exact_checks)
     }
 }
 
@@ -164,6 +285,42 @@ mod tests {
         config.matcher = MatcherPolicy::Traditional;
         let recalls = DynamicAssignmentComponent::check(&config, &mut p, &tm, 55.0);
         assert!(recalls.is_empty());
+    }
+
+    #[test]
+    fn check_due_matches_the_full_scan_and_parks_what_cannot_recall() {
+        let (config, mut p, mut tm) = setup(60.0);
+        // A second, cold worker holding a second task.
+        p.register(WorkerId(2), GeoPoint::new(37.98, 23.72))
+            .unwrap();
+        tm.submit(task(2, 60.0), 0.0).unwrap();
+        tm.mark_assigned(TaskId(2), WorkerId(2), 0.0).unwrap();
+        let mut later_checks = 0;
+        for step in 0..=130 {
+            let now = 0.5 * step as f64;
+            let exact = DynamicAssignmentComponent::check(&config, &mut p, &tm, now);
+            let (due, checks) =
+                DynamicAssignmentComponent::check_due(&config, &mut p, &mut tm, now);
+            assert_eq!(due, exact, "at t={now}");
+            if step == 0 {
+                assert_eq!(checks, 2, "both assignments are evaluated once");
+            } else {
+                later_checks += checks;
+            }
+        }
+        // The cold entry never comes back; the warm one only from its
+        // threshold until the deadline parks it (it is never recalled
+        // here: the component reports, the server acts).
+        let warm_reassigns = (1..=130)
+            .filter(|s| {
+                !DynamicAssignmentComponent::check(&config, &mut p, &tm, 0.5 * *s as f64).is_empty()
+            })
+            .count() as u64;
+        assert!(warm_reassigns > 0);
+        assert!(
+            later_checks <= warm_reassigns + 2,
+            "{later_checks} exact checks for {warm_reassigns} reassign ticks"
+        );
     }
 
     #[test]

@@ -390,6 +390,15 @@ impl ProfilingComponent {
             .collect()
     }
 
+    /// How many workers are online — `online_workers().len()` without
+    /// building the list.
+    pub fn online_count(&self) -> usize {
+        self.workers
+            .values()
+            .filter(|p| p.availability != Availability::Offline)
+            .count()
+    }
+
     /// Iterates over all profiles, in ascending worker-id order.
     pub fn iter(&self) -> impl Iterator<Item = &WorkerProfile> {
         self.workers.values()

@@ -537,8 +537,22 @@ impl ReactServer {
     /// whatever is still in flight. Returns all recalls plus how many of
     /// them the ladder forced.
     fn stage_recall(&mut self, now: f64) -> (Vec<Recall>, u64) {
-        let mut recalls =
-            DynamicAssignmentComponent::check(&self.config, &mut self.profiling, &self.tasks, now);
+        let (mut recalls, exact_checks) = DynamicAssignmentComponent::check_due(
+            &self.config,
+            &mut self.profiling,
+            &mut self.tasks,
+            now,
+        );
+        #[cfg(feature = "debug-invariants")]
+        assert_eq!(
+            recalls,
+            DynamicAssignmentComponent::check(&self.config, &mut self.profiling, &self.tasks, now),
+            "memoized recall scan diverged from the exact full scan at t={now}"
+        );
+        if exact_checks > 0 && self.observer.enabled() {
+            self.observer
+                .incr(CounterKind::RecallExactChecks, exact_checks);
+        }
         for recall in &recalls {
             if self.tasks.mark_unassigned(recall.task).is_ok() {
                 let _ = self.profiling.record_recall(recall.worker);
@@ -571,23 +585,13 @@ impl ReactServer {
         };
         let mut timeout_recalls = 0u64;
         let mut suspected = 0u64;
-        // Collected up front: the loop body recalls tasks, which mutates
-        // the assigned index the iterator would otherwise borrow.
-        let in_flight: Vec<(TaskId, WorkerId)> = self.tasks.assigned().collect();
-        for (task, worker) in in_flight {
-            let Ok(rec) = self.tasks.record(task) else {
-                continue; // assigned ids are always tracked
-            };
-            // Attempt 0 = first assignment; each retry widens the
-            // allowance by the backoff factor, capped at max_timeout.
-            let attempt = rec.assignment_count.saturating_sub(1).min(64);
-            let allowance = (t0 * rc.backoff_factor.powi(attempt as i32)).min(rc.max_timeout);
-            let Some(elapsed) = rec.elapsed_since_assignment(now) else {
-                continue;
-            };
-            if elapsed <= allowance {
-                continue;
-            }
+        // Attempt 0 = first assignment; each retry widens the allowance
+        // by the backoff factor, capped at max_timeout.
+        let overdue = self.tasks.progress_overdue(now, |assignment_count| {
+            let attempt = assignment_count.saturating_sub(1).min(64);
+            (t0 * rc.backoff_factor.powi(attempt as i32)).min(rc.max_timeout)
+        });
+        for (task, worker) in overdue {
             if self.tasks.mark_unassigned(task).is_err() {
                 continue;
             }
@@ -626,7 +630,7 @@ impl ReactServer {
     /// whole queue slide past its deadlines.
     fn stage_shed(&mut self, now: f64) -> Vec<TaskId> {
         let rc = self.config.recovery;
-        if rc.pool_floor == 0 || self.profiling.online_workers().len() >= rc.pool_floor {
+        if rc.pool_floor == 0 || self.profiling.online_count() >= rc.pool_floor {
             return Vec::new();
         }
         let shed = self.tasks.shed_lowest_value(rc.shed_queue_cap);

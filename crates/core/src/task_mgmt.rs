@@ -54,6 +54,36 @@ impl TaskRecord {
     }
 }
 
+/// Index entry for one in-flight assignment: who holds the task, and what
+/// the recall stage has worked out about when the assignment next needs a
+/// real look. Both thresholds live in elapsed-time space — the float
+/// chain the exact predicates themselves compare in — so skipping an
+/// entry needs no instant conversion to argue about. A fresh entry
+/// replaces the old one on every (re)assignment, which is what keeps the
+/// memo valid.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct InFlight {
+    pub(crate) worker: WorkerId,
+    /// Copy of the record's `assigned_at`.
+    assigned_at: f64,
+    /// Elapsed time strictly below which the Eq. (2) check is known to
+    /// keep (or skip) the assignment. NaN — which fails every compare —
+    /// until the assignment's first check derives it.
+    pub(crate) recall_keep_before: f64,
+    /// The timeout ladder's allowance for this attempt; NaN until the
+    /// ladder first sees the assignment.
+    timeout_allowance: f64,
+}
+
+impl InFlight {
+    /// `t_ij`, exactly as [`TaskRecord::elapsed_since_assignment`]
+    /// computes it.
+    #[inline]
+    pub(crate) fn held_for(&self, now: f64) -> f64 {
+        (now - self.assigned_at).max(0.0)
+    }
+}
+
 /// Registry and lifecycle manager for tasks.
 #[derive(Debug, Clone, Default)]
 pub struct TaskManagementComponent {
@@ -64,7 +94,7 @@ pub struct TaskManagementComponent {
     /// In-flight tasks, maintained incrementally alongside `tasks` so
     /// the per-tick recall scan iterates a sorted index instead of
     /// filtering and sorting the whole registry into a fresh `Vec`.
-    assigned_index: BTreeMap<TaskId, WorkerId>,
+    assigned_index: BTreeMap<TaskId, InFlight>,
 }
 
 impl TaskManagementComponent {
@@ -131,7 +161,59 @@ impl TaskManagementComponent {
     /// into). Iterates the maintained index — no allocation.
     pub fn assigned(&self) -> impl Iterator<Item = (TaskId, WorkerId)> + '_ {
         self.debug_validate_assigned_index();
-        self.assigned_index.iter().map(|(&t, &w)| (t, w))
+        self.assigned_index.iter().map(|(&t, e)| (t, e.worker))
+    }
+
+    /// The record registry (read-only) next to the in-flight entries
+    /// (mutable, ascending task id): the recall stage updates an entry's
+    /// memo while reading the task it belongs to.
+    pub(crate) fn records_and_in_flight_mut(
+        &mut self,
+    ) -> (
+        &BTreeMap<TaskId, TaskRecord>,
+        impl Iterator<Item = (TaskId, &mut InFlight)>,
+    ) {
+        self.debug_validate_assigned_index();
+        (
+            &self.tasks,
+            self.assigned_index.iter_mut().map(|(&t, e)| (t, e)),
+        )
+    }
+
+    /// In-flight assignments that have gone longer without completing
+    /// than their progress allowance, in ascending task-id order.
+    /// `allowance_for(assignment_count)` is fixed for the life of an
+    /// assignment, so it is consulted once and kept in the entry; every
+    /// later tick pays one compare per assignment.
+    pub(crate) fn progress_overdue(
+        &mut self,
+        now: f64,
+        allowance_for: impl Fn(u32) -> f64,
+    ) -> Vec<(TaskId, WorkerId)> {
+        self.debug_validate_assigned_index();
+        let mut overdue = Vec::new();
+        for (&task, entry) in &mut self.assigned_index {
+            if entry.timeout_allowance.is_nan() {
+                let Some(rec) = self.tasks.get(&task) else {
+                    debug_assert!(false, "assigned {task} is not tracked");
+                    continue;
+                };
+                entry.timeout_allowance = allowance_for(rec.assignment_count);
+            }
+            #[cfg(feature = "debug-invariants")]
+            assert_eq!(
+                self.tasks
+                    .get(&task)
+                    .map(|rec| allowance_for(rec.assignment_count).to_bits()),
+                Some(entry.timeout_allowance.to_bits()),
+                "stored progress allowance of {task} went stale"
+            );
+            if entry.held_for(now) <= entry.timeout_allowance {
+                continue;
+            }
+            overdue.push((task, entry.worker));
+        }
+        overdue
     }
 
     /// Number of in-flight (assigned) tasks.
@@ -145,15 +227,23 @@ impl TaskManagementComponent {
     fn debug_validate_assigned_index(&self) {
         #[cfg(feature = "debug-invariants")]
         {
-            let derived: BTreeMap<TaskId, WorkerId> = self
+            let derived: Vec<(TaskId, WorkerId, u64)> = self
                 .tasks
                 .values()
-                .filter_map(|r| r.state.assigned_worker().map(|w| (r.task.id, w)))
+                .filter_map(|r| match r.state {
+                    TaskState::Assigned {
+                        worker,
+                        assigned_at,
+                    } => Some((r.task.id, worker, assigned_at.to_bits())),
+                    _ => None,
+                })
                 .collect();
-            assert_eq!(
-                derived, self.assigned_index,
-                "assigned index diverged from task states"
-            );
+            let indexed: Vec<(TaskId, WorkerId, u64)> = self
+                .assigned_index
+                .iter()
+                .map(|(&t, e)| (t, e.worker, e.assigned_at.to_bits()))
+                .collect();
+            assert_eq!(derived, indexed, "assigned index diverged from task states");
             let open = self.tasks.values().filter(|r| r.state.is_open()).count();
             assert_eq!(
                 open,
@@ -177,7 +267,15 @@ impl TaskManagementComponent {
         };
         rec.assignment_count += 1;
         self.unassigned.retain(|&t| t != id);
-        self.assigned_index.insert(id, worker);
+        self.assigned_index.insert(
+            id,
+            InFlight {
+                worker,
+                assigned_at: now,
+                recall_keep_before: f64::NAN,
+                timeout_allowance: f64::NAN,
+            },
+        );
         Ok(())
     }
 

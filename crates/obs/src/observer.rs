@@ -85,6 +85,9 @@ pub enum CounterKind {
     /// Heap bytes of graph/row buffers carried over from the previous
     /// batch instead of freshly allocated.
     ScratchBytesReused,
+    /// In-flight assignments that reached the exact Eq.(2) evaluation
+    /// (the rest were answered by their stored recall threshold).
+    RecallExactChecks,
     /// Regions executed by `MultiRegionRunner`.
     RegionsRun,
     /// Tasks completed by workers.
@@ -152,6 +155,7 @@ impl CounterKind {
             CounterKind::BuildRowsReused => "build.rows_reused",
             CounterKind::BuildCdfMemoHits => "build.cdf_memo_hits",
             CounterKind::ScratchBytesReused => "scratch.bytes_reused",
+            CounterKind::RecallExactChecks => "recall.exact_checks",
             CounterKind::RegionsRun => "regions.run",
             CounterKind::TasksCompleted => "tasks.completed",
             CounterKind::DeadlinesMet => "deadlines.met",
@@ -302,6 +306,7 @@ mod tests {
             CounterKind::BuildRowsReused,
             CounterKind::BuildCdfMemoHits,
             CounterKind::ScratchBytesReused,
+            CounterKind::RecallExactChecks,
             CounterKind::RegionsRun,
             CounterKind::TasksCompleted,
             CounterKind::DeadlinesMet,

@@ -164,21 +164,10 @@ impl DeadlineModel {
             };
         }
         match model {
-            FittedModel::PowerLaw(pl) => {
-                let ttd_star = pl.quantile(theta);
-                // Relative half-width of the exact-fallback band: wide
-                // enough that a fast-path decision differs from the true
-                // predicate value by ≥ (α−1)·rel relative in CCDF space,
-                // orders of magnitude beyond powf's rounding error.
-                let rel = (1e-10 / (pl.alpha() - 1.0)).max(1e-6);
-                if !ttd_star.is_finite() || rel >= 1.0 {
-                    return EdgeGate::Exact;
-                }
-                EdgeGate::Bracket {
-                    lo: ttd_star * (1.0 - rel),
-                    hi: ttd_star * (1.0 + rel),
-                }
-            }
+            FittedModel::PowerLaw(pl) => match exact_band(pl.quantile(theta), pl.alpha()) {
+                Some((lo, hi)) => EdgeGate::Bracket { lo, hi },
+                None => EdgeGate::Exact,
+            },
             FittedModel::Empirical(emp) => {
                 // Pr(TTD) steps only at sample values: find the minimal
                 // count `c` of samples strictly below TTD whose
@@ -198,6 +187,77 @@ impl DeadlineModel {
         }
     }
 
+    /// Inverts Eq. (2) for one assignment into a [`RecallGate`], so the
+    /// per-tick [`DeadlineModel::check_in_flight`] becomes a float compare
+    /// until the assignment nears the one elapsed time at which its
+    /// verdict can flip.
+    ///
+    /// For a fixed model and TTD, `P(t) − P(TTD)` is monotone
+    /// non-increasing in the elapsed time `t`, so `Keep` turns into
+    /// `Reassign` once, where `P(t) = θ + P(TTD)`: at
+    /// `t* = k_min · (θ + P(TTD))^{−1/(α−1)}` for the power law. As in
+    /// [`DeadlineModel::edge_gate`] the power-law gate is a conservative
+    /// bracket around `t*`. `P(TTD)` is the very float the exact chain
+    /// subtracts, so it contributes no error; what remains — one rounding
+    /// of `θ + P(TTD)`, `powf`'s few ULPs and the `(α−1)`-fold
+    /// amplification of the division inside the CCDF — stays below
+    /// `~10⁻¹⁵ + (α−1)·10⁻¹⁶` relative, against a margin of at least
+    /// `(α−1)·rel ≥ 10⁻¹⁰` relative to `θ + P(TTD)`. That sum is held
+    /// above `10⁻³` so the margin also dwarfs the absolute rounding of
+    /// the final subtraction. The step CCDF inverts exactly at a sample.
+    /// Everything else — `θ ∉ (0, 1)`, a degenerate or NaN TTD,
+    /// `θ + P(TTD)` outside `[10⁻³, 1)`, a non-finite `t*` — is left to
+    /// the exact evaluation.
+    pub fn recall_gate(&self, model: &FittedModel, time_to_deadline: f64) -> RecallGate {
+        let theta = self.config.reassign_threshold;
+        // The probability is clamped to [0, 1]: θ = 0 never fires and
+        // θ ≥ 1 fires on (almost) anything, neither through an inversion.
+        // NaN fails all three compares.
+        let invertible = theta > 0.0 && theta < 1.0 && time_to_deadline > 0.0;
+        if !invertible {
+            return RecallGate::Exact;
+        }
+        match model {
+            FittedModel::PowerLaw(pl) => {
+                let critical = theta + pl.ccdf(time_to_deadline);
+                if !(1e-3..1.0).contains(&critical) {
+                    return RecallGate::Exact;
+                }
+                match exact_band(pl.inverse_ccdf(critical), pl.alpha()) {
+                    // The window closes at TTD whatever the bracket says.
+                    Some((lo, hi)) => RecallGate::Bracket {
+                        lo: lo.min(time_to_deadline),
+                        hi,
+                    },
+                    None => RecallGate::Exact,
+                }
+            }
+            FittedModel::Empirical(emp) => {
+                // P(t) steps down only as `t` passes a sample: with `c`
+                // samples strictly below `t` it is `1 − c/n`. Find the
+                // minimal `c` whose probability — through the exact float
+                // chain of the slow path, which is monotone in `c` — falls
+                // below the threshold; the task is then reassigned iff the
+                // elapsed time exceeds the c-th smallest sample. Such a
+                // `c` exists among the samples below TTD (there the
+                // difference is 0 < θ), so the cut also covers `t ≥ TTD`.
+                let sorted = emp.sorted_samples();
+                let n = sorted.len() as f64;
+                let at_deadline = emp.ccdf(time_to_deadline);
+                for c in 0..=sorted.len() {
+                    let pr = ((1.0 - c as f64 / n) - at_deadline).clamp(0.0, 1.0);
+                    if pr < theta {
+                        return match c.checked_sub(1) {
+                            Some(i) => RecallGate::After { cut: sorted[i] },
+                            None => RecallGate::Always,
+                        };
+                    }
+                }
+                RecallGate::Exact
+            }
+        }
+    }
+
     /// In-flight rule: given the elapsed time on the current worker,
     /// decide whether to keep or reassign the task.
     pub fn check_in_flight<M: LatencyCcdf + ?Sized>(
@@ -213,6 +273,21 @@ impl DeadlineModel {
             DeadlineDecision::Keep { probability }
         }
     }
+}
+
+/// The exact-fallback band `(lo, hi)` around an analytically inverted
+/// power-law critical point, shared by both gates. Its relative
+/// half-width is wide enough that a decision outside it differs from the
+/// true predicate value by ≥ `(α−1)·rel` relative in CCDF space, orders
+/// of magnitude beyond `powf`'s rounding error. `None` when no usable
+/// band exists (non-finite centre, `α` so close to 1 that the band would
+/// swallow the axis).
+fn exact_band(center: f64, alpha: f64) -> Option<(f64, f64)> {
+    let rel = (1e-10 / (alpha - 1.0)).max(1e-6);
+    if !center.is_finite() || rel >= 1.0 {
+        return None;
+    }
+    Some((center * (1.0 - rel), center * (1.0 + rel)))
 }
 
 /// Memoized inversion of the Eq. (3) edge predicate for one fitted model
@@ -269,6 +344,73 @@ impl EdgeGate {
                     None
                 }
             }
+        }
+    }
+}
+
+/// Inversion of the Eq. (2) in-flight predicate for one fitted model,
+/// one threshold and one time-to-deadline (see
+/// [`DeadlineModel::recall_gate`]).
+///
+/// [`RecallGate::classify`] answers most elapsed times with a compare;
+/// `None` means the caller must evaluate
+/// [`DeadlineModel::check_in_flight`] exactly. Every `Some` answer equals
+/// what the exact evaluation would have decided.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum RecallGate {
+    /// No fast path: evaluate Eq. (2) exactly at every elapsed time.
+    Exact,
+    /// Reassign at every elapsed time: the probability is below the
+    /// threshold before the worker has spent any time on the task.
+    Always,
+    /// Reassign iff `elapsed > cut`: the exact inversion of a step CCDF.
+    After {
+        /// The sample value the elapsed time must exceed.
+        cut: f64,
+    },
+    /// Fast decision outside `[lo, hi]`; inside the band Eq. (2) decides
+    /// (the band brackets the analytic critical point `t*`).
+    Bracket {
+        /// Below this the assignment is certainly kept.
+        lo: f64,
+        /// Above this the task is certainly reassigned.
+        hi: f64,
+    },
+}
+
+impl RecallGate {
+    /// Fast-path decision for an elapsed time — `Some(true)` reassigns,
+    /// `Some(false)` keeps — or `None` to request the exact Eq. (2)
+    /// evaluation. Negative and NaN elapsed times count as 0, as they do
+    /// on the exact path.
+    #[inline]
+    pub fn classify(&self, elapsed: f64) -> Option<bool> {
+        let elapsed = elapsed.max(0.0);
+        match *self {
+            RecallGate::Exact => None,
+            RecallGate::Always => Some(true),
+            RecallGate::After { cut } => Some(elapsed > cut),
+            RecallGate::Bracket { lo, hi } => {
+                if elapsed < lo {
+                    Some(false)
+                } else if elapsed > hi {
+                    Some(true)
+                } else {
+                    None
+                }
+            }
+        }
+    }
+
+    /// The elapsed time strictly below which the assignment is certainly
+    /// kept (`−∞` when nothing is certain): what a caller stores to skip
+    /// the check with one compare per tick.
+    #[inline]
+    pub fn keep_before(&self) -> f64 {
+        match *self {
+            RecallGate::Exact | RecallGate::Always => f64::NEG_INFINITY,
+            RecallGate::After { cut } => cut,
+            RecallGate::Bracket { lo, .. } => lo,
         }
     }
 }

@@ -155,7 +155,14 @@ impl PowerLaw {
     /// The `q`-quantile (`0 ≤ q < 1`): the value `k` with `cdf(k) = q`.
     pub fn quantile(&self, q: f64) -> f64 {
         debug_assert!((0.0..1.0).contains(&q));
-        self.k_min * (1.0 - q).powf(self.inv_exp)
+        self.inverse_ccdf(1.0 - q)
+    }
+
+    /// The value `k ≥ k_min` with `ccdf(k) = p` (`0 < p ≤ 1`):
+    /// `k_min · p^{−1/(α−1)}`. Takes the tail probability directly, so a
+    /// small `p` is not first rounded through `1 − p`.
+    pub fn inverse_ccdf(&self, p: f64) -> f64 {
+        self.k_min * p.powf(self.inv_exp)
     }
 
     /// Median of the distribution.

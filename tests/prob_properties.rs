@@ -4,8 +4,97 @@ use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use react::prob::{
-    DeadlineModel, DeadlineModelConfig, EstimatorConfig, ExecTimeEstimator, FitMethod, PowerLaw,
+    DeadlineModel, DeadlineModelConfig, EmpiricalDist, EstimatorConfig, ExecTimeEstimator,
+    FitMethod, FittedModel, PowerLaw, RecallGate,
 };
+
+/// Thresholds inside and outside the range the Eq. (2) inversion handles.
+fn thresholds() -> impl Strategy<Value = f64> {
+    prop_oneof![
+        0.0f64..1.0,
+        1e-6f64..1e-2,
+        Just(0.0),
+        Just(1.0),
+        Just(1.5),
+        Just(-0.2),
+        Just(f64::NAN),
+    ]
+}
+
+/// Times-to-deadline, including the degenerate ones.
+fn horizons() -> impl Strategy<Value = f64> {
+    prop_oneof![
+        0.01f64..1e4,
+        0.01f64..50.0,
+        Just(0.0),
+        Just(-1.0),
+        Just(f64::INFINITY),
+        Just(f64::NAN),
+    ]
+}
+
+/// The contract `react-core`'s recall stage rests on: wherever the gate
+/// answers, it answers what the exact Eq. (2) check decides, and below
+/// `keep_before` the exact check never reassigns. Probes the given
+/// elapsed times plus the gate's own critical points and their
+/// neighbours; returns the gate.
+fn assert_recall_gate_agrees(
+    theta: f64,
+    model: &FittedModel,
+    ttd: f64,
+    elapsed: &[f64],
+) -> Result<RecallGate, TestCaseError> {
+    let dm = DeadlineModel::new(DeadlineModelConfig {
+        edge_probability_threshold: 0.1,
+        reassign_threshold: theta,
+    });
+    let gate = dm.recall_gate(model, ttd);
+    let mut probes = elapsed.to_vec();
+    probes.extend([
+        -1.0,
+        0.0,
+        ttd,
+        ttd * 0.5,
+        ttd * 2.0,
+        f64::NAN,
+        f64::INFINITY,
+    ]);
+    let critical = match gate {
+        RecallGate::Exact | RecallGate::Always => vec![],
+        RecallGate::After { cut } => vec![cut],
+        RecallGate::Bracket { lo, hi } => vec![lo, hi, 0.5 * (lo + hi)],
+    };
+    for c in critical {
+        let ulps = |n: i64| f64::from_bits((c.to_bits() as i64 + n) as u64);
+        probes.extend([c, ulps(-1), ulps(1), ulps(-64), ulps(64)]);
+        probes.extend([c * (1.0 - 1e-7), c * (1.0 + 1e-7), c * 0.99, c * 1.01]);
+    }
+    for e in probes {
+        let exact = dm.check_in_flight(model, e, ttd).is_reassign();
+        if let Some(fast) = gate.classify(e) {
+            prop_assert_eq!(
+                fast,
+                exact,
+                "{:?} at elapsed={} ttd={} θ={}",
+                gate,
+                e,
+                ttd,
+                theta
+            );
+        }
+        if e.max(0.0) < gate.keep_before() {
+            prop_assert!(
+                !exact,
+                "{:?} keeps elapsed={} ttd={} θ={}",
+                gate,
+                e,
+                ttd,
+                theta
+            );
+        }
+    }
+    Ok(gate)
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
@@ -108,6 +197,41 @@ proptest! {
         // The fitted model (if any) uses that k_min.
         if let Some(m) = est.model() {
             prop_assert_eq!(m.k_min(), expect);
+        }
+    }
+
+    #[test]
+    fn recall_gate_never_disagrees_with_eq2_power_law(
+        alpha in prop_oneof![1.0001f64..1.1, 1.1f64..8.0, 8.0f64..64.0],
+        k_min in 0.01f64..100.0,
+        theta in thresholds(),
+        ttd in horizons(),
+        window_frac in -0.5f64..2.0,
+        kmin_mult in 0.0f64..3.0,
+    ) {
+        let model = FittedModel::PowerLaw(PowerLaw::new(alpha, k_min).unwrap());
+        // Inside and beyond the window, and on both sides of k_min.
+        let elapsed = [window_frac * ttd, kmin_mult * k_min, k_min];
+        assert_recall_gate_agrees(theta, &model, ttd, &elapsed)?;
+    }
+
+    #[test]
+    fn recall_gate_never_disagrees_with_eq2_empirical(
+        // One decimal: ties between samples, and with the probes.
+        samples in proptest::collection::vec((1u32..500).prop_map(|d| d as f64 / 10.0), 1..40),
+        theta in thresholds(),
+        ttd in horizons(),
+        window_frac in -0.5f64..2.0,
+    ) {
+        let model = FittedModel::Empirical(EmpiricalDist::from_samples(&samples).unwrap());
+        let mut elapsed = vec![window_frac * ttd];
+        for &s in &samples {
+            elapsed.extend([s, s - 1e-9, s + 1e-9]);
+        }
+        let gate = assert_recall_gate_agrees(theta, &model, ttd, &elapsed)?;
+        // A step CCDF inverts exactly: no elapsed time falls back.
+        if theta > 0.0 && theta < 1.0 && ttd > 0.0 {
+            prop_assert!(gate.classify(window_frac * ttd).is_some(), "{:?}", gate);
         }
     }
 }
