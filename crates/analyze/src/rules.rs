@@ -18,9 +18,8 @@ pub enum Rule {
     /// or raw timing arithmetic (`.elapsed(`) outside the sanctioned
     /// clock module (`react-runtime::clock`) and the observability leaf
     /// crate (`react-obs`, whose `SpanTimer` is the one sanctioned way
-    /// to measure a span). The parallel runner's
-    /// bit-identical-determinism guarantee depends on scheduling
-    /// decisions never observing real time.
+    /// to measure a span). The same-seed ⇒ same-bytes guarantee
+    /// depends on scheduling decisions never observing real time.
     NoWallClock,
     /// No ambient randomness (`thread_rng`, `from_entropy`,
     /// `rand::random`): RNGs must be seeded streams from
@@ -54,7 +53,7 @@ pub enum Rule {
     /// scheduling-visible crates (`core`, `matching`, `cluster`, `crowd`,
     /// `faults`): hash iteration order varies across runs and toolchains,
     /// so any scheduling decision downstream of it silently breaks the
-    /// serial ≡ parallel bit-identity guarantee. Symbol-aware: fires on
+    /// same seed ⇒ same bytes guarantee. Symbol-aware: fires on
     /// `for`-loops and `.iter()`/`.keys()`/`.values()`/`.drain()` calls
     /// whose receiver resolves to a binding declared with a hash-ordered
     /// type in the same file, unless the surrounding statement sorts or
@@ -184,7 +183,7 @@ impl Rule {
             Rule::UnorderedHashIter => (
                 "Iterating a `HashMap`/`HashSet` yields an arbitrary, run-dependent order; \
                  in scheduling-visible crates any decision downstream of that order breaks \
-                 the serial ≡ parallel bit-identity guarantee probabilistically — exactly \
+                 the same seed ⇒ same bytes guarantee probabilistically — exactly \
                  the class of bug proptests only catch sometimes.",
                 "Switch the binding to `BTreeMap`/`BTreeSet`, or sort before use \
                  (`let mut v: Vec<_> = m.iter().collect(); v.sort_by_key(...)`), or collect \
@@ -1013,14 +1012,14 @@ fn f() {
     #[test]
     fn feature_gate_check_uses_declared_list() {
         let src =
-            "#[cfg(feature = \"parallel\")]\nfn f() {}\n#[cfg(feature = \"tubro\")]\nfn g() {}\n";
-        let file = ScannedFile::new("crates/core/src/par.rs", src);
-        let v = file.check_feature_gates(&["parallel".to_string()]);
+            "#[cfg(feature = \"turbo\")]\nfn f() {}\n#[cfg(feature = \"tubro\")]\nfn g() {}\n";
+        let file = ScannedFile::new("crates/core/src/server.rs", src);
+        let v = file.check_feature_gates(&["turbo".to_string()]);
         assert_eq!(v.len(), 1);
         assert_eq!(v[0].rule, Rule::FeatureGateHygiene);
         assert_eq!(v[0].line, 3);
         assert!(file
-            .check_feature_gates(&["parallel".to_string(), "tubro".to_string()])
+            .check_feature_gates(&["turbo".to_string(), "tubro".to_string()])
             .is_empty());
     }
 

@@ -308,24 +308,10 @@ impl Cluster {
         Some((shard, outcome))
     }
 
-    /// The full cluster control step: tick every shard (serially or on
-    /// scoped threads, depending on the `parallel` feature and
-    /// `REACT_PARALLEL_THREADS`), then run the handoff pass and — on
-    /// period — the rebalance pass. Both paths are bit-identical:
-    /// shards share no state during the tick, and the cluster-wide
-    /// passes always run serially in shard order afterwards.
+    /// The full cluster control step: tick every shard in shard order,
+    /// settle router load for what the ticks retired, then run the
+    /// handoff pass and — on period — the rebalance pass.
     pub fn tick(&mut self, now: f64) -> ClusterTickOutcome {
-        #[cfg(feature = "parallel")]
-        {
-            if react_core::par::parallelism() > 1 {
-                return self.tick_parallel(now);
-            }
-        }
-        self.tick_serial(now)
-    }
-
-    /// The serial baseline: shards tick one after another.
-    pub fn tick_serial(&mut self, now: f64) -> ClusterTickOutcome {
         let enabled = self.observer.enabled();
         let mut outcomes = Vec::with_capacity(self.shards.len());
         for shard in &mut self.shards {
@@ -336,56 +322,6 @@ impl Cluster {
             }
             outcomes.push((shard.id, outcome));
         }
-        self.finish_tick(now, outcomes)
-    }
-
-    /// Ticks the shards on parallel scoped threads, merging outcomes in
-    /// shard order. Shards are disjoint, so this is bit-identical to
-    /// [`Cluster::tick_serial`]. Always compiled; the `parallel` feature
-    /// only routes the default [`Cluster::tick`] here.
-    pub fn tick_parallel(&mut self, now: f64) -> ClusterTickOutcome {
-        let n = self.shards.len();
-        let threads = react_core::par::parallelism().min(n.max(1));
-        if threads <= 1 || n <= 1 {
-            return self.tick_serial(now);
-        }
-        let enabled = self.observer.enabled();
-        let observer = &self.observer;
-        let mut slots: Vec<Option<TickOutcome>> = (0..n).map(|_| None).collect();
-        let chunk = react_core::par::chunk_len(n, threads);
-        std::thread::scope(|scope| {
-            for (shard_part, slot_part) in
-                self.shards.chunks_mut(chunk).zip(slots.chunks_mut(chunk))
-            {
-                scope.spawn(move || {
-                    for (shard, slot) in shard_part.iter_mut().zip(slot_part.iter_mut()) {
-                        let timer = enabled.then(SpanTimer::start);
-                        let outcome = shard.server.tick(now);
-                        if let Some(timer) = timer {
-                            timer.finish(observer.as_ref(), SpanKind::ShardTick);
-                        }
-                        *slot = Some(outcome);
-                    }
-                });
-            }
-        });
-        let outcomes = self
-            .shards
-            .iter()
-            .zip(slots)
-            .map(|(shard, slot)| (shard.id, slot.expect("every shard thread completed")))
-            .collect();
-        self.finish_tick(now, outcomes)
-    }
-
-    /// Shared tail of both tick paths: router load maintenance, the
-    /// handoff pass, and the periodic rebalance pass — always serial, in
-    /// shard order.
-    fn finish_tick(
-        &mut self,
-        now: f64,
-        outcomes: Vec<(ServerId, TickOutcome)>,
-    ) -> ClusterTickOutcome {
         for (i, (_, outcome)) in outcomes.iter().enumerate() {
             self.settle_retirements(i, outcome);
         }
@@ -713,7 +649,7 @@ mod tests {
             .unwrap();
         c.submit_task(task_at(1, 0.5, 0.5), 0.0);
         c.submit_task(task_at(2, 0.6, 0.5), 0.0);
-        let outcome = c.tick_serial(1.0);
+        let outcome = c.tick(1.0);
         assert_eq!(outcome.handoffs.len(), 2);
         for h in &outcome.handoffs {
             assert_eq!(h.from, weak);
@@ -748,7 +684,7 @@ mod tests {
         let mut c = cluster_with(policy);
         // Every shard is below the floor and equally weak: no handoffs.
         c.submit_task(task_at(1, 0.5, 0.5), 0.0);
-        let outcome = c.tick_serial(1.0);
+        let outcome = c.tick(1.0);
         assert!(outcome.handoffs.is_empty());
     }
 
@@ -774,7 +710,7 @@ mod tests {
             c.submit_task(task_at(t, 0.5, 2.2 + t as f64 * 0.1), 0.0);
         }
         let donor = c.shard_of_worker(WorkerId(0)).unwrap();
-        let outcome = c.tick_serial(1.0);
+        let outcome = c.tick(1.0);
         assert_eq!(outcome.relocations.len(), 2, "max_moves caps the pass");
         for r in &outcome.relocations {
             assert_eq!(r.from, donor);
@@ -805,9 +741,9 @@ mod tests {
         }
         // Ticks 1 and 2: off-period. Tick 3: on-period, but the donor
         // only has min_idle workers — nothing moves.
-        assert!(c.tick_serial(1.0).relocations.is_empty());
-        assert!(c.tick_serial(2.0).relocations.is_empty());
-        assert!(c.tick_serial(3.0).relocations.is_empty());
+        assert!(c.tick(1.0).relocations.is_empty());
+        assert!(c.tick(2.0).relocations.is_empty());
+        assert!(c.tick(3.0).relocations.is_empty());
     }
 
     #[test]
@@ -825,38 +761,5 @@ mod tests {
         // double-charge the router.
         c.worker_online(WorkerId(1));
         assert_eq!(c.router().load(s), 1);
-    }
-
-    #[test]
-    fn serial_and_parallel_ticks_are_bit_identical() {
-        let build = || {
-            let mut c = cluster_with(ClusterPolicy::coupled());
-            for w in 0..12u64 {
-                let lat = 0.3 + (w % 4) as f64;
-                let lon = 0.3 + (w / 4) as f64;
-                c.register_worker(WorkerId(w), GeoPoint::new(lat, lon));
-            }
-            for t in 0..16u64 {
-                let lat = 0.2 + (t % 4) as f64 * 0.9;
-                let lon = 0.2 + (t / 4) as f64 * 0.9;
-                c.submit_task(task_at(t, lat, lon), 0.0);
-            }
-            c
-        };
-        let mut serial = build();
-        let mut parallel = build();
-        for step in 1..=5u64 {
-            let now = step as f64;
-            let a = serial.tick_serial(now);
-            let b = parallel.tick_parallel(now);
-            assert_eq!(a.handoffs, b.handoffs);
-            assert_eq!(a.relocations, b.relocations);
-            for ((id_a, oa), (id_b, ob)) in a.shard_ticks.iter().zip(b.shard_ticks.iter()) {
-                assert_eq!(id_a, id_b);
-                assert_eq!(oa.assignments, ob.assignments);
-                assert_eq!(oa.expired, ob.expired);
-                assert_eq!(oa.effective_at.to_bits(), ob.effective_at.to_bits());
-            }
-        }
     }
 }

@@ -21,8 +21,8 @@
 //!      excess ingress at the door, reported on `shard.admission_shed`.
 //! * [`ClusterRunner`] — a discrete-event harness driving a whole
 //!   crowdsourcing scenario (arrivals, churn, faults, completions)
-//!   through a [`Cluster`], with per-shard reports, a cluster-wide
-//!   conservation identity, and serial/parallel bit-identity.
+//!   through a [`Cluster`] on one thread, with per-shard reports, a
+//!   cluster-wide conservation identity, and same-seed bit-identity.
 //!
 //! With [`ClusterPolicy::single_tier`] every mechanism is off and the
 //! shards never interact. That is the multi-region decomposition in

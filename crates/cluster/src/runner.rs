@@ -7,11 +7,12 @@
 //! caps shed overload at the door. This is the coupled counterpart of
 //! `react_crowd::MultiRegionRunner`, whose regions never interact.
 //!
-//! [`ClusterRunner::run`] is the coupled event loop: one global event
-//! queue; every control tick steps all shards (serially or on scoped
-//! threads) and then runs the cluster passes. Serial and parallel shard
-//! execution are bit-identical. A scenario with no coupling at all is a
-//! `MultiRegionRunner` run; there is no second copy of that here.
+//! [`ClusterRunner::run`] is the coupled event loop, on one thread: one
+//! global event queue; every control tick steps all shards in shard
+//! order and then runs the cluster passes, so the same scenario and seed
+//! give the same [`ClusterReport`] bit for bit. A scenario with no
+//! coupling at all is a `MultiRegionRunner` run; there is no second copy
+//! of that here.
 //!
 //! Scope of the coupled mode: `global.replication` and `global.churn`
 //! are ignored (replica voting and autonomous churn cycles stay on the
@@ -176,7 +177,7 @@ impl ClusterReport {
 
     /// Whether two cluster reports are bit-identical across every
     /// per-shard metric including the full per-task time series — the
-    /// check behind the serial/parallel determinism guarantee.
+    /// check behind the same-seed ⇒ same-report guarantee.
     pub fn identical(&self, other: &ClusterReport) -> bool {
         self.received == other.received
             && self.unroutable == other.unroutable
@@ -208,17 +209,6 @@ impl ClusterReport {
                     && a.total_times == b.total_times
             })
     }
-}
-
-/// How the per-tick shard execution is dispatched.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum ShardExec {
-    /// Honour the `parallel` feature and `REACT_PARALLEL_THREADS`.
-    Auto,
-    /// Force the serial baseline.
-    Serial,
-    /// Force the scoped-thread path.
-    Parallel,
 }
 
 /// Events driving the cluster simulation.
@@ -269,25 +259,16 @@ impl ClusterRunner {
         self
     }
 
-    /// The coupled cluster run. With the `parallel` feature (and
-    /// `REACT_PARALLEL_THREADS` ≠ 1) shards tick on scoped threads;
-    /// otherwise serially. Both are bit-identical.
-    pub fn run(&self) -> ClusterReport {
-        self.run_with(ShardExec::Auto)
-    }
-
-    /// The serial baseline: shards tick one after another.
+    // Alias of `run`, kept only because `benchmark/src/sim.rs`, which this
+    // repo's PRs may not edit, calls it; delete it once that caller is gone
+    // (ROADMAP benchmark upkeep (b)).
+    #[doc(hidden)]
     pub fn run_serial(&self) -> ClusterReport {
-        self.run_with(ShardExec::Serial)
+        self.run()
     }
 
-    /// Forces the scoped-thread shard path (always compiled; thread
-    /// count bounded by `react_core::par::parallelism`).
-    pub fn run_parallel(&self) -> ClusterReport {
-        self.run_with(ShardExec::Parallel)
-    }
-
-    fn run_with(&self, exec: ShardExec) -> ClusterReport {
+    /// The coupled cluster run.
+    pub fn run(&self) -> ClusterReport {
         let sc = &self.scenario.global;
         let grid = RegionGrid::new(sc.region, self.scenario.rows, self.scenario.cols)
             .expect("non-zero grid dimensions");
@@ -461,11 +442,7 @@ impl ClusterRunner {
                     last_arrival_at = now;
                 }
                 Event::Tick => {
-                    let outcome = match exec {
-                        ShardExec::Auto => cluster.tick(now),
-                        ShardExec::Serial => cluster.tick_serial(now),
-                        ShardExec::Parallel => cluster.tick_parallel(now),
-                    };
+                    let outcome = cluster.tick(now);
                     for (server, shard_outcome) in &outcome.shard_ticks {
                         let i = shard_index[server];
                         apply_outcome(
@@ -637,7 +614,7 @@ mod tests {
 
     #[test]
     fn coupled_run_conserves_every_task() {
-        let r = ClusterRunner::new(scenario(1, 2, 2, ClusterPolicy::coupled())).run_serial();
+        let r = ClusterRunner::new(scenario(1, 2, 2, ClusterPolicy::coupled())).run();
         assert_eq!(r.received, 240);
         assert_eq!(r.unroutable, 0, "generator stays inside the area");
         assert!(r.conserved(), "conservation identity must hold: {r:?}");
@@ -646,20 +623,6 @@ mod tests {
         assert_eq!(r.shards.len(), 4);
         let per_shard_received: u64 = r.shards.iter().map(|s| s.received).sum();
         assert_eq!(per_shard_received + r.admission_shed() + r.unroutable, 240);
-    }
-
-    #[test]
-    fn serial_and_parallel_runs_are_bit_identical() {
-        let runner = ClusterRunner::new(scenario(2, 2, 2, ClusterPolicy::coupled()));
-        let serial = runner.run_serial();
-        let parallel = runner.run_parallel();
-        assert!(
-            serial.identical(&parallel),
-            "parallel shard execution must not perturb any result"
-        );
-        assert!(serial.identical(&runner.run()));
-        let other = ClusterRunner::new(scenario(3, 2, 2, ClusterPolicy::coupled())).run_serial();
-        assert!(!serial.identical(&other), "different seeds should differ");
     }
 
     #[test]
@@ -680,7 +643,7 @@ mod tests {
             }),
             ..react_faults::FaultPlan::none()
         });
-        let r = ClusterRunner::new(sc).run_serial();
+        let r = ClusterRunner::new(sc).run();
         assert!(r.conserved(), "conservation under handoff: {r:?}");
         assert!(r.dropouts > 0, "the plan's dropouts are counted: {r:?}");
         assert!(
@@ -697,7 +660,7 @@ mod tests {
             min_idle: 1,
             max_moves: 4,
         });
-        let r = ClusterRunner::new(sc.clone()).run_serial();
+        let r = ClusterRunner::new(sc.clone()).run();
         assert!(r.conserved());
         let total_workers: usize = r.shards.iter().map(|s| s.workers_final).sum();
         assert_eq!(total_workers, sc.global.n_workers, "workers conserved");
@@ -709,7 +672,7 @@ mod tests {
         sc.policy.admission = Some(AdmissionPolicy { max_open_tasks: 5 });
         sc.policy.handoff = None;
         sc.global.arrival_rate = 40.0; // slam the single shard
-        let r = ClusterRunner::new(sc).run_serial();
+        let r = ClusterRunner::new(sc).run();
         assert!(r.admission_shed() > 0, "overload must shed: {r:?}");
         assert!(r.conserved());
     }
@@ -730,7 +693,7 @@ mod tests {
             }),
             ..react_faults::FaultPlan::none()
         });
-        let r = ClusterRunner::new(sc).run_serial();
+        let r = ClusterRunner::new(sc).run();
         assert!(r.conserved());
         let mut verified = 0;
         for shard in &r.shards {
@@ -742,8 +705,12 @@ mod tests {
 
     #[test]
     fn coupled_run_is_deterministic() {
-        let a = ClusterRunner::new(scenario(9, 2, 2, ClusterPolicy::coupled())).run_serial();
-        let b = ClusterRunner::new(scenario(9, 2, 2, ClusterPolicy::coupled())).run_serial();
-        assert!(a.identical(&b));
+        let runner = ClusterRunner::new(scenario(9, 2, 2, ClusterPolicy::coupled()));
+        let a = runner.run();
+        assert!(a.identical(&runner.run()), "a runner replays itself");
+        let b = ClusterRunner::new(scenario(9, 2, 2, ClusterPolicy::coupled())).run();
+        assert!(a.identical(&b), "same seed, fresh runner");
+        let other = ClusterRunner::new(scenario(3, 2, 2, ClusterPolicy::coupled())).run();
+        assert!(!a.identical(&other), "different seeds should differ");
     }
 }

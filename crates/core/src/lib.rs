@@ -57,7 +57,6 @@ pub mod dynamic;
 pub mod error;
 pub mod events;
 pub mod ids;
-pub mod par;
 pub mod persist;
 pub mod prelude;
 pub mod profiling;

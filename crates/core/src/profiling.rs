@@ -419,7 +419,7 @@ impl ProfilingComponent {
         exec_samples: &[f64],
     ) -> Result<(), CoreError> {
         self.register(id, location)?;
-        let profile = self.touch(id).expect("just registered");
+        let profile = self.touch(id)?;
         profile.assignments_served = assignments_served;
         profile.reward_range = reward_range.map(|(a, b)| if a <= b { (a, b) } else { (b, a) });
         for &(category, finished, positive) in category_stats {

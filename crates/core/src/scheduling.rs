@@ -88,11 +88,6 @@ pub struct GraphBuilder<'a> {
     rows: Vec<WorkerRow>,
 }
 
-/// Pools below this size keep [`BatchScratch`]'s row fill on the serial
-/// path even when the `parallel` feature is active — thread spawn would
-/// dominate.
-const PARALLEL_MIN_ROWS: usize = 32;
-
 impl<'a> GraphBuilder<'a> {
     /// **Phase A**: selects the worker pool and makes the *single*
     /// mutable pass over it — refitting each worker's lazily-cached
@@ -156,7 +151,9 @@ impl<'a> GraphBuilder<'a> {
             };
             let (edges, row_pruned) =
                 Self::row_edges(self.config, &deadline_model, row, profile, &recs, now);
-            Self::push_row(&mut graph, u, &edges);
+            for (v, weight) in edges {
+                Self::push_edge(&mut graph, u, v, weight);
+            }
             pruned += row_pruned;
         }
         (graph, self.worker_ids(), task_ids, pruned)
@@ -219,14 +216,12 @@ impl<'a> GraphBuilder<'a> {
         (edges, pruned)
     }
 
-    fn push_row(graph: &mut BipartiteGraph, u: usize, edges: &[(u32, f64)]) {
-        for &(v, weight) in edges {
-            // row_edges only emits in-range indices and weights the
-            // graph accepts; a rejection would mean the builder itself
-            // is broken, so drop the edge instead of aborting the batch.
-            let pushed = graph.add_edge_unchecked(WorkerIdx(u as u32), TaskIdx(v), weight);
-            debug_assert!(pushed.is_ok(), "builder emitted an invalid edge");
-        }
+    fn push_edge(graph: &mut BipartiteGraph, u: usize, v: u32, weight: f64) {
+        // Both builders only emit in-range indices and weights the
+        // graph accepts; a rejection would mean the builder itself is
+        // broken, so drop the edge instead of aborting the batch.
+        let pushed = graph.add_edge_unchecked(WorkerIdx(u as u32), TaskIdx(v), weight);
+        debug_assert!(pushed.is_ok(), "builder emitted an invalid edge");
     }
 }
 
@@ -245,15 +240,6 @@ struct CachedRow {
     gate: Option<EdgeGate>,
 }
 
-/// Per-row output buffer reused across batches: the edges one worker
-/// contributes plus that row's pruning/memoization tallies.
-#[derive(Debug, Clone, Default)]
-struct RowScratch {
-    edges: Vec<(u32, f64)>,
-    pruned: usize,
-    memo_hits: u64,
-}
-
 /// Tallies from one [`BatchScratch::build`] call, for observability.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct BuildStats {
@@ -267,7 +253,7 @@ pub struct BuildStats {
     /// Eq. (3) decisions answered by the memoized gate instead of an
     /// exact CCDF evaluation.
     pub cdf_memo_hits: u64,
-    /// Heap bytes of graph/row/pool buffers carried over from the
+    /// Heap bytes of graph/pool buffers carried over from the
     /// previous batch instead of freshly allocated.
     pub bytes_reused: usize,
 }
@@ -295,9 +281,9 @@ pub struct BuiltBatchGraph<'s> {
 ///
 /// Three things persist between batches:
 ///
-/// * **Graph arenas** — the edge list, adjacency lists and per-row edge
-///   buffers are [`BipartiteGraph::reset`] and refilled in place, so a
-///   steady-state tick allocates (almost) nothing.
+/// * **Graph arenas** — the edge list and adjacency lists are
+///   [`BipartiteGraph::reset`] and refilled in place, so a steady-state
+///   tick allocates (almost) nothing.
 /// * **Phase-A rows** — each worker's training flag, fitted latency
 ///   model and memoized [`EdgeGate`] are cached keyed by the profile
 ///   *epoch* ([`WorkerProfile::epoch`]); only workers whose profile
@@ -326,15 +312,10 @@ pub struct BatchScratch {
     /// `rows` slot for each pool position (aligned with `pool`).
     row_idx: Vec<u32>,
     task_ids: Vec<TaskId>,
-    per_row: Vec<RowScratch>,
     graph: BipartiteGraph,
     /// Fingerprint of the config the cache was filled under; any change
     /// invalidates every cached row.
     last_config: Option<Config>,
-    /// `Some(n)` pins phase B to `n` threads (1 = serial) regardless of
-    /// the `parallel` feature default — safe because the two paths are
-    /// bit-identical.
-    threads: Option<usize>,
 }
 
 impl BatchScratch {
@@ -343,11 +324,11 @@ impl BatchScratch {
         Self::default()
     }
 
-    /// Pins phase B to `threads` worker threads (`Some(1)` = serial,
-    /// `None` = the `parallel` feature's default policy).
-    pub fn set_threads(&mut self, threads: Option<usize>) {
-        self.threads = threads;
-    }
+    // Inert: the build has one (single-threaded) path. Kept only because
+    // `benchmark/src/probes.rs`, which this repo's PRs may not edit, calls
+    // it; delete it once that caller is gone (ROADMAP benchmark upkeep (b)).
+    #[doc(hidden)]
+    pub fn set_threads(&mut self, _threads: Option<usize>) {}
 
     /// Drops every cached row (the arenas keep their capacity). The next
     /// build recomputes all of phase A, exactly like a cold start.
@@ -363,12 +344,6 @@ impl BatchScratch {
             + self.pool.capacity() * std::mem::size_of::<WorkerId>()
             + self.row_idx.capacity() * std::mem::size_of::<u32>()
             + self.task_ids.capacity() * std::mem::size_of::<TaskId>()
-            + self.per_row.capacity() * std::mem::size_of::<RowScratch>()
-            + self
-                .per_row
-                .iter()
-                .map(|r| r.edges.capacity() * std::mem::size_of::<(u32, f64)>())
-                .sum::<usize>()
     }
 
     /// Builds the batch graph incrementally. Semantically identical to
@@ -469,36 +444,33 @@ impl BatchScratch {
             recs.push(rec);
         }
 
-        // Phase B over the persistent per-row buffers.
-        let n = self.pool.len();
-        if self.per_row.len() < n {
-            self.per_row.resize_with(n, RowScratch::default);
-        }
-        for row in &mut self.per_row[..n] {
-            row.edges.clear();
-            row.pruned = 0;
-            row.memo_hits = 0;
-        }
-        let threads = match self.threads {
-            Some(t) => t,
-            #[cfg(feature = "parallel")]
-            None => crate::par::parallelism(),
-            #[cfg(not(feature = "parallel"))]
-            None => 1,
-        };
-        if threads > 1 && n >= PARALLEL_MIN_ROWS {
-            self.fill_rows_parallel(config, &deadline_model, profiling, &recs, now, threads);
-        } else {
-            self.fill_rows_serial(config, &deadline_model, profiling, &recs, now);
-        }
-
-        // Deterministic merge in row order into the reused graph.
-        self.graph.reset(n, self.task_ids.len());
+        // Phase B: every kept edge goes straight into the reused graph,
+        // in the cold builder's (row, task) order.
+        self.graph.reset(self.pool.len(), self.task_ids.len());
         let mut pruned = 0usize;
-        for (u, row) in self.per_row[..n].iter().enumerate() {
-            GraphBuilder::push_row(&mut self.graph, u, &row.edges);
-            pruned += row.pruned;
-            stats.cdf_memo_hits += row.memo_hits;
+        for (u, &wid) in self.pool.iter().enumerate() {
+            let row = &self.rows[self.row_idx[u] as usize];
+            // Mirrors the cold builder: a vanished profile leaves the
+            // row edgeless.
+            let Ok(profile) = profiling.profile(wid) else {
+                debug_assert!(false, "phase-A {wid} vanished from the registry");
+                continue;
+            };
+            for (v, rec) in recs.iter().enumerate() {
+                let kept = Self::gated_edge(
+                    config,
+                    &deadline_model,
+                    row,
+                    profile,
+                    rec,
+                    now,
+                    &mut stats.cdf_memo_hits,
+                );
+                match kept {
+                    Some(weight) => GraphBuilder::push_edge(&mut self.graph, u, v as u32, weight),
+                    None => pruned += 1,
+                }
+            }
         }
 
         #[cfg(feature = "debug-invariants")]
@@ -525,121 +497,43 @@ impl BatchScratch {
         }
     }
 
-    /// Serial phase B over the cached rows.
-    fn fill_rows_serial(
-        &mut self,
-        config: &Config,
-        deadline_model: &DeadlineModel,
-        profiling: &ProfilingComponent,
-        recs: &[&TaskRecord],
-        now: f64,
-    ) {
-        for (u, &wid) in self.pool.iter().enumerate() {
-            let row = &self.rows[self.row_idx[u] as usize];
-            // Mirrors the cold builder: a vanished profile leaves the
-            // row edgeless.
-            let Ok(profile) = profiling.profile(wid) else {
-                debug_assert!(false, "phase-A {wid} vanished from the registry");
-                continue;
-            };
-            Self::row_edges_gated(
-                config,
-                deadline_model,
-                row,
-                profile,
-                recs,
-                now,
-                &mut self.per_row[u],
-            );
-        }
-    }
-
-    /// Phase B over scoped threads: rows are split into contiguous
-    /// chunks and land in the same per-row buffers as the serial fill,
-    /// so the merged graph is bit-identical to it.
-    fn fill_rows_parallel(
-        &mut self,
-        config: &Config,
-        deadline_model: &DeadlineModel,
-        profiling: &ProfilingComponent,
-        recs: &[&TaskRecord],
-        now: f64,
-        threads: usize,
-    ) {
-        let n = self.pool.len();
-        let rows: Vec<&CachedRow> = self
-            .row_idx
-            .iter()
-            .map(|&slot| &self.rows[slot as usize])
-            .collect();
-        let profiles: Vec<Option<&WorkerProfile>> = self
-            .pool
-            .iter()
-            .map(|&wid| profiling.profile(wid).ok())
-            .collect();
-        let chunk = crate::par::chunk_len(n, threads);
-        std::thread::scope(|scope| {
-            let recs = &recs;
-            for ((row_chunk, profile_chunk), out_chunk) in rows
-                .chunks(chunk)
-                .zip(profiles.chunks(chunk))
-                .zip(self.per_row[..n].chunks_mut(chunk))
-            {
-                scope.spawn(move || {
-                    for ((row, profile), out) in row_chunk
-                        .iter()
-                        .zip(profile_chunk.iter())
-                        .zip(out_chunk.iter_mut())
-                    {
-                        let Some(profile) = *profile else {
-                            continue;
-                        };
-                        Self::row_edges_gated(config, deadline_model, row, profile, recs, now, out);
-                    }
-                });
-            }
-        });
-    }
-
-    /// The gated per-row kernel: identical to [`GraphBuilder::row_edges`]
-    /// except that Eq. (3) is answered by the memoized [`EdgeGate`] when
-    /// it can ([`EdgeGate::classify`]), falling back to the exact CCDF
-    /// evaluation on the (provably narrow) ambiguous band.
-    fn row_edges_gated(
+    /// The gated per-edge kernel: the decision [`GraphBuilder::row_edges`]
+    /// makes for one (worker, task) pair — `Some(weight)` for a kept edge,
+    /// `None` for one either pruning rule drops — except that Eq. (3) is
+    /// answered by the memoized [`EdgeGate`] when it can
+    /// ([`EdgeGate::classify`], counted in `memo_hits`), falling back to
+    /// the exact CCDF evaluation on the (provably narrow) ambiguous band.
+    fn gated_edge(
         config: &Config,
         deadline_model: &DeadlineModel,
         row: &CachedRow,
         profile: &WorkerProfile,
-        recs: &[&TaskRecord],
+        rec: &TaskRecord,
         now: f64,
-        out: &mut RowScratch,
-    ) {
-        for (v, rec) in recs.iter().enumerate() {
-            if !profile.accepts_reward(rec.task.reward) {
-                out.pruned += 1;
-                continue;
-            }
-            let weight = if row.in_training {
-                1.0
-            } else {
-                config.weight.evaluate(profile, &rec.task)
-            };
-            if let Some(m) = &row.model {
-                let ttd = rec.remaining_time(now);
-                let keep = match row.gate.as_ref().and_then(|g| g.classify(ttd)) {
-                    Some(keep) => {
-                        out.memo_hits += 1;
-                        keep
-                    }
-                    None => deadline_model.should_instantiate_edge(m, ttd),
-                };
-                if !keep {
-                    out.pruned += 1;
-                    continue;
-                }
-            }
-            out.edges.push((v as u32, weight));
+        memo_hits: &mut u64,
+    ) -> Option<f64> {
+        if !profile.accepts_reward(rec.task.reward) {
+            return None;
         }
+        let weight = if row.in_training {
+            1.0
+        } else {
+            config.weight.evaluate(profile, &rec.task)
+        };
+        if let Some(m) = &row.model {
+            let ttd = rec.remaining_time(now);
+            let keep = match row.gate.as_ref().and_then(|g| g.classify(ttd)) {
+                Some(keep) => {
+                    *memo_hits += 1;
+                    keep
+                }
+                None => deadline_model.should_instantiate_edge(m, ttd),
+            };
+            if !keep {
+                return None;
+            }
+        }
+        Some(weight)
     }
 }
 
@@ -1108,24 +1002,6 @@ mod tests {
         assert_eq!(stats.rows_reused, 0, "new config ⇒ full recompute");
         let stats = scratch.build(&config2, &mut p, &tm, 0.0).stats;
         assert_eq!(stats.rows_reused, stats.rows_total);
-    }
-
-    #[test]
-    fn scratch_parallel_fill_matches_serial_fill() {
-        let (config, mut p, tm) = mixed_setup();
-        let mut serial = BatchScratch::new();
-        serial.set_threads(Some(1));
-        let (edges, pruned) = {
-            let built = serial.build(&config, &mut p, &tm, 0.0);
-            (built.graph.edges().to_vec(), built.pruned)
-        };
-        for threads in [2, 3, 8] {
-            let mut par = BatchScratch::new();
-            par.set_threads(Some(threads));
-            let built = par.build(&config, &mut p, &tm, 0.0);
-            assert_eq!(built.graph.edges(), &edges[..], "threads={threads}");
-            assert_eq!(built.pruned, pruned);
-        }
     }
 
     #[test]

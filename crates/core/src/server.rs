@@ -649,14 +649,6 @@ impl ReactServer {
                 .should_fire(self.tasks.unassigned_count(), now - self.last_batch_at)
     }
 
-    /// Pins the graph-build phase B to a fixed thread count
-    /// (`Some(1)` = always serial, `None` = the `parallel` feature's
-    /// default policy). Safe to flip at any point: the serial and
-    /// parallel paths produce bit-identical graphs.
-    pub fn set_build_parallelism(&mut self, threads: Option<usize>) {
-        self.scratch.set_threads(threads);
-    }
-
     /// Pipeline stage 5: apply the batch — charge the modelled matching
     /// latency, move tasks/workers to assigned, record audit events.
     fn stage_commit(&mut self, now: f64, batch: BatchResult, outcome: &mut TickOutcome) {

@@ -11,18 +11,16 @@
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
-use react_core::par::parallelism;
-
-/// Runs `f` over `0..n` with up to `jobs` worker threads (`None` =
-/// [`parallelism`], the all-cores default honoring
-/// `REACT_PARALLEL_THREADS`). Returns results in index order regardless
+/// Runs `f` over `0..n` with up to `jobs` worker threads (`None` = one
+/// per core the OS reports). Returns results in index order regardless
 /// of scheduling.
 pub fn run_indexed<T, F>(n: usize, jobs: Option<usize>, f: F) -> Vec<T>
 where
     T: Send,
     F: Fn(usize) -> T + Sync,
 {
-    let jobs = jobs.unwrap_or_else(parallelism).max(1).min(n.max(1));
+    let cores = || std::thread::available_parallelism().map_or(1, |c| c.get());
+    let jobs = jobs.unwrap_or_else(cores).max(1).min(n.max(1));
     if jobs <= 1 {
         return (0..n).map(f).collect();
     }

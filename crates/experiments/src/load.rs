@@ -3,9 +3,9 @@
 //! Unlike the sim-time suites this one exercises the real wire
 //! boundary — `react-load` self-hosts an
 //! [`react_runtime::IngestRuntime`](../../runtime), replays a seeded
-//! arrival trace over sockets and reports sustained throughput,
-//! p50/p99/p999 assignment latency and the door shed rate as KPI rows
-//! (the `react-load` binary, not this suite, writes `BENCH_load.json`).
+//! arrival trace over sockets and reports goodput, the on-time
+//! fraction, p50/p99/p999 assignment latency and the door shed rate as
+//! KPI rows (only the `react-load` binary writes the JSON report).
 //!
 //! Manifest-driven when axes are given (`shape`, plus the `rate` /
 //! `tasks` / `scale` / `workers` knobs); otherwise it expands to its

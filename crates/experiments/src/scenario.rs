@@ -201,12 +201,7 @@ fn run_config(cfg: &RunConfig, spec: &RunSpec) -> KpiRow {
             cols,
             policy: cfg.policy,
         };
-        // Serial shard ticking: bit-identical to the parallel path by
-        // the cluster's own tests, and independent of the executor's
-        // thread placement — the sweep's byte-identity depends on it.
-        let report = ClusterRunner::new(cluster)
-            .with_observer(observer)
-            .run_serial();
+        let report = ClusterRunner::new(cluster).with_observer(observer).run();
         cluster_row(spec, &report, &recording)
     }
 }

@@ -15,8 +15,7 @@
 //!    the run starts (dropout instants, per-worker slowdown factors,
 //!    burst times) is drawn from dedicated `react-sim` named RNG streams
 //!    (`fault.*`) in [`FaultPlan::materialize`], so the fault timeline is
-//!    fixed before the first event fires and identical across serial and
-//!    parallel execution.
+//!    fixed before the first event fires and identical across reruns.
 //! 2. **Order-independent per-event decisions** — faults that depend on
 //!    runtime state (does *this* assignment get abandoned? is *this*
 //!    completion message lost?) cannot be pre-drawn because the number of

@@ -175,7 +175,7 @@ impl FaultPlan {
     ///
     /// The schedule depends only on `(master seed, plan, n_workers)` —
     /// not on anything that happens during the run — which is what makes
-    /// chaos runs bit-reproducible and serial/parallel identical.
+    /// chaos runs bit-reproducible.
     /// `horizon` widens windows that extend past it is *not* clamped;
     /// events past the run's drain horizon simply never fire.
     ///

@@ -26,8 +26,8 @@ pub struct Dropout {
 /// [`loses_completion`](Self::loses_completion),
 /// [`duplicates_completion`](Self::duplicates_completion)) are pure
 /// functions of `(salt, kind, task, attempt)` — the answer never depends
-/// on query order, so serial and parallel runs (and the live threaded
-/// runtime) replay identical faults.
+/// on query order, so every driver (the two DES runners and the live
+/// threaded runtime) replays identical faults.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FaultSchedule {
     salt: u64,

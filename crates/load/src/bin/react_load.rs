@@ -1,6 +1,7 @@
 //! `react-load` — replay a seeded open-loop arrival trace against a
-//! self-hosted ingest front-end and report sustained throughput,
-//! assignment-latency percentiles and the shed rate.
+//! self-hosted ingest front-end and report goodput (on-time completions
+//! per hour), the on-time fraction, assignment-latency percentiles and
+//! the shed rate.
 //!
 //! ```text
 //! USAGE: react-load [--quick] [--seed N] [--rate R] [--tasks N]
@@ -14,7 +15,7 @@
 //!   --scale S     crowd seconds per wall second (default 60)
 //!   --workers N   worker-host threads (default 60)
 //!   --shape X     arrival shape: poisson | burst (default: both)
-//!   --out PATH    artifact path (default BENCH_load.json at repo root)
+//!   --out PATH    report path (default target/react-load.json)
 //! ```
 
 use react_load::{run, LoadParams, Shape};

@@ -9,8 +9,9 @@
 //!   arrival at its trace instant over persistent HTTP/1.1
 //!   connections, letting the door's admission ladder do the shedding;
 //! * [`report`] — run orchestration (self-hosts an
-//!   [`react_runtime::IngestRuntime`]), p50/p99/p999 assignment-latency
-//!   percentiles and the provenance-stamped `BENCH_load.json` artifact.
+//!   [`react_runtime::IngestRuntime`]), goodput, p50/p99/p999
+//!   assignment-latency percentiles and the provenance-stamped JSON
+//!   report.
 //!
 //! `std::net` usage in this crate is sanctioned by the `react-analyze`
 //! `net-boundary` rule — the load generator *is* the wire boundary's

@@ -1,4 +1,4 @@
-//! Load-run orchestration and the `BENCH_load.json` artifact.
+//! Load-run orchestration and the stamped JSON report.
 //!
 //! [`run`] self-hosts an [`IngestRuntime`], replays a seeded trace
 //! through real TCP connections with the open-loop client, shuts the
@@ -113,10 +113,12 @@ pub struct LoadRunReport {
     pub batches: u64,
     /// Conservation identity verdict from the scheduler.
     pub conserved: bool,
+    /// On-time completions per wall hour — the headline.
+    pub goodput_per_hour: f64,
+    /// On-time completions as a fraction of offered requests.
+    pub ontime_frac: f64,
     /// Offered wall throughput, requests per hour.
     pub offered_per_hour: f64,
-    /// Admitted wall throughput, requests per hour.
-    pub sustained_per_hour: f64,
     /// Door shed fraction of offered load.
     pub shed_rate: f64,
     /// Median door-to-assignment latency, crowd seconds.
@@ -181,8 +183,9 @@ pub fn run(params: &LoadParams) -> std::io::Result<LoadRunReport> {
         recalls: report.recalls,
         batches: report.batches,
         conserved: report.conserved(),
+        goodput_per_hour: report.met_deadline as f64 / hours,
+        ontime_frac: report.met_deadline as f64 / report.offered.max(1) as f64,
         offered_per_hour: report.offered as f64 / hours,
-        sustained_per_hour: report.accepted as f64 / hours,
         shed_rate: report.shed_rate(),
         p50_assign: percentile(&report.assign_latencies, 50.0),
         p99_assign: percentile(&report.assign_latencies, 99.0),
@@ -193,14 +196,14 @@ pub fn run(params: &LoadParams) -> std::io::Result<LoadRunReport> {
     })
 }
 
-/// Where the artifact lands: `BENCH_load.json` at the repo root,
-/// beside the other BENCH documents.
+/// Where the report lands when `--out` is not given: under the
+/// workspace's `target/`, so a run leaves nothing in the checkout.
 pub fn default_json_path() -> PathBuf {
-    Path::new(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_load.json")
+    Path::new(env!("CARGO_MANIFEST_DIR")).join("../../target/react-load.json")
 }
 
-/// Serializes one or more runs as the `BENCH_load.json` document
-/// (hand-rolled JSON; the workspace carries no serializer dependency).
+/// Serializes one or more runs as one JSON document (hand-rolled; the
+/// workspace carries no serializer dependency).
 pub fn to_json_with(runs: &[LoadRunReport], provenance: Option<&Provenance>) -> String {
     let mut out = String::from("{\n  \"benchmark\": \"load\",\n");
     if let Some(p) = provenance {
@@ -215,15 +218,18 @@ pub fn to_json_with(runs: &[LoadRunReport], provenance: Option<&Provenance>) -> 
 
 fn run_json(r: &LoadRunReport) -> String {
     format!(
-        "    {{\"shape\": \"{}\", \"seed\": {}, \"rate\": {:.3}, \"tasks\": {}, \
+        "    {{\"shape\": \"{}\", \"goodput_per_hour\": {:.1}, \"ontime_frac\": {:.6}, \
+\"seed\": {}, \"rate\": {:.3}, \"tasks\": {}, \
 \"time_scale\": {:.1}, \"trace_hash\": \"{:#018x}\", \"wall_seconds\": {:.3}, \
 \"offered\": {}, \"accepted\": {}, \"shed_door\": {}, \"rejected\": {}, \
 \"transport_errors\": {}, \"completed\": {}, \"met_deadline\": {}, \"expired\": {}, \
 \"shed_server\": {}, \"recalls\": {}, \"batches\": {}, \"conserved\": {}, \
-\"offered_per_hour\": {:.1}, \"sustained_per_hour\": {:.1}, \"shed_rate\": {:.6}, \
+\"offered_per_hour\": {:.1}, \"shed_rate\": {:.6}, \
 \"p50_assign\": {:.4}, \"p99_assign\": {:.4}, \"p999_assign\": {:.4}, \
 \"assignments_measured\": {}, \"peak_queue_depth\": {}, \"peak_backlog\": {}}}",
         r.params.shape.name(),
+        r.goodput_per_hour,
+        r.ontime_frac,
         r.params.seed,
         r.params.rate,
         r.params.tasks,
@@ -243,7 +249,6 @@ fn run_json(r: &LoadRunReport) -> String {
         r.batches,
         r.conserved,
         r.offered_per_hour,
-        r.sustained_per_hour,
         r.shed_rate,
         r.p50_assign,
         r.p99_assign,
@@ -269,6 +274,8 @@ pub fn kpi_rows(runs: &[LoadRunReport]) -> Vec<KpiRow> {
         .map(|r| {
             KpiRow::new()
                 .label("shape", r.params.shape.name())
+                .float("goodput_per_hour", r.goodput_per_hour)
+                .pct("ontime_frac", r.ontime_frac)
                 .int("offered", r.offered as i64)
                 .int("accepted", r.accepted as i64)
                 .int("shed_door", r.shed_door as i64)
@@ -287,12 +294,14 @@ pub fn kpi_rows(runs: &[LoadRunReport]) -> Vec<KpiRow> {
 pub fn render(runs: &[LoadRunReport]) -> String {
     let mut out = String::from(
         "== load — open-loop TCP replay through the ingest door ==\n\
-shape     offered  accepted  shed   req/h(wall)  p50      p99      p999     conserved\n",
+shape     goodput/h  ontime  offered  accepted  shed   offered/h    p50      p99      p999     conserved\n",
     );
     for r in runs {
         out.push_str(&format!(
-            "{:<9} {:<8} {:<9} {:<6} {:<12.0} {:<8.3} {:<8.3} {:<8.3} {}\n",
+            "{:<9} {:<10.0} {:<7.3} {:<8} {:<9} {:<6} {:<12.0} {:<8.3} {:<8.3} {:<8.3} {}\n",
             r.params.shape.name(),
+            r.goodput_per_hour,
+            r.ontime_frac,
             r.offered,
             r.accepted,
             r.shed_door,
@@ -340,8 +349,9 @@ mod tests {
             recalls: 3,
             batches: 12,
             conserved: true,
+            goodput_per_hour: 168000.0,
+            ontime_frac: 0.7,
             offered_per_hour: 240000.0,
-            sustained_per_hour: 216000.0,
             shed_rate: 0.1,
             p50_assign: 4.0,
             p99_assign: 11.0,
@@ -352,6 +362,8 @@ mod tests {
         };
         let json = to_json_with(&[report], Some(&Provenance::new(2013)));
         for key in [
+            "\"goodput_per_hour\"",
+            "\"ontime_frac\"",
             "\"offered_per_hour\"",
             "\"p50_assign\"",
             "\"p99_assign\"",

@@ -35,10 +35,11 @@ impl Matcher for GreedyMatcher {
                 // Ties broken toward the lower worker index for
                 // determinism (max_by keeps the *last* max, so compare
                 // (weight, Reverse(idx)) explicitly).
+                // The graph only holds finite weights ≥ 0, where
+                // total_cmp is the numeric order.
                 .max_by(|a, b| {
                     a.weight
-                        .partial_cmp(&b.weight)
-                        .expect("weights are finite")
+                        .total_cmp(&b.weight)
                         .then(b.worker.0.cmp(&a.worker.0))
                 });
             if let Some(edge) = best {
@@ -135,12 +136,20 @@ mod tests {
 
     #[test]
     fn deterministic_tie_break_toward_lower_worker() {
-        let mut g = BipartiteGraph::new(3, 1);
-        g.add_edge(WorkerIdx(2), TaskIdx(0), 0.5).unwrap();
-        g.add_edge(WorkerIdx(0), TaskIdx(0), 0.5).unwrap();
-        g.add_edge(WorkerIdx(1), TaskIdx(0), 0.5).unwrap();
-        let m = GreedyMatcher.assign(&g, &mut rng());
-        assert_eq!(m.pairs[0].0, WorkerIdx(0));
+        // 0.0 is a weight the graph accepts: an all-zero tie must still
+        // match, and toward the lower index.
+        for weight in [0.5, 0.0] {
+            let mut g = BipartiteGraph::new(4, 2);
+            g.add_edge(WorkerIdx(2), TaskIdx(0), weight).unwrap();
+            g.add_edge(WorkerIdx(0), TaskIdx(0), weight).unwrap();
+            g.add_edge(WorkerIdx(1), TaskIdx(0), weight).unwrap();
+            // A heavier edge beats a tie among lighter, lower-indexed ones.
+            g.add_edge(WorkerIdx(1), TaskIdx(1), weight).unwrap();
+            g.add_edge(WorkerIdx(3), TaskIdx(1), weight + 0.25).unwrap();
+            let m = GreedyMatcher.assign(&g, &mut rng());
+            assert_eq!(m.worker_of(TaskIdx(0)), Some(WorkerIdx(0)), "w={weight}");
+            assert_eq!(m.worker_of(TaskIdx(1)), Some(WorkerIdx(3)), "w={weight}");
+        }
     }
 
     #[test]

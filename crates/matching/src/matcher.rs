@@ -112,8 +112,9 @@ impl Matching {
 /// Implementations must be deterministic given the same graph and RNG
 /// stream, which is what makes the simulation experiments reproducible.
 /// `Send` is a supertrait so a server owning a boxed matcher can be
-/// moved across scoped threads (the cluster layer ticks shard servers
-/// in parallel); matchers are plain data, so this costs nothing.
+/// moved to another thread (the live ingest builds its server on a
+/// scheduler thread; the sweep executor runs whole scenarios on worker
+/// threads); matchers are plain data, so this costs nothing.
 pub trait Matcher: Send {
     /// Computes a matching over `graph`. Deterministic algorithms ignore
     /// `rng`.

@@ -29,7 +29,7 @@ pub enum KpiValue {
     /// A ratio in `[0, 1]`, rendered as a percentage in tables but kept
     /// as the raw ratio in CSV/JSON so downstream math stays exact.
     Pct(f64),
-    /// A boolean flag (e.g. serial/parallel identity held).
+    /// A boolean flag (e.g. the conservation identity held).
     Bool(bool),
 }
 

@@ -1,5 +1,5 @@
 //! Artifact attribution: every `results/*.csv` and `*.kpi.*` report the
-//! suites emit (and `react-load`'s `BENCH_load.json`) is stamped with
+//! suites emit (and `react-load`'s JSON report) is stamped with
 //! the seed, the sweep manifest hash (when the run came from a manifest)
 //! and the git revision, so a number on disk can always be traced back
 //! to the exact inputs that produced it.

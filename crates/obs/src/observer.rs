@@ -211,8 +211,8 @@ impl HistogramKind {
 /// Implementations must be cheap and must never feed information back
 /// into scheduling decisions; the pipeline only ever *writes* through
 /// this trait. All methods take `&self` — sinks handle their own
-/// synchronisation (observers are shared across scoped threads by the
-/// parallel multi-region runner). `Debug` is a supertrait so structs
+/// synchronisation (the live ingest shares one observer between its
+/// acceptor threads and its scheduler thread). `Debug` is a supertrait so structs
 /// holding an [`ObserverHandle`] can keep `#[derive(Debug)]`.
 pub trait Observer: Send + Sync + std::fmt::Debug {
     /// Whether this sink wants events at all.

@@ -7,7 +7,7 @@
 //!    rebalances, admission sheds and faults: completed + expired +
 //!    admission-shed + stranded == received, handoffs-out == handoffs-in,
 //!    and the worker population is conserved across rebalances;
-//! 2. **determinism** — serial and parallel shard execution produce
+//! 2. **determinism** — the same scenario run twice produces
 //!    bit-identical reports under any policy/fault combination;
 //! 3. **auditability** — every shard's lifecycle log stays well-formed
 //!    (`Submitted … HandedOff` / fresh `Submitted` on the receiving
@@ -92,7 +92,7 @@ proptest! {
         policy in arb_policy(),
         faults in arb_faults(),
     ) {
-        let r = ClusterRunner::new(scenario(seed, rows, cols, policy, faults)).run_serial();
+        let r = ClusterRunner::new(scenario(seed, rows, cols, policy, faults)).run();
         prop_assert_eq!(r.received, 120);
         prop_assert_eq!(r.unroutable, 0);
         prop_assert!(r.conserved(), "conservation violated: {:?}", r);
@@ -100,18 +100,20 @@ proptest! {
         prop_assert_eq!(workers, 40, "worker population not conserved");
     }
 
-    /// Invariant 2: serial and parallel shard execution are
-    /// bit-identical whatever the policy and fault plan.
+    /// Invariant 2: the same scenario run twice is bit-identical
+    /// whatever the policy and fault plan. Every `HashMap` of the second
+    /// run hashes with a fresh `RandomState`, so iteration order leaking
+    /// into a report shows up here.
     #[test]
-    fn serial_and_parallel_shard_execution_bit_identical(
+    fn same_scenario_run_twice_is_bit_identical(
         seed in 0u64..1_000,
         policy in arb_policy(),
         faults in arb_faults(),
     ) {
         let runner = ClusterRunner::new(scenario(seed, 2, 2, policy, faults));
-        let serial = runner.run_serial();
-        let parallel = runner.run_parallel();
-        prop_assert!(serial.identical(&parallel), "serial/parallel divergence");
+        let first = runner.run();
+        let second = runner.run();
+        prop_assert!(first.identical(&second), "rerun divergence");
     }
 
     /// Invariant 3: every shard's audit log verifies, and handoff
@@ -123,7 +125,7 @@ proptest! {
         policy in arb_policy(),
         faults in arb_faults(),
     ) {
-        let r = ClusterRunner::new(scenario(seed, 2, 2, policy, faults)).run_serial();
+        let r = ClusterRunner::new(scenario(seed, 2, 2, policy, faults)).run();
         let mut handed_off = 0u64;
         for shard in &r.shards {
             let log = shard.audit.as_ref().expect("audit enabled");

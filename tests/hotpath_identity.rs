@@ -142,7 +142,6 @@ proptest! {
     #[test]
     fn incremental_build_is_bit_identical_to_cold_build(
         kind in arb_latency_model(),
-        serial in any::<bool>(),
         ops in proptest::collection::vec(arb_op(), 1..60),
     ) {
         let mut config = Config::with_matcher(MatcherPolicy::React { cycles: 100 });
@@ -150,9 +149,6 @@ proptest! {
         let mut p = ProfilingComponent::default();
         let mut tm = TaskManagementComponent::new();
         let mut scratch = BatchScratch::new();
-        if serial {
-            scratch.set_threads(Some(1));
-        }
         let mut now = 0.0f64;
         for op in &ops {
             apply(op, &mut p, &mut tm, &mut now);
