@@ -21,10 +21,9 @@
 //!   boundaries, observer-catalog consistency, and audit-event
 //!   transition-table exhaustiveness.
 //!
-//! The engine is rule-driven ([`rules`]), walks the workspace
-//! ([`workspace`]), and ratchets existing violations through a checked-in
-//! baseline file ([`baseline`]): new violations fail the check, the
-//! baseline can only shrink.
+//! The engine is rule-driven ([`rules`]) and walks the workspace
+//! ([`workspace`]). It is zero-tolerance: there is no file of
+//! grandfathered violations, so every violation fails the check.
 //!
 //! Escape hatches, for code whose violation is *by design*:
 //!
@@ -33,16 +32,14 @@
 //! * `analyze: allow-file(<rule>)` in a comment — exempts the whole file.
 //!
 //! Both markers should carry a trailing justification. The CLI
-//! (`cargo run -p react-analyze`) exits non-zero on any violation not
-//! covered by the baseline, which is how CI consumes it.
+//! (`cargo run -p react-analyze`) exits non-zero on any violation,
+//! which is how CI consumes it.
 
-pub mod baseline;
 pub mod parser;
 pub mod rules;
 pub mod symbols;
 pub mod workspace;
 
-pub use baseline::Baseline;
 pub use rules::{Rule, Violation};
 pub use symbols::{FileAnalysis, SymbolTable};
 pub use workspace::{CheckOutcome, Workspace};

@@ -1,28 +1,25 @@
 //! `react-analyze` CLI — the workspace invariant gate.
 //!
 //! ```text
-//! cargo run -p react-analyze                  # check against analyze-baseline.toml
-//! cargo run -p react-analyze -- --write-baseline
+//! cargo run -p react-analyze                  # the gate: any violation fails
 //! cargo run -p react-analyze -- --list        # rule registry + every violation
 //! cargo run -p react-analyze -- --explain <rule>  # what a rule means + how to fix
 //! cargo run -p react-analyze -- --root <dir>  # explicit workspace root
 //! ```
 //!
-//! Exit codes: `0` clean (or fully explained by the baseline), `1` rule
-//! violations or a stale baseline, `2` usage or I/O error.
+//! Exit codes: `0` clean, `1` rule violations, `2` usage or I/O error.
+//! There is no grandfathering: a violation is fixed or carries an
+//! `analyze: allow(<rule>) <reason>` marker at the site.
 
 use std::env;
-use std::fs;
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use react_analyze::baseline::Divergence;
 use react_analyze::rules::ALL_RULES;
 use react_analyze::{Rule, Workspace};
 
 struct Options {
     root: Option<PathBuf>,
-    write_baseline: bool,
     list: bool,
     explain: Option<String>,
 }
@@ -30,14 +27,12 @@ struct Options {
 fn parse_args() -> Result<Options, String> {
     let mut opts = Options {
         root: None,
-        write_baseline: false,
         list: false,
         explain: None,
     };
     let mut args = env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
-            "--write-baseline" => opts.write_baseline = true,
             "--list" => opts.list = true,
             "--explain" => {
                 let value = args
@@ -51,8 +46,7 @@ fn parse_args() -> Result<Options, String> {
             }
             "--help" | "-h" => {
                 return Err(
-                    "usage: react-analyze [--root <dir>] [--write-baseline] [--list] \
-                     [--explain <rule>|all]"
+                    "usage: react-analyze [--root <dir>] [--list] [--explain <rule>|all]"
                         .to_string(),
                 )
             }
@@ -140,25 +134,14 @@ fn main() -> ExitCode {
         }
     };
 
-    if opts.write_baseline {
-        let baseline = react_analyze::Baseline::from_violations(&outcome.violations);
-        let path = workspace.baseline_path();
-        if let Err(e) = fs::write(&path, baseline.serialize()) {
-            eprintln!("react-analyze: cannot write {}: {e}", path.display());
-            return ExitCode::from(2);
-        }
-        println!(
-            "wrote {} ({} grandfathered violation(s) across {} file(s) scanned)",
-            path.display(),
-            baseline.total(),
-            outcome.files_scanned
-        );
-        return ExitCode::SUCCESS;
-    }
-
+    let summary = format!(
+        "{} violation(s) in {} file(s) scanned",
+        outcome.violations.len(),
+        outcome.files_scanned
+    );
     if opts.list {
         // Rule registry first — CI smoke-checks this block to catch
-        // registry drift (a rule added without docs/baseline support).
+        // registry drift (a rule added without docs support).
         println!("rules ({}):", ALL_RULES.len());
         for rule in ALL_RULES {
             println!("  {}", rule.name());
@@ -166,52 +149,26 @@ fn main() -> ExitCode {
         for v in &outcome.violations {
             println!("{v}");
         }
-        println!(
-            "{} violation(s) in {} file(s) scanned",
-            outcome.violations.len(),
-            outcome.files_scanned
-        );
-    }
-
-    let baseline = match workspace.load_baseline() {
-        Ok(b) => b,
-        Err(e) => {
-            eprintln!("react-analyze: {e}");
-            return ExitCode::from(2);
+        println!("{summary}");
+    } else if outcome.violations.is_empty() {
+        println!("react-analyze: OK — {summary}");
+    } else {
+        eprintln!("react-analyze: FAIL");
+        for v in &outcome.violations {
+            eprintln!("  {v}");
         }
-    };
-    let divergences = outcome.against(&baseline);
-    if divergences.is_empty() {
-        println!(
-            "react-analyze: OK — {} file(s) scanned, {} grandfathered violation(s), 0 new",
-            outcome.files_scanned,
-            baseline.total()
-        );
-        return ExitCode::SUCCESS;
-    }
-    eprintln!("react-analyze: FAIL");
-    let mut failed_rules: Vec<&'static str> = Vec::new();
-    for d in &divergences {
-        eprintln!("  {d}");
-        if let Divergence::Exceeded {
-            rule, violations, ..
-        } = d
-        {
-            if !failed_rules.contains(&rule.name()) {
-                failed_rules.push(rule.name());
-            }
-            for v in violations {
-                eprintln!("    {}:{}: {}", v.file, v.line, v.snippet);
-            }
+        // Violations arrive sorted by rule, so adjacent dedup suffices.
+        let mut failed_rules: Vec<&str> =
+            outcome.violations.iter().map(|v| v.rule.name()).collect();
+        failed_rules.dedup();
+        for name in failed_rules {
+            eprintln!("  run `cargo run -p react-analyze -- --explain {name}` for fix guidance");
         }
+        eprintln!("{summary}");
     }
-    for name in failed_rules {
-        eprintln!("  run `cargo run -p react-analyze -- --explain {name}` for fix guidance");
+    if outcome.violations.is_empty() {
+        ExitCode::SUCCESS
+    } else {
+        ExitCode::FAILURE
     }
-    eprintln!(
-        "{} divergence(s) from the baseline ({} file(s) scanned)",
-        divergences.len(),
-        outcome.files_scanned
-    );
-    ExitCode::FAILURE
 }

@@ -117,7 +117,7 @@ pub(crate) fn in_test_tree(path: &str) -> bool {
 }
 
 impl Rule {
-    /// The rule's stable name — used in baseline sections and allow
+    /// The rule's stable name — used in `--explain`, reports and allow
     /// markers.
     pub fn name(&self) -> &'static str {
         match self {

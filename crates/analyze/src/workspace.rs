@@ -6,7 +6,6 @@ use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
 
-use crate::baseline::{Baseline, Divergence};
 use crate::rules::Violation;
 use crate::symbols::{self, FileAnalysis, SymbolTable};
 
@@ -28,13 +27,6 @@ pub struct CheckOutcome {
     pub files_scanned: usize,
 }
 
-impl CheckOutcome {
-    /// Compares against a baseline; empty result means pass.
-    pub fn against(&self, baseline: &Baseline) -> Vec<Divergence> {
-        baseline.diff(&self.violations)
-    }
-}
-
 impl Workspace {
     /// Opens the workspace at `root`. Fails if `root` does not look like
     /// the repo top level (no `Cargo.toml`).
@@ -53,23 +45,6 @@ impl Workspace {
     /// The workspace root.
     pub fn root(&self) -> &Path {
         &self.root
-    }
-
-    /// Path to the checked-in baseline file.
-    pub fn baseline_path(&self) -> PathBuf {
-        self.root.join("analyze-baseline.toml")
-    }
-
-    /// Loads the checked-in baseline, or an empty one when the file does
-    /// not exist yet.
-    pub fn load_baseline(&self) -> io::Result<Baseline> {
-        let path = self.baseline_path();
-        if !path.is_file() {
-            return Ok(Baseline::empty());
-        }
-        let text = fs::read_to_string(&path)?;
-        Baseline::parse(&text)
-            .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))
     }
 
     /// Scans every workspace `.rs` file and runs all rules.

@@ -2,8 +2,8 @@
 //! behaviours:
 //!
 //! 1. a rule-violating line added to `react-core` is detected (the CLI
-//!    exits non-zero exactly when the divergence list is non-empty),
-//! 2. the committed tree passes against the checked-in baseline,
+//!    exits non-zero exactly when the violation list is non-empty),
+//! 2. the committed tree has zero violations,
 //! 3. each symbol-aware rule family fires on a positive fixture, stays
 //!    silent on the negative one, and honours its allow marker, and
 //! 4. the real obs catalog has zero unknown call-site names and zero
@@ -14,7 +14,7 @@ use std::path::{Path, PathBuf};
 
 use react_analyze::rules::{Rule, ScannedFile};
 use react_analyze::symbols::{self, FileAnalysis, SymbolTable};
-use react_analyze::{Baseline, Workspace};
+use react_analyze::Workspace;
 
 fn repo_root() -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR")).join("../..")
@@ -54,23 +54,13 @@ fn violating_line_in_react_core_fails_the_gate() {
     assert!(rules.contains(&Rule::NoFloatEq), "float eq: {rules:?}");
     assert!(rules.contains(&Rule::NoAmbientRng), "rng: {rules:?}");
     assert!(rules.contains(&Rule::FeatureGateHygiene), "gate: {rules:?}");
-
-    // Against an empty baseline every violation is a divergence — this is
-    // exactly the condition under which the CLI exits non-zero.
-    let divergences = outcome.against(&Baseline::empty());
-    assert!(!divergences.is_empty());
-
-    // Grandfather everything and the gate passes again.
-    let grandfathered = Baseline::from_violations(&outcome.violations);
-    assert!(outcome.against(&grandfathered).is_empty());
     fs::remove_dir_all(&root).ok();
 }
 
 #[test]
 fn adding_a_violation_to_existing_react_core_file_is_detected() {
     // Take a real react-core source file, count its violations, then
-    // append an offending line and assert the count strictly grows —
-    // i.e. debt cannot hide behind the baseline.
+    // append an offending line and assert the count strictly grows.
     let path = repo_root().join("crates/core/src/scheduling.rs");
     let original = fs::read_to_string(&path).expect("read scheduling.rs");
     let rel = "crates/core/src/scheduling.rs";
@@ -85,18 +75,17 @@ fn adding_a_violation_to_existing_react_core_file_is_detected() {
 }
 
 #[test]
-fn committed_tree_passes_against_checked_in_baseline() {
+fn committed_tree_has_zero_violations() {
     let ws = Workspace::open(&repo_root()).expect("open repo");
     let outcome = ws.check().expect("scan repo");
     assert!(outcome.files_scanned > 50, "walker found the workspace");
-    let baseline = ws.load_baseline().expect("load checked-in baseline");
-    let divergences = outcome.against(&baseline);
     assert!(
-        divergences.is_empty(),
+        outcome.violations.is_empty(),
         "committed tree must pass the gate:\n{}",
-        divergences
+        outcome
+            .violations
             .iter()
-            .map(|d| format!("  {d}"))
+            .map(|v| format!("  {v}"))
             .collect::<Vec<_>>()
             .join("\n")
     );
@@ -215,8 +204,7 @@ fn audit_exhaustiveness_family_fires_on_missing_arm() {
 /// dotted name at a metric call site is declared, and every declared
 /// variant is referenced outside `crates/obs`. This is the workspace-level
 /// acceptance check — it holds the catalog at zero unknown/dead entries
-/// going forward (new debt cannot even be baselined without showing up
-/// here).
+/// going forward.
 #[test]
 fn real_obs_catalog_has_zero_unknown_and_zero_dead_entries() {
     let ws = Workspace::open(&repo_root()).expect("open repo");
@@ -247,16 +235,5 @@ fn real_obs_catalog_has_zero_unknown_and_zero_dead_entries() {
         table.catalog_names().len() >= 30,
         "catalog discovery found {} names (expected the full span/counter/histogram tables)",
         table.catalog_names().len()
-    );
-}
-
-#[test]
-fn baseline_file_is_checked_in_and_parses() {
-    let path = repo_root().join("analyze-baseline.toml");
-    let text = fs::read_to_string(&path).expect("analyze-baseline.toml is checked in");
-    let baseline = Baseline::parse(&text).expect("baseline parses");
-    assert!(
-        baseline.total() > 0,
-        "remaining grandfathered debt is recorded"
     );
 }

@@ -1,7 +1,7 @@
 //! Middleware configuration.
 
 use crate::weight::WeightFunction;
-use react_matching::{Matcher, MatcherSpec};
+pub use react_matching::MatcherPolicy;
 use react_prob::{DeadlineModelConfig, EstimatorConfig};
 
 /// Which latency distribution the deadline model evaluates Eq. (2)/(3)
@@ -18,88 +18,6 @@ pub enum LatencyModelKind {
         /// Maximum acceptable KS statistic for the parametric fit.
         ks_threshold: f64,
     },
-}
-
-/// Which matching algorithm the Scheduling Component runs per batch.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum MatcherPolicy {
-    /// The paper's Algorithm 1 with a fixed cycle budget.
-    React {
-        /// Flip cycles per batch (paper: 1000).
-        cycles: usize,
-    },
-    /// REACT with the adaptive cycle count `c = ⌈κ·|E|⌉` the paper
-    /// suggests as future work.
-    ReactAdaptive {
-        /// Cycles per edge.
-        kappa: f64,
-    },
-    /// The Metropolis baseline at a fixed cycle budget.
-    Metropolis {
-        /// Flip cycles per batch.
-        cycles: usize,
-    },
-    /// The `O(V·E)` greedy baseline.
-    Greedy,
-    /// AMT-style uniform random assignment (no profiling, no model).
-    Traditional,
-    /// Exact Hungarian optimum (offline reference).
-    Hungarian,
-    /// ε-auction extension.
-    Auction,
-    /// Maximum-cardinality extension (Hopcroft–Karp): assign as many
-    /// tasks as possible, ignoring weights — the "throughput-optimal"
-    /// objective of classical systems.
-    MaxCardinality,
-}
-
-impl MatcherPolicy {
-    /// The matching-layer descriptor of this policy. Algorithm dispatch
-    /// lives behind it in `react_matching::engine`; this enum keeps only
-    /// the *scheduler-level* semantics (model use, availability).
-    pub fn spec(&self) -> MatcherSpec {
-        match *self {
-            MatcherPolicy::React { cycles } => MatcherSpec::React { cycles },
-            MatcherPolicy::ReactAdaptive { kappa } => MatcherSpec::ReactAdaptive { kappa },
-            MatcherPolicy::Metropolis { cycles } => MatcherSpec::Metropolis { cycles },
-            MatcherPolicy::Greedy => MatcherSpec::Greedy,
-            MatcherPolicy::Traditional => MatcherSpec::Traditional,
-            MatcherPolicy::Hungarian => MatcherSpec::Hungarian,
-            MatcherPolicy::Auction => MatcherSpec::Auction,
-            MatcherPolicy::MaxCardinality => MatcherSpec::MaxCardinality,
-        }
-    }
-
-    /// Instantiates the matcher. `n_edges` lets the adaptive policy size
-    /// its cycle budget to the batch at hand. Batch loops should prefer
-    /// a [`react_matching::MatcherEngine`] over per-batch builds.
-    pub fn build(&self, n_edges: usize) -> Box<dyn Matcher> {
-        self.spec().build(n_edges)
-    }
-
-    /// Whether this policy uses the probabilistic deadline model
-    /// (edge pruning + in-flight reassignment). The paper pairs the
-    /// model with REACT *and* Greedy, but not with the Traditional
-    /// system.
-    pub fn uses_probabilistic_model(&self) -> bool {
-        !matches!(self, MatcherPolicy::Traditional)
-    }
-
-    /// Whether this policy assigns only to *available* workers.
-    ///
-    /// The Traditional comparator simulates AMT-style marketplaces,
-    /// which have no availability signal: a task lands on a uniformly
-    /// random worker who may already be busy and queues behind their
-    /// current work — the main reason the paper's traditional system
-    /// misses roughly half its deadlines.
-    pub fn uses_availability(&self) -> bool {
-        !matches!(self, MatcherPolicy::Traditional)
-    }
-
-    /// Stable name for reports (matches `Matcher::name`).
-    pub fn name(&self) -> &'static str {
-        self.spec().name()
-    }
 }
 
 /// When the Scheduling Component starts a new batch. *"Our solution works
@@ -279,9 +197,7 @@ impl Config {
             })
         };
         match self.matcher {
-            MatcherPolicy::React { cycles } | MatcherPolicy::Metropolis { cycles }
-                if cycles == 0 =>
-            {
+            MatcherPolicy::React { cycles: 0 } => {
                 return fail("matcher cycle budget must be at least 1");
             }
             MatcherPolicy::ReactAdaptive { kappa } if !kappa.is_finite() || kappa <= 0.0 => {
@@ -356,32 +272,6 @@ mod tests {
         assert_eq!(c.estimator.min_samples, 3);
         assert_eq!(c.training_assignments, 3);
         assert!(c.charge_matching_time);
-    }
-
-    #[test]
-    fn policy_names_and_model_use() {
-        assert_eq!(MatcherPolicy::React { cycles: 1 }.name(), "react");
-        assert_eq!(MatcherPolicy::Greedy.name(), "greedy");
-        assert_eq!(MatcherPolicy::Traditional.name(), "traditional");
-        assert!(MatcherPolicy::Greedy.uses_probabilistic_model());
-        assert!(!MatcherPolicy::Traditional.uses_probabilistic_model());
-    }
-
-    #[test]
-    fn build_produces_matching_names() {
-        for policy in [
-            MatcherPolicy::React { cycles: 10 },
-            MatcherPolicy::ReactAdaptive { kappa: 0.5 },
-            MatcherPolicy::Metropolis { cycles: 10 },
-            MatcherPolicy::Greedy,
-            MatcherPolicy::Traditional,
-            MatcherPolicy::Hungarian,
-            MatcherPolicy::Auction,
-            MatcherPolicy::MaxCardinality,
-        ] {
-            let m = policy.build(100);
-            assert_eq!(m.name(), policy.name());
-        }
     }
 
     #[test]

@@ -156,6 +156,7 @@ pub fn verify_lifecycles(log: &AuditLog) -> usize {
                 );
                 State::Done
             }
+            // analyze: allow(no-panic-in-lib) this verifier's whole job is to abort on an illegal audit trail; callers sum the count or catch the unwind
             (s, k) => panic!("{}: illegal transition {k:?} from {s:?}", e.task),
         };
     }

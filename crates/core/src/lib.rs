@@ -18,8 +18,9 @@
 //!   (available workers × unassigned tasks), pruning edges via the
 //!   Eq. (3) probability threshold and boosting new workers for their
 //!   first `z` training assignments, then runs the configured
-//!   [`MatcherPolicy`] (REACT / Metropolis / Greedy / Traditional /
-//!   Hungarian / Auction).
+//!   [`MatcherPolicy`] (REACT at a fixed or adaptive cycle budget /
+//!   Greedy / Traditional — defined in `react-matching`, re-exported
+//!   here).
 //! * [`DynamicAssignmentComponent`] — evaluates Eq. (2) on every in-flight
 //!   assignment and pulls tasks back from workers that will likely miss
 //!   the deadline.

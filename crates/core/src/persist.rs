@@ -122,17 +122,18 @@ pub fn import_profiles(
         return Err(PersistError::BadHeader(header.to_string()));
     }
 
-    // First pass collects per-worker state so samples replay in order
-    // regardless of record interleaving.
+    // First pass collects per-worker state, in `worker`-record order, so
+    // samples replay in order regardless of record interleaving.
     struct Pending {
+        id: u64,
         location: GeoPoint,
         assignments: u64,
         reward_range: Option<(f64, f64)>,
         cats: Vec<(TaskCategory, u64, u64)>,
         exec: Vec<f64>,
     }
-    let mut order: Vec<u64> = Vec::new();
-    let mut pending: std::collections::HashMap<u64, Pending> = std::collections::HashMap::new();
+    let mut pending: Vec<Pending> = Vec::new();
+    let mut index_of: std::collections::HashMap<u64, usize> = std::collections::HashMap::new();
 
     let bad = |line: usize, message: &str| PersistError::BadRecord {
         line,
@@ -146,7 +147,7 @@ pub fn import_profiles(
             continue;
         }
         let mut fields = line.split_whitespace();
-        let kind = fields.next().expect("non-empty line has a first field");
+        let Some(kind) = fields.next() else { continue };
         match kind {
             "worker" => {
                 let parts: Vec<&str> = fields.collect();
@@ -164,24 +165,19 @@ pub fn import_profiles(
                         hi.parse().map_err(|_| bad(line_no, "bad reward hi"))?,
                     )),
                 };
-                if pending
-                    .insert(
-                        id,
-                        Pending {
-                            location: GeoPoint::new(lat, lon),
-                            assignments,
-                            reward_range,
-                            cats: Vec::new(),
-                            exec: Vec::new(),
-                        },
-                    )
-                    .is_some()
-                {
+                if index_of.insert(id, pending.len()).is_some() {
                     return Err(PersistError::Duplicate(CoreError::DuplicateWorker(
                         WorkerId(id),
                     )));
                 }
-                order.push(id);
+                pending.push(Pending {
+                    id,
+                    location: GeoPoint::new(lat, lon),
+                    assignments,
+                    reward_range,
+                    cats: Vec::new(),
+                    exec: Vec::new(),
+                });
             }
             "cat" => {
                 let parts: Vec<&str> = fields.collect();
@@ -192,8 +188,9 @@ pub fn import_profiles(
                 let category: u32 = parts[1].parse().map_err(|_| bad(line_no, "bad category"))?;
                 let finished: u64 = parts[2].parse().map_err(|_| bad(line_no, "bad finished"))?;
                 let positive: u64 = parts[3].parse().map_err(|_| bad(line_no, "bad positive"))?;
-                let p = pending
-                    .get_mut(&id)
+                let p = index_of
+                    .get(&id)
+                    .and_then(|&i| pending.get_mut(i))
                     .ok_or(PersistError::UnknownWorker { line: line_no, id })?;
                 p.cats.push((TaskCategory(category), finished, positive));
             }
@@ -204,8 +201,9 @@ pub fn import_profiles(
                     .ok_or_else(|| bad(line_no, "exec record needs an id"))?
                     .parse()
                     .map_err(|_| bad(line_no, "bad id"))?;
-                let p = pending
-                    .get_mut(&id)
+                let p = index_of
+                    .get(&id)
+                    .and_then(|&i| pending.get_mut(i))
                     .ok_or(PersistError::UnknownWorker { line: line_no, id })?;
                 for t in parts {
                     p.exec
@@ -217,11 +215,10 @@ pub fn import_profiles(
     }
 
     let mut profiling = ProfilingComponent::new(estimator);
-    for id in order {
-        let p = pending.remove(&id).expect("collected above");
+    for p in pending {
         profiling
             .restore(
-                WorkerId(id),
+                WorkerId(p.id),
                 p.location,
                 p.assignments,
                 p.reward_range,

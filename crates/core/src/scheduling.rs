@@ -41,7 +41,7 @@ use crate::ids::{TaskId, WorkerId};
 use crate::profiling::{ProfilingComponent, WorkerProfile};
 use crate::task_mgmt::{TaskManagementComponent, TaskRecord};
 use rand::RngCore;
-use react_matching::{BipartiteGraph, MatchContext, MatcherEngine, TaskIdx, WorkerIdx};
+use react_matching::{BipartiteGraph, MatcherEngine, TaskIdx, WorkerIdx};
 use react_prob::{DeadlineModel, EdgeGate, FittedModel};
 use std::collections::HashMap;
 
@@ -571,20 +571,14 @@ impl SchedulingComponent {
         open_tasks: usize,
         rng: &mut dyn RngCore,
     ) -> BatchResult {
-        let mut ctx = MatchContext::new(rng, graph.n_edges());
-        let matching = engine.assign(graph, &mut ctx);
+        let matching = engine.assign(graph, rng);
         let assignments = matching
             .pairs
             .iter()
             .map(|&(u, v, _)| (workers[u.0 as usize], task_ids[v.0 as usize]))
             .collect();
-        let region_cost_units = region_cost_units(
-            &config.matcher,
-            open_tasks,
-            workers.len(),
-            task_ids.len(),
-            matching.cost_units,
-        );
+        let region_cost_units =
+            region_cost_units(&config.matcher, open_tasks, workers.len(), task_ids.len());
         BatchResult {
             assignments,
             total_weight: matching.total_weight,
@@ -596,14 +590,14 @@ impl SchedulingComponent {
         }
     }
 
-    /// Runs one batch — graph construction + matching — reusing the
-    /// caller's [`MatcherEngine`] across batches. Does **not** mutate
-    /// component state beyond the phase-A model refits; the server
-    /// applies the assignments so it can also charge the modelled
-    /// matching latency.
-    pub fn run_batch_with_engine(
+    /// Runs one batch — graph construction + matching — with a
+    /// throwaway engine, for one-off batches and tests (the server
+    /// drives [`BatchScratch`] and [`SchedulingComponent::match_built`]
+    /// with its own cached engine). Does **not** mutate component state
+    /// beyond the phase-A model refits; the server applies the
+    /// assignments so it can also charge the modelled matching latency.
+    pub fn run_batch(
         config: &Config,
-        engine: &mut MatcherEngine,
         profiling: &mut ProfilingComponent,
         tasks: &TaskManagementComponent,
         now: f64,
@@ -612,7 +606,7 @@ impl SchedulingComponent {
         let (graph, workers, task_ids, pruned) = Self::build_graph(config, profiling, tasks, now);
         Self::match_built(
             config,
-            engine,
+            &mut MatcherEngine::new(config.matcher),
             &graph,
             &workers,
             &task_ids,
@@ -620,19 +614,6 @@ impl SchedulingComponent {
             tasks.open_count(),
             rng,
         )
-    }
-
-    /// [`SchedulingComponent::run_batch_with_engine`] with a throwaway
-    /// engine — for one-off batches and tests.
-    pub fn run_batch(
-        config: &Config,
-        profiling: &mut ProfilingComponent,
-        tasks: &TaskManagementComponent,
-        now: f64,
-        rng: &mut dyn RngCore,
-    ) -> BatchResult {
-        let mut engine = MatcherEngine::new(config.matcher.spec());
-        Self::run_batch_with_engine(config, &mut engine, profiling, tasks, now, rng)
     }
 }
 
@@ -643,38 +624,23 @@ impl SchedulingComponent {
 /// scales with the full graph `E_region = V_open · |pool|`, not just the
 /// unassigned subgraph the matching ultimately selects from:
 ///
-/// * REACT/Metropolis: `c · E_region` (the paper's `O(c·E)` bound);
+/// * REACT: `c · E_region` (the paper's `O(c·E)` bound), with `c` the
+///   policy's [`MatcherPolicy::cycle_budget`] over the region graph;
 /// * Greedy: `V_open · E_region` (the paper's `O(V·E)` bound) — the
 ///   quadratic-in-backlog growth behind its Fig. 5/9 collapse;
-/// * Hungarian: `n³` on the padded region graph;
-/// * Auction: the reported bids, rescaled from the batch subgraph to the
-///   region graph;
 /// * Traditional: one portal lookup per assigned task (no graph at all).
 pub fn region_cost_units(
     policy: &MatcherPolicy,
     open_tasks: usize,
     pool_size: usize,
     batch_tasks: usize,
-    batch_cost_units: f64,
 ) -> f64 {
-    let v = open_tasks.max(batch_tasks) as f64;
-    let e_region = v * pool_size as f64;
-    match *policy {
-        MatcherPolicy::React { cycles } | MatcherPolicy::Metropolis { cycles } => {
-            cycles as f64 * e_region
-        }
-        MatcherPolicy::ReactAdaptive { kappa } => (kappa * e_region).ceil().max(1.0) * e_region,
-        MatcherPolicy::Greedy => v * e_region,
-        MatcherPolicy::Traditional => batch_tasks as f64,
-        MatcherPolicy::Hungarian => {
-            let n = v.max(pool_size as f64);
-            n * n * n
-        }
-        MatcherPolicy::Auction => {
-            let batch_edges = (batch_tasks * pool_size).max(1) as f64;
-            batch_cost_units * (e_region / batch_edges).max(1.0)
-        }
-        MatcherPolicy::MaxCardinality => e_region * v.max(pool_size as f64).sqrt(),
+    let v = open_tasks.max(batch_tasks);
+    let e_region = v * pool_size;
+    match (policy.cycle_budget(e_region), policy) {
+        (Some(cycles), _) => cycles as f64 * e_region as f64,
+        (None, MatcherPolicy::Traditional) => batch_tasks as f64,
+        (None, _) => v as f64 * e_region as f64,
     }
 }
 
@@ -837,50 +803,30 @@ mod tests {
         let (open, pool, batch) = (100usize, 50usize, 20usize);
         let e_region = 5000.0;
         assert_eq!(
-            region_cost_units(
-                &MatcherPolicy::React { cycles: 1000 },
-                open,
-                pool,
-                batch,
-                0.0
-            ),
+            region_cost_units(&MatcherPolicy::React { cycles: 1000 }, open, pool, batch),
             1000.0 * e_region
         );
+        // Adaptive: c = ⌈κ·E_region⌉ = 1250 cycles over the region graph.
         assert_eq!(
             region_cost_units(
-                &MatcherPolicy::Metropolis { cycles: 500 },
+                &MatcherPolicy::ReactAdaptive { kappa: 0.25 },
                 open,
                 pool,
-                batch,
-                0.0
+                batch
             ),
-            500.0 * e_region
+            1250.0 * e_region
         );
         assert_eq!(
-            region_cost_units(&MatcherPolicy::Greedy, open, pool, batch, 0.0),
+            region_cost_units(&MatcherPolicy::Greedy, open, pool, batch),
             100.0 * e_region
         );
         assert_eq!(
-            region_cost_units(&MatcherPolicy::Traditional, open, pool, batch, 0.0),
+            region_cost_units(&MatcherPolicy::Traditional, open, pool, batch),
             batch as f64
-        );
-        assert_eq!(
-            region_cost_units(&MatcherPolicy::Hungarian, open, pool, batch, 0.0),
-            100.0f64.powi(3)
-        );
-        assert_eq!(
-            region_cost_units(&MatcherPolicy::MaxCardinality, open, pool, batch, 0.0),
-            e_region * 10.0
-        );
-        // Auction rescales reported bids from the batch to the region
-        // graph: 5000 / (20*50) = 5x.
-        assert_eq!(
-            region_cost_units(&MatcherPolicy::Auction, open, pool, batch, 40.0),
-            200.0
         );
         // Open count can never undershoot the batch size.
         assert_eq!(
-            region_cost_units(&MatcherPolicy::Greedy, 0, pool, batch, 0.0),
+            region_cost_units(&MatcherPolicy::Greedy, 0, pool, batch),
             20.0 * (20.0 * 50.0)
         );
     }
@@ -888,12 +834,12 @@ mod tests {
     #[test]
     fn greedy_region_cost_grows_quadratically_with_backlog() {
         // The mechanism behind the paper's Fig. 9 collapse.
-        let small = region_cost_units(&MatcherPolicy::Greedy, 100, 500, 10, 0.0);
-        let big = region_cost_units(&MatcherPolicy::Greedy, 200, 500, 10, 0.0);
+        let small = region_cost_units(&MatcherPolicy::Greedy, 100, 500, 10);
+        let big = region_cost_units(&MatcherPolicy::Greedy, 200, 500, 10);
         assert!((big / small - 4.0).abs() < 1e-9, "ratio {}", big / small);
         // REACT grows only linearly.
-        let small = region_cost_units(&MatcherPolicy::React { cycles: 1000 }, 100, 500, 10, 0.0);
-        let big = region_cost_units(&MatcherPolicy::React { cycles: 1000 }, 200, 500, 10, 0.0);
+        let small = region_cost_units(&MatcherPolicy::React { cycles: 1000 }, 100, 500, 10);
+        let big = region_cost_units(&MatcherPolicy::React { cycles: 1000 }, 200, 500, 10);
         assert!((big / small - 2.0).abs() < 1e-9);
     }
 
@@ -913,31 +859,6 @@ mod tests {
         assert_eq!(workers_a, workers_b);
         assert_eq!(tasks_a, tasks_b);
         assert_eq!(pruned_a, pruned_b);
-    }
-
-    #[test]
-    fn engine_backed_batches_match_throwaway_batches() {
-        use react_matching::MatcherEngine;
-        let config = Config::paper_defaults();
-        let (mut p, tm) = setup(10, 5);
-        let mut engine = MatcherEngine::new(config.matcher.spec());
-        let mut rng_a = SmallRng::seed_from_u64(11);
-        let mut rng_b = SmallRng::seed_from_u64(11);
-        for _ in 0..3 {
-            let cached = SchedulingComponent::run_batch_with_engine(
-                &config,
-                &mut engine,
-                &mut p,
-                &tm,
-                0.0,
-                &mut rng_a,
-            );
-            let fresh = SchedulingComponent::run_batch(&config, &mut p, &tm, 0.0, &mut rng_b);
-            assert_eq!(cached.assignments, fresh.assignments);
-            assert_eq!(cached.total_weight, fresh.total_weight);
-            assert_eq!(cached.matcher_name, fresh.matcher_name);
-        }
-        assert_eq!(engine.rebuilds(), 1, "fixed cycles ⇒ one build");
     }
 
     /// Seasons a mixed pool (training / seasoned-fast / seasoned-slow /

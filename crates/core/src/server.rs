@@ -258,7 +258,7 @@ impl ReactServer {
     ) -> Self {
         let estimator = config.estimator;
         let audit = audit.then(AuditLog::new);
-        let engine = MatcherEngine::new(config.matcher.spec()).with_observer(observer.clone());
+        let engine = MatcherEngine::new(config.matcher).with_observer(observer.clone());
         ReactServer {
             config,
             profiling: ProfilingComponent::new(estimator),

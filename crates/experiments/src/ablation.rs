@@ -11,8 +11,8 @@
 //! 5. [`weight_function_rows`] — accuracy (Eq. 1) vs geographic distance vs a
 //!    blend.
 //! 6. [`batch_trigger_rows`] — queue-threshold vs periodic batching.
-//! 7. [`frontier_rows`] — matching quality vs compute time across all five
-//!    matchers on one contended graph.
+//! 7. [`frontier_rows`] — matching quality vs compute time (Hungarian,
+//!    Greedy, REACT, Metropolis) on one contended graph.
 //! 8. [`region_decomposition_rows`] — the paper's overload fix: one global
 //!    load over 1×1 / 2×2 / 3×3 region grids.
 //! 9. [`latency_model_rows`] — uniform-with-delay vs power-law crowds (the
@@ -40,8 +40,8 @@ use rand::{Rng, SeedableRng};
 use react_core::{BatchTrigger, LatencyModelKind, MatcherPolicy, WeightFunction};
 use react_crowd::{Scenario, ScenarioRunner};
 use react_matching::{
-    AuctionMatcher, BipartiteGraph, CostModel, GreedyMatcher, HopcroftKarpMatcher,
-    HungarianMatcher, Matcher, MetropolisMatcher, ReactMatcher,
+    BipartiteGraph, CostModel, GreedyMatcher, HungarianMatcher, Matcher, MetropolisMatcher,
+    ReactMatcher,
 };
 use react_metrics::{KpiReport, KpiRow};
 use std::time::Instant;
@@ -250,24 +250,35 @@ pub fn adaptive_cycles_rows(params: &AblationParams) -> Vec<KpiRow> {
     let mut rows = Vec::new();
     for side in [params.graph_side / 2, params.graph_side] {
         let graph = contended_graph(side, params.seed ^ side as u64);
-        let mut variants: Vec<(String, ReactMatcher)> = vec![
-            ("fixed-1000".to_string(), ReactMatcher::with_cycles(1000)),
-            ("fixed-4000".to_string(), ReactMatcher::with_cycles(4000)),
+        let mut variants = vec![
+            (
+                "fixed-1000".to_string(),
+                MatcherPolicy::React { cycles: 1000 },
+            ),
+            (
+                "fixed-4000".to_string(),
+                MatcherPolicy::React { cycles: 4000 },
+            ),
         ];
         for kappa in [0.05, 0.2] {
             variants.push((
                 format!("adaptive-k{kappa}"),
-                ReactMatcher::adaptive(&graph, kappa),
+                MatcherPolicy::ReactAdaptive { kappa },
             ));
         }
-        for (label, matcher) in variants {
-            let m = matcher.assign(&graph, &mut SmallRng::seed_from_u64(params.seed));
+        for (label, policy) in variants {
+            let m = policy
+                .build(graph.n_edges())
+                .assign(&graph, &mut SmallRng::seed_from_u64(params.seed));
             rows.push(
                 KpiRow::new()
                     .label("variant", &label)
                     .int("side", side as i64)
                     .float("weight", m.total_weight)
-                    .float("modeled_s", cost_model.seconds_for("react", m.cost_units)),
+                    .float(
+                        "modeled_s",
+                        cost_model.seconds_for(policy.name(), m.cost_units),
+                    ),
             );
         }
     }
@@ -382,15 +393,13 @@ pub fn batch_trigger_rows(params: &AblationParams) -> Vec<KpiRow> {
         .collect()
 }
 
-/// Ablation 7 — the quality-vs-time frontier across all matchers.
+/// Ablation 7 — the quality-vs-time frontier: exact vs the heuristics.
 pub fn frontier_rows(params: &AblationParams) -> Vec<KpiRow> {
     let graph = contended_graph(params.graph_side, params.seed ^ 0xf00d);
     let cost_model = CostModel::paper_calibrated();
     let matchers: Vec<Box<dyn Matcher>> = vec![
         Box::new(HungarianMatcher),
-        Box::new(AuctionMatcher::default()),
         Box::new(GreedyMatcher),
-        Box::new(HopcroftKarpMatcher),
         Box::new(ReactMatcher::with_cycles(1000)),
         Box::new(MetropolisMatcher::with_cycles(1000)),
     ];

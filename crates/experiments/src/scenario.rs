@@ -14,8 +14,8 @@
 //! | name           | kind  | default      | meaning                              |
 //! |----------------|-------|--------------|--------------------------------------|
 //! | `pool`         | int   | 40           | workers registered at t = 0          |
-//! | `matcher`      | str   | `react`      | `react[-C]`, `adaptive`, `metropolis[-C]`, `greedy`, `traditional`, `hungarian`, `auction`, `maxcard` |
-//! | `cycles`       | int   | 1000         | cycle budget for react/metropolis    |
+//! | `matcher`      | str   | `react`      | `react[-C]`, `adaptive`, `greedy`, `traditional` |
+//! | `cycles`       | int   | 1000         | cycle budget for `react`             |
 //! | `kappa`        | float | 0.2          | cycles/edge for `adaptive`           |
 //! | `faults`       | str   | `none`       | [`FaultPlan::from_manifest`] spec    |
 //! | `shards`       | int   | 1            | shard count (>1 runs the cluster)    |
@@ -159,15 +159,10 @@ fn parse_matcher(name: &str, cycles: usize, kappa: f64) -> Result<MatcherPolicy,
     match base {
         "react" => Ok(MatcherPolicy::React { cycles: budget }),
         "adaptive" | "react-adaptive" => Ok(MatcherPolicy::ReactAdaptive { kappa }),
-        "metropolis" => Ok(MatcherPolicy::Metropolis { cycles: budget }),
         "greedy" => Ok(MatcherPolicy::Greedy),
         "traditional" => Ok(MatcherPolicy::Traditional),
-        "hungarian" => Ok(MatcherPolicy::Hungarian),
-        "auction" => Ok(MatcherPolicy::Auction),
-        "maxcard" | "max-cardinality" => Ok(MatcherPolicy::MaxCardinality),
         other => Err(format!(
-            "unknown matcher '{other}' (expected react[-C], adaptive, metropolis[-C], \
-             greedy, traditional, hungarian, auction or maxcard)"
+            "unknown matcher '{other}' (expected react[-C], adaptive, greedy or traditional)"
         )),
     }
 }
@@ -427,14 +422,22 @@ mod tests {
             Ok(MatcherPolicy::React { cycles: 700 })
         );
         assert_eq!(
-            parse_matcher("metropolis-50", 1000, 0.2),
-            Ok(MatcherPolicy::Metropolis { cycles: 50 })
+            parse_matcher("adaptive", 1000, 0.2),
+            Ok(MatcherPolicy::ReactAdaptive { kappa: 0.2 })
         );
-        assert_eq!(
-            parse_matcher("maxcard", 1, 0.2),
-            Ok(MatcherPolicy::MaxCardinality)
-        );
-        assert!(parse_matcher("quantum", 1, 0.2).is_err());
+        // The matching-only baselines are not scheduler policies.
+        for rejected in [
+            "quantum",
+            "metropolis",
+            "metropolis-50",
+            "hungarian",
+            "auction",
+            "maxcard",
+            "max-cardinality",
+        ] {
+            let err = parse_matcher(rejected, 1, 0.2).expect_err(rejected);
+            assert!(err.starts_with("unknown matcher"), "{rejected}: {err}");
+        }
     }
 
     #[test]

@@ -18,7 +18,6 @@
 //! | `greedy` | `V·E` | 9.97 × 10⁻⁸ s | 99.7 s @ V=1000, E=10⁶ |
 //! | `traditional` | `V` | 10⁻⁴ s | negligible — portal lookup per task |
 //! | `hungarian` | `n³` | 10⁻⁷ s | dominates every heuristic, per the paper's "inappropriate for dynamic systems" |
-//! | `auction` | bids | 10⁻⁶ s | extension (no paper anchor) |
 //!
 //! The experiment harness can also bypass the model and use measured Rust
 //! wall-clock time; both series are reported in `EXPERIMENTS.md`.
@@ -48,8 +47,6 @@ impl CostModel {
         coefficients.insert("greedy", 9.97e-8);
         coefficients.insert("traditional", 1e-4);
         coefficients.insert("hungarian", 1e-7);
-        coefficients.insert("auction", 1e-6);
-        coefficients.insert("hopcroft-karp", 1e-7);
         CostModel {
             coefficients,
             default_coefficient: 1e-7,
@@ -63,22 +60,6 @@ impl CostModel {
             coefficients: BTreeMap::new(),
             default_coefficient: 0.0,
         }
-    }
-
-    /// Overrides (or sets) one algorithm's coefficient.
-    pub fn with_coefficient(mut self, name: &'static str, seconds_per_unit: f64) -> Self {
-        self.coefficients.insert(name, seconds_per_unit);
-        self
-    }
-
-    /// Scales every coefficient by `factor` (e.g. to model faster
-    /// servers in a sensitivity sweep).
-    pub fn scaled(mut self, factor: f64) -> Self {
-        for v in self.coefficients.values_mut() {
-            *v *= factor;
-        }
-        self.default_coefficient *= factor;
-        self
     }
 
     /// The coefficient used for `name`.
@@ -156,19 +137,6 @@ mod tests {
         let m = CostModel::free();
         assert_eq!(m.seconds_for("react", 1e12), 0.0);
         assert_eq!(m.seconds_for("unknown", 1e12), 0.0);
-    }
-
-    #[test]
-    fn override_and_scale() {
-        let m = CostModel::paper_calibrated()
-            .with_coefficient("react", 1e-3)
-            .scaled(2.0);
-        assert_eq!(m.seconds_for("react", 10.0), 2e-2);
-        let base = CostModel::paper_calibrated();
-        assert_eq!(
-            base.clone().scaled(0.5).seconds_for("greedy", 100.0),
-            0.5 * base.seconds_for("greedy", 100.0)
-        );
     }
 
     #[test]

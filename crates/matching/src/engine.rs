@@ -1,55 +1,30 @@
-//! The matching engine: policy descriptors and matcher reuse.
+//! The matching engine: the scheduler's matcher policies and matcher
+//! reuse.
 //!
-//! Earlier revisions dispatched from the middleware configuration
-//! straight to concrete matcher constructors and re-`Box`ed a fresh
-//! matcher for every batch. This module moves that dispatch down into
-//! the matching layer, where it belongs:
-//!
-//! * [`MatcherSpec`] — a plain-data descriptor of *which* algorithm to
-//!   run and with what parameters (the matching-layer mirror of the
-//!   middleware's `MatcherPolicy`);
-//! * [`MatcherEngine`] — builds the matcher once and reuses it across
-//!   batches, rebuilding only when the spec's edge-count-dependent
-//!   cycle budget actually changes (only the adaptive spec's does);
-//! * [`MatchContext`] — what one assignment pass needs from the caller:
-//!   the RNG stream and the edge budget of the graph at hand.
+//! * [`MatcherPolicy`] — the closed set of algorithms the scheduler can
+//!   run per batch, with their parameters. This is the only place the
+//!   set is defined; `react-core` re-exports it for `Config`.
+//! * [`MatcherEngine`] — builds the policy's matcher once and reuses it
+//!   across batches, rebuilding only when the edge-count-dependent cycle
+//!   budget actually changes (only the adaptive policy's does).
 //!
 //! All shipped matchers are stateless (`assign` takes `&self`), so
 //! reusing a built matcher is behaviourally identical to rebuilding it —
 //! the engine is pure memoisation and never changes results.
 
-use crate::auction::AuctionMatcher;
 use crate::graph::BipartiteGraph;
 use crate::greedy::GreedyMatcher;
-use crate::hopcroft_karp::HopcroftKarpMatcher;
-use crate::hungarian::HungarianMatcher;
 use crate::matcher::{Matcher, Matching};
-use crate::metropolis::MetropolisMatcher;
 use crate::random::RandomMatcher;
 use crate::react::ReactMatcher;
 use rand::RngCore;
 use react_obs::{null_observer, CounterKind, ObserverHandle, SpanKind, SpanTimer};
 
-/// Everything one assignment pass needs from its caller.
-pub struct MatchContext<'a> {
-    /// Randomness for the randomized matchers (deterministic algorithms
-    /// ignore it).
-    pub rng: &'a mut dyn RngCore,
-    /// Edge count of the graph about to be matched; sizes adaptive
-    /// cycle budgets.
-    pub edge_budget: usize,
-}
-
-impl<'a> MatchContext<'a> {
-    /// Creates a context for a graph with `edge_budget` edges.
-    pub fn new(rng: &'a mut dyn RngCore, edge_budget: usize) -> Self {
-        MatchContext { rng, edge_budget }
-    }
-}
-
-/// A plain-data descriptor of a matching algorithm and its parameters.
+/// Which matching algorithm the Scheduling Component runs per batch —
+/// the three systems of the paper's Figs. 5–10 plus the adaptive cycle
+/// count it suggests as future work.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub enum MatcherSpec {
+pub enum MatcherPolicy {
     /// The paper's Algorithm 1 with a fixed cycle budget.
     React {
         /// Flip cycles per batch (paper: 1000).
@@ -60,89 +35,91 @@ pub enum MatcherSpec {
         /// Cycles per edge.
         kappa: f64,
     },
-    /// The Metropolis baseline at a fixed cycle budget.
-    Metropolis {
-        /// Flip cycles per batch.
-        cycles: usize,
-    },
     /// The `O(V·E)` greedy baseline.
     Greedy,
-    /// AMT-style uniform random assignment.
+    /// AMT-style uniform random assignment (no profiling, no model).
     Traditional,
-    /// Exact Hungarian optimum (offline reference).
-    Hungarian,
-    /// ε-auction extension.
-    Auction,
-    /// Maximum-cardinality extension (Hopcroft–Karp).
-    MaxCardinality,
 }
 
-impl MatcherSpec {
-    /// Instantiates the matcher. `edge_budget` sizes the adaptive
-    /// spec's cycle count; all other specs ignore it.
-    pub fn build(&self, edge_budget: usize) -> Box<dyn Matcher> {
-        match *self {
-            MatcherSpec::React { cycles } => Box::new(ReactMatcher::with_cycles(cycles)),
-            MatcherSpec::ReactAdaptive { kappa } => Box::new(ReactMatcher::with_cycles(
-                ((edge_budget as f64 * kappa).ceil() as usize).max(1),
-            )),
-            MatcherSpec::Metropolis { cycles } => Box::new(MetropolisMatcher::with_cycles(cycles)),
-            MatcherSpec::Greedy => Box::new(GreedyMatcher),
-            MatcherSpec::Traditional => Box::new(RandomMatcher),
-            MatcherSpec::Hungarian => Box::new(HungarianMatcher),
-            MatcherSpec::Auction => Box::new(AuctionMatcher::default()),
-            MatcherSpec::MaxCardinality => Box::new(HopcroftKarpMatcher),
-        }
-    }
-
-    /// The cycle budget a matcher built for `edge_budget` edges would
-    /// run with, when the spec is cycle-bounded. A built matcher stays
-    /// valid exactly while this value is unchanged — which for every
-    /// spec except [`MatcherSpec::ReactAdaptive`] is forever.
-    pub fn cycle_budget(&self, edge_budget: usize) -> Option<usize> {
-        match *self {
-            MatcherSpec::React { cycles } | MatcherSpec::Metropolis { cycles } => Some(cycles),
-            MatcherSpec::ReactAdaptive { kappa } => {
-                Some(((edge_budget as f64 * kappa).ceil() as usize).max(1))
-            }
-            _ => None,
-        }
-    }
-
-    /// Stable name for reports (matches the built [`Matcher::name`]).
+impl MatcherPolicy {
+    /// Stable name for reports (matches the built [`Matcher::name`] and
+    /// keys the [`crate::CostModel`] coefficient table).
     pub fn name(&self) -> &'static str {
         match self {
-            MatcherSpec::React { .. } | MatcherSpec::ReactAdaptive { .. } => "react",
-            MatcherSpec::Metropolis { .. } => "metropolis",
-            MatcherSpec::Greedy => "greedy",
-            MatcherSpec::Traditional => "traditional",
-            MatcherSpec::Hungarian => "hungarian",
-            MatcherSpec::Auction => "auction",
-            MatcherSpec::MaxCardinality => "hopcroft-karp",
+            MatcherPolicy::React { .. } | MatcherPolicy::ReactAdaptive { .. } => "react",
+            MatcherPolicy::Greedy => "greedy",
+            MatcherPolicy::Traditional => "traditional",
         }
+    }
+
+    /// The cycle budget a matcher built for a graph with `n_edges`
+    /// edges runs with, when the policy is cycle-bounded. A built
+    /// matcher stays valid exactly while this value is unchanged —
+    /// which for every policy except [`MatcherPolicy::ReactAdaptive`]
+    /// is forever.
+    pub fn cycle_budget(&self, n_edges: usize) -> Option<usize> {
+        match *self {
+            MatcherPolicy::React { cycles } => Some(cycles),
+            MatcherPolicy::ReactAdaptive { kappa } => {
+                Some(((n_edges as f64 * kappa).ceil() as usize).max(1))
+            }
+            MatcherPolicy::Greedy | MatcherPolicy::Traditional => None,
+        }
+    }
+
+    /// Instantiates the matcher: Algorithm 1 at the policy's
+    /// [`cycle_budget`](MatcherPolicy::cycle_budget) for the two
+    /// cycle-bounded policies (`n_edges` sizes the adaptive one; the
+    /// others ignore it). Batch loops should prefer a [`MatcherEngine`]
+    /// over per-batch builds.
+    pub fn build(&self, n_edges: usize) -> Box<dyn Matcher> {
+        match (self.cycle_budget(n_edges), self) {
+            (Some(cycles), _) => Box::new(ReactMatcher::with_cycles(cycles)),
+            (None, MatcherPolicy::Traditional) => Box::new(RandomMatcher),
+            (None, _) => Box::new(GreedyMatcher),
+        }
+    }
+
+    /// Whether this policy uses the probabilistic deadline model
+    /// (edge pruning + in-flight reassignment). The paper pairs the
+    /// model with REACT *and* Greedy, but not with the Traditional
+    /// system.
+    pub fn uses_probabilistic_model(&self) -> bool {
+        !matches!(self, MatcherPolicy::Traditional)
+    }
+
+    /// Whether this policy assigns only to *available* workers.
+    ///
+    /// The Traditional comparator simulates AMT-style marketplaces,
+    /// which have no availability signal: a task lands on a uniformly
+    /// random worker who may already be busy and queues behind their
+    /// current work — the main reason the paper's traditional system
+    /// misses roughly half its deadlines.
+    pub fn uses_availability(&self) -> bool {
+        !matches!(self, MatcherPolicy::Traditional)
     }
 }
 
-/// Builds a spec's matcher once and reuses it batch after batch.
+/// Builds a policy's matcher once and reuses it batch after batch.
 ///
-/// The engine rebuilds only when [`MatcherSpec::cycle_budget`] changes
-/// for the edge budget at hand — i.e. never, except for the adaptive
-/// spec when the graph's edge count moves its `⌈κ·|E|⌉` budget.
+/// The engine rebuilds only when [`MatcherPolicy::cycle_budget`] changes
+/// for the graph at hand — i.e. never, except for the adaptive policy
+/// when the graph's edge count moves its `⌈κ·|E|⌉` budget.
 pub struct MatcherEngine {
-    spec: MatcherSpec,
+    policy: MatcherPolicy,
     built: Option<(Option<usize>, Box<dyn Matcher>)>,
     rebuilds: u64,
     observer: ObserverHandle,
 }
 
 impl MatcherEngine {
-    /// Creates an engine for the spec; nothing is built until the first
-    /// [`MatcherEngine::matcher`] or [`MatcherEngine::assign`] call.
-    /// Telemetry goes to the null observer until
+    /// Creates an engine for the policy; nothing is built until the
+    /// first [`MatcherEngine::matcher`] or [`MatcherEngine::assign`]
+    /// call. Telemetry goes to the null observer until
     /// [`MatcherEngine::set_observer`] is called.
-    pub fn new(spec: MatcherSpec) -> Self {
+    pub fn new(policy: MatcherPolicy) -> Self {
         MatcherEngine {
-            spec,
+            policy,
             built: None,
             rebuilds: 0,
             observer: null_observer(),
@@ -162,43 +139,39 @@ impl MatcherEngine {
         self
     }
 
-    /// The spec this engine runs.
-    pub fn spec(&self) -> MatcherSpec {
-        self.spec
-    }
-
     /// Stable algorithm name for reports.
     pub fn name(&self) -> &'static str {
-        self.spec.name()
+        self.policy.name()
     }
 
     /// How many times a matcher has been constructed — 1 after any
     /// number of same-budget batches; grows only under the adaptive
-    /// spec as graphs change size.
+    /// policy as graphs change size.
     pub fn rebuilds(&self) -> u64 {
         self.rebuilds
     }
 
-    /// The matcher for a graph with `edge_budget` edges, building or
+    /// The matcher for a graph with `n_edges` edges, building or
     /// rebuilding only when required.
-    pub fn matcher(&mut self, edge_budget: usize) -> &dyn Matcher {
-        let budget = self.spec.cycle_budget(edge_budget);
+    pub fn matcher(&mut self, n_edges: usize) -> &dyn Matcher {
+        let budget = self.policy.cycle_budget(n_edges);
         let built = match self.built.take() {
             Some(built) if built.0 == budget => built,
             _ => {
                 self.rebuilds += 1;
-                (budget, self.spec.build(edge_budget))
+                (budget, self.policy.build(n_edges))
             }
         };
         self.built.insert(built).1.as_ref()
     }
 
-    /// Runs one assignment pass over `graph` under `ctx`.
-    pub fn assign(&mut self, graph: &BipartiteGraph, ctx: &mut MatchContext<'_>) -> Matching {
+    /// Runs one assignment pass over `graph`, drawing from `rng` (the
+    /// deterministic algorithms ignore it).
+    pub fn assign(&mut self, graph: &BipartiteGraph, rng: &mut dyn RngCore) -> Matching {
         let enabled = self.observer.enabled();
         let timer = enabled.then(SpanTimer::start);
         let rebuilds_before = self.rebuilds;
-        let m = self.matcher(ctx.edge_budget).assign(graph, ctx.rng);
+        let m = self.matcher(graph.n_edges()).assign(graph, rng);
         // Engine-level safety net behind the per-algorithm hooks.
         crate::invariants::debug_check_matching(self.name(), graph, &m);
         if enabled {
@@ -222,7 +195,7 @@ impl MatcherEngine {
 impl std::fmt::Debug for MatcherEngine {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("MatcherEngine")
-            .field("spec", &self.spec)
+            .field("policy", &self.policy)
             .field("built", &self.built.as_ref().map(|(budget, _)| *budget))
             .field("rebuilds", &self.rebuilds)
             .finish()
@@ -230,11 +203,11 @@ impl std::fmt::Debug for MatcherEngine {
 }
 
 impl Clone for MatcherEngine {
-    /// Clones the spec and observer handle; the built matcher is
+    /// Clones the policy and observer handle; the built matcher is
     /// memoisation and is rebuilt lazily by the clone (all matchers are
     /// stateless, so this cannot change behaviour).
     fn clone(&self) -> Self {
-        MatcherEngine::new(self.spec).with_observer(self.observer.clone())
+        MatcherEngine::new(self.policy).with_observer(self.observer.clone())
     }
 }
 
@@ -244,41 +217,56 @@ mod tests {
     use rand::rngs::SmallRng;
     use rand::SeedableRng;
 
-    fn all_specs() -> Vec<MatcherSpec> {
-        vec![
-            MatcherSpec::React { cycles: 50 },
-            MatcherSpec::ReactAdaptive { kappa: 0.5 },
-            MatcherSpec::Metropolis { cycles: 50 },
-            MatcherSpec::Greedy,
-            MatcherSpec::Traditional,
-            MatcherSpec::Hungarian,
-            MatcherSpec::Auction,
-            MatcherSpec::MaxCardinality,
-        ]
+    const ALL_POLICIES: [MatcherPolicy; 4] = [
+        MatcherPolicy::React { cycles: 50 },
+        MatcherPolicy::ReactAdaptive { kappa: 0.5 },
+        MatcherPolicy::Greedy,
+        MatcherPolicy::Traditional,
+    ];
+
+    #[test]
+    fn built_matchers_carry_the_policy_name() {
+        for policy in ALL_POLICIES {
+            assert_eq!(policy.build(10).name(), policy.name());
+        }
     }
 
     #[test]
-    fn spec_build_matches_names() {
-        for spec in all_specs() {
-            assert_eq!(spec.build(10).name(), spec.name());
+    fn only_traditional_skips_the_model_and_availability() {
+        for policy in ALL_POLICIES {
+            let modelled = policy != MatcherPolicy::Traditional;
+            assert_eq!(policy.uses_probabilistic_model(), modelled);
+            assert_eq!(policy.uses_availability(), modelled);
         }
+    }
+
+    #[test]
+    fn adaptive_budget_is_ceil_kappa_edges_clamped_to_one() {
+        let adaptive = MatcherPolicy::ReactAdaptive { kappa: 0.5 };
+        assert_eq!(adaptive.cycle_budget(200), Some(100));
+        assert_eq!(adaptive.cycle_budget(3), Some(2));
+        assert_eq!(adaptive.cycle_budget(0), Some(1));
+        assert_eq!(
+            MatcherPolicy::React { cycles: 7 }.cycle_budget(200),
+            Some(7)
+        );
+        assert_eq!(MatcherPolicy::Greedy.cycle_budget(200), None);
     }
 
     #[test]
     fn engine_reuses_fixed_budget_matchers() {
         let g = BipartiteGraph::full(4, 4, |u, v| ((u.0 + v.0) % 3) as f64 / 3.0).unwrap();
         let mut rng = SmallRng::seed_from_u64(1);
-        let mut engine = MatcherEngine::new(MatcherSpec::React { cycles: 50 });
+        let mut engine = MatcherEngine::new(MatcherPolicy::React { cycles: 50 });
         for _ in 0..5 {
-            let mut ctx = MatchContext::new(&mut rng, g.n_edges());
-            engine.assign(&g, &mut ctx).verify(&g);
+            engine.assign(&g, &mut rng).verify(&g);
         }
         assert_eq!(engine.rebuilds(), 1, "fixed budget ⇒ built once");
     }
 
     #[test]
     fn engine_rebuilds_adaptive_only_on_budget_change() {
-        let mut engine = MatcherEngine::new(MatcherSpec::ReactAdaptive { kappa: 1.0 });
+        let mut engine = MatcherEngine::new(MatcherPolicy::ReactAdaptive { kappa: 1.0 });
         engine.matcher(100);
         engine.matcher(100);
         assert_eq!(engine.rebuilds(), 1);
@@ -292,14 +280,14 @@ mod tests {
     fn engine_reuse_is_bit_identical_to_rebuilding() {
         let g =
             BipartiteGraph::full(6, 6, |u, v| ((u.0 * 7 + v.0 * 3) % 10) as f64 / 10.0).unwrap();
-        for spec in all_specs() {
-            let mut engine = MatcherEngine::new(spec);
+        for policy in ALL_POLICIES {
+            let mut engine = MatcherEngine::new(policy);
             let mut rng_a = SmallRng::seed_from_u64(9);
             let mut rng_b = SmallRng::seed_from_u64(9);
             for _ in 0..3 {
-                let reused = engine.assign(&g, &mut MatchContext::new(&mut rng_a, g.n_edges()));
-                let fresh = spec.build(g.n_edges()).assign(&g, &mut rng_b);
-                assert_eq!(reused.pairs, fresh.pairs, "{}", spec.name());
+                let reused = engine.assign(&g, &mut rng_a);
+                let fresh = policy.build(g.n_edges()).assign(&g, &mut rng_b);
+                assert_eq!(reused.pairs, fresh.pairs, "{}", policy.name());
                 assert_eq!(reused.total_weight, fresh.total_weight);
             }
         }
@@ -313,11 +301,11 @@ mod tests {
         let g =
             BipartiteGraph::full(8, 8, |u, v| ((u.0 * 5 + v.0 * 3) % 11) as f64 / 11.0).unwrap();
         let rec = RecordingObserver::new();
-        let mut engine = MatcherEngine::new(MatcherSpec::React { cycles: 40 })
+        let mut engine = MatcherEngine::new(MatcherPolicy::React { cycles: 40 })
             .with_observer(Arc::new(rec.clone()));
         let mut rng = SmallRng::seed_from_u64(2);
         for _ in 0..3 {
-            engine.assign(&g, &mut MatchContext::new(&mut rng, g.n_edges()));
+            engine.assign(&g, &mut rng);
         }
         let span = rec
             .span_stats(SpanKind::MatcherAssign)
@@ -339,15 +327,15 @@ mod tests {
 
         let g =
             BipartiteGraph::full(6, 6, |u, v| ((u.0 * 7 + v.0 * 3) % 10) as f64 / 10.0).unwrap();
-        let spec = MatcherSpec::React { cycles: 100 };
-        let mut plain = MatcherEngine::new(spec);
+        let policy = MatcherPolicy::React { cycles: 100 };
+        let mut plain = MatcherEngine::new(policy);
         let mut observed =
-            MatcherEngine::new(spec).with_observer(Arc::new(RecordingObserver::new()));
+            MatcherEngine::new(policy).with_observer(Arc::new(RecordingObserver::new()));
         let mut rng_a = SmallRng::seed_from_u64(11);
         let mut rng_b = SmallRng::seed_from_u64(11);
         for _ in 0..4 {
-            let a = plain.assign(&g, &mut MatchContext::new(&mut rng_a, g.n_edges()));
-            let b = observed.assign(&g, &mut MatchContext::new(&mut rng_b, g.n_edges()));
+            let a = plain.assign(&g, &mut rng_a);
+            let b = observed.assign(&g, &mut rng_b);
             assert_eq!(a.pairs, b.pairs);
             assert_eq!(a.total_weight.to_bits(), b.total_weight.to_bits());
         }
@@ -356,15 +344,15 @@ mod tests {
     #[test]
     fn engine_clone_resets_cache_not_behaviour() {
         let g = BipartiteGraph::full(3, 3, |_, _| 0.5).unwrap();
-        let mut engine = MatcherEngine::new(MatcherSpec::React { cycles: 20 });
+        let mut engine = MatcherEngine::new(MatcherPolicy::React { cycles: 20 });
         let mut rng = SmallRng::seed_from_u64(3);
-        engine.assign(&g, &mut MatchContext::new(&mut rng, g.n_edges()));
+        engine.assign(&g, &mut rng);
         let mut clone = engine.clone();
         assert_eq!(clone.rebuilds(), 0, "clone starts unbuilt");
         let mut a = SmallRng::seed_from_u64(4);
         let mut b = SmallRng::seed_from_u64(4);
-        let from_clone = clone.assign(&g, &mut MatchContext::new(&mut a, g.n_edges()));
-        let from_orig = engine.assign(&g, &mut MatchContext::new(&mut b, g.n_edges()));
+        let from_clone = clone.assign(&g, &mut a);
+        let from_orig = engine.assign(&g, &mut b);
         assert_eq!(from_clone.pairs, from_orig.pairs);
     }
 }

@@ -6,20 +6,21 @@
 //! selects a matching that (approximately) maximises the total edge
 //! weight subject to the 1-to-1 constraints.
 //!
-//! Implemented algorithms, all behind the [`Matcher`] trait:
+//! Five algorithms, all behind the [`Matcher`] trait:
 //!
-//! | Algorithm | Paper role | Complexity |
-//! |---|---|---|
-//! | [`ReactMatcher`] | the contribution (Algorithm 1) | `O(c)` expected, `O(c·E)` worst |
-//! | [`MetropolisMatcher`] | randomized baseline (Shih 2008) | `O(c)` |
-//! | [`GreedyMatcher`] | quality baseline | `O(V·E)` |
-//! | [`HungarianMatcher`] | offline optimum (Kuhn 1955) | `O(n³)` |
-//! | [`AuctionMatcher`] | extension: ε-auction (near-optimal) | `O(E·max_w/ε)` |
-//! | [`HopcroftKarpMatcher`] | extension: max *cardinality* (throughput-optimal, weight-blind) | `O(E·√V)` |
-//! | [`RandomMatcher`] | "traditional" AMT-style uniform assignment | `O(V+E)` |
+//! | Algorithm | Paper role | Scheduler policy | Complexity |
+//! |---|---|---|---|
+//! | [`ReactMatcher`] | the contribution (Algorithm 1) | `React`, `ReactAdaptive` | `O(c)` expected, `O(c·E)` worst |
+//! | [`GreedyMatcher`] | quality baseline | `Greedy` | `O(V·E)` |
+//! | [`RandomMatcher`] | "traditional" AMT-style uniform assignment | `Traditional` | `O(V+E)` |
+//! | [`MetropolisMatcher`] | randomized matching baseline of Figs. 3–4 (Shih 2008) | — | `O(c)` |
+//! | [`HungarianMatcher`] | offline optimum of Figs. 3–4 (Kuhn 1955) | — | `O(n³)` |
 //!
-//! The [`engine`] module hosts the policy layer above the algorithms:
-//! [`MatcherSpec`] descriptors and the batch-reusing [`MatcherEngine`].
+//! The [`engine`] module is the policy layer above the algorithms: the
+//! four-variant [`MatcherPolicy`] — the only definition of which
+//! matchers the scheduler can run — and the batch-reusing
+//! [`MatcherEngine`]. Metropolis and Hungarian are matching baselines
+//! only; callers construct them directly.
 //!
 //! Every matcher reports abstract **cost units** alongside its result so
 //! the simulation can charge scheduler compute time through the
@@ -29,12 +30,10 @@
 
 #![warn(missing_docs)]
 
-pub mod auction;
 pub mod cost;
 pub mod engine;
 pub mod graph;
 pub mod greedy;
-pub mod hopcroft_karp;
 pub mod hungarian;
 pub mod invariants;
 pub mod matcher;
@@ -43,12 +42,10 @@ pub mod random;
 pub mod react;
 pub mod state;
 
-pub use auction::AuctionMatcher;
 pub use cost::CostModel;
-pub use engine::{MatchContext, MatcherEngine, MatcherSpec};
+pub use engine::{MatcherEngine, MatcherPolicy};
 pub use graph::{BipartiteGraph, EdgeId, GraphError, TaskIdx, WorkerIdx};
 pub use greedy::GreedyMatcher;
-pub use hopcroft_karp::HopcroftKarpMatcher;
 pub use hungarian::HungarianMatcher;
 pub use invariants::{InvariantViolation, MatchingValidator};
 pub use matcher::{MatchStats, Matcher, Matching};

@@ -1,6 +1,7 @@
 //! The [`Matcher`] trait and the [`Matching`] result type.
 
 use crate::graph::{BipartiteGraph, TaskIdx, WorkerIdx};
+use crate::invariants::MatchingValidator;
 use rand::RngCore;
 
 /// Work counters reported by a matcher run, consumed by the
@@ -82,28 +83,11 @@ impl Matching {
             .map(|&(w, _, _)| w)
     }
 
-    /// Asserts the 1-to-1 constraints and that every pair is a real edge
-    /// of `graph` with the recorded weight. For tests.
+    /// Asserts that this is a valid matching over `graph`, as defined by
+    /// [`MatchingValidator::check_matching`]. For tests.
     pub fn verify(&self, graph: &BipartiteGraph) {
-        let mut workers = std::collections::HashSet::new();
-        let mut tasks = std::collections::HashSet::new();
-        let mut total = 0.0;
-        for &(w, t, weight) in &self.pairs {
-            assert!(workers.insert(w), "worker {} matched twice", w.0);
-            assert!(tasks.insert(t), "task {} matched twice", t.0);
-            let e = graph
-                .find_edge(w, t)
-                .unwrap_or_else(|| panic!("pair ({}, {}) is not an edge", w.0, t.0));
-            assert!(
-                (graph.edge(e).weight - weight).abs() < 1e-12,
-                "recorded weight differs from edge weight"
-            );
-            total += weight;
-        }
-        assert!(
-            (total - self.total_weight).abs() < 1e-9 * (1.0 + total.abs()),
-            "total weight out of sync"
-        );
+        let checked = MatchingValidator::new(graph).check_matching(self);
+        assert!(checked.is_ok(), "invalid matching: {checked:?}");
     }
 }
 
@@ -169,7 +153,7 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "matched twice")]
+    #[should_panic(expected = "WorkerMatchedTwice")]
     fn verify_rejects_duplicate_worker() {
         let g = BipartiteGraph::full(2, 2, |_, _| 1.0).unwrap();
         let m = Matching::from_pairs(
@@ -183,7 +167,7 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "not an edge")]
+    #[should_panic(expected = "PhantomEdge")]
     fn verify_rejects_phantom_edge() {
         let g = BipartiteGraph::new(2, 2);
         let m = Matching::from_pairs(vec![(WorkerIdx(0), TaskIdx(0), 1.0)], 0.0);

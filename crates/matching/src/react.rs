@@ -62,14 +62,6 @@ impl ReactMatcher {
         }
     }
 
-    /// An adaptive variant (the paper suggests *"an adaptive cycles
-    /// parameter based on the graph's order of magnitude could be
-    /// selected"*): `c = ⌈κ·|E|⌉`, clamped to at least one cycle.
-    pub fn adaptive(graph: &BipartiteGraph, kappa: f64) -> Self {
-        let cycles = ((graph.n_edges() as f64 * kappa).ceil() as usize).max(1);
-        Self::with_cycles(cycles)
-    }
-
     /// Runs Algorithm 1 and returns the final state (exposed for tests
     /// and for the ablation experiments that inspect intermediate
     /// fitness).
@@ -272,15 +264,6 @@ mod tests {
         let g = BipartiteGraph::full(10, 10, |_, _| 0.5).unwrap();
         let m = ReactMatcher::with_cycles(77).assign(&g, &mut rng());
         assert_eq!(m.cost_units, 77.0 * 100.0);
-    }
-
-    #[test]
-    fn adaptive_cycles_scale_with_edges() {
-        let g = BipartiteGraph::full(10, 20, |_, _| 0.5).unwrap();
-        let m = ReactMatcher::adaptive(&g, 0.5);
-        assert_eq!(m.cycles, 100);
-        let tiny = BipartiteGraph::new(1, 1);
-        assert_eq!(ReactMatcher::adaptive(&tiny, 0.5).cycles, 1);
     }
 
     #[test]

@@ -3,8 +3,8 @@
 //! Builds a contended 200×200 full bipartite graph and reports matching
 //! weight, optimality gap (vs the exact Hungarian solution), measured
 //! Rust wall time and the paper-calibrated modelled time for each
-//! algorithm — a miniature of the paper's Figs. 3–4 plus the exact and
-//! auction references.
+//! algorithm — a miniature of the paper's Figs. 3–4 plus the exact
+//! reference.
 //!
 //! ```text
 //! cargo run --release --example matcher_comparison
@@ -13,8 +13,8 @@
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use react::matching::{
-    AuctionMatcher, BipartiteGraph, CostModel, GreedyMatcher, HungarianMatcher, Matcher,
-    MetropolisMatcher, ReactMatcher,
+    BipartiteGraph, CostModel, GreedyMatcher, HungarianMatcher, Matcher, MetropolisMatcher,
+    ReactMatcher,
 };
 use react::metrics::Table;
 use std::time::Instant;
@@ -34,7 +34,6 @@ fn main() {
     let cost_model = CostModel::paper_calibrated();
     let matchers: Vec<Box<dyn Matcher>> = vec![
         Box::new(HungarianMatcher),
-        Box::new(AuctionMatcher::default()),
         Box::new(GreedyMatcher),
         Box::new(ReactMatcher::with_cycles(3000)),
         Box::new(ReactMatcher::with_cycles(1000)),
@@ -43,7 +42,6 @@ fn main() {
     ];
     let labels = [
         "hungarian (exact)",
-        "auction ε=1e-4",
         "greedy",
         "react @3000",
         "react @1000",

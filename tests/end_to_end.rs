@@ -12,11 +12,8 @@ fn every_policy_completes_a_smoke_scenario() {
     for policy in [
         MatcherPolicy::React { cycles: 300 },
         MatcherPolicy::ReactAdaptive { kappa: 0.2 },
-        MatcherPolicy::Metropolis { cycles: 300 },
         MatcherPolicy::Greedy,
         MatcherPolicy::Traditional,
-        MatcherPolicy::Auction,
-        MatcherPolicy::MaxCardinality,
     ] {
         let r = run(policy, 11);
         assert_eq!(r.received, 120, "{policy:?}");

@@ -1,47 +1,55 @@
-//! Integration coverage for the matcher engine layer: every
-//! `MatcherPolicy` the middleware accepts must flow through the
-//! object-safe engine API (`MatcherSpec` → `MatcherEngine`) and behave
-//! exactly like a throwaway matcher.
+//! The closed set of scheduler matcher policies. `MatcherPolicy` is
+//! defined once, in `react-matching`, and re-exported by `react-core`;
+//! every variant must build the matcher it names, behave through the
+//! caching `MatcherEngine` exactly like a throwaway matcher, and have
+//! its own entry in the calibrated cost model.
 
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use react::core::prelude::*;
-use react::matching::{BipartiteGraph, MatchContext, MatcherEngine};
+use react::matching::{BipartiteGraph, CostModel, MatcherEngine};
 
-fn all_policies() -> Vec<MatcherPolicy> {
-    vec![
+/// One value per variant. The `let` crosses the two public paths: it
+/// compiles only while they name the same type.
+fn all_policies() -> [MatcherPolicy; 4] {
+    let adaptive: react::matching::MatcherPolicy =
+        react::core::MatcherPolicy::ReactAdaptive { kappa: 0.8 };
+    [
         MatcherPolicy::React { cycles: 60 },
-        MatcherPolicy::ReactAdaptive { kappa: 0.8 },
-        MatcherPolicy::Metropolis { cycles: 60 },
+        adaptive,
         MatcherPolicy::Greedy,
         MatcherPolicy::Traditional,
-        MatcherPolicy::Hungarian,
-        MatcherPolicy::Auction,
-        MatcherPolicy::MaxCardinality,
     ]
 }
 
 #[test]
 fn every_policy_runs_through_the_engine() {
     let graph = BipartiteGraph::full(5, 5, |u, v| ((u.0 * 3 + v.0) % 7) as f64 / 7.0).unwrap();
+    let cost_model = CostModel::paper_calibrated();
     for policy in all_policies() {
-        let spec = policy.spec();
-        assert_eq!(spec.name(), policy.name(), "spec/policy names agree");
+        let name = policy.name();
+        assert_eq!(policy.build(graph.n_edges()).name(), name);
+        // A renamed matcher must not fall silently to the default
+        // coefficient.
+        assert_ne!(
+            cost_model.coefficient(name),
+            cost_model.coefficient("no-such-matcher"),
+            "{name} has no cost-model entry of its own"
+        );
 
-        let mut engine = MatcherEngine::new(spec);
+        let mut engine = MatcherEngine::new(policy);
         let mut rng_a = SmallRng::seed_from_u64(7);
         let mut rng_b = SmallRng::seed_from_u64(7);
         for _ in 0..3 {
-            let via_engine =
-                engine.assign(&graph, &mut MatchContext::new(&mut rng_a, graph.n_edges()));
+            let via_engine = engine.assign(&graph, &mut rng_a);
             via_engine.verify(&graph);
             let throwaway = policy.build(graph.n_edges()).assign(&graph, &mut rng_b);
-            assert_eq!(via_engine.pairs, throwaway.pairs, "{}", policy.name());
+            assert_eq!(via_engine.pairs, throwaway.pairs, "{name}");
             assert_eq!(via_engine.total_weight, throwaway.total_weight);
         }
-        // Fixed-budget specs build once; only the adaptive spec may
-        // rebuild, and with a constant edge budget even it must not.
-        assert_eq!(engine.rebuilds(), 1, "{}", policy.name());
+        // Fixed-budget policies build once; only the adaptive policy may
+        // rebuild, and with a constant edge count even it must not.
+        assert_eq!(engine.rebuilds(), 1, "{name}");
     }
 }
 

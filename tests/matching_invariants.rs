@@ -7,11 +7,11 @@ use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use react::matching::{
-    AuctionMatcher, BipartiteGraph, GreedyMatcher, HopcroftKarpMatcher, HungarianMatcher, Matcher,
-    MatchingValidator, MetropolisMatcher, RandomMatcher, ReactMatcher, TaskIdx, WorkerIdx,
+    BipartiteGraph, GreedyMatcher, HungarianMatcher, Matcher, MatchingValidator, MetropolisMatcher,
+    RandomMatcher, ReactMatcher, TaskIdx, WorkerIdx,
 };
 
-/// All seven matchers, heuristics configured with a small cycle budget.
+/// All five matchers, heuristics configured with a small cycle budget.
 fn all_matchers() -> Vec<Box<dyn Matcher>> {
     vec![
         Box::new(ReactMatcher::with_cycles(200)),
@@ -19,8 +19,6 @@ fn all_matchers() -> Vec<Box<dyn Matcher>> {
         Box::new(GreedyMatcher),
         Box::new(RandomMatcher),
         Box::new(HungarianMatcher),
-        Box::new(AuctionMatcher::default()),
-        Box::new(HopcroftKarpMatcher),
     ]
 }
 

@@ -216,29 +216,3 @@ fn late_completion_after_expired_deadline_still_settles() {
         1
     );
 }
-
-#[test]
-fn hungarian_policy_runs_end_to_end() {
-    let mut config = Config::with_matcher(MatcherPolicy::Hungarian);
-    config.batch = BatchTrigger {
-        min_unassigned: 1,
-        period: None,
-    };
-    config.charge_matching_time = false;
-    let mut server = ServerBuilder::new(config)
-        .seed(8)
-        .build()
-        .expect("valid config");
-    for w in 0..4 {
-        server.register_worker(WorkerId(w), here());
-    }
-    for t in 0..4 {
-        server.submit_task(task(t, 60.0), 0.0);
-    }
-    let out = server.tick(0.0);
-    assert_eq!(
-        out.assignments.len(),
-        4,
-        "exact matcher saturates the batch"
-    );
-}
