@@ -390,6 +390,23 @@ impl ProfilingComponent {
             .collect()
     }
 
+    /// The batch pool as mutable profiles, in ascending id order: the
+    /// available workers, plus the busy ones when `include_busy` — what
+    /// [`Self::available_workers`] / [`Self::online_workers`] select,
+    /// without the id list or a lookup per worker.
+    pub(crate) fn pool_mut(
+        &mut self,
+        include_busy: bool,
+    ) -> impl Iterator<Item = &mut WorkerProfile> {
+        self.workers
+            .values_mut()
+            .filter(move |p| match p.availability {
+                Availability::Available => true,
+                Availability::Busy => include_busy,
+                Availability::Offline => false,
+            })
+    }
+
     /// How many workers are online — `online_workers().len()` without
     /// building the list.
     pub fn online_count(&self) -> usize {

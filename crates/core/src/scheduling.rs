@@ -30,9 +30,12 @@
 //!
 //! [`GraphBuilder`] is the *cold* reference path: it allocates fresh
 //! buffers and evaluates Eq. (3) exactly on every edge. The server's hot
-//! loop instead drives [`BatchScratch`], an incremental builder that
-//! reuses the graph arenas across ticks, caches phase-A rows keyed by
-//! profile epoch, and answers most Eq. (3) decisions through a memoized
+//! loop instead drives [`BatchScratch`], an incremental builder that does
+//! both phases in one in-order walk over the pool: it reuses the edge
+//! arena across ticks, keeps the previous batch's phase-A rows keyed by
+//! profile epoch, decides per row what is per row (reward range, weight
+//! per category, Eq. (3) when the batch's extreme TTDs settle it) and
+//! answers the remaining Eq. (3) decisions through a memoized
 //! [`EdgeGate`] — while producing a graph that is bit-identical to the
 //! cold build (asserted under the `debug-invariants` feature).
 
@@ -43,7 +46,6 @@ use crate::task_mgmt::{TaskManagementComponent, TaskRecord};
 use rand::RngCore;
 use react_matching::{BipartiteGraph, MatcherEngine, TaskIdx, WorkerIdx};
 use react_prob::{DeadlineModel, EdgeGate, FittedModel};
-use std::collections::HashMap;
 
 /// The outcome of one scheduling batch.
 #[derive(Debug, Clone)]
@@ -231,6 +233,7 @@ impl<'a> GraphBuilder<'a> {
 /// worker's profile epoch is unchanged.
 #[derive(Debug, Clone)]
 struct CachedRow {
+    id: WorkerId,
     /// Profile epoch the snapshot was taken at; a mismatch on the next
     /// batch forces a recompute.
     epoch: u64,
@@ -251,7 +254,8 @@ pub struct BuildStats {
     /// the quantity the `profile.refits` counter has always reported.
     pub refits: usize,
     /// Eq. (3) decisions answered by the memoized gate instead of an
-    /// exact CCDF evaluation.
+    /// exact CCDF evaluation: one per (row, task) pair, whether the gate
+    /// settled the pair on its own or the whole row at once.
     pub cdf_memo_hits: u64,
     /// Heap bytes of graph/pool buffers carried over from the
     /// previous batch instead of freshly allocated.
@@ -277,41 +281,62 @@ pub struct BuiltBatchGraph<'s> {
 
 /// Incremental assignment-graph builder: the hot-path counterpart to
 /// [`GraphBuilder`] that a [`crate::ReactServer`] keeps alive across
-/// ticks.
+/// ticks. One build is one walk over the registry's pool in id order
+/// (`ProfilingComponent::pool_mut`); each worker's row is refreshed and
+/// its edges are emitted while the profile is in hand, and what holds for
+/// a whole row is decided once per row, not once per (row, task) pair.
 ///
-/// Three things persist between batches:
-///
-/// * **Graph arenas** — the edge list and adjacency lists are
-///   [`BipartiteGraph::reset`] and refilled in place, so a steady-state
-///   tick allocates (almost) nothing.
 /// * **Phase-A rows** — each worker's training flag, fitted latency
-///   model and memoized [`EdgeGate`] are cached keyed by the profile
-///   *epoch* ([`WorkerProfile::epoch`]); only workers whose profile
-///   mutated since the last batch are recomputed. A config change clears
-///   the cache wholesale (the snapshot depends on it).
-/// * **Deadline kernel** — the cached gate answers Eq. (3) per edge with
-///   a float compare ([`EdgeGate::classify`]); the rare ambiguous cases
-///   fall back to the exact CCDF evaluation, keeping the built graph
-///   bit-identical to a cold [`GraphBuilder`] pass. Under the
-///   `debug-invariants` feature every build re-runs the cold path and
-///   asserts edge-for-edge equality.
+///   model and memoized [`EdgeGate`], keyed by the profile *epoch*
+///   ([`WorkerProfile::epoch`]). The cache is the previous batch's pool,
+///   sorted by worker id, and is merged against the walk with a cursor
+///   into a second buffer that then replaces it: a row is reused when id
+///   and epoch both match, and a worker that left the pool is dropped —
+///   leaving or re-entering it bumps the epoch, so their row could never
+///   be reused anyway. The cache therefore holds exactly one pool. A
+///   config change clears it (the snapshot depends on the config).
+/// * **Row-level verdicts** — the reward test is skipped for a worker who
+///   declared no range; a weight that depends on the task only through
+///   its category ([`WeightFunction::per_category`](crate::WeightFunction))
+///   is evaluated once per distinct category of the batch; and Eq. (3) is
+///   settled for the whole row when the gate already keeps the batch's
+///   smallest time-to-deadline or already prunes its largest — every
+///   [`EdgeGate`] answer is monotone in TTD (`Never` is constant, `Above`
+///   and `Bracket` say `true` only above a cut and `false` only below
+///   one), so the extremes decide for everything between them. Otherwise,
+///   and whenever a TTD is NaN, each pair goes through
+///   [`EdgeGate::classify`] and, on the narrow ambiguous band, the exact
+///   CCDF evaluation, as the cold path's does.
+/// * **Buffers** — the edge arena ([`BipartiteGraph::reset`] is `O(1)`),
+///   the two row buffers, the pool and task-id maps and the per-batch
+///   task columns keep their capacity across batches. A build still
+///   allocates the batch's `&TaskRecord` list and whatever a refit
+///   allocates.
 ///
-/// Entries for workers that leave the pool stay cached (epoch checks
-/// keep them correct; re-registration always gets a fresh epoch), so the
-/// cache is bounded by the number of distinct workers ever seen.
+/// The built graph is bit-identical, edge for edge and in the same
+/// order, to a cold [`GraphBuilder`] pass; under the `debug-invariants`
+/// feature every build re-runs the cold path and asserts it.
 #[derive(Debug, Clone, Default)]
 pub struct BatchScratch {
-    /// Worker → slot in `rows` (slots are stable across batches, so the
-    /// hot loop pays one hash lookup per worker per build).
-    slots: HashMap<WorkerId, u32>,
-    /// Slot-addressed row cache; grows monotonically, entries are
-    /// overwritten in place on epoch mismatch.
+    /// The previous batch's pool rows, ascending by worker id.
     rows: Vec<CachedRow>,
+    /// This batch's rows while the walk assembles them; swapped into
+    /// `rows` when it ends, so empty between builds.
+    next_rows: Vec<CachedRow>,
     /// This batch's pool, in selection order.
     pool: Vec<WorkerId>,
-    /// `rows` slot for each pool position (aligned with `pool`).
-    row_idx: Vec<u32>,
     task_ids: Vec<TaskId>,
+    /// Each task's time to deadline at `now` (aligned with `task_ids`).
+    ttds: Vec<f64>,
+    /// Each task's weight class (an index into `class_reps`): tasks the
+    /// weight function cannot tell apart share one — a task category
+    /// when it is [`WeightFunction::per_category`](crate::WeightFunction),
+    /// else every task is its own.
+    class_of: Vec<u32>,
+    /// Column of the first task of each weight class in the batch.
+    class_reps: Vec<u32>,
+    /// The current row's weight per class.
+    weights: Vec<f64>,
     graph: BipartiteGraph,
     /// Fingerprint of the config the cache was filled under; any change
     /// invalidates every cached row.
@@ -330,20 +355,22 @@ impl BatchScratch {
     #[doc(hidden)]
     pub fn set_threads(&mut self, _threads: Option<usize>) {}
 
-    /// Drops every cached row (the arenas keep their capacity). The next
+    /// Drops every cached row (the buffers keep their capacity). The next
     /// build recomputes all of phase A, exactly like a cold start.
     pub fn invalidate(&mut self) {
-        self.slots.clear();
         self.rows.clear();
         self.last_config = None;
     }
 
-    /// Heap bytes currently retained by the persistent buffers.
+    /// Heap bytes currently retained by the graph, pool and task-column
+    /// buffers.
     pub fn allocated_bytes(&self) -> usize {
+        use std::mem::size_of;
         self.graph.allocated_bytes()
-            + self.pool.capacity() * std::mem::size_of::<WorkerId>()
-            + self.row_idx.capacity() * std::mem::size_of::<u32>()
-            + self.task_ids.capacity() * std::mem::size_of::<TaskId>()
+            + self.pool.capacity() * size_of::<WorkerId>()
+            + self.task_ids.capacity() * size_of::<TaskId>()
+            + (self.ttds.capacity() + self.weights.capacity()) * size_of::<f64>()
+            + (self.class_of.capacity() + self.class_reps.capacity()) * size_of::<u32>()
     }
 
     /// Builds the batch graph incrementally. Semantically identical to
@@ -357,121 +384,168 @@ impl BatchScratch {
         tasks: &TaskManagementComponent,
         now: f64,
     ) -> BuiltBatchGraph<'s> {
-        let bytes_reused = self.allocated_bytes();
+        let mut stats = BuildStats {
+            bytes_reused: self.allocated_bytes(),
+            ..BuildStats::default()
+        };
         if self.last_config.as_ref() != Some(config) {
-            self.slots.clear();
             self.rows.clear();
             self.last_config = Some(config.clone());
         }
-
-        // Phase A, incremental: refresh only the rows whose profile
-        // epoch moved since the previous batch.
-        let mut stats = BuildStats {
-            bytes_reused,
-            ..BuildStats::default()
-        };
         let deadline_model = DeadlineModel::new(config.deadline);
         let use_model = config.matcher.uses_probabilistic_model();
-        let selected = if config.matcher.uses_availability() {
-            profiling.available_workers()
-        } else {
-            profiling.online_workers()
-        };
-        self.pool.clear();
-        self.row_idx.clear();
-        for wid in selected {
-            // Mirrors GraphBuilder::prepare: a registry miss drops the
-            // row rather than aborting the batch.
-            let Ok(profile) = profiling.profile_mut(wid) else {
-                debug_assert!(false, "pool scan returned unregistered {wid}");
-                continue;
-            };
-            let epoch = profile.epoch();
-            // One hash lookup per worker: the slot is allocated once and
-            // its row is refreshed in place on epoch mismatch.
-            let slot = match self.slots.entry(wid) {
-                std::collections::hash_map::Entry::Occupied(e) => *e.get(),
-                std::collections::hash_map::Entry::Vacant(e) => {
-                    let slot = self.rows.len() as u32;
-                    self.rows.push(CachedRow {
-                        // Sentinel epoch: real epochs start at 1, so the
-                        // fresh slot always recomputes below.
-                        epoch: 0,
-                        in_training: true,
-                        model: None,
-                        gate: None,
-                    });
-                    *e.insert(slot)
-                }
-            };
-            let row = &mut self.rows[slot as usize];
-            if row.epoch == epoch && epoch != 0 {
-                stats.rows_reused += 1;
-            } else {
-                let in_training = profile.assignments_served() < config.training_assignments;
-                let model = if use_model && !in_training {
-                    profile.deadline_dist(config.latency_model)
-                } else {
-                    None
-                };
-                let gate = model.as_ref().map(|m| deadline_model.edge_gate(m));
-                *row = CachedRow {
-                    epoch,
-                    in_training,
-                    model,
-                    gate,
-                };
-            }
-            if row.model.is_some() {
-                stats.refits += 1;
-            }
-            self.pool.push(wid);
-            self.row_idx.push(slot);
-        }
-        stats.rows_total = self.pool.len();
+        let per_category = config.weight.per_category();
 
-        // Task columns (same scan as GraphBuilder::task_rows, but the id
-        // buffer persists across batches).
+        // Task columns (same scan as GraphBuilder::task_rows), with what
+        // every row reads of them: each TTD, the batch's TTD range and
+        // its weight classes.
         self.task_ids.clear();
+        self.ttds.clear();
+        self.class_of.clear();
+        self.class_reps.clear();
         let unassigned = tasks.unassigned();
         let mut recs: Vec<&TaskRecord> = Vec::with_capacity(unassigned.len());
+        let (mut ttd_min, mut ttd_max, mut any_nan) = (f64::INFINITY, f64::NEG_INFINITY, false);
         for &tid in unassigned {
             let Ok(rec) = tasks.record(tid) else {
                 debug_assert!(false, "unassigned {tid} is not tracked");
                 continue;
             };
+            let ttd = rec.remaining_time(now);
+            ttd_min = ttd_min.min(ttd);
+            ttd_max = ttd_max.max(ttd);
+            any_nan |= ttd.is_nan();
+            let same_category = |&rep: &u32| recs[rep as usize].task.category == rec.task.category;
+            let known = if per_category {
+                self.class_reps.iter().position(same_category)
+            } else {
+                None
+            };
+            self.class_of.push(known.unwrap_or_else(|| {
+                self.class_reps.push(recs.len() as u32);
+                self.class_reps.len() - 1
+            }) as u32);
             self.task_ids.push(tid);
+            self.ttds.push(ttd);
             recs.push(rec);
         }
+        if any_nan {
+            // A NaN TTD resolves through the exact evaluation; as the
+            // batch's extremes it keeps every gate from settling a row.
+            (ttd_min, ttd_max) = (f64::NAN, f64::NAN);
+        }
 
-        // Phase B: every kept edge goes straight into the reused graph,
-        // in the cold builder's (row, task) order.
-        self.graph.reset(self.pool.len(), self.task_ids.len());
+        // The walk: the registry's pool in id order, merged against the
+        // previous batch's rows. Phase A refreshes a row only when its
+        // profile epoch moved; phase B emits its edges straight into the
+        // reused graph, in the cold builder's (row, task) order.
+        self.pool.clear();
+        self.graph.reset(0, self.task_ids.len());
         let mut pruned = 0usize;
-        for (u, &wid) in self.pool.iter().enumerate() {
-            let row = &self.rows[self.row_idx[u] as usize];
-            // Mirrors the cold builder: a vanished profile leaves the
-            // row edgeless.
-            let Ok(profile) = profiling.profile(wid) else {
-                debug_assert!(false, "phase-A {wid} vanished from the registry");
-                continue;
+        let mut cursor = 0usize;
+        for profile in profiling.pool_mut(!config.matcher.uses_availability()) {
+            let (id, epoch) = (profile.id(), profile.epoch());
+            while self.rows.get(cursor).is_some_and(|row| row.id < id) {
+                cursor += 1;
+            }
+            let row = match self.rows.get_mut(cursor) {
+                Some(old) if old.id == id && old.epoch == epoch => {
+                    stats.rows_reused += 1;
+                    CachedRow {
+                        model: old.model.take(),
+                        ..*old
+                    }
+                }
+                _ => {
+                    let in_training = profile.assignments_served() < config.training_assignments;
+                    let model = if use_model && !in_training {
+                        profile.deadline_dist(config.latency_model)
+                    } else {
+                        None
+                    };
+                    let gate = model.as_ref().map(|m| deadline_model.edge_gate(m));
+                    CachedRow {
+                        id,
+                        epoch,
+                        in_training,
+                        model,
+                        gate,
+                    }
+                }
             };
-            for (v, rec) in recs.iter().enumerate() {
-                let kept = Self::gated_edge(
-                    config,
-                    &deadline_model,
-                    row,
-                    profile,
-                    rec,
-                    now,
-                    &mut stats.cdf_memo_hits,
-                );
-                match kept {
-                    Some(weight) => GraphBuilder::push_edge(&mut self.graph, u, v as u32, weight),
-                    None => pruned += 1,
+            if row.model.is_some() {
+                stats.refits += 1;
+            }
+            let u = self.pool.len();
+            self.pool.push(id);
+            self.graph.add_worker();
+
+            // Eq. (3) for the whole row: nothing to test without a model,
+            // and with one, whatever the batch's extreme TTDs decide.
+            let row_keep = match row.gate {
+                None => Some(true),
+                Some(gate) => match (gate.classify(ttd_min), gate.classify(ttd_max)) {
+                    (Some(true), _) => Some(true),
+                    (_, Some(false)) => Some(false),
+                    _ => None,
+                },
+            };
+            let has_range = profile.reward_range().is_some();
+            if row_keep != Some(false) {
+                let weight_of = |&rep: &u32| {
+                    if row.in_training {
+                        // Training rule: maximum F.
+                        1.0
+                    } else {
+                        config.weight.evaluate(profile, &recs[rep as usize].task)
+                    }
+                };
+                self.weights.clear();
+                self.weights.extend(self.class_reps.iter().map(weight_of));
+            }
+            if !has_range && row_keep.is_some() {
+                // Nothing about this row depends on the pair.
+                let n = self.class_of.len();
+                if row.model.is_some() {
+                    stats.cdf_memo_hits += n as u64;
+                }
+                if row_keep == Some(false) {
+                    pruned += n;
+                } else {
+                    for (v, &class) in self.class_of.iter().enumerate() {
+                        let weight = self.weights[class as usize];
+                        GraphBuilder::push_edge(&mut self.graph, u, v as u32, weight);
+                    }
+                }
+            } else {
+                for (v, &ttd) in self.ttds.iter().enumerate() {
+                    if has_range && !profile.accepts_reward(recs[v].task.reward) {
+                        pruned += 1;
+                        continue;
+                    }
+                    if let Some(m) = &row.model {
+                        let verdict = row_keep.or_else(|| row.gate.and_then(|g| g.classify(ttd)));
+                        let keep = match verdict {
+                            Some(keep) => {
+                                stats.cdf_memo_hits += 1;
+                                keep
+                            }
+                            None => deadline_model.should_instantiate_edge(m, ttd),
+                        };
+                        if !keep {
+                            pruned += 1;
+                            continue;
+                        }
+                    }
+                    let weight = self.weights[self.class_of[v] as usize];
+                    GraphBuilder::push_edge(&mut self.graph, u, v as u32, weight);
                 }
             }
+            self.next_rows.push(row);
         }
+        self.rows.clear();
+        std::mem::swap(&mut self.rows, &mut self.next_rows);
+        stats.rows_total = self.pool.len();
 
         #[cfg(feature = "debug-invariants")]
         {
@@ -495,45 +569,6 @@ impl BatchScratch {
             pruned,
             stats,
         }
-    }
-
-    /// The gated per-edge kernel: the decision [`GraphBuilder::row_edges`]
-    /// makes for one (worker, task) pair — `Some(weight)` for a kept edge,
-    /// `None` for one either pruning rule drops — except that Eq. (3) is
-    /// answered by the memoized [`EdgeGate`] when it can
-    /// ([`EdgeGate::classify`], counted in `memo_hits`), falling back to
-    /// the exact CCDF evaluation on the (provably narrow) ambiguous band.
-    fn gated_edge(
-        config: &Config,
-        deadline_model: &DeadlineModel,
-        row: &CachedRow,
-        profile: &WorkerProfile,
-        rec: &TaskRecord,
-        now: f64,
-        memo_hits: &mut u64,
-    ) -> Option<f64> {
-        if !profile.accepts_reward(rec.task.reward) {
-            return None;
-        }
-        let weight = if row.in_training {
-            1.0
-        } else {
-            config.weight.evaluate(profile, &rec.task)
-        };
-        if let Some(m) = &row.model {
-            let ttd = rec.remaining_time(now);
-            let keep = match row.gate.as_ref().and_then(|g| g.classify(ttd)) {
-                Some(keep) => {
-                    *memo_hits += 1;
-                    keep
-                }
-                None => deadline_model.should_instantiate_edge(m, ttd),
-            };
-            if !keep {
-                return None;
-            }
-        }
-        Some(weight)
     }
 }
 
@@ -939,6 +974,24 @@ mod tests {
         let built = scratch.build(&config, &mut p, &tm, 0.0);
         let (cold, ..) = SchedulingComponent::build_graph(&config, &mut p, &tm, 0.0);
         assert_eq!(built.graph.edges(), cold.edges());
+        // The cache is bounded by the pool, not by history: a thousand
+        // workers that each come, are built once and go leave nothing.
+        for fresh in 1_000..2_000 {
+            p.register(WorkerId(fresh), here()).unwrap();
+            let built = scratch.build(&config, &mut p, &tm, 0.0);
+            assert_eq!(built.stats.rows_reused, built.stats.rows_total - 1);
+            p.deregister(WorkerId(fresh)).unwrap();
+        }
+        let pool = scratch.build(&config, &mut p, &tm, 0.0).stats.rows_total;
+        assert_eq!(scratch.rows.len(), pool);
+        assert!(scratch.next_rows.is_empty());
+        // One of them coming back is a new worker to the cache.
+        p.register(WorkerId(1_500), here()).unwrap();
+        let built = scratch.build(&config, &mut p, &tm, 0.0);
+        assert_eq!(built.stats.rows_reused, pool);
+        let (cold, ..) = SchedulingComponent::build_graph(&config, &mut p, &tm, 0.0);
+        assert_eq!(built.graph.edges(), cold.edges());
+        assert_eq!(scratch.rows.len(), pool + 1);
     }
 
     #[test]

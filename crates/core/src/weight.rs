@@ -47,6 +47,16 @@ impl WeightFunction {
             }
         }
     }
+
+    /// True when [`Self::evaluate`] reads nothing of the task but its
+    /// category, so one evaluation serves every task of that category in
+    /// a batch. Exhaustive on purpose: a new variant has to choose.
+    pub(crate) fn per_category(&self) -> bool {
+        match self {
+            WeightFunction::Accuracy => true,
+            WeightFunction::Distance { .. } | WeightFunction::Blend { .. } => false,
+        }
+    }
 }
 
 fn accuracy_weight(worker: &WorkerProfile, category: TaskCategory) -> f64 {

@@ -2,11 +2,15 @@
 //!
 //! Vertices are plain indices (`WorkerIdx` into `U`, `TaskIdx` into `V`);
 //! the caller owns the mapping from indices to domain identifiers. Edges
-//! are stored once in an arena with per-vertex adjacency lists, so random
-//! edge selection (the inner loop of the REACT/Metropolis matchers) is
-//! `O(1)` and neighbourhood scans (Greedy) are cache-friendly.
+//! are stored once, in insertion order, in an arena — all the
+//! REACT/Metropolis matchers read (random edge selection is `O(1)`). The
+//! per-task neighbourhood lists Greedy, Random and Hungarian scan are a
+//! CSR index over the arena that the first [`BipartiteGraph::task_edges`]
+//! or [`BipartiteGraph::find_edge`] call builds and every mutation drops,
+//! so a graph nobody queries by task never pays for one.
 
 use std::fmt;
+use std::sync::OnceLock;
 
 /// Index of a worker vertex (`u ∈ U`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -91,8 +95,37 @@ pub struct BipartiteGraph {
     n_workers: usize,
     n_tasks: usize,
     edges: Vec<Edge>,
-    worker_adj: Vec<Vec<EdgeId>>,
-    task_adj: Vec<Vec<EdgeId>>,
+    /// Built on first use; every `&mut self` method clears it.
+    task_index: OnceLock<TaskIndex>,
+}
+
+/// Task-side CSR index: `ids[starts[v]..starts[v + 1]]` are the edges
+/// incident to task `v`, ascending in edge id.
+#[derive(Debug, Clone)]
+struct TaskIndex {
+    starts: Vec<u32>,
+    ids: Vec<EdgeId>,
+}
+
+impl TaskIndex {
+    /// Stable counting sort of the edge ids by task.
+    fn build(n_tasks: usize, edges: &[Edge]) -> Self {
+        let mut starts = vec![0u32; n_tasks + 1];
+        for e in edges {
+            starts[e.task.0 as usize + 1] += 1;
+        }
+        for v in 0..n_tasks {
+            starts[v + 1] += starts[v];
+        }
+        let mut next = starts.clone();
+        let mut ids = vec![EdgeId(0); edges.len()];
+        for (id, e) in edges.iter().enumerate() {
+            let slot = &mut next[e.task.0 as usize];
+            ids[*slot as usize] = EdgeId(id as u32);
+            *slot += 1;
+        }
+        TaskIndex { starts, ids }
+    }
 }
 
 impl BipartiteGraph {
@@ -102,46 +135,39 @@ impl BipartiteGraph {
         BipartiteGraph {
             n_workers,
             n_tasks,
-            edges: Vec::new(),
-            worker_adj: vec![Vec::new(); n_workers],
-            task_adj: vec![Vec::new(); n_tasks],
+            ..BipartiteGraph::default()
         }
     }
 
     /// Re-dimensions the graph to `n_workers × n_tasks` and drops all
-    /// edges while keeping the edge arena's and the surviving adjacency
-    /// lists' allocations, so a scratch graph reused across scheduling
-    /// batches stops allocating once it reaches steady-state size.
+    /// edges in `O(1)`, keeping the edge arena's allocation, so a scratch
+    /// graph reused across scheduling batches stops allocating once it
+    /// reaches steady-state size.
     pub fn reset(&mut self, n_workers: usize, n_tasks: usize) {
+        self.task_index.take();
         self.edges.clear();
-        self.worker_adj.truncate(n_workers);
-        for adj in &mut self.worker_adj {
-            adj.clear();
-        }
-        self.worker_adj.resize_with(n_workers, Vec::new);
-        self.task_adj.truncate(n_tasks);
-        for adj in &mut self.task_adj {
-            adj.clear();
-        }
-        self.task_adj.resize_with(n_tasks, Vec::new);
         self.n_workers = n_workers;
         self.n_tasks = n_tasks;
     }
 
-    /// Heap bytes currently reserved by the edge arena and adjacency
-    /// lists — the capacity a [`BipartiteGraph::reset`]-based reuse cycle
-    /// retains instead of reallocating.
+    /// Appends a worker vertex and returns its index, for a builder that
+    /// learns `|U|` while it emits edges row by row.
+    pub fn add_worker(&mut self) -> WorkerIdx {
+        self.task_index.take();
+        self.n_workers += 1;
+        WorkerIdx(self.n_workers as u32 - 1)
+    }
+
+    /// Heap bytes currently reserved by the edge arena — the capacity a
+    /// [`BipartiteGraph::reset`]-based reuse cycle retains instead of
+    /// reallocating — plus the task index if one is built.
     pub fn allocated_bytes(&self) -> usize {
         use std::mem::size_of;
         self.edges.capacity() * size_of::<Edge>()
-            + self.worker_adj.capacity() * size_of::<Vec<EdgeId>>()
-            + self.task_adj.capacity() * size_of::<Vec<EdgeId>>()
-            + self
-                .worker_adj
-                .iter()
-                .chain(self.task_adj.iter())
-                .map(|adj| adj.capacity() * size_of::<EdgeId>())
-                .sum::<usize>()
+            + self.task_index.get().map_or(0, |index| {
+                index.starts.capacity() * size_of::<u32>()
+                    + index.ids.capacity() * size_of::<EdgeId>()
+            })
     }
 
     /// Builds the *complete* bipartite graph with weights produced by
@@ -155,24 +181,14 @@ impl BipartiteGraph {
         let mut g = BipartiteGraph::new(n_workers, n_tasks);
         g.edges.reserve(n_workers * n_tasks);
         // The nested loop cannot produce duplicates, so the edges are
-        // inserted directly — `add_edge`'s O(deg) duplicate scan would
-        // make large full graphs quadratic in the vertex degree.
+        // inserted directly — `add_edge`'s duplicate scan would make
+        // large full graphs quadratic.
         for u in 0..n_workers {
-            g.worker_adj[u].reserve(n_tasks);
             for v in 0..n_tasks {
-                let (u, v) = (WorkerIdx(u as u32), TaskIdx(v as u32));
-                let w = weight(u, v);
-                if !w.is_finite() || w < 0.0 {
-                    return Err(GraphError::InvalidWeight(w));
-                }
-                let id = EdgeId(g.edges.len() as u32);
-                g.edges.push(Edge {
-                    worker: u,
-                    task: v,
-                    weight: w,
-                });
-                g.worker_adj[u.0 as usize].push(id);
-                g.task_adj[v.0 as usize].push(id);
+                let (worker, task) = (WorkerIdx(u as u32), TaskIdx(v as u32));
+                let w = weight(worker, task);
+                g.validate(worker, task, w)?;
+                g.push(worker, task, w);
             }
         }
         Ok(g)
@@ -201,52 +217,54 @@ impl BipartiteGraph {
     /// Adds the edge `(worker, task)` with the given weight.
     ///
     /// Rejects out-of-range vertices, non-finite or negative weights and
-    /// duplicate pairs (duplicate detection is `O(deg)`; graph
-    /// construction is far from the hot path).
+    /// duplicate pairs. Duplicate detection scans the whole arena
+    /// (`O(E)`): this is the entry point for tests and hand-built graphs,
+    /// not for batch construction.
     pub fn add_edge(
         &mut self,
         worker: WorkerIdx,
         task: TaskIdx,
         weight: f64,
     ) -> Result<EdgeId, GraphError> {
-        if worker.0 as usize >= self.n_workers || task.0 as usize >= self.n_tasks {
-            return Err(GraphError::VertexOutOfRange {
-                workers: self.n_workers,
-                tasks: self.n_tasks,
-            });
-        }
-        if !weight.is_finite() || weight < 0.0 {
-            return Err(GraphError::InvalidWeight(weight));
-        }
-        if self.worker_adj[worker.0 as usize]
+        self.validate(worker, task, weight)?;
+        if self
+            .edges
             .iter()
-            .any(|&e| self.edges[e.0 as usize].task == task)
+            .any(|e| e.worker == worker && e.task == task)
         {
             return Err(GraphError::DuplicateEdge { worker, task });
         }
-        let id = EdgeId(self.edges.len() as u32);
-        self.edges.push(Edge {
-            worker,
-            task,
-            weight,
-        });
-        self.worker_adj[worker.0 as usize].push(id);
-        self.task_adj[task.0 as usize].push(id);
-        Ok(id)
+        Ok(self.push(worker, task, weight))
     }
 
     /// Adds the edge `(worker, task)` assuming the caller guarantees the
-    /// pair is fresh — the scheduler's nested worker×task loops cannot
-    /// produce duplicates, and the O(deg) duplicate scan of
-    /// [`BipartiteGraph::add_edge`] would make batch construction
-    /// quadratic. Vertex-range and weight validation still apply;
-    /// duplicates are only caught by a `debug_assert`.
+    /// pair is fresh — the scheduler's nested worker×task loops emit
+    /// pairs in strictly ascending `(worker, task)` order, which cannot
+    /// repeat one, and the duplicate scan of [`BipartiteGraph::add_edge`]
+    /// would make batch construction quadratic. Vertex-range and weight
+    /// validation still apply; the ordering is only held by a
+    /// `debug_assert`.
+    #[inline]
     pub fn add_edge_unchecked(
         &mut self,
         worker: WorkerIdx,
         task: TaskIdx,
         weight: f64,
     ) -> Result<EdgeId, GraphError> {
+        self.validate(worker, task, weight)?;
+        debug_assert!(
+            self.edges
+                .last()
+                .is_none_or(|last| (last.worker, last.task) < (worker, task)),
+            "edge ({}, {}) does not follow the last one pushed",
+            worker.0,
+            task.0
+        );
+        Ok(self.push(worker, task, weight))
+    }
+
+    #[inline]
+    fn validate(&self, worker: WorkerIdx, task: TaskIdx, weight: f64) -> Result<(), GraphError> {
         if worker.0 as usize >= self.n_workers || task.0 as usize >= self.n_tasks {
             return Err(GraphError::VertexOutOfRange {
                 workers: self.n_workers,
@@ -256,21 +274,19 @@ impl BipartiteGraph {
         if !weight.is_finite() || weight < 0.0 {
             return Err(GraphError::InvalidWeight(weight));
         }
-        debug_assert!(
-            self.find_edge(worker, task).is_none(),
-            "duplicate edge ({}, {})",
-            worker.0,
-            task.0
-        );
+        Ok(())
+    }
+
+    #[inline]
+    fn push(&mut self, worker: WorkerIdx, task: TaskIdx, weight: f64) -> EdgeId {
+        self.task_index.take();
         let id = EdgeId(self.edges.len() as u32);
         self.edges.push(Edge {
             worker,
             task,
             weight,
         });
-        self.worker_adj[worker.0 as usize].push(id);
-        self.task_adj[task.0 as usize].push(id);
-        Ok(id)
+        id
     }
 
     /// The edge with the given id.
@@ -288,23 +304,24 @@ impl BipartiteGraph {
         &self.edges
     }
 
-    /// Edge ids incident to `worker`.
-    pub fn worker_edges(&self, worker: WorkerIdx) -> &[EdgeId] {
-        &self.worker_adj[worker.0 as usize]
-    }
-
-    /// Edge ids incident to `task`.
+    /// Edge ids incident to `task`, ascending (insertion order).
     pub fn task_edges(&self, task: TaskIdx) -> &[EdgeId] {
-        &self.task_adj[task.0 as usize]
+        let index = self
+            .task_index
+            .get_or_init(|| TaskIndex::build(self.n_tasks, &self.edges));
+        let v = task.0 as usize;
+        &index.ids[index.starts[v] as usize..index.starts[v + 1] as usize]
     }
 
     /// The id of the `(worker, task)` edge, if present.
     pub fn find_edge(&self, worker: WorkerIdx, task: TaskIdx) -> Option<EdgeId> {
-        self.worker_adj
-            .get(worker.0 as usize)?
+        if task.0 as usize >= self.n_tasks {
+            return None;
+        }
+        self.task_edges(task)
             .iter()
             .copied()
-            .find(|&e| self.edges[e.0 as usize].task == task)
+            .find(|&e| self.edges[e.0 as usize].worker == worker)
     }
 
     /// Sum of all edge weights (an upper bound on any matching weight).
@@ -340,8 +357,8 @@ mod tests {
         let e2 = g.add_edge(WorkerIdx(1), TaskIdx(0), 0.1).unwrap();
         assert_eq!(g.n_edges(), 3);
         assert_eq!(g.edge(e1).weight, 0.9);
-        assert_eq!(g.worker_edges(WorkerIdx(0)), &[e0, e1]);
         assert_eq!(g.task_edges(TaskIdx(0)), &[e0, e2]);
+        assert_eq!(g.task_edges(TaskIdx(1)), &[e1]);
         assert_eq!(g.find_edge(WorkerIdx(1), TaskIdx(0)), Some(e2));
         assert_eq!(g.find_edge(WorkerIdx(1), TaskIdx(1)), None);
         assert!((g.total_weight() - 1.5).abs() < 1e-12);
@@ -394,7 +411,8 @@ mod tests {
         let g = BipartiteGraph::full(3, 4, |u, v| (u.0 + v.0) as f64 / 10.0).unwrap();
         assert_eq!(g.n_edges(), 12);
         for u in 0..3 {
-            assert_eq!(g.worker_edges(WorkerIdx(u)).len(), 4);
+            let row = g.edges().iter().filter(|e| e.worker == WorkerIdx(u));
+            assert_eq!(row.count(), 4);
         }
         for v in 0..4 {
             assert_eq!(g.task_edges(TaskIdx(v)).len(), 3);
@@ -412,7 +430,6 @@ mod tests {
         assert_eq!(g.n_workers(), 3);
         assert_eq!(g.n_tasks(), 2);
         assert_eq!(g.n_edges(), 0);
-        assert!(g.worker_edges(WorkerIdx(2)).is_empty());
         assert!(g.task_edges(TaskIdx(1)).is_empty());
         // The edge arena's capacity survives the reset.
         assert!(g.allocated_bytes() > 0);
@@ -427,6 +444,85 @@ mod tests {
         g.reset(6, 6);
         assert_eq!(g.n_workers(), 6);
         assert!(g.add_edge(WorkerIdx(5), TaskIdx(5), 0.1).is_ok());
+    }
+
+    #[test]
+    fn task_index_is_rebuilt_after_every_mutation() {
+        let mut g = BipartiteGraph::new(2, 2);
+        let e0 = g.add_edge(WorkerIdx(0), TaskIdx(1), 0.5).unwrap();
+        assert_eq!(g.task_edges(TaskIdx(1)), &[e0]);
+        let indexed = g.allocated_bytes();
+        // Each mutation below follows a query, so it finds an index built.
+        let e1 = g.add_edge(WorkerIdx(1), TaskIdx(0), 0.4).unwrap();
+        assert!(g.allocated_bytes() < indexed, "a mutation drops the index");
+        assert_eq!(g.task_edges(TaskIdx(0)), &[e1]);
+        assert_eq!(g.task_edges(TaskIdx(1)), &[e0]);
+        let e2 = g.add_edge_unchecked(WorkerIdx(1), TaskIdx(1), 0.3).unwrap();
+        assert_eq!(g.task_edges(TaskIdx(1)), &[e0, e2]);
+        assert_eq!(g.find_edge(WorkerIdx(1), TaskIdx(1)), Some(e2));
+        assert_eq!(g.add_worker(), WorkerIdx(2));
+        let e3 = g.add_edge_unchecked(WorkerIdx(2), TaskIdx(0), 0.2).unwrap();
+        assert_eq!(g.task_edges(TaskIdx(0)), &[e1, e3]);
+        g.reset(1, 3);
+        for v in 0..3 {
+            assert!(g.task_edges(TaskIdx(v)).is_empty());
+        }
+        assert_eq!(g.find_edge(WorkerIdx(1), TaskIdx(1)), None);
+        assert_eq!(g.find_edge(WorkerIdx(0), TaskIdx(7)), None, "out of range");
+        let e = g.add_edge(WorkerIdx(0), TaskIdx(2), 0.1).unwrap();
+        assert_eq!(g.task_edges(TaskIdx(2)), &[e]);
+    }
+
+    #[test]
+    fn task_edges_ascend_in_edge_id_and_cover_the_arena() {
+        // Rows of uneven length, tasks hit in no particular order.
+        let mut g = BipartiteGraph::new(5, 4);
+        for (u, tasks) in [&[3, 0][..], &[1], &[], &[2, 3, 0, 1], &[0]]
+            .iter()
+            .enumerate()
+        {
+            for &v in *tasks {
+                g.add_edge(WorkerIdx(u as u32), TaskIdx(v), 0.5).unwrap();
+            }
+        }
+        let mut seen = 0;
+        for v in 0..4 {
+            let ids = g.task_edges(TaskIdx(v));
+            assert!(ids.windows(2).all(|w| w[0] < w[1]), "task {v}: {ids:?}");
+            assert!(ids.iter().all(|&e| g.edge(e).task == TaskIdx(v)));
+            seen += ids.len();
+        }
+        assert_eq!(seen, g.n_edges());
+    }
+
+    #[test]
+    fn matchers_agree_on_a_reused_graph_and_a_fresh_one() {
+        use crate::{GreedyMatcher, HungarianMatcher, Matcher, RandomMatcher};
+        use rand::{rngs::SmallRng, SeedableRng};
+        let fill = |g: &mut BipartiteGraph| {
+            for u in 0..6u32 {
+                for v in (0..5u32).filter(|v| (u + 2 * v) % 3 != 0) {
+                    let w = f64::from((u * 7 + v * 3) % 10) / 10.0;
+                    g.add_edge_unchecked(WorkerIdx(u), TaskIdx(v), w).unwrap();
+                }
+            }
+        };
+        let mut fresh = BipartiteGraph::new(6, 5);
+        fill(&mut fresh);
+        // The reused graph held a larger, queried graph before the reset.
+        let mut reused = BipartiteGraph::full(9, 8, |u, v| f64::from(u.0 + v.0) / 20.0).unwrap();
+        assert_eq!(reused.task_edges(TaskIdx(7)).len(), 9);
+        reused.reset(6, 5);
+        fill(&mut reused);
+        assert_eq!(reused.edges(), fresh.edges());
+        let matchers: [&dyn Matcher; 3] = [&GreedyMatcher, &RandomMatcher, &HungarianMatcher];
+        for m in matchers {
+            let on_fresh = m.assign(&fresh, &mut SmallRng::seed_from_u64(5));
+            let on_reused = m.assign(&reused, &mut SmallRng::seed_from_u64(5));
+            assert!(!on_fresh.pairs.is_empty(), "{}", m.name());
+            assert_eq!(on_reused.pairs, on_fresh.pairs, "{}", m.name());
+            assert_eq!(on_reused.cost_units, on_fresh.cost_units);
+        }
     }
 
     #[test]

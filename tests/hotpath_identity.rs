@@ -1,23 +1,40 @@
 //! Incremental-build identity: the hot-path [`BatchScratch`] must
 //! produce graphs bit-identical to a cold [`SchedulingComponent`] build
 //! after *any* interleaving of profile mutations, task churn and worker
-//! dropouts — the property the epoch-keyed row cache and the memoized
-//! deadline gates are designed to preserve.
+//! dropouts — the property the epoch-keyed row cache, the memoized
+//! deadline gates, the row-level reward/weight/Eq. (3) verdicts and the
+//! edge-only graph arena are designed to preserve.
 //!
 //! Run under `--features debug-invariants` to additionally arm the
 //! scratch's internal cold-rebuild assertion on every step.
 
 use proptest::prelude::*;
 use react::core::{
-    Availability, BatchScratch, Config, LatencyModelKind, MatcherPolicy, ProfilingComponent,
-    SchedulingComponent, Task, TaskCategory, TaskId, TaskManagementComponent, WorkerId,
+    Availability, BatchScratch, BuildStats, Config, LatencyModelKind, MatcherPolicy,
+    ProfilingComponent, SchedulingComponent, Task, TaskCategory, TaskId, TaskManagementComponent,
+    WeightFunction, WorkerId,
 };
 use react::crowd::{Scenario, ScenarioRunner};
 use react::faults::FaultPlan;
 use react::geo::GeoPoint;
+use react::prob::{DeadlineModel, EdgeGate};
 
-fn here() -> GeoPoint {
-    GeoPoint::new(37.98, 23.72)
+/// Cases per property: 64 in a plain (debug) run; CI's release pass asks
+/// for more through proptest's usual `PROPTEST_CASES`.
+fn cases() -> u32 {
+    std::env::var("PROPTEST_CASES")
+        .ok()
+        .and_then(|v| v.parse().ok())
+        .unwrap_or(64)
+}
+
+/// Distinct locations a few km apart, so `Distance`/`Blend` weights
+/// differ between any two (worker, task) pairs.
+fn spot(i: u64) -> GeoPoint {
+    GeoPoint::new(
+        37.90 + 0.011 * (i % 17) as f64,
+        23.60 + 0.013 * (i % 23) as f64,
+    )
 }
 
 /// One randomized step against the two components the graph build
@@ -26,9 +43,16 @@ fn here() -> GeoPoint {
 enum Op {
     /// Register (or re-register after dropout) a worker.
     Register(u64),
+    /// The worker leaves for good; their cached row must go with them.
+    Deregister(u64),
     /// Record a completed task with the given execution time — refits
     /// the latency model, so the cached row must be invalidated.
-    Complete { worker: u64, exec: f64, ok: bool },
+    Complete {
+        worker: u64,
+        category: u32,
+        exec: f64,
+        ok: bool,
+    },
     /// Record an assignment (flips availability, advances training).
     Assign(u64),
     /// Worker dropout mid-run: the cached row must leave the pool.
@@ -40,8 +64,17 @@ enum Op {
         worker: u64,
         range: Option<(f64, f64)>,
     },
-    /// Submit a task with the given deadline.
-    Submit { id: u64, deadline: f64 },
+    /// The worker moves (changes every `Distance`/`Blend` weight).
+    SetLocation { worker: u64, to: u64 },
+    /// The recovery layer's penalty (scales every accuracy weight).
+    MarkSuspect { worker: u64, decay: f64 },
+    /// Submit a task.
+    Submit {
+        id: u64,
+        deadline: f64,
+        reward: f64,
+        category: u32,
+    },
     /// Assign the oldest unassigned task to a worker, then requeue it
     /// (exercises the assigned-index churn without retiring tasks).
     Churn { worker: u64 },
@@ -50,23 +83,36 @@ enum Op {
 }
 
 fn arb_op() -> impl Strategy<Value = Op> {
+    let worker = || 0u64..10;
     prop_oneof![
-        (0u64..10).prop_map(Op::Register),
-        ((0u64..10), (0.5f64..80.0), any::<bool>()).prop_map(|(worker, exec, ok)| Op::Complete {
-            worker,
-            exec,
-            ok
-        }),
-        (0u64..10).prop_map(Op::Assign),
-        (0u64..10).prop_map(Op::Offline),
-        (0u64..10).prop_map(Op::Online),
-        (
-            (0u64..10),
-            proptest::option::of((0.01f64..0.5, 0.5f64..2.0))
-        )
+        worker().prop_map(Op::Register),
+        worker().prop_map(Op::Deregister),
+        (worker(), 0u32..4, 0.5f64..80.0, any::<bool>()).prop_map(
+            |(worker, category, exec, ok)| Op::Complete {
+                worker,
+                category,
+                exec,
+                ok
+            }
+        ),
+        worker().prop_map(Op::Assign),
+        worker().prop_map(Op::Offline),
+        worker().prop_map(Op::Online),
+        (worker(), proptest::option::of((0.01f64..0.5, 0.5f64..2.0)))
             .prop_map(|(worker, range)| Op::Reward { worker, range }),
-        ((0u64..200), (5.0f64..120.0)).prop_map(|(id, deadline)| Op::Submit { id, deadline }),
-        (0u64..10).prop_map(|worker| Op::Churn { worker }),
+        (worker(), 0u64..400).prop_map(|(worker, to)| Op::SetLocation { worker, to }),
+        (worker(), 0.1f64..1.0).prop_map(|(worker, decay)| Op::MarkSuspect { worker, decay }),
+        // Rewards straddle the declarable ranges ([0.01, 0.5) to
+        // [0.5, 2.0)), so a constrained row is pruned in part.
+        ((0u64..200), (5.0f64..120.0), (0.0f64..2.5), 0u32..4).prop_map(
+            |(id, deadline, reward, category)| Op::Submit {
+                id,
+                deadline,
+                reward,
+                category
+            }
+        ),
+        worker().prop_map(|worker| Op::Churn { worker }),
         (0.5f64..15.0).prop_map(|dt| Op::AdvanceTime { dt }),
     ]
 }
@@ -82,18 +128,49 @@ fn arb_latency_model() -> impl Strategy<Value = LatencyModelKind> {
     ]
 }
 
+/// `Accuracy` is evaluated once per (row, category); the other two read
+/// the task's location and must stay per pair.
+fn arb_weight() -> impl Strategy<Value = WeightFunction> {
+    prop_oneof![
+        Just(WeightFunction::Accuracy),
+        (0.5f64..20.0).prop_map(|scale_km| WeightFunction::Distance { scale_km }),
+        ((0.0f64..1.0), (0.5f64..20.0))
+            .prop_map(|(lambda, scale_km)| WeightFunction::Blend { lambda, scale_km }),
+    ]
+}
+
+/// REACT builds over the available pool and prunes with Eq. (3); Greedy
+/// shares the pool; Traditional takes the online pool (busy workers
+/// included) and uses no model.
+fn arb_policy() -> impl Strategy<Value = MatcherPolicy> {
+    prop_oneof![
+        Just(MatcherPolicy::React { cycles: 100 }),
+        Just(MatcherPolicy::Greedy),
+        Just(MatcherPolicy::Traditional),
+    ]
+}
+
+/// Eq. (3) thresholds: the default, anything in between, and the two
+/// ends that turn the gate into `Never` (θ ≥ 1) and `Exact` (θ < 0).
+fn arb_threshold() -> impl Strategy<Value = f64> {
+    prop_oneof![Just(0.1), 0.02f64..0.95, Just(1.0), Just(-0.5)]
+}
+
 fn apply(op: &Op, p: &mut ProfilingComponent, tm: &mut TaskManagementComponent, now: &mut f64) {
     match *op {
         Op::Register(w) => {
-            let _ = p.register(WorkerId(w), here());
+            let _ = p.register(WorkerId(w), spot(w));
         }
-        Op::Complete { worker, exec, ok } => {
-            let _ = p.record_completion(
-                WorkerId(worker),
-                TaskCategory((worker % 2) as u32),
-                exec,
-                ok,
-            );
+        Op::Deregister(w) => {
+            let _ = p.deregister(WorkerId(w));
+        }
+        Op::Complete {
+            worker,
+            category,
+            exec,
+            ok,
+        } => {
+            let _ = p.record_completion(WorkerId(worker), TaskCategory(category), exec, ok);
         }
         Op::Assign(w) => {
             let _ = p.record_assignment(WorkerId(w));
@@ -107,18 +184,27 @@ fn apply(op: &Op, p: &mut ProfilingComponent, tm: &mut TaskManagementComponent, 
         Op::Reward { worker, range } => {
             let _ = p.set_reward_range(WorkerId(worker), range);
         }
-        Op::Submit { id, deadline } => {
-            let _ = tm.submit(
-                Task::new(
-                    TaskId(id),
-                    here(),
-                    deadline,
-                    0.05,
-                    TaskCategory((id % 2) as u32),
-                    "prop",
-                ),
-                *now,
+        Op::SetLocation { worker, to } => {
+            let _ = p.set_location(WorkerId(worker), spot(to));
+        }
+        Op::MarkSuspect { worker, decay } => {
+            let _ = p.mark_suspect(WorkerId(worker), decay);
+        }
+        Op::Submit {
+            id,
+            deadline,
+            reward,
+            category,
+        } => {
+            let task = Task::new(
+                TaskId(id),
+                spot(100 + id),
+                deadline,
+                reward,
+                TaskCategory(category),
+                "prop",
             );
+            let _ = tm.submit(task, *now);
         }
         Op::Churn { worker } => {
             if let Some(&tid) = tm.unassigned().first() {
@@ -133,36 +219,162 @@ fn apply(op: &Op, p: &mut ProfilingComponent, tm: &mut TaskManagementComponent, 
     }
 }
 
+/// Asserts the scratch build equals the cold build: same edges in the
+/// same order, same index maps, same pruning count.
+fn assert_identical(
+    scratch: &mut BatchScratch,
+    config: &Config,
+    p: &mut ProfilingComponent,
+    tm: &TaskManagementComponent,
+    now: f64,
+    what: &dyn std::fmt::Debug,
+) -> BuildStats {
+    let (cold, cold_workers, cold_tasks, cold_pruned) =
+        SchedulingComponent::build_graph(config, p, tm, now);
+    let built = scratch.build(config, p, tm, now);
+    assert_eq!(
+        built.graph.edges(),
+        cold.edges(),
+        "edges diverged: {what:?}"
+    );
+    assert_eq!(built.workers, &cold_workers[..], "{what:?}");
+    assert_eq!(built.task_ids, &cold_tasks[..], "{what:?}");
+    assert_eq!(built.pruned, cold_pruned, "pruning diverged: {what:?}");
+    assert_eq!(built.graph.n_workers(), cold.n_workers(), "{what:?}");
+    assert!(built.stats.rows_reused <= built.stats.rows_total);
+    built.stats
+}
+
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
+    #![proptest_config(ProptestConfig::with_cases(cases()))]
 
     /// After every step the incremental build (one scratch carried
-    /// across the whole sequence) matches a cold build bit for bit:
-    /// same edges, same worker/task index maps, same pruning count.
+    /// across the whole sequence) matches a cold build bit for bit, on
+    /// every axis the row-level verdicts branch on.
     #[test]
     fn incremental_build_is_bit_identical_to_cold_build(
-        kind in arb_latency_model(),
+        axes in (arb_latency_model(), arb_weight(), arb_policy(), arb_threshold(), 0u64..4),
+        seasoned in proptest::collection::vec(0.5f64..60.0, 0..6),
         ops in proptest::collection::vec(arb_op(), 1..60),
     ) {
-        let mut config = Config::with_matcher(MatcherPolicy::React { cycles: 100 });
+        let (kind, weight, policy, threshold, training) = axes;
+        let mut config = Config::with_matcher(policy);
         config.latency_model = kind;
+        config.weight = weight;
+        config.deadline.edge_probability_threshold = threshold;
+        config.training_assignments = training;
         let mut p = ProfilingComponent::default();
         let mut tm = TaskManagementComponent::new();
+        // Start with workers that already carry a latency model, so the
+        // gates are exercised from the first step.
+        for (w, &base) in seasoned.iter().enumerate() {
+            let id = WorkerId(w as u64);
+            p.register(id, spot(w as u64)).unwrap();
+            for (k, scale) in [1.0, 1.3, 1.7].into_iter().enumerate() {
+                p.record_assignment(id).unwrap();
+                p.record_completion(id, TaskCategory(k as u32), base * scale, k != 1).unwrap();
+            }
+        }
         let mut scratch = BatchScratch::new();
         let mut now = 0.0f64;
         for op in &ops {
             apply(op, &mut p, &mut tm, &mut now);
-            let built = scratch.build(&config, &mut p, &tm, now);
-            let (cold_workers, cold_tasks, cold_pruned, cold_edges) = {
-                let (g, w, t, pr) = SchedulingComponent::build_graph(&config, &mut p, &tm, now);
-                (w, t, pr, g.edges().to_vec())
-            };
-            prop_assert_eq!(built.graph.edges(), &cold_edges[..], "edges diverged after {:?}", op);
-            prop_assert_eq!(built.workers, &cold_workers[..]);
-            prop_assert_eq!(built.task_ids, &cold_tasks[..]);
-            prop_assert_eq!(built.pruned, cold_pruned);
-            prop_assert!(built.stats.rows_reused <= built.stats.rows_total);
+            assert_identical(&mut scratch, &config, &mut p, &tm, now, op);
         }
+    }
+}
+
+/// `x` moved `ulps` representable values up (or down) — positive finite
+/// `x` only, which is all a gate boundary can be.
+fn nudge(x: f64, ulps: i64) -> f64 {
+    f64::from_bits((x.to_bits() as i64 + ulps) as u64)
+}
+
+/// Walks the row-verdict boundary. A row is settled at once when the
+/// gate already keeps the batch's smallest TTD or already prunes its
+/// largest, so the cases that matter put those extremes on the gate's
+/// cut points, one ULP either side of them, inside the ambiguous band,
+/// at or below zero, on both sides at once, and next to a NaN.
+#[test]
+fn row_verdicts_agree_with_the_cold_build_at_every_gate_boundary() {
+    for kind in [LatencyModelKind::PowerLaw, LatencyModelKind::Empirical] {
+        let mut config = Config::with_matcher(MatcherPolicy::React { cycles: 100 });
+        config.latency_model = kind;
+        let mut p = ProfilingComponent::default();
+        // Worker 0 carries the gate under test; 1 is much faster (kept
+        // throughout), 2 still in training, 3 constrained by reward.
+        for (w, times) in [
+            (0u64, &[20.0, 26.0, 31.0, 44.0][..]),
+            (1, &[1.0, 1.5, 2.0]),
+            (2, &[]),
+            (3, &[18.0, 25.0, 40.0]),
+        ] {
+            let id = WorkerId(w);
+            p.register(id, spot(w)).unwrap();
+            for &t in times {
+                p.record_assignment(id).unwrap();
+                p.record_completion(id, TaskCategory(0), t, true).unwrap();
+            }
+        }
+        p.set_reward_range(WorkerId(3), Some((0.04, 0.06))).unwrap();
+        let model = p
+            .profile_mut(WorkerId(0))
+            .unwrap()
+            .deadline_dist(kind)
+            .expect("four completions warm the estimator");
+        let cuts = match (kind, DeadlineModel::new(config.deadline).edge_gate(&model)) {
+            (LatencyModelKind::PowerLaw, EdgeGate::Bracket { lo, hi }) => {
+                assert!(0.0 < lo && lo < hi);
+                vec![lo, lo + (hi - lo) / 2.0, hi]
+            }
+            (LatencyModelKind::Empirical, EdgeGate::Above { cut }) => vec![cut],
+            (_, gate) => panic!("{kind:?} produced {gate:?}"),
+        };
+        let mut points = vec![1e-9, cuts[0] / 2.0, cuts[cuts.len() - 1] * 2.0];
+        for &cut in &cuts {
+            points.extend([nudge(cut, -1), cut, nudge(cut, 1)]);
+        }
+        points.sort_by(f64::total_cmp);
+
+        // A batch is a list of (submitted_at, deadline) built at `now`;
+        // submitted at 0 and built at 0 a task's TTD is its deadline,
+        // exactly.
+        let mut batches: Vec<(f64, Vec<(f64, f64)>)> = Vec::new();
+        for (i, &a) in points.iter().enumerate() {
+            // Both extremes on one point, then every wider span.
+            for &b in &points[i..] {
+                batches.push((0.0, vec![(0.0, a), (0.0, b)]));
+                batches.push((0.0, vec![(0.0, b), (0.0, a + (b - a) / 2.0), (0.0, a)]));
+            }
+            // TTD = 0 and < 0 beside one that the gate may keep.
+            batches.push((a, vec![(0.0, a)]));
+            batches.push((a, vec![(0.0, a), (a, a)]));
+            batches.push((a + 1.0, vec![(0.0, a), (0.0, nudge(a, -1))]));
+            batches.push((a + 1.0, vec![(0.0, a), (a + 1.0, cuts[0] * 4.0)]));
+            // A NaN TTD may not hide behind a row verdict.
+            batches.push((0.0, vec![(0.0, a), (f64::NAN, a)]));
+        }
+
+        let mut scratch = BatchScratch::new();
+        let mut hits = 0u64;
+        for (now, batch) in &batches {
+            let mut tm = TaskManagementComponent::new();
+            for (t, &(submitted_at, deadline)) in batch.iter().enumerate() {
+                let reward = if t % 2 == 0 { 0.05 } else { 0.5 };
+                let task = Task::new(
+                    TaskId(t as u64),
+                    spot(t as u64),
+                    deadline,
+                    reward,
+                    TaskCategory(0),
+                    "edge",
+                );
+                tm.submit(task, submitted_at).unwrap();
+            }
+            let what = (kind, now, batch);
+            hits += assert_identical(&mut scratch, &config, &mut p, &tm, *now, &what).cdf_memo_hits;
+        }
+        assert!(hits > 0, "{kind:?}: no gate ever answered");
     }
 }
 

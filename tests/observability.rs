@@ -123,3 +123,33 @@ fn json_lines_exporter_streams_well_formed_events() {
     assert!(text.contains("\"name\":\"tick.match\""));
     assert!(text.contains("\"name\":\"matcher.cycles\""));
 }
+
+/// The build-stage counters are counts of decisions, not of how the
+/// build reaches them: `build.cdf_memo_hits` is one per (row, task) pair
+/// a memoized gate settled (whether pair by pair or for the whole row),
+/// `build.rows_reused` one per pool row whose epoch was unchanged, and
+/// `profile.refits` one per row carrying a latency model. They feed
+/// `prob.cdf_memo_hits_per_task`, `core.rows_reused_per_batch` and
+/// `prob.refits_per_task` in `benchmark/`, so an optimisation of the
+/// build may not move them. Literals measured at commit 491d67d (PR 17).
+#[test]
+fn build_counters_keep_their_meaning() {
+    let counters = |scenario: Scenario| {
+        let recording = RecordingObserver::new();
+        ScenarioRunner::new(scenario)
+            .with_observer(Arc::new(recording.clone()))
+            .run();
+        [
+            recording.counter(CounterKind::BuildCdfMemoHits),
+            recording.counter(CounterKind::BuildRowsReused),
+            recording.counter(CounterKind::ProfileRefits),
+        ]
+    };
+    // Two task categories, 30 workers.
+    let smoke = Scenario::smoke(MatcherPolicy::React { cycles: 200 }, 7);
+    assert_eq!(counters(smoke), [1724, 36, 52]);
+    // One category, 120 workers at 3 tasks/s, cut to 400 tasks.
+    let mut fig9 = Scenario::paper_fig9(120, 3.0, MatcherPolicy::React { cycles: 200 }, 2013);
+    fig9.total_tasks = 400;
+    assert_eq!(counters(fig9), [4678, 1622, 463]);
+}
