@@ -36,8 +36,11 @@
 //! profile epoch, decides per row what is per row (reward range, weight
 //! per category, Eq. (3) when the batch's extreme TTDs settle it) and
 //! answers the remaining Eq. (3) decisions through a memoized
-//! [`EdgeGate`] — while producing a graph that is bit-identical to the
-//! cold build (asserted under the `debug-invariants` feature).
+//! [`EdgeGate`]. What it reads of a queued task (expiry instant, reward,
+//! category, location) it reads off the unassigned queue's columns; the
+//! cold path reads the same facts out of the task registry. The graph is
+//! bit-identical to the cold build (asserted under the `debug-invariants`
+//! feature, which thereby also holds the columns to the registry).
 
 use crate::config::{Config, MatcherPolicy};
 use crate::ids::{TaskId, WorkerId};
@@ -309,9 +312,10 @@ pub struct BuiltBatchGraph<'s> {
 ///   CCDF evaluation, as the cold path's does.
 /// * **Buffers** — the edge arena ([`BipartiteGraph::reset`] is `O(1)`),
 ///   the two row buffers, the pool and task-id maps and the per-batch
-///   task columns keep their capacity across batches. A build still
-///   allocates the batch's `&TaskRecord` list and whatever a refit
-///   allocates.
+///   task columns keep their capacity across batches, and what a build
+///   reads of a task comes off the unassigned queue's own columns
+///   (`TaskManagementComponent::queue`), not out of the registry. A build
+///   allocates only what a refit allocates.
 ///
 /// The built graph is bit-identical, edge for edge and in the same
 /// order, to a cold [`GraphBuilder`] pass; under the `debug-invariants`
@@ -396,38 +400,35 @@ impl BatchScratch {
         let use_model = config.matcher.uses_probabilistic_model();
         let per_category = config.weight.per_category();
 
-        // Task columns (same scan as GraphBuilder::task_rows), with what
-        // every row reads of them: each TTD, the batch's TTD range and
-        // its weight classes.
+        // Task columns, off the queue's own (the cold path's
+        // GraphBuilder::task_rows reads the same facts from the registry):
+        // each TTD, the batch's TTD range and its weight classes.
+        let queue = tasks.queue();
         self.task_ids.clear();
+        self.task_ids.extend_from_slice(&queue.ids);
         self.ttds.clear();
         self.class_of.clear();
         self.class_reps.clear();
-        let unassigned = tasks.unassigned();
-        let mut recs: Vec<&TaskRecord> = Vec::with_capacity(unassigned.len());
         let (mut ttd_min, mut ttd_max, mut any_nan) = (f64::INFINITY, f64::NEG_INFINITY, false);
-        for &tid in unassigned {
-            let Ok(rec) = tasks.record(tid) else {
-                debug_assert!(false, "unassigned {tid} is not tracked");
-                continue;
-            };
-            let ttd = rec.remaining_time(now);
+        for (v, (&deadline_at, category)) in
+            queue.deadline_at.iter().zip(&queue.category).enumerate()
+        {
+            // `TaskRecord::remaining_time(now)`.
+            let ttd = deadline_at - now;
             ttd_min = ttd_min.min(ttd);
             ttd_max = ttd_max.max(ttd);
             any_nan |= ttd.is_nan();
-            let same_category = |&rep: &u32| recs[rep as usize].task.category == rec.task.category;
+            self.ttds.push(ttd);
+            let same_category = |&rep: &u32| queue.category[rep as usize] == *category;
             let known = if per_category {
                 self.class_reps.iter().position(same_category)
             } else {
                 None
             };
             self.class_of.push(known.unwrap_or_else(|| {
-                self.class_reps.push(recs.len() as u32);
+                self.class_reps.push(v as u32);
                 self.class_reps.len() - 1
             }) as u32);
-            self.task_ids.push(tid);
-            self.ttds.push(ttd);
-            recs.push(rec);
         }
         if any_nan {
             // A NaN TTD resolves through the exact evaluation; as the
@@ -493,11 +494,13 @@ impl BatchScratch {
             let has_range = profile.reward_range().is_some();
             if row_keep != Some(false) {
                 let weight_of = |&rep: &u32| {
+                    let rep = rep as usize;
                     if row.in_training {
                         // Training rule: maximum F.
                         1.0
                     } else {
-                        config.weight.evaluate(profile, &recs[rep as usize].task)
+                        let (category, location) = (queue.category[rep], &queue.location[rep]);
+                        config.weight.evaluate_at(profile, category, location)
                     }
                 };
                 self.weights.clear();
@@ -519,7 +522,7 @@ impl BatchScratch {
                 }
             } else {
                 for (v, &ttd) in self.ttds.iter().enumerate() {
-                    if has_range && !profile.accepts_reward(recs[v].task.reward) {
+                    if has_range && !profile.accepts_reward(queue.reward[v]) {
                         pruned += 1;
                         continue;
                     }

@@ -5,10 +5,21 @@
 //! assigned — which worker holds it and for how long. Provides the
 //! scheduler's view of the unassigned pool and retires tasks whose
 //! deadlines expired while waiting.
+//!
+//! The registry (`TaskId → TaskRecord`) holds every task the server has
+//! seen and is what the public accessors answer from. The two sets a
+//! control step walks each carry what that walk reads, so no per-tick
+//! loop looks its tasks up in the registry: the in-flight index
+//! ([`InFlight`], read by the recall stage) and the unassigned queue
+//! ([`UnassignedQueue`], read by the expiry sweep, load shedding and the
+//! graph build). Both are copies of registry facts that cannot change
+//! while the task stays where it is; the `debug-invariants` feature
+//! re-derives them from the registry on every read.
 
 use crate::error::CoreError;
-use crate::ids::{TaskId, WorkerId};
+use crate::ids::{TaskCategory, TaskId, WorkerId};
 use crate::task::{Task, TaskState};
+use react_geo::GeoPoint;
 use std::collections::BTreeMap;
 
 /// A tracked task: description + dynamic state.
@@ -84,13 +95,78 @@ impl InFlight {
     }
 }
 
+/// The unassigned queue: one row per waiting task, in submission/recall
+/// order (the deterministic scheduling input), held as aligned columns of
+/// the facts every control step reads of a queued task. Each is a copy of
+/// the registry's value — immutable while the task is tracked — so a row
+/// is written once, when the task joins the queue, and only ever removed.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct UnassignedQueue {
+    pub(crate) ids: Vec<TaskId>,
+    /// [`TaskRecord::deadline_at`], by that very expression, so a time to
+    /// deadline derived from the column has the registry's bits.
+    pub(crate) deadline_at: Vec<f64>,
+    pub(crate) reward: Vec<f64>,
+    pub(crate) category: Vec<TaskCategory>,
+    pub(crate) location: Vec<GeoPoint>,
+}
+
+impl UnassignedQueue {
+    /// Appends `rec` as the youngest row.
+    fn push(&mut self, rec: &TaskRecord) {
+        self.ids.push(rec.task.id);
+        self.deadline_at.push(rec.deadline_at());
+        self.reward.push(rec.task.reward);
+        self.category.push(rec.task.category);
+        self.location.push(rec.task.location);
+    }
+
+    /// Removes the rows at `rows` (strictly ascending) from every column,
+    /// keeping the survivors in order: one move per surviving run, so a
+    /// single row costs what `Vec::remove` does.
+    fn remove_rows(&mut self, rows: &[usize]) {
+        fn compact<T: Copy>(column: &mut Vec<T>, rows: &[usize]) {
+            let Some(&first) = rows.first() else {
+                return;
+            };
+            let mut len = first;
+            for (k, &row) in rows.iter().enumerate() {
+                let run_end = rows.get(k + 1).copied().unwrap_or(column.len());
+                column.copy_within(row + 1..run_end, len);
+                len += run_end - (row + 1);
+            }
+            column.truncate(len);
+        }
+        debug_assert!(rows.windows(2).all(|w| w[0] < w[1]));
+        compact(&mut self.ids, rows);
+        compact(&mut self.deadline_at, rows);
+        compact(&mut self.reward, rows);
+        compact(&mut self.category, rows);
+        compact(&mut self.location, rows);
+    }
+
+    /// Every column in a form that compares floats by bits.
+    #[cfg(any(test, feature = "debug-invariants"))]
+    fn bits(&self) -> impl PartialEq + std::fmt::Debug + '_ {
+        let bits = |column: &[f64]| column.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let location = self.location.iter();
+        (
+            &self.ids,
+            bits(&self.deadline_at),
+            bits(&self.reward),
+            &self.category,
+            location
+                .map(|at| (at.lat().to_bits(), at.lon().to_bits()))
+                .collect::<Vec<_>>(),
+        )
+    }
+}
+
 /// Registry and lifecycle manager for tasks.
 #[derive(Debug, Clone, Default)]
 pub struct TaskManagementComponent {
     tasks: BTreeMap<TaskId, TaskRecord>,
-    /// Unassigned tasks in submission/recall order (deterministic
-    /// scheduling input).
-    unassigned: Vec<TaskId>,
+    unassigned: UnassignedQueue,
     /// In-flight tasks, maintained incrementally alongside `tasks` so
     /// the per-tick recall scan iterates a sorted index instead of
     /// filtering and sorting the whole registry into a fresh `Vec`.
@@ -108,17 +184,14 @@ impl TaskManagementComponent {
         if self.tasks.contains_key(&task.id) {
             return Err(CoreError::DuplicateTask(task.id));
         }
-        let id = task.id;
-        self.tasks.insert(
-            id,
-            TaskRecord {
-                task,
-                submitted_at: now,
-                state: TaskState::Unassigned,
-                assignment_count: 0,
-            },
-        );
-        self.unassigned.push(id);
+        let rec = TaskRecord {
+            task,
+            submitted_at: now,
+            state: TaskState::Unassigned,
+            assignment_count: 0,
+        };
+        self.unassigned.push(&rec);
+        self.tasks.insert(rec.task.id, rec);
         Ok(())
     }
 
@@ -139,12 +212,19 @@ impl TaskManagementComponent {
 
     /// The unassigned pool, oldest first.
     pub fn unassigned(&self) -> &[TaskId] {
+        &self.unassigned.ids
+    }
+
+    /// The unassigned pool with its columns, oldest first — what the graph
+    /// build reads instead of one registry lookup per queued task.
+    pub(crate) fn queue(&self) -> &UnassignedQueue {
+        self.debug_validate_assigned_index();
         &self.unassigned
     }
 
     /// Number of unassigned tasks (the scheduler's batch trigger input).
     pub fn unassigned_count(&self) -> usize {
-        self.unassigned.len()
+        self.unassigned.ids.len()
     }
 
     /// Number of *open* tasks — unassigned plus in-flight. Sec. III-C
@@ -153,7 +233,7 @@ impl TaskManagementComponent {
     /// which is what the scheduler's compute cost scales with.
     pub fn open_count(&self) -> usize {
         self.debug_validate_assigned_index();
-        self.unassigned.len() + self.assigned_index.len()
+        self.unassigned.ids.len() + self.assigned_index.len()
     }
 
     /// All currently assigned task ids with their workers, in ascending
@@ -221,8 +301,9 @@ impl TaskManagementComponent {
         self.assigned_index.len()
     }
 
-    /// Under `debug-invariants`, re-derives the assigned index from the
-    /// task registry and asserts the incremental bookkeeping matches.
+    /// Under `debug-invariants`, re-derives the assigned index and the
+    /// unassigned queue's columns from the task registry and asserts the
+    /// incremental bookkeeping matches.
     #[inline]
     fn debug_validate_assigned_index(&self) {
         #[cfg(feature = "debug-invariants")]
@@ -247,10 +328,44 @@ impl TaskManagementComponent {
             let open = self.tasks.values().filter(|r| r.state.is_open()).count();
             assert_eq!(
                 open,
-                self.unassigned.len() + self.assigned_index.len(),
+                self.unassigned.ids.len() + self.assigned_index.len(),
                 "open tasks must be exactly unassigned + assigned"
             );
+            self.assert_queue_matches_registry();
         }
+    }
+
+    /// Re-derives the unassigned queue from the registry: the queued ids
+    /// are exactly the records in [`TaskState::Unassigned`], once each,
+    /// and every column repeats its record bit for bit.
+    #[cfg(any(test, feature = "debug-invariants"))]
+    fn assert_queue_matches_registry(&self) {
+        let queue = &self.unassigned;
+        // A queued id without an unassigned record derives no row, so it
+        // shows as a divergence too.
+        let mut derived = UnassignedQueue::default();
+        let records = queue.ids.iter().filter_map(|id| self.tasks.get(id));
+        for rec in records.filter(|rec| rec.state == TaskState::Unassigned) {
+            derived.push(rec);
+        }
+        assert_eq!(
+            queue.bits(),
+            derived.bits(),
+            "queue columns diverged from the registry"
+        );
+        let mut distinct = queue.ids.clone();
+        distinct.sort_unstable();
+        distinct.dedup();
+        assert_eq!(distinct.len(), queue.ids.len(), "a task is queued twice");
+        let waiting = self
+            .tasks
+            .values()
+            .filter(|r| r.state == TaskState::Unassigned);
+        assert_eq!(
+            waiting.count(),
+            queue.ids.len(),
+            "an unassigned task is not queued"
+        );
     }
 
     /// Marks `id` assigned to `worker` at `now`.
@@ -266,7 +381,9 @@ impl TaskManagementComponent {
             assigned_at: now,
         };
         rec.assignment_count += 1;
-        self.unassigned.retain(|&t| t != id);
+        if let Some(row) = self.unassigned.ids.iter().position(|&t| t == id) {
+            self.unassigned.remove_rows(&[row]);
+        }
         self.assigned_index.insert(
             id,
             InFlight {
@@ -286,7 +403,7 @@ impl TaskManagementComponent {
         match rec.state {
             TaskState::Assigned { worker, .. } => {
                 rec.state = TaskState::Unassigned;
-                self.unassigned.push(id);
+                self.unassigned.push(rec);
                 self.assigned_index.remove(&id);
                 Ok(worker)
             }
@@ -321,21 +438,28 @@ impl TaskManagementComponent {
     /// leaves the repository; a task already executing may still finish
     /// late — the soft-deadline semantics.)
     pub fn expire_overdue_unassigned(&mut self, now: f64) -> Vec<TaskId> {
-        let mut expired = Vec::new();
-        self.unassigned.retain(|&id| {
-            let Some(rec) = self.tasks.get_mut(&id) else {
-                debug_assert!(false, "unassigned {id} is not tracked");
-                return false;
-            };
-            if rec.remaining_time(now) <= 0.0 {
-                rec.state = TaskState::Expired;
-                expired.push(id);
-                false
-            } else {
-                true
-            }
-        });
+        // `TaskRecord::remaining_time(now) <= 0.0`, off the column.
+        let deadlines = self.unassigned.deadline_at.iter().enumerate();
+        let overdue: Vec<usize> = deadlines
+            .filter(|&(_, &deadline_at)| deadline_at - now <= 0.0)
+            .map(|(row, _)| row)
+            .collect();
+        let expired = self.retire_rows(&overdue);
+        self.unassigned.remove_rows(&overdue);
         expired
+    }
+
+    /// Marks the queued tasks at `rows` [`TaskState::Expired`] and returns
+    /// their ids in the order given. The rows themselves stay; the caller
+    /// removes them.
+    fn retire_rows(&mut self, rows: &[usize]) -> Vec<TaskId> {
+        let retired: Vec<TaskId> = rows.iter().map(|&row| self.unassigned.ids[row]).collect();
+        for id in &retired {
+            if let Some(rec) = self.tasks.get_mut(id) {
+                rec.state = TaskState::Expired;
+            }
+        }
+        retired
     }
 
     /// Sheds unassigned tasks, lowest reward first, until at most `keep`
@@ -345,22 +469,19 @@ impl TaskManagementComponent {
     /// served); ties break on task id so shedding is deterministic.
     /// Returns the shed ids in shedding order.
     pub fn shed_lowest_value(&mut self, keep: usize) -> Vec<TaskId> {
-        if self.unassigned.len() <= keep {
+        let queue = &self.unassigned;
+        if queue.ids.len() <= keep {
             return Vec::new();
         }
-        let mut by_value: Vec<TaskId> = self.unassigned.clone();
-        by_value.sort_by(|&a, &b| {
-            let ra = self.tasks.get(&a).map(|r| r.task.reward).unwrap_or(0.0);
-            let rb = self.tasks.get(&b).map(|r| r.task.reward).unwrap_or(0.0);
-            ra.total_cmp(&rb).then(a.cmp(&b))
+        let mut rows: Vec<usize> = (0..queue.ids.len()).collect();
+        rows.sort_unstable_by(|&a, &b| {
+            let by_reward = queue.reward[a].total_cmp(&queue.reward[b]);
+            by_reward.then(queue.ids[a].cmp(&queue.ids[b]))
         });
-        let shed: Vec<TaskId> = by_value[..self.unassigned.len() - keep].to_vec();
-        for &id in &shed {
-            if let Some(rec) = self.tasks.get_mut(&id) {
-                rec.state = TaskState::Expired;
-            }
-        }
-        self.unassigned.retain(|id| !shed.contains(id));
+        rows.truncate(queue.ids.len() - keep);
+        let shed = self.retire_rows(&rows);
+        rows.sort_unstable();
+        self.unassigned.remove_rows(&rows);
         shed
     }
 
@@ -372,12 +493,13 @@ impl TaskManagementComponent {
     ///
     /// [`shed_lowest_value`]: TaskManagementComponent::shed_lowest_value
     pub fn take_unassigned(&mut self, max: usize) -> Vec<TaskRecord> {
-        let n = max.min(self.unassigned.len());
-        let taken_ids: Vec<TaskId> = self.unassigned.drain(..n).collect();
-        taken_ids
-            .into_iter()
-            .filter_map(|id| self.tasks.remove(&id))
-            .collect()
+        let oldest: Vec<usize> = (0..max.min(self.unassigned.ids.len())).collect();
+        let taken = oldest
+            .iter()
+            .filter_map(|&row| self.tasks.remove(&self.unassigned.ids[row]))
+            .collect();
+        self.unassigned.remove_rows(&oldest);
+        taken
     }
 
     /// Removes retired (completed/expired) records older than `horizon`
@@ -402,8 +524,6 @@ impl TaskManagementComponent {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ids::TaskCategory;
-    use react_geo::GeoPoint;
 
     fn task(id: u64, deadline: f64) -> Task {
         Task::new(
@@ -548,6 +668,130 @@ mod tests {
         ));
         // Nothing to shed when already at or below the cap.
         assert!(tm.shed_lowest_value(2).is_empty());
+    }
+
+    /// A task whose every queue column depends on `id`, so a row that
+    /// ends up beside the wrong id shows.
+    fn varied(id: u64, deadline: f64, reward: f64) -> Task {
+        Task::new(
+            TaskId(id),
+            GeoPoint::new(37.0 + id as f64 / 100.0, 23.0 - id as f64 / 100.0),
+            deadline,
+            reward,
+            TaskCategory(id as u32 % 3),
+            "t",
+        )
+    }
+
+    #[test]
+    fn shed_order_is_reward_then_id_and_columns_stay_aligned() {
+        let mut tm = TaskManagementComponent::new();
+        // Queue order differs from both id order and reward order.
+        let queued = [(7, 0.5), (3, 0.1), (9, 0.1), (1, 0.5), (4, 0.0), (8, 0.1)];
+        for (id, reward) in queued {
+            tm.submit(varied(id, 600.0, reward), id as f64).unwrap();
+        }
+        let ids = |v: &[u64]| v.iter().map(|&i| TaskId(i)).collect::<Vec<_>>();
+        // `keep` at or above the queue length sheds nothing.
+        assert!(tm.shed_lowest_value(6).is_empty());
+        assert!(tm.shed_lowest_value(usize::MAX).is_empty());
+        assert_eq!(tm.unassigned(), &ids(&[7, 3, 9, 1, 4, 8])[..]);
+        // Cheapest first, ties by id — not by queue position.
+        assert_eq!(tm.shed_lowest_value(3), ids(&[4, 3, 8]));
+        assert_eq!(tm.unassigned(), &ids(&[7, 9, 1])[..]);
+        tm.assert_queue_matches_registry();
+        assert_eq!(tm.record(TaskId(8)).unwrap().state, TaskState::Expired);
+        assert_eq!(tm.record(TaskId(9)).unwrap().state, TaskState::Unassigned);
+        // `keep = 0` empties the queue, still in (reward, id) order.
+        assert_eq!(tm.shed_lowest_value(0), ids(&[9, 1, 7]));
+        assert!(tm.unassigned().is_empty());
+        tm.assert_queue_matches_registry();
+        assert!(tm.iter().all(|r| r.state == TaskState::Expired));
+    }
+
+    #[test]
+    fn expiry_returns_queue_order_and_keeps_survivors_in_order() {
+        let mut tm = TaskManagementComponent::new();
+        // Overdue at t = 20: the first row, two adjacent rows mid-queue
+        // and the last row.
+        let queued = [
+            (5, 10.0),
+            (2, 100.0),
+            (9, 5.0),
+            (7, 8.0),
+            (1, 50.0),
+            (6, 90.0),
+        ];
+        for (id, deadline) in queued {
+            tm.submit(varied(id, deadline, id as f64 / 10.0), 0.0)
+                .unwrap();
+        }
+        // A recalled task rejoins at the back with its original deadline.
+        tm.submit(varied(3, 15.0, 0.3), 1.0).unwrap();
+        tm.mark_assigned(TaskId(3), WorkerId(1), 2.0).unwrap();
+        tm.mark_unassigned(TaskId(3)).unwrap();
+        tm.assert_queue_matches_registry();
+        let ids = |v: &[u64]| v.iter().map(|&i| TaskId(i)).collect::<Vec<_>>();
+        assert!(tm.expire_overdue_unassigned(4.0).is_empty());
+        assert_eq!(tm.expire_overdue_unassigned(20.0), ids(&[5, 9, 7, 3]));
+        assert_eq!(tm.unassigned(), &ids(&[2, 1, 6])[..]);
+        tm.assert_queue_matches_registry();
+        assert_eq!(tm.expire_overdue_unassigned(95.0), ids(&[1, 6]));
+        assert_eq!(tm.unassigned(), &ids(&[2])[..]);
+        tm.assert_queue_matches_registry();
+    }
+
+    #[test]
+    fn expiry_boundary_is_exactly_zero_remaining() {
+        let one_ulp_later = |x: f64| f64::from_bits(x.to_bits() + 1);
+        let deadline = 12.3;
+        let mut tm = TaskManagementComponent::new();
+        tm.submit(task(1, deadline), 0.0).unwrap();
+        tm.submit(task(2, one_ulp_later(deadline)), 0.0).unwrap();
+        // Remaining time exactly 0.0 expires; the smallest positive
+        // remainder does not.
+        assert_eq!(tm.record(TaskId(1)).unwrap().remaining_time(deadline), 0.0);
+        assert!(tm.record(TaskId(2)).unwrap().remaining_time(deadline) > 0.0);
+        assert_eq!(tm.expire_overdue_unassigned(deadline), vec![TaskId(1)]);
+        assert_eq!(tm.unassigned(), &[TaskId(2)]);
+        assert_eq!(
+            tm.expire_overdue_unassigned(one_ulp_later(deadline)),
+            vec![TaskId(2)]
+        );
+        // A deadline that is not a number never compares overdue.
+        tm.submit(task(3, 10.0), f64::NAN).unwrap();
+        assert!(tm.expire_overdue_unassigned(f64::MAX).is_empty());
+        tm.assert_queue_matches_registry();
+    }
+
+    #[test]
+    fn mid_queue_assignment_removes_one_row_from_every_column() {
+        let mut tm = TaskManagementComponent::new();
+        for id in 1..=5 {
+            tm.submit(varied(id, 60.0 + id as f64, id as f64 / 10.0), id as f64)
+                .unwrap();
+        }
+        tm.mark_assigned(TaskId(3), WorkerId(4), 6.0).unwrap();
+        assert_eq!(
+            tm.unassigned(),
+            &[TaskId(1), TaskId(2), TaskId(4), TaskId(5)]
+        );
+        tm.assert_queue_matches_registry();
+        // Assigning a task that is not queued leaves the queue alone.
+        tm.mark_assigned(TaskId(3), WorkerId(5), 7.0).unwrap();
+        assert_eq!(tm.unassigned_count(), 4);
+        // The requeued row carries the submission's deadline, not the
+        // recall's.
+        tm.mark_unassigned(TaskId(3)).unwrap();
+        assert_eq!(tm.queue().deadline_at.last(), Some(&(3.0 + 63.0)));
+        tm.assert_queue_matches_registry();
+        // A handoff takes whole rows off the front.
+        let taken = tm.take_unassigned(2);
+        assert_eq!(taken[1].task.id, TaskId(2));
+        assert_eq!(tm.unassigned(), &[TaskId(4), TaskId(5), TaskId(3)]);
+        tm.assert_queue_matches_registry();
+        assert_eq!(tm.take_unassigned(usize::MAX).len(), 3);
+        tm.assert_queue_matches_registry();
     }
 
     #[test]

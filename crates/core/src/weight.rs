@@ -11,6 +11,7 @@
 use crate::ids::TaskCategory;
 use crate::profiling::WorkerProfile;
 use crate::task::Task;
+use react_geo::GeoPoint;
 
 /// Which weight function the Scheduling Component uses.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
@@ -37,13 +38,24 @@ pub enum WeightFunction {
 impl WeightFunction {
     /// Evaluates `F(worker, task) ∈ [0, 1]`.
     pub fn evaluate(&self, worker: &WorkerProfile, task: &Task) -> f64 {
+        self.evaluate_at(worker, task.category, &task.location)
+    }
+
+    /// [`Self::evaluate`] over the two facts it reads of a task, for the
+    /// graph build, which holds them as queue columns.
+    pub(crate) fn evaluate_at(
+        &self,
+        worker: &WorkerProfile,
+        category: TaskCategory,
+        location: &GeoPoint,
+    ) -> f64 {
         match *self {
-            WeightFunction::Accuracy => accuracy_weight(worker, task.category),
-            WeightFunction::Distance { scale_km } => distance_weight(worker, task, scale_km),
+            WeightFunction::Accuracy => accuracy_weight(worker, category),
+            WeightFunction::Distance { scale_km } => distance_weight(worker, location, scale_km),
             WeightFunction::Blend { lambda, scale_km } => {
                 let l = lambda.clamp(0.0, 1.0);
-                l * accuracy_weight(worker, task.category)
-                    + (1.0 - l) * distance_weight(worker, task, scale_km)
+                l * accuracy_weight(worker, category)
+                    + (1.0 - l) * distance_weight(worker, location, scale_km)
             }
         }
     }
@@ -63,8 +75,8 @@ fn accuracy_weight(worker: &WorkerProfile, category: TaskCategory) -> f64 {
     worker.accuracy(category).clamp(0.0, 1.0)
 }
 
-fn distance_weight(worker: &WorkerProfile, task: &Task, scale_km: f64) -> f64 {
-    let d = worker.location().distance_km(&task.location);
+fn distance_weight(worker: &WorkerProfile, location: &GeoPoint, scale_km: f64) -> f64 {
+    let d = worker.location().distance_km(location);
     let scale = scale_km.max(f64::MIN_POSITIVE);
     1.0 / (1.0 + d / scale)
 }
@@ -74,7 +86,6 @@ mod tests {
     use super::*;
     use crate::ids::{TaskId, WorkerId};
     use crate::profiling::ProfilingComponent;
-    use react_geo::GeoPoint;
 
     fn setup() -> (ProfilingComponent, Task) {
         let mut p = ProfilingComponent::default();

@@ -1,12 +1,18 @@
 //! Incremental-build identity: the hot-path [`BatchScratch`] must
 //! produce graphs bit-identical to a cold [`SchedulingComponent`] build
-//! after *any* interleaving of profile mutations, task churn and worker
-//! dropouts — the property the epoch-keyed row cache, the memoized
-//! deadline gates, the row-level reward/weight/Eq. (3) verdicts and the
-//! edge-only graph arena are designed to preserve.
+//! after *any* interleaving of profile mutations, queue traffic (submit,
+//! assign from anywhere in the queue, requeue, expire, shed, hand off)
+//! and worker dropouts — the property the epoch-keyed row cache, the
+//! memoized deadline gates, the row-level reward/weight/Eq. (3) verdicts,
+//! the edge-only graph arena and the unassigned queue's columns (which
+//! the warm build reads where the cold one reads the task registry) are
+//! designed to preserve.
 //!
 //! Run under `--features debug-invariants` to additionally arm the
-//! scratch's internal cold-rebuild assertion on every step.
+//! scratch's internal cold-rebuild assertion and the queue columns'
+//! re-derivation from the registry on every step.
+
+mod common;
 
 use proptest::prelude::*;
 use react::core::{
@@ -18,15 +24,6 @@ use react::crowd::{Scenario, ScenarioRunner};
 use react::faults::FaultPlan;
 use react::geo::GeoPoint;
 use react::prob::{DeadlineModel, EdgeGate};
-
-/// Cases per property: 64 in a plain (debug) run; CI's release pass asks
-/// for more through proptest's usual `PROPTEST_CASES`.
-fn cases() -> u32 {
-    std::env::var("PROPTEST_CASES")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(64)
-}
 
 /// Distinct locations a few km apart, so `Distance`/`Blend` weights
 /// differ between any two (worker, task) pairs.
@@ -75,15 +72,37 @@ enum Op {
         reward: f64,
         category: u32,
     },
-    /// Assign the oldest unassigned task to a worker, then requeue it
-    /// (exercises the assigned-index churn without retiring tasks).
-    Churn { worker: u64 },
+    /// Assign the `nth` queued task (modulo the queue length) to a
+    /// worker: a removal from anywhere in the queue. Then requeue it at
+    /// the back, or leave it in flight (even `nth`) or complete it (odd).
+    AssignNth {
+        nth: usize,
+        worker: u64,
+        requeue: bool,
+    },
+    /// The expiry sweep: every overdue queued task leaves, wherever it
+    /// sits.
+    Expire,
+    /// Load shedding down to `keep` queued tasks, cheapest first.
+    Shed { keep: usize },
+    /// A cross-shard handoff of up to `max` of the oldest queued tasks,
+    /// received back by the same queue the way `Cluster::pass_handoff`
+    /// delivers them: resubmitted now, the deadline re-based.
+    Handoff { max: usize },
     /// Advance the build timepoint (changes every `TimeToDeadline`).
     AdvanceTime { dt: f64 },
 }
 
+/// Half the steps touch the pool, half the queue.
 fn arb_op() -> impl Strategy<Value = Op> {
-    let worker = || 0u64..10;
+    prop_oneof![arb_pool_op(), arb_queue_op()]
+}
+
+fn worker() -> std::ops::Range<u64> {
+    0u64..10
+}
+
+fn arb_pool_op() -> impl Strategy<Value = Op> {
     prop_oneof![
         worker().prop_map(Op::Register),
         worker().prop_map(Op::Deregister),
@@ -102,17 +121,32 @@ fn arb_op() -> impl Strategy<Value = Op> {
             .prop_map(|(worker, range)| Op::Reward { worker, range }),
         (worker(), 0u64..400).prop_map(|(worker, to)| Op::SetLocation { worker, to }),
         (worker(), 0.1f64..1.0).prop_map(|(worker, decay)| Op::MarkSuspect { worker, decay }),
-        // Rewards straddle the declarable ranges ([0.01, 0.5) to
-        // [0.5, 2.0)), so a constrained row is pruned in part.
-        ((0u64..200), (5.0f64..120.0), (0.0f64..2.5), 0u32..4).prop_map(
-            |(id, deadline, reward, category)| Op::Submit {
-                id,
-                deadline,
-                reward,
-                category
-            }
-        ),
-        worker().prop_map(|worker| Op::Churn { worker }),
+    ]
+}
+
+/// A queued task's `(deadline, reward, category)`. Rewards straddle the
+/// declarable ranges ([0.01, 0.5) to [0.5, 2.0)), so a constrained row is
+/// pruned in part.
+fn arb_task() -> impl Strategy<Value = (f64, f64, u32)> {
+    (5.0f64..120.0, 0.0f64..2.5, 0u32..4)
+}
+
+fn arb_queue_op() -> impl Strategy<Value = Op> {
+    prop_oneof![
+        (0u64..200, arb_task()).prop_map(|(id, (deadline, reward, category))| Op::Submit {
+            id,
+            deadline,
+            reward,
+            category
+        }),
+        (0usize..64, worker(), any::<bool>()).prop_map(|(nth, worker, requeue)| Op::AssignNth {
+            nth,
+            worker,
+            requeue
+        }),
+        Just(Op::Expire),
+        (0usize..12).prop_map(|keep| Op::Shed { keep }),
+        (0usize..6).prop_map(|max| Op::Handoff { max }),
         (0.5f64..15.0).prop_map(|dt| Op::AdvanceTime { dt }),
     ]
 }
@@ -206,11 +240,32 @@ fn apply(op: &Op, p: &mut ProfilingComponent, tm: &mut TaskManagementComponent, 
             );
             let _ = tm.submit(task, *now);
         }
-        Op::Churn { worker } => {
-            if let Some(&tid) = tm.unassigned().first() {
-                if tm.mark_assigned(tid, WorkerId(worker), *now).is_ok() {
-                    let _ = tm.mark_unassigned(tid);
+        Op::AssignNth {
+            nth,
+            worker,
+            requeue,
+        } => {
+            let queued = tm.unassigned();
+            if let Some(&tid) = queued.get(nth % queued.len().max(1)) {
+                tm.mark_assigned(tid, WorkerId(worker), *now).unwrap();
+                if requeue {
+                    tm.mark_unassigned(tid).unwrap();
+                } else if nth % 2 == 1 {
+                    tm.complete(tid, WorkerId(worker), *now).unwrap();
                 }
+            }
+        }
+        Op::Expire => {
+            tm.expire_overdue_unassigned(*now);
+        }
+        Op::Shed { keep } => {
+            tm.shed_lowest_value(keep);
+        }
+        Op::Handoff { max } => {
+            for rec in tm.take_unassigned(max) {
+                let mut task = rec.task;
+                task.deadline = (rec.submitted_at + task.deadline - *now).max(f64::MIN_POSITIVE);
+                tm.submit(task, *now).unwrap();
             }
         }
         Op::AdvanceTime { dt } => {
@@ -246,7 +301,7 @@ fn assert_identical(
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(cases()))]
+    #![proptest_config(ProptestConfig::with_cases(common::cases(64)))]
 
     /// After every step the incremental build (one scratch carried
     /// across the whole sequence) matches a cold build bit for bit, on
@@ -255,6 +310,7 @@ proptest! {
     fn incremental_build_is_bit_identical_to_cold_build(
         axes in (arb_latency_model(), arb_weight(), arb_policy(), arb_threshold(), 0u64..4),
         seasoned in proptest::collection::vec(0.5f64..60.0, 0..6),
+        queued in proptest::collection::vec(arb_task(), 0..12),
         ops in proptest::collection::vec(arb_op(), 1..60),
     ) {
         let (kind, weight, policy, threshold, training) = axes;
@@ -265,15 +321,25 @@ proptest! {
         config.training_assignments = training;
         let mut p = ProfilingComponent::default();
         let mut tm = TaskManagementComponent::new();
-        // Start with workers that already carry a latency model, so the
-        // gates are exercised from the first step.
+        // Start with workers that already carry a latency model, every
+        // other one a reward range too, so the gates and the queue's
+        // reward column are exercised from the first step.
         for (w, &base) in seasoned.iter().enumerate() {
             let id = WorkerId(w as u64);
             p.register(id, spot(w as u64)).unwrap();
+            if w % 2 == 0 {
+                p.set_reward_range(id, Some((0.3, 1.2))).unwrap();
+            }
             for (k, scale) in [1.0, 1.3, 1.7].into_iter().enumerate() {
                 p.record_assignment(id).unwrap();
                 p.record_completion(id, TaskCategory(k as u32), base * scale, k != 1).unwrap();
             }
+        }
+        // ... and with a queue long enough to lose rows from its middle.
+        for (t, &(deadline, reward, category)) in queued.iter().enumerate() {
+            let id = 200 + t as u64;
+            let submit = Op::Submit { id, deadline, reward, category };
+            apply(&submit, &mut p, &mut tm, &mut 0.0);
         }
         let mut scratch = BatchScratch::new();
         let mut now = 0.0f64;

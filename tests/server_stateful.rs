@@ -7,7 +7,16 @@
 //! * completed/expired tasks never come back;
 //! * the unassigned pool plus in-flight assignments plus retired tasks
 //!   account for every submission;
+//! * the unassigned queue is, id for id and in order, what the reference
+//!   queue says: submissions join at the back, recalled tasks rejoin at
+//!   the back, expired and assigned ones leave from wherever they sit;
 //! * operations on unknown ids fail without corrupting state.
+//!
+//! Under `--features debug-invariants` every tick additionally re-derives
+//! the queue's columns from the task registry; `PROPTEST_CASES` widens
+//! the run (CI: 1024 cases in release).
+
+mod common;
 
 use proptest::prelude::*;
 use react::core::prelude::*;
@@ -37,7 +46,7 @@ fn arb_op() -> impl Strategy<Value = Op> {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(48))]
+    #![proptest_config(ProptestConfig::with_cases(common::cases(48)))]
 
     #[test]
     fn random_op_sequences_preserve_invariants(ops in proptest::collection::vec(arb_op(), 1..80)) {
@@ -56,22 +65,29 @@ proptest! {
         // Reference view of live assignments: task → worker.
         let mut live: HashMap<TaskId, WorkerId> = HashMap::new();
         let mut retired: HashSet<TaskId> = HashSet::new();
+        // Reference view of the unassigned queue, oldest first.
+        let mut queue: Vec<TaskId> = Vec::new();
 
+        // A tick's stages in their order: expire, recall, then the batch.
         let apply_outcome = |out: &react::core::TickOutcome,
                                  live: &mut HashMap<TaskId, WorkerId>,
-                                 retired: &mut HashSet<TaskId>| {
-            for recall in &out.recalls {
-                live.remove(&recall.task);
-            }
+                                 retired: &mut HashSet<TaskId>,
+                                 queue: &mut Vec<TaskId>| {
             for task in &out.expired {
                 live.remove(task);
                 retired.insert(*task);
+            }
+            queue.retain(|task| !out.expired.contains(task));
+            for recall in &out.recalls {
+                live.remove(&recall.task);
+                queue.push(recall.task);
             }
             for &(worker, task) in &out.assignments {
                 prop_assert!(!retired.contains(&task), "retired task reassigned");
                 let clash = live.values().filter(|&&w| w == worker).count();
                 prop_assert_eq!(clash, 0, "worker {:?} double-booked", worker);
                 live.insert(task, worker);
+                queue.retain(|&queued| queued != task);
             }
             Ok(())
         };
@@ -84,7 +100,9 @@ proptest! {
                 Op::SubmitTask { id, deadline } => {
                     // Duplicate ids are dropped by the server; the
                     // reference set mirrors that via insert()'s result.
-                    submitted.insert(TaskId(id));
+                    if submitted.insert(TaskId(id)) {
+                        queue.push(TaskId(id));
+                    }
                     server.submit_task(
                         Task::new(TaskId(id), here, deadline, 0.05, TaskCategory(0), "t"),
                         now,
@@ -93,7 +111,7 @@ proptest! {
                 Op::Tick { dt } => {
                     now += dt;
                     let out = server.tick(now);
-                    apply_outcome(&out, &mut live, &mut retired)?;
+                    apply_outcome(&out, &mut live, &mut retired, &mut queue)?;
                 }
                 Op::CompleteOldest { exec, quality_ok } => {
                     if let Some((&task, &worker)) =
@@ -115,6 +133,7 @@ proptest! {
                 Op::WorkerOffline(w) => {
                     for task in server.worker_offline(WorkerId(w), now) {
                         live.remove(&task);
+                        queue.push(task);
                     }
                 }
                 Op::WorkerOnline(w) => {
@@ -123,6 +142,7 @@ proptest! {
             }
 
             // Cross-check the server against the reference model.
+            prop_assert_eq!(server.tasks().unassigned(), &queue[..], "queue diverged");
             let assigned: Vec<_> = server.tasks().assigned().collect();
             prop_assert_eq!(assigned.len(), live.len(), "assignment count mismatch");
             for (task, worker) in &assigned {
