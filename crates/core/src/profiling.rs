@@ -12,7 +12,8 @@ use crate::error::CoreError;
 use crate::ids::{TaskCategory, WorkerId};
 use react_geo::GeoPoint;
 use react_prob::{EstimatorConfig, ExecTimeEstimator, FittedModel, PowerLaw};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, VecDeque};
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// A worker's availability as tracked by the profiler.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -48,10 +49,10 @@ pub struct WorkerProfile {
     /// Multiplicative penalty applied to the Eq. (1) accuracy while the
     /// worker is suspect (1.0 = trusted).
     weight_penalty: f64,
-    /// Bumped on every profile mutation that can change scheduling
-    /// output (availability, samples, feedback, reward range, penalty,
-    /// location). The batch scratch keys its phase-A row cache on this,
-    /// so an unchanged epoch proves the cached row is still valid.
+    /// The component epoch of the last mutation that can change
+    /// scheduling output (availability, samples, feedback, reward range,
+    /// penalty, location); [`ProfilingComponent::touched_since`] is the
+    /// same fact as a feed.
     epoch: u64,
 }
 
@@ -188,9 +189,17 @@ impl WorkerProfile {
 
     /// True when the worker would accept a task paying `reward`.
     pub fn accepts_reward(&self, reward: f64) -> bool {
-        match self.reward_range {
-            None => true,
-            Some((lo, hi)) => reward >= lo && reward <= hi,
+        range_accepts(self.reward_range, reward)
+    }
+
+    /// True when the worker belongs to a batch's pool: available, or
+    /// merely online when the policy has no availability signal
+    /// (`include_busy`).
+    pub(crate) fn in_pool(&self, include_busy: bool) -> bool {
+        match self.availability {
+            Availability::Available => true,
+            Availability::Busy => include_busy,
+            Availability::Offline => false,
         }
     }
 
@@ -210,16 +219,82 @@ impl WorkerProfile {
     }
 }
 
+/// [`WorkerProfile::accepts_reward`] over a declared range, for a reader
+/// that holds the range without the profile.
+pub(crate) fn range_accepts(range: Option<(f64, f64)>, reward: f64) -> bool {
+    match range {
+        None => true,
+        Some((lo, hi)) => reward >= lo && reward <= hi,
+    }
+}
+
+/// The change feed never holds fewer epochs than this, however small the
+/// registry.
+const MIN_FEED_LEN: usize = 1024;
+
+/// Source of [`ProfilingComponent::instance`] values.
+static NEXT_INSTANCE: AtomicU64 = AtomicU64::new(0);
+
+fn fresh_instance() -> u64 {
+    // Only ever compared for equality; publishes nothing.
+    NEXT_INSTANCE.fetch_add(1, Ordering::Relaxed)
+}
+
+/// Which worker took each recent epoch — the change feed a graph build
+/// reads instead of re-reading every profile.
+#[derive(Debug, Clone, Default)]
+struct ChangeFeed {
+    /// The last epoch handed out. Every scheduling-visible change — a
+    /// profile mutation, a registration, a deregistration — takes the
+    /// next one, from [`Self::take`] only, so epochs are strictly
+    /// increasing and each belongs to exactly one worker.
+    last_epoch: u64,
+    /// `log[i]` took epoch `log_base + 1 + i`, oldest first, so
+    /// `log_base + log.len() == last_epoch`.
+    log: VecDeque<WorkerId>,
+    log_base: u64,
+}
+
+impl ChangeFeed {
+    /// Hands the next epoch to `id` and logs it, dropping the oldest
+    /// entries beyond `capacity`. Call only once the change is certain to
+    /// happen: an epoch nobody holds, or a change without one, breaks the
+    /// alignment of `log` with the epochs.
+    fn take(&mut self, id: WorkerId, capacity: usize) -> u64 {
+        self.last_epoch += 1;
+        self.log.push_back(id);
+        while self.log.len() > capacity {
+            self.log.pop_front();
+            self.log_base += 1;
+        }
+        self.last_epoch
+    }
+}
+
 /// Registry of worker profiles.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct ProfilingComponent {
     workers: BTreeMap<WorkerId, WorkerProfile>,
     estimator_config: EstimatorConfig,
-    /// Source of fresh [`WorkerProfile::epoch`] values. Strictly
-    /// increasing across the component's lifetime, so a deregistered and
-    /// re-registered worker can never repeat an epoch the scratch cache
-    /// may still remember.
-    next_epoch: u64,
+    feed: ChangeFeed,
+    /// Identity of this history: unique per component value in the
+    /// process (a clone gets its own), so a reader that remembers
+    /// `(instance, epoch)` knows whether the feed it is handed continues
+    /// the one it last read.
+    instance: u64,
+}
+
+impl Clone for ProfilingComponent {
+    /// The copy's history may diverge from here on, so it is a new
+    /// [`Self::instance`] to the feed's readers.
+    fn clone(&self) -> Self {
+        ProfilingComponent {
+            workers: self.workers.clone(),
+            estimator_config: self.estimator_config,
+            feed: self.feed.clone(),
+            instance: fresh_instance(),
+        }
+    }
 }
 
 impl Default for ProfilingComponent {
@@ -235,20 +310,50 @@ impl ProfilingComponent {
         ProfilingComponent {
             workers: BTreeMap::new(),
             estimator_config,
-            next_epoch: 0,
+            feed: ChangeFeed::default(),
+            instance: fresh_instance(),
         }
     }
 
+    /// How many epochs the feed reaches back: twice the registry, so a
+    /// reader that builds at least once per two changes per worker never
+    /// falls off it, and never fewer than [`MIN_FEED_LEN`] — bounded by
+    /// the registry, not by the length of the run.
+    fn feed_capacity(&self) -> usize {
+        MIN_FEED_LEN.max(2 * self.workers.len())
+    }
+
+    /// The last epoch handed out (0 before the first change).
+    pub(crate) fn epoch_now(&self) -> u64 {
+        self.feed.last_epoch
+    }
+
+    /// See the field docs; a feed reader keeps it next to the epoch.
+    pub(crate) fn instance(&self) -> u64 {
+        self.instance
+    }
+
+    /// The workers that took epochs `seen + 1 ..= epoch_now()`, in epoch
+    /// order (a worker changed twice appears twice). `None` when the feed
+    /// no longer reaches back to `seen`, or `seen` is not an epoch of
+    /// this component: the reader must then re-read every profile.
+    pub(crate) fn touched_since(&self, seen: u64) -> Option<impl Iterator<Item = WorkerId> + '_> {
+        let feed = &self.feed;
+        if seen < feed.log_base || seen > feed.last_epoch {
+            return None;
+        }
+        Some(feed.log.range((seen - feed.log_base) as usize..).copied())
+    }
+
     /// [`Self::profile_mut`] plus an epoch bump: every scheduling-visible
-    /// mutation below goes through this.
+    /// mutation below goes through this. An unknown worker takes no epoch.
     fn touch(&mut self, id: WorkerId) -> Result<&mut WorkerProfile, CoreError> {
-        self.next_epoch += 1;
-        let epoch = self.next_epoch;
+        let capacity = self.feed_capacity();
         let p = self
             .workers
             .get_mut(&id)
             .ok_or(CoreError::UnknownWorker(id))?;
-        p.epoch = epoch;
+        p.epoch = self.feed.take(id, capacity);
         Ok(p)
     }
 
@@ -257,16 +362,20 @@ impl ProfilingComponent {
         if self.workers.contains_key(&id) {
             return Err(CoreError::DuplicateWorker(id));
         }
-        self.next_epoch += 1;
         let mut profile = WorkerProfile::new(id, location, self.estimator_config);
-        profile.epoch = self.next_epoch;
+        profile.epoch = self.feed.take(id, self.feed_capacity());
         self.workers.insert(id, profile);
         Ok(())
     }
 
     /// Removes a worker entirely (left the system).
     pub fn deregister(&mut self, id: WorkerId) -> Result<WorkerProfile, CoreError> {
-        self.workers.remove(&id).ok_or(CoreError::UnknownWorker(id))
+        let profile = self
+            .workers
+            .remove(&id)
+            .ok_or(CoreError::UnknownWorker(id))?;
+        self.feed.take(id, self.feed_capacity());
+        Ok(profile)
     }
 
     /// Number of registered workers.
@@ -374,7 +483,7 @@ impl ProfilingComponent {
     pub fn available_workers(&self) -> Vec<WorkerId> {
         self.workers
             .values()
-            .filter(|p| p.availability == Availability::Available)
+            .filter(|p| p.in_pool(false))
             .map(|p| p.id)
             .collect()
     }
@@ -385,35 +494,22 @@ impl ProfilingComponent {
     pub fn online_workers(&self) -> Vec<WorkerId> {
         self.workers
             .values()
-            .filter(|p| p.availability != Availability::Offline)
+            .filter(|p| p.in_pool(true))
             .map(|p| p.id)
             .collect()
     }
 
-    /// The batch pool as mutable profiles, in ascending id order: the
-    /// available workers, plus the busy ones when `include_busy` — what
-    /// [`Self::available_workers`] / [`Self::online_workers`] select,
-    /// without the id list or a lookup per worker.
-    pub(crate) fn pool_mut(
-        &mut self,
-        include_busy: bool,
-    ) -> impl Iterator<Item = &mut WorkerProfile> {
-        self.workers
-            .values_mut()
-            .filter(move |p| match p.availability {
-                Availability::Available => true,
-                Availability::Busy => include_busy,
-                Availability::Offline => false,
-            })
+    /// Every profile, mutably (for the lazily fitted models), in
+    /// ascending id order: what a feed reader re-reads when
+    /// [`Self::touched_since`] cannot tell it what changed.
+    pub(crate) fn profiles_mut(&mut self) -> impl Iterator<Item = &mut WorkerProfile> {
+        self.workers.values_mut()
     }
 
     /// How many workers are online — `online_workers().len()` without
     /// building the list.
     pub fn online_count(&self) -> usize {
-        self.workers
-            .values()
-            .filter(|p| p.availability != Availability::Offline)
-            .count()
+        self.workers.values().filter(|p| p.in_pool(true)).count()
     }
 
     /// Iterates over all profiles, in ascending worker-id order.
@@ -663,10 +759,110 @@ mod tests {
         // Lazy model access is output-idempotent and must NOT bump.
         let _ = p.profile_mut(WorkerId(1)).unwrap().exec_model();
         assert_eq!(p.profile(WorkerId(1)).unwrap().epoch(), last);
-        // Re-registration can never reuse an epoch the cache remembers.
+        // A failed mutation takes no epoch: nobody would hold it.
+        let before = p.epoch_now();
+        assert!(p.record_assignment(WorkerId(9)).is_err());
+        assert!(p.set_reward_range(WorkerId(9), None).is_err());
+        assert!(p.deregister(WorkerId(9)).is_err());
+        assert!(p.register(WorkerId(1), here()).is_err());
+        assert_eq!(p.epoch_now(), before);
+        // Leaving changes the pool, so it takes one; re-registration can
+        // never reuse an epoch a reader remembers.
         p.deregister(WorkerId(1)).unwrap();
+        assert_eq!(p.epoch_now(), before + 1);
         p.register(WorkerId(1), here()).unwrap();
         assert!(p.profile(WorkerId(1)).unwrap().epoch() > last);
+        assert_eq!(p.profile(WorkerId(1)).unwrap().epoch(), p.epoch_now());
+    }
+
+    /// After any sequence of operations, failed ones included, the feed
+    /// read from epoch `e` yields exactly the workers of epochs
+    /// `e + 1 ..= epoch_now()`, in order.
+    #[test]
+    fn feed_yields_exactly_the_workers_of_the_epochs_since() {
+        let mut p = ProfilingComponent::default();
+        // (epoch, worker) as observed from outside after each operation.
+        let mut history: Vec<(u64, WorkerId)> = Vec::new();
+        let mut state = 0x9e37_79b9_7f4a_7c15u64;
+        for _ in 0..400 {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            let id = WorkerId((state >> 33) % 6);
+            let before = p.epoch_now();
+            let done = match (state >> 40) % 6 {
+                0 => p.register(id, here()).is_ok(),
+                1 => p.deregister(id).is_ok(),
+                2 => p.record_assignment(id).is_ok(),
+                3 => p.record_completion(id, TaskCategory(0), 3.0, true).is_ok(),
+                4 => p.set_availability(id, Availability::Offline).is_ok(),
+                _ => p.mark_suspect(id, 0.9).is_ok(),
+            };
+            assert_eq!(p.epoch_now(), before + u64::from(done));
+            if done {
+                history.push((p.epoch_now(), id));
+                if let Ok(profile) = p.profile(id) {
+                    assert_eq!(profile.epoch(), p.epoch_now());
+                }
+            }
+        }
+        assert!(history.len() > 100, "the sequence must mostly succeed");
+        for seen in 0..=p.epoch_now() {
+            let fed: Vec<WorkerId> = p.touched_since(seen).expect("within reach").collect();
+            let expected: Vec<WorkerId> = history
+                .iter()
+                .filter(|(epoch, _)| *epoch > seen)
+                .map(|&(_, id)| id)
+                .collect();
+            assert_eq!(fed, expected, "since {seen}");
+        }
+        assert!(
+            p.touched_since(p.epoch_now() + 1).is_none(),
+            "not yet an epoch"
+        );
+    }
+
+    /// The feed is bounded by the registry, never by the length of the
+    /// run; a reader it no longer reaches back to is told so.
+    #[test]
+    fn feed_is_bounded_by_the_registry_not_the_run() {
+        let mut p = ProfilingComponent::default();
+        for id in 0..10 {
+            p.register(WorkerId(id), here()).unwrap();
+        }
+        let start = p.epoch_now();
+        for i in 0..100_000u64 {
+            p.mark_suspect(WorkerId(i % 10), 1.0).unwrap();
+        }
+        assert_eq!(p.feed.log.len(), MIN_FEED_LEN);
+        assert_eq!(p.feed.log_base + MIN_FEED_LEN as u64, p.epoch_now());
+        assert!(p.touched_since(start).is_none());
+        let reach = p.epoch_now() - MIN_FEED_LEN as u64;
+        assert!(p.touched_since(reach - 1).is_none());
+        assert_eq!(p.touched_since(reach).unwrap().count(), MIN_FEED_LEN);
+        // A wide registry widens it: two changes per worker.
+        for id in 10..1_000 {
+            p.register(WorkerId(id), here()).unwrap();
+        }
+        for i in 0..5_000u64 {
+            p.mark_suspect(WorkerId(i % 1_000), 1.0).unwrap();
+        }
+        assert_eq!(p.feed.log.len(), 2_000);
+        // ... and a shrinking one narrows it again.
+        for id in 10..1_000 {
+            p.deregister(WorkerId(id)).unwrap();
+        }
+        assert_eq!(p.feed.log.len(), MIN_FEED_LEN);
+    }
+
+    /// A clone is its own history to a feed reader.
+    #[test]
+    fn clone_is_a_new_instance() {
+        let p = profiler_with_worker();
+        let q = p.clone();
+        assert_ne!(p.instance(), q.instance());
+        assert_eq!(p.epoch_now(), q.epoch_now());
+        assert_eq!(q.available_workers(), p.available_workers());
     }
 
     #[test]

@@ -30,21 +30,22 @@
 //!
 //! [`GraphBuilder`] is the *cold* reference path: it allocates fresh
 //! buffers and evaluates Eq. (3) exactly on every edge. The server's hot
-//! loop instead drives [`BatchScratch`], an incremental builder that does
-//! both phases in one in-order walk over the pool: it reuses the edge
-//! arena across ticks, keeps the previous batch's phase-A rows keyed by
-//! profile epoch, decides per row what is per row (reward range, weight
-//! per category, Eq. (3) when the batch's extreme TTDs settle it) and
-//! answers the remaining Eq. (3) decisions through a memoized
-//! [`EdgeGate`]. What it reads of a queued task (expiry instant, reward,
+//! loop instead drives [`BatchScratch`], an incremental builder: it
+//! keeps one phase-A row per registered worker in place across ticks and
+//! redoes phase A only for the workers the profiler's change feed names
+//! since its last build, reuses the edge arena, decides per row what is
+//! per row (reward range, weight per category, Eq. (3) when the batch's
+//! extreme TTDs settle it), answers the remaining Eq. (3) decisions
+//! through a memoized [`EdgeGate`] and appends each row's edges to the
+//! graph in one call. What it reads of a queued task (expiry instant, reward,
 //! category, location) it reads off the unassigned queue's columns; the
 //! cold path reads the same facts out of the task registry. The graph is
 //! bit-identical to the cold build (asserted under the `debug-invariants`
 //! feature, which thereby also holds the columns to the registry).
 
 use crate::config::{Config, MatcherPolicy};
-use crate::ids::{TaskId, WorkerId};
-use crate::profiling::{ProfilingComponent, WorkerProfile};
+use crate::ids::{TaskCategory, TaskId, WorkerId};
+use crate::profiling::{range_accepts, ProfilingComponent, WorkerProfile};
 use crate::task_mgmt::{TaskManagementComponent, TaskRecord};
 use rand::RngCore;
 use react_matching::{BipartiteGraph, MatcherEngine, TaskIdx, WorkerIdx};
@@ -230,20 +231,52 @@ impl<'a> GraphBuilder<'a> {
     }
 }
 
-/// One phase-A row held in the [`BatchScratch`] cache: the snapshot
-/// [`GraphBuilder::prepare`] would have produced for this worker, plus
-/// the memoized Eq. (3) gate derived from the model, all valid while the
-/// worker's profile epoch is unchanged.
+/// One row of the [`BatchScratch`] table: the snapshot
+/// [`GraphBuilder::prepare`] would take of this worker, the memoized
+/// Eq. (3) gate derived from the model, and what the emission walk would
+/// otherwise read off the profile. Valid until the worker's next epoch.
 #[derive(Debug, Clone)]
 struct CachedRow {
     id: WorkerId,
-    /// Profile epoch the snapshot was taken at; a mismatch on the next
-    /// batch forces a recompute.
-    epoch: u64,
+    /// The worker is in the batch pool of the config the row was
+    /// snapshotted under (`WorkerProfile::in_pool`). Only pool rows carry
+    /// a model: a worker outside the pool takes an epoch to enter it.
+    in_pool: bool,
     in_training: bool,
+    reward_range: Option<(f64, f64)>,
     model: Option<FittedModel>,
     /// Inverted deadline kernel for `model` (present iff `model` is).
     gate: Option<EdgeGate>,
+    /// The Eq. (1) weight for the one category of a single-class batch,
+    /// with that category. Filled by the first such batch that emits the
+    /// row — a snapshot has no batch, hence no category, to evaluate for.
+    weight: Option<(TaskCategory, f64)>,
+}
+
+impl CachedRow {
+    /// Phase A for one worker.
+    fn snapshot(
+        config: &Config,
+        deadline_model: &DeadlineModel,
+        profile: &mut WorkerProfile,
+    ) -> Self {
+        let in_pool = profile.in_pool(!config.matcher.uses_availability());
+        let in_training = profile.assignments_served() < config.training_assignments;
+        let model = if in_pool && config.matcher.uses_probabilistic_model() && !in_training {
+            profile.deadline_dist(config.latency_model)
+        } else {
+            None
+        };
+        CachedRow {
+            id: profile.id(),
+            in_pool,
+            in_training,
+            reward_range: profile.reward_range(),
+            gate: model.as_ref().map(|m| deadline_model.edge_gate(m)),
+            model,
+            weight: None,
+        }
+    }
 }
 
 /// Tallies from one [`BatchScratch::build`] call, for observability.
@@ -251,7 +284,8 @@ struct CachedRow {
 pub struct BuildStats {
     /// Workers in the batch pool (graph rows).
     pub rows_total: usize,
-    /// Rows served from the phase-A cache (profile epoch unchanged).
+    /// Pool rows this build did not re-snapshot (the worker took no
+    /// epoch since the scratch's previous build).
     pub rows_reused: usize,
     /// Rows carrying a latency model this batch (cached or refit) —
     /// the quantity the `profile.refits` counter has always reported.
@@ -284,24 +318,29 @@ pub struct BuiltBatchGraph<'s> {
 
 /// Incremental assignment-graph builder: the hot-path counterpart to
 /// [`GraphBuilder`] that a [`crate::ReactServer`] keeps alive across
-/// ticks. One build is one walk over the registry's pool in id order
-/// (`ProfilingComponent::pool_mut`); each worker's row is refreshed and
-/// its edges are emitted while the profile is in hand, and what holds for
-/// a whole row is decided once per row, not once per (row, task) pair.
+/// ticks. It holds one row per *registered* worker, refreshes the rows
+/// whose worker changed since its last build, and emits the pool's rows
+/// in id order; what holds for a whole row is decided once per row, not
+/// once per (row, task) pair.
 ///
-/// * **Phase-A rows** — each worker's training flag, fitted latency
-///   model and memoized [`EdgeGate`], keyed by the profile *epoch*
-///   ([`WorkerProfile::epoch`]). The cache is the previous batch's pool,
-///   sorted by worker id, and is merged against the walk with a cursor
-///   into a second buffer that then replaces it: a row is reused when id
-///   and epoch both match, and a worker that left the pool is dropped —
-///   leaving or re-entering it bumps the epoch, so their row could never
-///   be reused anyway. The cache therefore holds exactly one pool. A
-///   config change clears it (the snapshot depends on the config).
+/// * **The row table** — each worker's pool membership, training flag,
+///   reward range, fitted latency model and memoized [`EdgeGate`], in id
+///   order, kept in place between builds. A build re-snapshots only the
+///   workers the component's change feed
+///   (`ProfilingComponent::touched_since`) names since the epoch this
+///   scratch last read — a handful out of thousands in steady state —
+///   inserting the newly registered and removing the deregistered by
+///   binary search. The first build, a config change (the snapshot
+///   depends on the config), a feed that no longer reaches back that far
+///   and a component other than the one last read
+///   (`ProfilingComponent::instance`) re-read every profile instead,
+///   which is a cold start. Each scratch keeps its own cursor, so any
+///   number of them can read one component.
 /// * **Row-level verdicts** — the reward test is skipped for a worker who
 ///   declared no range; a weight that depends on the task only through
 ///   its category ([`WeightFunction::per_category`](crate::WeightFunction))
-///   is evaluated once per distinct category of the batch; and Eq. (3) is
+///   is evaluated once per distinct category of the batch, and when the
+///   batch has only one it is remembered in the row; and Eq. (3) is
 ///   settled for the whole row when the gate already keeps the batch's
 ///   smallest time-to-deadline or already prunes its largest — every
 ///   [`EdgeGate`] answer is monotone in TTD (`Never` is constant, `Above`
@@ -309,24 +348,29 @@ pub struct BuiltBatchGraph<'s> {
 ///   one), so the extremes decide for everything between them. Otherwise,
 ///   and whenever a TTD is NaN, each pair goes through
 ///   [`EdgeGate::classify`] and, on the narrow ambiguous band, the exact
-///   CCDF evaluation, as the cold path's does.
+///   CCDF evaluation, as the cold path's does. Either way the row's edges
+///   reach the graph in one [`BipartiteGraph::append_row`].
 /// * **Buffers** — the edge arena ([`BipartiteGraph::reset`] is `O(1)`),
-///   the two row buffers, the pool and task-id maps and the per-batch
-///   task columns keep their capacity across batches, and what a build
-///   reads of a task comes off the unassigned queue's own columns
+///   the pool and task-id maps and the per-batch task columns keep their
+///   capacity across batches, and what a build reads of a task comes off
+///   the unassigned queue's own columns
 ///   (`TaskManagementComponent::queue`), not out of the registry. A build
-///   allocates only what a refit allocates.
+///   after which nothing changed allocates nothing; otherwise only what a
+///   refit allocates.
 ///
 /// The built graph is bit-identical, edge for edge and in the same
 /// order, to a cold [`GraphBuilder`] pass; under the `debug-invariants`
-/// feature every build re-runs the cold path and asserts it.
+/// feature every build re-runs the cold path and asserts it, and holds
+/// the row table to a fresh phase A of the whole registry.
 #[derive(Debug, Clone, Default)]
 pub struct BatchScratch {
-    /// The previous batch's pool rows, ascending by worker id.
+    /// One row per registered worker, ascending by id, as of `synced`.
     rows: Vec<CachedRow>,
-    /// This batch's rows while the walk assembles them; swapped into
-    /// `rows` when it ends, so empty between builds.
-    next_rows: Vec<CachedRow>,
+    /// The history `rows` reflects: the component's instance and the last
+    /// of its epochs read.
+    synced: Option<(u64, u64)>,
+    /// The feed's ids while a build applies them.
+    touched: Vec<WorkerId>,
     /// This batch's pool, in selection order.
     pool: Vec<WorkerId>,
     task_ids: Vec<TaskId>,
@@ -341,9 +385,11 @@ pub struct BatchScratch {
     class_reps: Vec<u32>,
     /// The current row's weight per class.
     weights: Vec<f64>,
+    /// The current row's per-pair verdicts, when it needs them.
+    keep: Vec<bool>,
     graph: BipartiteGraph,
-    /// Fingerprint of the config the cache was filled under; any change
-    /// invalidates every cached row.
+    /// Fingerprint of the config the rows were snapshotted under; any
+    /// change invalidates every one.
     last_config: Option<Config>,
 }
 
@@ -359,10 +405,11 @@ impl BatchScratch {
     #[doc(hidden)]
     pub fn set_threads(&mut self, _threads: Option<usize>) {}
 
-    /// Drops every cached row (the buffers keep their capacity). The next
-    /// build recomputes all of phase A, exactly like a cold start.
+    /// Drops every row (the buffers keep their capacity). The next build
+    /// recomputes all of phase A, exactly like a cold start.
     pub fn invalidate(&mut self) {
         self.rows.clear();
+        self.synced = None;
         self.last_config = None;
     }
 
@@ -375,12 +422,96 @@ impl BatchScratch {
             + self.task_ids.capacity() * size_of::<TaskId>()
             + (self.ttds.capacity() + self.weights.capacity()) * size_of::<f64>()
             + (self.class_of.capacity() + self.class_reps.capacity()) * size_of::<u32>()
+            + self.keep.capacity() * size_of::<bool>()
+    }
+
+    /// Brings `rows` up to the component's current epoch — phase A for
+    /// the workers that changed since `synced`, or for all of them when
+    /// the feed cannot say which — and returns how many rows now in the
+    /// pool it re-snapshotted.
+    fn sync_rows(
+        &mut self,
+        config: &Config,
+        deadline_model: &DeadlineModel,
+        profiling: &mut ProfilingComponent,
+    ) -> usize {
+        let same_config = self.last_config.as_ref() == Some(config);
+        if !same_config {
+            self.last_config = Some(config.clone());
+        }
+        let now = (profiling.instance(), profiling.epoch_now());
+        self.touched.clear();
+        let followed = match self.synced {
+            Some((instance, seen)) if same_config && instance == now.0 => profiling
+                .touched_since(seen)
+                .map(|feed| self.touched.extend(feed))
+                .is_some(),
+            _ => false,
+        };
+        self.synced = Some(now);
+        if !followed {
+            self.rows.clear();
+            let fresh = |profile| CachedRow::snapshot(config, deadline_model, profile);
+            self.rows.extend(profiling.profiles_mut().map(fresh));
+            return self.rows.iter().filter(|row| row.in_pool).count();
+        }
+        self.touched.sort_unstable();
+        self.touched.dedup();
+        let mut refreshed = 0usize;
+        for &id in &self.touched {
+            let at = self.rows.binary_search_by_key(&id, |row| row.id);
+            match (profiling.profile_mut(id), at) {
+                (Ok(profile), at) => {
+                    let row = CachedRow::snapshot(config, deadline_model, profile);
+                    refreshed += usize::from(row.in_pool);
+                    match at {
+                        Ok(i) => self.rows[i] = row,
+                        Err(i) => self.rows.insert(i, row),
+                    }
+                }
+                (Err(_), Ok(i)) => {
+                    self.rows.remove(i);
+                }
+                // Registered and gone again between two builds.
+                (Err(_), Err(_)) => {}
+            }
+        }
+        refreshed
+    }
+
+    /// The row table is what phase A over the whole registry would
+    /// produce now; a weight a row remembers is the one its profile
+    /// evaluates to.
+    #[cfg(feature = "debug-invariants")]
+    fn assert_rows_fresh(
+        &self,
+        config: &Config,
+        deadline_model: &DeadlineModel,
+        profiling: &mut ProfilingComponent,
+    ) {
+        assert_eq!(self.rows.len(), profiling.len(), "row table length");
+        for (row, profile) in self.rows.iter().zip(profiling.profiles_mut()) {
+            let fresh = CachedRow::snapshot(config, deadline_model, profile);
+            if let Some((category, weight)) = row.weight {
+                let location = profile.location();
+                let expected = config.weight.evaluate_at(profile, category, &location);
+                assert_eq!(
+                    weight.to_bits(),
+                    expected.to_bits(),
+                    "stale weight: {row:?}"
+                );
+            }
+            // Debug text: bit-exact on the floats, and NaN equals itself.
+            let mut held = row.clone();
+            held.weight = None;
+            assert_eq!(format!("{held:?}"), format!("{fresh:?}"), "stale row");
+        }
     }
 
     /// Builds the batch graph incrementally. Semantically identical to
     /// [`SchedulingComponent::build_graph`] — same pool selection, same
     /// pruning rules, bit-identical edges — but reusing the scratch's
-    /// buffers and row cache.
+    /// buffers and row table.
     pub fn build<'s>(
         &'s mut self,
         config: &Config,
@@ -392,12 +523,10 @@ impl BatchScratch {
             bytes_reused: self.allocated_bytes(),
             ..BuildStats::default()
         };
-        if self.last_config.as_ref() != Some(config) {
-            self.rows.clear();
-            self.last_config = Some(config.clone());
-        }
         let deadline_model = DeadlineModel::new(config.deadline);
-        let use_model = config.matcher.uses_probabilistic_model();
+        let refreshed = self.sync_rows(config, &deadline_model, profiling);
+        #[cfg(feature = "debug-invariants")]
+        self.assert_rows_fresh(config, &deadline_model, profiling);
         let per_category = config.weight.per_category();
 
         // Task columns, off the queue's own (the cold path's
@@ -435,51 +564,26 @@ impl BatchScratch {
             // batch's extremes it keeps every gate from settling a row.
             (ttd_min, ttd_max) = (f64::NAN, f64::NAN);
         }
+        // The one category every task of the batch shares, when the
+        // weight reads nothing else of a task: a row may remember its
+        // weight for it.
+        let shared_category = match (per_category, &self.class_reps[..]) {
+            (true, &[rep]) => Some(queue.category[rep as usize]),
+            _ => None,
+        };
 
-        // The walk: the registry's pool in id order, merged against the
-        // previous batch's rows. Phase A refreshes a row only when its
-        // profile epoch moved; phase B emits its edges straight into the
-        // reused graph, in the cold builder's (row, task) order.
+        // The walk: the pool's rows in id order, each emitted into the
+        // reused graph in the cold builder's (row, task) order.
         self.pool.clear();
         self.graph.reset(0, self.task_ids.len());
+        let n = self.task_ids.len();
         let mut pruned = 0usize;
-        let mut cursor = 0usize;
-        for profile in profiling.pool_mut(!config.matcher.uses_availability()) {
-            let (id, epoch) = (profile.id(), profile.epoch());
-            while self.rows.get(cursor).is_some_and(|row| row.id < id) {
-                cursor += 1;
-            }
-            let row = match self.rows.get_mut(cursor) {
-                Some(old) if old.id == id && old.epoch == epoch => {
-                    stats.rows_reused += 1;
-                    CachedRow {
-                        model: old.model.take(),
-                        ..*old
-                    }
-                }
-                _ => {
-                    let in_training = profile.assignments_served() < config.training_assignments;
-                    let model = if use_model && !in_training {
-                        profile.deadline_dist(config.latency_model)
-                    } else {
-                        None
-                    };
-                    let gate = model.as_ref().map(|m| deadline_model.edge_gate(m));
-                    CachedRow {
-                        id,
-                        epoch,
-                        in_training,
-                        model,
-                        gate,
-                    }
-                }
-            };
+        for row in self.rows.iter_mut().filter(|row| row.in_pool) {
             if row.model.is_some() {
                 stats.refits += 1;
             }
-            let u = self.pool.len();
-            self.pool.push(id);
-            self.graph.add_worker();
+            self.pool.push(row.id);
+            let worker = self.graph.add_worker();
 
             // Eq. (3) for the whole row: nothing to test without a model,
             // and with one, whatever the batch's extreme TTDs decide.
@@ -491,64 +595,78 @@ impl BatchScratch {
                     _ => None,
                 },
             };
-            let has_range = profile.reward_range().is_some();
-            if row_keep != Some(false) {
-                let weight_of = |&rep: &u32| {
-                    let rep = rep as usize;
-                    if row.in_training {
-                        // Training rule: maximum F.
-                        1.0
-                    } else {
-                        let (category, location) = (queue.category[rep], &queue.location[rep]);
-                        config.weight.evaluate_at(profile, category, location)
-                    }
-                };
-                self.weights.clear();
-                self.weights.extend(self.class_reps.iter().map(weight_of));
-            }
-            if !has_range && row_keep.is_some() {
+            let keep = if row.reward_range.is_none() && row_keep.is_some() {
                 // Nothing about this row depends on the pair.
-                let n = self.class_of.len();
                 if row.model.is_some() {
                     stats.cdf_memo_hits += n as u64;
                 }
                 if row_keep == Some(false) {
                     pruned += n;
-                } else {
-                    for (v, &class) in self.class_of.iter().enumerate() {
-                        let weight = self.weights[class as usize];
-                        GraphBuilder::push_edge(&mut self.graph, u, v as u32, weight);
-                    }
+                    continue;
                 }
+                None
             } else {
-                for (v, &ttd) in self.ttds.iter().enumerate() {
-                    if has_range && !profile.accepts_reward(queue.reward[v]) {
-                        pruned += 1;
-                        continue;
-                    }
-                    if let Some(m) = &row.model {
-                        let verdict = row_keep.or_else(|| row.gate.and_then(|g| g.classify(ttd)));
-                        let keep = match verdict {
-                            Some(keep) => {
-                                stats.cdf_memo_hits += 1;
-                                keep
-                            }
-                            None => deadline_model.should_instantiate_edge(m, ttd),
-                        };
-                        if !keep {
-                            pruned += 1;
-                            continue;
-                        }
-                    }
-                    let weight = self.weights[self.class_of[v] as usize];
-                    GraphBuilder::push_edge(&mut self.graph, u, v as u32, weight);
+                self.keep.clear();
+                for (&ttd, &reward) in self.ttds.iter().zip(&queue.reward) {
+                    let keep = range_accepts(row.reward_range, reward)
+                        && row.model.as_ref().is_none_or(|m| {
+                            let verdict =
+                                row_keep.or_else(|| row.gate.and_then(|g| g.classify(ttd)));
+                            stats.cdf_memo_hits += u64::from(verdict.is_some());
+                            verdict
+                                .unwrap_or_else(|| deadline_model.should_instantiate_edge(m, ttd))
+                        });
+                    pruned += usize::from(!keep);
+                    self.keep.push(keep);
+                }
+                if !self.keep.contains(&true) {
+                    // Nothing to weigh — and no batch to weigh it for
+                    // when the gate pruned the row outright.
+                    continue;
+                }
+                Some(&self.keep[..])
+            };
+
+            // The row's weight per class: maximum F under the training
+            // rule, else Eq. (1) — off the row when it remembers this
+            // batch's one category, off the profile otherwise.
+            self.weights.clear();
+            let remembered = match (shared_category, row.weight) {
+                (Some(category), Some((held_for, weight))) if held_for == category => Some(weight),
+                _ => None,
+            };
+            if row.in_training {
+                self.weights.resize(self.class_reps.len(), 1.0);
+            } else if let Some(weight) = remembered {
+                self.weights.push(weight);
+            } else {
+                // Rows mirror the registry; a miss would mean it mutated
+                // mid-build. The row then contributes no edges, as in the
+                // cold builder.
+                let Ok(profile) = profiling.profile(row.id) else {
+                    debug_assert!(false, "row {} is not registered", row.id);
+                    continue;
+                };
+                let weight_of = |&rep: &u32| {
+                    let (category, location) =
+                        (queue.category[rep as usize], &queue.location[rep as usize]);
+                    config.weight.evaluate_at(profile, category, location)
+                };
+                self.weights.extend(self.class_reps.iter().map(weight_of));
+                if let Some(category) = shared_category {
+                    row.weight = Some((category, self.weights[0]));
                 }
             }
-            self.next_rows.push(row);
+            // Only in-range indices and weights the graph accepts are
+            // emitted; a rejection would mean this builder is broken, so
+            // the row is dropped rather than the batch aborted.
+            let appended = self
+                .graph
+                .append_row(worker, &self.class_of, &self.weights, keep);
+            debug_assert!(appended.is_ok(), "builder emitted an invalid row");
         }
-        self.rows.clear();
-        std::mem::swap(&mut self.rows, &mut self.next_rows);
         stats.rows_total = self.pool.len();
+        stats.rows_reused = stats.rows_total - refreshed;
 
         #[cfg(feature = "debug-invariants")]
         {
@@ -686,7 +804,7 @@ pub fn region_cost_units(
 mod tests {
     use super::*;
     use crate::config::MatcherPolicy;
-    use crate::ids::TaskCategory;
+    use crate::profiling::Availability;
     use crate::task::Task;
     use rand::rngs::SmallRng;
     use rand::SeedableRng;
@@ -977,8 +1095,9 @@ mod tests {
         let built = scratch.build(&config, &mut p, &tm, 0.0);
         let (cold, ..) = SchedulingComponent::build_graph(&config, &mut p, &tm, 0.0);
         assert_eq!(built.graph.edges(), cold.edges());
-        // The cache is bounded by the pool, not by history: a thousand
-        // workers that each come, are built once and go leave nothing.
+        // The table is bounded by the registry, not by history: a
+        // thousand workers that each come, are built once and go leave
+        // nothing.
         for fresh in 1_000..2_000 {
             p.register(WorkerId(fresh), here()).unwrap();
             let built = scratch.build(&config, &mut p, &tm, 0.0);
@@ -986,15 +1105,134 @@ mod tests {
             p.deregister(WorkerId(fresh)).unwrap();
         }
         let pool = scratch.build(&config, &mut p, &tm, 0.0).stats.rows_total;
-        assert_eq!(scratch.rows.len(), pool);
-        assert!(scratch.next_rows.is_empty());
-        // One of them coming back is a new worker to the cache.
+        assert_eq!(scratch.rows.len(), p.len());
+        // One of them coming back is a new worker to the table.
         p.register(WorkerId(1_500), here()).unwrap();
         let built = scratch.build(&config, &mut p, &tm, 0.0);
         assert_eq!(built.stats.rows_reused, pool);
         let (cold, ..) = SchedulingComponent::build_graph(&config, &mut p, &tm, 0.0);
         assert_eq!(built.graph.edges(), cold.edges());
-        assert_eq!(scratch.rows.len(), pool + 1);
+        assert_eq!(scratch.rows.len(), p.len());
+    }
+
+    /// Workers outside the pool have rows too (so that entering it is a
+    /// refresh in place, not an insertion), but no model is fitted for
+    /// them and they never count as reused.
+    #[test]
+    fn scratch_keeps_rows_for_workers_outside_the_pool() {
+        let (config, mut p, tm) = mixed_setup();
+        let mut scratch = BatchScratch::new();
+        p.record_assignment(WorkerId(3)).unwrap(); // busy, seasoned
+        p.set_availability(WorkerId(15), Availability::Offline)
+            .unwrap();
+        let built = scratch.build(&config, &mut p, &tm, 0.0);
+        assert_eq!(built.stats.rows_total, 38);
+        assert_eq!(built.stats.rows_reused, 0);
+        assert_eq!(scratch.rows.len(), 40);
+        let outside = |scratch: &BatchScratch, w: usize| {
+            let row = &scratch.rows[w];
+            !row.in_pool && row.model.is_none()
+        };
+        assert!(outside(&scratch, 3) && outside(&scratch, 15));
+        // Coming back is one refreshed row; the other 39 stay put.
+        p.record_recall(WorkerId(3)).unwrap();
+        let built = scratch.build(&config, &mut p, &tm, 0.0);
+        assert_eq!(built.stats.rows_total, 39);
+        assert_eq!(built.stats.rows_reused, 38);
+        assert!(scratch.rows[3].in_pool && scratch.rows[3].model.is_some());
+    }
+
+    /// A scratch follows the component it last read, and only that one:
+    /// handed another (here a clone that then diverged) it re-reads every
+    /// profile rather than apply a feed that is not its own.
+    #[test]
+    fn scratch_resyncs_on_a_component_it_did_not_read_last() {
+        let (config, mut p, tm) = mixed_setup();
+        let mut scratch = BatchScratch::new();
+        scratch.build(&config, &mut p, &tm, 0.0);
+        let mut q = p.clone();
+        // Same epoch count, same last worker, different histories.
+        season_worker(&mut p, WorkerId(25), &[9.0, 9.5, 10.0]);
+        p.set_availability(WorkerId(30), Availability::Offline)
+            .unwrap();
+        season_worker(&mut q, WorkerId(26), &[70.0, 75.0, 90.0]);
+        q.set_availability(WorkerId(30), Availability::Offline)
+            .unwrap();
+        assert_eq!(p.epoch_now(), q.epoch_now());
+        for foreign in [true, false, true] {
+            let component = if foreign { &mut q } else { &mut p };
+            let built = scratch.build(&config, component, &tm, 0.0);
+            assert_eq!(built.stats.rows_reused, 0, "a foreign feed is no feed");
+            let (cold, ..) = SchedulingComponent::build_graph(&config, component, &tm, 0.0);
+            assert_eq!(built.graph.edges(), cold.edges());
+            let again = scratch.build(&config, component, &tm, 0.0).stats;
+            assert_eq!(again.rows_reused, again.rows_total);
+        }
+    }
+
+    /// More changes between two builds than the feed holds: the build
+    /// falls back to the full re-read and is still the cold build.
+    #[test]
+    fn scratch_resyncs_when_the_feed_overruns() {
+        let (config, mut p, tm) = mixed_setup();
+        let mut scratch = BatchScratch::new();
+        scratch.build(&config, &mut p, &tm, 0.0);
+        let seen = p.epoch_now();
+        for i in 0..1_100u64 {
+            let id = WorkerId(i % 7);
+            let to = GeoPoint::new(37.9 + (i % 5) as f64 * 0.01, 23.7);
+            p.set_location(id, to).unwrap();
+        }
+        p.set_availability(WorkerId(33), Availability::Offline)
+            .unwrap();
+        assert!(
+            p.touched_since(seen).is_none(),
+            "the feed must have overrun"
+        );
+        let built = scratch.build(&config, &mut p, &tm, 0.0);
+        assert_eq!(built.stats.rows_reused, 0);
+        assert!(!built.workers.contains(&WorkerId(33)));
+        let (cold, ..) = SchedulingComponent::build_graph(&config, &mut p, &tm, 0.0);
+        assert_eq!(built.graph.edges(), cold.edges());
+    }
+
+    /// The remembered Eq. (1) weight is keyed by the category it was
+    /// evaluated for, and a row snapshotted with nothing queued remembers
+    /// none.
+    #[test]
+    fn scratch_remembers_a_weight_only_for_the_category_it_evaluated() {
+        let mut config = Config::paper_defaults();
+        config.training_assignments = 0;
+        let (mut p, mut tm) = setup(2, 0);
+        p.record_completion(WorkerId(0), TaskCategory(0), 2.0, true)
+            .unwrap();
+        p.record_completion(WorkerId(0), TaskCategory(1), 2.0, false)
+            .unwrap();
+        let mut scratch = BatchScratch::new();
+        let built = scratch.build(&config, &mut p, &tm, 0.0);
+        assert_eq!((built.stats.rows_total, built.graph.n_edges()), (2, 0));
+        assert!(scratch.rows.iter().all(|row| row.weight.is_none()));
+        let in_category = |id: u64, category: u32| {
+            Task::new(TaskId(id), here(), 60.0, 0.05, TaskCategory(category), "t")
+        };
+        let weights = |scratch: &mut BatchScratch, p: &mut _, tm: &_| -> Vec<f64> {
+            let built = scratch.build(&config, p, tm, 0.0);
+            assert_eq!(built.stats.rows_reused, 2);
+            built.graph.edges().iter().map(|e| e.weight).collect()
+        };
+        tm.submit(in_category(1, 0), 0.0).unwrap();
+        assert_eq!(weights(&mut scratch, &mut p, &tm), [1.0, 1.0]);
+        assert_eq!(scratch.rows[0].weight, Some((TaskCategory(0), 1.0)));
+        // A batch of the other category must not be served category 0's.
+        tm.mark_assigned(TaskId(1), WorkerId(1), 0.0).unwrap();
+        tm.submit(in_category(2, 1), 0.0).unwrap();
+        assert_eq!(weights(&mut scratch, &mut p, &tm), [0.0, 1.0]);
+        assert_eq!(scratch.rows[0].weight, Some((TaskCategory(1), 0.0)));
+        // Two categories at once: evaluated per class, nothing remembered
+        // anew.
+        tm.submit(in_category(3, 0), 0.0).unwrap();
+        assert_eq!(weights(&mut scratch, &mut p, &tm), [0.0, 1.0, 1.0, 1.0]);
+        assert_eq!(scratch.rows[0].weight, Some((TaskCategory(1), 0.0)));
     }
 
     #[test]

@@ -234,8 +234,8 @@ pub struct ReactServer {
     /// Consecutive progress timeouts per worker since their last
     /// completion (the suspicion ladder's strike counter).
     timeout_strikes: BTreeMap<WorkerId, u32>,
-    /// Incremental graph builder: persistent arenas + epoch-keyed row
-    /// cache reused across batches (see [`BatchScratch`]).
+    /// Incremental graph builder: persistent arenas + the row table the
+    /// profiler's change feed keeps current (see [`BatchScratch`]).
     scratch: BatchScratch,
 }
 

@@ -77,6 +77,12 @@ pub fn is_negligible_weight(weight: f64) -> bool {
     weight < WEIGHT_EPSILON
 }
 
+/// The weights a graph accepts: finite and non-negative.
+#[inline]
+fn is_valid_weight(weight: f64) -> bool {
+    weight.is_finite() && weight >= 0.0
+}
+
 /// One feasible (worker, task) assignment with its weight
 /// `w_ij = F(worker_i, task_j)`.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -152,6 +158,7 @@ impl BipartiteGraph {
 
     /// Appends a worker vertex and returns its index, for a builder that
     /// learns `|U|` while it emits edges row by row.
+    #[inline]
     pub fn add_worker(&mut self) -> WorkerIdx {
         self.task_index.take();
         self.n_workers += 1;
@@ -263,15 +270,92 @@ impl BipartiteGraph {
         Ok(self.push(worker, task, weight))
     }
 
+    /// Appends one worker's whole row: an edge to every task `v` of
+    /// `0..class_of.len()` with `keep[v]` set (to all of them when `keep`
+    /// is `None`), in ascending task order, weighted
+    /// `weights[class_of[v]]` — what one [`Self::add_edge_unchecked`] call
+    /// per kept task would push, for a builder that decides a row at a
+    /// time. Returns how many edges it appended.
+    ///
+    /// The row is checked once and as a whole, before anything is
+    /// written: `worker` in range, no wider than `|V|`, `keep` as wide as
+    /// `class_of`, every weight finite and non-negative (used by a kept
+    /// edge or not) and every class one of `weights` (else
+    /// [`GraphError::InvalidWeight`] of NaN: a class without a weight).
+    /// Like `add_edge_unchecked`, rows must arrive in ascending worker
+    /// order, which only a `debug_assert` holds.
+    #[inline]
+    pub fn append_row(
+        &mut self,
+        worker: WorkerIdx,
+        class_of: &[u32],
+        weights: &[f64],
+        keep: Option<&[bool]>,
+    ) -> Result<usize, GraphError> {
+        if worker.0 as usize >= self.n_workers
+            || class_of.len() > self.n_tasks
+            || keep.is_some_and(|keep| keep.len() != class_of.len())
+        {
+            return Err(self.out_of_range());
+        }
+        if let Some(&bad) = weights.iter().find(|&&w| !is_valid_weight(w)) {
+            return Err(GraphError::InvalidWeight(bad));
+        }
+        if class_of
+            .iter()
+            .any(|&class| class as usize >= weights.len())
+        {
+            return Err(GraphError::InvalidWeight(f64::NAN));
+        }
+        debug_assert!(
+            self.edges.last().is_none_or(|last| last.worker < worker),
+            "row {} does not follow the last edge pushed",
+            worker.0
+        );
+        self.task_index.take();
+        let start = self.edges.len();
+        let edge = |(v, &class): (usize, &u32)| Edge {
+            worker,
+            task: TaskIdx(v as u32),
+            weight: weights[class as usize],
+        };
+        match keep {
+            // An exact-size iterator: one reservation, no per-edge
+            // capacity check.
+            None => self.edges.extend(class_of.iter().enumerate().map(edge)),
+            // Branch-free compaction: every edge is written at the
+            // cursor, which only a kept one advances.
+            Some(keep) => {
+                let filler = Edge {
+                    worker,
+                    task: TaskIdx(0),
+                    weight: 0.0,
+                };
+                self.edges.resize(start + class_of.len(), filler);
+                let mut cursor = start;
+                for (slot, &kept) in class_of.iter().enumerate().zip(keep) {
+                    self.edges[cursor] = edge(slot);
+                    cursor += usize::from(kept);
+                }
+                self.edges.truncate(cursor);
+            }
+        }
+        Ok(self.edges.len() - start)
+    }
+
+    fn out_of_range(&self) -> GraphError {
+        GraphError::VertexOutOfRange {
+            workers: self.n_workers,
+            tasks: self.n_tasks,
+        }
+    }
+
     #[inline]
     fn validate(&self, worker: WorkerIdx, task: TaskIdx, weight: f64) -> Result<(), GraphError> {
         if worker.0 as usize >= self.n_workers || task.0 as usize >= self.n_tasks {
-            return Err(GraphError::VertexOutOfRange {
-                workers: self.n_workers,
-                tasks: self.n_tasks,
-            });
+            return Err(self.out_of_range());
         }
-        if !weight.is_finite() || weight < 0.0 {
+        if !is_valid_weight(weight) {
             return Err(GraphError::InvalidWeight(weight));
         }
         Ok(())
@@ -523,6 +607,147 @@ mod tests {
             assert_eq!(on_reused.pairs, on_fresh.pairs, "{}", m.name());
             assert_eq!(on_reused.cost_units, on_fresh.cost_units);
         }
+    }
+
+    /// One `append_row` call: `(class_of, weights, keep)`.
+    type Row<'a> = (&'a [u32], &'a [f64], Option<&'a [bool]>);
+
+    /// `append_row` against the per-edge entry it stands in for.
+    fn per_edge(n_tasks: usize, rows: &[Row]) -> (BipartiteGraph, BipartiteGraph) {
+        let mut by_row = BipartiteGraph::new(rows.len(), n_tasks);
+        let mut by_edge = BipartiteGraph::new(rows.len(), n_tasks);
+        for (u, &(class_of, weights, keep)) in rows.iter().enumerate() {
+            let worker = WorkerIdx(u as u32);
+            let mut expected = 0;
+            for (v, &class) in class_of.iter().enumerate() {
+                if keep.is_none_or(|keep| keep[v]) {
+                    let weight = weights[class as usize];
+                    by_edge
+                        .add_edge_unchecked(worker, TaskIdx(v as u32), weight)
+                        .unwrap();
+                    expected += 1;
+                }
+            }
+            assert_eq!(
+                by_row.append_row(worker, class_of, weights, keep),
+                Ok(expected)
+            );
+        }
+        (by_row, by_edge)
+    }
+
+    #[test]
+    fn append_row_equals_one_add_edge_per_kept_task() {
+        let rows: [Row; 6] = [
+            // A full row of one class, then of several.
+            (&[0, 0, 0, 0], &[0.7], None),
+            (&[0, 1, 0, 2], &[0.1, 0.2, 0.3], None),
+            // Filtered rows: some, the ends, none, all.
+            (
+                &[0, 1, 0, 2],
+                &[0.4, 0.5, 0.6],
+                Some(&[false, true, true, false]),
+            ),
+            (
+                &[1, 1, 0, 0],
+                &[0.8, 0.9],
+                Some(&[true, false, false, true]),
+            ),
+            (&[0, 0, 0, 0], &[1.0], Some(&[false; 4])),
+            (&[0, 1, 2, 3], &[0.0, 0.25, 0.5, 0.75], Some(&[true; 4])),
+        ];
+        let (by_row, by_edge) = per_edge(4, &rows);
+        assert_eq!(by_row.edges(), by_edge.edges());
+        assert_eq!(by_row.n_edges(), 16);
+        for v in 0..4 {
+            assert_eq!(
+                by_row.task_edges(TaskIdx(v)),
+                by_edge.task_edges(TaskIdx(v))
+            );
+        }
+        // An empty row, and a row over a prefix of the tasks.
+        let (by_row, by_edge) = per_edge(3, &[(&[], &[], None), (&[0, 0], &[0.5], None)]);
+        assert_eq!(by_row.edges(), by_edge.edges());
+        assert_eq!(by_row.n_edges(), 2);
+    }
+
+    #[test]
+    fn append_row_drops_a_built_task_index() {
+        let mut g = BipartiteGraph::new(2, 2);
+        g.append_row(WorkerIdx(0), &[0, 0], &[0.5], None).unwrap();
+        assert_eq!(g.task_edges(TaskIdx(1)), &[EdgeId(1)]);
+        g.append_row(WorkerIdx(1), &[0, 0], &[0.5], Some(&[false, true]))
+            .unwrap();
+        assert_eq!(g.task_edges(TaskIdx(1)), &[EdgeId(1), EdgeId(2)]);
+        assert_eq!(g.task_edges(TaskIdx(0)), &[EdgeId(0)]);
+    }
+
+    #[test]
+    fn append_row_rejects_a_bad_row_having_appended_nothing() {
+        let mut g = BipartiteGraph::new(2, 3);
+        g.append_row(WorkerIdx(0), &[0, 0, 0], &[0.5], None)
+            .unwrap();
+        let before = g.edges().to_vec();
+        let out_of_range = |r: Result<usize, GraphError>| {
+            matches!(
+                r,
+                Err(GraphError::VertexOutOfRange {
+                    workers: 2,
+                    tasks: 3
+                })
+            )
+        };
+        let invalid = |r: Result<usize, GraphError>| matches!(r, Err(GraphError::InvalidWeight(_)));
+        // The worker, the width, a mask of another width.
+        assert!(out_of_range(g.append_row(
+            WorkerIdx(2),
+            &[0, 0, 0],
+            &[0.5],
+            None
+        )));
+        assert!(out_of_range(g.append_row(
+            WorkerIdx(1),
+            &[0; 4],
+            &[0.5],
+            None
+        )));
+        let short = Some(&[true, true][..]);
+        assert!(out_of_range(g.append_row(
+            WorkerIdx(1),
+            &[0; 3],
+            &[0.5],
+            short
+        )));
+        // A weight the graph does not accept — last of the row's, and of
+        // a class no kept edge uses — and a class without a weight.
+        let mask = Some(&[true, true, false][..]);
+        for bad in [f64::NAN, -0.1, f64::INFINITY, f64::NEG_INFINITY] {
+            assert!(invalid(g.append_row(
+                WorkerIdx(1),
+                &[0, 0, 1],
+                &[0.5, bad],
+                None
+            )));
+            assert!(invalid(g.append_row(
+                WorkerIdx(1),
+                &[0, 0, 1],
+                &[0.5, bad],
+                mask
+            )));
+        }
+        assert!(invalid(g.append_row(
+            WorkerIdx(1),
+            &[0, 1, 2],
+            &[0.5, 0.5],
+            None
+        )));
+        assert_eq!(g.edges(), &before[..], "a rejected row must leave no edge");
+        // The graph is still usable.
+        assert_eq!(
+            g.append_row(WorkerIdx(1), &[0, 1, 0], &[0.0, 1.0], mask),
+            Ok(2)
+        );
+        assert_eq!(g.n_edges(), 5);
     }
 
     #[test]

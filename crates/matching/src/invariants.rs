@@ -22,6 +22,13 @@ use crate::matcher::Matching;
 use crate::state::MatchingState;
 use std::fmt;
 
+/// True when this crate was built with its `debug-invariants` feature:
+/// the `debug_check_*` hooks then validate (and allocate) instead of
+/// compiling to nothing. `react-core`'s feature of the same name, which
+/// arms that crate's own reference checks, enables this one — so a test
+/// about what the hot path costs can tell it is not measuring it.
+pub const ARMED: bool = cfg!(feature = "debug-invariants");
+
 /// A violated matching invariant, with enough context to debug it.
 #[derive(Debug, Clone, PartialEq)]
 pub enum InvariantViolation {
@@ -217,13 +224,14 @@ impl<'g> MatchingValidator<'g> {
 
     /// Checks an in-flight [`MatchingState`] after a flip: every vertex
     /// index points at a selected edge of which it is an endpoint (the
-    /// conflict rule left nothing dangling), every selected edge is
-    /// indexed by both endpoints, and fitness/size have not drifted.
+    /// conflict rule left nothing dangling), every selected edge — the
+    /// ones the task side holds — is indexed by both endpoints, and
+    /// fitness/size have not drifted.
     pub fn check_state(&self, state: &MatchingState) -> Result<(), InvariantViolation> {
         use crate::graph::{TaskIdx, WorkerIdx};
         for w in 0..self.graph.n_workers() {
             if let Some(e) = state.worker_match(WorkerIdx(w as u32)) {
-                if !state.is_selected(e) || self.graph.edge(e).worker.0 as usize != w {
+                if !state.is_selected(self.graph, e) || self.graph.edge(e).worker.0 as usize != w {
                     return Err(InvariantViolation::DanglingVertex {
                         vertex: format!("worker {w}"),
                         edge: e.0,
@@ -233,7 +241,8 @@ impl<'g> MatchingValidator<'g> {
         }
         for t in 0..self.graph.n_tasks() {
             if let Some(e) = state.task_match(TaskIdx(t as u32)) {
-                if !state.is_selected(e) || self.graph.edge(e).task.0 as usize != t {
+                // Its worker's side is the selected-edge pass below.
+                if self.graph.edge(e).task.0 as usize != t {
                     return Err(InvariantViolation::DanglingVertex {
                         vertex: format!("task {t}"),
                         edge: e.0,
@@ -402,6 +411,50 @@ mod tests {
         s.select(&g, g.find_edge(WorkerIdx(0), TaskIdx(2)).unwrap());
         s.select(&g, g.find_edge(WorkerIdx(1), TaskIdx(0)).unwrap());
         assert_eq!(MatchingValidator::new(&g).check_state(&s), Ok(()));
+    }
+
+    /// The state holds no per-edge vector to cross-check its two indices
+    /// against, so each must be held to the other.
+    #[test]
+    fn desynchronised_state_caught_from_either_side() {
+        let g = graph();
+        let mut consistent = MatchingState::new(&g);
+        consistent.select(&g, g.find_edge(WorkerIdx(0), TaskIdx(2)).unwrap());
+        let stray = g.find_edge(WorkerIdx(1), TaskIdx(0)).unwrap();
+        let validator = MatchingValidator::new(&g);
+
+        // A worker entry without its task twin.
+        let mut s = consistent.clone();
+        s.desync_worker(WorkerIdx(1), Some(stray));
+        assert_eq!(
+            validator.check_state(&s),
+            Err(InvariantViolation::DanglingVertex {
+                vertex: "worker 1".into(),
+                edge: stray.0,
+            })
+        );
+        // A task entry without its worker twin.
+        let mut s = consistent.clone();
+        s.desync_task(TaskIdx(0), Some(stray));
+        assert_eq!(
+            validator.check_state(&s),
+            Err(InvariantViolation::UnindexedEdge { edge: stray.0 })
+        );
+        // A vertex holding an edge that is not its own.
+        let mut s = consistent.clone();
+        s.desync_task(TaskIdx(1), Some(stray));
+        assert!(matches!(
+            validator.check_state(&s),
+            Err(InvariantViolation::DanglingVertex { ref vertex, .. }) if vertex == "task 1"
+        ));
+        // A half-removed edge: the task let go, the worker did not.
+        let mut s = consistent.clone();
+        s.desync_task(TaskIdx(2), None);
+        assert!(matches!(
+            validator.check_state(&s),
+            Err(InvariantViolation::DanglingVertex { ref vertex, .. }) if vertex == "worker 0"
+        ));
+        assert_eq!(validator.check_state(&consistent), Ok(()));
     }
 
     #[test]

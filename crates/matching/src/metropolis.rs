@@ -73,7 +73,7 @@ impl MetropolisMatcher {
             stats.cycles += 1;
             let e = EdgeId(rng.gen_range(0..n_edges as u32));
             let weight = graph.edge(e).weight;
-            if state.is_selected(e) {
+            if state.is_selected(graph, e) {
                 // Δg = −w. Same negligible-weight short-circuit as REACT
                 // (see `ReactMatcher::flip`): a free move is accepted
                 // before any RNG draw, keeping runs bit-identical to the

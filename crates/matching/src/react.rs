@@ -103,7 +103,7 @@ impl ReactMatcher {
         stats: &mut MatchStats,
     ) {
         let weight = graph.edge(e).weight;
-        if state.is_selected(e) {
+        if state.is_selected(graph, e) {
             // Flipping off: Δg = −w ≤ 0. A negligible weight is a free
             // move (Δg ≈ 0, acceptance probability e^{Δg/K} ≈ 1) and is
             // accepted outright — crucially *before* any RNG draw, so

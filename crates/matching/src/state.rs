@@ -7,7 +7,9 @@
 //! and maintains the running fitness incrementally, exactly as the
 //! paper's complexity analysis assumes (*"the algorithm computes the new
 //! g(x′) that also costs O(1), by adding or subtracting the edge's
-//! weight"*).
+//! weight"*). `x` itself is not stored: a matching has at most
+//! `min(|U|, |V|)` edges, so the two per-vertex indices *are* the
+//! selected set, and the state costs `O(|U| + |V|)` whatever `|E|` is.
 
 use crate::graph::{BipartiteGraph, EdgeId, TaskIdx, WorkerIdx};
 
@@ -15,7 +17,6 @@ use crate::graph::{BipartiteGraph, EdgeId, TaskIdx, WorkerIdx};
 /// the 1-to-1 constraints at all times.
 #[derive(Debug, Clone)]
 pub struct MatchingState {
-    selected: Vec<bool>,
     worker_match: Vec<Option<EdgeId>>,
     task_match: Vec<Option<EdgeId>>,
     fitness: f64,
@@ -26,7 +27,6 @@ impl MatchingState {
     /// The empty matching over `graph`.
     pub fn new(graph: &BipartiteGraph) -> Self {
         MatchingState {
-            selected: vec![false; graph.n_edges()],
             worker_match: vec![None; graph.n_workers()],
             task_match: vec![None; graph.n_tasks()],
             fitness: 0.0,
@@ -46,10 +46,10 @@ impl MatchingState {
         self.size
     }
 
-    /// True when edge `e` is in the matching.
+    /// True when edge `e` is in the matching: its task is matched by it.
     #[inline]
-    pub fn is_selected(&self, e: EdgeId) -> bool {
-        self.selected[e.0 as usize]
+    pub fn is_selected(&self, graph: &BipartiteGraph, e: EdgeId) -> bool {
+        self.task_match[graph.edge(e).task.0 as usize] == Some(e)
     }
 
     /// The edge currently matching `worker`, if any.
@@ -77,11 +77,10 @@ impl MatchingState {
     /// Adds edge `e` to the matching.
     ///
     /// # Panics
-    /// Panics (via `debug_assert`) when `e` is already selected or either
-    /// endpoint is occupied — callers must clear conflicts first, which
-    /// keeps this operation `O(1)`.
+    /// Panics (via `debug_assert`) when either endpoint is occupied (by
+    /// `e` itself, if it is already selected) — callers must clear
+    /// conflicts first, which keeps this operation `O(1)`.
     pub fn select(&mut self, graph: &BipartiteGraph, e: EdgeId) {
-        debug_assert!(!self.selected[e.0 as usize], "edge already selected");
         let edge = graph.edge(e);
         debug_assert!(
             self.worker_match[edge.worker.0 as usize].is_none(),
@@ -91,7 +90,6 @@ impl MatchingState {
             self.task_match[edge.task.0 as usize].is_none(),
             "task endpoint occupied"
         );
-        self.selected[e.0 as usize] = true;
         self.worker_match[edge.worker.0 as usize] = Some(e);
         self.task_match[edge.task.0 as usize] = Some(e);
         self.fitness += edge.weight;
@@ -103,9 +101,12 @@ impl MatchingState {
     /// # Panics
     /// `debug_assert`s that `e` is currently selected.
     pub fn deselect(&mut self, graph: &BipartiteGraph, e: EdgeId) {
-        debug_assert!(self.selected[e.0 as usize], "edge not selected");
         let edge = graph.edge(e);
-        self.selected[e.0 as usize] = false;
+        debug_assert!(
+            self.worker_match[edge.worker.0 as usize] == Some(e)
+                && self.task_match[edge.task.0 as usize] == Some(e),
+            "edge not selected"
+        );
         self.worker_match[edge.worker.0 as usize] = None;
         self.task_match[edge.task.0 as usize] = None;
         self.fitness -= edge.weight;
@@ -114,40 +115,40 @@ impl MatchingState {
 
     /// The selected edges, in edge-id order.
     pub fn selected_edges(&self) -> Vec<EdgeId> {
-        self.selected
-            .iter()
-            .enumerate()
-            .filter(|(_, &s)| s)
-            .map(|(i, _)| EdgeId(i as u32))
-            .collect()
+        let mut selected = Vec::with_capacity(self.size);
+        selected.extend(self.task_match.iter().flatten());
+        selected.sort_unstable();
+        selected
     }
 
-    /// Exhaustive consistency check for tests: verifies the selected set,
-    /// per-vertex indices, fitness and size all agree, and that no two
-    /// selected edges share a vertex. Returns the recomputed fitness.
+    /// Exhaustive consistency check for tests: verifies the two
+    /// per-vertex indices describe one set of edges (each matched vertex
+    /// points at an edge of its own whose other endpoint points back),
+    /// and that fitness and size agree with it. Returns the recomputed
+    /// fitness.
     pub fn verify(&self, graph: &BipartiteGraph) -> f64 {
+        for (u, matched) in self.worker_match.iter().enumerate() {
+            if let Some(e) = *matched {
+                let edge = graph.edge(e);
+                assert_eq!(edge.worker.0 as usize, u, "worker {u} holds a foreign edge");
+                assert_eq!(
+                    self.task_match[edge.task.0 as usize],
+                    Some(e),
+                    "worker {u} is matched by an edge its task does not hold"
+                );
+            }
+        }
         let mut fitness = 0.0;
         let mut size = 0;
-        let mut worker_seen = vec![false; graph.n_workers()];
-        let mut task_seen = vec![false; graph.n_tasks()];
-        for (i, &sel) in self.selected.iter().enumerate() {
-            let id = EdgeId(i as u32);
-            let edge = graph.edge(id);
-            if sel {
-                assert!(
-                    !worker_seen[edge.worker.0 as usize],
-                    "two selected edges share worker {}",
-                    edge.worker.0
+        for (v, matched) in self.task_match.iter().enumerate() {
+            if let Some(e) = *matched {
+                let edge = graph.edge(e);
+                assert_eq!(edge.task.0 as usize, v, "task {v} holds a foreign edge");
+                assert_eq!(
+                    self.worker_match[edge.worker.0 as usize],
+                    Some(e),
+                    "task {v} is matched by an edge its worker does not hold"
                 );
-                assert!(
-                    !task_seen[edge.task.0 as usize],
-                    "two selected edges share task {}",
-                    edge.task.0
-                );
-                worker_seen[edge.worker.0 as usize] = true;
-                task_seen[edge.task.0 as usize] = true;
-                assert_eq!(self.worker_match[edge.worker.0 as usize], Some(id));
-                assert_eq!(self.task_match[edge.task.0 as usize], Some(id));
                 fitness += edge.weight;
                 size += 1;
             }
@@ -160,6 +161,20 @@ impl MatchingState {
             fitness
         );
         fitness
+    }
+}
+
+#[cfg(test)]
+impl MatchingState {
+    /// Points `worker` at `e` without touching the task side, for tests
+    /// of the checkers that must notice.
+    pub(crate) fn desync_worker(&mut self, worker: WorkerIdx, e: Option<EdgeId>) {
+        self.worker_match[worker.0 as usize] = e;
+    }
+
+    /// Points `task` at `e` without touching the worker side.
+    pub(crate) fn desync_task(&mut self, task: TaskIdx, e: Option<EdgeId>) {
+        self.task_match[task.0 as usize] = e;
     }
 }
 
@@ -185,14 +200,14 @@ mod tests {
         let mut s = MatchingState::new(&g);
         let e = g.find_edge(WorkerIdx(0), TaskIdx(0)).unwrap();
         s.select(&g, e);
-        assert!(s.is_selected(e));
+        assert!(s.is_selected(&g, e));
         assert_eq!(s.size(), 1);
         assert!((s.fitness() - 0.9).abs() < 1e-12);
         assert_eq!(s.worker_match(WorkerIdx(0)), Some(e));
         assert_eq!(s.task_match(TaskIdx(0)), Some(e));
         s.verify(&g);
         s.deselect(&g, e);
-        assert!(!s.is_selected(e));
+        assert!(!s.is_selected(&g, e));
         assert_eq!(s.size(), 0);
         assert!(s.fitness().abs() < 1e-12);
         s.verify(&g);
@@ -237,6 +252,51 @@ mod tests {
         let mut s = MatchingState::new(&g);
         s.select(&g, g.find_edge(WorkerIdx(0), TaskIdx(0)).unwrap());
         s.select(&g, g.find_edge(WorkerIdx(0), TaskIdx(1)).unwrap());
+    }
+
+    #[test]
+    fn selected_edges_ascend_in_edge_id_whatever_the_insertion_order() {
+        // Edge ids follow insertion, which here runs against both the
+        // worker and the task order, so task order is not edge-id order.
+        let mut g = BipartiteGraph::new(3, 3);
+        let e0 = g.add_edge(WorkerIdx(2), TaskIdx(2), 0.3).unwrap();
+        let e1 = g.add_edge(WorkerIdx(0), TaskIdx(1), 0.5).unwrap();
+        let e2 = g.add_edge(WorkerIdx(1), TaskIdx(1), 0.9).unwrap();
+        let e3 = g.add_edge(WorkerIdx(1), TaskIdx(0), 0.7).unwrap();
+        let mut s = MatchingState::new(&g);
+        for e in [e3, e1, e0] {
+            s.select(&g, e);
+        }
+        assert_eq!(s.selected_edges(), vec![e0, e1, e3]);
+        assert!(!s.is_selected(&g, e2), "its task is matched by e1");
+        s.verify(&g);
+        s.deselect(&g, e1);
+        s.deselect(&g, e3);
+        s.select(&g, e2);
+        assert_eq!(s.selected_edges(), vec![e0, e2]);
+        s.verify(&g);
+    }
+
+    /// With no third vector to cross-check against, `verify` must catch
+    /// the two indices disagreeing from either side.
+    #[test]
+    #[should_panic(expected = "worker 1 is matched by an edge its task does not hold")]
+    fn verify_catches_a_worker_entry_without_its_task_twin() {
+        let g = diamond();
+        let mut s = MatchingState::new(&g);
+        s.select(&g, g.find_edge(WorkerIdx(0), TaskIdx(0)).unwrap());
+        s.desync_worker(WorkerIdx(1), g.find_edge(WorkerIdx(1), TaskIdx(1)));
+        s.verify(&g);
+    }
+
+    #[test]
+    #[should_panic(expected = "task 1 is matched by an edge its worker does not hold")]
+    fn verify_catches_a_task_entry_without_its_worker_twin() {
+        let g = diamond();
+        let mut s = MatchingState::new(&g);
+        s.select(&g, g.find_edge(WorkerIdx(0), TaskIdx(0)).unwrap());
+        s.desync_task(TaskIdx(1), g.find_edge(WorkerIdx(1), TaskIdx(1)));
+        s.verify(&g);
     }
 
     #[test]

@@ -1,0 +1,238 @@
+//! Allocation guard for the scheduling hot path: what a tick allocates
+//! must not grow with the pool or the graph. The repo benchmark's
+//! `allocs_per_task` sees this only when someone runs it; this file makes
+//! `cargo test` see it.
+//!
+//! * a warm [`BatchScratch::build`] after which nothing changed allocates
+//!   nothing — the row table, the edge arena and every column are reused;
+//! * a build after one worker changed allocates what refitting that one
+//!   worker's latency model allocates;
+//! * [`ReactMatcher::assign`] allocates a number of blocks that does not
+//!   depend on `|E|`, and bytes in `O(|U| + |V|)`.
+//!
+//! The counts are per thread, so tests running beside these do not
+//! disturb them. With the `debug-invariants` features on, every build
+//! and every matcher call also runs its (allocating) reference checks, so
+//! the counts are only asserted without them.
+
+use rand::rngs::SmallRng;
+use rand::SeedableRng;
+use react::core::{
+    BatchScratch, Config, LatencyModelKind, MatcherPolicy, ProfilingComponent, Task, TaskCategory,
+    TaskId, TaskManagementComponent, WorkerId,
+};
+use react::geo::GeoPoint;
+use react::matching::{BipartiteGraph, Matcher, ReactMatcher, TaskIdx, WorkerIdx};
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+
+thread_local! {
+    /// `(blocks, bytes)` this thread has asked the allocator for.
+    static ASKED: Cell<(u64, u64)> = const { Cell::new((0, 0)) };
+}
+
+/// The system allocator, counting per thread every `alloc`,
+/// `alloc_zeroed` and `realloc` call and the bytes it asked for.
+struct CountingAlloc;
+
+fn count(bytes: usize) {
+    // A thread being torn down has no counter left; nothing measures it.
+    let _ = ASKED.try_with(|asked| {
+        let (blocks, total) = asked.get();
+        asked.set((blocks + 1, total + bytes as u64));
+    });
+}
+
+// SAFETY: every method forwards its arguments unchanged to `System`,
+// which upholds the `GlobalAlloc` contract; the counter is a `Cell` in
+// const-initialised thread-local storage with no destructor, so reading
+// it neither allocates nor touches allocator state.
+unsafe impl GlobalAlloc for CountingAlloc {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        count(layout.size());
+        // SAFETY: the caller upholds `GlobalAlloc::alloc`'s contract.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` came from `System` through this wrapper.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        count(layout.size());
+        // SAFETY: the caller upholds `GlobalAlloc::alloc_zeroed`'s contract.
+        unsafe { System.alloc_zeroed(layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        count(new_size);
+        // SAFETY: `ptr` came from `System` through this wrapper and the
+        // caller upholds `GlobalAlloc::realloc`'s contract.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+}
+
+#[global_allocator]
+static ALLOCATOR: CountingAlloc = CountingAlloc;
+
+/// Runs `f` and returns its result with the `(blocks, bytes)` it
+/// allocated on this thread.
+fn counted<T>(f: impl FnOnce() -> T) -> (T, (u64, u64)) {
+    let before = ASKED.with(Cell::get);
+    let result = f();
+    let after = ASKED.with(Cell::get);
+    (result, (after.0 - before.0, after.1 - before.1))
+}
+
+/// The reference checks of `debug-invariants` allocate on every call —
+/// whether this package's feature switched them on or the crates' own.
+const COUNTS_HOLD: bool = !react::matching::invariants::ARMED;
+
+fn here() -> GeoPoint {
+    GeoPoint::new(37.98, 23.72)
+}
+
+/// 300 workers — two thirds with a fitted latency model, every seventh
+/// with a reward range, some busy or offline — and a queue of 12 tasks
+/// over `categories` categories whose deadlines straddle the models.
+fn components(categories: u32) -> (ProfilingComponent, TaskManagementComponent) {
+    let mut p = ProfilingComponent::default();
+    for w in 0..300u64 {
+        let id = WorkerId(w);
+        p.register(id, here()).unwrap();
+        if w % 3 != 0 {
+            for k in 0..4 {
+                p.record_assignment(id).unwrap();
+                let exec = 2.0 + (w % 40) as f64 + 1.5 * k as f64;
+                p.record_completion(id, TaskCategory(k % 2), exec, k != 1)
+                    .unwrap();
+            }
+        }
+        if w % 7 == 0 {
+            p.set_reward_range(id, Some((0.04, 0.5))).unwrap();
+        }
+        if w % 11 == 0 {
+            p.record_assignment(id).unwrap();
+        }
+    }
+    let mut tm = TaskManagementComponent::new();
+    for t in 0..12u64 {
+        let (deadline, reward) = (8.0 + 9.0 * t as f64, 0.03 * (1 + t % 3) as f64);
+        let category = TaskCategory(t as u32 % categories);
+        let task = Task::new(TaskId(t), here(), deadline, reward, category, "alloc");
+        tm.submit(task, 0.0).unwrap();
+    }
+    (p, tm)
+}
+
+fn config(kind: LatencyModelKind) -> Config {
+    let mut config = Config::with_matcher(MatcherPolicy::React { cycles: 1000 });
+    config.latency_model = kind;
+    config
+}
+
+const KINDS: [LatencyModelKind; 3] = [
+    LatencyModelKind::PowerLaw,
+    LatencyModelKind::Empirical,
+    LatencyModelKind::Auto { ks_threshold: 0.3 },
+];
+
+#[test]
+fn a_warm_build_after_which_nothing_changed_allocates_nothing() {
+    for kind in KINDS {
+        // One category: rows remember their weight. Two: every row looks
+        // its profile up. Neither may allocate.
+        for categories in [1, 2] {
+            let config = config(kind);
+            let (mut p, tm) = components(categories);
+            let mut scratch = BatchScratch::new();
+            let edges = scratch.build(&config, &mut p, &tm, 0.0).graph.n_edges();
+            assert!(edges > 1_000, "{kind:?}: the graph must be worth building");
+            for now in [0.0, 0.5, 3.0] {
+                let (built, (blocks, _)) = counted(|| {
+                    let built = scratch.build(&config, &mut p, &tm, now);
+                    (built.stats, built.graph.n_edges())
+                });
+                assert_eq!(built.0.rows_reused, built.0.rows_total);
+                assert!(built.1 > 1_000);
+                if COUNTS_HOLD {
+                    assert_eq!(blocks, 0, "{kind:?}, {categories} categories, now={now}");
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn a_build_after_one_worker_changed_allocates_one_refit() {
+    for kind in KINDS {
+        let config = config(kind);
+        // Two components with one history: one measures the refit alone,
+        // the other the build that contains it.
+        let (mut alone, _) = components(1);
+        let (mut p, tm) = components(1);
+        let mut scratch = BatchScratch::new();
+        scratch.build(&config, &mut p, &tm, 0.0);
+        // The same first fit on the other side, so both estimators hold
+        // the same lazily grown buffers.
+        BatchScratch::new().build(&config, &mut alone, &tm, 0.0);
+        for (round, w) in [(0u64, 17u64), (1, 100), (2, 17), (3, 250)] {
+            let id = WorkerId(w);
+            for component in [&mut alone, &mut p] {
+                component
+                    .record_completion(id, TaskCategory(0), 30.0 + round as f64, true)
+                    .unwrap();
+            }
+            let (model, refit) = counted(|| alone.profile_mut(id).unwrap().deadline_dist(kind));
+            assert!(model.is_some(), "worker {w} carries a model");
+            let (stats, build) = counted(|| scratch.build(&config, &mut p, &tm, 0.0).stats);
+            assert_eq!(stats.rows_reused, stats.rows_total - 1);
+            // The first change also sizes the scratch's list of changed
+            // workers, once.
+            if COUNTS_HOLD && round > 0 {
+                assert_eq!(build, refit, "{kind:?}: worker {w}, (blocks, bytes)");
+            }
+        }
+    }
+}
+
+/// `|U| × |V|` with every `stride`-th pair an edge.
+fn graph(n_workers: u32, n_tasks: u32, stride: u32) -> BipartiteGraph {
+    let mut g = BipartiteGraph::new(n_workers as usize, n_tasks as usize);
+    for u in 0..n_workers {
+        for v in (0..n_tasks).filter(|v| (u * n_tasks + v).is_multiple_of(stride)) {
+            let weight = f64::from((u * 7 + v * 3) % 10) / 10.0;
+            g.add_edge_unchecked(WorkerIdx(u), TaskIdx(v), weight)
+                .unwrap();
+        }
+    }
+    g
+}
+
+#[test]
+fn the_matcher_allocates_by_vertices_not_by_edges() {
+    let (n_workers, n_tasks) = (2_000u32, 12u32);
+    let matcher = ReactMatcher::with_cycles(1_000);
+    let mut asked = Vec::new();
+    for stride in [1, 4, 32] {
+        let g = graph(n_workers, n_tasks, stride);
+        let mut rng = SmallRng::seed_from_u64(u64::from(stride));
+        let (matching, (blocks, bytes)) = counted(|| matcher.assign(&g, &mut rng));
+        assert!(!matching.pairs.is_empty());
+        let per_vertex = bytes as f64 / f64::from(n_workers + n_tasks);
+        assert!(
+            !COUNTS_HOLD || per_vertex <= 16.0,
+            "|E|={}: {bytes} bytes is {per_vertex:.1} per vertex",
+            g.n_edges()
+        );
+        asked.push((g.n_edges(), blocks));
+    }
+    assert!(asked[0].0 >= 32 * asked[2].0 - 32, "{asked:?}");
+    if COUNTS_HOLD {
+        assert!(
+            asked.iter().all(|&(_, blocks)| blocks == asked[0].1),
+            "{asked:?}"
+        );
+    }
+}

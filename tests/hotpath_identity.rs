@@ -2,11 +2,13 @@
 //! produce graphs bit-identical to a cold [`SchedulingComponent`] build
 //! after *any* interleaving of profile mutations, queue traffic (submit,
 //! assign from anywhere in the queue, requeue, expire, shed, hand off)
-//! and worker dropouts — the property the epoch-keyed row cache, the
-//! memoized deadline gates, the row-level reward/weight/Eq. (3) verdicts,
-//! the edge-only graph arena and the unassigned queue's columns (which
-//! the warm build reads where the cold one reads the task registry) are
-//! designed to preserve.
+//! and worker dropouts, however many of them pass between two of its
+//! builds and whichever component it is handed — the property the row
+//! table and the change feed that refreshes it, the memoized deadline
+//! gates, the row-level reward/weight/Eq. (3) verdicts, the whole-row
+//! append into the edge-only graph arena and the unassigned queue's
+//! columns (which the warm build reads where the cold one reads the task
+//! registry) are designed to preserve.
 //!
 //! Run under `--features debug-invariants` to additionally arm the
 //! scratch's internal cold-rebuild assertion and the queue columns'
@@ -35,7 +37,7 @@ fn spot(i: u64) -> GeoPoint {
 }
 
 /// One randomized step against the two components the graph build
-/// reads. Every variant mutates state the row cache must notice.
+/// reads. Every variant mutates state the row table must notice.
 #[derive(Debug, Clone)]
 enum Op {
     /// Register (or re-register after dropout) a worker.
@@ -300,18 +302,49 @@ fn assert_identical(
     built.stats
 }
 
+/// A pool whose workers already carry a latency model, every other one
+/// a reward range too, so the gates and the queue's reward column are
+/// exercised from the first step. Built twice it gives two components
+/// with the same ids at the same epochs.
+fn seasoned_pool(seasoned: &[f64]) -> ProfilingComponent {
+    let mut p = ProfilingComponent::default();
+    for (w, &base) in seasoned.iter().enumerate() {
+        let id = WorkerId(w as u64);
+        p.register(id, spot(w as u64)).unwrap();
+        if w % 2 == 0 {
+            p.set_reward_range(id, Some((0.3, 1.2))).unwrap();
+        }
+        for (k, scale) in [1.0, 1.3, 1.7].into_iter().enumerate() {
+            p.record_assignment(id).unwrap();
+            p.record_completion(id, TaskCategory(k as u32), base * scale, k != 1)
+                .unwrap();
+        }
+    }
+    p
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(common::cases(64)))]
 
-    /// After every step the incremental build (one scratch carried
-    /// across the whole sequence) matches a cold build bit for bit, on
-    /// every axis the row-level verdicts branch on.
+    /// Whenever a scratch builds, its graph matches a cold build bit for
+    /// bit, on every axis the row-level verdicts branch on. Two scratches
+    /// read the one component, each on its own cadence (every `k`-th
+    /// step, `k` in 1..8), so between two builds of a reader a worker may
+    /// change several times, leave and return, or be deregistered and
+    /// registered anew — and the other reader has consumed none, some or
+    /// all of those changes. Now and then the first scratch is pointed at
+    /// a second component that evolves on its own from the same start
+    /// (same ids, same epochs): a reader must not take that feed for the
+    /// continuation of the one it last read.
     #[test]
     fn incremental_build_is_bit_identical_to_cold_build(
         axes in (arb_latency_model(), arb_weight(), arb_policy(), arb_threshold(), 0u64..4),
         seasoned in proptest::collection::vec(0.5f64..60.0, 0..6),
         queued in proptest::collection::vec(arb_task(), 0..12),
         ops in proptest::collection::vec(arb_op(), 1..60),
+        cadences in (1usize..8, 1usize..8),
+        elsewhere in proptest::collection::vec(arb_pool_op(), 0..30),
+        detour_every in 2usize..12,
     ) {
         let (kind, weight, policy, threshold, training) = axes;
         let mut config = Config::with_matcher(policy);
@@ -319,35 +352,168 @@ proptest! {
         config.weight = weight;
         config.deadline.edge_probability_threshold = threshold;
         config.training_assignments = training;
-        let mut p = ProfilingComponent::default();
+        let mut p = seasoned_pool(&seasoned);
+        let mut other = seasoned_pool(&seasoned);
         let mut tm = TaskManagementComponent::new();
-        // Start with workers that already carry a latency model, every
-        // other one a reward range too, so the gates and the queue's
-        // reward column are exercised from the first step.
-        for (w, &base) in seasoned.iter().enumerate() {
-            let id = WorkerId(w as u64);
-            p.register(id, spot(w as u64)).unwrap();
-            if w % 2 == 0 {
-                p.set_reward_range(id, Some((0.3, 1.2))).unwrap();
-            }
-            for (k, scale) in [1.0, 1.3, 1.7].into_iter().enumerate() {
-                p.record_assignment(id).unwrap();
-                p.record_completion(id, TaskCategory(k as u32), base * scale, k != 1).unwrap();
-            }
-        }
-        // ... and with a queue long enough to lose rows from its middle.
+        // A queue long enough to lose rows from its middle.
         for (t, &(deadline, reward, category)) in queued.iter().enumerate() {
             let id = 200 + t as u64;
             let submit = Op::Submit { id, deadline, reward, category };
             apply(&submit, &mut p, &mut tm, &mut 0.0);
         }
-        let mut scratch = BatchScratch::new();
+        let (mut first, mut second) = (BatchScratch::new(), BatchScratch::new());
         let mut now = 0.0f64;
-        for op in &ops {
+        for (step, op) in ops.iter().enumerate() {
             apply(op, &mut p, &mut tm, &mut now);
-            assert_identical(&mut scratch, &config, &mut p, &tm, now, op);
+            if let Some(theirs) = elsewhere.get(step) {
+                apply(theirs, &mut other, &mut TaskManagementComponent::new(), &mut 0.0);
+            }
+            if step % cadences.0 == 0 {
+                assert_identical(&mut first, &config, &mut p, &tm, now, &(step, op));
+            }
+            if step % cadences.1 == 0 {
+                assert_identical(&mut second, &config, &mut p, &tm, now, &(step, op));
+            }
+            if step % detour_every == 1 {
+                assert_identical(&mut first, &config, &mut other, &tm, now, &("detour", step));
+            }
+        }
+        // However far a reader lagged, it catches up.
+        assert_identical(&mut first, &config, &mut p, &tm, now, &"last");
+        assert_identical(&mut second, &config, &mut p, &tm, now, &"last");
+    }
+}
+
+/// The smallest setup around one seasoned worker: `times` completed in
+/// category 0, no training rule.
+fn one_worker(times: &[f64]) -> (Config, ProfilingComponent) {
+    let mut config = Config::with_matcher(MatcherPolicy::React { cycles: 100 });
+    config.training_assignments = 0;
+    let mut p = ProfilingComponent::default();
+    p.register(WorkerId(0), spot(0)).unwrap();
+    for &t in times {
+        p.record_assignment(WorkerId(0)).unwrap();
+        p.record_completion(WorkerId(0), TaskCategory(0), t, true)
+            .unwrap();
+    }
+    (config, p)
+}
+
+fn submit(tm: &mut TaskManagementComponent, id: u64, deadline: f64, reward: f64) {
+    let task = Task::new(
+        TaskId(id),
+        spot(id),
+        deadline,
+        reward,
+        TaskCategory(0),
+        "case",
+    );
+    tm.submit(task, 0.0).unwrap();
+}
+
+/// Regression: a row with a reward range that the gate prunes outright.
+/// It emits nothing, so no weight is computed for it and none may be
+/// read; and the gate answers only the pairs the reward test let through,
+/// as when each pair is decided on its own.
+#[test]
+fn a_ranged_row_the_gate_prunes_outright_reads_no_weight() {
+    let (config, mut p) = one_worker(&[50.0, 80.0, 120.0]);
+    p.set_reward_range(WorkerId(0), Some((0.5, 2.0))).unwrap();
+    let mut tm = TaskManagementComponent::new();
+    // Hopeless deadlines for a worker who never finished under 50 s; two
+    // of the three rewards are in range.
+    for (id, reward) in [(1, 1.0), (2, 0.05), (3, 0.7)] {
+        submit(&mut tm, id, 5.0 + id as f64, reward);
+    }
+    let mut scratch = BatchScratch::new();
+    for round in 0..2 {
+        let stats = assert_identical(&mut scratch, &config, &mut p, &tm, 0.0, &round);
+        assert_eq!(stats.cdf_memo_hits, 2, "one per reward-accepted pair");
+        assert_eq!(scratch.build(&config, &mut p, &tm, 0.0).pruned, 3);
+    }
+    // The same row once a deadline is feasible: now it has a weight.
+    submit(&mut tm, 4, 10_000.0, 1.5);
+    let stats = assert_identical(&mut scratch, &config, &mut p, &tm, 0.0, &"feasible");
+    assert_eq!(stats.cdf_memo_hits, 3);
+    assert_eq!(scratch.build(&config, &mut p, &tm, 0.0).graph.n_edges(), 1);
+}
+
+/// Regression: a row snapshotted while nothing was queued has no batch,
+/// hence no category, to remember a weight for; the first batch that
+/// emits it evaluates one (a placeholder would not pass the graph's
+/// validation, a stale category's would be the wrong weight).
+#[test]
+fn a_row_snapshotted_on_an_empty_queue_gets_its_weight_later() {
+    let (config, mut p) = one_worker(&[1.0, 1.5, 2.0]);
+    p.record_completion(WorkerId(0), TaskCategory(1), 1.2, false)
+        .unwrap();
+    let mut tm = TaskManagementComponent::new();
+    let mut scratch = BatchScratch::new();
+    let stats = assert_identical(&mut scratch, &config, &mut p, &tm, 0.0, &"empty");
+    assert_eq!((stats.rows_total, stats.rows_reused), (1, 0));
+    submit(&mut tm, 1, 60.0, 0.05);
+    for round in 0..2 {
+        let stats = assert_identical(&mut scratch, &config, &mut p, &tm, 0.0, &round);
+        assert_eq!(stats.rows_reused, 1, "the row itself did not change");
+        let built = scratch.build(&config, &mut p, &tm, 0.0);
+        assert_eq!(built.graph.edges()[0].weight, 1.0);
+    }
+    // The next batch is of the other category: its weight, not the
+    // remembered one.
+    tm.mark_assigned(TaskId(1), WorkerId(0), 0.0).unwrap();
+    let task = Task::new(TaskId(2), spot(2), 60.0, 0.05, TaskCategory(1), "case");
+    tm.submit(task, 0.0).unwrap();
+    let stats = assert_identical(&mut scratch, &config, &mut p, &tm, 0.0, &"other category");
+    assert_eq!(stats.rows_reused, 1, "still the same row");
+    let built = scratch.build(&config, &mut p, &tm, 0.0);
+    assert_eq!(built.graph.edges()[0].weight, 0.0);
+}
+
+/// More changes between two builds than the component's feed holds (it
+/// keeps `max(1024, 2 × registered)` epochs): the reader is told so and
+/// re-reads every profile, which must equal the cold build — while a
+/// second reader that kept up follows the feed the whole way.
+#[test]
+fn a_reader_the_feed_has_overrun_resyncs() {
+    let (mut config, mut p) = one_worker(&[20.0, 26.0, 31.0, 44.0]);
+    config.training_assignments = 2;
+    // Eight workers churn; thirty-two stay as they are.
+    for w in 1..40 {
+        p.register(WorkerId(w), spot(w)).unwrap();
+    }
+    let mut tm = TaskManagementComponent::new();
+    for id in 0..5 {
+        submit(&mut tm, id, 30.0 + 15.0 * id as f64, 0.05);
+    }
+    let (mut lagging, mut prompt) = (BatchScratch::new(), BatchScratch::new());
+    assert_identical(&mut lagging, &config, &mut p, &tm, 0.0, &"first");
+    for round in 0..1_300u64 {
+        let id = WorkerId(round % 8);
+        match round % 5 {
+            0 => p.record_assignment(id).unwrap(),
+            1 => p
+                .record_completion(id, TaskCategory(0), 3.0 + (round % 40) as f64, true)
+                .unwrap(),
+            2 => p.set_location(id, spot(round)).unwrap(),
+            3 => {
+                p.deregister(id).unwrap();
+                p.register(id, spot(round)).unwrap();
+            }
+            _ => p.set_availability(id, Availability::Available).unwrap(),
+        }
+        if round % 100 == 0 {
+            assert_identical(&mut prompt, &config, &mut p, &tm, 1.0, &round);
         }
     }
+    let kept_up = assert_identical(&mut prompt, &config, &mut p, &tm, 1.0, &"prompt");
+    assert!(
+        kept_up.rows_reused >= 32,
+        "the feed named the eight: {kept_up:?}"
+    );
+    let resynced = assert_identical(&mut lagging, &config, &mut p, &tm, 1.0, &"lagging");
+    assert_eq!(resynced.rows_reused, 0, "a full re-read reuses nothing");
+    let steady = assert_identical(&mut lagging, &config, &mut p, &tm, 1.0, &"again");
+    assert_eq!(steady.rows_reused, steady.rows_total);
 }
 
 /// `x` moved `ulps` representable values up (or down) — positive finite
@@ -447,7 +613,7 @@ fn row_verdicts_agree_with_the_cold_build_at_every_gate_boundary() {
 /// End-to-end determinism with faults active: a chaotic scenario driven
 /// through the server's scratch-backed tick loop replays bit-identically
 /// per seed, and worker dropouts mid-run (which mutate profiles outside
-/// the batch path) never desynchronize the row cache. Under
+/// the batch path) never desynchronize the row table. Under
 /// `--features debug-invariants` every tick also cross-checks the
 /// incremental graph against a cold rebuild.
 #[test]
