@@ -13,7 +13,7 @@
 //!   --rate R      offered rate, tasks per crowd second (default 9.375)
 //!   --tasks N     trace length (default 4000)
 //!   --scale S     crowd seconds per wall second (default 60)
-//!   --workers N   worker-host threads (default 60)
+//!   --workers N   crowd workers (default 60)
 //!   --shape X     arrival shape: poisson | burst (default: both)
 //!   --out PATH    report path (default target/react-load.json)
 //! ```

@@ -26,7 +26,7 @@ pub struct LoadParams {
     pub tasks: usize,
     /// Crowd seconds per wall second.
     pub time_scale: f64,
-    /// Worker-host threads in the hosted runtime.
+    /// Crowd workers in the hosted runtime.
     pub n_workers: usize,
     /// Sender threads in the replay client.
     pub senders: usize,

@@ -1,17 +1,19 @@
-//! Live TCP ingest: an HTTP/1.1 front-end, the scheduler thread and the
-//! worker-host fleet.
+//! Live TCP ingest: an HTTP/1.1 front-end and the scheduler thread.
 //!
 //! This is the wire boundary the paper's middleware implies: requesters
 //! submit tasks with `POST /tasks` and poll with `GET /tasks/<id>`;
 //! acceptor threads apply the admission-control ladder (framing →
 //! backlog watermark → bounded queue, see [`server`]) and hand admitted
 //! tasks to the scheduler thread over a *bounded* channel — the
-//! backpressure edge between the door and the middleware. The scheduler
-//! thread is the crate's one live control loop: it owns the
-//! `ReactServer` and the worker hosts, applies the fault timeline and
-//! the loss/duplication/abandon shims, publishes its backlog back to
-//! the door every tick, and records door-to-assignment latencies for
-//! the load generator's p50/p99/p999 report.
+//! backpressure edge between the door and the middleware, and the one
+//! thing the scheduler thread ever blocks on. The scheduler thread is
+//! the crate's one live control loop: it owns the `ReactServer` and the
+//! crowd (a [`Fleet`]: to-do lists and a timer queue, no threads),
+//! sleeps until the next submission, the next completion falling due or
+//! the end of the tick period, whichever is first, applies the fault
+//! timeline and the loss/duplication/abandon shims, publishes its
+//! backlog back to the door every tick, and records door-to-assignment
+//! latencies for the load generator's p50/p99/p999 report.
 //!
 //! `std::net` usage is sanctioned here (and in `react-load`) by the
 //! `react-analyze` `net-boundary` rule; the rest of the workspace
@@ -21,9 +23,8 @@ pub mod http;
 pub mod server;
 
 use crate::clock::ScaledClock;
-use crate::messages::{Completion, WorkerCommand};
-use crate::worker_host::run_worker_host;
-use crossbeam::channel::{bounded, unbounded, Receiver, Sender};
+use crate::fleet::{Completion, Fleet};
+use crossbeam::channel::{bounded, Receiver, RecvTimeoutError};
 use parking_lot::Mutex;
 use rand::Rng;
 use react_core::{verify_lifecycles, Config, ReactServer, Task, TaskCategory, TaskId, WorkerId};
@@ -32,14 +33,14 @@ use react_faults::{FaultPlan, FaultSchedule, BURST_ID_BASE};
 use react_geo::BoundingBox;
 use react_obs::{null_observer, HistogramKind, ObserverHandle};
 use react_sim::RngStreams;
-use std::collections::{HashMap, HashSet};
+use std::collections::{HashMap, VecDeque};
 use std::net::SocketAddr;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-pub use server::{DoorStats, IngestTask, Shared, TaskStatus};
+pub use server::{DoorStats, Inbox, IngestTask, Shared, TaskStatus};
 
 /// A timed fault applied when the scaled clock reaches its instant.
 enum FaultAction {
@@ -51,7 +52,8 @@ enum FaultAction {
 /// Configuration of the ingest front-end + scheduler + worker fleet.
 #[derive(Debug, Clone)]
 pub struct IngestConfig {
-    /// Number of worker-host threads.
+    /// Number of crowd workers in the scheduler's [`Fleet`] (they cost
+    /// memory, not threads).
     pub n_workers: usize,
     /// Crowd behaviour parameters.
     pub behavior: BehaviorParams,
@@ -195,7 +197,6 @@ pub struct IngestHandle {
     addr: SocketAddr,
     clock: ScaledClock,
     shared: Arc<Shared>,
-    stop: Arc<AtomicBool>,
     acceptors: Vec<JoinHandle<()>>,
     scheduler: JoinHandle<IngestReport>,
     n_acceptors: usize,
@@ -216,14 +217,14 @@ impl IngestRuntime {
         self
     }
 
-    /// Binds the listener, spawns acceptors + scheduler + worker hosts,
-    /// and returns a handle to the running stack.
+    /// Binds the listener, spawns the acceptors and the scheduler
+    /// thread, and returns a handle to the running stack.
     pub fn start(self) -> std::io::Result<IngestHandle> {
         let lc = self.config;
         let observer = self.observer;
         let clock = ScaledClock::start(lc.time_scale);
         let region = BoundingBox::new(37.8, 38.2, 23.5, 24.0).expect("static bounds");
-        let (submit_tx, submit_rx) = bounded::<IngestTask>(lc.queue_capacity.max(1));
+        let (submit_tx, submit_rx) = bounded::<Inbox>(lc.queue_capacity.max(1));
         let shared = Arc::new(Shared {
             clock,
             observer: observer.clone(),
@@ -245,22 +246,17 @@ impl IngestRuntime {
             lc.idle_timeout,
             Arc::clone(&shared),
         )?;
-        let stop = Arc::new(AtomicBool::new(false));
         let scheduler = {
             let shared = Arc::clone(&shared);
-            let stop = Arc::clone(&stop);
             std::thread::Builder::new()
                 .name("ingest-scheduler".to_string())
-                .spawn(move || {
-                    scheduler_thread(lc, clock, region, observer, shared, submit_rx, stop)
-                })
+                .spawn(move || scheduler_thread(lc, clock, region, observer, shared, submit_rx))
                 .expect("spawn scheduler thread")
         };
         Ok(IngestHandle {
             addr,
             clock,
             shared,
-            stop,
             acceptors,
             scheduler,
             n_acceptors,
@@ -292,7 +288,12 @@ impl IngestHandle {
         for handle in self.acceptors {
             handle.join().expect("acceptor thread panicked");
         }
-        self.stop.store(true, Ordering::SeqCst);
+        // Only the acceptors submit, so `Stop` is the inbox's last
+        // message; sending it is also what wakes an idle scheduler. The
+        // scheduler outlives the send (it holds `shared`, and leaves its
+        // loop only on `Stop`), so a failure here is its panic, which
+        // the join reports.
+        let _ = self.shared.submit_tx.send(Inbox::Stop);
         self.scheduler.join().expect("scheduler thread panicked")
     }
 }
@@ -305,7 +306,7 @@ fn fault_timeline(
     n_workers: usize,
     region: BoundingBox,
     deadline_range: (f64, f64),
-) -> Vec<(f64, FaultAction)> {
+) -> VecDeque<(f64, FaultAction)> {
     let mut timeline: Vec<(f64, FaultAction)> = Vec::new();
     for d in schedule.dropouts() {
         if d.worker >= n_workers {
@@ -338,18 +339,60 @@ fn fault_timeline(
         timeline.push((at, FaultAction::Burst(tasks)));
     }
     timeline.sort_by(|a, b| a.0.total_cmp(&b.0));
-    timeline
+    timeline.into()
 }
 
-/// The scheduler thread: middleware + worker fleet + drain logic.
+/// What ends one wait of the scheduler thread.
+enum Event {
+    /// A message from the door or from `shutdown()`.
+    Inbox(Inbox),
+    /// A worker finished its task in hand.
+    Done(Completion),
+    /// Neither within one tick period.
+    Tick,
+}
+
+/// Blocks until the next event: a queued message if there is one, else
+/// a completion that has fallen due, else whichever of the two comes
+/// first — asleep on the inbox until the fleet's next due instant —
+/// and gives up after one tick period.
+fn next_event(
+    inbox: &Receiver<Inbox>,
+    fleet: &mut Fleet,
+    clock: &ScaledClock,
+    tick_interval: f64,
+) -> Event {
+    if let Ok(message) = inbox.try_recv() {
+        return Event::Inbox(message);
+    }
+    let now = clock.now();
+    if let Some(done) = fleet.pop_due(now) {
+        return Event::Done(done);
+    }
+    let wait = fleet
+        .next_due()
+        .map_or(tick_interval, |due| tick_interval.min(due - now));
+    match inbox.recv_deadline(clock.deadline_after(wait)) {
+        Ok(message) => return Event::Inbox(message),
+        Err(RecvTimeoutError::Timeout) => {}
+        // Cannot happen while the scheduler thread holds `Shared` and
+        // its sender; if it ever does, keep the loop's pace rather than
+        // spin.
+        Err(RecvTimeoutError::Disconnected) => std::thread::sleep(clock.to_wall(wait)),
+    }
+    // The wait most often ends because a completion fell due: report it
+    // now rather than spend a tick finding nothing changed.
+    fleet.pop_due(clock.now()).map_or(Event::Tick, Event::Done)
+}
+
+/// The scheduler thread: middleware + crowd + drain logic.
 fn scheduler_thread(
     lc: IngestConfig,
     clock: ScaledClock,
     region: BoundingBox,
     observer: ObserverHandle,
     shared: Arc<Shared>,
-    submit_rx: Receiver<IngestTask>,
-    stop: Arc<AtomicBool>,
+    inbox: Receiver<Inbox>,
 ) -> IngestReport {
     let streams = RngStreams::new(lc.seed);
     let mut pop_rng = streams.stream("population");
@@ -373,68 +416,56 @@ fn scheduler_thread(
         .observer(observer.clone())
         .build()
         .expect("ingest config carries a valid middleware config");
-    let (done_tx, done_rx) = unbounded::<Completion>();
-    let mut mailboxes: Vec<Sender<WorkerCommand>> = Vec::with_capacity(lc.n_workers);
-    let mut hosts = Vec::with_capacity(lc.n_workers);
-    for (i, b) in behaviors.iter().enumerate() {
-        let id = WorkerId(i as u64);
-        server.register_worker(id, region.random_point(&mut pop_rng));
-        let (tx, rx) = unbounded::<WorkerCommand>();
-        mailboxes.push(tx);
-        let done_tx = done_tx.clone();
-        let quality = b.quality;
-        hosts.push(std::thread::spawn(move || {
-            run_worker_host(id, quality, clock, rx, done_tx)
-        }));
+    for i in 0..behaviors.len() {
+        server.register_worker(WorkerId(i as u64), region.random_point(&mut pop_rng));
     }
-    drop(done_tx);
+    let mut fleet = Fleet::new(behaviors.iter().map(|b| b.quality));
 
     let mut behavior_rng = streams.stream("behavior");
     let mut report = IngestReport::default();
+    // Per-task state, each entry dropped when the task leaves the stage
+    // it describes, so none of the three grows with the run.
     let mut live_assignment: HashMap<TaskId, WorkerId> = HashMap::new();
+    // Assignments so far of each task the middleware still holds.
     let mut attempts: HashMap<TaskId, u32> = HashMap::new();
-    let mut accepted_at: HashMap<u64, f64> = HashMap::new();
-    let mut latency_recorded: HashSet<u64> = HashSet::new();
+    // Door-accept instant of each task not yet assigned once.
+    let mut accepted_at: HashMap<TaskId, f64> = HashMap::new();
+    let mut stopping = false;
     let mut drain_started: Option<f64> = None;
 
     loop {
-        let deadline = clock.to_wall(lc.tick_interval);
-        crossbeam::channel::select! {
-            recv(submit_rx) -> msg => {
-                if let Ok(incoming) = msg {
-                    let id = incoming.task.id.0;
-                    accepted_at.insert(id, incoming.accepted_at);
-                    server.submit_task(incoming.task, clock.now());
-                }
-            },
-            recv(done_rx) -> msg => {
-                if let Ok(done) = msg {
-                    handle_completion(
-                        done,
-                        &mut server,
-                        &clock,
-                        &schedule,
-                        &shared,
-                        &mut live_assignment,
-                        &attempts,
-                        &mut report,
-                    );
-                }
-            },
-            default(deadline) => {}
+        // One event per lap, then a tick.
+        match next_event(&inbox, &mut fleet, &clock, lc.tick_interval) {
+            Event::Inbox(Inbox::Task(incoming)) => {
+                accepted_at.insert(incoming.task.id, incoming.accepted_at);
+                server.submit_task(incoming.task, clock.now());
+            }
+            Event::Inbox(Inbox::Stop) => stopping = true,
+            Event::Done(done) => handle_completion(
+                done,
+                &mut server,
+                &clock,
+                &schedule,
+                &shared,
+                &mut live_assignment,
+                &mut attempts,
+                &mut report,
+            ),
+            Event::Tick => {}
         }
 
         // Apply timed faults whose instant has passed.
         let now = clock.now();
-        while timeline.first().is_some_and(|(at, _)| *at <= now) {
-            let (_, action) = timeline.remove(0);
+        while timeline.front().is_some_and(|(at, _)| *at <= now) {
+            let (_, action) = timeline.pop_front().expect("front() just saw it");
             match action {
                 FaultAction::Offline(w) => {
                     report.fault_events += 1;
-                    for task in server.worker_offline(WorkerId(w as u64), now) {
+                    let worker = WorkerId(w as u64);
+                    for task in server.worker_offline(worker, now) {
                         live_assignment.remove(&task);
                         shared.set_status(task.0, TaskStatus::Queued);
-                        let _ = mailboxes[w].send(WorkerCommand::Recall { task });
+                        fleet.recall(worker, task, now);
                     }
                 }
                 FaultAction::Online(w) => {
@@ -455,18 +486,21 @@ fn scheduler_thread(
         let outcome = server.tick(now);
         for task in &outcome.expired {
             report.expired += 1;
+            attempts.remove(task);
+            accepted_at.remove(task);
             shared.set_status(task.0, TaskStatus::Expired);
         }
         for task in &outcome.shed {
             report.shed_server += 1;
+            attempts.remove(task);
+            accepted_at.remove(task);
             shared.set_status(task.0, TaskStatus::Shed);
         }
         for recall in &outcome.recalls {
             report.recalls += 1;
             live_assignment.remove(&recall.task);
             shared.set_status(recall.task.0, TaskStatus::Queued);
-            let _ = mailboxes[recall.worker.0 as usize]
-                .send(WorkerCommand::Recall { task: recall.task });
+            fleet.recall(recall.worker, recall.task, now);
         }
         for &(worker, task) in &outcome.assignments {
             let attempt = {
@@ -479,23 +513,18 @@ fn scheduler_thread(
                 behaviors[w].sample_exec_time(&mut behavior_rng) * schedule.slowdown_factor(w);
             live_assignment.insert(task, worker);
             shared.set_status(task.0, TaskStatus::Assigned);
-            if latency_recorded.insert(task.0) {
-                if let Some(&at) = accepted_at.get(&task.0) {
-                    report.assign_latencies.push((now - at).max(0.0));
-                }
+            if let Some(at) = accepted_at.remove(&task) {
+                report.assign_latencies.push((now - at).max(0.0));
             }
             if schedule.abandons(task.0, attempt) {
                 report.fault_events += 1;
                 continue;
             }
-            let _ = mailboxes[w].send(WorkerCommand::Assign {
-                task,
-                exec_crowd_secs: exec,
-            });
+            fleet.assign(worker, task, exec, now);
         }
 
         // Publish backpressure state back to the door.
-        let queue_depth = submit_rx.len();
+        let queue_depth = inbox.len();
         let backlog = queue_depth + server.tasks().unassigned_count();
         shared.backlog.store(backlog, Ordering::Relaxed);
         report.peak_queue_depth = report.peak_queue_depth.max(queue_depth);
@@ -505,48 +534,20 @@ fn scheduler_thread(
         }
 
         // Teardown: drain until idle, bounded by the grace window.
-        if stop.load(Ordering::SeqCst) {
-            let drained = submit_rx.is_empty();
-            let idle =
-                server.tasks().unassigned_count() == 0 && server.tasks().assigned_count() == 0;
-            if drained && idle {
+        // `Stop` was the inbox's last message, so nothing is queued.
+        if stopping {
+            if server.tasks().unassigned_count() == 0 && server.tasks().assigned_count() == 0 {
                 break;
             }
             let started = *drain_started.get_or_insert(now);
-            if now - started > lc.drain_grace {
-                force_drain(
-                    &mut server,
-                    &clock,
-                    &shared,
-                    &mailboxes,
-                    &mut live_assignment,
-                    &mut report,
-                );
+            if now - started >= lc.drain_grace {
+                force_drain(&mut server, lc.n_workers, now, &shared, &mut report);
                 break;
             }
         }
     }
 
     report.batches = server.batches_run();
-    for tx in &mailboxes {
-        let _ = tx.send(WorkerCommand::Shutdown);
-    }
-    for h in hosts {
-        h.join().expect("worker host panicked");
-    }
-    // A worker that finished in the teardown window may have raced a
-    // completion into the channel after the loop stopped consuming.
-    // Discard anything that is not a live assignment *without* touching
-    // the server: applying it would append a Completed audit event
-    // after the recall/seal — the orphan the wire boundary surfaced.
-    while let Ok(done) = done_rx.try_recv() {
-        if live_assignment.get(&done.task) == Some(&done.worker) {
-            live_assignment.remove(&done.task);
-            if apply_completion(done, &mut server, &clock, &shared, &mut report) {
-                report.stranded = report.stranded.saturating_sub(1);
-            }
-        }
-    }
     if let Some(log) = server.audit() {
         report.audit_events = log.len() as u64;
         verify_lifecycles(log);
@@ -563,33 +564,7 @@ fn scheduler_thread(
     report
 }
 
-/// Applies one completion to the server; returns true on success.
-fn apply_completion(
-    done: Completion,
-    server: &mut ReactServer,
-    clock: &ScaledClock,
-    shared: &Shared,
-    report: &mut IngestReport,
-) -> bool {
-    match server.complete_task(done.task, done.worker, clock.now(), done.quality_ok) {
-        Ok(out) => {
-            report.completed += 1;
-            if out.met_deadline {
-                report.met_deadline += 1;
-            }
-            shared.set_status(
-                done.task.0,
-                TaskStatus::Completed {
-                    met_deadline: out.met_deadline,
-                },
-            );
-            true
-        }
-        Err(_) => false,
-    }
-}
-
-/// Handles a completion message during the main loop, applying the
+/// Applies a completion the fleet reported, through the
 /// loss/duplication fault shims.
 #[allow(clippy::too_many_arguments)]
 fn handle_completion(
@@ -599,7 +574,7 @@ fn handle_completion(
     schedule: &FaultSchedule,
     shared: &Shared,
     live_assignment: &mut HashMap<TaskId, WorkerId>,
-    attempts: &HashMap<TaskId, u32>,
+    attempts: &mut HashMap<TaskId, u32>,
     report: &mut IngestReport,
 ) {
     if live_assignment.get(&done.task) != Some(&done.worker) {
@@ -611,9 +586,21 @@ fn handle_completion(
         return; // lost in flight; the timeout ladder recovers it
     }
     live_assignment.remove(&done.task);
-    if apply_completion(done, server, clock, shared, report)
-        && schedule.duplicates_completion(done.task.0, attempt)
-    {
+    let Ok(out) = server.complete_task(done.task, done.worker, clock.now(), done.quality_ok) else {
+        return;
+    };
+    attempts.remove(&done.task);
+    report.completed += 1;
+    if out.met_deadline {
+        report.met_deadline += 1;
+    }
+    shared.set_status(
+        done.task.0,
+        TaskStatus::Completed {
+            met_deadline: out.met_deadline,
+        },
+    );
+    if schedule.duplicates_completion(done.task.0, attempt) {
         report.fault_events += 1;
         let dup = server.complete_task(done.task, done.worker, clock.now(), done.quality_ok);
         debug_assert!(dup.is_err(), "duplicate completion must be rejected");
@@ -623,21 +610,18 @@ fn handle_completion(
 
 /// Force-drains the middleware when the grace window expires: recalls
 /// every in-flight assignment, sheds the queue, and counts what could
-/// not be closed out as stranded.
+/// not be closed out as stranded. The loop ends here, so the fleet is
+/// not told: nothing will ask it what is due again.
 fn force_drain(
     server: &mut ReactServer,
-    clock: &ScaledClock,
+    n_workers: usize,
+    now: f64,
     shared: &Shared,
-    mailboxes: &[Sender<WorkerCommand>],
-    live_assignment: &mut HashMap<TaskId, WorkerId>,
     report: &mut IngestReport,
 ) {
-    let now = clock.now();
-    for (w, mailbox) in mailboxes.iter().enumerate() {
+    for w in 0..n_workers {
         for task in server.worker_offline(WorkerId(w as u64), now) {
-            live_assignment.remove(&task);
             shared.set_status(task.0, TaskStatus::Queued);
-            let _ = mailbox.send(WorkerCommand::Recall { task });
         }
     }
     for (task, _) in server.evict_unassigned(usize::MAX, now) {
@@ -798,7 +782,8 @@ mod tests {
         assert!(report.conserved());
     }
 
-    /// Regression test for the worker-host shutdown race: an external
+    /// Regression test for the shutdown race (found when workers were
+    /// threads; kept as the drain path's audit check): an external
     /// shutdown arriving while workers hold in-flight assignments must
     /// not leave an orphaned audit event (a Completed after the task
     /// was recalled/sealed). `verify_lifecycles` runs inside

@@ -93,6 +93,16 @@ pub struct IngestTask {
     pub accepted_at: f64,
 }
 
+/// What travels the bounded queue into the scheduler thread.
+#[derive(Debug)]
+pub enum Inbox {
+    /// A submission the door admitted.
+    Task(IngestTask),
+    /// Teardown has begun and the acceptors are gone: no message
+    /// follows this one.
+    Stop,
+}
+
 /// State shared between the acceptor threads and the scheduler thread.
 pub struct Shared {
     /// The scaled clock all timestamps come from.
@@ -113,7 +123,7 @@ pub struct Shared {
     /// Per-task status table for `GET /tasks/<id>`.
     pub statuses: Mutex<HashMap<u64, TaskStatus>>,
     /// The bounded queue into the scheduler.
-    pub submit_tx: Sender<IngestTask>,
+    pub submit_tx: Sender<Inbox>,
     /// Default task location when the body gives none.
     pub default_location: GeoPoint,
     /// Default deadline (crowd seconds) when the body gives none.
@@ -320,10 +330,10 @@ fn submit(request: &Request, shared: &Shared) -> Response {
     shared.set_status(id, TaskStatus::Queued);
     // Rung 3: the bounded queue. A full queue sheds instead of
     // blocking the acceptor.
-    match shared.submit_tx.try_send(IngestTask {
+    match shared.submit_tx.try_send(Inbox::Task(IngestTask {
         task,
         accepted_at: shared.clock.now(),
-    }) {
+    })) {
         Ok(()) => {
             shared.stats.accepted.fetch_add(1, Ordering::Relaxed);
             if shared.observer.enabled() {

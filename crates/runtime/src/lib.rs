@@ -1,20 +1,24 @@
 //! Live (wall-clock) deployment of the REACT middleware.
 //!
 //! The paper deployed REACT as a Java middleware on PlanetLab. This crate
-//! is the equivalent *running system* in Rust: real threads exchanging
-//! messages over `crossbeam` channels, driven by the wall clock instead
-//! of the discrete-event simulator —
+//! is the equivalent *running system* in Rust, driven by the wall clock
+//! instead of the discrete-event simulator —
 //!
 //! * **acceptor threads** take task submissions over TCP (hand-rolled
-//!   HTTP/1.1) and apply the admission ladder ([`ingest::server`]),
-//! * one **worker-host thread per crowd worker** executes assignments
-//!   (sleeping for the sampled human service time, interruptibly so the
-//!   scheduler can recall a stalled task), and
-//! * the **scheduler thread** ([`ingest`]) owns the
+//!   HTTP/1.1), apply the admission ladder ([`ingest::server`]) and put
+//!   what they admit on one bounded `crossbeam` channel;
+//! * the **scheduler thread** ([`ingest`]) is that channel's only
+//!   reader and the only other thread there is. It owns the
 //!   [`react_core::ReactServer`] and runs its control loop: ingestion,
 //!   fault timeline, Eq. (2) recalls, batch matching, drain. It is the
 //!   only live scheduler loop; `react-load` drives it with a seeded
-//!   open-loop trace.
+//!   open-loop trace;
+//! * the **crowd** is data inside that thread, not threads beside it: a
+//!   [`Fleet`] holds each worker's task in hand and to-do list and one
+//!   timer queue of the instants the sampled human service times run
+//!   out. The scheduler sleeps on its channel until the earliest such
+//!   instant or the end of its tick period, so an idle stack costs no
+//!   CPU, and a recall simply strikes the timer.
 //!
 //! Simulated "human seconds" are compressed by a configurable
 //! [`IngestConfig::time_scale`] so a 15-minute crowd scenario demos in
@@ -23,17 +27,17 @@
 //! show the middleware really schedules asynchronously end-to-end.
 //!
 //! The `tokio` crate suggested by the reproduction hint was deliberately
-//! avoided: the dispatch pattern (mpmc queues + per-worker mailboxes)
-//! maps directly onto OS threads and `crossbeam` channels, which are on
-//! the approved dependency list (see `DESIGN.md`).
+//! avoided: one bounded mpsc queue with a timed receive is all the
+//! concurrency the design has, and OS threads plus a `crossbeam`
+//! channel, which is on the approved dependency list (see `DESIGN.md`),
+//! cover it.
 
 #![warn(missing_docs)]
 
 pub mod clock;
+pub mod fleet;
 pub mod ingest;
-pub mod messages;
-pub mod worker_host;
 
 pub use clock::{ScaledClock, Stopwatch};
+pub use fleet::{Completion, Fleet};
 pub use ingest::{IngestConfig, IngestHandle, IngestReport, IngestRuntime};
-pub use messages::{Completion, WorkerCommand};

@@ -71,6 +71,11 @@ impl<E> EventQueue<E> {
         self.heap.peek().map(|Reverse(e)| e.time)
     }
 
+    /// The earliest pending event, left in the queue.
+    pub fn peek(&self) -> Option<(SimTime, &E)> {
+        self.heap.peek().map(|Reverse(e)| (e.time, &e.payload))
+    }
+
     /// Number of pending events.
     pub fn len(&self) -> usize {
         self.heap.len()
@@ -133,6 +138,8 @@ mod tests {
         q.push(SimTime::from_secs(1.0), ());
         assert_eq!(q.len(), 2);
         assert_eq!(q.peek_time(), Some(SimTime::from_secs(1.0)));
+        assert_eq!(q.peek(), Some((SimTime::from_secs(1.0), &())));
+        assert_eq!(q.len(), 2, "peek leaves the event queued");
         q.clear();
         assert!(q.is_empty());
         assert_eq!(q.pop(), None);

@@ -1,12 +1,12 @@
 //! Live dispatch — the middleware on real threads, real sockets and the
 //! wall clock.
 //!
-//! Self-hosts the ingest stack (TCP acceptors, the scheduler thread and
-//! one host thread per crowd worker) and replays a seeded Poisson trace
-//! through it over real connections, with time compressed 120× (two
-//! simulated minutes per wall second). Demonstrates asynchronous
+//! Self-hosts the ingest stack (TCP acceptors and the scheduler thread,
+//! which keeps the crowd as a timer queue) and replays a seeded Poisson
+//! trace through it over real connections, with time compressed 120×
+//! (two simulated minutes per wall second). Demonstrates asynchronous
 //! assignment, interruptible execution (Eq. 2 recalls actually abort the
-//! sleeping "human"), and a clean drain on shutdown.
+//! busy "human"), and a clean drain on shutdown.
 //!
 //! ```text
 //! cargo run --release --example live_dispatch
@@ -24,7 +24,7 @@ fn main() -> std::io::Result<()> {
         ..LoadParams::default()
     };
     println!(
-        "spawning {} worker threads; {} tasks at {}/crowd-second, {}× time compression…",
+        "a crowd of {} workers; {} tasks at {}/crowd-second, {}× time compression…",
         params.n_workers, params.tasks, params.rate, params.time_scale
     );
 

@@ -312,3 +312,33 @@ fn shutdown_is_clean_and_drains_to_a_conserved_report() {
         );
     }
 }
+
+/// An idle stack must not wait out its timers to stop: `shutdown()`
+/// wakes the scheduler through its inbox. One tick period here is a
+/// full wall second, so a scheduler that only notices the stop when a
+/// timed wait runs out (it used to take two to three of them) cannot
+/// pass; 240 workers because a fleet that size used to be 240 threads
+/// to tear down.
+#[test]
+fn idle_stack_shuts_down_within_one_tick_interval() {
+    let tick_interval = 1.0;
+    let config = IngestConfig {
+        n_workers: 240,
+        time_scale: 1.0,
+        tick_interval,
+        seed: 33,
+        ..IngestConfig::default()
+    };
+    let handle = IngestRuntime::new(config).start().expect("start stack");
+    let clock = handle.clock();
+    let began = clock.now();
+    let report = handle.shutdown();
+    let took = clock.now() - began;
+    assert!(
+        took < tick_interval,
+        "idle shutdown took {took:.3} crowd-s of a {tick_interval} s tick"
+    );
+    assert_eq!(report.offered, 0);
+    assert!(report.conserved(), "conservation: {report:?}");
+    assert_eq!(report.stranded, 0);
+}
