@@ -1032,7 +1032,7 @@ fn f() {
         assert_eq!(v[0].rule, Rule::NoSleepInTests);
         // `#[cfg(test)]` regions inside crate sources: flagged too.
         let src = format!("fn f() {{}}\n#[cfg(test)]\nmod tests {{\n    {sleep}}}\n");
-        let v = scan("crates/runtime/src/fleet.rs", &src);
+        let v = scan("crates/runtime/src/clock.rs", &src);
         assert_eq!(v.len(), 1);
         assert_eq!(v[0].rule, Rule::NoSleepInTests);
         // Non-test code is out of scope (the runtime's own clock-driven

@@ -8,9 +8,11 @@
 //! `react_crowd::MultiRegionRunner`, whose regions never interact.
 //!
 //! [`ClusterRunner::run`] is the coupled event loop, on one thread: one
-//! global event queue; every control tick steps all shards in shard
-//! order and then runs the cluster passes, so the same scenario and seed
-//! give the same [`ClusterReport`] bit for bit. A scenario with no
+//! global event queue beside the one `react_crowd::Crowd` all shards
+//! share, each step taking whichever is earlier; every control tick
+//! steps all shards in shard order and then runs the cluster passes, so
+//! the same scenario and seed give the same [`ClusterReport`] bit for
+//! bit. A scenario with no
 //! coupling at all is a `MultiRegionRunner` run; there is no second copy
 //! of that here.
 //!
@@ -22,8 +24,7 @@
 use crate::cluster::Cluster;
 use crate::policy::ClusterPolicy;
 use react_core::{AuditLog, Task, TaskId, WorkerId};
-use react_crowd::{generate_population, Scenario, WorkerBehavior};
-use react_faults::FaultSchedule;
+use react_crowd::{burst_task, generate_population, Crowd, Scenario};
 use react_geo::{GeoPoint, RegionGrid, ServerId};
 use react_obs::{null_observer, ObserverHandle};
 use react_sim::{RngStreams, SimDuration, SimTime, Simulator};
@@ -219,13 +220,6 @@ enum Event {
     /// Cluster-wide control step: every shard ticks, then the handoff
     /// and (periodically) rebalance passes run.
     Tick,
-    /// A worker finishes a task it was assigned on `shard`.
-    Finish {
-        shard: ServerId,
-        task: TaskId,
-        worker: WorkerId,
-        epoch: u32,
-    },
     /// A fault-plan dropout (recalls any held task on the worker's
     /// current shard).
     WorkerOffline(WorkerId),
@@ -275,18 +269,12 @@ impl ClusterRunner {
         let streams = RngStreams::new(sc.seed ^ 0xc1);
         let mut pop_rng = streams.stream("population");
         let mut workload_rng = streams.stream("workload");
-        let mut behavior_rng = streams.stream("behavior");
         let mut burst_rng = streams.stream("fault.burst-tasks");
-        let fault_schedule = match &sc.faults {
-            Some(plan) if !plan.is_noop() => plan.materialize(&streams, sc.n_workers),
-            _ => FaultSchedule::none(),
-        };
 
         // Crowd: behaviours first, then locations, both from the
         // population stream (mirroring the single-server runner's draw
         // order). The locations double as the pre-split projection.
-        let behaviors: Vec<WorkerBehavior> =
-            generate_population(sc.n_workers, &sc.behavior, &mut pop_rng);
+        let behaviors = generate_population(sc.n_workers, &sc.behavior, &mut pop_rng);
         let locations: Vec<GeoPoint> = (0..sc.n_workers)
             .map(|_| sc.region.random_point(&mut pop_rng))
             .collect();
@@ -304,6 +292,7 @@ impl ClusterRunner {
         for (w, location) in locations.iter().enumerate() {
             cluster.register_worker(WorkerId(w as u64), *location);
         }
+        let mut crowd = Crowd::new(behaviors, sc.faults.as_ref(), &streams);
 
         let server_ids = cluster.server_ids();
         let shard_index: HashMap<ServerId, usize> = server_ids
@@ -364,7 +353,7 @@ impl ClusterRunner {
             sim.schedule_at(SimTime::from_secs(at), Event::Arrival(task));
         }
         sim.schedule_in(SimDuration::from_secs(sc.tick_interval), Event::Tick);
-        for d in fault_schedule.dropouts() {
+        for d in crowd.faults().dropouts() {
             if d.worker >= sc.n_workers {
                 continue;
             }
@@ -380,19 +369,50 @@ impl ClusterRunner {
                 );
             }
         }
-        for &(at, size) in fault_schedule.bursts() {
+        for &(at, size) in crowd.faults().bursts() {
             sim.schedule_at(SimTime::from_secs(at), Event::Burst { size });
         }
 
-        // Global per-task epoch counters (a recall invalidates pending
-        // finishes), first-submission times (total_times span handoffs),
-        // and per-worker FIFO release times.
-        let mut epochs: HashMap<TaskId, u32> = HashMap::new();
+        // First-submission times (total_times span handoffs).
         let mut first_submitted: HashMap<TaskId, f64> = HashMap::new();
-        let mut next_free: Vec<f64> = vec![0.0; sc.n_workers];
         let mut last_arrival_at = 0.0f64;
 
-        while let Some((at, event)) = sim.next_event() {
+        loop {
+            // A completion due by the loop's own next event goes first.
+            let horizon = sim.peek_time().map_or(f64::INFINITY, |t| t.as_secs());
+            if let Some(done) = crowd.pop_due(horizon) {
+                // Only idle workers are rebalanced, so the worker is still
+                // on the shard that assigned the task.
+                let shard = cluster
+                    .shard_of_worker(done.worker)
+                    .expect("a worker holding a task is registered");
+                let outcome = cluster
+                    .complete_task(shard, done.task, done.worker, done.at, done.quality_ok)
+                    .expect("a live completion matches the assignment");
+                let i = shard_index[&shard];
+                shards[i].completed += 1;
+                if outcome.met_deadline {
+                    shards[i].met_deadline += 1;
+                }
+                if outcome.positive_feedback {
+                    shards[i].positive_feedback += 1;
+                }
+                shards[i].exec_times.push(outcome.exec_time);
+                let t0 = first_submitted.get(&done.task).copied().unwrap_or(done.at);
+                shards[i].total_times.push(done.at - t0);
+                if done.duplicated
+                    && cluster
+                        .complete_task(shard, done.task, done.worker, done.at, done.quality_ok)
+                        .is_err()
+                {
+                    report.duplicates_rejected += 1;
+                }
+                report.sim_duration = done.at;
+                continue;
+            }
+            let Some((at, event)) = sim.next_event() else {
+                break;
+            };
             let now = at.as_secs();
             match event {
                 Event::Arrival(task) => {
@@ -407,19 +427,7 @@ impl ClusterRunner {
                             // Arrival doubles as a local control step so
                             // the batch trigger reacts immediately.
                             if let Some((_, outcome)) = cluster.tick_shard(server, now) {
-                                apply_outcome(
-                                    server,
-                                    &outcome,
-                                    now,
-                                    &behaviors,
-                                    &mut behavior_rng,
-                                    &fault_schedule,
-                                    &mut epochs,
-                                    &mut next_free,
-                                    &mut sim,
-                                    &mut shards[i],
-                                    &mut report,
-                                );
+                                apply_outcome(&outcome, now, &mut crowd, &mut shards[i]);
                             }
                         }
                         crate::cluster::Submission::Shed(_) => {}
@@ -428,7 +436,13 @@ impl ClusterRunner {
                 }
                 Event::Burst { size } => {
                     for _ in 0..size {
-                        let task = sc.burst_task(report.burst_tasks, &mut burst_rng);
+                        let task = burst_task(
+                            report.burst_tasks,
+                            sc.deadline_range,
+                            sc.n_categories,
+                            sc.region,
+                            &mut burst_rng,
+                        );
                         let id = task.id;
                         report.received += 1;
                         report.burst_tasks += 1;
@@ -445,19 +459,7 @@ impl ClusterRunner {
                     let outcome = cluster.tick(now);
                     for (server, shard_outcome) in &outcome.shard_ticks {
                         let i = shard_index[server];
-                        apply_outcome(
-                            *server,
-                            shard_outcome,
-                            now,
-                            &behaviors,
-                            &mut behavior_rng,
-                            &fault_schedule,
-                            &mut epochs,
-                            &mut next_free,
-                            &mut sim,
-                            &mut shards[i],
-                            &mut report,
-                        );
+                        apply_outcome(shard_outcome, now, &mut crowd, &mut shards[i]);
                     }
                     let workload_done =
                         (report.received - report.burst_tasks) as usize >= total_tasks;
@@ -471,50 +473,10 @@ impl ClusterRunner {
                     }
                 }
                 Event::WorkerOffline(worker) => {
-                    for task in cluster.worker_offline(worker, now) {
-                        *epochs.entry(task).or_insert(0) += 1;
-                    }
-                    next_free[worker.0 as usize] = now;
+                    crowd.offline(worker, &cluster.worker_offline(worker, now), now);
                 }
                 Event::WorkerOnline(worker) => {
                     cluster.worker_online(worker);
-                }
-                Event::Finish {
-                    shard,
-                    task,
-                    worker,
-                    epoch,
-                } => {
-                    if epochs.get(&task).copied() != Some(epoch) {
-                        continue; // stale: the task was recalled (or moved)
-                    }
-                    if fault_schedule.loses_completion(task.0, epoch) {
-                        report.completions_lost += 1;
-                        continue;
-                    }
-                    let behavior = &behaviors[worker.0 as usize];
-                    let quality_ok = behavior.sample_quality_ok(&mut behavior_rng);
-                    let outcome = cluster
-                        .complete_task(shard, task, worker, now, quality_ok)
-                        .expect("valid-epoch finish events match the assignment");
-                    let i = shard_index[&shard];
-                    shards[i].completed += 1;
-                    if outcome.met_deadline {
-                        shards[i].met_deadline += 1;
-                    }
-                    if outcome.positive_feedback {
-                        shards[i].positive_feedback += 1;
-                    }
-                    shards[i].exec_times.push(outcome.exec_time);
-                    let t0 = first_submitted.get(&task).copied().unwrap_or(now);
-                    shards[i].total_times.push(now - t0);
-                    if fault_schedule.duplicates_completion(task.0, epoch)
-                        && cluster
-                            .complete_task(shard, task, worker, now, quality_ok)
-                            .is_err()
-                    {
-                        report.duplicates_rejected += 1;
-                    }
                 }
             }
             report.sim_duration = now;
@@ -536,61 +498,25 @@ impl ClusterRunner {
             shards[i].workers_final = n;
         }
         report.workers_rebalanced = cluster.workers_rebalanced();
+        report.abandons = crowd.abandoned();
+        report.completions_lost = crowd.lost();
         report.shards = shards;
         report
     }
 }
 
-/// Applies one shard tick outcome to the global event queue and the
-/// shard's report: expiries and sheds retire tasks, recalls invalidate
-/// pending finishes, fresh assignments schedule them.
-#[allow(clippy::too_many_arguments)]
+/// Books what one shard tick retired and recalled in the shard's
+/// report and hands the outcome to the crowd.
 fn apply_outcome(
-    shard: ServerId,
     outcome: &react_core::TickOutcome,
     now: f64,
-    behaviors: &[WorkerBehavior],
-    behavior_rng: &mut rand::rngs::SmallRng,
-    fault_schedule: &FaultSchedule,
-    epochs: &mut HashMap<TaskId, u32>,
-    next_free: &mut [f64],
-    sim: &mut Simulator<Event>,
+    crowd: &mut Crowd,
     shard_report: &mut ShardReport,
-    report: &mut ClusterReport,
 ) {
-    shard_report.expired_unassigned += outcome.expired.len() as u64;
-    shard_report.expired_unassigned += outcome.shed.len() as u64;
+    shard_report.expired_unassigned += (outcome.expired.len() + outcome.shed.len()) as u64;
     shard_report.sheds += outcome.shed.len() as u64;
-    for recall in &outcome.recalls {
-        *epochs.entry(recall.task).or_insert(0) += 1;
-        shard_report.reassignments += 1;
-        next_free[recall.worker.0 as usize] = now;
-    }
-    for &(worker, task) in &outcome.assignments {
-        let epoch = {
-            let e = epochs.entry(task).or_insert(0);
-            *e += 1;
-            *e
-        };
-        let w = worker.0 as usize;
-        let start = outcome.effective_at.max(next_free[w]);
-        let exec_time =
-            behaviors[w].sample_exec_time(behavior_rng) * fault_schedule.slowdown_factor(w);
-        next_free[w] = start + exec_time;
-        if fault_schedule.abandons(task.0, epoch) {
-            report.abandons += 1;
-            continue;
-        }
-        sim.schedule_at(
-            SimTime::from_secs(start + exec_time),
-            Event::Finish {
-                shard,
-                task,
-                worker,
-                epoch,
-            },
-        );
-    }
+    shard_report.reassignments += outcome.recalls.len() as u64;
+    crowd.apply(outcome, now);
 }
 
 #[cfg(test)]

@@ -50,32 +50,20 @@ impl BatchTrigger {
     }
 }
 
-/// Failure-aware recovery knobs: the per-assignment timeout ladder,
-/// worker suspicion, and graceful degradation under pool collapse.
+/// Failure-aware recovery knobs: the per-assignment timeout ladder and
+/// graceful degradation under pool collapse.
 ///
 /// The ladder is orthogonal to the Eq. (2) model: Eq. (2) predicts a
 /// miss from a *healthy* worker's latency profile, while the ladder
 /// catches workers that stopped responding entirely (silent abandonment,
-/// message loss) — cases no latency model can see. The `attempt`-th
-/// assignment of a task is given
-/// `min(progress_timeout · backoff_factor^attempt, max_timeout)` seconds
-/// to show progress before it is recalled and requeued.
+/// message loss) — cases no latency model can see. Its shape (doubling
+/// allowance capped at 4× base, suspicion after 3 strikes) is fixed in
+/// `ReactServer`'s ladder stage; only the base is a knob.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RecoveryConfig {
     /// Base progress deadline (seconds) for a task's first assignment.
     /// `None` disables the whole ladder (the paper's baseline behaviour).
     pub progress_timeout: Option<f64>,
-    /// Multiplier applied to the progress deadline per reassignment
-    /// (capped backoff; must be ≥ 1).
-    pub backoff_factor: f64,
-    /// Upper bound on the laddered timeout (seconds).
-    pub max_timeout: f64,
-    /// Progress timeouts (without an intervening completion) before a
-    /// worker is marked suspect; 0 never suspects.
-    pub suspect_after: u32,
-    /// Multiplicative decay applied to a suspect worker's profile
-    /// weight, in `(0, 1]` (1.0 = no decay).
-    pub suspect_decay: f64,
     /// When fewer than this many workers are online, shed queued tasks
     /// (lowest reward first) beyond `shed_queue_cap`; 0 never sheds.
     pub pool_floor: usize,
@@ -88,28 +76,17 @@ impl RecoveryConfig {
     pub fn disabled() -> Self {
         RecoveryConfig {
             progress_timeout: None,
-            backoff_factor: 2.0,
-            max_timeout: 600.0,
-            suspect_after: 3,
-            suspect_decay: 0.8,
             pool_floor: 0,
             shed_queue_cap: 0,
         }
     }
 
-    /// A sensible enabled ladder for chaos runs: recall after
-    /// `base_timeout` seconds without progress, double the allowance per
-    /// retry up to 4× base, suspect a worker after 3 strikes and decay
-    /// its weight by 20 % per strike beyond that.
+    /// The enabled ladder for chaos runs: recall after `base_timeout`
+    /// seconds without progress.
     pub fn aggressive(base_timeout: f64) -> Self {
         RecoveryConfig {
             progress_timeout: Some(base_timeout),
-            backoff_factor: 2.0,
-            max_timeout: base_timeout * 4.0,
-            suspect_after: 3,
-            suspect_decay: 0.8,
-            pool_floor: 0,
-            shed_queue_cap: 0,
+            ..Self::disabled()
         }
     }
 
@@ -234,20 +211,10 @@ impl Config {
                 return fail("latency_model Auto ks_threshold must be finite and positive");
             }
         }
-        let r = &self.recovery;
-        if let Some(t) = r.progress_timeout {
+        if let Some(t) = self.recovery.progress_timeout {
             if !t.is_finite() || t <= 0.0 {
                 return fail("recovery.progress_timeout must be finite and positive");
             }
-            if !r.max_timeout.is_finite() || r.max_timeout < t {
-                return fail("recovery.max_timeout must be finite and at least progress_timeout");
-            }
-        }
-        if !r.backoff_factor.is_finite() || r.backoff_factor < 1.0 {
-            return fail("recovery.backoff_factor must be finite and at least 1");
-        }
-        if !r.suspect_decay.is_finite() || r.suspect_decay <= 0.0 || r.suspect_decay > 1.0 {
-            return fail("recovery.suspect_decay must be in (0, 1]");
         }
         Ok(())
     }
@@ -302,22 +269,11 @@ mod tests {
         c.latency_model = LatencyModelKind::Auto { ks_threshold: 0.0 };
         assert!(c.validate().is_err());
 
-        let mut c = Config::paper_defaults();
-        c.recovery.progress_timeout = Some(-5.0);
-        assert!(c.validate().is_err());
-
-        let mut c = Config::paper_defaults();
-        c.recovery = RecoveryConfig::aggressive(30.0);
-        c.recovery.max_timeout = 10.0; // below the base timeout
-        assert!(c.validate().is_err());
-
-        let mut c = Config::paper_defaults();
-        c.recovery.backoff_factor = 0.5;
-        assert!(c.validate().is_err());
-
-        let mut c = Config::paper_defaults();
-        c.recovery.suspect_decay = 0.0;
-        assert!(c.validate().is_err());
+        for bad in [-5.0, 0.0, f64::INFINITY, f64::NAN] {
+            let mut c = Config::paper_defaults();
+            c.recovery.progress_timeout = Some(bad);
+            assert!(c.validate().is_err(), "progress_timeout {bad}");
+        }
     }
 
     #[test]

@@ -212,6 +212,18 @@ impl ServerBuilder {
     }
 }
 
+// Shape of the recovery timeout ladder (`stage_timeout_ladder`); its base
+// is `RecoveryConfig::progress_timeout`.
+/// Factor by which each reassignment widens the progress allowance.
+const LADDER_BACKOFF: f64 = 2.0;
+/// Largest progress allowance, as a multiple of the base.
+const LADDER_CAP: f64 = 4.0;
+/// Progress timeouts without an intervening completion before a worker is
+/// marked suspect.
+const SUSPECT_AFTER: u32 = 3;
+/// Multiplicative decay of a suspect worker's profile weight per mark.
+const SUSPECT_DECAY: f64 = 0.8;
+
 /// A REACT region server.
 #[derive(Debug, Clone)]
 pub struct ReactServer {
@@ -569,15 +581,15 @@ impl ReactServer {
         (recalls, timeout_recalls)
     }
 
-    /// The recovery timeout ladder: every in-flight assignment gets
-    /// `min(progress_timeout · backoff^attempt, max_timeout)` seconds to
-    /// show progress before it is recalled, and a worker that times out
-    /// `suspect_after` times without completing anything is marked
-    /// suspect (its profile weight decays). Unlike the Eq. (2) check,
-    /// the ladder needs no latency model — it is the only recovery path
-    /// for silently abandoned tasks and lost completion messages, and it
-    /// also covers past-due assignments so they can expire instead of
-    /// hanging forever on a dead worker.
+    /// The recovery timeout ladder: the `attempt`-th assignment of a task
+    /// gets `progress_timeout · min(LADDER_BACKOFF^attempt, LADDER_CAP)`
+    /// seconds to show progress before it is recalled, and a worker that
+    /// times out `SUSPECT_AFTER` times without completing anything is
+    /// marked suspect (its profile weight decays by `SUSPECT_DECAY`).
+    /// Unlike the Eq. (2) check, the ladder needs no latency model — it is
+    /// the only recovery path for silently abandoned tasks and lost
+    /// completion messages, and it also covers past-due assignments so
+    /// they can expire instead of hanging forever on a dead worker.
     fn stage_timeout_ladder(&mut self, now: f64, recalls: &mut Vec<Recall>) -> u64 {
         let rc = self.config.recovery;
         let Some(t0) = rc.progress_timeout else {
@@ -586,10 +598,10 @@ impl ReactServer {
         let mut timeout_recalls = 0u64;
         let mut suspected = 0u64;
         // Attempt 0 = first assignment; each retry widens the allowance
-        // by the backoff factor, capped at max_timeout.
+        // by the backoff factor, up to the cap.
         let overdue = self.tasks.progress_overdue(now, |assignment_count| {
             let attempt = assignment_count.saturating_sub(1).min(64);
-            (t0 * rc.backoff_factor.powi(attempt as i32)).min(rc.max_timeout)
+            (t0 * LADDER_BACKOFF.powi(attempt as i32)).min(t0 * LADDER_CAP)
         });
         for (task, worker) in overdue {
             if self.tasks.mark_unassigned(task).is_err() {
@@ -603,18 +615,12 @@ impl ReactServer {
                 probability: 0.0,
             });
             timeout_recalls += 1;
-            if rc.suspect_after > 0 {
-                let strikes = self.timeout_strikes.entry(worker).or_insert(0);
-                *strikes += 1;
-                if *strikes >= rc.suspect_after {
-                    *strikes = 0;
-                    if self
-                        .profiling
-                        .mark_suspect(worker, rc.suspect_decay)
-                        .is_ok()
-                    {
-                        suspected += 1;
-                    }
+            let strikes = self.timeout_strikes.entry(worker).or_insert(0);
+            *strikes += 1;
+            if *strikes >= SUSPECT_AFTER {
+                *strikes = 0;
+                if self.profiling.mark_suspect(worker, SUSPECT_DECAY).is_ok() {
+                    suspected += 1;
                 }
             }
         }
@@ -932,8 +938,6 @@ mod tests {
             period: None,
         };
         config.recovery = RecoveryConfig::aggressive(10.0);
-        config.recovery.suspect_after = 2;
-        config.recovery.suspect_decay = 0.5;
         let mut s = ReactServer::builder(config)
             .seed(7)
             .cost_model(CostModel::free())
@@ -957,13 +961,22 @@ mod tests {
         assert!(out.recalls.is_empty(), "within the widened allowance");
         let out = s.tick(35.0);
         assert_eq!(out.timeout_recalls, 1, "second strike past 11+20");
-        // Two strikes ⇒ suspect, weight decayed.
+        let suspicions = |s: &ReactServer| s.profiling().profile(WorkerId(1)).unwrap().suspicions();
+        assert_eq!(suspicions(&s), 0, "two strikes are below SUSPECT_AFTER");
+        // Attempt 2 gets 40 s, which is also the cap.
+        assert!(s.tick(74.0).recalls.is_empty());
+        assert_eq!(s.tick(76.0).timeout_recalls, 1, "third strike past 35+40");
+        // SUSPECT_AFTER strikes ⇒ suspect, weight decayed.
+        assert_eq!(suspicions(&s), 1);
         let prof = s.profiling().profile(WorkerId(1)).unwrap();
-        assert_eq!(prof.suspicions(), 1);
-        assert!((prof.weight_penalty() - 0.5).abs() < 1e-12);
+        assert!((prof.weight_penalty() - SUSPECT_DECAY).abs() < 1e-12);
+        // Attempt 3 stays at LADDER_CAP × base rather than doubling to 80 s.
+        assert!(s.tick(115.0).recalls.is_empty());
+        assert_eq!(s.tick(117.0).timeout_recalls, 1, "capped allowance, 76+40");
         crate::verify_lifecycles(s.audit().unwrap());
         // A completion clears the strike counter.
-        s.complete_task(TaskId(1), WorkerId(1), 36.0, true).unwrap();
+        s.complete_task(TaskId(1), WorkerId(1), 118.0, true)
+            .unwrap();
         assert!(s.timeout_strikes.is_empty());
     }
 

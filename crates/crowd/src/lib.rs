@@ -14,27 +14,31 @@
 //!   with deadlines uniform in 60–120 s, random locations and categories.
 //! * [`Scenario`] — named parameter sets for every figure (Fig. 5's
 //!   750 workers @ 9.375 tasks/s, Fig. 9's size/rate sweep…).
-//! * [`ScenarioRunner`] — wires a [`react_core::ReactServer`] into the
-//!   `react-sim` discrete-event loop and produces a [`RunReport`] with
-//!   the exact series the paper plots.
+//! * [`Crowd`] — the worker side of a run as clock-free data: calendars,
+//!   the `behavior` stream, the fault shims and one queue of due
+//!   instants. The one model [`ScenarioRunner`], `react-cluster`'s runner
+//!   and `react-runtime`'s live scheduler thread all drive.
+//! * [`ScenarioRunner`] — wires a [`react_core::ReactServer`] and a
+//!   [`Crowd`] into the `react-sim` discrete-event loop and produces a
+//!   [`RunReport`] with the exact series the paper plots.
 //! * [`casestudy`] — a synthesizer reproducing the shape of the raw
 //!   CrowdFlower observations (half the responses within 20 s, a tail of
 //!   hours, 70 % of workers trusted above 50 %).
 
 #![warn(missing_docs)]
 
-pub mod analysis;
 pub mod behavior;
 pub mod casestudy;
+pub mod crowd;
 pub mod generator;
 pub mod multiregion;
 pub mod runner;
 pub mod scenario;
 
-pub use analysis::{AuditAnalysis, TaskLatency};
 pub use behavior::{generate_population, BehaviorParams, ExecModel, LatencyModel, WorkerBehavior};
 pub use casestudy::{CaseStudySummary, CaseStudyTrace};
-pub use generator::TaskGenerator;
+pub use crowd::{Crowd, Delivery};
+pub use generator::{burst_task, TaskGenerator};
 pub use multiregion::{MultiRegionReport, MultiRegionRunner, MultiRegionScenario};
 pub use runner::{FaultStats, RunReport, ScenarioRunner};
 pub use scenario::{ChurnParams, Scenario};

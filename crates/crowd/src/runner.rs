@@ -11,16 +11,19 @@
 //!   ([`RunReport::total_times`]);
 //! * Figs. 9/10 — the ratios, via the same report across a sweep.
 //!
-//! Event model: task arrivals (Poisson), middleware control ticks (fixed
-//! interval — expiry sweep, Eq. 2 recalls, batch matching), and worker
-//! finish events. A recall invalidates the worker's pending finish event
-//! through a per-task epoch counter.
+//! Event model: the loop's own queue holds task arrivals (Poisson),
+//! middleware control ticks (fixed interval — expiry sweep, Eq. 2
+//! recalls, batch matching), churn and the fault timeline; what workers
+//! do with their assignments is the [`Crowd`]'s. Each step takes
+//! whichever is earlier, the crowd's next completion or the loop's next
+//! event.
 
-use crate::behavior::{generate_population, WorkerBehavior};
-use crate::generator::TaskGenerator;
+use crate::behavior::generate_population;
+use crate::crowd::Crowd;
+use crate::generator::{burst_task, TaskGenerator};
 use crate::scenario::Scenario;
 use react_core::{AuditLog, ReactServer, Task, TaskId, WorkerId};
-use react_faults::{FaultSchedule, BURST_ID_BASE};
+use react_faults::BURST_ID_BASE;
 use react_metrics::TimeSeries;
 use react_obs::{null_observer, CounterKind, ObserverHandle};
 use react_prob::distributions::{Exponential, UniformRange};
@@ -34,13 +37,6 @@ enum Event {
     Arrival(Task),
     /// Periodic middleware control step.
     Tick,
-    /// A worker finishes executing a task (valid only when the task's
-    /// epoch still matches — recalls bump it).
-    Finish {
-        task: TaskId,
-        worker: WorkerId,
-        epoch: u32,
-    },
     /// A worker's connectivity drops (churn): any held task is recalled.
     WorkerOffline(WorkerId),
     /// A churned worker reconnects.
@@ -232,26 +228,19 @@ impl ScenarioRunner {
         let streams = RngStreams::new(sc.seed);
         let mut pop_rng = streams.stream("population");
         let mut workload_rng = streams.stream("workload");
-        let mut behavior_rng = streams.stream("behavior");
-        // The fault plan draws only from `fault.*` streams, so a fault-free
-        // run is bit-identical to one with `faults: Some(FaultPlan::none())`.
-        let fault_schedule = match &sc.faults {
-            Some(plan) if !plan.is_noop() => plan.materialize(&streams, sc.n_workers),
-            _ => FaultSchedule::none(),
-        };
         let mut burst_rng = streams.stream("fault.burst-tasks");
 
         // Crowd.
-        let behaviors: Vec<WorkerBehavior> =
-            generate_population(sc.n_workers, &sc.behavior, &mut pop_rng);
+        let behaviors = generate_population(sc.n_workers, &sc.behavior, &mut pop_rng);
         let mut server = ReactServer::builder(sc.config.clone())
             .seed(sc.seed ^ 0x5eed)
             .observer(self.observer.clone())
             .build()
             .expect("scenario carries a valid middleware config");
-        for (i, _) in behaviors.iter().enumerate() {
+        for i in 0..behaviors.len() {
             server.register_worker(WorkerId(i as u64), sc.region.random_point(&mut pop_rng));
         }
+        let mut crowd = Crowd::new(behaviors, sc.faults.as_ref(), &streams);
 
         // Workload: preset replay or live Poisson generation.
         let (mut workload, total_tasks) = match &sc.workload {
@@ -292,14 +281,9 @@ impl ScenarioRunner {
             groups_any_met: 0,
             faults: FaultStats::default(),
         };
-        let mut epochs: BTreeMap<TaskId, u32> = BTreeMap::new();
         // Replica bookkeeping: group id → (resolved, positive, met).
         let k = sc.replication.max(1);
         let mut group_state: BTreeMap<u64, (usize, usize, bool)> = BTreeMap::new();
-        // Per-worker FIFO release time. Availability-aware policies never
-        // double-book a worker, but the Traditional policy assigns
-        // blindly: later tasks queue behind the worker's current one.
-        let mut next_free: Vec<f64> = vec![0.0; sc.n_workers];
         let mut last_arrival_at = 0.0f64;
 
         // Prime the event loop. With replication, each logical task is
@@ -343,7 +327,7 @@ impl ScenarioRunner {
         }
         // Fault-plan events are fully materialised up front, so their
         // schedule is independent of anything the run does.
-        for d in fault_schedule.dropouts() {
+        for d in crowd.faults().dropouts() {
             if d.worker >= sc.n_workers {
                 continue;
             }
@@ -359,11 +343,65 @@ impl ScenarioRunner {
                 );
             }
         }
-        for &(at, size) in fault_schedule.bursts() {
+        for &(at, size) in crowd.faults().bursts() {
             sim.schedule_at(SimTime::from_secs(at), Event::Burst { size });
         }
 
-        while let Some((at, event)) = sim.next_event() {
+        loop {
+            // A completion due by the loop's own next event goes first.
+            let horizon = sim.peek_time().map_or(f64::INFINITY, |t| t.as_secs());
+            if let Some(done) = crowd.pop_due(horizon) {
+                let submitted_at = server
+                    .tasks()
+                    .record(done.task)
+                    .expect("finishing task is tracked")
+                    .submitted_at;
+                let outcome = server
+                    .complete_task(done.task, done.worker, done.at, done.quality_ok)
+                    .expect("a live completion matches the assignment");
+                report.completed += 1;
+                if outcome.met_deadline {
+                    report.met_deadline += 1;
+                }
+                if outcome.positive_feedback {
+                    report.positive_feedback += 1;
+                }
+                report
+                    .series_met
+                    .push(report.received as f64, report.met_deadline as f64);
+                report
+                    .series_positive
+                    .push(report.received as f64, report.positive_feedback as f64);
+                report.exec_times.push(outcome.exec_time);
+                report.total_times.push(done.at - submitted_at);
+                // Burst tasks are not part of any replica group.
+                if done.task.0 < BURST_ID_BASE {
+                    let group = done.task.0 / k as u64;
+                    let entry = group_state.entry(group).or_insert((0, 0, false));
+                    entry.0 += 1;
+                    if outcome.positive_feedback {
+                        entry.1 += 1;
+                    }
+                    if outcome.met_deadline {
+                        entry.2 = true;
+                    }
+                }
+                if done.duplicated {
+                    // Deliver the same completion a second time; the
+                    // server must reject it as already completed.
+                    report.faults.completions_duplicated += 1;
+                    let copy =
+                        server.complete_task(done.task, done.worker, done.at, done.quality_ok);
+                    if copy.is_err() {
+                        report.faults.duplicates_rejected += 1;
+                    }
+                }
+                report.sim_duration = done.at;
+                continue;
+            }
+            let Some((at, event)) = sim.next_event() else {
+                break;
+            };
             let now = at.as_secs();
             match event {
                 Event::Arrival(task) => {
@@ -389,51 +427,27 @@ impl ScenarioRunner {
                     }
                     // Arrival doubles as a control step so the batch
                     // trigger reacts to queue growth immediately.
-                    Self::control_step(
-                        &mut server,
-                        now,
-                        &behaviors,
-                        &mut behavior_rng,
-                        &mut epochs,
-                        &mut next_free,
-                        &mut sim,
-                        &mut report,
-                        &fault_schedule,
-                    );
+                    Self::control_step(&mut server, &mut crowd, now, &mut report);
                 }
                 Event::Burst { size } => {
                     for _ in 0..size {
-                        let task = sc.burst_task(report.faults.burst_tasks, &mut burst_rng);
+                        let task = burst_task(
+                            report.faults.burst_tasks,
+                            sc.deadline_range,
+                            sc.n_categories,
+                            sc.region,
+                            &mut burst_rng,
+                        );
                         report.received += 1;
                         report.faults.burst_tasks += 1;
                         server.submit_task(task, now);
                     }
                     // A burst extends the drain window like any arrival.
                     last_arrival_at = now;
-                    Self::control_step(
-                        &mut server,
-                        now,
-                        &behaviors,
-                        &mut behavior_rng,
-                        &mut epochs,
-                        &mut next_free,
-                        &mut sim,
-                        &mut report,
-                        &fault_schedule,
-                    );
+                    Self::control_step(&mut server, &mut crowd, now, &mut report);
                 }
                 Event::Tick => {
-                    Self::control_step(
-                        &mut server,
-                        now,
-                        &behaviors,
-                        &mut behavior_rng,
-                        &mut epochs,
-                        &mut next_free,
-                        &mut sim,
-                        &mut report,
-                        &fault_schedule,
-                    );
+                    Self::control_step(&mut server, &mut crowd, now, &mut report);
                     // Burst tasks are extra load, not workload progress.
                     let workload_done =
                         (report.received - report.faults.burst_tasks) as usize >= total_tasks * k;
@@ -446,10 +460,7 @@ impl ScenarioRunner {
                 }
                 Event::WorkerOffline(worker) => {
                     report.churn_events += 1;
-                    for task in server.worker_offline(worker, now) {
-                        *epochs.entry(task).or_insert(0) += 1;
-                    }
-                    next_free[worker.0 as usize] = now;
+                    crowd.offline(worker, &server.worker_offline(worker, now), now);
                     if let Some(churn) = sc.churn {
                         let off = UniformRange::new(churn.offline_range.0, churn.offline_range.1);
                         sim.schedule_in(
@@ -471,70 +482,6 @@ impl ScenarioRunner {
                             SimDuration::from_secs(online.sample(&mut churn_rng)),
                             Event::WorkerOffline(worker),
                         );
-                    }
-                }
-                Event::Finish {
-                    task,
-                    worker,
-                    epoch,
-                } => {
-                    // Stale finish events (the task was recalled) are
-                    // dropped: the worker was already freed at recall.
-                    if epochs.get(&task).copied() != Some(epoch) {
-                        continue;
-                    }
-                    if fault_schedule.loses_completion(task.0, epoch) {
-                        // The worker finished but the completion message
-                        // never reached the server: the task stays
-                        // assigned until the timeout ladder recalls it
-                        // (or it strands at the horizon).
-                        report.faults.completions_lost += 1;
-                        continue;
-                    }
-                    let behavior = &behaviors[worker.0 as usize];
-                    let quality_ok = behavior.sample_quality_ok(&mut behavior_rng);
-                    let submitted_at = server
-                        .tasks()
-                        .record(task)
-                        .expect("finishing task is tracked")
-                        .submitted_at;
-                    let outcome = server
-                        .complete_task(task, worker, now, quality_ok)
-                        .expect("valid-epoch finish events match the assignment");
-                    report.completed += 1;
-                    if outcome.met_deadline {
-                        report.met_deadline += 1;
-                    }
-                    if outcome.positive_feedback {
-                        report.positive_feedback += 1;
-                    }
-                    report
-                        .series_met
-                        .push(report.received as f64, report.met_deadline as f64);
-                    report
-                        .series_positive
-                        .push(report.received as f64, report.positive_feedback as f64);
-                    report.exec_times.push(outcome.exec_time);
-                    report.total_times.push(now - submitted_at);
-                    // Burst tasks are not part of any replica group.
-                    if task.0 < BURST_ID_BASE {
-                        let group = task.0 / k as u64;
-                        let entry = group_state.entry(group).or_insert((0, 0, false));
-                        entry.0 += 1;
-                        if outcome.positive_feedback {
-                            entry.1 += 1;
-                        }
-                        if outcome.met_deadline {
-                            entry.2 = true;
-                        }
-                    }
-                    if fault_schedule.duplicates_completion(task.0, epoch) {
-                        // Deliver the same completion a second time; the
-                        // server must reject it as already completed.
-                        report.faults.completions_duplicated += 1;
-                        if server.complete_task(task, worker, now, quality_ok).is_err() {
-                            report.faults.duplicates_rejected += 1;
-                        }
                     }
                 }
             }
@@ -560,6 +507,8 @@ impl ScenarioRunner {
         // completed; count queued leftovers as expired-unassigned.
         report.expired_unassigned += server.tasks().unassigned_count() as u64;
         report.faults.stranded = server.tasks().assigned_count() as u64;
+        report.faults.abandons = crowd.abandoned();
+        report.faults.completions_lost = crowd.lost();
         if self.observer.enabled() {
             for (kind, by) in [
                 (CounterKind::FaultDropouts, report.faults.dropouts),
@@ -582,62 +531,15 @@ impl ScenarioRunner {
         report
     }
 
-    /// Runs `server.tick(now)` and applies the outcome to the event
-    /// queue: recalls invalidate pending finishes, fresh assignments
-    /// schedule them.
-    #[allow(clippy::too_many_arguments)]
-    fn control_step(
-        server: &mut ReactServer,
-        now: f64,
-        behaviors: &[WorkerBehavior],
-        behavior_rng: &mut rand::rngs::SmallRng,
-        epochs: &mut BTreeMap<TaskId, u32>,
-        next_free: &mut [f64],
-        sim: &mut Simulator<Event>,
-        report: &mut RunReport,
-        fault_schedule: &FaultSchedule,
-    ) {
+    /// Runs `server.tick(now)`, books what it retired and hands the
+    /// outcome to the crowd.
+    fn control_step(server: &mut ReactServer, crowd: &mut Crowd, now: f64, report: &mut RunReport) {
         let outcome = server.tick(now);
-        report.expired_unassigned += outcome.expired.len() as u64;
-        report.expired_unassigned += outcome.shed.len() as u64;
+        report.expired_unassigned += (outcome.expired.len() + outcome.shed.len()) as u64;
         report.faults.timeout_recalls += outcome.timeout_recalls;
         report.faults.sheds += outcome.shed.len() as u64;
-        for recall in &outcome.recalls {
-            *epochs.entry(recall.task).or_insert(0) += 1;
-            report.reassignments += 1;
-            // The worker stops working on the recalled task immediately.
-            next_free[recall.worker.0 as usize] = now;
-        }
-        for &(worker, task) in &outcome.assignments {
-            let epoch = {
-                let e = epochs.entry(task).or_insert(0);
-                *e += 1;
-                *e
-            };
-            // Availability-aware policies hand work to idle workers, so
-            // `start == effective_at`; the Traditional policy may queue
-            // the task behind the worker's current one.
-            let w = worker.0 as usize;
-            let start = outcome.effective_at.max(next_free[w]);
-            let exec_time =
-                behaviors[w].sample_exec_time(behavior_rng) * fault_schedule.slowdown_factor(w);
-            next_free[w] = start + exec_time;
-            if fault_schedule.abandons(task.0, epoch) {
-                // Silent abandonment: the worker holds the task but never
-                // finishes it. No Finish event — only the timeout ladder
-                // (or a dropout recall) can free the task again.
-                report.faults.abandons += 1;
-                continue;
-            }
-            sim.schedule_at(
-                SimTime::from_secs(start + exec_time),
-                Event::Finish {
-                    task,
-                    worker,
-                    epoch,
-                },
-            );
-        }
+        report.reassignments += outcome.recalls.len() as u64;
+        crowd.apply(&outcome, now);
     }
 }
 

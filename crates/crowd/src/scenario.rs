@@ -6,9 +6,7 @@
 //! evaluation setups so each figure's harness is one call.
 
 use crate::behavior::BehaviorParams;
-use rand::Rng;
-use react_core::{Config, MatcherPolicy, Task, TaskCategory, TaskId};
-use react_faults::BURST_ID_BASE;
+use react_core::{Config, MatcherPolicy};
 use react_geo::BoundingBox;
 
 /// Worker connectivity churn: the paper stresses that *"even the most
@@ -146,25 +144,6 @@ impl Scenario {
             workload: None,
             faults: None,
         }
-    }
-
-    /// Synthesizes the `seq`-th task of a fault-plan burst. Both DES
-    /// runners call this with their `fault.burst-tasks` stream; the draw
-    /// order (deadline, reward, category, location) is part of the
-    /// seed → bytes contract.
-    pub fn burst_task(&self, seq: u64, rng: &mut impl Rng) -> Task {
-        let (lo, hi) = self.deadline_range;
-        let deadline = rng.gen_range(lo..hi.max(lo + f64::EPSILON));
-        let reward = rng.gen_range(0.01..0.10);
-        let category = TaskCategory(rng.gen_range(0..self.n_categories.max(1)));
-        Task::new(
-            TaskId(BURST_ID_BASE + seq),
-            self.region.random_point(rng),
-            deadline,
-            reward,
-            category,
-            "burst",
-        )
     }
 }
 

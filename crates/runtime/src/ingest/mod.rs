@@ -8,12 +8,13 @@
 //! backpressure edge between the door and the middleware, and the one
 //! thing the scheduler thread ever blocks on. The scheduler thread is
 //! the crate's one live control loop: it owns the `ReactServer` and the
-//! crowd (a [`Fleet`]: to-do lists and a timer queue, no threads),
-//! sleeps until the next submission, the next completion falling due or
-//! the end of the tick period, whichever is first, applies the fault
-//! timeline and the loss/duplication/abandon shims, publishes its
-//! backlog back to the door every tick, and records door-to-assignment
-//! latencies for the load generator's p50/p99/p999 report.
+//! crowd (a [`react_crowd::Crowd`], the same model the discrete-event
+//! runners drive: calendars and a timer queue, no threads), sleeps until
+//! the next submission, the next completion falling due or the end of
+//! the tick period, whichever is first, applies the fault timeline,
+//! publishes its backlog back to the door every tick, and records
+//! door-to-assignment latencies for the load generator's p50/p99/p999
+//! report.
 //!
 //! `std::net` usage is sanctioned here (and in `react-load`) by the
 //! `react-analyze` `net-boundary` rule; the rest of the workspace
@@ -23,13 +24,11 @@ pub mod http;
 pub mod server;
 
 use crate::clock::ScaledClock;
-use crate::fleet::{Completion, Fleet};
 use crossbeam::channel::{bounded, Receiver, RecvTimeoutError};
 use parking_lot::Mutex;
-use rand::Rng;
-use react_core::{verify_lifecycles, Config, ReactServer, Task, TaskCategory, TaskId, WorkerId};
-use react_crowd::{generate_population, BehaviorParams, WorkerBehavior};
-use react_faults::{FaultPlan, FaultSchedule, BURST_ID_BASE};
+use react_core::{verify_lifecycles, Config, ReactServer, Task, TaskId, WorkerId};
+use react_crowd::{burst_task, generate_population, BehaviorParams, Crowd, Delivery};
+use react_faults::{FaultPlan, FaultSchedule};
 use react_geo::BoundingBox;
 use react_obs::{null_observer, HistogramKind, ObserverHandle};
 use react_sim::RngStreams;
@@ -52,7 +51,7 @@ enum FaultAction {
 /// Configuration of the ingest front-end + scheduler + worker fleet.
 #[derive(Debug, Clone)]
 pub struct IngestConfig {
-    /// Number of crowd workers in the scheduler's [`Fleet`] (they cost
+    /// Number of crowd workers in the scheduler's [`Crowd`] (they cost
     /// memory, not threads).
     pub n_workers: usize,
     /// Crowd behaviour parameters.
@@ -299,7 +298,7 @@ impl IngestHandle {
 }
 
 /// Builds the fault timeline (dropout/online/burst instants) from a
-/// materialized schedule. Burst task ids live above [`BURST_ID_BASE`].
+/// materialized schedule.
 fn fault_timeline(
     schedule: &FaultSchedule,
     streams: &RngStreams,
@@ -320,22 +319,11 @@ fn fault_timeline(
     let mut burst_rng = streams.stream("fault.burst-tasks");
     let mut burst_seq = 0u64;
     for &(at, size) in schedule.bursts() {
-        let tasks = (0..size)
-            .map(|_| {
-                let id = TaskId(BURST_ID_BASE + burst_seq);
-                burst_seq += 1;
-                let deadline = burst_rng.gen_range(deadline_range.0..deadline_range.1);
-                let reward = burst_rng.gen_range(0.01..0.10);
-                Task::new(
-                    id,
-                    region.random_point(&mut burst_rng),
-                    deadline,
-                    reward,
-                    TaskCategory(0),
-                    "burst",
-                )
-            })
+        // The door mints category 0 only, so bursts have one category too.
+        let tasks = (burst_seq..burst_seq + u64::from(size))
+            .map(|seq| burst_task(seq, deadline_range, 1, region, &mut burst_rng))
             .collect();
+        burst_seq += u64::from(size);
         timeline.push((at, FaultAction::Burst(tasks)));
     }
     timeline.sort_by(|a, b| a.0.total_cmp(&b.0));
@@ -346,19 +334,19 @@ fn fault_timeline(
 enum Event {
     /// A message from the door or from `shutdown()`.
     Inbox(Inbox),
-    /// A worker finished its task in hand.
-    Done(Completion),
+    /// A worker's completion report arrived.
+    Done(Delivery),
     /// Neither within one tick period.
     Tick,
 }
 
 /// Blocks until the next event: a queued message if there is one, else
 /// a completion that has fallen due, else whichever of the two comes
-/// first — asleep on the inbox until the fleet's next due instant —
+/// first — asleep on the inbox until the crowd's next due instant —
 /// and gives up after one tick period.
 fn next_event(
     inbox: &Receiver<Inbox>,
-    fleet: &mut Fleet,
+    crowd: &mut Crowd,
     clock: &ScaledClock,
     tick_interval: f64,
 ) -> Event {
@@ -366,10 +354,10 @@ fn next_event(
         return Event::Inbox(message);
     }
     let now = clock.now();
-    if let Some(done) = fleet.pop_due(now) {
+    if let Some(done) = crowd.pop_due(now) {
         return Event::Done(done);
     }
-    let wait = fleet
+    let wait = crowd
         .next_due()
         .map_or(tick_interval, |due| tick_interval.min(due - now));
     match inbox.recv_deadline(clock.deadline_after(wait)) {
@@ -382,7 +370,7 @@ fn next_event(
     }
     // The wait most often ends because a completion fell due: report it
     // now rather than spend a tick finding nothing changed.
-    fleet.pop_due(clock.now()).map_or(Event::Tick, Event::Done)
+    crowd.pop_due(clock.now()).map_or(Event::Tick, Event::Done)
 }
 
 /// The scheduler thread: middleware + crowd + drain logic.
@@ -396,19 +384,7 @@ fn scheduler_thread(
 ) -> IngestReport {
     let streams = RngStreams::new(lc.seed);
     let mut pop_rng = streams.stream("population");
-    let behaviors: Vec<WorkerBehavior> =
-        generate_population(lc.n_workers, &lc.behavior, &mut pop_rng);
-    let schedule = match &lc.faults {
-        Some(plan) if !plan.is_noop() => plan.materialize(&streams, lc.n_workers),
-        _ => FaultSchedule::none(),
-    };
-    let mut timeline = fault_timeline(
-        &schedule,
-        &streams,
-        lc.n_workers,
-        region,
-        lc.burst_deadline_range,
-    );
+    let behaviors = generate_population(lc.n_workers, &lc.behavior, &mut pop_rng);
 
     let mut server = ReactServer::builder(lc.config.clone())
         .seed(lc.seed ^ 0xbeef)
@@ -419,38 +395,34 @@ fn scheduler_thread(
     for i in 0..behaviors.len() {
         server.register_worker(WorkerId(i as u64), region.random_point(&mut pop_rng));
     }
-    let mut fleet = Fleet::new(behaviors.iter().map(|b| b.quality));
+    let mut crowd = Crowd::new(behaviors, lc.faults.as_ref(), &streams);
+    let mut timeline = fault_timeline(
+        crowd.faults(),
+        &streams,
+        lc.n_workers,
+        region,
+        lc.burst_deadline_range,
+    );
 
-    let mut behavior_rng = streams.stream("behavior");
     let mut report = IngestReport::default();
-    // Per-task state, each entry dropped when the task leaves the stage
-    // it describes, so none of the three grows with the run.
-    let mut live_assignment: HashMap<TaskId, WorkerId> = HashMap::new();
-    // Assignments so far of each task the middleware still holds.
-    let mut attempts: HashMap<TaskId, u32> = HashMap::new();
-    // Door-accept instant of each task not yet assigned once.
+    // Door-accept instant of each task not yet assigned once; an entry
+    // is dropped when its task is first assigned, expires or is shed, so
+    // the map does not grow with the run.
     let mut accepted_at: HashMap<TaskId, f64> = HashMap::new();
     let mut stopping = false;
     let mut drain_started: Option<f64> = None;
 
     loop {
         // One event per lap, then a tick.
-        match next_event(&inbox, &mut fleet, &clock, lc.tick_interval) {
+        match next_event(&inbox, &mut crowd, &clock, lc.tick_interval) {
             Event::Inbox(Inbox::Task(incoming)) => {
                 accepted_at.insert(incoming.task.id, incoming.accepted_at);
                 server.submit_task(incoming.task, clock.now());
             }
             Event::Inbox(Inbox::Stop) => stopping = true,
-            Event::Done(done) => handle_completion(
-                done,
-                &mut server,
-                &clock,
-                &schedule,
-                &shared,
-                &mut live_assignment,
-                &mut attempts,
-                &mut report,
-            ),
+            Event::Done(done) => {
+                handle_completion(done, &mut server, clock.now(), &shared, &mut report)
+            }
             Event::Tick => {}
         }
 
@@ -462,11 +434,11 @@ fn scheduler_thread(
                 FaultAction::Offline(w) => {
                     report.fault_events += 1;
                     let worker = WorkerId(w as u64);
-                    for task in server.worker_offline(worker, now) {
-                        live_assignment.remove(&task);
+                    let recalled = server.worker_offline(worker, now);
+                    for task in &recalled {
                         shared.set_status(task.0, TaskStatus::Queued);
-                        fleet.recall(worker, task, now);
                     }
+                    crowd.offline(worker, &recalled, now);
                 }
                 FaultAction::Online(w) => {
                     let _ = server.worker_online(WorkerId(w as u64));
@@ -486,42 +458,25 @@ fn scheduler_thread(
         let outcome = server.tick(now);
         for task in &outcome.expired {
             report.expired += 1;
-            attempts.remove(task);
             accepted_at.remove(task);
             shared.set_status(task.0, TaskStatus::Expired);
         }
         for task in &outcome.shed {
             report.shed_server += 1;
-            attempts.remove(task);
             accepted_at.remove(task);
             shared.set_status(task.0, TaskStatus::Shed);
         }
         for recall in &outcome.recalls {
             report.recalls += 1;
-            live_assignment.remove(&recall.task);
             shared.set_status(recall.task.0, TaskStatus::Queued);
-            fleet.recall(recall.worker, recall.task, now);
         }
-        for &(worker, task) in &outcome.assignments {
-            let attempt = {
-                let a = attempts.entry(task).or_insert(0);
-                *a += 1;
-                *a
-            };
-            let w = worker.0 as usize;
-            let exec =
-                behaviors[w].sample_exec_time(&mut behavior_rng) * schedule.slowdown_factor(w);
-            live_assignment.insert(task, worker);
+        for &(_, task) in &outcome.assignments {
             shared.set_status(task.0, TaskStatus::Assigned);
             if let Some(at) = accepted_at.remove(&task) {
                 report.assign_latencies.push((now - at).max(0.0));
             }
-            if schedule.abandons(task.0, attempt) {
-                report.fault_events += 1;
-                continue;
-            }
-            fleet.assign(worker, task, exec, now);
         }
+        crowd.apply(&outcome, now);
 
         // Publish backpressure state back to the door.
         let queue_depth = inbox.len();
@@ -548,6 +503,7 @@ fn scheduler_thread(
     }
 
     report.batches = server.batches_run();
+    report.fault_events += crowd.abandoned() + crowd.lost();
     if let Some(log) = server.audit() {
         report.audit_events = log.len() as u64;
         verify_lifecycles(log);
@@ -564,32 +520,18 @@ fn scheduler_thread(
     report
 }
 
-/// Applies a completion the fleet reported, through the
-/// loss/duplication fault shims.
-#[allow(clippy::too_many_arguments)]
+/// Books a completion report the crowd delivered; a duplicated one is
+/// delivered twice and the middleware must reject the copy.
 fn handle_completion(
-    done: Completion,
+    done: Delivery,
     server: &mut ReactServer,
-    clock: &ScaledClock,
-    schedule: &FaultSchedule,
+    now: f64,
     shared: &Shared,
-    live_assignment: &mut HashMap<TaskId, WorkerId>,
-    attempts: &mut HashMap<TaskId, u32>,
     report: &mut IngestReport,
 ) {
-    if live_assignment.get(&done.task) != Some(&done.worker) {
-        return; // stale: recalled or unknown
-    }
-    let attempt = attempts.get(&done.task).copied().unwrap_or(0);
-    if schedule.loses_completion(done.task.0, attempt) {
-        report.fault_events += 1;
-        return; // lost in flight; the timeout ladder recovers it
-    }
-    live_assignment.remove(&done.task);
-    let Ok(out) = server.complete_task(done.task, done.worker, clock.now(), done.quality_ok) else {
+    let Ok(out) = server.complete_task(done.task, done.worker, now, done.quality_ok) else {
         return;
     };
-    attempts.remove(&done.task);
     report.completed += 1;
     if out.met_deadline {
         report.met_deadline += 1;
@@ -600,17 +542,16 @@ fn handle_completion(
             met_deadline: out.met_deadline,
         },
     );
-    if schedule.duplicates_completion(done.task.0, attempt) {
+    if done.duplicated {
         report.fault_events += 1;
-        let dup = server.complete_task(done.task, done.worker, clock.now(), done.quality_ok);
+        let dup = server.complete_task(done.task, done.worker, now, done.quality_ok);
         debug_assert!(dup.is_err(), "duplicate completion must be rejected");
-        let _ = dup;
     }
 }
 
 /// Force-drains the middleware when the grace window expires: recalls
 /// every in-flight assignment, sheds the queue, and counts what could
-/// not be closed out as stranded. The loop ends here, so the fleet is
+/// not be closed out as stranded. The loop ends here, so the crowd is
 /// not told: nothing will ask it what is due again.
 fn force_drain(
     server: &mut ReactServer,

@@ -14,11 +14,12 @@
 //!   only live scheduler loop; `react-load` drives it with a seeded
 //!   open-loop trace;
 //! * the **crowd** is data inside that thread, not threads beside it: a
-//!   [`Fleet`] holds each worker's task in hand and to-do list and one
-//!   timer queue of the instants the sampled human service times run
-//!   out. The scheduler sleeps on its channel until the earliest such
-//!   instant or the end of its tick period, so an idle stack costs no
-//!   CPU, and a recall simply strikes the timer.
+//!   [`react_crowd::Crowd`] — the model the discrete-event runners drive
+//!   too — holds each worker's calendar and one timer queue of the
+//!   instants the sampled human service times run out. The scheduler
+//!   sleeps on its channel until the earliest such instant or the end of
+//!   its tick period, so an idle stack costs no CPU, and a recall simply
+//!   strikes the timer.
 //!
 //! Simulated "human seconds" are compressed by a configurable
 //! [`IngestConfig::time_scale`] so a 15-minute crowd scenario demos in
@@ -35,9 +36,7 @@
 #![warn(missing_docs)]
 
 pub mod clock;
-pub mod fleet;
 pub mod ingest;
 
 pub use clock::{ScaledClock, Stopwatch};
-pub use fleet::{Completion, Fleet};
 pub use ingest::{IngestConfig, IngestHandle, IngestReport, IngestRuntime};
