@@ -1,9 +1,9 @@
 //! Sharded cluster mode for REACT.
 //!
 //! The crates below this one model a *single* REACT server
-//! ([`react_core`]) and a static multi-region decomposition
-//! (`react_crowd::MultiRegionRunner`: independent per-region servers,
-//! no interaction). This crate lifts both into a real cluster layer:
+//! ([`react_core`]). This crate is the paper's spatial decomposition
+//! (Sec. III-A: non-overlapping regions, one server each) and the
+//! coupling a real deployment adds on top of it:
 //!
 //! * [`Cluster`] — one [`react_core::ReactServer`] per
 //!   [`react_geo::RegionRouter`] leaf cell (including post-split
@@ -25,10 +25,10 @@
 //!   cluster-wide conservation identity, and same-seed bit-identity.
 //!
 //! With [`ClusterPolicy::single_tier`] every mechanism is off and the
-//! shards never interact. That is the multi-region decomposition in
-//! spirit, but not in bytes: [`ClusterRunner`] keeps its own event loop
-//! (seed root, preloaded arrivals, per-shard arrival ticks), so use
-//! `MultiRegionRunner` itself when the uncoupled numbers are wanted.
+//! shards never interact: that *is* the paper's multi-region deployment,
+//! and how ablation 8 and `examples/churny_crowd.rs` run it. Workers and
+//! tasks land in the shard whose cell contains them, and each shard
+//! conserves its own tasks (`tests/cluster_properties.rs`).
 
 mod cluster;
 mod policy;

@@ -2,7 +2,7 @@
 //!
 //! Each mechanism is optional and independently tunable; `None` disables
 //! it entirely, and [`ClusterPolicy::single_tier`] disables all three —
-//! the configuration under which a cluster run degenerates to the plain
+//! the configuration under which a cluster run is the paper's plain
 //! multi-region decomposition.
 
 use std::fmt;

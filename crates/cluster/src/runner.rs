@@ -4,17 +4,16 @@
 //! arrivals, worker faults, completions — through a [`Cluster`], i.e.
 //! through *interacting* shards: tasks hand off between shards when a
 //! pool collapses, idle workers migrate toward backlogs, and admission
-//! caps shed overload at the door. This is the coupled counterpart of
-//! `react_crowd::MultiRegionRunner`, whose regions never interact.
+//! caps shed overload at the door. Under
+//! [`ClusterPolicy::single_tier`] none of that happens and the run is the
+//! paper's plain multi-region decomposition: regions that never interact.
 //!
 //! [`ClusterRunner::run`] is the coupled event loop, on one thread: one
 //! global event queue beside the one `react_crowd::Crowd` all shards
 //! share, each step taking whichever is earlier; every control tick
 //! steps all shards in shard order and then runs the cluster passes, so
 //! the same scenario and seed give the same [`ClusterReport`] bit for
-//! bit. A scenario with no
-//! coupling at all is a `MultiRegionRunner` run; there is no second copy
-//! of that here.
+//! bit.
 //!
 //! Scope of the coupled mode: `global.replication` and `global.churn`
 //! are ignored (replica voting and autonomous churn cycles stay on the
@@ -149,6 +148,15 @@ impl ClusterReport {
     /// Cluster-wide handoffs (out == in when conservation holds).
     pub fn handoffs(&self) -> u64 {
         self.shards.iter().map(|s| s.handoffs_out).sum()
+    }
+
+    /// The heaviest per-shard modelled matching load (seconds) — the
+    /// overload signal that motivates splitting.
+    pub fn max_matching_seconds(&self) -> f64 {
+        self.shards
+            .iter()
+            .map(|s| s.total_matching_seconds)
+            .fold(0.0, f64::max)
     }
 
     /// Fraction of received tasks that met their deadline.

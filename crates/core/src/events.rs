@@ -1,7 +1,6 @@
 //! Task lifecycle audit log.
 //!
-//! When enabled ([`crate::ServerBuilder::audit`] or the `config.audit`
-//! flag), the server records
+//! When enabled (`Config::audit`), the server records
 //! every lifecycle transition of every task. Beyond debugging, the log
 //! makes the middleware's behaviour *checkable*: [`verify_lifecycles`]
 //! asserts that each task's event sequence matches the legal lifecycle

@@ -173,11 +173,6 @@ impl WorkerProfile {
         self.estimator.is_warm()
     }
 
-    /// Mean observed execution time (None with no history).
-    pub fn mean_exec_time(&self) -> Option<f64> {
-        self.estimator.mean()
-    }
-
     /// The worker's acceptable reward range, if they declared one.
     ///
     /// The paper's pricing extension (Sec. III-C, *Task Rewards*): when a
@@ -672,7 +667,6 @@ mod tests {
         assert!(prof.is_profiled());
         let model = prof.exec_model().unwrap();
         assert_eq!(model.k_min(), 4.0);
-        assert!((prof.mean_exec_time().unwrap() - 19.0 / 3.0).abs() < 1e-12);
     }
 
     #[test]

@@ -151,7 +151,6 @@ pub struct ServerBuilder {
     config: Config,
     seed: u64,
     cost_model: CostModel,
-    audit: Option<bool>,
     observer: ObserverHandle,
 }
 
@@ -164,7 +163,6 @@ impl ServerBuilder {
             config,
             seed: 0,
             cost_model: CostModel::paper_calibrated(),
-            audit: None,
             observer: null_observer(),
         }
     }
@@ -182,13 +180,6 @@ impl ServerBuilder {
         self
     }
 
-    /// Forces the task lifecycle audit log on or off, overriding the
-    /// configuration flag.
-    pub fn audit(mut self, enabled: bool) -> Self {
-        self.audit = Some(enabled);
-        self
-    }
-
     /// Routes the server's telemetry — `tick`/stage spans, task and
     /// matcher counters, latency histograms — to `observer`. Observers
     /// are write-only sinks; schedules are bit-identical whatever sink
@@ -201,12 +192,10 @@ impl ServerBuilder {
     /// Validates the configuration and assembles the server.
     pub fn build(self) -> Result<ReactServer, CoreError> {
         self.config.validate()?;
-        let audit = self.audit.unwrap_or(self.config.audit);
         Ok(ReactServer::assemble(
             self.config,
             self.seed,
             self.cost_model,
-            audit,
             self.observer,
         ))
     }
@@ -265,11 +254,10 @@ impl ReactServer {
         config: Config,
         seed: u64,
         cost_model: CostModel,
-        audit: bool,
         observer: ObserverHandle,
     ) -> Self {
         let estimator = config.estimator;
-        let audit = audit.then(AuditLog::new);
+        let audit = config.audit.then(AuditLog::new);
         let engine = MatcherEngine::new(config.matcher).with_observer(observer.clone());
         ReactServer {
             config,
@@ -938,10 +926,10 @@ mod tests {
             period: None,
         };
         config.recovery = RecoveryConfig::aggressive(10.0);
+        config.audit = true;
         let mut s = ReactServer::builder(config)
             .seed(7)
             .cost_model(CostModel::free())
-            .audit(true)
             .build()
             .unwrap();
         s.register_worker(WorkerId(1), here());
@@ -1002,11 +990,8 @@ mod tests {
             shed_queue_cap: 1,
             ..RecoveryConfig::disabled()
         };
-        let mut s = ReactServer::builder(config)
-            .seed(7)
-            .audit(true)
-            .build()
-            .unwrap();
+        config.audit = true;
+        let mut s = ReactServer::builder(config).seed(7).build().unwrap();
         let submit = |s: &mut ReactServer, id: u64, reward: f64| {
             s.submit_task(
                 Task::new(TaskId(id), here(), 600.0, reward, TaskCategory(0), "t"),
@@ -1142,28 +1127,14 @@ mod tests {
     }
 
     #[test]
-    fn builder_audit_overrides_config_flag() {
-        let mut config = Config::paper_defaults();
-        config.audit = true;
-        let s = ReactServer::builder(config.clone()).build().unwrap();
-        assert!(s.audit().is_some(), "config flag honoured by default");
-        let s = ReactServer::builder(config).audit(false).build().unwrap();
-        assert!(s.audit().is_none(), "builder override wins");
-        let s = ReactServer::builder(Config::paper_defaults())
-            .audit(true)
-            .build()
-            .unwrap();
-        assert!(s.audit().is_some());
-    }
-
-    #[test]
     fn evict_unassigned_transfers_queue_with_audit() {
         let mut config = Config::paper_defaults();
         config.batch = BatchTrigger {
             min_unassigned: 100, // never batch — keep the queue intact
             period: None,
         };
-        let mut s = ReactServer::builder(config).audit(true).build().unwrap();
+        config.audit = true;
+        let mut s = ReactServer::builder(config).build().unwrap();
         s.register_worker(WorkerId(1), here());
         s.submit_task(task(1, 60.0), 0.0);
         s.submit_task(task(2, 60.0), 1.0);

@@ -31,7 +31,6 @@ pub mod behavior;
 pub mod casestudy;
 pub mod crowd;
 pub mod generator;
-pub mod multiregion;
 pub mod runner;
 pub mod scenario;
 
@@ -39,6 +38,5 @@ pub use behavior::{generate_population, BehaviorParams, ExecModel, LatencyModel,
 pub use casestudy::{CaseStudySummary, CaseStudyTrace};
 pub use crowd::{Crowd, Delivery};
 pub use generator::{burst_task, TaskGenerator};
-pub use multiregion::{MultiRegionReport, MultiRegionRunner, MultiRegionScenario};
 pub use runner::{FaultStats, RunReport, ScenarioRunner};
 pub use scenario::{ChurnParams, Scenario};

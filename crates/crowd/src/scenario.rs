@@ -60,8 +60,8 @@ pub struct Scenario {
     pub seed: u64,
     /// Preset workload: when set, the runner replays exactly these
     /// `(arrival_time, task)` pairs instead of generating a Poisson
-    /// stream (used by the multi-region runner to partition one global
-    /// stream across servers). Must be sorted by arrival time.
+    /// stream (how a recorded trace is fed to `ScenarioRunner` and
+    /// `react-cluster`'s runner). Must be sorted by arrival time.
     pub workload: Option<Vec<(f64, react_core::Task)>>,
     /// Fault-injection plan (`None` = a fault-free run). The plan is
     /// materialised from the scenario's own named RNG streams, so chaos

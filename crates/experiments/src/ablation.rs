@@ -428,17 +428,19 @@ pub fn frontier_rows(params: &AblationParams) -> Vec<KpiRow> {
 }
 
 /// Ablation 8 — region decomposition under load (the paper's proposed
-/// overload fix): the same global workload over 1×1, 2×2 and 3×3 grids.
+/// overload fix): the same global workload over 1×1, 2×2 and 3×3 grids,
+/// each a cluster run with every coupling mechanism off.
 pub fn region_decomposition_rows(params: &AblationParams) -> Vec<KpiRow> {
-    use react_crowd::{MultiRegionRunner, MultiRegionScenario};
+    use react_cluster::{ClusterPolicy, ClusterRunner, ClusterScenario};
     [(1u32, 1u32), (2, 2), (3, 3)]
         .into_iter()
         .map(|(r, c)| {
             let global = scenario(params, MatcherPolicy::React { cycles: 1000 }, params.seed);
-            let report = MultiRegionRunner::new(MultiRegionScenario {
+            let report = ClusterRunner::new(ClusterScenario {
                 global,
                 rows: r,
                 cols: c,
+                policy: ClusterPolicy::single_tier(),
             })
             .run();
             KpiRow::new()

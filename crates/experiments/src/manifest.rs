@@ -77,14 +77,6 @@ impl ManifestValue {
             _ => None,
         }
     }
-
-    /// The value as `bool`, when boolean.
-    pub fn as_bool(&self) -> Option<bool> {
-        match self {
-            ManifestValue::Bool(b) => Some(*b),
-            _ => None,
-        }
-    }
 }
 
 impl fmt::Display for ManifestValue {

@@ -78,12 +78,6 @@ impl RunSpec {
             T::default()
         }
     }
-
-    /// A required parameter, as an error message when missing.
-    pub fn require(&self, name: &str) -> Result<&ManifestValue, String> {
-        self.get(name)
-            .ok_or_else(|| format!("run '{}' is missing parameter '{name}'", self.label))
-    }
 }
 
 /// Derives a run seed from `(base, suite, seed_key)`.

@@ -1,6 +1,5 @@
 //! WGS-84 coordinates and great-circle distance.
 
-use rand::Rng;
 use std::fmt;
 
 /// Mean Earth radius in kilometres, used by the haversine formula.
@@ -65,31 +64,11 @@ pub fn haversine_km(a: &GeoPoint, b: &GeoPoint) -> f64 {
     2.0 * EARTH_RADIUS_KM * h.sqrt().min(1.0).asin()
 }
 
-/// Draws a point uniformly inside the given latitude/longitude rectangle.
-/// Used by the workload generators to place tasks and workers.
-pub fn random_point_in<R: Rng + ?Sized>(
-    rng: &mut R,
-    lat_range: (f64, f64),
-    lon_range: (f64, f64),
-) -> GeoPoint {
-    let lat = if lat_range.0 == lat_range.1 {
-        lat_range.0
-    } else {
-        rng.gen_range(lat_range.0..lat_range.1)
-    };
-    let lon = if lon_range.0 == lon_range.1 {
-        lon_range.0
-    } else {
-        rng.gen_range(lon_range.0..lon_range.1)
-    };
-    GeoPoint::new(lat, lon)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use rand::rngs::SmallRng;
-    use rand::SeedableRng;
+    use rand::{Rng, SeedableRng};
 
     #[test]
     fn clamps_latitude_and_wraps_longitude() {
@@ -145,32 +124,14 @@ mod tests {
     #[test]
     fn triangle_inequality_samples() {
         let mut rng = SmallRng::seed_from_u64(9);
+        let mut point = || GeoPoint::new(rng.gen_range(-60.0..60.0), rng.gen_range(-170.0..170.0));
         for _ in 0..200 {
-            let p1 = random_point_in(&mut rng, (-60.0, 60.0), (-170.0, 170.0));
-            let p2 = random_point_in(&mut rng, (-60.0, 60.0), (-170.0, 170.0));
-            let p3 = random_point_in(&mut rng, (-60.0, 60.0), (-170.0, 170.0));
+            let (p1, p2, p3) = (point(), point(), point());
             let d12 = p1.distance_km(&p2);
             let d23 = p2.distance_km(&p3);
             let d13 = p1.distance_km(&p3);
             assert!(d13 <= d12 + d23 + 1e-6);
         }
-    }
-
-    #[test]
-    fn random_point_stays_in_rect() {
-        let mut rng = SmallRng::seed_from_u64(1);
-        for _ in 0..1000 {
-            let p = random_point_in(&mut rng, (37.0, 38.0), (23.0, 24.0));
-            assert!((37.0..38.0).contains(&p.lat()));
-            assert!((23.0..24.0).contains(&p.lon()));
-        }
-    }
-
-    #[test]
-    fn random_point_degenerate_rect() {
-        let mut rng = SmallRng::seed_from_u64(1);
-        let p = random_point_in(&mut rng, (5.0, 5.0), (6.0, 6.0));
-        assert_eq!((p.lat(), p.lon()), (5.0, 6.0));
     }
 
     #[test]

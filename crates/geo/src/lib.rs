@@ -3,19 +3,18 @@
 //! The paper assumes *"a spatial decomposition of the geographic area into
 //! a number of non-overlapping regions"*, each owned by one REACT server,
 //! with tasks and workers registered to the server of the region that
-//! contains them, and with *"several tiers at different levels of
-//! granularity"* for scalable aggregation. The paper's future-work section
-//! also proposes *splitting* overloaded regions.
+//! contains them. The paper's future-work section also proposes
+//! *splitting* overloaded regions. (Its *"several tiers at different
+//! levels of granularity"* are not modelled: the router splits cells
+//! itself and nothing aggregates across tiers.)
 //!
-//! This crate implements all of that:
+//! This crate implements that:
 //!
 //! * [`GeoPoint`] — WGS-84 coordinates with haversine great-circle
 //!   distance (used by the optional distance-based weight function).
 //! * [`BoundingBox`] — rectangular lat/lon regions.
 //! * [`RegionGrid`] — a non-overlapping `rows × cols` decomposition of a
 //!   bounding box with O(1) point→region lookup.
-//! * [`TieredGrid`] — the multi-tier hierarchy (each tier halves the
-//!   resolution of the one below).
 //! * [`RegionRouter`] — point→server routing with per-region load counts
 //!   and overload-driven region splitting.
 
@@ -25,10 +24,8 @@ pub mod coords;
 pub mod grid;
 pub mod region;
 pub mod router;
-pub mod tier;
 
 pub use coords::{haversine_km, GeoPoint, EARTH_RADIUS_KM};
 pub use grid::{RegionGrid, RegionId};
 pub use region::BoundingBox;
 pub use router::{RegionRouter, ServerId};
-pub use tier::TieredGrid;

@@ -57,28 +57,6 @@ impl TimeSeries {
         self.points.last().copied()
     }
 
-    /// Linear interpolation of `y` at `x` (clamped to the series ends).
-    /// `None` for an empty series.
-    pub fn sample_at(&self, x: f64) -> Option<f64> {
-        let pts = &self.points;
-        if pts.is_empty() {
-            return None;
-        }
-        if x <= pts[0].0 {
-            return Some(pts[0].1);
-        }
-        if x >= pts[pts.len() - 1].0 {
-            return Some(pts[pts.len() - 1].1);
-        }
-        let i = pts.partition_point(|&(px, _)| px <= x);
-        let (x0, y0) = pts[i - 1];
-        let (x1, y1) = pts[i];
-        if x1 == x0 {
-            return Some(y1);
-        }
-        Some(y0 + (y1 - y0) * (x - x0) / (x1 - x0))
-    }
-
     /// Downsamples to at most `n` evenly spaced points (keeps endpoints).
     /// Useful when a per-event series is printed as a table.
     pub fn thin(&self, n: usize) -> Vec<(f64, f64)> {
@@ -121,28 +99,6 @@ mod tests {
         let mut s = TimeSeries::new("t");
         s.push(2.0, 1.0);
         s.push(1.0, 1.0);
-    }
-
-    #[test]
-    fn sample_interpolates_and_clamps() {
-        let mut s = TimeSeries::new("t");
-        assert_eq!(s.sample_at(1.0), None);
-        s.push(0.0, 0.0);
-        s.push(10.0, 100.0);
-        assert_eq!(s.sample_at(-5.0), Some(0.0));
-        assert_eq!(s.sample_at(5.0), Some(50.0));
-        assert_eq!(s.sample_at(20.0), Some(100.0));
-    }
-
-    #[test]
-    fn sample_handles_duplicate_x() {
-        let mut s = TimeSeries::new("t");
-        s.push(0.0, 0.0);
-        s.push(1.0, 1.0);
-        s.push(1.0, 5.0);
-        s.push(2.0, 6.0);
-        // At an interior duplicate the later value wins.
-        assert_eq!(s.sample_at(1.0), Some(5.0));
     }
 
     #[test]

@@ -41,16 +41,6 @@ impl Table {
         self.rows.push(cells);
     }
 
-    /// Appends a row of display-formatted values.
-    pub fn add_display_row(&mut self, cells: &[&dyn std::fmt::Display]) {
-        self.add_row(cells.iter().map(|c| c.to_string()).collect());
-    }
-
-    /// Number of data rows.
-    pub fn n_rows(&self) -> usize {
-        self.rows.len()
-    }
-
     /// Renders the table. First column left-aligned, the rest
     /// right-aligned (the usual look for numeric result tables).
     pub fn render(&self) -> String {
@@ -125,14 +115,6 @@ mod tests {
     fn rejects_ragged_rows() {
         let mut t = Table::new(&["a", "b"]);
         t.add_row(vec!["x".into()]);
-    }
-
-    #[test]
-    fn display_row_and_counts() {
-        let mut t = Table::new(&["name", "value"]);
-        t.add_display_row(&[&"value", &1.25]);
-        assert_eq!(t.n_rows(), 1);
-        assert!(t.render().contains("1.25"));
     }
 
     #[test]

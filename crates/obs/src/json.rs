@@ -153,8 +153,8 @@ mod tests {
     fn every_line_is_minimally_valid_json() {
         let (obs, buf) = JsonLinesObserver::shared_buffer();
         obs.span(SpanKind::Tick, 1e-7);
-        obs.span(SpanKind::RegionRun, 3.25);
-        obs.incr(CounterKind::RegionsRun, 1);
+        obs.span(SpanKind::ShardTick, 3.25);
+        obs.incr(CounterKind::ShardHandoffs, 1);
         for line in lines(&buf) {
             assert!(line.starts_with('{') && line.ends_with('}'), "line: {line}");
             assert!(line.contains(r#""event":"#), "line: {line}");

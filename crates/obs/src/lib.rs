@@ -3,7 +3,7 @@
 //!
 //! The scheduling stack reports *what happened* through the [`Observer`]
 //! trait: every server tick stage, matcher run, reassignment decision,
-//! profile refit, and multi-region execution emits spans and counters.
+//! profile refit, and cluster shard tick emits spans and counters.
 //! Sinks decide what to do with them:
 //!
 //! * [`NullObserver`] — the default; reports `enabled() == false` so hot

@@ -7,8 +7,8 @@ use std::sync::Arc;
 ///
 /// Span names form a dotted taxonomy: `tick` covers a whole
 /// `ReactServer::tick`, `tick.*` its five stages, `matcher.assign` one
-/// `MatcherEngine` run inside `tick.match`, and `region.run` one region's
-/// full scenario execution under `MultiRegionRunner`.
+/// `MatcherEngine` run inside `tick.match`, and `shard.tick` one shard
+/// server's tick inside a `Cluster` control step.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum SpanKind {
     /// One full `ReactServer::tick` call.
@@ -25,8 +25,6 @@ pub enum SpanKind {
     StageCommit,
     /// One `MatcherEngine::assign` run (nested inside [`SpanKind::StageMatch`]).
     MatcherAssign,
-    /// One region's scenario execution inside `MultiRegionRunner`.
-    RegionRun,
     /// One shard server's tick inside a `Cluster` control step.
     ShardTick,
     /// One HTTP request handled by the ingest front-end (parse +
@@ -45,7 +43,6 @@ impl SpanKind {
             SpanKind::StageMatch => "tick.match",
             SpanKind::StageCommit => "tick.commit",
             SpanKind::MatcherAssign => "matcher.assign",
-            SpanKind::RegionRun => "region.run",
             SpanKind::ShardTick => "shard.tick",
             SpanKind::IngestRequest => "ingest.request",
         }
@@ -88,8 +85,6 @@ pub enum CounterKind {
     /// In-flight assignments that reached the exact Eq.(2) evaluation
     /// (the rest were answered by their stored recall threshold).
     RecallExactChecks,
-    /// Regions executed by `MultiRegionRunner`.
-    RegionsRun,
     /// Tasks completed by workers.
     TasksCompleted,
     /// Completed tasks that met their deadline.
@@ -156,7 +151,6 @@ impl CounterKind {
             CounterKind::BuildCdfMemoHits => "build.cdf_memo_hits",
             CounterKind::ScratchBytesReused => "scratch.bytes_reused",
             CounterKind::RecallExactChecks => "recall.exact_checks",
-            CounterKind::RegionsRun => "regions.run",
             CounterKind::TasksCompleted => "tasks.completed",
             CounterKind::DeadlinesMet => "deadlines.met",
             CounterKind::PositiveFeedback => "feedback.positive",
@@ -284,7 +278,6 @@ mod tests {
             SpanKind::StageMatch,
             SpanKind::StageCommit,
             SpanKind::MatcherAssign,
-            SpanKind::RegionRun,
             SpanKind::ShardTick,
             SpanKind::IngestRequest,
         ];
@@ -307,7 +300,6 @@ mod tests {
             CounterKind::BuildCdfMemoHits,
             CounterKind::ScratchBytesReused,
             CounterKind::RecallExactChecks,
-            CounterKind::RegionsRun,
             CounterKind::TasksCompleted,
             CounterKind::DeadlinesMet,
             CounterKind::PositiveFeedback,

@@ -229,10 +229,10 @@ mod tests {
     fn clones_share_state() {
         let rec = RecordingObserver::new();
         let clone = rec.clone();
-        clone.incr(CounterKind::RegionsRun, 4);
-        assert_eq!(rec.counter(CounterKind::RegionsRun), 4);
+        clone.incr(CounterKind::BatchesRun, 4);
+        assert_eq!(rec.counter(CounterKind::BatchesRun), 4);
         rec.reset();
-        assert_eq!(clone.counter(CounterKind::RegionsRun), 0);
+        assert_eq!(clone.counter(CounterKind::BatchesRun), 0);
     }
 
     #[test]

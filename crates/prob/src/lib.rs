@@ -20,8 +20,8 @@
 //! * [`distributions`] — the small set of auxiliary distributions needed
 //!   by the workload generators (uniform, exponential, Bernoulli,
 //!   bounded Pareto) implemented directly on top of `rand`.
-//! * [`stats`] — summary statistics, histograms and an empirical CDF used
-//!   by the experiment harness.
+//! * [`stats`] — running moments and percentile summaries used by the
+//!   experiment harness.
 
 #![warn(missing_docs)]
 

@@ -220,16 +220,6 @@ impl PowerLaw {
         PowerLaw::new(alpha, k_min)
     }
 
-    /// Fits using the smallest sample as `k_min` (the paper sets `k_min`
-    /// to the worker's lowest measured execution time).
-    pub fn fit_auto_kmin(samples: &[f64], method: FitMethod) -> Result<Self, PowerLawError> {
-        let k_min = samples.iter().copied().fold(f64::INFINITY, f64::min);
-        if !k_min.is_finite() {
-            return Err(PowerLawError::NotEnoughSamples { have: 0, need: 1 });
-        }
-        Self::fit(samples, k_min, method)
-    }
-
     /// Kolmogorov–Smirnov statistic between this distribution and the
     /// empirical CDF of `samples` (only samples ≥ `k_min` are compared).
     /// Smaller is a better fit.
@@ -257,12 +247,6 @@ impl PowerLaw {
             d = d.max((model - emp_lo).abs()).max((model - emp_hi).abs());
         }
         d
-    }
-
-    /// Log-likelihood of `samples` under this distribution. Samples below
-    /// `k_min` contribute `-inf` (density zero).
-    pub fn log_likelihood(&self, samples: &[f64]) -> f64 {
-        samples.iter().map(|&s| self.pdf(s).ln()).sum()
     }
 }
 
@@ -429,13 +413,6 @@ mod tests {
     }
 
     #[test]
-    fn fit_auto_kmin_uses_smallest_sample() {
-        let samples = [5.0, 2.0, 9.0];
-        let fitted = PowerLaw::fit_auto_kmin(&samples, FitMethod::Continuous).unwrap();
-        assert_eq!(fitted.k_min(), 2.0);
-    }
-
-    #[test]
     fn ks_statistic_small_for_own_samples() {
         let truth = PowerLaw::new(2.3, 1.0).unwrap();
         let mut rng = SmallRng::seed_from_u64(11);
@@ -471,15 +448,6 @@ mod tests {
             let direct = 1.3 * (1.0 - q).powf(-1.0 / (2.7f64 - 1.0));
             assert_eq!(pl.quantile(q).to_bits(), direct.to_bits(), "q={q}");
         }
-    }
-
-    #[test]
-    fn log_likelihood_prefers_true_model() {
-        let truth = PowerLaw::new(2.5, 1.0).unwrap();
-        let mut rng = SmallRng::seed_from_u64(5);
-        let samples = truth.sample_n(&mut rng, 5_000);
-        let other = PowerLaw::new(4.0, 1.0).unwrap();
-        assert!(truth.log_likelihood(&samples) > other.log_likelihood(&samples));
     }
 
     #[test]

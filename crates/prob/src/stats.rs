@@ -1,6 +1,5 @@
 //! Summary statistics used by the profiling component and the experiment
-//! harness: running moments (Welford), percentile summaries, fixed-width
-//! histograms and empirical CDFs.
+//! harness: running moments (Welford) and percentile summaries.
 
 /// Numerically stable running mean/variance (Welford's algorithm).
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
@@ -152,106 +151,6 @@ pub fn percentile_sorted(sorted: &[f64], q: f64) -> f64 {
     }
 }
 
-/// Fixed-width histogram over `[lo, hi)` with overflow/underflow buckets.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Histogram {
-    lo: f64,
-    hi: f64,
-    buckets: Vec<u64>,
-    underflow: u64,
-    overflow: u64,
-    count: u64,
-}
-
-impl Histogram {
-    /// Creates a histogram with `n_buckets` equal-width buckets on
-    /// `[lo, hi)`.
-    ///
-    /// # Panics
-    /// Panics when `lo >= hi` or `n_buckets == 0` (static configuration).
-    pub fn new(lo: f64, hi: f64, n_buckets: usize) -> Self {
-        assert!(lo < hi, "histogram bounds [{lo}, {hi}) are empty");
-        assert!(n_buckets > 0, "histogram needs at least one bucket");
-        Histogram {
-            lo,
-            hi,
-            buckets: vec![0; n_buckets],
-            underflow: 0,
-            overflow: 0,
-            count: 0,
-        }
-    }
-
-    /// Records one observation.
-    pub fn record(&mut self, x: f64) {
-        self.count += 1;
-        if x < self.lo {
-            self.underflow += 1;
-        } else if x >= self.hi {
-            self.overflow += 1;
-        } else {
-            let width = (self.hi - self.lo) / self.buckets.len() as f64;
-            let idx = ((x - self.lo) / width) as usize;
-            let idx = idx.min(self.buckets.len() - 1);
-            self.buckets[idx] += 1;
-        }
-    }
-
-    /// Total recorded observations (including under/overflow).
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// Observations below the lower bound.
-    pub fn underflow(&self) -> u64 {
-        self.underflow
-    }
-
-    /// Observations at/above the upper bound.
-    pub fn overflow(&self) -> u64 {
-        self.overflow
-    }
-
-    /// Bucket counts, lowest bucket first.
-    pub fn buckets(&self) -> &[u64] {
-        &self.buckets
-    }
-
-    /// The `[start, end)` range of bucket `i`.
-    pub fn bucket_range(&self, i: usize) -> (f64, f64) {
-        let width = (self.hi - self.lo) / self.buckets.len() as f64;
-        (self.lo + i as f64 * width, self.lo + (i + 1) as f64 * width)
-    }
-
-    /// Fraction of in-range observations strictly below `x` (a coarse
-    /// CDF readout from the histogram).
-    pub fn fraction_below(&self, x: f64) -> f64 {
-        if self.count == 0 {
-            return 0.0;
-        }
-        let mut below = self.underflow;
-        for (i, &c) in self.buckets.iter().enumerate() {
-            let (start, end) = self.bucket_range(i);
-            if end <= x {
-                below += c;
-            } else if start < x {
-                // Partial bucket: assume uniform within the bucket.
-                let frac = (x - start) / (end - start);
-                below += (c as f64 * frac) as u64;
-            }
-        }
-        below as f64 / self.count as f64
-    }
-}
-
-/// Empirical CDF: fraction of `samples` that are `≤ x`.
-pub fn ecdf(samples: &[f64], x: f64) -> f64 {
-    if samples.is_empty() {
-        return 0.0;
-    }
-    samples.iter().filter(|&&s| s <= x).count() as f64 / samples.len() as f64
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -362,50 +261,5 @@ mod tests {
     #[should_panic(expected = "empty")]
     fn percentile_empty_panics() {
         let _ = percentile_sorted(&[], 0.5);
-    }
-
-    #[test]
-    fn histogram_bucketing() {
-        let mut h = Histogram::new(0.0, 10.0, 10);
-        for x in [0.0, 0.5, 1.0, 5.5, 9.99] {
-            h.record(x);
-        }
-        h.record(-1.0);
-        h.record(10.0);
-        h.record(100.0);
-        assert_eq!(h.count(), 8);
-        assert_eq!(h.underflow(), 1);
-        assert_eq!(h.overflow(), 2);
-        assert_eq!(h.buckets()[0], 2); // 0.0, 0.5
-        assert_eq!(h.buckets()[1], 1); // 1.0
-        assert_eq!(h.buckets()[5], 1); // 5.5
-        assert_eq!(h.buckets()[9], 1); // 9.99
-        assert_eq!(h.bucket_range(3), (3.0, 4.0));
-    }
-
-    #[test]
-    fn histogram_fraction_below() {
-        let mut h = Histogram::new(0.0, 100.0, 100);
-        for i in 0..100 {
-            h.record(i as f64 + 0.5);
-        }
-        let f = h.fraction_below(50.0);
-        assert!((f - 0.5).abs() < 0.02, "fraction {f}");
-        assert_eq!(Histogram::new(0.0, 1.0, 1).fraction_below(0.5), 0.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "bounds")]
-    fn histogram_rejects_empty_range() {
-        let _ = Histogram::new(5.0, 5.0, 4);
-    }
-
-    #[test]
-    fn ecdf_basics() {
-        let xs = [1.0, 2.0, 3.0, 4.0];
-        assert_eq!(ecdf(&xs, 0.0), 0.0);
-        assert_eq!(ecdf(&xs, 2.0), 0.5);
-        assert_eq!(ecdf(&xs, 10.0), 1.0);
-        assert_eq!(ecdf(&[], 1.0), 0.0);
     }
 }

@@ -85,9 +85,6 @@ pub struct IngestConfig {
     /// Crowd seconds the scheduler keeps draining in-flight work after
     /// shutdown begins before force-shedding what remains.
     pub drain_grace: f64,
-    /// Record the full task-lifecycle audit log and verify it at
-    /// teardown (panics on an illegal transition — test/debug tool).
-    pub audit: bool,
 }
 
 impl Default for IngestConfig {
@@ -117,7 +114,6 @@ impl Default for IngestConfig {
             burst_deadline_range: (60.0, 120.0),
             idle_timeout: Duration::from_millis(500),
             drain_grace: 600.0,
-            audit: false,
         }
     }
 }
@@ -162,7 +158,9 @@ pub struct IngestReport {
     pub peak_backlog: usize,
     /// Door-to-first-assignment latencies, crowd seconds, sorted.
     pub assign_latencies: Vec<f64>,
-    /// Audit events recorded (0 unless `audit` was enabled).
+    /// Audit events recorded (0 unless `config.audit` was enabled). The
+    /// log is verified at teardown, which panics on an illegal
+    /// transition — a test/debug tool.
     pub audit_events: u64,
 }
 
@@ -388,7 +386,6 @@ fn scheduler_thread(
 
     let mut server = ReactServer::builder(lc.config.clone())
         .seed(lc.seed ^ 0xbeef)
-        .audit(lc.audit)
         .observer(observer.clone())
         .build()
         .expect("ingest config carries a valid middleware config");
@@ -733,7 +730,7 @@ mod tests {
     #[test]
     fn external_shutdown_mid_flight_leaves_a_clean_audit_log() {
         let mut config = quick_config();
-        config.audit = true;
+        config.config.audit = true;
         config.seed = 23;
         // Completions race the teardown path.
         let report = submit_then_shutdown(config, (0..12).map(|i| 60 + i * 10));

@@ -98,22 +98,6 @@ impl<E> Simulator<E> {
         Some((t, e))
     }
 
-    /// Pops the next event only if it occurs at or before `limit`;
-    /// otherwise leaves the queue untouched and advances the clock to
-    /// `limit` when the horizon is reached (so `now()` reflects the end
-    /// of the simulated window).
-    pub fn next_event_until(&mut self, limit: SimTime) -> Option<(SimTime, E)> {
-        match self.queue.peek_time() {
-            Some(t) if t <= limit => self.next_event(),
-            _ => {
-                if limit > self.now {
-                    self.now = limit;
-                }
-                None
-            }
-        }
-    }
-
     /// The timestamp of the next pending event without popping it.
     pub fn peek_time(&self) -> Option<SimTime> {
         self.queue.peek_time()
@@ -166,30 +150,6 @@ mod tests {
         sim.schedule_in(SimDuration::from_secs(5.0), Ev::B);
         let (t, _) = sim.next_event().unwrap();
         assert_eq!(t, SimTime::from_secs(15.0));
-    }
-
-    #[test]
-    fn next_event_until_respects_horizon() {
-        let mut sim = Simulator::new();
-        sim.schedule_at(SimTime::from_secs(1.0), Ev::A);
-        sim.schedule_at(SimTime::from_secs(10.0), Ev::B);
-        let horizon = SimTime::from_secs(5.0);
-        assert!(sim.next_event_until(horizon).is_some());
-        assert!(sim.next_event_until(horizon).is_none());
-        // Clock parked at the horizon, event still pending.
-        assert_eq!(sim.now(), horizon);
-        assert_eq!(sim.pending(), 1);
-        // A later horizon releases it.
-        assert!(sim.next_event_until(SimTime::from_secs(20.0)).is_some());
-    }
-
-    #[test]
-    fn horizon_does_not_rewind_clock() {
-        let mut sim: Simulator<Ev> = Simulator::new();
-        sim.schedule_at(SimTime::from_secs(8.0), Ev::A);
-        sim.next_event();
-        assert!(sim.next_event_until(SimTime::from_secs(3.0)).is_none());
-        assert_eq!(sim.now(), SimTime::from_secs(8.0));
     }
 
     #[test]

@@ -9,8 +9,9 @@
 //! cargo run --release --example churny_crowd
 //! ```
 
+use react::cluster::{ClusterPolicy, ClusterRunner, ClusterScenario};
 use react::core::MatcherPolicy;
-use react::crowd::{ChurnParams, MultiRegionRunner, MultiRegionScenario, Scenario, ScenarioRunner};
+use react::crowd::{ChurnParams, Scenario, ScenarioRunner};
 use react::metrics::Table;
 
 fn main() {
@@ -47,7 +48,8 @@ fn main() {
     }
     println!("{}", table.render());
 
-    // Part 2 — the same global load over finer region grids.
+    // Part 2 — the same global load over finer region grids: a cluster
+    // run with every coupling mechanism off.
     let mut table = Table::new(&["grid", "servers", "met deadline %", "max server match s"])
         .with_title("Region splitting under one global load (600 workers, 4800 tasks)");
     for (rows, cols) in [(1u32, 1u32), (2, 2), (3, 3)] {
@@ -55,7 +57,13 @@ fn main() {
         global.n_workers = 600;
         global.arrival_rate = 7.5;
         global.total_tasks = 4800;
-        let report = MultiRegionRunner::new(MultiRegionScenario { global, rows, cols }).run();
+        let report = ClusterRunner::new(ClusterScenario {
+            global,
+            rows,
+            cols,
+            policy: ClusterPolicy::single_tier(),
+        })
+        .run();
         table.add_row(vec![
             format!("{rows}x{cols}"),
             (rows * cols).to_string(),

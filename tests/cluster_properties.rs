@@ -11,7 +11,18 @@
 //!    bit-identical reports under any policy/fault combination;
 //! 3. **auditability** — every shard's lifecycle log stays well-formed
 //!    (`Submitted … HandedOff` / fresh `Submitted` on the receiving
-//!    shard), including tasks that bounce between shards.
+//!    shard), including tasks that bounce between shards;
+//! 4. **the uncoupled cluster** — under `ClusterPolicy::single_tier()`
+//!    (the paper's plain region decomposition) nothing crosses a shard
+//!    boundary, so conservation closes shard by shard under the full
+//!    chaos plan.
+//!
+//! Two plain tests hold the rest of the single-tier contract: a finer
+//! grid never raises the heaviest shard's matching load, and an attached
+//! observer sees `shard.tick` spans without perturbing the report.
+
+#[path = "common/chaos.rs"]
+mod chaos;
 
 use proptest::prelude::*;
 use react::cluster::{
@@ -20,6 +31,8 @@ use react::cluster::{
 use react::core::{verify_lifecycles, MatcherPolicy, TaskEventKind};
 use react::crowd::Scenario;
 use react::faults::{DropoutPlan, FaultPlan};
+use react::obs::{CounterKind, RecordingObserver, SpanKind};
+use std::sync::Arc;
 
 /// Strategy: an arbitrary cluster policy mixing the three mechanisms.
 fn arb_policy() -> impl Strategy<Value = ClusterPolicy> {
@@ -142,4 +155,78 @@ proptest! {
             "audited handoffs must match the cluster counters"
         );
     }
+
+    /// Invariant 4: with every coupling mechanism off nothing crosses a
+    /// shard boundary, so each shard conserves its own tasks under the
+    /// full chaos plan — what a multi-region deployment promises.
+    #[test]
+    fn single_tier_shards_conserve_their_own_tasks(
+        seed in 0u64..1_000,
+        rows in 1u32..4,
+        cols in 1u32..4,
+        plan in chaos::arb_plan(),
+    ) {
+        let sc = scenario(seed, rows, cols, ClusterPolicy::single_tier(), Some(plan));
+        let r = ClusterRunner::new(sc).run();
+        prop_assert_eq!(r.received, 120 + r.burst_tasks);
+        prop_assert_eq!(r.handoffs(), 0);
+        prop_assert_eq!(r.workers_rebalanced, 0);
+        prop_assert_eq!(r.admission_shed(), 0);
+        prop_assert!(r.conserved(), "conservation violated: {:?}", r);
+        for s in &r.shards {
+            prop_assert_eq!(
+                s.completed + s.expired_unassigned + s.stranded,
+                s.received,
+                "shard {:?} lost or invented a task",
+                s.server
+            );
+            verify_lifecycles(s.audit.as_ref().expect("audit enabled"));
+        }
+    }
+}
+
+/// The paper's overload fix: the same global load over a finer grid never
+/// raises the heaviest shard's modelled matching time.
+#[test]
+fn a_finer_grid_never_raises_the_max_shard_matching_load() {
+    let run = |rows, cols| {
+        ClusterRunner::new(scenario(3, rows, cols, ClusterPolicy::single_tier(), None)).run()
+    };
+    let (coarse, fine) = (run(1, 1), run(2, 2));
+    assert!(coarse.max_matching_seconds() > 0.0, "the 1x1 grid matched");
+    assert!(
+        fine.max_matching_seconds() <= coarse.max_matching_seconds() + 1e-9,
+        "splitting must not increase the per-server matching load: coarse {:.2}s vs fine {:.2}s",
+        coarse.max_matching_seconds(),
+        fine.max_matching_seconds()
+    );
+}
+
+/// `ClusterRunner::with_observer` is write-only: the report is
+/// bit-identical to the unobserved one, every cluster tick times each
+/// shard under `shard.tick`, and the shard servers report to the same sink.
+#[test]
+fn an_observer_counts_shard_ticks_and_leaves_the_report_identical() {
+    let sc = || scenario(5, 2, 2, ClusterPolicy::single_tier(), None);
+    let baseline = ClusterRunner::new(sc()).run();
+    let recording = RecordingObserver::new();
+    let observed = ClusterRunner::new(sc())
+        .with_observer(Arc::new(recording.clone()))
+        .run();
+    assert!(
+        baseline.identical(&observed),
+        "attaching a recording observer must not perturb any result"
+    );
+    let span = recording
+        .span_stats(SpanKind::ShardTick)
+        .expect("every cluster tick emits shard.tick spans");
+    assert!(
+        span.count > 0 && span.count.is_multiple_of(4),
+        "one per shard per tick"
+    );
+    assert!(span.total_seconds > 0.0);
+    assert!(
+        recording.counter(CounterKind::MatcherCycles) > 0,
+        "shard servers must forward matcher counters to the shared sink"
+    );
 }

@@ -3,54 +3,23 @@
 //! Three invariants the fault layer must hold for *every* plan, not just
 //! the hand-picked golden scenarios:
 //!
-//! 1. every region of a multi-region run conserves its tasks, faults
-//!    included;
+//! 1. every shard of an uncoupled (single-tier) cluster run conserves
+//!    its tasks, faults included;
 //! 2. completion-message duplication never double-completes a task;
 //! 3. no task is ever silently lost — every received task is completed,
 //!    expired, or accounted as stranded, and the audit lifecycles stay
 //!    well-formed, even when workers drop out mid-task.
 
-use proptest::prelude::*;
-use react::core::{verify_lifecycles, MatcherPolicy, RecoveryConfig, TaskEventKind};
-use react::crowd::{MultiRegionRunner, MultiRegionScenario, RunReport, Scenario, ScenarioRunner};
-use react::faults::{BurstPlan, DropoutPlan, FaultPlan, StragglerPlan};
-use std::collections::HashMap;
+#[path = "common/chaos.rs"]
+mod chaos;
 
-/// Strategy: an arbitrary well-formed [`FaultPlan`] mixing every fault
-/// kind at bounded rates.
-fn arb_plan() -> impl Strategy<Value = FaultPlan> {
-    (
-        proptest::option::of((0.0f64..=1.0, 5.0f64..40.0, 10.0f64..30.0)),
-        proptest::option::of((0.0f64..=1.0, 1.6f64..4.0)),
-        0.0f64..0.4,
-        0.0f64..0.4,
-        0.0f64..0.6,
-        proptest::option::of((1u32..3, 1u32..8)),
-    )
-        .prop_map(|(dropout, straggler, abandon, loss, dup, bursts)| {
-            let plan = FaultPlan {
-                dropout: dropout.map(|(probability, start, span)| DropoutPlan {
-                    probability,
-                    window: (start, start + span),
-                    offline_range: Some((10.0, 40.0)),
-                }),
-                straggler: straggler.map(|(fraction, hi)| StragglerPlan {
-                    fraction,
-                    factor_range: (1.5, hi),
-                }),
-                abandon_probability: abandon,
-                loss_probability: loss,
-                duplication_probability: dup,
-                bursts: bursts.map(|(count, size)| BurstPlan {
-                    count,
-                    size,
-                    window: (10.0, 50.0),
-                }),
-            };
-            plan.validate().expect("strategy emits only valid plans");
-            plan
-        })
-}
+use chaos::arb_plan;
+use proptest::prelude::*;
+use react::cluster::{ClusterPolicy, ClusterRunner, ClusterScenario};
+use react::core::{verify_lifecycles, MatcherPolicy, RecoveryConfig, TaskEventKind};
+use react::crowd::{RunReport, Scenario, ScenarioRunner};
+use react::faults::{DropoutPlan, FaultPlan};
+use std::collections::HashMap;
 
 /// The conservation identity every chaotic run must satisfy: nothing the
 /// middleware received may vanish.
@@ -67,8 +36,9 @@ proptest! {
     // Every case is a full end-to-end simulation; keep the counts small.
     #![proptest_config(ProptestConfig::with_cases(8))]
 
-    /// Every region of a multi-region run conserves its tasks, whatever
-    /// faults are injected.
+    /// Every region of a multi-region run — a cluster run with no
+    /// coupling between its shards — conserves its tasks, whatever faults
+    /// are injected.
     #[test]
     fn multi_region_chaos_runs_conserve_tasks_per_region(
         plan in arb_plan(), seed in 0u64..1000
@@ -78,14 +48,20 @@ proptest! {
         global.total_tasks = 80;
         global.config.recovery = RecoveryConfig::aggressive(30.0);
         global.faults = Some(plan);
-        let report = MultiRegionRunner::new(MultiRegionScenario {
+        let report = ClusterRunner::new(ClusterScenario {
             global,
             rows: 2,
             cols: 2,
+            policy: ClusterPolicy::single_tier(),
         })
         .run();
-        for (_, r) in &report.per_region {
-            assert_conserved(r);
+        for s in &report.shards {
+            prop_assert_eq!(
+                s.completed + s.expired_unassigned + s.stranded,
+                s.received,
+                "task conservation violated on {:?}",
+                s.server
+            );
         }
     }
 

@@ -43,10 +43,10 @@ fn dropout_mid_task_reassigns_and_completes() {
         min_unassigned: 1,
         period: None,
     };
+    config.audit = true;
     let mut server = ReactServer::builder(config)
         .seed(7)
         .cost_model(CostModel::free())
-        .audit(true)
         .build()
         .unwrap();
     server.register_worker(WorkerId(1), here());

@@ -1,7 +1,7 @@
 //! Property tests for the simulation kernel and the spatial substrate.
 
 use proptest::prelude::*;
-use react::geo::{BoundingBox, GeoPoint, RegionGrid, RegionRouter, TieredGrid};
+use react::geo::{BoundingBox, GeoPoint, RegionGrid, RegionRouter};
 use react::sim::{RngStreams, SimTime, Simulator};
 
 proptest! {
@@ -76,24 +76,6 @@ proptest! {
             .filter(|&r| grid.cell(r).unwrap().contains(&p))
             .count();
         prop_assert_eq!(owners, 1);
-    }
-
-    #[test]
-    fn tiered_grid_parents_are_consistent(
-        rows in 1u32..9, cols in 1u32..9,
-        lat in 0.0f64..0.999, lon in 0.0f64..0.999,
-    ) {
-        let area = BoundingBox::new(0.0, 1.0, 0.0, 1.0).unwrap();
-        let tiers = TieredGrid::new(area, rows, cols).unwrap();
-        let p = GeoPoint::new(lat, lon);
-        let ids = tiers.locate_all(&p);
-        prop_assert_eq!(ids.len(), tiers.depth());
-        // Walking parents from the finest tier reproduces coarser
-        // containment: each tier's located cell contains the point.
-        for (tier, id) in ids.iter().enumerate() {
-            let cell = tiers.tier(tier).unwrap().cell(*id).unwrap();
-            prop_assert!(cell.contains(&p));
-        }
     }
 
     #[test]
