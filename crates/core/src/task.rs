@@ -8,6 +8,7 @@
 
 use crate::ids::{TaskCategory, TaskId, WorkerId};
 use react_geo::GeoPoint;
+use std::borrow::Cow;
 
 /// An immutable task description as submitted by a Requester.
 #[derive(Debug, Clone, PartialEq)]
@@ -23,8 +24,10 @@ pub struct Task {
     pub reward: f64,
     /// Category used by the accuracy weight function.
     pub category: TaskCategory,
-    /// Human-readable description ("Is road A highly congested?").
-    pub description: String,
+    /// Human-readable description ("Is road A highly congested?"). A
+    /// fixed text is borrowed, so generating or copying a task costs no
+    /// allocation for it.
+    pub description: Cow<'static, str>,
 }
 
 impl Task {
@@ -40,7 +43,7 @@ impl Task {
         deadline: f64,
         reward: f64,
         category: TaskCategory,
-        description: impl Into<String>,
+        description: impl Into<Cow<'static, str>>,
     ) -> Self {
         assert!(
             deadline.is_finite() && deadline > 0.0,

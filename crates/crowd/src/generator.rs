@@ -65,7 +65,7 @@ impl TaskGenerator {
             self.deadline_range.sample(rng),
             self.reward_range.sample(rng),
             category,
-            format!("How congested is the area around point {id}?"),
+            "How congested is the area around this point?",
         );
         (at, task)
     }

@@ -7,8 +7,14 @@
 //! Every limit is explicit (header block and body byte caps) and every
 //! parse failure maps to a concrete status code so malformed input is
 //! rejected rather than panicking the acceptor.
+//!
+//! A keep-alive connection reads every request into the same buffers
+//! ([`read_request`]) and renders every answer into one output buffer
+//! ([`Response::write_to`] on a `Vec<u8>`), so once those have grown to
+//! the connection's requests, framing allocates nothing.
 
-use std::io::{BufRead, Write};
+use std::borrow::Cow;
+use std::io::{BufRead, Read, Write};
 
 /// Longest accepted request body, in bytes.
 pub const MAX_BODY_BYTES: usize = 4096;
@@ -16,7 +22,7 @@ pub const MAX_BODY_BYTES: usize = 4096;
 pub const MAX_HEADER_BYTES: usize = 8192;
 
 /// One parsed HTTP/1.1 request.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Request {
     /// Request method, as written (`GET`, `POST`, …).
     pub method: String,
@@ -73,11 +79,24 @@ impl HttpError {
 /// [`HttpError::Truncated`]; the caller closes the connection either
 /// way.
 pub fn parse_request<R: BufRead>(reader: &mut R) -> Result<Option<Request>, HttpError> {
+    let mut request = Request::default();
+    Ok(read_request(reader, &mut Vec::new(), &mut request)?.then_some(request))
+}
+
+/// Reads the next request off `reader` into `request`, reusing its
+/// strings and body and `line` (the connection's line buffer) instead of
+/// allocating. Same outcomes as [`parse_request`], with `Ok(false)` for
+/// its `Ok(None)`; after an error `request` holds no meaningful request.
+pub fn read_request<R: BufRead>(
+    reader: &mut R,
+    line: &mut Vec<u8>,
+    request: &mut Request,
+) -> Result<bool, HttpError> {
     let mut header_bytes = 0usize;
-    let request_line = match read_line(reader, &mut header_bytes)? {
-        Some(line) => line,
-        None => return Ok(None),
-    };
+    if !read_line(reader, line, &mut header_bytes)? {
+        return Ok(false);
+    }
+    let request_line = std::str::from_utf8(line).map_err(|_| HttpError::BadHeader)?;
     let mut parts = request_line.split(' ');
     let (method, path, version) = match (parts.next(), parts.next(), parts.next(), parts.next()) {
         (Some(m), Some(p), Some(v), None) if !m.is_empty() && p.starts_with('/') => (m, p, v),
@@ -89,86 +108,89 @@ pub fn parse_request<R: BufRead>(reader: &mut R) -> Result<Option<Request>, Http
     if !method.chars().all(|c| c.is_ascii_uppercase()) {
         return Err(HttpError::BadRequestLine);
     }
+    request.method.clear();
+    request.method.push_str(method);
+    request.path.clear();
+    request.path.push_str(path);
+    request.close = false;
 
     let mut content_length = 0usize;
-    let mut close = false;
     loop {
-        let line = match read_line(reader, &mut header_bytes)? {
-            Some(line) => line,
-            None => return Err(HttpError::Truncated),
-        };
+        if !read_line(reader, line, &mut header_bytes)? {
+            return Err(HttpError::Truncated);
+        }
         if line.is_empty() {
             break;
         }
-        let (name, value) = line.split_once(':').ok_or(HttpError::BadHeader)?;
-        let name = name.trim().to_ascii_lowercase();
-        let value = value.trim();
-        match name.as_str() {
-            "content-length" => {
-                content_length = value.parse().map_err(|_| HttpError::BadContentLength)?;
-                if content_length > MAX_BODY_BYTES {
-                    return Err(HttpError::BodyTooLarge);
-                }
+        let header = std::str::from_utf8(line).map_err(|_| HttpError::BadHeader)?;
+        let (name, value) = header.split_once(':').ok_or(HttpError::BadHeader)?;
+        let (name, value) = (name.trim(), value.trim());
+        if name.eq_ignore_ascii_case("content-length") {
+            content_length = value.parse().map_err(|_| HttpError::BadContentLength)?;
+            if content_length > MAX_BODY_BYTES {
+                return Err(HttpError::BodyTooLarge);
             }
-            "transfer-encoding" => return Err(HttpError::Unsupported),
-            "connection" if value.eq_ignore_ascii_case("close") => close = true,
-            _ => {}
+        } else if name.eq_ignore_ascii_case("transfer-encoding") {
+            return Err(HttpError::Unsupported);
+        } else if name.eq_ignore_ascii_case("connection") && value.eq_ignore_ascii_case("close") {
+            request.close = true;
         }
     }
 
-    let mut body = vec![0u8; content_length];
-    if content_length > 0 {
-        reader
-            .read_exact(&mut body)
-            .map_err(|_| HttpError::Truncated)?;
-    }
-    Ok(Some(Request {
-        method: method.to_string(),
-        path: path.to_string(),
-        body,
-        close,
-    }))
+    request.body.clear();
+    request.body.resize(content_length, 0);
+    reader
+        .read_exact(&mut request.body)
+        .map_err(|_| HttpError::Truncated)?;
+    Ok(true)
 }
 
-/// Reads one CRLF (or bare LF) terminated line, charging its bytes
-/// against the header budget. `None` = end of stream at a line start.
+/// Reads one CRLF (or bare LF) terminated line into `line`, without its
+/// terminator, charging its bytes against the header budget. At most the
+/// budget's remainder plus one byte is read, so a peer that streams
+/// header bytes without a newline gets a bounded buffer and
+/// [`HttpError::HeadersTooLarge`]. `false` = end of stream at a line
+/// start.
 fn read_line<R: BufRead>(
     reader: &mut R,
+    line: &mut Vec<u8>,
     header_bytes: &mut usize,
-) -> Result<Option<String>, HttpError> {
-    let mut raw = Vec::new();
+) -> Result<bool, HttpError> {
+    line.clear();
+    let budget = (MAX_HEADER_BYTES - *header_bytes) as u64 + 1;
     let n = reader
-        .read_until(b'\n', &mut raw)
+        .by_ref()
+        .take(budget)
+        .read_until(b'\n', line)
         .map_err(|_| HttpError::Truncated)?;
     if n == 0 {
-        return Ok(None);
+        return Ok(false);
     }
     *header_bytes += n;
     if *header_bytes > MAX_HEADER_BYTES {
         return Err(HttpError::HeadersTooLarge);
     }
-    if raw.last() != Some(&b'\n') {
+    if line.last() != Some(&b'\n') {
         // Stream ended mid-line.
         return Err(HttpError::Truncated);
     }
-    raw.pop();
-    if raw.last() == Some(&b'\r') {
-        raw.pop();
+    line.pop();
+    if line.last() == Some(&b'\r') {
+        line.pop();
     }
-    String::from_utf8(raw)
-        .map(Some)
-        .map_err(|_| HttpError::BadHeader)
+    Ok(true)
 }
 
 /// One response, always `Content-Length`-framed.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Response {
+pub struct Response<'a> {
     /// Status code.
     pub status: u16,
     /// Reason phrase.
     pub reason: &'static str,
-    /// JSON body text.
-    pub body: String,
+    /// JSON body text: a fixed text, or one the endpoint wrote into its
+    /// connection's body buffer.
+    pub body: Cow<'a, str>,
     /// `Retry-After` header value, for 429 shed responses.
     pub retry_after: Option<u32>,
     /// Whether the server will close the connection after this
@@ -176,9 +198,9 @@ pub struct Response {
     pub close: bool,
 }
 
-impl Response {
+impl<'a> Response<'a> {
     /// A JSON response with the given status.
-    pub fn json(status: u16, reason: &'static str, body: impl Into<String>) -> Self {
+    pub fn json(status: u16, reason: &'static str, body: impl Into<Cow<'a, str>>) -> Self {
         Response {
             status,
             reason,
@@ -200,23 +222,25 @@ impl Response {
         self
     }
 
-    /// Serialises the response onto `w`.
+    /// Serialises the response onto `w`. It writes in pieces, so a socket
+    /// should get it rendered into a `Vec<u8>` first (which allocates
+    /// nothing once it has grown) and sent with one write.
     pub fn write_to<W: Write>(&self, w: &mut W) -> std::io::Result<()> {
-        let mut head = format!(
+        write!(
+            w,
             "HTTP/1.1 {} {}\r\ncontent-type: application/json\r\ncontent-length: {}\r\n",
             self.status,
             self.reason,
             self.body.len()
-        );
+        )?;
         if let Some(secs) = self.retry_after {
-            head.push_str(&format!("retry-after: {secs}\r\n"));
+            write!(w, "retry-after: {secs}\r\n")?;
         }
-        head.push_str(if self.close {
-            "connection: close\r\n\r\n"
+        w.write_all(if self.close {
+            b"connection: close\r\n\r\n"
         } else {
-            "connection: keep-alive\r\n\r\n"
-        });
-        w.write_all(head.as_bytes())?;
+            b"connection: keep-alive\r\n\r\n"
+        })?;
         w.write_all(self.body.as_bytes())?;
         w.flush()
     }
@@ -377,6 +401,79 @@ mod tests {
         }
         huge.push_str("\r\n");
         assert_eq!(parse(huge.as_bytes()), Err(HttpError::HeadersTooLarge));
+    }
+
+    /// Counts the bytes taken from the reader it wraps.
+    struct Counting<R> {
+        inner: R,
+        consumed: usize,
+    }
+
+    impl<R: Read> Read for Counting<R> {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            let n = self.inner.read(buf)?;
+            self.consumed += n;
+            Ok(n)
+        }
+    }
+
+    impl<R: BufRead> BufRead for Counting<R> {
+        fn fill_buf(&mut self) -> std::io::Result<&[u8]> {
+            self.inner.fill_buf()
+        }
+
+        fn consume(&mut self, n: usize) {
+            self.consumed += n;
+            self.inner.consume(n);
+        }
+    }
+
+    #[test]
+    fn an_endless_header_line_is_read_only_up_to_the_budget() {
+        let endless = std::io::Cursor::new(b"GET / HTTP/1.1\r\nx-pad: ".to_vec())
+            .chain(BufReader::new(std::io::repeat(b'a')));
+        let mut reader = Counting {
+            inner: endless,
+            consumed: 0,
+        };
+        assert_eq!(parse_request(&mut reader), Err(HttpError::HeadersTooLarge));
+        assert!(
+            reader.consumed <= MAX_HEADER_BYTES + 1,
+            "{} bytes consumed",
+            reader.consumed
+        );
+    }
+
+    #[test]
+    fn read_request_refills_one_request_per_call() {
+        let mut stream = BufReader::new(
+            &b"POST /tasks HTTP/1.1\r\nConnection: close\r\ncontent-length: 4\r\n\r\nabcd\
+               GET /tasks/7 HTTP/1.1\r\n\r\n"[..],
+        );
+        let (mut line, mut request) = (Vec::new(), Request::default());
+        assert_eq!(read_request(&mut stream, &mut line, &mut request), Ok(true));
+        assert_eq!(
+            (request.method.as_str(), request.path.as_str()),
+            ("POST", "/tasks")
+        );
+        assert_eq!(
+            (request.body.as_slice(), request.close),
+            (&b"abcd"[..], true)
+        );
+        assert_eq!(read_request(&mut stream, &mut line, &mut request), Ok(true));
+        assert_eq!(
+            request,
+            Request {
+                method: "GET".into(),
+                path: "/tasks/7".into(),
+                body: Vec::new(),
+                close: false,
+            }
+        );
+        assert_eq!(
+            read_request(&mut stream, &mut line, &mut request),
+            Ok(false)
+        );
     }
 
     #[test]

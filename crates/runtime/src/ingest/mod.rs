@@ -9,9 +9,10 @@
 //! thing the scheduler thread ever blocks on. The scheduler thread is
 //! the crate's one live control loop: it owns the `ReactServer` and the
 //! crowd (a [`react_crowd::Crowd`], the same model the discrete-event
-//! runners drive: calendars and a timer queue, no threads), sleeps until
-//! the next submission, the next completion falling due or the end of
-//! the tick period, whichever is first, applies the fault timeline,
+//! runners drive: calendars and a timer queue, no threads), books each
+//! completion and timed fault at its own instant, ticks once per
+//! submission or tick period — waking for a completion only while a
+//! batch waits for a worker or the stack drains —
 //! publishes its backlog back to the door every tick, and records
 //! door-to-assignment latencies for the load generator's p50/p99/p999
 //! report.
@@ -328,50 +329,31 @@ fn fault_timeline(
     timeline.into()
 }
 
-/// What ends one wait of the scheduler thread.
-enum Event {
-    /// A message from the door or from `shutdown()`.
-    Inbox(Inbox),
-    /// A worker's completion report arrived.
-    Done(Delivery),
-    /// Neither within one tick period.
-    Tick,
-}
-
-/// Blocks until the next event: a queued message if there is one, else
-/// a completion that has fallen due, else whichever of the two comes
-/// first — asleep on the inbox until the crowd's next due instant —
-/// and gives up after one tick period.
-fn next_event(
-    inbox: &Receiver<Inbox>,
-    crowd: &mut Crowd,
-    clock: &ScaledClock,
-    tick_interval: f64,
-) -> Event {
-    if let Ok(message) = inbox.try_recv() {
-        return Event::Inbox(message);
-    }
-    let now = clock.now();
-    if let Some(done) = crowd.pop_due(now) {
-        return Event::Done(done);
-    }
-    let wait = crowd
-        .next_due()
-        .map_or(tick_interval, |due| tick_interval.min(due - now));
+/// Blocks on the inbox for at most `wait` crowd seconds; `None` when the
+/// wait ran out.
+fn next_message(inbox: &Receiver<Inbox>, clock: &ScaledClock, wait: f64) -> Option<Inbox> {
     match inbox.recv_deadline(clock.deadline_after(wait)) {
-        Ok(message) => return Event::Inbox(message),
-        Err(RecvTimeoutError::Timeout) => {}
+        Ok(message) => Some(message),
+        Err(RecvTimeoutError::Timeout) => None,
         // Cannot happen while the scheduler thread holds `Shared` and
         // its sender; if it ever does, keep the loop's pace rather than
         // spin.
-        Err(RecvTimeoutError::Disconnected) => std::thread::sleep(clock.to_wall(wait)),
+        Err(RecvTimeoutError::Disconnected) => {
+            std::thread::sleep(clock.to_wall(wait));
+            None
+        }
     }
-    // The wait most often ends because a completion fell due: report it
-    // now rather than spend a tick finding nothing changed.
-    crowd.pop_due(clock.now()).map_or(Event::Tick, Event::Done)
 }
 
 /// The scheduler thread: middleware + crowd + drain logic.
+///
+/// A lap books what fell due since the last one, takes the message that
+/// ended the last wait, ticks once and sleeps until the next message or
+/// one tick period. A completion is booked at its own finish instant, as
+/// the discrete-event runners do, so it needs no lap of its own: the
+/// wait ends at the crowd's next due instant only while a freed worker
+/// has a batch to take (`ReactServer::batch_due`) or the loop is
+/// draining.
 fn scheduler_thread(
     lc: IngestConfig,
     clock: ScaledClock,
@@ -408,34 +390,29 @@ fn scheduler_thread(
     let mut accepted_at: HashMap<TaskId, f64> = HashMap::new();
     let mut stopping = false;
     let mut drain_started: Option<f64> = None;
+    let mut message: Option<Inbox> = None;
 
     loop {
-        // One event per lap, then a tick.
-        match next_event(&inbox, &mut crowd, &clock, lc.tick_interval) {
-            Event::Inbox(Inbox::Task(incoming)) => {
-                accepted_at.insert(incoming.task.id, incoming.accepted_at);
-                server.submit_task(incoming.task, clock.now());
-            }
-            Event::Inbox(Inbox::Stop) => stopping = true,
-            Event::Done(done) => {
-                handle_completion(done, &mut server, clock.now(), &shared, &mut report)
-            }
-            Event::Tick => {}
-        }
-
-        // Apply timed faults whose instant has passed.
+        // Completions and timed faults due by now, each at its own
+        // instant and in time order (a completion first on a tie).
         let now = clock.now();
-        while timeline.front().is_some_and(|(at, _)| *at <= now) {
+        loop {
+            let fault_at = timeline.front().map(|&(at, _)| at).filter(|&at| at <= now);
+            if let Some(done) = crowd.pop_due(fault_at.unwrap_or(now)) {
+                handle_completion(done, &mut server, &shared, &mut report);
+                continue;
+            }
+            let Some(at) = fault_at else { break };
             let (_, action) = timeline.pop_front().expect("front() just saw it");
             match action {
                 FaultAction::Offline(w) => {
                     report.fault_events += 1;
                     let worker = WorkerId(w as u64);
-                    let recalled = server.worker_offline(worker, now);
+                    let recalled = server.worker_offline(worker, at);
                     for task in &recalled {
                         shared.set_status(task.0, TaskStatus::Queued);
                     }
-                    crowd.offline(worker, &recalled, now);
+                    crowd.offline(worker, &recalled, at);
                 }
                 FaultAction::Online(w) => {
                     let _ = server.worker_online(WorkerId(w as u64));
@@ -445,10 +422,19 @@ fn scheduler_thread(
                         report.injected_burst += 1;
                         report.fault_events += 1;
                         shared.set_status(task.id.0, TaskStatus::Queued);
-                        server.submit_task(task, now);
+                        server.submit_task(task, at);
                     }
                 }
             }
+        }
+
+        match message.take() {
+            Some(Inbox::Task(incoming)) => {
+                accepted_at.insert(incoming.task.id, incoming.accepted_at);
+                server.submit_task(incoming.task, now);
+            }
+            Some(Inbox::Stop) => stopping = true,
+            None => {}
         }
 
         // Control step.
@@ -497,6 +483,12 @@ fn scheduler_thread(
                 break;
             }
         }
+
+        let wait = match crowd.next_due() {
+            Some(due) if stopping || server.batch_due(now) => lc.tick_interval.min(due - now),
+            _ => lc.tick_interval,
+        };
+        message = next_message(&inbox, &clock, wait);
     }
 
     report.batches = server.batches_run();
@@ -517,16 +509,16 @@ fn scheduler_thread(
     report
 }
 
-/// Books a completion report the crowd delivered; a duplicated one is
-/// delivered twice and the middleware must reject the copy.
+/// Books a completion report the crowd delivered, at the instant the
+/// worker finished; a duplicated one is delivered twice and the
+/// middleware must reject the copy.
 fn handle_completion(
     done: Delivery,
     server: &mut ReactServer,
-    now: f64,
     shared: &Shared,
     report: &mut IngestReport,
 ) {
-    let Ok(out) = server.complete_task(done.task, done.worker, now, done.quality_ok) else {
+    let Ok(out) = server.complete_task(done.task, done.worker, done.at, done.quality_ok) else {
         return;
     };
     report.completed += 1;
@@ -541,7 +533,7 @@ fn handle_completion(
     );
     if done.duplicated {
         report.fault_events += 1;
-        let dup = server.complete_task(done.task, done.worker, now, done.quality_ok);
+        let dup = server.complete_task(done.task, done.worker, done.at, done.quality_ok);
         debug_assert!(dup.is_err(), "duplicate completion must be rejected");
     }
 }
@@ -775,6 +767,27 @@ mod tests {
             report.stranded, 0,
             "recovery must drain every faulted task: {report:?}"
         );
+    }
+
+    /// Completions and timed faults are booked at their own instants,
+    /// which lie before the lap that books them: under the full chaos
+    /// plan every task's audit trail must still be a legal, time-ordered
+    /// lifecycle (`verify_lifecycles` runs inside `shutdown()` and
+    /// panics otherwise) and the report must close.
+    #[test]
+    fn chaos_run_books_completions_and_faults_in_a_legal_order() {
+        use react_core::RecoveryConfig;
+        let mut config = quick_config();
+        config.n_workers = 10;
+        config.seed = 29;
+        config.config.audit = true;
+        config.config.recovery = RecoveryConfig::aggressive(20.0);
+        config.faults = Some(FaultPlan::chaos(0.8));
+        let report = submit_then_shutdown(config, (0..30).map(|i| 60 + i * 3));
+        assert!(report.audit_events > 0, "audit log was recorded");
+        assert!(report.fault_events > 0, "shims must fire: {report:?}");
+        assert!(report.conserved(), "conservation identity: {report:?}");
+        assert_eq!(report.stranded, 0, "{report:?}");
     }
 
     #[test]

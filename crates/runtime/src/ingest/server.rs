@@ -17,8 +17,14 @@
 //!    kernel accept queue as unbounded latency).
 //!
 //! Everything is instrumented through the `ingest.*` observer catalog.
+//!
+//! A connection owns four buffers for its keep-alive life — the line
+//! being parsed, the [`Request`] it is parsed into, the body an endpoint
+//! writes its JSON into, and the rendered answer — and sends each answer
+//! with one write. Fixed answers (404, 400, 429, 503) are static text, so
+//! a shed costs no allocation either.
 
-use super::http::{parse_request, parse_submit_body, HttpError, Request, Response};
+use super::http::{parse_submit_body, read_request, HttpError, Request, Response};
 use crate::clock::ScaledClock;
 use crossbeam::channel::{Sender, TrySendError};
 use parking_lot::Mutex;
@@ -26,7 +32,8 @@ use react_core::{Task, TaskCategory, TaskId};
 use react_geo::GeoPoint;
 use react_obs::{CounterKind, ObserverHandle, SpanKind, SpanTimer};
 use std::collections::HashMap;
-use std::io::{BufRead, BufReader};
+use std::fmt::Write as _;
+use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -197,6 +204,11 @@ fn acceptor_loop(listener: &TcpListener, idle_timeout: Duration, shared: &Shared
     }
 }
 
+/// Starting capacity of a connection's buffers: every request and answer
+/// this door exchanges with a well-behaved client fits, so they are
+/// allocated once per connection.
+const CONNECTION_BUFFER_BYTES: usize = 512;
+
 /// Serves one keep-alive connection until close, error, or teardown.
 fn serve_connection(stream: TcpStream, idle_timeout: Duration, shared: &Shared) {
     let _ = stream.set_read_timeout(Some(idle_timeout));
@@ -206,40 +218,47 @@ fn serve_connection(stream: TcpStream, idle_timeout: Duration, shared: &Shared) 
         Err(_) => return,
     };
     let mut reader = BufReader::new(stream);
+    let mut line = Vec::with_capacity(CONNECTION_BUFFER_BYTES);
+    let mut request = Request {
+        method: String::with_capacity(8),
+        path: String::with_capacity(CONNECTION_BUFFER_BYTES),
+        body: Vec::with_capacity(CONNECTION_BUFFER_BYTES),
+        close: false,
+    };
+    let mut body = String::with_capacity(CONNECTION_BUFFER_BYTES);
+    let mut out = Vec::with_capacity(CONNECTION_BUFFER_BYTES);
     loop {
         // Block for the request's first byte *before* starting the span,
         // so `ingest.request` times the request and not the keep-alive
         // idle gap in front of it. End of stream and read errors map to
-        // what `parse_request` returns for them at a request boundary.
+        // what `read_request` returns for them at a request boundary.
         let first_byte = reader.fill_buf().map(|buf| !buf.is_empty());
         let timer = SpanTimer::start();
         let parsed = match first_byte {
-            Ok(true) => parse_request(&mut reader),
-            Ok(false) => Ok(None),
+            Ok(true) => read_request(&mut reader, &mut line, &mut request),
+            Ok(false) => Ok(false),
             Err(_) => Err(HttpError::Truncated),
         };
-        let request = match parsed {
-            Ok(Some(request)) => request,
-            Ok(None) => return,
+        match parsed {
+            Ok(true) => {}
+            Ok(false) => return,
             Err(err) => {
-                shared.stats.rejected.fetch_add(1, Ordering::Relaxed);
-                if shared.observer.enabled() {
-                    shared.observer.incr(CounterKind::IngestRejected, 1);
-                }
+                count_rejected(shared);
                 if let Some((status, reason)) = err.status() {
-                    let body = format!("{{\"error\":\"{}\"}}", reason.to_ascii_lowercase());
-                    let _ = Response::json(status, reason, body)
-                        .closing()
-                        .write_to(&mut writer);
+                    body.clear();
+                    body.push_str("{\"error\":\"");
+                    body.extend(reason.chars().map(|c| c.to_ascii_lowercase()));
+                    body.push_str("\"}");
+                    let response = Response::json(status, reason, body.as_str()).closing();
+                    let _ = send(&response, &mut out, &mut writer);
                 }
                 // Framing is no longer trustworthy: close.
                 return;
             }
-        };
-        let client_close = request.close;
-        let response = route(&request, shared);
-        let close = response.close || client_close;
-        let ok = response.write_to(&mut writer).is_ok();
+        }
+        let response = route(&request, shared, &mut body);
+        let close = response.close || request.close;
+        let ok = send(&response, &mut out, &mut writer).is_ok();
         timer.finish(shared.observer.as_ref(), SpanKind::IngestRequest);
         if !ok || close || shared.draining.load(Ordering::SeqCst) {
             return;
@@ -247,12 +266,23 @@ fn serve_connection(stream: TcpStream, idle_timeout: Duration, shared: &Shared) 
     }
 }
 
-/// Dispatches one well-framed request to its endpoint.
-fn route(request: &Request, shared: &Shared) -> Response {
+/// Renders `response` into `out` and sends it in one write: on a
+/// `TCP_NODELAY` socket every write is a segment.
+fn send(response: &Response, out: &mut Vec<u8>, writer: &mut TcpStream) -> std::io::Result<()> {
+    out.clear();
+    response.write_to(out)?;
+    writer.write_all(out)
+}
+
+/// Dispatches one well-framed request to its endpoint; an endpoint with a
+/// computed answer writes it into `body`.
+fn route<'b>(request: &Request, shared: &Shared, body: &'b mut String) -> Response<'b> {
     match (request.method.as_str(), request.path.as_str()) {
-        ("POST", "/tasks") => submit(request, shared),
-        ("GET", "/report") => report(shared),
-        ("GET", path) if path.starts_with("/tasks/") => poll(&path["/tasks/".len()..], shared),
+        ("POST", "/tasks") => submit(request, shared, body),
+        ("GET", "/report") => report(shared, body),
+        ("GET", path) if path.starts_with("/tasks/") => {
+            poll(&path["/tasks/".len()..], shared, body)
+        }
         ("GET", "/tasks") | ("POST", _) | ("GET", _) => {
             count_rejected(shared);
             Response::json(404, "Not Found", "{\"error\":\"not found\"}")
@@ -275,7 +305,7 @@ fn count_rejected(shared: &Shared) {
     }
 }
 
-fn shed_response(shared: &Shared) -> Response {
+fn shed_response(shared: &Shared) -> Response<'static> {
     shared.stats.shed.fetch_add(1, Ordering::Relaxed);
     if shared.observer.enabled() {
         shared.observer.incr(CounterKind::IngestShed, 1);
@@ -284,7 +314,7 @@ fn shed_response(shared: &Shared) -> Response {
 }
 
 /// `POST /tasks`: the admission-control ladder.
-fn submit(request: &Request, shared: &Shared) -> Response {
+fn submit<'b>(request: &Request, shared: &Shared, body: &'b mut String) -> Response<'b> {
     shared.stats.offered.fetch_add(1, Ordering::Relaxed);
     if shared.draining.load(Ordering::SeqCst) {
         count_rejected(shared);
@@ -296,17 +326,17 @@ fn submit(request: &Request, shared: &Shared) -> Response {
         return shed_response(shared);
     }
     // Rung 1 (body validation) — framing already passed.
-    let Some(body) = parse_submit_body(&request.body) else {
+    let Some(fields) = parse_submit_body(&request.body) else {
         count_rejected(shared);
         return Response::json(400, "Bad Request", "{\"error\":\"bad body\"}");
     };
-    let deadline = body.deadline.unwrap_or(shared.default_deadline);
-    let reward = body.reward.unwrap_or(shared.default_reward);
+    let deadline = fields.deadline.unwrap_or(shared.default_deadline);
+    let reward = fields.reward.unwrap_or(shared.default_reward);
     if !(deadline.is_finite() && deadline > 0.0 && reward.is_finite() && reward >= 0.0) {
         count_rejected(shared);
         return Response::json(400, "Bad Request", "{\"error\":\"bad deadline or reward\"}");
     }
-    let location = match (body.lat, body.lon) {
+    let location = match (fields.lat, fields.lon) {
         (Some(lat), Some(lon))
             if (-90.0..=90.0).contains(&lat) && (-180.0..=180.0).contains(&lon) =>
         {
@@ -324,7 +354,7 @@ fn submit(request: &Request, shared: &Shared) -> Response {
         location,
         deadline,
         reward,
-        TaskCategory(body.category.unwrap_or(0)),
+        TaskCategory(fields.category.unwrap_or(0)),
         "ingest",
     );
     shared.set_status(id, TaskStatus::Queued);
@@ -339,11 +369,9 @@ fn submit(request: &Request, shared: &Shared) -> Response {
             if shared.observer.enabled() {
                 shared.observer.incr(CounterKind::IngestAccepted, 1);
             }
-            Response::json(
-                202,
-                "Accepted",
-                format!("{{\"task\":{id},\"state\":\"queued\"}}"),
-            )
+            body.clear();
+            let _ = write!(body, "{{\"task\":{id},\"state\":\"queued\"}}");
+            Response::json(202, "Accepted", body.as_str())
         }
         Err(TrySendError::Full(_)) => {
             shared.statuses.lock().remove(&id);
@@ -358,7 +386,7 @@ fn submit(request: &Request, shared: &Shared) -> Response {
 }
 
 /// `GET /tasks/<id>`: status poll.
-fn poll(id_text: &str, shared: &Shared) -> Response {
+fn poll<'b>(id_text: &str, shared: &Shared, body: &'b mut String) -> Response<'b> {
     shared.stats.polls.fetch_add(1, Ordering::Relaxed);
     if shared.observer.enabled() {
         shared.observer.incr(CounterKind::IngestPolls, 1);
@@ -366,43 +394,33 @@ fn poll(id_text: &str, shared: &Shared) -> Response {
     let Ok(id) = id_text.parse::<u64>() else {
         return Response::json(404, "Not Found", "{\"error\":\"bad task id\"}");
     };
-    match shared.status_of(id) {
-        Some(status) => {
-            let met = match status {
-                TaskStatus::Completed { met_deadline } => {
-                    format!(",\"met_deadline\":{met_deadline}")
-                }
-                _ => String::new(),
-            };
-            Response::json(
-                200,
-                "OK",
-                format!(
-                    "{{\"task\":{id},\"state\":\"{}\"{met}}}",
-                    status.wire_name()
-                ),
-            )
-        }
-        None => Response::json(404, "Not Found", "{\"error\":\"unknown task\"}"),
+    let Some(status) = shared.status_of(id) else {
+        return Response::json(404, "Not Found", "{\"error\":\"unknown task\"}");
+    };
+    body.clear();
+    let _ = write!(body, "{{\"task\":{id},\"state\":\"{}\"", status.wire_name());
+    if let TaskStatus::Completed { met_deadline } = status {
+        let _ = write!(body, ",\"met_deadline\":{met_deadline}");
     }
+    body.push('}');
+    Response::json(200, "OK", body.as_str())
 }
 
 /// `GET /report`: door-counter snapshot.
-fn report(shared: &Shared) -> Response {
+fn report<'b>(shared: &Shared, body: &'b mut String) -> Response<'b> {
     let s = &shared.stats;
-    Response::json(
-        200,
-        "OK",
-        format!(
-            "{{\"offered\":{},\"accepted\":{},\"shed\":{},\"rejected\":{},\"polls\":{},\"connections\":{},\"backlog\":{},\"draining\":{}}}",
-            s.offered.load(Ordering::Relaxed),
-            s.accepted.load(Ordering::Relaxed),
-            s.shed.load(Ordering::Relaxed),
-            s.rejected.load(Ordering::Relaxed),
-            s.polls.load(Ordering::Relaxed),
-            s.connections.load(Ordering::Relaxed),
-            shared.backlog.load(Ordering::Relaxed),
-            shared.draining.load(Ordering::SeqCst),
-        ),
-    )
+    body.clear();
+    let _ = write!(
+        body,
+        "{{\"offered\":{},\"accepted\":{},\"shed\":{},\"rejected\":{},\"polls\":{},\"connections\":{},\"backlog\":{},\"draining\":{}}}",
+        s.offered.load(Ordering::Relaxed),
+        s.accepted.load(Ordering::Relaxed),
+        s.shed.load(Ordering::Relaxed),
+        s.rejected.load(Ordering::Relaxed),
+        s.polls.load(Ordering::Relaxed),
+        s.connections.load(Ordering::Relaxed),
+        shared.backlog.load(Ordering::Relaxed),
+        shared.draining.load(Ordering::SeqCst),
+    );
+    Response::json(200, "OK", body.as_str())
 }

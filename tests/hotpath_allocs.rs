@@ -8,7 +8,9 @@
 //! * a build after one worker changed allocates what refitting that one
 //!   worker's latency model allocates;
 //! * [`ReactMatcher::assign`] allocates a number of blocks that does not
-//!   depend on `|E|`, and bytes in `O(|U| + |V|)`.
+//!   depend on `|E|`, and bytes in `O(|U| + |V|)`;
+//! * the ingest door parses a keep-alive stream into one connection's
+//!   buffers and renders its answers through them without allocating.
 //!
 //! The counts are per thread, so tests running beside these do not
 //! disturb them. With the `debug-invariants` features on, every build
@@ -235,4 +237,78 @@ fn the_matcher_allocates_by_vertices_not_by_edges() {
             "{asked:?}"
         );
     }
+}
+
+#[test]
+fn a_keep_alive_connection_parses_and_answers_without_allocating() {
+    use react::runtime::ingest::http::{parse_submit_body, read_request, Request, Response};
+    use std::fmt::Write as _;
+    use std::io::{BufReader, Write as _};
+
+    let mut wire = Vec::new();
+    for i in 0..50u32 {
+        let body = format!(
+            "{{\"deadline\":{}.5,\"reward\":0.0{},\"lat\":37.9,\"lon\":23.7}}",
+            60 + i,
+            1 + i % 9
+        );
+        write!(
+            wire,
+            "POST /tasks HTTP/1.1\r\nhost: door\r\ncontent-length: {}\r\n\r\n{body}\
+             GET /tasks/{i} HTTP/1.1\r\nhost: door\r\n\r\n",
+            body.len()
+        )
+        .unwrap();
+    }
+    let mut reader = BufReader::new(wire.as_slice());
+    // One connection's buffers, sized as the door sizes them.
+    let mut line = Vec::with_capacity(512);
+    let mut request = Request {
+        method: String::with_capacity(8),
+        path: String::with_capacity(512),
+        body: Vec::with_capacity(512),
+        close: false,
+    };
+    let mut body = String::with_capacity(512);
+    let mut out = Vec::with_capacity(512);
+
+    let mut served = 0u32;
+    let mut blocks_after_first = 0;
+    loop {
+        let (more, (blocks, _)) = counted(|| {
+            if !read_request(&mut reader, &mut line, &mut request).unwrap() {
+                return false;
+            }
+            body.clear();
+            let response = if request.method == "POST" {
+                let fields = parse_submit_body(&request.body).expect("well-formed body");
+                assert!(fields.deadline.is_some());
+                if served % 10 == 4 {
+                    Response::json(429, "Too Many Requests", "{\"state\":\"shed\"}")
+                        .with_retry_after(1)
+                } else {
+                    write!(body, "{{\"task\":{served},\"state\":\"queued\"}}").unwrap();
+                    Response::json(202, "Accepted", body.as_str())
+                }
+            } else {
+                let id: u64 = request.path["/tasks/".len()..].parse().unwrap();
+                write!(body, "{{\"task\":{id},\"state\":\"completed\"").unwrap();
+                write!(body, ",\"met_deadline\":{}}}", id.is_multiple_of(2)).unwrap();
+                Response::json(200, "OK", body.as_str())
+            };
+            out.clear();
+            response.write_to(&mut out).unwrap();
+            true
+        });
+        if !more {
+            break;
+        }
+        assert!(out.starts_with(b"HTTP/1.1 "));
+        if served > 0 {
+            blocks_after_first += blocks;
+        }
+        served += 1;
+    }
+    assert_eq!(served, 100);
+    assert_eq!(blocks_after_first, 0, "allocations after the first request");
 }

@@ -206,6 +206,29 @@ fn malformed_inputs_map_to_their_status_codes_without_panicking() {
     assert!(report.conserved(), "conservation: {report:?}");
 }
 
+/// A peer that streams header bytes without ever sending a newline must
+/// cost the door a bounded buffer and get a 431, not be read until it
+/// stops (a read timeout never fires while bytes keep coming).
+#[test]
+fn an_endless_header_line_gets_a_431_and_a_closed_connection() {
+    let handle = quick_stack();
+    let (mut stream, mut reader) = connect(&handle);
+    let mut flood = b"GET /report HTTP/1.1\r\nx-filler: ".to_vec();
+    flood.resize(flood.len() + 64 * 1024, b'z');
+    // The door answers after its header budget, long before the flood
+    // ends, and may close while it is still being written.
+    let _ = stream.write_all(&flood);
+    let r = read_response(&mut reader).expect("431 response");
+    assert_eq!(r.status, 431);
+    assert_eq!(r.header("connection"), Some("close"));
+    assert!(
+        read_response(&mut reader).is_none(),
+        "the connection closes after a 431"
+    );
+    let report = handle.shutdown();
+    assert_eq!(report.rejected, 1, "the flood is one rejection: {report:?}");
+}
+
 #[test]
 fn truncated_requests_close_the_connection_cleanly() {
     let handle = quick_stack();
@@ -311,6 +334,83 @@ fn shutdown_is_clean_and_drains_to_a_conserved_report() {
             "no acceptor may serve after shutdown"
         );
     }
+}
+
+/// Below capacity the scheduler ticks once per submission and once per
+/// tick period, not once per completion: a completion is booked at its
+/// own instant and wakes the loop only while a batch waits for a worker.
+/// A loop that ticked for every completion would run about twice the
+/// bound here (30 submissions, ≈ 30 completions, ≈ 15 periods).
+#[test]
+fn below_capacity_a_completion_does_not_cost_a_tick() {
+    use react::obs::{ObserverHandle, RecordingObserver, SpanKind};
+    use std::sync::Arc;
+
+    let tick_interval = 10.0;
+    let config = IngestConfig {
+        n_workers: 60,
+        time_scale: 600.0,
+        tick_interval,
+        seed: 35,
+        acceptors: 1,
+        ..IngestConfig::default()
+    };
+    let recorder = RecordingObserver::new();
+    let handle = IngestRuntime::new(config)
+        .with_observer(Arc::new(recorder.clone()) as ObserverHandle)
+        .start()
+        .expect("start stack");
+    let clock = handle.clock();
+    let (mut stream, mut reader) = connect(&handle);
+    let body = "{\"deadline\":300.0}";
+    let submit = format!(
+        "POST /tasks HTTP/1.1\r\ncontent-length: {}\r\n\r\n{body}",
+        body.len()
+    );
+    let mut ids = Vec::new();
+    for _ in 0..30 {
+        stream.write_all(submit.as_bytes()).expect("write");
+        let r = read_response(&mut reader).expect("submit answered");
+        assert_eq!(r.status, 202);
+        let id: u64 = r
+            .body
+            .split("\"task\":")
+            .nth(1)
+            .and_then(|rest| rest.split(',').next())
+            .and_then(|digits| digits.parse().ok())
+            .expect("202 body carries the task id");
+        ids.push(id);
+    }
+    // Wait until every task is done, so the drain adds no laps.
+    let mut open = ids;
+    while !open.is_empty() && clock.now() < 3_000.0 {
+        open.retain(|id| {
+            stream
+                .write_all(format!("GET /tasks/{id} HTTP/1.1\r\n\r\n").as_bytes())
+                .expect("write");
+            let r = read_response(&mut reader).expect("poll answered");
+            !(r.body.contains("completed") || r.body.contains("expired"))
+        });
+        std::thread::sleep(clock.to_wall(5.0));
+    }
+    assert!(open.is_empty(), "tasks {open:?} never finished");
+    let elapsed = clock.now();
+    drop((stream, reader));
+    let report = handle.shutdown();
+    assert_eq!(report.accepted, 30);
+    assert!(report.conserved(), "conservation: {report:?}");
+
+    let ticks = recorder
+        .span_stats(SpanKind::Tick)
+        .map_or(0, |stats| stats.count);
+    let periods = (elapsed / tick_interval).ceil() as u64;
+    let bound = report.accepted + periods + 5;
+    assert!(
+        ticks <= bound,
+        "{ticks} ticks > {} submissions + {periods} tick periods + 5 ({} completions)",
+        report.accepted,
+        report.completed
+    );
 }
 
 /// An idle stack must not wait out its timers to stop: `shutdown()`
