@@ -62,11 +62,11 @@ pub struct Relocation {
     pub to: ServerId,
 }
 
-/// Everything one cluster control step produced, in shard order.
-#[derive(Debug)]
+/// What one cluster control step's passes did. The cluster owns one and
+/// clears it every tick, so its vectors keep their storage; each shard's
+/// own outcome stays with its server ([`Cluster::shard_outcomes`]).
+#[derive(Debug, Default)]
 pub struct ClusterTickOutcome {
-    /// Per-shard tick outcomes, aligned with [`Cluster::server_ids`].
-    pub shard_ticks: Vec<(ServerId, TickOutcome)>,
     /// Cross-shard handoffs performed after the shard ticks.
     pub handoffs: Vec<Handoff>,
     /// Idle-worker relocations performed by this tick's rebalance pass
@@ -98,6 +98,8 @@ pub struct Cluster {
     handoffs_in: Vec<u64>,
     /// Workers relocated away from each shard index.
     workers_rebalanced: u64,
+    /// What the last [`Cluster::tick`]'s passes did.
+    outcome: ClusterTickOutcome,
 }
 
 impl Cluster {
@@ -151,6 +153,7 @@ impl Cluster {
             handoffs_out: vec![0; n],
             handoffs_in: vec![0; n],
             workers_rebalanced: 0,
+            outcome: ClusterTickOutcome::default(),
         })
     }
 
@@ -300,52 +303,44 @@ impl Cluster {
     }
 
     /// Ticks a single shard — the control step a task arrival triggers
-    /// on its owning server (no cluster-wide passes).
-    pub fn tick_shard(&mut self, shard: ServerId, now: f64) -> Option<(ServerId, TickOutcome)> {
+    /// on its owning server (no cluster-wide passes) — and returns its
+    /// outcome.
+    pub fn tick_shard(&mut self, shard: ServerId, now: f64) -> Option<&TickOutcome> {
         let i = *self.index.get(&shard)?;
         let outcome = self.shards[i].server.tick(now);
-        self.settle_retirements(i, &outcome);
-        Some((shard, outcome))
+        settle_retirements(&mut self.router, shard, outcome);
+        Some(outcome)
     }
 
     /// The full cluster control step: tick every shard in shard order,
-    /// settle router load for what the ticks retired, then run the
-    /// handoff pass and — on period — the rebalance pass.
-    pub fn tick(&mut self, now: f64) -> ClusterTickOutcome {
-        let enabled = self.observer.enabled();
-        let mut outcomes = Vec::with_capacity(self.shards.len());
+    /// settling router load for what each tick retired, then run the
+    /// handoff pass and — on period — the rebalance pass. The shards'
+    /// outcomes are read through [`Cluster::shard_outcomes`].
+    pub fn tick(&mut self, now: f64) -> &ClusterTickOutcome {
         for shard in &mut self.shards {
-            let timer = enabled.then(SpanTimer::start);
+            let timer = SpanTimer::start(self.observer.as_ref());
             let outcome = shard.server.tick(now);
-            if let Some(timer) = timer {
-                timer.finish(self.observer.as_ref(), SpanKind::ShardTick);
-            }
-            outcomes.push((shard.id, outcome));
+            timer.finish(self.observer.as_ref(), SpanKind::ShardTick);
+            settle_retirements(&mut self.router, shard.id, outcome);
         }
-        for (i, (_, outcome)) in outcomes.iter().enumerate() {
-            self.settle_retirements(i, outcome);
-        }
-        let handoffs = self.pass_handoff(now);
+        self.outcome.handoffs.clear();
+        self.outcome.relocations.clear();
+        self.pass_handoff(now);
         self.ticks += 1;
-        let relocations = match self.policy.rebalance {
-            Some(rb) if rb.period_ticks > 0 && self.ticks.is_multiple_of(rb.period_ticks) => {
-                self.pass_rebalance(rb)
+        if let Some(rb) = self.policy.rebalance {
+            if rb.period_ticks > 0 && self.ticks.is_multiple_of(rb.period_ticks) {
+                self.pass_rebalance(rb);
             }
-            _ => Vec::new(),
-        };
-        ClusterTickOutcome {
-            shard_ticks: outcomes,
-            handoffs,
-            relocations,
         }
+        &self.outcome
     }
 
-    /// Drops router load for every task a tick retired (expired or shed).
-    fn settle_retirements(&mut self, i: usize, outcome: &TickOutcome) {
-        let id = self.shards[i].id;
-        for _ in 0..outcome.expired.len() + outcome.shed.len() {
-            self.router.deregister(id);
-        }
+    /// Each shard's last tick outcome, in shard order (aligned with
+    /// [`Cluster::server_ids`]).
+    pub fn shard_outcomes(&self) -> impl Iterator<Item = (ServerId, &TickOutcome)> {
+        self.shards
+            .iter()
+            .map(|shard| (shard.id, shard.server.last_outcome()))
     }
 
     /// The handoff pass: for each shard whose online pool fell below the
@@ -355,11 +350,10 @@ impl Cluster {
     /// are re-based so the absolute expiry instant is preserved, and
     /// handoffs bypass the admission cap (they are intra-cluster moves,
     /// not new ingress).
-    fn pass_handoff(&mut self, now: f64) -> Vec<Handoff> {
+    fn pass_handoff(&mut self, now: f64) {
         let Some(policy) = self.policy.handoff else {
-            return Vec::new();
+            return;
         };
-        let mut handoffs = Vec::new();
         for i in 0..self.shards.len() {
             let online = self.shards[i].server.profiling().online_count();
             if online >= policy.pool_floor || self.shards[i].server.tasks().unassigned_count() == 0
@@ -374,7 +368,6 @@ impl Cluster {
             let target = self
                 .router
                 .neighbors(source_id)
-                .into_iter()
                 .filter_map(|id| self.index.get(&id).map(|&j| (id, j)))
                 .map(|(id, j)| {
                     let n = self.shards[j].server.profiling().online_count();
@@ -385,10 +378,12 @@ impl Cluster {
             let Some((_, std::cmp::Reverse(target_id), j)) = target else {
                 continue;
             };
-            let evicted = self.shards[i]
-                .server
-                .evict_unassigned(policy.max_per_tick, now);
-            for (mut task, submitted_at) in evicted {
+            for _ in 0..policy.max_per_tick {
+                let Some((mut task, submitted_at)) =
+                    self.shards[i].server.evict_oldest_unassigned(now)
+                else {
+                    break;
+                };
                 // Re-base the relative deadline so the absolute expiry
                 // instant survives the move. The expiry sweep ran at the
                 // top of this tick, so remaining time is positive.
@@ -399,18 +394,17 @@ impl Cluster {
                 self.router.add_load(target_id);
                 self.handoffs_out[i] += 1;
                 self.handoffs_in[j] += 1;
-                handoffs.push(Handoff {
+                self.outcome.handoffs.push(Handoff {
                     task: task_id,
                     from: source_id,
                     to: target_id,
                 });
             }
         }
-        if self.observer.enabled() && !handoffs.is_empty() {
-            self.observer
-                .incr(CounterKind::ShardHandoffs, handoffs.len() as u64);
+        let handed = self.outcome.handoffs.len() as u64;
+        if self.observer.enabled() && handed > 0 {
+            self.observer.incr(CounterKind::ShardHandoffs, handed);
         }
-        handoffs
     }
 
     /// The rebalance pass (kern's `relocate_free_cabs` shape): each
@@ -420,11 +414,10 @@ impl Cluster {
     /// tasks minus idle workers). Relocated workers re-register at a
     /// position drawn from the `cluster.rebalance` stream inside the
     /// target cell.
-    fn pass_rebalance(&mut self, policy: crate::policy::RebalancePolicy) -> Vec<Relocation> {
-        let mut relocations = Vec::new();
+    fn pass_rebalance(&mut self, policy: crate::policy::RebalancePolicy) {
         for i in 0..self.shards.len() {
-            let idle = self.shards[i].server.profiling().available_workers();
-            if idle.len() <= policy.min_idle {
+            let idle = self.shards[i].server.profiling().available_count();
+            if idle <= policy.min_idle {
                 continue;
             }
             let source_id = self.shards[i].id;
@@ -433,12 +426,11 @@ impl Cluster {
             let target = self
                 .router
                 .neighbors(source_id)
-                .into_iter()
                 .filter_map(|id| self.index.get(&id).map(|&j| (id, j)))
                 .map(|(id, j)| {
-                    let queued = self.shards[j].server.tasks().unassigned_count() as i64;
-                    let idle_there =
-                        self.shards[j].server.profiling().available_workers().len() as i64;
+                    let server = &self.shards[j].server;
+                    let queued = server.tasks().unassigned_count() as i64;
+                    let idle_there = server.profiling().available_count() as i64;
                     (queued - idle_there, std::cmp::Reverse(id), j)
                 })
                 .max()
@@ -446,9 +438,16 @@ impl Cluster {
             let Some((deficit, std::cmp::Reverse(target_id), j)) = target else {
                 continue;
             };
-            let surplus = idle.len() - policy.min_idle;
+            let surplus = idle - policy.min_idle;
             let n_moves = policy.max_moves.min(surplus).min(deficit as usize);
-            for &worker in idle.iter().take(n_moves) {
+            let mut from = WorkerId(0);
+            for _ in 0..n_moves {
+                // A moved worker is offline here, so the walk can restart
+                // past it without skipping anyone.
+                let Some(worker) = self.shards[i].server.profiling().next_available(from) else {
+                    break;
+                };
+                from = WorkerId(worker.0 + 1);
                 // An idle worker holds no tasks, so going offline at the
                 // source recalls nothing; it then re-registers fresh on
                 // the target (its latency profile restarts — migration
@@ -460,23 +459,29 @@ impl Cluster {
                 self.worker_shard.insert(worker, j);
                 self.router.deregister(source_id);
                 self.router.add_load(target_id);
-                relocations.push(Relocation {
+                self.outcome.relocations.push(Relocation {
                     worker,
                     from: source_id,
                     to: target_id,
                 });
             }
         }
-        if !relocations.is_empty() {
-            self.workers_rebalanced += relocations.len() as u64;
+        let moved = self.outcome.relocations.len() as u64;
+        if moved > 0 {
+            self.workers_rebalanced += moved;
             if self.observer.enabled() {
-                self.observer.incr(
-                    CounterKind::ShardWorkersRebalanced,
-                    relocations.len() as u64,
-                );
+                self.observer
+                    .incr(CounterKind::ShardWorkersRebalanced, moved);
             }
         }
-        relocations
+    }
+}
+
+/// Drops router load for every task a shard tick retired (expired or
+/// shed).
+fn settle_retirements(router: &mut RegionRouter, shard: ServerId, outcome: &TickOutcome) {
+    for _ in 0..outcome.expired.len() + outcome.shed.len() {
+        router.deregister(shard);
     }
 }
 

@@ -434,8 +434,8 @@ impl ClusterRunner {
                             first_submitted.entry(task_id).or_insert(now);
                             // Arrival doubles as a local control step so
                             // the batch trigger reacts immediately.
-                            if let Some((_, outcome)) = cluster.tick_shard(server, now) {
-                                apply_outcome(&outcome, now, &mut crowd, &mut shards[i]);
+                            if let Some(outcome) = cluster.tick_shard(server, now) {
+                                apply_outcome(outcome, now, &mut crowd, &mut shards[i]);
                             }
                         }
                         crate::cluster::Submission::Shed(_) => {}
@@ -464,10 +464,9 @@ impl ClusterRunner {
                     last_arrival_at = now;
                 }
                 Event::Tick => {
-                    let outcome = cluster.tick(now);
-                    for (server, shard_outcome) in &outcome.shard_ticks {
-                        let i = shard_index[server];
-                        apply_outcome(shard_outcome, now, &mut crowd, &mut shards[i]);
+                    cluster.tick(now);
+                    for (shard, (_, outcome)) in shards.iter_mut().zip(cluster.shard_outcomes()) {
+                        apply_outcome(outcome, now, &mut crowd, shard);
                     }
                     let workload_done =
                         (report.received - report.burst_tasks) as usize >= total_tasks;

@@ -131,8 +131,9 @@ impl DynamicAssignmentComponent {
     }
 
     /// [`Self::check`], paying for the exact evaluation only where its
-    /// outcome is not already known. Also returns how many entries did
-    /// reach the exact evaluation.
+    /// outcome is not already known, with the recalls appended to
+    /// `recalls`. Returns how many entries did reach the exact
+    /// evaluation.
     ///
     /// For a fixed assignment the Eq. (2) probability is monotone
     /// non-increasing in elapsed time, so *keep* turns into *reassign*
@@ -157,12 +158,12 @@ impl DynamicAssignmentComponent {
         profiling: &mut ProfilingComponent,
         tasks: &mut TaskManagementComponent,
         now: f64,
-    ) -> (Vec<Recall>, u64) {
+        recalls: &mut Vec<Recall>,
+    ) -> u64 {
         if !config.matcher.uses_probabilistic_model() {
-            return (Vec::new(), 0);
+            return 0;
         }
         let deadline_model = DeadlineModel::new(config.deadline);
-        let mut recalls = Vec::new();
         let mut exact_checks = 0u64;
         let (records, in_flight) = tasks.records_and_in_flight_mut();
         for (task, entry) in in_flight {
@@ -195,7 +196,7 @@ impl DynamicAssignmentComponent {
                 }
             }
         }
-        (recalls, exact_checks)
+        exact_checks
     }
 }
 
@@ -299,8 +300,9 @@ mod tests {
         for step in 0..=130 {
             let now = 0.5 * step as f64;
             let exact = DynamicAssignmentComponent::check(&config, &mut p, &tm, now);
-            let (due, checks) =
-                DynamicAssignmentComponent::check_due(&config, &mut p, &mut tm, now);
+            let mut due = Vec::new();
+            let checks =
+                DynamicAssignmentComponent::check_due(&config, &mut p, &mut tm, now, &mut due);
             assert_eq!(due, exact, "at t={now}");
             if step == 0 {
                 assert_eq!(checks, 2, "both assignments are evaluated once");

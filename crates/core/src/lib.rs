@@ -26,11 +26,12 @@
 //!   the deadline.
 //!
 //! Drive the server by calling [`ReactServer::tick`] with the current
-//! (simulated or wall-clock) time; it returns the [`TickOutcome`] —
-//! fresh assignments, reassignment recalls, expirations and the modelled
-//! scheduler compute time — for the embedding environment (the DES in
-//! `react-crowd`, the threaded runtime in `react-runtime`, or your own
-//! integration) to act on.
+//! (simulated or wall-clock) time; it lends out the server's own
+//! [`TickOutcome`] — fresh assignments, reassignment recalls, expirations
+//! and the modelled scheduler compute time — for the embedding
+//! environment (the DES in `react-crowd`, the threaded runtime in
+//! `react-runtime`, or your own integration) to act on before the next
+//! tick.
 //!
 //! ```
 //! use react_core::prelude::*;
@@ -49,7 +50,8 @@
 //! [`ServerBuilder::observer`] to receive per-stage spans, matcher
 //! cycle/flip counters and latency histograms; the default
 //! [`react_obs::NullObserver`] is provably zero-cost (schedules are
-//! bit-identical with or without it).
+//! bit-identical with or without it, and a tick under it reads no
+//! clock).
 
 #![warn(missing_docs)]
 
@@ -78,7 +80,7 @@ pub use scheduling::{
     BatchResult, BatchScratch, BuildStats, BuiltBatchGraph, GraphBuilder, SchedulingComponent,
     WorkerRow,
 };
-pub use server::{CompletionOutcome, ReactServer, ServerBuilder, StageTimings, TickOutcome};
+pub use server::{CompletionOutcome, ReactServer, ServerBuilder, TickOutcome};
 pub use task::{Task, TaskState};
 pub use task_mgmt::TaskManagementComponent;
 pub use weight::WeightFunction;

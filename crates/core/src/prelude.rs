@@ -13,7 +13,7 @@
 pub use crate::config::{BatchTrigger, Config, LatencyModelKind, MatcherPolicy, RecoveryConfig};
 pub use crate::error::{CoreError, ReactError};
 pub use crate::ids::{TaskCategory, TaskId, WorkerId};
-pub use crate::server::{CompletionOutcome, ReactServer, ServerBuilder, StageTimings, TickOutcome};
+pub use crate::server::{CompletionOutcome, ReactServer, ServerBuilder, TickOutcome};
 pub use crate::task::{Task, TaskState};
 
 // Re-exported from the leaf crates because almost every embedding needs

@@ -270,6 +270,10 @@ impl ChangeFeed {
 #[derive(Debug)]
 pub struct ProfilingComponent {
     workers: BTreeMap<WorkerId, WorkerProfile>,
+    /// `workers` counted by availability (indexed `state as usize`), kept
+    /// by every method that registers, removes or moves a worker, so the
+    /// pool's size is read in `O(1)`.
+    counts: [usize; 3],
     estimator_config: EstimatorConfig,
     feed: ChangeFeed,
     /// Identity of this history: unique per component value in the
@@ -285,6 +289,7 @@ impl Clone for ProfilingComponent {
     fn clone(&self) -> Self {
         ProfilingComponent {
             workers: self.workers.clone(),
+            counts: self.counts,
             estimator_config: self.estimator_config,
             feed: self.feed.clone(),
             instance: fresh_instance(),
@@ -304,6 +309,7 @@ impl ProfilingComponent {
     pub fn new(estimator_config: EstimatorConfig) -> Self {
         ProfilingComponent {
             workers: BTreeMap::new(),
+            counts: [0; 3],
             estimator_config,
             feed: ChangeFeed::default(),
             instance: fresh_instance(),
@@ -352,6 +358,25 @@ impl ProfilingComponent {
         Ok(p)
     }
 
+    /// [`Self::touch`] plus a counted move to `availability`: every
+    /// availability change after registration goes through this.
+    fn set_state(
+        &mut self,
+        id: WorkerId,
+        availability: Availability,
+    ) -> Result<&mut WorkerProfile, CoreError> {
+        let capacity = self.feed_capacity();
+        let p = self
+            .workers
+            .get_mut(&id)
+            .ok_or(CoreError::UnknownWorker(id))?;
+        p.epoch = self.feed.take(id, capacity);
+        let was = std::mem::replace(&mut p.availability, availability);
+        self.counts[was as usize] -= 1;
+        self.counts[availability as usize] += 1;
+        Ok(p)
+    }
+
     /// Registers a new worker at `location`, initially available.
     pub fn register(&mut self, id: WorkerId, location: GeoPoint) -> Result<(), CoreError> {
         if self.workers.contains_key(&id) {
@@ -359,6 +384,7 @@ impl ProfilingComponent {
         }
         let mut profile = WorkerProfile::new(id, location, self.estimator_config);
         profile.epoch = self.feed.take(id, self.feed_capacity());
+        self.counts[profile.availability as usize] += 1;
         self.workers.insert(id, profile);
         Ok(())
     }
@@ -370,6 +396,7 @@ impl ProfilingComponent {
             .remove(&id)
             .ok_or(CoreError::UnknownWorker(id))?;
         self.feed.take(id, self.feed_capacity());
+        self.counts[profile.availability as usize] -= 1;
         Ok(profile)
     }
 
@@ -402,7 +429,7 @@ impl ProfilingComponent {
         id: WorkerId,
         availability: Availability,
     ) -> Result<(), CoreError> {
-        self.touch(id)?.availability = availability;
+        self.set_state(id, availability)?;
         Ok(())
     }
 
@@ -428,9 +455,7 @@ impl ProfilingComponent {
     /// Records that the worker received an assignment (training counter)
     /// and marks them busy.
     pub fn record_assignment(&mut self, id: WorkerId) -> Result<(), CoreError> {
-        let p = self.touch(id)?;
-        p.assignments_served += 1;
-        p.availability = Availability::Busy;
+        self.set_state(id, Availability::Busy)?.assignments_served += 1;
         Ok(())
     }
 
@@ -444,14 +469,13 @@ impl ProfilingComponent {
         exec_time: f64,
         positive_feedback: bool,
     ) -> Result<(), CoreError> {
-        let p = self.touch(id)?;
+        let p = self.set_state(id, Availability::Available)?;
         p.estimator.observe(exec_time);
         let stats = p.by_category.entry(category).or_default();
         stats.finished += 1;
         if positive_feedback {
             stats.positive += 1;
         }
-        p.availability = Availability::Available;
         Ok(())
     }
 
@@ -501,10 +525,42 @@ impl ProfilingComponent {
         self.workers.values_mut()
     }
 
-    /// How many workers are online — `online_workers().len()` without
-    /// building the list.
+    /// The lowest-id available worker whose id is at least `from` — a
+    /// walk over [`Self::available_workers`] that holds no list, so the
+    /// caller may change the component between steps.
+    pub fn next_available(&self, from: WorkerId) -> Option<WorkerId> {
+        self.workers
+            .range(from..)
+            .map(|(_, p)| p)
+            .find(|p| p.in_pool(false))
+            .map(|p| p.id)
+    }
+
+    /// How many workers are online — `online_workers().len()`, in `O(1)`.
     pub fn online_count(&self) -> usize {
-        self.workers.values().filter(|p| p.in_pool(true)).count()
+        self.debug_validate_counts();
+        self.counts[Availability::Available as usize] + self.counts[Availability::Busy as usize]
+    }
+
+    /// How many workers are available — `available_workers().len()`, in
+    /// `O(1)`.
+    pub fn available_count(&self) -> usize {
+        self.debug_validate_counts();
+        self.counts[Availability::Available as usize]
+    }
+
+    /// Under `debug-invariants`, recounts the registry by availability and
+    /// asserts the kept counters agree.
+    #[inline]
+    fn debug_validate_counts(&self) {
+        #[cfg(feature = "debug-invariants")]
+        {
+            let mut recount = [0; 3];
+            for p in self.workers.values() {
+                recount[p.availability as usize] += 1;
+            }
+            assert_eq!(self.counts, recount, "availability counters diverged");
+        }
     }
 
     /// Iterates over all profiles, in ascending worker-id order.
@@ -814,6 +870,38 @@ mod tests {
             p.touched_since(p.epoch_now() + 1).is_none(),
             "not yet an epoch"
         );
+    }
+
+    /// The kept counters answer what walking the registry answers, after
+    /// any sequence of operations, failed ones included.
+    #[test]
+    fn pool_counts_agree_with_the_registry() {
+        let mut p = ProfilingComponent::default();
+        let mut state = 0x2545_f491_4f6c_dd1du64;
+        for _ in 0..2_000 {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            let id = WorkerId((state >> 33) % 8);
+            let _ = match (state >> 40) % 7 {
+                0 => p.register(id, here()),
+                1 => p.deregister(id).map(|_| ()),
+                2 => p.record_assignment(id),
+                3 => p.record_completion(id, TaskCategory(0), 3.0, true),
+                4 => p.record_recall(id),
+                5 => p.set_availability(id, Availability::Offline),
+                _ => p.restore(id, here(), 2, None, &[], &[4.0]),
+            };
+            assert_eq!(p.online_count(), p.online_workers().len());
+            assert_eq!(p.available_count(), p.available_workers().len());
+            let first = p.available_workers().first().copied();
+            assert_eq!(p.next_available(WorkerId(0)), first);
+        }
+        let walked: Vec<WorkerId> = std::iter::successors(p.next_available(WorkerId(0)), |w| {
+            p.next_available(WorkerId(w.0 + 1))
+        })
+        .collect();
+        assert_eq!(walked, p.available_workers());
     }
 
     /// The feed is bounded by the registry, never by the length of the

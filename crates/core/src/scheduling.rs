@@ -715,9 +715,12 @@ impl SchedulingComponent {
     }
 
     /// The matching stage over an already-built graph: runs the
-    /// engine's (cached) matcher and assembles the [`BatchResult`].
+    /// engine's matcher and assembles the [`BatchResult`], whose
+    /// assignments are written into `assignments` (cleared first) — a
+    /// caller that hands the same vector back every batch allocates
+    /// nothing for them.
     #[allow(clippy::too_many_arguments)]
-    pub fn match_built(
+    pub fn match_built<R: RngCore + ?Sized>(
         config: &Config,
         engine: &mut MatcherEngine,
         graph: &BipartiteGraph,
@@ -725,14 +728,17 @@ impl SchedulingComponent {
         task_ids: &[TaskId],
         pruned: usize,
         open_tasks: usize,
-        rng: &mut dyn RngCore,
+        rng: &mut R,
+        mut assignments: Vec<(WorkerId, TaskId)>,
     ) -> BatchResult {
         let matching = engine.assign(graph, rng);
-        let assignments = matching
-            .pairs
-            .iter()
-            .map(|&(u, v, _)| (workers[u.0 as usize], task_ids[v.0 as usize]))
-            .collect();
+        assignments.clear();
+        assignments.extend(
+            matching
+                .pairs
+                .iter()
+                .map(|&(u, v, _)| (workers[u.0 as usize], task_ids[v.0 as usize])),
+        );
         let region_cost_units =
             region_cost_units(&config.matcher, open_tasks, workers.len(), task_ids.len());
         BatchResult {
@@ -749,7 +755,7 @@ impl SchedulingComponent {
     /// Runs one batch — graph construction + matching — with a
     /// throwaway engine, for one-off batches and tests (the server
     /// drives [`BatchScratch`] and [`SchedulingComponent::match_built`]
-    /// with its own cached engine). Does **not** mutate component state
+    /// with its own engine). Does **not** mutate component state
     /// beyond the phase-A model refits; the server applies the
     /// assignments so it can also charge the modelled matching latency.
     pub fn run_batch(
@@ -769,6 +775,7 @@ impl SchedulingComponent {
             pruned,
             tasks.open_count(),
             rng,
+            Vec::new(),
         )
     }
 }

@@ -30,69 +30,11 @@ use react_matching::{CostModel, MatcherEngine};
 use react_obs::{null_observer, CounterKind, HistogramKind, ObserverHandle, SpanKind, SpanTimer};
 use std::collections::BTreeMap;
 
-/// Wall-clock seconds spent in each named stage of one tick's pipeline
-/// (expire → recall → build → match → commit).
-///
-/// Purely observational: measured against the monotonic clock (via
-/// [`react_obs::SpanTimer`]), so the values vary run to run and never
-/// feed back into scheduling decisions (the *modelled* scheduler latency
-/// is [`TickOutcome::matching_seconds`]). Stages that did not run this
-/// tick report 0. The same durations are emitted as `tick.*` spans
-/// through the server's observer.
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct StageTimings {
-    /// Expiry sweep over the unassigned queue.
-    pub expire: f64,
-    /// Eq. (2) recall check over in-flight assignments.
-    pub recall: f64,
-    /// Two-phase assignment-graph construction.
-    pub build: f64,
-    /// Matcher execution over the built graph.
-    pub matching: f64,
-    /// Applying the batch: task/profile bookkeeping and audit events.
-    pub commit: f64,
-}
-
-impl StageTimings {
-    /// Total measured pipeline time of the tick: by construction exactly
-    /// the sum of the five stage fields, so it cannot drift from its
-    /// parts (checked by [`StageTimings::debug_validate`] under
-    /// `debug-invariants`).
-    pub fn total(&self) -> f64 {
-        self.expire + self.recall + self.build + self.matching + self.commit
-    }
-
-    /// Invariant check, active under the `debug-invariants` feature (and
-    /// compiled away otherwise): every stage duration is finite and
-    /// non-negative, and `total()` equals the sum of the parts.
-    #[inline]
-    pub fn debug_validate(&self) {
-        #[cfg(feature = "debug-invariants")]
-        {
-            let parts = [
-                ("expire", self.expire),
-                ("recall", self.recall),
-                ("build", self.build),
-                ("matching", self.matching),
-                ("commit", self.commit),
-            ];
-            for (name, v) in parts {
-                assert!(
-                    v.is_finite() && v >= 0.0,
-                    "stage timing {name} invalid: {v}"
-                );
-            }
-            let sum: f64 = parts.iter().map(|(_, v)| v).sum();
-            assert!(
-                (self.total() - sum).abs() <= f64::EPSILON * 8.0 * (1.0 + sum.abs()),
-                "StageTimings::total drifted from the sum of its parts: {} vs {sum}",
-                self.total()
-            );
-        }
-    }
-}
-
 /// Everything that happened during one [`ReactServer::tick`].
+///
+/// The server owns one and clears it at the start of every tick, so its
+/// vectors keep their storage from tick to tick; [`ReactServer::tick`]
+/// lends it out until the next call.
 #[derive(Debug, Clone, Default)]
 pub struct TickOutcome {
     /// Queued tasks whose deadlines expired before assignment.
@@ -115,10 +57,20 @@ pub struct TickOutcome {
     /// Modelled scheduler compute time for this batch (0 when no batch
     /// ran or `charge_matching_time` is off).
     pub matching_seconds: f64,
-    /// Full batch diagnostics when a batch ran.
-    pub batch: Option<BatchResult>,
-    /// Measured wall-clock time per pipeline stage of this tick.
-    pub stage_timings: StageTimings,
+}
+
+impl TickOutcome {
+    /// Empties the outcome for a tick at `now`, keeping every vector's
+    /// storage.
+    fn clear(&mut self, now: f64) {
+        self.expired.clear();
+        self.recalls.clear();
+        self.timeout_recalls = 0;
+        self.shed.clear();
+        self.assignments.clear();
+        self.effective_at = now;
+        self.matching_seconds = 0.0;
+    }
 }
 
 /// Result of a completed task, for the caller's metrics.
@@ -238,6 +190,8 @@ pub struct ReactServer {
     /// Incremental graph builder: persistent arenas + the row table the
     /// profiler's change feed keeps current (see [`BatchScratch`]).
     scratch: BatchScratch,
+    /// What the last tick did; see [`TickOutcome`].
+    outcome: TickOutcome,
 }
 
 impl ReactServer {
@@ -274,6 +228,7 @@ impl ReactServer {
             observer,
             timeout_strikes: BTreeMap::new(),
             scratch: BatchScratch::new(),
+            outcome: TickOutcome::default(),
         }
     }
 
@@ -326,7 +281,7 @@ impl ReactServer {
         self.batches_run
     }
 
-    /// How many times the matcher engine constructed a matcher — stays
+    /// How many times the matcher engine's cycle budget was set — stays
     /// at 1 across any number of batches for fixed-cycle policies;
     /// grows only when an adaptive cycle budget changes with the
     /// graph's edge count.
@@ -402,25 +357,16 @@ impl ReactServer {
         }
     }
 
-    /// Evicts up to `max` queued (unassigned) tasks, oldest first, for a
-    /// cross-shard handoff and returns each task together with its
-    /// original submission time. The tasks leave this server entirely
-    /// (audited as [`TaskEventKind::HandedOff`]); the cluster layer
-    /// re-submits them on a neighbouring shard. In-flight assignments
+    /// Evicts the oldest queued (unassigned) task for a cross-shard
+    /// handoff and returns it together with its original submission
+    /// time, or `None` on an empty queue. The task leaves this server
+    /// entirely (audited as [`TaskEventKind::HandedOff`]); the cluster
+    /// layer re-submits it on a neighbouring shard. In-flight assignments
     /// are never evicted.
-    pub fn evict_unassigned(&mut self, max: usize, now: f64) -> Vec<(Task, f64)> {
-        self.tasks
-            .take_unassigned(max)
-            .into_iter()
-            .map(|rec| {
-                let id = rec.task.id;
-                let submitted_at = rec.submitted_at;
-                if let Some(log) = self.audit.as_mut() {
-                    log.push(now, id, TaskEventKind::HandedOff);
-                }
-                (rec.task, submitted_at)
-            })
-            .collect()
+    pub fn evict_oldest_unassigned(&mut self, now: f64) -> Option<(Task, f64)> {
+        let rec = self.tasks.take_oldest_unassigned()?;
+        self.record_event(now, rec.task.id, TaskEventKind::HandedOff);
+        Some((rec.task, rec.submitted_at))
     }
 
     // ----- the control step ------------------------------------------
@@ -428,36 +374,37 @@ impl ReactServer {
     /// One control step at time `now`, as a pipeline of named stages:
     /// **expire** → **recall** → **build** → **match** → **commit**
     /// (the last three only when the scheduler is free and the batch
-    /// trigger fires). Per-stage wall-clock timings are surfaced in
-    /// [`TickOutcome::stage_timings`] and emitted as `tick.*` spans
-    /// (plus task/batch counters) through the configured observer.
-    pub fn tick(&mut self, now: f64) -> TickOutcome {
-        let enabled = self.observer.enabled();
-        let tick_timer = SpanTimer::start();
-        let mut outcome = TickOutcome {
-            effective_at: now,
-            ..TickOutcome::default()
-        };
+    /// trigger fires). Stages are emitted as `tick.*` spans (plus
+    /// task/batch counters) through the configured observer; under the
+    /// null observer no clock is read.
+    ///
+    /// The outcome is the server's own, cleared here and filled by the
+    /// stages, and is lent out until the next call: a warm tick
+    /// allocates nothing.
+    pub fn tick(&mut self, now: f64) -> &TickOutcome {
+        let tick_timer = SpanTimer::start(self.observer.as_ref());
+        self.outcome.clear(now);
 
-        let t = SpanTimer::start();
-        outcome.expired = self.stage_expire(now);
-        outcome.shed = self.stage_shed(now);
-        outcome.stage_timings.expire = t.finish(self.observer.as_ref(), SpanKind::StageExpire);
+        let t = SpanTimer::start(self.observer.as_ref());
+        self.stage_expire(now);
+        self.stage_shed(now);
+        t.finish(self.observer.as_ref(), SpanKind::StageExpire);
 
-        let t = SpanTimer::start();
-        (outcome.recalls, outcome.timeout_recalls) = self.stage_recall(now);
-        outcome.stage_timings.recall = t.finish(self.observer.as_ref(), SpanKind::StageRecall);
+        let t = SpanTimer::start(self.observer.as_ref());
+        self.stage_recall(now);
+        t.finish(self.observer.as_ref(), SpanKind::StageRecall);
 
+        let mut batch_size = None;
         if self.batch_due(now) {
             // Stage 3: incremental two-phase graph construction through
             // the persistent scratch. Inlined (rather than a &mut self
             // helper) because the built graph borrows the scratch while
             // the matcher runs over the sibling fields.
-            let t = SpanTimer::start();
+            let t = SpanTimer::start(self.observer.as_ref());
             let built = self
                 .scratch
                 .build(&self.config, &mut self.profiling, &self.tasks, now);
-            if enabled {
+            if self.observer.enabled() {
                 let obs = self.observer.as_ref();
                 let stats = built.stats;
                 if stats.refits > 0 {
@@ -473,11 +420,11 @@ impl ReactServer {
                     obs.incr(CounterKind::ScratchBytesReused, stats.bytes_reused as u64);
                 }
             }
-            outcome.stage_timings.build = t.finish(self.observer.as_ref(), SpanKind::StageBuild);
+            t.finish(self.observer.as_ref(), SpanKind::StageBuild);
 
-            // Stage 4: matching over the built graph through the cached
-            // engine.
-            let t = SpanTimer::start();
+            // Stage 4: matching over the built graph through the engine,
+            // into the outcome's own assignment vector.
+            let t = SpanTimer::start(self.observer.as_ref());
             let batch = SchedulingComponent::match_built(
                 &self.config,
                 &mut self.engine,
@@ -487,16 +434,18 @@ impl ReactServer {
                 built.pruned,
                 self.tasks.open_count(),
                 &mut self.rng,
+                std::mem::take(&mut self.outcome.assignments),
             );
-            outcome.stage_timings.matching = t.finish(self.observer.as_ref(), SpanKind::StageMatch);
+            t.finish(self.observer.as_ref(), SpanKind::StageMatch);
 
-            let t = SpanTimer::start();
-            self.stage_commit(now, batch, &mut outcome);
-            outcome.stage_timings.commit = t.finish(self.observer.as_ref(), SpanKind::StageCommit);
+            let t = SpanTimer::start(self.observer.as_ref());
+            batch_size = Some(batch.graph_shape.1);
+            self.stage_commit(now, batch);
+            t.finish(self.observer.as_ref(), SpanKind::StageCommit);
         }
-        outcome.stage_timings.debug_validate();
-        if enabled {
+        if self.observer.enabled() {
             let obs = self.observer.as_ref();
+            let outcome = &self.outcome;
             if !outcome.expired.is_empty() {
                 obs.incr(CounterKind::TasksExpired, outcome.expired.len() as u64);
             }
@@ -512,40 +461,50 @@ impl ReactServer {
             if !outcome.assignments.is_empty() {
                 obs.incr(CounterKind::TasksAssigned, outcome.assignments.len() as u64);
             }
-            if let Some(batch) = &outcome.batch {
+            if let Some(size) = batch_size {
                 obs.incr(CounterKind::BatchesRun, 1);
-                obs.observe(HistogramKind::BatchSize, batch.graph_shape.1 as f64);
+                obs.observe(HistogramKind::BatchSize, size as f64);
                 obs.observe(HistogramKind::MatchingSeconds, outcome.matching_seconds);
             }
         }
         tick_timer.finish(self.observer.as_ref(), SpanKind::Tick);
-        outcome
+        &self.outcome
+    }
+
+    /// What the last [`tick`](Self::tick) did (empty before the first):
+    /// for a caller that ticks several servers before reading any of
+    /// their outcomes.
+    pub fn last_outcome(&self) -> &TickOutcome {
+        &self.outcome
     }
 
     /// Pipeline stage 1: retire queued tasks that can no longer make
     /// their deadline.
-    fn stage_expire(&mut self, now: f64) -> Vec<TaskId> {
-        let expired = self.tasks.expire_overdue_unassigned(now);
-        for &task in &expired {
-            self.record_event(now, task, TaskEventKind::Expired);
+    fn stage_expire(&mut self, now: f64) {
+        self.tasks
+            .expire_overdue_unassigned(now, &mut self.outcome.expired);
+        if let Some(log) = self.audit.as_mut() {
+            for &task in &self.outcome.expired {
+                log.push(now, task, TaskEventKind::Expired);
+            }
         }
-        expired
     }
 
     /// Pipeline stage 2: recall in-flight assignments the Eq. (2) model
     /// has given up on, then apply the recovery timeout ladder to
-    /// whatever is still in flight. Returns all recalls plus how many of
-    /// them the ladder forced.
-    fn stage_recall(&mut self, now: f64) -> (Vec<Recall>, u64) {
-        let (mut recalls, exact_checks) = DynamicAssignmentComponent::check_due(
+    /// whatever is still in flight.
+    fn stage_recall(&mut self, now: f64) {
+        let recalls = &mut self.outcome.recalls;
+        let exact_checks = DynamicAssignmentComponent::check_due(
             &self.config,
             &mut self.profiling,
             &mut self.tasks,
             now,
+            recalls,
         );
         #[cfg(feature = "debug-invariants")]
         assert_eq!(
-            recalls,
+            *recalls,
             DynamicAssignmentComponent::check(&self.config, &mut self.profiling, &self.tasks, now),
             "memoized recall scan diverged from the exact full scan at t={now}"
         );
@@ -553,20 +512,16 @@ impl ReactServer {
             self.observer
                 .incr(CounterKind::RecallExactChecks, exact_checks);
         }
-        for recall in &recalls {
+        for recall in recalls.iter() {
             if self.tasks.mark_unassigned(recall.task).is_ok() {
                 let _ = self.profiling.record_recall(recall.worker);
-                self.record_event(
-                    now,
-                    recall.task,
-                    TaskEventKind::Recalled {
-                        worker: recall.worker,
-                    },
-                );
+                if let Some(log) = self.audit.as_mut() {
+                    let worker = recall.worker;
+                    log.push(now, recall.task, TaskEventKind::Recalled { worker });
+                }
             }
         }
-        let timeout_recalls = self.stage_timeout_ladder(now, &mut recalls);
-        (recalls, timeout_recalls)
+        self.stage_timeout_ladder(now);
     }
 
     /// The recovery timeout ladder: the `attempt`-th assignment of a task
@@ -577,32 +532,37 @@ impl ReactServer {
     /// Unlike the Eq. (2) check, the ladder needs no latency model — it is
     /// the only recovery path for silently abandoned tasks and lost
     /// completion messages, and it also covers past-due assignments so
-    /// they can expire instead of hanging forever on a dead worker.
-    fn stage_timeout_ladder(&mut self, now: f64, recalls: &mut Vec<Recall>) -> u64 {
+    /// they can expire instead of hanging forever on a dead worker. Its
+    /// recalls join the outcome's, counted in `timeout_recalls`.
+    fn stage_timeout_ladder(&mut self, now: f64) {
         let rc = self.config.recovery;
         let Some(t0) = rc.progress_timeout else {
-            return 0;
+            return;
         };
-        let mut timeout_recalls = 0u64;
         let mut suspected = 0u64;
         // Attempt 0 = first assignment; each retry widens the allowance
         // by the backoff factor, up to the cap.
-        let overdue = self.tasks.progress_overdue(now, |assignment_count| {
-            let attempt = assignment_count.saturating_sub(1).min(64);
-            (t0 * LADDER_BACKOFF.powi(attempt as i32)).min(t0 * LADDER_CAP)
-        });
-        for (task, worker) in overdue {
+        let recalls = &mut self.outcome.recalls;
+        let first = recalls.len();
+        self.tasks.progress_overdue(
+            now,
+            |assignment_count| {
+                let attempt = assignment_count.saturating_sub(1).min(64);
+                (t0 * LADDER_BACKOFF.powi(attempt as i32)).min(t0 * LADDER_CAP)
+            },
+            recalls,
+        );
+        let mut k = first;
+        while let Some(&Recall { task, worker, .. }) = recalls.get(k) {
             if self.tasks.mark_unassigned(task).is_err() {
+                recalls.remove(k);
                 continue;
             }
+            k += 1;
             let _ = self.profiling.record_recall(worker);
-            self.record_event(now, task, TaskEventKind::Recalled { worker });
-            recalls.push(Recall {
-                task,
-                worker,
-                probability: 0.0,
-            });
-            timeout_recalls += 1;
+            if let Some(log) = self.audit.as_mut() {
+                log.push(now, task, TaskEventKind::Recalled { worker });
+            }
             let strikes = self.timeout_strikes.entry(worker).or_insert(0);
             *strikes += 1;
             if *strikes >= SUSPECT_AFTER {
@@ -612,26 +572,28 @@ impl ReactServer {
                 }
             }
         }
+        self.outcome.timeout_recalls = (recalls.len() - first) as u64;
         if suspected > 0 && self.observer.enabled() {
             self.observer.incr(CounterKind::WorkersSuspected, suspected);
         }
-        timeout_recalls
     }
 
     /// Graceful degradation: when the live worker pool has collapsed
     /// below `recovery.pool_floor`, shed queued tasks (lowest reward
     /// first) down to `recovery.shed_queue_cap` instead of letting the
     /// whole queue slide past its deadlines.
-    fn stage_shed(&mut self, now: f64) -> Vec<TaskId> {
+    fn stage_shed(&mut self, now: f64) {
         let rc = self.config.recovery;
         if rc.pool_floor == 0 || self.profiling.online_count() >= rc.pool_floor {
-            return Vec::new();
+            return;
         }
-        let shed = self.tasks.shed_lowest_value(rc.shed_queue_cap);
-        for &task in &shed {
-            self.record_event(now, task, TaskEventKind::Shed);
+        self.tasks
+            .shed_lowest_value(rc.shed_queue_cap, &mut self.outcome.shed);
+        if let Some(log) = self.audit.as_mut() {
+            for &task in &self.outcome.shed {
+                log.push(now, task, TaskEventKind::Shed);
+            }
         }
-        shed
     }
 
     /// Whether the scheduler is free and the batch trigger fires, i.e.
@@ -647,8 +609,9 @@ impl ReactServer {
     }
 
     /// Pipeline stage 5: apply the batch — charge the modelled matching
-    /// latency, move tasks/workers to assigned, record audit events.
-    fn stage_commit(&mut self, now: f64, batch: BatchResult, outcome: &mut TickOutcome) {
+    /// latency, move tasks/workers to assigned, record audit events —
+    /// and move its assignments into the outcome.
+    fn stage_commit(&mut self, now: f64, batch: BatchResult) {
         let seconds = if self.config.charge_matching_time {
             self.cost_model
                 .seconds_for(batch.matcher_name, batch.region_cost_units)
@@ -677,10 +640,9 @@ impl ReactServer {
         self.last_batch_at = now;
         self.total_matching_seconds += seconds;
         self.batches_run += 1;
-        outcome.assignments = batch.assignments.clone();
-        outcome.matching_seconds = seconds;
-        outcome.effective_at = effective_at;
-        outcome.batch = Some(batch);
+        self.outcome.assignments = batch.assignments;
+        self.outcome.matching_seconds = seconds;
+        self.outcome.effective_at = effective_at;
     }
 
     // ----- completions ------------------------------------------------
@@ -821,7 +783,7 @@ mod tests {
             s.register_worker(WorkerId(w), here());
         }
         s.submit_task(task(1, 600.0), 0.0);
-        let out = s.tick(0.0);
+        let out = s.tick(0.0).clone();
         assert_eq!(out.assignments.len(), 1);
         assert!(out.matching_seconds > 0.0, "paper cost model charges time");
         assert_eq!(out.effective_at, out.matching_seconds);
@@ -1096,29 +1058,25 @@ mod tests {
     }
 
     #[test]
-    fn tick_reports_stage_timings() {
+    fn each_tick_starts_from_an_empty_outcome() {
         let mut s = eager_server();
         s.register_worker(WorkerId(1), here());
         s.submit_task(task(1, 60.0), 0.0);
-        let out = s.tick(0.0);
-        assert_eq!(out.assignments.len(), 1, "batch ran");
-        let t = out.stage_timings;
-        for (name, v) in [
-            ("expire", t.expire),
-            ("recall", t.recall),
-            ("build", t.build),
-            ("matching", t.matching),
-            ("commit", t.commit),
-        ] {
-            assert!(v >= 0.0 && v.is_finite(), "{name} timing invalid: {v}");
-        }
-        assert!(t.total() >= t.matching);
-        // A tick with no batch leaves the batch stages at zero.
-        let idle = s.tick(0.5);
-        assert!(idle.assignments.is_empty());
-        assert_eq!(idle.stage_timings.build, 0.0);
-        assert_eq!(idle.stage_timings.matching, 0.0);
-        assert_eq!(idle.stage_timings.commit, 0.0);
+        s.submit_task(task(2, 5.0), 0.0);
+        s.submit_task(task(3, 5.0), 0.0);
+        let out = s.tick(6.0);
+        assert_eq!(out.expired, vec![TaskId(2), TaskId(3)]);
+        assert_eq!(out.assignments, vec![(WorkerId(1), TaskId(1))]);
+        assert_eq!(
+            s.last_outcome().expired.len(),
+            2,
+            "lent until the next tick"
+        );
+        // Nothing happens at 7 s: nothing from 6 s is reported again.
+        let idle = s.tick(7.0);
+        assert!(idle.expired.is_empty() && idle.assignments.is_empty());
+        assert_eq!(idle.effective_at, 7.0);
+        assert_eq!(idle.matching_seconds, 0.0);
     }
 
     #[test]
@@ -1130,7 +1088,7 @@ mod tests {
     }
 
     #[test]
-    fn evict_unassigned_transfers_queue_with_audit() {
+    fn evict_oldest_unassigned_transfers_queue_with_audit() {
         let mut config = Config::paper_defaults();
         config.batch = BatchTrigger {
             min_unassigned: 100, // never batch — keep the queue intact
@@ -1142,11 +1100,11 @@ mod tests {
         s.submit_task(task(1, 60.0), 0.0);
         s.submit_task(task(2, 60.0), 1.0);
         s.submit_task(task(3, 60.0), 2.0);
-        let evicted = s.evict_unassigned(2, 3.0);
-        assert_eq!(evicted.len(), 2, "eviction respects the cap");
-        assert_eq!(evicted[0].0.id, crate::ids::TaskId(1));
-        assert_eq!(evicted[0].1, 0.0, "original submission time preserved");
-        assert_eq!(evicted[1].0.id, crate::ids::TaskId(2));
+        let first = s.evict_oldest_unassigned(3.0).unwrap();
+        assert_eq!(first.0.id, crate::ids::TaskId(1), "oldest first");
+        assert_eq!(first.1, 0.0, "original submission time preserved");
+        let second = s.evict_oldest_unassigned(3.0).unwrap();
+        assert_eq!(second.0.id, crate::ids::TaskId(2));
         assert_eq!(s.tasks().unassigned_count(), 1);
         // Handed-off tasks close their lifecycle on this server's log.
         let log = s.audit().unwrap();

@@ -16,11 +16,13 @@
 //! while the task stays where it is; the `debug-invariants` feature
 //! re-derives them from the registry on every read.
 
+use crate::dynamic::Recall;
 use crate::error::CoreError;
 use crate::ids::{TaskCategory, TaskId, WorkerId};
 use crate::task::{Task, TaskState};
 use react_geo::GeoPoint;
 use std::collections::BTreeMap;
+use std::ops::Range;
 
 /// A tracked task: description + dynamic state.
 #[derive(Debug, Clone)]
@@ -121,28 +123,66 @@ impl UnassignedQueue {
         self.location.push(rec.task.location);
     }
 
+    /// Moves the rows `from` down so they start at row `to`
+    /// (`to <= from.start`), in every column.
+    fn move_rows(&mut self, from: Range<usize>, to: usize) {
+        self.ids.copy_within(from.clone(), to);
+        self.deadline_at.copy_within(from.clone(), to);
+        self.reward.copy_within(from.clone(), to);
+        self.category.copy_within(from.clone(), to);
+        self.location.copy_within(from, to);
+    }
+
+    /// Keeps the first `len` rows of every column.
+    fn truncate(&mut self, len: usize) {
+        self.ids.truncate(len);
+        self.deadline_at.truncate(len);
+        self.reward.truncate(len);
+        self.category.truncate(len);
+        self.location.truncate(len);
+    }
+
     /// Removes the rows at `rows` (strictly ascending) from every column,
     /// keeping the survivors in order: one move per surviving run, so a
     /// single row costs what `Vec::remove` does.
     fn remove_rows(&mut self, rows: &[usize]) {
-        fn compact<T: Copy>(column: &mut Vec<T>, rows: &[usize]) {
-            let Some(&first) = rows.first() else {
-                return;
-            };
-            let mut len = first;
-            for (k, &row) in rows.iter().enumerate() {
-                let run_end = rows.get(k + 1).copied().unwrap_or(column.len());
-                column.copy_within(row + 1..run_end, len);
-                len += run_end - (row + 1);
-            }
-            column.truncate(len);
-        }
         debug_assert!(rows.windows(2).all(|w| w[0] < w[1]));
-        compact(&mut self.ids, rows);
-        compact(&mut self.deadline_at, rows);
-        compact(&mut self.reward, rows);
-        compact(&mut self.category, rows);
-        compact(&mut self.location, rows);
+        let Some(&first) = rows.first() else {
+            return;
+        };
+        let mut kept = first;
+        for (k, &row) in rows.iter().enumerate() {
+            let run_end = rows.get(k + 1).copied().unwrap_or(self.ids.len());
+            self.move_rows(row + 1..run_end, kept);
+            kept += run_end - (row + 1);
+        }
+        self.truncate(kept);
+    }
+
+    /// Removes every row whose deadline has passed at `now` —
+    /// `TaskRecord::remaining_time(now) <= 0.0`, off the column — keeping
+    /// the survivors in order, and appends the removed ids to `out` in
+    /// queue order. The compaction of [`Self::remove_rows`], with each
+    /// next overdue row found by scanning the column instead of read from
+    /// a list.
+    fn drain_overdue(&mut self, now: f64, out: &mut Vec<TaskId>) {
+        let overdue = |deadline_at: &f64| deadline_at - now <= 0.0;
+        let Some(mut row) = self.deadline_at.iter().position(overdue) else {
+            return;
+        };
+        let mut kept = row;
+        while row < self.ids.len() {
+            out.push(self.ids[row]);
+            let survivors = row + 1;
+            let run_end = self.deadline_at[survivors..]
+                .iter()
+                .position(overdue)
+                .map_or(self.ids.len(), |k| survivors + k);
+            self.move_rows(survivors..run_end, kept);
+            kept += run_end - survivors;
+            row = run_end;
+        }
+        self.truncate(kept);
     }
 
     /// Every column in a form that compares floats by bits.
@@ -261,17 +301,18 @@ impl TaskManagementComponent {
     }
 
     /// In-flight assignments that have gone longer without completing
-    /// than their progress allowance, in ascending task-id order.
-    /// `allowance_for(assignment_count)` is fixed for the life of an
-    /// assignment, so it is consulted once and kept in the entry; every
+    /// than their progress allowance, appended to `out` in ascending
+    /// task-id order as recalls of probability 0 (the caller performs
+    /// them). `allowance_for(assignment_count)` is fixed for the life of
+    /// an assignment, so it is consulted once and kept in the entry; every
     /// later tick pays one compare per assignment.
     pub(crate) fn progress_overdue(
         &mut self,
         now: f64,
         allowance_for: impl Fn(u32) -> f64,
-    ) -> Vec<(TaskId, WorkerId)> {
+        out: &mut Vec<Recall>,
+    ) {
         self.debug_validate_assigned_index();
-        let mut overdue = Vec::new();
         for (&task, entry) in &mut self.assigned_index {
             if entry.timeout_allowance.is_nan() {
                 let Some(rec) = self.tasks.get(&task) else {
@@ -291,9 +332,12 @@ impl TaskManagementComponent {
             if entry.held_for(now) <= entry.timeout_allowance {
                 continue;
             }
-            overdue.push((task, entry.worker));
+            out.push(Recall {
+                task,
+                worker: entry.worker,
+                probability: 0.0,
+            });
         }
-        overdue
     }
 
     /// Number of in-flight (assigned) tasks.
@@ -434,32 +478,22 @@ impl TaskManagementComponent {
     }
 
     /// Expires every *unassigned* task whose deadline has passed at
-    /// `now` and returns their ids. (The paper's model: an expired task
-    /// leaves the repository; a task already executing may still finish
-    /// late — the soft-deadline semantics.)
-    pub fn expire_overdue_unassigned(&mut self, now: f64) -> Vec<TaskId> {
-        // `TaskRecord::remaining_time(now) <= 0.0`, off the column.
-        let deadlines = self.unassigned.deadline_at.iter().enumerate();
-        let overdue: Vec<usize> = deadlines
-            .filter(|&(_, &deadline_at)| deadline_at - now <= 0.0)
-            .map(|(row, _)| row)
-            .collect();
-        let expired = self.retire_rows(&overdue);
-        self.unassigned.remove_rows(&overdue);
-        expired
+    /// `now` and appends their ids to `out`, in queue order. (The paper's
+    /// model: an expired task leaves the repository; a task already
+    /// executing may still finish late — the soft-deadline semantics.)
+    pub fn expire_overdue_unassigned(&mut self, now: f64, out: &mut Vec<TaskId>) {
+        let first = out.len();
+        self.unassigned.drain_overdue(now, out);
+        self.retire(&out[first..]);
     }
 
-    /// Marks the queued tasks at `rows` [`TaskState::Expired`] and returns
-    /// their ids in the order given. The rows themselves stay; the caller
-    /// removes them.
-    fn retire_rows(&mut self, rows: &[usize]) -> Vec<TaskId> {
-        let retired: Vec<TaskId> = rows.iter().map(|&row| self.unassigned.ids[row]).collect();
-        for id in &retired {
+    /// Marks the tasks `ids` [`TaskState::Expired`] in the registry.
+    fn retire(&mut self, ids: &[TaskId]) {
+        for id in ids {
             if let Some(rec) = self.tasks.get_mut(id) {
                 rec.state = TaskState::Expired;
             }
         }
-        retired
     }
 
     /// Sheds unassigned tasks, lowest reward first, until at most `keep`
@@ -467,11 +501,11 @@ impl TaskManagementComponent {
     /// worker pool collapses. Shed tasks are retired as
     /// [`TaskState::Expired`] (they leave the repository without being
     /// served); ties break on task id so shedding is deterministic.
-    /// Returns the shed ids in shedding order.
-    pub fn shed_lowest_value(&mut self, keep: usize) -> Vec<TaskId> {
+    /// Appends the shed ids to `out` in shedding order.
+    pub fn shed_lowest_value(&mut self, keep: usize, out: &mut Vec<TaskId>) {
         let queue = &self.unassigned;
         if queue.ids.len() <= keep {
-            return Vec::new();
+            return;
         }
         let mut rows: Vec<usize> = (0..queue.ids.len()).collect();
         rows.sort_unstable_by(|&a, &b| {
@@ -479,27 +513,24 @@ impl TaskManagementComponent {
             by_reward.then(queue.ids[a].cmp(&queue.ids[b]))
         });
         rows.truncate(queue.ids.len() - keep);
-        let shed = self.retire_rows(&rows);
+        let first = out.len();
+        out.extend(rows.iter().map(|&row| queue.ids[row]));
+        self.retire(&out[first..]);
         rows.sort_unstable();
         self.unassigned.remove_rows(&rows);
-        shed
     }
 
-    /// Removes up to `max` unassigned tasks from the registry entirely,
-    /// oldest first, and returns their records — the eviction half of a
-    /// cross-shard handoff. Unlike [`shed_lowest_value`], the tasks are
-    /// not retired: ownership transfers to the caller, who re-submits
-    /// them on another server. Assigned tasks are never taken.
+    /// Removes the oldest unassigned task from the registry entirely and
+    /// returns its record — the eviction half of a cross-shard handoff —
+    /// or `None` on an empty queue. Unlike [`shed_lowest_value`], the
+    /// task is not retired: ownership transfers to the caller, who
+    /// re-submits it on another server. Assigned tasks are never taken.
     ///
     /// [`shed_lowest_value`]: TaskManagementComponent::shed_lowest_value
-    pub fn take_unassigned(&mut self, max: usize) -> Vec<TaskRecord> {
-        let oldest: Vec<usize> = (0..max.min(self.unassigned.ids.len())).collect();
-        let taken = oldest
-            .iter()
-            .filter_map(|&row| self.tasks.remove(&self.unassigned.ids[row]))
-            .collect();
-        self.unassigned.remove_rows(&oldest);
-        taken
+    pub fn take_oldest_unassigned(&mut self) -> Option<TaskRecord> {
+        let &id = self.unassigned.ids.first()?;
+        self.unassigned.remove_rows(&[0]);
+        self.tasks.remove(&id)
     }
 
     /// Removes retired (completed/expired) records older than `horizon`
@@ -534,6 +565,27 @@ mod tests {
             TaskCategory(0),
             "t",
         )
+    }
+
+    /// What one expiry sweep at `now` retires.
+    fn expire(tm: &mut TaskManagementComponent, now: f64) -> Vec<TaskId> {
+        let mut out = Vec::new();
+        tm.expire_overdue_unassigned(now, &mut out);
+        out
+    }
+
+    /// What one shedding pass down to `keep` drops.
+    fn shed(tm: &mut TaskManagementComponent, keep: usize) -> Vec<TaskId> {
+        let mut out = Vec::new();
+        tm.shed_lowest_value(keep, &mut out);
+        out
+    }
+
+    /// Up to `max` evictions, oldest first.
+    fn take(tm: &mut TaskManagementComponent, max: usize) -> Vec<TaskRecord> {
+        std::iter::from_fn(|| tm.take_oldest_unassigned())
+            .take(max)
+            .collect()
     }
 
     #[test]
@@ -622,7 +674,7 @@ mod tests {
         tm.submit(task(2, 100.0), 0.0).unwrap();
         tm.mark_assigned(TaskId(2), WorkerId(1), 0.0).unwrap();
         tm.submit(task(3, 5.0), 0.0).unwrap();
-        let expired = tm.expire_overdue_unassigned(20.0);
+        let expired = expire(&mut tm, 20.0);
         assert_eq!(expired, vec![TaskId(1), TaskId(3)]);
         assert!(matches!(
             tm.record(TaskId(1)).unwrap().state,
@@ -658,8 +710,7 @@ mod tests {
         with_reward(3, 0.09);
         with_reward(4, 0.01);
         // Keep 2: both 0.01-reward tasks go, lower id first.
-        let shed = tm.shed_lowest_value(2);
-        assert_eq!(shed, vec![TaskId(2), TaskId(4)]);
+        assert_eq!(shed(&mut tm, 2), vec![TaskId(2), TaskId(4)]);
         // Survivors keep their queue order; shed tasks are retired.
         assert_eq!(tm.unassigned(), &[TaskId(1), TaskId(3)]);
         assert!(matches!(
@@ -667,7 +718,7 @@ mod tests {
             TaskState::Expired
         ));
         // Nothing to shed when already at or below the cap.
-        assert!(tm.shed_lowest_value(2).is_empty());
+        assert!(shed(&mut tm, 2).is_empty());
     }
 
     /// A task whose every queue column depends on `id`, so a row that
@@ -693,17 +744,17 @@ mod tests {
         }
         let ids = |v: &[u64]| v.iter().map(|&i| TaskId(i)).collect::<Vec<_>>();
         // `keep` at or above the queue length sheds nothing.
-        assert!(tm.shed_lowest_value(6).is_empty());
-        assert!(tm.shed_lowest_value(usize::MAX).is_empty());
+        assert!(shed(&mut tm, 6).is_empty());
+        assert!(shed(&mut tm, usize::MAX).is_empty());
         assert_eq!(tm.unassigned(), &ids(&[7, 3, 9, 1, 4, 8])[..]);
         // Cheapest first, ties by id — not by queue position.
-        assert_eq!(tm.shed_lowest_value(3), ids(&[4, 3, 8]));
+        assert_eq!(shed(&mut tm, 3), ids(&[4, 3, 8]));
         assert_eq!(tm.unassigned(), &ids(&[7, 9, 1])[..]);
         tm.assert_queue_matches_registry();
         assert_eq!(tm.record(TaskId(8)).unwrap().state, TaskState::Expired);
         assert_eq!(tm.record(TaskId(9)).unwrap().state, TaskState::Unassigned);
         // `keep = 0` empties the queue, still in (reward, id) order.
-        assert_eq!(tm.shed_lowest_value(0), ids(&[9, 1, 7]));
+        assert_eq!(shed(&mut tm, 0), ids(&[9, 1, 7]));
         assert!(tm.unassigned().is_empty());
         tm.assert_queue_matches_registry();
         assert!(tm.iter().all(|r| r.state == TaskState::Expired));
@@ -732,11 +783,11 @@ mod tests {
         tm.mark_unassigned(TaskId(3)).unwrap();
         tm.assert_queue_matches_registry();
         let ids = |v: &[u64]| v.iter().map(|&i| TaskId(i)).collect::<Vec<_>>();
-        assert!(tm.expire_overdue_unassigned(4.0).is_empty());
-        assert_eq!(tm.expire_overdue_unassigned(20.0), ids(&[5, 9, 7, 3]));
+        assert!(expire(&mut tm, 4.0).is_empty());
+        assert_eq!(expire(&mut tm, 20.0), ids(&[5, 9, 7, 3]));
         assert_eq!(tm.unassigned(), &ids(&[2, 1, 6])[..]);
         tm.assert_queue_matches_registry();
-        assert_eq!(tm.expire_overdue_unassigned(95.0), ids(&[1, 6]));
+        assert_eq!(expire(&mut tm, 95.0), ids(&[1, 6]));
         assert_eq!(tm.unassigned(), &ids(&[2])[..]);
         tm.assert_queue_matches_registry();
     }
@@ -752,15 +803,12 @@ mod tests {
         // remainder does not.
         assert_eq!(tm.record(TaskId(1)).unwrap().remaining_time(deadline), 0.0);
         assert!(tm.record(TaskId(2)).unwrap().remaining_time(deadline) > 0.0);
-        assert_eq!(tm.expire_overdue_unassigned(deadline), vec![TaskId(1)]);
+        assert_eq!(expire(&mut tm, deadline), vec![TaskId(1)]);
         assert_eq!(tm.unassigned(), &[TaskId(2)]);
-        assert_eq!(
-            tm.expire_overdue_unassigned(one_ulp_later(deadline)),
-            vec![TaskId(2)]
-        );
+        assert_eq!(expire(&mut tm, one_ulp_later(deadline)), vec![TaskId(2)]);
         // A deadline that is not a number never compares overdue.
         tm.submit(task(3, 10.0), f64::NAN).unwrap();
-        assert!(tm.expire_overdue_unassigned(f64::MAX).is_empty());
+        assert!(expire(&mut tm, f64::MAX).is_empty());
         tm.assert_queue_matches_registry();
     }
 
@@ -786,23 +834,23 @@ mod tests {
         assert_eq!(tm.queue().deadline_at.last(), Some(&(3.0 + 63.0)));
         tm.assert_queue_matches_registry();
         // A handoff takes whole rows off the front.
-        let taken = tm.take_unassigned(2);
+        let taken = take(&mut tm, 2);
         assert_eq!(taken[1].task.id, TaskId(2));
         assert_eq!(tm.unassigned(), &[TaskId(4), TaskId(5), TaskId(3)]);
         tm.assert_queue_matches_registry();
-        assert_eq!(tm.take_unassigned(usize::MAX).len(), 3);
+        assert_eq!(take(&mut tm, usize::MAX).len(), 3);
         tm.assert_queue_matches_registry();
     }
 
     #[test]
-    fn take_unassigned_transfers_oldest_first() {
+    fn take_oldest_unassigned_transfers_oldest_first() {
         let mut tm = TaskManagementComponent::new();
         tm.submit(task(1, 60.0), 0.0).unwrap();
         tm.submit(task(2, 60.0), 1.0).unwrap();
         tm.submit(task(3, 60.0), 2.0).unwrap();
         tm.mark_assigned(TaskId(1), WorkerId(4), 3.0).unwrap();
         // Only unassigned tasks move, oldest (2) before (3).
-        let taken = tm.take_unassigned(10);
+        let taken = take(&mut tm, 10);
         assert_eq!(taken.len(), 2);
         assert_eq!(taken[0].task.id, TaskId(2));
         assert_eq!(taken[0].submitted_at, 1.0);
@@ -816,7 +864,7 @@ mod tests {
         // `max` caps the transfer.
         tm.submit(task(5, 60.0), 4.0).unwrap();
         tm.submit(task(6, 60.0), 5.0).unwrap();
-        let taken = tm.take_unassigned(1);
+        let taken = take(&mut tm, 1);
         assert_eq!(taken.len(), 1);
         assert_eq!(taken[0].task.id, TaskId(5));
         assert_eq!(tm.unassigned(), &[TaskId(6)]);
@@ -830,7 +878,7 @@ mod tests {
         tm.submit(task(3, 1000.0), 0.0).unwrap();
         tm.mark_assigned(TaskId(1), WorkerId(1), 0.0).unwrap();
         tm.complete(TaskId(1), WorkerId(1), 5.0).unwrap();
-        tm.expire_overdue_unassigned(50.0); // task 2 expires (task 3 still live)
+        expire(&mut tm, 50.0); // task 2 expires (task 3 still live)
         let pruned = tm.prune_retired(1000.0, 100.0);
         assert_eq!(pruned, 2, "completed task 1 and expired task 2");
         assert_eq!(tm.len(), 1);

@@ -288,30 +288,11 @@ impl ScenarioRunner {
 
         // Prime the event loop. With replication, each logical task is
         // expanded into k replica Tasks sharing a group id.
-        let expand = |task: Task, k: usize| -> Vec<Task> {
-            if k <= 1 {
-                return vec![task];
-            }
-            (0..k as u64)
-                .map(|j| {
-                    Task::new(
-                        TaskId(task.id.0 * k as u64 + j),
-                        task.location,
-                        task.deadline,
-                        task.reward,
-                        task.category,
-                        task.description.clone(),
-                    )
-                })
-                .collect()
-        };
         let mut logical_generated = 0usize;
         if total_tasks > 0 {
             if let Some((at, task)) = workload.next(&mut workload_rng) {
                 logical_generated += 1;
-                for replica in expand(task, k) {
-                    sim.schedule_at(SimTime::from_secs(at), Event::Arrival(replica));
-                }
+                schedule_replicas(&mut sim, at, task, k);
             }
         }
         sim.schedule_in(SimDuration::from_secs(sc.tick_interval), Event::Tick);
@@ -417,12 +398,7 @@ impl ScenarioRunner {
                     if first_replica && logical_generated < total_tasks {
                         if let Some((next_at, next_task)) = workload.next(&mut workload_rng) {
                             logical_generated += 1;
-                            for replica in expand(next_task, k) {
-                                sim.schedule_at(
-                                    SimTime::from_secs(next_at),
-                                    Event::Arrival(replica),
-                                );
-                            }
+                            schedule_replicas(&mut sim, next_at, next_task, k);
                         }
                     }
                     // Arrival doubles as a control step so the batch
@@ -539,7 +515,29 @@ impl ScenarioRunner {
         report.faults.timeout_recalls += outcome.timeout_recalls;
         report.faults.sheds += outcome.shed.len() as u64;
         report.reassignments += outcome.recalls.len() as u64;
-        crowd.apply(&outcome, now);
+        crowd.apply(outcome, now);
+    }
+}
+
+/// Schedules a logical task's arrival at `at`: the task itself at
+/// replication `k` = 1, otherwise its `k` replicas, ids `id·k + j`,
+/// sharing the group id `id`.
+fn schedule_replicas(sim: &mut Simulator<Event>, at: f64, task: Task, k: usize) {
+    let at = SimTime::from_secs(at);
+    if k <= 1 {
+        sim.schedule_at(at, Event::Arrival(task));
+        return;
+    }
+    for j in 0..k as u64 {
+        let replica = Task::new(
+            TaskId(task.id.0 * k as u64 + j),
+            task.location,
+            task.deadline,
+            task.reward,
+            task.category,
+            task.description.clone(),
+        );
+        sim.schedule_at(at, Event::Arrival(replica));
     }
 }
 

@@ -174,19 +174,17 @@ impl RegionRouter {
     }
 
     /// Leaf cells edge-adjacent to `server`'s cell, in leaf enumeration
-    /// order. Two cells are neighbours when they share a boundary edge of
-    /// positive length (corner contact does not count). Works across
-    /// split levels: a root cell can neighbour the child of a split cell.
-    pub fn neighbors(&self, server: ServerId) -> Vec<ServerId> {
-        let Some(own) = self.bounds(server) else {
-            return Vec::new();
-        };
+    /// order (none for an unknown server). Two cells are neighbours when
+    /// they share a boundary edge of positive length (corner contact does
+    /// not count). Works across split levels: a root cell can neighbour
+    /// the child of a split cell.
+    pub fn neighbors(&self, server: ServerId) -> impl Iterator<Item = ServerId> + '_ {
+        let own = self.bounds(server);
         self.cells
             .iter()
-            .filter(|c| c.children.is_empty() && c.server != server)
-            .filter(|c| boxes_edge_adjacent(&own, &c.bounds))
+            .filter(move |c| c.children.is_empty() && c.server != server)
+            .filter(move |c| own.is_some_and(|own| boxes_edge_adjacent(&own, &c.bounds)))
             .map(|c| c.server)
-            .collect()
     }
 
     /// Splits every leaf cell whose load is at/above the threshold into
@@ -400,13 +398,14 @@ mod tests {
         // 2×2 grid: each cell neighbours the two orthogonally adjacent
         // cells, never the diagonal one (corner contact only).
         let r = router();
-        let mut n = r.neighbors(ServerId(0));
-        n.sort();
-        assert_eq!(n, vec![ServerId(1), ServerId(2)]);
-        let mut n = r.neighbors(ServerId(3));
-        n.sort();
-        assert_eq!(n, vec![ServerId(1), ServerId(2)]);
-        assert!(r.neighbors(ServerId(99)).is_empty());
+        let neighbors = |s| {
+            let mut n: Vec<ServerId> = r.neighbors(s).collect();
+            n.sort();
+            n
+        };
+        assert_eq!(neighbors(ServerId(0)), vec![ServerId(1), ServerId(2)]);
+        assert_eq!(neighbors(ServerId(3)), vec![ServerId(1), ServerId(2)]);
+        assert!(neighbors(ServerId(99)).is_empty());
     }
 
     #[test]
@@ -421,12 +420,12 @@ mod tests {
                                     //  lat-high/lon-low, lat-high/lon-high]
                                     // The lat-high/lon-high child touches both unsplit root cells 1
                                     // (lon-high) and 2 (lat-high), plus its two sibling quadrants.
-        let mut n = r.neighbors(children[3]);
+        let mut n: Vec<ServerId> = r.neighbors(children[3]).collect();
         n.sort();
         assert_eq!(n, vec![ServerId(1), ServerId(2), children[1], children[2]]);
         // Root cell 1 now sees the two lon-high children instead of the
         // split parent, and still sees the diagonal-free root 3.
-        let n = r.neighbors(ServerId(1));
+        let n: Vec<ServerId> = r.neighbors(ServerId(1)).collect();
         assert!(n.contains(&children[1]) && n.contains(&children[3]));
         assert!(n.contains(&ServerId(3)));
         assert!(!n.contains(&ServerId(0)), "split parent no longer routes");

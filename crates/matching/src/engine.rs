@@ -4,19 +4,20 @@
 //! * [`MatcherPolicy`] — the closed set of algorithms the scheduler can
 //!   run per batch, with their parameters. This is the only place the
 //!   set is defined; `react-core` re-exports it for `Config`.
-//! * [`MatcherEngine`] — builds the policy's matcher once and reuses it
-//!   across batches, rebuilding only when the edge-count-dependent cycle
-//!   budget actually changes (only the adaptive policy's does).
+//! * [`MatcherEngine`] — runs the policy batch after batch in buffers it
+//!   keeps: Algorithm 1's matching state, the selected-edge list and the
+//!   result's pairs, so a warm batch allocates nothing.
 //!
 //! All shipped matchers are stateless (`assign` takes `&self`), so
-//! reusing a built matcher is behaviourally identical to rebuilding it —
-//! the engine is pure memoisation and never changes results.
+//! running in kept buffers is behaviourally identical to a throwaway
+//! matcher — the engine never changes results.
 
-use crate::graph::BipartiteGraph;
+use crate::graph::{BipartiteGraph, EdgeId};
 use crate::greedy::GreedyMatcher;
 use crate::matcher::{Matcher, Matching};
 use crate::random::RandomMatcher;
 use crate::react::ReactMatcher;
+use crate::state::MatchingState;
 use rand::RngCore;
 use react_obs::{null_observer, CounterKind, ObserverHandle, SpanKind, SpanTimer};
 
@@ -100,28 +101,40 @@ impl MatcherPolicy {
     }
 }
 
-/// Builds a policy's matcher once and reuses it batch after batch.
+/// Runs a policy's matcher batch after batch in buffers it keeps.
 ///
-/// The engine rebuilds only when [`MatcherPolicy::cycle_budget`] changes
-/// for the graph at hand — i.e. never, except for the adaptive policy
-/// when the graph's edge count moves its `⌈κ·|E|⌉` budget.
+/// The cycle budget is a number the engine re-derives per graph
+/// ([`MatcherPolicy::cycle_budget`]); [`MatcherEngine::rebuilds`] counts
+/// how often it changed, i.e. how often a per-budget matcher would have
+/// been rebuilt — never, except for the adaptive policy when the graph's
+/// edge count moves its `⌈κ·|E|⌉` budget.
 pub struct MatcherEngine {
     policy: MatcherPolicy,
-    built: Option<(Option<usize>, Box<dyn Matcher>)>,
+    /// The budget of the last run (`Some(None)` for the budget-free
+    /// policies); `None` before the first.
+    budget: Option<Option<usize>>,
     rebuilds: u64,
+    /// Algorithm 1's state, reset per run in `O(|U| + |V|)`.
+    state: MatchingState,
+    /// The selected edges in edge-id order, gathered per run.
+    selected: Vec<EdgeId>,
+    /// The last run's result; its pairs keep their storage.
+    matching: Matching,
     observer: ObserverHandle,
 }
 
 impl MatcherEngine {
-    /// Creates an engine for the policy; nothing is built until the
-    /// first [`MatcherEngine::matcher`] or [`MatcherEngine::assign`]
-    /// call. Telemetry goes to the null observer until
-    /// [`MatcherEngine::set_observer`] is called.
+    /// Creates an engine for the policy; nothing is sized until the
+    /// first [`MatcherEngine::assign`] call. Telemetry goes to the null
+    /// observer until [`MatcherEngine::set_observer`] is called.
     pub fn new(policy: MatcherPolicy) -> Self {
         MatcherEngine {
             policy,
-            built: None,
+            budget: None,
             rebuilds: 0,
+            state: MatchingState::default(),
+            selected: Vec::new(),
+            matching: Matching::default(),
             observer: null_observer(),
         }
     }
@@ -144,51 +157,62 @@ impl MatcherEngine {
         self.policy.name()
     }
 
-    /// How many times a matcher has been constructed — 1 after any
-    /// number of same-budget batches; grows only under the adaptive
-    /// policy as graphs change size.
+    /// How many times the cycle budget was set — 1 after any number of
+    /// same-budget batches; grows only under the adaptive policy as
+    /// graphs change size.
     pub fn rebuilds(&self) -> u64 {
         self.rebuilds
     }
 
-    /// The matcher for a graph with `n_edges` edges, building or
-    /// rebuilding only when required.
-    pub fn matcher(&mut self, n_edges: usize) -> &dyn Matcher {
-        let budget = self.policy.cycle_budget(n_edges);
-        let built = match self.built.take() {
-            Some(built) if built.0 == budget => built,
-            _ => {
-                self.rebuilds += 1;
-                (budget, self.policy.build(n_edges))
-            }
-        };
-        self.built.insert(built).1.as_ref()
-    }
-
     /// Runs one assignment pass over `graph`, drawing from `rng` (the
-    /// deterministic algorithms ignore it).
-    pub fn assign(&mut self, graph: &BipartiteGraph, rng: &mut dyn RngCore) -> Matching {
-        let enabled = self.observer.enabled();
-        let timer = enabled.then(SpanTimer::start);
-        let rebuilds_before = self.rebuilds;
-        let m = self.matcher(graph.n_edges()).assign(graph, rng);
-        // Engine-level safety net behind the per-algorithm hooks.
-        crate::invariants::debug_check_matching(self.name(), graph, &m);
-        if enabled {
-            if let Some(timer) = timer {
-                timer.finish(self.observer.as_ref(), SpanKind::MatcherAssign);
+    /// deterministic algorithms ignore it), and returns the result, which
+    /// lives in the engine until the next call.
+    pub fn assign<R: RngCore + ?Sized>(
+        &mut self,
+        graph: &BipartiteGraph,
+        rng: &mut R,
+    ) -> &Matching {
+        let timer = SpanTimer::start(self.observer.as_ref());
+        let budget = self.policy.cycle_budget(graph.n_edges());
+        let rebuilt = self.budget != Some(budget);
+        if rebuilt {
+            self.budget = Some(budget);
+            self.rebuilds += 1;
+        }
+        match (budget, self.policy) {
+            (Some(cycles), _) => {
+                let matcher = ReactMatcher::with_cycles(cycles);
+                let stats = matcher.run_in(graph, &mut self.state, rng);
+                matcher.write_matching(
+                    graph,
+                    &self.state,
+                    stats,
+                    &mut self.selected,
+                    &mut self.matching,
+                );
             }
+            // The baselines allocate their own result; no benchmark
+            // workload runs them.
+            (None, MatcherPolicy::Traditional) => {
+                self.matching = RandomMatcher.assign(graph, &mut &mut *rng);
+            }
+            (None, _) => self.matching = GreedyMatcher.assign(graph, &mut &mut *rng),
+        }
+        // Engine-level safety net behind the per-algorithm hooks.
+        crate::invariants::debug_check_matching(self.name(), graph, &self.matching);
+        timer.finish(self.observer.as_ref(), SpanKind::MatcherAssign);
+        if self.observer.enabled() {
             let obs = self.observer.as_ref();
-            obs.incr(CounterKind::MatcherCycles, m.stats.cycles);
-            obs.incr(CounterKind::FlipsAccepted, m.stats.flips_accepted);
-            obs.incr(CounterKind::FlipsRejected, m.stats.flips_rejected);
-            obs.incr(CounterKind::ConflictsResolved, m.stats.conflicts_resolved);
-            let rebuilt = self.rebuilds - rebuilds_before;
-            if rebuilt > 0 {
-                obs.incr(CounterKind::MatcherRebuilds, rebuilt);
+            let stats = self.matching.stats;
+            obs.incr(CounterKind::MatcherCycles, stats.cycles);
+            obs.incr(CounterKind::FlipsAccepted, stats.flips_accepted);
+            obs.incr(CounterKind::FlipsRejected, stats.flips_rejected);
+            obs.incr(CounterKind::ConflictsResolved, stats.conflicts_resolved);
+            if rebuilt {
+                obs.incr(CounterKind::MatcherRebuilds, 1);
             }
         }
-        m
+        &self.matching
     }
 }
 
@@ -196,15 +220,15 @@ impl std::fmt::Debug for MatcherEngine {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("MatcherEngine")
             .field("policy", &self.policy)
-            .field("built", &self.built.as_ref().map(|(budget, _)| *budget))
+            .field("budget", &self.budget)
             .field("rebuilds", &self.rebuilds)
             .finish()
     }
 }
 
 impl Clone for MatcherEngine {
-    /// Clones the policy and observer handle; the built matcher is
-    /// memoisation and is rebuilt lazily by the clone (all matchers are
+    /// Clones the policy and observer handle; the buffers and the budget
+    /// are memoisation and start empty in the clone (all matchers are
     /// stateless, so this cannot change behaviour).
     fn clone(&self) -> Self {
         MatcherEngine::new(self.policy).with_observer(self.observer.clone())
@@ -266,14 +290,19 @@ mod tests {
 
     #[test]
     fn engine_rebuilds_adaptive_only_on_budget_change() {
+        let g100 = BipartiteGraph::full(10, 10, |_, _| 0.5).unwrap();
+        let g200 = BipartiteGraph::full(20, 10, |_, _| 0.5).unwrap();
         let mut engine = MatcherEngine::new(MatcherPolicy::ReactAdaptive { kappa: 1.0 });
-        engine.matcher(100);
-        engine.matcher(100);
+        let mut rng = SmallRng::seed_from_u64(1);
+        engine.assign(&g100, &mut rng);
+        engine.assign(&g100, &mut rng);
         assert_eq!(engine.rebuilds(), 1);
-        engine.matcher(200); // budget 100 → 200
+        engine.assign(&g200, &mut rng); // budget 100 → 200
         assert_eq!(engine.rebuilds(), 2);
-        engine.matcher(200);
+        assert_eq!(engine.assign(&g200, &mut rng).stats.cycles, 200);
         assert_eq!(engine.rebuilds(), 2);
+        engine.assign(&g100, &mut rng);
+        assert_eq!(engine.rebuilds(), 3);
     }
 
     #[test]

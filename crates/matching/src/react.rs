@@ -66,44 +66,75 @@ impl ReactMatcher {
     /// and for the ablation experiments that inspect intermediate
     /// fitness).
     pub fn run_state(&self, graph: &BipartiteGraph, rng: &mut dyn RngCore) -> MatchingState {
-        self.run_state_stats(graph, rng).0
+        let mut state = MatchingState::default();
+        self.run_in(graph, &mut state, rng);
+        state
     }
 
-    /// Runs Algorithm 1 and returns the final state together with the
-    /// work counters for the observability layer.
-    pub fn run_state_stats(
+    /// Runs Algorithm 1 in `state` — reset for `graph` first, so a caller
+    /// that keeps one state across runs allocates nothing once it has
+    /// seen its largest graph — and returns the work counters. Generic
+    /// over the RNG so a concrete generator is called directly; the draw
+    /// sequence is the same whatever type the RNG is reached through.
+    pub(crate) fn run_in<R: RngCore + ?Sized>(
         &self,
         graph: &BipartiteGraph,
-        rng: &mut dyn RngCore,
-    ) -> (MatchingState, MatchStats) {
-        let mut state = MatchingState::new(graph);
+        state: &mut MatchingState,
+        rng: &mut R,
+    ) -> MatchStats {
+        state.reset(graph);
         let mut stats = MatchStats::default();
         let n_edges = graph.n_edges();
         if n_edges == 0 {
-            return (state, stats);
+            return stats;
         }
         for _ in 0..self.cycles {
             let e = EdgeId(rng.gen_range(0..n_edges as u32));
-            self.flip(graph, &mut state, e, rng, &mut stats);
+            self.flip(graph, state, e, rng, &mut stats);
             stats.cycles += 1;
-            debug_check_state("react", graph, &state);
+            debug_check_state("react", graph, state);
         }
-        (state, stats)
+        stats
     }
 
-    /// One flip attempt on edge `e`. Counting into `stats` happens only
-    /// after the flip decision, so the RNG draw sequence is exactly the
-    /// historical one.
-    fn flip(
+    /// Writes the matching `state` holds over `graph` into `out`: pairs in
+    /// edge-id order (gathered through `selected`), the total weight, the
+    /// `O(c·E)` cost units and `stats`. Both buffers keep their storage.
+    pub(crate) fn write_matching(
+        &self,
+        graph: &BipartiteGraph,
+        state: &MatchingState,
+        stats: MatchStats,
+        selected: &mut Vec<EdgeId>,
+        out: &mut Matching,
+    ) {
+        state.selected_edges_into(selected);
+        out.pairs.clear();
+        out.pairs.extend(selected.iter().map(|&e| {
+            let edge = graph.edge(e);
+            (edge.worker, edge.task, edge.weight)
+        }));
+        out.total_weight = out.pairs.iter().map(|p| p.2).sum();
+        // Worst-case complexity O(c·E) — see the module docs.
+        out.cost_units = self.cycles as f64 * graph.n_edges() as f64;
+        out.stats = stats;
+        debug_check_matching("react", graph, out);
+    }
+
+    /// One flip attempt on edge `e`, which is read out of the graph once.
+    /// Counting into `stats` happens only after the flip decision, so the
+    /// RNG draw sequence is exactly the historical one.
+    fn flip<R: RngCore + ?Sized>(
         &self,
         graph: &BipartiteGraph,
         state: &mut MatchingState,
         e: EdgeId,
-        rng: &mut dyn RngCore,
+        rng: &mut R,
         stats: &mut MatchStats,
     ) {
-        let weight = graph.edge(e).weight;
-        if state.is_selected(graph, e) {
+        let edge = *graph.edge(e);
+        let weight = edge.weight;
+        if state.holds(e, &edge) {
             // Flipping off: Δg = −w ≤ 0. A negligible weight is a free
             // move (Δg ≈ 0, acceptance probability e^{Δg/K} ≈ 1) and is
             // accepted outright — crucially *before* any RNG draw, so
@@ -111,34 +142,33 @@ impl ReactMatcher {
             // on all weights the scheduler produces. Real deteriorations
             // anneal.
             if is_negligible_weight(weight) || self.accept_worse(-weight, rng) {
-                state.deselect(graph, e);
+                state.remove(e, &edge);
                 stats.flips_accepted += 1;
             } else {
                 stats.flips_rejected += 1;
             }
             return;
         }
-        match state.conflicts(graph, e) {
+        match state.conflicts_of(e, &edge) {
             (None, None) => {
                 // Δg = +w ≥ 0 — always accept.
-                state.select(graph, e);
+                state.insert(e, &edge);
                 stats.flips_accepted += 1;
             }
             (cw, ct) => {
                 // g(x′) = 0 case: replace iff the new edge beats every
                 // conflicting matched edge.
+                let cw = cw.map(|c| (c, *graph.edge(c)));
+                let ct = ct.map(|c| (c, *graph.edge(c)));
                 let beats_all = [cw, ct]
                     .into_iter()
                     .flatten()
-                    .all(|c| graph.edge(c).weight < weight);
+                    .all(|(_, old)| old.weight < weight);
                 if beats_all {
-                    if let Some(c) = cw {
-                        state.deselect(graph, c);
+                    for (c, old) in [cw, ct].into_iter().flatten() {
+                        state.remove(c, &old);
                     }
-                    if let Some(c) = ct {
-                        state.deselect(graph, c);
-                    }
-                    state.select(graph, e);
+                    state.insert(e, &edge);
                     stats.flips_accepted += 1;
                     stats.conflicts_resolved += 1;
                 } else {
@@ -149,7 +179,7 @@ impl ReactMatcher {
     }
 
     /// Metropolis-style acceptance of a fitness drop `delta < 0`.
-    fn accept_worse(&self, delta: f64, rng: &mut dyn RngCore) -> bool {
+    fn accept_worse<R: RngCore + ?Sized>(&self, delta: f64, rng: &mut R) -> bool {
         let alpha: f64 = rng.gen();
         alpha <= (delta / self.k).exp()
     }
@@ -157,19 +187,11 @@ impl ReactMatcher {
 
 impl Matcher for ReactMatcher {
     fn assign(&self, graph: &BipartiteGraph, rng: &mut dyn RngCore) -> Matching {
-        let (state, stats) = self.run_state_stats(graph, rng);
-        let pairs = state
-            .selected_edges()
-            .into_iter()
-            .map(|e| {
-                let edge = graph.edge(e);
-                (edge.worker, edge.task, edge.weight)
-            })
-            .collect();
-        // Worst-case complexity O(c·E) — see the module docs.
-        let cost = self.cycles as f64 * graph.n_edges() as f64;
-        let m = Matching::from_pairs(pairs, cost).with_stats(stats);
-        debug_check_matching("react", graph, &m);
+        let mut state = MatchingState::default();
+        let stats = self.run_in(graph, &mut state, rng);
+        let mut m = Matching::default();
+        let mut selected = Vec::with_capacity(state.size());
+        self.write_matching(graph, &state, stats, &mut selected, &mut m);
         m
     }
 
@@ -303,11 +325,18 @@ mod tests {
     }
 
     #[test]
-    fn stats_do_not_perturb_rng_stream() {
-        let g = BipartiteGraph::full(30, 30, |u, v| ((u.0 ^ v.0) % 7) as f64 / 7.0).unwrap();
+    fn a_reused_state_and_a_concrete_rng_change_nothing() {
+        let big = BipartiteGraph::full(30, 30, |u, v| ((u.0 ^ v.0) % 7) as f64 / 7.0).unwrap();
+        let small = BipartiteGraph::full(4, 9, |u, v| ((u.0 + v.0) % 5) as f64 / 5.0).unwrap();
         let matcher = ReactMatcher::default();
-        let via_state = matcher.run_state(&g, &mut SmallRng::seed_from_u64(5));
-        let (via_stats, _) = matcher.run_state_stats(&g, &mut SmallRng::seed_from_u64(5));
-        assert_eq!(via_state.selected_edges(), via_stats.selected_edges());
+        let mut state = MatchingState::default();
+        for g in [&big, &small, &big] {
+            let fresh = matcher.run_state(g, &mut SmallRng::seed_from_u64(5));
+            let stats = matcher.run_in(g, &mut state, &mut SmallRng::seed_from_u64(5));
+            assert_eq!(state.selected_edges(), fresh.selected_edges());
+            assert_eq!(state.fitness().to_bits(), fresh.fitness().to_bits());
+            assert_eq!(stats.cycles, 1000);
+            state.verify(g);
+        }
     }
 }

@@ -11,11 +11,11 @@
 //! `min(|U|, |V|)` edges, so the two per-vertex indices *are* the
 //! selected set, and the state costs `O(|U| + |V|)` whatever `|E|` is.
 
-use crate::graph::{BipartiteGraph, EdgeId, TaskIdx, WorkerIdx};
+use crate::graph::{BipartiteGraph, Edge, EdgeId, TaskIdx, WorkerIdx};
 
 /// A (partial) matching over a [`BipartiteGraph`], kept consistent with
 /// the 1-to-1 constraints at all times.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct MatchingState {
     worker_match: Vec<Option<EdgeId>>,
     task_match: Vec<Option<EdgeId>>,
@@ -26,12 +26,20 @@ pub struct MatchingState {
 impl MatchingState {
     /// The empty matching over `graph`.
     pub fn new(graph: &BipartiteGraph) -> Self {
-        MatchingState {
-            worker_match: vec![None; graph.n_workers()],
-            task_match: vec![None; graph.n_tasks()],
-            fitness: 0.0,
-            size: 0,
-        }
+        let mut state = MatchingState::default();
+        state.reset(graph);
+        state
+    }
+
+    /// Empties the matching and sizes it for `graph` in `O(|U| + |V|)`,
+    /// keeping the two vertex arrays' storage.
+    pub(crate) fn reset(&mut self, graph: &BipartiteGraph) {
+        self.worker_match.clear();
+        self.worker_match.resize(graph.n_workers(), None);
+        self.task_match.clear();
+        self.task_match.resize(graph.n_tasks(), None);
+        self.fitness = 0.0;
+        self.size = 0;
     }
 
     /// Current fitness `g(x)` — the sum of selected edge weights.
@@ -49,7 +57,13 @@ impl MatchingState {
     /// True when edge `e` is in the matching: its task is matched by it.
     #[inline]
     pub fn is_selected(&self, graph: &BipartiteGraph, e: EdgeId) -> bool {
-        self.task_match[graph.edge(e).task.0 as usize] == Some(e)
+        self.holds(e, graph.edge(e))
+    }
+
+    /// [`Self::is_selected`] for an edge already read out of the graph.
+    #[inline]
+    pub(crate) fn holds(&self, e: EdgeId, edge: &Edge) -> bool {
+        self.task_match[edge.task.0 as usize] == Some(e)
     }
 
     /// The edge currently matching `worker`, if any.
@@ -68,7 +82,12 @@ impl MatchingState {
     /// any) occupying `e`'s worker and the edge (if any) occupying `e`'s
     /// task. Selecting an already-selected edge conflicts with nothing.
     pub fn conflicts(&self, graph: &BipartiteGraph, e: EdgeId) -> (Option<EdgeId>, Option<EdgeId>) {
-        let edge = graph.edge(e);
+        self.conflicts_of(e, graph.edge(e))
+    }
+
+    /// [`Self::conflicts`] for an edge already read out of the graph.
+    #[inline]
+    pub(crate) fn conflicts_of(&self, e: EdgeId, edge: &Edge) -> (Option<EdgeId>, Option<EdgeId>) {
         let w = self.worker_match[edge.worker.0 as usize].filter(|&m| m != e);
         let t = self.task_match[edge.task.0 as usize].filter(|&m| m != e);
         (w, t)
@@ -81,7 +100,12 @@ impl MatchingState {
     /// `e` itself, if it is already selected) — callers must clear
     /// conflicts first, which keeps this operation `O(1)`.
     pub fn select(&mut self, graph: &BipartiteGraph, e: EdgeId) {
-        let edge = graph.edge(e);
+        self.insert(e, graph.edge(e));
+    }
+
+    /// [`Self::select`] for an edge already read out of the graph.
+    #[inline]
+    pub(crate) fn insert(&mut self, e: EdgeId, edge: &Edge) {
         debug_assert!(
             self.worker_match[edge.worker.0 as usize].is_none(),
             "worker endpoint occupied"
@@ -101,7 +125,12 @@ impl MatchingState {
     /// # Panics
     /// `debug_assert`s that `e` is currently selected.
     pub fn deselect(&mut self, graph: &BipartiteGraph, e: EdgeId) {
-        let edge = graph.edge(e);
+        self.remove(e, graph.edge(e));
+    }
+
+    /// [`Self::deselect`] for an edge already read out of the graph.
+    #[inline]
+    pub(crate) fn remove(&mut self, e: EdgeId, edge: &Edge) {
         debug_assert!(
             self.worker_match[edge.worker.0 as usize] == Some(e)
                 && self.task_match[edge.task.0 as usize] == Some(e),
@@ -116,9 +145,15 @@ impl MatchingState {
     /// The selected edges, in edge-id order.
     pub fn selected_edges(&self) -> Vec<EdgeId> {
         let mut selected = Vec::with_capacity(self.size);
-        selected.extend(self.task_match.iter().flatten());
-        selected.sort_unstable();
+        self.selected_edges_into(&mut selected);
         selected
+    }
+
+    /// [`Self::selected_edges`] written into `out` (cleared first).
+    pub(crate) fn selected_edges_into(&self, out: &mut Vec<EdgeId>) {
+        out.clear();
+        out.extend(self.task_match.iter().flatten());
+        out.sort_unstable();
     }
 
     /// Exhaustive consistency check for tests: verifies the two

@@ -459,7 +459,7 @@ fn scheduler_thread(
                 report.assign_latencies.push((now - at).max(0.0));
             }
         }
-        crowd.apply(&outcome, now);
+        crowd.apply(outcome, now);
 
         // Publish backpressure state back to the door.
         let queue_depth = inbox.len();
@@ -554,7 +554,7 @@ fn force_drain(
             shared.set_status(task.0, TaskStatus::Queued);
         }
     }
-    for (task, _) in server.evict_unassigned(usize::MAX, now) {
+    while let Some((task, _)) = server.evict_oldest_unassigned(now) {
         report.shed_server += 1;
         shared.set_status(task.id.0, TaskStatus::Shed);
     }

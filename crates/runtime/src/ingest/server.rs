@@ -233,7 +233,7 @@ fn serve_connection(stream: TcpStream, idle_timeout: Duration, shared: &Shared) 
         // idle gap in front of it. End of stream and read errors map to
         // what `read_request` returns for them at a request boundary.
         let first_byte = reader.fill_buf().map(|buf| !buf.is_empty());
-        let timer = SpanTimer::start();
+        let timer = SpanTimer::start(shared.observer.as_ref());
         let parsed = match first_byte {
             Ok(true) => read_request(&mut reader, &mut line, &mut request),
             Ok(false) => Ok(false),

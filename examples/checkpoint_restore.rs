@@ -37,8 +37,8 @@ fn main() {
             Task::new(TaskId(i), here, 60.0, 0.05, TaskCategory(0), "t"),
             now,
         );
-        let out = server.tick(now);
-        for &(worker, task) in &out.assignments {
+        let assignments = server.tick(now).assignments.clone();
+        for (worker, task) in assignments {
             // Worker 1 is fast and reliable, worker 2 slow and sloppy.
             let (exec, ok) = if worker == WorkerId(1) {
                 (3.0, true)

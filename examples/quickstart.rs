@@ -57,12 +57,14 @@ fn main() {
             ),
             now,
         );
-        let out = server.tick(now);
-        for (worker, task) in &out.assignments {
+        // The outcome is lent by the server, so copy the assignments out
+        // before completing them.
+        let assignments = server.tick(now).assignments.clone();
+        for (worker, task) in assignments {
             // Everyone answers quickly during training: 4–6 s.
             let exec = 4.0 + (task.0 % 3) as f64 * 0.7;
             let done = server
-                .complete_task(*task, *worker, now + exec, true)
+                .complete_task(task, worker, now + exec, true)
                 .expect("assignment just made");
             println!(
                 "t={:5.1}s  {worker} finished {task} in {exec:.1}s (deadline met: {})",

@@ -1,7 +1,7 @@
 //! Allocation guard for the scheduling hot path: what a tick allocates
-//! must not grow with the pool or the graph. The repo benchmark's
-//! `allocs_per_task` sees this only when someone runs it; this file makes
-//! `cargo test` see it.
+//! must not grow with the pool or the graph, and a warm control step
+//! allocates nothing at all. The repo benchmark's `allocs_per_task` sees
+//! this only when someone runs it; this file makes `cargo test` see it.
 //!
 //! * a warm [`BatchScratch::build`] after which nothing changed allocates
 //!   nothing — the row table, the edge arena and every column are reused;
@@ -9,6 +9,11 @@
 //!   worker's latency model allocates;
 //! * [`ReactMatcher::assign`] allocates a number of blocks that does not
 //!   depend on `|E|`, and bytes in `O(|U| + |V|)`;
+//! * a warm [`MatcherEngine`] under the adaptive policy allocates nothing
+//!   while `|E|`, hence its cycle budget, moves from batch to batch;
+//! * a whole [`ScenarioRunner::run`] and a whole churned
+//!   [`ClusterRunner::run`] allocate a bounded number of blocks per extra
+//!   task: what is left is the drivers' per-task bookkeeping, not ticks;
 //! * the ingest door parses a keep-alive stream into one connection's
 //!   buffers and renders its answers through them without allocating.
 //!
@@ -19,12 +24,16 @@
 
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
+use react::cluster::{ClusterPolicy, ClusterRunner, ClusterScenario, HandoffPolicy};
 use react::core::{
     BatchScratch, Config, LatencyModelKind, MatcherPolicy, ProfilingComponent, Task, TaskCategory,
     TaskId, TaskManagementComponent, WorkerId,
 };
+use react::crowd::{Scenario, ScenarioRunner, TaskGenerator};
+use react::faults::{DropoutPlan, FaultPlan};
 use react::geo::GeoPoint;
-use react::matching::{BipartiteGraph, Matcher, ReactMatcher, TaskIdx, WorkerIdx};
+use react::matching::{BipartiteGraph, Matcher, MatcherEngine, ReactMatcher, TaskIdx, WorkerIdx};
+use react::sim::RngStreams;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
@@ -237,6 +246,112 @@ fn the_matcher_allocates_by_vertices_not_by_edges() {
             "{asked:?}"
         );
     }
+}
+
+#[test]
+fn a_warm_adaptive_engine_allocates_nothing_as_the_edge_count_moves() {
+    // Same vertices, ever fewer edges: the `⌈κ·|E|⌉` budget moves on
+    // every graph.
+    let graphs: Vec<BipartiteGraph> = [1, 2, 3, 5, 8].map(|stride| graph(400, 12, stride)).into();
+    let mut engine = MatcherEngine::new(MatcherPolicy::ReactAdaptive { kappa: 0.5 });
+    let mut rng = SmallRng::seed_from_u64(3);
+    for g in &graphs {
+        engine.assign(g, &mut rng);
+    }
+    let rebuilds = engine.rebuilds();
+    let (pairs, (blocks, _)) = counted(|| {
+        let mut pairs = 0;
+        for g in graphs.iter().chain(graphs.iter().rev()) {
+            pairs += engine.assign(g, &mut rng).pairs.len();
+        }
+        pairs
+    });
+    assert!(pairs > 0);
+    assert!(engine.rebuilds() > rebuilds, "the budget must move");
+    if COUNTS_HOLD {
+        assert_eq!(blocks, 0, "a warm engine allocated");
+    }
+}
+
+/// `n` arrivals of the scenario's process, from a fixed stream: a shorter
+/// trace is a prefix of a longer one.
+fn trace(sc: &Scenario, n: usize) -> Vec<(f64, Task)> {
+    let mut rng = RngStreams::new(7).stream("hotpath.trace");
+    TaskGenerator::new(sc.arrival_rate, sc.region)
+        .with_deadline_range(sc.deadline_range.0, sc.deadline_range.1)
+        .with_categories(sc.n_categories)
+        .take_n(n, &mut rng)
+}
+
+/// Blocks a whole run allocates per task beyond the first `short` ones:
+/// `(blocks(long) − blocks(short)) / (long − short)`, so what a run
+/// allocates once (its server, crowd, scratch and queues) cancels out.
+fn blocks_per_extra_task(short: usize, long: usize, run: impl Fn(usize)) -> f64 {
+    let (_, (few, _)) = counted(|| run(short));
+    let (_, (many, _)) = counted(|| run(long));
+    (many as f64 - few as f64) / (long - short) as f64
+}
+
+#[test]
+fn a_whole_scenario_run_allocates_little_per_extra_task() {
+    let mut sc = Scenario::paper_fig9(300, 8.0, MatcherPolicy::React { cycles: 1000 }, 2013);
+    sc.config.charge_matching_time = false;
+    let full = trace(&sc, 4_000);
+    let per_task = blocks_per_extra_task(2_000, 4_000, |n| {
+        let mut sc = sc.clone();
+        sc.total_tasks = n;
+        sc.workload = Some(full[..n].to_vec());
+        let report = ScenarioRunner::new(sc).run();
+        assert_eq!(report.received, n as u64);
+        assert!(report.met_deadline > n as u64 / 2);
+    });
+    assert!(
+        !COUNTS_HOLD || per_task <= 1.5,
+        "{per_task:.3} blocks per extra task"
+    );
+}
+
+#[test]
+fn a_whole_churned_cluster_run_allocates_little_per_extra_task() {
+    let mut global =
+        Scenario::paper_fig9(480, 10.0, MatcherPolicy::ReactAdaptive { kappa: 0.5 }, 2013);
+    global.config.charge_matching_time = false;
+    // Nine workers in ten drop out and come back, over both runs' span,
+    // so shards keep falling below the handoff floor.
+    global.faults = Some(FaultPlan {
+        dropout: Some(DropoutPlan {
+            probability: 0.9,
+            window: (0.0, 400.0),
+            offline_range: Some((300.0, 700.0)),
+        }),
+        bursts: None,
+        ..FaultPlan::chaos(0.5)
+    });
+    let full = trace(&global, 4_000);
+    let per_task = blocks_per_extra_task(2_000, 4_000, |n| {
+        let mut global = global.clone();
+        global.total_tasks = n;
+        global.workload = Some(full[..n].to_vec());
+        let scenario = ClusterScenario {
+            global,
+            rows: 2,
+            cols: 4,
+            policy: ClusterPolicy {
+                handoff: Some(HandoffPolicy {
+                    pool_floor: 50,
+                    max_per_tick: 8,
+                }),
+                ..ClusterPolicy::coupled()
+            },
+        };
+        let report = ClusterRunner::new(scenario).run();
+        assert!(report.conserved());
+        assert!(report.handoffs() > 0, "the passes must run");
+    });
+    assert!(
+        !COUNTS_HOLD || per_task <= 2.0,
+        "{per_task:.3} blocks per extra task"
+    );
 }
 
 #[test]

@@ -258,13 +258,16 @@ fn apply(op: &Op, p: &mut ProfilingComponent, tm: &mut TaskManagementComponent, 
             }
         }
         Op::Expire => {
-            tm.expire_overdue_unassigned(*now);
+            tm.expire_overdue_unassigned(*now, &mut Vec::new());
         }
         Op::Shed { keep } => {
-            tm.shed_lowest_value(keep);
+            tm.shed_lowest_value(keep, &mut Vec::new());
         }
         Op::Handoff { max } => {
-            for rec in tm.take_unassigned(max) {
+            // Each evicted task rejoins at the back, behind the ones that
+            // were queued after it.
+            for _ in 0..max.min(tm.unassigned_count()) {
+                let rec = tm.take_oldest_unassigned().expect("a queued task");
                 let mut task = rec.task;
                 task.deadline = (rec.submitted_at + task.deadline - *now).max(f64::MIN_POSITIVE);
                 tm.submit(task, *now).unwrap();

@@ -76,8 +76,8 @@ fn server_caches_matcher_across_batches() {
             Task::new(TaskId(t), athens, 90.0, 0.05, TaskCategory(0), "t"),
             now,
         );
-        let outcome = server.tick(now);
-        for &(w, task) in &outcome.assignments {
+        let assignments = server.tick(now).assignments.clone();
+        for (w, task) in assignments {
             server.complete_task(task, w, 1.0, true).unwrap();
         }
         now += 5.0;

@@ -120,7 +120,7 @@ fn tick_against_full_scan(
     prop_assert!(by_ladder
         .iter()
         .all(|r| r.probability == 0.0 && exact.iter().all(|e| e.task != r.task)));
-    Ok(out.recalls)
+    Ok(out.recalls.clone())
 }
 
 proptest! {
@@ -171,7 +171,9 @@ proptest! {
                 }
                 Op::Register(w) => server.register_worker(WorkerId(w), here()),
                 Op::Evict { max } => {
-                    server.evict_unassigned(max, now);
+                    for _ in 0..max {
+                        server.evict_oldest_unassigned(now);
+                    }
                 }
             }
         }

@@ -111,7 +111,7 @@ proptest! {
                 Op::Tick { dt } => {
                     now += dt;
                     let out = server.tick(now);
-                    apply_outcome(&out, &mut live, &mut retired, &mut queue)?;
+                    apply_outcome(out, &mut live, &mut retired, &mut queue)?;
                 }
                 Op::CompleteOldest { exec, quality_ok } => {
                     if let Some((&task, &worker)) =
