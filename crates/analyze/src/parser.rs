@@ -701,8 +701,8 @@ mod tests {
 
     #[test]
     fn impl_trait_for_type_names_the_type() {
-        let p = parse("impl<T: Clone> Observer for FanoutObserver<T> {\n}\n");
-        assert_eq!(p.items[0].name, "FanoutObserver");
+        let p = parse("impl<T: Clone> Observer for TeeObserver<T> {\n}\n");
+        assert_eq!(p.items[0].name, "TeeObserver");
     }
 
     #[test]

@@ -29,9 +29,7 @@
 //! [`Ablation`] experiment iterates it.
 
 // analyze: allow-file(no-wall-clock) — the frontier ablation's `wall_ms`
-// column: wall-clock timing IS the measurement there, and
-// react-experiments has no react-runtime dependency to borrow a
-// Stopwatch from.
+// column: wall-clock timing IS the measurement there.
 
 use crate::experiment::{prefixed, Experiment, RunOutput};
 use crate::spec::RunSpec;

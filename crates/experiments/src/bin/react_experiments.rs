@@ -29,7 +29,6 @@ COMMANDS:
     case                    CrowdFlower case study (Sec. V-C)
     ablation                the eleven design-choice ablations
     chaos                   fault-injection chaos sweep
-    load                    open-loop TCP replay through the ingest door
 
 FLAGS:
     --quick        reduced sizes (seconds instead of minutes)

@@ -97,7 +97,7 @@ pub trait Experiment: Sync {
     fn run(&self, spec: &RunSpec) -> Result<RunOutput, String>;
 
     /// Whether cells may execute concurrently. Suites measuring
-    /// wall-clock time (`fig34`, `load`) return `false` so concurrent
+    /// wall-clock time (`fig34`) return `false` so concurrent
     /// cells don't poison each other's timings; purely sim-time suites
     /// keep the all-cores default.
     fn parallel_safe(&self) -> bool {

@@ -13,8 +13,7 @@
 //! implementation.
 
 // analyze: allow-file(no-wall-clock) — the figure's `wall_secs` column:
-// wall-clock timing IS the measurement here, and react-experiments has
-// no react-runtime dependency to borrow a Stopwatch from.
+// wall-clock timing IS the measurement here.
 
 use crate::experiment::{Experiment, RunOutput};
 use crate::spec::RunSpec;

@@ -17,10 +17,9 @@
 //! | [`ablation`] | the design-choice ablations listed in `DESIGN.md` |
 //! | [`chaos`] | fault-injection sweep (no paper counterpart) |
 //! | [`scenario`] | manifest-driven crowd scenario grid (no paper counterpart) |
-//! | [`load`] | open-loop TCP replay through the ingest door (no paper counterpart) |
 //!
-//! Nothing here times the repo's own code for a claim: that is
-//! `benchmark/` (see `BENCHMARK.json`).
+//! Nothing here times the repo's own code for a claim or drives the live
+//! stack: both are `benchmark/` (see `BENCHMARK.json`).
 //!
 //! Determinism contract: every run's seed is derived solely from the
 //! manifest base seed, the suite name and the run's default-elided axis
@@ -39,7 +38,6 @@ pub mod endtoend;
 pub mod executor;
 pub mod experiment;
 pub mod fig34;
-pub mod load;
 pub mod manifest;
 pub mod scalability;
 pub mod scenario;
@@ -48,7 +46,6 @@ pub mod sweep;
 
 pub use executor::run_indexed;
 pub use experiment::{ExpandCtx, Experiment, RunOutput};
-pub use load::LoadSuite;
 pub use manifest::{Manifest, ManifestError, ManifestValue};
 pub use scenario::ScenarioSweep;
 pub use spec::{derive_seed, expand, RunSpec};

@@ -29,7 +29,6 @@ use crate::endtoend::EndToEnd;
 use crate::executor::run_indexed;
 use crate::experiment::{prefixed, ExpandCtx, Experiment};
 use crate::fig34::Fig34;
-use crate::load::LoadSuite;
 use crate::manifest::Manifest;
 use crate::scalability::Scalability;
 use crate::scenario::ScenarioSweep;
@@ -71,9 +70,8 @@ pub struct SweepOutcome {
     pub artifacts: Vec<(PathBuf, ArtifactOutcome)>,
 }
 
-/// Every registered suite: the manifest-driven `scenario` sweep, the six
-/// paper-artefact suites in the classic `all` presentation order, and
-/// the live-ingest `load` suite.
+/// Every registered suite: the manifest-driven `scenario` sweep, then the
+/// six paper-artefact suites in the classic `all` presentation order.
 pub fn registry() -> Vec<Box<dyn Experiment>> {
     vec![
         Box::new(ScenarioSweep),
@@ -83,7 +81,6 @@ pub fn registry() -> Vec<Box<dyn Experiment>> {
         Box::new(CaseStudy),
         Box::new(Ablation),
         Box::new(Chaos),
-        Box::new(LoadSuite),
     ]
 }
 
@@ -98,7 +95,6 @@ pub fn suite(name: &str) -> Option<&'static str> {
         "ablation" => "ablation",
         "chaos" => "chaos",
         "scenario" => "scenario",
-        "load" => "load",
         _ => return None,
     })
 }
@@ -337,7 +333,7 @@ mod tests {
     }
 
     #[test]
-    fn registry_lists_scenario_the_six_paper_suites_then_load() {
+    fn registry_lists_scenario_then_the_six_paper_suites() {
         let names: Vec<&str> = registry().iter().map(|s| s.name()).collect();
         assert_eq!(
             names,
@@ -349,7 +345,6 @@ mod tests {
                 "case",
                 "ablation",
                 "chaos",
-                "load",
             ]
         );
         for name in names {
@@ -365,7 +360,7 @@ mod tests {
             manifest: None,
         };
         for suite in registry() {
-            if matches!(suite.name(), "scenario" | "load") {
+            if suite.name() == "scenario" {
                 continue;
             }
             let specs = suite.expand(&ctx).unwrap();
@@ -382,7 +377,7 @@ mod tests {
     #[test]
     fn wall_clock_suites_refuse_parallel_cells() {
         for suite in registry() {
-            let expected = !matches!(suite.name(), "fig34" | "load");
+            let expected = suite.name() != "fig34";
             assert_eq!(
                 suite.parallel_safe(),
                 expected,

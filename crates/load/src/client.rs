@@ -1,11 +1,14 @@
-//! Open-loop TCP replay client.
+//! The `POST /tasks` request bytes, and a keep-alive replay client.
 //!
-//! Senders pace submissions off the shared [`ScaledClock`]: each entry
-//! is offered when the crowd clock reaches its arrival instant,
-//! regardless of how earlier submissions fared — the door's admission
-//! ladder, not the client, decides what is shed. Connections are
-//! persistent (HTTP/1.1 keep-alive) with one reconnect retry when the
-//! server closes one under us.
+//! [`replay`] paces each sender off the shared [`ScaledClock`], but a
+//! sender writes one request and blocks on its answer before the next:
+//! once the server answers slower than the trace arrives, that sender
+//! falls behind and offers less than its trace. It is the driver for
+//! conservation tests and the examples, not a measurement — the live
+//! stack is measured by `benchmark/`'s wire workloads, whose generator
+//! stamps each request's due instant and never waits on an answer.
+//! Connections are persistent (HTTP/1.1 keep-alive) with one reconnect
+//! retry when the server closes one under us.
 
 use react_runtime::ScaledClock;
 use std::io::{BufRead, BufReader, Read, Write};
@@ -28,17 +31,6 @@ pub struct ClientStats {
     pub rejected: AtomicU64,
     /// Requests lost to transport errors after the retry.
     pub transport_errors: AtomicU64,
-    /// Reconnections performed.
-    pub reconnects: AtomicU64,
-}
-
-impl ClientStats {
-    /// Total requests that received *some* HTTP response.
-    pub fn answered(&self) -> u64 {
-        self.accepted.load(Ordering::Relaxed)
-            + self.shed.load(Ordering::Relaxed)
-            + self.rejected.load(Ordering::Relaxed)
-    }
 }
 
 /// One persistent keep-alive connection.
@@ -118,7 +110,9 @@ pub fn submit_request(entry: &TraceEntry) -> Vec<u8> {
 
 /// Replays `trace` against `addr`, pacing off `clock`, spreading
 /// entries round-robin over `senders` threads (each with its own
-/// persistent connection). Blocks until every entry has been offered.
+/// persistent connection). A sender sends an entry no earlier than its
+/// instant and only after the previous entry's answer, so under
+/// overload it sends late. Blocks until every entry has been offered.
 pub fn replay(
     addr: SocketAddr,
     clock: ScaledClock,
@@ -140,7 +134,7 @@ pub fn replay(
                     }
                     let request = submit_request(entry);
                     stats.sent.fetch_add(1, Ordering::Relaxed);
-                    match send_with_retry(&mut conn, addr, &request, stats) {
+                    match send_with_retry(&mut conn, addr, &request) {
                         Some(202) => {
                             stats.accepted.fetch_add(1, Ordering::Relaxed);
                         }
@@ -162,21 +156,11 @@ pub fn replay(
 }
 
 /// Sends on the cached connection, reconnecting once on failure.
-fn send_with_retry(
-    conn: &mut Option<Connection>,
-    addr: SocketAddr,
-    request: &[u8],
-    stats: &ClientStats,
-) -> Option<u16> {
-    for attempt in 0..2 {
+fn send_with_retry(conn: &mut Option<Connection>, addr: SocketAddr, request: &[u8]) -> Option<u16> {
+    for _ in 0..2 {
         if conn.is_none() {
             match Connection::open(addr) {
-                Ok(c) => {
-                    if attempt > 0 {
-                        stats.reconnects.fetch_add(1, Ordering::Relaxed);
-                    }
-                    *conn = Some(c);
-                }
+                Ok(c) => *conn = Some(c),
                 Err(_) => continue,
             }
         }

@@ -1,10 +1,13 @@
-//! Seeded open-loop arrival traces.
+//! Seeded arrival traces.
 //!
-//! A trace is generated **before** the run starts: the client replays
-//! it against the ingest door without feedback from responses (open
-//! loop), so the offered load is a property of the seed alone. The
-//! canonical text rendering ([`trace_text`]) is what the determinism
-//! tests hash — same seed, same shape, byte-identical trace.
+//! A trace is generated **before** the run starts, so the offered load
+//! is a property of the seed alone, whatever the server answers. Whether
+//! it is also *offered* on schedule depends on the driver: the
+//! benchmark's wire generator sends each entry at its instant without
+//! waiting on answers (open loop), while [`crate::replay`] waits for
+//! each answer before its connection's next send and falls behind under
+//! overload. The canonical text rendering ([`trace_text`]) is what the
+//! determinism tests hash — same seed, same shape, byte-identical trace.
 
 use react_crowd::TaskGenerator;
 use react_geo::BoundingBox;
@@ -24,28 +27,6 @@ pub enum Shape {
         /// Tasks per burst.
         size: usize,
     },
-}
-
-impl Shape {
-    /// Parses a CLI/manifest shape name.
-    pub fn parse(text: &str) -> Option<Shape> {
-        match text {
-            "poisson" => Some(Shape::Poisson),
-            "burst" | "bursty" => Some(Shape::Bursty {
-                period: 30.0,
-                size: 40,
-            }),
-            _ => None,
-        }
-    }
-
-    /// The shape's canonical name.
-    pub fn name(&self) -> &'static str {
-        match self {
-            Shape::Poisson => "poisson",
-            Shape::Bursty { .. } => "burst",
-        }
-    }
 }
 
 /// One pre-generated arrival: when it is offered and the submission
@@ -68,7 +49,7 @@ pub struct TraceEntry {
 
 /// The region every trace draws task locations from (the paper's
 /// Athens deployment area, as elsewhere in the workspace).
-pub fn trace_region() -> BoundingBox {
+fn trace_region() -> BoundingBox {
     BoundingBox::new(37.8, 38.2, 23.5, 24.0).expect("static bounds")
 }
 
@@ -145,12 +126,6 @@ pub fn trace_hash(trace: &[TraceEntry]) -> u64 {
     fnv1a64(trace_text(trace).as_bytes())
 }
 
-/// Upper bound of the trace's time span in crowd seconds (0 when the
-/// trace is empty).
-pub fn trace_span(trace: &[TraceEntry]) -> f64 {
-    trace.last().map_or(0.0, |e| e.at)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -187,13 +162,5 @@ mod tests {
         // At least one burst instant carries `size` simultaneous tasks.
         let at_burst = trace.iter().filter(|e| e.at == 10.0).count();
         assert!(at_burst >= 5, "burst at t=10 has {at_burst} tasks");
-    }
-
-    #[test]
-    fn shape_names_round_trip() {
-        assert_eq!(Shape::parse("poisson"), Some(Shape::Poisson));
-        assert!(matches!(Shape::parse("burst"), Some(Shape::Bursty { .. })));
-        assert_eq!(Shape::parse("nope"), None);
-        assert_eq!(Shape::Poisson.name(), "poisson");
     }
 }

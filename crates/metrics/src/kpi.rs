@@ -29,8 +29,6 @@ pub enum KpiValue {
     /// A ratio in `[0, 1]`, rendered as a percentage in tables but kept
     /// as the raw ratio in CSV/JSON so downstream math stays exact.
     Pct(f64),
-    /// A boolean flag (e.g. the conservation identity held).
-    Bool(bool),
 }
 
 impl KpiValue {
@@ -41,7 +39,6 @@ impl KpiValue {
             KpiValue::Int(i) => i.to_string(),
             KpiValue::Float(x) => format_float(*x),
             KpiValue::Pct(x) => format!("{:.1}%", x * 100.0),
-            KpiValue::Bool(b) => b.to_string(),
         }
     }
 
@@ -51,7 +48,6 @@ impl KpiValue {
             KpiValue::Text(s) => s.clone(),
             KpiValue::Int(i) => i.to_string(),
             KpiValue::Float(x) | KpiValue::Pct(x) => format!("{x}"),
-            KpiValue::Bool(b) => b.to_string(),
         }
     }
 
@@ -67,7 +63,6 @@ impl KpiValue {
                     "null".to_string()
                 }
             }
-            KpiValue::Bool(b) => b.to_string(),
         }
     }
 
@@ -161,12 +156,6 @@ impl KpiRow {
     /// Builder-style ratio (rendered as a percentage in tables).
     pub fn pct(mut self, name: &str, value: f64) -> Self {
         self.set(name, KpiValue::Pct(value));
-        self
-    }
-
-    /// Builder-style boolean flag.
-    pub fn flag(mut self, name: &str, value: bool) -> Self {
-        self.set(name, KpiValue::Bool(value));
         self
     }
 
@@ -339,7 +328,6 @@ mod tests {
             .int("tasks.completed", 42)
             .pct("kpi.deadline_hit_rate", 0.875)
             .float("matching.seconds", 1.5)
-            .flag("identical", true)
     }
 
     #[test]
@@ -348,8 +336,7 @@ mod tests {
         assert_eq!(
             json,
             "{\"suite\":\"scenario\",\"tasks.completed\":42,\
-             \"kpi.deadline_hit_rate\":0.875,\"matching.seconds\":1.5,\
-             \"identical\":true}"
+             \"kpi.deadline_hit_rate\":0.875,\"matching.seconds\":1.5}"
         );
     }
 

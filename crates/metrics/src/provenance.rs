@@ -1,8 +1,7 @@
 //! Artifact attribution: every `results/*.csv` and `*.kpi.*` report the
-//! suites emit (and `react-load`'s JSON report) is stamped with
-//! the seed, the sweep manifest hash (when the run came from a manifest)
-//! and the git revision, so a number on disk can always be traced back
-//! to the exact inputs that produced it.
+//! suites emit is stamped with the seed, the sweep manifest hash (when
+//! the run came from a manifest) and the git revision, so a number on
+//! disk can always be traced back to the exact inputs that produced it.
 //!
 //! Also home of [`write_stamped`], the no-silent-overwrite artifact
 //! writer: when a target file exists with *different* content, the old

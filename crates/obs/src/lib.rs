@@ -13,7 +13,6 @@
 //!   histograms in memory for tests, benches, and report generation.
 //! * [`JsonLinesObserver`] — streams one JSON object per event to any
 //!   `Write` sink for offline analysis.
-//! * [`FanoutObserver`] — composes several sinks behind one handle.
 //!
 //! This crate is a *leaf*: it sits below `react-core` and therefore
 //! cannot use `react-runtime`'s clock layer (which depends on core).
@@ -27,14 +26,12 @@
 
 #![warn(missing_docs)]
 
-mod fanout;
 mod histogram;
 mod json;
 mod observer;
 mod recording;
 mod timer;
 
-pub use fanout::FanoutObserver;
 pub use histogram::{Histogram, HistogramBucket};
 pub use json::JsonLinesObserver;
 pub use observer::{

@@ -55,29 +55,6 @@ impl ScaledClock {
     }
 }
 
-/// A wall-clock stopwatch for progress and latency *reporting* (never
-/// for simulation semantics — those run on virtual time or a
-/// [`ScaledClock`]).
-#[derive(Debug, Clone, Copy)]
-pub struct Stopwatch {
-    start: Instant,
-}
-
-impl Stopwatch {
-    /// Starts timing now.
-    #[allow(clippy::new_without_default)]
-    pub fn start() -> Self {
-        Stopwatch {
-            start: Instant::now(),
-        }
-    }
-
-    /// Wall seconds elapsed since [`Stopwatch::start`].
-    pub fn elapsed_secs(&self) -> f64 {
-        self.start.elapsed().as_secs_f64()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

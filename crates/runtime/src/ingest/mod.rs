@@ -14,8 +14,7 @@
 //! submission or tick period — waking for a completion only while a
 //! batch waits for a worker or the stack drains —
 //! publishes its backlog back to the door every tick, and records
-//! door-to-assignment latencies for the load generator's p50/p99/p999
-//! report.
+//! door-to-assignment latencies in [`IngestReport::assign_latencies`].
 //!
 //! `std::net` usage is sanctioned here (and in `react-load`) by the
 //! `react-analyze` `net-boundary` rule; the rest of the workspace
@@ -41,6 +40,9 @@ use std::thread::JoinHandle;
 use std::time::Duration;
 
 pub use server::{DoorStats, Inbox, IngestTask, Shared, TaskStatus};
+
+/// Deadline range (crowd seconds) of fault-plan burst tasks.
+const BURST_DEADLINE_RANGE: (f64, f64) = (60.0, 120.0);
 
 /// A timed fault applied when the scaled clock reaches its instant.
 enum FaultAction {
@@ -75,12 +77,6 @@ pub struct IngestConfig {
     pub acceptors: usize,
     /// Bind address; use port 0 for an ephemeral port.
     pub bind_addr: String,
-    /// Deadline (crowd seconds) for submissions that give none.
-    pub default_deadline: f64,
-    /// Reward for submissions that give none.
-    pub default_reward: f64,
-    /// Deadline range for fault-plan burst tasks.
-    pub burst_deadline_range: (f64, f64),
     /// Keep-alive read timeout (wall time) on idle connections.
     pub idle_timeout: Duration,
     /// Crowd seconds the scheduler keeps draining in-flight work after
@@ -110,9 +106,6 @@ impl Default for IngestConfig {
             backlog_watermark: 512,
             acceptors: 2,
             bind_addr: "127.0.0.1:0".to_string(),
-            default_deadline: 90.0,
-            default_reward: 0.05,
-            burst_deadline_range: (60.0, 120.0),
             idle_timeout: Duration::from_millis(500),
             drain_grace: 600.0,
         }
@@ -234,8 +227,6 @@ impl IngestRuntime {
             statuses: Mutex::new(HashMap::new()),
             submit_tx,
             default_location: region.center(),
-            default_deadline: lc.default_deadline,
-            default_reward: lc.default_reward,
         });
         let n_acceptors = lc.acceptors.max(1);
         let (addr, acceptors) = server::start_acceptors(
@@ -303,7 +294,6 @@ fn fault_timeline(
     streams: &RngStreams,
     n_workers: usize,
     region: BoundingBox,
-    deadline_range: (f64, f64),
 ) -> VecDeque<(f64, FaultAction)> {
     let mut timeline: Vec<(f64, FaultAction)> = Vec::new();
     for d in schedule.dropouts() {
@@ -320,7 +310,7 @@ fn fault_timeline(
     for &(at, size) in schedule.bursts() {
         // The door mints category 0 only, so bursts have one category too.
         let tasks = (burst_seq..burst_seq + u64::from(size))
-            .map(|seq| burst_task(seq, deadline_range, 1, region, &mut burst_rng))
+            .map(|seq| burst_task(seq, BURST_DEADLINE_RANGE, 1, region, &mut burst_rng))
             .collect();
         burst_seq += u64::from(size);
         timeline.push((at, FaultAction::Burst(tasks)));
@@ -375,13 +365,7 @@ fn scheduler_thread(
         server.register_worker(WorkerId(i as u64), region.random_point(&mut pop_rng));
     }
     let mut crowd = Crowd::new(behaviors, lc.faults.as_ref(), &streams);
-    let mut timeline = fault_timeline(
-        crowd.faults(),
-        &streams,
-        lc.n_workers,
-        region,
-        lc.burst_deadline_range,
-    );
+    let mut timeline = fault_timeline(crowd.faults(), &streams, lc.n_workers, region);
 
     let mut report = IngestReport::default();
     // Door-accept instant of each task not yet assigned once; an entry

@@ -133,10 +133,6 @@ pub struct Shared {
     pub submit_tx: Sender<Inbox>,
     /// Default task location when the body gives none.
     pub default_location: GeoPoint,
-    /// Default deadline (crowd seconds) when the body gives none.
-    pub default_deadline: f64,
-    /// Default reward when the body gives none.
-    pub default_reward: f64,
 }
 
 impl Shared {
@@ -313,6 +309,11 @@ fn shed_response(shared: &Shared) -> Response<'static> {
     Response::json(429, "Too Many Requests", "{\"state\":\"shed\"}").with_retry_after(1)
 }
 
+/// Deadline (crowd seconds) of a submission whose body gives none.
+const DEFAULT_DEADLINE: f64 = 90.0;
+/// Reward of a submission whose body gives none.
+const DEFAULT_REWARD: f64 = 0.05;
+
 /// `POST /tasks`: the admission-control ladder.
 fn submit<'b>(request: &Request, shared: &Shared, body: &'b mut String) -> Response<'b> {
     shared.stats.offered.fetch_add(1, Ordering::Relaxed);
@@ -330,8 +331,8 @@ fn submit<'b>(request: &Request, shared: &Shared, body: &'b mut String) -> Respo
         count_rejected(shared);
         return Response::json(400, "Bad Request", "{\"error\":\"bad body\"}");
     };
-    let deadline = fields.deadline.unwrap_or(shared.default_deadline);
-    let reward = fields.reward.unwrap_or(shared.default_reward);
+    let deadline = fields.deadline.unwrap_or(DEFAULT_DEADLINE);
+    let reward = fields.reward.unwrap_or(DEFAULT_REWARD);
     if !(deadline.is_finite() && deadline > 0.0 && reward.is_finite() && reward >= 0.0) {
         count_rejected(shared);
         return Response::json(400, "Bad Request", "{\"error\":\"bad deadline or reward\"}");

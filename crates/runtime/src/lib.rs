@@ -11,8 +11,8 @@
 //!   reader and the only other thread there is. It owns the
 //!   [`react_core::ReactServer`] and runs its control loop: ingestion,
 //!   fault timeline, Eq. (2) recalls, batch matching, drain. It is the
-//!   only live scheduler loop; `react-load` drives it with a seeded
-//!   open-loop trace;
+//!   only live scheduler loop; `benchmark/`'s wire workloads measure it
+//!   with an open-loop generator over real sockets;
 //! * the **crowd** is data inside that thread, not threads beside it: a
 //!   [`react_crowd::Crowd`] — the model the discrete-event runners drive
 //!   too — holds each worker's calendar and one timer queue of the
@@ -38,5 +38,5 @@
 pub mod clock;
 pub mod ingest;
 
-pub use clock::{ScaledClock, Stopwatch};
+pub use clock::ScaledClock;
 pub use ingest::{IngestConfig, IngestHandle, IngestReport, IngestRuntime};

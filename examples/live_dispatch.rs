@@ -8,31 +8,44 @@
 //! assignment, interruptible execution (Eq. 2 recalls actually abort the
 //! busy "human"), and a clean drain on shutdown.
 //!
+//! The replay client waits for each answer before its connection's next
+//! send, so this is a demonstration, not a measurement: the benchmark's
+//! `wire-steady` and `wire-overload` workloads measure the live stack.
+//!
 //! ```text
 //! cargo run --release --example live_dispatch
 //! ```
 
-use react::load::{run, LoadParams};
+use react::load::{build_trace, replay, Shape};
+use react::prob::stats::percentile_sorted;
+use react::runtime::{IngestConfig, IngestRuntime};
+use std::sync::atomic::Ordering;
 
 fn main() -> std::io::Result<()> {
-    let params = LoadParams {
+    let (tasks, rate, seed) = (200, 4.0, 2013);
+    let config = IngestConfig {
         n_workers: 40,
-        tasks: 200,
-        rate: 4.0,
         time_scale: 120.0,
-        seed: 2013,
-        ..LoadParams::default()
+        seed,
+        // One acceptor per sender: an acceptor serves one keep-alive
+        // connection at a time.
+        acceptors: 4,
+        ..IngestConfig::default()
     };
     println!(
-        "a crowd of {} workers; {} tasks at {}/crowd-second, {}× time compression…",
-        params.n_workers, params.tasks, params.rate, params.time_scale
+        "a crowd of {} workers; {tasks} tasks at {rate}/crowd-second, {}× time compression…",
+        config.n_workers, config.time_scale
     );
 
-    let report = run(&params)?;
+    let trace = build_trace(Shape::Poisson, rate, tasks, seed);
+    let handle = IngestRuntime::new(config).start()?;
+    let clock = handle.clock();
+    let stats = replay(handle.local_addr(), clock, &trace, 4);
+    let report = handle.shutdown();
 
     println!(
         "\nlive run finished in {:.1} wall-seconds:",
-        report.wall_seconds
+        clock.now() / clock.scale()
     );
     println!("  offered at the door {}", report.offered);
     println!("  accepted            {}", report.accepted);
@@ -47,11 +60,17 @@ fn main() -> std::io::Result<()> {
     println!("  matching batches    {}", report.batches);
     println!(
         "  assign latency      p50 {:.1}s  p99 {:.1}s (crowd time)",
-        report.p50_assign, report.p99_assign
+        percentile_sorted(&report.assign_latencies, 0.50),
+        percentile_sorted(&report.assign_latencies, 0.99)
     );
 
+    assert_eq!(
+        stats.transport_errors.load(Ordering::Relaxed),
+        0,
+        "a local replay loses no request in transport"
+    );
     assert!(
-        report.conserved,
+        report.conserved(),
         "every accepted task must complete, expire or be shed"
     );
     Ok(())

@@ -24,8 +24,9 @@
 //! * [`geo`] — regions, routing and distances;
 //! * [`runtime`] — the live threaded deployment, including the TCP
 //!   ingest front-end with admission control;
-//! * [`load`] — the seeded open-loop load generator that drives the
-//!   ingest door over real sockets;
+//! * [`load`] — seeded arrival traces, their `POST /tasks` request bytes
+//!   and a replay client for the ingest door (the live stack is measured
+//!   by `benchmark/`);
 //! * [`metrics`] — counters, series, tables, CSV;
 //! * [`obs`] — structured observability: spans, counters, histograms
 //!   and the sinks that record or export them.

@@ -1,23 +1,27 @@
-//! Determinism properties of the load generator (proptest).
+//! Determinism properties of the arrival traces and the replay client
+//! (proptest).
 //!
-//! The open-loop replay crosses a real TCP boundary, so wall-clock
-//! noise is unavoidable in *latencies* — but everything upstream of the
-//! wire must stay bit-deterministic, and everything downstream must
-//! conserve tasks:
+//! A replay crosses a real TCP boundary, so wall-clock noise is
+//! unavoidable in *latencies* — but everything upstream of the wire must
+//! stay bit-deterministic, and everything downstream must conserve
+//! tasks:
 //!
 //! 1. the same seed yields a byte-identical arrival trace for every
 //!    shape/rate/size, and the published trace hash is the hash of
 //!    exactly those bytes;
-//! 2. replaying the same [`LoadParams`] twice through a live
-//!    [`ScaledClock`] stack reproduces the admission ledger (offered,
-//!    accepted, shed, rejected) and both runs conserve tasks;
+//! 2. replaying the same seeded trace twice into a live
+//!    [`react::runtime::IngestRuntime`] (on its `ScaledClock`)
+//!    reproduces the admission ledger (offered, accepted, shed,
+//!    rejected) and both runs conserve tasks;
 //! 3. serial (one acceptor, one sender) and threaded (several of each)
 //!    replays of one trace both close the conservation identity —
 //!    submitted = completed + expired + shed + stranded.
 
 use proptest::prelude::*;
-use react::load::{build_trace, trace_hash, trace_text, LoadParams, Shape};
+use react::load::{build_trace, replay, trace_hash, trace_text, ClientStats, Shape};
 use react::metrics::fnv1a64;
+use react::runtime::{IngestConfig, IngestReport, IngestRuntime};
+use std::sync::atomic::Ordering;
 
 /// Strategy: an arbitrary trace shape.
 fn arb_shape() -> impl Strategy<Value = Shape> {
@@ -67,20 +71,27 @@ proptest! {
     }
 }
 
+/// Trace length of a tiny live run.
+const TASKS: usize = 48;
+
 /// A sub-second live run: few tasks, aggressive time compression.
-fn tiny_params(seed: u64, acceptors: usize, senders: usize) -> LoadParams {
-    let mut params = LoadParams::quick();
-    params.seed = seed;
-    params.tasks = 48;
-    params.rate = 12.0;
-    params.time_scale = 600.0;
-    params.n_workers = 8;
-    params.acceptors = acceptors;
-    params.senders = senders;
-    // Large enough that nothing is shed: the ledger stays exact.
-    params.queue_capacity = 512;
-    params.backlog_watermark = 4096;
-    params
+/// Returns the replayed trace's hash, the client's tally and the stack's
+/// report.
+fn tiny_run(seed: u64, acceptors: usize, senders: usize) -> (u64, ClientStats, IngestReport) {
+    let trace = build_trace(Shape::Poisson, 12.0, TASKS, seed);
+    let config = IngestConfig {
+        n_workers: 8,
+        time_scale: 600.0,
+        seed,
+        // Large enough that nothing is shed: the ledger stays exact.
+        queue_capacity: 512,
+        backlog_watermark: 4096,
+        acceptors,
+        ..IngestConfig::default()
+    };
+    let handle = IngestRuntime::new(config).start().expect("start stack");
+    let stats = replay(handle.local_addr(), handle.clock(), &trace, senders);
+    (trace_hash(&trace), stats, handle.shutdown())
 }
 
 proptest! {
@@ -90,18 +101,17 @@ proptest! {
     /// Property 2: the end-to-end admission ledger reproduces run-to-run.
     #[test]
     fn scaled_clock_replay_reproduces_the_admission_ledger(seed in any::<u64>()) {
-        let params = tiny_params(seed, 1, 1);
-        let first = react::load::run(&params).expect("first run");
-        let second = react::load::run(&params).expect("second run");
-        prop_assert_eq!(first.trace_hash, second.trace_hash, "same trace on the wire");
+        let (first_hash, _, first) = tiny_run(seed, 1, 1);
+        let (second_hash, _, second) = tiny_run(seed, 1, 1);
+        prop_assert_eq!(first_hash, second_hash, "same trace on the wire");
         prop_assert_eq!(first.offered, second.offered);
         prop_assert_eq!(first.accepted, second.accepted);
         prop_assert_eq!(first.shed_door, second.shed_door);
         prop_assert_eq!(first.rejected, second.rejected);
-        prop_assert_eq!(first.offered, 48, "every trace entry reaches the door");
+        prop_assert_eq!(first.offered, TASKS as u64, "every trace entry reaches the door");
         prop_assert_eq!(first.shed_door, 0, "an over-provisioned queue sheds nothing");
-        prop_assert!(first.conserved, "first run conserves tasks");
-        prop_assert!(second.conserved, "second run conserves tasks");
+        prop_assert!(first.conserved(), "first run conserves tasks");
+        prop_assert!(second.conserved(), "second run conserves tasks");
     }
 
     /// Property 3: acceptor/sender threading never loses a task —
@@ -109,15 +119,14 @@ proptest! {
     #[test]
     fn serial_and_threaded_acceptors_conserve_tasks(seed in any::<u64>()) {
         for (acceptors, senders) in [(1usize, 1usize), (4, 4)] {
-            let report = react::load::run(&tiny_params(seed, acceptors, senders))
-                .expect("load run");
+            let (_, stats, report) = tiny_run(seed, acceptors, senders);
             prop_assert_eq!(
-                report.offered, 48,
-                "{}x{}: open-loop replay offers the whole trace", acceptors, senders
+                report.offered, TASKS as u64,
+                "{}x{}: the replay offers the whole trace", acceptors, senders
             );
-            prop_assert_eq!(report.transport_errors, 0);
+            prop_assert_eq!(stats.transport_errors.load(Ordering::Relaxed), 0);
             prop_assert!(
-                report.conserved,
+                report.conserved(),
                 "{}x{}: conservation identity must close", acceptors, senders
             );
         }
