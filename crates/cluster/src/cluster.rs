@@ -157,11 +157,6 @@ impl Cluster {
         })
     }
 
-    /// Number of shards (= router leaf cells).
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
     /// The shard servers' ids, in shard order.
     pub fn server_ids(&self) -> Vec<ServerId> {
         self.shards.iter().map(|s| s.id).collect()
@@ -565,7 +560,7 @@ mod tests {
     #[test]
     fn routes_workers_and_tasks_to_their_shards() {
         let mut c = cluster_with(ClusterPolicy::single_tier());
-        assert_eq!(c.shard_count(), 4);
+        assert_eq!(c.server_ids().len(), 4);
         let s = c
             .register_worker(WorkerId(1), GeoPoint::new(0.5, 0.5))
             .unwrap();
@@ -600,7 +595,7 @@ mod tests {
         .unwrap();
         // Cell 0 split into 4 (and one child again: 20 points > 10 after
         // the estimate spread of 5 each — no, 20/4 = 5 < 10, one level).
-        assert_eq!(c.shard_count(), 7);
+        assert_eq!(c.server_ids().len(), 7);
         // Loads were reset after shaping.
         for id in c.server_ids() {
             assert_eq!(c.router().load(id), 0);

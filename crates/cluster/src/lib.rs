@@ -30,6 +30,10 @@
 //! tasks land in the shard whose cell contains them, and each shard
 //! conserves its own tasks (`tests/cluster_properties.rs`).
 
+// Hash order varies between runs, so scheduling never iterates a hash
+// container (the iterating methods are in the root `clippy.toml`).
+#![warn(clippy::iter_over_hash_type)]
+
 mod cluster;
 mod policy;
 mod runner;

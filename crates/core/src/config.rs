@@ -89,11 +89,6 @@ impl RecoveryConfig {
             ..Self::disabled()
         }
     }
-
-    /// Whether the timeout ladder is active.
-    pub fn ladder_enabled(&self) -> bool {
-        self.progress_timeout.is_some()
-    }
 }
 
 impl Default for RecoveryConfig {
@@ -279,14 +274,14 @@ mod tests {
     #[test]
     fn recovery_defaults_off_and_presets_valid() {
         let r = RecoveryConfig::default();
-        assert!(!r.ladder_enabled(), "recovery must default off");
+        assert!(r.progress_timeout.is_none(), "recovery must default off");
         assert_eq!(
             Config::paper_defaults().recovery,
             RecoveryConfig::disabled()
         );
         let mut c = Config::paper_defaults();
         c.recovery = RecoveryConfig::aggressive(30.0);
-        assert!(c.recovery.ladder_enabled());
+        assert!(c.recovery.progress_timeout.is_some());
         assert!(c.validate().is_ok());
     }
 

@@ -108,6 +108,12 @@ impl AuditLog {
 /// Checks every task's event sequence against the legal lifecycle.
 /// Returns the number of tasks verified; panics (with a descriptive
 /// message) on the first violation — intended for tests.
+///
+/// The transition table matches on the event kind with no wildcard arm,
+/// so a new [`TaskEventKind`] variant cannot compile without its rule.
+// This verifier's whole job is to abort on an illegal audit trail;
+// callers sum the count or catch the unwind.
+#[allow(clippy::panic)]
 pub fn verify_lifecycles(log: &AuditLog) -> usize {
     #[derive(Debug, Clone, Copy, PartialEq)]
     enum State {
@@ -118,6 +124,9 @@ pub fn verify_lifecycles(log: &AuditLog) -> usize {
         /// Handed off to another shard. Unlike `Done`, the task may
         /// legally re-enter this log: a later handoff can bring it back.
         Departed,
+    }
+    fn illegal(e: &TaskEvent, s: State) -> ! {
+        panic!("{}: illegal transition {:?} from {s:?}", e.task, e.kind)
     }
     let mut states: BTreeMap<TaskId, (State, f64)> = BTreeMap::new();
     for e in log.events() {
@@ -132,31 +141,45 @@ pub fn verify_lifecycles(log: &AuditLog) -> usize {
             last_at
         );
         *last_at = e.at;
-        *state = match (*state, e.kind) {
-            (State::Fresh, TaskEventKind::Submitted) => State::Queued,
-            (State::Queued, TaskEventKind::Assigned { worker }) => State::Running(worker),
-            (State::Queued, TaskEventKind::Expired) => State::Done,
-            (State::Queued, TaskEventKind::Shed) => State::Done,
-            (State::Queued, TaskEventKind::HandedOff) => State::Departed,
-            (State::Departed, TaskEventKind::Submitted) => State::Queued,
-            (State::Running(w), TaskEventKind::Recalled { worker }) => {
-                assert_eq!(
-                    w, worker,
-                    "{}: recalled from {} but was running at {}",
-                    e.task, worker, w
-                );
-                State::Queued
-            }
-            (State::Running(w), TaskEventKind::Completed { worker, .. }) => {
-                assert_eq!(
-                    w, worker,
-                    "{}: completed by {} but was running at {}",
-                    e.task, worker, w
-                );
-                State::Done
-            }
-            // analyze: allow(no-panic-in-lib) this verifier's whole job is to abort on an illegal audit trail; callers sum the count or catch the unwind
-            (s, k) => panic!("{}: illegal transition {k:?} from {s:?}", e.task),
+        *state = match e.kind {
+            TaskEventKind::Submitted => match *state {
+                State::Fresh | State::Departed => State::Queued,
+                s => illegal(e, s),
+            },
+            TaskEventKind::Assigned { worker } => match *state {
+                State::Queued => State::Running(worker),
+                s => illegal(e, s),
+            },
+            TaskEventKind::Recalled { worker } => match *state {
+                State::Running(w) => {
+                    assert_eq!(
+                        w, worker,
+                        "{}: recalled from {} but was running at {}",
+                        e.task, worker, w
+                    );
+                    State::Queued
+                }
+                s => illegal(e, s),
+            },
+            TaskEventKind::Completed { worker, .. } => match *state {
+                State::Running(w) => {
+                    assert_eq!(
+                        w, worker,
+                        "{}: completed by {} but was running at {}",
+                        e.task, worker, w
+                    );
+                    State::Done
+                }
+                s => illegal(e, s),
+            },
+            TaskEventKind::Expired | TaskEventKind::Shed => match *state {
+                State::Queued => State::Done,
+                s => illegal(e, s),
+            },
+            TaskEventKind::HandedOff => match *state {
+                State::Queued => State::Departed,
+                s => illegal(e, s),
+            },
         };
     }
     states.len()

@@ -54,6 +54,19 @@
 //! clock).
 
 #![warn(missing_docs)]
+// No panics in library code: a failure is a typed error, an internal
+// condition a `debug_assert!`.
+#![warn(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::todo,
+    clippy::unimplemented
+)]
+#![cfg_attr(test, allow(clippy::unwrap_used, clippy::expect_used, clippy::panic))]
+// Hash order varies between runs, so scheduling never iterates a hash
+// container (the iterating methods are in the root `clippy.toml`).
+#![warn(clippy::iter_over_hash_type)]
 
 pub mod config;
 pub mod dynamic;

@@ -26,6 +26,9 @@
 //!   hours, 70 % of workers trusted above 50 %).
 
 #![warn(missing_docs)]
+// Hash order varies between runs, so scheduling never iterates a hash
+// container (the iterating methods are in the root `clippy.toml`).
+#![warn(clippy::iter_over_hash_type)]
 
 pub mod behavior;
 pub mod casestudy;

@@ -128,17 +128,6 @@ pub struct RunReport {
 }
 
 impl RunReport {
-    /// Fraction of logical groups whose majority vote was positive —
-    /// the accuracy metric of replication schemes. With `replication`
-    /// = 1 this equals [`RunReport::positive_ratio`].
-    pub fn group_accuracy(&self) -> f64 {
-        if self.groups == 0 {
-            0.0
-        } else {
-            self.groups_majority_positive as f64 / self.groups as f64
-        }
-    }
-
     /// Payments made: one per completed replica (AMT pays on
     /// completion) — the cost metric replication multiplies.
     pub fn payments(&self) -> u64 {
@@ -637,7 +626,6 @@ mod tests {
         assert_eq!(r.replication, 1);
         assert_eq!(r.groups, r.received);
         assert_eq!(r.groups_majority_positive, r.positive_feedback);
-        assert!((r.group_accuracy() - r.positive_ratio()).abs() < 1e-12);
     }
 
     #[test]

@@ -28,9 +28,6 @@
 //! [`SUITE`] lists all eleven with their titles and CSV names, and the
 //! [`Ablation`] experiment iterates it.
 
-// analyze: allow-file(no-wall-clock) — the frontier ablation's `wall_ms`
-// column: wall-clock timing IS the measurement there.
-
 use crate::experiment::{prefixed, Experiment, RunOutput};
 use crate::spec::RunSpec;
 use rand::rngs::SmallRng;
@@ -392,6 +389,8 @@ pub fn batch_trigger_rows(params: &AblationParams) -> Vec<KpiRow> {
 }
 
 /// Ablation 7 — the quality-vs-time frontier: exact vs the heuristics.
+// The `wall_ms` column: wall-clock timing IS the measurement here.
+#[allow(clippy::disallowed_methods)]
 pub fn frontier_rows(params: &AblationParams) -> Vec<KpiRow> {
     let graph = contended_graph(params.graph_side, params.seed ^ 0xf00d);
     let cost_model = CostModel::paper_calibrated();

@@ -12,9 +12,6 @@
 //! numbers) and the **measured** wall seconds of this Rust
 //! implementation.
 
-// analyze: allow-file(no-wall-clock) — the figure's `wall_secs` column:
-// wall-clock timing IS the measurement here.
-
 use crate::experiment::{Experiment, RunOutput};
 use crate::spec::RunSpec;
 use rand::rngs::SmallRng;
@@ -83,6 +80,8 @@ impl Fig34Params {
 }
 
 /// Runs the sweep and returns every `(algorithm, tasks)` point.
+// The figure's `wall_secs` column: wall-clock timing IS the measurement here.
+#[allow(clippy::disallowed_methods)]
 pub fn run(params: &Fig34Params) -> Vec<MatchPoint> {
     let cost_model = CostModel::paper_calibrated();
     let mut points = Vec::new();

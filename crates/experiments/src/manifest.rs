@@ -1,8 +1,7 @@
 //! The declarative sweep manifest.
 //!
-//! A manifest is a tiny hand-rolled TOML subset (the same machinery as
-//! `analyze-baseline.toml` — section headers plus `key = value` lines,
-//! no serde) with exactly two sections:
+//! A manifest is a tiny hand-rolled TOML subset (section headers plus
+//! `key = value` lines, no serde) with exactly two sections:
 //!
 //! ```toml
 //! [sweep]

@@ -26,6 +26,9 @@
 //!    replay the exact same faults from the same plan.
 
 #![warn(missing_docs)]
+// Hash order varies between runs, so scheduling never iterates a hash
+// container (the iterating methods are in the root `clippy.toml`).
+#![warn(clippy::iter_over_hash_type)]
 
 pub mod plan;
 pub mod schedule;

@@ -130,7 +130,7 @@ pub fn replay(
                 for entry in entries {
                     let now = clock.now();
                     if entry.at > now {
-                        std::thread::sleep(clock.to_wall(entry.at - now));
+                        clock.sleep(entry.at - now);
                     }
                     let request = submit_request(entry);
                     stats.sent.fetch_add(1, Ordering::Relaxed);

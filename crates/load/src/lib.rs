@@ -13,10 +13,12 @@
 //!   `wire-steady` and `wire-overload` workloads, whose generator never
 //!   waits on an answer.
 //!
-//! `std::net` usage in this crate is sanctioned by the `react-analyze`
-//! `net-boundary` rule — the client *is* the wire boundary's other half.
+//! Sockets are sanctioned in this crate — the client *is* the wire
+//! boundary's other half — so it allows clippy's `disallowed_types`,
+//! which the root `clippy.toml` sets to the `std::net` socket types.
 
 #![warn(missing_docs)]
+#![allow(clippy::disallowed_types)]
 
 pub mod client;
 pub mod trace;

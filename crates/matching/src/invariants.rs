@@ -280,9 +280,10 @@ impl<'g> MatchingValidator<'g> {
 /// a no-op (and zero cost) otherwise. `who` names the matcher in the
 /// abort message.
 #[cfg(feature = "debug-invariants")]
+// The invariant layer's whole job is to abort on corrupted matchings.
+#[allow(clippy::panic)]
 pub fn debug_check_matching(who: &str, graph: &BipartiteGraph, m: &Matching) {
     if let Err(violation) = MatchingValidator::new(graph).check_matching(m) {
-        // analyze: allow(no-panic-in-lib) the invariant layer's whole job is to abort on corrupted matchings
         panic!("{who}: matching invariant violated: {violation}");
     }
 }
@@ -295,9 +296,10 @@ pub fn debug_check_matching(_who: &str, _graph: &BipartiteGraph, _m: &Matching) 
 /// Validates an in-flight matching state (called per flip cycle by the
 /// randomized matchers in debug/test builds).
 #[cfg(all(feature = "debug-invariants", debug_assertions))]
+// The invariant layer's whole job is to abort on corrupted state.
+#[allow(clippy::panic)]
 pub fn debug_check_state(who: &str, graph: &BipartiteGraph, state: &MatchingState) {
     if let Err(violation) = MatchingValidator::new(graph).check_state(state) {
-        // analyze: allow(no-panic-in-lib) the invariant layer's whole job is to abort on corrupted state
         panic!("{who}: state invariant violated: {violation}");
     }
 }

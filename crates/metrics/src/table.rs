@@ -80,11 +80,6 @@ impl Table {
     }
 }
 
-/// Formats a float with 2 decimals — the house style for result cells.
-pub fn f2(x: f64) -> String {
-    format!("{x:.2}")
-}
-
 /// Formats a ratio as a percentage with 1 decimal.
 pub fn pct(x: f64) -> String {
     format!("{:.1}%", 100.0 * x)
@@ -119,8 +114,6 @@ mod tests {
 
     #[test]
     fn formatting_helpers() {
-        assert_eq!(f2(1.005), "1.00");
-        assert_eq!(f2(99.7), "99.70");
         assert_eq!(pct(0.614), "61.4%");
         assert_eq!(pct(1.0), "100.0%");
     }

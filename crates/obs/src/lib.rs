@@ -17,8 +17,9 @@
 //! This crate is a *leaf*: it sits below `react-core` and therefore
 //! cannot use `react-runtime`'s clock layer (which depends on core).
 //! It owns the only other sanctioned use of monotonic wall-clock reads
-//! in the workspace — see [`SpanTimer`] — and the `react-analyze`
-//! `no-wall-clock` lint enforces that sanction.
+//! in the workspace — see [`SpanTimer`] — and clippy's
+//! `disallowed_methods` list in the root `clippy.toml` enforces that
+//! sanction.
 //!
 //! Observers are strictly write-only from the scheduler's perspective:
 //! nothing in the scheduling pipeline reads observer state back, so no

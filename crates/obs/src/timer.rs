@@ -2,12 +2,15 @@
 //!
 //! `react-obs` sits below `react-core` in the dependency graph, so it
 //! cannot reuse `react-runtime::clock` (which depends on core). This
-//! module is therefore the second — and last — sanctioned home of raw
-//! monotonic clock reads in the workspace; the `react-analyze`
-//! `no-wall-clock` lint rejects `Instant::now()` everywhere else.
+//! module is therefore the second sanctioned home of raw monotonic
+//! clock reads in the workspace; the root `clippy.toml` disallows
+//! `Instant::now()` and `Instant::elapsed()` everywhere else.
 //!
 //! Durations measured here describe *how long work took*; they are
 //! never used as scheduling inputs, so they cannot break determinism.
+
+// Sanctioned: a span's length is an output, never a scheduling input.
+#![allow(clippy::disallowed_methods)]
 
 use std::time::Instant;
 

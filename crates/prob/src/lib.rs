@@ -24,6 +24,16 @@
 //!   experiment harness.
 
 #![warn(missing_docs)]
+// No panics in library code: a failure is a typed error, an internal
+// condition a `debug_assert!`.
+#![warn(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::todo,
+    clippy::unimplemented
+)]
+#![cfg_attr(test, allow(clippy::unwrap_used, clippy::expect_used, clippy::panic))]
 
 pub mod deadline;
 pub mod distributions;

@@ -1,4 +1,11 @@
 //! A wall clock with time compression.
+//!
+//! The one sanctioned home of wall-clock reads and sleeps in the
+//! scheduling stack: the root `clippy.toml` disallows `Instant::now()`,
+//! `Instant::elapsed()` and `std::thread::sleep` everywhere else.
+
+// Sanctioned: this is the clock the live path reads crowd time from.
+#![allow(clippy::disallowed_methods)]
 
 use std::time::{Duration, Instant};
 
@@ -44,12 +51,19 @@ impl ScaledClock {
         Duration::from_secs_f64((crowd_secs / self.scale).max(0.0))
     }
 
+    /// Blocks the calling thread for `crowd_secs` crowd seconds — the one
+    /// sanctioned sleep in the workspace, so every wait shrinks with the
+    /// time scale.
+    pub fn sleep(&self, crowd_secs: f64) {
+        std::thread::sleep(self.to_wall(crowd_secs));
+    }
+
     /// The wall-clock [`Instant`] lying `crowd_secs` crowd seconds in
     /// the future — the deadline to hand to `recv_deadline`-style waits.
     ///
     /// This is the sanctioned way for runtime code to obtain an
-    /// `Instant`; reading `Instant::now()` directly elsewhere trips the
-    /// `no-wall-clock` lint (see `react-analyze`).
+    /// `Instant`; `clippy.toml` disallows reading `Instant::now()`
+    /// directly elsewhere.
     pub fn deadline_after(&self, crowd_secs: f64) -> Instant {
         Instant::now() + self.to_wall(crowd_secs)
     }
@@ -62,8 +76,7 @@ mod tests {
     #[test]
     fn now_advances_scaled() {
         let clock = ScaledClock::start(100.0);
-        // analyze: allow(no-sleep-in-tests) this test measures the wall→crowd scaling itself
-        std::thread::sleep(Duration::from_millis(30));
+        clock.sleep(3.0);
         let t = clock.now();
         // 30 ms wall × 100 = 3 crowd-seconds, with generous slack for CI.
         assert!(t >= 2.0, "crowd time {t} too small");

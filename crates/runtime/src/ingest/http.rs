@@ -291,7 +291,7 @@ pub fn parse_submit_body(bytes: &[u8]) -> Option<SubmitBody> {
             "lat" => out.lat = Some(number),
             "lon" => out.lon = Some(number),
             "category" => {
-                // analyze: allow(no-float-eq) integrality check: a category id must be an exact integer
+                // Exact comparison on purpose: a category id must be an exact integer.
                 if number < 0.0 || number.fract() != 0.0 || number > u32::MAX as f64 {
                     return None;
                 }

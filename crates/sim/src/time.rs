@@ -114,14 +114,6 @@ impl SimDuration {
     pub fn as_secs(&self) -> f64 {
         self.0
     }
-
-    /// True for the zero duration.
-    pub fn is_zero(&self) -> bool {
-        // Exact comparison on purpose: only the literal zero duration
-        // (the event-loop's "now" sentinel) should answer true.
-        // analyze: allow(no-float-eq)
-        self.0 == 0.0
-    }
 }
 
 impl Eq for SimDuration {}
@@ -164,8 +156,7 @@ mod tests {
         assert_eq!(t.as_secs(), 5.5);
         let d = SimDuration::from_secs(2.0);
         assert_eq!(d.as_secs(), 2.0);
-        assert!(SimDuration::ZERO.is_zero());
-        assert!(!d.is_zero());
+        assert_eq!(SimDuration::ZERO.as_secs(), 0.0);
     }
 
     #[test]

@@ -19,6 +19,8 @@ use react::matching::{
 use react::metrics::Table;
 use std::time::Instant;
 
+// The `wall ms` column: wall-clock timing IS the measurement here.
+#[allow(clippy::disallowed_methods)]
 fn main() {
     let side = 200;
     let mut weight_rng = SmallRng::seed_from_u64(7);

@@ -6,6 +6,8 @@
 use react::core::prelude::*;
 use react::crowd::{Scenario, ScenarioRunner};
 use react::obs::{CounterKind, HistogramKind, JsonLinesObserver, RecordingObserver, SpanKind};
+use std::fs;
+use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 fn run_with(seed: u64, observer: Option<ObserverHandle>) -> react::crowd::RunReport {
@@ -152,4 +154,76 @@ fn build_counters_keep_their_meaning() {
     let mut fig9 = Scenario::paper_fig9(120, 3.0, MatcherPolicy::React { cycles: 200 }, 2013);
     fig9.total_tasks = 400;
     assert_eq!(counters(fig9), [4678, 1622, 463]);
+}
+
+/// `.rs` files under `dir`, recursively.
+fn rust_files(dir: &Path, out: &mut Vec<PathBuf>) {
+    let Ok(entries) = fs::read_dir(dir) else {
+        return;
+    };
+    for entry in entries {
+        let path = entry.expect("directory entry").path();
+        if path.is_dir() {
+            rust_files(&path, out);
+        } else if path.extension().is_some_and(|e| e == "rs") {
+            out.push(path);
+        }
+    }
+}
+
+/// Whether `source` names `path` (`Kind::Variant`) as a whole token
+/// outside a comment line.
+fn names(source: &str, path: &str) -> bool {
+    let ident = |c: char| c.is_alphanumeric() || c == '_';
+    source
+        .lines()
+        .filter(|line| !line.trim_start().starts_with("//"))
+        .any(|line| {
+            line.match_indices(path).any(|(at, _)| {
+                !line[..at].ends_with(ident) && !line[at + path.len()..].starts_with(ident)
+            })
+        })
+}
+
+/// The catalog is the one vocabulary for spans, counters and histograms,
+/// so an entry nothing records is dead. The `name()` matches in
+/// `crates/obs/src/observer.rs` are exhaustive, so their
+/// `Kind::Variant => "name"` arms list every entry; each must be named by
+/// some source file outside `crates/obs/src/`.
+#[test]
+fn every_catalog_entry_is_referenced_outside_obs() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let catalog =
+        fs::read_to_string(root.join("crates/obs/src/observer.rs")).expect("read the catalog");
+    let entries: Vec<&str> = catalog
+        .lines()
+        .filter_map(|line| line.trim().split_once(" => \"").map(|(lhs, _)| lhs))
+        .filter(|lhs| lhs.contains("Kind::"))
+        .collect();
+    for kind in ["SpanKind::", "CounterKind::", "HistogramKind::"] {
+        assert!(
+            entries.iter().any(|e| e.starts_with(kind)),
+            "no {kind} arms found: has the catalog's layout changed?"
+        );
+    }
+
+    let obs = root.join("crates/obs/src");
+    let mut files = Vec::new();
+    for dir in ["crates", "src", "tests", "examples"] {
+        rust_files(&root.join(dir), &mut files);
+    }
+    let sources: Vec<String> = files
+        .iter()
+        .filter(|f| !f.starts_with(&obs))
+        .map(|f| fs::read_to_string(f).expect("read a source file"))
+        .collect();
+    let dead: Vec<&str> = entries
+        .iter()
+        .copied()
+        .filter(|entry| !sources.iter().any(|s| names(s, entry)))
+        .collect();
+    assert!(
+        dead.is_empty(),
+        "catalog entries no code outside crates/obs/src/ records: {dead:?}"
+    );
 }

@@ -21,7 +21,7 @@ mod common;
 use proptest::prelude::*;
 use react::core::prelude::*;
 use react::matching::CostModel;
-use std::collections::{HashMap, HashSet};
+use std::collections::{BTreeMap, BTreeSet};
 
 #[derive(Debug, Clone)]
 enum Op {
@@ -61,17 +61,17 @@ proptest! {
             .expect("valid config");
 
         let mut now = 0.0f64;
-        let mut submitted: HashSet<TaskId> = HashSet::new();
+        let mut submitted: BTreeSet<TaskId> = BTreeSet::new();
         // Reference view of live assignments: task → worker.
-        let mut live: HashMap<TaskId, WorkerId> = HashMap::new();
-        let mut retired: HashSet<TaskId> = HashSet::new();
+        let mut live: BTreeMap<TaskId, WorkerId> = BTreeMap::new();
+        let mut retired: BTreeSet<TaskId> = BTreeSet::new();
         // Reference view of the unassigned queue, oldest first.
         let mut queue: Vec<TaskId> = Vec::new();
 
         // A tick's stages in their order: expire, recall, then the batch.
         let apply_outcome = |out: &react::core::TickOutcome,
-                                 live: &mut HashMap<TaskId, WorkerId>,
-                                 retired: &mut HashSet<TaskId>,
+                                 live: &mut BTreeMap<TaskId, WorkerId>,
+                                 retired: &mut BTreeSet<TaskId>,
                                  queue: &mut Vec<TaskId>| {
             for task in &out.expired {
                 live.remove(task);

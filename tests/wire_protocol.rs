@@ -7,6 +7,9 @@
 //! (400/404/405/413/431/501) without a panic, persistent-connection
 //! reuse, `Connection: close`, truncated requests, and clean shutdown.
 
+// Sanctioned: these tests drive the wire boundary from outside.
+#![allow(clippy::disallowed_types)]
+
 use react::runtime::{IngestConfig, IngestHandle, IngestRuntime};
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
@@ -391,7 +394,7 @@ fn below_capacity_a_completion_does_not_cost_a_tick() {
             let r = read_response(&mut reader).expect("poll answered");
             !(r.body.contains("completed") || r.body.contains("expired"))
         });
-        std::thread::sleep(clock.to_wall(5.0));
+        clock.sleep(5.0);
     }
     assert!(open.is_empty(), "tasks {open:?} never finished");
     let elapsed = clock.now();
