@@ -20,7 +20,7 @@
 use crate::config::Config;
 use crate::ids::{TaskId, WorkerId};
 use crate::profiling::ProfilingComponent;
-use crate::task_mgmt::{TaskManagementComponent, TaskRecord};
+use crate::task_mgmt::TaskManagementComponent;
 use react_prob::{DeadlineDecision, DeadlineModel, FittedModel};
 
 /// One recall decision: which task to pull back from which worker, and
@@ -58,6 +58,16 @@ enum Verdict {
 #[derive(Debug, Default, Clone, Copy)]
 pub struct DynamicAssignmentComponent;
 
+/// The times one Eq. (2) evaluation reads of an assignment at `now`.
+struct Held {
+    /// `t_ij`.
+    elapsed: f64,
+    /// `TimeToDeadline_ij`.
+    ttd: f64,
+    /// Time left until the deadline (negative once past due).
+    remaining: f64,
+}
+
 impl DynamicAssignmentComponent {
     /// The exact Eq. (2) evaluation of one assignment — the only one:
     /// [`Self::check`] runs it for every entry, [`Self::check_due`] for
@@ -66,18 +76,16 @@ impl DynamicAssignmentComponent {
         config: &Config,
         deadline_model: &DeadlineModel,
         profiling: &mut ProfilingComponent,
-        rec: &TaskRecord,
+        held: Held,
         worker: WorkerId,
-        now: f64,
     ) -> Verdict {
-        let (Some(elapsed), Some(ttd)) =
-            (rec.elapsed_since_assignment(now), rec.time_to_deadline())
-        else {
-            debug_assert!(false, "in-flight {} is not assigned", rec.task.id);
-            return Verdict::Skipped;
-        };
+        let Held {
+            elapsed,
+            ttd,
+            remaining,
+        } = held;
         // Past-due tasks are left to finish late.
-        if rec.remaining_time(now) <= 0.0 {
+        if remaining <= 0.0 {
             return Verdict::Settled;
         }
         let Ok(profile) = profiling.profile_mut(worker) else {
@@ -115,8 +123,19 @@ impl DynamicAssignmentComponent {
                 debug_assert!(false, "assigned {task} is not tracked");
                 continue;
             };
+            let (Some(elapsed), Some(ttd)) =
+                (rec.elapsed_since_assignment(now), rec.time_to_deadline())
+            else {
+                debug_assert!(false, "in-flight {task} is not assigned");
+                continue;
+            };
+            let held = Held {
+                elapsed,
+                ttd,
+                remaining: rec.remaining_time(now),
+            };
             if let Verdict::Evaluated { decision, .. } =
-                Self::evaluate(config, &deadline_model, profiling, rec, worker, now)
+                Self::evaluate(config, &deadline_model, profiling, held, worker)
             {
                 if decision.is_reassign() {
                     recalls.push(Recall {
@@ -145,6 +164,8 @@ impl DynamicAssignmentComponent {
     /// one compare per tick, and from then on it is evaluated exactly
     /// again. A past-due task and a cold profile can never produce a
     /// recall for the rest of the assignment and are parked for good.
+    /// The entry carries every time an evaluation reads, so the scan reads
+    /// no task record.
     ///
     /// The memo rests on the worker's model not changing while the entry
     /// lives. That is the server's invariant, not this function's:
@@ -165,17 +186,18 @@ impl DynamicAssignmentComponent {
         }
         let deadline_model = DeadlineModel::new(config.deadline);
         let mut exact_checks = 0u64;
-        let (records, in_flight) = tasks.records_and_in_flight_mut();
-        for (task, entry) in in_flight {
-            if entry.held_for(now) < entry.recall_keep_before {
+        for (task, entry) in tasks.in_flight_mut() {
+            let elapsed = entry.held_for(now);
+            if elapsed < entry.recall_keep_before {
                 continue;
             }
-            let Some(rec) = records.get(&task) else {
-                debug_assert!(false, "assigned {task} is not tracked");
-                continue;
-            };
             exact_checks += 1;
-            match Self::evaluate(config, &deadline_model, profiling, rec, entry.worker, now) {
+            let held = Held {
+                elapsed,
+                ttd: entry.time_to_deadline(),
+                remaining: entry.remaining_time(now),
+            };
+            match Self::evaluate(config, &deadline_model, profiling, held, entry.worker) {
                 Verdict::Settled => entry.recall_keep_before = f64::INFINITY,
                 Verdict::Skipped => {}
                 Verdict::Evaluated {
@@ -185,7 +207,7 @@ impl DynamicAssignmentComponent {
                 } => {
                     if decision.is_reassign() {
                         recalls.push(Recall {
-                            task,
+                            task: *task,
                             worker: entry.worker,
                             probability: decision.probability(),
                         });

@@ -86,7 +86,7 @@ pub use config::{BatchTrigger, Config, LatencyModelKind, MatcherPolicy, Recovery
 pub use dynamic::DynamicAssignmentComponent;
 pub use error::{CoreError, ReactError};
 pub use events::{verify_lifecycles, AuditLog, TaskEvent, TaskEventKind};
-pub use ids::{TaskCategory, TaskId, WorkerId};
+pub use ids::{IdHasher, IdMap, TaskCategory, TaskId, WorkerId};
 pub use persist::{export_profiles, import_profiles, PersistError};
 pub use profiling::{Availability, ProfilingComponent, WorkerProfile};
 pub use scheduling::{

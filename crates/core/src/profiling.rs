@@ -269,8 +269,12 @@ impl ChangeFeed {
 /// Registry of worker profiles.
 #[derive(Debug)]
 pub struct ProfilingComponent {
-    workers: BTreeMap<WorkerId, WorkerProfile>,
-    /// `workers` counted by availability (indexed `state as usize`), kept
+    /// Registered worker ids, strictly ascending: a lookup is a binary
+    /// search over this column.
+    ids: Vec<WorkerId>,
+    /// `profiles[i]` is the profile of `ids[i]`.
+    profiles: Vec<WorkerProfile>,
+    /// `profiles` counted by availability (indexed `state as usize`), kept
     /// by every method that registers, removes or moves a worker, so the
     /// pool's size is read in `O(1)`.
     counts: [usize; 3],
@@ -288,7 +292,8 @@ impl Clone for ProfilingComponent {
     /// [`Self::instance`] to the feed's readers.
     fn clone(&self) -> Self {
         ProfilingComponent {
-            workers: self.workers.clone(),
+            ids: self.ids.clone(),
+            profiles: self.profiles.clone(),
             counts: self.counts,
             estimator_config: self.estimator_config,
             feed: self.feed.clone(),
@@ -308,7 +313,8 @@ impl ProfilingComponent {
     /// `estimator_config`.
     pub fn new(estimator_config: EstimatorConfig) -> Self {
         ProfilingComponent {
-            workers: BTreeMap::new(),
+            ids: Vec::new(),
+            profiles: Vec::new(),
             counts: [0; 3],
             estimator_config,
             feed: ChangeFeed::default(),
@@ -321,7 +327,7 @@ impl ProfilingComponent {
     /// falls off it, and never fewer than [`MIN_FEED_LEN`] — bounded by
     /// the registry, not by the length of the run.
     fn feed_capacity(&self) -> usize {
-        MIN_FEED_LEN.max(2 * self.workers.len())
+        MIN_FEED_LEN.max(2 * self.ids.len())
     }
 
     /// The last epoch handed out (0 before the first change).
@@ -346,14 +352,19 @@ impl ProfilingComponent {
         Some(feed.log.range((seen - feed.log_base) as usize..).copied())
     }
 
+    /// Where `id` sits in the registry's columns.
+    fn slot(&self, id: WorkerId) -> Result<usize, CoreError> {
+        self.ids
+            .binary_search(&id)
+            .map_err(|_| CoreError::UnknownWorker(id))
+    }
+
     /// [`Self::profile_mut`] plus an epoch bump: every scheduling-visible
     /// mutation below goes through this. An unknown worker takes no epoch.
     fn touch(&mut self, id: WorkerId) -> Result<&mut WorkerProfile, CoreError> {
         let capacity = self.feed_capacity();
-        let p = self
-            .workers
-            .get_mut(&id)
-            .ok_or(CoreError::UnknownWorker(id))?;
+        let slot = self.slot(id)?;
+        let p = &mut self.profiles[slot];
         p.epoch = self.feed.take(id, capacity);
         Ok(p)
     }
@@ -366,10 +377,8 @@ impl ProfilingComponent {
         availability: Availability,
     ) -> Result<&mut WorkerProfile, CoreError> {
         let capacity = self.feed_capacity();
-        let p = self
-            .workers
-            .get_mut(&id)
-            .ok_or(CoreError::UnknownWorker(id))?;
+        let slot = self.slot(id)?;
+        let p = &mut self.profiles[slot];
         p.epoch = self.feed.take(id, capacity);
         let was = std::mem::replace(&mut p.availability, availability);
         self.counts[was as usize] -= 1;
@@ -379,22 +388,22 @@ impl ProfilingComponent {
 
     /// Registers a new worker at `location`, initially available.
     pub fn register(&mut self, id: WorkerId, location: GeoPoint) -> Result<(), CoreError> {
-        if self.workers.contains_key(&id) {
+        let Err(slot) = self.ids.binary_search(&id) else {
             return Err(CoreError::DuplicateWorker(id));
-        }
+        };
         let mut profile = WorkerProfile::new(id, location, self.estimator_config);
         profile.epoch = self.feed.take(id, self.feed_capacity());
         self.counts[profile.availability as usize] += 1;
-        self.workers.insert(id, profile);
+        self.ids.insert(slot, id);
+        self.profiles.insert(slot, profile);
         Ok(())
     }
 
     /// Removes a worker entirely (left the system).
     pub fn deregister(&mut self, id: WorkerId) -> Result<WorkerProfile, CoreError> {
-        let profile = self
-            .workers
-            .remove(&id)
-            .ok_or(CoreError::UnknownWorker(id))?;
+        let slot = self.slot(id)?;
+        self.ids.remove(slot);
+        let profile = self.profiles.remove(slot);
         self.feed.take(id, self.feed_capacity());
         self.counts[profile.availability as usize] -= 1;
         Ok(profile)
@@ -402,25 +411,24 @@ impl ProfilingComponent {
 
     /// Number of registered workers.
     pub fn len(&self) -> usize {
-        self.workers.len()
+        self.ids.len()
     }
 
     /// True when no workers are registered.
     pub fn is_empty(&self) -> bool {
-        self.workers.is_empty()
+        self.ids.is_empty()
     }
 
     /// Immutable access to a profile.
     pub fn profile(&self, id: WorkerId) -> Result<&WorkerProfile, CoreError> {
-        self.workers.get(&id).ok_or(CoreError::UnknownWorker(id))
+        Ok(&self.profiles[self.slot(id)?])
     }
 
     /// Mutable access to a profile (used by the scheduler for lazily
     /// fitted models).
     pub fn profile_mut(&mut self, id: WorkerId) -> Result<&mut WorkerProfile, CoreError> {
-        self.workers
-            .get_mut(&id)
-            .ok_or(CoreError::UnknownWorker(id))
+        let slot = self.slot(id)?;
+        Ok(&mut self.profiles[slot])
     }
 
     /// Sets a worker's availability.
@@ -496,12 +504,11 @@ impl ProfilingComponent {
         Ok(p.suspicions)
     }
 
-    /// Ids of all currently available workers, in sorted order for
-    /// deterministic graph construction (the `BTreeMap` iterates in
-    /// ascending id order).
+    /// Ids of all currently available workers, in ascending id order for
+    /// deterministic graph construction.
     pub fn available_workers(&self) -> Vec<WorkerId> {
-        self.workers
-            .values()
+        self.profiles
+            .iter()
             .filter(|p| p.in_pool(false))
             .map(|p| p.id)
             .collect()
@@ -511,8 +518,8 @@ impl ProfilingComponent {
     /// the Traditional policy's pool: AMT-style systems have no
     /// availability signal, so busy workers receive work too.
     pub fn online_workers(&self) -> Vec<WorkerId> {
-        self.workers
-            .values()
+        self.profiles
+            .iter()
             .filter(|p| p.in_pool(true))
             .map(|p| p.id)
             .collect()
@@ -522,16 +529,16 @@ impl ProfilingComponent {
     /// ascending id order: what a feed reader re-reads when
     /// [`Self::touched_since`] cannot tell it what changed.
     pub(crate) fn profiles_mut(&mut self) -> impl Iterator<Item = &mut WorkerProfile> {
-        self.workers.values_mut()
+        self.profiles.iter_mut()
     }
 
     /// The lowest-id available worker whose id is at least `from` — a
     /// walk over [`Self::available_workers`] that holds no list, so the
     /// caller may change the component between steps.
     pub fn next_available(&self, from: WorkerId) -> Option<WorkerId> {
-        self.workers
-            .range(from..)
-            .map(|(_, p)| p)
+        let start = self.ids.partition_point(|&id| id < from);
+        self.profiles[start..]
+            .iter()
             .find(|p| p.in_pool(false))
             .map(|p| p.id)
     }
@@ -550,22 +557,31 @@ impl ProfilingComponent {
     }
 
     /// Under `debug-invariants`, recounts the registry by availability and
-    /// asserts the kept counters agree.
+    /// asserts the kept counters agree, and that the id column is strictly
+    /// ascending and names each profile beside it.
     #[inline]
     fn debug_validate_counts(&self) {
         #[cfg(feature = "debug-invariants")]
         {
             let mut recount = [0; 3];
-            for p in self.workers.values() {
+            for p in &self.profiles {
                 recount[p.availability as usize] += 1;
             }
             assert_eq!(self.counts, recount, "availability counters diverged");
+            assert!(
+                self.ids.windows(2).all(|w| w[0] < w[1]),
+                "id column unsorted"
+            );
+            assert!(
+                self.ids.iter().eq(self.profiles.iter().map(|p| &p.id)),
+                "id column diverged from the profiles"
+            );
         }
     }
 
     /// Iterates over all profiles, in ascending worker-id order.
     pub fn iter(&self) -> impl Iterator<Item = &WorkerProfile> {
-        self.workers.values()
+        self.profiles.iter()
     }
 
     /// Rebuilds a worker profile from checkpointed state (see

@@ -22,7 +22,7 @@ use crate::ids::{TaskId, WorkerId};
 use crate::profiling::{Availability, ProfilingComponent};
 use crate::scheduling::{BatchResult, BatchScratch, SchedulingComponent};
 use crate::task::Task;
-use crate::task_mgmt::TaskManagementComponent;
+use crate::task_mgmt::{Finished, TaskManagementComponent};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use react_geo::GeoPoint;
@@ -658,12 +658,11 @@ impl ReactServer {
         now: f64,
         quality_ok: bool,
     ) -> Result<CompletionOutcome, CoreError> {
-        let rec = self.tasks.record(task)?;
-        let exec_time = rec
-            .elapsed_since_assignment(now)
-            .ok_or(CoreError::NotAssigned { task, worker })?;
-        let category = rec.task.category;
-        let met_deadline = self.tasks.complete(task, worker, now)?;
+        let Finished {
+            met_deadline,
+            exec_time,
+            category,
+        } = self.tasks.finish(task, worker, now)?;
         // A delivered result absolves the worker of accumulated progress
         // strikes (the suspicion ladder counts *consecutive* timeouts).
         self.timeout_strikes.remove(&worker);

@@ -6,22 +6,29 @@
 //! scheduler's view of the unassigned pool and retires tasks whose
 //! deadlines expired while waiting.
 //!
-//! The registry (`TaskId → TaskRecord`) holds every task the server has
-//! seen and is what the public accessors answer from. The two sets a
-//! control step walks each carry what that walk reads, so no per-tick
-//! loop looks its tasks up in the registry: the in-flight index
-//! ([`InFlight`], read by the recall stage) and the unassigned queue
-//! ([`UnassignedQueue`], read by the expiry sweep, load shedding and the
-//! graph build). Both are copies of registry facts that cannot change
-//! while the task stays where it is; the `debug-invariants` feature
-//! re-derives them from the registry on every read.
+//! The registry holds every task the server has seen and is what the
+//! public accessors answer from. It is a slot table: the records sit in
+//! a `Vec` in no particular order and an [`IdMap`] gives each id its
+//! slot, so a lookup is one fixed-key hash and a removal is a
+//! `swap_remove` plus re-pointing the one record it moved. The map is
+//! only looked up, never iterated; [`TaskManagementComponent::iter`]
+//! sorts by id on demand.
+//!
+//! The two sets a control step walks each carry what that walk reads, so
+//! no per-tick loop reads the registry: the in-flight index ([`InFlight`]
+//! entries in a `Vec` sorted by task id, read by the recall stage and the
+//! timeout ladder) and the unassigned queue ([`UnassignedQueue`], read by
+//! the expiry sweep, load shedding and the graph build). Both are copies
+//! of registry facts that cannot change while the task stays where it
+//! is; the `debug-invariants` feature re-derives them from the registry
+//! on every read.
 
 use crate::dynamic::Recall;
 use crate::error::CoreError;
-use crate::ids::{TaskCategory, TaskId, WorkerId};
+use crate::ids::{IdMap, TaskCategory, TaskId, WorkerId};
 use crate::task::{Task, TaskState};
 use react_geo::GeoPoint;
-use std::collections::BTreeMap;
+use std::collections::hash_map::Entry;
 use std::ops::Range;
 
 /// A tracked task: description + dynamic state.
@@ -67,18 +74,24 @@ impl TaskRecord {
     }
 }
 
-/// Index entry for one in-flight assignment: who holds the task, and what
+/// Index entry for one in-flight assignment: who holds the task, the
+/// record facts the recall stage and the timeout ladder read, and what
 /// the recall stage has worked out about when the assignment next needs a
 /// real look. Both thresholds live in elapsed-time space — the float
 /// chain the exact predicates themselves compare in — so skipping an
 /// entry needs no instant conversion to argue about. A fresh entry
 /// replaces the old one on every (re)assignment, which is what keeps the
-/// memo valid.
+/// copies and the memo valid.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct InFlight {
     pub(crate) worker: WorkerId,
     /// Copy of the record's `assigned_at`.
     assigned_at: f64,
+    /// [`TaskRecord::deadline_at`], by that very expression, so the times
+    /// derived from it have the record's bits.
+    deadline_at: f64,
+    /// Copy of the record's `assignment_count`.
+    assignment_count: u32,
     /// Elapsed time strictly below which the Eq. (2) check is known to
     /// keep (or skip) the assignment. NaN — which fails every compare —
     /// until the assignment's first check derives it.
@@ -89,12 +102,47 @@ pub(crate) struct InFlight {
 }
 
 impl InFlight {
+    /// The entry for `rec`, just assigned to `worker` at `assigned_at`.
+    fn new(rec: &TaskRecord, worker: WorkerId, assigned_at: f64) -> Self {
+        InFlight {
+            worker,
+            assigned_at,
+            deadline_at: rec.deadline_at(),
+            assignment_count: rec.assignment_count,
+            recall_keep_before: f64::NAN,
+            timeout_allowance: f64::NAN,
+        }
+    }
+
     /// `t_ij`, exactly as [`TaskRecord::elapsed_since_assignment`]
     /// computes it.
     #[inline]
     pub(crate) fn held_for(&self, now: f64) -> f64 {
         (now - self.assigned_at).max(0.0)
     }
+
+    /// `TimeToDeadline_ij`, exactly as [`TaskRecord::time_to_deadline`]
+    /// computes it.
+    #[inline]
+    pub(crate) fn time_to_deadline(&self) -> f64 {
+        self.deadline_at - self.assigned_at
+    }
+
+    /// Exactly [`TaskRecord::remaining_time`].
+    #[inline]
+    pub(crate) fn remaining_time(&self, now: f64) -> f64 {
+        self.deadline_at - now
+    }
+}
+
+/// What completing a task tells the rest of the server.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Finished {
+    /// Did the result arrive before the task's deadline?
+    pub(crate) met_deadline: bool,
+    /// `ExecTime_ij`: the assignment's elapsed time at the completion.
+    pub(crate) exec_time: f64,
+    pub(crate) category: TaskCategory,
 }
 
 /// The unassigned queue: one row per waiting task, in submission/recall
@@ -205,12 +253,16 @@ impl UnassignedQueue {
 /// Registry and lifecycle manager for tasks.
 #[derive(Debug, Clone, Default)]
 pub struct TaskManagementComponent {
-    tasks: BTreeMap<TaskId, TaskRecord>,
+    /// Every tracked task, in no particular order.
+    records: Vec<TaskRecord>,
+    /// The slot in `records` of each tracked task.
+    slots: IdMap<TaskId, usize>,
     unassigned: UnassignedQueue,
-    /// In-flight tasks, maintained incrementally alongside `tasks` so
-    /// the per-tick recall scan iterates a sorted index instead of
-    /// filtering and sorting the whole registry into a fresh `Vec`.
-    assigned_index: BTreeMap<TaskId, InFlight>,
+    /// One entry per record in [`TaskState::Assigned`], in ascending
+    /// task-id order — the order the recall stage and the timeout ladder
+    /// walk and recall in. Bounded by the busy workers, so a binary-search
+    /// insert or remove moves few entries.
+    in_flight: Vec<(TaskId, InFlight)>,
 }
 
 impl TaskManagementComponent {
@@ -221,9 +273,10 @@ impl TaskManagementComponent {
 
     /// Accepts a new task at time `now`.
     pub fn submit(&mut self, task: Task, now: f64) -> Result<(), CoreError> {
-        if self.tasks.contains_key(&task.id) {
+        let Entry::Vacant(slot) = self.slots.entry(task.id) else {
             return Err(CoreError::DuplicateTask(task.id));
-        }
+        };
+        slot.insert(self.records.len());
         let rec = TaskRecord {
             task,
             submitted_at: now,
@@ -231,23 +284,42 @@ impl TaskManagementComponent {
             assignment_count: 0,
         };
         self.unassigned.push(&rec);
-        self.tasks.insert(rec.task.id, rec);
+        self.records.push(rec);
         Ok(())
+    }
+
+    /// The slot of `id`'s record.
+    fn slot(&self, id: TaskId) -> Result<usize, CoreError> {
+        self.slots
+            .get(&id)
+            .copied()
+            .ok_or(CoreError::UnknownTask(id))
     }
 
     /// The record for `id`.
     pub fn record(&self, id: TaskId) -> Result<&TaskRecord, CoreError> {
-        self.tasks.get(&id).ok_or(CoreError::UnknownTask(id))
+        Ok(&self.records[self.slot(id)?])
+    }
+
+    /// Removes `id`'s record from the registry: the last record moves into
+    /// its slot.
+    fn remove(&mut self, id: TaskId) -> Option<TaskRecord> {
+        let slot = self.slots.remove(&id)?;
+        let rec = self.records.swap_remove(slot);
+        if let Some(moved) = self.records.get(slot) {
+            self.slots.insert(moved.task.id, slot);
+        }
+        Some(rec)
     }
 
     /// Number of tracked tasks (all states).
     pub fn len(&self) -> usize {
-        self.tasks.len()
+        self.records.len()
     }
 
     /// True when nothing is tracked.
     pub fn is_empty(&self) -> bool {
-        self.tasks.is_empty()
+        self.records.is_empty()
     }
 
     /// The unassigned pool, oldest first.
@@ -273,31 +345,26 @@ impl TaskManagementComponent {
     /// which is what the scheduler's compute cost scales with.
     pub fn open_count(&self) -> usize {
         self.debug_validate_assigned_index();
-        self.unassigned.ids.len() + self.assigned_index.len()
+        self.unassigned.ids.len() + self.in_flight.len()
     }
 
     /// All currently assigned task ids with their workers, in ascending
-    /// task-id order (the order the old `Vec`-returning variant sorted
-    /// into). Iterates the maintained index — no allocation.
+    /// task-id order. Iterates the maintained index — no allocation.
     pub fn assigned(&self) -> impl Iterator<Item = (TaskId, WorkerId)> + '_ {
         self.debug_validate_assigned_index();
-        self.assigned_index.iter().map(|(&t, e)| (t, e.worker))
+        self.in_flight.iter().map(|(t, e)| (*t, e.worker))
     }
 
-    /// The record registry (read-only) next to the in-flight entries
-    /// (mutable, ascending task id): the recall stage updates an entry's
-    /// memo while reading the task it belongs to.
-    pub(crate) fn records_and_in_flight_mut(
-        &mut self,
-    ) -> (
-        &BTreeMap<TaskId, TaskRecord>,
-        impl Iterator<Item = (TaskId, &mut InFlight)>,
-    ) {
+    /// The in-flight entries, ascending task id: the recall stage updates
+    /// an entry's memo while reading the facts the entry carries.
+    pub(crate) fn in_flight_mut(&mut self) -> &mut [(TaskId, InFlight)] {
         self.debug_validate_assigned_index();
-        (
-            &self.tasks,
-            self.assigned_index.iter_mut().map(|(&t, e)| (t, e)),
-        )
+        &mut self.in_flight
+    }
+
+    /// Where `id` sits, or would sit, in the in-flight index.
+    fn in_flight_position(&self, id: TaskId) -> Result<usize, usize> {
+        self.in_flight.binary_search_by_key(&id, |&(t, _)| t)
     }
 
     /// In-flight assignments that have gone longer without completing
@@ -313,27 +380,21 @@ impl TaskManagementComponent {
         out: &mut Vec<Recall>,
     ) {
         self.debug_validate_assigned_index();
-        for (&task, entry) in &mut self.assigned_index {
+        for (task, entry) in &mut self.in_flight {
             if entry.timeout_allowance.is_nan() {
-                let Some(rec) = self.tasks.get(&task) else {
-                    debug_assert!(false, "assigned {task} is not tracked");
-                    continue;
-                };
-                entry.timeout_allowance = allowance_for(rec.assignment_count);
+                entry.timeout_allowance = allowance_for(entry.assignment_count);
             }
             #[cfg(feature = "debug-invariants")]
             assert_eq!(
-                self.tasks
-                    .get(&task)
-                    .map(|rec| allowance_for(rec.assignment_count).to_bits()),
-                Some(entry.timeout_allowance.to_bits()),
+                allowance_for(entry.assignment_count).to_bits(),
+                entry.timeout_allowance.to_bits(),
                 "stored progress allowance of {task} went stale"
             );
             if entry.held_for(now) <= entry.timeout_allowance {
                 continue;
             }
             out.push(Recall {
-                task,
+                task: *task,
                 worker: entry.worker,
                 probability: 0.0,
             });
@@ -342,37 +403,57 @@ impl TaskManagementComponent {
 
     /// Number of in-flight (assigned) tasks.
     pub fn assigned_count(&self) -> usize {
-        self.assigned_index.len()
+        self.in_flight.len()
     }
 
-    /// Under `debug-invariants`, re-derives the assigned index and the
+    /// Under `debug-invariants`, re-derives the in-flight index and the
     /// unassigned queue's columns from the task registry and asserts the
-    /// incremental bookkeeping matches.
+    /// incremental bookkeeping matches, and that the slot index and the
+    /// table agree one-to-one.
     #[inline]
     fn debug_validate_assigned_index(&self) {
         #[cfg(feature = "debug-invariants")]
         {
-            let derived: Vec<(TaskId, WorkerId, u64)> = self
-                .tasks
-                .values()
+            assert_eq!(self.slots.len(), self.records.len(), "slot index size");
+            for (slot, rec) in self.records.iter().enumerate() {
+                let id = rec.task.id;
+                assert_eq!(self.slots.get(&id), Some(&slot), "slot of {id} is stale");
+            }
+            type Facts = (TaskId, WorkerId, u64, u64, u32);
+            let mut derived: Vec<Facts> = self
+                .records
+                .iter()
                 .filter_map(|r| match r.state {
                     TaskState::Assigned {
                         worker,
                         assigned_at,
-                    } => Some((r.task.id, worker, assigned_at.to_bits())),
+                    } => Some((
+                        r.task.id,
+                        worker,
+                        assigned_at.to_bits(),
+                        r.deadline_at().to_bits(),
+                        r.assignment_count,
+                    )),
                     _ => None,
                 })
                 .collect();
-            let indexed: Vec<(TaskId, WorkerId, u64)> = self
-                .assigned_index
+            derived.sort_unstable_by_key(|facts| facts.0);
+            let indexed: Vec<Facts> = self
+                .in_flight
                 .iter()
-                .map(|(&t, e)| (t, e.worker, e.assigned_at.to_bits()))
+                .map(|(t, e)| {
+                    let (at, due) = (e.assigned_at.to_bits(), e.deadline_at.to_bits());
+                    (*t, e.worker, at, due, e.assignment_count)
+                })
                 .collect();
-            assert_eq!(derived, indexed, "assigned index diverged from task states");
-            let open = self.tasks.values().filter(|r| r.state.is_open()).count();
+            assert_eq!(
+                derived, indexed,
+                "in-flight index diverged from the registry"
+            );
+            let open = self.records.iter().filter(|r| r.state.is_open()).count();
             assert_eq!(
                 open,
-                self.unassigned.ids.len() + self.assigned_index.len(),
+                self.unassigned.ids.len() + self.in_flight.len(),
                 "open tasks must be exactly unassigned + assigned"
             );
             self.assert_queue_matches_registry();
@@ -388,7 +469,7 @@ impl TaskManagementComponent {
         // A queued id without an unassigned record derives no row, so it
         // shows as a divergence too.
         let mut derived = UnassignedQueue::default();
-        let records = queue.ids.iter().filter_map(|id| self.tasks.get(id));
+        let records = queue.ids.iter().filter_map(|&id| self.record(id).ok());
         for rec in records.filter(|rec| rec.state == TaskState::Unassigned) {
             derived.push(rec);
         }
@@ -402,8 +483,8 @@ impl TaskManagementComponent {
         distinct.dedup();
         assert_eq!(distinct.len(), queue.ids.len(), "a task is queued twice");
         let waiting = self
-            .tasks
-            .values()
+            .records
+            .iter()
             .filter(|r| r.state == TaskState::Unassigned);
         assert_eq!(
             waiting.count(),
@@ -419,36 +500,41 @@ impl TaskManagementComponent {
         worker: WorkerId,
         now: f64,
     ) -> Result<(), CoreError> {
-        let rec = self.tasks.get_mut(&id).ok_or(CoreError::UnknownTask(id))?;
+        let slot = self.slot(id)?;
+        let rec = &mut self.records[slot];
         rec.state = TaskState::Assigned {
             worker,
             assigned_at: now,
         };
         rec.assignment_count += 1;
+        let entry = InFlight::new(rec, worker, now);
         if let Some(row) = self.unassigned.ids.iter().position(|&t| t == id) {
             self.unassigned.remove_rows(&[row]);
         }
-        self.assigned_index.insert(
-            id,
-            InFlight {
-                worker,
-                assigned_at: now,
-                recall_keep_before: f64::NAN,
-                timeout_allowance: f64::NAN,
-            },
-        );
+        match self.in_flight_position(id) {
+            Ok(i) => self.in_flight[i].1 = entry,
+            Err(i) => self.in_flight.insert(i, (id, entry)),
+        }
         Ok(())
+    }
+
+    /// Drops `id`'s in-flight entry, if it has one.
+    fn remove_in_flight(&mut self, id: TaskId) {
+        if let Ok(i) = self.in_flight_position(id) {
+            self.in_flight.remove(i);
+        }
     }
 
     /// Recalls an assigned task back into the unassigned pool (dynamic
     /// reassignment). Returns the worker it was recalled from.
     pub fn mark_unassigned(&mut self, id: TaskId) -> Result<WorkerId, CoreError> {
-        let rec = self.tasks.get_mut(&id).ok_or(CoreError::UnknownTask(id))?;
+        let slot = self.slot(id)?;
+        let rec = &mut self.records[slot];
         match rec.state {
             TaskState::Assigned { worker, .. } => {
                 rec.state = TaskState::Unassigned;
                 self.unassigned.push(rec);
-                self.assigned_index.remove(&id);
+                self.remove_in_flight(id);
                 Ok(worker)
             }
             _ => Err(CoreError::NotAssigned {
@@ -461,20 +547,44 @@ impl TaskManagementComponent {
     /// Completes `id` at `now` by `worker`. Returns whether the deadline
     /// was met.
     pub fn complete(&mut self, id: TaskId, worker: WorkerId, now: f64) -> Result<bool, CoreError> {
-        let rec = self.tasks.get_mut(&id).ok_or(CoreError::UnknownTask(id))?;
-        match rec.state {
-            TaskState::Assigned { worker: w, .. } if w == worker => {
-                let met_deadline = now <= rec.deadline_at();
-                rec.state = TaskState::Completed {
-                    worker,
-                    completed_at: now,
-                    met_deadline,
-                };
-                self.assigned_index.remove(&id);
-                Ok(met_deadline)
-            }
-            _ => Err(CoreError::NotAssigned { task: id, worker }),
+        self.finish(id, worker, now).map(|done| done.met_deadline)
+    }
+
+    /// [`Self::complete`], returning what the profiler needs of the
+    /// completion too: one registry lookup in all.
+    pub(crate) fn finish(
+        &mut self,
+        id: TaskId,
+        worker: WorkerId,
+        now: f64,
+    ) -> Result<Finished, CoreError> {
+        let slot = self.slot(id)?;
+        let rec = &mut self.records[slot];
+        let (
+            TaskState::Assigned {
+                worker: held_by, ..
+            },
+            Some(exec_time),
+        ) = (rec.state, rec.elapsed_since_assignment(now))
+        else {
+            return Err(CoreError::NotAssigned { task: id, worker });
+        };
+        if held_by != worker {
+            return Err(CoreError::NotAssigned { task: id, worker });
         }
+        let met_deadline = now <= rec.deadline_at();
+        rec.state = TaskState::Completed {
+            worker,
+            completed_at: now,
+            met_deadline,
+        };
+        let category = rec.task.category;
+        self.remove_in_flight(id);
+        Ok(Finished {
+            met_deadline,
+            exec_time,
+            category,
+        })
     }
 
     /// Expires every *unassigned* task whose deadline has passed at
@@ -489,9 +599,9 @@ impl TaskManagementComponent {
 
     /// Marks the tasks `ids` [`TaskState::Expired`] in the registry.
     fn retire(&mut self, ids: &[TaskId]) {
-        for id in ids {
-            if let Some(rec) = self.tasks.get_mut(id) {
-                rec.state = TaskState::Expired;
+        for &id in ids {
+            if let Ok(slot) = self.slot(id) {
+                self.records[slot].state = TaskState::Expired;
             }
         }
     }
@@ -530,25 +640,39 @@ impl TaskManagementComponent {
     pub fn take_oldest_unassigned(&mut self) -> Option<TaskRecord> {
         let &id = self.unassigned.ids.first()?;
         self.unassigned.remove_rows(&[0]);
-        self.tasks.remove(&id)
+        self.remove(id)
     }
 
     /// Removes retired (completed/expired) records older than `horizon`
     /// seconds before `now`, returning how many were pruned. Keeps the
     /// registry from growing without bound in long simulations.
     pub fn prune_retired(&mut self, now: f64, horizon: f64) -> usize {
-        let before = self.tasks.len();
-        self.tasks.retain(|_, rec| match rec.state {
-            TaskState::Completed { completed_at, .. } => completed_at + horizon > now,
-            TaskState::Expired => rec.deadline_at() + horizon > now,
-            _ => true,
-        });
-        before - self.tasks.len()
+        let before = self.records.len();
+        let mut slot = 0;
+        while let Some(rec) = self.records.get(slot) {
+            let keep = match rec.state {
+                TaskState::Completed { completed_at, .. } => completed_at + horizon > now,
+                TaskState::Expired => rec.deadline_at() + horizon > now,
+                _ => true,
+            };
+            if !keep {
+                // The last record moves into this slot; look at it next.
+                let id = rec.task.id;
+                self.remove(id);
+            } else {
+                slot += 1;
+            }
+        }
+        before - self.records.len()
     }
 
-    /// Iterates over all records, in ascending task-id order.
+    /// Iterates over all records, in ascending task-id order. Sorts the
+    /// whole registry on every call, so it is for checkpoints and tests,
+    /// not for a per-tick loop.
     pub fn iter(&self) -> impl Iterator<Item = &TaskRecord> {
-        self.tasks.values()
+        let mut by_id: Vec<&TaskRecord> = self.records.iter().collect();
+        by_id.sort_unstable_by_key(|rec| rec.task.id);
+        by_id.into_iter()
     }
 }
 

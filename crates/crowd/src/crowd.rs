@@ -31,12 +31,9 @@
 
 use crate::behavior::WorkerBehavior;
 use rand::rngs::SmallRng;
-use react_core::{TaskId, TickOutcome, WorkerId};
+use react_core::{IdMap, TaskId, TickOutcome, WorkerId};
 use react_faults::{FaultPlan, FaultSchedule};
 use react_sim::{EventQueue, RngStreams, SimTime};
-use std::collections::hash_map::DefaultHasher;
-use std::collections::HashMap;
-use std::hash::BuildHasherDefault;
 
 /// A completion report reaching the middleware.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -65,12 +62,9 @@ pub struct Crowd {
     /// ends.
     next_free: Vec<f64>,
     /// Attempt number of each task assigned at least once and not yet
-    /// delivered, expired or shed. Never iterated. Hashed with a fixed
-    /// key (task ids are minted by this program, not by its peers): with
-    /// entries coming and going, a per-process random key would make the
-    /// table's rehashes, hence what a run allocates, differ from replay
-    /// to replay.
-    attempts: HashMap<TaskId, u32, BuildHasherDefault<DefaultHasher>>,
+    /// delivered, expired or shed. Never iterated; an [`IdMap`], so what
+    /// its rehashes allocate is the same on every replay.
+    attempts: IdMap<TaskId, u32>,
     /// `(worker, task, attempt)` at the instant the assignment finishes.
     /// An entry is stale once the task's attempt number has moved on.
     due: EventQueue<(WorkerId, TaskId, u32)>,
@@ -97,7 +91,7 @@ impl Crowd {
             behaviors,
             rng: streams.stream("behavior"),
             faults,
-            attempts: HashMap::default(),
+            attempts: IdMap::default(),
             due: EventQueue::new(),
             abandoned: 0,
             lost: 0,

@@ -22,13 +22,12 @@ use crate::behavior::generate_population;
 use crate::crowd::Crowd;
 use crate::generator::{burst_task, TaskGenerator};
 use crate::scenario::Scenario;
-use react_core::{AuditLog, ReactServer, Task, TaskId, WorkerId};
+use react_core::{AuditLog, IdMap, ReactServer, Task, TaskId, WorkerId};
 use react_faults::BURST_ID_BASE;
 use react_metrics::TimeSeries;
 use react_obs::{null_observer, CounterKind, ObserverHandle};
 use react_prob::distributions::{Exponential, UniformRange};
 use react_sim::{RngStreams, SimDuration, SimTime, Simulator};
-use std::collections::BTreeMap;
 
 /// Events driving the simulation.
 #[derive(Debug)]
@@ -171,18 +170,48 @@ fn mean(xs: &[f64]) -> f64 {
     }
 }
 
-/// Where arrivals come from: a preset (already generated) stream or a
-/// live Poisson generator.
-enum Workload {
-    Preset(std::vec::IntoIter<(f64, Task)>),
+/// Where arrivals come from: the scenario's preset (already generated)
+/// trace, read in place, or a live Poisson generator.
+enum Workload<'a> {
+    Preset(std::slice::Iter<'a, (f64, Task)>),
     Poisson(TaskGenerator),
 }
 
-impl Workload {
+impl Workload<'_> {
+    /// The next arrival; a preset task is copied as it is scheduled.
     fn next(&mut self, rng: &mut rand::rngs::SmallRng) -> Option<(f64, Task)> {
         match self {
-            Workload::Preset(iter) => iter.next(),
+            Workload::Preset(iter) => iter.next().map(|(at, task)| (*at, task.clone())),
             Workload::Poisson(generator) => Some(generator.next(rng)),
+        }
+    }
+}
+
+/// One replica group's completions so far.
+#[derive(Debug, Clone, Copy, Default)]
+struct GroupTally {
+    positives: usize,
+    any_met: bool,
+}
+
+impl GroupTally {
+    /// Books one replica's completion and counts in `report` each group
+    /// condition this completion is the first to meet, so every group is
+    /// counted once per condition with no pass over the groups.
+    fn complete(&mut self, positive: bool, met: bool, k: usize, report: &mut RunReport) {
+        if positive {
+            self.positives += 1;
+            if self.positives == 1 {
+                report.groups_any_positive += 1;
+            }
+            // The positive that makes a strict majority of `k`.
+            if self.positives == k / 2 + 1 {
+                report.groups_majority_positive += 1;
+            }
+        }
+        if met && !self.any_met {
+            self.any_met = true;
+            report.groups_any_met += 1;
         }
     }
 }
@@ -233,7 +262,7 @@ impl ScenarioRunner {
 
         // Workload: preset replay or live Poisson generation.
         let (mut workload, total_tasks) = match &sc.workload {
-            Some(preset) => (Workload::Preset(preset.clone().into_iter()), preset.len()),
+            Some(preset) => (Workload::Preset(preset.iter()), preset.len()),
             None => (
                 Workload::Poisson(
                     TaskGenerator::new(sc.arrival_rate, sc.region)
@@ -270,9 +299,10 @@ impl ScenarioRunner {
             groups_any_met: 0,
             faults: FaultStats::default(),
         };
-        // Replica bookkeeping: group id → (resolved, positive, met).
+        // Replica bookkeeping. At replication 1 a group is its one task,
+        // which completes once, so its tally starts empty and needs no map.
         let k = sc.replication.max(1);
-        let mut group_state: BTreeMap<u64, (usize, usize, bool)> = BTreeMap::new();
+        let mut groups: IdMap<u64, GroupTally> = IdMap::default();
         let mut last_arrival_at = 0.0f64;
 
         // Prime the event loop. With replication, each logical task is
@@ -346,15 +376,14 @@ impl ScenarioRunner {
                 report.total_times.push(done.at - submitted_at);
                 // Burst tasks are not part of any replica group.
                 if done.task.0 < BURST_ID_BASE {
-                    let group = done.task.0 / k as u64;
-                    let entry = group_state.entry(group).or_insert((0, 0, false));
-                    entry.0 += 1;
-                    if outcome.positive_feedback {
-                        entry.1 += 1;
-                    }
-                    if outcome.met_deadline {
-                        entry.2 = true;
-                    }
+                    let mut single = GroupTally::default();
+                    let tally = if k == 1 {
+                        &mut single
+                    } else {
+                        groups.entry(done.task.0 / k as u64).or_default()
+                    };
+                    let (positive, met) = (outcome.positive_feedback, outcome.met_deadline);
+                    tally.complete(positive, met, k, &mut report);
                 }
                 if done.duplicated {
                     // Deliver the same completion a second time; the
@@ -457,17 +486,6 @@ impl ScenarioRunner {
         report.total_matching_seconds = server.total_matching_seconds();
         report.audit = server.audit().cloned();
         report.groups = (report.received - report.faults.burst_tasks).div_ceil(k as u64);
-        for (_, (_resolved, positives, any_met)) in group_state {
-            if positives * 2 > k {
-                report.groups_majority_positive += 1;
-            }
-            if positives > 0 {
-                report.groups_any_positive += 1;
-            }
-            if any_met {
-                report.groups_any_met += 1;
-            }
-        }
         // Anything still open at the horizon is a miss that never even
         // completed; count queued leftovers as expired-unassigned.
         report.expired_unassigned += server.tasks().unassigned_count() as u64;

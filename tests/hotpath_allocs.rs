@@ -13,7 +13,11 @@
 //!   while `|E|`, hence its cycle budget, moves from batch to batch;
 //! * a whole [`ScenarioRunner::run`] and a whole churned
 //!   [`ClusterRunner::run`] allocate a bounded number of blocks per extra
-//!   task: what is left is the drivers' per-task bookkeeping, not ticks;
+//!   task — what is left is the drivers' per-task bookkeeping, not ticks
+//!   — and two identical runs allocate exactly alike;
+//! * the per-task id maps (the task registry's index, the crowd's attempt
+//!   counts) allocate alike on every replay even where the hash decides
+//!   when a table grows, i.e. they are hashed with a fixed key;
 //! * the ingest door parses a keep-alive stream into one connection's
 //!   buffers and renders its answers through them without allocating.
 //!
@@ -27,12 +31,13 @@ use rand::SeedableRng;
 use react::cluster::{ClusterPolicy, ClusterRunner, ClusterScenario, HandoffPolicy};
 use react::core::{
     BatchScratch, Config, LatencyModelKind, MatcherPolicy, ProfilingComponent, Task, TaskCategory,
-    TaskId, TaskManagementComponent, WorkerId,
+    TaskId, TaskManagementComponent, TickOutcome, WorkerId,
 };
-use react::crowd::{Scenario, ScenarioRunner, TaskGenerator};
+use react::crowd::{Crowd, Scenario, ScenarioRunner, TaskGenerator, WorkerBehavior};
 use react::faults::{DropoutPlan, FaultPlan};
 use react::geo::GeoPoint;
 use react::matching::{BipartiteGraph, Matcher, MatcherEngine, ReactMatcher, TaskIdx, WorkerIdx};
+use react::prob::distributions::UniformRange;
 use react::sim::RngStreams;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -292,32 +297,31 @@ fn blocks_per_extra_task(short: usize, long: usize, run: impl Fn(usize)) -> f64 
     (many as f64 - few as f64) / (long - short) as f64
 }
 
-#[test]
-fn a_whole_scenario_run_allocates_little_per_extra_task() {
+/// The `des-tightpool` shape: 300 busy workers, 8 tasks/s.
+fn tightpool() -> Scenario {
     let mut sc = Scenario::paper_fig9(300, 8.0, MatcherPolicy::React { cycles: 1000 }, 2013);
     sc.config.charge_matching_time = false;
-    let full = trace(&sc, 4_000);
-    let per_task = blocks_per_extra_task(2_000, 4_000, |n| {
-        let mut sc = sc.clone();
-        sc.total_tasks = n;
-        sc.workload = Some(full[..n].to_vec());
-        let report = ScenarioRunner::new(sc).run();
-        assert_eq!(report.received, n as u64);
-        assert!(report.met_deadline > n as u64 / 2);
-    });
-    assert!(
-        !COUNTS_HOLD || per_task <= 1.5,
-        "{per_task:.3} blocks per extra task"
-    );
+    sc
 }
 
-#[test]
-fn a_whole_churned_cluster_run_allocates_little_per_extra_task() {
+/// A `ScenarioRunner::run` of the first `n` tasks of one trace under
+/// [`tightpool`].
+fn scenario_run(full: &[(f64, Task)], n: usize) {
+    let mut sc = tightpool();
+    sc.total_tasks = n;
+    sc.workload = Some(full[..n].to_vec());
+    let report = ScenarioRunner::new(sc).run();
+    assert_eq!(report.received, n as u64);
+    assert!(report.met_deadline > n as u64 / 2);
+}
+
+/// The churned cluster's global scenario: nine workers in ten drop out
+/// and come back, over both runs' span, so shards keep falling below the
+/// handoff floor.
+fn churned_global() -> Scenario {
     let mut global =
         Scenario::paper_fig9(480, 10.0, MatcherPolicy::ReactAdaptive { kappa: 0.5 }, 2013);
     global.config.charge_matching_time = false;
-    // Nine workers in ten drop out and come back, over both runs' span,
-    // so shards keep falling below the handoff floor.
     global.faults = Some(FaultPlan {
         dropout: Some(DropoutPlan {
             probability: 0.9,
@@ -327,31 +331,138 @@ fn a_whole_churned_cluster_run_allocates_little_per_extra_task() {
         bursts: None,
         ..FaultPlan::chaos(0.5)
     });
-    let full = trace(&global, 4_000);
-    let per_task = blocks_per_extra_task(2_000, 4_000, |n| {
-        let mut global = global.clone();
-        global.total_tasks = n;
-        global.workload = Some(full[..n].to_vec());
-        let scenario = ClusterScenario {
-            global,
-            rows: 2,
-            cols: 4,
-            policy: ClusterPolicy {
-                handoff: Some(HandoffPolicy {
-                    pool_floor: 50,
-                    max_per_tick: 8,
-                }),
-                ..ClusterPolicy::coupled()
-            },
-        };
-        let report = ClusterRunner::new(scenario).run();
-        assert!(report.conserved());
-        assert!(report.handoffs() > 0, "the passes must run");
-    });
+    global
+}
+
+/// A `ClusterRunner::run` of the first `n` tasks of one trace over 2×4
+/// shards with handoff, under [`churned_global`].
+fn cluster_run(full: &[(f64, Task)], n: usize) {
+    let mut global = churned_global();
+    global.total_tasks = n;
+    global.workload = Some(full[..n].to_vec());
+    let scenario = ClusterScenario {
+        global,
+        rows: 2,
+        cols: 4,
+        policy: ClusterPolicy {
+            handoff: Some(HandoffPolicy {
+                pool_floor: 50,
+                max_per_tick: 8,
+            }),
+            ..ClusterPolicy::coupled()
+        },
+    };
+    let report = ClusterRunner::new(scenario).run();
+    assert!(report.conserved());
+    assert!(report.handoffs() > 0, "the passes must run");
+}
+
+// Budgets: what a whole run measures (≈ 0.15 / 0.12 blocks per extra
+// task, release and debug alike) plus ≈ 0.1 block, less than per-task
+// `BTreeMap` nodes for the registry, the in-flight index and the replica
+// tally cost (≈ 0.5 / 0.25), so their coming back fails them.
+
+#[test]
+fn a_whole_scenario_run_allocates_little_per_extra_task() {
+    let full = trace(&tightpool(), 4_000);
+    let per_task = blocks_per_extra_task(2_000, 4_000, |n| scenario_run(&full, n));
     assert!(
-        !COUNTS_HOLD || per_task <= 2.0,
+        !COUNTS_HOLD || per_task <= 0.25,
         "{per_task:.3} blocks per extra task"
     );
+}
+
+#[test]
+fn a_whole_churned_cluster_run_allocates_little_per_extra_task() {
+    let full = trace(&churned_global(), 4_000);
+    let per_task = blocks_per_extra_task(2_000, 4_000, |n| cluster_run(&full, n));
+    assert!(
+        !COUNTS_HOLD || per_task <= 0.2,
+        "{per_task:.3} blocks per extra task"
+    );
+}
+
+/// A replay of a run allocates exactly what the run did, block for block
+/// and byte for byte. A whole run seldom holds a table where its hash
+/// key decides when it grows; [`replays_of_a_churned_id_map_allocate_alike`]
+/// holds the per-task id maps there.
+#[test]
+fn two_identical_runs_allocate_identical_block_counts() {
+    let full = trace(&tightpool(), 2_000);
+    let (_, first) = counted(|| scenario_run(&full, 2_000));
+    let (_, second) = counted(|| scenario_run(&full, 2_000));
+    assert!(
+        !COUNTS_HOLD || first == second,
+        "scenario: {first:?} vs {second:?}"
+    );
+    let full = trace(&churned_global(), 2_000);
+    let (_, first) = counted(|| cluster_run(&full, 2_000));
+    let (_, second) = counted(|| cluster_run(&full, 2_000));
+    assert!(
+        !COUNTS_HOLD || first == second,
+        "cluster: {first:?} vs {second:?}"
+    );
+}
+
+/// The id maps under a run, each held where its key decides whether it
+/// grows: filled to its load limit (112 ids, a full 128-bucket table),
+/// drained to half, then 200 rounds of one id in and one out. Whether the
+/// table grows again turns on how many tombstones the removals left,
+/// which turns on the hashes — so under a per-process key
+/// (`RandomState`) one replay in three to five differs from the others,
+/// and 64 replays that all agree are no accident.
+const CHURN: (u64, u64, u64) = (112, 56, 200);
+
+fn churn_registry() {
+    let (fill, half, rounds) = CHURN;
+    let task = |id| Task::new(TaskId(id), here(), 60.0, 0.05, TaskCategory(0), "churn");
+    let mut tm = TaskManagementComponent::new();
+    for id in 0..fill {
+        tm.submit(task(id), 0.0).unwrap();
+    }
+    for _ in half..fill {
+        tm.take_oldest_unassigned().unwrap();
+    }
+    for id in fill..fill + rounds {
+        tm.submit(task(id), 0.0).unwrap();
+        tm.take_oldest_unassigned().unwrap();
+    }
+}
+
+fn churn_crowd() {
+    let (fill, half, rounds) = CHURN;
+    let worker = WorkerBehavior::uniform(UniformRange::new(1.0, 2.0), 0.0, 0.0, 1.0);
+    let mut crowd = Crowd::new(vec![worker; 4], None, &RngStreams::new(1));
+    let mut outcome = TickOutcome::default();
+    let mut step = |retire: Option<u64>, assign: Option<u64>| {
+        outcome.expired.clear();
+        outcome.expired.extend(retire.map(TaskId));
+        outcome.assignments.clear();
+        let assign = assign.map(|id| (WorkerId(id % 4), TaskId(id)));
+        outcome.assignments.extend(assign);
+        crowd.apply(&outcome, 0.0);
+    };
+    for id in 0..fill {
+        step(None, Some(id));
+    }
+    for id in 0..fill - half {
+        step(Some(id), None);
+    }
+    for k in 0..rounds {
+        step(None, Some(fill + k));
+        step(Some(fill - half + k), None);
+    }
+}
+
+#[test]
+fn replays_of_a_churned_id_map_allocate_alike() {
+    for (what, episode) in [("registry", churn_registry as fn()), ("crowd", churn_crowd)] {
+        let replays: Vec<(u64, u64)> = (0..64).map(|_| counted(episode).1).collect();
+        assert!(
+            replays.iter().all(|&replay| replay == replays[0]),
+            "{what}: {replays:?}"
+        );
+    }
 }
 
 #[test]
