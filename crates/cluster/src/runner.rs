@@ -9,11 +9,13 @@
 //! paper's plain multi-region decomposition: regions that never interact.
 //!
 //! [`ClusterRunner::run`] is the coupled event loop, on one thread: one
-//! global event queue beside the one `react_crowd::Crowd` all shards
-//! share, each step taking whichever is earlier; every control tick
-//! steps all shards in shard order and then runs the cluster passes, so
-//! the same scenario and seed give the same [`ClusterReport`] bit for
-//! bit.
+//! global queue of arrivals and control ticks beside the one
+//! `react_crowd::Crowd` all shards share, whose `pop_due` yields the
+//! completions and the fault plan's dropouts, rejoins and bursts in time
+//! order. Each step takes whichever is earlier, the crowd's event on a
+//! tie; every control tick steps all shards in shard order and then runs
+//! the cluster passes, so the same scenario and seed give the same
+//! [`ClusterReport`] bit for bit.
 //!
 //! Scope of the coupled mode: `global.replication` and `global.churn`
 //! are ignored (replica voting and autonomous churn cycles stay on the
@@ -23,7 +25,7 @@
 use crate::cluster::Cluster;
 use crate::policy::ClusterPolicy;
 use react_core::{AuditLog, Task, TaskId, WorkerId};
-use react_crowd::{burst_task, generate_population, Crowd, Scenario};
+use react_crowd::{generate_population, Crowd, CrowdEvent, Scenario};
 use react_geo::{GeoPoint, RegionGrid, ServerId};
 use react_obs::{null_observer, ObserverHandle};
 use react_sim::{RngStreams, SimDuration, SimTime, Simulator};
@@ -228,13 +230,6 @@ enum Event {
     /// Cluster-wide control step: every shard ticks, then the handoff
     /// and (periodically) rebalance passes run.
     Tick,
-    /// A fault-plan dropout (recalls any held task on the worker's
-    /// current shard).
-    WorkerOffline(WorkerId),
-    /// A dropped-out worker rejoins its current shard.
-    WorkerOnline(WorkerId),
-    /// A fault-plan burst: `size` extra tasks at one instant.
-    Burst { size: u32 },
 }
 
 /// Runs one [`ClusterScenario`] to completion.
@@ -277,7 +272,6 @@ impl ClusterRunner {
         let streams = RngStreams::new(sc.seed ^ 0xc1);
         let mut pop_rng = streams.stream("population");
         let mut workload_rng = streams.stream("workload");
-        let mut burst_rng = streams.stream("fault.burst-tasks");
 
         // Crowd: behaviours first, then locations, both from the
         // population stream (mirroring the single-server runner's draw
@@ -361,61 +355,69 @@ impl ClusterRunner {
             sim.schedule_at(SimTime::from_secs(at), Event::Arrival(task));
         }
         sim.schedule_in(SimDuration::from_secs(sc.tick_interval), Event::Tick);
-        for d in crowd.faults().dropouts() {
-            if d.worker >= sc.n_workers {
-                continue;
-            }
-            report.dropouts += 1;
-            sim.schedule_at(
-                SimTime::from_secs(d.at),
-                Event::WorkerOffline(WorkerId(d.worker as u64)),
-            );
-            if let Some(rejoin) = d.rejoin_at {
-                sim.schedule_at(
-                    SimTime::from_secs(rejoin),
-                    Event::WorkerOnline(WorkerId(d.worker as u64)),
-                );
-            }
-        }
-        for &(at, size) in crowd.faults().bursts() {
-            sim.schedule_at(SimTime::from_secs(at), Event::Burst { size });
-        }
 
         // First-submission times (total_times span handoffs).
         let mut first_submitted: HashMap<TaskId, f64> = HashMap::new();
         let mut last_arrival_at = 0.0f64;
 
         loop {
-            // A completion due by the loop's own next event goes first.
+            // The crowd's event due by the loop's own next event goes first.
             let horizon = sim.peek_time().map_or(f64::INFINITY, |t| t.as_secs());
-            if let Some(done) = crowd.pop_due(horizon) {
-                // Only idle workers are rebalanced, so the worker is still
-                // on the shard that assigned the task.
-                let shard = cluster
-                    .shard_of_worker(done.worker)
-                    .expect("a worker holding a task is registered");
-                let outcome = cluster
-                    .complete_task(shard, done.task, done.worker, done.at, done.quality_ok)
-                    .expect("a live completion matches the assignment");
-                let i = shard_index[&shard];
-                shards[i].completed += 1;
-                if outcome.met_deadline {
-                    shards[i].met_deadline += 1;
+            if let Some((at, event)) = crowd.pop_due(horizon) {
+                match event {
+                    CrowdEvent::Done(done) => {
+                        // Only idle workers are rebalanced, so the worker is
+                        // still on the shard that assigned the task.
+                        let shard = cluster
+                            .shard_of_worker(done.worker)
+                            .expect("a worker holding a task is registered");
+                        let outcome = cluster
+                            .complete_task(shard, done.task, done.worker, at, done.quality_ok)
+                            .expect("a live completion matches the assignment");
+                        let i = shard_index[&shard];
+                        shards[i].completed += 1;
+                        if outcome.met_deadline {
+                            shards[i].met_deadline += 1;
+                        }
+                        if outcome.positive_feedback {
+                            shards[i].positive_feedback += 1;
+                        }
+                        shards[i].exec_times.push(outcome.exec_time);
+                        let t0 = first_submitted.get(&done.task).copied().unwrap_or(at);
+                        shards[i].total_times.push(at - t0);
+                        if done.duplicated
+                            && cluster
+                                .complete_task(shard, done.task, done.worker, at, done.quality_ok)
+                                .is_err()
+                        {
+                            report.duplicates_rejected += 1;
+                        }
+                    }
+                    // A dropout recalls what the worker holds on its
+                    // current shard; a rejoin brings it back there.
+                    CrowdEvent::Offline(worker) => {
+                        report.dropouts += 1;
+                        crowd.offline(worker, &cluster.worker_offline(worker, at), at);
+                    }
+                    CrowdEvent::Online(worker) => cluster.worker_online(worker),
+                    CrowdEvent::Burst { size } => {
+                        for _ in 0..size {
+                            let task =
+                                crowd.burst_task(sc.deadline_range, sc.n_categories, sc.region);
+                            let id = task.id;
+                            report.received += 1;
+                            report.burst_tasks += 1;
+                            if let crate::cluster::Submission::Accepted(server) =
+                                cluster.submit_task(task, at)
+                            {
+                                shards[shard_index[&server]].received += 1;
+                                first_submitted.entry(id).or_insert(at);
+                            }
+                        }
+                        last_arrival_at = at;
+                    }
                 }
-                if outcome.positive_feedback {
-                    shards[i].positive_feedback += 1;
-                }
-                shards[i].exec_times.push(outcome.exec_time);
-                let t0 = first_submitted.get(&done.task).copied().unwrap_or(done.at);
-                shards[i].total_times.push(done.at - t0);
-                if done.duplicated
-                    && cluster
-                        .complete_task(shard, done.task, done.worker, done.at, done.quality_ok)
-                        .is_err()
-                {
-                    report.duplicates_rejected += 1;
-                }
-                report.sim_duration = done.at;
+                report.sim_duration = at;
                 continue;
             }
             let Some((at, event)) = sim.next_event() else {
@@ -442,27 +444,6 @@ impl ClusterRunner {
                         crate::cluster::Submission::Unroutable => report.unroutable += 1,
                     }
                 }
-                Event::Burst { size } => {
-                    for _ in 0..size {
-                        let task = burst_task(
-                            report.burst_tasks,
-                            sc.deadline_range,
-                            sc.n_categories,
-                            sc.region,
-                            &mut burst_rng,
-                        );
-                        let id = task.id;
-                        report.received += 1;
-                        report.burst_tasks += 1;
-                        if let crate::cluster::Submission::Accepted(server) =
-                            cluster.submit_task(task, now)
-                        {
-                            shards[shard_index[&server]].received += 1;
-                            first_submitted.entry(id).or_insert(now);
-                        }
-                    }
-                    last_arrival_at = now;
-                }
                 Event::Tick => {
                     cluster.tick(now);
                     for (shard, (_, outcome)) in shards.iter_mut().zip(cluster.shard_outcomes()) {
@@ -478,12 +459,6 @@ impl ClusterRunner {
                     if (!workload_done || tasks_open) && !past_horizon {
                         sim.schedule_in(SimDuration::from_secs(sc.tick_interval), Event::Tick);
                     }
-                }
-                Event::WorkerOffline(worker) => {
-                    crowd.offline(worker, &cluster.worker_offline(worker, now), now);
-                }
-                Event::WorkerOnline(worker) => {
-                    cluster.worker_online(worker);
                 }
             }
             report.sim_duration = now;

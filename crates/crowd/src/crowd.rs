@@ -1,16 +1,20 @@
-//! The worker side of a run: what the crowd does with an assignment.
+//! The worker side of a run: what the crowd does with an assignment,
+//! and when the fault plan moves a worker or floods the door.
 //!
 //! A worker executes a task by letting its sampled service time pass, so
 //! the crowd is data, not threads: [`Crowd`] owns every worker's
 //! behaviour and calendar, the `behavior` RNG stream, the materialised
 //! fault schedule, one attempt counter per task in the middleware's
-//! hands and one queue of the instants at which assignments finish. The
-//! loop that owns the `ReactServer` tells it what each tick assigned and
-//! recalled ([`Crowd::apply`]), which workers left ([`Crowd::offline`]),
-//! and asks what has finished ([`Crowd::pop_due`]). Every call takes the
-//! crowd time as an argument — no clock, no thread — so the two
-//! discrete-event runners and the live scheduler thread drive the same
-//! model and a scripted run replays exactly.
+//! hands, one queue of the instants at which assignments finish, and the
+//! plan's timeline of dropouts, rejoins and bursts. The loop that owns
+//! the `ReactServer` tells it what each tick assigned and recalled
+//! ([`Crowd::apply`]) and which workers left ([`Crowd::offline`]), and
+//! asks what is due ([`Crowd::pop_due`]): completions and timeline
+//! events, one at a time in time order, a completion first on a tie.
+//! Every call takes the crowd time as an argument — no clock, no thread —
+//! so the two discrete-event runners and the live scheduler thread drive
+//! the same model, book the same faults in the same order, and a
+//! scripted run replays exactly.
 //!
 //! Three conventions, the ones the checked-in `results/*.csv` were
 //! produced under:
@@ -31,9 +35,12 @@
 
 use crate::behavior::WorkerBehavior;
 use rand::rngs::SmallRng;
-use react_core::{IdMap, TaskId, TickOutcome, WorkerId};
-use react_faults::{FaultPlan, FaultSchedule};
+use rand::Rng;
+use react_core::{IdMap, Task, TaskCategory, TaskId, TickOutcome, WorkerId};
+use react_faults::{FaultPlan, FaultSchedule, BURST_ID_BASE};
+use react_geo::BoundingBox;
 use react_sim::{EventQueue, RngStreams, SimTime};
+use std::collections::VecDeque;
 
 /// A completion report reaching the middleware.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -52,12 +59,39 @@ pub struct Delivery {
     pub duplicated: bool,
 }
 
+/// What [`Crowd::pop_due`] hands the loop driving the crowd.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum CrowdEvent {
+    /// A completion report reaches the middleware.
+    Done(Delivery),
+    /// The fault plan takes the worker offline; the loop recalls what it
+    /// holds and tells the crowd ([`Crowd::offline`]).
+    Offline(WorkerId),
+    /// A worker the plan took offline comes back.
+    Online(WorkerId),
+    /// The fault plan injects `size` extra tasks at one instant, each
+    /// minted by [`Crowd::burst_task`].
+    Burst {
+        /// Tasks in the burst.
+        size: u32,
+    },
+}
+
 /// Every worker of one run, `WorkerId(i)` being the `i`-th behaviour
 /// given to [`Crowd::new`]. Times are crowd seconds.
 pub struct Crowd {
     behaviors: Vec<WorkerBehavior>,
     rng: SmallRng,
     faults: FaultSchedule,
+    /// The plan's dropouts, rejoins and bursts not yet popped, in time
+    /// order, each with its position in the schedule's order (each
+    /// dropout's departure, then its rejoin; dropouts before bursts),
+    /// which orders events at one instant.
+    timeline: VecDeque<(f64, usize, CrowdEvent)>,
+    /// The `fault.burst-tasks` stream burst tasks are drawn from.
+    burst_rng: SmallRng,
+    /// Burst tasks minted so far: the next one's id offset.
+    bursts_minted: u64,
     /// Per-worker calendar: the instant the worker's last accepted task
     /// ends.
     next_free: Vec<f64>,
@@ -86,11 +120,29 @@ impl Crowd {
             Some(plan) if !plan.is_noop() => plan.materialize(streams, behaviors.len()),
             _ => FaultSchedule::none(),
         };
+        // Sorting on (time, position) is the stable sort by time without
+        // its scratch buffer: the timeline costs one allocation.
+        let (dropouts, bursts) = (faults.dropouts(), faults.bursts());
+        let mut timeline = Vec::with_capacity(2 * dropouts.len() + bursts.len());
+        for d in dropouts {
+            let worker = WorkerId(d.worker as u64);
+            timeline.push((d.at, timeline.len(), CrowdEvent::Offline(worker)));
+            if let Some(at) = d.rejoin_at {
+                timeline.push((at, timeline.len(), CrowdEvent::Online(worker)));
+            }
+        }
+        for &(at, size) in bursts {
+            timeline.push((at, timeline.len(), CrowdEvent::Burst { size }));
+        }
+        timeline.sort_unstable_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
         Crowd {
             next_free: vec![0.0; behaviors.len()],
             behaviors,
             rng: streams.stream("behavior"),
             faults,
+            timeline: timeline.into(),
+            burst_rng: streams.stream("fault.burst-tasks"),
+            bursts_minted: 0,
             attempts: IdMap::default(),
             due: EventQueue::new(),
             abandoned: 0,
@@ -98,10 +150,30 @@ impl Crowd {
         }
     }
 
-    /// The materialised fault schedule (the loop reads its dropout and
-    /// burst timeline).
-    pub fn faults(&self) -> &FaultSchedule {
-        &self.faults
+    /// Mints the next task of a fault-plan burst: ids count up from
+    /// `BURST_ID_BASE` over the run, and the draw order (deadline,
+    /// reward, category, location) is part of the seed → bytes contract.
+    pub fn burst_task(
+        &mut self,
+        deadline_range: (f64, f64),
+        n_categories: u32,
+        region: BoundingBox,
+    ) -> Task {
+        let rng = &mut self.burst_rng;
+        let (lo, hi) = deadline_range;
+        let deadline = rng.gen_range(lo..hi.max(lo + f64::EPSILON));
+        let reward = rng.gen_range(0.01..0.10);
+        let category = TaskCategory(rng.gen_range(0..n_categories.max(1)));
+        let id = TaskId(BURST_ID_BASE + self.bursts_minted);
+        self.bursts_minted += 1;
+        Task::new(
+            id,
+            region.random_point(rng),
+            deadline,
+            reward,
+            category,
+            "burst",
+        )
     }
 
     /// Assignments the fault plan had the worker silently abandon.
@@ -165,8 +237,9 @@ impl Crowd {
         self.next_free[worker.0 as usize] = now;
     }
 
-    /// The instant the earliest live assignment finishes, if any. Drops
-    /// the entries recalls left behind on its way there.
+    /// The instant the earliest live assignment finishes, if any — a
+    /// completion, never a timeline event. Drops the entries recalls left
+    /// behind on its way there.
     pub fn next_due(&mut self) -> Option<f64> {
         while let Some((at, &(_, task, attempt))) = self.due.peek() {
             if self.attempts.get(&task) == Some(&attempt) {
@@ -177,11 +250,24 @@ impl Crowd {
         None
     }
 
-    /// The earliest completion report due at or before `now`, oldest
-    /// first. A report the fault plan loses is counted and never
-    /// surfaces: its task stays assigned until the middleware recalls it.
-    pub fn pop_due(&mut self, now: f64) -> Option<Delivery> {
-        while self.due.peek_time().is_some_and(|at| at.as_secs() <= now) {
+    /// The earliest event due at or before `until` and its instant: a
+    /// completion report or the fault timeline's next dropout, rejoin or
+    /// burst, a completion first when both fall on one instant. A report
+    /// the fault plan loses is counted and never surfaces: its task stays
+    /// assigned until the middleware recalls it.
+    pub fn pop_due(&mut self, until: f64) -> Option<(f64, CrowdEvent)> {
+        let fault_at = self.timeline.front().map(|&(at, ..)| at);
+        let fault_at = fault_at.filter(|&at| at <= until);
+        if let Some(done) = self.pop_delivery(fault_at.unwrap_or(until)) {
+            return Some((done.at, CrowdEvent::Done(done)));
+        }
+        fault_at?;
+        self.timeline.pop_front().map(|(at, _, event)| (at, event))
+    }
+
+    /// The earliest completion report due at or before `until`.
+    fn pop_delivery(&mut self, until: f64) -> Option<Delivery> {
+        while self.due.peek_time().is_some_and(|at| at.as_secs() <= until) {
             let (at, (worker, task, attempt)) = self.due.pop().expect("peeked");
             if self.attempts.get(&task) != Some(&attempt) {
                 continue;

@@ -7,7 +7,6 @@
 
 use rand::Rng;
 use react_core::{Task, TaskCategory, TaskId};
-use react_faults::BURST_ID_BASE;
 use react_geo::BoundingBox;
 use react_prob::distributions::{PoissonProcess, UniformRange};
 
@@ -74,31 +73,6 @@ impl TaskGenerator {
     pub fn take_n<R: Rng + ?Sized>(&mut self, n: usize, rng: &mut R) -> Vec<(f64, Task)> {
         (0..n).map(|_| self.next(rng)).collect()
     }
-}
-
-/// Synthesizes the `seq`-th task of a fault-plan burst. Every driver
-/// calls this with its `fault.burst-tasks` stream; the draw order
-/// (deadline, reward, category, location) is part of the seed → bytes
-/// contract.
-pub fn burst_task(
-    seq: u64,
-    deadline_range: (f64, f64),
-    n_categories: u32,
-    region: BoundingBox,
-    rng: &mut impl Rng,
-) -> Task {
-    let (lo, hi) = deadline_range;
-    let deadline = rng.gen_range(lo..hi.max(lo + f64::EPSILON));
-    let reward = rng.gen_range(0.01..0.10);
-    let category = TaskCategory(rng.gen_range(0..n_categories.max(1)));
-    Task::new(
-        TaskId(BURST_ID_BASE + seq),
-        region.random_point(rng),
-        deadline,
-        reward,
-        category,
-        "burst",
-    )
 }
 
 #[cfg(test)]

@@ -15,9 +15,11 @@
 //! * [`Scenario`] — named parameter sets for every figure (Fig. 5's
 //!   750 workers @ 9.375 tasks/s, Fig. 9's size/rate sweep…).
 //! * [`Crowd`] — the worker side of a run as clock-free data: calendars,
-//!   the `behavior` stream, the fault shims and one queue of due
-//!   instants. The one model [`ScenarioRunner`], `react-cluster`'s runner
-//!   and `react-runtime`'s live scheduler thread all drive.
+//!   the `behavior` stream, the fault shims, one queue of due completions
+//!   and the fault plan's timeline of dropouts, rejoins and bursts, popped
+//!   as one time-ordered stream of [`CrowdEvent`]s. The one model
+//!   [`ScenarioRunner`], `react-cluster`'s runner and `react-runtime`'s
+//!   live scheduler thread all drive.
 //! * [`ScenarioRunner`] — wires a [`react_core::ReactServer`] and a
 //!   [`Crowd`] into the `react-sim` discrete-event loop and produces a
 //!   [`RunReport`] with the exact series the paper plots.
@@ -39,7 +41,7 @@ pub mod scenario;
 
 pub use behavior::{generate_population, BehaviorParams, ExecModel, LatencyModel, WorkerBehavior};
 pub use casestudy::{CaseStudySummary, CaseStudyTrace};
-pub use crowd::{Crowd, Delivery};
-pub use generator::{burst_task, TaskGenerator};
+pub use crowd::{Crowd, CrowdEvent, Delivery};
+pub use generator::TaskGenerator;
 pub use runner::{FaultStats, RunReport, ScenarioRunner};
 pub use scenario::{ChurnParams, Scenario};

@@ -13,14 +13,15 @@
 //!
 //! Event model: the loop's own queue holds task arrivals (Poisson),
 //! middleware control ticks (fixed interval — expiry sweep, Eq. 2
-//! recalls, batch matching), churn and the fault timeline; what workers
-//! do with their assignments is the [`Crowd`]'s. Each step takes
-//! whichever is earlier, the crowd's next completion or the loop's next
-//! event.
+//! recalls, batch matching) and churn; the [`Crowd`] holds the rest —
+//! completions and the fault plan's dropouts, rejoins and bursts, popped
+//! in time order by [`Crowd::pop_due`]. Each step takes whichever is
+//! earlier, the crowd's next event or the loop's own, the crowd's on a
+//! tie. A plan dropout or rejoin takes the same arm as a churn one.
 
 use crate::behavior::generate_population;
-use crate::crowd::Crowd;
-use crate::generator::{burst_task, TaskGenerator};
+use crate::crowd::{Crowd, CrowdEvent};
+use crate::generator::TaskGenerator;
 use crate::scenario::Scenario;
 use react_core::{AuditLog, IdMap, ReactServer, Task, TaskId, WorkerId};
 use react_faults::BURST_ID_BASE;
@@ -36,20 +37,19 @@ enum Event {
     Arrival(Task),
     /// Periodic middleware control step.
     Tick,
-    /// A worker's connectivity drops (churn): any held task is recalled.
+    /// A worker's connectivity drops (churn or a plan dropout): any held
+    /// task is recalled.
     WorkerOffline(WorkerId),
-    /// A churned worker reconnects.
+    /// A worker reconnects.
     WorkerOnline(WorkerId),
-    /// A fault-plan burst: `size` extra tasks arrive at one instant.
-    Burst { size: u32 },
 }
 
 /// Injected-fault and recovery accounting of one run. All zeros on a
 /// fault-free run, so reports stay comparable across scenarios.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FaultStats {
-    /// Worker dropouts injected by the fault plan (churn-style departures
-    /// are counted separately in [`RunReport::churn_events`]).
+    /// Worker dropouts injected by the fault plan. Each is also one of
+    /// the departures [`RunReport::churn_events`] counts.
     pub dropouts: u64,
     /// Assignments silently abandoned (worker never reports back).
     pub abandons: u64,
@@ -90,7 +90,7 @@ pub struct RunReport {
     pub expired_unassigned: u64,
     /// Eq. (2) recalls performed.
     pub reassignments: u64,
-    /// Worker offline (churn) events.
+    /// Worker departures: churn cycles and fault-plan dropouts alike.
     pub churn_events: u64,
     /// Matching batches run.
     pub batches: u64,
@@ -246,7 +246,6 @@ impl ScenarioRunner {
         let streams = RngStreams::new(sc.seed);
         let mut pop_rng = streams.stream("population");
         let mut workload_rng = streams.stream("workload");
-        let mut burst_rng = streams.stream("fault.burst-tasks");
 
         // Crowd.
         let behaviors = generate_population(sc.n_workers, &sc.behavior, &mut pop_rng);
@@ -325,83 +324,85 @@ impl ScenarioRunner {
                 );
             }
         }
-        // Fault-plan events are fully materialised up front, so their
-        // schedule is independent of anything the run does.
-        for d in crowd.faults().dropouts() {
-            if d.worker >= sc.n_workers {
-                continue;
-            }
-            report.faults.dropouts += 1;
-            sim.schedule_at(
-                SimTime::from_secs(d.at),
-                Event::WorkerOffline(WorkerId(d.worker as u64)),
-            );
-            if let Some(rejoin) = d.rejoin_at {
-                sim.schedule_at(
-                    SimTime::from_secs(rejoin),
-                    Event::WorkerOnline(WorkerId(d.worker as u64)),
-                );
-            }
-        }
-        for &(at, size) in crowd.faults().bursts() {
-            sim.schedule_at(SimTime::from_secs(at), Event::Burst { size });
-        }
 
         loop {
-            // A completion due by the loop's own next event goes first.
+            // The crowd's event due by the loop's own next event goes
+            // first. A plan dropout or rejoin takes the churn arm, so the
+            // churn arms schedule from the event's instant: the queue's
+            // clock does not move for a crowd event.
             let horizon = sim.peek_time().map_or(f64::INFINITY, |t| t.as_secs());
-            if let Some(done) = crowd.pop_due(horizon) {
-                let submitted_at = server
-                    .tasks()
-                    .record(done.task)
-                    .expect("finishing task is tracked")
-                    .submitted_at;
-                let outcome = server
-                    .complete_task(done.task, done.worker, done.at, done.quality_ok)
-                    .expect("a live completion matches the assignment");
-                report.completed += 1;
-                if outcome.met_deadline {
-                    report.met_deadline += 1;
-                }
-                if outcome.positive_feedback {
-                    report.positive_feedback += 1;
-                }
-                report
-                    .series_met
-                    .push(report.received as f64, report.met_deadline as f64);
-                report
-                    .series_positive
-                    .push(report.received as f64, report.positive_feedback as f64);
-                report.exec_times.push(outcome.exec_time);
-                report.total_times.push(done.at - submitted_at);
-                // Burst tasks are not part of any replica group.
-                if done.task.0 < BURST_ID_BASE {
-                    let mut single = GroupTally::default();
-                    let tally = if k == 1 {
-                        &mut single
-                    } else {
-                        groups.entry(done.task.0 / k as u64).or_default()
-                    };
-                    let (positive, met) = (outcome.positive_feedback, outcome.met_deadline);
-                    tally.complete(positive, met, k, &mut report);
-                }
-                if done.duplicated {
-                    // Deliver the same completion a second time; the
-                    // server must reject it as already completed.
-                    report.faults.completions_duplicated += 1;
-                    let copy =
-                        server.complete_task(done.task, done.worker, done.at, done.quality_ok);
-                    if copy.is_err() {
-                        report.faults.duplicates_rejected += 1;
+            let (now, event) = match crowd.pop_due(horizon) {
+                Some((at, CrowdEvent::Done(done))) => {
+                    let submitted_at = server
+                        .tasks()
+                        .record(done.task)
+                        .expect("finishing task is tracked")
+                        .submitted_at;
+                    let outcome = server
+                        .complete_task(done.task, done.worker, done.at, done.quality_ok)
+                        .expect("a live completion matches the assignment");
+                    report.completed += 1;
+                    if outcome.met_deadline {
+                        report.met_deadline += 1;
                     }
+                    if outcome.positive_feedback {
+                        report.positive_feedback += 1;
+                    }
+                    report
+                        .series_met
+                        .push(report.received as f64, report.met_deadline as f64);
+                    report
+                        .series_positive
+                        .push(report.received as f64, report.positive_feedback as f64);
+                    report.exec_times.push(outcome.exec_time);
+                    report.total_times.push(done.at - submitted_at);
+                    // Burst tasks are not part of any replica group.
+                    if done.task.0 < BURST_ID_BASE {
+                        let mut single = GroupTally::default();
+                        let tally = if k == 1 {
+                            &mut single
+                        } else {
+                            groups.entry(done.task.0 / k as u64).or_default()
+                        };
+                        let (positive, met) = (outcome.positive_feedback, outcome.met_deadline);
+                        tally.complete(positive, met, k, &mut report);
+                    }
+                    if done.duplicated {
+                        // Deliver the same completion a second time; the
+                        // server must reject it as already completed.
+                        report.faults.completions_duplicated += 1;
+                        let copy =
+                            server.complete_task(done.task, done.worker, done.at, done.quality_ok);
+                        if copy.is_err() {
+                            report.faults.duplicates_rejected += 1;
+                        }
+                    }
+                    report.sim_duration = at;
+                    continue;
                 }
-                report.sim_duration = done.at;
-                continue;
-            }
-            let Some((at, event)) = sim.next_event() else {
-                break;
+                Some((at, CrowdEvent::Burst { size })) => {
+                    for _ in 0..size {
+                        let task = crowd.burst_task(sc.deadline_range, sc.n_categories, sc.region);
+                        report.received += 1;
+                        report.faults.burst_tasks += 1;
+                        server.submit_task(task, at);
+                    }
+                    // A burst extends the drain window like any arrival.
+                    last_arrival_at = at;
+                    Self::control_step(&mut server, &mut crowd, at, &mut report);
+                    report.sim_duration = at;
+                    continue;
+                }
+                Some((at, CrowdEvent::Offline(worker))) => {
+                    report.faults.dropouts += 1;
+                    (at, Event::WorkerOffline(worker))
+                }
+                Some((at, CrowdEvent::Online(worker))) => (at, Event::WorkerOnline(worker)),
+                None => match sim.next_event() {
+                    Some((at, event)) => (at.as_secs(), event),
+                    None => break,
+                },
             };
-            let now = at.as_secs();
             match event {
                 Event::Arrival(task) => {
                     report.received += 1;
@@ -423,23 +424,6 @@ impl ScenarioRunner {
                     // trigger reacts to queue growth immediately.
                     Self::control_step(&mut server, &mut crowd, now, &mut report);
                 }
-                Event::Burst { size } => {
-                    for _ in 0..size {
-                        let task = burst_task(
-                            report.faults.burst_tasks,
-                            sc.deadline_range,
-                            sc.n_categories,
-                            sc.region,
-                            &mut burst_rng,
-                        );
-                        report.received += 1;
-                        report.faults.burst_tasks += 1;
-                        server.submit_task(task, now);
-                    }
-                    // A burst extends the drain window like any arrival.
-                    last_arrival_at = now;
-                    Self::control_step(&mut server, &mut crowd, now, &mut report);
-                }
                 Event::Tick => {
                     Self::control_step(&mut server, &mut crowd, now, &mut report);
                     // Burst tasks are extra load, not workload progress.
@@ -457,8 +441,9 @@ impl ScenarioRunner {
                     crowd.offline(worker, &server.worker_offline(worker, now), now);
                     if let Some(churn) = sc.churn {
                         let off = UniformRange::new(churn.offline_range.0, churn.offline_range.1);
-                        sim.schedule_in(
-                            SimDuration::from_secs(off.sample(&mut churn_rng).max(0.001)),
+                        let off = off.sample(&mut churn_rng).max(0.001);
+                        sim.schedule_at(
+                            SimTime::from_secs(now) + SimDuration::from_secs(off),
                             Event::WorkerOnline(worker),
                         );
                     }
@@ -472,8 +457,9 @@ impl ScenarioRunner {
                     let past_horizon = workload_done && now > last_arrival_at + sc.drain_horizon;
                     if let (Some(churn), false) = (sc.churn, past_horizon) {
                         let online = Exponential::with_mean(churn.mean_online);
-                        sim.schedule_in(
-                            SimDuration::from_secs(online.sample(&mut churn_rng)),
+                        sim.schedule_at(
+                            SimTime::from_secs(now)
+                                + SimDuration::from_secs(online.sample(&mut churn_rng)),
                             Event::WorkerOffline(worker),
                         );
                     }

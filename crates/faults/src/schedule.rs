@@ -22,12 +22,15 @@ pub struct Dropout {
 /// factors, bursts) plus hash-based per-event decisions for the faults
 /// whose occasions are only known at run time.
 ///
+/// Its one reader at run time is the crowd (`react_crowd::Crowd`): it
+/// merges the dropouts, rejoins and bursts into one time-ordered stream
+/// with its completions, so every driver (the two DES runners and the
+/// live scheduler thread) books the same timeline in the same order.
 /// Per-event queries ([`abandons`](Self::abandons),
 /// [`loses_completion`](Self::loses_completion),
 /// [`duplicates_completion`](Self::duplicates_completion)) are pure
 /// functions of `(salt, kind, task, attempt)` — the answer never depends
-/// on query order, so every driver (the two DES runners and the live
-/// threaded runtime) replays identical faults.
+/// on query order, so every driver replays identical faults.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FaultSchedule {
     salt: u64,

@@ -9,12 +9,13 @@
 //! thing the scheduler thread ever blocks on. The scheduler thread is
 //! the crate's one live control loop: it owns the `ReactServer` and the
 //! crowd (a [`react_crowd::Crowd`], the same model the discrete-event
-//! runners drive: calendars and a timer queue, no threads), books each
-//! completion and timed fault at its own instant, ticks once per
-//! submission or tick period — waking for a completion only while a
-//! batch waits for a worker or the stack drains —
-//! publishes its backlog back to the door every tick, and records
-//! door-to-assignment latencies in [`IngestReport::assign_latencies`].
+//! runners drive: calendars, a timer queue and the fault plan's timeline,
+//! no threads). It books each completion, dropout, rejoin and burst the
+//! crowd pops at its own instant and in the runners' order, ticks once
+//! per submission or tick period — waking for a completion only while a
+//! batch waits for a worker or the stack drains — publishes its backlog
+//! back to the door every tick, and records door-to-assignment latencies
+//! in [`IngestReport::assign_latencies`].
 //!
 //! Sockets are sanctioned here (and in `react-load`); the root
 //! `clippy.toml` disallows `TcpListener`, `TcpStream` and `UdpSocket`
@@ -29,13 +30,13 @@ pub mod server;
 use crate::clock::ScaledClock;
 use crossbeam::channel::{bounded, Receiver, RecvTimeoutError};
 use parking_lot::Mutex;
-use react_core::{verify_lifecycles, Config, ReactServer, Task, TaskId, WorkerId};
-use react_crowd::{burst_task, generate_population, BehaviorParams, Crowd, Delivery};
-use react_faults::{FaultPlan, FaultSchedule};
+use react_core::{verify_lifecycles, Config, ReactServer, TaskId, WorkerId};
+use react_crowd::{generate_population, BehaviorParams, Crowd, CrowdEvent, Delivery};
+use react_faults::FaultPlan;
 use react_geo::BoundingBox;
 use react_obs::{null_observer, HistogramKind, ObserverHandle};
 use react_sim::RngStreams;
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 use std::net::SocketAddr;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -46,13 +47,6 @@ pub use server::{DoorStats, Inbox, IngestTask, Shared, TaskStatus};
 
 /// Deadline range (crowd seconds) of fault-plan burst tasks.
 const BURST_DEADLINE_RANGE: (f64, f64) = (60.0, 120.0);
-
-/// A timed fault applied when the scaled clock reaches its instant.
-enum FaultAction {
-    Offline(usize),
-    Online(usize),
-    Burst(Vec<Task>),
-}
 
 /// Configuration of the ingest front-end + scheduler + worker fleet.
 #[derive(Debug, Clone)]
@@ -290,38 +284,6 @@ impl IngestHandle {
     }
 }
 
-/// Builds the fault timeline (dropout/online/burst instants) from a
-/// materialized schedule.
-fn fault_timeline(
-    schedule: &FaultSchedule,
-    streams: &RngStreams,
-    n_workers: usize,
-    region: BoundingBox,
-) -> VecDeque<(f64, FaultAction)> {
-    let mut timeline: Vec<(f64, FaultAction)> = Vec::new();
-    for d in schedule.dropouts() {
-        if d.worker >= n_workers {
-            continue;
-        }
-        timeline.push((d.at, FaultAction::Offline(d.worker)));
-        if let Some(rejoin) = d.rejoin_at {
-            timeline.push((rejoin, FaultAction::Online(d.worker)));
-        }
-    }
-    let mut burst_rng = streams.stream("fault.burst-tasks");
-    let mut burst_seq = 0u64;
-    for &(at, size) in schedule.bursts() {
-        // The door mints category 0 only, so bursts have one category too.
-        let tasks = (burst_seq..burst_seq + u64::from(size))
-            .map(|seq| burst_task(seq, BURST_DEADLINE_RANGE, 1, region, &mut burst_rng))
-            .collect();
-        burst_seq += u64::from(size);
-        timeline.push((at, FaultAction::Burst(tasks)));
-    }
-    timeline.sort_by(|a, b| a.0.total_cmp(&b.0));
-    timeline.into()
-}
-
 /// Blocks on the inbox for at most `wait` crowd seconds; `None` when the
 /// wait ran out.
 fn next_message(inbox: &Receiver<Inbox>, clock: &ScaledClock, wait: f64) -> Option<Inbox> {
@@ -340,10 +302,11 @@ fn next_message(inbox: &Receiver<Inbox>, clock: &ScaledClock, wait: f64) -> Opti
 
 /// The scheduler thread: middleware + crowd + drain logic.
 ///
-/// A lap books what fell due since the last one, takes the message that
-/// ended the last wait, ticks once and sleeps until the next message or
-/// one tick period. A completion is booked at its own finish instant, as
-/// the discrete-event runners do, so it needs no lap of its own: the
+/// A lap books every crowd event that fell due since the last one —
+/// completions, dropouts, rejoins and bursts, each at its own instant and
+/// in time order, as the discrete-event runners book them — takes the
+/// message that ended the last wait, ticks once and sleeps until the next
+/// message or one tick period. A completion needs no lap of its own: the
 /// wait ends at the crowd's next due instant only while a freed worker
 /// has a batch to take (`ReactServer::batch_due`) or the loop is
 /// draining.
@@ -368,7 +331,6 @@ fn scheduler_thread(
         server.register_worker(WorkerId(i as u64), region.random_point(&mut pop_rng));
     }
     let mut crowd = Crowd::new(behaviors, lc.faults.as_ref(), &streams);
-    let mut timeline = fault_timeline(crowd.faults(), &streams, lc.n_workers, region);
 
     let mut report = IngestReport::default();
     // Door-accept instant of each task not yet assigned once; an entry
@@ -383,29 +345,27 @@ fn scheduler_thread(
         // Completions and timed faults due by now, each at its own
         // instant and in time order (a completion first on a tie).
         let now = clock.now();
-        loop {
-            let fault_at = timeline.front().map(|&(at, _)| at).filter(|&at| at <= now);
-            if let Some(done) = crowd.pop_due(fault_at.unwrap_or(now)) {
-                handle_completion(done, &mut server, &shared, &mut report);
-                continue;
-            }
-            let Some(at) = fault_at else { break };
-            let (_, action) = timeline.pop_front().expect("front() just saw it");
-            match action {
-                FaultAction::Offline(w) => {
+        while let Some((at, event)) = crowd.pop_due(now) {
+            match event {
+                CrowdEvent::Done(done) => {
+                    handle_completion(done, &mut server, &shared, &mut report)
+                }
+                CrowdEvent::Offline(worker) => {
                     report.fault_events += 1;
-                    let worker = WorkerId(w as u64);
                     let recalled = server.worker_offline(worker, at);
                     for task in &recalled {
                         shared.set_status(task.0, TaskStatus::Queued);
                     }
                     crowd.offline(worker, &recalled, at);
                 }
-                FaultAction::Online(w) => {
-                    let _ = server.worker_online(WorkerId(w as u64));
+                CrowdEvent::Online(worker) => {
+                    let _ = server.worker_online(worker);
                 }
-                FaultAction::Burst(tasks) => {
-                    for task in tasks {
+                CrowdEvent::Burst { size } => {
+                    for _ in 0..size {
+                        // The door mints category 0 only, so bursts have
+                        // one category too.
+                        let task = crowd.burst_task(BURST_DEADLINE_RANGE, 1, region);
                         report.injected_burst += 1;
                         report.fault_events += 1;
                         shared.set_status(task.id.0, TaskStatus::Queued);

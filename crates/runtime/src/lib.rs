@@ -10,16 +10,18 @@
 //! * the **scheduler thread** ([`ingest`]) is that channel's only
 //!   reader and the only other thread there is. It owns the
 //!   [`react_core::ReactServer`] and runs its control loop: ingestion,
-//!   fault timeline, Eq. (2) recalls, batch matching, drain. It is the
+//!   the crowd's completions and fault timeline, Eq. (2) recalls, batch
+//!   matching, drain. It is the
 //!   only live scheduler loop; `benchmark/`'s wire workloads measure it
 //!   with an open-loop generator over real sockets;
 //! * the **crowd** is data inside that thread, not threads beside it: a
 //!   [`react_crowd::Crowd`] — the model the discrete-event runners drive
-//!   too — holds each worker's calendar and one timer queue of the
-//!   instants the sampled human service times run out. The scheduler
-//!   sleeps on its channel until the earliest such instant or the end of
-//!   its tick period, so an idle stack costs no CPU, and a recall simply
-//!   strikes the timer.
+//!   too — holds each worker's calendar, one timer queue of the instants
+//!   the sampled human service times run out and the fault plan's
+//!   dropouts, rejoins and bursts, and hands both out as one
+//!   time-ordered stream. The scheduler sleeps on its channel until the
+//!   earliest completion or the end of its tick period, so an idle stack
+//!   costs no CPU, and a recall simply strikes the timer.
 //!
 //! Simulated "human seconds" are compressed by a configurable
 //! [`IngestConfig::time_scale`] so a 15-minute crowd scenario demos in

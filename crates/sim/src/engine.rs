@@ -65,11 +65,6 @@ impl<E> Simulator<E> {
         self.processed
     }
 
-    /// Number of events still pending.
-    pub fn pending(&self) -> usize {
-        self.queue.len()
-    }
-
     /// Schedules an event at an absolute time.
     ///
     /// # Panics
@@ -101,11 +96,6 @@ impl<E> Simulator<E> {
     /// The timestamp of the next pending event without popping it.
     pub fn peek_time(&self) -> Option<SimTime> {
         self.queue.peek_time()
-    }
-
-    /// Drops every pending event (used when a run is aborted early).
-    pub fn clear(&mut self) {
-        self.queue.clear();
     }
 }
 
@@ -165,14 +155,5 @@ mod tests {
         }
         assert_eq!(count, 10);
         assert_eq!(sim.now(), SimTime::from_secs(10.0));
-    }
-
-    #[test]
-    fn clear_empties_queue() {
-        let mut sim = Simulator::new();
-        sim.schedule_at(SimTime::from_secs(1.0), Ev::A);
-        sim.clear();
-        assert_eq!(sim.pending(), 0);
-        assert!(sim.next_event().is_none());
     }
 }

@@ -85,11 +85,6 @@ impl<E> EventQueue<E> {
     pub fn is_empty(&self) -> bool {
         self.heap.is_empty()
     }
-
-    /// Drops all pending events.
-    pub fn clear(&mut self) {
-        self.heap.clear();
-    }
 }
 
 #[cfg(test)]
@@ -130,7 +125,7 @@ mod tests {
     }
 
     #[test]
-    fn peek_len_clear() {
+    fn peek_and_len() {
         let mut q = EventQueue::new();
         assert!(q.is_empty());
         assert_eq!(q.peek_time(), None);
@@ -140,7 +135,8 @@ mod tests {
         assert_eq!(q.peek_time(), Some(SimTime::from_secs(1.0)));
         assert_eq!(q.peek(), Some((SimTime::from_secs(1.0), &())));
         assert_eq!(q.len(), 2, "peek leaves the event queued");
-        q.clear();
+        q.pop();
+        q.pop();
         assert!(q.is_empty());
         assert_eq!(q.pop(), None);
     }

@@ -6,24 +6,32 @@
 //! advances over four workers and a handful of task ids, **under a
 //! materialised `FaultPlan::chaos`**, against a reference model that is
 //! the event arm the drivers used to carry written out plainly: a
-//! per-task epoch map that is never pruned, a `next_free` vector and
-//! `(task, epoch)`-keyed fault shims. On top of agreeing with the model:
+//! per-task epoch map that is never pruned, a `next_free` vector,
+//! `(task, epoch)`-keyed fault shims and the plan's dropouts, rejoins and
+//! bursts in the schedule's order, never sorted. Every event `pop_due`
+//! hands out must be the model's, and on top of that:
 //!
+//! * events come out in time order, a completion before a timeline event
+//!   at the same instant;
 //! * an attempt that was recalled, abandoned or whose report the plan
 //!   loses never delivers, and an assignment delivers at most once;
-//! * delivery instants never go backwards;
 //! * `next_due` is the earliest finish among the live assignments — never
-//!   an entry a recall left behind. (A report the plan will lose is still
-//!   a due instant: the worker does finish then, and the loss is counted
-//!   then and only if no recall came first.)
+//!   an entry a recall left behind, never a timeline event. (A report the
+//!   plan will lose is still a due instant: the worker does finish then,
+//!   and the loss is counted then and only if no recall came first.)
 //! * abandons and lost reports are each counted once;
 //! * the crowd's per-task state is bounded by the tasks the middleware
 //!   still holds, and empty once every task is delivered, expired or
 //!   shed.
 //!
+//! A plan dropout is booked the way the drivers book it: the middleware
+//! recalls what the worker holds and the crowd is told at the dropout's
+//! instant.
+//!
 //! The second property is the first piece of the DES-vs-live oracle: the
-//! same script driven at exact due instants (the runners) and polled at
-//! late, irregular instants (the scheduler thread) yields the same run.
+//! same script driven at exact instants (the runners) and polled at late,
+//! irregular instants (the scheduler thread) yields the same sequence of
+//! completions, dropouts, rejoins and bursts.
 //!
 //! No threads, no clock: every call takes its crowd time. `PROPTEST_CASES`
 //! widens the run (CI: 1024 cases in release).
@@ -34,8 +42,9 @@ use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use react::core::dynamic::Recall;
 use react::core::{TaskId, TickOutcome, WorkerId};
-use react::crowd::{Crowd, Delivery, WorkerBehavior};
-use react::faults::{FaultPlan, FaultSchedule};
+use react::crowd::{Crowd, CrowdEvent, Delivery, WorkerBehavior};
+use react::faults::{BurstPlan, DropoutPlan, FaultPlan, FaultSchedule, BURST_ID_BASE};
+use react::geo::BoundingBox;
 use react::prob::distributions::UniformRange;
 use react::sim::RngStreams;
 use std::collections::{BTreeMap, BTreeSet};
@@ -98,6 +107,8 @@ fn behaviors() -> Vec<WorkerBehavior> {
 }
 
 /// Chaos with the per-attempt shims turned up so every case meets them.
+/// At full intensity half the workers drop out inside 5–60 s and rejoin
+/// 30–90 s later, and two bursts land inside 10–50 s.
 fn plan() -> FaultPlan {
     FaultPlan {
         abandon_probability: 0.2,
@@ -168,10 +179,10 @@ impl Middleware {
         outcome
     }
 
-    fn offline(&mut self, worker: usize) -> Vec<TaskId> {
+    fn offline(&mut self, worker: WorkerId) -> Vec<TaskId> {
         let mut recalled = Vec::new();
         for slot in 0..SLOTS {
-            if self.slots[slot as usize].1 == Some(worker) {
+            if self.slots[slot as usize].1 == Some(worker.0 as usize) {
                 self.slots[slot as usize].1 = None;
                 recalled.push(self.id(slot));
             }
@@ -195,6 +206,25 @@ impl Middleware {
         self.slots[slot as usize].0 += 1;
     }
 
+    /// Books what the crowd popped at `at` the way the drivers do: a
+    /// completion is settled, a dropout recalls what the worker holds and
+    /// the crowd is told; a rejoin or a burst asks nothing of the crowd.
+    /// Returns what a dropout recalled.
+    fn book(&mut self, crowd: &mut Crowd, at: f64, event: &CrowdEvent) -> Vec<TaskId> {
+        match event {
+            CrowdEvent::Done(done) => {
+                self.complete(done);
+                Vec::new()
+            }
+            CrowdEvent::Offline(worker) => {
+                let recalled = self.offline(*worker);
+                crowd.offline(*worker, &recalled, at);
+                recalled
+            }
+            CrowdEvent::Online(_) | CrowdEvent::Burst { .. } => Vec::new(),
+        }
+    }
+
     /// Everything still open, as a last control step: held tasks are
     /// recalled, then every slot's task expires.
     fn close_out(&mut self, now: f64) -> TickOutcome {
@@ -214,8 +244,9 @@ struct Finish {
     epoch: u32,
 }
 
-/// The reference: what `ScenarioRunner::control_step` and its
-/// `Event::Finish` arm did before the crowd existed.
+/// The reference: what `ScenarioRunner::control_step`, its
+/// `Event::Finish` arm and its fault-plan events did before the crowd
+/// existed.
 struct Model {
     behaviors: Vec<WorkerBehavior>,
     rng: SmallRng,
@@ -225,20 +256,46 @@ struct Model {
     /// In scheduling order, so the first of several equal instants is the
     /// one scheduled first.
     finishes: Vec<Finish>,
+    /// The plan's dropouts (each departure, then its rejoin) and then its
+    /// bursts, in the order the drivers once scheduled them.
+    timeline: Vec<(f64, CrowdEvent)>,
     abandons: u64,
     lost: u64,
+}
+
+/// Index of the earliest of `times` at or before `until`; the first of
+/// several equal ones.
+fn earliest(times: impl Iterator<Item = f64>, until: f64) -> Option<usize> {
+    times
+        .enumerate()
+        .filter(|&(_, at)| at <= until)
+        .min_by(|a, b| a.1.total_cmp(&b.1))
+        .map(|(i, _)| i)
 }
 
 impl Model {
     fn new(seed: u64) -> Self {
         let streams = RngStreams::new(seed);
+        let schedule = plan().materialize(&streams, WORKERS);
+        let mut timeline = Vec::new();
+        for d in schedule.dropouts() {
+            let worker = WorkerId(d.worker as u64);
+            timeline.push((d.at, CrowdEvent::Offline(worker)));
+            if let Some(rejoin) = d.rejoin_at {
+                timeline.push((rejoin, CrowdEvent::Online(worker)));
+            }
+        }
+        for &(at, size) in schedule.bursts() {
+            timeline.push((at, CrowdEvent::Burst { size }));
+        }
         Model {
             behaviors: behaviors(),
             rng: streams.stream("behavior"),
-            schedule: plan().materialize(&streams, WORKERS),
+            schedule,
             epochs: BTreeMap::new(),
             next_free: vec![0.0; WORKERS],
             finishes: Vec::new(),
+            timeline,
             abandons: 0,
             lost: 0,
         }
@@ -292,41 +349,44 @@ impl Model {
             .min_by(f64::total_cmp)
     }
 
-    /// Fires every finish event up to and including `now`, in time then
-    /// scheduling order, and returns what reached the middleware with
-    /// the epoch it was assigned under.
-    fn advance(&mut self, now: f64) -> Vec<(Delivery, u32)> {
-        let mut delivered = Vec::new();
+    /// The earliest event due by `until` that reaches the middleware,
+    /// with the epoch a delivery was assigned under (0 for a timeline
+    /// event): finishes fire in time then scheduling order, timeline
+    /// entries in time then schedule order, and a finish goes before a
+    /// timeline entry at the same instant.
+    fn pop(&mut self, until: f64) -> Option<(f64, CrowdEvent, u32)> {
         loop {
-            let next = self
-                .finishes
-                .iter()
-                .enumerate()
-                .filter(|(_, f)| f.at <= now)
-                .min_by(|a, b| a.1.at.total_cmp(&b.1.at))
-                .map(|(i, _)| i);
-            let Some(i) = next else {
-                return delivered;
-            };
-            let f = self.finishes.remove(i);
-            if !self.live(&f) {
-                continue;
+            let finish = earliest(self.finishes.iter().map(|f| f.at), until);
+            let fault = earliest(self.timeline.iter().map(|e| e.0), until);
+            match (finish, fault) {
+                (Some(i), fault)
+                    if fault.is_none_or(|j| self.finishes[i].at <= self.timeline[j].0) =>
+                {
+                    let f = self.finishes.remove(i);
+                    if !self.live(&f) {
+                        continue;
+                    }
+                    if self.schedule.loses_completion(f.task.0, f.epoch) {
+                        self.lost += 1;
+                        continue;
+                    }
+                    let quality_ok =
+                        self.behaviors[f.worker.0 as usize].sample_quality_ok(&mut self.rng);
+                    let done = Delivery {
+                        worker: f.worker,
+                        task: f.task,
+                        at: f.at,
+                        quality_ok,
+                        duplicated: self.schedule.duplicates_completion(f.task.0, f.epoch),
+                    };
+                    return Some((f.at, CrowdEvent::Done(done), f.epoch));
+                }
+                (_, Some(j)) => {
+                    let (at, event) = self.timeline.remove(j);
+                    return Some((at, event, 0));
+                }
+                (_, None) => return None,
             }
-            if self.schedule.loses_completion(f.task.0, f.epoch) {
-                self.lost += 1;
-                continue;
-            }
-            let quality_ok = self.behaviors[f.worker.0 as usize].sample_quality_ok(&mut self.rng);
-            delivered.push((
-                Delivery {
-                    worker: f.worker,
-                    task: f.task,
-                    at: f.at,
-                    quality_ok,
-                    duplicated: self.schedule.duplicates_completion(f.task.0, f.epoch),
-                },
-                f.epoch,
-            ));
         }
     }
 }
@@ -335,10 +395,44 @@ fn crowd(seed: u64) -> Crowd {
     Crowd::new(behaviors(), Some(&plan()), &RngStreams::new(seed))
 }
 
-/// One step of a recorded script.
-enum Step {
-    Apply(Box<TickOutcome>),
-    Offline(WorkerId, Vec<TaskId>),
+/// Pops and books everything due by `now` the way a discrete-event runner
+/// does: each call bounded by the next completion's own instant, as a
+/// runner bounds it by its own next event.
+fn drain_exactly(
+    crowd: &mut Crowd,
+    middleware: &mut Middleware,
+    now: f64,
+    events: &mut Vec<(f64, CrowdEvent)>,
+) -> Result<(), TestCaseError> {
+    loop {
+        let until = crowd.next_due().map_or(now, |at| at.min(now));
+        match crowd.pop_due(until) {
+            Some((at, event)) => {
+                if let CrowdEvent::Done(done) = &event {
+                    prop_assert_eq!((at, done.at), (until, until));
+                }
+                middleware.book(crowd, at, &event);
+                events.push((at, event));
+            }
+            // The report due at `until` was lost in flight.
+            None if until < now => {}
+            None => return Ok(()),
+        }
+    }
+}
+
+/// Pops and books everything due by `now` the way the scheduler thread
+/// does when it wakes: one bound, however late.
+fn drain_late(
+    crowd: &mut Crowd,
+    middleware: &mut Middleware,
+    now: f64,
+    events: &mut Vec<(f64, CrowdEvent)>,
+) {
+    while let Some((at, event)) = crowd.pop_due(now) {
+        middleware.book(crowd, at, &event);
+        events.push((at, event));
+    }
 }
 
 proptest! {
@@ -356,7 +450,7 @@ proptest! {
         // what is allowed to deliver, once each.
         let mut live: BTreeMap<(WorkerId, TaskId), u32> = BTreeMap::new();
         let mut now = 0.0f64;
-        let mut last_delivery = 0.0f64;
+        let mut last_event = 0.0f64;
 
         for op in ops.iter().map(Some).chain(std::iter::once(None)) {
             match op {
@@ -372,8 +466,8 @@ proptest! {
                     }
                 }
                 Some(Op::Offline { worker }) => {
-                    let recalled = middleware.offline(*worker);
                     let worker = WorkerId(*worker as u64);
+                    let recalled = middleware.offline(worker);
                     for &task in &recalled {
                         live.remove(&(worker, task));
                     }
@@ -382,48 +476,75 @@ proptest! {
                 }
                 Some(Op::Advance { dt }) => {
                     now += dt;
-                    let expected = model.advance(now);
-                    let mut reported = Vec::new();
                     loop {
                         let due = crowd.next_due();
-                        let Some(done) = crowd.pop_due(now) else {
+                        let expected = model.pop(now);
+                        let Some((at, event)) = crowd.pop_due(now) else {
+                            prop_assert!(expected.is_none(), "the model still had {:?}", expected);
                             prop_assert!(
                                 !crowd.next_due().is_some_and(|at| at <= now),
                                 "still due at {:?} <= now {} but nothing popped", due, now
                             );
                             break;
                         };
+                        let epoch = expected.as_ref().map(|e| e.2);
+                        prop_assert_eq!(Some((at, event)), expected.map(|e| (e.0, e.1)));
+                        prop_assert!(at <= now);
                         prop_assert!(
-                            due.is_some_and(|at| at <= done.at) && done.at <= now,
-                            "delivered {:?} with next_due {:?} at now {}", done, due, now
+                            at >= last_event,
+                            "events went backwards: {:?} at {} after {}", event, at, last_event
                         );
-                        prop_assert!(
-                            done.at >= last_delivery,
-                            "delivery instants went backwards: {} after {}", done.at, last_delivery
-                        );
-                        last_delivery = done.at;
-                        let epoch = live.remove(&(done.worker, done.task));
-                        prop_assert!(
-                            epoch.is_some(),
-                            "{:?} delivered twice or after its recall", done
-                        );
-                        let epoch = epoch.expect("just checked");
-                        prop_assert!(
-                            !model.schedule.abandons(done.task.0, epoch)
-                                && !model.schedule.loses_completion(done.task.0, epoch),
-                            "attempt {} of {:?} was struck by the plan yet delivered", epoch, done.task
-                        );
-                        middleware.complete(&done);
-                        reported.push((done, epoch));
+                        last_event = at;
+                        match &event {
+                            CrowdEvent::Done(done) => {
+                                prop_assert!(
+                                    due.is_some_and(|due| due <= at),
+                                    "delivered {:?} with next_due {:?}", done, due
+                                );
+                                let held = live.remove(&(done.worker, done.task));
+                                prop_assert!(
+                                    held.is_some(),
+                                    "{:?} delivered twice or after its recall", done
+                                );
+                                prop_assert_eq!(held, epoch);
+                                let epoch = held.expect("just checked");
+                                prop_assert!(
+                                    !model.schedule.abandons(done.task.0, epoch)
+                                        && !model.schedule.loses_completion(done.task.0, epoch),
+                                    "attempt {} of {:?} was struck by the plan yet delivered",
+                                    epoch, done.task
+                                );
+                            }
+                            // Completion first on a tie: nothing live is
+                            // due by a timeline event once it pops.
+                            _ => prop_assert!(
+                                !crowd.next_due().is_some_and(|due| due <= at),
+                                "{:?} at {} popped before a completion due at {:?}",
+                                event, at, crowd.next_due()
+                            ),
+                        }
+                        let recalled = middleware.book(&mut crowd, at, &event);
+                        if let CrowdEvent::Offline(worker) = event {
+                            for &task in &recalled {
+                                live.remove(&(worker, task));
+                            }
+                            model.offline(worker, &recalled, at);
+                        }
                     }
-                    prop_assert_eq!(reported, expected);
                 }
-                // After the last op: close everything out.
+                // After the last op: close everything out. What is left on
+                // the timeline still pops, and no completion does.
                 None => {
                     let outcome = middleware.close_out(now);
                     crowd.apply(&outcome, now);
                     model.apply(&outcome, now);
-                    prop_assert_eq!(crowd.pop_due(f64::INFINITY), None);
+                    while let Some((at, event)) = crowd.pop_due(f64::INFINITY) {
+                        let expected = model.pop(f64::INFINITY).map(|e| (e.0, e.1));
+                        prop_assert_eq!(Some((at, event)), expected);
+                        prop_assert!(!matches!(event, CrowdEvent::Done(_)), "{:?}", event);
+                        middleware.book(&mut crowd, at, &event);
+                    }
+                    prop_assert!(model.pop(f64::INFINITY).is_none());
                     prop_assert_eq!(
                         crowd.tracked_tasks(), 0,
                         "every task is delivered, expired or shed, yet state remains"
@@ -445,66 +566,116 @@ proptest! {
         seed in 0u64..1 << 20,
         ops in proptest::collection::vec(arb_op(), 1..120),
     ) {
-        // The way a discrete-event runner drives it: every completion is
-        // popped at its own due instant, before the loop's next event.
-        let mut des = crowd(seed);
-        let mut middleware = Middleware::new();
-        let mut script: Vec<(f64, Step)> = Vec::new();
-        let mut exact = Vec::new();
-        let mut now = 0.0f64;
-        for op in &ops {
-            if let Op::Advance { dt } = op {
-                now += dt;
-            }
-            while let Some(at) = des.next_due().filter(|&at| at <= now) {
-                // `None`: the report due at `at` was lost in flight.
-                if let Some(done) = des.pop_due(at) {
-                    prop_assert_eq!(done.at, at);
-                    middleware.complete(&done);
-                    exact.push(done);
+        // The way a discrete-event runner drives it: every event is
+        // popped at its own instant, before the loop's next event. The
+        // other way, the scheduler thread's: it looks only when it wakes
+        // for a control step — late, however many events fell due
+        // meanwhile — and asks for its next wake-up in between.
+        let mut runs = Vec::new();
+        for late in [false, true] {
+            let mut crowd = crowd(seed);
+            let mut middleware = Middleware::new();
+            let mut events = Vec::new();
+            let mut now = 0.0f64;
+            for op in &ops {
+                if let Op::Advance { dt } = op {
+                    now += dt;
+                    if late {
+                        continue;
+                    }
+                }
+                if late {
+                    drain_late(&mut crowd, &mut middleware, now, &mut events);
+                    let _wake = crowd.next_due();
+                } else {
+                    drain_exactly(&mut crowd, &mut middleware, now, &mut events)?;
+                }
+                match op {
+                    Op::Tick { recalls, retire, assigns, charge } => {
+                        let outcome = middleware.tick(recalls, retire, assigns, now + charge);
+                        crowd.apply(&outcome, now);
+                    }
+                    Op::Offline { worker } => {
+                        let worker = WorkerId(*worker as u64);
+                        let recalled = middleware.offline(worker);
+                        crowd.offline(worker, &recalled, now);
+                    }
+                    Op::Advance { .. } => {}
                 }
             }
-            match op {
-                Op::Tick { recalls, retire, assigns, charge } => {
-                    let outcome = middleware.tick(recalls, retire, assigns, now + charge);
-                    des.apply(&outcome, now);
-                    script.push((now, Step::Apply(Box::new(outcome))));
-                }
-                Op::Offline { worker } => {
-                    let recalled = middleware.offline(*worker);
-                    let worker = WorkerId(*worker as u64);
-                    des.offline(worker, &recalled, now);
-                    script.push((now, Step::Offline(worker, recalled)));
-                }
-                Op::Advance { .. } => {}
+            if late {
+                drain_late(&mut crowd, &mut middleware, f64::INFINITY, &mut events);
+            } else {
+                drain_exactly(&mut crowd, &mut middleware, f64::INFINITY, &mut events)?;
             }
-        }
-        while let Some(done) = des.pop_due(f64::INFINITY) {
-            exact.push(done);
+            runs.push((events, crowd.abandoned(), crowd.lost()));
         }
 
-        // The way the scheduler thread drives it: it looks only when it
-        // wakes for a control step — late, however many completions fell
-        // due meanwhile — and asks for its next wake-up in between.
-        let mut live = crowd(seed);
-        let mut polled = Vec::new();
-        for (now, step) in &script {
-            while let Some(done) = live.pop_due(*now) {
-                polled.push(done);
-            }
-            let _wake = live.next_due();
-            match step {
-                Step::Apply(outcome) => live.apply(outcome, *now),
-                Step::Offline(worker, recalled) => live.offline(*worker, recalled, *now),
-            }
-        }
-        while let Some(done) = live.pop_due(f64::INFINITY) {
-            polled.push(done);
-        }
-
-        prop_assert_eq!(&polled, &exact);
-        prop_assert_eq!((live.abandoned(), live.lost()), (des.abandoned(), des.lost()));
-        let tasks: BTreeSet<_> = exact.iter().map(|d| d.task).collect();
-        prop_assert_eq!(tasks.len(), exact.len(), "a task was delivered twice");
+        let (polled, exact) = (&runs[1], &runs[0]);
+        prop_assert_eq!(polled, exact);
+        let delivered: Vec<TaskId> = exact
+            .0
+            .iter()
+            .filter_map(|(_, event)| match event {
+                CrowdEvent::Done(done) => Some(done.task),
+                _ => None,
+            })
+            .collect();
+        let tasks: BTreeSet<_> = delivered.iter().collect();
+        prop_assert_eq!(tasks.len(), delivered.len(), "a task was delivered twice");
     }
+}
+
+/// The tie rule, which continuous draws never hit: a completion, a
+/// dropout, its rejoin and a burst all at one instant come out in that
+/// order, and burst tasks take consecutive ids above `BURST_ID_BASE`.
+#[test]
+fn a_completion_goes_before_the_timeline_at_one_instant() {
+    let plan = FaultPlan {
+        dropout: Some(DropoutPlan {
+            probability: 1.0,
+            window: (10.0, 10.0),
+            offline_range: Some((0.0, 0.0)),
+        }),
+        bursts: Some(BurstPlan {
+            count: 1,
+            size: 2,
+            window: (10.0, 10.0),
+        }),
+        ..FaultPlan::none()
+    };
+    let worker = WorkerBehavior::uniform(UniformRange::new(5.0, 5.0), 0.0, 0.0, 1.0);
+    let mut crowd = Crowd::new(vec![worker], Some(&plan), &RngStreams::new(3));
+    let outcome = TickOutcome {
+        effective_at: 5.0,
+        assignments: vec![(WorkerId(0), TaskId(7))],
+        ..TickOutcome::default()
+    };
+    crowd.apply(&outcome, 5.0);
+    assert_eq!(crowd.pop_due(9.5), None);
+    assert_eq!(crowd.next_due(), Some(10.0));
+    let events: Vec<_> = std::iter::from_fn(|| crowd.pop_due(10.0)).collect();
+    let kinds: Vec<_> = events
+        .iter()
+        .map(|&(at, event)| match event {
+            CrowdEvent::Done(done) => (at, "done", done.task.0),
+            CrowdEvent::Offline(worker) => (at, "offline", worker.0),
+            CrowdEvent::Online(worker) => (at, "online", worker.0),
+            CrowdEvent::Burst { size } => (at, "burst", u64::from(size)),
+        })
+        .collect();
+    assert_eq!(
+        kinds,
+        [
+            (10.0, "done", 7),
+            (10.0, "offline", 0),
+            (10.0, "online", 0),
+            (10.0, "burst", 2),
+        ]
+    );
+    let region = BoundingBox::new(37.8, 38.2, 23.5, 24.0).expect("static bounds");
+    let ids: Vec<u64> = (0..2)
+        .map(|_| crowd.burst_task((60.0, 120.0), 1, region).id.0)
+        .collect();
+    assert_eq!(ids, [BURST_ID_BASE, BURST_ID_BASE + 1]);
 }
