@@ -48,8 +48,8 @@ use crate::ids::{TaskCategory, TaskId, WorkerId};
 use crate::profiling::{range_accepts, ProfilingComponent, WorkerProfile};
 use crate::task_mgmt::{TaskManagementComponent, TaskRecord};
 use rand::RngCore;
-use react_matching::{BipartiteGraph, MatcherEngine, TaskIdx, WorkerIdx};
-use react_prob::{DeadlineModel, EdgeGate, FittedModel};
+use react_matching::{BipartiteGraph, GraphError, MatcherEngine, TaskIdx, WorkerIdx};
+use react_prob::{DeadlineModel, EdgeGate, FittedModel, GatedRow};
 
 /// The outcome of one scheduling batch.
 #[derive(Debug, Clone)]
@@ -345,18 +345,25 @@ pub struct BuiltBatchGraph<'s> {
 ///   smallest time-to-deadline or already prunes its largest — every
 ///   [`EdgeGate`] answer is monotone in TTD (`Never` is constant, `Above`
 ///   and `Bracket` say `true` only above a cut and `false` only below
-///   one), so the extremes decide for everything between them. Otherwise,
-///   and whenever a TTD is NaN, each pair goes through
-///   [`EdgeGate::classify`] and, on the narrow ambiguous band, the exact
-///   CCDF evaluation, as the cold path's does. Either way the row's edges
-///   reach the graph in one [`BipartiteGraph::append_row`].
-/// * **Buffers** — the edge arena ([`BipartiteGraph::reset`] is `O(1)`),
-///   the pool and task-id maps and the per-batch task columns keep their
-///   capacity across batches, and what a build reads of a task comes off
-///   the unassigned queue's own columns
-///   (`TaskManagementComponent::queue`), not out of the registry. A build
-///   after which nothing changed allocates nothing; otherwise only what a
-///   refit allocates.
+///   one), so the extremes decide for everything between them. A row
+///   pruned outright is done before its weights are computed. Otherwise,
+///   and whenever a TTD is NaN, the gate is matched once for the row
+///   ([`EdgeGate::walk_row`]) and each pair goes through that variant's
+///   rule and, on the narrow ambiguous band, the exact CCDF evaluation,
+///   as the cold path's does.
+/// * **One write per edge** — the batch's weight-class column goes to the
+///   graph once per batch ([`BipartiteGraph::reset_with_classes`]), so a
+///   row's append checks only its worker and its weights. A row kept
+///   whole is one exact-size [`BipartiteGraph::append_row`]; any other
+///   row is one [`BipartiteGraph::append_row_where`] that asks each
+///   pair's verdict as it writes the pair's edge, with no mask between.
+/// * **Buffers** — the edge arena and the graph's class column
+///   ([`BipartiteGraph::reset`] is `O(1)`), the pool and task-id maps and
+///   the per-batch task columns keep their capacity across batches, and
+///   what a build reads of a task comes off the unassigned queue's own
+///   columns (`TaskManagementComponent::queue`), not out of the registry.
+///   A build after which nothing changed allocates nothing; otherwise
+///   only what a refit allocates.
 ///
 /// The built graph is bit-identical, edge for edge and in the same
 /// order, to a cold [`GraphBuilder`] pass; under the `debug-invariants`
@@ -376,17 +383,14 @@ pub struct BatchScratch {
     task_ids: Vec<TaskId>,
     /// Each task's time to deadline at `now` (aligned with `task_ids`).
     ttds: Vec<f64>,
-    /// Each task's weight class (an index into `class_reps`): tasks the
+    /// Column of the first task of each weight class in the batch (the
+    /// graph holds each task's class, an index into this): tasks the
     /// weight function cannot tell apart share one — a task category
     /// when it is [`WeightFunction::per_category`](crate::WeightFunction),
     /// else every task is its own.
-    class_of: Vec<u32>,
-    /// Column of the first task of each weight class in the batch.
     class_reps: Vec<u32>,
-    /// The current row's weight per class.
+    /// The current row's weight per class, unless it remembers its one.
     weights: Vec<f64>,
-    /// The current row's per-pair verdicts, when it needs them.
-    keep: Vec<bool>,
     graph: BipartiteGraph,
     /// Fingerprint of the config the rows were snapshotted under; any
     /// change invalidates every one.
@@ -421,8 +425,7 @@ impl BatchScratch {
             + self.pool.capacity() * size_of::<WorkerId>()
             + self.task_ids.capacity() * size_of::<TaskId>()
             + (self.ttds.capacity() + self.weights.capacity()) * size_of::<f64>()
-            + (self.class_of.capacity() + self.class_reps.capacity()) * size_of::<u32>()
-            + self.keep.capacity() * size_of::<bool>()
+            + self.class_reps.capacity() * size_of::<u32>()
     }
 
     /// Brings `rows` up to the component's current epoch — phase A for
@@ -536,34 +539,44 @@ impl BatchScratch {
         self.task_ids.clear();
         self.task_ids.extend_from_slice(&queue.ids);
         self.ttds.clear();
-        self.class_of.clear();
-        self.class_reps.clear();
         let (mut ttd_min, mut ttd_max, mut any_nan) = (f64::INFINITY, f64::NEG_INFINITY, false);
-        for (v, (&deadline_at, category)) in
-            queue.deadline_at.iter().zip(&queue.category).enumerate()
-        {
+        for &deadline_at in &queue.deadline_at {
             // `TaskRecord::remaining_time(now)`.
             let ttd = deadline_at - now;
             ttd_min = ttd_min.min(ttd);
             ttd_max = ttd_max.max(ttd);
             any_nan |= ttd.is_nan();
             self.ttds.push(ttd);
-            let same_category = |&rep: &u32| queue.category[rep as usize] == *category;
-            let known = if per_category {
-                self.class_reps.iter().position(same_category)
-            } else {
-                None
-            };
-            self.class_of.push(known.unwrap_or_else(|| {
-                self.class_reps.push(v as u32);
-                self.class_reps.len() - 1
-            }) as u32);
         }
         if any_nan {
             // A NaN TTD resolves through the exact evaluation; as the
             // batch's extremes it keeps every gate from settling a row.
             (ttd_min, ttd_max) = (f64::NAN, f64::NAN);
         }
+        // Each task's weight class, written straight into the graph's
+        // column: the class of the first task of its category when the
+        // weight reads nothing else of a task, else its own.
+        self.class_reps.clear();
+        let class_reps = &mut self.class_reps;
+        let class_of = queue.category.iter().enumerate().map(|(v, category)| {
+            let same_category = |&rep: &u32| queue.category[rep as usize] == *category;
+            let known = if per_category {
+                class_reps.iter().position(same_category)
+            } else {
+                None
+            };
+            known.unwrap_or_else(|| {
+                class_reps.push(v as u32);
+                class_reps.len() - 1
+            }) as u32
+        });
+        // The walk (below) emits the pool's rows in id order into the
+        // reused graph, in the cold builder's (row, task) order.
+        let columns = self
+            .graph
+            .reset_with_classes(0, self.task_ids.len(), class_of);
+        debug_assert!(columns.is_ok(), "builder emitted an invalid class column");
+        self.pool.clear();
         // The one category every task of the batch shares, when the
         // weight reads nothing else of a task: a row may remember its
         // weight for it.
@@ -572,10 +585,6 @@ impl BatchScratch {
             _ => None,
         };
 
-        // The walk: the pool's rows in id order, each emitted into the
-        // reused graph in the cold builder's (row, task) order.
-        self.pool.clear();
-        self.graph.reset(0, self.task_ids.len());
         let n = self.task_ids.len();
         let mut pruned = 0usize;
         for row in self.rows.iter_mut().filter(|row| row.in_pool) {
@@ -587,7 +596,7 @@ impl BatchScratch {
 
             // Eq. (3) for the whole row: nothing to test without a model,
             // and with one, whatever the batch's extreme TTDs decide.
-            let row_keep = match row.gate {
+            let settled = match row.gate {
                 None => Some(true),
                 Some(gate) => match (gate.classify(ttd_min), gate.classify(ttd_max)) {
                     (Some(true), _) => Some(true),
@@ -595,50 +604,34 @@ impl BatchScratch {
                     _ => None,
                 },
             };
-            let keep = if row.reward_range.is_none() && row_keep.is_some() {
-                // Nothing about this row depends on the pair.
-                if row.model.is_some() {
-                    stats.cdf_memo_hits += n as u64;
-                }
-                if row_keep == Some(false) {
-                    pruned += n;
-                    continue;
-                }
-                None
-            } else {
-                self.keep.clear();
-                for (&ttd, &reward) in self.ttds.iter().zip(&queue.reward) {
-                    let keep = range_accepts(row.reward_range, reward)
-                        && row.model.as_ref().is_none_or(|m| {
-                            let verdict =
-                                row_keep.or_else(|| row.gate.and_then(|g| g.classify(ttd)));
-                            stats.cdf_memo_hits += u64::from(verdict.is_some());
-                            verdict
-                                .unwrap_or_else(|| deadline_model.should_instantiate_edge(m, ttd))
-                        });
-                    pruned += usize::from(!keep);
-                    self.keep.push(keep);
-                }
-                if !self.keep.contains(&true) {
-                    // Nothing to weigh — and no batch to weigh it for
-                    // when the gate pruned the row outright.
-                    continue;
-                }
-                Some(&self.keep[..])
-            };
+            if settled == Some(false) {
+                // Pruned outright, before any weight: a gate answered
+                // each pair the reward test let through.
+                stats.cdf_memo_hits += match row.reward_range {
+                    None => n,
+                    range => queue
+                        .reward
+                        .iter()
+                        .filter(|&&r| range_accepts(range, r))
+                        .count(),
+                } as u64;
+                pruned += n;
+                continue;
+            }
 
             // The row's weight per class: maximum F under the training
             // rule, else Eq. (1) — off the row when it remembers this
             // batch's one category, off the profile otherwise.
-            self.weights.clear();
             let remembered = match (shared_category, row.weight) {
                 (Some(category), Some((held_for, weight))) if held_for == category => Some(weight),
                 _ => None,
             };
-            if row.in_training {
+            let weights = if row.in_training {
+                self.weights.clear();
                 self.weights.resize(self.class_reps.len(), 1.0);
-            } else if let Some(weight) = remembered {
-                self.weights.push(weight);
+                &self.weights[..]
+            } else if let Some(weight) = &remembered {
+                std::slice::from_ref(weight)
             } else {
                 // Rows mirror the registry; a miss would mean it mutated
                 // mid-build. The row then contributes no edges, as in the
@@ -652,17 +645,38 @@ impl BatchScratch {
                         (queue.category[rep as usize], &queue.location[rep as usize]);
                     config.weight.evaluate_at(profile, category, location)
                 };
+                self.weights.clear();
                 self.weights.extend(self.class_reps.iter().map(weight_of));
                 if let Some(category) = shared_category {
                     row.weight = Some((category, self.weights[0]));
                 }
-            }
+                &self.weights[..]
+            };
+
+            // Each pair's verdict as its edge is written: the reward
+            // test, then Eq. (3) by the row's gate, matched once for the
+            // row, and the exact CCDF where the gate does not answer.
+            let emit = RowEmit {
+                graph: &mut self.graph,
+                worker,
+                weights,
+                ttds: &self.ttds,
+                rewards: &queue.reward,
+                reward_range: row.reward_range,
+                model: row.model.as_ref(),
+                deadline_model: &deadline_model,
+                cdf_memo_hits: &mut stats.cdf_memo_hits,
+                pruned: &mut pruned,
+            };
             // Only in-range indices and weights the graph accepts are
             // emitted; a rejection would mean this builder is broken, so
             // the row is dropped rather than the batch aborted.
-            let appended = self
-                .graph
-                .append_row(worker, &self.class_of, &self.weights, keep);
+            let appended = match (settled, row.gate) {
+                (Some(_), _) if row.reward_range.is_none() => emit.all(),
+                (None, Some(gate)) => gate.walk_row(emit),
+                // Settled to keep: only the reward test is left.
+                _ => emit.run(|_| Some(true)),
+            };
             debug_assert!(appended.is_ok(), "builder emitted an invalid row");
         }
         stats.rows_total = self.pool.len();
@@ -690,6 +704,62 @@ impl BatchScratch {
             pruned,
             stats,
         }
+    }
+}
+
+/// One pool row on its way into the graph in [`BatchScratch::build`]:
+/// what its pairs' verdicts read, and the tallies they feed.
+struct RowEmit<'a> {
+    graph: &'a mut BipartiteGraph,
+    worker: WorkerIdx,
+    weights: &'a [f64],
+    ttds: &'a [f64],
+    rewards: &'a [f64],
+    reward_range: Option<(f64, f64)>,
+    model: Option<&'a FittedModel>,
+    deadline_model: &'a DeadlineModel,
+    cdf_memo_hits: &'a mut u64,
+    pruned: &'a mut usize,
+}
+
+impl RowEmit<'_> {
+    /// A row no pair of which needs a verdict: every task kept, each
+    /// Eq. (3) decision (if the row has a model) answered by its gate.
+    fn all(self) -> Result<usize, GraphError> {
+        if self.model.is_some() {
+            *self.cdf_memo_hits += self.ttds.len() as u64;
+        }
+        self.graph.append_row(self.worker, self.weights)
+    }
+}
+
+impl GatedRow for RowEmit<'_> {
+    type Output = Result<usize, GraphError>;
+
+    fn run(self, rule: impl Fn(f64) -> Option<bool>) -> Self::Output {
+        let RowEmit {
+            graph,
+            worker,
+            weights,
+            ttds,
+            rewards,
+            reward_range,
+            model,
+            deadline_model,
+            cdf_memo_hits,
+            pruned,
+        } = self;
+        graph.append_row_where(worker, weights, |v| {
+            let keep = range_accepts(reward_range, rewards[v])
+                && model.is_none_or(|m| {
+                    let ttd = ttds[v];
+                    let verdict = rule(ttd);
+                    *cdf_memo_hits += u64::from(verdict.is_some());
+                    verdict.unwrap_or_else(|| deadline_model.should_instantiate_edge(m, ttd))
+                });
+            *pruned += usize::from(!keep);
+            keep
+        })
     }
 }
 

@@ -101,6 +101,12 @@ pub struct BipartiteGraph {
     n_workers: usize,
     n_tasks: usize,
     edges: Vec<Edge>,
+    /// Each task's weight class, for the whole-row appends: set per
+    /// batch by [`BipartiteGraph::reset_with_classes`], empty otherwise.
+    class_of: Vec<u32>,
+    /// One past the largest class in `class_of`: the fewest weights a
+    /// row may carry.
+    n_classes: usize,
     /// Built on first use; every `&mut self` method clears it.
     task_index: OnceLock<TaskIndex>,
 }
@@ -149,11 +155,45 @@ impl BipartiteGraph {
     /// edges in `O(1)`, keeping the edge arena's allocation, so a scratch
     /// graph reused across scheduling batches stops allocating once it
     /// reaches steady-state size.
+    ///
+    /// Drops the class column too: a row appended after a plain reset
+    /// has no tasks.
     pub fn reset(&mut self, n_workers: usize, n_tasks: usize) {
         self.task_index.take();
         self.edges.clear();
+        self.class_of.clear();
+        self.n_classes = 0;
         self.n_workers = n_workers;
         self.n_tasks = n_tasks;
+    }
+
+    /// [`Self::reset`], then takes the batch's weight-class column for
+    /// the whole-row appends: a row will have an edge candidate for each
+    /// task `v` of the column, weighted by the row's weight for class
+    /// `class_of[v]`. The column is checked here, once per batch, and
+    /// written into storage the graph keeps across resets.
+    ///
+    /// A column longer than `n_tasks` is refused
+    /// ([`GraphError::VertexOutOfRange`]) and leaves the graph reset with
+    /// an empty column, so the rows appended after it have no tasks.
+    pub fn reset_with_classes(
+        &mut self,
+        n_workers: usize,
+        n_tasks: usize,
+        class_of: impl IntoIterator<Item = u32>,
+    ) -> Result<(), GraphError> {
+        self.reset(n_workers, n_tasks);
+        self.class_of.extend(class_of);
+        if self.class_of.len() > n_tasks {
+            self.class_of.clear();
+            return Err(self.out_of_range());
+        }
+        self.n_classes = self
+            .class_of
+            .iter()
+            .max()
+            .map_or(0, |&max| max as usize + 1);
+        Ok(())
     }
 
     /// Appends a worker vertex and returns its index, for a builder that
@@ -165,12 +205,14 @@ impl BipartiteGraph {
         WorkerIdx(self.n_workers as u32 - 1)
     }
 
-    /// Heap bytes currently reserved by the edge arena — the capacity a
-    /// [`BipartiteGraph::reset`]-based reuse cycle retains instead of
-    /// reallocating — plus the task index if one is built.
+    /// Heap bytes currently reserved by the edge arena and the class
+    /// column — the capacity a [`BipartiteGraph::reset`]-based reuse
+    /// cycle retains instead of reallocating — plus the task index if one
+    /// is built.
     pub fn allocated_bytes(&self) -> usize {
         use std::mem::size_of;
         self.edges.capacity() * size_of::<Edge>()
+            + self.class_of.capacity() * size_of::<u32>()
             + self.task_index.get().map_or(0, |index| {
                 index.starts.capacity() * size_of::<u32>()
                     + index.ids.capacity() * size_of::<EdgeId>()
@@ -270,42 +312,79 @@ impl BipartiteGraph {
         Ok(self.push(worker, task, weight))
     }
 
-    /// Appends one worker's whole row: an edge to every task `v` of
-    /// `0..class_of.len()` with `keep[v]` set (to all of them when `keep`
-    /// is `None`), in ascending task order, weighted
-    /// `weights[class_of[v]]` — what one [`Self::add_edge_unchecked`] call
-    /// per kept task would push, for a builder that decides a row at a
-    /// time. Returns how many edges it appended.
+    /// Appends one worker's whole row: an edge to every task `v` of the
+    /// class column [`Self::reset_with_classes`] took, in ascending task
+    /// order, weighted `weights[class_of[v]]` — what one
+    /// [`Self::add_edge_unchecked`] call per task would push, for a
+    /// builder that decides a row at a time. Returns how many edges it
+    /// appended.
     ///
-    /// The row is checked once and as a whole, before anything is
-    /// written: `worker` in range, no wider than `|V|`, `keep` as wide as
-    /// `class_of`, every weight finite and non-negative (used by a kept
-    /// edge or not) and every class one of `weights` (else
-    /// [`GraphError::InvalidWeight`] of NaN: a class without a weight).
-    /// Like `add_edge_unchecked`, rows must arrive in ascending worker
-    /// order, which only a `debug_assert` holds.
+    /// The row is checked before anything is written: `worker` in range,
+    /// a weight for every class of the column (else
+    /// [`GraphError::InvalidWeight`] of NaN) and every weight finite and
+    /// non-negative, whether an edge uses it or not. The column itself
+    /// was checked by the reset. Like `add_edge_unchecked`, rows must
+    /// arrive in ascending worker order, which only a `debug_assert`
+    /// holds.
     #[inline]
-    pub fn append_row(
+    pub fn append_row(&mut self, worker: WorkerIdx, weights: &[f64]) -> Result<usize, GraphError> {
+        self.check_row(worker, weights)?;
+        // An exact-size iterator: one reservation, no per-edge capacity
+        // check.
+        self.edges
+            .extend(self.class_of.iter().enumerate().map(|(v, &class)| Edge {
+                worker,
+                task: TaskIdx(v as u32),
+                weight: weights[class as usize],
+            }));
+        Ok(self.class_of.len())
+    }
+
+    /// [`Self::append_row`] keeping only the tasks `v` for which
+    /// `keep(v)` holds. `keep` is called exactly once per task, in
+    /// ascending order, and not at all for a row the checks reject.
+    #[inline]
+    pub fn append_row_where(
         &mut self,
         worker: WorkerIdx,
-        class_of: &[u32],
         weights: &[f64],
-        keep: Option<&[bool]>,
+        mut keep: impl FnMut(usize) -> bool,
     ) -> Result<usize, GraphError> {
-        if worker.0 as usize >= self.n_workers
-            || class_of.len() > self.n_tasks
-            || keep.is_some_and(|keep| keep.len() != class_of.len())
-        {
+        self.check_row(worker, weights)?;
+        // Branch-free compaction: every edge is written at the cursor,
+        // which only a kept one advances.
+        let start = self.edges.len();
+        let filler = Edge {
+            worker,
+            task: TaskIdx(0),
+            weight: 0.0,
+        };
+        self.edges.resize(start + self.class_of.len(), filler);
+        let mut cursor = start;
+        for (v, &class) in self.class_of.iter().enumerate() {
+            self.edges[cursor] = Edge {
+                worker,
+                task: TaskIdx(v as u32),
+                weight: weights[class as usize],
+            };
+            cursor += usize::from(keep(v));
+        }
+        self.edges.truncate(cursor);
+        Ok(cursor - start)
+    }
+
+    /// The checks of a whole-row append; drops the task index when the
+    /// row passes, as every append then writes.
+    #[inline]
+    fn check_row(&mut self, worker: WorkerIdx, weights: &[f64]) -> Result<(), GraphError> {
+        if worker.0 as usize >= self.n_workers {
             return Err(self.out_of_range());
+        }
+        if weights.len() < self.n_classes {
+            return Err(GraphError::InvalidWeight(f64::NAN));
         }
         if let Some(&bad) = weights.iter().find(|&&w| !is_valid_weight(w)) {
             return Err(GraphError::InvalidWeight(bad));
-        }
-        if class_of
-            .iter()
-            .any(|&class| class as usize >= weights.len())
-        {
-            return Err(GraphError::InvalidWeight(f64::NAN));
         }
         debug_assert!(
             self.edges.last().is_none_or(|last| last.worker < worker),
@@ -313,34 +392,7 @@ impl BipartiteGraph {
             worker.0
         );
         self.task_index.take();
-        let start = self.edges.len();
-        let edge = |(v, &class): (usize, &u32)| Edge {
-            worker,
-            task: TaskIdx(v as u32),
-            weight: weights[class as usize],
-        };
-        match keep {
-            // An exact-size iterator: one reservation, no per-edge
-            // capacity check.
-            None => self.edges.extend(class_of.iter().enumerate().map(edge)),
-            // Branch-free compaction: every edge is written at the
-            // cursor, which only a kept one advances.
-            Some(keep) => {
-                let filler = Edge {
-                    worker,
-                    task: TaskIdx(0),
-                    weight: 0.0,
-                };
-                self.edges.resize(start + class_of.len(), filler);
-                let mut cursor = start;
-                for (slot, &kept) in class_of.iter().enumerate().zip(keep) {
-                    self.edges[cursor] = edge(slot);
-                    cursor += usize::from(kept);
-                }
-                self.edges.truncate(cursor);
-            }
-        }
-        Ok(self.edges.len() - start)
+        Ok(())
     }
 
     fn out_of_range(&self) -> GraphError {
@@ -609,14 +661,23 @@ mod tests {
         }
     }
 
-    /// One `append_row` call: `(class_of, weights, keep)`.
-    type Row<'a> = (&'a [u32], &'a [f64], Option<&'a [bool]>);
+    /// One whole-row append: the row's weights, and which tasks it keeps
+    /// (all of them when `None`).
+    type Row<'a> = (&'a [f64], Option<&'a [bool]>);
 
-    /// `append_row` against the per-edge entry it stands in for.
-    fn per_edge(n_tasks: usize, rows: &[Row]) -> (BipartiteGraph, BipartiteGraph) {
-        let mut by_row = BipartiteGraph::new(rows.len(), n_tasks);
+    /// The whole-row appends of one batch (`class_of` taken by the reset)
+    /// against the per-edge entry they stand in for.
+    fn per_edge(
+        n_tasks: usize,
+        class_of: &[u32],
+        rows: &[Row],
+    ) -> (BipartiteGraph, BipartiteGraph) {
+        let mut by_row = BipartiteGraph::new(0, 0);
+        by_row
+            .reset_with_classes(rows.len(), n_tasks, class_of.iter().copied())
+            .unwrap();
         let mut by_edge = BipartiteGraph::new(rows.len(), n_tasks);
-        for (u, &(class_of, weights, keep)) in rows.iter().enumerate() {
+        for (u, &(weights, keep)) in rows.iter().enumerate() {
             let worker = WorkerIdx(u as u32);
             let mut expected = 0;
             for (v, &class) in class_of.iter().enumerate() {
@@ -628,55 +689,70 @@ mod tests {
                     expected += 1;
                 }
             }
-            assert_eq!(
-                by_row.append_row(worker, class_of, weights, keep),
-                Ok(expected)
-            );
+            let appended = match keep {
+                None => by_row.append_row(worker, weights),
+                Some(keep) => by_row.append_row_where(worker, weights, |v| keep[v]),
+            };
+            assert_eq!(appended, Ok(expected));
         }
         (by_row, by_edge)
     }
 
     #[test]
     fn append_row_equals_one_add_edge_per_kept_task() {
-        let rows: [Row; 6] = [
-            // A full row of one class, then of several.
-            (&[0, 0, 0, 0], &[0.7], None),
-            (&[0, 1, 0, 2], &[0.1, 0.2, 0.3], None),
-            // Filtered rows: some, the ends, none, all.
+        let batches: [(&[u32], &[Row]); 4] = [
+            // A full row of one class; a row that keeps none.
+            (
+                &[0, 0, 0, 0],
+                &[(&[0.7], None), (&[1.0], Some(&[false; 4]))],
+            ),
+            // A full row of several classes; a filtered one.
             (
                 &[0, 1, 0, 2],
-                &[0.4, 0.5, 0.6],
-                Some(&[false, true, true, false]),
+                &[
+                    (&[0.1, 0.2, 0.3], None),
+                    (&[0.4, 0.5, 0.6], Some(&[false, true, true, false])),
+                ],
             ),
+            // Filtered rows: the ends, all.
             (
                 &[1, 1, 0, 0],
-                &[0.8, 0.9],
-                Some(&[true, false, false, true]),
+                &[(&[0.8, 0.9], Some(&[true, false, false, true]))],
             ),
-            (&[0, 0, 0, 0], &[1.0], Some(&[false; 4])),
-            (&[0, 1, 2, 3], &[0.0, 0.25, 0.5, 0.75], Some(&[true; 4])),
+            (
+                &[0, 1, 2, 3],
+                &[(&[0.0, 0.25, 0.5, 0.75], Some(&[true; 4]))],
+            ),
         ];
-        let (by_row, by_edge) = per_edge(4, &rows);
-        assert_eq!(by_row.edges(), by_edge.edges());
-        assert_eq!(by_row.n_edges(), 16);
-        for v in 0..4 {
-            assert_eq!(
-                by_row.task_edges(TaskIdx(v)),
-                by_edge.task_edges(TaskIdx(v))
-            );
+        let mut n_edges = 0;
+        for (class_of, rows) in batches {
+            let (by_row, by_edge) = per_edge(4, class_of, rows);
+            assert_eq!(by_row.edges(), by_edge.edges());
+            for v in 0..4 {
+                assert_eq!(
+                    by_row.task_edges(TaskIdx(v)),
+                    by_edge.task_edges(TaskIdx(v))
+                );
+            }
+            n_edges += by_row.n_edges();
         }
-        // An empty row, and a row over a prefix of the tasks.
-        let (by_row, by_edge) = per_edge(3, &[(&[], &[], None), (&[0, 0], &[0.5], None)]);
+        assert_eq!(n_edges, 16);
+        // An empty column, and a column over a prefix of the tasks.
+        let (by_row, by_edge) = per_edge(3, &[], &[(&[], None)]);
+        assert_eq!(by_row.edges(), by_edge.edges());
+        assert_eq!(by_row.n_edges(), 0);
+        let (by_row, by_edge) = per_edge(3, &[0, 0], &[(&[0.5], None)]);
         assert_eq!(by_row.edges(), by_edge.edges());
         assert_eq!(by_row.n_edges(), 2);
     }
 
     #[test]
     fn append_row_drops_a_built_task_index() {
-        let mut g = BipartiteGraph::new(2, 2);
-        g.append_row(WorkerIdx(0), &[0, 0], &[0.5], None).unwrap();
+        let mut g = BipartiteGraph::new(0, 0);
+        g.reset_with_classes(2, 2, [0, 0]).unwrap();
+        g.append_row(WorkerIdx(0), &[0.5]).unwrap();
         assert_eq!(g.task_edges(TaskIdx(1)), &[EdgeId(1)]);
-        g.append_row(WorkerIdx(1), &[0, 0], &[0.5], Some(&[false, true]))
+        g.append_row_where(WorkerIdx(1), &[0.5], |v| v == 1)
             .unwrap();
         assert_eq!(g.task_edges(TaskIdx(1)), &[EdgeId(1), EdgeId(2)]);
         assert_eq!(g.task_edges(TaskIdx(0)), &[EdgeId(0)]);
@@ -684,9 +760,9 @@ mod tests {
 
     #[test]
     fn append_row_rejects_a_bad_row_having_appended_nothing() {
-        let mut g = BipartiteGraph::new(2, 3);
-        g.append_row(WorkerIdx(0), &[0, 0, 0], &[0.5], None)
-            .unwrap();
+        let mut g = BipartiteGraph::new(0, 0);
+        g.reset_with_classes(2, 3, [0, 0, 1]).unwrap();
+        g.append_row(WorkerIdx(0), &[0.5, 0.5]).unwrap();
         let before = g.edges().to_vec();
         let out_of_range = |r: Result<usize, GraphError>| {
             matches!(
@@ -698,56 +774,98 @@ mod tests {
             )
         };
         let invalid = |r: Result<usize, GraphError>| matches!(r, Err(GraphError::InvalidWeight(_)));
-        // The worker, the width, a mask of another width.
-        assert!(out_of_range(g.append_row(
+        // The worker. The width is the reset's to check (below), and a
+        // verdict, called once per task, has no width to get wrong.
+        assert!(out_of_range(g.append_row(WorkerIdx(2), &[0.5, 0.5])));
+        assert!(out_of_range(g.append_row_where(
             WorkerIdx(2),
-            &[0, 0, 0],
-            &[0.5],
-            None
+            &[0.5, 0.5],
+            |_| true
         )));
-        assert!(out_of_range(g.append_row(
-            WorkerIdx(1),
-            &[0; 4],
-            &[0.5],
-            None
-        )));
-        let short = Some(&[true, true][..]);
-        assert!(out_of_range(g.append_row(
-            WorkerIdx(1),
-            &[0; 3],
-            &[0.5],
-            short
-        )));
+        let mut wide = BipartiteGraph::new(0, 0);
+        assert!(out_of_range(
+            wide.reset_with_classes(2, 3, [0; 4]).map(|()| 0)
+        ));
         // A weight the graph does not accept — last of the row's, and of
         // a class no kept edge uses — and a class without a weight.
-        let mask = Some(&[true, true, false][..]);
+        let mask = |v: usize| v < 2;
         for bad in [f64::NAN, -0.1, f64::INFINITY, f64::NEG_INFINITY] {
-            assert!(invalid(g.append_row(
-                WorkerIdx(1),
-                &[0, 0, 1],
-                &[0.5, bad],
-                None
-            )));
-            assert!(invalid(g.append_row(
-                WorkerIdx(1),
-                &[0, 0, 1],
-                &[0.5, bad],
-                mask
-            )));
+            assert!(invalid(g.append_row(WorkerIdx(1), &[0.5, bad])));
+            assert!(invalid(g.append_row_where(WorkerIdx(1), &[0.5, bad], mask)));
         }
-        assert!(invalid(g.append_row(
-            WorkerIdx(1),
-            &[0, 1, 2],
-            &[0.5, 0.5],
-            None
-        )));
+        assert!(invalid(g.append_row(WorkerIdx(1), &[0.5])));
+        assert!(invalid(g.append_row_where(WorkerIdx(1), &[0.5], mask)));
         assert_eq!(g.edges(), &before[..], "a rejected row must leave no edge");
         // The graph is still usable.
-        assert_eq!(
-            g.append_row(WorkerIdx(1), &[0, 1, 0], &[0.0, 1.0], mask),
-            Ok(2)
-        );
+        assert_eq!(g.append_row_where(WorkerIdx(1), &[0.0, 1.0], mask), Ok(2));
         assert_eq!(g.n_edges(), 5);
+    }
+
+    #[test]
+    fn append_row_where_asks_each_task_once_in_column_order() {
+        let mut g = BipartiteGraph::new(0, 0);
+        g.reset_with_classes(3, 6, [2, 0, 1, 0, 2]).unwrap();
+        for (u, pattern) in [[true; 5], [false; 5], [false, true, true, false, true]]
+            .iter()
+            .enumerate()
+        {
+            let mut asked = Vec::new();
+            let appended = g.append_row_where(WorkerIdx(u as u32), &[0.1, 0.2, 0.3], |v| {
+                asked.push(v);
+                pattern[v]
+            });
+            assert_eq!(asked, [0, 1, 2, 3, 4], "row {u}");
+            assert_eq!(appended, Ok(pattern.iter().filter(|&&k| k).count()));
+        }
+        let kept: Vec<_> = g.edges().iter().map(|e| (e.worker.0, e.task.0)).collect();
+        let first = (0..5).map(|v| (0, v));
+        let third = [1, 2, 4].map(|v| (2, v));
+        assert_eq!(kept, first.chain(third).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn a_rejected_row_writes_nothing_and_never_asks_a_verdict() {
+        let mut g = BipartiteGraph::new(0, 0);
+        g.reset_with_classes(2, 2, [0, 1]).unwrap();
+        g.append_row(WorkerIdx(0), &[0.5, 0.5]).unwrap();
+        let before = g.edges().to_vec();
+        let bad_rows: [(u32, &[f64]); 4] = [
+            (2, &[0.5, 0.5]),
+            (1, &[0.5]),
+            (1, &[0.5, f64::NAN]),
+            (1, &[-1.0, 0.5]),
+        ];
+        for (worker, weights) in bad_rows {
+            let mut asked = 0;
+            let r = g.append_row_where(WorkerIdx(worker), weights, |_| {
+                asked += 1;
+                true
+            });
+            assert!(r.is_err(), "row {worker} {weights:?}");
+            assert_eq!(asked, 0, "row {worker} {weights:?}");
+            assert_eq!(g.edges(), &before[..]);
+        }
+    }
+
+    #[test]
+    fn a_class_column_wider_than_the_tasks_is_refused() {
+        let mut g = BipartiteGraph::new(0, 0);
+        g.reset_with_classes(2, 2, [0, 0]).unwrap();
+        g.append_row(WorkerIdx(0), &[0.5]).unwrap();
+        assert_eq!(
+            g.reset_with_classes(2, 2, [0, 1, 0]),
+            Err(GraphError::VertexOutOfRange {
+                workers: 2,
+                tasks: 2
+            })
+        );
+        // Reset all the same, with no column: a row has no tasks.
+        assert_eq!((g.n_workers(), g.n_tasks(), g.n_edges()), (2, 2, 0));
+        assert_eq!(g.append_row(WorkerIdx(1), &[]), Ok(0));
+        assert_eq!(g.n_edges(), 0);
+        // As wide as |V| is fine.
+        assert_eq!(g.reset_with_classes(2, 3, [0, 1, 0]), Ok(()));
+        assert_eq!(g.append_row(WorkerIdx(0), &[0.1, 0.2]), Ok(3));
     }
 
     #[test]

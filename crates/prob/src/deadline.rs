@@ -319,6 +319,44 @@ pub enum EdgeGate {
     },
 }
 
+/// Work over one pool row's (worker, task) pairs that asks Eq. (3) of
+/// each pair's time-to-deadline. [`EdgeGate::walk_row`] matches the gate
+/// once and runs the row with that variant's per-pair rule, so the loop
+/// over the row's pairs carries no `match`.
+pub trait GatedRow {
+    /// What walking the row yields.
+    type Output;
+
+    /// Walks the row. `rule(ttd)` is [`EdgeGate::classify`]`(ttd)` for
+    /// the gate the walk started from: `None` asks for the exact
+    /// [`DeadlineModel::should_instantiate_edge`].
+    fn run(self, rule: impl Fn(f64) -> Option<bool>) -> Self::Output;
+}
+
+/// `Above { cut }`'s rule: a NaN TTD goes to the exact path, any other
+/// is kept iff it is positive and above the cut.
+#[inline]
+fn above(cut: f64, ttd: f64) -> Option<bool> {
+    if ttd.is_nan() {
+        None
+    } else {
+        Some(ttd > 0.0 && ttd > cut)
+    }
+}
+
+/// `Bracket { lo, hi }`'s rule: kept above `hi`, pruned below `lo`, the
+/// exact path inside the band (and for NaN).
+#[inline]
+fn bracket(lo: f64, hi: f64, ttd: f64) -> Option<bool> {
+    if ttd > hi {
+        Some(true)
+    } else if ttd < lo {
+        Some(false)
+    } else {
+        None
+    }
+}
+
 impl EdgeGate {
     /// Fast-path decision for a time-to-deadline; `None` requests the
     /// exact Eq. (3) evaluation (NaN TTDs also land here and resolve to
@@ -328,22 +366,20 @@ impl EdgeGate {
         match *self {
             EdgeGate::Exact => None,
             EdgeGate::Never => Some(false),
-            EdgeGate::Above { cut } => {
-                if ttd.is_nan() {
-                    None
-                } else {
-                    Some(ttd > 0.0 && ttd > cut)
-                }
-            }
-            EdgeGate::Bracket { lo, hi } => {
-                if ttd > hi {
-                    Some(true)
-                } else if ttd < lo {
-                    Some(false)
-                } else {
-                    None
-                }
-            }
+            EdgeGate::Above { cut } => above(cut, ttd),
+            EdgeGate::Bracket { lo, hi } => bracket(lo, hi, ttd),
+        }
+    }
+
+    /// Runs `row` with this gate's per-pair rule — [`Self::classify`]
+    /// with the variant matched here, once, instead of once per pair.
+    #[inline]
+    pub fn walk_row<R: GatedRow>(self, row: R) -> R::Output {
+        match self {
+            EdgeGate::Exact => row.run(|_| None),
+            EdgeGate::Never => row.run(|_| Some(false)),
+            EdgeGate::Above { cut } => row.run(move |ttd| above(cut, ttd)),
+            EdgeGate::Bracket { lo, hi } => row.run(move |ttd| bracket(lo, hi, ttd)),
         }
     }
 }

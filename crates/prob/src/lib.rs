@@ -42,7 +42,9 @@ pub mod estimator;
 pub mod powerlaw;
 pub mod stats;
 
-pub use deadline::{DeadlineDecision, DeadlineModel, DeadlineModelConfig, EdgeGate, RecallGate};
+pub use deadline::{
+    DeadlineDecision, DeadlineModel, DeadlineModelConfig, EdgeGate, GatedRow, RecallGate,
+};
 pub use empirical::{EmpiricalDist, FittedModel, LatencyCcdf};
 pub use estimator::{EstimatorConfig, ExecTimeEstimator};
 pub use powerlaw::{FitMethod, PowerLaw, PowerLawError};

@@ -590,9 +590,7 @@ fn row_verdicts_agree_with_the_cold_build_at_every_gate_boundary() {
             batches.push((0.0, vec![(0.0, a), (f64::NAN, a)]));
         }
 
-        let mut scratch = BatchScratch::new();
-        let mut hits = 0u64;
-        for (now, batch) in &batches {
+        let queue = |batch: &[(f64, f64)]| {
             let mut tm = TaskManagementComponent::new();
             for (t, &(submitted_at, deadline)) in batch.iter().enumerate() {
                 let reward = if t % 2 == 0 { 0.05 } else { 0.5 };
@@ -606,10 +604,50 @@ fn row_verdicts_agree_with_the_cold_build_at_every_gate_boundary() {
                 );
                 tm.submit(task, submitted_at).unwrap();
             }
+            tm
+        };
+        let mut scratch = BatchScratch::new();
+        let mut hits = 0u64;
+        for (now, batch) in &batches {
             let what = (kind, now, batch);
-            hits += assert_identical(&mut scratch, &config, &mut p, &tm, *now, &what).cdf_memo_hits;
+            hits += assert_identical(&mut scratch, &config, &mut p, &queue(batch), *now, &what)
+                .cdf_memo_hits;
         }
         assert!(hits > 0, "{kind:?}: no gate ever answered");
+
+        // Worker 0's row decided pair by pair: each batch also holds a
+        // TTD its gate keeps and one it prunes, so the extremes settle
+        // nothing.
+        let (below, above) = (cuts[0] / 2.0, cuts[cuts.len() - 1] * 2.0);
+        let mut build = |batch: &[(f64, f64)]| {
+            assert_identical(
+                &mut scratch,
+                &config,
+                &mut p,
+                &queue(batch),
+                0.0,
+                &(kind, batch),
+            )
+            .cdf_memo_hits
+        };
+        match kind {
+            // Two tasks of one batch inside worker 0's band: both go to
+            // the exact CCDF, which no other row's verdicts notice.
+            LatencyModelKind::PowerLaw => {
+                let in_band = build(&[(0.0, below), (0.0, cuts[0]), (0.0, cuts[1]), (0.0, above)]);
+                let out_of_band = build(&[(0.0, below), (0.0, above), (0.0, above), (0.0, above)]);
+                assert_eq!(in_band + 2, out_of_band, "the band's two pairs");
+            }
+            // A NaN TTD in a batch that straddles the cut: the rule sends
+            // it to the exact path, the gate answers the rest.
+            LatencyModelKind::Empirical => {
+                let with_nan = build(&[(0.0, below), (f64::NAN, cuts[0]), (0.0, above)]);
+                let without = build(&[(0.0, below), (0.0, above), (0.0, above)]);
+                assert!(with_nan > 0, "the gate answered nothing");
+                assert!(with_nan < without, "the NaN pair was answered by a gate");
+            }
+            other => panic!("{other:?} is not walked here"),
+        }
     }
 }
 

@@ -4,8 +4,8 @@ use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use react::prob::{
-    DeadlineModel, DeadlineModelConfig, EmpiricalDist, EstimatorConfig, ExecTimeEstimator,
-    FitMethod, FittedModel, PowerLaw, RecallGate,
+    DeadlineModel, DeadlineModelConfig, EdgeGate, EmpiricalDist, EstimatorConfig,
+    ExecTimeEstimator, FitMethod, FittedModel, GatedRow, PowerLaw, RecallGate,
 };
 
 /// Thresholds inside and outside the range the Eq. (2) inversion handles.
@@ -92,6 +92,68 @@ fn assert_recall_gate_agrees(
                 theta
             );
         }
+    }
+    Ok(gate)
+}
+
+/// A row of Eq. (3) verdicts reached the way the warm graph build
+/// reaches them: the per-pair rule [`EdgeGate::walk_row`] hands over,
+/// and the exact evaluation where it does not answer. Each verdict comes
+/// with whether the rule answered it.
+struct RowVerdicts<'a> {
+    dm: &'a DeadlineModel,
+    model: &'a FittedModel,
+    ttds: &'a [f64],
+}
+
+impl GatedRow for RowVerdicts<'_> {
+    type Output = Vec<(bool, bool)>;
+
+    fn run(self, rule: impl Fn(f64) -> Option<bool>) -> Self::Output {
+        let verdict = |ttd: f64| {
+            let answer = rule(ttd);
+            let exact = || self.dm.should_instantiate_edge(self.model, ttd);
+            (answer.unwrap_or_else(exact), answer.is_some())
+        };
+        self.ttds.iter().map(|&ttd| verdict(ttd)).collect()
+    }
+}
+
+/// The row rule of `model`'s gate at threshold `theta` equals
+/// `classify(ttd).unwrap_or(exact)` on `ttds`, ±0, NaN and each of the
+/// gate's cut points with its neighbours one ULP either side. Returns
+/// the gate.
+fn assert_row_rule_is_classify(
+    theta: f64,
+    model: &FittedModel,
+    ttds: &[f64],
+) -> Result<EdgeGate, TestCaseError> {
+    let dm = DeadlineModel::new(DeadlineModelConfig {
+        edge_probability_threshold: theta,
+        reassign_threshold: 0.1,
+    });
+    let gate = dm.edge_gate(model);
+    let cuts = match gate {
+        EdgeGate::Exact | EdgeGate::Never => vec![],
+        EdgeGate::Above { cut } => vec![cut],
+        EdgeGate::Bracket { lo, hi } => vec![lo, hi],
+    };
+    let mut probes = ttds.to_vec();
+    probes.extend([0.0, -0.0, f64::NAN]);
+    for c in cuts {
+        probes.extend([c.next_down(), c, c.next_up()]);
+    }
+    let row = gate.walk_row(RowVerdicts {
+        dm: &dm,
+        model,
+        ttds: &probes,
+    });
+    prop_assert_eq!(row.len(), probes.len());
+    for (&ttd, &(verdict, answered)) in probes.iter().zip(&row) {
+        let fast = gate.classify(ttd);
+        let expected = fast.unwrap_or_else(|| dm.should_instantiate_edge(model, ttd));
+        prop_assert_eq!(verdict, expected, "{:?} at ttd={} θ={}", gate, ttd, theta);
+        prop_assert_eq!(answered, fast.is_some(), "{:?} at ttd={}", gate, ttd);
     }
     Ok(gate)
 }
@@ -232,6 +294,37 @@ proptest! {
         // A step CCDF inverts exactly: no elapsed time falls back.
         if theta > 0.0 && theta < 1.0 && ttd > 0.0 {
             prop_assert!(gate.classify(window_frac * ttd).is_some(), "{:?}", gate);
+        }
+    }
+
+    /// Every case walks all four gates: the power law's `Bracket`, the
+    /// step CCDF's `Above`, and both models at a threshold no TTD clears
+    /// (`Never`) and at one the gate cannot invert (`Exact`).
+    #[test]
+    fn row_rule_is_classify_then_exact(
+        alpha in prop_oneof![1.0001f64..1.1, 1.1f64..8.0, 8.0f64..64.0],
+        k_min in 0.01f64..100.0,
+        samples in proptest::collection::vec((1u32..500).prop_map(|d| d as f64 / 10.0), 1..40),
+        theta in 0.001f64..0.999,
+        ttd in horizons(),
+    ) {
+        let power_law = FittedModel::PowerLaw(PowerLaw::new(alpha, k_min).unwrap());
+        let empirical = FittedModel::Empirical(EmpiricalDist::from_samples(&samples).unwrap());
+        let ttds = [ttd, k_min, samples[0]];
+        for model in [&power_law, &empirical] {
+            let gate = assert_row_rule_is_classify(theta, model, &ttds)?;
+            let expected = match model {
+                // Unless `ttd*` overflows, as near α = 1 it may.
+                FittedModel::PowerLaw(pl) => {
+                    matches!(gate, EdgeGate::Bracket { .. }) || !pl.quantile(theta).is_finite()
+                }
+                FittedModel::Empirical(_) => matches!(gate, EdgeGate::Above { .. }),
+            };
+            prop_assert!(expected, "{:?} from {:?}", gate, model);
+            let never = assert_row_rule_is_classify(1.0, model, &ttds)?;
+            prop_assert_eq!(never, EdgeGate::Never);
+            let exact = assert_row_rule_is_classify(-0.2, model, &ttds)?;
+            prop_assert_eq!(exact, EdgeGate::Exact);
         }
     }
 }
