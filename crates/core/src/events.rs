@@ -64,7 +64,7 @@ pub struct TaskEvent {
 }
 
 /// The audit log: an append-only event sequence.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct AuditLog {
     events: Vec<TaskEvent>,
 }

@@ -597,10 +597,8 @@ impl ReactServer {
     }
 
     /// Whether the scheduler is free and the batch trigger fires, i.e.
-    /// whether a [`tick`](Self::tick) at `now` would match. A live loop
-    /// reads it after a tick to learn whether queued work is waiting for
-    /// a worker, and so whether a completion is worth waking for.
-    pub fn batch_due(&self, now: f64) -> bool {
+    /// whether a [`tick`](Self::tick) at `now` matches.
+    fn batch_due(&self, now: f64) -> bool {
         now >= self.busy_until
             && self
                 .config

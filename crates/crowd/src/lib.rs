@@ -20,9 +20,13 @@
 //!   as one time-ordered stream of [`CrowdEvent`]s. The one model
 //!   [`ScenarioRunner`], `react-cluster`'s runner and `react-runtime`'s
 //!   live scheduler thread all drive.
-//! * [`ScenarioRunner`] — wires a [`react_core::ReactServer`] and a
-//!   [`Crowd`] into the `react-sim` discrete-event loop and produces a
-//!   [`RunReport`] with the exact series the paper plots.
+//! * [`Lap`] — a [`react_core::ReactServer`] and its [`Crowd`] seeded as
+//!   one run, with the control step and the booking of each crowd event
+//!   that [`ScenarioRunner`] and the live scheduler thread share; a loop
+//!   keeps what it needs of each step through its [`Ledger`].
+//! * [`ScenarioRunner`] — drives a [`Lap`] through the `react-sim`
+//!   discrete-event loop and produces a [`RunReport`] with the exact
+//!   series the paper plots.
 //! * [`casestudy`] — a synthesizer reproducing the shape of the raw
 //!   CrowdFlower observations (half the responses within 20 s, a tail of
 //!   hours, 70 % of workers trusted above 50 %).
@@ -36,6 +40,7 @@ pub mod behavior;
 pub mod casestudy;
 pub mod crowd;
 pub mod generator;
+pub mod lap;
 pub mod runner;
 pub mod scenario;
 
@@ -43,5 +48,6 @@ pub use behavior::{generate_population, BehaviorParams, ExecModel, LatencyModel,
 pub use casestudy::{CaseStudySummary, CaseStudyTrace};
 pub use crowd::{Crowd, CrowdEvent, Delivery};
 pub use generator::TaskGenerator;
+pub use lap::{Lap, Ledger};
 pub use runner::{FaultStats, RunReport, ScenarioRunner};
 pub use scenario::{ChurnParams, Scenario};

@@ -13,17 +13,19 @@
 //!
 //! Event model: the loop's own queue holds task arrivals (Poisson),
 //! middleware control ticks (fixed interval — expiry sweep, Eq. 2
-//! recalls, batch matching) and churn; the [`Crowd`] holds the rest —
-//! completions and the fault plan's dropouts, rejoins and bursts, popped
-//! in time order by [`Crowd::pop_due`]. Each step takes whichever is
-//! earlier, the crowd's next event or the loop's own, the crowd's on a
-//! tie. A plan dropout or rejoin takes the same arm as a churn one.
+//! recalls, batch matching) and churn; the [`Crowd`](crate::Crowd) holds
+//! the rest — completions and the fault plan's dropouts, rejoins and
+//! bursts, popped in time order by [`Crowd::pop_due`](crate::Crowd::pop_due).
+//! Each step takes whichever is earlier, the crowd's next event or the
+//! loop's own, the crowd's on a tie. A plan dropout or rejoin takes the
+//! same arm as a churn one. What a step does is the [`Lap`]'s, which the
+//! live scheduler thread calls too.
 
-use crate::behavior::generate_population;
-use crate::crowd::{Crowd, CrowdEvent};
+use crate::crowd::{CrowdEvent, Delivery};
 use crate::generator::TaskGenerator;
+use crate::lap::{Lap, Ledger};
 use crate::scenario::Scenario;
-use react_core::{AuditLog, IdMap, ReactServer, Task, TaskId, WorkerId};
+use react_core::{AuditLog, CompletionOutcome, IdMap, Task, TaskId, TickOutcome, WorkerId};
 use react_faults::BURST_ID_BASE;
 use react_metrics::TimeSeries;
 use react_obs::{null_observer, CounterKind, ObserverHandle};
@@ -72,7 +74,7 @@ pub struct FaultStats {
 }
 
 /// Aggregated results of one simulation run.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct RunReport {
     /// Scenario label.
     pub label: String,
@@ -244,20 +246,17 @@ impl ScenarioRunner {
     pub fn run(&self) -> RunReport {
         let sc = &self.scenario;
         let streams = RngStreams::new(sc.seed);
-        let mut pop_rng = streams.stream("population");
         let mut workload_rng = streams.stream("workload");
-
-        // Crowd.
-        let behaviors = generate_population(sc.n_workers, &sc.behavior, &mut pop_rng);
-        let mut server = ReactServer::builder(sc.config.clone())
-            .seed(sc.seed ^ 0x5eed)
-            .observer(self.observer.clone())
-            .build()
-            .expect("scenario carries a valid middleware config");
-        for i in 0..behaviors.len() {
-            server.register_worker(WorkerId(i as u64), sc.region.random_point(&mut pop_rng));
-        }
-        let mut crowd = Crowd::new(behaviors, sc.faults.as_ref(), &streams);
+        let mut lap = Lap::seeded(
+            sc.seed,
+            sc.config.clone(),
+            sc.n_workers,
+            &sc.behavior,
+            sc.region,
+            sc.faults.as_ref(),
+            self.observer.clone(),
+        )
+        .with_bursts(sc.deadline_range, sc.n_categories);
 
         // Workload: preset replay or live Poisson generation.
         let (mut workload, total_tasks) = match &sc.workload {
@@ -273,35 +272,21 @@ impl ScenarioRunner {
         };
 
         let mut sim: Simulator<Event> = Simulator::new();
-        let mut report = RunReport {
-            label: sc.label.clone(),
-            matcher_name: sc.config.matcher.name(),
-            received: 0,
-            completed: 0,
-            met_deadline: 0,
-            positive_feedback: 0,
-            expired_unassigned: 0,
-            reassignments: 0,
-            churn_events: 0,
-            batches: 0,
-            total_matching_seconds: 0.0,
-            series_met: TimeSeries::new("met_deadline"),
-            series_positive: TimeSeries::new("positive_feedback"),
-            exec_times: Vec::new(),
-            total_times: Vec::new(),
-            sim_duration: 0.0,
-            audit: None,
-            replication: sc.replication.max(1),
-            groups: 0,
-            groups_majority_positive: 0,
-            groups_any_positive: 0,
-            groups_any_met: 0,
-            faults: FaultStats::default(),
-        };
         // Replica bookkeeping. At replication 1 a group is its one task,
         // which completes once, so its tally starts empty and needs no map.
         let k = sc.replication.max(1);
-        let mut groups: IdMap<u64, GroupTally> = IdMap::default();
+        let mut books = Books {
+            report: RunReport {
+                label: sc.label.clone(),
+                matcher_name: sc.config.matcher.name(),
+                series_met: TimeSeries::new("met_deadline"),
+                series_positive: TimeSeries::new("positive_feedback"),
+                replication: k,
+                ..RunReport::default()
+            },
+            groups: IdMap::default(),
+            k,
+        };
         let mut last_arrival_at = 0.0f64;
 
         // Prime the event loop. With replication, each logical task is
@@ -331,84 +316,36 @@ impl ScenarioRunner {
             // churn arms schedule from the event's instant: the queue's
             // clock does not move for a crowd event.
             let horizon = sim.peek_time().map_or(f64::INFINITY, |t| t.as_secs());
-            let (now, event) = match crowd.pop_due(horizon) {
-                Some((at, CrowdEvent::Done(done))) => {
-                    let submitted_at = server
-                        .tasks()
-                        .record(done.task)
-                        .expect("finishing task is tracked")
-                        .submitted_at;
-                    let outcome = server
-                        .complete_task(done.task, done.worker, done.at, done.quality_ok)
-                        .expect("a live completion matches the assignment");
-                    report.completed += 1;
-                    if outcome.met_deadline {
-                        report.met_deadline += 1;
-                    }
-                    if outcome.positive_feedback {
-                        report.positive_feedback += 1;
-                    }
-                    report
-                        .series_met
-                        .push(report.received as f64, report.met_deadline as f64);
-                    report
-                        .series_positive
-                        .push(report.received as f64, report.positive_feedback as f64);
-                    report.exec_times.push(outcome.exec_time);
-                    report.total_times.push(done.at - submitted_at);
-                    // Burst tasks are not part of any replica group.
-                    if done.task.0 < BURST_ID_BASE {
-                        let mut single = GroupTally::default();
-                        let tally = if k == 1 {
-                            &mut single
-                        } else {
-                            groups.entry(done.task.0 / k as u64).or_default()
-                        };
-                        let (positive, met) = (outcome.positive_feedback, outcome.met_deadline);
-                        tally.complete(positive, met, k, &mut report);
-                    }
-                    if done.duplicated {
-                        // Deliver the same completion a second time; the
-                        // server must reject it as already completed.
-                        report.faults.completions_duplicated += 1;
-                        let copy =
-                            server.complete_task(done.task, done.worker, done.at, done.quality_ok);
-                        if copy.is_err() {
-                            report.faults.duplicates_rejected += 1;
-                        }
-                    }
-                    report.sim_duration = at;
-                    continue;
-                }
-                Some((at, CrowdEvent::Burst { size })) => {
-                    for _ in 0..size {
-                        let task = crowd.burst_task(sc.deadline_range, sc.n_categories, sc.region);
-                        report.received += 1;
-                        report.faults.burst_tasks += 1;
-                        server.submit_task(task, at);
-                    }
-                    // A burst extends the drain window like any arrival.
-                    last_arrival_at = at;
-                    Self::control_step(&mut server, &mut crowd, at, &mut report);
-                    report.sim_duration = at;
-                    continue;
-                }
+            let (now, event) = match lap.crowd.pop_due(horizon) {
                 Some((at, CrowdEvent::Offline(worker))) => {
-                    report.faults.dropouts += 1;
+                    books.report.faults.dropouts += 1;
                     (at, Event::WorkerOffline(worker))
                 }
                 Some((at, CrowdEvent::Online(worker))) => (at, Event::WorkerOnline(worker)),
+                Some((at, event)) => {
+                    // A burst extends the drain window like any arrival.
+                    if let CrowdEvent::Burst { .. } = event {
+                        last_arrival_at = at;
+                    }
+                    lap.book(at, event, &mut books);
+                    books.report.sim_duration = at;
+                    continue;
+                }
                 None => match sim.next_event() {
                     Some((at, event)) => (at.as_secs(), event),
                     None => break,
                 },
             };
+            let report = &books.report;
+            // Burst tasks are extra load, not workload progress.
+            let workload_done =
+                (report.received - report.faults.burst_tasks) as usize >= total_tasks * k;
             match event {
                 Event::Arrival(task) => {
-                    report.received += 1;
+                    books.report.received += 1;
                     last_arrival_at = now;
                     let task_group_index = task.id.0 % k as u64;
-                    server.submit_task(task, now);
+                    lap.server.submit_task(task, now);
                     // Only the group's first replica triggers generation
                     // of the next logical task (all k replicas arrive as
                     // Arrival events; re-triggering on each would fan
@@ -422,23 +359,19 @@ impl ScenarioRunner {
                     }
                     // Arrival doubles as a control step so the batch
                     // trigger reacts to queue growth immediately.
-                    Self::control_step(&mut server, &mut crowd, now, &mut report);
+                    lap.control_step(now, &mut books);
                 }
                 Event::Tick => {
-                    Self::control_step(&mut server, &mut crowd, now, &mut report);
-                    // Burst tasks are extra load, not workload progress.
-                    let workload_done =
-                        (report.received - report.faults.burst_tasks) as usize >= total_tasks * k;
-                    let tasks_open = server.tasks().unassigned_count() > 0
-                        || server.tasks().assigned_count() > 0;
+                    lap.control_step(now, &mut books);
+                    let tasks = lap.server.tasks();
+                    let tasks_open = tasks.unassigned_count() > 0 || tasks.assigned_count() > 0;
                     let past_horizon = workload_done && now > last_arrival_at + sc.drain_horizon;
                     if (!workload_done || tasks_open) && !past_horizon {
                         sim.schedule_in(SimDuration::from_secs(sc.tick_interval), Event::Tick);
                     }
                 }
                 Event::WorkerOffline(worker) => {
-                    report.churn_events += 1;
-                    crowd.offline(worker, &server.worker_offline(worker, now), now);
+                    lap.book(now, CrowdEvent::Offline(worker), &mut books);
                     if let Some(churn) = sc.churn {
                         let off = UniformRange::new(churn.offline_range.0, churn.offline_range.1);
                         let off = off.sample(&mut churn_rng).max(0.001);
@@ -449,11 +382,9 @@ impl ScenarioRunner {
                     }
                 }
                 Event::WorkerOnline(worker) => {
-                    let _ = server.worker_online(worker);
+                    lap.book(now, CrowdEvent::Online(worker), &mut books);
                     // Schedule the next departure only while the run is
                     // still live, so the event queue can drain.
-                    let workload_done =
-                        (report.received - report.faults.burst_tasks) as usize >= total_tasks * k;
                     let past_horizon = workload_done && now > last_arrival_at + sc.drain_horizon;
                     if let (Some(churn), false) = (sc.churn, past_horizon) {
                         let online = Exponential::with_mean(churn.mean_online);
@@ -465,9 +396,11 @@ impl ScenarioRunner {
                     }
                 }
             }
-            report.sim_duration = now;
+            books.report.sim_duration = now;
         }
 
+        let Books { mut report, .. } = books;
+        let (server, crowd) = (&lap.server, &lap.crowd);
         report.batches = server.batches_run();
         report.total_matching_seconds = server.total_matching_seconds();
         report.audit = server.audit().cloned();
@@ -499,16 +432,71 @@ impl ScenarioRunner {
         }
         report
     }
+}
 
-    /// Runs `server.tick(now)`, books what it retired and hands the
-    /// outcome to the crowd.
-    fn control_step(server: &mut ReactServer, crowd: &mut Crowd, now: f64, report: &mut RunReport) {
-        let outcome = server.tick(now);
+/// A run's report and replica groups: what the runner keeps of each
+/// step its [`Lap`] takes.
+struct Books {
+    report: RunReport,
+    groups: IdMap<u64, GroupTally>,
+    /// Replication factor.
+    k: usize,
+}
+
+impl Ledger for Books {
+    fn ticked(&mut self, _now: f64, outcome: &TickOutcome) {
+        let report = &mut self.report;
         report.expired_unassigned += (outcome.expired.len() + outcome.shed.len()) as u64;
         report.faults.timeout_recalls += outcome.timeout_recalls;
         report.faults.sheds += outcome.shed.len() as u64;
         report.reassignments += outcome.recalls.len() as u64;
-        crowd.apply(outcome, now);
+    }
+
+    fn completed(&mut self, done: &Delivery, outcome: &CompletionOutcome, submitted_at: f64) {
+        let report = &mut self.report;
+        report.completed += 1;
+        if outcome.met_deadline {
+            report.met_deadline += 1;
+        }
+        if outcome.positive_feedback {
+            report.positive_feedback += 1;
+        }
+        report
+            .series_met
+            .push(report.received as f64, report.met_deadline as f64);
+        report
+            .series_positive
+            .push(report.received as f64, report.positive_feedback as f64);
+        report.exec_times.push(outcome.exec_time);
+        report.total_times.push(done.at - submitted_at);
+        // Burst tasks are not part of any replica group.
+        if done.task.0 < BURST_ID_BASE {
+            let k = self.k;
+            let mut single = GroupTally::default();
+            let tally = if k == 1 {
+                &mut single
+            } else {
+                self.groups.entry(done.task.0 / k as u64).or_default()
+            };
+            let (positive, met) = (outcome.positive_feedback, outcome.met_deadline);
+            tally.complete(positive, met, k, report);
+        }
+    }
+
+    fn duplicated(&mut self, rejected: bool) {
+        self.report.faults.completions_duplicated += 1;
+        if rejected {
+            self.report.faults.duplicates_rejected += 1;
+        }
+    }
+
+    fn offline(&mut self, _worker: WorkerId, _recalled: &[TaskId]) {
+        self.report.churn_events += 1;
+    }
+
+    fn burst(&mut self, _task: &Task) {
+        self.report.received += 1;
+        self.report.faults.burst_tasks += 1;
     }
 }
 

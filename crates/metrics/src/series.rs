@@ -1,7 +1,7 @@
 //! Append-only `(x, y)` series for the paper's cumulative curves.
 
 /// A named series of `(x, y)` points with non-decreasing `x`.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct TimeSeries {
     name: String,
     points: Vec<(f64, f64)>,

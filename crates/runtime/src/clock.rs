@@ -58,14 +58,14 @@ impl ScaledClock {
         std::thread::sleep(self.to_wall(crowd_secs));
     }
 
-    /// The wall-clock [`Instant`] lying `crowd_secs` crowd seconds in
-    /// the future — the deadline to hand to `recv_deadline`-style waits.
+    /// The wall-clock [`Instant`] at crowd time `crowd_secs` — the
+    /// deadline to hand to `recv_deadline`-style waits.
     ///
     /// This is the sanctioned way for runtime code to obtain an
     /// `Instant`; `clippy.toml` disallows reading `Instant::now()`
     /// directly elsewhere.
-    pub fn deadline_after(&self, crowd_secs: f64) -> Instant {
-        Instant::now() + self.to_wall(crowd_secs)
+    pub fn instant_at(&self, crowd_secs: f64) -> Instant {
+        self.start + self.to_wall(crowd_secs)
     }
 }
 

@@ -7,15 +7,15 @@
 //! tasks to the scheduler thread over a *bounded* channel — the
 //! backpressure edge between the door and the middleware, and the one
 //! thing the scheduler thread ever blocks on. The scheduler thread is
-//! the crate's one live control loop: it owns the `ReactServer` and the
-//! crowd (a [`react_crowd::Crowd`], the same model the discrete-event
-//! runners drive: calendars, a timer queue and the fault plan's timeline,
-//! no threads). It books each completion, dropout, rejoin and burst the
-//! crowd pops at its own instant and in the runners' order, ticks once
-//! per submission or tick period — waking for a completion only while a
-//! batch waits for a worker or the stack drains — publishes its backlog
-//! back to the door every tick, and records door-to-assignment latencies
-//! in [`IngestReport::assign_latencies`].
+//! the crate's one live control loop: it owns a [`react_crowd::Lap`] —
+//! the `ReactServer` and its crowd, seeded, stepped and booked by the
+//! same code as [`react_crowd::ScenarioRunner`]'s. It books each
+//! completion, dropout, rejoin and burst the crowd pops at its own
+//! instant, ticks at each submission, at each burst instant and on a
+//! fixed grid of tick periods from crowd time 0, as the runner does, so
+//! [`IngestRuntime::replay`] of a trace schedules it as the runner does.
+//! It publishes its backlog back to the door every lap and records
+//! door-to-assignment latencies in [`IngestReport::assign_latencies`].
 //!
 //! Sockets are sanctioned here (and in `react-load`); the root
 //! `clippy.toml` disallows `TcpListener`, `TcpStream` and `UdpSocket`
@@ -30,13 +30,14 @@ pub mod server;
 use crate::clock::ScaledClock;
 use crossbeam::channel::{bounded, Receiver, RecvTimeoutError};
 use parking_lot::Mutex;
-use react_core::{verify_lifecycles, Config, ReactServer, TaskId, WorkerId};
-use react_crowd::{generate_population, BehaviorParams, Crowd, CrowdEvent, Delivery};
+use react_core::{
+    verify_lifecycles, AuditLog, CompletionOutcome, Config, ReactServer, Task, TaskId, TickOutcome,
+    WorkerId,
+};
+use react_crowd::{BehaviorParams, Delivery, Lap, Ledger, Scenario};
 use react_faults::FaultPlan;
-use react_geo::BoundingBox;
 use react_obs::{null_observer, HistogramKind, ObserverHandle};
-use react_sim::RngStreams;
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 use std::net::SocketAddr;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -44,9 +45,6 @@ use std::thread::JoinHandle;
 use std::time::Duration;
 
 pub use server::{DoorStats, Inbox, IngestTask, Shared, TaskStatus};
-
-/// Deadline range (crowd seconds) of fault-plan burst tasks.
-const BURST_DEADLINE_RANGE: (f64, f64) = (60.0, 120.0);
 
 /// Configuration of the ingest front-end + scheduler + worker fleet.
 #[derive(Debug, Clone)]
@@ -62,7 +60,9 @@ pub struct IngestConfig {
     pub time_scale: f64,
     /// Scheduler control-loop period, in crowd seconds.
     pub tick_interval: f64,
-    /// RNG seed (worker population, exec times, burst tasks).
+    /// RNG seed (worker population, exec times, burst tasks), used as
+    /// [`react_crowd::ScenarioRunner`] uses its scenario's. Burst tasks get
+    /// 60–120 s deadlines and the door's one category.
     pub seed: u64,
     /// Fault-injection plan (`None` = fault-free).
     pub faults: Option<FaultPlan>,
@@ -143,16 +143,16 @@ pub struct IngestReport {
     /// Tasks still in flight when the drain grace expired (should be 0
     /// on a clean run; counted so conservation always closes).
     pub stranded: u64,
-    /// Peak bounded-queue depth sampled at ticks.
+    /// Peak bounded-queue depth sampled every lap.
     pub peak_queue_depth: usize,
-    /// Peak door-visible backlog (queue + unassigned) sampled at ticks.
+    /// Peak door-visible backlog (queue + unassigned) sampled every lap.
     pub peak_backlog: usize,
     /// Door-to-first-assignment latencies, crowd seconds, sorted.
     pub assign_latencies: Vec<f64>,
-    /// Audit events recorded (0 unless `config.audit` was enabled). The
-    /// log is verified at teardown, which panics on an illegal
-    /// transition — a test/debug tool.
-    pub audit_events: u64,
+    /// The task lifecycle audit log, when `config.audit` was enabled. It
+    /// is verified at teardown, which panics on an illegal transition — a
+    /// test/debug tool.
+    pub audit: Option<AuditLog>,
 }
 
 impl IngestReport {
@@ -207,24 +207,13 @@ impl IngestRuntime {
 
     /// Binds the listener, spawns the acceptors and the scheduler
     /// thread, and returns a handle to the running stack.
+    ///
+    /// # Panics
+    /// Panics on a tick interval or time scale that is not positive and
+    /// finite.
     pub fn start(self) -> std::io::Result<IngestHandle> {
-        let lc = self.config;
-        let observer = self.observer;
-        let clock = ScaledClock::start(lc.time_scale);
-        let region = BoundingBox::new(37.8, 38.2, 23.5, 24.0).expect("static bounds");
-        let (submit_tx, submit_rx) = bounded::<Inbox>(lc.queue_capacity.max(1));
-        let shared = Arc::new(Shared {
-            clock,
-            observer: observer.clone(),
-            draining: AtomicBool::new(false),
-            backlog: AtomicUsize::new(0),
-            watermark: lc.backlog_watermark,
-            next_id: AtomicU64::new(0),
-            stats: DoorStats::default(),
-            statuses: Mutex::new(HashMap::new()),
-            submit_tx,
-            default_location: region.center(),
-        });
+        let (shared, inbox) = self.shared();
+        let (lc, observer, clock) = (self.config, self.observer, shared.clock);
         let n_acceptors = lc.acceptors.max(1);
         let (addr, acceptors) = server::start_acceptors(
             &lc.bind_addr,
@@ -234,9 +223,14 @@ impl IngestRuntime {
         )?;
         let scheduler = {
             let shared = Arc::clone(&shared);
+            let door = Door {
+                clock,
+                inbox,
+                now: 0.0,
+            };
             std::thread::Builder::new()
                 .name("ingest-scheduler".to_string())
-                .spawn(move || scheduler_thread(lc, clock, region, observer, shared, submit_rx))
+                .spawn(move || scheduler_thread(lc, door, observer, &shared))
                 .expect("spawn scheduler thread")
         };
         Ok(IngestHandle {
@@ -247,6 +241,62 @@ impl IngestRuntime {
             scheduler,
             n_acceptors,
         })
+    }
+
+    /// Runs the scheduler loop over `trace`, `(instant, task)` pairs
+    /// sorted by instant, on a virtual clock: no door, no socket, no
+    /// thread. Each task arrives at its instant, the stack stops right
+    /// after the last one and drains, and the report is the one
+    /// [`IngestHandle::shutdown`] would return. Given the same seed, crowd,
+    /// middleware configuration and tick interval, its schedule is
+    /// [`react_crowd::ScenarioRunner`]'s on the same trace.
+    ///
+    /// # Panics
+    /// Panics as [`IngestRuntime::start`] does, and on an illegal audit
+    /// trail when `config.audit` is on.
+    pub fn replay(self, trace: Vec<(f64, Task)>) -> IngestReport {
+        let (shared, _inbox) = self.shared();
+        let last = trace.last().map_or(0.0, |&(at, _)| at);
+        let task = |(at, task)| {
+            (
+                at,
+                Inbox::Task(IngestTask {
+                    task,
+                    accepted_at: at,
+                }),
+            )
+        };
+        let mut arrivals: VecDeque<_> = trace.into_iter().map(task).collect();
+        arrivals.push_back((last, Inbox::Stop));
+        scheduler_thread(self.config, arrivals, self.observer, &shared)
+    }
+
+    /// The state the door and the scheduler share, on a clock started
+    /// now, and the receiving end of the door's bounded queue.
+    ///
+    /// # Panics
+    /// Panics on a tick interval that is not positive and finite (static
+    /// config): the tick grid would never advance.
+    fn shared(&self) -> (Arc<Shared>, Receiver<Inbox>) {
+        let tick = self.config.tick_interval;
+        assert!(
+            tick.is_finite() && tick > 0.0,
+            "tick interval must be positive and finite, got {tick}"
+        );
+        let (submit_tx, inbox) = bounded::<Inbox>(self.config.queue_capacity.max(1));
+        let shared = Arc::new(Shared {
+            clock: ScaledClock::start(self.config.time_scale),
+            observer: self.observer.clone(),
+            draining: AtomicBool::new(false),
+            backlog: AtomicUsize::new(0),
+            watermark: self.config.backlog_watermark,
+            next_id: AtomicU64::new(0),
+            stats: DoorStats::default(),
+            statuses: Mutex::new(HashMap::new()),
+            submit_tx,
+            default_location: Scenario::default_region().center(),
+        });
+        (shared, inbox)
     }
 }
 
@@ -284,164 +334,155 @@ impl IngestHandle {
     }
 }
 
-/// Blocks on the inbox for at most `wait` crowd seconds; `None` when the
-/// wait ran out.
-fn next_message(inbox: &Receiver<Inbox>, clock: &ScaledClock, wait: f64) -> Option<Inbox> {
-    match inbox.recv_deadline(clock.deadline_after(wait)) {
-        Ok(message) => Some(message),
-        Err(RecvTimeoutError::Timeout) => None,
-        // Cannot happen while the scheduler thread holds `Shared` and
-        // its sender; if it ever does, keep the loop's pace rather than
-        // spin.
-        Err(RecvTimeoutError::Disconnected) => {
-            clock.sleep(wait);
-            None
-        }
+/// Where the scheduler thread's time and submissions come from: the
+/// scaled wall clock and the door's inbox when serving ([`Door`]), a
+/// virtual clock over a preset trace in a replay.
+trait Arrivals {
+    /// The next message and the crowd instant it was taken, if one comes
+    /// by crowd time `until`; `None` once `until` has come. Instants
+    /// never go back.
+    fn next(&mut self, until: f64) -> Option<(f64, Inbox)>;
+    /// Messages waiting to be taken.
+    fn waiting(&self) -> usize;
+}
+
+/// The door's inbox on the scaled wall clock.
+struct Door {
+    clock: ScaledClock,
+    inbox: Receiver<Inbox>,
+    /// The last instant handed out.
+    now: f64,
+}
+
+impl Arrivals for Door {
+    fn next(&mut self, until: f64) -> Option<(f64, Inbox)> {
+        let message = match self.inbox.recv_deadline(self.clock.instant_at(until)) {
+            Ok(message) => Some(message),
+            Err(RecvTimeoutError::Timeout) => None,
+            // Cannot happen while the scheduler thread holds `Shared` and
+            // its sender; if it ever does, keep the loop's pace rather
+            // than spin.
+            Err(RecvTimeoutError::Disconnected) => {
+                self.clock.sleep(until - self.clock.now());
+                None
+            }
+        };
+        // Woken at a past `until`, the clock can read a hair before it.
+        self.now = match message {
+            Some(_) => self.clock.now().max(self.now),
+            None => until,
+        };
+        message.map(|message| (self.now, message))
+    }
+
+    fn waiting(&self) -> usize {
+        self.inbox.len()
+    }
+}
+
+/// A replay: each message is taken at its instant, and time jumps to
+/// whatever instant the loop waits for.
+impl Arrivals for VecDeque<(f64, Inbox)> {
+    fn next(&mut self, until: f64) -> Option<(f64, Inbox)> {
+        let due = self.front().is_some_and(|&(at, _)| at <= until);
+        due.then(|| self.pop_front()).flatten()
+    }
+
+    fn waiting(&self) -> usize {
+        0
     }
 }
 
 /// The scheduler thread: middleware + crowd + drain logic.
 ///
-/// A lap books every crowd event that fell due since the last one —
-/// completions, dropouts, rejoins and bursts, each at its own instant and
-/// in time order, as the discrete-event runners book them — takes the
-/// message that ended the last wait, ticks once and sleeps until the next
-/// message or one tick period. A completion needs no lap of its own: the
-/// wait ends at the crowd's next due instant only while a freed worker
-/// has a batch to take (`ReactServer::batch_due`) or the loop is
-/// draining.
+/// It ticks where [`react_crowd::ScenarioRunner`] does: at each
+/// submission, at each burst instant (inside [`Lap::book`]) and on a
+/// fixed grid of `tick_interval` from crowd time 0. Before each of these
+/// it books every crowd event due by its instant, each at its own instant
+/// and in time order. It never ticks at `Stop` or for a completion: a
+/// draining loop checks whether it is done at `Stop` and at each grid
+/// tick after it (`Stop` is the inbox's last message, so a draining lap
+/// runs one grid tick).
 fn scheduler_thread(
     lc: IngestConfig,
-    clock: ScaledClock,
-    region: BoundingBox,
+    mut arrivals: impl Arrivals,
     observer: ObserverHandle,
-    shared: Arc<Shared>,
-    inbox: Receiver<Inbox>,
+    shared: &Shared,
 ) -> IngestReport {
-    let streams = RngStreams::new(lc.seed);
-    let mut pop_rng = streams.stream("population");
-    let behaviors = generate_population(lc.n_workers, &lc.behavior, &mut pop_rng);
-
-    let mut server = ReactServer::builder(lc.config.clone())
-        .seed(lc.seed ^ 0xbeef)
-        .observer(observer.clone())
-        .build()
-        .expect("ingest config carries a valid middleware config");
-    for i in 0..behaviors.len() {
-        server.register_worker(WorkerId(i as u64), region.random_point(&mut pop_rng));
-    }
-    let mut crowd = Crowd::new(behaviors, lc.faults.as_ref(), &streams);
-
-    let mut report = IngestReport::default();
-    // Door-accept instant of each task not yet assigned once; an entry
-    // is dropped when its task is first assigned, expires or is shed, so
-    // the map does not grow with the run.
-    let mut accepted_at: HashMap<TaskId, f64> = HashMap::new();
-    let mut stopping = false;
+    let mut lap = Lap::seeded(
+        lc.seed,
+        lc.config.clone(),
+        lc.n_workers,
+        &lc.behavior,
+        Scenario::default_region(),
+        lc.faults.as_ref(),
+        observer.clone(),
+    );
+    let mut books = Books {
+        report: IngestReport::default(),
+        accepted_at: HashMap::new(),
+        shared,
+    };
+    let mut next_tick = lc.tick_interval;
     let mut drain_started: Option<f64> = None;
-    let mut message: Option<Inbox> = None;
 
     loop {
-        // Completions and timed faults due by now, each at its own
-        // instant and in time order (a completion first on a tie).
-        let now = clock.now();
-        while let Some((at, event)) = crowd.pop_due(now) {
-            match event {
-                CrowdEvent::Done(done) => {
-                    handle_completion(done, &mut server, &shared, &mut report)
-                }
-                CrowdEvent::Offline(worker) => {
-                    report.fault_events += 1;
-                    let recalled = server.worker_offline(worker, at);
-                    for task in &recalled {
-                        shared.set_status(task.0, TaskStatus::Queued);
-                    }
-                    crowd.offline(worker, &recalled, at);
-                }
-                CrowdEvent::Online(worker) => {
-                    let _ = server.worker_online(worker);
-                }
-                CrowdEvent::Burst { size } => {
-                    for _ in 0..size {
-                        // The door mints category 0 only, so bursts have
-                        // one category too.
-                        let task = crowd.burst_task(BURST_DEADLINE_RANGE, 1, region);
-                        report.injected_burst += 1;
-                        report.fault_events += 1;
-                        shared.set_status(task.id.0, TaskStatus::Queued);
-                        server.submit_task(task, at);
-                    }
-                }
-            }
+        let message = arrivals.next(next_tick);
+        let now = message.as_ref().map_or(next_tick, |&(at, _)| at);
+        // The grid's ticks due by now.
+        while next_tick <= now {
+            lap.book_due(next_tick, &mut books);
+            lap.control_step(next_tick, &mut books);
+            next_tick += lc.tick_interval;
         }
-
-        match message.take() {
-            Some(Inbox::Task(incoming)) => {
-                accepted_at.insert(incoming.task.id, incoming.accepted_at);
-                server.submit_task(incoming.task, now);
+        lap.book_due(now, &mut books);
+        match message {
+            Some((_, Inbox::Task(incoming))) => {
+                books
+                    .accepted_at
+                    .insert(incoming.task.id, incoming.accepted_at);
+                lap.server.submit_task(incoming.task, now);
+                lap.control_step(now, &mut books);
             }
-            Some(Inbox::Stop) => stopping = true,
+            Some((_, Inbox::Stop)) => drain_started = Some(now),
             None => {}
         }
 
-        // Control step.
-        let outcome = server.tick(now);
-        for task in &outcome.expired {
-            report.expired += 1;
-            accepted_at.remove(task);
-            shared.set_status(task.0, TaskStatus::Expired);
-        }
-        for task in &outcome.shed {
-            report.shed_server += 1;
-            accepted_at.remove(task);
-            shared.set_status(task.0, TaskStatus::Shed);
-        }
-        for recall in &outcome.recalls {
-            report.recalls += 1;
-            shared.set_status(recall.task.0, TaskStatus::Queued);
-        }
-        for &(_, task) in &outcome.assignments {
-            shared.set_status(task.0, TaskStatus::Assigned);
-            if let Some(at) = accepted_at.remove(&task) {
-                report.assign_latencies.push((now - at).max(0.0));
+        // Teardown: drain until idle, bounded by the grace window.
+        if let Some(started) = drain_started {
+            let tasks = lap.server.tasks();
+            if tasks.unassigned_count() == 0 && tasks.assigned_count() == 0 {
+                break;
+            }
+            if now - started >= lc.drain_grace {
+                force_drain(
+                    &mut lap.server,
+                    lc.n_workers,
+                    now,
+                    shared,
+                    &mut books.report,
+                );
+                break;
             }
         }
-        crowd.apply(outcome, now);
 
         // Publish backpressure state back to the door.
-        let queue_depth = inbox.len();
-        let backlog = queue_depth + server.tasks().unassigned_count();
+        let queue_depth = arrivals.waiting();
+        let backlog = queue_depth + lap.server.tasks().unassigned_count();
         shared.backlog.store(backlog, Ordering::Relaxed);
+        let report = &mut books.report;
         report.peak_queue_depth = report.peak_queue_depth.max(queue_depth);
         report.peak_backlog = report.peak_backlog.max(backlog);
         if observer.enabled() {
             observer.observe(HistogramKind::IngestQueueDepth, queue_depth as f64);
         }
-
-        // Teardown: drain until idle, bounded by the grace window.
-        // `Stop` was the inbox's last message, so nothing is queued.
-        if stopping {
-            if server.tasks().unassigned_count() == 0 && server.tasks().assigned_count() == 0 {
-                break;
-            }
-            let started = *drain_started.get_or_insert(now);
-            if now - started >= lc.drain_grace {
-                force_drain(&mut server, lc.n_workers, now, &shared, &mut report);
-                break;
-            }
-        }
-
-        let wait = match crowd.next_due() {
-            Some(due) if stopping || server.batch_due(now) => lc.tick_interval.min(due - now),
-            _ => lc.tick_interval,
-        };
-        message = next_message(&inbox, &clock, wait);
     }
 
-    report.batches = server.batches_run();
-    report.fault_events += crowd.abandoned() + crowd.lost();
-    if let Some(log) = server.audit() {
-        report.audit_events = log.len() as u64;
+    let mut report = books.report;
+    report.batches = lap.server.batches_run();
+    report.fault_events += lap.crowd.abandoned() + lap.crowd.lost();
+    report.audit = lap.server.audit().cloned();
+    if let Some(log) = &report.audit {
         verify_lifecycles(log);
     }
 
@@ -456,32 +497,68 @@ fn scheduler_thread(
     report
 }
 
-/// Books a completion report the crowd delivered, at the instant the
-/// worker finished; a duplicated one is delivered twice and the
-/// middleware must reject the copy.
-fn handle_completion(
-    done: Delivery,
-    server: &mut ReactServer,
-    shared: &Shared,
-    report: &mut IngestReport,
-) {
-    let Ok(out) = server.complete_task(done.task, done.worker, done.at, done.quality_ok) else {
-        return;
-    };
-    report.completed += 1;
-    if out.met_deadline {
-        report.met_deadline += 1;
+/// What the scheduler thread keeps of each step its [`Lap`] takes: the
+/// report, the door's status table and each waiting task's door-accept
+/// instant.
+struct Books<'a> {
+    report: IngestReport,
+    /// Door-accept instant of each task not yet assigned once; an entry
+    /// is dropped when its task is first assigned, expires or is shed, so
+    /// the map does not grow with the run.
+    accepted_at: HashMap<TaskId, f64>,
+    shared: &'a Shared,
+}
+
+impl Ledger for Books<'_> {
+    fn ticked(&mut self, now: f64, outcome: &TickOutcome) {
+        for task in &outcome.expired {
+            self.report.expired += 1;
+            self.accepted_at.remove(task);
+            self.shared.set_status(task.0, TaskStatus::Expired);
+        }
+        for task in &outcome.shed {
+            self.report.shed_server += 1;
+            self.accepted_at.remove(task);
+            self.shared.set_status(task.0, TaskStatus::Shed);
+        }
+        for recall in &outcome.recalls {
+            self.report.recalls += 1;
+            self.shared.set_status(recall.task.0, TaskStatus::Queued);
+        }
+        for &(_, task) in &outcome.assignments {
+            self.shared.set_status(task.0, TaskStatus::Assigned);
+            if let Some(at) = self.accepted_at.remove(&task) {
+                self.report.assign_latencies.push((now - at).max(0.0));
+            }
+        }
     }
-    shared.set_status(
-        done.task.0,
-        TaskStatus::Completed {
-            met_deadline: out.met_deadline,
-        },
-    );
-    if done.duplicated {
-        report.fault_events += 1;
-        let dup = server.complete_task(done.task, done.worker, done.at, done.quality_ok);
-        debug_assert!(dup.is_err(), "duplicate completion must be rejected");
+
+    fn completed(&mut self, done: &Delivery, outcome: &CompletionOutcome, _submitted_at: f64) {
+        self.report.completed += 1;
+        if outcome.met_deadline {
+            self.report.met_deadline += 1;
+        }
+        let met_deadline = outcome.met_deadline;
+        self.shared
+            .set_status(done.task.0, TaskStatus::Completed { met_deadline });
+    }
+
+    fn duplicated(&mut self, rejected: bool) {
+        self.report.fault_events += 1;
+        debug_assert!(rejected, "duplicate completion must be rejected");
+    }
+
+    fn offline(&mut self, _worker: WorkerId, recalled: &[TaskId]) {
+        self.report.fault_events += 1;
+        for task in recalled {
+            self.shared.set_status(task.0, TaskStatus::Queued);
+        }
+    }
+
+    fn burst(&mut self, task: &Task) {
+        self.report.injected_burst += 1;
+        self.report.fault_events += 1;
+        self.shared.set_status(task.id.0, TaskStatus::Queued);
     }
 }
 
@@ -673,7 +750,10 @@ mod tests {
         config.seed = 23;
         // Completions race the teardown path.
         let report = submit_then_shutdown(config, (0..12).map(|i| 60 + i * 10));
-        assert!(report.audit_events > 0, "audit log was recorded");
+        assert!(
+            report.audit.as_ref().is_some_and(|log| !log.is_empty()),
+            "audit log was recorded"
+        );
         assert!(report.conserved(), "conservation identity: {report:?}");
     }
 
@@ -731,7 +811,10 @@ mod tests {
         config.config.recovery = RecoveryConfig::aggressive(20.0);
         config.faults = Some(FaultPlan::chaos(0.8));
         let report = submit_then_shutdown(config, (0..30).map(|i| 60 + i * 3));
-        assert!(report.audit_events > 0, "audit log was recorded");
+        assert!(
+            report.audit.as_ref().is_some_and(|log| !log.is_empty()),
+            "audit log was recorded"
+        );
         assert!(report.fault_events > 0, "shims must fire: {report:?}");
         assert!(report.conserved(), "conservation identity: {report:?}");
         assert_eq!(report.stranded, 0, "{report:?}");

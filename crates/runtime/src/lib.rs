@@ -20,8 +20,8 @@
 //!   the sampled human service times run out and the fault plan's
 //!   dropouts, rejoins and bursts, and hands both out as one
 //!   time-ordered stream. The scheduler sleeps on its channel until the
-//!   earliest completion or the end of its tick period, so an idle stack
-//!   costs no CPU, and a recall simply strikes the timer.
+//!   next submission or grid tick, so an idle stack costs no CPU, and a
+//!   recall simply strikes the timer.
 //!
 //! Simulated "human seconds" are compressed by a configurable
 //! [`IngestConfig::time_scale`] so a 15-minute crowd scenario demos in

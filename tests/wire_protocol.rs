@@ -339,11 +339,11 @@ fn shutdown_is_clean_and_drains_to_a_conserved_report() {
     }
 }
 
-/// Below capacity the scheduler ticks once per submission and once per
-/// tick period, not once per completion: a completion is booked at its
-/// own instant and wakes the loop only while a batch waits for a worker.
-/// A loop that ticked for every completion would run about twice the
-/// bound here (30 submissions, ≈ 30 completions, ≈ 15 periods).
+/// The scheduler ticks once per submission and once per period of its
+/// grid, and never for a completion: a completion is booked at its own
+/// instant before the next tick, and no completion wakes the loop. A loop
+/// that ticked for every completion would run about twice the bound here
+/// (30 submissions, ≈ 30 completions, ≈ 15 periods).
 #[test]
 fn below_capacity_a_completion_does_not_cost_a_tick() {
     use react::obs::{ObserverHandle, RecordingObserver, SpanKind};
