@@ -16,8 +16,9 @@ use react_core::{
     Availability, CompletionOutcome, Config, CoreError, ReactServer, Task, TickOutcome,
 };
 use react_core::{TaskId, WorkerId};
+use react_crowd::{Delivery, Dispatch, Trigger};
 use react_geo::{BoundingBox, GeoPoint, RegionGrid, RegionRouter, ServerId};
-use react_obs::{null_observer, CounterKind, ObserverHandle, SpanKind, SpanTimer};
+use react_obs::{CounterKind, ObserverHandle, SpanKind, SpanTimer};
 use std::collections::BTreeMap;
 
 /// One shard: a server bound to a router leaf cell.
@@ -64,7 +65,7 @@ pub struct Relocation {
 
 /// What one cluster control step's passes did. The cluster owns one and
 /// clears it every tick, so its vectors keep their storage; each shard's
-/// own outcome stays with its server ([`Cluster::shard_outcomes`]).
+/// own outcome stays with its server.
 #[derive(Debug, Default)]
 pub struct ClusterTickOutcome {
     /// Cross-shard handoffs performed after the shard ticks.
@@ -93,6 +94,8 @@ pub struct Cluster {
     ticks: u64,
     /// Tasks refused at admission, per shard index.
     admission_shed: Vec<u64>,
+    /// Tasks whose location fell outside every cell.
+    unroutable: u64,
     /// Handoffs out of / into each shard index.
     handoffs_out: Vec<u64>,
     handoffs_in: Vec<u64>,
@@ -150,6 +153,7 @@ impl Cluster {
             rebalance_rng,
             ticks: 0,
             admission_shed: vec![0; n],
+            unroutable: 0,
             handoffs_out: vec![0; n],
             handoffs_in: vec![0; n],
             workers_rebalanced: 0,
@@ -180,6 +184,11 @@ impl Cluster {
     /// Tasks refused at admission so far, per shard (shard order).
     pub fn admission_shed(&self) -> &[u64] {
         &self.admission_shed
+    }
+
+    /// Tasks whose location fell outside every cell so far.
+    pub fn unroutable(&self) -> u64 {
+        self.unroutable
     }
 
     /// Handoffs out of each shard so far (shard order).
@@ -217,35 +226,6 @@ impl Cluster {
         Some(server_id)
     }
 
-    /// A worker departs (churn or fault dropout): its current shard
-    /// recalls any held tasks, and the router's load counter drops.
-    /// Returns the recalled task ids. The server-side calls are
-    /// idempotent, so the router guard here keeps duplicate events from
-    /// skewing the load counters.
-    pub fn worker_offline(&mut self, id: WorkerId, now: f64) -> Vec<TaskId> {
-        let Some(&i) = self.worker_shard.get(&id) else {
-            return Vec::new();
-        };
-        let server_id = self.shards[i].id;
-        let was_online = self.availability(i, id) != Some(Availability::Offline);
-        let recalled = self.shards[i].server.worker_offline(id, now);
-        if was_online {
-            self.router.deregister(server_id);
-        }
-        recalled
-    }
-
-    /// A departed worker reconnects at its current shard.
-    pub fn worker_online(&mut self, id: WorkerId) {
-        if let Some(&i) = self.worker_shard.get(&id) {
-            let server_id = self.shards[i].id;
-            let was_offline = self.availability(i, id) == Some(Availability::Offline);
-            if was_offline && self.shards[i].server.worker_online(id).is_ok() {
-                self.router.add_load(server_id);
-            }
-        }
-    }
-
     fn availability(&self, shard: usize, id: WorkerId) -> Option<Availability> {
         self.shards[shard]
             .server
@@ -260,8 +240,18 @@ impl Cluster {
     /// reported on the `shard.admission_shed` and `recovery.tasks_shed`
     /// counters.
     pub fn submit_task(&mut self, task: Task, now: f64) -> Submission {
+        match self.admit(task, now) {
+            Ok(i) => Submission::Accepted(self.shards[i].id),
+            Err(refused) => refused,
+        }
+    }
+
+    /// [`Cluster::submit_task`], answering with the accepting shard's
+    /// index.
+    fn admit(&mut self, task: Task, now: f64) -> Result<usize, Submission> {
         let Some(server_id) = self.router.route(&task.location) else {
-            return Submission::Unroutable;
+            self.unroutable += 1;
+            return Err(Submission::Unroutable);
         };
         let i = self.index[&server_id];
         if let Some(admission) = self.policy.admission {
@@ -271,46 +261,18 @@ impl Cluster {
                     self.observer.incr(CounterKind::ShardAdmissionShed, 1);
                     self.observer.incr(CounterKind::TasksShed, 1);
                 }
-                return Submission::Shed(server_id);
+                return Err(Submission::Shed(server_id));
             }
         }
         self.shards[i].server.submit_task(task, now);
         self.router.add_load(server_id);
-        Submission::Accepted(server_id)
-    }
-
-    /// Delivers a completion to the shard that assigned the task. On
-    /// success the router's load counter drops.
-    pub fn complete_task(
-        &mut self,
-        shard: ServerId,
-        task: TaskId,
-        worker: WorkerId,
-        now: f64,
-        quality_ok: bool,
-    ) -> Result<CompletionOutcome, CoreError> {
-        let i = *self.index.get(&shard).ok_or(CoreError::UnknownTask(task))?;
-        let outcome = self.shards[i]
-            .server
-            .complete_task(task, worker, now, quality_ok)?;
-        self.router.deregister(shard);
-        Ok(outcome)
-    }
-
-    /// Ticks a single shard — the control step a task arrival triggers
-    /// on its owning server (no cluster-wide passes) — and returns its
-    /// outcome.
-    pub fn tick_shard(&mut self, shard: ServerId, now: f64) -> Option<&TickOutcome> {
-        let i = *self.index.get(&shard)?;
-        let outcome = self.shards[i].server.tick(now);
-        settle_retirements(&mut self.router, shard, outcome);
-        Some(outcome)
+        Ok(i)
     }
 
     /// The full cluster control step: tick every shard in shard order,
     /// settling router load for what each tick retired, then run the
-    /// handoff pass and — on period — the rebalance pass. The shards'
-    /// outcomes are read through [`Cluster::shard_outcomes`].
+    /// handoff pass and — on period — the rebalance pass. Each shard's
+    /// outcome stays with its server.
     pub fn tick(&mut self, now: f64) -> &ClusterTickOutcome {
         for shard in &mut self.shards {
             let timer = SpanTimer::start(self.observer.as_ref());
@@ -328,14 +290,6 @@ impl Cluster {
             }
         }
         &self.outcome
-    }
-
-    /// Each shard's last tick outcome, in shard order (aligned with
-    /// [`Cluster::server_ids`]).
-    pub fn shard_outcomes(&self) -> impl Iterator<Item = (ServerId, &TickOutcome)> {
-        self.shards
-            .iter()
-            .map(|shard| (shard.id, shard.server.last_outcome()))
     }
 
     /// The handoff pass: for each shard whose online pool fell below the
@@ -472,6 +426,92 @@ impl Cluster {
     }
 }
 
+/// The cluster under a [`react_crowd::Lap`]: a shard is its index, in
+/// shard order. An arrival ticks only the shard that took it in, a burst
+/// ticks nothing, and a grid tick is the full cluster control step
+/// ([`Cluster::tick`]).
+impl Dispatch for Cluster {
+    type Shard = usize;
+
+    fn submit(&mut self, task: Task, now: f64) -> Option<usize> {
+        self.admit(task, now).ok()
+    }
+
+    fn control_step(
+        &mut self,
+        now: f64,
+        trigger: Trigger<usize>,
+        mut each: impl FnMut(usize, &TickOutcome),
+    ) {
+        match trigger {
+            Trigger::Arrival(i) => {
+                let shard = &mut self.shards[i];
+                let outcome = shard.server.tick(now);
+                settle_retirements(&mut self.router, shard.id, outcome);
+                each(i, outcome);
+            }
+            Trigger::Grid => {
+                self.tick(now);
+                for (i, shard) in self.shards.iter().enumerate() {
+                    each(i, shard.server.last_outcome());
+                }
+            }
+            Trigger::Burst => {}
+        }
+    }
+
+    /// Only idle workers are rebalanced, so a worker holding a task is
+    /// still on the shard that assigned it. On success the router's load
+    /// counter drops.
+    fn complete(&mut self, done: &Delivery) -> Result<(usize, CompletionOutcome), CoreError> {
+        let i = *self
+            .worker_shard
+            .get(&done.worker)
+            .ok_or(CoreError::UnknownWorker(done.worker))?;
+        let shard = &mut self.shards[i];
+        let (task, worker) = (done.task, done.worker);
+        let outcome = shard
+            .server
+            .complete_task(task, worker, done.at, done.quality_ok)?;
+        self.router.deregister(shard.id);
+        Ok((i, outcome))
+    }
+
+    /// The worker's current shard recalls any held tasks, and the
+    /// router's load counter drops. The server-side calls are idempotent,
+    /// so the router guard here keeps duplicate events from skewing the
+    /// load counters.
+    fn worker_offline(&mut self, id: WorkerId, now: f64) -> Vec<TaskId> {
+        let Some(&i) = self.worker_shard.get(&id) else {
+            return Vec::new();
+        };
+        let server_id = self.shards[i].id;
+        let was_online = self.availability(i, id) != Some(Availability::Offline);
+        let recalled = self.shards[i].server.worker_offline(id, now);
+        if was_online {
+            self.router.deregister(server_id);
+        }
+        recalled
+    }
+
+    /// A departed worker reconnects at its current shard.
+    fn worker_online(&mut self, id: WorkerId) {
+        if let Some(&i) = self.worker_shard.get(&id) {
+            let server_id = self.shards[i].id;
+            let was_offline = self.availability(i, id) == Some(Availability::Offline);
+            if was_offline && self.shards[i].server.worker_online(id).is_ok() {
+                self.router.add_load(server_id);
+            }
+        }
+    }
+
+    fn has_open_tasks(&self) -> bool {
+        self.shards
+            .iter()
+            .any(|s| s.server.tasks().open_count() > 0)
+    }
+}
+
 /// Drops router load for every task a shard tick retired (expired or
 /// shed).
 fn settle_retirements(router: &mut RegionRouter, shard: ServerId, outcome: &TickOutcome) {
@@ -489,35 +529,13 @@ fn shard_seed(seed: u64, shard_index: usize) -> u64 {
     z ^ (z >> 27)
 }
 
-/// Convenience constructor used by tests and benches: a cluster over a
-/// `rows × cols` grid with no pre-splitting and the null observer.
-pub fn grid_cluster(
-    area: BoundingBox,
-    rows: u32,
-    cols: u32,
-    config: Config,
-    seed: u64,
-    policy: ClusterPolicy,
-    rebalance_rng: SmallRng,
-) -> Result<Cluster, CoreError> {
-    let grid = RegionGrid::new(area, rows, cols).expect("non-zero grid dimensions");
-    Cluster::new(
-        &grid,
-        config,
-        seed,
-        policy,
-        null_observer(),
-        rebalance_rng,
-        &[],
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::policy::{AdmissionPolicy, HandoffPolicy, RebalancePolicy};
     use rand::SeedableRng;
     use react_core::{BatchTrigger, TaskCategory};
+    use react_obs::null_observer;
 
     fn area() -> BoundingBox {
         BoundingBox::new(0.0, 4.0, 0.0, 4.0).unwrap()
@@ -545,16 +563,9 @@ mod tests {
     }
 
     fn cluster_with(policy: ClusterPolicy) -> Cluster {
-        grid_cluster(
-            area(),
-            2,
-            2,
-            eager_config(),
-            7,
-            policy,
-            SmallRng::seed_from_u64(99),
-        )
-        .unwrap()
+        let grid = RegionGrid::new(area(), 2, 2).unwrap();
+        let rng = SmallRng::seed_from_u64(99);
+        Cluster::new(&grid, eager_config(), 7, policy, null_observer(), rng, &[]).unwrap()
     }
 
     #[test]

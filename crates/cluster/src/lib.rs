@@ -38,6 +38,6 @@ mod cluster;
 mod policy;
 mod runner;
 
-pub use cluster::{grid_cluster, Cluster, ClusterTickOutcome, Handoff, Relocation, Submission};
+pub use cluster::{Cluster, ClusterTickOutcome, Handoff, Relocation, Submission};
 pub use policy::{AdmissionPolicy, ClusterPolicy, HandoffPolicy, RebalancePolicy};
 pub use runner::{ClusterReport, ClusterRunner, ClusterScenario, ShardReport};

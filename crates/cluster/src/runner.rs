@@ -1,35 +1,35 @@
 //! The cluster-wide discrete-event harness.
 //!
-//! [`ClusterRunner`] drives a whole crowdsourcing scenario — Poisson
-//! arrivals, worker faults, completions — through a [`Cluster`], i.e.
+//! [`ClusterRunner`] drives a whole crowdsourcing scenario — arrivals,
+//! worker faults and churn, completions — through a [`Cluster`], i.e.
 //! through *interacting* shards: tasks hand off between shards when a
 //! pool collapses, idle workers migrate toward backlogs, and admission
 //! caps shed overload at the door. Under
 //! [`ClusterPolicy::single_tier`] none of that happens and the run is the
 //! paper's plain multi-region decomposition: regions that never interact.
 //!
-//! [`ClusterRunner::run`] is the coupled event loop, on one thread: one
-//! global queue of arrivals and control ticks beside the one
-//! `react_crowd::Crowd` all shards share, whose `pop_due` yields the
-//! completions and the fault plan's dropouts, rejoins and bursts in time
-//! order. Each step takes whichever is earlier, the crowd's event on a
-//! tie; every control tick steps all shards in shard order and then runs
-//! the cluster passes, so the same scenario and seed give the same
-//! [`ClusterReport`] bit for bit.
+//! [`ClusterRunner::run`] is `react_crowd::Lap::run` with the cluster as
+//! the middleware, on one thread: the same timeline as
+//! `react_crowd::ScenarioRunner`'s — the workload's arrivals, a grid of
+//! control ticks and the one `react_crowd::Crowd` all shards share, whose
+//! `pop_due` yields the completions, the fault plan's dropouts, rejoins
+//! and bursts and the churn cycles in time order. An arrival ticks the
+//! shard that took it in, a burst ticks nothing, and a grid tick steps all
+//! shards in shard order and then runs the cluster passes, so the same
+//! scenario and seed give the same [`ClusterReport`] bit for bit.
 //!
-//! Scope of the coupled mode: `global.replication` and `global.churn`
-//! are ignored (replica voting and autonomous churn cycles stay on the
-//! single-server runner); worker faults, bursts, abandons and message
-//! loss from `react_faults::FaultPlan` are fully supported.
+//! Scope of the coupled mode: `global.replication` is ignored (replica
+//! voting stays on the single-server runner); worker faults, bursts,
+//! abandons and message loss from `react_faults::FaultPlan` and
+//! `global.churn` are fully supported.
 
 use crate::cluster::Cluster;
 use crate::policy::ClusterPolicy;
-use react_core::{AuditLog, Task, TaskId, WorkerId};
-use react_crowd::{generate_population, Crowd, CrowdEvent, Scenario};
+use react_core::{AuditLog, CompletionOutcome, IdMap, Task, TaskId, TickOutcome, WorkerId};
+use react_crowd::{generate_population, Arrivals, Crowd, Delivery, Lap, Ledger, Scenario};
 use react_geo::{GeoPoint, RegionGrid, ServerId};
 use react_obs::{null_observer, ObserverHandle};
-use react_sim::{RngStreams, SimDuration, SimTime, Simulator};
-use std::collections::HashMap;
+use react_sim::RngStreams;
 
 /// Configuration of a cluster run.
 #[derive(Debug, Clone)]
@@ -46,7 +46,7 @@ pub struct ClusterScenario {
 }
 
 /// Per-shard accounting of one cluster run.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct ShardReport {
     /// The shard's server id (router leaf cell).
     pub server: ServerId,
@@ -222,16 +222,6 @@ impl ClusterReport {
     }
 }
 
-/// Events driving the cluster simulation.
-#[derive(Debug)]
-enum Event {
-    /// A requester submits a task somewhere in the area.
-    Arrival(Task),
-    /// Cluster-wide control step: every shard ticks, then the handoff
-    /// and (periodically) rebalance passes run.
-    Tick,
-}
-
 /// Runs one [`ClusterScenario`] to completion.
 pub struct ClusterRunner {
     scenario: ClusterScenario,
@@ -271,7 +261,6 @@ impl ClusterRunner {
             .expect("non-zero grid dimensions");
         let streams = RngStreams::new(sc.seed ^ 0xc1);
         let mut pop_rng = streams.stream("population");
-        let mut workload_rng = streams.stream("workload");
 
         // Crowd: behaviours first, then locations, both from the
         // population stream (mirroring the single-server runner's draw
@@ -294,177 +283,25 @@ impl ClusterRunner {
         for (w, location) in locations.iter().enumerate() {
             cluster.register_worker(WorkerId(w as u64), *location);
         }
-        let mut crowd = Crowd::new(behaviors, sc.faults.as_ref(), &streams);
+        let crowd = Crowd::new(behaviors, sc.faults.as_ref(), &streams);
+        let mut lap = Lap::new(cluster, crowd, sc.region)
+            .with_bursts(sc.deadline_range, sc.n_categories)
+            .with_churn(sc.churn);
 
-        let server_ids = cluster.server_ids();
-        let shard_index: HashMap<ServerId, usize> = server_ids
-            .iter()
-            .enumerate()
-            .map(|(i, &id)| (id, i))
-            .collect();
-        let n_shards = server_ids.len();
-        let mut shards: Vec<ShardReport> = server_ids
-            .iter()
-            .map(|&server| ShardReport {
-                server,
-                received: 0,
-                completed: 0,
-                met_deadline: 0,
-                positive_feedback: 0,
-                expired_unassigned: 0,
-                admission_shed: 0,
-                handoffs_out: 0,
-                handoffs_in: 0,
-                reassignments: 0,
-                sheds: 0,
-                stranded: 0,
-                batches: 0,
-                total_matching_seconds: 0.0,
-                workers_final: 0,
-                exec_times: Vec::new(),
-                total_times: Vec::new(),
-                audit: None,
-            })
-            .collect();
-        let mut report = ClusterReport {
-            label: sc.label.clone(),
-            shards: Vec::new(),
-            received: 0,
-            unroutable: 0,
-            workers_rebalanced: 0,
-            burst_tasks: 0,
-            dropouts: 0,
-            abandons: 0,
-            completions_lost: 0,
-            duplicates_rejected: 0,
-            sim_duration: 0.0,
+        let server_ids = lap.server.server_ids();
+        let shard = |server| ShardReport {
+            server,
+            ..ShardReport::default()
         };
-
-        // Preload the whole workload (preset replay or Poisson stream).
-        let workload: Vec<(f64, Task)> = match &sc.workload {
-            Some(preset) => preset.clone(),
-            None => react_crowd::TaskGenerator::new(sc.arrival_rate, sc.region)
-                .with_deadline_range(sc.deadline_range.0, sc.deadline_range.1)
-                .with_categories(sc.n_categories)
-                .take_n(sc.total_tasks, &mut workload_rng),
+        let mut books = Books {
+            shards: server_ids.iter().copied().map(shard).collect(),
+            ..Books::default()
         };
-        let total_tasks = workload.len();
-
-        let mut sim: Simulator<Event> = Simulator::new();
-        for (at, task) in workload {
-            sim.schedule_at(SimTime::from_secs(at), Event::Arrival(task));
-        }
-        sim.schedule_in(SimDuration::from_secs(sc.tick_interval), Event::Tick);
-
-        // First-submission times (total_times span handoffs).
-        let mut first_submitted: HashMap<TaskId, f64> = HashMap::new();
-        let mut last_arrival_at = 0.0f64;
-
-        loop {
-            // The crowd's event due by the loop's own next event goes first.
-            let horizon = sim.peek_time().map_or(f64::INFINITY, |t| t.as_secs());
-            if let Some((at, event)) = crowd.pop_due(horizon) {
-                match event {
-                    CrowdEvent::Done(done) => {
-                        // Only idle workers are rebalanced, so the worker is
-                        // still on the shard that assigned the task.
-                        let shard = cluster
-                            .shard_of_worker(done.worker)
-                            .expect("a worker holding a task is registered");
-                        let outcome = cluster
-                            .complete_task(shard, done.task, done.worker, at, done.quality_ok)
-                            .expect("a live completion matches the assignment");
-                        let i = shard_index[&shard];
-                        shards[i].completed += 1;
-                        if outcome.met_deadline {
-                            shards[i].met_deadline += 1;
-                        }
-                        if outcome.positive_feedback {
-                            shards[i].positive_feedback += 1;
-                        }
-                        shards[i].exec_times.push(outcome.exec_time);
-                        let t0 = first_submitted.get(&done.task).copied().unwrap_or(at);
-                        shards[i].total_times.push(at - t0);
-                        if done.duplicated
-                            && cluster
-                                .complete_task(shard, done.task, done.worker, at, done.quality_ok)
-                                .is_err()
-                        {
-                            report.duplicates_rejected += 1;
-                        }
-                    }
-                    // A dropout recalls what the worker holds on its
-                    // current shard; a rejoin brings it back there.
-                    CrowdEvent::Offline(worker) => {
-                        report.dropouts += 1;
-                        crowd.offline(worker, &cluster.worker_offline(worker, at), at);
-                    }
-                    CrowdEvent::Online(worker) => cluster.worker_online(worker),
-                    CrowdEvent::Burst { size } => {
-                        for _ in 0..size {
-                            let task =
-                                crowd.burst_task(sc.deadline_range, sc.n_categories, sc.region);
-                            let id = task.id;
-                            report.received += 1;
-                            report.burst_tasks += 1;
-                            if let crate::cluster::Submission::Accepted(server) =
-                                cluster.submit_task(task, at)
-                            {
-                                shards[shard_index[&server]].received += 1;
-                                first_submitted.entry(id).or_insert(at);
-                            }
-                        }
-                        last_arrival_at = at;
-                    }
-                }
-                report.sim_duration = at;
-                continue;
-            }
-            let Some((at, event)) = sim.next_event() else {
-                break;
-            };
-            let now = at.as_secs();
-            match event {
-                Event::Arrival(task) => {
-                    report.received += 1;
-                    last_arrival_at = now;
-                    let task_id = task.id;
-                    match cluster.submit_task(task, now) {
-                        crate::cluster::Submission::Accepted(server) => {
-                            let i = shard_index[&server];
-                            shards[i].received += 1;
-                            first_submitted.entry(task_id).or_insert(now);
-                            // Arrival doubles as a local control step so
-                            // the batch trigger reacts immediately.
-                            if let Some(outcome) = cluster.tick_shard(server, now) {
-                                apply_outcome(outcome, now, &mut crowd, &mut shards[i]);
-                            }
-                        }
-                        crate::cluster::Submission::Shed(_) => {}
-                        crate::cluster::Submission::Unroutable => report.unroutable += 1,
-                    }
-                }
-                Event::Tick => {
-                    cluster.tick(now);
-                    for (shard, (_, outcome)) in shards.iter_mut().zip(cluster.shard_outcomes()) {
-                        apply_outcome(outcome, now, &mut crowd, shard);
-                    }
-                    let workload_done =
-                        (report.received - report.burst_tasks) as usize >= total_tasks;
-                    let tasks_open = (0..n_shards).any(|i| {
-                        let server = cluster.server(server_ids[i]).expect("shard exists");
-                        server.tasks().unassigned_count() > 0 || server.tasks().assigned_count() > 0
-                    });
-                    let past_horizon = workload_done && now > last_arrival_at + sc.drain_horizon;
-                    if (!workload_done || tasks_open) && !past_horizon {
-                        sim.schedule_in(SimDuration::from_secs(sc.tick_interval), Event::Tick);
-                    }
-                }
-            }
-            report.sim_duration = now;
-        }
+        let arrivals = Arrivals::of(sc, &streams);
+        let sim_duration = lap.run(arrivals, sc.tick_interval, sc.drain_horizon, &mut books);
 
         // Horizon accounting + per-shard server stats.
+        let (cluster, crowd, mut shards) = (&lap.server, &lap.crowd, books.shards);
         for (i, &server_id) in server_ids.iter().enumerate() {
             let server = cluster.server(server_id).expect("shard exists");
             shards[i].expired_unassigned += server.tasks().unassigned_count() as u64;
@@ -479,26 +316,77 @@ impl ClusterRunner {
         for (i, n) in cluster.workers_per_shard().into_iter().enumerate() {
             shards[i].workers_final = n;
         }
-        report.workers_rebalanced = cluster.workers_rebalanced();
-        report.abandons = crowd.abandoned();
-        report.completions_lost = crowd.lost();
-        report.shards = shards;
-        report
+        ClusterReport {
+            label: sc.label.clone(),
+            shards,
+            received: books.received,
+            unroutable: cluster.unroutable(),
+            workers_rebalanced: cluster.workers_rebalanced(),
+            burst_tasks: books.burst_tasks,
+            dropouts: crowd.dropouts(),
+            abandons: crowd.abandoned(),
+            completions_lost: crowd.lost(),
+            duplicates_rejected: books.duplicates_rejected,
+            sim_duration,
+        }
     }
 }
 
-/// Books what one shard tick retired and recalled in the shard's
-/// report and hands the outcome to the crowd.
-fn apply_outcome(
-    outcome: &react_core::TickOutcome,
-    now: f64,
-    crowd: &mut Crowd,
-    shard_report: &mut ShardReport,
-) {
-    shard_report.expired_unassigned += (outcome.expired.len() + outcome.shed.len()) as u64;
-    shard_report.sheds += outcome.shed.len() as u64;
-    shard_report.reassignments += outcome.recalls.len() as u64;
-    crowd.apply(outcome, now);
+/// What the runner keeps of each step its [`Lap`] takes, per shard index.
+#[derive(Default)]
+struct Books {
+    shards: Vec<ShardReport>,
+    received: u64,
+    burst_tasks: u64,
+    duplicates_rejected: u64,
+    /// First-submission instant of each accepted task not yet completed,
+    /// expired or shed (`total_times` span handoffs). Never iterated; an
+    /// [`IdMap`], so the run allocates alike on every replay.
+    first_submitted: IdMap<TaskId, f64>,
+}
+
+impl Ledger<usize> for Books {
+    fn ticked(&mut self, shard: usize, _now: f64, outcome: &TickOutcome) {
+        let report = &mut self.shards[shard];
+        report.expired_unassigned += (outcome.expired.len() + outcome.shed.len()) as u64;
+        report.sheds += outcome.shed.len() as u64;
+        report.reassignments += outcome.recalls.len() as u64;
+        for task in outcome.expired.iter().chain(&outcome.shed) {
+            self.first_submitted.remove(task);
+        }
+    }
+
+    fn arrived(&mut self, shard: Option<usize>, task: TaskId, at: f64) {
+        self.received += 1;
+        if let Some(i) = shard {
+            self.shards[i].received += 1;
+            self.first_submitted.entry(task).or_insert(at);
+        }
+    }
+
+    fn completed(&mut self, shard: usize, done: &Delivery, outcome: &CompletionOutcome) {
+        let report = &mut self.shards[shard];
+        report.completed += 1;
+        if outcome.met_deadline {
+            report.met_deadline += 1;
+        }
+        if outcome.positive_feedback {
+            report.positive_feedback += 1;
+        }
+        report.exec_times.push(outcome.exec_time);
+        let t0 = self.first_submitted.remove(&done.task).unwrap_or(done.at);
+        report.total_times.push(done.at - t0);
+    }
+
+    fn duplicated(&mut self, rejected: bool) {
+        self.duplicates_rejected += u64::from(rejected);
+    }
+
+    fn offline(&mut self, _worker: WorkerId, _recalled: &[TaskId]) {}
+
+    fn burst(&mut self, _task: &Task) {
+        self.burst_tasks += 1;
+    }
 }
 
 #[cfg(test)]

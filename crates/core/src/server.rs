@@ -83,6 +83,8 @@ pub struct CompletionOutcome {
     pub positive_feedback: bool,
     /// `ExecTime_ij`: seconds from (effective) assignment to completion.
     pub exec_time: f64,
+    /// The instant this server took the task in.
+    pub submitted_at: f64,
 }
 
 /// Fluent constructor for [`ReactServer`], consolidating what used to be
@@ -660,6 +662,7 @@ impl ReactServer {
             met_deadline,
             exec_time,
             category,
+            submitted_at,
         } = self.tasks.finish(task, worker, now)?;
         // A delivered result absolves the worker of accumulated progress
         // strikes (the suspicion ladder counts *consecutive* timeouts).
@@ -694,6 +697,7 @@ impl ReactServer {
             met_deadline,
             positive_feedback,
             exec_time,
+            submitted_at,
         })
     }
 

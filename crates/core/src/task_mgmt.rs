@@ -143,6 +143,8 @@ pub(crate) struct Finished {
     /// `ExecTime_ij`: the assignment's elapsed time at the completion.
     pub(crate) exec_time: f64,
     pub(crate) category: TaskCategory,
+    /// The instant the task was submitted here.
+    pub(crate) submitted_at: f64,
 }
 
 /// The unassigned queue: one row per waiting task, in submission/recall
@@ -578,12 +580,13 @@ impl TaskManagementComponent {
             completed_at: now,
             met_deadline,
         };
-        let category = rec.task.category;
+        let (category, submitted_at) = (rec.task.category, rec.submitted_at);
         self.remove_in_flight(id);
         Ok(Finished {
             met_deadline,
             exec_time,
             category,
+            submitted_at,
         })
     }
 

@@ -1,16 +1,19 @@
 //! The worker side of a run: what the crowd does with an assignment,
-//! and when the fault plan moves a worker or floods the door.
+//! when a worker leaves and comes back, and when the fault plan floods
+//! the door.
 //!
 //! A worker executes a task by letting its sampled service time pass, so
 //! the crowd is data, not threads: [`Crowd`] owns every worker's
 //! behaviour and calendar, the `behavior` RNG stream, the materialised
 //! fault schedule, one attempt counter per task in the middleware's
-//! hands, one queue of the instants at which assignments finish, and the
-//! plan's timeline of dropouts, rejoins and bursts. The loop that owns
-//! the `ReactServer` tells it what each tick assigned and recalled
-//! ([`Crowd::apply`]) and which workers left ([`Crowd::offline`]), and
-//! asks what is due ([`Crowd::pop_due`]): completions and timeline
-//! events, one at a time in time order, a completion first on a tie.
+//! hands, one queue of the instants at which assignments finish, the
+//! plan's timeline of dropouts, rejoins and bursts, and the behaviour
+//! model's connectivity churn ([`Crowd::set_churn`]) with its `churn`
+//! stream. The loop that owns the middleware tells it what each tick
+//! assigned and recalled ([`Crowd::apply`]) and which workers left
+//! ([`Crowd::offline`]), and asks what is due ([`Crowd::pop_due`]):
+//! completions, the plan's events and churn's, one at a time in time
+//! order and in that order on a tie.
 //! Every call takes the crowd time as an argument — no clock, no thread —
 //! so the two discrete-event runners and the live scheduler thread drive
 //! the same model, book the same faults in the same order, and a
@@ -34,13 +37,14 @@
 //!   slots of tasks already queued where they are.
 
 use crate::behavior::WorkerBehavior;
+use crate::scenario::ChurnParams;
 use rand::rngs::SmallRng;
 use rand::Rng;
 use react_core::{IdMap, Task, TaskCategory, TaskId, TickOutcome, WorkerId};
 use react_faults::{FaultPlan, FaultSchedule, BURST_ID_BASE};
 use react_geo::BoundingBox;
-use react_sim::{EventQueue, RngStreams, SimTime};
-use std::collections::VecDeque;
+use react_prob::distributions::{Exponential, UniformRange};
+use react_sim::{EventQueue, RngStreams, SimDuration, SimTime};
 
 /// A completion report reaching the middleware.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -64,10 +68,10 @@ pub struct Delivery {
 pub enum CrowdEvent {
     /// A completion report reaches the middleware.
     Done(Delivery),
-    /// The fault plan takes the worker offline; the loop recalls what it
-    /// holds and tells the crowd ([`Crowd::offline`]).
+    /// The fault plan or churn takes the worker offline; the loop recalls
+    /// what it holds and tells the crowd ([`Crowd::offline`]).
     Offline(WorkerId),
-    /// A worker the plan took offline comes back.
+    /// A worker the plan or churn took offline comes back.
     Online(WorkerId),
     /// The fault plan injects `size` extra tasks at one instant, each
     /// minted by [`Crowd::burst_task`].
@@ -83,11 +87,12 @@ pub struct Crowd {
     behaviors: Vec<WorkerBehavior>,
     rng: SmallRng,
     faults: FaultSchedule,
-    /// The plan's dropouts, rejoins and bursts not yet popped, in time
-    /// order, each with its position in the schedule's order (each
-    /// dropout's departure, then its rejoin; dropouts before bursts),
-    /// which orders events at one instant.
-    timeline: VecDeque<(f64, usize, CrowdEvent)>,
+    /// The plan's dropouts, rejoins and bursts, then churn's departures
+    /// and rejoins, not yet popped, each flagged whether the plan's. At one
+    /// instant they pop as pushed: the plan's in its schedule's order (each
+    /// dropout's departure, then its rejoin; dropouts before bursts), then
+    /// churn's.
+    timeline: EventQueue<(CrowdEvent, bool)>,
     /// The `fault.burst-tasks` stream burst tasks are drawn from.
     burst_rng: SmallRng,
     /// Burst tasks minted so far: the next one's id offset.
@@ -102,6 +107,14 @@ pub struct Crowd {
     /// `(worker, task, attempt)` at the instant the assignment finishes.
     /// An entry is stale once the task's attempt number has moved on.
     due: EventQueue<(WorkerId, TaskId, u32)>,
+    /// Connectivity churn, when the run has it.
+    churn: Option<ChurnParams>,
+    /// The `churn` stream its online and offline periods are drawn from.
+    churn_rng: SmallRng,
+    /// `(from, length)` once the workload's last task has arrived: the run
+    /// drains for `length` seconds from `from`, which a later burst moves.
+    drain: Option<(f64, f64)>,
+    dropouts: u64,
     abandoned: u64,
     lost: u64,
 }
@@ -120,34 +133,64 @@ impl Crowd {
             Some(plan) if !plan.is_noop() => plan.materialize(streams, behaviors.len()),
             _ => FaultSchedule::none(),
         };
-        // Sorting on (time, position) is the stable sort by time without
-        // its scratch buffer: the timeline costs one allocation.
         let (dropouts, bursts) = (faults.dropouts(), faults.bursts());
-        let mut timeline = Vec::with_capacity(2 * dropouts.len() + bursts.len());
+        let mut timeline = EventQueue::with_capacity(2 * dropouts.len() + bursts.len());
+        let mut plan = |at, event| timeline.push(SimTime::from_secs(at), (event, true));
         for d in dropouts {
             let worker = WorkerId(d.worker as u64);
-            timeline.push((d.at, timeline.len(), CrowdEvent::Offline(worker)));
+            plan(d.at, CrowdEvent::Offline(worker));
             if let Some(at) = d.rejoin_at {
-                timeline.push((at, timeline.len(), CrowdEvent::Online(worker)));
+                plan(at, CrowdEvent::Online(worker));
             }
         }
         for &(at, size) in bursts {
-            timeline.push((at, timeline.len(), CrowdEvent::Burst { size }));
+            plan(at, CrowdEvent::Burst { size });
         }
-        timeline.sort_unstable_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
         Crowd {
             next_free: vec![0.0; behaviors.len()],
             behaviors,
             rng: streams.stream("behavior"),
             faults,
-            timeline: timeline.into(),
+            timeline,
             burst_rng: streams.stream("fault.burst-tasks"),
             bursts_minted: 0,
             attempts: IdMap::default(),
             due: EventQueue::new(),
+            churn: None,
+            churn_rng: streams.stream("churn"),
+            drain: None,
+            dropouts: 0,
             abandoned: 0,
             lost: 0,
         }
+    }
+
+    /// Workers churn: each leaves after an online period drawn from the
+    /// `churn` stream, every worker's first one now, in worker order. A
+    /// worker that leaves, by churn or by the fault plan, draws its
+    /// offline period and comes back after it; a worker that comes back
+    /// draws its next online period, until the run has drained
+    /// ([`Crowd::drained`]).
+    pub fn set_churn(&mut self, churn: ChurnParams) {
+        self.churn = Some(churn);
+        let online = Exponential::with_mean(churn.mean_online);
+        for w in 0..self.behaviors.len() {
+            let at = SimTime::from_secs(online.sample(&mut self.churn_rng));
+            let leave = CrowdEvent::Offline(WorkerId(w as u64));
+            self.timeline.push(at, (leave, false));
+        }
+    }
+
+    /// The workload's last task arrived at `at`: the run drains for
+    /// `length` seconds from it, or from the latest burst after it.
+    pub fn drain_from(&mut self, at: f64, length: f64) {
+        self.drain = Some((at, length));
+    }
+
+    /// Whether the run has drained by `now`: its last task arrived and
+    /// the drain window after it, or after a later burst, has passed.
+    pub fn drained(&self, now: f64) -> bool {
+        self.drain.is_some_and(|(from, length)| now > from + length)
     }
 
     /// Mints the next task of a fault-plan burst: ids count up from
@@ -174,6 +217,12 @@ impl Crowd {
             category,
             "burst",
         )
+    }
+
+    /// Workers the fault plan took offline (churn's departures are not
+    /// counted).
+    pub fn dropouts(&self) -> u64 {
+        self.dropouts
     }
 
     /// Assignments the fault plan had the worker silently abandon.
@@ -251,18 +300,52 @@ impl Crowd {
     }
 
     /// The earliest event due at or before `until` and its instant: a
-    /// completion report or the fault timeline's next dropout, rejoin or
-    /// burst, a completion first when both fall on one instant. A report
-    /// the fault plan loses is counted and never surfaces: its task stays
-    /// assigned until the middleware recalls it.
+    /// completion report, the fault timeline's next dropout, rejoin or
+    /// burst, or churn's next departure or rejoin — in that order when they
+    /// fall on one instant. A report the fault plan loses is counted and
+    /// never surfaces: its task stays assigned until the middleware
+    /// recalls it. Popping a departure or a rejoin draws the worker's next
+    /// churn period, and popping a burst moves the drain window.
     pub fn pop_due(&mut self, until: f64) -> Option<(f64, CrowdEvent)> {
-        let fault_at = self.timeline.front().map(|&(at, ..)| at);
-        let fault_at = fault_at.filter(|&at| at <= until);
-        if let Some(done) = self.pop_delivery(fault_at.unwrap_or(until)) {
+        let next_at = self.timeline.peek_time().map_or(until, |at| at.as_secs());
+        if let Some(done) = self.pop_delivery(next_at.min(until)) {
             return Some((done.at, CrowdEvent::Done(done)));
         }
-        fault_at?;
-        self.timeline.pop_front().map(|(at, _, event)| (at, event))
+        if next_at > until {
+            return None;
+        }
+        let (at, (event, planned)) = self.timeline.pop()?;
+        let at = at.as_secs();
+        if let (CrowdEvent::Burst { .. }, Some((from, _))) = (event, &mut self.drain) {
+            *from = at;
+        }
+        self.dropouts += u64::from(planned && matches!(event, CrowdEvent::Offline(_)));
+        self.churn_after(event, at);
+        Some((at, event))
+    }
+
+    /// Under churn, a worker that left at `at` comes back after an
+    /// offline period, and one that came back leaves again after an
+    /// online period unless the run has drained.
+    fn churn_after(&mut self, event: CrowdEvent, at: f64) {
+        let (Some(churn), drained) = (self.churn, self.drained(at)) else {
+            return;
+        };
+        let rng = &mut self.churn_rng;
+        let (after, next) = match event {
+            CrowdEvent::Offline(worker) => {
+                let (lo, hi) = churn.offline_range;
+                let off = UniformRange::new(lo, hi).sample(rng).max(0.001);
+                (off, CrowdEvent::Online(worker))
+            }
+            CrowdEvent::Online(worker) if !drained => {
+                let online = Exponential::with_mean(churn.mean_online).sample(rng);
+                (online, CrowdEvent::Offline(worker))
+            }
+            _ => return,
+        };
+        let at = SimTime::from_secs(at) + SimDuration::from_secs(after);
+        self.timeline.push(at, (next, false));
     }
 
     /// The earliest completion report due at or before `until`.

@@ -14,19 +14,24 @@
 //!   with deadlines uniform in 60–120 s, random locations and categories.
 //! * [`Scenario`] — named parameter sets for every figure (Fig. 5's
 //!   750 workers @ 9.375 tasks/s, Fig. 9's size/rate sweep…).
+//! * [`Arrivals`] — a run's task arrivals in time order, from a preset
+//!   trace (sorted stably if it is not) or a Poisson stream, with replica
+//!   expansion: the one arrival source of every loop.
 //! * [`Crowd`] — the worker side of a run as clock-free data: calendars,
-//!   the `behavior` stream, the fault shims, one queue of due completions
-//!   and the fault plan's timeline of dropouts, rejoins and bursts, popped
-//!   as one time-ordered stream of [`CrowdEvent`]s. The one model
-//!   [`ScenarioRunner`], `react-cluster`'s runner and `react-runtime`'s
-//!   live scheduler thread all drive.
-//! * [`Lap`] — a [`react_core::ReactServer`] and its [`Crowd`] seeded as
-//!   one run, with the control step and the booking of each crowd event
-//!   that [`ScenarioRunner`] and the live scheduler thread share; a loop
-//!   keeps what it needs of each step through its [`Ledger`].
-//! * [`ScenarioRunner`] — drives a [`Lap`] through the `react-sim`
-//!   discrete-event loop and produces a [`RunReport`] with the exact
-//!   series the paper plots.
+//!   the `behavior` stream, the fault shims, one queue of due completions,
+//!   the fault plan's timeline of dropouts, rejoins and bursts, and the
+//!   behaviour model's connectivity churn, popped as one time-ordered
+//!   stream of [`CrowdEvent`]s. The one model [`ScenarioRunner`],
+//!   `react-cluster`'s runner and `react-runtime`'s live scheduler thread
+//!   all drive.
+//! * [`Lap`] — the middleware (anything that [`Dispatch`]es: one
+//!   [`react_core::ReactServer`] or `react-cluster`'s `Cluster`) and its
+//!   [`Crowd`] as one run, with the control step, the booking of each
+//!   arrival and crowd event, and [`Lap::run`], the one discrete-event
+//!   loop over the crowd's timeline, the tick grid and the [`Arrivals`];
+//!   a loop keeps what it needs of each step through its [`Ledger`].
+//! * [`ScenarioRunner`] — drives a [`Lap`] through [`Lap::run`] and
+//!   produces a [`RunReport`] with the exact series the paper plots.
 //! * [`casestudy`] — a synthesizer reproducing the shape of the raw
 //!   CrowdFlower observations (half the responses within 20 s, a tail of
 //!   hours, 70 % of workers trusted above 50 %).
@@ -36,6 +41,7 @@
 // container (the iterating methods are in the root `clippy.toml`).
 #![warn(clippy::iter_over_hash_type)]
 
+pub mod arrivals;
 pub mod behavior;
 pub mod casestudy;
 pub mod crowd;
@@ -44,10 +50,11 @@ pub mod lap;
 pub mod runner;
 pub mod scenario;
 
+pub use arrivals::Arrivals;
 pub use behavior::{generate_population, BehaviorParams, ExecModel, LatencyModel, WorkerBehavior};
 pub use casestudy::{CaseStudySummary, CaseStudyTrace};
 pub use crowd::{Crowd, CrowdEvent, Delivery};
 pub use generator::TaskGenerator;
-pub use lap::{Lap, Ledger};
+pub use lap::{Dispatch, Lap, Ledger, Trigger};
 pub use runner::{FaultStats, RunReport, ScenarioRunner};
 pub use scenario::{ChurnParams, Scenario};

@@ -1,7 +1,8 @@
 //! The end-to-end discrete-event experiment runner.
 //!
-//! Wires a [`ReactServer`] to the `react-sim` kernel and a synthetic
-//! crowd, producing the exact data series the paper plots:
+//! Runs a [`ReactServer`](react_core::ReactServer) and a synthetic
+//! crowd through one [`Lap`], producing the exact data series the paper
+//! plots:
 //!
 //! * Fig. 5 — cumulative tasks finished before their deadline vs tasks
 //!   received ([`RunReport::series_met`]);
@@ -11,40 +12,25 @@
 //!   ([`RunReport::total_times`]);
 //! * Figs. 9/10 — the ratios, via the same report across a sweep.
 //!
-//! Event model: the loop's own queue holds task arrivals (Poisson),
-//! middleware control ticks (fixed interval — expiry sweep, Eq. 2
-//! recalls, batch matching) and churn; the [`Crowd`](crate::Crowd) holds
-//! the rest — completions and the fault plan's dropouts, rejoins and
-//! bursts, popped in time order by [`Crowd::pop_due`](crate::Crowd::pop_due).
-//! Each step takes whichever is earlier, the crowd's next event or the
-//! loop's own, the crowd's on a tie. A plan dropout or rejoin takes the
-//! same arm as a churn one. What a step does is the [`Lap`]'s, which the
-//! live scheduler thread calls too.
+//! Event model: the run is [`Lap::run`](crate::Lap::run) over one
+//! timeline — the scenario's [`Arrivals`] (preset or Poisson, replicas
+//! expanded), middleware control ticks on a fixed grid (expiry sweep,
+//! Eq. 2 recalls, batch matching) and the [`Crowd`](crate::Crowd)'s
+//! completions, fault-plan events and churn, popped in time order by
+//! [`Crowd::pop_due`](crate::Crowd::pop_due). At one instant the crowd's
+//! events go first, then the tick, then the arrival. What a step does is
+//! the [`Lap`]'s, which `react-cluster`'s runner and the live scheduler
+//! thread call too.
 
-use crate::crowd::{CrowdEvent, Delivery};
-use crate::generator::TaskGenerator;
+use crate::arrivals::Arrivals;
+use crate::crowd::Delivery;
 use crate::lap::{Lap, Ledger};
 use crate::scenario::Scenario;
 use react_core::{AuditLog, CompletionOutcome, IdMap, Task, TaskId, TickOutcome, WorkerId};
 use react_faults::BURST_ID_BASE;
 use react_metrics::TimeSeries;
 use react_obs::{null_observer, CounterKind, ObserverHandle};
-use react_prob::distributions::{Exponential, UniformRange};
-use react_sim::{RngStreams, SimDuration, SimTime, Simulator};
-
-/// Events driving the simulation.
-#[derive(Debug)]
-enum Event {
-    /// A requester submits a task.
-    Arrival(Task),
-    /// Periodic middleware control step.
-    Tick,
-    /// A worker's connectivity drops (churn or a plan dropout): any held
-    /// task is recalled.
-    WorkerOffline(WorkerId),
-    /// A worker reconnects.
-    WorkerOnline(WorkerId),
-}
+use react_sim::RngStreams;
 
 /// Injected-fault and recovery accounting of one run. All zeros on a
 /// fault-free run, so reports stay comparable across scenarios.
@@ -172,23 +158,6 @@ fn mean(xs: &[f64]) -> f64 {
     }
 }
 
-/// Where arrivals come from: the scenario's preset (already generated)
-/// trace, read in place, or a live Poisson generator.
-enum Workload<'a> {
-    Preset(std::slice::Iter<'a, (f64, Task)>),
-    Poisson(TaskGenerator),
-}
-
-impl Workload<'_> {
-    /// The next arrival; a preset task is copied as it is scheduled.
-    fn next(&mut self, rng: &mut rand::rngs::SmallRng) -> Option<(f64, Task)> {
-        match self {
-            Workload::Preset(iter) => iter.next().map(|(at, task)| (*at, task.clone())),
-            Workload::Poisson(generator) => Some(generator.next(rng)),
-        }
-    }
-}
-
 /// One replica group's completions so far.
 #[derive(Debug, Clone, Copy, Default)]
 struct GroupTally {
@@ -233,10 +202,11 @@ impl ScenarioRunner {
         }
     }
 
-    /// Attaches an observability sink; the embedded [`ReactServer`]
-    /// reports per-stage spans, matcher counters and latency histograms
-    /// to it. Observers are write-only: the run's schedule is
-    /// bit-identical whatever sink is attached.
+    /// Attaches an observability sink; the embedded
+    /// [`ReactServer`](react_core::ReactServer) reports per-stage spans,
+    /// matcher counters and latency histograms to it. Observers are
+    /// write-only: the run's schedule is bit-identical whatever sink is
+    /// attached.
     pub fn with_observer(mut self, observer: ObserverHandle) -> Self {
         self.observer = observer;
         self
@@ -245,8 +215,6 @@ impl ScenarioRunner {
     /// Executes the simulation and returns the report.
     pub fn run(&self) -> RunReport {
         let sc = &self.scenario;
-        let streams = RngStreams::new(sc.seed);
-        let mut workload_rng = streams.stream("workload");
         let mut lap = Lap::seeded(
             sc.seed,
             sc.config.clone(),
@@ -256,22 +224,8 @@ impl ScenarioRunner {
             sc.faults.as_ref(),
             self.observer.clone(),
         )
-        .with_bursts(sc.deadline_range, sc.n_categories);
-
-        // Workload: preset replay or live Poisson generation.
-        let (mut workload, total_tasks) = match &sc.workload {
-            Some(preset) => (Workload::Preset(preset.iter()), preset.len()),
-            None => (
-                Workload::Poisson(
-                    TaskGenerator::new(sc.arrival_rate, sc.region)
-                        .with_deadline_range(sc.deadline_range.0, sc.deadline_range.1)
-                        .with_categories(sc.n_categories),
-                ),
-                sc.total_tasks,
-            ),
-        };
-
-        let mut sim: Simulator<Event> = Simulator::new();
+        .with_bursts(sc.deadline_range, sc.n_categories)
+        .with_churn(sc.churn);
         // Replica bookkeeping. At replication 1 a group is its one task,
         // which completes once, so its tally starts empty and needs no map.
         let k = sc.replication.max(1);
@@ -287,117 +241,9 @@ impl ScenarioRunner {
             groups: IdMap::default(),
             k,
         };
-        let mut last_arrival_at = 0.0f64;
-
-        // Prime the event loop. With replication, each logical task is
-        // expanded into k replica Tasks sharing a group id.
-        let mut logical_generated = 0usize;
-        if total_tasks > 0 {
-            if let Some((at, task)) = workload.next(&mut workload_rng) {
-                logical_generated += 1;
-                schedule_replicas(&mut sim, at, task, k);
-            }
-        }
-        sim.schedule_in(SimDuration::from_secs(sc.tick_interval), Event::Tick);
-        let mut churn_rng = streams.stream("churn");
-        if let Some(churn) = sc.churn {
-            let online = Exponential::with_mean(churn.mean_online);
-            for w in 0..sc.n_workers {
-                sim.schedule_in(
-                    SimDuration::from_secs(online.sample(&mut churn_rng)),
-                    Event::WorkerOffline(WorkerId(w as u64)),
-                );
-            }
-        }
-
-        loop {
-            // The crowd's event due by the loop's own next event goes
-            // first. A plan dropout or rejoin takes the churn arm, so the
-            // churn arms schedule from the event's instant: the queue's
-            // clock does not move for a crowd event.
-            let horizon = sim.peek_time().map_or(f64::INFINITY, |t| t.as_secs());
-            let (now, event) = match lap.crowd.pop_due(horizon) {
-                Some((at, CrowdEvent::Offline(worker))) => {
-                    books.report.faults.dropouts += 1;
-                    (at, Event::WorkerOffline(worker))
-                }
-                Some((at, CrowdEvent::Online(worker))) => (at, Event::WorkerOnline(worker)),
-                Some((at, event)) => {
-                    // A burst extends the drain window like any arrival.
-                    if let CrowdEvent::Burst { .. } = event {
-                        last_arrival_at = at;
-                    }
-                    lap.book(at, event, &mut books);
-                    books.report.sim_duration = at;
-                    continue;
-                }
-                None => match sim.next_event() {
-                    Some((at, event)) => (at.as_secs(), event),
-                    None => break,
-                },
-            };
-            let report = &books.report;
-            // Burst tasks are extra load, not workload progress.
-            let workload_done =
-                (report.received - report.faults.burst_tasks) as usize >= total_tasks * k;
-            match event {
-                Event::Arrival(task) => {
-                    books.report.received += 1;
-                    last_arrival_at = now;
-                    let task_group_index = task.id.0 % k as u64;
-                    lap.server.submit_task(task, now);
-                    // Only the group's first replica triggers generation
-                    // of the next logical task (all k replicas arrive as
-                    // Arrival events; re-triggering on each would fan
-                    // out exponentially).
-                    let first_replica = k == 1 || task_group_index == 0;
-                    if first_replica && logical_generated < total_tasks {
-                        if let Some((next_at, next_task)) = workload.next(&mut workload_rng) {
-                            logical_generated += 1;
-                            schedule_replicas(&mut sim, next_at, next_task, k);
-                        }
-                    }
-                    // Arrival doubles as a control step so the batch
-                    // trigger reacts to queue growth immediately.
-                    lap.control_step(now, &mut books);
-                }
-                Event::Tick => {
-                    lap.control_step(now, &mut books);
-                    let tasks = lap.server.tasks();
-                    let tasks_open = tasks.unassigned_count() > 0 || tasks.assigned_count() > 0;
-                    let past_horizon = workload_done && now > last_arrival_at + sc.drain_horizon;
-                    if (!workload_done || tasks_open) && !past_horizon {
-                        sim.schedule_in(SimDuration::from_secs(sc.tick_interval), Event::Tick);
-                    }
-                }
-                Event::WorkerOffline(worker) => {
-                    lap.book(now, CrowdEvent::Offline(worker), &mut books);
-                    if let Some(churn) = sc.churn {
-                        let off = UniformRange::new(churn.offline_range.0, churn.offline_range.1);
-                        let off = off.sample(&mut churn_rng).max(0.001);
-                        sim.schedule_at(
-                            SimTime::from_secs(now) + SimDuration::from_secs(off),
-                            Event::WorkerOnline(worker),
-                        );
-                    }
-                }
-                Event::WorkerOnline(worker) => {
-                    lap.book(now, CrowdEvent::Online(worker), &mut books);
-                    // Schedule the next departure only while the run is
-                    // still live, so the event queue can drain.
-                    let past_horizon = workload_done && now > last_arrival_at + sc.drain_horizon;
-                    if let (Some(churn), false) = (sc.churn, past_horizon) {
-                        let online = Exponential::with_mean(churn.mean_online);
-                        sim.schedule_at(
-                            SimTime::from_secs(now)
-                                + SimDuration::from_secs(online.sample(&mut churn_rng)),
-                            Event::WorkerOffline(worker),
-                        );
-                    }
-                }
-            }
-            books.report.sim_duration = now;
-        }
+        let arrivals = Arrivals::of(sc, &RngStreams::new(sc.seed)).replicated(k);
+        books.report.sim_duration =
+            lap.run(arrivals, sc.tick_interval, sc.drain_horizon, &mut books);
 
         let Books { mut report, .. } = books;
         let (server, crowd) = (&lap.server, &lap.crowd);
@@ -409,6 +255,7 @@ impl ScenarioRunner {
         // completed; count queued leftovers as expired-unassigned.
         report.expired_unassigned += server.tasks().unassigned_count() as u64;
         report.faults.stranded = server.tasks().assigned_count() as u64;
+        report.faults.dropouts = crowd.dropouts();
         report.faults.abandons = crowd.abandoned();
         report.faults.completions_lost = crowd.lost();
         if self.observer.enabled() {
@@ -444,7 +291,7 @@ struct Books {
 }
 
 impl Ledger for Books {
-    fn ticked(&mut self, _now: f64, outcome: &TickOutcome) {
+    fn ticked(&mut self, _: (), _now: f64, outcome: &TickOutcome) {
         let report = &mut self.report;
         report.expired_unassigned += (outcome.expired.len() + outcome.shed.len()) as u64;
         report.faults.timeout_recalls += outcome.timeout_recalls;
@@ -452,7 +299,11 @@ impl Ledger for Books {
         report.reassignments += outcome.recalls.len() as u64;
     }
 
-    fn completed(&mut self, done: &Delivery, outcome: &CompletionOutcome, submitted_at: f64) {
+    fn arrived(&mut self, _: Option<()>, _task: TaskId, _at: f64) {
+        self.report.received += 1;
+    }
+
+    fn completed(&mut self, _: (), done: &Delivery, outcome: &CompletionOutcome) {
         let report = &mut self.report;
         report.completed += 1;
         if outcome.met_deadline {
@@ -468,7 +319,7 @@ impl Ledger for Books {
             .series_positive
             .push(report.received as f64, report.positive_feedback as f64);
         report.exec_times.push(outcome.exec_time);
-        report.total_times.push(done.at - submitted_at);
+        report.total_times.push(done.at - outcome.submitted_at);
         // Burst tasks are not part of any replica group.
         if done.task.0 < BURST_ID_BASE {
             let k = self.k;
@@ -495,30 +346,7 @@ impl Ledger for Books {
     }
 
     fn burst(&mut self, _task: &Task) {
-        self.report.received += 1;
         self.report.faults.burst_tasks += 1;
-    }
-}
-
-/// Schedules a logical task's arrival at `at`: the task itself at
-/// replication `k` = 1, otherwise its `k` replicas, ids `id·k + j`,
-/// sharing the group id `id`.
-fn schedule_replicas(sim: &mut Simulator<Event>, at: f64, task: Task, k: usize) {
-    let at = SimTime::from_secs(at);
-    if k <= 1 {
-        sim.schedule_at(at, Event::Arrival(task));
-        return;
-    }
-    for j in 0..k as u64 {
-        let replica = Task::new(
-            TaskId(task.id.0 * k as u64 + j),
-            task.location,
-            task.deadline,
-            task.reward,
-            task.category,
-            task.description.clone(),
-        );
-        sim.schedule_at(at, Event::Arrival(replica));
     }
 }
 

@@ -61,7 +61,8 @@ pub struct Scenario {
     /// Preset workload: when set, the runner replays exactly these
     /// `(arrival_time, task)` pairs instead of generating a Poisson
     /// stream (how a recorded trace is fed to `ScenarioRunner` and
-    /// `react-cluster`'s runner). Must be sorted by arrival time.
+    /// `react-cluster`'s runner). Any order: a trace out of time order
+    /// is sorted stably first ([`crate::Arrivals::preset`]).
     pub workload: Option<Vec<(f64, react_core::Task)>>,
     /// Fault-injection plan (`None` = a fault-free run). The plan is
     /// materialised from the scenario's own named RNG streams, so chaos

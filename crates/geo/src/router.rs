@@ -12,7 +12,7 @@ use crate::grid::RegionGrid;
 use crate::region::BoundingBox;
 
 /// Identifier of a REACT server.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct ServerId(pub u32);
 
 impl std::fmt::Display for ServerId {

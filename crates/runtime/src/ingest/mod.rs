@@ -34,10 +34,10 @@ use react_core::{
     verify_lifecycles, AuditLog, CompletionOutcome, Config, ReactServer, Task, TaskId, TickOutcome,
     WorkerId,
 };
-use react_crowd::{BehaviorParams, Delivery, Lap, Ledger, Scenario};
+use react_crowd::{Arrivals, BehaviorParams, Delivery, Dispatch, Lap, Ledger, Scenario, Trigger};
 use react_faults::FaultPlan;
 use react_obs::{null_observer, HistogramKind, ObserverHandle};
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 use std::net::SocketAddr;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -243,12 +243,13 @@ impl IngestRuntime {
         })
     }
 
-    /// Runs the scheduler loop over `trace`, `(instant, task)` pairs
-    /// sorted by instant, on a virtual clock: no door, no socket, no
-    /// thread. Each task arrives at its instant, the stack stops right
-    /// after the last one and drains, and the report is the one
-    /// [`IngestHandle::shutdown`] would return. Given the same seed, crowd,
-    /// middleware configuration and tick interval, its schedule is
+    /// Runs the scheduler loop over `trace`, `(instant, task)` pairs, on a
+    /// virtual clock: no door, no socket, no thread. The trace goes
+    /// through [`react_crowd::Arrivals`], so a trace out of time order is
+    /// sorted stably first. Each task arrives at its instant, the stack
+    /// stops right after the last one and drains, and the report is the
+    /// one [`IngestHandle::shutdown`] would return. Given the same seed,
+    /// crowd, middleware configuration and tick interval, its schedule is
     /// [`react_crowd::ScenarioRunner`]'s on the same trace.
     ///
     /// # Panics
@@ -256,19 +257,12 @@ impl IngestRuntime {
     /// trail when `config.audit` is on.
     pub fn replay(self, trace: Vec<(f64, Task)>) -> IngestReport {
         let (shared, _inbox) = self.shared();
-        let last = trace.last().map_or(0.0, |&(at, _)| at);
-        let task = |(at, task)| {
-            (
-                at,
-                Inbox::Task(IngestTask {
-                    task,
-                    accepted_at: at,
-                }),
-            )
+        let stop_at = trace.iter().map(|&(at, _)| at).fold(0.0, f64::max);
+        let replay = Replay {
+            arrivals: Arrivals::preset(trace),
+            stop_at: Some(stop_at),
         };
-        let mut arrivals: VecDeque<_> = trace.into_iter().map(task).collect();
-        arrivals.push_back((last, Inbox::Stop));
-        scheduler_thread(self.config, arrivals, self.observer, &shared)
+        scheduler_thread(self.config, replay, self.observer, &shared)
     }
 
     /// The state the door and the scheduler share, on a clock started
@@ -336,8 +330,8 @@ impl IngestHandle {
 
 /// Where the scheduler thread's time and submissions come from: the
 /// scaled wall clock and the door's inbox when serving ([`Door`]), a
-/// virtual clock over a preset trace in a replay.
-trait Arrivals {
+/// virtual clock over a preset trace in a replay ([`Replay`]).
+trait Inbound {
     /// The next message and the crowd instant it was taken, if one comes
     /// by crowd time `until`; `None` once `until` has come. Instants
     /// never go back.
@@ -354,7 +348,7 @@ struct Door {
     now: f64,
 }
 
-impl Arrivals for Door {
+impl Inbound for Door {
     fn next(&mut self, until: f64) -> Option<(f64, Inbox)> {
         let message = match self.inbox.recv_deadline(self.clock.instant_at(until)) {
             Ok(message) => Some(message),
@@ -380,12 +374,25 @@ impl Arrivals for Door {
     }
 }
 
-/// A replay: each message is taken at its instant, and time jumps to
-/// whatever instant the loop waits for.
-impl Arrivals for VecDeque<(f64, Inbox)> {
+/// A replay: each task is taken at its instant, then `Stop` at the last
+/// one's, and time jumps to whatever instant the loop waits for.
+struct Replay {
+    arrivals: Arrivals<'static>,
+    /// The instant of `Stop`, until it is taken.
+    stop_at: Option<f64>,
+}
+
+impl Inbound for Replay {
     fn next(&mut self, until: f64) -> Option<(f64, Inbox)> {
-        let due = self.front().is_some_and(|&(at, _)| at <= until);
-        due.then(|| self.pop_front()).flatten()
+        let Some(at) = self.arrivals.peek_at() else {
+            let at = self.stop_at.take_if(|at| *at <= until)?;
+            return Some((at, Inbox::Stop));
+        };
+        if at > until {
+            return None;
+        }
+        let (accepted_at, task) = self.arrivals.next()?;
+        Some((at, Inbox::Task(IngestTask { task, accepted_at })))
     }
 
     fn waiting(&self) -> usize {
@@ -405,7 +412,7 @@ impl Arrivals for VecDeque<(f64, Inbox)> {
 /// runs one grid tick).
 fn scheduler_thread(
     lc: IngestConfig,
-    mut arrivals: impl Arrivals,
+    mut arrivals: impl Inbound,
     observer: ObserverHandle,
     shared: &Shared,
 ) -> IngestReport {
@@ -432,7 +439,7 @@ fn scheduler_thread(
         // The grid's ticks due by now.
         while next_tick <= now {
             lap.book_due(next_tick, &mut books);
-            lap.control_step(next_tick, &mut books);
+            lap.control_step(next_tick, Trigger::Grid, &mut books);
             next_tick += lc.tick_interval;
         }
         lap.book_due(now, &mut books);
@@ -441,8 +448,7 @@ fn scheduler_thread(
                 books
                     .accepted_at
                     .insert(incoming.task.id, incoming.accepted_at);
-                lap.server.submit_task(incoming.task, now);
-                lap.control_step(now, &mut books);
+                lap.arrive(now, incoming.task, &mut books);
             }
             Some((_, Inbox::Stop)) => drain_started = Some(now),
             None => {}
@@ -450,8 +456,7 @@ fn scheduler_thread(
 
         // Teardown: drain until idle, bounded by the grace window.
         if let Some(started) = drain_started {
-            let tasks = lap.server.tasks();
-            if tasks.unassigned_count() == 0 && tasks.assigned_count() == 0 {
+            if !lap.server.has_open_tasks() {
                 break;
             }
             if now - started >= lc.drain_grace {
@@ -510,7 +515,7 @@ struct Books<'a> {
 }
 
 impl Ledger for Books<'_> {
-    fn ticked(&mut self, now: f64, outcome: &TickOutcome) {
+    fn ticked(&mut self, _: (), now: f64, outcome: &TickOutcome) {
         for task in &outcome.expired {
             self.report.expired += 1;
             self.accepted_at.remove(task);
@@ -533,7 +538,7 @@ impl Ledger for Books<'_> {
         }
     }
 
-    fn completed(&mut self, done: &Delivery, outcome: &CompletionOutcome, _submitted_at: f64) {
+    fn completed(&mut self, _: (), done: &Delivery, outcome: &CompletionOutcome) {
         self.report.completed += 1;
         if outcome.met_deadline {
             self.report.met_deadline += 1;

@@ -54,6 +54,14 @@ impl<E> EventQueue<E> {
         }
     }
 
+    /// An empty queue with room for `n` events.
+    pub fn with_capacity(n: usize) -> Self {
+        EventQueue {
+            heap: BinaryHeap::with_capacity(n),
+            next_seq: 0,
+        }
+    }
+
     /// Schedules `payload` at `time`.
     pub fn push(&mut self, time: SimTime, payload: E) {
         let seq = self.next_seq;
@@ -74,16 +82,6 @@ impl<E> EventQueue<E> {
     /// The earliest pending event, left in the queue.
     pub fn peek(&self) -> Option<(SimTime, &E)> {
         self.heap.peek().map(|Reverse(e)| (e.time, &e.payload))
-    }
-
-    /// Number of pending events.
-    pub fn len(&self) -> usize {
-        self.heap.len()
-    }
-
-    /// True when no events are pending.
-    pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
     }
 }
 
@@ -127,17 +125,17 @@ mod tests {
     #[test]
     fn peek_and_len() {
         let mut q = EventQueue::new();
-        assert!(q.is_empty());
         assert_eq!(q.peek_time(), None);
         q.push(SimTime::from_secs(2.0), ());
         q.push(SimTime::from_secs(1.0), ());
-        assert_eq!(q.len(), 2);
         assert_eq!(q.peek_time(), Some(SimTime::from_secs(1.0)));
         assert_eq!(q.peek(), Some((SimTime::from_secs(1.0), &())));
-        assert_eq!(q.len(), 2, "peek leaves the event queued");
-        q.pop();
-        q.pop();
-        assert!(q.is_empty());
+        assert_eq!(
+            q.pop(),
+            Some((SimTime::from_secs(1.0), ())),
+            "peek leaves the event queued"
+        );
+        assert!(q.pop().is_some());
         assert_eq!(q.pop(), None);
     }
 }

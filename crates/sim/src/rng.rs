@@ -23,11 +23,6 @@ impl RngStreams {
         RngStreams { master_seed }
     }
 
-    /// The master seed.
-    pub fn master_seed(&self) -> u64 {
-        self.master_seed
-    }
-
     /// A generator for the stream named by `label`. The same
     /// `(seed, label)` pair always produces the same stream.
     pub fn stream(&self, label: &str) -> SmallRng {

@@ -6,8 +6,7 @@
 //! requires.
 
 use std::cmp::Ordering;
-use std::fmt;
-use std::ops::{Add, AddAssign, Sub};
+use std::ops::Add;
 
 /// An instant on the simulation clock (seconds since simulation start).
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -40,13 +39,6 @@ impl SimTime {
     pub fn as_secs(&self) -> f64 {
         self.0
     }
-
-    /// The duration from `earlier` to `self`, saturating at zero when
-    /// `earlier` is actually later (guards against float round-off at
-    /// equal timestamps).
-    pub fn since(&self, earlier: SimTime) -> SimDuration {
-        SimDuration((self.0 - earlier.0).max(0.0))
-    }
 }
 
 impl Eq for SimTime {}
@@ -72,30 +64,7 @@ impl Add<SimDuration> for SimTime {
     }
 }
 
-impl AddAssign<SimDuration> for SimTime {
-    fn add_assign(&mut self, rhs: SimDuration) {
-        self.0 += rhs.0;
-    }
-}
-
-impl Sub<SimTime> for SimTime {
-    type Output = SimDuration;
-
-    fn sub(self, rhs: SimTime) -> SimDuration {
-        self.since(rhs)
-    }
-}
-
-impl fmt::Display for SimTime {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "t={:.3}s", self.0)
-    }
-}
-
 impl SimDuration {
-    /// The empty duration.
-    pub const ZERO: SimDuration = SimDuration(0.0);
-
     /// Creates a duration of `seconds ≥ 0`.
     ///
     /// # Panics
@@ -116,36 +85,6 @@ impl SimDuration {
     }
 }
 
-impl Eq for SimDuration {}
-
-impl Ord for SimDuration {
-    fn cmp(&self, other: &Self) -> Ordering {
-        self.0
-            .partial_cmp(&other.0)
-            .expect("SimDuration is NaN-free")
-    }
-}
-
-impl PartialOrd for SimDuration {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl Add for SimDuration {
-    type Output = SimDuration;
-
-    fn add(self, rhs: SimDuration) -> SimDuration {
-        SimDuration(self.0 + rhs.0)
-    }
-}
-
-impl fmt::Display for SimDuration {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{:.3}s", self.0)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -156,7 +95,6 @@ mod tests {
         assert_eq!(t.as_secs(), 5.5);
         let d = SimDuration::from_secs(2.0);
         assert_eq!(d.as_secs(), 2.0);
-        assert_eq!(SimDuration::ZERO.as_secs(), 0.0);
     }
 
     #[test]
@@ -181,21 +119,7 @@ mod tests {
     fn arithmetic() {
         let t = SimTime::from_secs(10.0) + SimDuration::from_secs(5.0);
         assert_eq!(t.as_secs(), 15.0);
-        let mut t2 = SimTime::ZERO;
-        t2 += SimDuration::from_secs(3.0);
-        assert_eq!(t2.as_secs(), 3.0);
-        let d = t - t2;
-        assert_eq!(d.as_secs(), 12.0);
-        let sum = d + SimDuration::from_secs(1.0);
-        assert_eq!(sum.as_secs(), 13.0);
-    }
-
-    #[test]
-    fn since_saturates() {
-        let early = SimTime::from_secs(1.0);
-        let late = SimTime::from_secs(2.0);
-        assert_eq!(late.since(early).as_secs(), 1.0);
-        assert_eq!(early.since(late).as_secs(), 0.0);
+        assert_eq!((SimTime::ZERO + SimDuration::from_secs(3.0)).as_secs(), 3.0);
     }
 
     #[test]
@@ -204,14 +128,5 @@ mod tests {
         let b = SimTime::from_secs(2.0);
         assert!(a < b);
         assert_eq!(a.max(b), b);
-        let da = SimDuration::from_secs(1.0);
-        let db = SimDuration::from_secs(2.0);
-        assert!(da < db);
-    }
-
-    #[test]
-    fn display() {
-        assert_eq!(SimTime::from_secs(1.5).to_string(), "t=1.500s");
-        assert_eq!(SimDuration::from_secs(0.25).to_string(), "0.250s");
     }
 }

@@ -1,5 +1,5 @@
-//! One seeded trace, one schedule: the discrete-event runner and the live
-//! scheduler loop agree.
+//! One seeded trace, one schedule: the discrete-event runners and the
+//! live scheduler loop agree.
 //!
 //! The same preset trace runs through `ScenarioRunner::run` and through
 //! the live scheduler thread on a virtual clock
@@ -11,12 +11,30 @@
 //! for a completion, at start-up, on a grid counted from its last lap
 //! rather than from crowd time 0 — or that skipped the tick at a burst
 //! instant fails here.
+//!
+//! A one-shard `ClusterRunner` joins them where the seeds let it. The
+//! cluster roots its RNG streams at `seed ^ 0xc1` and seeds shard `i`'s
+//! server with a mix of the seed and `i`, where `Lap::seeded` roots them
+//! at `seed` and seeds its server with `seed ^ 0x5eed`. A cluster run at
+//! `seed ^ 0xc1` draws the runner's population, behaviour and faults; the
+//! server seeds cannot agree without moving the cluster's figure CSVs,
+//! so the cluster cases match with Greedy, whose matching draws nothing,
+//! and without bursts, at which the cluster does not tick.
+//!
+//! Two hand-made cases pin what Poisson traces never show: a trace with
+//! arrivals exactly on grid instants, where every loop books the crowd's
+//! events first, then the grid tick, then the arrival; and a shuffled
+//! trace, which every loop sorts stably before it runs.
 
 mod common;
 
 use proptest::prelude::*;
-use react::core::{AuditLog, Config, MatcherPolicy, RecoveryConfig, TaskEventKind, TaskId};
-use react::crowd::{RunReport, Scenario, ScenarioRunner, TaskGenerator};
+use react::cluster::{ClusterPolicy, ClusterReport, ClusterRunner, ClusterScenario};
+use react::core::{
+    AuditLog, BatchTrigger, Config, MatcherPolicy, RecoveryConfig, Task, TaskCategory,
+    TaskEventKind, TaskId,
+};
+use react::crowd::{Arrivals, BehaviorParams, RunReport, Scenario, ScenarioRunner, TaskGenerator};
 use react::faults::FaultPlan;
 use react::obs::{ObserverHandle, RecordingObserver, SpanKind};
 use react::runtime::{IngestConfig, IngestReport, IngestRuntime};
@@ -33,7 +51,7 @@ const DRAIN: f64 = 10_000.0;
 
 /// `N_TASKS` Poisson arrivals with 60–120 s deadlines and one category
 /// (the door's), drawn from `seed`.
-fn trace(seed: u64) -> Vec<(f64, react::core::Task)> {
+fn trace(seed: u64) -> Vec<(f64, Task)> {
     let mut rng = RngStreams::new(seed).stream("oracle-trace");
     let mut generator = TaskGenerator::new(ARRIVAL_RATE, Scenario::default_region())
         .with_deadline_range(60.0, 120.0)
@@ -68,18 +86,27 @@ fn ticks(recorder: &RecordingObserver) -> u64 {
     recorder.span_stats(SpanKind::Tick).map_or(0, |s| s.count)
 }
 
-fn des(seed: u64, faults: Option<FaultPlan>) -> (RunReport, Schedule) {
-    let scenario = Scenario {
+/// The runner's scenario of `seed`: `trace` under `config`.
+fn scenario(
+    seed: u64,
+    config: Config,
+    trace: Vec<(f64, Task)>,
+    faults: Option<FaultPlan>,
+) -> Scenario {
+    Scenario {
         label: "oracle".to_string(),
         n_workers: N_WORKERS,
-        config: middleware(),
+        config,
         n_categories: 1,
         tick_interval: TICK_INTERVAL,
         drain_horizon: DRAIN,
-        workload: Some(trace(seed)),
+        workload: Some(trace),
         faults,
         ..Scenario::smoke(MatcherPolicy::Greedy, seed)
-    };
+    }
+}
+
+fn run_des(scenario: Scenario) -> (RunReport, Schedule) {
     let recorder = RecordingObserver::new();
     let report = ScenarioRunner::new(scenario)
         .with_observer(Arc::new(recorder.clone()) as ObserverHandle)
@@ -93,20 +120,27 @@ fn des(seed: u64, faults: Option<FaultPlan>) -> (RunReport, Schedule) {
     (report, schedule)
 }
 
-fn live(seed: u64, faults: Option<FaultPlan>) -> (IngestReport, Schedule) {
-    let config = IngestConfig {
+fn des(seed: u64, faults: Option<FaultPlan>) -> (RunReport, Schedule) {
+    run_des(scenario(seed, middleware(), trace(seed), faults))
+}
+
+fn live_config(seed: u64, config: Config, faults: Option<FaultPlan>) -> IngestConfig {
+    IngestConfig {
         n_workers: N_WORKERS,
-        config: middleware(),
+        config,
         tick_interval: TICK_INTERVAL,
         seed,
         faults,
         drain_grace: DRAIN,
         ..IngestConfig::default()
-    };
+    }
+}
+
+fn run_live(config: IngestConfig, trace: Vec<(f64, Task)>) -> (IngestReport, Schedule) {
     let recorder = RecordingObserver::new();
     let report = IngestRuntime::new(config)
         .with_observer(Arc::new(recorder.clone()) as ObserverHandle)
-        .replay(trace(seed));
+        .replay(trace);
     let schedule = Schedule {
         ticks: ticks(&recorder),
         completed: report.completed,
@@ -114,6 +148,37 @@ fn live(seed: u64, faults: Option<FaultPlan>) -> (IngestReport, Schedule) {
         expired: report.expired + report.shed_server,
     };
     (report, schedule)
+}
+
+fn live(seed: u64, faults: Option<FaultPlan>) -> (IngestReport, Schedule) {
+    run_live(live_config(seed, middleware(), faults), trace(seed))
+}
+
+/// `global` through a `ClusterRunner` over one shard with no coupling.
+fn run_cluster(global: Scenario) -> (ClusterReport, Schedule) {
+    let recorder = RecordingObserver::new();
+    let scenario = ClusterScenario {
+        global,
+        rows: 1,
+        cols: 1,
+        policy: ClusterPolicy::single_tier(),
+    };
+    let report = ClusterRunner::new(scenario)
+        .with_observer(Arc::new(recorder.clone()) as ObserverHandle)
+        .run();
+    let shard = &report.shards[0];
+    let schedule = Schedule {
+        ticks: ticks(&recorder),
+        completed: shard.completed,
+        met_deadline: shard.met_deadline,
+        expired: shard.expired_unassigned,
+    };
+    (report, schedule)
+}
+
+/// A cluster's audit log: its one shard's.
+fn shard_log(report: &ClusterReport) -> &AuditLog {
+    report.shards[0].audit.as_ref().expect("audit on")
 }
 
 /// Every task's trail: each event's kind and instant, in order.
@@ -144,6 +209,15 @@ fn first_difference(
     })
 }
 
+/// Why two runs disagree — their first differing trail, or their
+/// schedules — if they do.
+fn differ(a: (&AuditLog, &Schedule), b: (&AuditLog, &Schedule)) -> Option<String> {
+    if let Some((task, x, y)) = first_difference(a.0, b.0) {
+        return Some(format!("{task}: {x:?}\nvs {y:?}"));
+    }
+    (a.1 != b.1).then(|| format!("{:?} != {:?}", a.1, b.1))
+}
+
 /// Runs both loops on the trace of `seed` and returns why they disagree,
 /// if they do.
 fn disagreement(seed: u64, faults: Option<FaultPlan>) -> Option<String> {
@@ -151,11 +225,8 @@ fn disagreement(seed: u64, faults: Option<FaultPlan>) -> Option<String> {
     let (live_report, live_schedule) = live(seed, faults);
     let des_log = des_report.audit.as_ref().expect("audit on");
     let live_log = live_report.audit.as_ref().expect("audit on");
-    if let Some((task, a, b)) = first_difference(des_log, live_log) {
-        return Some(format!("{task}: runner {a:?}\nlive {b:?}"));
-    }
-    (des_schedule != live_schedule)
-        .then(|| format!("runner {des_schedule:?} != live {live_schedule:?}"))
+    differ((des_log, &des_schedule), (live_log, &live_schedule))
+        .map(|why| format!("runner vs live: {why}"))
 }
 
 fn assert_agree(seed: u64, faults: Option<FaultPlan>) {
@@ -196,6 +267,190 @@ fn the_traces_exercise_every_booking() {
     assert!(schedule.completed > 0 && schedule.ticks > 0, "{schedule:?}");
     let (report, _) = des(SEEDS[0], None);
     assert!(report.reassignments > 0 && report.expired_unassigned > 0);
+}
+
+/// Greedy matching, otherwise the oracle's middleware: the cluster cases'.
+fn greedy() -> Config {
+    Config {
+        matcher: MatcherPolicy::Greedy,
+        ..middleware()
+    }
+}
+
+/// `ClusterRunner` on one shard schedules the runner's trace as the
+/// runner does, fault-free and under chaos without bursts.
+#[test]
+fn a_one_shard_cluster_gives_the_runners_schedule() {
+    let no_bursts = FaultPlan {
+        bursts: None,
+        ..FaultPlan::chaos(0.5)
+    };
+    for seed in SEEDS {
+        for faults in [None, Some(no_bursts)] {
+            let (des_report, des_schedule) = run_des(scenario(seed, greedy(), trace(seed), faults));
+            let cluster_scenario = scenario(seed ^ 0xc1, greedy(), trace(seed), faults);
+            let (cluster_report, cluster_schedule) = run_cluster(cluster_scenario);
+            let des_log = des_report.audit.as_ref().expect("audit on");
+            let why = differ(
+                (des_log, &des_schedule),
+                (shard_log(&cluster_report), &cluster_schedule),
+            );
+            assert!(
+                why.is_none(),
+                "seed {seed}, {faults:?}: {}",
+                why.unwrap_or_default()
+            );
+            assert!(des_schedule.completed > 0);
+        }
+    }
+}
+
+/// Two workers that take exactly 3 s per task.
+fn three_second_workers() -> BehaviorParams {
+    BehaviorParams {
+        service_bounds: (3.0, 3.0),
+        delay_probability: 0.0,
+        ..BehaviorParams::default()
+    }
+}
+
+/// Greedy batches on every queued task; matching time not charged, the
+/// audit log on.
+fn eager() -> Config {
+    let mut config = Config::with_matcher(MatcherPolicy::Greedy);
+    config.charge_matching_time = false;
+    config.batch = BatchTrigger {
+        min_unassigned: 1,
+        period: None,
+    };
+    config.audit = true;
+    config
+}
+
+/// Logical tasks 0, 1, 2 at grid instants 1, 2 and 4 s.
+fn grid_trace() -> Vec<(f64, Task)> {
+    let here = Scenario::default_region().center();
+    [1.0, 2.0, 4.0]
+        .into_iter()
+        .enumerate()
+        .map(|(i, at)| {
+            let task = Task::new(TaskId(i as u64), here, 100.0, 0.05, TaskCategory(0), "tie");
+            (at, task)
+        })
+        .collect()
+}
+
+/// Where each of `kinds`' events of `tasks` at `at` stands in `log`.
+fn positions(
+    log: &AuditLog,
+    at: f64,
+    tasks: [u64; 2],
+    kind: fn(&TaskEventKind) -> bool,
+) -> Vec<usize> {
+    let found: Vec<usize> = log
+        .events()
+        .iter()
+        .enumerate()
+        .filter(|(_, e)| e.at == at && tasks.contains(&e.task.0) && kind(&e.kind))
+        .map(|(i, _)| i)
+        .collect();
+    assert_eq!(
+        found.len(),
+        2,
+        "tasks {tasks:?} at {at}: {:?}",
+        log.events()
+    );
+    found
+}
+
+/// At 4 s the crowd's completions of tasks 0 and 1, the grid tick's
+/// assignment of tasks 2 and 3 (queued since 2 s), and the submission of
+/// tasks 4 and 5 all fall on one instant, in that order.
+fn assert_tie_order(loop_name: &str, log: &AuditLog) {
+    let done = positions(log, 4.0, [0, 1], |k| {
+        matches!(k, TaskEventKind::Completed { .. })
+    });
+    let ticked = positions(log, 4.0, [2, 3], |k| {
+        matches!(k, TaskEventKind::Assigned { .. })
+    });
+    let arrived = positions(log, 4.0, [4, 5], |k| matches!(k, TaskEventKind::Submitted));
+    let (done, ticked, arrived) = (done[1], (ticked[0], ticked[1]), arrived[0]);
+    assert!(
+        done < ticked.0 && ticked.1 < arrived,
+        "{loop_name}: crowd event, tick, arrival out of order: {:?}",
+        log.events()
+    );
+}
+
+/// Arrivals exactly on grid instants: every loop books the crowd's
+/// events due by an instant, then the grid tick, then the arrival. The
+/// runner expands each logical task into a `k = 2` replica group; the
+/// live loop and the cluster get the expanded trace.
+#[test]
+fn ties_go_crowd_event_then_tick_then_arrival_in_every_loop() {
+    const SEED: u64 = 5;
+    let mut des_scenario = scenario(SEED, eager(), grid_trace(), None);
+    des_scenario.n_workers = 2;
+    des_scenario.behavior = three_second_workers();
+    des_scenario.replication = 2;
+    let expanded: Vec<_> = Arrivals::preset(grid_trace()).replicated(2).collect();
+    let mut live = live_config(SEED, eager(), None);
+    live.n_workers = 2;
+    live.behavior = three_second_workers();
+    let mut cluster_scenario = scenario(SEED ^ 0xc1, eager(), expanded.clone(), None);
+    cluster_scenario.n_workers = 2;
+    cluster_scenario.behavior = three_second_workers();
+
+    let (des_report, des_schedule) = run_des(des_scenario);
+    let (live_report, live_schedule) = run_live(live, expanded);
+    let (cluster_report, cluster_schedule) = run_cluster(cluster_scenario);
+    let des_log = des_report.audit.as_ref().expect("audit on");
+    let live_log = live_report.audit.as_ref().expect("audit on");
+    assert_tie_order("runner", des_log);
+    assert_tie_order("live", live_log);
+    assert_tie_order("cluster", shard_log(&cluster_report));
+    assert_eq!(des_schedule.completed, 6, "{des_schedule:?}");
+    let why = differ((des_log, &des_schedule), (live_log, &live_schedule));
+    assert!(why.is_none(), "runner vs live: {}", why.unwrap_or_default());
+    let why = differ(
+        (des_log, &des_schedule),
+        (shard_log(&cluster_report), &cluster_schedule),
+    );
+    assert!(
+        why.is_none(),
+        "runner vs cluster: {}",
+        why.unwrap_or_default()
+    );
+}
+
+/// A trace out of time order is sorted before it runs: the runner, the
+/// live loop and the cluster each schedule a reversed trace as they
+/// schedule the sorted one.
+#[test]
+fn a_shuffled_trace_gives_the_sorted_traces_schedule() {
+    let seed = SEEDS[0];
+    let sorted = trace(seed);
+    let mut shuffled = sorted.clone();
+    shuffled.reverse();
+    let runner = |trace| run_des(scenario(seed, middleware(), trace, None));
+    let live = |trace| run_live(live_config(seed, middleware(), None), trace);
+    let cluster = |trace| run_cluster(scenario(seed ^ 0xc1, greedy(), trace, None));
+
+    let ((a, x), (b, y)) = (runner(sorted.clone()), runner(shuffled.clone()));
+    let why = differ(
+        (a.audit.as_ref().unwrap(), &x),
+        (b.audit.as_ref().unwrap(), &y),
+    );
+    assert!(why.is_none(), "runner: {}", why.unwrap_or_default());
+    let ((a, x), (b, y)) = (live(sorted.clone()), live(shuffled.clone()));
+    let why = differ(
+        (a.audit.as_ref().unwrap(), &x),
+        (b.audit.as_ref().unwrap(), &y),
+    );
+    assert!(why.is_none(), "live: {}", why.unwrap_or_default());
+    let ((a, x), (b, y)) = (cluster(sorted), cluster(shuffled));
+    let why = differ((shard_log(&a), &x), (shard_log(&b), &y));
+    assert!(why.is_none(), "cluster: {}", why.unwrap_or_default());
 }
 
 proptest! {

@@ -1,42 +1,62 @@
-//! Property tests for the simulation kernel and the spatial substrate.
+//! Property tests for the event queue, the RNG streams and the spatial
+//! substrate.
 
 use proptest::prelude::*;
 use react::geo::{BoundingBox, GeoPoint, RegionGrid, RegionRouter};
-use react::sim::{RngStreams, SimTime, Simulator};
+use react::sim::{EventQueue, RngStreams, SimTime};
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
+    /// Events pushed at arbitrary instants pop in time order, every one
+    /// of them, and `peek_time` names the instant the next `pop` returns.
     #[test]
-    fn simulator_pops_in_nondecreasing_time_order(
+    fn event_queue_pops_in_nondecreasing_time_order(
         times in proptest::collection::vec(0.0f64..1e6, 1..200)
     ) {
-        let mut sim: Simulator<usize> = Simulator::new();
+        let mut queue = EventQueue::new();
         for (i, &t) in times.iter().enumerate() {
-            sim.schedule_at(SimTime::from_secs(t), i);
+            queue.push(SimTime::from_secs(t), i);
         }
         let mut last = 0.0;
         let mut popped = 0;
-        while let Some((at, _)) = sim.next_event() {
+        while let Some(peeked) = queue.peek_time() {
+            let (at, _) = queue.pop().expect("a peeked event pops");
+            prop_assert_eq!(at, peeked);
             prop_assert!(at.as_secs() >= last);
             last = at.as_secs();
             popped += 1;
         }
+        prop_assert!(queue.pop().is_none());
         prop_assert_eq!(popped, times.len());
-        prop_assert_eq!(sim.processed(), times.len() as u64);
     }
 
+    /// Events at one instant pop in the order they were pushed, however
+    /// pushes at other instants and pops interleave with them.
     #[test]
     fn simultaneous_events_preserve_fifo(
-        n in 1usize..100, t in 0.0f64..100.0
+        ops in proptest::collection::vec((0u8..4, any::<bool>()), 1..200)
     ) {
-        let mut sim: Simulator<usize> = Simulator::new();
-        for i in 0..n {
-            sim.schedule_at(SimTime::from_secs(t), i);
+        let mut queue = EventQueue::new();
+        let mut popped: Vec<(u8, usize)> = Vec::new();
+        for (i, &(slot, pop)) in ops.iter().enumerate() {
+            queue.push(SimTime::from_secs(f64::from(slot)), (slot, i));
+            if pop {
+                let peeked = queue.peek().map(|(at, &e)| (at, e));
+                let (at, e) = queue.pop().expect("just pushed");
+                prop_assert_eq!(peeked, Some((at, e)));
+                popped.push(e);
+            }
         }
-        let order: Vec<usize> =
-            std::iter::from_fn(|| sim.next_event().map(|(_, e)| e)).collect();
-        prop_assert_eq!(order, (0..n).collect::<Vec<_>>());
+        while let Some((_, e)) = queue.pop() {
+            popped.push(e);
+        }
+        prop_assert_eq!(popped.len(), ops.len());
+        for slot in 0..4u8 {
+            let order: Vec<usize> =
+                popped.iter().filter(|e| e.0 == slot).map(|e| e.1).collect();
+            prop_assert!(order.windows(2).all(|w| w[0] < w[1]), "slot {}: {:?}", slot, order);
+        }
     }
 
     #[test]
