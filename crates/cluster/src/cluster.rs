@@ -505,10 +505,10 @@ impl Dispatch for Cluster {
         }
     }
 
-    fn has_open_tasks(&self) -> bool {
-        self.shards
-            .iter()
-            .any(|s| s.server.tasks().open_count() > 0)
+    fn open_tasks(&self) -> (usize, usize) {
+        let tasks = self.shards.iter().map(|s| s.server.tasks());
+        let queued = tasks.clone().map(|t| t.unassigned_count()).sum();
+        (queued, tasks.map(|t| t.assigned_count()).sum())
     }
 }
 

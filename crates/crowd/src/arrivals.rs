@@ -1,16 +1,54 @@
-//! Where a run's tasks come from: one source for every loop.
+//! Where a run's tasks come from: one [`Source`] trait for every loop.
 //!
-//! [`Arrivals`] yields `(instant, task)` pairs in time order from a
-//! trace — a preset one, or a scenario's Poisson workload — with each
-//! logical task expanded into its replicas.
-//! [`Lap::run`](crate::Lap::run) merges it with the tick grid and the
-//! crowd's timeline, and `react-runtime`'s replay takes its trace from it.
+//! [`Lap::run`](crate::Lap::run) asks its source for the next task due by
+//! the grid's next instant and merges the answer with the tick grid and
+//! the crowd's timeline. [`Arrivals`] is the source over a trace — a
+//! preset one, or a scenario's Poisson workload — with each logical task
+//! expanded into its replicas; it never waits. `react-runtime`'s door is
+//! the other: it blocks on its inbox on the scaled wall clock.
 
 use crate::generator::TaskGenerator;
 use crate::scenario::Scenario;
 use react_core::{Task, TaskId};
 use react_sim::RngStreams;
 use std::borrow::Cow;
+
+/// What a [`Source`] answers when asked for the next task due by an
+/// instant.
+#[derive(Debug, PartialEq)]
+pub enum Next {
+    /// `task` is taken in at `at`. It entered the system at `entered`:
+    /// the door's accept instant, or `at` for a trace.
+    Task {
+        /// The instant the loop takes the task in.
+        at: f64,
+        /// The instant the task entered the system.
+        entered: f64,
+        /// The task.
+        task: Task,
+    },
+    /// The instant asked for has come with no task.
+    Wait,
+    /// No task follows: the workload ended at this instant.
+    End(f64),
+}
+
+/// Where [`Lap::run`](crate::Lap::run) takes its tasks from.
+pub trait Source {
+    /// The next task taken by crowd time `until`, [`Next::Wait`] once
+    /// `until` has come without one, or [`Next::End`]. `queued` is how
+    /// many tasks the middleware holds unassigned. Instants never go back,
+    /// and no task follows the end: asked again after it, a source on a
+    /// clock waits until `until`, one without answers at once.
+    fn next_by(&mut self, until: f64, queued: usize) -> Next;
+}
+
+/// A source lent to a loop is still the source.
+impl<S: Source + ?Sized> Source for &mut S {
+    fn next_by(&mut self, until: f64, queued: usize) -> Next {
+        (**self).next_by(until, queued)
+    }
+}
 
 /// A run's task arrivals in time order.
 pub struct Arrivals<'a> {
@@ -70,6 +108,25 @@ impl<'a> Arrivals<'a> {
     }
 }
 
+/// Never waits: a task due by `until` is taken at its own instant, and
+/// the end is the last arrival's instant, or 0 for an empty trace.
+impl Source for Arrivals<'_> {
+    fn next_by(&mut self, until: f64, _queued: usize) -> Next {
+        match self.peek_at() {
+            Some(at) if at <= until => {
+                let (at, task) = self.next().expect("peeked");
+                Next::Task {
+                    at,
+                    entered: at,
+                    task,
+                }
+            }
+            Some(_) => Next::Wait,
+            None => Next::End(self.trace.last().map_or(0.0, |&(at, _)| at)),
+        }
+    }
+}
+
 impl Iterator for Arrivals<'_> {
     type Item = (f64, Task);
 
@@ -119,6 +176,24 @@ mod tests {
         let arrivals = Arrivals::preset(&trace[..]).replicated(3);
         let expected = [(1.0, 0), (1.0, 1), (1.0, 2), (2.0, 3), (2.0, 4), (2.0, 5)];
         assert_eq!(ids(arrivals), expected);
+    }
+
+    #[test]
+    fn a_trace_ends_at_its_last_arrival_without_waiting() {
+        let mut arrivals = Arrivals::preset(vec![(1.0, task(0)), (2.5, task(1))]);
+        assert_eq!(arrivals.next_by(0.5, 0), Next::Wait);
+        for (at, id) in [(1.0, 0), (2.5, 1)] {
+            let task = task(id);
+            let expected = Next::Task {
+                at,
+                entered: at,
+                task,
+            };
+            assert_eq!(arrivals.next_by(3.0, 0), expected);
+        }
+        assert_eq!(arrivals.next_by(3.0, 0), Next::End(2.5));
+        assert_eq!(arrivals.next_by(9.0, 0), Next::End(2.5));
+        assert_eq!(Arrivals::preset(Vec::new()).next_by(9.0, 0), Next::End(0.0));
     }
 
     #[test]

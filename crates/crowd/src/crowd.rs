@@ -181,16 +181,18 @@ impl Crowd {
         }
     }
 
-    /// The workload's last task arrived at `at`: the run drains for
-    /// `length` seconds from it, or from the latest burst after it.
+    /// The workload ended at `at`: the run drains for `length` seconds
+    /// from it, or from the latest burst after it.
     pub fn drain_from(&mut self, at: f64, length: f64) {
         self.drain = Some((at, length));
     }
 
-    /// Whether the run has drained by `now`: its last task arrived and
-    /// the drain window after it, or after a later burst, has passed.
+    /// Whether the run has drained by `now`: its workload ended and the
+    /// drain window after it, or after a later burst, has run out. A
+    /// window closes at its last instant, so one of length 0 is closed
+    /// where it opens.
     pub fn drained(&self, now: f64) -> bool {
-        self.drain.is_some_and(|(from, length)| now > from + length)
+        matches!(self.drain, Some((from, length)) if now >= from + length)
     }
 
     /// Mints the next task of a fault-plan burst: ids count up from
@@ -375,5 +377,31 @@ impl Crowd {
         let attempt = self.attempts.entry(task).or_insert(0);
         *attempt += 1;
         *attempt
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn crowd() -> Crowd {
+        Crowd::new(Vec::new(), None, &RngStreams::new(1))
+    }
+
+    #[test]
+    fn a_zero_length_window_is_closed_where_it_opens() {
+        let mut crowd = crowd();
+        assert!(!crowd.drained(5.0), "no window before the end");
+        crowd.drain_from(5.0, 0.0);
+        assert!(!crowd.drained(4.999));
+        assert!(crowd.drained(5.0));
+    }
+
+    #[test]
+    fn a_window_closes_exactly_at_its_end() {
+        let mut crowd = crowd();
+        crowd.drain_from(5.0, 2.5);
+        assert!(!crowd.drained(7.4999));
+        assert!(crowd.drained(7.5));
     }
 }

@@ -1,26 +1,33 @@
 //! One lap for every loop: the control step, the booking of an arrival
-//! and of a crowd event, and the discrete-event loop over one timeline.
+//! and of a crowd event, and the one control loop over one timeline.
 //!
-//! A loop driving the middleware and its [`Crowd`] through time decides
-//! only *when* something happens; a [`Lap`] does it.
-//! [`Lap::control_step`] ticks the middleware and hands each outcome to
-//! the crowd, [`Lap::arrive`] takes a task in and steps where it landed,
-//! and [`Lap::book`] books one event [`Crowd::pop_due`] popped: a
+//! A [`Lap`] is the middleware and its [`Crowd`] as one run, and
+//! [`Lap::run`] drives it through time. It asks its [`Source`] for the
+//! next task due by the grid's next tick, runs each grid tick up to the
+//! instant the answer comes with, books the crowd events due by each
+//! first, then books the crowd events due by the task's instant and takes
+//! the task in. At one instant the crowd's events go first, then the grid
+//! tick, then the arrival, so one seeded trace gives one schedule whether
+//! an [`Arrivals`](crate::Arrivals) trace or `react-runtime`'s live door
+//! feeds it. A control step ticks the middleware and hands each outcome to
+//! the crowd; a booking is one event [`Crowd::pop_due`] popped: a
 //! completion with its duplicate re-delivery, a departure's recall, a
 //! rejoin, or a burst's tasks followed by the burst's control step. What
 //! each loop keeps of these steps goes through its [`Ledger`], which is
 //! told which shard a booking belongs to.
 //!
+//! Every run ends one way. At the source's end the drain window opens
+//! ([`Crowd::drain_from`]); the grid stops there, or at a later tick,
+//! once nothing is open or the window has run out; the crowd's remaining
+//! events are then booked at their own instants. What the middleware
+//! still holds is each driver's to count: queued tasks as expired,
+//! in-flight ones as stranded.
+//!
 //! The middleware is anything that [`Dispatch`]es: one [`ReactServer`]
-//! (`ScenarioRunner` and `react-runtime`'s live scheduler thread) or
-//! `react-cluster`'s sharded `Cluster`. [`Lap::run`] is the one
-//! discrete-event loop, which both runners drive: it merges the crowd's
-//! timeline, the fixed tick grid and the [`Arrivals`] in time order. At
-//! one instant the crowd's events go first, then the grid tick, then the
-//! arrival — the live loop's rule (`next_tick <= now`) — so one seeded
-//! trace gives one schedule whichever loop drives it.
+//! (`ScenarioRunner` and `react-runtime`'s scheduler thread) or
+//! `react-cluster`'s sharded `Cluster`.
 
-use crate::arrivals::Arrivals;
+use crate::arrivals::{Next, Source};
 use crate::behavior::{generate_population, BehaviorParams};
 use crate::crowd::{Crowd, CrowdEvent, Delivery};
 use crate::scenario::ChurnParams;
@@ -65,8 +72,8 @@ pub trait Dispatch {
     fn worker_offline(&mut self, worker: WorkerId, now: f64) -> Vec<TaskId>;
     /// `worker` came back.
     fn worker_online(&mut self, worker: WorkerId);
-    /// Whether any task is still queued or in flight.
-    fn has_open_tasks(&self) -> bool;
+    /// How many tasks are queued, and how many in flight.
+    fn open_tasks(&self) -> (usize, usize);
 }
 
 /// One server ticks at every trigger.
@@ -95,8 +102,11 @@ impl Dispatch for ReactServer {
         let _ = ReactServer::worker_online(self, worker);
     }
 
-    fn has_open_tasks(&self) -> bool {
-        self.tasks().open_count() > 0
+    fn open_tasks(&self) -> (usize, usize) {
+        (
+            self.tasks().unassigned_count(),
+            self.tasks().assigned_count(),
+        )
     }
 }
 
@@ -106,8 +116,9 @@ pub trait Ledger<S = ()> {
     /// A tick of `shard` at `now` retired, recalled and assigned what
     /// `outcome` lists; the crowd takes it in next.
     fn ticked(&mut self, shard: S, now: f64, outcome: &TickOutcome);
-    /// `task` arrived at `at`, from the workload or a burst, and `shard`
-    /// took it in (`None`: the middleware refused it).
+    /// `task`, which entered the system at `at`, arrived from the
+    /// workload or a burst, and `shard` took it in (`None`: the
+    /// middleware refused it).
     fn arrived(&mut self, shard: Option<S>, task: TaskId, at: f64) {
         let _ = (shard, task, at);
     }
@@ -198,10 +209,66 @@ impl<D: Dispatch> Lap<D> {
         self
     }
 
+    /// The run: each task the source yields, a grid tick every
+    /// `tick_interval` from crowd time 0 and every crowd event, in time
+    /// order, until the source's end; then the drain window of `drain`
+    /// seconds from that end, which later bursts move. The grid stops at
+    /// the end, or at a later tick, once nothing is open or the window has
+    /// run out; the crowd's remaining events are then booked at their own
+    /// instants. Returns the instant of the last thing booked.
+    ///
+    /// # Panics
+    /// Panics on a task the source yields after its end.
+    pub fn run(
+        &mut self,
+        mut source: impl Source,
+        tick_interval: f64,
+        drain: f64,
+        ledger: &mut impl Ledger<D::Shard>,
+    ) -> f64 {
+        let mut next_tick = tick_interval;
+        let mut now = loop {
+            let next = source.next_by(next_tick, self.server.open_tasks().0);
+            let now = match next {
+                Next::Task { at, .. } | Next::End(at) => at,
+                Next::Wait => next_tick,
+            };
+            while next_tick <= now {
+                self.grid_tick(next_tick, ledger);
+                next_tick += tick_interval;
+            }
+            self.book_due(now, ledger);
+            match next {
+                Next::Task { at, entered, task } => self.arrive(at, entered, task, ledger),
+                Next::Wait => {}
+                Next::End(end) => break end,
+            }
+        };
+        self.crowd.drain_from(now, drain);
+        while self.server.open_tasks() != (0, 0) && !self.crowd.drained(now) {
+            let next = source.next_by(next_tick, self.server.open_tasks().0);
+            assert!(!matches!(next, Next::Task { .. }), "a task after the end");
+            now = next_tick;
+            self.grid_tick(now, ledger);
+            next_tick += tick_interval;
+        }
+        while let Some((at, event)) = self.crowd.pop_due(f64::INFINITY) {
+            self.book(at, event, ledger);
+            now = at;
+        }
+        now
+    }
+
+    /// The grid's tick at `now`, after the crowd events due by it.
+    fn grid_tick(&mut self, now: f64, ledger: &mut impl Ledger<D::Shard>) {
+        self.book_due(now, ledger);
+        self.control_step(now, Trigger::Grid, ledger);
+    }
+
     /// One control step at `now`: the middleware steps as `trigger` asks,
     /// `ledger` books what each shard's tick did, and the crowd takes each
     /// outcome in.
-    pub fn control_step(
+    fn control_step(
         &mut self,
         now: f64,
         trigger: Trigger<D::Shard>,
@@ -214,12 +281,13 @@ impl<D: Dispatch> Lap<D> {
         });
     }
 
-    /// `task` arrives at `at`; the shard that takes it in steps at once,
-    /// so the batch trigger sees the queue grow.
-    pub fn arrive(&mut self, at: f64, task: Task, ledger: &mut impl Ledger<D::Shard>) {
+    /// `task`, which entered the system at `entered`, arrives at `at`; the
+    /// shard that takes it in steps at once, so the batch trigger sees the
+    /// queue grow.
+    fn arrive(&mut self, at: f64, entered: f64, task: Task, ledger: &mut impl Ledger<D::Shard>) {
         let id = task.id;
         let shard = self.server.submit(task, at);
-        ledger.arrived(shard, id, at);
+        ledger.arrived(shard, id, entered);
         if let Some(shard) = shard {
             self.control_step(at, Trigger::Arrival(shard), ledger);
         }
@@ -233,7 +301,7 @@ impl<D: Dispatch> Lap<D> {
     /// # Panics
     /// Panics on a completion the middleware does not hold in flight,
     /// which the crowd never delivers.
-    pub fn book(&mut self, at: f64, event: CrowdEvent, ledger: &mut impl Ledger<D::Shard>) {
+    fn book(&mut self, at: f64, event: CrowdEvent, ledger: &mut impl Ledger<D::Shard>) {
         match event {
             CrowdEvent::Done(done) => {
                 let (shard, outcome) = self
@@ -270,56 +338,9 @@ impl<D: Dispatch> Lap<D> {
 
     /// Books every crowd event due by `until`, each at its own instant
     /// and in time order.
-    pub fn book_due(&mut self, until: f64, ledger: &mut impl Ledger<D::Shard>) {
+    fn book_due(&mut self, until: f64, ledger: &mut impl Ledger<D::Shard>) {
         while let Some((at, event)) = self.crowd.pop_due(until) {
             self.book(at, event, ledger);
-        }
-    }
-
-    /// The discrete-event run: every arrival, a grid tick every
-    /// `tick_interval` from crowd time 0 and every crowd event, in time
-    /// order, until none is left; returns the last one's instant.
-    ///
-    /// The grid stops after a tick once the workload's last task has
-    /// arrived and nothing is open, or once the run has drained: `drain`
-    /// seconds have passed since that last arrival or a later burst
-    /// ([`Crowd::drain_from`]). Past that, the crowd's events still due
-    /// are booked.
-    pub fn run(
-        &mut self,
-        mut arrivals: Arrivals<'_>,
-        tick_interval: f64,
-        drain: f64,
-        ledger: &mut impl Ledger<D::Shard>,
-    ) -> f64 {
-        if arrivals.peek_at().is_none() {
-            self.crowd.drain_from(0.0, drain);
-        }
-        // The grid's next tick, infinite once it has stopped.
-        let mut next_tick = tick_interval;
-        let mut last = 0.0;
-        loop {
-            let now = next_tick.min(arrivals.peek_at().unwrap_or(f64::INFINITY));
-            if let Some((at, event)) = self.crowd.pop_due(now) {
-                self.book(at, event, ledger);
-                last = at;
-                continue;
-            }
-            if now.is_infinite() {
-                return last;
-            }
-            last = now;
-            if next_tick <= now {
-                self.control_step(now, Trigger::Grid, ledger);
-                let idle = arrivals.peek_at().is_none() && !self.server.has_open_tasks();
-                let stop = idle || self.crowd.drained(now);
-                next_tick = now + if stop { f64::INFINITY } else { tick_interval };
-            } else if let Some((at, task)) = arrivals.next() {
-                self.arrive(at, task, ledger);
-                if arrivals.peek_at().is_none() {
-                    self.crowd.drain_from(at, drain);
-                }
-            }
         }
     }
 }

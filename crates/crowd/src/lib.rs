@@ -14,9 +14,10 @@
 //!   with deadlines uniform in 60–120 s, random locations and categories.
 //! * [`Scenario`] — named parameter sets for every figure (Fig. 5's
 //!   750 workers @ 9.375 tasks/s, Fig. 9's size/rate sweep…).
-//! * [`Arrivals`] — a run's task arrivals in time order, from a preset
-//!   trace (sorted stably if it is not) or a Poisson stream, with replica
-//!   expansion: the one arrival source of every loop.
+//! * [`Source`] — where a run's tasks come from, asked for the next task
+//!   due by an instant: [`Arrivals`], a run's task arrivals in time order
+//!   from a preset trace (sorted stably if it is not) or a Poisson stream,
+//!   with replica expansion, or `react-runtime`'s live door.
 //! * [`Crowd`] — the worker side of a run as clock-free data: calendars,
 //!   the `behavior` stream, the fault shims, one queue of due completions,
 //!   the fault plan's timeline of dropouts, rejoins and bursts, and the
@@ -26,10 +27,10 @@
 //!   all drive.
 //! * [`Lap`] — the middleware (anything that [`Dispatch`]es: one
 //!   [`react_core::ReactServer`] or `react-cluster`'s `Cluster`) and its
-//!   [`Crowd`] as one run, with the control step, the booking of each
-//!   arrival and crowd event, and [`Lap::run`], the one discrete-event
-//!   loop over the crowd's timeline, the tick grid and the [`Arrivals`];
-//!   a loop keeps what it needs of each step through its [`Ledger`].
+//!   [`Crowd`] as one run, and [`Lap::run`], the one control loop of
+//!   every driver, over the crowd's timeline, the tick grid and a
+//!   [`Source`], with one end rule; a driver keeps what it needs of each
+//!   step through its [`Ledger`].
 //! * [`ScenarioRunner`] — drives a [`Lap`] through [`Lap::run`] and
 //!   produces a [`RunReport`] with the exact series the paper plots.
 //! * [`casestudy`] — a synthesizer reproducing the shape of the raw
@@ -50,7 +51,7 @@ pub mod lap;
 pub mod runner;
 pub mod scenario;
 
-pub use arrivals::Arrivals;
+pub use arrivals::{Arrivals, Next, Source};
 pub use behavior::{generate_population, BehaviorParams, ExecModel, LatencyModel, WorkerBehavior};
 pub use casestudy::{CaseStudySummary, CaseStudyTrace};
 pub use crowd::{Crowd, CrowdEvent, Delivery};

@@ -18,9 +18,9 @@
 //! Eq. 2 recalls, batch matching) and the [`Crowd`](crate::Crowd)'s
 //! completions, fault-plan events and churn, popped in time order by
 //! [`Crowd::pop_due`](crate::Crowd::pop_due). At one instant the crowd's
-//! events go first, then the tick, then the arrival. What a step does is
-//! the [`Lap`]'s, which `react-cluster`'s runner and the live scheduler
-//! thread call too.
+//! events go first, then the tick, then the arrival. `react-cluster`'s
+//! runner and the live scheduler thread run the same loop, and every run
+//! ends as [`Lap::run`](crate::Lap::run) ends it.
 
 use crate::arrivals::Arrivals;
 use crate::crowd::Delivery;

@@ -6,16 +6,16 @@
 //! backlog watermark → bounded queue, see [`server`]) and hand admitted
 //! tasks to the scheduler thread over a *bounded* channel — the
 //! backpressure edge between the door and the middleware, and the one
-//! thing the scheduler thread ever blocks on. The scheduler thread is
-//! the crate's one live control loop: it owns a [`react_crowd::Lap`] —
-//! the `ReactServer` and its crowd, seeded, stepped and booked by the
-//! same code as [`react_crowd::ScenarioRunner`]'s. It books each
-//! completion, dropout, rejoin and burst the crowd pops at its own
-//! instant, ticks at each submission, at each burst instant and on a
-//! fixed grid of tick periods from crowd time 0, as the runner does, so
-//! [`IngestRuntime::replay`] of a trace schedules it as the runner does.
-//! It publishes its backlog back to the door every lap and records
-//! door-to-assignment latencies in [`IngestReport::assign_latencies`].
+//! thing the scheduler thread ever blocks on. The scheduler thread has
+//! no loop of its own: it runs [`react_crowd::Lap::run`] — the loop of
+//! [`react_crowd::ScenarioRunner`] — with the door's inbox on the scaled
+//! wall clock as its [`Source`]. The door blocks until the grid's next
+//! instant or the next submission, yields the end at `Stop`, and
+//! publishes the backlog back to the acceptors every lap. So
+//! [`IngestRuntime::replay`] of a trace, the same loop over
+//! [`react_crowd::Arrivals`], schedules it as the runner does, and every
+//! run ends the runner's way. Door-to-assignment latencies land in
+//! [`IngestReport::assign_latencies`].
 //!
 //! Sockets are sanctioned here (and in `react-load`); the root
 //! `clippy.toml` disallows `TcpListener`, `TcpStream` and `UdpSocket`
@@ -31,11 +31,12 @@ use crate::clock::ScaledClock;
 use crossbeam::channel::{bounded, Receiver, RecvTimeoutError};
 use parking_lot::Mutex;
 use react_core::{
-    verify_lifecycles, AuditLog, CompletionOutcome, Config, ReactServer, Task, TaskId, TickOutcome,
-    WorkerId,
+    verify_lifecycles, AuditLog, CompletionOutcome, Config, Task, TaskId, TickOutcome, WorkerId,
 };
-use react_crowd::{Arrivals, BehaviorParams, Delivery, Dispatch, Lap, Ledger, Scenario, Trigger};
-use react_faults::FaultPlan;
+use react_crowd::{
+    Arrivals, BehaviorParams, Delivery, Dispatch, Lap, Ledger, Next, Scenario, Source,
+};
+use react_faults::{FaultPlan, BURST_ID_BASE};
 use react_obs::{null_observer, HistogramKind, ObserverHandle};
 use std::collections::HashMap;
 use std::net::SocketAddr;
@@ -76,8 +77,12 @@ pub struct IngestConfig {
     pub bind_addr: String,
     /// Keep-alive read timeout (wall time) on idle connections.
     pub idle_timeout: Duration,
-    /// Crowd seconds the scheduler keeps draining in-flight work after
-    /// shutdown begins before force-shedding what remains.
+    /// Crowd seconds from `Stop` during which the scheduler's grid keeps
+    /// ticking while work is open, as a scenario's `drain_horizon` does
+    /// after its last arrival; a burst restarts it. The crowd's remaining
+    /// events are then booked without waiting, and what the middleware
+    /// still holds is counted as expired (queued) or stranded (in flight).
+    /// At 0 the grid stops at `Stop`.
     pub drain_grace: f64,
 }
 
@@ -128,9 +133,10 @@ pub struct IngestReport {
     pub completed: u64,
     /// Tasks completed before their deadline.
     pub met_deadline: u64,
-    /// Tasks that expired waiting in the queue.
+    /// Tasks that expired waiting in the queue, and those still queued
+    /// when the run ended.
     pub expired: u64,
-    /// Tasks shed by the scheduler (pool collapse or forced drain).
+    /// Tasks the middleware shed from its queue (pool collapse).
     pub shed_server: u64,
     /// Recalls issued (Eq. (2) + timeout ladder).
     pub recalls: u64,
@@ -140,12 +146,15 @@ pub struct IngestReport {
     pub fault_events: u64,
     /// Matching batches run.
     pub batches: u64,
-    /// Tasks still in flight when the drain grace expired (should be 0
-    /// on a clean run; counted so conservation always closes).
+    /// Tasks still in flight when the run ended: a worker abandoned them
+    /// or their report was lost, and no recall freed them (0 on a clean
+    /// run; counted so conservation always closes).
     pub stranded: u64,
-    /// Peak bounded-queue depth sampled every lap.
+    /// Peak bounded-queue depth the door sampled every lap (0 in a replay,
+    /// which has no door).
     pub peak_queue_depth: usize,
-    /// Peak door-visible backlog (queue + unassigned) sampled every lap.
+    /// Peak door-visible backlog (queue + unassigned) the door sampled
+    /// every lap (0 in a replay).
     pub peak_backlog: usize,
     /// Door-to-first-assignment latencies, crowd seconds, sorted.
     pub assign_latencies: Vec<f64>,
@@ -223,14 +232,21 @@ impl IngestRuntime {
         )?;
         let scheduler = {
             let shared = Arc::clone(&shared);
-            let door = Door {
-                clock,
-                inbox,
-                now: 0.0,
-            };
             std::thread::Builder::new()
                 .name("ingest-scheduler".to_string())
-                .spawn(move || scheduler_thread(lc, door, observer, &shared))
+                .spawn(move || {
+                    let mut door = Door {
+                        inbox,
+                        shared: &shared,
+                        now: 0.0,
+                        peak_queue_depth: 0,
+                        peak_backlog: 0,
+                    };
+                    let mut report = scheduler_thread(lc, &mut door, observer, &shared);
+                    report.peak_queue_depth = door.peak_queue_depth;
+                    report.peak_backlog = door.peak_backlog;
+                    report
+                })
                 .expect("spawn scheduler thread")
         };
         Ok(IngestHandle {
@@ -243,13 +259,14 @@ impl IngestRuntime {
         })
     }
 
-    /// Runs the scheduler loop over `trace`, `(instant, task)` pairs, on a
-    /// virtual clock: no door, no socket, no thread. The trace goes
-    /// through [`react_crowd::Arrivals`], so a trace out of time order is
-    /// sorted stably first. Each task arrives at its instant, the stack
-    /// stops right after the last one and drains, and the report is the
-    /// one [`IngestHandle::shutdown`] would return. Given the same seed,
-    /// crowd, middleware configuration and tick interval, its schedule is
+    /// Runs the scheduler over `trace`, `(instant, task)` pairs, on a
+    /// virtual clock: [`Lap::run`] over [`Arrivals::preset`], with no
+    /// door, no socket and no thread. A trace out of time order is sorted
+    /// stably first. Each task arrives at its instant, the run ends at
+    /// the last one and drains for `drain_grace`, and the report is the
+    /// one [`IngestHandle::shutdown`] would return, without the door's
+    /// peaks. Given the same seed, crowd, middleware configuration, tick
+    /// interval and drain window, its schedule is
     /// [`react_crowd::ScenarioRunner`]'s on the same trace.
     ///
     /// # Panics
@@ -257,12 +274,7 @@ impl IngestRuntime {
     /// trail when `config.audit` is on.
     pub fn replay(self, trace: Vec<(f64, Task)>) -> IngestReport {
         let (shared, _inbox) = self.shared();
-        let stop_at = trace.iter().map(|&(at, _)| at).fold(0.0, f64::max);
-        let replay = Replay {
-            arrivals: Arrivals::preset(trace),
-            stop_at: Some(stop_at),
-        };
-        scheduler_thread(self.config, replay, self.observer, &shared)
+        scheduler_thread(self.config, Arrivals::preset(trace), self.observer, &shared)
     }
 
     /// The state the door and the scheduler share, on a clock started
@@ -328,91 +340,68 @@ impl IngestHandle {
     }
 }
 
-/// Where the scheduler thread's time and submissions come from: the
-/// scaled wall clock and the door's inbox when serving ([`Door`]), a
-/// virtual clock over a preset trace in a replay ([`Replay`]).
-trait Inbound {
-    /// The next message and the crowd instant it was taken, if one comes
-    /// by crowd time `until`; `None` once `until` has come. Instants
-    /// never go back.
-    fn next(&mut self, until: f64) -> Option<(f64, Inbox)>;
-    /// Messages waiting to be taken.
-    fn waiting(&self) -> usize;
-}
-
-/// The door's inbox on the scaled wall clock.
-struct Door {
-    clock: ScaledClock,
+/// The door's inbox on the scaled wall clock, as the scheduler's source.
+struct Door<'a> {
     inbox: Receiver<Inbox>,
+    shared: &'a Shared,
     /// The last instant handed out.
     now: f64,
+    peak_queue_depth: usize,
+    peak_backlog: usize,
 }
 
-impl Inbound for Door {
-    fn next(&mut self, until: f64) -> Option<(f64, Inbox)> {
-        let message = match self.inbox.recv_deadline(self.clock.instant_at(until)) {
-            Ok(message) => Some(message),
-            Err(RecvTimeoutError::Timeout) => None,
+/// Blocks on the inbox until `until`; the end is `Stop`, and asked again
+/// after it, the door waits out `until` (no message follows `Stop`).
+/// Each call first publishes the backlog — the inbox plus the `queued`
+/// tasks — to the acceptors.
+impl Source for Door<'_> {
+    fn next_by(&mut self, until: f64, queued: usize) -> Next {
+        let queue_depth = self.inbox.len();
+        let backlog = queue_depth + queued;
+        self.shared.backlog.store(backlog, Ordering::Relaxed);
+        self.peak_queue_depth = self.peak_queue_depth.max(queue_depth);
+        self.peak_backlog = self.peak_backlog.max(backlog);
+        let observer = &self.shared.observer;
+        if observer.enabled() {
+            observer.observe(HistogramKind::IngestQueueDepth, queue_depth as f64);
+        }
+
+        let clock = self.shared.clock;
+        let message = match self.inbox.recv_deadline(clock.instant_at(until)) {
+            Ok(message) => message,
+            Err(RecvTimeoutError::Timeout) => {
+                self.now = until;
+                return Next::Wait;
+            }
             // Cannot happen while the scheduler thread holds `Shared` and
             // its sender; if it ever does, keep the loop's pace rather
             // than spin.
             Err(RecvTimeoutError::Disconnected) => {
-                self.clock.sleep(until - self.clock.now());
-                None
+                clock.sleep(until - clock.now());
+                self.now = until;
+                return Next::Wait;
             }
         };
         // Woken at a past `until`, the clock can read a hair before it.
-        self.now = match message {
-            Some(_) => self.clock.now().max(self.now),
-            None => until,
-        };
-        message.map(|message| (self.now, message))
-    }
-
-    fn waiting(&self) -> usize {
-        self.inbox.len()
-    }
-}
-
-/// A replay: each task is taken at its instant, then `Stop` at the last
-/// one's, and time jumps to whatever instant the loop waits for.
-struct Replay {
-    arrivals: Arrivals<'static>,
-    /// The instant of `Stop`, until it is taken.
-    stop_at: Option<f64>,
-}
-
-impl Inbound for Replay {
-    fn next(&mut self, until: f64) -> Option<(f64, Inbox)> {
-        let Some(at) = self.arrivals.peek_at() else {
-            let at = self.stop_at.take_if(|at| *at <= until)?;
-            return Some((at, Inbox::Stop));
-        };
-        if at > until {
-            return None;
+        self.now = clock.now().max(self.now);
+        match message {
+            Inbox::Task(IngestTask { task, accepted_at }) => Next::Task {
+                at: self.now,
+                entered: accepted_at,
+                task,
+            },
+            Inbox::Stop => Next::End(self.now),
         }
-        let (accepted_at, task) = self.arrivals.next()?;
-        Some((at, Inbox::Task(IngestTask { task, accepted_at })))
-    }
-
-    fn waiting(&self) -> usize {
-        0
     }
 }
 
-/// The scheduler thread: middleware + crowd + drain logic.
-///
-/// It ticks where [`react_crowd::ScenarioRunner`] does: at each
-/// submission, at each burst instant (inside [`Lap::book`]) and on a
-/// fixed grid of `tick_interval` from crowd time 0. Before each of these
-/// it books every crowd event due by its instant, each at its own instant
-/// and in time order. It never ticks at `Stop` or for a completion: a
-/// draining loop checks whether it is done at `Stop` and at each grid
-/// tick after it (`Stop` is the inbox's last message, so a draining lap
-/// runs one grid tick).
+/// The scheduler: [`Lap::run`] over `source` with the run's drain grace,
+/// then the report. What the middleware still holds when the run ends is
+/// counted as the runner counts it: queued tasks as expired, in-flight
+/// ones as stranded.
 fn scheduler_thread(
     lc: IngestConfig,
-    mut arrivals: impl Inbound,
+    source: impl Source,
     observer: ObserverHandle,
     shared: &Shared,
 ) -> IngestReport {
@@ -423,67 +412,19 @@ fn scheduler_thread(
         &lc.behavior,
         Scenario::default_region(),
         lc.faults.as_ref(),
-        observer.clone(),
+        observer,
     );
     let mut books = Books {
         report: IngestReport::default(),
         accepted_at: HashMap::new(),
         shared,
     };
-    let mut next_tick = lc.tick_interval;
-    let mut drain_started: Option<f64> = None;
-
-    loop {
-        let message = arrivals.next(next_tick);
-        let now = message.as_ref().map_or(next_tick, |&(at, _)| at);
-        // The grid's ticks due by now.
-        while next_tick <= now {
-            lap.book_due(next_tick, &mut books);
-            lap.control_step(next_tick, Trigger::Grid, &mut books);
-            next_tick += lc.tick_interval;
-        }
-        lap.book_due(now, &mut books);
-        match message {
-            Some((_, Inbox::Task(incoming))) => {
-                books
-                    .accepted_at
-                    .insert(incoming.task.id, incoming.accepted_at);
-                lap.arrive(now, incoming.task, &mut books);
-            }
-            Some((_, Inbox::Stop)) => drain_started = Some(now),
-            None => {}
-        }
-
-        // Teardown: drain until idle, bounded by the grace window.
-        if let Some(started) = drain_started {
-            if !lap.server.has_open_tasks() {
-                break;
-            }
-            if now - started >= lc.drain_grace {
-                force_drain(
-                    &mut lap.server,
-                    lc.n_workers,
-                    now,
-                    shared,
-                    &mut books.report,
-                );
-                break;
-            }
-        }
-
-        // Publish backpressure state back to the door.
-        let queue_depth = arrivals.waiting();
-        let backlog = queue_depth + lap.server.tasks().unassigned_count();
-        shared.backlog.store(backlog, Ordering::Relaxed);
-        let report = &mut books.report;
-        report.peak_queue_depth = report.peak_queue_depth.max(queue_depth);
-        report.peak_backlog = report.peak_backlog.max(backlog);
-        if observer.enabled() {
-            observer.observe(HistogramKind::IngestQueueDepth, queue_depth as f64);
-        }
-    }
+    lap.run(source, lc.tick_interval, lc.drain_grace, &mut books);
 
     let mut report = books.report;
+    let (queued, in_flight) = lap.server.open_tasks();
+    report.expired += queued as u64;
+    report.stranded = in_flight as u64;
     report.batches = lap.server.batches_run();
     report.fault_events += lap.crowd.abandoned() + lap.crowd.lost();
     report.audit = lap.server.audit().cloned();
@@ -515,6 +456,13 @@ struct Books<'a> {
 }
 
 impl Ledger for Books<'_> {
+    /// Only what came through the door is timed: a burst never did.
+    fn arrived(&mut self, _: Option<()>, task: TaskId, entered: f64) {
+        if task.0 < BURST_ID_BASE {
+            self.accepted_at.insert(task, entered);
+        }
+    }
+
     fn ticked(&mut self, _: (), now: f64, outcome: &TickOutcome) {
         for task in &outcome.expired {
             self.report.expired += 1;
@@ -565,30 +513,6 @@ impl Ledger for Books<'_> {
         self.report.fault_events += 1;
         self.shared.set_status(task.id.0, TaskStatus::Queued);
     }
-}
-
-/// Force-drains the middleware when the grace window expires: recalls
-/// every in-flight assignment, sheds the queue, and counts what could
-/// not be closed out as stranded. The loop ends here, so the crowd is
-/// not told: nothing will ask it what is due again.
-fn force_drain(
-    server: &mut ReactServer,
-    n_workers: usize,
-    now: f64,
-    shared: &Shared,
-    report: &mut IngestReport,
-) {
-    for w in 0..n_workers {
-        for task in server.worker_offline(WorkerId(w as u64), now) {
-            shared.set_status(task.0, TaskStatus::Queued);
-        }
-    }
-    while let Some((task, _)) = server.evict_oldest_unassigned(now) {
-        report.shed_server += 1;
-        shared.set_status(task.id.0, TaskStatus::Shed);
-    }
-    // Whatever the recall sweep could not free (it should free all).
-    report.stranded += server.tasks().assigned_count() as u64;
 }
 
 #[cfg(test)]

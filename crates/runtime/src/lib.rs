@@ -9,11 +9,12 @@
 //!   what they admit on one bounded `crossbeam` channel;
 //! * the **scheduler thread** ([`ingest`]) is that channel's only
 //!   reader and the only other thread there is. It owns the
-//!   [`react_core::ReactServer`] and runs its control loop: ingestion,
-//!   the crowd's completions and fault timeline, Eq. (2) recalls, batch
-//!   matching, drain. It is the
-//!   only live scheduler loop; `benchmark/`'s wire workloads measure it
-//!   with an open-loop generator over real sockets;
+//!   [`react_core::ReactServer`] and runs `react_crowd::Lap::run`, the
+//!   discrete-event runners' one control loop, with the channel on the
+//!   scaled wall clock as its source: ingestion, the crowd's completions
+//!   and fault timeline, Eq. (2) recalls, batch matching, and the drain
+//!   window every run ends with. `benchmark/`'s wire workloads measure
+//!   it with an open-loop generator over real sockets;
 //! * the **crowd** is data inside that thread, not threads beside it: a
 //!   [`react_crowd::Crowd`] — the model the discrete-event runners drive
 //!   too — holds each worker's calendar, one timer queue of the instants

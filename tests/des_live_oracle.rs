@@ -1,16 +1,22 @@
 //! One seeded trace, one schedule: the discrete-event runners and the
-//! live scheduler loop agree.
+//! live scheduler agree, up to the end of the run.
 //!
 //! The same preset trace runs through `ScenarioRunner::run` and through
-//! the live scheduler thread on a virtual clock
-//! (`IngestRuntime::replay`), with the same seed, crowd, middleware
-//! configuration and tick interval, once fault-free and once under
-//! `FaultPlan::chaos(0.5)`. Every task's audit trail (each event's kind
-//! and instant), the tick count and the completed, met and expired counts
-//! must be equal. A live loop that ticked anywhere the runner does not —
-//! for a completion, at start-up, on a grid counted from its last lap
-//! rather than from crowd time 0 — or that skipped the tick at a burst
-//! instant fails here.
+//! the live scheduler on a virtual clock (`IngestRuntime::replay`), with
+//! the same seed, crowd, middleware configuration, tick interval and
+//! drain window, fault-free and under `FaultPlan::chaos(0.5)`. Both are
+//! `Lap::run`: what can still differ is how each takes its tasks in (an
+//! `Arrivals` trace with replicas, the replay's preset) and what each
+//! keeps of the run (its `Ledger`, its leftover count). Every task's audit
+//! trail (each event's kind and instant), the tick count and the
+//! completed, met, expired and stranded counts must be equal, and no
+//! single-server log may hold a `HandedOff`, which only a cluster records.
+//!
+//! Each run ends one of three ways. With a 10 000 s window and the 30 s
+//! timeout ladder, both loops end with nothing open. With a 20 s window
+//! and no ladder, the grid stops while abandoned and lost work is still
+//! in flight: it is stranded, and what is still queued is left over as
+//! expired. With a zero window, the grid stops at the last arrival.
 //!
 //! A one-shard `ClusterRunner` joins them where the seeds let it. The
 //! cluster roots its RNG streams at `seed ^ 0xc1` and seeds shard `i`'s
@@ -49,6 +55,38 @@ const TICK_INTERVAL: f64 = 1.0;
 /// Both loops' drain window after the last arrival, crowd seconds.
 const DRAIN: f64 = 10_000.0;
 
+/// How both loops end a run.
+#[derive(Debug, Clone, Copy)]
+enum Ending {
+    /// A `DRAIN` window with the timeout ladder: nothing is left open.
+    Long,
+    /// A window of this many seconds and no timeout ladder: abandoned
+    /// and lost work is stranded, queued work left over as expired.
+    Short(f64),
+}
+
+impl Ending {
+    fn drain(self) -> f64 {
+        match self {
+            Ending::Long => DRAIN,
+            Ending::Short(drain) => drain,
+        }
+    }
+
+    /// The oracle's middleware, without the ladder on a short ending.
+    fn middleware(self) -> Config {
+        let mut config = middleware();
+        if let Ending::Short(_) = self {
+            config.recovery = RecoveryConfig::default();
+        }
+        config
+    }
+}
+
+const SHORT: Ending = Ending::Short(20.0);
+const ZERO: Ending = Ending::Short(0.0);
+const ENDINGS: [Ending; 3] = [Ending::Long, SHORT, ZERO];
+
 /// `N_TASKS` Poisson arrivals with 60–120 s deadlines and one category
 /// (the door's), drawn from `seed`.
 fn trace(seed: u64) -> Vec<(f64, Task)> {
@@ -60,10 +98,9 @@ fn trace(seed: u64) -> Vec<(f64, Task)> {
 }
 
 /// Batches at more than ten waiting tasks or every 5 s, matching time
-/// not charged, the audit log on. The timeout ladder recalls abandoned
-/// work, so both loops end with nothing in flight inside their drain
-/// windows (`DRAIN`): past them the runner leaves stranded work where it
-/// is, while the live loop force-drains it.
+/// not charged, the audit log on. The 30 s timeout ladder recalls
+/// abandoned work, so with a `DRAIN` window both loops end with nothing
+/// open; [`Ending::Short`] turns it off.
 fn middleware() -> Config {
     let mut config = Config::with_matcher(MatcherPolicy::React { cycles: 200 });
     config.charge_matching_time = false;
@@ -80,6 +117,7 @@ struct Schedule {
     completed: u64,
     met_deadline: u64,
     expired: u64,
+    stranded: u64,
 }
 
 fn ticks(recorder: &RecordingObserver) -> u64 {
@@ -116,12 +154,15 @@ fn run_des(scenario: Scenario) -> (RunReport, Schedule) {
         completed: report.completed,
         met_deadline: report.met_deadline,
         expired: report.expired_unassigned,
+        stranded: report.faults.stranded,
     };
     (report, schedule)
 }
 
-fn des(seed: u64, faults: Option<FaultPlan>) -> (RunReport, Schedule) {
-    run_des(scenario(seed, middleware(), trace(seed), faults))
+fn des(seed: u64, faults: Option<FaultPlan>, ending: Ending) -> (RunReport, Schedule) {
+    let mut scenario = scenario(seed, ending.middleware(), trace(seed), faults);
+    scenario.drain_horizon = ending.drain();
+    run_des(scenario)
 }
 
 fn live_config(seed: u64, config: Config, faults: Option<FaultPlan>) -> IngestConfig {
@@ -146,12 +187,15 @@ fn run_live(config: IngestConfig, trace: Vec<(f64, Task)>) -> (IngestReport, Sch
         completed: report.completed,
         met_deadline: report.met_deadline,
         expired: report.expired + report.shed_server,
+        stranded: report.stranded,
     };
     (report, schedule)
 }
 
-fn live(seed: u64, faults: Option<FaultPlan>) -> (IngestReport, Schedule) {
-    run_live(live_config(seed, middleware(), faults), trace(seed))
+fn live(seed: u64, faults: Option<FaultPlan>, ending: Ending) -> (IngestReport, Schedule) {
+    let mut config = live_config(seed, ending.middleware(), faults);
+    config.drain_grace = ending.drain();
+    run_live(config, trace(seed))
 }
 
 /// `global` through a `ClusterRunner` over one shard with no coupling.
@@ -172,6 +216,7 @@ fn run_cluster(global: Scenario) -> (ClusterReport, Schedule) {
         completed: shard.completed,
         met_deadline: shard.met_deadline,
         expired: shard.expired_unassigned,
+        stranded: shard.stranded,
     };
     (report, schedule)
 }
@@ -218,21 +263,34 @@ fn differ(a: (&AuditLog, &Schedule), b: (&AuditLog, &Schedule)) -> Option<String
     (a.1 != b.1).then(|| format!("{:?} != {:?}", a.1, b.1))
 }
 
-/// Runs both loops on the trace of `seed` and returns why they disagree,
-/// if they do.
-fn disagreement(seed: u64, faults: Option<FaultPlan>) -> Option<String> {
-    let (des_report, des_schedule) = des(seed, faults);
-    let (live_report, live_schedule) = live(seed, faults);
-    let des_log = des_report.audit.as_ref().expect("audit on");
-    let live_log = live_report.audit.as_ref().expect("audit on");
-    differ((des_log, &des_schedule), (live_log, &live_schedule))
-        .map(|why| format!("runner vs live: {why}"))
+/// The first cross-shard handoff in a single server's log, if any.
+fn handoff(log: &AuditLog) -> Option<String> {
+    let e = log
+        .events()
+        .iter()
+        .find(|e| e.kind == TaskEventKind::HandedOff)?;
+    Some(format!(
+        "{} handed off at {} by a single server",
+        e.task, e.at
+    ))
 }
 
-fn assert_agree(seed: u64, faults: Option<FaultPlan>) {
+/// Runs both loops on the trace of `seed`, ending as `ending` says, and
+/// returns why they disagree, if they do.
+fn disagreement(seed: u64, faults: Option<FaultPlan>, ending: Ending) -> Option<String> {
+    let (des_report, des_schedule) = des(seed, faults, ending);
+    let (live_report, live_schedule) = live(seed, faults, ending);
+    let des_log = des_report.audit.as_ref().expect("audit on");
+    let live_log = live_report.audit.as_ref().expect("audit on");
+    let why = differ((des_log, &des_schedule), (live_log, &live_schedule))
+        .map(|why| format!("runner vs live: {why}"));
+    why.or_else(|| handoff(des_log).or_else(|| handoff(live_log)))
+}
+
+fn assert_agree(seed: u64, faults: Option<FaultPlan>, ending: Ending) {
     let chaos = faults.is_some();
-    if let Some(why) = disagreement(seed, faults) {
-        panic!("seed {seed}, chaos {chaos}: {why}");
+    if let Some(why) = disagreement(seed, faults, ending) {
+        panic!("seed {seed}, chaos {chaos}, {ending:?}: {why}");
     }
 }
 
@@ -241,22 +299,27 @@ const SEEDS: [u64; 3] = [2013, 7919, 42];
 #[test]
 fn fault_free_trace_gives_one_schedule() {
     for seed in SEEDS {
-        assert_agree(seed, None);
+        for ending in ENDINGS {
+            assert_agree(seed, None, ending);
+        }
     }
 }
 
 #[test]
 fn chaos_trace_gives_one_schedule() {
     for seed in SEEDS {
-        assert_agree(seed, Some(FaultPlan::chaos(0.5)));
+        for ending in ENDINGS {
+            assert_agree(seed, Some(FaultPlan::chaos(0.5)), ending);
+        }
     }
 }
 
-/// The oracle is not vacuous: the chaos runs book every kind of fault
-/// and the fault-free ones complete work after recalls.
+/// The oracle is not vacuous: the chaos runs book every kind of fault,
+/// the fault-free ones complete work after recalls, and the short
+/// endings leave work stranded and queued.
 #[test]
 fn the_traces_exercise_every_booking() {
-    let (report, schedule) = des(SEEDS[0], Some(FaultPlan::chaos(0.5)));
+    let (report, schedule) = des(SEEDS[0], Some(FaultPlan::chaos(0.5)), Ending::Long);
     let f = report.faults;
     assert!(f.dropouts > 0 && f.burst_tasks > 0, "{f:?}");
     assert!(
@@ -265,20 +328,35 @@ fn the_traces_exercise_every_booking() {
     );
     assert!(report.reassignments > 0, "{report:?}");
     assert!(schedule.completed > 0 && schedule.ticks > 0, "{schedule:?}");
-    let (report, _) = des(SEEDS[0], None);
+    let (report, _) = des(SEEDS[0], None, Ending::Long);
     assert!(report.reassignments > 0 && report.expired_unassigned > 0);
+    let (_, long) = des(SEEDS[0], Some(FaultPlan::chaos(0.5)), Ending::Long);
+    for ending in [SHORT, ZERO] {
+        let (_, short) = des(SEEDS[0], Some(FaultPlan::chaos(0.5)), ending);
+        assert!(short.stranded > 0, "{ending:?}: {short:?}");
+        assert!(
+            short.expired > long.expired,
+            "{ending:?}: {short:?} vs {long:?}"
+        );
+        assert!(
+            short.ticks < long.ticks,
+            "{ending:?}: {short:?} vs {long:?}"
+        );
+    }
 }
 
-/// Greedy matching, otherwise the oracle's middleware: the cluster cases'.
-fn greedy() -> Config {
+/// Greedy matching, otherwise the middleware of `ending`: the cluster
+/// cases'.
+fn greedy(ending: Ending) -> Config {
     Config {
         matcher: MatcherPolicy::Greedy,
-        ..middleware()
+        ..ending.middleware()
     }
 }
 
 /// `ClusterRunner` on one shard schedules the runner's trace as the
-/// runner does, fault-free and under chaos without bursts.
+/// runner does, fault-free and under chaos without bursts, and ends it
+/// as the runner does.
 #[test]
 fn a_one_shard_cluster_gives_the_runners_schedule() {
     let no_bursts = FaultPlan {
@@ -287,20 +365,27 @@ fn a_one_shard_cluster_gives_the_runners_schedule() {
     };
     for seed in SEEDS {
         for faults in [None, Some(no_bursts)] {
-            let (des_report, des_schedule) = run_des(scenario(seed, greedy(), trace(seed), faults));
-            let cluster_scenario = scenario(seed ^ 0xc1, greedy(), trace(seed), faults);
-            let (cluster_report, cluster_schedule) = run_cluster(cluster_scenario);
-            let des_log = des_report.audit.as_ref().expect("audit on");
-            let why = differ(
-                (des_log, &des_schedule),
-                (shard_log(&cluster_report), &cluster_schedule),
-            );
-            assert!(
-                why.is_none(),
-                "seed {seed}, {faults:?}: {}",
-                why.unwrap_or_default()
-            );
-            assert!(des_schedule.completed > 0);
+            for ending in ENDINGS {
+                let mut des_scenario = scenario(seed, greedy(ending), trace(seed), faults);
+                des_scenario.drain_horizon = ending.drain();
+                let cluster_scenario = Scenario {
+                    seed: seed ^ 0xc1,
+                    ..des_scenario.clone()
+                };
+                let (des_report, des_schedule) = run_des(des_scenario);
+                let (cluster_report, cluster_schedule) = run_cluster(cluster_scenario);
+                let des_log = des_report.audit.as_ref().expect("audit on");
+                let why = differ(
+                    (des_log, &des_schedule),
+                    (shard_log(&cluster_report), &cluster_schedule),
+                );
+                assert!(
+                    why.is_none(),
+                    "seed {seed}, {faults:?}, {ending:?}: {}",
+                    why.unwrap_or_default()
+                );
+                assert!(des_schedule.completed > 0);
+            }
         }
     }
 }
@@ -434,7 +519,7 @@ fn a_shuffled_trace_gives_the_sorted_traces_schedule() {
     shuffled.reverse();
     let runner = |trace| run_des(scenario(seed, middleware(), trace, None));
     let live = |trace| run_live(live_config(seed, middleware(), None), trace);
-    let cluster = |trace| run_cluster(scenario(seed ^ 0xc1, greedy(), trace, None));
+    let cluster = |trace| run_cluster(scenario(seed ^ 0xc1, greedy(Ending::Long), trace, None));
 
     let ((a, x), (b, y)) = (runner(sorted.clone()), runner(shuffled.clone()));
     let why = differ(
@@ -460,8 +545,18 @@ proptest! {
     fn any_trace_seed_gives_one_schedule(seed in any::<u64>()) {
         for faults in [None, Some(FaultPlan::chaos(0.5))] {
             let chaos = faults.is_some();
-            let why = disagreement(seed, faults);
+            let why = disagreement(seed, faults, Ending::Long);
             prop_assert!(why.is_none(), "chaos {}: {}", chaos, why.unwrap_or_default());
+        }
+    }
+
+    #[test]
+    fn any_trace_seed_ends_both_loops_alike(seed in any::<u64>(), zero in any::<bool>()) {
+        let ending = if zero { ZERO } else { SHORT };
+        for faults in [None, Some(FaultPlan::chaos(0.5))] {
+            let chaos = faults.is_some();
+            let why = disagreement(seed, faults, ending);
+            prop_assert!(why.is_none(), "chaos {}, {:?}: {}", chaos, ending, why.unwrap_or_default());
         }
     }
 }

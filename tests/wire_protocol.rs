@@ -445,3 +445,40 @@ fn idle_stack_shuts_down_within_one_tick_interval() {
     assert!(report.conserved(), "conservation: {report:?}");
     assert_eq!(report.stranded, 0);
 }
+
+/// With no drain grace the run ends at `Stop`: the grid does not tick
+/// again, the crowd's remaining events are booked without waiting, and
+/// what is still open is counted. One tick period here is two wall
+/// seconds, so a scheduler that waited out one more tick before it
+/// looked at the window cannot pass. The benchmark's `setup_s` times
+/// exactly this start → one submission → `shutdown()` at zero grace.
+#[test]
+fn zero_grace_shutdown_does_not_wait_for_a_tick() {
+    let tick_interval = 2.0;
+    let config = IngestConfig {
+        n_workers: 4,
+        time_scale: 1.0,
+        tick_interval,
+        seed: 33,
+        drain_grace: 0.0,
+        ..IngestConfig::default()
+    };
+    let handle = IngestRuntime::new(config).start().expect("start stack");
+    let body = "{\"deadline\":90.0}";
+    let submit = format!(
+        "POST /tasks HTTP/1.1\r\ncontent-length: {}\r\n\r\n{body}",
+        body.len()
+    );
+    let r = roundtrip(&handle, submit.as_bytes()).expect("submit answered");
+    assert_eq!(r.status, 202);
+    let clock = handle.clock();
+    let began = clock.now();
+    let report = handle.shutdown();
+    let took = clock.now() - began;
+    assert!(
+        took < tick_interval / 4.0,
+        "zero-grace shutdown took {took:.3} crowd-s of a {tick_interval} s tick"
+    );
+    assert_eq!(report.accepted, 1);
+    assert!(report.conserved(), "conservation: {report:?}");
+}
