@@ -1,20 +1,17 @@
 //! The [`Cluster`] facade: one [`ReactServer`] per router leaf cell,
 //! with routing, cross-shard handoff, idle-worker rebalancing and
-//! admission control layered on top.
+//! admission control layered on top, driven through [`Dispatch`].
 //!
 //! Shard topology is fixed at construction: expected member locations
 //! are fed through the [`RegionRouter`] and overloaded cells are split
 //! (recursively) before any server is built, so shards = router cells
-//! *including post-split children*. At runtime the router's load
-//! counters track live membership — registrations increment, and
-//! completions, expiries, sheds and departures decrement — which is what
-//! the rebalance pass reads.
+//! *including post-split children*. After that the router only routes:
+//! the handoff and rebalance passes read each shard's own worker pool
+//! and queue.
 
-use crate::policy::ClusterPolicy;
+use crate::policy::{ClusterPolicy, RebalancePolicy};
 use rand::rngs::SmallRng;
-use react_core::{
-    Availability, CompletionOutcome, Config, CoreError, ReactServer, Task, TickOutcome,
-};
+use react_core::{CompletionOutcome, Config, CoreError, ReactServer, Task, TickOutcome};
 use react_core::{TaskId, WorkerId};
 use react_crowd::{Delivery, Dispatch, Trigger};
 use react_geo::{BoundingBox, GeoPoint, RegionGrid, RegionRouter, ServerId};
@@ -27,52 +24,6 @@ struct Shard {
     id: ServerId,
     bounds: BoundingBox,
     server: ReactServer,
-}
-
-/// What happened to a submission.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Submission {
-    /// Routed and accepted by this shard.
-    Accepted(ServerId),
-    /// Routed to this shard but refused: its open-task count is at the
-    /// admission cap. The task never reaches a server.
-    Shed(ServerId),
-    /// The task's location lies outside every cell.
-    Unroutable,
-}
-
-/// One cross-shard task handoff performed during a cluster tick.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Handoff {
-    /// The task that moved.
-    pub task: TaskId,
-    /// The shard it left.
-    pub from: ServerId,
-    /// The shard it re-entered.
-    pub to: ServerId,
-}
-
-/// One idle-worker relocation performed by the rebalance pass.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Relocation {
-    /// The worker that moved.
-    pub worker: WorkerId,
-    /// The shard it left.
-    pub from: ServerId,
-    /// The shard it joined.
-    pub to: ServerId,
-}
-
-/// What one cluster control step's passes did. The cluster owns one and
-/// clears it every tick, so its vectors keep their storage; each shard's
-/// own outcome stays with its server.
-#[derive(Debug, Default)]
-pub struct ClusterTickOutcome {
-    /// Cross-shard handoffs performed after the shard ticks.
-    pub handoffs: Vec<Handoff>,
-    /// Idle-worker relocations performed by this tick's rebalance pass
-    /// (empty on off-period ticks or when rebalancing is disabled).
-    pub relocations: Vec<Relocation>,
 }
 
 /// A sharded deployment of REACT servers behind one router.
@@ -99,10 +50,8 @@ pub struct Cluster {
     /// Handoffs out of / into each shard index.
     handoffs_out: Vec<u64>,
     handoffs_in: Vec<u64>,
-    /// Workers relocated away from each shard index.
+    /// Workers relocated by the rebalance pass.
     workers_rebalanced: u64,
-    /// What the last [`Cluster::tick`]'s passes did.
-    outcome: ClusterTickOutcome,
 }
 
 impl Cluster {
@@ -110,8 +59,7 @@ impl Cluster {
     /// *expected* member locations (typically the worker population):
     /// they are routed through the router and any cell whose projected
     /// load reaches `policy.split_threshold` is subdivided, recursively,
-    /// before the per-shard servers are built. Load counters are then
-    /// reset so live accounting starts from zero.
+    /// before the per-shard servers are built.
     ///
     /// Each shard's server derives its seed from `seed` and the shard
     /// index, so the whole cluster is reproducible from one seed.
@@ -129,7 +77,6 @@ impl Cluster {
             router.register(p);
         }
         while !router.split_overloaded().is_empty() {}
-        router.reset_loads();
 
         let mut shards = Vec::new();
         let mut index = BTreeMap::new();
@@ -157,7 +104,6 @@ impl Cluster {
             handoffs_out: vec![0; n],
             handoffs_in: vec![0; n],
             workers_rebalanced: 0,
-            outcome: ClusterTickOutcome::default(),
         })
     }
 
@@ -169,16 +115,6 @@ impl Cluster {
     /// Read access to one shard's server.
     pub fn server(&self, id: ServerId) -> Option<&ReactServer> {
         self.index.get(&id).map(|&i| &self.shards[i].server)
-    }
-
-    /// Read access to the router (live per-cell load, neighbours).
-    pub fn router(&self) -> &RegionRouter {
-        &self.router
-    }
-
-    /// The shard a worker currently belongs to.
-    pub fn shard_of_worker(&self, id: WorkerId) -> Option<ServerId> {
-        self.worker_shard.get(&id).map(|&i| self.shards[i].id)
     }
 
     /// Tasks refused at admission so far, per shard (shard order).
@@ -215,81 +151,33 @@ impl Cluster {
         counts
     }
 
-    /// Registers a worker: routes by location, registers with the owning
-    /// shard's server and charges the router's load counter. Returns the
-    /// owning shard, or `None` when the location is outside the area.
+    /// Registers a worker: routes by location and registers with the
+    /// owning shard's server. Returns the owning shard, or `None` when
+    /// the location is outside the area.
     pub fn register_worker(&mut self, id: WorkerId, location: GeoPoint) -> Option<ServerId> {
-        let server_id = self.router.register(&location)?;
+        let server_id = self.router.route(&location)?;
         let i = self.index[&server_id];
         self.shards[i].server.register_worker(id, location);
         self.worker_shard.insert(id, i);
         Some(server_id)
     }
 
-    fn availability(&self, shard: usize, id: WorkerId) -> Option<Availability> {
-        self.shards[shard]
-            .server
-            .profiling()
-            .profile(id)
-            .ok()
-            .map(|p| p.availability())
-    }
-
-    /// Submits a task: routes by location, applies the admission cap,
-    /// and hands the task to the owning shard's server. Sheds are
-    /// reported on the `shard.admission_shed` and `recovery.tasks_shed`
-    /// counters.
-    pub fn submit_task(&mut self, task: Task, now: f64) -> Submission {
-        match self.admit(task, now) {
-            Ok(i) => Submission::Accepted(self.shards[i].id),
-            Err(refused) => refused,
-        }
-    }
-
-    /// [`Cluster::submit_task`], answering with the accepting shard's
-    /// index.
-    fn admit(&mut self, task: Task, now: f64) -> Result<usize, Submission> {
-        let Some(server_id) = self.router.route(&task.location) else {
-            self.unroutable += 1;
-            return Err(Submission::Unroutable);
-        };
-        let i = self.index[&server_id];
-        if let Some(admission) = self.policy.admission {
-            if self.shards[i].server.tasks().open_count() >= admission.max_open_tasks {
-                self.admission_shed[i] += 1;
-                if self.observer.enabled() {
-                    self.observer.incr(CounterKind::ShardAdmissionShed, 1);
-                    self.observer.incr(CounterKind::TasksShed, 1);
-                }
-                return Err(Submission::Shed(server_id));
-            }
-        }
-        self.shards[i].server.submit_task(task, now);
-        self.router.add_load(server_id);
-        Ok(i)
-    }
-
     /// The full cluster control step: tick every shard in shard order,
-    /// settling router load for what each tick retired, then run the
-    /// handoff pass and — on period — the rebalance pass. Each shard's
-    /// outcome stays with its server.
-    pub fn tick(&mut self, now: f64) -> &ClusterTickOutcome {
+    /// then run the handoff pass and — on period — the rebalance pass.
+    /// Each shard's outcome stays with its server.
+    fn tick(&mut self, now: f64) {
         for shard in &mut self.shards {
             let timer = SpanTimer::start(self.observer.as_ref());
-            let outcome = shard.server.tick(now);
+            shard.server.tick(now);
             timer.finish(self.observer.as_ref(), SpanKind::ShardTick);
-            settle_retirements(&mut self.router, shard.id, outcome);
         }
-        self.outcome.handoffs.clear();
-        self.outcome.relocations.clear();
         self.pass_handoff(now);
         self.ticks += 1;
         if let Some(rb) = self.policy.rebalance {
             if rb.period_ticks > 0 && self.ticks.is_multiple_of(rb.period_ticks) {
-                self.pass_rebalance(rb);
+                self.pass_rebalance(rb, now);
             }
         }
-        &self.outcome
     }
 
     /// The handoff pass: for each shard whose online pool fell below the
@@ -303,6 +191,7 @@ impl Cluster {
         let Some(policy) = self.policy.handoff else {
             return;
         };
+        let mut handed = 0;
         for i in 0..self.shards.len() {
             let online = self.shards[i].server.profiling().online_count();
             if online >= policy.pool_floor || self.shards[i].server.tasks().unassigned_count() == 0
@@ -324,7 +213,7 @@ impl Cluster {
                 })
                 .max()
                 .filter(|&(n, _, _)| n > online);
-            let Some((_, std::cmp::Reverse(target_id), j)) = target else {
+            let Some((_, _, j)) = target else {
                 continue;
             };
             for _ in 0..policy.max_per_tick {
@@ -337,20 +226,12 @@ impl Cluster {
                 // instant survives the move. The expiry sweep ran at the
                 // top of this tick, so remaining time is positive.
                 task.deadline = (submitted_at + task.deadline - now).max(f64::MIN_POSITIVE);
-                let task_id = task.id;
                 self.shards[j].server.submit_task(task, now);
-                self.router.deregister(source_id);
-                self.router.add_load(target_id);
                 self.handoffs_out[i] += 1;
                 self.handoffs_in[j] += 1;
-                self.outcome.handoffs.push(Handoff {
-                    task: task_id,
-                    from: source_id,
-                    to: target_id,
-                });
+                handed += 1;
             }
         }
-        let handed = self.outcome.handoffs.len() as u64;
         if self.observer.enabled() && handed > 0 {
             self.observer.incr(CounterKind::ShardHandoffs, handed);
         }
@@ -362,8 +243,11 @@ impl Cluster {
     /// edge-adjacent shard with the largest backlog deficit (queued
     /// tasks minus idle workers). Relocated workers re-register at a
     /// position drawn from the `cluster.rebalance` stream inside the
-    /// target cell.
-    fn pass_rebalance(&mut self, policy: crate::policy::RebalancePolicy) {
+    /// target cell. Only a worker holding no task moves: under
+    /// `MatcherPolicy::Traditional` an available worker may still have
+    /// tasks queued, and those stay with the shard that assigned them.
+    fn pass_rebalance(&mut self, policy: RebalancePolicy, now: f64) {
+        let mut moved = 0;
         for i in 0..self.shards.len() {
             let idle = self.shards[i].server.profiling().available_count();
             if idle <= policy.min_idle {
@@ -384,38 +268,34 @@ impl Cluster {
                 })
                 .max()
                 .filter(|&(deficit, _, _)| deficit > 0);
-            let Some((deficit, std::cmp::Reverse(target_id), j)) = target else {
+            let Some((deficit, _, j)) = target else {
                 continue;
             };
             let surplus = idle - policy.min_idle;
             let n_moves = policy.max_moves.min(surplus).min(deficit as usize);
             let mut from = WorkerId(0);
-            for _ in 0..n_moves {
-                // A moved worker is offline here, so the walk can restart
-                // past it without skipping anyone.
-                let Some(worker) = self.shards[i].server.profiling().next_available(from) else {
+            let mut moves = 0;
+            while moves < n_moves {
+                let server = &self.shards[i].server;
+                let Some(worker) = server.profiling().next_available(from) else {
                     break;
                 };
                 from = WorkerId(worker.0 + 1);
-                // An idle worker holds no tasks, so going offline at the
-                // source recalls nothing; it then re-registers fresh on
-                // the target (its latency profile restarts — migration
-                // has a cost, exactly as a new arrival would).
-                let recalled = self.shards[i].server.worker_offline(worker, 0.0);
-                debug_assert!(recalled.is_empty(), "idle workers hold no tasks");
+                if server.tasks().assigned().any(|(_, w)| w == worker) {
+                    continue;
+                }
+                // Holding nothing, the worker goes offline at the source
+                // without a recall and re-registers fresh on the target
+                // (its latency profile restarts — migration has a cost,
+                // exactly as a new arrival would).
+                self.shards[i].server.worker_offline(worker, now);
                 let location = self.shards[j].bounds.random_point(&mut self.rebalance_rng);
                 self.shards[j].server.register_worker(worker, location);
                 self.worker_shard.insert(worker, j);
-                self.router.deregister(source_id);
-                self.router.add_load(target_id);
-                self.outcome.relocations.push(Relocation {
-                    worker,
-                    from: source_id,
-                    to: target_id,
-                });
+                moves += 1;
             }
+            moved += moves as u64;
         }
-        let moved = self.outcome.relocations.len() as u64;
         if moved > 0 {
             self.workers_rebalanced += moved;
             if self.observer.enabled() {
@@ -428,13 +308,32 @@ impl Cluster {
 
 /// The cluster under a [`react_crowd::Lap`]: a shard is its index, in
 /// shard order. An arrival ticks only the shard that took it in, a burst
-/// ticks nothing, and a grid tick is the full cluster control step
-/// ([`Cluster::tick`]).
+/// ticks nothing, and a grid tick is the full cluster control step:
+/// every shard in shard order, then the handoff and rebalance passes.
 impl Dispatch for Cluster {
     type Shard = usize;
 
+    /// Routes by location and applies the admission cap. Sheds are
+    /// reported on the `shard.admission_shed` and `recovery.tasks_shed`
+    /// counters.
     fn submit(&mut self, task: Task, now: f64) -> Option<usize> {
-        self.admit(task, now).ok()
+        let Some(server_id) = self.router.route(&task.location) else {
+            self.unroutable += 1;
+            return None;
+        };
+        let i = self.index[&server_id];
+        if let Some(admission) = self.policy.admission {
+            if self.shards[i].server.tasks().open_count() >= admission.max_open_tasks {
+                self.admission_shed[i] += 1;
+                if self.observer.enabled() {
+                    self.observer.incr(CounterKind::ShardAdmissionShed, 1);
+                    self.observer.incr(CounterKind::TasksShed, 1);
+                }
+                return None;
+            }
+        }
+        self.shards[i].server.submit_task(task, now);
+        Some(i)
     }
 
     fn control_step(
@@ -444,12 +343,7 @@ impl Dispatch for Cluster {
         mut each: impl FnMut(usize, &TickOutcome),
     ) {
         match trigger {
-            Trigger::Arrival(i) => {
-                let shard = &mut self.shards[i];
-                let outcome = shard.server.tick(now);
-                settle_retirements(&mut self.router, shard.id, outcome);
-                each(i, outcome);
-            }
+            Trigger::Arrival(i) => each(i, self.shards[i].server.tick(now)),
             Trigger::Grid => {
                 self.tick(now);
                 for (i, shard) in self.shards.iter().enumerate() {
@@ -460,48 +354,34 @@ impl Dispatch for Cluster {
         }
     }
 
-    /// Only idle workers are rebalanced, so a worker holding a task is
-    /// still on the shard that assigned it. On success the router's load
-    /// counter drops.
+    /// Only workers holding no task are rebalanced, so a worker holding a
+    /// task is still on the shard that assigned it.
     fn complete(&mut self, done: &Delivery) -> Result<(usize, CompletionOutcome), CoreError> {
         let i = *self
             .worker_shard
             .get(&done.worker)
             .ok_or(CoreError::UnknownWorker(done.worker))?;
-        let shard = &mut self.shards[i];
-        let (task, worker) = (done.task, done.worker);
-        let outcome = shard
-            .server
-            .complete_task(task, worker, done.at, done.quality_ok)?;
-        self.router.deregister(shard.id);
+        let outcome = self.shards[i].server.complete_task(
+            done.task,
+            done.worker,
+            done.at,
+            done.quality_ok,
+        )?;
         Ok((i, outcome))
     }
 
-    /// The worker's current shard recalls any held tasks, and the
-    /// router's load counter drops. The server-side calls are idempotent,
-    /// so the router guard here keeps duplicate events from skewing the
-    /// load counters.
+    /// The worker's current shard recalls any held tasks.
     fn worker_offline(&mut self, id: WorkerId, now: f64) -> Vec<TaskId> {
-        let Some(&i) = self.worker_shard.get(&id) else {
-            return Vec::new();
-        };
-        let server_id = self.shards[i].id;
-        let was_online = self.availability(i, id) != Some(Availability::Offline);
-        let recalled = self.shards[i].server.worker_offline(id, now);
-        if was_online {
-            self.router.deregister(server_id);
+        match self.worker_shard.get(&id) {
+            Some(&i) => self.shards[i].server.worker_offline(id, now),
+            None => Vec::new(),
         }
-        recalled
     }
 
     /// A departed worker reconnects at its current shard.
     fn worker_online(&mut self, id: WorkerId) {
         if let Some(&i) = self.worker_shard.get(&id) {
-            let server_id = self.shards[i].id;
-            let was_offline = self.availability(i, id) == Some(Availability::Offline);
-            if was_offline && self.shards[i].server.worker_online(id).is_ok() {
-                self.router.add_load(server_id);
-            }
+            let _ = self.shards[i].server.worker_online(id);
         }
     }
 
@@ -509,14 +389,6 @@ impl Dispatch for Cluster {
         let tasks = self.shards.iter().map(|s| s.server.tasks());
         let queued = tasks.clone().map(|t| t.unassigned_count()).sum();
         (queued, tasks.map(|t| t.assigned_count()).sum())
-    }
-}
-
-/// Drops router load for every task a shard tick retired (expired or
-/// shed).
-fn settle_retirements(router: &mut RegionRouter, shard: ServerId, outcome: &TickOutcome) {
-    for _ in 0..outcome.expired.len() + outcome.shed.len() {
-        router.deregister(shard);
     }
 }
 
@@ -534,7 +406,7 @@ mod tests {
     use super::*;
     use crate::policy::{AdmissionPolicy, HandoffPolicy, RebalancePolicy};
     use rand::SeedableRng;
-    use react_core::{BatchTrigger, TaskCategory};
+    use react_core::{Availability, BatchTrigger, TaskCategory};
     use react_obs::null_observer;
 
     fn area() -> BoundingBox {
@@ -568,6 +440,11 @@ mod tests {
         Cluster::new(&grid, eager_config(), 7, policy, null_observer(), rng, &[]).unwrap()
     }
 
+    /// The shard index of `id`.
+    fn shard(c: &Cluster, id: ServerId) -> usize {
+        c.server_ids().iter().position(|&s| s == id).unwrap()
+    }
+
     #[test]
     fn routes_workers_and_tasks_to_their_shards() {
         let mut c = cluster_with(ClusterPolicy::single_tier());
@@ -575,17 +452,13 @@ mod tests {
         let s = c
             .register_worker(WorkerId(1), GeoPoint::new(0.5, 0.5))
             .unwrap();
-        assert_eq!(c.shard_of_worker(WorkerId(1)), Some(s));
-        assert_eq!(c.router().load(s), 1);
-        let sub = c.submit_task(task_at(1, 0.5, 0.6), 0.0);
-        assert_eq!(sub, Submission::Accepted(s));
-        assert_eq!(c.router().load(s), 2);
+        let i = shard(&c, s);
+        assert_eq!(c.workers_per_shard()[i], 1);
+        assert_eq!(c.submit(task_at(1, 0.5, 0.6), 0.0), Some(i));
         assert_eq!(c.server(s).unwrap().tasks().open_count(), 1);
         // Outside the area.
-        assert_eq!(
-            c.submit_task(task_at(2, 9.0, 9.0), 0.0),
-            Submission::Unroutable
-        );
+        assert_eq!(c.submit(task_at(2, 9.0, 9.0), 0.0), None);
+        assert_eq!(c.unroutable(), 1);
     }
 
     #[test]
@@ -604,13 +477,9 @@ mod tests {
             &hot,
         )
         .unwrap();
-        // Cell 0 split into 4 (and one child again: 20 points > 10 after
-        // the estimate spread of 5 each — no, 20/4 = 5 < 10, one level).
+        // Cell 0 splits into 4 once: its 20 points spread 5 per child,
+        // below the threshold of 10.
         assert_eq!(c.server_ids().len(), 7);
-        // Loads were reset after shaping.
-        for id in c.server_ids() {
-            assert_eq!(c.router().load(id), 0);
-        }
     }
 
     #[test]
@@ -618,28 +487,14 @@ mod tests {
         let mut policy = ClusterPolicy::single_tier();
         policy.admission = Some(AdmissionPolicy { max_open_tasks: 2 });
         let mut c = cluster_with(policy);
-        let s = c.router().route(&GeoPoint::new(0.5, 0.5)).unwrap();
-        assert_eq!(
-            c.submit_task(task_at(1, 0.5, 0.5), 0.0),
-            Submission::Accepted(s)
-        );
-        assert_eq!(
-            c.submit_task(task_at(2, 0.5, 0.5), 0.0),
-            Submission::Accepted(s)
-        );
-        assert_eq!(
-            c.submit_task(task_at(3, 0.5, 0.5), 0.0),
-            Submission::Shed(s)
-        );
-        let i = c.server_ids().iter().position(|&id| id == s).unwrap();
+        let i = shard(&c, c.router.route(&GeoPoint::new(0.5, 0.5)).unwrap());
+        assert_eq!(c.submit(task_at(1, 0.5, 0.5), 0.0), Some(i));
+        assert_eq!(c.submit(task_at(2, 0.5, 0.5), 0.0), Some(i));
+        assert_eq!(c.submit(task_at(3, 0.5, 0.5), 0.0), None);
         assert_eq!(c.admission_shed()[i], 1);
-        // Router load only counts accepted tasks.
-        assert_eq!(c.router().load(s), 2);
         // Other shards unaffected.
-        assert_eq!(
-            c.submit_task(task_at(4, 2.5, 2.5), 0.0),
-            Submission::Accepted(c.router().route(&GeoPoint::new(2.5, 2.5)).unwrap())
-        );
+        let other = shard(&c, c.router.route(&GeoPoint::new(2.5, 2.5)).unwrap());
+        assert_eq!(c.submit(task_at(4, 2.5, 2.5), 0.0), Some(other));
     }
 
     #[test]
@@ -652,37 +507,22 @@ mod tests {
         let mut c = cluster_with(policy);
         // Shard of cell (0,0) has tasks but zero workers; its lon
         // neighbour has two workers.
-        let weak = c.router().route(&GeoPoint::new(0.5, 0.5)).unwrap();
+        let weak = c.router.route(&GeoPoint::new(0.5, 0.5)).unwrap();
         let strong = c
             .register_worker(WorkerId(1), GeoPoint::new(0.5, 2.5))
             .unwrap();
         c.register_worker(WorkerId(2), GeoPoint::new(0.5, 2.6))
             .unwrap();
-        c.submit_task(task_at(1, 0.5, 0.5), 0.0);
-        c.submit_task(task_at(2, 0.6, 0.5), 0.0);
-        let outcome = c.tick(1.0);
-        assert_eq!(outcome.handoffs.len(), 2);
-        for h in &outcome.handoffs {
-            assert_eq!(h.from, weak);
-            assert_eq!(h.to, strong);
-        }
+        c.submit(task_at(1, 0.5, 0.5), 0.0);
+        c.submit(task_at(2, 0.6, 0.5), 0.0);
+        c.tick(1.0);
+        assert_eq!(c.handoffs_out()[shard(&c, weak)], 2);
+        assert_eq!(c.handoffs_in()[shard(&c, strong)], 2);
+        assert_eq!(c.handoffs_out().iter().sum::<u64>(), 2);
         assert_eq!(c.server(weak).unwrap().tasks().open_count(), 0);
         // The strong shard accepted (and, with eager batching, likely
         // already assigned) both tasks.
-        let strong_server = c.server(strong).unwrap();
-        assert_eq!(
-            strong_server.tasks().open_count()
-                + strong_server
-                    .tasks()
-                    .iter()
-                    .filter(|r| !r.state.is_open())
-                    .count(),
-            2
-        );
-        assert_eq!(c.handoffs_out().iter().sum::<u64>(), 2);
-        assert_eq!(c.handoffs_in().iter().sum::<u64>(), 2);
-        // Router conservation: loads moved with the tasks.
-        assert_eq!(c.router().load(weak), 0);
+        assert_eq!(c.server(strong).unwrap().tasks().len(), 2);
     }
 
     #[test]
@@ -694,9 +534,9 @@ mod tests {
         });
         let mut c = cluster_with(policy);
         // Every shard is below the floor and equally weak: no handoffs.
-        c.submit_task(task_at(1, 0.5, 0.5), 0.0);
-        let outcome = c.tick(1.0);
-        assert!(outcome.handoffs.is_empty());
+        c.submit(task_at(1, 0.5, 0.5), 0.0);
+        c.tick(1.0);
+        assert_eq!(c.handoffs_out().iter().sum::<u64>(), 0);
     }
 
     #[test]
@@ -709,30 +549,38 @@ mod tests {
         });
         let mut c = cluster_with(policy);
         // Shard A (cell 0,0): 4 idle workers, no tasks. Its lon
-        // neighbour: a backlog the single local worker can't clear —
-        // give it tasks but no workers at all.
+        // neighbour: a backlog and no workers at all.
+        let mut donor = None;
         for w in 0..4u64 {
-            c.register_worker(WorkerId(w), GeoPoint::new(0.5, 0.2 + w as f64 * 0.1));
+            donor = c.register_worker(WorkerId(w), GeoPoint::new(0.5, 0.2 + w as f64 * 0.1));
         }
-        let needy = c.router().route(&GeoPoint::new(0.5, 2.5)).unwrap();
+        let donor = donor.unwrap();
+        let needy = c.router.route(&GeoPoint::new(0.5, 2.5)).unwrap();
         // Submit tasks; with no workers there the batch assigns nothing
         // and the queue persists to the rebalance pass.
         for t in 0..5u64 {
-            c.submit_task(task_at(t, 0.5, 2.2 + t as f64 * 0.1), 0.0);
+            c.submit(task_at(t, 0.5, 2.2 + t as f64 * 0.1), 0.0);
         }
-        let donor = c.shard_of_worker(WorkerId(0)).unwrap();
-        let outcome = c.tick(1.0);
-        assert_eq!(outcome.relocations.len(), 2, "max_moves caps the pass");
-        for r in &outcome.relocations {
-            assert_eq!(r.from, donor);
-            assert_eq!(r.to, needy);
+        c.tick(1.0);
+        assert_eq!(c.workers_rebalanced(), 2, "max_moves caps the pass");
+        let per_shard = c.workers_per_shard();
+        assert_eq!(
+            (per_shard[shard(&c, donor)], per_shard[shard(&c, needy)]),
+            (2, 2)
+        );
+        // Lowest worker ids move first: they left the donor offline.
+        let at = |s: ServerId, w: u64| {
+            c.server(s)
+                .unwrap()
+                .profiling()
+                .profile(WorkerId(w))
+                .map(|p| p.availability())
+        };
+        for w in 0..2 {
+            assert_eq!(at(donor, w), Ok(Availability::Offline));
+            assert!(at(needy, w).is_ok());
         }
-        // Lowest worker ids move first; their shard map is updated.
-        assert_eq!(outcome.relocations[0].worker, WorkerId(0));
-        assert_eq!(c.shard_of_worker(WorkerId(0)), Some(needy));
-        assert_eq!(c.workers_rebalanced(), 2);
-        // Worker conservation across the cluster.
-        assert_eq!(c.workers_per_shard().iter().sum::<usize>(), 4);
+        assert_eq!(at(donor, 2), Ok(Availability::Available));
     }
 
     #[test]
@@ -748,29 +596,13 @@ mod tests {
             c.register_worker(WorkerId(w), GeoPoint::new(0.5, 0.2 + w as f64 * 0.1));
         }
         for t in 0..5u64 {
-            c.submit_task(task_at(t, 0.5, 2.2 + t as f64 * 0.1), 0.0);
+            c.submit(task_at(t, 0.5, 2.2 + t as f64 * 0.1), 0.0);
         }
         // Ticks 1 and 2: off-period. Tick 3: on-period, but the donor
         // only has min_idle workers — nothing moves.
-        assert!(c.tick(1.0).relocations.is_empty());
-        assert!(c.tick(2.0).relocations.is_empty());
-        assert!(c.tick(3.0).relocations.is_empty());
-    }
-
-    #[test]
-    fn offline_and_online_track_router_load() {
-        let mut c = cluster_with(ClusterPolicy::single_tier());
-        let s = c
-            .register_worker(WorkerId(1), GeoPoint::new(0.5, 0.5))
-            .unwrap();
-        assert_eq!(c.router().load(s), 1);
-        c.worker_offline(WorkerId(1), 1.0);
-        assert_eq!(c.router().load(s), 0);
-        c.worker_online(WorkerId(1));
-        assert_eq!(c.router().load(s), 1);
-        // A second online for an already-online worker must not
-        // double-charge the router.
-        c.worker_online(WorkerId(1));
-        assert_eq!(c.router().load(s), 1);
+        for now in [1.0, 2.0, 3.0] {
+            c.tick(now);
+        }
+        assert_eq!(c.workers_rebalanced(), 0);
     }
 }

@@ -7,10 +7,10 @@
 //!
 //! * [`Cluster`] — one [`react_core::ReactServer`] per
 //!   [`react_geo::RegionRouter`] leaf cell (including post-split
-//!   children), with worker/task routing, live router load accounting,
-//!   and three coupling mechanisms on top:
+//!   children), driven through [`react_crowd::Dispatch`], with worker/task
+//!   routing and three coupling mechanisms on top:
 //!   1. **cross-shard task handoff** — when a shard's online pool falls
-//!      below the recovery-style pool floor, queued tasks are evicted
+//!      below the handoff policy's pool floor, queued tasks are evicted
 //!      (audited as `HandedOff`) and re-submitted on the strongest
 //!      edge-adjacent shard with their absolute deadline preserved;
 //!   2. **idle-worker rebalancing** — a periodic pass relocating surplus
@@ -38,6 +38,6 @@ mod cluster;
 mod policy;
 mod runner;
 
-pub use cluster::{Cluster, ClusterTickOutcome, Handoff, Relocation, Submission};
+pub use cluster::Cluster;
 pub use policy::{AdmissionPolicy, ClusterPolicy, HandoffPolicy, RebalancePolicy};
 pub use runner::{ClusterReport, ClusterRunner, ClusterScenario, ShardReport};

@@ -8,13 +8,13 @@
 use std::fmt;
 
 /// Cross-shard task handoff: when a shard's live worker pool collapses
-/// below `pool_floor` (the same trigger the recovery layer's shedding
-/// uses), queued tasks are evicted and re-submitted on the edge-adjacent
-/// shard with the most online workers, instead of being dropped.
+/// below `pool_floor`, queued tasks are evicted and re-submitted on the
+/// edge-adjacent shard with the most online workers instead of expiring
+/// where no one can serve them.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct HandoffPolicy {
     /// Online-worker count below which the shard starts handing off its
-    /// queue. Mirrors `RecoveryConfig::pool_floor`.
+    /// queue.
     pub pool_floor: usize,
     /// At most this many tasks leave a shard per cluster tick — a drip,
     /// not a flood, so the receiving shard's batch sizes stay bounded.

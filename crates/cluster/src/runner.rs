@@ -46,7 +46,7 @@ pub struct ClusterScenario {
 }
 
 /// Per-shard accounting of one cluster run.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct ShardReport {
     /// The shard's server id (router leaf cell).
     pub server: ServerId,
@@ -69,8 +69,6 @@ pub struct ShardReport {
     pub handoffs_in: u64,
     /// Eq. (2) recalls performed by this shard.
     pub reassignments: u64,
-    /// Tasks shed by the shard's own recovery layer.
-    pub sheds: u64,
     /// Tasks still assigned when the run ended.
     pub stranded: u64,
     /// Matching batches run.
@@ -88,8 +86,10 @@ pub struct ShardReport {
     pub audit: Option<AuditLog>,
 }
 
-/// Aggregated outcome of a coupled cluster run.
-#[derive(Debug, Clone)]
+/// Aggregated outcome of a coupled cluster run. Two runs of one
+/// scenario and seed compare equal, per-task time series and audit logs
+/// included.
+#[derive(Debug, Clone, PartialEq)]
 pub struct ClusterReport {
     /// Scenario label.
     pub label: String,
@@ -184,41 +184,6 @@ impl ClusterReport {
         let handoffs_balanced = self.shards.iter().map(|s| s.handoffs_out).sum::<u64>()
             == self.shards.iter().map(|s| s.handoffs_in).sum::<u64>();
         accounted == self.received && handoffs_balanced
-    }
-
-    /// Whether two cluster reports are bit-identical across every
-    /// per-shard metric including the full per-task time series — the
-    /// check behind the same-seed ⇒ same-report guarantee.
-    pub fn identical(&self, other: &ClusterReport) -> bool {
-        self.received == other.received
-            && self.unroutable == other.unroutable
-            && self.workers_rebalanced == other.workers_rebalanced
-            && self.burst_tasks == other.burst_tasks
-            && self.dropouts == other.dropouts
-            && self.abandons == other.abandons
-            && self.completions_lost == other.completions_lost
-            && self.duplicates_rejected == other.duplicates_rejected
-            && self.sim_duration.to_bits() == other.sim_duration.to_bits()
-            && self.shards.len() == other.shards.len()
-            && self.shards.iter().zip(other.shards.iter()).all(|(a, b)| {
-                a.server == b.server
-                    && a.received == b.received
-                    && a.completed == b.completed
-                    && a.met_deadline == b.met_deadline
-                    && a.positive_feedback == b.positive_feedback
-                    && a.expired_unassigned == b.expired_unassigned
-                    && a.admission_shed == b.admission_shed
-                    && a.handoffs_out == b.handoffs_out
-                    && a.handoffs_in == b.handoffs_in
-                    && a.reassignments == b.reassignments
-                    && a.sheds == b.sheds
-                    && a.stranded == b.stranded
-                    && a.batches == b.batches
-                    && a.total_matching_seconds.to_bits() == b.total_matching_seconds.to_bits()
-                    && a.workers_final == b.workers_final
-                    && a.exec_times == b.exec_times
-                    && a.total_times == b.total_times
-            })
     }
 }
 
@@ -339,8 +304,8 @@ struct Books {
     received: u64,
     burst_tasks: u64,
     duplicates_rejected: u64,
-    /// First-submission instant of each accepted task not yet completed,
-    /// expired or shed (`total_times` span handoffs). Never iterated; an
+    /// First-submission instant of each accepted task not yet completed
+    /// or expired (`total_times` span handoffs). Never iterated; an
     /// [`IdMap`], so the run allocates alike on every replay.
     first_submitted: IdMap<TaskId, f64>,
 }
@@ -348,10 +313,9 @@ struct Books {
 impl Ledger<usize> for Books {
     fn ticked(&mut self, shard: usize, _now: f64, outcome: &TickOutcome) {
         let report = &mut self.shards[shard];
-        report.expired_unassigned += (outcome.expired.len() + outcome.shed.len()) as u64;
-        report.sheds += outcome.shed.len() as u64;
+        report.expired_unassigned += outcome.expired.len() as u64;
         report.reassignments += outcome.recalls.len() as u64;
-        for task in outcome.expired.iter().chain(&outcome.shed) {
+        for task in &outcome.expired {
             self.first_submitted.remove(task);
         }
     }
@@ -503,10 +467,10 @@ mod tests {
     fn coupled_run_is_deterministic() {
         let runner = ClusterRunner::new(scenario(9, 2, 2, ClusterPolicy::coupled()));
         let a = runner.run();
-        assert!(a.identical(&runner.run()), "a runner replays itself");
+        assert_eq!(a, runner.run(), "a runner replays itself");
         let b = ClusterRunner::new(scenario(9, 2, 2, ClusterPolicy::coupled())).run();
-        assert!(a.identical(&b), "same seed, fresh runner");
+        assert_eq!(a, b, "same seed, fresh runner");
         let other = ClusterRunner::new(scenario(3, 2, 2, ClusterPolicy::coupled())).run();
-        assert!(!a.identical(&other), "different seeds should differ");
+        assert_ne!(a, other, "different seeds should differ");
     }
 }

@@ -64,11 +64,6 @@ pub struct RecoveryConfig {
     /// Base progress deadline (seconds) for a task's first assignment.
     /// `None` disables the whole ladder (the paper's baseline behaviour).
     pub progress_timeout: Option<f64>,
-    /// When fewer than this many workers are online, shed queued tasks
-    /// (lowest reward first) beyond `shed_queue_cap`; 0 never sheds.
-    pub pool_floor: usize,
-    /// Maximum queued tasks kept while the pool is below the floor.
-    pub shed_queue_cap: usize,
 }
 
 impl RecoveryConfig {
@@ -76,8 +71,6 @@ impl RecoveryConfig {
     pub fn disabled() -> Self {
         RecoveryConfig {
             progress_timeout: None,
-            pool_floor: 0,
-            shed_queue_cap: 0,
         }
     }
 
@@ -86,7 +79,6 @@ impl RecoveryConfig {
     pub fn aggressive(base_timeout: f64) -> Self {
         RecoveryConfig {
             progress_timeout: Some(base_timeout),
-            ..Self::disabled()
         }
     }
 }
@@ -123,7 +115,7 @@ pub struct Config {
     pub audit: bool,
     /// Latency distribution used by Eq. (2)/(3) (paper: the power law).
     pub latency_model: LatencyModelKind,
-    /// Failure-aware recovery (timeout ladder, suspicion, shedding).
+    /// Failure-aware recovery (timeout ladder, suspicion).
     /// Disabled by default — the paper's evaluation assumes workers
     /// always eventually respond.
     pub recovery: RecoveryConfig,

@@ -6,7 +6,7 @@
 //! threshold (10 % in the paper) the task is recalled so the Scheduling
 //! Component can find a better worker. The server's tick evaluates it
 //! once per assignment and keeps the inverted threshold
-//! ([`DynamicAssignmentComponent::check_due`]); the exact scan of every
+//! (`DynamicAssignmentComponent::check_due`); the exact scan of every
 //! assignment ([`DynamicAssignmentComponent::check`]) is the reference.
 //! Two guards from the paper:
 //!
@@ -105,7 +105,7 @@ impl DynamicAssignmentComponent {
     /// recalls mandated by Eq. (2), in ascending task-id order. Does not
     /// mutate any component (beyond lazily refitting a stale model).
     ///
-    /// This is the exact full scan: the reference [`Self::check_due`] is
+    /// This is the exact full scan: the reference `Self::check_due` is
     /// asserted against on every tick under `debug-invariants`.
     pub fn check(
         config: &Config,

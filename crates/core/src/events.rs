@@ -6,7 +6,7 @@
 //! asserts that each task's event sequence matches the legal lifecycle
 //!
 //! ```text
-//! Submitted (Assigned (Recalled)?)* (Completed | Expired | Shed | HandedOff)?
+//! Submitted (Assigned (Recalled)?)* (Completed | Expired | HandedOff)?
 //! ```
 //!
 //! with timestamps non-decreasing and the completing worker equal to the
@@ -41,10 +41,6 @@ pub enum TaskEventKind {
     },
     /// The deadline passed while the task sat unassigned.
     Expired,
-    /// The server shed the task (graceful degradation: queued task
-    /// dropped, lowest value first, because the live worker pool fell
-    /// below the configured floor).
-    Shed,
     /// The cluster layer evicted the queued task from this server to
     /// re-submit it on a neighbouring shard (cross-shard handoff). From
     /// this server's perspective the task is done; the receiving shard
@@ -172,7 +168,7 @@ pub fn verify_lifecycles(log: &AuditLog) -> usize {
                 }
                 s => illegal(e, s),
             },
-            TaskEventKind::Expired | TaskEventKind::Shed => match *state {
+            TaskEventKind::Expired => match *state {
                 State::Queued => State::Done,
                 s => illegal(e, s),
             },
@@ -228,24 +224,15 @@ mod tests {
     }
 
     #[test]
-    fn expiry_lifecycle() {
-        let log = log_of(&[
-            (0.0, 7, TaskEventKind::Submitted),
-            (60.0, 7, TaskEventKind::Expired),
-        ]);
-        assert_eq!(verify_lifecycles(&log), 1);
-    }
-
-    #[test]
-    fn shed_lifecycle_including_after_recall() {
+    fn expiry_lifecycle_including_after_recall() {
         let w = WorkerId(1);
         let log = log_of(&[
             (0.0, 7, TaskEventKind::Submitted),
-            (3.0, 7, TaskEventKind::Shed),
+            (60.0, 7, TaskEventKind::Expired),
             (0.0, 8, TaskEventKind::Submitted),
             (1.0, 8, TaskEventKind::Assigned { worker: w }),
             (5.0, 8, TaskEventKind::Recalled { worker: w }),
-            (6.0, 8, TaskEventKind::Shed),
+            (6.0, 8, TaskEventKind::Expired),
         ]);
         assert_eq!(verify_lifecycles(&log), 2);
     }
@@ -267,7 +254,7 @@ mod tests {
     #[test]
     fn handed_off_task_may_return() {
         // A task handed A→B and later B→A re-enters A's log: the second
-        // Submitted after HandedOff is legal, unlike after Shed/Expired.
+        // Submitted after HandedOff is legal, unlike after Expired.
         let w = WorkerId(2);
         let log = log_of(&[
             (0.0, 20, TaskEventKind::Submitted),
@@ -288,10 +275,10 @@ mod tests {
 
     #[test]
     #[should_panic(expected = "illegal transition")]
-    fn rejects_resubmission_after_shed() {
+    fn rejects_resubmission_after_expiry() {
         let log = log_of(&[
             (0.0, 1, TaskEventKind::Submitted),
-            (1.0, 1, TaskEventKind::Shed),
+            (1.0, 1, TaskEventKind::Expired),
             (2.0, 1, TaskEventKind::Submitted),
         ]);
         verify_lifecycles(&log);
@@ -316,7 +303,7 @@ mod tests {
 
     #[test]
     #[should_panic(expected = "illegal transition")]
-    fn rejects_shedding_a_running_task() {
+    fn rejects_expiring_a_running_task() {
         let log = log_of(&[
             (0.0, 1, TaskEventKind::Submitted),
             (
@@ -326,7 +313,7 @@ mod tests {
                     worker: WorkerId(1),
                 },
             ),
-            (2.0, 1, TaskEventKind::Shed),
+            (2.0, 1, TaskEventKind::Expired),
         ]);
         verify_lifecycles(&log);
     }

@@ -289,7 +289,7 @@ pub struct ProfilingComponent {
 
 impl Clone for ProfilingComponent {
     /// The copy's history may diverge from here on, so it is a new
-    /// [`Self::instance`] to the feed's readers.
+    /// `Self::instance` to the feed's readers.
     fn clone(&self) -> Self {
         ProfilingComponent {
             ids: self.ids.clone(),

@@ -46,9 +46,6 @@ pub struct TickOutcome {
     /// How many of [`TickOutcome::recalls`] were forced by the recovery
     /// timeout ladder rather than the Eq. (2) model.
     pub timeout_recalls: u64,
-    /// Queued tasks shed this tick (graceful degradation: worker pool
-    /// below `recovery.pool_floor`), lowest value first.
-    pub shed: Vec<TaskId>,
     /// Fresh `(worker, task)` assignments from this tick's batch.
     pub assignments: Vec<(WorkerId, TaskId)>,
     /// When the batch's assignments take effect: `now` plus the modelled
@@ -66,7 +63,6 @@ impl TickOutcome {
         self.expired.clear();
         self.recalls.clear();
         self.timeout_recalls = 0;
-        self.shed.clear();
         self.assignments.clear();
         self.effective_at = now;
         self.matching_seconds = 0.0;
@@ -389,7 +385,6 @@ impl ReactServer {
 
         let t = SpanTimer::start(self.observer.as_ref());
         self.stage_expire(now);
-        self.stage_shed(now);
         t.finish(self.observer.as_ref(), SpanKind::StageExpire);
 
         let t = SpanTimer::start(self.observer.as_ref());
@@ -456,9 +451,6 @@ impl ReactServer {
             }
             if outcome.timeout_recalls > 0 {
                 obs.incr(CounterKind::TimeoutRecalls, outcome.timeout_recalls);
-            }
-            if !outcome.shed.is_empty() {
-                obs.incr(CounterKind::TasksShed, outcome.shed.len() as u64);
             }
             if !outcome.assignments.is_empty() {
                 obs.incr(CounterKind::TasksAssigned, outcome.assignments.len() as u64);
@@ -577,24 +569,6 @@ impl ReactServer {
         self.outcome.timeout_recalls = (recalls.len() - first) as u64;
         if suspected > 0 && self.observer.enabled() {
             self.observer.incr(CounterKind::WorkersSuspected, suspected);
-        }
-    }
-
-    /// Graceful degradation: when the live worker pool has collapsed
-    /// below `recovery.pool_floor`, shed queued tasks (lowest reward
-    /// first) down to `recovery.shed_queue_cap` instead of letting the
-    /// whole queue slide past its deadlines.
-    fn stage_shed(&mut self, now: f64) {
-        let rc = self.config.recovery;
-        if rc.pool_floor == 0 || self.profiling.online_count() >= rc.pool_floor {
-            return;
-        }
-        self.tasks
-            .shed_lowest_value(rc.shed_queue_cap, &mut self.outcome.shed);
-        if let Some(log) = self.audit.as_mut() {
-            for &task in &self.outcome.shed {
-                log.push(now, task, TaskEventKind::Shed);
-            }
         }
     }
 
@@ -945,37 +919,6 @@ mod tests {
         let out = s.tick(500.0);
         assert!(out.recalls.is_empty());
         assert_eq!(out.timeout_recalls, 0);
-    }
-
-    #[test]
-    fn pool_collapse_sheds_lowest_value_tasks() {
-        use crate::config::RecoveryConfig;
-        let mut config = Config::paper_defaults();
-        config.recovery = RecoveryConfig {
-            pool_floor: 1,
-            shed_queue_cap: 1,
-            ..RecoveryConfig::disabled()
-        };
-        config.audit = true;
-        let mut s = ReactServer::builder(config).seed(7).build().unwrap();
-        let submit = |s: &mut ReactServer, id: u64, reward: f64| {
-            s.submit_task(
-                Task::new(TaskId(id), here(), 600.0, reward, TaskCategory(0), "t"),
-                0.0,
-            );
-        };
-        // No workers online: pool (0) is below the floor (1).
-        submit(&mut s, 1, 0.09);
-        submit(&mut s, 2, 0.01);
-        submit(&mut s, 3, 0.05);
-        let out = s.tick(1.0);
-        assert_eq!(out.shed, vec![TaskId(2), TaskId(3)], "cheapest shed first");
-        assert_eq!(s.tasks().unassigned(), &[TaskId(1)]);
-        crate::verify_lifecycles(s.audit().unwrap());
-        // With a worker online the pool is at the floor: no shedding.
-        s.register_worker(WorkerId(1), here());
-        submit(&mut s, 4, 0.01);
-        assert!(s.tick(2.0).shed.is_empty());
     }
 
     #[test]

@@ -15,10 +15,10 @@
 //! sorts by id on demand.
 //!
 //! The two sets a control step walks each carry what that walk reads, so
-//! no per-tick loop reads the registry: the in-flight index ([`InFlight`]
+//! no per-tick loop reads the registry: the in-flight index (`InFlight`
 //! entries in a `Vec` sorted by task id, read by the recall stage and the
-//! timeout ladder) and the unassigned queue ([`UnassignedQueue`], read by
-//! the expiry sweep, load shedding and the graph build). Both are copies
+//! timeout ladder) and the unassigned queue (`UnassignedQueue`, read by
+//! the expiry sweep and the graph build). Both are copies
 //! of registry facts that cannot change while the task stays where it
 //! is; the `debug-invariants` feature re-derives them from the registry
 //! on every read.
@@ -609,37 +609,11 @@ impl TaskManagementComponent {
         }
     }
 
-    /// Sheds unassigned tasks, lowest reward first, until at most `keep`
-    /// remain queued — the graceful-degradation path when the live
-    /// worker pool collapses. Shed tasks are retired as
-    /// [`TaskState::Expired`] (they leave the repository without being
-    /// served); ties break on task id so shedding is deterministic.
-    /// Appends the shed ids to `out` in shedding order.
-    pub fn shed_lowest_value(&mut self, keep: usize, out: &mut Vec<TaskId>) {
-        let queue = &self.unassigned;
-        if queue.ids.len() <= keep {
-            return;
-        }
-        let mut rows: Vec<usize> = (0..queue.ids.len()).collect();
-        rows.sort_unstable_by(|&a, &b| {
-            let by_reward = queue.reward[a].total_cmp(&queue.reward[b]);
-            by_reward.then(queue.ids[a].cmp(&queue.ids[b]))
-        });
-        rows.truncate(queue.ids.len() - keep);
-        let first = out.len();
-        out.extend(rows.iter().map(|&row| queue.ids[row]));
-        self.retire(&out[first..]);
-        rows.sort_unstable();
-        self.unassigned.remove_rows(&rows);
-    }
-
     /// Removes the oldest unassigned task from the registry entirely and
     /// returns its record — the eviction half of a cross-shard handoff —
-    /// or `None` on an empty queue. Unlike [`shed_lowest_value`], the
-    /// task is not retired: ownership transfers to the caller, who
-    /// re-submits it on another server. Assigned tasks are never taken.
-    ///
-    /// [`shed_lowest_value`]: TaskManagementComponent::shed_lowest_value
+    /// or `None` on an empty queue. The task is not retired: ownership
+    /// transfers to the caller, who re-submits it on another server.
+    /// Assigned tasks are never taken.
     pub fn take_oldest_unassigned(&mut self) -> Option<TaskRecord> {
         let &id = self.unassigned.ids.first()?;
         self.unassigned.remove_rows(&[0]);
@@ -698,13 +672,6 @@ mod tests {
     fn expire(tm: &mut TaskManagementComponent, now: f64) -> Vec<TaskId> {
         let mut out = Vec::new();
         tm.expire_overdue_unassigned(now, &mut out);
-        out
-    }
-
-    /// What one shedding pass down to `keep` drops.
-    fn shed(tm: &mut TaskManagementComponent, keep: usize) -> Vec<TaskId> {
-        let mut out = Vec::new();
-        tm.shed_lowest_value(keep, &mut out);
         out
     }
 
@@ -824,30 +791,6 @@ mod tests {
         assert_eq!(rec.elapsed_since_assignment(20.0), None);
     }
 
-    #[test]
-    fn shed_lowest_value_drops_cheapest_first() {
-        let mut tm = TaskManagementComponent::new();
-        let mut with_reward = |id: u64, reward: f64| {
-            let mut t = task(id, 600.0);
-            t.reward = reward;
-            tm.submit(t, 0.0).unwrap();
-        };
-        with_reward(1, 0.05);
-        with_reward(2, 0.01);
-        with_reward(3, 0.09);
-        with_reward(4, 0.01);
-        // Keep 2: both 0.01-reward tasks go, lower id first.
-        assert_eq!(shed(&mut tm, 2), vec![TaskId(2), TaskId(4)]);
-        // Survivors keep their queue order; shed tasks are retired.
-        assert_eq!(tm.unassigned(), &[TaskId(1), TaskId(3)]);
-        assert!(matches!(
-            tm.record(TaskId(2)).unwrap().state,
-            TaskState::Expired
-        ));
-        // Nothing to shed when already at or below the cap.
-        assert!(shed(&mut tm, 2).is_empty());
-    }
-
     /// A task whose every queue column depends on `id`, so a row that
     /// ends up beside the wrong id shows.
     fn varied(id: u64, deadline: f64, reward: f64) -> Task {
@@ -859,32 +802,6 @@ mod tests {
             TaskCategory(id as u32 % 3),
             "t",
         )
-    }
-
-    #[test]
-    fn shed_order_is_reward_then_id_and_columns_stay_aligned() {
-        let mut tm = TaskManagementComponent::new();
-        // Queue order differs from both id order and reward order.
-        let queued = [(7, 0.5), (3, 0.1), (9, 0.1), (1, 0.5), (4, 0.0), (8, 0.1)];
-        for (id, reward) in queued {
-            tm.submit(varied(id, 600.0, reward), id as f64).unwrap();
-        }
-        let ids = |v: &[u64]| v.iter().map(|&i| TaskId(i)).collect::<Vec<_>>();
-        // `keep` at or above the queue length sheds nothing.
-        assert!(shed(&mut tm, 6).is_empty());
-        assert!(shed(&mut tm, usize::MAX).is_empty());
-        assert_eq!(tm.unassigned(), &ids(&[7, 3, 9, 1, 4, 8])[..]);
-        // Cheapest first, ties by id — not by queue position.
-        assert_eq!(shed(&mut tm, 3), ids(&[4, 3, 8]));
-        assert_eq!(tm.unassigned(), &ids(&[7, 9, 1])[..]);
-        tm.assert_queue_matches_registry();
-        assert_eq!(tm.record(TaskId(8)).unwrap().state, TaskState::Expired);
-        assert_eq!(tm.record(TaskId(9)).unwrap().state, TaskState::Unassigned);
-        // `keep = 0` empties the queue, still in (reward, id) order.
-        assert_eq!(shed(&mut tm, 0), ids(&[9, 1, 7]));
-        assert!(tm.unassigned().is_empty());
-        tm.assert_queue_matches_registry();
-        assert!(tm.iter().all(|r| r.state == TaskState::Expired));
     }
 
     #[test]

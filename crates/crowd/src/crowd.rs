@@ -101,7 +101,7 @@ pub struct Crowd {
     /// ends.
     next_free: Vec<f64>,
     /// Attempt number of each task assigned at least once and not yet
-    /// delivered, expired or shed. Never iterated; an [`IdMap`], so what
+    /// delivered or expired. Never iterated; an [`IdMap`], so what
     /// its rehashes allocate is the same on every replay.
     attempts: IdMap<TaskId, u32>,
     /// `(worker, task, attempt)` at the instant the assignment finishes.
@@ -243,7 +243,7 @@ impl Crowd {
     }
 
     /// Takes in one control step at `now`: recalled workers stop at once,
-    /// expired and shed tasks are forgotten, and each fresh assignment
+    /// expired tasks are forgotten, and each fresh assignment
     /// draws its service time and is due when it ends — unless the fault
     /// plan has the worker abandon it, in which case only a recall frees
     /// the task again.
@@ -255,7 +255,7 @@ impl Crowd {
             self.next_attempt(recall.task);
             self.next_free[recall.worker.0 as usize] = now;
         }
-        for task in outcome.expired.iter().chain(&outcome.shed) {
+        for task in &outcome.expired {
             self.attempts.remove(task);
         }
         for &(worker, task) in &outcome.assignments {

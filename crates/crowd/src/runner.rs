@@ -52,8 +52,6 @@ pub struct FaultStats {
     pub burst_tasks: u64,
     /// Timeout-ladder recalls performed by the recovery layer.
     pub timeout_recalls: u64,
-    /// Tasks shed under graceful degradation (pool below floor).
-    pub sheds: u64,
     /// Tasks still assigned when the run ended — in-flight work stranded
     /// by faults that no recovery path reclaimed.
     pub stranded: u64,
@@ -293,9 +291,8 @@ struct Books {
 impl Ledger for Books {
     fn ticked(&mut self, _: (), _now: f64, outcome: &TickOutcome) {
         let report = &mut self.report;
-        report.expired_unassigned += (outcome.expired.len() + outcome.shed.len()) as u64;
+        report.expired_unassigned += outcome.expired.len() as u64;
         report.faults.timeout_recalls += outcome.timeout_recalls;
-        report.faults.sheds += outcome.shed.len() as u64;
         report.reassignments += outcome.recalls.len() as u64;
     }
 
@@ -547,7 +544,7 @@ mod tests {
         assert_eq!(a.met_deadline, b.met_deadline);
         assert_eq!(a.reassignments, b.reassignments);
         // Every task — including injected burst tasks — ends the run
-        // completed, expired/shed, or stranded in a faulty worker's hands.
+        // completed, expired, or stranded in a faulty worker's hands.
         assert_eq!(
             a.completed + a.expired_unassigned + a.faults.stranded,
             a.received,

@@ -1,5 +1,5 @@
 //! The declarative [`FaultPlan`] and its materialisation into a
-//! [`FaultSchedule`](crate::FaultSchedule).
+//! [`crate::FaultSchedule`].
 
 use std::fmt;
 

@@ -1,11 +1,12 @@
 //! Point→server routing with overload-driven region splitting.
 //!
 //! Each region of the finest grid is assigned to a REACT server. The
-//! router tracks per-region registration counts (workers + open tasks)
-//! and, mirroring the paper's conclusion that *"one possible solution ...
-//! is to split the regions so that each of the servers would contain
-//! sufficient workers and tasks without being overloaded"*, can split a
-//! hot region's cell into four sub-cells served by new servers.
+//! router counts the registrations routed into each region (projected
+//! members: workers and open tasks) and, mirroring the paper's
+//! conclusion that *"one possible solution ... is to split the regions
+//! so that each of the servers would contain sufficient workers and
+//! tasks without being overloaded"*, can split a hot region's cell into
+//! four sub-cells served by new servers.
 
 use crate::coords::GeoPoint;
 use crate::grid::RegionGrid;
@@ -21,7 +22,7 @@ impl std::fmt::Display for ServerId {
     }
 }
 
-/// One routable cell: a bounding box owned by a server, with a live
+/// One routable cell: a bounding box owned by a server, with a
 /// registration count.
 #[derive(Debug, Clone)]
 struct Cell {
@@ -109,49 +110,12 @@ impl RegionRouter {
         Some(server)
     }
 
-    /// Removes one registration for the cell owned by `server` (e.g. a
-    /// worker left the region). Saturates at zero.
-    pub fn deregister(&mut self, server: ServerId) {
-        if let Some(cell) = self
-            .cells
-            .iter_mut()
-            .find(|c| c.children.is_empty() && c.server == server)
-        {
-            cell.load = cell.load.saturating_sub(1);
-        }
-    }
-
-    /// Records one registration against the cell owned by `server`
-    /// directly, without routing a point. The cluster layer uses this
-    /// when a task is handed to a *neighbouring* shard: the task's
-    /// location still lies in the source cell, so routing by point would
-    /// charge the wrong server.
-    pub fn add_load(&mut self, server: ServerId) {
-        if let Some(cell) = self
-            .cells
-            .iter_mut()
-            .find(|c| c.children.is_empty() && c.server == server)
-        {
-            cell.load += 1;
-        }
-    }
-
     /// Current load of a server's cell (0 for unknown servers).
     pub fn load(&self, server: ServerId) -> u64 {
         self.cells
             .iter()
             .find(|c| c.children.is_empty() && c.server == server)
             .map_or(0, |c| c.load)
-    }
-
-    /// Zeroes every cell's load counter. Used after projected-load
-    /// pre-splitting: the cluster layer feeds expected member locations
-    /// through [`RegionRouter::register`] to decide the shard topology,
-    /// then resets the counters so live registrations start from zero.
-    pub fn reset_loads(&mut self) {
-        for cell in &mut self.cells {
-            cell.load = 0;
-        }
     }
 
     /// All leaf servers (= active shards), in cell-creation order. Roots
@@ -278,11 +242,8 @@ mod tests {
         let s = r.register(&p).unwrap();
         r.register(&p).unwrap();
         assert_eq!(r.load(s), 2);
-        r.deregister(s);
-        assert_eq!(r.load(s), 1);
-        r.deregister(s);
-        r.deregister(s); // saturates
-        assert_eq!(r.load(s), 0);
+        assert_eq!(r.load(ServerId(3)), 0);
+        assert_eq!(r.load(ServerId(99)), 0, "unknown server");
     }
 
     #[test]
@@ -430,42 +391,5 @@ mod tests {
         assert!(n.contains(&ServerId(3)));
         assert!(!n.contains(&ServerId(0)), "split parent no longer routes");
         assert!(!n.contains(&children[0]), "corner contact only");
-    }
-
-    #[test]
-    fn live_load_decrements_prevent_stale_splits() {
-        // Regression: load must track *live* membership. A region that
-        // fills up and then drains (tasks complete, workers leave) must
-        // not be split on its historical peak.
-        let mut r = router();
-        let p = GeoPoint::new(0.5, 0.5);
-        let s = r.register(&p).unwrap();
-        for _ in 0..11 {
-            r.register(&p).unwrap();
-        }
-        assert_eq!(r.load(s), 12);
-        // Everything completes/departs before the split check runs.
-        for _ in 0..12 {
-            r.deregister(s);
-        }
-        assert_eq!(r.load(s), 0);
-        assert!(
-            r.split_overloaded().is_empty(),
-            "drained region must not split on stale load"
-        );
-        assert_eq!(r.server_count(), 4);
-    }
-
-    #[test]
-    fn add_load_and_reset_loads() {
-        let mut r = router();
-        r.add_load(ServerId(2));
-        r.add_load(ServerId(2));
-        assert_eq!(r.load(ServerId(2)), 2);
-        r.add_load(ServerId(99)); // unknown: no-op
-        r.reset_loads();
-        for s in r.leaves() {
-            assert_eq!(r.load(s), 0);
-        }
     }
 }

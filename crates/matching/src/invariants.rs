@@ -231,7 +231,8 @@ impl<'g> MatchingValidator<'g> {
         use crate::graph::{TaskIdx, WorkerIdx};
         for w in 0..self.graph.n_workers() {
             if let Some(e) = state.worker_match(WorkerIdx(w as u32)) {
-                if !state.is_selected(self.graph, e) || self.graph.edge(e).worker.0 as usize != w {
+                let edge = self.graph.edge(e);
+                if !state.holds(e, edge) || edge.worker.0 as usize != w {
                     return Err(InvariantViolation::DanglingVertex {
                         vertex: format!("worker {w}"),
                         edge: e.0,
@@ -410,8 +411,10 @@ mod tests {
     fn consistent_state_passes() {
         let g = graph();
         let mut s = MatchingState::new(&g);
-        s.select(&g, g.find_edge(WorkerIdx(0), TaskIdx(2)).unwrap());
-        s.select(&g, g.find_edge(WorkerIdx(1), TaskIdx(0)).unwrap());
+        let e = g.find_edge(WorkerIdx(0), TaskIdx(2)).unwrap();
+        s.insert(e, g.edge(e));
+        let e = g.find_edge(WorkerIdx(1), TaskIdx(0)).unwrap();
+        s.insert(e, g.edge(e));
         assert_eq!(MatchingValidator::new(&g).check_state(&s), Ok(()));
     }
 
@@ -421,7 +424,8 @@ mod tests {
     fn desynchronised_state_caught_from_either_side() {
         let g = graph();
         let mut consistent = MatchingState::new(&g);
-        consistent.select(&g, g.find_edge(WorkerIdx(0), TaskIdx(2)).unwrap());
+        let e = g.find_edge(WorkerIdx(0), TaskIdx(2)).unwrap();
+        consistent.insert(e, g.edge(e));
         let stray = g.find_edge(WorkerIdx(1), TaskIdx(0)).unwrap();
         let validator = MatchingValidator::new(&g);
 

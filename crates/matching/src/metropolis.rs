@@ -72,36 +72,34 @@ impl MetropolisMatcher {
         for _ in 0..self.cycles {
             stats.cycles += 1;
             let e = EdgeId(rng.gen_range(0..n_edges as u32));
-            let weight = graph.edge(e).weight;
-            if state.is_selected(graph, e) {
+            let edge = *graph.edge(e);
+            let weight = edge.weight;
+            if state.holds(e, &edge) {
                 // Δg = −w. Same negligible-weight short-circuit as REACT
                 // (see `ReactMatcher::flip`): a free move is accepted
                 // before any RNG draw, keeping runs bit-identical to the
                 // old exact-zero comparison on real scheduler weights.
                 if is_negligible_weight(weight) || self.accept_worse(-weight, rng) {
-                    state.deselect(graph, e);
+                    state.remove(e, &edge);
                     stats.flips_accepted += 1;
                 } else {
                     stats.flips_rejected += 1;
                 }
                 continue;
             }
-            match state.conflicts(graph, e) {
+            match state.conflicts_of(e, &edge) {
                 (None, None) => {
-                    state.select(graph, e);
+                    state.insert(e, &edge);
                     stats.flips_accepted += 1;
                 }
                 (cw, ct) => {
                     // g(x′) = 0 → Δg = −g(x). No special handling: treat
                     // it as an ordinary downhill move.
                     if self.accept_worse(-state.fitness(), rng) {
-                        if let Some(c) = cw {
-                            state.deselect(graph, c);
+                        for c in [cw, ct].into_iter().flatten() {
+                            state.remove(c, graph.edge(c));
                         }
-                        if let Some(c) = ct {
-                            state.deselect(graph, c);
-                        }
-                        state.select(graph, e);
+                        state.insert(e, &edge);
                         stats.flips_accepted += 1;
                         stats.conflicts_resolved += 1;
                     } else {

@@ -54,13 +54,8 @@ impl MatchingState {
         self.size
     }
 
-    /// True when edge `e` is in the matching: its task is matched by it.
-    #[inline]
-    pub fn is_selected(&self, graph: &BipartiteGraph, e: EdgeId) -> bool {
-        self.holds(e, graph.edge(e))
-    }
-
-    /// [`Self::is_selected`] for an edge already read out of the graph.
+    /// True when edge `e` (read out of the graph as `edge`) is in the
+    /// matching: its task is matched by it.
     #[inline]
     pub(crate) fn holds(&self, e: EdgeId, edge: &Edge) -> bool {
         self.task_match[edge.task.0 as usize] == Some(e)
@@ -78,14 +73,10 @@ impl MatchingState {
         self.task_match[task.0 as usize]
     }
 
-    /// The matched edges that conflict with selecting `e`: the edge (if
-    /// any) occupying `e`'s worker and the edge (if any) occupying `e`'s
-    /// task. Selecting an already-selected edge conflicts with nothing.
-    pub fn conflicts(&self, graph: &BipartiteGraph, e: EdgeId) -> (Option<EdgeId>, Option<EdgeId>) {
-        self.conflicts_of(e, graph.edge(e))
-    }
-
-    /// [`Self::conflicts`] for an edge already read out of the graph.
+    /// The matched edges that conflict with selecting `e` (read out of the
+    /// graph as `edge`): the edge (if any) occupying its worker and the
+    /// edge (if any) occupying its task. Selecting an already-selected
+    /// edge conflicts with nothing.
     #[inline]
     pub(crate) fn conflicts_of(&self, e: EdgeId, edge: &Edge) -> (Option<EdgeId>, Option<EdgeId>) {
         let w = self.worker_match[edge.worker.0 as usize].filter(|&m| m != e);
@@ -93,17 +84,12 @@ impl MatchingState {
         (w, t)
     }
 
-    /// Adds edge `e` to the matching.
+    /// Adds edge `e` (read out of the graph as `edge`) to the matching.
     ///
     /// # Panics
     /// Panics (via `debug_assert`) when either endpoint is occupied (by
     /// `e` itself, if it is already selected) — callers must clear
     /// conflicts first, which keeps this operation `O(1)`.
-    pub fn select(&mut self, graph: &BipartiteGraph, e: EdgeId) {
-        self.insert(e, graph.edge(e));
-    }
-
-    /// [`Self::select`] for an edge already read out of the graph.
     #[inline]
     pub(crate) fn insert(&mut self, e: EdgeId, edge: &Edge) {
         debug_assert!(
@@ -120,15 +106,11 @@ impl MatchingState {
         self.size += 1;
     }
 
-    /// Removes edge `e` from the matching.
+    /// Removes edge `e` (read out of the graph as `edge`) from the
+    /// matching.
     ///
     /// # Panics
     /// `debug_assert`s that `e` is currently selected.
-    pub fn deselect(&mut self, graph: &BipartiteGraph, e: EdgeId) {
-        self.remove(e, graph.edge(e));
-    }
-
-    /// [`Self::deselect`] for an edge already read out of the graph.
     #[inline]
     pub(crate) fn remove(&mut self, e: EdgeId, edge: &Edge) {
         debug_assert!(
@@ -234,15 +216,15 @@ mod tests {
         let g = diamond();
         let mut s = MatchingState::new(&g);
         let e = g.find_edge(WorkerIdx(0), TaskIdx(0)).unwrap();
-        s.select(&g, e);
-        assert!(s.is_selected(&g, e));
+        s.insert(e, g.edge(e));
+        assert!(s.holds(e, g.edge(e)));
         assert_eq!(s.size(), 1);
         assert!((s.fitness() - 0.9).abs() < 1e-12);
         assert_eq!(s.worker_match(WorkerIdx(0)), Some(e));
         assert_eq!(s.task_match(TaskIdx(0)), Some(e));
         s.verify(&g);
-        s.deselect(&g, e);
-        assert!(!s.is_selected(&g, e));
+        s.remove(e, g.edge(e));
+        assert!(!s.holds(e, g.edge(e)));
         assert_eq!(s.size(), 0);
         assert!(s.fitness().abs() < 1e-12);
         s.verify(&g);
@@ -256,23 +238,25 @@ mod tests {
         let e01 = g.find_edge(WorkerIdx(0), TaskIdx(1)).unwrap();
         let e10 = g.find_edge(WorkerIdx(1), TaskIdx(0)).unwrap();
         let e11 = g.find_edge(WorkerIdx(1), TaskIdx(1)).unwrap();
-        s.select(&g, e00);
+        s.insert(e00, g.edge(e00));
         // e01 shares worker 0.
-        assert_eq!(s.conflicts(&g, e01), (Some(e00), None));
+        assert_eq!(s.conflicts_of(e01, g.edge(e01)), (Some(e00), None));
         // e10 shares task 0.
-        assert_eq!(s.conflicts(&g, e10), (None, Some(e00)));
+        assert_eq!(s.conflicts_of(e10, g.edge(e10)), (None, Some(e00)));
         // e11 shares nothing.
-        assert_eq!(s.conflicts(&g, e11), (None, None));
+        assert_eq!(s.conflicts_of(e11, g.edge(e11)), (None, None));
         // A selected edge does not conflict with itself.
-        assert_eq!(s.conflicts(&g, e00), (None, None));
+        assert_eq!(s.conflicts_of(e00, g.edge(e00)), (None, None));
     }
 
     #[test]
     fn full_matching_fitness() {
         let g = diamond();
         let mut s = MatchingState::new(&g);
-        s.select(&g, g.find_edge(WorkerIdx(0), TaskIdx(0)).unwrap());
-        s.select(&g, g.find_edge(WorkerIdx(1), TaskIdx(1)).unwrap());
+        let e = g.find_edge(WorkerIdx(0), TaskIdx(0)).unwrap();
+        s.insert(e, g.edge(e));
+        let e = g.find_edge(WorkerIdx(1), TaskIdx(1)).unwrap();
+        s.insert(e, g.edge(e));
         assert_eq!(s.size(), 2);
         assert!((s.fitness() - 1.7).abs() < 1e-12);
         assert_eq!(s.selected_edges().len(), 2);
@@ -285,8 +269,10 @@ mod tests {
     fn select_conflicting_edge_panics() {
         let g = diamond();
         let mut s = MatchingState::new(&g);
-        s.select(&g, g.find_edge(WorkerIdx(0), TaskIdx(0)).unwrap());
-        s.select(&g, g.find_edge(WorkerIdx(0), TaskIdx(1)).unwrap());
+        let e = g.find_edge(WorkerIdx(0), TaskIdx(0)).unwrap();
+        s.insert(e, g.edge(e));
+        let e = g.find_edge(WorkerIdx(0), TaskIdx(1)).unwrap();
+        s.insert(e, g.edge(e));
     }
 
     #[test]
@@ -300,14 +286,14 @@ mod tests {
         let e3 = g.add_edge(WorkerIdx(1), TaskIdx(0), 0.7).unwrap();
         let mut s = MatchingState::new(&g);
         for e in [e3, e1, e0] {
-            s.select(&g, e);
+            s.insert(e, g.edge(e));
         }
         assert_eq!(s.selected_edges(), vec![e0, e1, e3]);
-        assert!(!s.is_selected(&g, e2), "its task is matched by e1");
+        assert!(!s.holds(e2, g.edge(e2)), "its task is matched by e1");
         s.verify(&g);
-        s.deselect(&g, e1);
-        s.deselect(&g, e3);
-        s.select(&g, e2);
+        s.remove(e1, g.edge(e1));
+        s.remove(e3, g.edge(e3));
+        s.insert(e2, g.edge(e2));
         assert_eq!(s.selected_edges(), vec![e0, e2]);
         s.verify(&g);
     }
@@ -319,7 +305,8 @@ mod tests {
     fn verify_catches_a_worker_entry_without_its_task_twin() {
         let g = diamond();
         let mut s = MatchingState::new(&g);
-        s.select(&g, g.find_edge(WorkerIdx(0), TaskIdx(0)).unwrap());
+        let e = g.find_edge(WorkerIdx(0), TaskIdx(0)).unwrap();
+        s.insert(e, g.edge(e));
         s.desync_worker(WorkerIdx(1), g.find_edge(WorkerIdx(1), TaskIdx(1)));
         s.verify(&g);
     }
@@ -329,7 +316,8 @@ mod tests {
     fn verify_catches_a_task_entry_without_its_worker_twin() {
         let g = diamond();
         let mut s = MatchingState::new(&g);
-        s.select(&g, g.find_edge(WorkerIdx(0), TaskIdx(0)).unwrap());
+        let e = g.find_edge(WorkerIdx(0), TaskIdx(0)).unwrap();
+        s.insert(e, g.edge(e));
         s.desync_task(TaskIdx(1), g.find_edge(WorkerIdx(1), TaskIdx(1)));
         s.verify(&g);
     }
@@ -338,7 +326,8 @@ mod tests {
     fn verify_recomputes_fitness() {
         let g = diamond();
         let mut s = MatchingState::new(&g);
-        s.select(&g, g.find_edge(WorkerIdx(1), TaskIdx(0)).unwrap());
+        let e = g.find_edge(WorkerIdx(1), TaskIdx(0)).unwrap();
+        s.insert(e, g.edge(e));
         let f = s.verify(&g);
         assert!((f - 0.4).abs() < 1e-12);
     }

@@ -4,7 +4,7 @@
 //! duplicated table- and CSV-row builders. [`KpiRow`] / [`KpiReport`]
 //! replace that: a row is an ordered list of named cells (labels and
 //! numeric KPIs), a report is an ordered list of rows plus optional
-//! [`Provenance`](crate::Provenance). One report renders to a terminal
+//! [`crate::Provenance`]. One report renders to a terminal
 //! table, RFC-4180 CSV rows, and JSON-lines — the formats the old code
 //! hand-built per suite.
 //!

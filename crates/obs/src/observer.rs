@@ -97,8 +97,8 @@ pub enum CounterKind {
     /// Workers marked suspect after repeated progress timeouts (their
     /// profile weight is decayed).
     WorkersSuspected,
-    /// Queued tasks shed (lowest value first) because the live worker
-    /// pool collapsed below the configured floor.
+    /// Tasks shed anywhere in the run: today only a cluster shard's
+    /// admission cap sheds, so this equals [`CounterKind::ShardAdmissionShed`].
     TasksShed,
     /// Injected worker dropouts (fault plan).
     FaultDropouts,

@@ -50,7 +50,7 @@ pub use server::{DoorStats, Inbox, IngestTask, Shared, TaskStatus};
 /// Configuration of the ingest front-end + scheduler + worker fleet.
 #[derive(Debug, Clone)]
 pub struct IngestConfig {
-    /// Number of crowd workers in the scheduler's [`Crowd`] (they cost
+    /// Number of crowd workers in the scheduler's [`react_crowd::Crowd`] (they cost
     /// memory, not threads).
     pub n_workers: usize,
     /// Crowd behaviour parameters.
@@ -136,7 +136,8 @@ pub struct IngestReport {
     /// Tasks that expired waiting in the queue, and those still queued
     /// when the run ended.
     pub expired: u64,
-    /// Tasks the middleware shed from its queue (pool collapse).
+    /// Always 0: the middleware never sheds its queue. Kept while the
+    /// benchmark harness's conservation check reads it (ROADMAP item 3).
     pub shed_server: u64,
     /// Recalls issued (Eq. (2) + timeout ladder).
     pub recalls: u64,
@@ -449,7 +450,7 @@ fn scheduler_thread(
 struct Books<'a> {
     report: IngestReport,
     /// Door-accept instant of each task not yet assigned once; an entry
-    /// is dropped when its task is first assigned, expires or is shed, so
+    /// is dropped when its task is first assigned or expires, so
     /// the map does not grow with the run.
     accepted_at: HashMap<TaskId, f64>,
     shared: &'a Shared,
@@ -468,11 +469,6 @@ impl Ledger for Books<'_> {
             self.report.expired += 1;
             self.accepted_at.remove(task);
             self.shared.set_status(task.0, TaskStatus::Expired);
-        }
-        for task in &outcome.shed {
-            self.report.shed_server += 1;
-            self.accepted_at.remove(task);
-            self.shared.set_status(task.0, TaskStatus::Shed);
         }
         for recall in &outcome.recalls {
             self.report.recalls += 1;

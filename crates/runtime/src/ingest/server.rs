@@ -55,8 +55,6 @@ pub enum TaskStatus {
     },
     /// The deadline passed before a result.
     Expired,
-    /// Dropped by the scheduler's graceful-degradation ladder.
-    Shed,
 }
 
 impl TaskStatus {
@@ -67,7 +65,6 @@ impl TaskStatus {
             TaskStatus::Assigned => "assigned",
             TaskStatus::Completed { .. } => "completed",
             TaskStatus::Expired => "expired",
-            TaskStatus::Shed => "shed",
         }
     }
 }

@@ -6,7 +6,9 @@
 //! 1. **conservation** — no task is lost or duplicated across handoffs,
 //!    rebalances, admission sheds and faults: completed + expired +
 //!    admission-shed + stranded == received, handoffs-out == handoffs-in,
-//!    and the worker population is conserved across rebalances;
+//!    and the worker population is conserved across rebalances, under
+//!    every matcher (Traditional included: its available workers may
+//!    still hold queued tasks, which a rebalance must not move);
 //! 2. **determinism** — the same scenario run twice produces
 //!    bit-identical reports under any policy/fault combination;
 //! 3. **auditability** — every shard's lifecycle log stays well-formed
@@ -19,7 +21,8 @@
 //!
 //! Two plain tests hold the rest of the single-tier contract: a finer
 //! grid never raises the heaviest shard's matching load, and an attached
-//! observer sees `shard.tick` spans without perturbing the report.
+//! observer sees `shard.tick` spans without perturbing the report. A
+//! third runs one fixed Traditional case through the coupled policy.
 
 #[path = "common/chaos.rs"]
 mod chaos;
@@ -56,6 +59,18 @@ fn arb_policy() -> impl Strategy<Value = ClusterPolicy> {
         })
 }
 
+/// The matcher every case but the matcher-sweeping ones runs.
+const REACT: MatcherPolicy = MatcherPolicy::React { cycles: 100 };
+
+/// Strategy: any of the matchers a cluster shard can run.
+fn arb_matcher() -> impl Strategy<Value = MatcherPolicy> {
+    prop_oneof![
+        Just(REACT),
+        Just(MatcherPolicy::Greedy),
+        Just(MatcherPolicy::Traditional),
+    ]
+}
+
 /// Strategy: an optional dropout-heavy fault plan (the fault kind that
 /// exercises handoff hardest — pools collapse and queues must move).
 fn arb_faults() -> impl Strategy<Value = Option<FaultPlan>> {
@@ -72,13 +87,14 @@ fn arb_faults() -> impl Strategy<Value = Option<FaultPlan>> {
 }
 
 fn scenario(
+    matcher: MatcherPolicy,
     seed: u64,
     rows: u32,
     cols: u32,
     policy: ClusterPolicy,
     faults: Option<FaultPlan>,
 ) -> ClusterScenario {
-    let mut global = Scenario::smoke(MatcherPolicy::React { cycles: 100 }, seed);
+    let mut global = Scenario::smoke(matcher, seed);
     global.n_workers = 40;
     global.arrival_rate = 4.0;
     global.total_tasks = 120;
@@ -96,16 +112,19 @@ fn scenario(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// Invariant 1: conservation under arbitrary policies and faults.
+    /// Invariant 1: conservation under arbitrary matchers, policies and
+    /// faults.
     #[test]
     fn no_task_is_lost_or_duplicated(
+        matcher in arb_matcher(),
         seed in 0u64..1_000,
         rows in 1u32..3,
         cols in 1u32..3,
         policy in arb_policy(),
         faults in arb_faults(),
     ) {
-        let r = ClusterRunner::new(scenario(seed, rows, cols, policy, faults)).run();
+        let sc = scenario(matcher, seed, rows, cols, policy, faults);
+        let r = ClusterRunner::new(sc).run();
         prop_assert_eq!(r.received, 120);
         prop_assert_eq!(r.unroutable, 0);
         prop_assert!(r.conserved(), "conservation violated: {:?}", r);
@@ -123,10 +142,10 @@ proptest! {
         policy in arb_policy(),
         faults in arb_faults(),
     ) {
-        let runner = ClusterRunner::new(scenario(seed, 2, 2, policy, faults));
+        let runner = ClusterRunner::new(scenario(REACT, seed, 2, 2, policy, faults));
         let first = runner.run();
         let second = runner.run();
-        prop_assert!(first.identical(&second), "rerun divergence");
+        prop_assert_eq!(first, second, "rerun divergence");
     }
 
     /// Invariant 3: every shard's audit log verifies, and handoff
@@ -134,11 +153,12 @@ proptest! {
     /// fresh Submitted on some shard).
     #[test]
     fn audit_lifecycles_stay_well_formed_across_handoffs(
+        matcher in arb_matcher(),
         seed in 0u64..1_000,
         policy in arb_policy(),
         faults in arb_faults(),
     ) {
-        let r = ClusterRunner::new(scenario(seed, 2, 2, policy, faults)).run();
+        let r = ClusterRunner::new(scenario(matcher, seed, 2, 2, policy, faults)).run();
         let mut handed_off = 0u64;
         for shard in &r.shards {
             let log = shard.audit.as_ref().expect("audit enabled");
@@ -166,7 +186,7 @@ proptest! {
         cols in 1u32..4,
         plan in chaos::arb_plan(),
     ) {
-        let sc = scenario(seed, rows, cols, ClusterPolicy::single_tier(), Some(plan));
+        let sc = scenario(REACT, seed, rows, cols, ClusterPolicy::single_tier(), Some(plan));
         let r = ClusterRunner::new(sc).run();
         prop_assert_eq!(r.received, 120 + r.burst_tasks);
         prop_assert_eq!(r.handoffs(), 0);
@@ -190,7 +210,15 @@ proptest! {
 #[test]
 fn a_finer_grid_never_raises_the_max_shard_matching_load() {
     let run = |rows, cols| {
-        ClusterRunner::new(scenario(3, rows, cols, ClusterPolicy::single_tier(), None)).run()
+        ClusterRunner::new(scenario(
+            REACT,
+            3,
+            rows,
+            cols,
+            ClusterPolicy::single_tier(),
+            None,
+        ))
+        .run()
     };
     let (coarse, fine) = (run(1, 1), run(2, 2));
     assert!(coarse.max_matching_seconds() > 0.0, "the 1x1 grid matched");
@@ -207,14 +235,14 @@ fn a_finer_grid_never_raises_the_max_shard_matching_load() {
 /// shard under `shard.tick`, and the shard servers report to the same sink.
 #[test]
 fn an_observer_counts_shard_ticks_and_leaves_the_report_identical() {
-    let sc = || scenario(5, 2, 2, ClusterPolicy::single_tier(), None);
+    let sc = || scenario(REACT, 5, 2, 2, ClusterPolicy::single_tier(), None);
     let baseline = ClusterRunner::new(sc()).run();
     let recording = RecordingObserver::new();
     let observed = ClusterRunner::new(sc())
         .with_observer(Arc::new(recording.clone()))
         .run();
-    assert!(
-        baseline.identical(&observed),
+    assert_eq!(
+        baseline, observed,
         "attaching a recording observer must not perturb any result"
     );
     let span = recording
@@ -229,4 +257,32 @@ fn an_observer_counts_shard_ticks_and_leaves_the_report_identical() {
         recording.counter(CounterKind::MatcherCycles) > 0,
         "shard servers must forward matcher counters to the shared sink"
     );
+}
+
+/// Under Traditional a worker is available again after each completion
+/// while it may still hold queued tasks. The coupled policy's rebalance
+/// pass moves only workers holding none, so every completion reaches the
+/// shard that assigned the task and the run conserves and audits clean.
+#[test]
+fn a_coupled_traditional_run_rebalances_only_workers_holding_nothing() {
+    let mut global = Scenario::smoke(MatcherPolicy::Traditional, 0);
+    global.n_workers = 60;
+    global.arrival_rate = 4.0;
+    global.total_tasks = 240;
+    global.config.audit = true;
+    let r = ClusterRunner::new(ClusterScenario {
+        global,
+        rows: 2,
+        cols: 2,
+        policy: ClusterPolicy::coupled(),
+    })
+    .run();
+    assert!(r.conserved(), "conservation violated: {r:?}");
+    assert!(
+        r.workers_rebalanced > 0,
+        "the pass still moves idle workers"
+    );
+    for s in &r.shards {
+        verify_lifecycles(s.audit.as_ref().expect("audit enabled"));
+    }
 }

@@ -157,14 +157,9 @@ impl Middleware {
                 });
             }
         }
-        for (i, &slot) in retire.iter().enumerate() {
+        for &slot in retire {
             if self.slots[slot as usize].1.is_none() {
-                let gone = if i % 2 == 0 {
-                    &mut outcome.expired
-                } else {
-                    &mut outcome.shed
-                };
-                gone.push(self.id(slot));
+                outcome.expired.push(self.id(slot));
                 self.slots[slot as usize].0 += 1;
             }
         }

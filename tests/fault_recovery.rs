@@ -27,7 +27,6 @@ fn kinds(events: &[react::core::TaskEvent]) -> Vec<&'static str> {
             TaskEventKind::Recalled { .. } => "recalled",
             TaskEventKind::Completed { .. } => "completed",
             TaskEventKind::Expired => "expired",
-            TaskEventKind::Shed => "shed",
             TaskEventKind::HandedOff => "handed_off",
         })
         .collect()

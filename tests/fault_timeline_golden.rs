@@ -70,7 +70,6 @@ fn a_chaos_scenario_run_keeps_its_exact_outcome() {
                 duplicates_rejected: 2,
                 burst_tasks: 24,
                 timeout_recalls: 60,
-                sheds: 0,
                 stranded: 0,
             },
         }
@@ -156,5 +155,17 @@ fn a_coupled_cluster_run_under_dropouts_and_bursts_keeps_its_exact_outcome() {
     assert_eq!(
         (r.sim_duration.to_bits(), fold(exec_times)),
         (4642683450237648896, 7854558597514456597)
+    );
+    // The cluster's own decisions: (handoffs, admission_shed,
+    // workers_rebalanced, workers_final per shard)
+    let workers_final: Vec<usize> = r.shards.iter().map(|s| s.workers_final).collect();
+    assert_eq!(
+        (
+            r.handoffs(),
+            r.admission_shed(),
+            r.workers_rebalanced,
+            workers_final
+        ),
+        (0, 0, 51, vec![19, 11, 12, 18])
     );
 }

@@ -1,7 +1,7 @@
 //! Incremental-build identity: the hot-path [`BatchScratch`] must
 //! produce graphs bit-identical to a cold [`SchedulingComponent`] build
 //! after *any* interleaving of profile mutations, queue traffic (submit,
-//! assign from anywhere in the queue, requeue, expire, shed, hand off)
+//! assign from anywhere in the queue, requeue, expire, hand off)
 //! and worker dropouts, however many of them pass between two of its
 //! builds and whichever component it is handed — the property the row
 //! table and the change feed that refreshes it, the memoized deadline
@@ -85,8 +85,6 @@ enum Op {
     /// The expiry sweep: every overdue queued task leaves, wherever it
     /// sits.
     Expire,
-    /// Load shedding down to `keep` queued tasks, cheapest first.
-    Shed { keep: usize },
     /// A cross-shard handoff of up to `max` of the oldest queued tasks,
     /// received back by the same queue the way `Cluster::pass_handoff`
     /// delivers them: resubmitted now, the deadline re-based.
@@ -147,7 +145,6 @@ fn arb_queue_op() -> impl Strategy<Value = Op> {
             requeue
         }),
         Just(Op::Expire),
-        (0usize..12).prop_map(|keep| Op::Shed { keep }),
         (0usize..6).prop_map(|max| Op::Handoff { max }),
         (0.5f64..15.0).prop_map(|dt| Op::AdvanceTime { dt }),
     ]
@@ -259,9 +256,6 @@ fn apply(op: &Op, p: &mut ProfilingComponent, tm: &mut TaskManagementComponent, 
         }
         Op::Expire => {
             tm.expire_overdue_unassigned(*now, &mut Vec::new());
-        }
-        Op::Shed { keep } => {
-            tm.shed_lowest_value(keep, &mut Vec::new());
         }
         Op::Handoff { max } => {
             // Each evicted task rejoins at the back, behind the ones that

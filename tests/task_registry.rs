@@ -45,7 +45,6 @@ enum Op {
     Unassign(Pick),
     Complete { pick: Pick, right_worker: bool },
     Expire,
-    Shed(usize),
     TakeOldest,
     Prune(f64),
 }
@@ -67,8 +66,7 @@ fn arb_pick() -> impl Strategy<Value = Pick> {
 }
 
 fn arb_op() -> impl Strategy<Value = Op> {
-    // Few distinct deadlines and rewards, so expiries land exactly on a
-    // tick and shedding breaks reward ties by id.
+    // Few distinct deadlines, so expiries land exactly on a tick.
     let deadline = (0usize..4).prop_map(|i| [2.0, 5.0, 12.5, 40.0][i]);
     let reward = (0usize..3).prop_map(|i| [0.01, 0.05, 0.2][i]);
     prop_oneof![
@@ -89,7 +87,6 @@ fn arb_op() -> impl Strategy<Value = Op> {
         (arb_pick(), any::<bool>())
             .prop_map(|(pick, right_worker)| Op::Complete { pick, right_worker }),
         Just(Op::Expire),
-        (0usize..6).prop_map(Op::Shed),
         Just(Op::TakeOldest),
         (0usize..3).prop_map(|i| Op::Prune([0.0, 3.0, 30.0][i])),
     ]
@@ -221,20 +218,6 @@ impl Model {
         overdue
     }
 
-    fn shed(&mut self, keep: usize) -> Vec<TaskId> {
-        if self.queue.len() <= keep {
-            return Vec::new();
-        }
-        let mut order = self.queue.clone();
-        order.sort_by(|a, b| {
-            let by_reward = self.tasks[a].reward.total_cmp(&self.tasks[b].reward);
-            by_reward.then(a.cmp(b))
-        });
-        order.truncate(self.queue.len() - keep);
-        self.retire(&order);
-        order
-    }
-
     fn take_oldest(&mut self) -> Option<(TaskId, Ref)> {
         if self.queue.is_empty() {
             return None;
@@ -333,11 +316,6 @@ proptest! {
                     let mut out = vec![TaskId(u64::MAX)];
                     tm.expire_overdue_unassigned(now, &mut out);
                     prop_assert_eq!(&out[1..], &model.expire(now)[..], "expiry at {}", now);
-                }
-                Op::Shed(keep) => {
-                    let mut out = Vec::new();
-                    tm.shed_lowest_value(keep, &mut out);
-                    prop_assert_eq!(out, model.shed(keep));
                 }
                 Op::TakeOldest => {
                     let taken = tm.take_oldest_unassigned();
