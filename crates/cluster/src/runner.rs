@@ -25,7 +25,7 @@
 
 use crate::cluster::Cluster;
 use crate::policy::ClusterPolicy;
-use react_core::{AuditLog, CompletionOutcome, IdMap, Task, TaskId, TickOutcome, WorkerId};
+use react_core::{AuditLog, CompletionOutcome, Task, TaskId, TickOutcome, WorkerId};
 use react_crowd::{generate_population, Arrivals, Crowd, Delivery, Lap, Ledger, Scenario};
 use react_geo::{GeoPoint, RegionGrid, ServerId};
 use react_obs::{null_observer, ObserverHandle};
@@ -79,9 +79,6 @@ pub struct ShardReport {
     pub workers_final: usize,
     /// Final-worker execution time per completed task.
     pub exec_times: Vec<f64>,
-    /// First-submission→completion time per completed task (measured
-    /// from the task's *original* submission, across handoffs).
-    pub total_times: Vec<f64>,
     /// The shard's audit log, when `config.audit` was enabled.
     pub audit: Option<AuditLog>,
 }
@@ -304,10 +301,6 @@ struct Books {
     received: u64,
     burst_tasks: u64,
     duplicates_rejected: u64,
-    /// First-submission instant of each accepted task not yet completed
-    /// or expired (`total_times` span handoffs). Never iterated; an
-    /// [`IdMap`], so the run allocates alike on every replay.
-    first_submitted: IdMap<TaskId, f64>,
 }
 
 impl Ledger<usize> for Books {
@@ -315,20 +308,16 @@ impl Ledger<usize> for Books {
         let report = &mut self.shards[shard];
         report.expired_unassigned += outcome.expired.len() as u64;
         report.reassignments += outcome.recalls.len() as u64;
-        for task in &outcome.expired {
-            self.first_submitted.remove(task);
-        }
     }
 
-    fn arrived(&mut self, shard: Option<usize>, task: TaskId, at: f64) {
+    fn arrived(&mut self, shard: Option<usize>, _task: TaskId, _at: f64) {
         self.received += 1;
         if let Some(i) = shard {
             self.shards[i].received += 1;
-            self.first_submitted.entry(task).or_insert(at);
         }
     }
 
-    fn completed(&mut self, shard: usize, done: &Delivery, outcome: &CompletionOutcome) {
+    fn completed(&mut self, shard: usize, _done: &Delivery, outcome: &CompletionOutcome) {
         let report = &mut self.shards[shard];
         report.completed += 1;
         if outcome.met_deadline {
@@ -338,8 +327,6 @@ impl Ledger<usize> for Books {
             report.positive_feedback += 1;
         }
         report.exec_times.push(outcome.exec_time);
-        let t0 = self.first_submitted.remove(&done.task).unwrap_or(done.at);
-        report.total_times.push(done.at - t0);
     }
 
     fn duplicated(&mut self, rejected: bool) {

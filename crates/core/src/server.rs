@@ -83,9 +83,8 @@ pub struct CompletionOutcome {
     pub submitted_at: f64,
 }
 
-/// Fluent constructor for [`ReactServer`], consolidating what used to be
-/// the `ReactServer::new(..).with_audit().with_cost_model(..)` chain and
-/// adding observer wiring.
+/// Fluent constructor for [`ReactServer`]: the configuration, the
+/// matcher seed and the observer.
 ///
 /// ```
 /// use react_core::prelude::*;
@@ -100,19 +99,16 @@ pub struct CompletionOutcome {
 pub struct ServerBuilder {
     config: Config,
     seed: u64,
-    cost_model: CostModel,
     observer: ObserverHandle,
 }
 
 impl ServerBuilder {
-    /// Starts a builder for `config`. Defaults: seed 0, the
-    /// paper-calibrated cost model, audit as configured in
-    /// `config.audit`, and the null observer.
+    /// Starts a builder for `config`. Defaults: seed 0, audit as
+    /// configured in `config.audit`, and the null observer.
     pub fn new(config: Config) -> Self {
         ServerBuilder {
             config,
             seed: 0,
-            cost_model: CostModel::paper_calibrated(),
             observer: null_observer(),
         }
     }
@@ -120,13 +116,6 @@ impl ServerBuilder {
     /// RNG seed for the randomized matchers (equal seeds ⇒ equal runs).
     pub fn seed(mut self, seed: u64) -> Self {
         self.seed = seed;
-        self
-    }
-
-    /// Replaces the scheduler cost model (e.g. [`CostModel::free`] for
-    /// quality-only experiments).
-    pub fn cost_model(mut self, cost_model: CostModel) -> Self {
-        self.cost_model = cost_model;
         self
     }
 
@@ -142,12 +131,7 @@ impl ServerBuilder {
     /// Validates the configuration and assembles the server.
     pub fn build(self) -> Result<ReactServer, CoreError> {
         self.config.validate()?;
-        Ok(ReactServer::assemble(
-            self.config,
-            self.seed,
-            self.cost_model,
-            self.observer,
-        ))
+        Ok(ReactServer::assemble(self.config, self.seed, self.observer))
     }
 }
 
@@ -169,7 +153,6 @@ pub struct ReactServer {
     config: Config,
     profiling: ProfilingComponent,
     tasks: TaskManagementComponent,
-    cost_model: CostModel,
     /// The matcher engine, built once from the policy and reused across
     /// batches (rebuilt only when an adaptive cycle budget moves).
     engine: MatcherEngine,
@@ -202,12 +185,7 @@ impl ReactServer {
     /// The infallible assembly all construction paths share. Private:
     /// public construction goes through [`ServerBuilder::build`], which
     /// validates first.
-    fn assemble(
-        config: Config,
-        seed: u64,
-        cost_model: CostModel,
-        observer: ObserverHandle,
-    ) -> Self {
+    fn assemble(config: Config, seed: u64, observer: ObserverHandle) -> Self {
         let estimator = config.estimator;
         let audit = config.audit.then(AuditLog::new);
         let engine = MatcherEngine::new(config.matcher).with_observer(observer.clone());
@@ -215,7 +193,6 @@ impl ReactServer {
             config,
             profiling: ProfilingComponent::new(estimator),
             tasks: TaskManagementComponent::new(),
-            cost_model,
             engine,
             rng: SmallRng::seed_from_u64(seed),
             busy_until: 0.0,
@@ -587,8 +564,7 @@ impl ReactServer {
     /// and move its assignments into the outcome.
     fn stage_commit(&mut self, now: f64, batch: BatchResult) {
         let seconds = if self.config.charge_matching_time {
-            self.cost_model
-                .seconds_for(batch.matcher_name, batch.region_cost_units)
+            CostModel::paper_calibrated().seconds_for(batch.matcher_name, batch.region_cost_units)
         } else {
             0.0
         };
@@ -687,7 +663,6 @@ mod tests {
     use super::*;
     use crate::config::{BatchTrigger, MatcherPolicy};
     use crate::ids::TaskCategory;
-    use react_matching::CostModel;
 
     fn here() -> GeoPoint {
         GeoPoint::new(37.98, 23.72)
@@ -705,11 +680,8 @@ mod tests {
             min_unassigned: 1,
             period: None,
         };
-        ReactServer::builder(config)
-            .seed(7)
-            .cost_model(CostModel::free())
-            .build()
-            .unwrap()
+        config.charge_matching_time = false;
+        ReactServer::builder(config).seed(7).build().unwrap()
     }
 
     #[test]
@@ -867,11 +839,8 @@ mod tests {
         };
         config.recovery = RecoveryConfig::aggressive(10.0);
         config.audit = true;
-        let mut s = ReactServer::builder(config)
-            .seed(7)
-            .cost_model(CostModel::free())
-            .build()
-            .unwrap();
+        config.charge_matching_time = false;
+        let mut s = ReactServer::builder(config).seed(7).build().unwrap();
         s.register_worker(WorkerId(1), here());
         s.submit_task(task(1, 600.0), 0.0);
         assert_eq!(s.tick(0.0).assignments.len(), 1);
@@ -980,11 +949,8 @@ mod tests {
             min_unassigned: 1,
             period: None,
         };
-        let mut s = ReactServer::builder(config)
-            .seed(5)
-            .cost_model(CostModel::free())
-            .build()
-            .unwrap();
+        config.charge_matching_time = false;
+        let mut s = ReactServer::builder(config).seed(5).build().unwrap();
         for w in 0..4 {
             s.register_worker(WorkerId(w), here());
         }
@@ -1068,9 +1034,9 @@ mod tests {
             min_unassigned: 1,
             period: None,
         };
+        config.charge_matching_time = false;
         let mut s = ReactServer::builder(config)
             .seed(7)
-            .cost_model(CostModel::free())
             .observer(Arc::new(rec.clone()))
             .build()
             .unwrap();

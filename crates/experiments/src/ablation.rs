@@ -35,8 +35,8 @@ use rand::{Rng, SeedableRng};
 use react_core::{BatchTrigger, LatencyModelKind, MatcherPolicy, WeightFunction};
 use react_crowd::{Scenario, ScenarioRunner};
 use react_matching::{
-    BipartiteGraph, CostModel, GreedyMatcher, HungarianMatcher, Matcher, MetropolisMatcher,
-    ReactMatcher,
+    BipartiteGraph, CostModel, GreedyMatcher, HungarianMatcher, Matcher, MatcherEngine,
+    MetropolisMatcher, ReactMatcher,
 };
 use react_metrics::{KpiReport, KpiRow};
 use std::time::Instant;
@@ -262,9 +262,8 @@ pub fn adaptive_cycles_rows(params: &AblationParams) -> Vec<KpiRow> {
             ));
         }
         for (label, policy) in variants {
-            let m = policy
-                .build(graph.n_edges())
-                .assign(&graph, &mut SmallRng::seed_from_u64(params.seed));
+            let mut engine = MatcherEngine::new(policy);
+            let m = engine.assign(&graph, &mut SmallRng::seed_from_u64(params.seed));
             rows.push(
                 KpiRow::new()
                     .label("variant", &label)

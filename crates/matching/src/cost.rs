@@ -18,62 +18,37 @@
 //! | `greedy` | `V·E` | 9.97 × 10⁻⁸ s | 99.7 s @ V=1000, E=10⁶ |
 //! | `traditional` | `V` | 10⁻⁴ s | negligible — portal lookup per task |
 //! | `hungarian` | `n³` | 10⁻⁷ s | dominates every heuristic, per the paper's "inappropriate for dynamic systems" |
+//! | any other name | — | 10⁻⁷ s | fallback |
 //!
-//! The experiment harness can also bypass the model and use measured Rust
-//! wall-clock time; both series are reported in `EXPERIMENTS.md`.
-
-use std::collections::BTreeMap;
+//! The model is a pure function of a matcher's name and cost units, with
+//! nothing to configure. A server charges it unless
+//! `Config::charge_matching_time` is off, which makes matching
+//! instantaneous (quality-only experiments). The experiment harness also
+//! reports measured Rust wall-clock time; both series are in
+//! `EXPERIMENTS.md`.
 
 /// Per-algorithm coefficients mapping cost units to simulated seconds.
-#[derive(Debug, Clone)]
-pub struct CostModel {
-    coefficients: BTreeMap<&'static str, f64>,
-    default_coefficient: f64,
-}
-
-impl Default for CostModel {
-    fn default() -> Self {
-        Self::paper_calibrated()
-    }
-}
+#[derive(Debug, Clone, Copy)]
+pub struct CostModel;
 
 impl CostModel {
     /// The model calibrated to the paper's Fig. 3 anchors (see module
     /// docs).
     pub fn paper_calibrated() -> Self {
-        let mut coefficients = BTreeMap::new();
-        coefficients.insert("react", 1.35e-8);
-        coefficients.insert("metropolis", 1.35e-8);
-        coefficients.insert("greedy", 9.97e-8);
-        coefficients.insert("traditional", 1e-4);
-        coefficients.insert("hungarian", 1e-7);
-        CostModel {
-            coefficients,
-            default_coefficient: 1e-7,
-        }
-    }
-
-    /// A model that charges no time at all (for experiments isolating
-    /// matching quality from scheduling latency).
-    pub fn free() -> Self {
-        CostModel {
-            coefficients: BTreeMap::new(),
-            default_coefficient: 0.0,
-        }
-    }
-
-    /// The coefficient used for `name`.
-    pub fn coefficient(&self, name: &str) -> f64 {
-        self.coefficients
-            .get(name)
-            .copied()
-            .unwrap_or(self.default_coefficient)
+        CostModel
     }
 
     /// Simulated seconds charged for a run of matcher `name` that
     /// reported `cost_units`.
     pub fn seconds_for(&self, name: &str, cost_units: f64) -> f64 {
-        self.coefficient(name) * cost_units.max(0.0)
+        let coefficient = match name {
+            "react" | "metropolis" => 1.35e-8,
+            "greedy" => 9.97e-8,
+            "traditional" => 1e-4,
+            "hungarian" => 1e-7,
+            _ => 1e-7,
+        };
+        coefficient * cost_units.max(0.0)
     }
 }
 
@@ -130,13 +105,6 @@ mod tests {
     fn traditional_is_negligible() {
         let m = CostModel::paper_calibrated();
         assert!(m.seconds_for("traditional", 1000.0) < 0.2);
-    }
-
-    #[test]
-    fn free_model_charges_nothing() {
-        let m = CostModel::free();
-        assert_eq!(m.seconds_for("react", 1e12), 0.0);
-        assert_eq!(m.seconds_for("unknown", 1e12), 0.0);
     }
 
     #[test]

@@ -4,9 +4,9 @@
 //! * [`MatcherPolicy`] — the closed set of algorithms the scheduler can
 //!   run per batch, with their parameters. This is the only place the
 //!   set is defined; `react-core` re-exports it for `Config`.
-//! * [`MatcherEngine`] — runs the policy batch after batch in buffers it
-//!   keeps: Algorithm 1's matching state, the selected-edge list and the
-//!   result's pairs, so a warm batch allocates nothing.
+//! * [`MatcherEngine`] — the one way to run a policy: batch after batch
+//!   in buffers it keeps (Algorithm 1's matching state, the selected-edge
+//!   list and the result's pairs), so a warm batch allocates nothing.
 //!
 //! All shipped matchers are stateless (`assign` takes `&self`), so
 //! running in kept buffers is behaviourally identical to a throwaway
@@ -43,8 +43,8 @@ pub enum MatcherPolicy {
 }
 
 impl MatcherPolicy {
-    /// Stable name for reports (matches the built [`Matcher::name`] and
-    /// keys the [`crate::CostModel`] coefficient table).
+    /// Stable name for reports: the [`Matcher::name`] of the algorithm
+    /// it runs, which picks its row of [`crate::CostModel`].
     pub fn name(&self) -> &'static str {
         match self {
             MatcherPolicy::React { .. } | MatcherPolicy::ReactAdaptive { .. } => "react",
@@ -53,11 +53,9 @@ impl MatcherPolicy {
         }
     }
 
-    /// The cycle budget a matcher built for a graph with `n_edges`
-    /// edges runs with, when the policy is cycle-bounded. A built
-    /// matcher stays valid exactly while this value is unchanged —
-    /// which for every policy except [`MatcherPolicy::ReactAdaptive`]
-    /// is forever.
+    /// The cycle budget Algorithm 1 runs with on a graph with `n_edges`
+    /// edges, when the policy is cycle-bounded. It depends on `n_edges`
+    /// only under [`MatcherPolicy::ReactAdaptive`].
     pub fn cycle_budget(&self, n_edges: usize) -> Option<usize> {
         match *self {
             MatcherPolicy::React { cycles } => Some(cycles),
@@ -65,19 +63,6 @@ impl MatcherPolicy {
                 Some(((n_edges as f64 * kappa).ceil() as usize).max(1))
             }
             MatcherPolicy::Greedy | MatcherPolicy::Traditional => None,
-        }
-    }
-
-    /// Instantiates the matcher: Algorithm 1 at the policy's
-    /// [`cycle_budget`](MatcherPolicy::cycle_budget) for the two
-    /// cycle-bounded policies (`n_edges` sizes the adaptive one; the
-    /// others ignore it). Batch loops should prefer a [`MatcherEngine`]
-    /// over per-batch builds.
-    pub fn build(&self, n_edges: usize) -> Box<dyn Matcher> {
-        match (self.cycle_budget(n_edges), self) {
-            (Some(cycles), _) => Box::new(ReactMatcher::with_cycles(cycles)),
-            (None, MatcherPolicy::Traditional) => Box::new(RandomMatcher),
-            (None, _) => Box::new(GreedyMatcher),
         }
     }
 
@@ -181,9 +166,9 @@ impl MatcherEngine {
         }
         match (budget, self.policy) {
             (Some(cycles), _) => {
-                let matcher = ReactMatcher::with_cycles(cycles);
-                let stats = matcher.run_in(graph, &mut self.state, rng);
-                matcher.write_matching(
+                let walk = ReactMatcher::with_cycles(cycles).walk();
+                let stats = walk.run_in(graph, &mut self.state, rng);
+                walk.write_matching(
                     graph,
                     &self.state,
                     stats,
@@ -249,13 +234,6 @@ mod tests {
     ];
 
     #[test]
-    fn built_matchers_carry_the_policy_name() {
-        for policy in ALL_POLICIES {
-            assert_eq!(policy.build(10).name(), policy.name());
-        }
-    }
-
-    #[test]
     fn only_traditional_skips_the_model_and_availability() {
         for policy in ALL_POLICIES {
             let modelled = policy != MatcherPolicy::Traditional;
@@ -303,23 +281,6 @@ mod tests {
         assert_eq!(engine.rebuilds(), 2);
         engine.assign(&g100, &mut rng);
         assert_eq!(engine.rebuilds(), 3);
-    }
-
-    #[test]
-    fn engine_reuse_is_bit_identical_to_rebuilding() {
-        let g =
-            BipartiteGraph::full(6, 6, |u, v| ((u.0 * 7 + v.0 * 3) % 10) as f64 / 10.0).unwrap();
-        for policy in ALL_POLICIES {
-            let mut engine = MatcherEngine::new(policy);
-            let mut rng_a = SmallRng::seed_from_u64(9);
-            let mut rng_b = SmallRng::seed_from_u64(9);
-            for _ in 0..3 {
-                let reused = engine.assign(&g, &mut rng_a);
-                let fresh = policy.build(g.n_edges()).assign(&g, &mut rng_b);
-                assert_eq!(reused.pairs, fresh.pairs, "{}", policy.name());
-                assert_eq!(reused.total_weight, fresh.total_weight);
-            }
-        }
     }
 
     #[test]

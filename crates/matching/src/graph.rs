@@ -121,7 +121,7 @@ struct TaskIndex {
 
 impl TaskIndex {
     /// Stable counting sort of the edge ids by task.
-    fn build(n_tasks: usize, edges: &[Edge]) -> Self {
+    fn new(n_tasks: usize, edges: &[Edge]) -> Self {
         let mut starts = vec![0u32; n_tasks + 1];
         for e in edges {
             starts[e.task.0 as usize + 1] += 1;
@@ -444,7 +444,7 @@ impl BipartiteGraph {
     pub fn task_edges(&self, task: TaskIdx) -> &[EdgeId] {
         let index = self
             .task_index
-            .get_or_init(|| TaskIndex::build(self.n_tasks, &self.edges));
+            .get_or_init(|| TaskIndex::new(self.n_tasks, &self.edges));
         let v = task.0 as usize;
         &index.ids[index.starts[v] as usize..index.starts[v + 1] as usize]
     }

@@ -50,7 +50,6 @@ pub mod greedy;
 pub mod hungarian;
 pub mod invariants;
 pub mod matcher;
-pub mod metropolis;
 pub mod random;
 pub mod react;
 pub mod state;
@@ -62,7 +61,6 @@ pub use greedy::GreedyMatcher;
 pub use hungarian::HungarianMatcher;
 pub use invariants::{InvariantViolation, MatchingValidator};
 pub use matcher::{MatchStats, Matcher, Matching};
-pub use metropolis::MetropolisMatcher;
 pub use random::RandomMatcher;
-pub use react::ReactMatcher;
+pub use react::{MetropolisMatcher, ReactMatcher};
 pub use state::MatchingState;

@@ -95,10 +95,13 @@ impl Matching {
 ///
 /// Implementations must be deterministic given the same graph and RNG
 /// stream, which is what makes the simulation experiments reproducible.
-/// `Send` is a supertrait so a server owning a boxed matcher can be
-/// moved to another thread (the live ingest builds its server on a
-/// scheduler thread; the sweep executor runs whole scenarios on worker
-/// threads); matchers are plain data, so this costs nothing.
+/// A server holds no matcher: it runs its `MatcherPolicy` through a
+/// [`crate::MatcherEngine`], which calls Algorithm 1 in kept buffers and
+/// the Greedy and random baselines through this trait. The figure and
+/// ablation harnesses and the benchmark's probes use the trait to
+/// compare algorithms side by side. `Send` is a supertrait so a boxed
+/// matcher may cross threads; matchers are plain data, so this costs
+/// nothing.
 pub trait Matcher: Send {
     /// Computes a matching over `graph`. Deterministic algorithms ignore
     /// `rng`.

@@ -1,4 +1,6 @@
-//! The REACT Weighted Bipartite Graph Matching algorithm (Algorithm 1).
+//! The REACT Weighted Bipartite Graph Matching algorithm (Algorithm 1)
+//! and the Metropolis baseline (Shih 2008) that differs from it in one
+//! rule.
 //!
 //! A randomized local search over matching states `x ∈ {0,1}^{|E|}`. Each
 //! of the `c` cycles picks one edge uniformly at random and *flips* it:
@@ -7,23 +9,30 @@
 //!   weight, so the flip is only accepted with the annealing probability
 //!   `e^{(g(x′)−g(x))/K}`.
 //! * **Select, no conflict**: `g(x′) ≥ g(x)` — always accepted.
-//! * **Select, conflict** (`g(x′) = 0` in the paper's formulation): the
-//!   distinctive REACT rule. The weights `w_kl` of the already-matched
-//!   edges sharing the new edge's worker or task are compared against the
-//!   new weight `w_ij`; if `w_ij` beats **all** of them, the old edges are
-//!   removed and the new edge takes their place; otherwise the flip is
-//!   rejected.
+//! * **Select, conflict** (`g(x′) = 0` in the paper's formulation), the
+//!   one arm in which the two matchers differ:
+//!   * [`ReactMatcher`] applies the distinctive REACT rule. The weights
+//!     `w_kl` of the already-matched edges sharing the new edge's worker
+//!     or task are compared against the new weight `w_ij`; if `w_ij`
+//!     beats **all** of them, the old edges are removed and the new edge
+//!     takes their place; otherwise the flip is rejected.
+//!   * [`MetropolisMatcher`] does *"not consider the case for g(x′) = 0
+//!     at all"* (the paper's stated difference): the flip is an ordinary
+//!     downhill move, `Δg = −g(x)`, accepted only with the (vanishing)
+//!     probability `e^{−g(x)/K}`; in that rare acceptance the conflicting
+//!     old edges are dropped so the state stays a valid matching.
 //!
-//! The conflict rule is what separates REACT from the plain
-//! [`crate::MetropolisMatcher`] — conflicting flips become weight
-//! *upgrades* instead of wasted cycles, which is why the paper's Fig. 4
-//! shows REACT beating Metropolis at equal (and even a third of the)
-//! cycles.
+//! The conflict rule turns conflicting flips into weight *upgrades*
+//! instead of wasted cycles, which is why the paper's Fig. 4 shows REACT
+//! beating Metropolis at equal (and even a third of the) cycles. Each
+//! public matcher type fixes its arm at compile time (the private
+//! `Walk`), so neither loop branches on the rule.
 //!
 //! Cost accounting: the paper's worst-case bound is `O(c·E)` and its
 //! measured times scale accordingly (12 s for `c = 1000` on a 10⁶-edge
-//! graph, ~45 s for `c = 3000`); [`Matching::cost_units`] is therefore
-//! `c·E`, which the calibrated cost model converts to simulated seconds.
+//! graph, ~45 s for `c = 3000`; Metropolis ran as long at equal cycles);
+//! [`Matching::cost_units`] is therefore `c·E` for both, which the
+//! calibrated cost model converts to simulated seconds.
 
 use crate::graph::{is_negligible_weight, BipartiteGraph, EdgeId};
 use crate::invariants::{debug_check_matching, debug_check_state};
@@ -31,53 +40,121 @@ use crate::matcher::{MatchStats, Matcher, Matching};
 use crate::state::MatchingState;
 use rand::{Rng, RngCore};
 
-/// Configuration and implementation of the REACT WBGM heuristic.
+/// Annealing constant `K` in the worse-state acceptance probability
+/// `e^{Δg/K}`. Weights lie in `[0,1]`, so `K = 0.05` makes a typical
+/// full-weight removal survive with probability `e^{-20} ≈ 0`, while
+/// near-zero-weight edges stay mobile.
+const K: f64 = 0.05;
+
+/// The REACT WBGM heuristic (Algorithm 1).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ReactMatcher {
     /// Number of flip cycles `c`. The paper uses 1000 in the end-to-end
     /// evaluation and 1000/3000 in the matching micro-benchmarks.
     pub cycles: usize,
-    /// Annealing constant `K` in the worse-state acceptance probability
-    /// `e^{Δg/K}`. Weights lie in `[0,1]`, so `K = 0.05` makes a typical
-    /// full-weight removal survive with probability `e^{-20} ≈ 0`, while
-    /// near-zero-weight edges stay mobile.
-    pub k: f64,
 }
 
 impl Default for ReactMatcher {
     fn default() -> Self {
-        ReactMatcher {
-            cycles: 1000,
-            k: 0.05,
-        }
+        ReactMatcher::with_cycles(1000)
     }
 }
 
 impl ReactMatcher {
-    /// Creates a matcher with the given cycle budget and the default `K`.
+    /// Creates a matcher with the given cycle budget.
     pub fn with_cycles(cycles: usize) -> Self {
-        ReactMatcher {
-            cycles,
-            ..Default::default()
+        ReactMatcher { cycles }
+    }
+
+    /// The walk this matcher runs: the conflict arm replaces the edges
+    /// the new edge beats.
+    pub(crate) fn walk(self) -> Walk<true> {
+        Walk {
+            cycles: self.cycles,
         }
     }
+}
 
-    /// Runs Algorithm 1 and returns the final state (exposed for tests
-    /// and for the ablation experiments that inspect intermediate
-    /// fitness).
-    pub fn run_state(&self, graph: &BipartiteGraph, rng: &mut dyn RngCore) -> MatchingState {
-        let mut state = MatchingState::default();
-        self.run_in(graph, &mut state, rng);
-        state
+impl Matcher for ReactMatcher {
+    fn assign(&self, graph: &BipartiteGraph, rng: &mut dyn RngCore) -> Matching {
+        self.walk().assign(graph, rng)
     }
 
-    /// Runs Algorithm 1 in `state` — reset for `graph` first, so a caller
+    fn name(&self) -> &'static str {
+        Walk::<true>::NAME
+    }
+}
+
+/// The Metropolis WBGM baseline: REACT's walk without the `g(x′) = 0`
+/// rule.
+///
+/// Once a vertex is matched, conflicting cycles are almost always
+/// wasted — the walk cannot *upgrade* an edge the way REACT does.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct MetropolisMatcher {
+    /// Number of flip cycles.
+    pub cycles: usize,
+}
+
+impl Default for MetropolisMatcher {
+    fn default() -> Self {
+        MetropolisMatcher::with_cycles(1000)
+    }
+}
+
+impl MetropolisMatcher {
+    /// Creates a matcher with the given cycle budget.
+    pub fn with_cycles(cycles: usize) -> Self {
+        MetropolisMatcher { cycles }
+    }
+
+    /// The walk this matcher runs: the conflict arm is a downhill step.
+    fn walk(self) -> Walk<false> {
+        Walk {
+            cycles: self.cycles,
+        }
+    }
+}
+
+impl Matcher for MetropolisMatcher {
+    fn assign(&self, graph: &BipartiteGraph, rng: &mut dyn RngCore) -> Matching {
+        self.walk().assign(graph, rng)
+    }
+
+    fn name(&self) -> &'static str {
+        Walk::<false>::NAME
+    }
+}
+
+/// The one annealing walk at a cycle budget. `REPLACE` is its conflict
+/// arm: REACT's replacement rule when true, Metropolis's downhill step
+/// when false (see the module docs). It is a const, so each matcher's
+/// loop compiles with its own arm only.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Walk<const REPLACE: bool> {
+    cycles: usize,
+}
+
+impl<const REPLACE: bool> Walk<REPLACE> {
+    const NAME: &'static str = if REPLACE { "react" } else { "metropolis" };
+
+    /// Runs the walk in fresh buffers.
+    fn assign(self, graph: &BipartiteGraph, rng: &mut dyn RngCore) -> Matching {
+        let mut state = MatchingState::default();
+        let stats = self.run_in(graph, &mut state, rng);
+        let mut m = Matching::default();
+        let mut selected = Vec::with_capacity(state.size());
+        self.write_matching(graph, &state, stats, &mut selected, &mut m);
+        m
+    }
+
+    /// Runs the walk in `state` — reset for `graph` first, so a caller
     /// that keeps one state across runs allocates nothing once it has
     /// seen its largest graph — and returns the work counters. Generic
     /// over the RNG so a concrete generator is called directly; the draw
     /// sequence is the same whatever type the RNG is reached through.
     pub(crate) fn run_in<R: RngCore + ?Sized>(
-        &self,
+        self,
         graph: &BipartiteGraph,
         state: &mut MatchingState,
         rng: &mut R,
@@ -90,9 +167,9 @@ impl ReactMatcher {
         }
         for _ in 0..self.cycles {
             let e = EdgeId(rng.gen_range(0..n_edges as u32));
-            self.flip(graph, state, e, rng, &mut stats);
+            Self::flip(graph, state, e, rng, &mut stats);
             stats.cycles += 1;
-            debug_check_state("react", graph, state);
+            debug_check_state(Self::NAME, graph, state);
         }
         stats
     }
@@ -101,7 +178,7 @@ impl ReactMatcher {
     /// edge-id order (gathered through `selected`), the total weight, the
     /// `O(c·E)` cost units and `stats`. Both buffers keep their storage.
     pub(crate) fn write_matching(
-        &self,
+        self,
         graph: &BipartiteGraph,
         state: &MatchingState,
         stats: MatchStats,
@@ -118,14 +195,13 @@ impl ReactMatcher {
         // Worst-case complexity O(c·E) — see the module docs.
         out.cost_units = self.cycles as f64 * graph.n_edges() as f64;
         out.stats = stats;
-        debug_check_matching("react", graph, out);
+        debug_check_matching(Self::NAME, graph, out);
     }
 
     /// One flip attempt on edge `e`, which is read out of the graph once.
     /// Counting into `stats` happens only after the flip decision, so the
     /// RNG draw sequence is exactly the historical one.
     fn flip<R: RngCore + ?Sized>(
-        &self,
         graph: &BipartiteGraph,
         state: &mut MatchingState,
         e: EdgeId,
@@ -141,7 +217,7 @@ impl ReactMatcher {
             // runs stay bit-identical to the historical exact-zero rule
             // on all weights the scheduler produces. Real deteriorations
             // anneal.
-            if is_negligible_weight(weight) || self.accept_worse(-weight, rng) {
+            if is_negligible_weight(weight) || accept_worse(-weight, rng) {
                 state.remove(e, &edge);
                 stats.flips_accepted += 1;
             } else {
@@ -156,15 +232,20 @@ impl ReactMatcher {
                 stats.flips_accepted += 1;
             }
             (cw, ct) => {
-                // g(x′) = 0 case: replace iff the new edge beats every
-                // conflicting matched edge.
                 let cw = cw.map(|c| (c, *graph.edge(c)));
                 let ct = ct.map(|c| (c, *graph.edge(c)));
-                let beats_all = [cw, ct]
-                    .into_iter()
-                    .flatten()
-                    .all(|(_, old)| old.weight < weight);
-                if beats_all {
+                let accept = if REPLACE {
+                    // g(x′) = 0 case: replace iff the new edge beats
+                    // every conflicting matched edge.
+                    [cw, ct]
+                        .into_iter()
+                        .flatten()
+                        .all(|(_, old)| old.weight < weight)
+                } else {
+                    // Δg = −g(x): an ordinary downhill move.
+                    accept_worse(-state.fitness(), rng)
+                };
+                if accept {
                     for (c, old) in [cw, ct].into_iter().flatten() {
                         state.remove(c, &old);
                     }
@@ -177,27 +258,13 @@ impl ReactMatcher {
             }
         }
     }
-
-    /// Metropolis-style acceptance of a fitness drop `delta < 0`.
-    fn accept_worse<R: RngCore + ?Sized>(&self, delta: f64, rng: &mut R) -> bool {
-        let alpha: f64 = rng.gen();
-        alpha <= (delta / self.k).exp()
-    }
 }
 
-impl Matcher for ReactMatcher {
-    fn assign(&self, graph: &BipartiteGraph, rng: &mut dyn RngCore) -> Matching {
-        let mut state = MatchingState::default();
-        let stats = self.run_in(graph, &mut state, rng);
-        let mut m = Matching::default();
-        let mut selected = Vec::with_capacity(state.size());
-        self.write_matching(graph, &state, stats, &mut selected, &mut m);
-        m
-    }
-
-    fn name(&self) -> &'static str {
-        "react"
-    }
+/// Metropolis acceptance of a fitness drop `delta < 0`: one uniform draw
+/// against `e^{delta/K}`.
+fn accept_worse<R: RngCore + ?Sized>(delta: f64, rng: &mut R) -> bool {
+    let alpha: f64 = rng.gen();
+    alpha <= (delta / K).exp()
 }
 
 #[cfg(test)]
@@ -300,7 +367,10 @@ mod tests {
     #[test]
     fn internal_state_stays_consistent() {
         let g = BipartiteGraph::full(15, 12, |u, v| ((u.0 + v.0) % 10) as f64 / 10.0).unwrap();
-        let state = ReactMatcher::with_cycles(3_000).run_state(&g, &mut rng());
+        let mut state = MatchingState::default();
+        ReactMatcher::with_cycles(3_000)
+            .walk()
+            .run_in(&g, &mut state, &mut rng());
         state.verify(&g);
     }
 
@@ -328,15 +398,128 @@ mod tests {
     fn a_reused_state_and_a_concrete_rng_change_nothing() {
         let big = BipartiteGraph::full(30, 30, |u, v| ((u.0 ^ v.0) % 7) as f64 / 7.0).unwrap();
         let small = BipartiteGraph::full(4, 9, |u, v| ((u.0 + v.0) % 5) as f64 / 5.0).unwrap();
-        let matcher = ReactMatcher::default();
+        let walk = ReactMatcher::default().walk();
         let mut state = MatchingState::default();
         for g in [&big, &small, &big] {
-            let fresh = matcher.run_state(g, &mut SmallRng::seed_from_u64(5));
-            let stats = matcher.run_in(g, &mut state, &mut SmallRng::seed_from_u64(5));
-            assert_eq!(state.selected_edges(), fresh.selected_edges());
-            assert_eq!(state.fitness().to_bits(), fresh.fitness().to_bits());
+            let fresh = walk.assign(g, &mut SmallRng::seed_from_u64(5));
+            let stats = walk.run_in(g, &mut state, &mut SmallRng::seed_from_u64(5));
+            let mut reused = Matching::default();
+            walk.write_matching(g, &state, stats, &mut Vec::new(), &mut reused);
+            assert_eq!(reused.pairs, fresh.pairs);
+            assert_eq!(reused.total_weight.to_bits(), fresh.total_weight.to_bits());
+            assert_eq!(reused.stats, fresh.stats);
             assert_eq!(stats.cycles, 1000);
             state.verify(g);
         }
+    }
+
+    fn metropolis_rng() -> SmallRng {
+        SmallRng::seed_from_u64(17)
+    }
+
+    #[test]
+    fn metropolis_empty_graph() {
+        let g = BipartiteGraph::new(3, 3);
+        let m = MetropolisMatcher::default().assign(&g, &mut metropolis_rng());
+        assert!(m.is_empty());
+    }
+
+    #[test]
+    fn metropolis_produces_valid_matching() {
+        let g =
+            BipartiteGraph::full(25, 25, |u, v| ((u.0 * 7 + v.0 * 13) % 50) as f64 / 50.0).unwrap();
+        let m = MetropolisMatcher::default().assign(&g, &mut metropolis_rng());
+        m.verify(&g);
+        assert!(!m.is_empty());
+    }
+
+    #[test]
+    fn metropolis_fills_conflict_free_graph() {
+        // A perfect-matching-friendly graph (diagonal only) gets fully
+        // matched with enough cycles: no conflicts ever arise.
+        let mut g = BipartiteGraph::new(10, 10);
+        for i in 0..10 {
+            g.add_edge(WorkerIdx(i), TaskIdx(i), 1.0).unwrap();
+        }
+        let m = MetropolisMatcher::with_cycles(2_000).assign(&g, &mut metropolis_rng());
+        assert_eq!(m.len(), 10);
+        assert!((m.total_weight - 10.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn react_beats_metropolis_at_equal_cycles() {
+        // The paper's Fig. 4 headline: REACT yields higher output than
+        // Metropolis for the same cycle budget on contended graphs.
+        // Average over several seeds to keep the test robust.
+        let g = BipartiteGraph::full(40, 40, |u, v| {
+            (((u.0 as u64 * 48271 + v.0 as u64 * 16807) % 997) as f64) / 997.0
+        })
+        .unwrap();
+        let cycles = 400; // scarce budget → contention matters
+        let (mut react_total, mut metro_total) = (0.0, 0.0);
+        for seed in 0..10 {
+            react_total += ReactMatcher::with_cycles(cycles)
+                .assign(&g, &mut SmallRng::seed_from_u64(seed))
+                .total_weight;
+            metro_total += MetropolisMatcher::with_cycles(cycles)
+                .assign(&g, &mut SmallRng::seed_from_u64(1000 + seed))
+                .total_weight;
+        }
+        assert!(
+            react_total > metro_total,
+            "REACT ({react_total:.2}) should beat Metropolis ({metro_total:.2})"
+        );
+    }
+
+    #[test]
+    fn metropolis_cannot_upgrade_contended_edge_cheaply() {
+        // Two workers, one task: whichever edge is selected first tends to
+        // stay. Metropolis's expected weight must be visibly below the
+        // 0.9 optimum (REACT reaches it a.s.), demonstrating the missing
+        // g(x')=0 rule.
+        let mut g = BipartiteGraph::new(2, 1);
+        g.add_edge(WorkerIdx(0), TaskIdx(0), 0.2).unwrap();
+        g.add_edge(WorkerIdx(1), TaskIdx(0), 0.9).unwrap();
+        let mut picked_light = 0;
+        for seed in 0..200 {
+            let m =
+                MetropolisMatcher::with_cycles(50).assign(&g, &mut SmallRng::seed_from_u64(seed));
+            if m.len() == 1 && m.pairs[0].0 == WorkerIdx(0) {
+                picked_light += 1;
+            }
+        }
+        assert!(
+            picked_light > 20,
+            "Metropolis ended on the light edge only {picked_light}/200 times — \
+             conflict handling looks too strong for a baseline"
+        );
+    }
+
+    #[test]
+    fn metropolis_state_stays_consistent() {
+        let g = BipartiteGraph::full(12, 18, |u, v| ((u.0 + 2 * v.0) % 9) as f64 / 9.0).unwrap();
+        let mut state = MatchingState::default();
+        MetropolisMatcher::with_cycles(3_000)
+            .walk()
+            .run_in(&g, &mut state, &mut metropolis_rng());
+        state.verify(&g);
+    }
+
+    #[test]
+    fn metropolis_cost_units_match_react_law() {
+        let g = BipartiteGraph::full(10, 10, |_, _| 0.5).unwrap();
+        let m = MetropolisMatcher::with_cycles(50).assign(&g, &mut metropolis_rng());
+        assert_eq!(m.cost_units, 50.0 * 100.0);
+        assert_eq!(MetropolisMatcher::default().name(), "metropolis");
+    }
+
+    #[test]
+    fn metropolis_stats_account_for_every_cycle() {
+        let g =
+            BipartiteGraph::full(25, 25, |u, v| ((u.0 * 7 + v.0 * 13) % 50) as f64 / 50.0).unwrap();
+        let m = MetropolisMatcher::with_cycles(300).assign(&g, &mut metropolis_rng());
+        assert_eq!(m.stats.cycles, 300);
+        assert_eq!(m.stats.flips_accepted + m.stats.flips_rejected, 300);
+        assert!(m.stats.flips_accepted > 0);
     }
 }

@@ -11,7 +11,6 @@
 
 use react::core::prelude::*;
 use react::core::{export_profiles, import_profiles};
-use react::matching::CostModel;
 use react::prob::EstimatorConfig;
 
 fn main() {
@@ -21,9 +20,9 @@ fn main() {
         min_unassigned: 1,
         period: None,
     };
+    config.charge_matching_time = false;
     let mut server = ServerBuilder::new(config)
         .seed(11)
-        .cost_model(CostModel::free())
         .build()
         .expect("paper defaults are valid");
 

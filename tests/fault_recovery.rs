@@ -12,7 +12,6 @@ use react::core::{
 use react::crowd::{Scenario, ScenarioRunner};
 use react::faults::{FaultPlan, StragglerPlan};
 use react::geo::GeoPoint;
-use react::matching::CostModel;
 
 fn here() -> GeoPoint {
     GeoPoint::new(37.98, 23.72)
@@ -43,11 +42,8 @@ fn dropout_mid_task_reassigns_and_completes() {
         period: None,
     };
     config.audit = true;
-    let mut server = ReactServer::builder(config)
-        .seed(7)
-        .cost_model(CostModel::free())
-        .build()
-        .unwrap();
+    config.charge_matching_time = false;
+    let mut server = ReactServer::builder(config).seed(7).build().unwrap();
     server.register_worker(WorkerId(1), here());
     server.register_worker(WorkerId(2), here());
     server.submit_task(

@@ -1,13 +1,15 @@
 //! The closed set of scheduler matcher policies. `MatcherPolicy` is
 //! defined once, in `react-matching`, and re-exported by `react-core`;
-//! every variant must build the matcher it names, behave through the
-//! caching `MatcherEngine` exactly like a throwaway matcher, and have
-//! its own entry in the calibrated cost model.
+//! every variant must run through the caching `MatcherEngine` exactly
+//! like the matcher it names, built by hand at the policy's cycle
+//! budget, and have its own row in the calibrated cost model.
 
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use react::core::prelude::*;
-use react::matching::{BipartiteGraph, CostModel, MatcherEngine};
+use react::matching::{
+    BipartiteGraph, CostModel, GreedyMatcher, Matcher, MatcherEngine, RandomMatcher, ReactMatcher,
+};
 
 /// One value per variant. The `let` crosses the two public paths: it
 /// compiles only while they name the same type.
@@ -22,19 +24,29 @@ fn all_policies() -> [MatcherPolicy; 4] {
     ]
 }
 
+/// The matcher `policy` names, at the cycle budget it gives a graph
+/// with `n_edges` edges.
+fn by_hand(policy: MatcherPolicy, n_edges: usize) -> Box<dyn Matcher> {
+    match (policy.cycle_budget(n_edges), policy) {
+        (Some(cycles), _) => Box::new(ReactMatcher::with_cycles(cycles)),
+        (None, MatcherPolicy::Traditional) => Box::new(RandomMatcher),
+        (None, _) => Box::new(GreedyMatcher),
+    }
+}
+
 #[test]
 fn every_policy_runs_through_the_engine() {
     let graph = BipartiteGraph::full(5, 5, |u, v| ((u.0 * 3 + v.0) % 7) as f64 / 7.0).unwrap();
     let cost_model = CostModel::paper_calibrated();
     for policy in all_policies() {
         let name = policy.name();
-        assert_eq!(policy.build(graph.n_edges()).name(), name);
-        // A renamed matcher must not fall silently to the default
+        assert_eq!(by_hand(policy, graph.n_edges()).name(), name);
+        // A renamed matcher must not fall silently to the fallback
         // coefficient.
         assert_ne!(
-            cost_model.coefficient(name),
-            cost_model.coefficient("no-such-matcher"),
-            "{name} has no cost-model entry of its own"
+            cost_model.seconds_for(name, 1.0),
+            cost_model.seconds_for("no-such-matcher", 1.0),
+            "{name} has no cost-model row of its own"
         );
 
         let mut engine = MatcherEngine::new(policy);
@@ -43,7 +55,7 @@ fn every_policy_runs_through_the_engine() {
         for _ in 0..3 {
             let via_engine = engine.assign(&graph, &mut rng_a);
             via_engine.verify(&graph);
-            let throwaway = policy.build(graph.n_edges()).assign(&graph, &mut rng_b);
+            let throwaway = by_hand(policy, graph.n_edges()).assign(&graph, &mut rng_b);
             assert_eq!(via_engine.pairs, throwaway.pairs, "{name}");
             assert_eq!(via_engine.total_weight, throwaway.total_weight);
         }

@@ -11,6 +11,8 @@ use react::matching::{
     RandomMatcher, ReactMatcher, TaskIdx, WorkerIdx,
 };
 
+mod common;
+
 /// All five matchers, heuristics configured with a small cycle budget.
 fn all_matchers() -> Vec<Box<dyn Matcher>> {
     vec![
@@ -39,7 +41,7 @@ fn arb_graph() -> impl Strategy<Value = BipartiteGraph> {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
+    #![proptest_config(ProptestConfig::with_cases(common::cases(64)))]
 
     #[test]
     fn every_matcher_passes_the_validator(graph in arb_graph(), seed in 0u64..1000) {

@@ -3,7 +3,6 @@
 
 use react::core::prelude::*;
 use react::core::Availability;
-use react::matching::CostModel;
 
 fn here() -> GeoPoint {
     GeoPoint::new(37.98, 23.72)
@@ -19,9 +18,9 @@ fn eager_server(seed: u64) -> ReactServer {
         min_unassigned: 1,
         period: None,
     };
+    config.charge_matching_time = false;
     ServerBuilder::new(config)
         .seed(seed)
-        .cost_model(CostModel::free())
         .build()
         .expect("valid config")
 }

@@ -5,7 +5,6 @@
 
 use react::core::prelude::*;
 use react::core::{export_profiles, import_profiles};
-use react::matching::CostModel;
 use react::prob::EstimatorConfig;
 
 fn here() -> GeoPoint {
@@ -22,6 +21,7 @@ fn eager_config() -> Config {
         min_unassigned: 1,
         period: None,
     };
+    config.charge_matching_time = false;
     config
 }
 
@@ -30,7 +30,6 @@ fn eager_config() -> Config {
 fn warmed_up_server() -> ReactServer {
     let mut server = ServerBuilder::new(eager_config())
         .seed(1)
-        .cost_model(CostModel::free())
         .build()
         .expect("valid config");
     server.register_worker(WorkerId(1), here());
@@ -94,7 +93,6 @@ fn restored_server_still_recalls_stalls() {
     // API (the component-level exact restore is covered above).
     let mut server = ServerBuilder::new(eager_config())
         .seed(2)
-        .cost_model(CostModel::free())
         .build()
         .expect("valid config");
     for p in profiling.iter() {

@@ -20,7 +20,6 @@ mod common;
 
 use proptest::prelude::*;
 use react::core::prelude::*;
-use react::matching::CostModel;
 use std::collections::{BTreeMap, BTreeSet};
 
 #[derive(Debug, Clone)]
@@ -54,9 +53,9 @@ proptest! {
         let mut config = Config::paper_defaults();
         config.batch = BatchTrigger { min_unassigned: 1, period: None };
         config.audit = true;
+        config.charge_matching_time = false;
         let mut server = ServerBuilder::new(config)
             .seed(99)
-            .cost_model(CostModel::free())
             .build()
             .expect("valid config");
 
