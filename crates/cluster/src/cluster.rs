@@ -63,6 +63,9 @@ impl Cluster {
     ///
     /// Each shard's server derives its seed from `seed` and the shard
     /// index, so the whole cluster is reproducible from one seed.
+    ///
+    /// Fails with [`CoreError::InvalidConfig`] when `policy` fails
+    /// [`ClusterPolicy::validate`] or `config` fails `Config::validate`.
     pub fn new(
         grid: &RegionGrid,
         config: Config,
@@ -72,6 +75,9 @@ impl Cluster {
         rebalance_rng: SmallRng,
         presplit_points: &[GeoPoint],
     ) -> Result<Self, CoreError> {
+        policy
+            .validate()
+            .map_err(|reason| CoreError::InvalidConfig { reason })?;
         let mut router = RegionRouter::new(grid, policy.split_threshold);
         for p in presplit_points {
             router.register(p);

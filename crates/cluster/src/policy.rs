@@ -5,8 +5,6 @@
 //! the configuration under which a cluster run is the paper's plain
 //! multi-region decomposition.
 
-use std::fmt;
-
 /// Cross-shard task handoff: when a shard's live worker pool collapses
 /// below `pool_floor`, queued tasks are evicted and re-submitted on the
 /// edge-adjacent shard with the most online workers instead of expiring
@@ -112,155 +110,23 @@ impl ClusterPolicy {
             admission: Some(AdmissionPolicy::default()),
         }
     }
+
+    /// Checks the policy for values a cluster cannot be built from.
+    /// `Cluster::new` calls this.
+    pub fn validate(&self) -> Result<(), String> {
+        // A child cell inherits a quarter of its parent's load, so any
+        // threshold of at least 1 stops splitting; 0 never does.
+        if self.split_threshold == 0 {
+            return Err("split_threshold must be at least 1, got 0".to_string());
+        }
+        Ok(())
+    }
 }
 
 impl Default for ClusterPolicy {
     fn default() -> Self {
         Self::coupled()
     }
-}
-
-/// Canonical manifest form. [`ClusterPolicy::from_manifest`] parses
-/// exactly this grammar, so `from_manifest(&policy.to_string())`
-/// round-trips every policy.
-impl fmt::Display for ClusterPolicy {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        if *self == ClusterPolicy::single_tier() {
-            return write!(f, "single-tier");
-        }
-        let mut parts: Vec<String> = Vec::new();
-        if self.split_threshold != u64::MAX {
-            parts.push(format!("split({})", self.split_threshold));
-        }
-        if let Some(h) = self.handoff {
-            parts.push(format!(
-                "handoff(floor={},max={})",
-                h.pool_floor, h.max_per_tick
-            ));
-        }
-        if let Some(r) = self.rebalance {
-            parts.push(format!(
-                "rebalance(period={},min_idle={},max_moves={})",
-                r.period_ticks, r.min_idle, r.max_moves
-            ));
-        }
-        if let Some(a) = self.admission {
-            parts.push(format!("admission({})", a.max_open_tasks));
-        }
-        write!(f, "{}", parts.join("+"))
-    }
-}
-
-impl ClusterPolicy {
-    /// Parses the declarative manifest form of a policy, so cluster
-    /// admission/rebalance axes are expressible in sweep manifests.
-    ///
-    /// Accepted forms:
-    /// - `single-tier` — [`ClusterPolicy::single_tier`];
-    /// - `coupled` — [`ClusterPolicy::coupled`];
-    /// - the canonical compound grammar [`Display`](fmt::Display) emits:
-    ///   `+`-joined components out of `split(threshold)`,
-    ///   `handoff(floor=..,max=..)`,
-    ///   `rebalance(period=..,min_idle=..,max_moves=..)` and
-    ///   `admission(max_open)`. Omitted mechanisms stay disabled.
-    pub fn from_manifest(spec: &str) -> Result<ClusterPolicy, String> {
-        let spec = spec.trim();
-        match spec {
-            "" => return Err("empty cluster policy spec".to_string()),
-            "single-tier" | "single_tier" => return Ok(ClusterPolicy::single_tier()),
-            "coupled" => return Ok(ClusterPolicy::coupled()),
-            _ => {}
-        }
-        let mut policy = ClusterPolicy::single_tier();
-        for part in spec.split('+') {
-            let (name, args) = split_component(part.trim())?;
-            match name {
-                "split" => policy.split_threshold = parse_u64("split threshold", args)?,
-                "handoff" => {
-                    let kv = parse_kv(name, args, &["floor", "max"])?;
-                    policy.handoff = Some(HandoffPolicy {
-                        pool_floor: parse_usize("handoff.floor", req(name, &kv, "floor")?)?,
-                        max_per_tick: parse_usize("handoff.max", req(name, &kv, "max")?)?,
-                    });
-                }
-                "rebalance" => {
-                    let kv = parse_kv(name, args, &["period", "min_idle", "max_moves"])?;
-                    policy.rebalance = Some(RebalancePolicy {
-                        period_ticks: parse_u64("rebalance.period", req(name, &kv, "period")?)?,
-                        min_idle: parse_usize("rebalance.min_idle", req(name, &kv, "min_idle")?)?,
-                        max_moves: parse_usize(
-                            "rebalance.max_moves",
-                            req(name, &kv, "max_moves")?,
-                        )?,
-                    });
-                }
-                "admission" => {
-                    policy.admission = Some(AdmissionPolicy {
-                        max_open_tasks: parse_usize("admission cap", args)?,
-                    });
-                }
-                other => {
-                    return Err(format!(
-                        "unknown cluster policy component '{other}' (expected \
-                         single-tier, coupled, split, handoff, rebalance or admission)"
-                    ))
-                }
-            }
-        }
-        Ok(policy)
-    }
-}
-
-fn split_component(part: &str) -> Result<(&str, &str), String> {
-    let Some(open) = part.find('(') else {
-        return Err(format!("policy component '{part}' is missing '(…)'"));
-    };
-    let Some(stripped) = part.strip_suffix(')') else {
-        return Err(format!(
-            "policy component '{part}' is missing the closing ')'"
-        ));
-    };
-    Ok((part[..open].trim(), &stripped[open + 1..]))
-}
-
-fn parse_kv<'a>(
-    component: &str,
-    args: &'a str,
-    allowed: &[&str],
-) -> Result<Vec<(&'a str, &'a str)>, String> {
-    let mut out = Vec::new();
-    for pair in args.split(',') {
-        let Some((k, v)) = pair.split_once('=') else {
-            return Err(format!("{component}: expected key=value, got '{pair}'"));
-        };
-        let k = k.trim();
-        if !allowed.contains(&k) {
-            return Err(format!(
-                "{component}: unknown key '{k}' (expected one of {allowed:?})"
-            ));
-        }
-        out.push((k, v.trim()));
-    }
-    Ok(out)
-}
-
-fn req<'a>(component: &str, kv: &[(&str, &'a str)], key: &str) -> Result<&'a str, String> {
-    kv.iter()
-        .find(|(k, _)| *k == key)
-        .map(|(_, v)| *v)
-        .ok_or_else(|| format!("{component}: missing required key '{key}'"))
-}
-
-fn parse_u64(what: &str, s: &str) -> Result<u64, String> {
-    s.trim()
-        .parse::<u64>()
-        .map_err(|_| format!("{what}: '{s}' is not a non-negative integer"))
-}
-
-fn parse_usize(what: &str, s: &str) -> Result<usize, String> {
-    s.trim()
-        .parse::<usize>()
-        .map_err(|_| format!("{what}: '{s}' is not a non-negative integer"))
 }
 
 #[cfg(test)]
@@ -283,73 +149,5 @@ mod tests {
         assert!(p.handoff.is_some());
         assert!(p.rebalance.is_some());
         assert!(p.admission.is_some());
-    }
-
-    #[test]
-    fn display_round_trips_through_from_manifest() {
-        let policies = [
-            ClusterPolicy::single_tier(),
-            ClusterPolicy::coupled(),
-            ClusterPolicy {
-                split_threshold: 1000,
-                handoff: Some(HandoffPolicy {
-                    pool_floor: 5,
-                    max_per_tick: 16,
-                }),
-                rebalance: None,
-                admission: Some(AdmissionPolicy {
-                    max_open_tasks: 4096,
-                }),
-            },
-            ClusterPolicy {
-                split_threshold: u64::MAX,
-                handoff: None,
-                rebalance: Some(RebalancePolicy {
-                    period_ticks: 7,
-                    min_idle: 1,
-                    max_moves: 9,
-                }),
-                admission: None,
-            },
-        ];
-        for policy in policies {
-            let spec = policy.to_string();
-            let parsed = ClusterPolicy::from_manifest(&spec)
-                .unwrap_or_else(|e| panic!("'{spec}' failed to parse: {e}"));
-            assert_eq!(parsed, policy, "round-trip diverged for '{spec}'");
-        }
-    }
-
-    #[test]
-    fn from_manifest_accepts_named_presets() {
-        assert_eq!(
-            ClusterPolicy::from_manifest("single-tier"),
-            Ok(ClusterPolicy::single_tier())
-        );
-        assert_eq!(
-            ClusterPolicy::from_manifest("coupled"),
-            Ok(ClusterPolicy::coupled())
-        );
-        let p = ClusterPolicy::from_manifest("admission(128)").unwrap();
-        assert_eq!(p.admission.map(|a| a.max_open_tasks), Some(128));
-        assert!(p.handoff.is_none() && p.rebalance.is_none());
-    }
-
-    #[test]
-    fn from_manifest_rejects_malformed_specs() {
-        for bad in [
-            "",
-            "bogus(1)",
-            "handoff(floor=3)",      // missing max
-            "handoff(floor=3,max=8", // missing )
-            "rebalance(period=x,min_idle=1,max_moves=2)",
-            "admission(-5)",
-            "split(lots)",
-        ] {
-            assert!(
-                ClusterPolicy::from_manifest(bad).is_err(),
-                "'{bad}' should have been rejected"
-            );
-        }
     }
 }

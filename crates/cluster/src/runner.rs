@@ -241,7 +241,7 @@ impl ClusterRunner {
             streams.stream("cluster.rebalance"),
             &locations,
         )
-        .expect("scenario carries a valid middleware config");
+        .expect("scenario carries a valid middleware config and cluster policy");
         for (w, location) in locations.iter().enumerate() {
             cluster.register_worker(WorkerId(w as u64), *location);
         }

@@ -22,7 +22,8 @@ pub enum CoreError {
         worker: WorkerId,
     },
     /// A configuration rejected by [`crate::Config::validate`] (returned
-    /// by `ServerBuilder::build`).
+    /// by `ServerBuilder::build`) or a cluster policy rejected by
+    /// `Cluster::new`.
     InvalidConfig {
         /// What is wrong with the configuration.
         reason: String,

@@ -3,11 +3,11 @@
 //! Each run builds one crowd scenario from its axis coordinates — pool
 //! size, matcher (with cycle budget), fault plan, shard count,
 //! replicate index — executes it deterministically (single server via
-//! [`ScenarioRunner`], sharded via [`ClusterRunner`]'s serial path), and
-//! reads its KPIs from the run report, the attached
-//! [`RecordingObserver`] and the audit log. Every emitted value is
-//! simulation-deterministic (no wall clock), which is what makes sweep
-//! reports byte-identical across reruns and thread counts.
+//! [`ScenarioRunner`], sharded via [`ClusterRunner`]), and reads its
+//! KPIs from the run report, the attached [`RecordingObserver`] and the
+//! audit log. Every emitted value is simulation-deterministic (no wall
+//! clock), which is what makes sweep reports byte-identical across
+//! reruns and thread counts.
 //!
 //! Recognised axes/knobs (axes override knobs of the same name):
 //!
@@ -17,20 +17,29 @@
 //! | `matcher`      | str   | `react`      | `react[-C]`, `adaptive`, `greedy`, `traditional` |
 //! | `cycles`       | int   | 1000         | cycle budget for `react`             |
 //! | `kappa`        | float | 0.2          | cycles/edge for `adaptive`           |
-//! | `faults`       | str   | `none`       | [`FaultPlan::from_manifest`] spec    |
+//! | `faults`       | str   | `none`       | [`fault_plan`] spec                  |
 //! | `shards`       | int   | 1            | shard count (>1 runs the cluster)    |
-//! | `policy`       | str   | `coupled`    | [`ClusterPolicy::from_manifest`] spec|
+//! | `policy`       | str   | `coupled`    | [`cluster_policy`] spec              |
 //! | `replicate`    | int   | 0            | replicate index (seed axis only)     |
 //! | `tasks`        | int   | 5 × pool     | total tasks submitted                |
 //! | `arrival_rate` | float | pool / 15    | task arrivals per second             |
+//!
+//! The `faults` and `policy` specs share one grammar: a named preset, or
+//! `+`-joined `name(args)` components where `args` is one value or
+//! `key=value` pairs, and a range is `lo..hi`. Each component and each
+//! key may appear at most once; an omitted component stays off.
 
 use std::collections::BTreeMap;
+use std::str::FromStr;
 
-use react_cluster::{ClusterPolicy, ClusterReport, ClusterRunner, ClusterScenario};
+use react_cluster::{
+    AdmissionPolicy, ClusterPolicy, ClusterReport, ClusterRunner, ClusterScenario, HandoffPolicy,
+    RebalancePolicy,
+};
 use react_core::events::{AuditLog, TaskEventKind};
 use react_core::{MatcherPolicy, RecoveryConfig, TaskId};
 use react_crowd::{RunReport, Scenario, ScenarioRunner};
-use react_faults::FaultPlan;
+use react_faults::{BurstPlan, DropoutPlan, FaultPlan, StragglerPlan};
 use react_metrics::{KpiRow, KpiValue};
 use react_obs::{CounterKind, RecordingObserver};
 
@@ -108,12 +117,12 @@ fn build_config(spec: &RunSpec) -> Result<RunConfig, String> {
     let cycles = spec.usize_param("cycles").unwrap_or(1000);
     let kappa = spec.f64_param("kappa").unwrap_or(0.2);
     let matcher = parse_matcher(spec.str_param("matcher").unwrap_or("react"), cycles, kappa)?;
-    let faults = FaultPlan::from_manifest(spec.str_param("faults").unwrap_or("none"))?;
+    let faults = fault_plan(spec.str_param("faults").unwrap_or("none"))?;
     let shards = spec.usize_param("shards").unwrap_or(1);
     if shards == 0 {
         return Err("shards must be at least 1".to_string());
     }
-    let policy = ClusterPolicy::from_manifest(spec.str_param("policy").unwrap_or("coupled"))?;
+    let policy = cluster_policy(spec.str_param("policy").unwrap_or("coupled"))?;
     let tasks = spec.usize_param("tasks").unwrap_or(5 * pool);
     let arrival_rate = spec.f64_param("arrival_rate").unwrap_or(pool as f64 / 15.0);
     let arrival_ok = arrival_rate.is_finite() && arrival_rate > 0.0;
@@ -165,6 +174,205 @@ fn parse_matcher(name: &str, cycles: usize, kappa: f64) -> Result<MatcherPolicy,
             "unknown matcher '{other}' (expected react[-C], adaptive, greedy or traditional)"
         )),
     }
+}
+
+/// Decodes a `faults` spec into a validated [`FaultPlan`].
+///
+/// Accepted forms:
+/// - `none` or an empty spec — [`FaultPlan::none`];
+/// - `chaos(I)` — [`FaultPlan::chaos`] at intensity `I`, on its own;
+/// - `+`-joined components out of `dropout(P)` (the
+///   [`FaultPlan::dropout_only`] preset),
+///   `dropout(p=..,window=lo..hi[,offline=lo..hi])`,
+///   `straggler(f=..,factor=lo..hi)`, `abandon(p)`, `loss(p)`, `dup(p)`
+///   and `bursts(n=..,size=..,window=lo..hi)`.
+pub fn fault_plan(spec: &str) -> Result<FaultPlan, String> {
+    let spec = spec.trim();
+    if spec.is_empty() || spec == "none" {
+        return Ok(FaultPlan::none());
+    }
+    let components = components("fault", spec)?;
+    let mut plan = FaultPlan::none();
+    for &(name, args) in &components {
+        match name {
+            "chaos" if components.len() > 1 => {
+                return Err("chaos(..) is a preset and takes no other component".into())
+            }
+            "chaos" => plan = FaultPlan::chaos(number("chaos", args)?),
+            "dropout" if args.contains('=') => {
+                let kv = Keyed::read(name, args, &["p", "window", "offline"])?;
+                plan.dropout = Some(DropoutPlan {
+                    probability: kv.number("p")?,
+                    window: kv.range("window")?,
+                    offline_range: kv.get("offline").map(|_| kv.range("offline")).transpose()?,
+                });
+            }
+            "dropout" => plan.dropout = FaultPlan::dropout_only(number(name, args)?).dropout,
+            "straggler" => {
+                let kv = Keyed::read(name, args, &["f", "factor"])?;
+                plan.straggler = Some(StragglerPlan {
+                    fraction: kv.number("f")?,
+                    factor_range: kv.range("factor")?,
+                });
+            }
+            "abandon" => plan.abandon_probability = number(name, args)?,
+            "loss" => plan.loss_probability = number(name, args)?,
+            "dup" => plan.duplication_probability = number(name, args)?,
+            "bursts" => {
+                let kv = Keyed::read(name, args, &["n", "size", "window"])?;
+                plan.bursts = Some(BurstPlan {
+                    count: kv.number("n")?,
+                    size: kv.number("size")?,
+                    window: kv.range("window")?,
+                });
+            }
+            other => {
+                return Err(format!(
+                    "unknown fault component '{other}' (expected none, chaos, \
+                     dropout, straggler, abandon, loss, dup or bursts)"
+                ))
+            }
+        }
+    }
+    plan.validate()?;
+    Ok(plan)
+}
+
+/// Decodes a `policy` spec into a validated [`ClusterPolicy`].
+///
+/// Accepted forms:
+/// - `single-tier` (or `single_tier`) — [`ClusterPolicy::single_tier`];
+/// - `coupled` — [`ClusterPolicy::coupled`];
+/// - `+`-joined components out of `split(threshold)`,
+///   `handoff(floor=..,max=..)`,
+///   `rebalance(period=..,min_idle=..,max_moves=..)` and
+///   `admission(max_open)`. Omitted mechanisms stay off.
+pub fn cluster_policy(spec: &str) -> Result<ClusterPolicy, String> {
+    let policy = match spec.trim() {
+        "" => return Err("empty cluster policy spec".to_string()),
+        "single-tier" | "single_tier" => ClusterPolicy::single_tier(),
+        "coupled" => ClusterPolicy::coupled(),
+        spec => {
+            let mut policy = ClusterPolicy::single_tier();
+            for (name, args) in components("policy", spec)? {
+                match name {
+                    "split" => policy.split_threshold = number(name, args)?,
+                    "handoff" => {
+                        let kv = Keyed::read(name, args, &["floor", "max"])?;
+                        policy.handoff = Some(HandoffPolicy {
+                            pool_floor: kv.number("floor")?,
+                            max_per_tick: kv.number("max")?,
+                        });
+                    }
+                    "rebalance" => {
+                        let kv = Keyed::read(name, args, &["period", "min_idle", "max_moves"])?;
+                        policy.rebalance = Some(RebalancePolicy {
+                            period_ticks: kv.number("period")?,
+                            min_idle: kv.number("min_idle")?,
+                            max_moves: kv.number("max_moves")?,
+                        });
+                    }
+                    "admission" => {
+                        policy.admission = Some(AdmissionPolicy {
+                            max_open_tasks: number(name, args)?,
+                        });
+                    }
+                    other => {
+                        return Err(format!(
+                            "unknown cluster policy component '{other}' (expected \
+                             single-tier, coupled, split, handoff, rebalance or admission)"
+                        ))
+                    }
+                }
+            }
+            policy
+        }
+    };
+    policy.validate()?;
+    Ok(policy)
+}
+
+/// Splits a `+`-joined spec into its `(name, args)` components,
+/// rejecting a component that appears twice.
+fn components<'a>(kind: &str, spec: &'a str) -> Result<Vec<(&'a str, &'a str)>, String> {
+    let mut out: Vec<(&str, &str)> = Vec::new();
+    for part in spec.split('+') {
+        let part = part.trim();
+        let Some(open) = part.find('(') else {
+            return Err(format!("{kind} component '{part}' is missing '(…)'"));
+        };
+        let Some(inner) = part.strip_suffix(')') else {
+            return Err(format!(
+                "{kind} component '{part}' is missing the closing ')'"
+            ));
+        };
+        let name = part[..open].trim();
+        if out.iter().any(|&(seen, _)| seen == name) {
+            return Err(format!("{kind} component '{name}' is given twice"));
+        }
+        out.push((name, &inner[open + 1..]));
+    }
+    Ok(out)
+}
+
+/// One component's `key=value` arguments.
+struct Keyed<'a> {
+    component: &'a str,
+    pairs: Vec<(&'a str, &'a str)>,
+}
+
+impl<'a> Keyed<'a> {
+    /// Reads `args` as comma-separated `key=value` pairs; every key must
+    /// be in `allowed` and appear at most once.
+    fn read(component: &'a str, args: &'a str, allowed: &[&str]) -> Result<Self, String> {
+        let mut pairs: Vec<(&str, &str)> = Vec::new();
+        for pair in args.split(',') {
+            let Some((key, value)) = pair.split_once('=') else {
+                return Err(format!("{component}: expected key=value, got '{pair}'"));
+            };
+            let key = key.trim();
+            if !allowed.contains(&key) {
+                return Err(format!(
+                    "{component}: unknown key '{key}' (expected one of {allowed:?})"
+                ));
+            }
+            if pairs.iter().any(|&(seen, _)| seen == key) {
+                return Err(format!("{component}: key '{key}' is given twice"));
+            }
+            pairs.push((key, value.trim()));
+        }
+        Ok(Keyed { component, pairs })
+    }
+
+    fn get(&self, key: &str) -> Option<&'a str> {
+        self.pairs.iter().find(|&&(k, _)| k == key).map(|&(_, v)| v)
+    }
+
+    fn required(&self, key: &str) -> Result<&'a str, String> {
+        self.get(key)
+            .ok_or_else(|| format!("{}: missing required key '{key}'", self.component))
+    }
+
+    fn number<T: FromStr>(&self, key: &str) -> Result<T, String> {
+        number(&format!("{}.{key}", self.component), self.required(key)?)
+    }
+
+    fn range(&self, key: &str) -> Result<(f64, f64), String> {
+        let what = format!("{}.{key}", self.component);
+        let value = self.required(key)?;
+        let Some((lo, hi)) = value.split_once("..") else {
+            return Err(format!("{what}: expected 'lo..hi', got '{value}'"));
+        };
+        Ok((number(&what, lo)?, number(&what, hi)?))
+    }
+}
+
+/// Parses one number of any type, for the error naming it `what`.
+fn number<T: FromStr>(what: &str, s: &str) -> Result<T, String> {
+    let s = s.trim();
+    let kind = std::any::type_name::<T>();
+    s.parse()
+        .map_err(|_| format!("{what}: '{s}' is not a valid {kind}"))
 }
 
 /// Splits a shard count into the most square `rows × cols` grid.

@@ -1,8 +1,6 @@
 //! The declarative [`FaultPlan`] and its materialisation into a
 //! [`crate::FaultSchedule`].
 
-use std::fmt;
-
 use rand::{Rng, RngCore};
 use react_sim::RngStreams;
 
@@ -238,197 +236,6 @@ impl FaultPlan {
     }
 }
 
-/// Canonical manifest form of a plan. [`FaultPlan::from_manifest`]
-/// parses exactly this grammar (plus the `chaos(i)` preset), so
-/// `FaultPlan::from_manifest(&plan.to_string())` round-trips every
-/// valid plan.
-impl fmt::Display for FaultPlan {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        if self.is_noop() {
-            return write!(f, "none");
-        }
-        let mut parts: Vec<String> = Vec::new();
-        if let Some(d) = self.dropout {
-            let mut s = format!(
-                "dropout(p={},window={}..{}",
-                d.probability, d.window.0, d.window.1
-            );
-            if let Some((lo, hi)) = d.offline_range {
-                s.push_str(&format!(",offline={lo}..{hi}"));
-            }
-            s.push(')');
-            parts.push(s);
-        }
-        if let Some(st) = self.straggler {
-            parts.push(format!(
-                "straggler(f={},factor={}..{})",
-                st.fraction, st.factor_range.0, st.factor_range.1
-            ));
-        }
-        if self.abandon_probability > 0.0 {
-            parts.push(format!("abandon({})", self.abandon_probability));
-        }
-        if self.loss_probability > 0.0 {
-            parts.push(format!("loss({})", self.loss_probability));
-        }
-        if self.duplication_probability > 0.0 {
-            parts.push(format!("dup({})", self.duplication_probability));
-        }
-        if let Some(b) = self.bursts {
-            parts.push(format!(
-                "bursts(n={},size={},window={}..{})",
-                b.count, b.size, b.window.0, b.window.1
-            ));
-        }
-        write!(f, "{}", parts.join("+"))
-    }
-}
-
-impl FaultPlan {
-    /// Parses the declarative manifest form of a plan, so chaos axes are
-    /// expressible in sweep manifests instead of Rust code.
-    ///
-    /// Accepted forms:
-    /// - `none` — the no-op plan;
-    /// - `chaos(I)` — the [`FaultPlan::chaos`] preset at intensity `I`;
-    /// - `dropout(P)` — the [`FaultPlan::dropout_only`] preset;
-    /// - the canonical compound grammar [`Display`](fmt::Display) emits:
-    ///   `+`-joined components out of
-    ///   `dropout(p=..,window=lo..hi[,offline=lo..hi])`,
-    ///   `straggler(f=..,factor=lo..hi)`, `abandon(p)`, `loss(p)`,
-    ///   `dup(p)` and `bursts(n=..,size=..,window=lo..hi)`.
-    ///
-    /// The parsed plan is [`validate`](FaultPlan::validate)d before it is
-    /// returned.
-    pub fn from_manifest(spec: &str) -> Result<FaultPlan, String> {
-        let spec = spec.trim();
-        if spec.is_empty() || spec == "none" {
-            return Ok(FaultPlan::none());
-        }
-        let parts: Vec<&str> = spec.split('+').collect();
-        let mut plan = FaultPlan::none();
-        for part in parts {
-            let (name, args) = split_component(part.trim())?;
-            match name {
-                "chaos" => {
-                    if spec.contains('+') {
-                        return Err(
-                            "chaos(..) is a preset and cannot be combined with other components"
-                                .to_string(),
-                        );
-                    }
-                    let i = parse_f64("chaos intensity", args)?;
-                    plan = FaultPlan::chaos(i);
-                }
-                "dropout" => {
-                    if args.contains('=') {
-                        let kv = parse_kv(name, args, &["p", "window", "offline"])?;
-                        plan.dropout = Some(DropoutPlan {
-                            probability: parse_f64("dropout.p", req(name, &kv, "p")?)?,
-                            window: parse_range("dropout.window", req(name, &kv, "window")?)?,
-                            offline_range: match get(&kv, "offline") {
-                                Some(v) => Some(parse_range("dropout.offline", v)?),
-                                None => None,
-                            },
-                        });
-                    } else {
-                        let p = parse_f64("dropout probability", args)?;
-                        plan.dropout = FaultPlan::dropout_only(p).dropout;
-                    }
-                }
-                "straggler" => {
-                    let kv = parse_kv(name, args, &["f", "factor"])?;
-                    plan.straggler = Some(StragglerPlan {
-                        fraction: parse_f64("straggler.f", req(name, &kv, "f")?)?,
-                        factor_range: parse_range("straggler.factor", req(name, &kv, "factor")?)?,
-                    });
-                }
-                "abandon" => plan.abandon_probability = parse_f64("abandon", args)?,
-                "loss" => plan.loss_probability = parse_f64("loss", args)?,
-                "dup" => plan.duplication_probability = parse_f64("dup", args)?,
-                "bursts" => {
-                    let kv = parse_kv(name, args, &["n", "size", "window"])?;
-                    plan.bursts = Some(BurstPlan {
-                        count: parse_u32("bursts.n", req(name, &kv, "n")?)?,
-                        size: parse_u32("bursts.size", req(name, &kv, "size")?)?,
-                        window: parse_range("bursts.window", req(name, &kv, "window")?)?,
-                    });
-                }
-                other => {
-                    return Err(format!(
-                        "unknown fault component '{other}' (expected none, chaos, \
-                         dropout, straggler, abandon, loss, dup or bursts)"
-                    ))
-                }
-            }
-        }
-        plan.validate()?;
-        Ok(plan)
-    }
-}
-
-/// Splits `name(args)` into its pieces.
-fn split_component(part: &str) -> Result<(&str, &str), String> {
-    let Some(open) = part.find('(') else {
-        return Err(format!("fault component '{part}' is missing '(…)'"));
-    };
-    let Some(stripped) = part.strip_suffix(')') else {
-        return Err(format!(
-            "fault component '{part}' is missing the closing ')'"
-        ));
-    };
-    Ok((part[..open].trim(), &stripped[open + 1..]))
-}
-
-/// Parses `k=v` pairs, rejecting unknown keys.
-fn parse_kv<'a>(
-    component: &str,
-    args: &'a str,
-    allowed: &[&str],
-) -> Result<Vec<(&'a str, &'a str)>, String> {
-    let mut out = Vec::new();
-    for pair in args.split(',') {
-        let Some((k, v)) = pair.split_once('=') else {
-            return Err(format!("{component}: expected key=value, got '{pair}'"));
-        };
-        let k = k.trim();
-        if !allowed.contains(&k) {
-            return Err(format!(
-                "{component}: unknown key '{k}' (expected one of {allowed:?})"
-            ));
-        }
-        out.push((k, v.trim()));
-    }
-    Ok(out)
-}
-
-fn get<'a>(kv: &[(&str, &'a str)], key: &str) -> Option<&'a str> {
-    kv.iter().find(|(k, _)| *k == key).map(|(_, v)| *v)
-}
-
-fn req<'a>(component: &str, kv: &[(&str, &'a str)], key: &str) -> Result<&'a str, String> {
-    get(kv, key).ok_or_else(|| format!("{component}: missing required key '{key}'"))
-}
-
-fn parse_f64(what: &str, s: &str) -> Result<f64, String> {
-    s.trim()
-        .parse::<f64>()
-        .map_err(|_| format!("{what}: '{s}' is not a number"))
-}
-
-fn parse_u32(what: &str, s: &str) -> Result<u32, String> {
-    s.trim()
-        .parse::<u32>()
-        .map_err(|_| format!("{what}: '{s}' is not a non-negative integer"))
-}
-
-fn parse_range(what: &str, s: &str) -> Result<(f64, f64), String> {
-    let Some((lo, hi)) = s.split_once("..") else {
-        return Err(format!("{what}: expected 'lo..hi', got '{s}'"));
-    };
-    Ok((parse_f64(what, lo)?, parse_f64(what, hi)?))
-}
-
 fn sample_window<R: RngCore>(rng: &mut R, (lo, hi): (f64, f64)) -> f64 {
     if hi > lo {
         rng.gen_range(lo..hi)
@@ -494,81 +301,6 @@ mod tests {
         assert_eq!(a, b, "same seed must produce an identical schedule");
         let c = plan.materialize(&RngStreams::new(43), 50);
         assert_ne!(a, c, "different seeds should perturb the schedule");
-    }
-
-    #[test]
-    fn display_round_trips_through_from_manifest() {
-        let plans = [
-            FaultPlan::none(),
-            FaultPlan::chaos(0.3),
-            FaultPlan::chaos(0.75),
-            FaultPlan::chaos(1.0),
-            FaultPlan::dropout_only(0.6),
-            FaultPlan {
-                dropout: Some(DropoutPlan {
-                    probability: 0.25,
-                    window: (2.5, 17.0),
-                    offline_range: None,
-                }),
-                straggler: Some(StragglerPlan {
-                    fraction: 0.125,
-                    factor_range: (1.5, 3.25),
-                }),
-                abandon_probability: 0.0625,
-                loss_probability: 0.03125,
-                duplication_probability: 0.015625,
-                bursts: Some(BurstPlan {
-                    count: 3,
-                    size: 7,
-                    window: (0.0, 42.5),
-                }),
-            },
-        ];
-        for plan in plans {
-            let spec = plan.to_string();
-            let parsed = FaultPlan::from_manifest(&spec)
-                .unwrap_or_else(|e| panic!("'{spec}' failed to parse: {e}"));
-            assert_eq!(parsed, plan, "round-trip diverged for '{spec}'");
-        }
-    }
-
-    #[test]
-    fn from_manifest_accepts_presets_and_compounds() {
-        assert_eq!(FaultPlan::from_manifest("none"), Ok(FaultPlan::none()));
-        assert_eq!(FaultPlan::from_manifest("  "), Ok(FaultPlan::none()));
-        assert_eq!(
-            FaultPlan::from_manifest("chaos(0.5)"),
-            Ok(FaultPlan::chaos(0.5))
-        );
-        assert_eq!(
-            FaultPlan::from_manifest("dropout(0.6)"),
-            Ok(FaultPlan::dropout_only(0.6))
-        );
-        let compound = FaultPlan::from_manifest("abandon(0.1)+loss(0.05)").unwrap();
-        assert_eq!(compound.abandon_probability, 0.1);
-        assert_eq!(compound.loss_probability, 0.05);
-        assert!(compound.dropout.is_none());
-    }
-
-    #[test]
-    fn from_manifest_rejects_malformed_specs() {
-        for bad in [
-            "chaotic(0.5)",                   // unknown component
-            "dropout",                        // missing (…)
-            "dropout(p=0.5",                  // missing )
-            "straggler(f=0.5)",               // missing factor range
-            "straggler(f=0.5,factor=6..2)",   // invalid range (validate)
-            "dropout(q=0.5,window=1..2)",     // unknown key
-            "abandon(lots)",                  // not a number
-            "chaos(0.5)+abandon(0.1)",        // preset + component
-            "bursts(n=2,size=0,window=1..2)", // validate: size 0
-            "dropout(p=1.5,window=1..2)",     // validate: probability
-        ] {
-            assert!(
-                FaultPlan::from_manifest(bad).is_err(),
-                "'{bad}' should have been rejected"
-            );
-        }
     }
 
     #[test]

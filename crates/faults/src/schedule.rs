@@ -1,6 +1,8 @@
 //! The materialised [`FaultSchedule`]: a frozen fault timeline plus
 //! order-independent per-event fault decisions.
 
+use react_sim::splitmix64;
+
 /// Task ids at or above this base are injected burst tasks: far outside
 /// the sequential generator id space and the replica-id arithmetic
 /// (`logical_id * k + j`), so they can never collide with workload ids.
@@ -47,14 +49,6 @@ pub struct FaultSchedule {
 const KIND_ABANDON: u64 = 0xA;
 const KIND_LOSS: u64 = 0xB;
 const KIND_DUP: u64 = 0xC;
-
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = x;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
 
 /// Hashes `(salt, kind, a, b)` to a uniform value in `[0, 1)`.
 fn decide(salt: u64, kind: u64, a: u64, b: u64) -> f64 {

@@ -48,9 +48,10 @@ impl RngStreams {
 }
 
 /// SplitMix64 mixing step — a tiny, well-distributed u64→u64 hash. The
-/// canonical mixer every seed-derivation path in the repo goes through
-/// (named streams here, per-shard seeds in the cluster, per-run seeds in
-/// sweep manifests).
+/// named streams here, the per-run seeds of sweep manifests and the
+/// fault schedule's per-event decisions go through it (the cluster's
+/// per-shard seeds use their own truncated mix).
+#[inline]
 pub fn splitmix64(mut z: u64) -> u64 {
     z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
