@@ -396,6 +396,12 @@ impl Dispatch for Cluster {
         let queued = tasks.clone().map(|t| t.unassigned_count()).sum();
         (queued, tasks.map(|t| t.assigned_count()).sum())
     }
+
+    fn retire(&mut self, now: f64) {
+        for shard in &mut self.shards {
+            shard.server.retire(now);
+        }
+    }
 }
 
 /// Deterministic per-shard server seed: SplitMix64-style mix of the

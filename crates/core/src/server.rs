@@ -651,8 +651,10 @@ impl ReactServer {
         })
     }
 
-    /// Drops retired task records older than `horizon` seconds (memory
-    /// hygiene for long runs). Returns how many were pruned.
+    /// Drops retired task records older than `horizon` seconds, as
+    /// [`TaskManagementComponent::prune_retired`] does; returns how many
+    /// were pruned. Every driver's lap calls it with `horizon` 0 at each
+    /// grid tick, so a long run's registry does not grow with the run.
     pub fn prune_retired(&mut self, now: f64, horizon: f64) -> usize {
         self.tasks.prune_retired(now, horizon)
     }

@@ -6,13 +6,17 @@
 //! scheduler's view of the unassigned pool and retires tasks whose
 //! deadlines expired while waiting.
 //!
-//! The registry holds every task the server has seen and is what the
-//! public accessors answer from. It is a slot table: the records sit in
-//! a `Vec` in no particular order and an [`IdMap`] gives each id its
-//! slot, so a lookup is one fixed-key hash and a removal is a
+//! The registry holds every task the server has seen and not yet pruned,
+//! and is what the public accessors answer from. It is a slot table: the
+//! records sit in a `Vec` in no particular order and an [`IdMap`] gives
+//! each id its slot, so a lookup is one fixed-key hash and a removal is a
 //! `swap_remove` plus re-pointing the one record it moved. The map is
 //! only looked up, never iterated; [`TaskManagementComponent::iter`]
-//! sorts by id on demand.
+//! sorts by id on demand. A record that retires — completed or expired —
+//! also joins a list of retirements in the order they happened, which is
+//! what [`TaskManagementComponent::prune_retired`] walks, so a long run's
+//! registry holds its open tasks and its recent retirements, and a prune
+//! costs what was retired since the last one.
 //!
 //! The two sets a control step walks each carry what that walk reads, so
 //! no per-tick loop reads the registry: the in-flight index (`InFlight`
@@ -265,6 +269,10 @@ pub struct TaskManagementComponent {
     /// walk and recall in. Bounded by the busy workers, so a binary-search
     /// insert or remove moves few entries.
     in_flight: Vec<(TaskId, InFlight)>,
+    /// The id of every record in a retired state, in retirement order,
+    /// for [`Self::prune_retired`]. An id may be listed twice, or after
+    /// its record reopened or left; the prune drops such entries.
+    retired: Vec<TaskId>,
 }
 
 impl TaskManagementComponent {
@@ -452,6 +460,15 @@ impl TaskManagementComponent {
                 derived, indexed,
                 "in-flight index diverged from the registry"
             );
+            let mut listed = self.retired.clone();
+            listed.sort_unstable();
+            for rec in self.records.iter().filter(|r| !r.state.is_open()) {
+                let id = rec.task.id;
+                assert!(
+                    listed.binary_search(&id).is_ok(),
+                    "retired {id} is not listed"
+                );
+            }
             let open = self.records.iter().filter(|r| r.state.is_open()).count();
             assert_eq!(
                 open,
@@ -582,6 +599,7 @@ impl TaskManagementComponent {
         };
         let (category, submitted_at) = (rec.task.category, rec.submitted_at);
         self.remove_in_flight(id);
+        self.retired.push(id);
         Ok(Finished {
             met_deadline,
             exec_time,
@@ -605,6 +623,7 @@ impl TaskManagementComponent {
         for &id in ids {
             if let Ok(slot) = self.slot(id) {
                 self.records[slot].state = TaskState::Expired;
+                self.retired.push(id);
             }
         }
     }
@@ -620,26 +639,34 @@ impl TaskManagementComponent {
         self.remove(id)
     }
 
-    /// Removes retired (completed/expired) records older than `horizon`
-    /// seconds before `now`, returning how many were pruned. Keeps the
-    /// registry from growing without bound in long simulations.
+    /// Removes retired records older than `horizon` seconds before `now`
+    /// — a completed one by its completion instant, an expired one by its
+    /// deadline — and returns how many were pruned. Walks the retirement
+    /// list, not the registry, so it costs the retirements still listed:
+    /// with `horizon` 0 and `now` no earlier than the last retirement,
+    /// those since the last prune. A pruned id is unknown from then on:
+    /// completing it is an error still, and submitting it again starts a
+    /// new task.
     pub fn prune_retired(&mut self, now: f64, horizon: f64) -> usize {
         let before = self.records.len();
-        let mut slot = 0;
-        while let Some(rec) = self.records.get(slot) {
+        let mut retired = std::mem::take(&mut self.retired);
+        retired.retain(|&id| {
+            let Ok(slot) = self.slot(id) else {
+                return false;
+            };
+            let rec = &self.records[slot];
             let keep = match rec.state {
                 TaskState::Completed { completed_at, .. } => completed_at + horizon > now,
                 TaskState::Expired => rec.deadline_at() + horizon > now,
-                _ => true,
+                // Reopened: listed again when it next retires.
+                _ => return false,
             };
             if !keep {
-                // The last record moves into this slot; look at it next.
-                let id = rec.task.id;
                 self.remove(id);
-            } else {
-                slot += 1;
             }
-        }
+            keep
+        });
+        self.retired = retired;
         before - self.records.len()
     }
 

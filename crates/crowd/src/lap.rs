@@ -74,6 +74,10 @@ pub trait Dispatch {
     fn worker_online(&mut self, worker: WorkerId);
     /// How many tasks are queued, and how many in flight.
     fn open_tasks(&self) -> (usize, usize);
+    /// Forgets every task that completed or expired before `now`, so the
+    /// middleware holds its open tasks and only the latest retirements.
+    /// The lap calls it at each grid tick, before anything due then.
+    fn retire(&mut self, now: f64);
 }
 
 /// One server ticks at every trigger.
@@ -107,6 +111,10 @@ impl Dispatch for ReactServer {
             self.tasks().unassigned_count(),
             self.tasks().assigned_count(),
         )
+    }
+
+    fn retire(&mut self, now: f64) {
+        self.prune_retired(now, 0.0);
     }
 }
 
@@ -259,8 +267,10 @@ impl<D: Dispatch> Lap<D> {
         now
     }
 
-    /// The grid's tick at `now`, after the crowd events due by it.
+    /// The grid's tick at `now`, after the crowd events due by it; what
+    /// retired before it is forgotten first.
     fn grid_tick(&mut self, now: f64, ledger: &mut impl Ledger<D::Shard>) {
+        self.server.retire(now);
         self.book_due(now, ledger);
         self.control_step(now, Trigger::Grid, ledger);
     }

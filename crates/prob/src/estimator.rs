@@ -2,9 +2,11 @@
 //!
 //! The Profiling Component of the REACT server stores, for every worker,
 //! the execution times of the tasks they completed. The Dynamic Assignment
-//! Component then needs a fitted power law over those times. Refitting on
-//! every observation would be wasteful (the fit is `O(n)`), so the
-//! estimator caches the fitted model and invalidates it on new samples.
+//! Component then needs a fitted power law over those times. Refitting
+//! from the samples is `O(n)`, and the scheduler asks for a worker's model
+//! after each of its completions, so the estimator keeps the fit's two
+//! running values instead — the smallest sample and the log-sum — and
+//! answers [`ExecTimeEstimator::model`] in `O(1)`.
 
 use crate::empirical::{EmpiricalDist, FittedModel};
 use crate::powerlaw::{FitMethod, PowerLaw};
@@ -34,19 +36,28 @@ impl Default for EstimatorConfig {
     }
 }
 
-/// Stores a worker's observed execution times and lazily fits a
-/// [`PowerLaw`] over them.
+/// Stores a worker's observed execution times and fits a [`PowerLaw`]
+/// over them.
 ///
 /// `k_min` is always the smallest retained sample, matching the paper:
 /// *"The lower bound `k_min` is set as the worker's lowest measured
 /// execution time for a task."*
+///
+/// The fit is [`PowerLaw::fit`]'s, bit for bit: the estimator keeps that
+/// fit's left fold `Σ ln(k_i / base)` over the samples in arrival order
+/// and adds each new sample's term as it comes. The base depends on
+/// `k_min`, and a fold cannot give back its first term, so a new minimum
+/// or a window eviction refolds the retained samples; anything else is
+/// one logarithm.
 #[derive(Debug, Clone)]
 pub struct ExecTimeEstimator {
     config: EstimatorConfig,
     samples: Vec<f64>,
-    /// Cached fit; cleared whenever `samples` changes.
-    cached: Option<PowerLaw>,
-    dirty: bool,
+    /// The smallest retained sample; `+∞` while there is none.
+    k_min: f64,
+    /// `Σ ln(s / base)` over `samples` in arrival order, with
+    /// `base = fit_method.denom_base(k_min)`.
+    log_sum: f64,
     /// Reused by the KS goodness-of-fit check in [`Self::auto_model`] so
     /// every refit does not allocate and sort a fresh sample copy.
     ks_scratch: Vec<f64>,
@@ -58,8 +69,8 @@ impl ExecTimeEstimator {
         ExecTimeEstimator {
             config,
             samples: Vec::new(),
-            cached: None,
-            dirty: false,
+            k_min: f64::INFINITY,
+            log_sum: 0.0,
             ks_scratch: Vec::new(),
         }
     }
@@ -85,13 +96,30 @@ impl ExecTimeEstimator {
             return;
         }
         self.samples.push(exec_time);
+        let mut evicted = false;
         if let Some(w) = self.config.window {
             if self.samples.len() > w {
                 let excess = self.samples.len() - w;
                 self.samples.drain(..excess);
+                evicted = true;
             }
         }
-        self.dirty = true;
+        if evicted || exec_time < self.k_min {
+            self.refold();
+        } else {
+            self.log_sum += (exec_time / self.config.fit_method.denom_base(self.k_min)).ln();
+        }
+    }
+
+    /// Recomputes `k_min` and the log-sum from the retained samples, as
+    /// [`PowerLaw::fit`] folds them.
+    fn refold(&mut self) {
+        self.k_min = self.samples.iter().copied().fold(f64::INFINITY, f64::min);
+        let base = self.config.fit_method.denom_base(self.k_min);
+        self.log_sum = 0.0;
+        for &s in &self.samples {
+            self.log_sum += (s / base).ln();
+        }
     }
 
     /// Number of retained samples.
@@ -111,12 +139,7 @@ impl ExecTimeEstimator {
 
     /// The smallest retained sample (the `k_min` the fit will use).
     pub fn k_min(&self) -> Option<f64> {
-        self.samples
-            .iter()
-            .copied()
-            .fold(None, |acc: Option<f64>, s| {
-                Some(acc.map_or(s, |m| m.min(s)))
-            })
+        (!self.samples.is_empty()).then_some(self.k_min)
     }
 
     /// The retained samples, in arrival order.
@@ -124,21 +147,29 @@ impl ExecTimeEstimator {
         &self.samples
     }
 
-    /// Returns the fitted power law, refitting if the sample set changed.
+    /// The fitted power law, in `O(1)` from the running values.
     ///
     /// Returns `None` until [`Self::is_warm`]. Fitting failures cannot
     /// occur for warmed-up estimators because `observe` filters invalid
-    /// samples and `k_min` is taken from the samples themselves.
-    pub fn model(&mut self) -> Option<PowerLaw> {
+    /// samples and `k_min` is taken from the samples themselves. Under the
+    /// `debug-invariants` feature every call is checked, bit for bit,
+    /// against [`PowerLaw::fit`] over the retained samples.
+    pub fn model(&self) -> Option<PowerLaw> {
         if !self.is_warm() {
             return None;
         }
-        if self.dirty || self.cached.is_none() {
-            let k_min = self.k_min()?;
-            self.cached = PowerLaw::fit(&self.samples, k_min, self.config.fit_method).ok();
-            self.dirty = false;
+        let model = PowerLaw::from_log_sum(self.samples.len(), self.log_sum, self.k_min).ok();
+        #[cfg(feature = "debug-invariants")]
+        {
+            let refit = PowerLaw::fit(&self.samples, self.k_min, self.config.fit_method).ok();
+            let bits = |m: Option<PowerLaw>| m.map(|m| (m.alpha().to_bits(), m.k_min().to_bits()));
+            assert_eq!(
+                bits(model),
+                bits(refit),
+                "running fit diverged from PowerLaw::fit"
+            );
         }
-        self.cached
+        model
     }
 
     /// The empirical (step-CCDF) distribution of the retained samples —
@@ -166,11 +197,11 @@ impl ExecTimeEstimator {
         }
     }
 
-    /// Drops all samples and the cached model.
+    /// Drops all samples.
     pub fn reset(&mut self) {
         self.samples.clear();
-        self.cached = None;
-        self.dirty = false;
+        self.k_min = f64::INFINITY;
+        self.log_sum = 0.0;
     }
 
     /// Sample mean of retained execution times (`None` when empty).
@@ -247,7 +278,7 @@ mod tests {
         assert_eq!(m1, m2);
         est.observe(16.0);
         let m3 = est.model().unwrap();
-        assert_ne!(m1, m3, "new sample must invalidate the cached fit");
+        assert_ne!(m1, m3, "a new sample must move the fit");
     }
 
     #[test]

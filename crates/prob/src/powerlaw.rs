@@ -79,6 +79,18 @@ pub enum FitMethod {
     Continuous,
 }
 
+impl FitMethod {
+    /// What the fit divides each sample by before its logarithm, for the
+    /// lower bound `k_min`. The paper's discrete approximation offsets the
+    /// denominator by ½; that is only meaningful when `k_min > ½`.
+    pub(crate) fn denom_base(self, k_min: f64) -> f64 {
+        match self {
+            FitMethod::Paper if k_min > 0.5 => k_min - 0.5,
+            _ => k_min,
+        }
+    }
+}
+
 /// A continuous power-law (Pareto type-I) distribution `p(k) ∝ k^{−α}`,
 /// supported on `[k_min, ∞)`.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -195,12 +207,7 @@ impl PowerLaw {
         if k_min <= 0.0 || !k_min.is_finite() {
             return Err(PowerLawError::InvalidKMin(k_min));
         }
-        // The paper's discrete approximation offsets the denominator by ½;
-        // that is only meaningful when k_min > ½.
-        let denom_base = match method {
-            FitMethod::Paper if k_min > 0.5 => k_min - 0.5,
-            _ => k_min,
-        };
+        let denom_base = method.denom_base(k_min);
         let mut log_sum = 0.0;
         for &s in samples {
             if s <= 0.0 || !s.is_finite() || s < k_min {
@@ -208,14 +215,20 @@ impl PowerLaw {
             }
             log_sum += (s / denom_base).ln();
         }
-        let n = samples.len() as f64;
+        PowerLaw::from_log_sum(samples.len(), log_sum, k_min)
+    }
+
+    /// The fit of `n` samples whose terms `ln(k_i / denom_base)` sum, in
+    /// sample order, to `log_sum`: the closing step of [`PowerLaw::fit`],
+    /// for a caller that keeps the sum as samples arrive.
+    pub(crate) fn from_log_sum(n: usize, log_sum: f64, k_min: f64) -> Result<Self, PowerLawError> {
         // All samples equal to k_min (continuous method) gives log_sum = 0
         // → α = ∞. Clamp to a large-but-finite exponent: the distribution
         // is then a near-point-mass at k_min, which is the right limit.
         let alpha = if log_sum <= f64::EPSILON {
             MAX_FITTED_ALPHA
         } else {
-            (1.0 + n / log_sum).min(MAX_FITTED_ALPHA)
+            (1.0 + n as f64 / log_sum).min(MAX_FITTED_ALPHA)
         };
         PowerLaw::new(alpha, k_min)
     }

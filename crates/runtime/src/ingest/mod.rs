@@ -38,13 +38,14 @@ use react_crowd::{
 };
 use react_faults::{FaultPlan, BURST_ID_BASE};
 use react_obs::{null_observer, HistogramKind, ObserverHandle};
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 use std::net::SocketAddr;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
 
+use server::STATUS_RETENTION;
 pub use server::{DoorStats, Inbox, IngestTask, Shared, TaskStatus};
 
 /// Configuration of the ingest front-end + scheduler + worker fleet.
@@ -418,6 +419,7 @@ fn scheduler_thread(
     let mut books = Books {
         report: IngestReport::default(),
         accepted_at: HashMap::new(),
+        finished: VecDeque::new(),
         shared,
     };
     lap.run(source, lc.tick_interval, lc.drain_grace, &mut books);
@@ -453,7 +455,27 @@ struct Books<'a> {
     /// is dropped when its task is first assigned or expires, so
     /// the map does not grow with the run.
     accepted_at: HashMap<TaskId, f64>,
+    /// Each task whose status turned completed or expired, with the
+    /// instant it did, oldest first: the status is dropped from the door's
+    /// table [`STATUS_RETENTION`] crowd seconds later.
+    finished: VecDeque<(f64, TaskId)>,
     shared: &'a Shared,
+}
+
+impl Books<'_> {
+    /// Drops the statuses of the tasks that finished `STATUS_RETENTION`
+    /// or more before `now`.
+    fn forget_finished(&mut self, now: f64) {
+        let due = |&(at, _): &(f64, TaskId)| at + STATUS_RETENTION <= now;
+        if !self.finished.front().is_some_and(due) {
+            return;
+        }
+        let mut statuses = self.shared.statuses.lock();
+        while let Some((_, task)) = self.finished.front().copied().filter(due) {
+            self.finished.pop_front();
+            statuses.remove(&task.0);
+        }
+    }
 }
 
 impl Ledger for Books<'_> {
@@ -465,10 +487,12 @@ impl Ledger for Books<'_> {
     }
 
     fn ticked(&mut self, _: (), now: f64, outcome: &TickOutcome) {
-        for task in &outcome.expired {
+        self.forget_finished(now);
+        for &task in &outcome.expired {
             self.report.expired += 1;
-            self.accepted_at.remove(task);
+            self.accepted_at.remove(&task);
             self.shared.set_status(task.0, TaskStatus::Expired);
+            self.finished.push_back((now, task));
         }
         for recall in &outcome.recalls {
             self.report.recalls += 1;
@@ -490,6 +514,7 @@ impl Ledger for Books<'_> {
         let met_deadline = outcome.met_deadline;
         self.shared
             .set_status(done.task.0, TaskStatus::Completed { met_deadline });
+        self.finished.push_back((done.at, done.task));
     }
 
     fn duplicated(&mut self, rejected: bool) {
@@ -743,6 +768,47 @@ mod tests {
         assert!(report.fault_events > 0, "shims must fire: {report:?}");
         assert!(report.conserved(), "conservation identity: {report:?}");
         assert_eq!(report.stranded, 0, "{report:?}");
+    }
+
+    /// A finished task's status answers polls for `STATUS_RETENTION`
+    /// crowd seconds and is then dropped: the next poll is the unknown-id
+    /// 404. At 3 600 crowd seconds per wall second the retention is one
+    /// wall second.
+    #[test]
+    fn a_finished_status_is_polled_until_its_retention_runs_out() {
+        let config = IngestConfig {
+            time_scale: 3_600.0,
+            tick_interval: 30.0,
+            // The connection idles through the retention.
+            idle_timeout: Duration::from_secs(10),
+            ..quick_config()
+        };
+        let handle = IngestRuntime::new(config).start().expect("start");
+        let mut stream = TcpStream::connect(handle.local_addr()).expect("connect");
+        let (status, _) = post_task(&mut stream, 120);
+        assert_eq!(status, 202);
+        let poll = "GET /tasks/0 HTTP/1.1\r\n\r\n";
+        let clock = handle.clock();
+        let finished_by = loop {
+            let (status, body) = roundtrip(&mut stream, poll);
+            assert_eq!(status, 200, "{body}");
+            if body.contains("completed") || body.contains("expired") {
+                break clock.now();
+            }
+            assert!(clock.now() < 1_200.0, "the task never finished: {body}");
+            clock.sleep(5.0);
+        };
+        let (status, body) = roundtrip(&mut stream, poll);
+        assert_eq!(status, 200, "polled right after finishing: {body}");
+        // Ten ticks past the retention, the scheduler has dropped it.
+        clock.sleep((finished_by + STATUS_RETENTION + 300.0 - clock.now()).max(0.0));
+        let (status, body) = roundtrip(&mut stream, poll);
+        assert_eq!(status, 404, "{body}");
+        assert!(body.contains("unknown task"), "{body}");
+        drop(stream);
+        let report = handle.shutdown();
+        assert_eq!(report.accepted, 1);
+        assert!(report.conserved(), "conservation identity: {report:?}");
     }
 
     #[test]

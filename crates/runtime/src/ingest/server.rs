@@ -69,6 +69,12 @@ impl TaskStatus {
     }
 }
 
+/// Crowd seconds a completed or expired task's status stays pollable:
+/// an hour, forty times the door's default deadline, so a requester that
+/// polls at all sees the outcome, while the table holds the open tasks
+/// and one hour of finished ones however long the door runs.
+pub const STATUS_RETENTION: f64 = 3_600.0;
+
 /// Door-side counters, shared between acceptors and the scheduler.
 /// All relaxed: they are reporting totals, never scheduling inputs.
 #[derive(Debug, Default)]
@@ -124,7 +130,9 @@ pub struct Shared {
     pub next_id: AtomicU64,
     /// Door counters.
     pub stats: DoorStats,
-    /// Per-task status table for `GET /tasks/<id>`.
+    /// Per-task status table for `GET /tasks/<id>`. A completed or
+    /// expired task's entry is dropped [`STATUS_RETENTION`] crowd seconds
+    /// after it was set; a later poll answers `404 unknown task`.
     pub statuses: Mutex<HashMap<u64, TaskStatus>>,
     /// The bounded queue into the scheduler.
     pub submit_tx: Sender<Inbox>,
@@ -249,11 +257,16 @@ fn serve_connection(stream: TcpStream, idle_timeout: Duration, shared: &Shared) 
                 return;
             }
         }
+        // A request read once teardown has begun is answered (a
+        // submission with 503), and then the connection closes. The flag
+        // is read before routing, so one answered earlier keeps its
+        // connection open however soon after the answer the flag flips.
+        let draining = shared.draining.load(Ordering::SeqCst);
         let response = route(&request, shared, &mut body);
-        let close = response.close || request.close;
+        let close = response.close || request.close || draining;
         let ok = send(&response, &mut out, &mut writer).is_ok();
         timer.finish(shared.observer.as_ref(), SpanKind::IngestRequest);
-        if !ok || close || shared.draining.load(Ordering::SeqCst) {
+        if !ok || close {
             return;
         }
     }
