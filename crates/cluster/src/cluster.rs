@@ -11,7 +11,7 @@
 
 use crate::policy::{ClusterPolicy, RebalancePolicy};
 use rand::rngs::SmallRng;
-use react_core::{CompletionOutcome, Config, CoreError, ReactServer, Task, TickOutcome};
+use react_core::{AuditLog, CompletionOutcome, Config, CoreError, ReactServer, Task, TickOutcome};
 use react_core::{TaskId, WorkerId};
 use react_crowd::{Delivery, Dispatch, Trigger};
 use react_geo::{BoundingBox, GeoPoint, RegionGrid, RegionRouter, ServerId};
@@ -121,6 +121,14 @@ impl Cluster {
     /// Read access to one shard's server.
     pub fn server(&self, id: ServerId) -> Option<&ReactServer> {
         self.index.get(&id).map(|&i| &self.shards[i].server)
+    }
+
+    /// Takes one shard's audit log out of its server
+    /// ([`ReactServer::take_audit`]); `None` for an unknown id or an
+    /// unaudited shard.
+    pub fn take_audit(&mut self, id: ServerId) -> Option<AuditLog> {
+        let &i = self.index.get(&id)?;
+        self.shards[i].server.take_audit()
     }
 
     /// Tasks refused at admission so far, per shard (shard order).

@@ -263,14 +263,14 @@ impl ClusterRunner {
         let sim_duration = lap.run(arrivals, sc.tick_interval, sc.drain_horizon, &mut books);
 
         // Horizon accounting + per-shard server stats.
-        let (cluster, crowd, mut shards) = (&lap.server, &lap.crowd, books.shards);
+        let (cluster, crowd, mut shards) = (&mut lap.server, &lap.crowd, books.shards);
         for (i, &server_id) in server_ids.iter().enumerate() {
             let server = cluster.server(server_id).expect("shard exists");
             shards[i].expired_unassigned += server.tasks().unassigned_count() as u64;
             shards[i].stranded = server.tasks().assigned_count() as u64;
             shards[i].batches = server.batches_run();
             shards[i].total_matching_seconds = server.total_matching_seconds();
-            shards[i].audit = server.audit().cloned();
+            shards[i].audit = cluster.take_audit(server_id);
             shards[i].admission_shed = cluster.admission_shed()[i];
             shards[i].handoffs_out = cluster.handoffs_out()[i];
             shards[i].handoffs_in = cluster.handoffs_in()[i];

@@ -58,9 +58,6 @@ pub struct BatchResult {
     pub assignments: Vec<(WorkerId, TaskId)>,
     /// Achieved matching weight `Σ w_ij x_ij`.
     pub total_weight: f64,
-    /// Abstract compute cost reported by the matcher over the *batch*
-    /// subgraph (unassigned tasks only).
-    pub cost_units: f64,
     /// Compute cost over the maintained *region* graph (all open tasks ×
     /// the worker pool) — see [`region_cost_units`]. This is what the
     /// server charges through the calibrated cost model.
@@ -809,16 +806,52 @@ impl SchedulingComponent {
                 .iter()
                 .map(|&(u, v, _)| (workers[u.0 as usize], task_ids[v.0 as usize])),
         );
-        let region_cost_units =
-            region_cost_units(&config.matcher, open_tasks, workers.len(), task_ids.len());
+        let shape = (graph.n_workers(), graph.n_tasks(), graph.n_edges());
+        Self::batch_result(
+            config,
+            shape,
+            pruned,
+            open_tasks,
+            matching.total_weight,
+            assignments,
+        )
+    }
+
+    /// The batch over an empty pool and the `n_tasks` queued tasks —
+    /// what [`SchedulingComponent::match_built`] returns for the graph
+    /// with no worker row, without building or matching it: no pair,
+    /// weight 0, and the region cost of a pool of 0 (which the policy may
+    /// still charge). An empty graph draws nothing from the RNG under any
+    /// policy, so skipping the matcher changes no schedule.
+    pub fn idle_batch(
+        config: &Config,
+        n_tasks: usize,
+        open_tasks: usize,
+        mut assignments: Vec<(WorkerId, TaskId)>,
+    ) -> BatchResult {
+        assignments.clear();
+        Self::batch_result(config, (0, n_tasks, 0), 0, open_tasks, 0.0, assignments)
+    }
+
+    /// Assembles a batch's [`BatchResult`] from its graph's shape
+    /// (workers, tasks, edges): the one place a batch's region cost is
+    /// derived.
+    fn batch_result(
+        config: &Config,
+        graph_shape: (usize, usize, usize),
+        pruned_edges: usize,
+        open_tasks: usize,
+        total_weight: f64,
+        assignments: Vec<(WorkerId, TaskId)>,
+    ) -> BatchResult {
+        let (pool, batch_tasks, _) = graph_shape;
         BatchResult {
             assignments,
-            total_weight: matching.total_weight,
-            cost_units: matching.cost_units,
-            region_cost_units,
-            matcher_name: engine.name(),
-            graph_shape: (graph.n_workers(), graph.n_tasks(), graph.n_edges()),
-            pruned_edges: pruned,
+            total_weight,
+            region_cost_units: region_cost_units(&config.matcher, open_tasks, pool, batch_tasks),
+            matcher_name: config.matcher.name(),
+            graph_shape,
+            pruned_edges,
         }
     }
 

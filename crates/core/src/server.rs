@@ -212,6 +212,12 @@ impl ReactServer {
         self.audit.as_ref()
     }
 
+    /// Takes the audit log out of the server, for a driver closing a run:
+    /// it moves rather than copies, and the server audits nothing after.
+    pub fn take_audit(&mut self) -> Option<AuditLog> {
+        self.audit.take()
+    }
+
     fn record_event(&mut self, at: f64, task: crate::ids::TaskId, kind: TaskEventKind) {
         if let Some(log) = self.audit.as_mut() {
             log.push(at, task, kind);
@@ -257,7 +263,8 @@ impl ReactServer {
     }
 
     /// How many times the matcher engine's cycle budget was set — stays
-    /// at 1 across any number of batches for fixed-cycle policies;
+    /// at most 1 across any number of batches for fixed-cycle policies
+    /// (an idle batch runs no matcher);
     /// grows only when an adaptive cycle budget changes with the
     /// graph's edge count.
     pub fn matcher_rebuilds(&self) -> u64 {
@@ -349,7 +356,9 @@ impl ReactServer {
     /// One control step at time `now`, as a pipeline of named stages:
     /// **expire** → **recall** → **build** → **match** → **commit**
     /// (the last three only when the scheduler is free and the batch
-    /// trigger fires). Stages are emitted as `tick.*` spans (plus
+    /// trigger fires; build and match only when the pool has a worker —
+    /// an idle batch is committed empty, charged as the policy charges a
+    /// graph with no worker row). Stages are emitted as `tick.*` spans (plus
     /// task/batch counters) through the configured observer; under the
     /// null observer no clock is read.
     ///
@@ -370,48 +379,27 @@ impl ReactServer {
 
         let mut batch_size = None;
         if self.batch_due(now) {
-            // Stage 3: incremental two-phase graph construction through
-            // the persistent scratch. Inlined (rather than a &mut self
-            // helper) because the built graph borrows the scratch while
-            // the matcher runs over the sibling fields.
-            let t = SpanTimer::start(self.observer.as_ref());
-            let built = self
-                .scratch
-                .build(&self.config, &mut self.profiling, &self.tasks, now);
-            if self.observer.enabled() {
-                let obs = self.observer.as_ref();
-                let stats = built.stats;
-                if stats.refits > 0 {
-                    obs.incr(CounterKind::ProfileRefits, stats.refits as u64);
-                }
-                if stats.rows_reused > 0 {
-                    obs.incr(CounterKind::BuildRowsReused, stats.rows_reused as u64);
-                }
-                if stats.cdf_memo_hits > 0 {
-                    obs.incr(CounterKind::BuildCdfMemoHits, stats.cdf_memo_hits);
-                }
-                if stats.bytes_reused > 0 {
-                    obs.incr(CounterKind::ScratchBytesReused, stats.bytes_reused as u64);
-                }
-            }
-            t.finish(self.observer.as_ref(), SpanKind::StageBuild);
-
-            // Stage 4: matching over the built graph through the engine,
-            // into the outcome's own assignment vector.
-            let t = SpanTimer::start(self.observer.as_ref());
-            let batch = SchedulingComponent::match_built(
-                &self.config,
-                &mut self.engine,
-                built.graph,
-                built.workers,
-                built.task_ids,
-                built.pruned,
-                self.tasks.open_count(),
-                &mut self.rng,
-                std::mem::take(&mut self.outcome.assignments),
-            );
-            t.finish(self.observer.as_ref(), SpanKind::StageMatch);
-
+            let assignments = std::mem::take(&mut self.outcome.assignments);
+            let batch = if self.pool_size() == 0 {
+                // An idle batch: no worker to match, so nothing is built
+                // or matched; it is booked and charged as the graph with
+                // no worker row would be.
+                #[cfg(feature = "debug-invariants")]
+                assert!(
+                    crate::scheduling::GraphBuilder::prepare(&self.config, &mut self.profiling)
+                        .rows()
+                        .is_empty(),
+                    "idle batch at t={now} while the cold build has a pool"
+                );
+                SchedulingComponent::idle_batch(
+                    &self.config,
+                    self.tasks.unassigned_count(),
+                    self.tasks.open_count(),
+                    assignments,
+                )
+            } else {
+                self.build_and_match(now, assignments)
+            };
             let t = SpanTimer::start(self.observer.as_ref());
             batch_size = Some(batch.graph_shape.1);
             self.stage_commit(now, batch);
@@ -557,6 +545,64 @@ impl ReactServer {
                 .config
                 .batch
                 .should_fire(self.tasks.unassigned_count(), now - self.last_batch_at)
+    }
+
+    /// How many workers a batch at this instant would match against, in
+    /// `O(1)`: the rule of `WorkerProfile::in_pool` — the available
+    /// workers, or every online one under a policy without an
+    /// availability signal.
+    fn pool_size(&self) -> usize {
+        if self.config.matcher.uses_availability() {
+            self.profiling.available_count()
+        } else {
+            self.profiling.online_count()
+        }
+    }
+
+    /// Pipeline stages 3 and 4 for a batch with a pool: the incremental
+    /// two-phase graph construction through the persistent scratch, then
+    /// matching over it through the engine, into `assignments`.
+    fn build_and_match(&mut self, now: f64, assignments: Vec<(WorkerId, TaskId)>) -> BatchResult {
+        // Stage 3: incremental two-phase graph construction through the
+        // persistent scratch. The built graph borrows the scratch while
+        // the matcher runs over the sibling fields.
+        let t = SpanTimer::start(self.observer.as_ref());
+        let built = self
+            .scratch
+            .build(&self.config, &mut self.profiling, &self.tasks, now);
+        if self.observer.enabled() {
+            let obs = self.observer.as_ref();
+            let stats = built.stats;
+            if stats.refits > 0 {
+                obs.incr(CounterKind::ProfileRefits, stats.refits as u64);
+            }
+            if stats.rows_reused > 0 {
+                obs.incr(CounterKind::BuildRowsReused, stats.rows_reused as u64);
+            }
+            if stats.cdf_memo_hits > 0 {
+                obs.incr(CounterKind::BuildCdfMemoHits, stats.cdf_memo_hits);
+            }
+            if stats.bytes_reused > 0 {
+                obs.incr(CounterKind::ScratchBytesReused, stats.bytes_reused as u64);
+            }
+        }
+        t.finish(self.observer.as_ref(), SpanKind::StageBuild);
+
+        // Stage 4: matching over the built graph through the engine.
+        let t = SpanTimer::start(self.observer.as_ref());
+        let batch = SchedulingComponent::match_built(
+            &self.config,
+            &mut self.engine,
+            built.graph,
+            built.workers,
+            built.task_ids,
+            built.pruned,
+            self.tasks.open_count(),
+            &mut self.rng,
+            assignments,
+        );
+        t.finish(self.observer.as_ref(), SpanKind::StageMatch);
+        batch
     }
 
     /// Pipeline stage 5: apply the batch — charge the modelled matching

@@ -512,7 +512,9 @@ impl TaskManagementComponent {
         );
     }
 
-    /// Marks `id` assigned to `worker` at `now`.
+    /// Marks `id` assigned to `worker` at `now`. A retired task
+    /// (completed or expired) is refused as [`CoreError::UnknownTask`],
+    /// the answer it gets once its record is pruned.
     pub fn mark_assigned(
         &mut self,
         id: TaskId,
@@ -521,6 +523,9 @@ impl TaskManagementComponent {
     ) -> Result<(), CoreError> {
         let slot = self.slot(id)?;
         let rec = &mut self.records[slot];
+        if !rec.state.is_open() {
+            return Err(CoreError::UnknownTask(id));
+        }
         rec.state = TaskState::Assigned {
             worker,
             assigned_at: now,
@@ -954,5 +959,30 @@ mod tests {
         assert_eq!(pruned, 2, "completed task 1 and expired task 2");
         assert_eq!(tm.len(), 1);
         assert!(tm.record(TaskId(3)).is_ok());
+    }
+
+    #[test]
+    fn a_retired_task_is_not_reassigned_before_or_after_its_prune() {
+        let mut tm = TaskManagementComponent::new();
+        tm.submit(task(1, 10.0), 0.0).unwrap();
+        tm.submit(task(2, 10.0), 0.0).unwrap();
+        tm.mark_assigned(TaskId(1), WorkerId(1), 0.0).unwrap();
+        tm.complete(TaskId(1), WorkerId(1), 5.0).unwrap();
+        expire(&mut tm, 50.0); // task 2 expires
+        for pruned in [false, true] {
+            if pruned {
+                assert_eq!(tm.prune_retired(50.0, 0.0), 2);
+            }
+            for id in [TaskId(1), TaskId(2)] {
+                assert_eq!(
+                    tm.mark_assigned(id, WorkerId(3), 60.0),
+                    Err(CoreError::UnknownTask(id)),
+                    "{id}, pruned: {pruned}"
+                );
+            }
+            assert_eq!(tm.assigned_count(), 0);
+            assert!(tm.unassigned().is_empty());
+        }
+        tm.assert_queue_matches_registry();
     }
 }

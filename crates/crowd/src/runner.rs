@@ -244,10 +244,10 @@ impl ScenarioRunner {
             lap.run(arrivals, sc.tick_interval, sc.drain_horizon, &mut books);
 
         let Books { mut report, .. } = books;
-        let (server, crowd) = (&lap.server, &lap.crowd);
+        let (server, crowd) = (&mut lap.server, &lap.crowd);
         report.batches = server.batches_run();
         report.total_matching_seconds = server.total_matching_seconds();
-        report.audit = server.audit().cloned();
+        report.audit = server.take_audit();
         report.groups = (report.received - report.faults.burst_tasks).div_ceil(k as u64);
         // Anything still open at the horizon is a miss that never even
         // completed; count queued leftovers as expired-unassigned.

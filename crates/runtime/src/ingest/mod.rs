@@ -430,7 +430,7 @@ fn scheduler_thread(
     report.stranded = in_flight as u64;
     report.batches = lap.server.batches_run();
     report.fault_events += lap.crowd.abandoned() + lap.crowd.lost();
-    report.audit = lap.server.audit().cloned();
+    report.audit = lap.server.take_audit();
     if let Some(log) = &report.audit {
         verify_lifecycles(log);
     }

@@ -159,6 +159,9 @@ impl Model {
 
     fn assign(&mut self, id: TaskId, worker: WorkerId, now: f64) -> Result<(), CoreError> {
         let rec = self.tasks.get_mut(&id).ok_or(CoreError::UnknownTask(id))?;
+        if !rec.state.is_open() {
+            return Err(CoreError::UnknownTask(id));
+        }
         rec.state = TaskState::Assigned {
             worker,
             assigned_at: now,
