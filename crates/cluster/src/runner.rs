@@ -26,7 +26,9 @@
 use crate::cluster::Cluster;
 use crate::policy::ClusterPolicy;
 use react_core::{AuditLog, CompletionOutcome, Task, TaskId, TickOutcome, WorkerId};
-use react_crowd::{generate_population, Arrivals, Crowd, Delivery, Lap, Ledger, Scenario};
+use react_crowd::{
+    generate_population, Arrivals, Crowd, Delivery, FaultStats, Lap, Ledger, Scenario,
+};
 use react_geo::{GeoPoint, RegionGrid, ServerId};
 use react_obs::{null_observer, ObserverHandle};
 use react_sim::RngStreams;
@@ -278,16 +280,25 @@ impl ClusterRunner {
         for (i, n) in cluster.workers_per_shard().into_iter().enumerate() {
             shards[i].workers_final = n;
         }
+        let faults = FaultStats {
+            dropouts: crowd.dropouts(),
+            abandons: crowd.abandoned(),
+            completions_lost: crowd.lost(),
+            completions_duplicated: books.duplicated,
+            burst_tasks: books.burst_tasks,
+            ..FaultStats::default()
+        };
+        faults.emit(&self.observer);
         ClusterReport {
             label: sc.label.clone(),
             shards,
             received: books.received,
             unroutable: cluster.unroutable(),
             workers_rebalanced: cluster.workers_rebalanced(),
-            burst_tasks: books.burst_tasks,
-            dropouts: crowd.dropouts(),
-            abandons: crowd.abandoned(),
-            completions_lost: crowd.lost(),
+            burst_tasks: faults.burst_tasks,
+            dropouts: faults.dropouts,
+            abandons: faults.abandons,
+            completions_lost: faults.completions_lost,
             duplicates_rejected: books.duplicates_rejected,
             sim_duration,
         }
@@ -300,6 +311,8 @@ struct Books {
     shards: Vec<ShardReport>,
     received: u64,
     burst_tasks: u64,
+    /// Duplicate completion deliveries, rejected or not.
+    duplicated: u64,
     duplicates_rejected: u64,
 }
 
@@ -330,6 +343,7 @@ impl Ledger<usize> for Books {
     }
 
     fn duplicated(&mut self, rejected: bool) {
+        self.duplicated += 1;
         self.duplicates_rejected += u64::from(rejected);
     }
 

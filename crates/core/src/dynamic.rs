@@ -89,7 +89,7 @@ impl DynamicAssignmentComponent {
             return Verdict::Settled;
         }
         let Ok(profile) = profiling.profile_mut(worker) else {
-            return Verdict::Skipped; // worker deregistered mid-flight
+            return Verdict::Skipped; // worker unknown to this profiler
         };
         let Some(model) = profile.deadline_dist(config.latency_model) else {
             return Verdict::Settled; // cold profile: model not initiated yet
@@ -348,9 +348,9 @@ mod tests {
     }
 
     #[test]
-    fn deregistered_worker_is_skipped() {
-        let (config, mut p, tm) = setup(60.0);
-        p.deregister(WorkerId(1)).unwrap();
+    fn unknown_worker_is_skipped() {
+        let (config, _, tm) = setup(60.0);
+        let mut p = ProfilingComponent::default();
         let recalls = DynamicAssignmentComponent::check(&config, &mut p, &tm, 55.0);
         assert!(recalls.is_empty());
     }

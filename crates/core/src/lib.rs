@@ -73,7 +73,6 @@ pub mod dynamic;
 pub mod error;
 pub mod events;
 pub mod ids;
-pub mod persist;
 pub mod prelude;
 pub mod profiling;
 pub mod scheduling;
@@ -87,7 +86,6 @@ pub use dynamic::DynamicAssignmentComponent;
 pub use error::{CoreError, ReactError};
 pub use events::{verify_lifecycles, AuditLog, TaskEvent, TaskEventKind};
 pub use ids::{IdHasher, IdMap, TaskCategory, TaskId, WorkerId};
-pub use persist::{export_profiles, import_profiles, PersistError};
 pub use profiling::{Availability, ProfilingComponent, WorkerProfile};
 pub use scheduling::{
     BatchResult, BatchScratch, BuildStats, BuiltBatchGraph, GraphBuilder, SchedulingComponent,

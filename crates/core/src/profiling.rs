@@ -168,11 +168,6 @@ impl WorkerProfile {
         }
     }
 
-    /// True once the execution-time model is usable.
-    pub fn is_profiled(&self) -> bool {
-        self.estimator.is_warm()
-    }
-
     /// The worker's acceptable reward range, if they declared one.
     ///
     /// The paper's pricing extension (Sec. III-C, *Task Rewards*): when a
@@ -196,21 +191,6 @@ impl WorkerProfile {
             Availability::Busy => include_busy,
             Availability::Offline => false,
         }
-    }
-
-    /// Per-category feedback tallies as `(category, finished, positive)`
-    /// triples, sorted by category (for deterministic checkpoints — the
-    /// `BTreeMap` already iterates in key order).
-    pub fn category_stats(&self) -> Vec<(TaskCategory, u64, u64)> {
-        self.by_category
-            .iter()
-            .map(|(c, s)| (*c, s.finished, s.positive))
-            .collect()
-    }
-
-    /// The retained execution-time samples, in observation order.
-    pub fn exec_samples(&self) -> &[f64] {
-        self.estimator.samples()
     }
 }
 
@@ -240,9 +220,9 @@ fn fresh_instance() -> u64 {
 #[derive(Debug, Clone, Default)]
 struct ChangeFeed {
     /// The last epoch handed out. Every scheduling-visible change — a
-    /// profile mutation, a registration, a deregistration — takes the
-    /// next one, from [`Self::take`] only, so epochs are strictly
-    /// increasing and each belongs to exactly one worker.
+    /// profile mutation or a registration — takes the next one, from
+    /// [`Self::take`] only, so epochs are strictly increasing and each
+    /// belongs to exactly one worker.
     last_epoch: u64,
     /// `log[i]` took epoch `log_base + 1 + i`, oldest first, so
     /// `log_base + log.len() == last_epoch`.
@@ -275,7 +255,7 @@ pub struct ProfilingComponent {
     /// `profiles[i]` is the profile of `ids[i]`.
     profiles: Vec<WorkerProfile>,
     /// `profiles` counted by availability (indexed `state as usize`), kept
-    /// by every method that registers, removes or moves a worker, so the
+    /// by every method that registers or moves a worker, so the
     /// pool's size is read in `O(1)`.
     counts: [usize; 3],
     estimator_config: EstimatorConfig,
@@ -397,16 +377,6 @@ impl ProfilingComponent {
         self.ids.insert(slot, id);
         self.profiles.insert(slot, profile);
         Ok(())
-    }
-
-    /// Removes a worker entirely (left the system).
-    pub fn deregister(&mut self, id: WorkerId) -> Result<WorkerProfile, CoreError> {
-        let slot = self.slot(id)?;
-        self.ids.remove(slot);
-        let profile = self.profiles.remove(slot);
-        self.feed.take(id, self.feed_capacity());
-        self.counts[profile.availability as usize] -= 1;
-        Ok(profile)
     }
 
     /// Number of registered workers.
@@ -583,39 +553,6 @@ impl ProfilingComponent {
     pub fn iter(&self) -> impl Iterator<Item = &WorkerProfile> {
         self.profiles.iter()
     }
-
-    /// Rebuilds a worker profile from checkpointed state (see
-    /// [`crate::persist`]). The worker is registered as available; the
-    /// execution-time samples replay through the estimator in order so
-    /// window semantics are preserved.
-    #[allow(clippy::too_many_arguments)]
-    pub fn restore(
-        &mut self,
-        id: WorkerId,
-        location: GeoPoint,
-        assignments_served: u64,
-        reward_range: Option<(f64, f64)>,
-        category_stats: &[(TaskCategory, u64, u64)],
-        exec_samples: &[f64],
-    ) -> Result<(), CoreError> {
-        self.register(id, location)?;
-        let profile = self.touch(id)?;
-        profile.assignments_served = assignments_served;
-        profile.reward_range = reward_range.map(|(a, b)| if a <= b { (a, b) } else { (b, a) });
-        for &(category, finished, positive) in category_stats {
-            profile.by_category.insert(
-                category,
-                CategoryStats {
-                    finished,
-                    positive: positive.min(finished),
-                },
-            );
-        }
-        for &t in exec_samples {
-            profile.estimator.observe(t);
-        }
-        Ok(())
-    }
 }
 
 #[cfg(test)]
@@ -642,18 +579,6 @@ mod tests {
             Err(CoreError::DuplicateWorker(WorkerId(1)))
         );
         assert!(p.profile(WorkerId(2)).is_err());
-    }
-
-    #[test]
-    fn deregister_removes() {
-        let mut p = profiler_with_worker();
-        let prof = p.deregister(WorkerId(1)).unwrap();
-        assert_eq!(prof.id(), WorkerId(1));
-        assert!(p.is_empty());
-        assert!(matches!(
-            p.deregister(WorkerId(1)),
-            Err(CoreError::UnknownWorker(WorkerId(1)))
-        ));
     }
 
     #[test]
@@ -731,13 +656,10 @@ mod tests {
             p.record_completion(WorkerId(1), TaskCategory(0), t, true)
                 .unwrap();
         }
-        assert!(!p.profile(WorkerId(1)).unwrap().is_profiled());
         assert!(p.profile_mut(WorkerId(1)).unwrap().exec_model().is_none());
         p.record_completion(WorkerId(1), TaskCategory(0), 9.0, true)
             .unwrap();
-        let prof = p.profile_mut(WorkerId(1)).unwrap();
-        assert!(prof.is_profiled());
-        let model = prof.exec_model().unwrap();
+        let model = p.profile_mut(WorkerId(1)).unwrap().exec_model().unwrap();
         assert_eq!(model.k_min(), 4.0);
     }
 
@@ -829,16 +751,8 @@ mod tests {
         let before = p.epoch_now();
         assert!(p.record_assignment(WorkerId(9)).is_err());
         assert!(p.set_reward_range(WorkerId(9), None).is_err());
-        assert!(p.deregister(WorkerId(9)).is_err());
         assert!(p.register(WorkerId(1), here()).is_err());
         assert_eq!(p.epoch_now(), before);
-        // Leaving changes the pool, so it takes one; re-registration can
-        // never reuse an epoch a reader remembers.
-        p.deregister(WorkerId(1)).unwrap();
-        assert_eq!(p.epoch_now(), before + 1);
-        p.register(WorkerId(1), here()).unwrap();
-        assert!(p.profile(WorkerId(1)).unwrap().epoch() > last);
-        assert_eq!(p.profile(WorkerId(1)).unwrap().epoch(), p.epoch_now());
     }
 
     /// After any sequence of operations, failed ones included, the feed
@@ -858,7 +772,7 @@ mod tests {
             let before = p.epoch_now();
             let done = match (state >> 40) % 6 {
                 0 => p.register(id, here()).is_ok(),
-                1 => p.deregister(id).is_ok(),
+                1 => p.set_location(id, here()).is_ok(),
                 2 => p.record_assignment(id).is_ok(),
                 3 => p.record_completion(id, TaskCategory(0), 3.0, true).is_ok(),
                 4 => p.set_availability(id, Availability::Offline).is_ok(),
@@ -901,12 +815,12 @@ mod tests {
             let id = WorkerId((state >> 33) % 8);
             let _ = match (state >> 40) % 7 {
                 0 => p.register(id, here()),
-                1 => p.deregister(id).map(|_| ()),
+                1 => p.set_availability(id, Availability::Available),
                 2 => p.record_assignment(id),
                 3 => p.record_completion(id, TaskCategory(0), 3.0, true),
                 4 => p.record_recall(id),
                 5 => p.set_availability(id, Availability::Offline),
-                _ => p.restore(id, here(), 2, None, &[], &[4.0]),
+                _ => p.mark_suspect(id, 0.5).map(|_| ()),
             };
             assert_eq!(p.online_count(), p.online_workers().len());
             assert_eq!(p.available_count(), p.available_workers().len());
@@ -946,11 +860,6 @@ mod tests {
             p.mark_suspect(WorkerId(i % 1_000), 1.0).unwrap();
         }
         assert_eq!(p.feed.log.len(), 2_000);
-        // ... and a shrinking one narrows it again.
-        for id in 10..1_000 {
-            p.deregister(WorkerId(id)).unwrap();
-        }
-        assert_eq!(p.feed.log.len(), MIN_FEED_LEN);
     }
 
     /// A clone is its own history to a feed reader.

@@ -326,11 +326,10 @@ pub struct BuiltBatchGraph<'s> {
 ///   workers the component's change feed
 ///   (`ProfilingComponent::touched_since`) names since the epoch this
 ///   scratch last read — a handful out of thousands in steady state —
-///   inserting the newly registered and removing the deregistered by
-///   binary search. The first build, a config change (the snapshot
-///   depends on the config), a feed that no longer reaches back that far
-///   and a component other than the one last read
-///   (`ProfilingComponent::instance`) re-read every profile instead,
+///   inserting the newly registered by binary search. The first build, a
+///   config change (the snapshot depends on the config), a feed that no
+///   longer reaches back that far and a component other than the one last
+///   read (`ProfilingComponent::instance`) re-read every profile instead,
 ///   which is a cold start. Each scratch keeps its own cursor, so any
 ///   number of them can read one component.
 /// * **Row-level verdicts** — the reward test is skipped for a worker who
@@ -406,14 +405,6 @@ impl BatchScratch {
     #[doc(hidden)]
     pub fn set_threads(&mut self, _threads: Option<usize>) {}
 
-    /// Drops every row (the buffers keep their capacity). The next build
-    /// recomputes all of phase A, exactly like a cold start.
-    pub fn invalidate(&mut self) {
-        self.rows.clear();
-        self.synced = None;
-        self.last_config = None;
-    }
-
     /// Heap bytes currently retained by the graph, pool and task-column
     /// buffers.
     pub fn allocated_bytes(&self) -> usize {
@@ -459,21 +450,15 @@ impl BatchScratch {
         self.touched.dedup();
         let mut refreshed = 0usize;
         for &id in &self.touched {
-            let at = self.rows.binary_search_by_key(&id, |row| row.id);
-            match (profiling.profile_mut(id), at) {
-                (Ok(profile), at) => {
-                    let row = CachedRow::snapshot(config, deadline_model, profile);
-                    refreshed += usize::from(row.in_pool);
-                    match at {
-                        Ok(i) => self.rows[i] = row,
-                        Err(i) => self.rows.insert(i, row),
-                    }
-                }
-                (Err(_), Ok(i)) => {
-                    self.rows.remove(i);
-                }
-                // Registered and gone again between two builds.
-                (Err(_), Err(_)) => {}
+            // The feed names only registered workers: none ever leaves.
+            let Ok(profile) = profiling.profile_mut(id) else {
+                continue;
+            };
+            let row = CachedRow::snapshot(config, deadline_model, profile);
+            refreshed += usize::from(row.in_pool);
+            match self.rows.binary_search_by_key(&id, |r| r.id) {
+                Ok(i) => self.rows[i] = row,
+                Err(i) => self.rows.insert(i, row),
             }
         }
         refreshed
@@ -854,33 +839,6 @@ impl SchedulingComponent {
             pruned_edges,
         }
     }
-
-    /// Runs one batch — graph construction + matching — with a
-    /// throwaway engine, for one-off batches and tests (the server
-    /// drives [`BatchScratch`] and [`SchedulingComponent::match_built`]
-    /// with its own engine). Does **not** mutate component state
-    /// beyond the phase-A model refits; the server applies the
-    /// assignments so it can also charge the modelled matching latency.
-    pub fn run_batch(
-        config: &Config,
-        profiling: &mut ProfilingComponent,
-        tasks: &TaskManagementComponent,
-        now: f64,
-        rng: &mut dyn RngCore,
-    ) -> BatchResult {
-        let (graph, workers, task_ids, pruned) = Self::build_graph(config, profiling, tasks, now);
-        Self::match_built(
-            config,
-            &mut MatcherEngine::new(config.matcher),
-            &graph,
-            &workers,
-            &task_ids,
-            pruned,
-            tasks.open_count(),
-            rng,
-            Vec::new(),
-        )
-    }
 }
 
 /// Compute cost over the maintained region graph.
@@ -938,6 +896,28 @@ mod tests {
             tm.submit(task(i, 60.0), 0.0).unwrap();
         }
         (p, tm)
+    }
+
+    /// One batch — the cold build, then a throwaway engine's match.
+    fn one_batch(
+        config: &Config,
+        p: &mut ProfilingComponent,
+        tm: &TaskManagementComponent,
+        rng: &mut SmallRng,
+    ) -> BatchResult {
+        let (graph, workers, task_ids, pruned) =
+            SchedulingComponent::build_graph(config, p, tm, 0.0);
+        SchedulingComponent::match_built(
+            config,
+            &mut MatcherEngine::new(config.matcher),
+            &graph,
+            &workers,
+            &task_ids,
+            pruned,
+            tm.open_count(),
+            rng,
+            Vec::new(),
+        )
     }
 
     /// Marks a worker as past training with a known profile.
@@ -1036,11 +1016,11 @@ mod tests {
     }
 
     #[test]
-    fn run_batch_assigns_each_task_once() {
+    fn a_batch_assigns_each_task_once() {
         let config = Config::paper_defaults();
         let (mut p, tm) = setup(10, 5);
         let mut rng = SmallRng::seed_from_u64(1);
-        let result = SchedulingComponent::run_batch(&config, &mut p, &tm, 0.0, &mut rng);
+        let result = one_batch(&config, &mut p, &tm, &mut rng);
         assert_eq!(result.matcher_name, "react");
         assert!(result.assignments.len() <= 5);
         let mut seen_tasks = std::collections::HashSet::new();
@@ -1053,12 +1033,12 @@ mod tests {
     }
 
     #[test]
-    fn run_batch_with_busy_workers_only_uses_available() {
+    fn a_batch_with_busy_workers_only_uses_available() {
         let config = Config::paper_defaults();
         let (mut p, tm) = setup(3, 3);
         p.record_assignment(WorkerId(0)).unwrap(); // busy
         let mut rng = SmallRng::seed_from_u64(2);
-        let result = SchedulingComponent::run_batch(&config, &mut p, &tm, 0.0, &mut rng);
+        let result = one_batch(&config, &mut p, &tm, &mut rng);
         assert!(result.assignments.iter().all(|(w, _)| *w != WorkerId(0)));
         assert_eq!(result.graph_shape.0, 2);
     }
@@ -1192,37 +1172,22 @@ mod tests {
     }
 
     #[test]
-    fn scratch_handles_worker_churn() {
+    fn scratch_inserts_newly_registered_workers() {
         let (config, mut p, tm) = mixed_setup();
         let mut scratch = BatchScratch::new();
-        scratch.build(&config, &mut p, &tm, 0.0);
-        // Deregister a cached worker, then re-register them cold: the
-        // fresh epoch must not collide with the cached one.
-        p.deregister(WorkerId(12)).unwrap();
-        let built = scratch.build(&config, &mut p, &tm, 0.0);
-        assert!(!built.workers.contains(&WorkerId(12)));
-        p.register(WorkerId(12), here()).unwrap();
-        let built = scratch.build(&config, &mut p, &tm, 0.0);
-        let (cold, ..) = SchedulingComponent::build_graph(&config, &mut p, &tm, 0.0);
-        assert_eq!(built.graph.edges(), cold.edges());
-        // The table is bounded by the registry, not by history: a
-        // thousand workers that each come, are built once and go leave
-        // nothing.
-        for fresh in 1_000..2_000 {
+        let pool = scratch.build(&config, &mut p, &tm, 0.0).stats.rows_total;
+        // Each newcomer is one fresh row in id order; the rest are reused.
+        for fresh in [1_500, 12_000, 1_000] {
             p.register(WorkerId(fresh), here()).unwrap();
             let built = scratch.build(&config, &mut p, &tm, 0.0);
             assert_eq!(built.stats.rows_reused, built.stats.rows_total - 1);
-            p.deregister(WorkerId(fresh)).unwrap();
+            let (cold, ..) = SchedulingComponent::build_graph(&config, &mut p, &tm, 0.0);
+            assert_eq!(built.graph.edges(), cold.edges());
+            assert_eq!(scratch.rows.len(), p.len());
         }
-        let pool = scratch.build(&config, &mut p, &tm, 0.0).stats.rows_total;
-        assert_eq!(scratch.rows.len(), p.len());
-        // One of them coming back is a new worker to the table.
-        p.register(WorkerId(1_500), here()).unwrap();
-        let built = scratch.build(&config, &mut p, &tm, 0.0);
-        assert_eq!(built.stats.rows_reused, pool);
-        let (cold, ..) = SchedulingComponent::build_graph(&config, &mut p, &tm, 0.0);
-        assert_eq!(built.graph.edges(), cold.edges());
-        assert_eq!(scratch.rows.len(), p.len());
+        let again = scratch.build(&config, &mut p, &tm, 0.0).stats;
+        assert_eq!(again.rows_total, pool + 3);
+        assert_eq!(again.rows_reused, again.rows_total);
     }
 
     /// Workers outside the pool have rows too (so that entering it is a
@@ -1350,10 +1315,10 @@ mod tests {
         let config = Config::paper_defaults();
         let (mut p, tm) = setup(0, 3);
         let mut rng = SmallRng::seed_from_u64(3);
-        let result = SchedulingComponent::run_batch(&config, &mut p, &tm, 0.0, &mut rng);
+        let result = one_batch(&config, &mut p, &tm, &mut rng);
         assert!(result.assignments.is_empty());
         let (mut p, tm) = setup(3, 0);
-        let result = SchedulingComponent::run_batch(&config, &mut p, &tm, 0.0, &mut rng);
+        let result = one_batch(&config, &mut p, &tm, &mut rng);
         assert!(result.assignments.is_empty());
     }
 }

@@ -224,19 +224,6 @@ impl ReactServer {
         }
     }
 
-    /// Routes this server's telemetry to `observer` (also re-routes the
-    /// matcher engine). Prefer [`ServerBuilder::observer`]; this exists
-    /// for embeddings that construct the server before the sink.
-    pub fn set_observer(&mut self, observer: ObserverHandle) {
-        self.engine.set_observer(observer.clone());
-        self.observer = observer;
-    }
-
-    /// The observer sink receiving this server's telemetry.
-    pub fn observer(&self) -> &ObserverHandle {
-        &self.observer
-    }
-
     /// The active configuration.
     pub fn config(&self) -> &Config {
         &self.config
@@ -697,12 +684,12 @@ impl ReactServer {
         })
     }
 
-    /// Drops retired task records older than `horizon` seconds, as
+    /// Drops the task records that retired at or before `now`, as
     /// [`TaskManagementComponent::prune_retired`] does; returns how many
-    /// were pruned. Every driver's lap calls it with `horizon` 0 at each
-    /// grid tick, so a long run's registry does not grow with the run.
-    pub fn prune_retired(&mut self, now: f64, horizon: f64) -> usize {
-        self.tasks.prune_retired(now, horizon)
+    /// were pruned. Every driver's lap calls it at each grid tick, so a
+    /// long run's registry does not grow with the run.
+    pub fn prune_retired(&mut self, now: f64) -> usize {
+        self.tasks.prune_retired(now)
     }
 }
 
@@ -1165,6 +1152,8 @@ mod tests {
         s.submit_task(task(1, 10.0), 0.0);
         s.tick(0.0);
         s.complete_task(TaskId(1), WorkerId(1), 1.0, true).unwrap();
-        assert_eq!(s.prune_retired(1_000.0, 10.0), 1);
+        assert_eq!(s.prune_retired(0.5), 0, "retired after 0.5 s");
+        assert_eq!(s.prune_retired(1.0), 1);
+        assert!(s.tasks().is_empty());
     }
 }

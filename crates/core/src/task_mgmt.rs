@@ -644,15 +644,14 @@ impl TaskManagementComponent {
         self.remove(id)
     }
 
-    /// Removes retired records older than `horizon` seconds before `now`
-    /// — a completed one by its completion instant, an expired one by its
-    /// deadline — and returns how many were pruned. Walks the retirement
-    /// list, not the registry, so it costs the retirements still listed:
-    /// with `horizon` 0 and `now` no earlier than the last retirement,
-    /// those since the last prune. A pruned id is unknown from then on:
-    /// completing it is an error still, and submitting it again starts a
-    /// new task.
-    pub fn prune_retired(&mut self, now: f64, horizon: f64) -> usize {
+    /// Removes the records that retired at or before `now` — a completed
+    /// one by its completion instant, an expired one by its deadline — and
+    /// returns how many were pruned. Walks the retirement list, not the
+    /// registry, so it costs the retirements still listed: with `now` no
+    /// earlier than the last retirement, those since the last prune. A
+    /// pruned id is unknown from then on: completing it is an error still,
+    /// and submitting it again starts a new task.
+    pub fn prune_retired(&mut self, now: f64) -> usize {
         let before = self.records.len();
         let mut retired = std::mem::take(&mut self.retired);
         retired.retain(|&id| {
@@ -661,8 +660,8 @@ impl TaskManagementComponent {
             };
             let rec = &self.records[slot];
             let keep = match rec.state {
-                TaskState::Completed { completed_at, .. } => completed_at + horizon > now,
-                TaskState::Expired => rec.deadline_at() + horizon > now,
+                TaskState::Completed { completed_at, .. } => completed_at > now,
+                TaskState::Expired => rec.deadline_at() > now,
                 // Reopened: listed again when it next retires.
                 _ => return false,
             };
@@ -676,8 +675,8 @@ impl TaskManagementComponent {
     }
 
     /// Iterates over all records, in ascending task-id order. Sorts the
-    /// whole registry on every call, so it is for checkpoints and tests,
-    /// not for a per-tick loop.
+    /// whole registry on every call, so it is for tests and run-end
+    /// reads, not for a per-tick loop.
     pub fn iter(&self) -> impl Iterator<Item = &TaskRecord> {
         let mut by_id: Vec<&TaskRecord> = self.records.iter().collect();
         by_id.sort_unstable_by_key(|rec| rec.task.id);
@@ -947,7 +946,7 @@ mod tests {
     }
 
     #[test]
-    fn prune_retired_keeps_recent_and_open() {
+    fn prune_retired_keeps_later_retirements_and_open() {
         let mut tm = TaskManagementComponent::new();
         tm.submit(task(1, 10.0), 0.0).unwrap();
         tm.submit(task(2, 10.0), 0.0).unwrap();
@@ -955,8 +954,10 @@ mod tests {
         tm.mark_assigned(TaskId(1), WorkerId(1), 0.0).unwrap();
         tm.complete(TaskId(1), WorkerId(1), 5.0).unwrap();
         expire(&mut tm, 50.0); // task 2 expires (task 3 still live)
-        let pruned = tm.prune_retired(1000.0, 100.0);
-        assert_eq!(pruned, 2, "completed task 1 and expired task 2");
+        assert_eq!(tm.prune_retired(5.0), 1, "task 1, completed at 5 s");
+        // Task 2 retired by its deadline, 10 s: still kept at 5 s.
+        assert!(tm.record(TaskId(2)).is_ok());
+        assert_eq!(tm.prune_retired(10.0), 1, "expired task 2");
         assert_eq!(tm.len(), 1);
         assert!(tm.record(TaskId(3)).is_ok());
     }
@@ -971,7 +972,7 @@ mod tests {
         expire(&mut tm, 50.0); // task 2 expires
         for pruned in [false, true] {
             if pruned {
-                assert_eq!(tm.prune_retired(50.0, 0.0), 2);
+                assert_eq!(tm.prune_retired(50.0), 2);
             }
             for id in [TaskId(1), TaskId(2)] {
                 assert_eq!(

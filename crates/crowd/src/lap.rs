@@ -114,7 +114,7 @@ impl Dispatch for ReactServer {
     }
 
     fn retire(&mut self, now: f64) {
-        self.prune_retired(now, 0.0);
+        self.prune_retired(now);
     }
 }
 

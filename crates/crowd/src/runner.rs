@@ -57,6 +57,31 @@ pub struct FaultStats {
     pub stranded: u64,
 }
 
+impl FaultStats {
+    /// Adds the run's injected faults to `observer`'s `fault.*` counters
+    /// (each nonzero one once, at run end): what both DES runners report,
+    /// so a sharded run counts its faults as a single server's does.
+    pub fn emit(&self, observer: &ObserverHandle) {
+        if !observer.enabled() {
+            return;
+        }
+        for (kind, by) in [
+            (CounterKind::FaultDropouts, self.dropouts),
+            (CounterKind::FaultAbandons, self.abandons),
+            (CounterKind::FaultCompletionsLost, self.completions_lost),
+            (
+                CounterKind::FaultCompletionsDuplicated,
+                self.completions_duplicated,
+            ),
+            (CounterKind::FaultBurstTasks, self.burst_tasks),
+        ] {
+            if by > 0 {
+                observer.incr(kind, by);
+            }
+        }
+    }
+}
+
 /// Aggregated results of one simulation run.
 #[derive(Debug, Clone, Default)]
 pub struct RunReport {
@@ -105,8 +130,6 @@ pub struct RunReport {
     /// Groups where at least one replica earned positive feedback (the
     /// best-answer redundancy condition).
     pub groups_any_positive: u64,
-    /// Groups where at least one replica met the deadline.
-    pub groups_any_met: u64,
     /// Injected-fault and recovery accounting (all zeros without a
     /// [`Scenario::faults`] plan).
     pub faults: FaultStats,
@@ -156,35 +179,6 @@ fn mean(xs: &[f64]) -> f64 {
     }
 }
 
-/// One replica group's completions so far.
-#[derive(Debug, Clone, Copy, Default)]
-struct GroupTally {
-    positives: usize,
-    any_met: bool,
-}
-
-impl GroupTally {
-    /// Books one replica's completion and counts in `report` each group
-    /// condition this completion is the first to meet, so every group is
-    /// counted once per condition with no pass over the groups.
-    fn complete(&mut self, positive: bool, met: bool, k: usize, report: &mut RunReport) {
-        if positive {
-            self.positives += 1;
-            if self.positives == 1 {
-                report.groups_any_positive += 1;
-            }
-            // The positive that makes a strict majority of `k`.
-            if self.positives == k / 2 + 1 {
-                report.groups_majority_positive += 1;
-            }
-        }
-        if met && !self.any_met {
-            self.any_met = true;
-            report.groups_any_met += 1;
-        }
-    }
-}
-
 /// Runs one [`Scenario`] to completion.
 pub struct ScenarioRunner {
     scenario: Scenario,
@@ -225,7 +219,7 @@ impl ScenarioRunner {
         .with_bursts(sc.deadline_range, sc.n_categories)
         .with_churn(sc.churn);
         // Replica bookkeeping. At replication 1 a group is its one task,
-        // which completes once, so its tally starts empty and needs no map.
+        // which completes once, so it needs no map.
         let k = sc.replication.max(1);
         let mut books = Books {
             report: RunReport {
@@ -256,25 +250,7 @@ impl ScenarioRunner {
         report.faults.dropouts = crowd.dropouts();
         report.faults.abandons = crowd.abandoned();
         report.faults.completions_lost = crowd.lost();
-        if self.observer.enabled() {
-            for (kind, by) in [
-                (CounterKind::FaultDropouts, report.faults.dropouts),
-                (CounterKind::FaultAbandons, report.faults.abandons),
-                (
-                    CounterKind::FaultCompletionsLost,
-                    report.faults.completions_lost,
-                ),
-                (
-                    CounterKind::FaultCompletionsDuplicated,
-                    report.faults.completions_duplicated,
-                ),
-                (CounterKind::FaultBurstTasks, report.faults.burst_tasks),
-            ] {
-                if by > 0 {
-                    self.observer.incr(kind, by);
-                }
-            }
-        }
+        report.faults.emit(&self.observer);
         report
     }
 }
@@ -283,7 +259,8 @@ impl ScenarioRunner {
 /// step its [`Lap`] takes.
 struct Books {
     report: RunReport,
-    groups: IdMap<u64, GroupTally>,
+    /// Positive replicas per group (replication above 1 only).
+    groups: IdMap<u64, usize>,
     /// Replication factor.
     k: usize,
 }
@@ -318,16 +295,24 @@ impl Ledger for Books {
         report.exec_times.push(outcome.exec_time);
         report.total_times.push(done.at - outcome.submitted_at);
         // Burst tasks are not part of any replica group.
-        if done.task.0 < BURST_ID_BASE {
+        if outcome.positive_feedback && done.task.0 < BURST_ID_BASE {
             let k = self.k;
-            let mut single = GroupTally::default();
-            let tally = if k == 1 {
-                &mut single
+            let positives = if k == 1 {
+                1
             } else {
-                self.groups.entry(done.task.0 / k as u64).or_default()
+                let tally = self.groups.entry(done.task.0 / k as u64).or_default();
+                *tally += 1;
+                *tally
             };
-            let (positive, met) = (outcome.positive_feedback, outcome.met_deadline);
-            tally.complete(positive, met, k, report);
+            // Each group counts once per condition: at the positive that
+            // first meets it, with no pass over the groups.
+            if positives == 1 {
+                report.groups_any_positive += 1;
+            }
+            // The positive that makes a strict majority of `k`.
+            if positives == k / 2 + 1 {
+                report.groups_majority_positive += 1;
+            }
         }
     }
 
@@ -430,8 +415,8 @@ mod tests {
         assert_eq!(r.received, 180, "60 logical tasks × 3 replicas");
         assert_eq!(r.groups, 60);
         assert!(r.groups_majority_positive <= r.groups);
-        assert!(r.groups_any_met <= r.groups);
-        assert!(r.groups_any_met > 0);
+        assert!(r.groups_any_positive <= r.groups);
+        assert!(r.groups_any_positive > 0);
         // Conservation still holds per replica.
         assert_eq!(r.completed + r.expired_unassigned, r.received);
         assert_eq!(r.payments(), r.completed);

@@ -1,6 +1,5 @@
 //! Non-overlapping grid decomposition of a bounding box.
 
-use crate::coords::GeoPoint;
 use crate::region::BoundingBox;
 
 /// Identifier of a region within a [`RegionGrid`] (row-major index).
@@ -16,7 +15,8 @@ impl std::fmt::Display for RegionId {
 /// A `rows × cols` partition of a bounding box into equal half-open cells.
 ///
 /// This is the paper's Sec. III-A decomposition: each cell is the
-/// responsibility of one REACT server, and point→cell lookup is O(1).
+/// responsibility of one REACT server ([`crate::RegionRouter`] maps a
+/// point to it).
 #[derive(Debug, Clone, PartialEq)]
 pub struct RegionGrid {
     area: BoundingBox,
@@ -58,21 +58,6 @@ impl RegionGrid {
         false
     }
 
-    /// Maps a point to the region containing it; `None` for points
-    /// outside the covered area.
-    pub fn locate(&self, p: &GeoPoint) -> Option<RegionId> {
-        if !self.area.contains(p) {
-            return None;
-        }
-        let row_f = (p.lat() - self.area.lat_min()) / self.area.lat_span() * self.rows as f64;
-        let col_f = (p.lon() - self.area.lon_min()) / self.area.lon_span() * self.cols as f64;
-        // contains() guarantees 0 ≤ row_f < rows, but clamp against float
-        // round-off at the extreme edge.
-        let row = (row_f as u32).min(self.rows - 1);
-        let col = (col_f as u32).min(self.cols - 1);
-        Some(RegionId(row * self.cols + col))
-    }
-
     /// The bounding box of a region id; `None` for out-of-range ids.
     pub fn cell(&self, id: RegionId) -> Option<BoundingBox> {
         if id.0 >= self.rows * self.cols {
@@ -93,30 +78,6 @@ impl RegionGrid {
     /// Iterates over all region ids in row-major order.
     pub fn region_ids(&self) -> impl Iterator<Item = RegionId> {
         (0..self.rows * self.cols).map(RegionId)
-    }
-
-    /// The regions orthogonally adjacent to `id` (used when a server
-    /// borrows workers from neighbours — an extension hook).
-    pub fn neighbors(&self, id: RegionId) -> Vec<RegionId> {
-        if id.0 >= self.rows * self.cols {
-            return Vec::new();
-        }
-        let row = id.0 / self.cols;
-        let col = id.0 % self.cols;
-        let mut out = Vec::with_capacity(4);
-        if row > 0 {
-            out.push(RegionId(id.0 - self.cols));
-        }
-        if row + 1 < self.rows {
-            out.push(RegionId(id.0 + self.cols));
-        }
-        if col > 0 {
-            out.push(RegionId(id.0 - 1));
-        }
-        if col + 1 < self.cols {
-            out.push(RegionId(id.0 + 1));
-        }
-        out
     }
 }
 
@@ -139,30 +100,17 @@ mod tests {
     }
 
     #[test]
-    fn locate_row_major() {
+    fn cells_are_row_major() {
         let g = grid();
         assert_eq!(g.len(), 8);
-        // Bottom-left cell.
-        assert_eq!(g.locate(&GeoPoint::new(0.5, 0.5)), Some(RegionId(0)));
-        // Bottom-right cell (col 3).
-        assert_eq!(g.locate(&GeoPoint::new(0.5, 7.5)), Some(RegionId(3)));
-        // Top-left cell (row 1 → id 4).
-        assert_eq!(g.locate(&GeoPoint::new(3.5, 0.5)), Some(RegionId(4)));
-        // Outside.
-        assert_eq!(g.locate(&GeoPoint::new(4.5, 0.5)), None);
-        assert_eq!(g.locate(&GeoPoint::new(-0.1, 0.5)), None);
-    }
-
-    #[test]
-    fn locate_and_cell_are_consistent() {
-        let g = grid();
-        let mut rng = SmallRng::seed_from_u64(2);
-        for _ in 0..2000 {
-            let p = g.area().random_point(&mut rng);
-            let id = g.locate(&p).expect("point inside grid area");
-            let cell = g.cell(id).expect("valid id");
-            assert!(cell.contains(&p), "{p} not in cell of {id}");
-        }
+        let corner = |id| {
+            let c = g.cell(RegionId(id)).unwrap();
+            (c.lat_min(), c.lon_min())
+        };
+        // Bottom-left, bottom-right (col 3), top-left (row 1 → id 4).
+        assert_eq!(corner(0), (0.0, 0.0));
+        assert_eq!(corner(3), (0.0, 6.0));
+        assert_eq!(corner(4), (2.0, 0.0));
     }
 
     #[test]
@@ -187,27 +135,11 @@ mod tests {
     }
 
     #[test]
-    fn neighbors_interior_and_corner() {
-        let g = grid(); // 2 rows × 4 cols
-                        // Corner 0 has right (1) and up (4).
-        let mut n = g.neighbors(RegionId(0));
-        n.sort();
-        assert_eq!(n, vec![RegionId(1), RegionId(4)]);
-        // Interior-ish cell 1: left 0, right 2, up 5.
-        let mut n = g.neighbors(RegionId(1));
-        n.sort();
-        assert_eq!(n, vec![RegionId(0), RegionId(2), RegionId(5)]);
-        // Out of range.
-        assert!(g.neighbors(RegionId(99)).is_empty());
-    }
-
-    #[test]
     fn single_cell_grid() {
         let area = BoundingBox::new(0.0, 1.0, 0.0, 1.0).unwrap();
         let g = RegionGrid::new(area, 1, 1).unwrap();
         assert_eq!(g.len(), 1);
-        assert_eq!(g.locate(&GeoPoint::new(0.5, 0.5)), Some(RegionId(0)));
-        assert!(g.neighbors(RegionId(0)).is_empty());
+        assert_eq!(g.cell(RegionId(0)), Some(area));
     }
 
     #[test]

@@ -111,7 +111,7 @@ pub struct MatcherEngine {
 impl MatcherEngine {
     /// Creates an engine for the policy; nothing is sized until the
     /// first [`MatcherEngine::assign`] call. Telemetry goes to the null
-    /// observer until [`MatcherEngine::set_observer`] is called.
+    /// observer unless [`MatcherEngine::with_observer`] routes it.
     pub fn new(policy: MatcherPolicy) -> Self {
         MatcherEngine {
             policy,
@@ -127,13 +127,8 @@ impl MatcherEngine {
     /// Routes this engine's telemetry (assign spans, cycle/flip/rebuild
     /// counters) to `observer`. Observers are write-only sinks and never
     /// influence matching results.
-    pub fn set_observer(&mut self, observer: ObserverHandle) {
-        self.observer = observer;
-    }
-
-    /// Builder-style variant of [`MatcherEngine::set_observer`].
     pub fn with_observer(mut self, observer: ObserverHandle) -> Self {
-        self.set_observer(observer);
+        self.observer = observer;
         self
     }
 

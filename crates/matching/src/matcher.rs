@@ -50,12 +50,6 @@ impl Matching {
         }
     }
 
-    /// Attaches work counters to the result.
-    pub fn with_stats(mut self, stats: MatchStats) -> Self {
-        self.stats = stats;
-        self
-    }
-
     /// Number of matched pairs.
     pub fn len(&self) -> usize {
         self.pairs.len()
@@ -64,23 +58,6 @@ impl Matching {
     /// True when no pair was matched.
     pub fn is_empty(&self) -> bool {
         self.pairs.is_empty()
-    }
-
-    /// The task assigned to `worker`, if any (linear scan; results are
-    /// small relative to the graphs that produced them).
-    pub fn task_of(&self, worker: WorkerIdx) -> Option<TaskIdx> {
-        self.pairs
-            .iter()
-            .find(|(w, _, _)| *w == worker)
-            .map(|&(_, t, _)| t)
-    }
-
-    /// The worker assigned to `task`, if any.
-    pub fn worker_of(&self, task: TaskIdx) -> Option<WorkerIdx> {
-        self.pairs
-            .iter()
-            .find(|(_, t, _)| *t == task)
-            .map(|&(w, _, _)| w)
     }
 
     /// Asserts that this is a valid matching over `graph`, as defined by
@@ -129,17 +106,6 @@ mod tests {
         assert!((m.total_weight - 0.75).abs() < 1e-12);
         assert_eq!(m.cost_units, 10.0);
         assert_eq!(m.stats, MatchStats::default());
-        let m = m.with_stats(MatchStats {
-            cycles: 5,
-            flips_accepted: 3,
-            flips_rejected: 2,
-            conflicts_resolved: 1,
-        });
-        assert_eq!(m.stats.cycles, 5);
-        assert_eq!(m.task_of(WorkerIdx(0)), Some(TaskIdx(1)));
-        assert_eq!(m.task_of(WorkerIdx(9)), None);
-        assert_eq!(m.worker_of(TaskIdx(0)), Some(WorkerIdx(1)));
-        assert_eq!(m.worker_of(TaskIdx(9)), None);
     }
 
     #[test]

@@ -91,13 +91,6 @@ pub enum FittedModel {
     Empirical(EmpiricalDist),
 }
 
-impl FittedModel {
-    /// True for the power-law variant.
-    pub fn is_power_law(&self) -> bool {
-        matches!(self, FittedModel::PowerLaw(_))
-    }
-}
-
 impl LatencyCcdf for FittedModel {
     fn ccdf(&self, k: f64) -> f64 {
         match self {
@@ -154,8 +147,8 @@ mod tests {
         let d = dist();
         let fitted_pl = FittedModel::PowerLaw(pl);
         let fitted_emp = FittedModel::Empirical(d.clone());
-        assert!(fitted_pl.is_power_law());
-        assert!(!fitted_emp.is_power_law());
+        assert!(matches!(fitted_pl, FittedModel::PowerLaw(_)));
+        assert!(matches!(fitted_emp, FittedModel::Empirical(_)));
         assert_eq!(fitted_emp.ccdf(2.0), d.ccdf(2.0));
         assert_eq!(fitted_pl.ccdf(4.0), pl.ccdf(4.0));
     }

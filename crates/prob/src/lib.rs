@@ -20,8 +20,8 @@
 //! * [`distributions`] — the small set of auxiliary distributions needed
 //!   by the workload generators (uniform, exponential, Bernoulli,
 //!   bounded Pareto) implemented directly on top of `rand`.
-//! * [`stats`] — running moments and percentile summaries used by the
-//!   experiment harness.
+//! * [`stats`] — the percentile of a sorted sample, used by the case
+//!   study.
 
 #![warn(missing_docs)]
 // No panics in library code: a failure is a typed error, an internal

@@ -259,7 +259,7 @@ fn a_late_duplicate_of_a_pruned_task_is_rejected() {
         Some(CoreError::NotAssigned { task, worker }),
         "a duplicate before the prune"
     );
-    assert_eq!(server.prune_retired(20.0, 0.0), 1);
+    assert_eq!(server.prune_retired(20.0), 1);
     assert!(server.tasks().is_empty());
     assert_eq!(
         server.complete_task(task, worker, 30.0, true).err(),

@@ -232,10 +232,13 @@ fn a_finer_grid_never_raises_the_max_shard_matching_load() {
 
 /// `ClusterRunner::with_observer` is write-only: the report is
 /// bit-identical to the unobserved one, every cluster tick times each
-/// shard under `shard.tick`, and the shard servers report to the same sink.
+/// shard under `shard.tick`, the shard servers report to the same sink,
+/// and the run's injected faults reach its `fault.*` counters as a single
+/// server's do.
 #[test]
 fn an_observer_counts_shard_ticks_and_leaves_the_report_identical() {
-    let sc = || scenario(REACT, 5, 2, 2, ClusterPolicy::single_tier(), None);
+    let chaos = Some(FaultPlan::chaos(1.0));
+    let sc = || scenario(REACT, 5, 2, 2, ClusterPolicy::single_tier(), chaos);
     let baseline = ClusterRunner::new(sc()).run();
     let recording = RecordingObserver::new();
     let observed = ClusterRunner::new(sc())
@@ -256,6 +259,15 @@ fn an_observer_counts_shard_ticks_and_leaves_the_report_identical() {
     assert!(
         recording.counter(CounterKind::MatcherCycles) > 0,
         "shard servers must forward matcher counters to the shared sink"
+    );
+    let faults = (
+        recording.counter(CounterKind::FaultDropouts),
+        recording.counter(CounterKind::FaultAbandons),
+    );
+    assert_eq!(faults, (observed.dropouts, observed.abandons));
+    assert!(
+        faults.0 > 0 && faults.1 > 0,
+        "the plan injects both: {faults:?}"
     );
 }
 

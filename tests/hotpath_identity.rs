@@ -42,8 +42,6 @@ fn spot(i: u64) -> GeoPoint {
 enum Op {
     /// Register (or re-register after dropout) a worker.
     Register(u64),
-    /// The worker leaves for good; their cached row must go with them.
-    Deregister(u64),
     /// Record a completed task with the given execution time — refits
     /// the latency model, so the cached row must be invalidated.
     Complete {
@@ -105,7 +103,6 @@ fn worker() -> std::ops::Range<u64> {
 fn arb_pool_op() -> impl Strategy<Value = Op> {
     prop_oneof![
         worker().prop_map(Op::Register),
-        worker().prop_map(Op::Deregister),
         (worker(), 0u32..4, 0.5f64..80.0, any::<bool>()).prop_map(
             |(worker, category, exec, ok)| Op::Complete {
                 worker,
@@ -193,9 +190,6 @@ fn apply(op: &Op, p: &mut ProfilingComponent, tm: &mut TaskManagementComponent, 
     match *op {
         Op::Register(w) => {
             let _ = p.register(WorkerId(w), spot(w));
-        }
-        Op::Deregister(w) => {
-            let _ = p.deregister(WorkerId(w));
         }
         Op::Complete {
             worker,
@@ -327,9 +321,9 @@ proptest! {
     /// bit, on every axis the row-level verdicts branch on. Two scratches
     /// read the one component, each on its own cadence (every `k`-th
     /// step, `k` in 1..8), so between two builds of a reader a worker may
-    /// change several times, leave and return, or be deregistered and
-    /// registered anew — and the other reader has consumed none, some or
-    /// all of those changes. Now and then the first scratch is pointed at
+    /// change several times, leave and return, or register for the first
+    /// time — and the other reader has consumed none, some or all of
+    /// those changes. Now and then the first scratch is pointed at
     /// a second component that evolves on its own from the same start
     /// (same ids, same epochs): a reader must not take that feed for the
     /// continuation of the one it last read.
@@ -492,10 +486,7 @@ fn a_reader_the_feed_has_overrun_resyncs() {
                 .record_completion(id, TaskCategory(0), 3.0 + (round % 40) as f64, true)
                 .unwrap(),
             2 => p.set_location(id, spot(round)).unwrap(),
-            3 => {
-                p.deregister(id).unwrap();
-                p.register(id, spot(round)).unwrap();
-            }
+            3 => p.set_availability(id, Availability::Offline).unwrap(),
             _ => p.set_availability(id, Availability::Available).unwrap(),
         }
         if round % 100 == 0 {

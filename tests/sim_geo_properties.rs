@@ -2,7 +2,7 @@
 //! substrate.
 
 use proptest::prelude::*;
-use react::geo::{BoundingBox, GeoPoint, RegionGrid, RegionRouter};
+use react::geo::{BoundingBox, GeoPoint, RegionGrid, RegionId, RegionRouter};
 use react::sim::{EventQueue, RngStreams, SimTime};
 
 proptest! {
@@ -87,8 +87,9 @@ proptest! {
         let area = BoundingBox::new(0.0, 1.0, 0.0, 1.0).unwrap();
         let grid = RegionGrid::new(area, rows, cols).unwrap();
         let p = GeoPoint::new(lat, lon);
-        let id = grid.locate(&p).expect("inside the area");
-        let cell = grid.cell(id).expect("valid id");
+        // Before any split, server `i` owns region `i`.
+        let server = RegionRouter::new(&grid, u64::MAX).route(&p).expect("inside the area");
+        let cell = grid.cell(RegionId(server.0)).expect("valid id");
         prop_assert!(cell.contains(&p));
         // And the point belongs to exactly one cell.
         let owners = grid

@@ -46,7 +46,7 @@ enum Op {
     Complete { pick: Pick, right_worker: bool },
     Expire,
     TakeOldest,
-    Prune(f64),
+    Prune,
 }
 
 fn arb_id() -> impl Strategy<Value = u64> {
@@ -88,7 +88,7 @@ fn arb_op() -> impl Strategy<Value = Op> {
             .prop_map(|(pick, right_worker)| Op::Complete { pick, right_worker }),
         Just(Op::Expire),
         Just(Op::TakeOldest),
-        (0usize..3).prop_map(|i| Op::Prune([0.0, 3.0, 30.0][i])),
+        Just(Op::Prune),
     ]
 }
 
@@ -229,11 +229,11 @@ impl Model {
         self.tasks.remove(&id).map(|rec| (id, rec))
     }
 
-    fn prune(&mut self, now: f64, horizon: f64) -> usize {
+    fn prune(&mut self, now: f64) -> usize {
         let before = self.tasks.len();
         self.tasks.retain(|_, rec| match rec.state {
-            TaskState::Completed { completed_at, .. } => completed_at + horizon > now,
-            TaskState::Expired => rec.deadline_at() + horizon > now,
+            TaskState::Completed { completed_at, .. } => completed_at > now,
+            TaskState::Expired => rec.deadline_at() > now,
             _ => true,
         });
         before - self.tasks.len()
@@ -332,8 +332,8 @@ proptest! {
                         prop_assert_eq!(rec.assignment_count, want.assignment_count);
                     }
                 }
-                Op::Prune(horizon) => {
-                    prop_assert_eq!(tm.prune_retired(now, horizon), model.prune(now, horizon));
+                Op::Prune => {
+                    prop_assert_eq!(tm.prune_retired(now), model.prune(now));
                 }
             }
             agree(&tm, &model, probe)?;
