@@ -328,8 +328,7 @@ impl Dispatch for Cluster {
     type Shard = usize;
 
     /// Routes by location and applies the admission cap. Sheds are
-    /// reported on the `shard.admission_shed` and `recovery.tasks_shed`
-    /// counters.
+    /// reported on the `shard.admission_shed` counter.
     fn submit(&mut self, task: Task, now: f64) -> Option<usize> {
         let Some(server_id) = self.router.route(&task.location) else {
             self.unroutable += 1;
@@ -341,7 +340,6 @@ impl Dispatch for Cluster {
                 self.admission_shed[i] += 1;
                 if self.observer.enabled() {
                     self.observer.incr(CounterKind::ShardAdmissionShed, 1);
-                    self.observer.incr(CounterKind::TasksShed, 1);
                 }
                 return None;
             }

@@ -516,25 +516,24 @@ impl BatchScratch {
 
         // Task columns, off the queue's own (the cold path's
         // GraphBuilder::task_rows reads the same facts from the registry):
-        // each TTD, the batch's TTD range and its weight classes.
+        // each TTD (`TaskRecord::remaining_time(now)`), the batch's TTD
+        // range and its weight classes, in passes that do not chain.
         let queue = tasks.queue();
         self.task_ids.clear();
         self.task_ids.extend_from_slice(&queue.ids);
         self.ttds.clear();
-        let (mut ttd_min, mut ttd_max, mut any_nan) = (f64::INFINITY, f64::NEG_INFINITY, false);
-        for &deadline_at in &queue.deadline_at {
-            // `TaskRecord::remaining_time(now)`.
-            let ttd = deadline_at - now;
-            ttd_min = ttd_min.min(ttd);
-            ttd_max = ttd_max.max(ttd);
-            any_nan |= ttd.is_nan();
-            self.ttds.push(ttd);
-        }
-        if any_nan {
+        self.ttds.extend(
+            queue
+                .deadline_at
+                .iter()
+                .map(|&deadline_at| deadline_at - now),
+        );
+        let (ttd_min, ttd_max) = match extremes(&self.ttds) {
             // A NaN TTD resolves through the exact evaluation; as the
             // batch's extremes it keeps every gate from settling a row.
-            (ttd_min, ttd_max) = (f64::NAN, f64::NAN);
-        }
+            (_, _, true) => (f64::NAN, f64::NAN),
+            (lo, hi, false) => (lo, hi),
+        };
         // Each task's weight class, written straight into the graph's
         // column: the class of the first task of its category when the
         // weight reads nothing else of a task, else its own.
@@ -745,6 +744,21 @@ impl GatedRow for RowEmit<'_> {
     }
 }
 
+/// The smallest and the largest of `values` and whether any is NaN —
+/// `(∞, −∞, false)` for none. Each step is a bare compare-and-select,
+/// where `f64::min`/`max` must also pick the other operand of a NaN and
+/// so make each element wait on the one before; here NaN never wins a
+/// compare, and its flag makes the two extremes moot.
+fn extremes(values: &[f64]) -> (f64, f64, bool) {
+    let (mut lo, mut hi, mut nan) = (f64::INFINITY, f64::NEG_INFINITY, false);
+    for &x in values {
+        lo = if x < lo { x } else { lo };
+        hi = if x > hi { x } else { hi };
+        nan |= x.is_nan();
+    }
+    (lo, hi, nan)
+}
+
 /// Stateless batch scheduler (all state lives in the components).
 #[derive(Debug, Default, Clone, Copy)]
 pub struct SchedulingComponent;
@@ -877,6 +891,58 @@ mod tests {
     use rand::rngs::SmallRng;
     use rand::SeedableRng;
     use react_geo::GeoPoint;
+
+    /// Expiry instants as a queue may hold them: finite of either sign
+    /// or a signed zero, then up to three of them overwritten, at random
+    /// places, by ±∞ or NaN — so a long slice often has none.
+    fn instants(
+        len: std::ops::Range<usize>,
+    ) -> impl proptest::strategy::Strategy<Value = Vec<f64>> {
+        use proptest::prelude::*;
+        let value = prop_oneof![-1e6f64..1e6, Just(0.0), Just(-0.0)];
+        let special = prop_oneof![Just(f64::INFINITY), Just(f64::NEG_INFINITY), Just(f64::NAN)];
+        (
+            proptest::collection::vec(value, len),
+            proptest::collection::vec((any::<usize>(), special), 0..4),
+        )
+            .prop_map(|(mut values, specials)| {
+                for (at, x) in specials {
+                    if !values.is_empty() {
+                        let len = values.len();
+                        values[at % len] = x;
+                    }
+                }
+                values
+            })
+    }
+
+    proptest::proptest! {
+        /// The compare-and-select pass against a chained fold, on short
+        /// slices and on ones as long as an overloaded shard's backlog.
+        #[test]
+        fn extremes_agree_with_a_fold(
+            values in proptest::prop_oneof![instants(0..10), instants(250..301)]
+        ) {
+            let (lo, hi, nan) = extremes(&values);
+            let any_nan = values.iter().any(|x| x.is_nan());
+            proptest::prop_assert_eq!(nan, any_nan);
+            if !any_nan {
+                proptest::prop_assert_eq!(lo, values.iter().copied().fold(f64::INFINITY, f64::min));
+                proptest::prop_assert_eq!(hi, values.iter().copied().fold(f64::NEG_INFINITY, f64::max));
+            }
+        }
+    }
+
+    #[test]
+    fn extremes_of_nothing_are_the_empty_range() {
+        assert_eq!(extremes(&[]), (f64::INFINITY, f64::NEG_INFINITY, false));
+        // A NaN first, last or in between.
+        for at in 0..7 {
+            let mut values = [1.0, -2.0, 3.0, 4.0, 5.0, 6.0, 7.0];
+            values[at] = f64::NAN;
+            assert!(extremes(&values).2, "NaN at {at}");
+        }
+    }
 
     fn here() -> GeoPoint {
         GeoPoint::new(37.98, 23.72)

@@ -96,7 +96,7 @@ fn summary_line(spec: &RunSpec, row: &KpiRow) -> String {
         cell("kpi.deadline_hit_rate"),
         cell("kpi.assign_latency_p50_s"),
         cell("kpi.assign_latency_p99_s"),
-        cell("recovery.tasks_shed"),
+        cell("shard.admission_shed"),
         cell("shard.handoffs"),
         cell("kpi.tasks_per_sim_s"),
     )
@@ -442,10 +442,6 @@ fn base_row(spec: &RunSpec, rec: &RecordingObserver) -> KpiRow {
         .int(
             "recovery.timeout_recalls",
             rec.counter(CounterKind::TimeoutRecalls) as i64,
-        )
-        .int(
-            "recovery.tasks_shed",
-            rec.counter(CounterKind::TasksShed) as i64,
         )
         .int(
             "fault.dropouts",

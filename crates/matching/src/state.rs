@@ -131,10 +131,18 @@ impl MatchingState {
         selected
     }
 
-    /// [`Self::selected_edges`] written into `out` (cleared first).
+    /// [`Self::selected_edges`] written into `out` (cleared first). Each
+    /// selected edge sits in both vertex arrays, so the shorter one holds
+    /// the whole set: a batch of a few workers over a long backlog is read
+    /// back from its workers.
     pub(crate) fn selected_edges_into(&self, out: &mut Vec<EdgeId>) {
         out.clear();
-        out.extend(self.task_match.iter().flatten());
+        let side = if self.worker_match.len() < self.task_match.len() {
+            &self.worker_match
+        } else {
+            &self.task_match
+        };
+        out.extend(side.iter().flatten());
         out.sort_unstable();
     }
 
@@ -296,6 +304,33 @@ mod tests {
         s.insert(e2, g.edge(e2));
         assert_eq!(s.selected_edges(), vec![e0, e2]);
         s.verify(&g);
+    }
+
+    /// Read back from the worker side (fewer workers than tasks) or the
+    /// task side (more), the set is the one both arrays describe.
+    #[test]
+    fn selected_edges_are_the_same_from_either_side() {
+        for (n_workers, n_tasks) in [(2, 7), (7, 2)] {
+            let g = BipartiteGraph::full(n_workers, n_tasks, |u, v| {
+                0.1 + f64::from((u.0 * 5 + v.0 * 3) % 7)
+            })
+            .unwrap();
+            let mut s = MatchingState::new(&g);
+            // Against both orders: worker 1 takes the last task, worker 0
+            // the first.
+            let last = TaskIdx(n_tasks as u32 - 1);
+            for (u, v) in [(WorkerIdx(1), last), (WorkerIdx(0), TaskIdx(0))] {
+                let e = g.find_edge(u, v).unwrap();
+                s.insert(e, g.edge(e));
+            }
+            let mut by_task: Vec<EdgeId> = s.task_match.iter().flatten().copied().collect();
+            let mut by_worker: Vec<EdgeId> = s.worker_match.iter().flatten().copied().collect();
+            by_task.sort_unstable();
+            by_worker.sort_unstable();
+            assert_eq!(by_task, by_worker);
+            assert_eq!(s.selected_edges(), by_task, "{n_workers} × {n_tasks}");
+            s.verify(&g);
+        }
     }
 
     /// With no third vector to cross-check against, `verify` must catch

@@ -97,9 +97,6 @@ pub enum CounterKind {
     /// Workers marked suspect after repeated progress timeouts (their
     /// profile weight is decayed).
     WorkersSuspected,
-    /// Tasks shed anywhere in the run: today only a cluster shard's
-    /// admission cap sheds, so this equals [`CounterKind::ShardAdmissionShed`].
-    TasksShed,
     /// Injected worker dropouts (fault plan).
     FaultDropouts,
     /// Injected silent task abandonments (fault plan).
@@ -156,7 +153,6 @@ impl CounterKind {
             CounterKind::PositiveFeedback => "feedback.positive",
             CounterKind::TimeoutRecalls => "recovery.timeout_recalls",
             CounterKind::WorkersSuspected => "recovery.workers_suspected",
-            CounterKind::TasksShed => "recovery.tasks_shed",
             CounterKind::FaultDropouts => "fault.dropouts",
             CounterKind::FaultAbandons => "fault.abandons",
             CounterKind::FaultCompletionsLost => "fault.completions_lost",
@@ -305,7 +301,6 @@ mod tests {
             CounterKind::PositiveFeedback,
             CounterKind::TimeoutRecalls,
             CounterKind::WorkersSuspected,
-            CounterKind::TasksShed,
             CounterKind::FaultDropouts,
             CounterKind::FaultAbandons,
             CounterKind::FaultCompletionsLost,

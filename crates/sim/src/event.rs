@@ -122,6 +122,19 @@ mod tests {
         assert_eq!(q.pop().unwrap().1, "second");
     }
 
+    /// `-0.0` and `0.0` are one instant: a tie between them pops in
+    /// scheduling order, ahead of any later event.
+    #[test]
+    fn signed_zero_tie_pops_fifo() {
+        let mut q = EventQueue::new();
+        q.push(SimTime::from_secs(-0.0), "first");
+        q.push(SimTime::from_secs(1.0), "later");
+        q.push(SimTime::from_secs(0.0), "second");
+        q.push(SimTime::from_secs(-0.0), "third");
+        let order: Vec<&str> = std::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect();
+        assert_eq!(order, vec!["first", "second", "third", "later"]);
+    }
+
     #[test]
     fn peek_and_len() {
         let mut q = EventQueue::new();

@@ -26,6 +26,7 @@
 
 #[path = "common/chaos.rs"]
 mod chaos;
+mod common;
 
 use proptest::prelude::*;
 use react::cluster::{
@@ -110,7 +111,7 @@ fn scenario(
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(12))]
+    #![proptest_config(ProptestConfig::with_cases(common::cases(12)))]
 
     /// Invariant 1: conservation under arbitrary matchers, policies and
     /// faults.

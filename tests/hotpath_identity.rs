@@ -326,18 +326,34 @@ proptest! {
     /// those changes. Now and then the first scratch is pointed at
     /// a second component that evolves on its own from the same start
     /// (same ids, same epochs): a reader must not take that feed for the
-    /// continuation of the one it last read.
+    /// continuation of the one it last read. In about half the cases
+    /// every task is of one category (a batch of one weight class), and
+    /// the queue starts up to 47 tasks long.
     #[test]
     fn incremental_build_is_bit_identical_to_cold_build(
         axes in (arb_latency_model(), arb_weight(), arb_policy(), arb_threshold(), 0u64..4),
         seasoned in proptest::collection::vec(0.5f64..60.0, 0..6),
-        queued in proptest::collection::vec(arb_task(), 0..12),
+        categories in prop_oneof![Just(1u32), 2u32..5],
+        queued in proptest::collection::vec(arb_task(), 0..48),
         ops in proptest::collection::vec(arb_op(), 1..60),
         cadences in (1usize..8, 1usize..8),
         elsewhere in proptest::collection::vec(arb_pool_op(), 0..30),
         detour_every in 2usize..12,
     ) {
         let (kind, weight, policy, threshold, training) = axes;
+        // Every submitted task's category folded into the case's spread.
+        let ops: Vec<Op> = ops
+            .into_iter()
+            .map(|op| match op {
+                Op::Submit { id, deadline, reward, category } => Op::Submit {
+                    id,
+                    deadline,
+                    reward,
+                    category: category % categories,
+                },
+                op => op,
+            })
+            .collect();
         let mut config = Config::with_matcher(policy);
         config.latency_model = kind;
         config.weight = weight;
@@ -349,6 +365,7 @@ proptest! {
         // A queue long enough to lose rows from its middle.
         for (t, &(deadline, reward, category)) in queued.iter().enumerate() {
             let id = 200 + t as u64;
+            let category = category % categories;
             let submit = Op::Submit { id, deadline, reward, category };
             apply(&submit, &mut p, &mut tm, &mut 0.0);
         }
@@ -372,6 +389,68 @@ proptest! {
         // However far a reader lagged, it catches up.
         assert_identical(&mut first, &config, &mut p, &tm, now, &"last");
         assert_identical(&mut second, &config, &mut p, &tm, now, &"last");
+    }
+}
+
+/// An overloaded shard's batch: a backlog of about 272 tasks of one
+/// category against a pool of one to three rows, every row warm, the
+/// even ones with a reward range, for four backlog lengths. A NaN
+/// expiry at the front, in the middle or at the end must keep every row
+/// from settling (the spread deadlines leave the fast row unsettled
+/// anyway, the long ones would settle it to keep); and one task of
+/// another category, wherever it sits, must get a class and a weight of
+/// its own. Each batch is built by a weight read per category and by one
+/// read per task.
+#[test]
+fn a_long_one_category_backlog_against_a_small_pool() {
+    for weight in [
+        WeightFunction::Accuracy,
+        WeightFunction::Distance { scale_km: 5.0 },
+    ] {
+        let mut config = Config::with_matcher(MatcherPolicy::React { cycles: 100 });
+        config.training_assignments = 0;
+        config.weight = weight;
+        for pool in 1..=3usize {
+            let mut p = seasoned_pool(&[3.0, 25.0, 50.0][..pool]);
+            let mut scratch = BatchScratch::new();
+            for len in 272..276usize {
+                let mut variants = vec![(None, None)];
+                for at in [0, 1, 3, len / 2, len - 2, len - 1] {
+                    variants.extend([(Some(at), None), (None, Some(at))]);
+                }
+                for (odd, nan) in variants {
+                    for long in [false, true] {
+                        let mut tm = TaskManagementComponent::new();
+                        for t in 0..len {
+                            let spread = (t * 37 % 300) as f64;
+                            let deadline = if long { 200.0 + spread } else { 1.0 + spread };
+                            let reward = if t % 5 == 0 { 0.1 } else { 0.6 };
+                            // Seasoned categories 0 and 2 succeeded, 1 did
+                            // not: the odd task's weight differs.
+                            let (category, deadline, reward) = if odd == Some(t) {
+                                (1, 500.0, 0.6)
+                            } else {
+                                (2, deadline, reward)
+                            };
+                            let task = Task::new(
+                                TaskId(t as u64),
+                                spot(t as u64),
+                                deadline,
+                                reward,
+                                TaskCategory(category),
+                                "backlog",
+                            );
+                            let submitted = if nan == Some(t) { f64::NAN } else { 0.0 };
+                            tm.submit(task, submitted).unwrap();
+                        }
+                        for now in [0.0, 40.0] {
+                            let what = (weight, pool, len, odd, nan, long, now);
+                            assert_identical(&mut scratch, &config, &mut p, &tm, now, &what);
+                        }
+                    }
+                }
+            }
+        }
     }
 }
 
