@@ -59,10 +59,24 @@ pub struct TaskEvent {
     pub kind: TaskEventKind,
 }
 
+/// Events per audit-log segment: 2048 × 32 B = 64 KiB.
+const SEGMENT: usize = 2048;
+
 /// The audit log: an append-only event sequence.
-#[derive(Debug, Clone, Default, PartialEq)]
+///
+/// Events are stored in fixed segments of 2048 events (64 KiB), each
+/// allocated whole when the one before it fills. A recorded event never
+/// moves, so growing the log never copies it and its footprint is its
+/// events plus at most one partly filled segment, where one doubling
+/// `Vec` would copy every event at each doubling and hold the old buffer
+/// beside one twice its size while it did.
+///
+/// The segmentation is a function of the length, so two logs are equal
+/// exactly when they recorded the same events in the same order.
+#[derive(Default, PartialEq)]
 pub struct AuditLog {
-    events: Vec<TaskEvent>,
+    /// Every segment but the last is full; none is empty.
+    segments: Vec<Vec<TaskEvent>>,
 }
 
 impl AuditLog {
@@ -73,31 +87,60 @@ impl AuditLog {
 
     /// Appends one event.
     pub fn push(&mut self, at: f64, task: TaskId, kind: TaskEventKind) {
-        self.events.push(TaskEvent { at, task, kind });
+        let event = TaskEvent { at, task, kind };
+        match self.segments.last_mut() {
+            Some(last) if last.len() < SEGMENT => last.push(event),
+            _ => {
+                let mut segment = Vec::with_capacity(SEGMENT);
+                segment.push(event);
+                self.segments.push(segment);
+            }
+        }
     }
 
     /// All recorded events, in recording order.
-    pub fn events(&self) -> &[TaskEvent] {
-        &self.events
+    pub fn events(&self) -> impl Iterator<Item = &TaskEvent> + Clone + '_ {
+        self.segments.iter().flatten()
     }
 
     /// Number of recorded events.
     pub fn len(&self) -> usize {
-        self.events.len()
+        self.segments
+            .last()
+            .map_or(0, |last| (self.segments.len() - 1) * SEGMENT + last.len())
     }
 
     /// True when nothing has been recorded.
     pub fn is_empty(&self) -> bool {
-        self.events.is_empty()
+        self.segments.is_empty()
     }
 
     /// The events of one task, in order.
     pub fn task_history(&self, task: TaskId) -> Vec<TaskEvent> {
-        self.events
+        self.events().copied().filter(|e| e.task == task).collect()
+    }
+}
+
+/// A clone keeps every segment's full capacity, so its events do not
+/// move when it grows either.
+impl Clone for AuditLog {
+    fn clone(&self) -> Self {
+        let segments = self
+            .segments
             .iter()
-            .copied()
-            .filter(|e| e.task == task)
-            .collect()
+            .map(|segment| {
+                let mut copy = Vec::with_capacity(SEGMENT);
+                copy.extend_from_slice(segment);
+                copy
+            })
+            .collect();
+        AuditLog { segments }
+    }
+}
+
+impl std::fmt::Debug for AuditLog {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_list().entries(self.events()).finish()
     }
 }
 

@@ -5,10 +5,14 @@
 //! a soft real-time deadline (an interval from submission within which it
 //! should complete), and the middleware tracks which worker (if any) it
 //! is assigned to and since when.
+//!
+//! The free-text description is not kept: no scheduling stage, report or
+//! wire field reads it, and the ingest door never accepted one. Without
+//! it a [`Task`] is 48 bytes, and every trace, registry record, inbox
+//! entry and handoff that copies one copies only what is read.
 
 use crate::ids::{TaskCategory, TaskId, WorkerId};
 use react_geo::GeoPoint;
-use std::borrow::Cow;
 
 /// An immutable task description as submitted by a Requester.
 #[derive(Debug, Clone, PartialEq)]
@@ -24,14 +28,12 @@ pub struct Task {
     pub reward: f64,
     /// Category used by the accuracy weight function.
     pub category: TaskCategory,
-    /// Human-readable description ("Is road A highly congested?"). A
-    /// fixed text is borrowed, so generating or copying a task costs no
-    /// allocation for it.
-    pub description: Cow<'static, str>,
 }
 
 impl Task {
-    /// Creates a task.
+    /// Creates a task. `_description`, the paper's human-readable text
+    /// ("Is road A highly congested?"), is accepted and dropped: nothing
+    /// reads it (see the module doc).
     ///
     /// # Panics
     /// Panics when `deadline` is not positive/finite or `reward` is
@@ -43,7 +45,7 @@ impl Task {
         deadline: f64,
         reward: f64,
         category: TaskCategory,
-        description: impl Into<Cow<'static, str>>,
+        _description: &'static str,
     ) -> Self {
         assert!(
             deadline.is_finite() && deadline > 0.0,
@@ -59,7 +61,6 @@ impl Task {
             deadline,
             reward,
             category,
-            description: description.into(),
         }
     }
 }
@@ -119,7 +120,6 @@ mod tests {
         assert_eq!(t.deadline, 90.0);
         assert_eq!(t.reward, 0.05);
         assert_eq!(t.category, TaskCategory(2));
-        assert_eq!(t.description, "desc");
     }
 
     #[test]

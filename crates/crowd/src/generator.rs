@@ -122,7 +122,6 @@ mod tests {
             assert!((0.01..=0.10).contains(&t.reward));
             assert!(region().contains(&t.location));
             assert_eq!(t.category, TaskCategory(0));
-            assert!(t.description.contains("congested"));
         }
     }
 

@@ -23,7 +23,6 @@ fn react_run_has_legal_lifecycles() {
     // Recalls in the log match the report counter.
     let recalls = log
         .events()
-        .iter()
         .filter(|e| matches!(e.kind, TaskEventKind::Recalled { .. }))
         .count() as u64;
     assert_eq!(recalls, r.reassignments);
@@ -37,7 +36,6 @@ fn traditional_run_has_legal_lifecycles() {
     // No Eq. (2) recalls under the traditional policy.
     assert!(log
         .events()
-        .iter()
         .all(|e| !matches!(e.kind, TaskEventKind::Recalled { .. })));
 }
 
@@ -55,13 +53,11 @@ fn churny_run_has_legal_lifecycles() {
     // Completion events in the log match the report.
     let completions = log
         .events()
-        .iter()
         .filter(|e| matches!(e.kind, TaskEventKind::Completed { .. }))
         .count() as u64;
     assert_eq!(completions, r.completed);
     let expiries = log
         .events()
-        .iter()
         .filter(|e| matches!(e.kind, TaskEventKind::Expired))
         .count() as u64;
     assert!(expiries <= r.expired_unassigned);

@@ -12,6 +12,14 @@
 //!   paper's ½ offset switches off) and a sliding window.
 //! * A pruned id is still refused: a late duplicate completion of a task
 //!   the registry has forgotten is an error, as it was before the prune.
+//! * What each record costs. A `Task` is 48 bytes, a trace entry
+//!   `(f64, Task)` 56 and an audit event 32.
+//! * The audit log never copies itself. It appends into fixed segments;
+//!   at 0, 1, S−1, S, S+1 and 3S+7 events it agrees with a plain `Vec`
+//!   on its events, length and per-task histories, its first event keeps
+//!   its address through 3S more pushes (in a clone too), and a
+//!   backwards timestamp whose two events straddle a segment boundary is
+//!   still caught.
 //!
 //! `PROPTEST_CASES` widens the estimator property (CI: 1024 cases in
 //! release).
@@ -23,8 +31,8 @@ use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use react::cluster::{Cluster, ClusterPolicy};
 use react::core::{
-    CompletionOutcome, Config, CoreError, ReactServer, Task, TaskCategory, TaskId, TickOutcome,
-    WorkerId,
+    verify_lifecycles, AuditLog, CompletionOutcome, Config, CoreError, ReactServer, Task,
+    TaskCategory, TaskEvent, TaskEventKind, TaskId, TickOutcome, WorkerId,
 };
 use react::crowd::{
     generate_population, Arrivals, BehaviorParams, Crowd, Delivery, Dispatch, Lap, Ledger,
@@ -266,6 +274,109 @@ fn a_late_duplicate_of_a_pruned_task_is_rejected() {
         Some(CoreError::UnknownTask(task)),
         "a late duplicate after the prune"
     );
+}
+
+#[test]
+fn per_task_records_are_as_small_as_what_a_run_reads() {
+    assert_eq!(std::mem::size_of::<Task>(), 48);
+    assert_eq!(std::mem::size_of::<(f64, Task)>(), 56);
+    assert_eq!(std::mem::size_of::<TaskEvent>(), 32);
+}
+
+/// Events per audit-log segment (64 KiB of 32-byte events).
+const SEGMENT: usize = 2048;
+
+/// The `i`-th event of a synthetic log: thirteen tasks, every kind.
+fn event(i: usize) -> TaskEvent {
+    let worker = WorkerId(i as u64 % 5);
+    let kind = match i % 6 {
+        0 => TaskEventKind::Submitted,
+        1 => TaskEventKind::Assigned { worker },
+        2 => TaskEventKind::Recalled { worker },
+        3 => TaskEventKind::Completed {
+            worker,
+            met_deadline: i.is_multiple_of(4),
+        },
+        4 => TaskEventKind::Expired,
+        _ => TaskEventKind::HandedOff,
+    };
+    TaskEvent {
+        at: i as f64 * 0.5,
+        task: TaskId(i as u64 % 13),
+        kind,
+    }
+}
+
+fn push(log: &mut AuditLog, e: TaskEvent) {
+    log.push(e.at, e.task, e.kind);
+}
+
+#[test]
+fn the_audit_log_agrees_with_a_vec_across_segment_boundaries() {
+    for n in [0, 1, SEGMENT - 1, SEGMENT, SEGMENT + 1, 3 * SEGMENT + 7] {
+        let reference: Vec<TaskEvent> = (0..n).map(event).collect();
+        let mut log = AuditLog::new();
+        for &e in &reference {
+            push(&mut log, e);
+        }
+        assert_eq!(log.len(), n, "{n} events");
+        assert_eq!(log.is_empty(), n == 0, "{n} events");
+        assert!(log.events().eq(reference.iter()), "{n} events");
+        for task in (0..14).map(TaskId) {
+            let history: Vec<TaskEvent> = reference
+                .iter()
+                .copied()
+                .filter(|e| e.task == task)
+                .collect();
+            assert_eq!(log.task_history(task), history, "{n} events, {task}");
+        }
+        let mut copy = log.clone();
+        assert_eq!(copy, log, "{n} events");
+        push(&mut copy, event(n));
+        assert_ne!(copy, log, "{n} events");
+    }
+}
+
+#[test]
+fn recorded_audit_events_never_move() {
+    let mut log = AuditLog::new();
+    push(&mut log, event(0));
+    let first: *const TaskEvent = log.events().next().unwrap();
+    for i in 1..=3 * SEGMENT {
+        push(&mut log, event(i));
+    }
+    assert_eq!(log.events().next().unwrap() as *const TaskEvent, first);
+
+    let mut copy = log.clone();
+    let last: *const TaskEvent = copy.events().last().unwrap();
+    for i in 0..3 * SEGMENT {
+        push(&mut copy, event(i));
+    }
+    assert_eq!(
+        copy.events().nth(3 * SEGMENT).unwrap() as *const TaskEvent,
+        last
+    );
+}
+
+/// Task 0 is submitted at the last slot of the first segment and
+/// assigned, earlier, at the first slot of the second.
+#[test]
+#[should_panic(expected = "timestamps went backwards")]
+fn a_backwards_timestamp_across_a_segment_boundary_is_caught() {
+    let mut log = AuditLog::new();
+    for i in 1..SEGMENT {
+        log.push(i as f64, TaskId(i as u64), TaskEventKind::Submitted);
+    }
+    log.push(10.0, TaskId(0), TaskEventKind::Submitted);
+    log.push(
+        5.0,
+        TaskId(0),
+        TaskEventKind::Assigned {
+            worker: WorkerId(1),
+        },
+    );
+    assert_eq!(log.len(), SEGMENT + 1);
+    verify_lifecycles(&log);
 }
 
 /// Execution times that make new minima, repeat old ones, fall to or

@@ -166,7 +166,6 @@ proptest! {
             verify_lifecycles(log);
             handed_off += log
                 .events()
-                .iter()
                 .filter(|e| matches!(e.kind, TaskEventKind::HandedOff))
                 .count() as u64;
         }

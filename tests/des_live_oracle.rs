@@ -265,10 +265,7 @@ fn differ(a: (&AuditLog, &Schedule), b: (&AuditLog, &Schedule)) -> Option<String
 
 /// The first cross-shard handoff in a single server's log, if any.
 fn handoff(log: &AuditLog) -> Option<String> {
-    let e = log
-        .events()
-        .iter()
-        .find(|e| e.kind == TaskEventKind::HandedOff)?;
+    let e = log.events().find(|e| e.kind == TaskEventKind::HandedOff)?;
     Some(format!(
         "{} handed off at {} by a single server",
         e.task, e.at
@@ -434,17 +431,11 @@ fn positions(
 ) -> Vec<usize> {
     let found: Vec<usize> = log
         .events()
-        .iter()
         .enumerate()
         .filter(|(_, e)| e.at == at && tasks.contains(&e.task.0) && kind(&e.kind))
         .map(|(i, _)| i)
         .collect();
-    assert_eq!(
-        found.len(),
-        2,
-        "tasks {tasks:?} at {at}: {:?}",
-        log.events()
-    );
+    assert_eq!(found.len(), 2, "tasks {tasks:?} at {at}: {log:?}");
     found
 }
 
@@ -462,8 +453,7 @@ fn assert_tie_order(loop_name: &str, log: &AuditLog) {
     let (done, ticked, arrived) = (done[1], (ticked[0], ticked[1]), arrived[0]);
     assert!(
         done < ticked.0 && ticked.1 < arrived,
-        "{loop_name}: crowd event, tick, arrival out of order: {:?}",
-        log.events()
+        "{loop_name}: crowd event, tick, arrival out of order: {log:?}"
     );
 }
 

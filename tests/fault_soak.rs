@@ -64,8 +64,7 @@ fn chaos_soak_holds_every_invariant_for_every_policy() {
         // The whole 200-tick chaotic history replays bit-identically.
         let replay = soak(policy, 4242);
         assert_eq!(
-            r.audit.as_ref().unwrap().events(),
-            replay.audit.as_ref().unwrap().events(),
+            r.audit, replay.audit,
             "{}: soak must be deterministic per seed",
             r.matcher_name
         );

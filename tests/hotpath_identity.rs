@@ -746,8 +746,7 @@ fn faulted_scenario_replays_identically_through_the_scratch() {
         "task conservation violated: {a:?}"
     );
     assert_eq!(
-        a.audit.as_ref().unwrap().events(),
-        b.audit.as_ref().unwrap().events(),
+        a.audit, b.audit,
         "faulted run must be deterministic per seed"
     );
 }

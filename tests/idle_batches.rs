@@ -62,8 +62,7 @@ fn fold(words: impl IntoIterator<Item = u64>) -> u64 {
 /// A fold of every event of `log`: instant bits, task, transition and
 /// the worker or verdict it carries.
 fn audit_fold(log: Option<&AuditLog>) -> u64 {
-    let events = log.map_or(&[][..], |log| log.events());
-    fold(events.iter().flat_map(|e| {
+    fold(log.into_iter().flat_map(AuditLog::events).flat_map(|e| {
         let (kind, detail) = match e.kind {
             TaskEventKind::Submitted => (0, 0),
             TaskEventKind::Assigned { worker } => (1, worker.0),

@@ -256,8 +256,7 @@ fn chaos_scenario_recalls_through_both_paths_and_replays() {
     react::core::verify_lifecycles(a.audit.as_ref().unwrap());
     let b = run();
     assert_eq!(
-        a.audit.as_ref().unwrap().events(),
-        b.audit.as_ref().unwrap().events(),
+        a.audit, b.audit,
         "chaotic run must be deterministic per seed"
     );
 }
