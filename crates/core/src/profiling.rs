@@ -249,8 +249,11 @@ impl ChangeFeed {
 /// Registry of worker profiles.
 #[derive(Debug)]
 pub struct ProfilingComponent {
-    /// Registered worker ids, strictly ascending: a lookup is a binary
-    /// search over this column.
+    /// Registered worker ids, strictly ascending. A lookup
+    /// (`Self::slot`) probes slot `id.0` first, which answers in one
+    /// compare when the registry is `WorkerId(0..n)` — every driver that
+    /// mints ids registers them so — and binary-searches this column only
+    /// on a miss (a cluster shard's sparse subset, an unknown id).
     ids: Vec<WorkerId>,
     /// `profiles[i]` is the profile of `ids[i]`.
     profiles: Vec<WorkerProfile>,
@@ -334,6 +337,18 @@ impl ProfilingComponent {
 
     /// Where `id` sits in the registry's columns.
     fn slot(&self, id: WorkerId) -> Result<usize, CoreError> {
+        // Truncation (a 32-bit target) can only miss: the slot must hold
+        // this very id.
+        let probe = id.0 as usize;
+        if self.ids.get(probe) == Some(&id) {
+            #[cfg(feature = "debug-invariants")]
+            assert_eq!(
+                self.ids.binary_search(&id),
+                Ok(probe),
+                "slot probe vs search"
+            );
+            return Ok(probe);
+        }
         self.ids
             .binary_search(&id)
             .map_err(|_| CoreError::UnknownWorker(id))
@@ -397,8 +412,17 @@ impl ProfilingComponent {
     /// Mutable access to a profile (used by the scheduler for lazily
     /// fitted models).
     pub fn profile_mut(&mut self, id: WorkerId) -> Result<&mut WorkerProfile, CoreError> {
+        self.slotted_mut(id).map(|(_, profile)| profile)
+    }
+
+    /// [`Self::profile_mut`] with the slot it sits at: the `slot`-th
+    /// registered worker in id order.
+    pub(crate) fn slotted_mut(
+        &mut self,
+        id: WorkerId,
+    ) -> Result<(usize, &mut WorkerProfile), CoreError> {
         let slot = self.slot(id)?;
-        Ok(&mut self.profiles[slot])
+        Ok((slot, &mut self.profiles[slot]))
     }
 
     /// Sets a worker's availability.

@@ -326,7 +326,10 @@ pub struct BuiltBatchGraph<'s> {
 ///   workers the component's change feed
 ///   (`ProfilingComponent::touched_since`) names since the epoch this
 ///   scratch last read — a handful out of thousands in steady state —
-///   inserting the newly registered by binary search. The first build, a
+///   in ascending id order. Since the table mirrors the registry, a
+///   row's index is its worker's registry slot, which the profile lookup
+///   returns: the row there is replaced, or the newly registered
+///   worker's row is inserted there. The first build, a
 ///   config change (the snapshot depends on the config), a feed that no
 ///   longer reaches back that far and a component other than the one last
 ///   read (`ProfilingComponent::instance`) re-read every profile instead,
@@ -451,14 +454,18 @@ impl BatchScratch {
         let mut refreshed = 0usize;
         for &id in &self.touched {
             // The feed names only registered workers: none ever leaves.
-            let Ok(profile) = profiling.profile_mut(id) else {
+            let Ok((slot, profile)) = profiling.slotted_mut(id) else {
                 continue;
             };
             let row = CachedRow::snapshot(config, deadline_model, profile);
             refreshed += usize::from(row.in_pool);
-            match self.rows.binary_search_by_key(&id, |r| r.id) {
-                Ok(i) => self.rows[i] = row,
-                Err(i) => self.rows.insert(i, row),
+            // Rows mirror the registry and the touched ids ascend, so
+            // every registered id below this one has its row already:
+            // this id's row sits at its registry slot, or goes there.
+            if self.rows.get(slot).is_some_and(|r| r.id == id) {
+                self.rows[slot] = row;
+            } else {
+                self.rows.insert(slot, row);
             }
         }
         refreshed

@@ -1,0 +1,275 @@
+#!/usr/bin/env python3
+"""Runs the benchmark on two revisions in alternating pairs.
+
+    python3 scripts/ab.py PARENT CHANGE --workload W [--pairs 10]
+        [--seed 2013] [--trace 0|1] [--metric NAME ...]
+        [--scratch DIR]
+    python3 scripts/ab.py --check
+
+PARENT and CHANGE are git revisions, or `.` for the working tree as it
+stands (tracked files and untracked ones that are not ignored). Each
+side is exported once into DIR/<side>/src (`git archive`, so nothing is
+added to the repository's own `.git`) and built once with
+`cargo build --release --offline` into a target directory of its own:
+the two sides' crates have the same names and relative paths, so one
+shared target directory would mistake one side's build for the other's.
+Then `BENCHMARK.json`'s command runs in each side's directory, pair by
+pair, odd pairs parent first, with `--workload W --seed S --trace T`
+and `--seconds` set to the manifest's `run_seconds`, the same on both
+sides.
+
+For every end-to-end metric of `BENCHMARK.json` (and each `--metric`,
+for per-layer names of a traced run) it prints each side's median and
+quartiles, the change's difference from the parent, the parent's IQR and
+in how many pairs the change was better, then every run in pair order.
+Quartiles are `statistics.quantiles(..., method="inclusive")` (linear
+between order statistics). The closing line judges the first listed
+metric (`goodput_per_s` unless `--metric` names one) the way a claim is
+judged: better in at least nine of ten pairs, and a median gap wider
+than the parent's IQR, which it gives by both the inclusive and the
+exclusive method (the wider one for ten runs). It also prints each
+side's operations attempted and failed, summed over its runs, and a
+claim does not hold when the change fails a larger share than the
+parent.
+
+`--check` runs no benchmark: it recomputes two recorded series from the
+run lists in EXPERIMENTS.md and exits 1 unless the medians, the parent
+IQR and the win count agree with what was recorded to within the lists'
+own rounding step.
+"""
+
+import argparse
+import json
+import os
+import pathlib
+import re
+import shutil
+import statistics
+import subprocess
+import sys
+import tempfile
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+
+
+def quartiles(values, method="inclusive"):
+    return statistics.quantiles(values, n=4, method=method)
+
+
+def iqr(values, method="inclusive"):
+    q1, _, q3 = quartiles(values, method)
+    return q3 - q1
+
+
+def wins(parent, change, higher_is_better):
+    return sum((c > p) if higher_is_better else (c < p) for p, c in zip(parent, change))
+
+
+def export(rev, dest):
+    """Writes revision `rev` (or the working tree, for `.`) into `dest`."""
+    if dest.exists():
+        shutil.rmtree(dest)
+    dest.mkdir(parents=True)
+    if rev == ".":
+        listed = subprocess.run(
+            ["git", "ls-files", "-z", "--cached", "--others", "--exclude-standard"],
+            cwd=ROOT, check=True, capture_output=True,
+        ).stdout.split(b"\0")
+        for name in filter(None, listed):
+            source = ROOT / name.decode()
+            if source.is_file():
+                target = dest / name.decode()
+                target.parent.mkdir(parents=True, exist_ok=True)
+                shutil.copy2(source, target)
+        return
+    archive = subprocess.run(
+        ["git", "archive", "--format=tar", rev], cwd=ROOT, check=True, capture_output=True,
+    ).stdout
+    subprocess.run(["tar", "-x", "-C", str(dest)], input=archive, check=True)
+
+
+def build(src, target):
+    subprocess.run(
+        ["cargo", "build", "--release", "--offline", "--quiet",
+         "--manifest-path", str(src / "benchmark" / "Cargo.toml")],
+        cwd=src, check=True, env=cargo_env(target),
+    )
+
+
+def cargo_env(target):
+    env = dict(os.environ)
+    env["CARGO_TARGET_DIR"] = str(target)
+    return env
+
+
+def run_once(command, src, target, args):
+    """One benchmark run's result line (`correct`, `attempted`, `failed`
+    and the metric values by name), or None when it printed none."""
+    done = subprocess.run(
+        command + args, cwd=src, env=cargo_env(target), capture_output=True, text=True,
+    )
+    lines = done.stdout.strip().splitlines()
+    try:
+        result = json.loads(lines[-1])
+    except (IndexError, json.JSONDecodeError):
+        result = None
+    if done.returncode != 0 or result is None:
+        sys.stderr.write(f"run failed (exit {done.returncode}) in {src}:\n{done.stdout}{done.stderr}\n")
+    if result is None:
+        return None
+    result["metrics"] = {name: m["value"] for name, m in result["metrics"].items()}
+    return result
+
+
+def failed_share(runs):
+    return sum(run["failed"] for run in runs) / max(1, sum(run["attempted"] for run in runs))
+
+
+def fmt(x):
+    return f"{x:.6g}"
+
+
+def report(names, better, parent_runs, change_runs, claim):
+    parent = [run["metrics"] for run in parent_runs]
+    change = [run["metrics"] for run in change_runs]
+    rows = [("metric", "parent median [q1, q3]", "change median [q1, q3]", "change",
+             "parent IQR", "wins")]
+    for name in names:
+        p = [run[name] for run in parent]
+        c = [run[name] for run in change]
+        pq, cq = quartiles(p), quartiles(c)
+        delta = f"{(cq[1] - pq[1]) / abs(pq[1]):+.2%}" if pq[1] else "-"
+        won = wins(p, c, better.get(name, "higher") == "higher")
+        rows.append((name, f"{fmt(pq[1])} [{fmt(pq[0])}, {fmt(pq[2])}]",
+                     f"{fmt(cq[1])} [{fmt(cq[0])}, {fmt(cq[2])}]", delta,
+                     fmt(pq[2] - pq[0]), f"{won}/{len(p)}"))
+    widths = [max(len(row[i]) for row in rows) for i in range(6)]
+    for row in rows:
+        print("  ".join(cell.ljust(w) if i == 0 else cell.rjust(w)
+                        for i, (cell, w) in enumerate(zip(row, widths))))
+    print("\nevery run, pair order (parent; change):")
+    for name in names:
+        p = ", ".join(fmt(run[name]) for run in parent)
+        c = ", ".join(fmt(run[name]) for run in change)
+        print(f"- {name}: {p}; {c}")
+    print()
+    for label, runs in (("parent", parent_runs), ("change", change_runs)):
+        print(f"{label}: {sum(run['failed'] for run in runs)} of "
+              f"{sum(run['attempted'] for run in runs)} operations failed, "
+              f"{sum(not run['correct'] for run in runs)} of {len(runs)} runs not correct")
+    if claim not in names:
+        return
+    p = [run[claim] for run in parent]
+    c = [run[claim] for run in change]
+    higher = better.get(claim, "higher") == "higher"
+    gap = statistics.median(c) - statistics.median(p)
+    gap = gap if higher else -gap
+    won = wins(p, c, higher)
+    spread = max(iqr(p), iqr(p, "exclusive"))
+    holds = (won >= 0.9 * len(p) and gap > spread
+             and failed_share(change_runs) <= failed_share(parent_runs))
+    print(f"\n{claim}: better in {won} of {len(p)} pairs; median gap {fmt(gap)} against a "
+          f"parent IQR of {fmt(iqr(p))} (exclusive {fmt(iqr(p, 'exclusive'))}): "
+          + ("holds" if holds else "does not hold"))
+
+
+def series(section, prefix):
+    """The two run lists (first side; second side) of the first line under
+    `## <section>` in EXPERIMENTS.md that starts with `prefix`."""
+    text = (ROOT / "EXPERIMENTS.md").read_text()
+    body = text.split(f"\n## {section}\n", 1)[1]
+    line = next(l for l in body.splitlines() if l.strip().startswith(prefix))
+    lists = line.split(":", 1)[1].split(";")
+    number = re.compile(r"\d+(?:\.\d+)?")
+    return [[float(x) for x in number.findall(part)] for part in lists[:2]]
+
+
+# (section, line prefix, higher is better, the lists' rounding step,
+#  recorded parent median, change median, parent IQR, wins)
+RECORDED = [
+    ("A 48-byte task and an audit log that never copies itself",
+     "- des-widepool 2013 rss:", False, 0.01, 12.62, 9.87, 0.18, 10),
+    ("A long backlog, read once per batch",
+     "- `cluster-churn` seed 2013 `goodput_per_s`:", True, 0.1, 130.7, 137.4, 1.8, 10),
+]
+
+
+def check():
+    ok = True
+    for section, prefix, higher, step, p_med, c_med, p_iqr, p_wins in RECORDED:
+        parent, change = series(section, prefix)
+        got = (statistics.median(parent), statistics.median(change), iqr(parent),
+               wins(parent, change, higher))
+        # A median or quartile interpolates runs each rounded to half a
+        # step, and the recorded figure was rounded again: one step apart
+        # is agreement.
+        agree = (abs(got[0] - p_med) <= step and abs(got[1] - c_med) <= step
+                 and abs(got[2] - p_iqr) <= step and got[3] == p_wins)
+        ok &= agree
+        print(f"{'ok ' if agree else 'BAD'} {section}: medians {got[0]:.4g} / {got[1]:.4g} "
+              f"(recorded {p_med} / {c_med}), parent IQR {got[2]:.3g} (recorded {p_iqr}), "
+              f"{got[3]} of {len(parent)} (recorded {p_wins})")
+    return ok
+
+
+def main():
+    ap = argparse.ArgumentParser(description=__doc__.split("\n", 1)[0])
+    ap.add_argument("parent", nargs="?")
+    ap.add_argument("change", nargs="?")
+    ap.add_argument("--workload")
+    ap.add_argument("--pairs", type=int, default=10)
+    ap.add_argument("--seed", type=int, default=2013)
+    ap.add_argument("--trace", type=int, choices=(0, 1), default=0)
+    ap.add_argument("--metric", action="append", default=[])
+    ap.add_argument("--scratch", default=str(pathlib.Path(tempfile.gettempdir()) / "react-ab"))
+    ap.add_argument("--check", action="store_true")
+    opts = ap.parse_args()
+    if opts.check:
+        return 0 if check() else 1
+    if not (opts.parent and opts.change and opts.workload):
+        ap.error("PARENT, CHANGE and --workload are required")
+
+    manifest = json.loads((ROOT / "BENCHMARK.json").read_text())
+    seconds = manifest["run_seconds"]
+    better = {m["name"]: m["better"] for m in manifest["end_to_end"] + manifest["per_layer"]}
+    names = opts.metric + [m["name"] for m in manifest["end_to_end"]
+                           if m["name"] not in opts.metric]
+    if opts.trace:
+        names = opts.metric or [m["name"] for m in manifest["per_layer"]]
+    scratch = pathlib.Path(opts.scratch).resolve()
+    if scratch == ROOT or ROOT in scratch.parents:
+        ap.error("--scratch must lie outside the repository")
+
+    sides = {}
+    for label, rev in (("parent", opts.parent), ("change", opts.change)):
+        src, target = scratch / label / "src", scratch / label / "target"
+        export(rev, src)
+        build(src, target)
+        sides[label] = (src, target, [])
+    args = ["--workload", opts.workload, "--seed", str(opts.seed),
+            "--seconds", str(seconds), "--trace", str(opts.trace)]
+    missing = 0
+    for pair in range(1, opts.pairs + 1):
+        order = ("parent", "change") if pair % 2 else ("change", "parent")
+        for label in order:
+            src, target, runs = sides[label]
+            result = run_once(manifest["command"], src, target, args)
+            missing += result is None
+            runs.append(result)
+        print(f"pair {pair}/{opts.pairs} done", file=sys.stderr)
+    kept = [(p, c) for p, c in zip(sides["parent"][2], sides["change"][2]) if p and c]
+    if missing:
+        print(f"{missing} runs printed no result; {len(kept)} whole pairs kept")
+    if len(kept) < 2:
+        print("fewer than two whole pairs: nothing to compare")
+        return 1
+    print(f"{opts.workload}, seed {opts.seed}, {seconds} s runs, {len(kept)} pairs, "
+          f"parent {opts.parent}, change {opts.change}\n")
+    claim = (opts.metric or ["goodput_per_s"])[0]
+    report(names, better, [p for p, _ in kept], [c for _, c in kept], claim)
+    incorrect = any(not run["correct"] for pair in kept for run in pair)
+    return 1 if missing or incorrect else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
