@@ -19,7 +19,7 @@
 
 use crate::graph::BipartiteGraph;
 use crate::matcher::Matching;
-use crate::state::MatchingState;
+use crate::state::{MatchingState, Slot};
 use std::fmt;
 
 /// True when this crate was built with its `debug-invariants` feature:
@@ -89,6 +89,17 @@ pub enum InvariantViolation {
         /// The selected-but-unindexed edge id.
         edge: u32,
     },
+    /// A vertex slot's cached weight is not its matched edge's weight bit
+    /// for bit, or a free slot is not `(−∞, NONE)`: Algorithm 1 would
+    /// decide flips from a weight the matching does not hold.
+    StaleSlot {
+        /// Human-readable side + index, e.g. `"task 3"`.
+        vertex: String,
+        /// The weight the slot caches.
+        recorded: f64,
+        /// The matched edge's weight, or `−∞` for a free slot.
+        actual: f64,
+    },
     /// The state's incremental fitness drifted from the recomputed sum.
     FitnessDrift {
         /// The incrementally-maintained fitness.
@@ -143,6 +154,11 @@ impl fmt::Display for InvariantViolation {
             InvariantViolation::UnindexedEdge { edge } => {
                 write!(f, "selected edge {edge} not indexed by its endpoints")
             }
+            InvariantViolation::StaleSlot {
+                vertex,
+                recorded,
+                actual,
+            } => write!(f, "{vertex}'s slot caches weight {recorded}, not {actual}"),
             InvariantViolation::FitnessDrift { recorded, actual } => {
                 write!(f, "fitness {recorded} drifted from recomputed {actual}")
             }
@@ -223,14 +239,16 @@ impl<'g> MatchingValidator<'g> {
     }
 
     /// Checks an in-flight [`MatchingState`] after a flip: every vertex
-    /// index points at a selected edge of which it is an endpoint (the
-    /// conflict rule left nothing dangling), every selected edge — the
-    /// ones the task side holds — is indexed by both endpoints, and
+    /// slot points at a selected edge of which it is an endpoint (the
+    /// conflict rule left nothing dangling) and caches that edge's weight
+    /// bit for bit, every free slot is `(−∞, NONE)`, every selected edge
+    /// — the ones the task side holds — is indexed by both endpoints, and
     /// fitness/size have not drifted.
     pub fn check_state(&self, state: &MatchingState) -> Result<(), InvariantViolation> {
         use crate::graph::{TaskIdx, WorkerIdx};
         for w in 0..self.graph.n_workers() {
-            if let Some(e) = state.worker_match(WorkerIdx(w as u32)) {
+            let slot = state.worker_slot(WorkerIdx(w as u32));
+            if let Some(e) = slot.edge() {
                 let edge = self.graph.edge(e);
                 if !state.holds(e, edge) || edge.worker.0 as usize != w {
                     return Err(InvariantViolation::DanglingVertex {
@@ -239,9 +257,11 @@ impl<'g> MatchingValidator<'g> {
                     });
                 }
             }
+            self.check_slot(format_args!("worker {w}"), slot)?;
         }
         for t in 0..self.graph.n_tasks() {
-            if let Some(e) = state.task_match(TaskIdx(t as u32)) {
+            let slot = state.task_slot(TaskIdx(t as u32));
+            if let Some(e) = slot.edge() {
                 // Its worker's side is the selected-edge pass below.
                 if self.graph.edge(e).task.0 as usize != t {
                     return Err(InvariantViolation::DanglingVertex {
@@ -250,6 +270,7 @@ impl<'g> MatchingValidator<'g> {
                     });
                 }
             }
+            self.check_slot(format_args!("task {t}"), slot)?;
         }
         let mut fitness = 0.0;
         let selected = state.selected_edges();
@@ -274,6 +295,22 @@ impl<'g> MatchingValidator<'g> {
             });
         }
         Ok(())
+    }
+
+    /// Holds `slot`'s cached weight to its edge's, bit for bit, and a
+    /// free slot to [`Slot::FREE`].
+    fn check_slot(&self, vertex: fmt::Arguments<'_>, slot: Slot) -> Result<(), InvariantViolation> {
+        let actual = slot
+            .edge()
+            .map_or(f64::NEG_INFINITY, |e| self.graph.edge(e).weight);
+        if slot.weight.to_bits() == actual.to_bits() {
+            return Ok(());
+        }
+        Err(InvariantViolation::StaleSlot {
+            vertex: vertex.to_string(),
+            recorded: slot.weight,
+            actual,
+        })
     }
 }
 
@@ -427,11 +464,12 @@ mod tests {
         let e = g.find_edge(WorkerIdx(0), TaskIdx(2)).unwrap();
         consistent.insert(e, g.edge(e));
         let stray = g.find_edge(WorkerIdx(1), TaskIdx(0)).unwrap();
+        let stray_slot = Some((stray, g.edge(stray).weight));
         let validator = MatchingValidator::new(&g);
 
         // A worker entry without its task twin.
         let mut s = consistent.clone();
-        s.desync_worker(WorkerIdx(1), Some(stray));
+        s.desync_worker(WorkerIdx(1), stray_slot);
         assert_eq!(
             validator.check_state(&s),
             Err(InvariantViolation::DanglingVertex {
@@ -441,14 +479,14 @@ mod tests {
         );
         // A task entry without its worker twin.
         let mut s = consistent.clone();
-        s.desync_task(TaskIdx(0), Some(stray));
+        s.desync_task(TaskIdx(0), stray_slot);
         assert_eq!(
             validator.check_state(&s),
             Err(InvariantViolation::UnindexedEdge { edge: stray.0 })
         );
         // A vertex holding an edge that is not its own.
         let mut s = consistent.clone();
-        s.desync_task(TaskIdx(1), Some(stray));
+        s.desync_task(TaskIdx(1), stray_slot);
         assert!(matches!(
             validator.check_state(&s),
             Err(InvariantViolation::DanglingVertex { ref vertex, .. }) if vertex == "task 1"
@@ -460,6 +498,51 @@ mod tests {
             validator.check_state(&s),
             Err(InvariantViolation::DanglingVertex { ref vertex, .. }) if vertex == "worker 0"
         ));
+        assert_eq!(validator.check_state(&consistent), Ok(()));
+    }
+
+    /// A slot that names the right edge but caches another weight — or a
+    /// free slot that caches any weight but `−∞` — would let Algorithm 1
+    /// decide a flip from a weight the matching does not hold.
+    #[test]
+    fn a_stale_slot_weight_is_caught() {
+        let g = graph();
+        let mut consistent = MatchingState::new(&g);
+        let e = g.find_edge(WorkerIdx(0), TaskIdx(2)).unwrap();
+        consistent.insert(e, g.edge(e));
+        let validator = MatchingValidator::new(&g);
+        let held = g.edge(e).weight;
+
+        // The task side caches the weight one ULP up.
+        let mut s = consistent.clone();
+        let stale = f64::from_bits(held.to_bits() + 1);
+        s.desync_task(TaskIdx(2), Some((e, stale)));
+        assert_eq!(
+            validator.check_state(&s),
+            Err(InvariantViolation::StaleSlot {
+                vertex: "task 2".into(),
+                recorded: stale,
+                actual: held,
+            })
+        );
+        // The worker side caches an earlier edge's weight.
+        let mut s = consistent.clone();
+        s.desync_worker(WorkerIdx(0), Some((e, 0.0)));
+        assert!(matches!(
+            validator.check_state(&s),
+            Err(InvariantViolation::StaleSlot { ref vertex, .. }) if vertex == "worker 0"
+        ));
+        // A freed slot that kept its weight.
+        let mut s = consistent.clone();
+        s.desync_worker(WorkerIdx(2), Some((crate::graph::EdgeId(u32::MAX), held)));
+        assert_eq!(
+            validator.check_state(&s),
+            Err(InvariantViolation::StaleSlot {
+                vertex: "worker 2".into(),
+                recorded: held,
+                actual: f64::NEG_INFINITY,
+            })
+        );
         assert_eq!(validator.check_state(&consistent), Ok(()));
     }
 

@@ -210,7 +210,20 @@ impl<const REPLACE: bool> Walk<REPLACE> {
     ) {
         let edge = *graph.edge(e);
         let weight = edge.weight;
-        if state.holds(e, &edge) {
+        // The drawn edge's two slots decide every arm: whether it is
+        // held, what it conflicts with and, for REACT, whether it wins.
+        let (ws, ts) = state.slots(&edge);
+        let held = ts.edge == e.0;
+        if REPLACE && !held & !((ws.weight < weight) & (ts.weight < weight)) {
+            // REACT's select arm, decided first because most draws lose
+            // it: an edge not held goes in iff it beats every matched
+            // edge on its worker or task (the g(x′) = 0 case). A free
+            // slot's `−∞` loses to every valid weight, so a free
+            // endpoint never blocks it, and a tie keeps the incumbent.
+            stats.flips_rejected += 1;
+            return;
+        }
+        if held {
             // Flipping off: Δg = −w ≤ 0. A negligible weight is a free
             // move (Δg ≈ 0, acceptance probability e^{Δg/K} ≈ 1) and is
             // accepted outright — crucially *before* any RNG draw, so
@@ -225,38 +238,23 @@ impl<const REPLACE: bool> Walk<REPLACE> {
             }
             return;
         }
-        match state.conflicts_of(e, &edge) {
-            (None, None) => {
-                // Δg = +w ≥ 0 — always accept.
-                state.insert(e, &edge);
-                stats.flips_accepted += 1;
-            }
-            (cw, ct) => {
-                let cw = cw.map(|c| (c, *graph.edge(c)));
-                let ct = ct.map(|c| (c, *graph.edge(c)));
-                let accept = if REPLACE {
-                    // g(x′) = 0 case: replace iff the new edge beats
-                    // every conflicting matched edge.
-                    [cw, ct]
-                        .into_iter()
-                        .flatten()
-                        .all(|(_, old)| old.weight < weight)
-                } else {
-                    // Δg = −g(x): an ordinary downhill move.
-                    accept_worse(-state.fitness(), rng)
-                };
-                if accept {
-                    for (c, old) in [cw, ct].into_iter().flatten() {
-                        state.remove(c, &old);
-                    }
-                    state.insert(e, &edge);
-                    stats.flips_accepted += 1;
-                    stats.conflicts_resolved += 1;
-                } else {
-                    stats.flips_rejected += 1;
-                }
-            }
+        // Not held, so neither slot holds `e`: each matched slot is a
+        // conflict, and under REACT the edge has beaten both above. With
+        // no conflict, Δg = +w ≥ 0 and the flip is accepted.
+        let (cw, ct) = (ws.edge(), ts.edge());
+        let conflict = cw.is_some() | ct.is_some();
+        if !REPLACE && conflict && !accept_worse(-state.fitness(), rng) {
+            // Metropolis's conflict arm: an ordinary downhill move,
+            // Δg = −g(x).
+            stats.flips_rejected += 1;
+            return;
         }
+        for c in [cw, ct].into_iter().flatten() {
+            state.remove(c, graph.edge(c));
+        }
+        state.insert(e, &edge);
+        stats.flips_accepted += 1;
+        stats.conflicts_resolved += u64::from(conflict);
     }
 }
 

@@ -3,7 +3,7 @@
 
     python3 scripts/ab.py PARENT CHANGE --workload W [--pairs 10]
         [--seed 2013] [--trace 0|1] [--metric NAME ...]
-        [--scratch DIR]
+        [--scratch DIR] [--record FILE --pr N]
     python3 scripts/ab.py --check
 
 PARENT and CHANGE are git revisions, or `.` for the working tree as it
@@ -32,14 +32,27 @@ side's operations attempted and failed, summed over its runs, and a
 claim does not hold when the change fails a larger share than the
 parent.
 
+`--record FILE --pr N` appends one JSON line per reported metric to
+FILE (the history is the root `BENCH_history.jsonl`): the PR number, the
+workload and metric, both revisions resolved to commits (`.` as the
+commit it sits on plus `+worktree.` and the first 12 hex digits of a
+SHA-256 over the exported files' names and bytes, the history file
+left out, so two uncommitted builds on one commit are told apart), seed, seconds, trace, which way is
+better, the parent's and the change's runs in pair order, both medians,
+the parent's IQR (inclusive method) and the change's win count.
+
 `--check` runs no benchmark: it recomputes two recorded series from the
 run lists in EXPERIMENTS.md and exits 1 unless the medians, the parent
 IQR and the win count agree with what was recorded to within the lists'
-own rounding step.
+own rounding step. It also validates every line of
+`BENCH_history.jsonl`: every field present, and the medians, IQR and
+wins recomputed from the two run lists.
 """
 
 import argparse
+import hashlib
 import json
+import math
 import os
 import pathlib
 import re
@@ -66,7 +79,8 @@ def wins(parent, change, higher_is_better):
 
 
 def export(rev, dest):
-    """Writes revision `rev` (or the working tree, for `.`) into `dest`."""
+    """Writes revision `rev` (or the working tree, for `.`) into `dest`.
+    For the working tree it returns a digest of the files written."""
     if dest.exists():
         shutil.rmtree(dest)
     dest.mkdir(parents=True)
@@ -75,17 +89,23 @@ def export(rev, dest):
             ["git", "ls-files", "-z", "--cached", "--others", "--exclude-standard"],
             cwd=ROOT, check=True, capture_output=True,
         ).stdout.split(b"\0")
-        for name in filter(None, listed):
+        digest = hashlib.sha256()
+        for name in sorted(filter(None, listed)):
             source = ROOT / name.decode()
             if source.is_file():
                 target = dest / name.decode()
                 target.parent.mkdir(parents=True, exist_ok=True)
                 shutil.copy2(source, target)
-        return
+                # The history is what runs write, not what they run.
+                if name != b"BENCH_history.jsonl":
+                    data = source.read_bytes()
+                    digest.update(b"%d:%d:" % (len(name), len(data)) + name + data)
+        return digest.hexdigest()[:12]
     archive = subprocess.run(
         ["git", "archive", "--format=tar", rev], cwd=ROOT, check=True, capture_output=True,
     ).stdout
     subprocess.run(["tar", "-x", "-C", str(dest)], input=archive, check=True)
+    return None
 
 
 def build(src, target):
@@ -212,6 +232,88 @@ def check():
     return ok
 
 
+HISTORY = ROOT / "BENCH_history.jsonl"
+
+# A history line's fields and their types.
+HISTORY_FIELDS = {
+    "pr": int, "workload": str, "metric": str, "parent_rev": str, "change_rev": str,
+    "seed": int, "seconds": (int, float), "trace": int, "better": str,
+    "parent": list, "change": list, "parent_median": (int, float),
+    "change_median": (int, float), "parent_iqr": (int, float), "wins": int,
+}
+
+
+def resolve(rev, digest):
+    """`rev` as a commit id; the working tree as its commit plus
+    `+worktree.` and the `digest` of what `export` wrote."""
+    head = "HEAD" if rev == "." else rev
+    commit = subprocess.run(["git", "rev-parse", "--verify", f"{head}^{{commit}}"], cwd=ROOT,
+                            check=True, capture_output=True, text=True).stdout.strip()
+    return f"{commit}+worktree.{digest}" if rev == "." else commit
+
+
+def summary(parent, change, better):
+    """The figures a history line records of two run lists."""
+    return {"parent_median": statistics.median(parent),
+            "change_median": statistics.median(change),
+            "parent_iqr": iqr(parent),
+            "wins": wins(parent, change, better == "higher")}
+
+
+def record(path, pr, opts, digests, seconds, names, better, parent_runs, change_runs):
+    revs = {"parent_rev": resolve(opts.parent, digests["parent"]),
+            "change_rev": resolve(opts.change, digests["change"])}
+    with open(path, "a") as out:
+        for name in names:
+            parent = [run["metrics"][name] for run in parent_runs]
+            change = [run["metrics"][name] for run in change_runs]
+            way = better.get(name, "higher")
+            line = {"pr": pr, "workload": opts.workload, "metric": name, **revs,
+                    "seed": opts.seed, "seconds": seconds, "trace": opts.trace,
+                    "better": way, "parent": parent, "change": change,
+                    **summary(parent, change, way)}
+            out.write(json.dumps(line) + "\n")
+    print(f"\nrecorded {len(names)} lines in {path}")
+
+
+def check_history(path=HISTORY):
+    """Every line of the history file well formed and its figures the ones
+    its run lists give; a missing file is an empty history."""
+    if not path.exists():
+        print(f"ok  {path.name}: absent")
+        return True
+    bad = []
+    lines = path.read_text().splitlines()
+    for number, text in enumerate(lines, 1):
+        try:
+            line = json.loads(text)
+        except json.JSONDecodeError as err:
+            bad.append(f"line {number}: not JSON ({err})")
+            continue
+        wrong = [k for k, kind in HISTORY_FIELDS.items() if not isinstance(line.get(k), kind)
+                 or isinstance(line.get(k), bool)]
+        if wrong:
+            bad.append(f"line {number}: missing or mistyped {', '.join(wrong)}")
+            continue
+        parent, change = line["parent"], line["change"]
+        if (len(parent) < 2 or len(parent) != len(change)
+                or not all(isinstance(x, (int, float)) for x in parent + change)
+                or line["better"] not in ("higher", "lower")):
+            bad.append(f"line {number}: run lists not two equal numeric lists of ≥ 2, "
+                       "or `better` neither higher nor lower")
+            continue
+        for key, want in summary(parent, change, line["better"]).items():
+            if not math.isclose(line[key], want, rel_tol=1e-12, abs_tol=1e-12):
+                bad.append(f"line {number} ({line['workload']} {line['metric']}): "
+                           f"{key} {line[key]} but the runs give {want}")
+    for message in bad:
+        print(f"BAD {path.name} {message}")
+    if not bad:
+        print(f"ok  {path.name}: {len(lines)} lines, every median, IQR and win count "
+              "recomputed")
+    return not bad
+
+
 def main():
     ap = argparse.ArgumentParser(description=__doc__.split("\n", 1)[0])
     ap.add_argument("parent", nargs="?")
@@ -222,12 +324,16 @@ def main():
     ap.add_argument("--trace", type=int, choices=(0, 1), default=0)
     ap.add_argument("--metric", action="append", default=[])
     ap.add_argument("--scratch", default=str(pathlib.Path(tempfile.gettempdir()) / "react-ab"))
+    ap.add_argument("--record", metavar="FILE")
+    ap.add_argument("--pr", type=int)
     ap.add_argument("--check", action="store_true")
     opts = ap.parse_args()
     if opts.check:
-        return 0 if check() else 1
+        return 0 if check() & check_history() else 1
     if not (opts.parent and opts.change and opts.workload):
         ap.error("PARENT, CHANGE and --workload are required")
+    if (opts.record is None) != (opts.pr is None):
+        ap.error("--record and --pr go together")
 
     manifest = json.loads((ROOT / "BENCHMARK.json").read_text())
     seconds = manifest["run_seconds"]
@@ -240,10 +346,10 @@ def main():
     if scratch == ROOT or ROOT in scratch.parents:
         ap.error("--scratch must lie outside the repository")
 
-    sides = {}
+    sides, digests = {}, {}
     for label, rev in (("parent", opts.parent), ("change", opts.change)):
         src, target = scratch / label / "src", scratch / label / "target"
-        export(rev, src)
+        digests[label] = export(rev, src)
         build(src, target)
         sides[label] = (src, target, [])
     args = ["--workload", opts.workload, "--seed", str(opts.seed),
@@ -267,6 +373,9 @@ def main():
           f"parent {opts.parent}, change {opts.change}\n")
     claim = (opts.metric or ["goodput_per_s"])[0]
     report(names, better, [p for p, _ in kept], [c for _, c in kept], claim)
+    if opts.record:
+        record(opts.record, opts.pr, opts, digests, seconds, names, better,
+               [p for p, _ in kept], [c for _, c in kept])
     incorrect = any(not run["correct"] for pair in kept for run in pair)
     return 1 if missing or incorrect else 0
 
