@@ -126,9 +126,9 @@ impl ClusterReport {
         self.shards.iter().map(|s| s.met_deadline).sum()
     }
 
-    /// Cluster-wide positive feedbacks.
-    pub fn positive_feedback(&self) -> u64 {
-        self.shards.iter().map(|s| s.positive_feedback).sum()
+    /// Cluster-wide handoffs (out == in when conservation holds).
+    pub fn handoffs(&self) -> u64 {
+        self.shards.iter().map(|s| s.handoffs_out).sum()
     }
 
     /// Cluster-wide expiries (incl. queued leftovers at the horizon).
@@ -144,11 +144,6 @@ impl ClusterReport {
     /// Cluster-wide stranded (still-assigned) tasks.
     pub fn stranded(&self) -> u64 {
         self.shards.iter().map(|s| s.stranded).sum()
-    }
-
-    /// Cluster-wide handoffs (out == in when conservation holds).
-    pub fn handoffs(&self) -> u64 {
-        self.shards.iter().map(|s| s.handoffs_out).sum()
     }
 
     /// The heaviest per-shard modelled matching load (seconds) — the

@@ -87,10 +87,7 @@ pub use error::{CoreError, ReactError};
 pub use events::{verify_lifecycles, AuditLog, TaskEvent, TaskEventKind};
 pub use ids::{IdHasher, IdMap, TaskCategory, TaskId, WorkerId};
 pub use profiling::{Availability, ProfilingComponent, WorkerProfile};
-pub use scheduling::{
-    BatchResult, BatchScratch, BuildStats, BuiltBatchGraph, GraphBuilder, SchedulingComponent,
-    WorkerRow,
-};
+pub use scheduling::{BatchResult, BatchScratch, BuildStats, BuiltBatchGraph, SchedulingComponent};
 pub use server::{CompletionOutcome, ReactServer, ServerBuilder, TickOutcome};
 pub use task::{Task, TaskState};
 pub use task_mgmt::TaskManagementComponent;

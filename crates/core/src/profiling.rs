@@ -49,11 +49,6 @@ pub struct WorkerProfile {
     /// Multiplicative penalty applied to the Eq. (1) accuracy while the
     /// worker is suspect (1.0 = trusted).
     weight_penalty: f64,
-    /// The component epoch of the last mutation that can change
-    /// scheduling output (availability, samples, feedback, reward range,
-    /// penalty, location); [`ProfilingComponent::touched_since`] is the
-    /// same fact as a feed.
-    epoch: u64,
 }
 
 impl WorkerProfile {
@@ -68,13 +63,7 @@ impl WorkerProfile {
             reward_range: None,
             suspicions: 0,
             weight_penalty: 1.0,
-            epoch: 0,
         }
-    }
-
-    /// The profile's mutation epoch (see the field docs).
-    pub fn epoch(&self) -> u64 {
-        self.epoch
     }
 
     /// The worker's id.
@@ -115,7 +104,7 @@ impl WorkerProfile {
     /// at maximum weight): no history in the category → overall accuracy;
     /// no history at all → 1.0 (optimistic).
     /// A suspect worker's tally is additionally scaled by the recovery
-    /// layer's [`weight_penalty`](Self::weight_penalty), so repeatedly
+    /// layer's penalty ([`ProfilingComponent::mark_suspect`]), so repeatedly
     /// unresponsive workers sink in the matching order without being
     /// evicted outright.
     pub fn accuracy(&self, category: TaskCategory) -> f64 {
@@ -138,17 +127,6 @@ impl WorkerProfile {
         } else {
             1.0
         }
-    }
-
-    /// Times the recovery layer marked this worker suspect.
-    pub fn suspicions(&self) -> u32 {
-        self.suspicions
-    }
-
-    /// Current multiplicative penalty on the worker's accuracy weight
-    /// (1.0 = trusted, decays per suspicion).
-    pub fn weight_penalty(&self) -> f64 {
-        self.weight_penalty
     }
 
     /// The fitted execution-time model (None until the estimator warms
@@ -359,9 +337,8 @@ impl ProfilingComponent {
     fn touch(&mut self, id: WorkerId) -> Result<&mut WorkerProfile, CoreError> {
         let capacity = self.feed_capacity();
         let slot = self.slot(id)?;
-        let p = &mut self.profiles[slot];
-        p.epoch = self.feed.take(id, capacity);
-        Ok(p)
+        self.feed.take(id, capacity);
+        Ok(&mut self.profiles[slot])
     }
 
     /// [`Self::touch`] plus a counted move to `availability`: every
@@ -373,8 +350,8 @@ impl ProfilingComponent {
     ) -> Result<&mut WorkerProfile, CoreError> {
         let capacity = self.feed_capacity();
         let slot = self.slot(id)?;
+        self.feed.take(id, capacity);
         let p = &mut self.profiles[slot];
-        p.epoch = self.feed.take(id, capacity);
         let was = std::mem::replace(&mut p.availability, availability);
         self.counts[was as usize] -= 1;
         self.counts[availability as usize] += 1;
@@ -386,8 +363,8 @@ impl ProfilingComponent {
         let Err(slot) = self.ids.binary_search(&id) else {
             return Err(CoreError::DuplicateWorker(id));
         };
-        let mut profile = WorkerProfile::new(id, location, self.estimator_config);
-        profile.epoch = self.feed.take(id, self.feed_capacity());
+        let profile = WorkerProfile::new(id, location, self.estimator_config);
+        self.feed.take(id, self.feed_capacity());
         self.counts[profile.availability as usize] += 1;
         self.ids.insert(slot, id);
         self.profiles.insert(slot, profile);
@@ -734,8 +711,6 @@ mod tests {
         assert_eq!(p.mark_suspect(WorkerId(1), 0.5).unwrap(), 1);
         assert_eq!(p.mark_suspect(WorkerId(1), 0.5).unwrap(), 2);
         let prof = p.profile(WorkerId(1)).unwrap();
-        assert_eq!(prof.suspicions(), 2);
-        assert!((prof.weight_penalty() - 0.25).abs() < 1e-12);
         assert!((prof.accuracy(cat) - 0.25).abs() < 1e-12);
         // The fallback ladder is penalised too.
         assert!((prof.accuracy(TaskCategory(9)) - 0.25).abs() < 1e-12);
@@ -745,10 +720,11 @@ mod tests {
     #[test]
     fn epoch_bumps_on_every_scheduling_visible_mutation() {
         let mut p = profiler_with_worker();
-        let mut last = p.profile(WorkerId(1)).unwrap().epoch();
+        let mut last = p.epoch_now();
         let mut expect_bump = |p: &ProfilingComponent, what: &str| {
-            let e = p.profile(WorkerId(1)).unwrap().epoch();
+            let e = p.epoch_now();
             assert!(e > last, "{what} must bump the epoch");
+            assert_eq!(p.touched_since(e - 1).unwrap().last(), Some(WorkerId(1)));
             last = e;
         };
         p.record_assignment(WorkerId(1)).unwrap();
@@ -770,7 +746,7 @@ mod tests {
         expect_bump(&p, "mark_suspect");
         // Lazy model access is output-idempotent and must NOT bump.
         let _ = p.profile_mut(WorkerId(1)).unwrap().exec_model();
-        assert_eq!(p.profile(WorkerId(1)).unwrap().epoch(), last);
+        assert_eq!(p.epoch_now(), last);
         // A failed mutation takes no epoch: nobody would hold it.
         let before = p.epoch_now();
         assert!(p.record_assignment(WorkerId(9)).is_err());
@@ -805,9 +781,6 @@ mod tests {
             assert_eq!(p.epoch_now(), before + u64::from(done));
             if done {
                 history.push((p.epoch_now(), id));
-                if let Ok(profile) = p.profile(id) {
-                    assert_eq!(profile.epoch(), p.epoch_now());
-                }
             }
         }
         assert!(history.len() > 100, "the sequence must mostly succeed");

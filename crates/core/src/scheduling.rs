@@ -19,23 +19,16 @@
 //! optimistically with their current `F`, consistent with the paper's
 //! intent that pruning only applies once a profile exists.
 //!
-//! Construction runs in two phases through [`GraphBuilder`]:
-//!
-//! * **Phase A** ([`GraphBuilder::prepare`]) — one *mutable* pass over
-//!   the worker pool that refits each worker's lazily-cached latency
-//!   model and snapshots everything edge instantiation needs into
-//!   [`WorkerRow`]s.
-//! * **Phase B** ([`GraphBuilder::instantiate`]) — pure edge
-//!   instantiation over the precomputed rows against immutable state.
-//!
-//! [`GraphBuilder`] is the *cold* reference path: it allocates fresh
-//! buffers and evaluates Eq. (3) exactly on every edge. The server's hot
-//! loop instead drives [`BatchScratch`], an incremental builder: it
-//! keeps one phase-A row per registered worker in place across ticks and
-//! redoes phase A only for the workers the profiler's change feed names
-//! since its last build, reuses the edge arena, decides per row what is
-//! per row (reward range, weight per category, Eq. (3) when the batch's
-//! extreme TTDs settle it), answers the remaining Eq. (3) decisions
+//! [`SchedulingComponent::build_graph`] is the *cold* reference path: one
+//! serial pass that refits each pool worker's latency model, allocates
+//! fresh buffers and evaluates Eq. (1) and Eq. (3) exactly on every
+//! pair. The server's hot loop instead drives [`BatchScratch`], an
+//! incremental builder: it keeps a snapshot of every registered worker
+//! in place across ticks and retakes it only for the workers the
+//! profiler's change feed names since its last build, reuses the edge
+//! arena, decides per row what is per row (reward range, one weight when
+//! the batch has one category, Eq. (3) when the batch's extreme TTDs
+//! settle it), answers the remaining Eq. (3) decisions
 //! through a memoized [`EdgeGate`] and appends each row's edges to the
 //! graph in one call. What it reads of a queued task (expiry instant, reward,
 //! category, location) it reads off the unassigned queue's columns; the
@@ -46,9 +39,9 @@
 use crate::config::{Config, MatcherPolicy};
 use crate::ids::{TaskCategory, TaskId, WorkerId};
 use crate::profiling::{range_accepts, ProfilingComponent, WorkerProfile};
-use crate::task_mgmt::{TaskManagementComponent, TaskRecord};
+use crate::task_mgmt::TaskManagementComponent;
 use rand::RngCore;
-use react_matching::{BipartiteGraph, GraphError, MatcherEngine, TaskIdx, WorkerIdx};
+use react_matching::{BipartiteGraph, GraphError, MatcherEngine, RowWeights, TaskIdx, WorkerIdx};
 use react_prob::{DeadlineModel, EdgeGate, FittedModel, GatedRow};
 
 /// The outcome of one scheduling batch.
@@ -70,166 +63,8 @@ pub struct BatchResult {
     pub pruned_edges: usize,
 }
 
-/// Phase-A product: everything phase B needs from the mutable pass over
-/// one worker's profile.
-#[derive(Debug, Clone)]
-pub struct WorkerRow {
-    /// The worker (rows keep the selection order of the pool scan).
-    pub id: WorkerId,
-    /// Training rule applies: first `z` assignments get maximum `F` and
-    /// bypass pruning.
-    pub in_training: bool,
-    /// The refit Eq. (3) latency model, when the policy uses it and the
-    /// worker is out of training.
-    pub model: Option<FittedModel>,
-}
-
-/// Two-phase assignment-graph builder (see the module docs).
-#[derive(Debug)]
-pub struct GraphBuilder<'a> {
-    config: &'a Config,
-    rows: Vec<WorkerRow>,
-}
-
-impl<'a> GraphBuilder<'a> {
-    /// **Phase A**: selects the worker pool and makes the *single*
-    /// mutable pass over it — refitting each worker's lazily-cached
-    /// deadline model and snapshotting the per-worker facts — so that
-    /// phase B touches profiles only immutably (and exactly once each).
-    pub fn prepare(config: &'a Config, profiling: &mut ProfilingComponent) -> Self {
-        let workers = if config.matcher.uses_availability() {
-            profiling.available_workers()
-        } else {
-            profiling.online_workers()
-        };
-        let use_model = config.matcher.uses_probabilistic_model();
-        let rows = workers
-            .into_iter()
-            .filter_map(|wid| {
-                // The pool scan just read these ids out of the registry;
-                // a miss would mean the registry mutated mid-build. Drop
-                // the row rather than abort the batch.
-                let Ok(profile) = profiling.profile_mut(wid) else {
-                    debug_assert!(false, "pool scan returned unregistered {wid}");
-                    return None;
-                };
-                let in_training = profile.assignments_served() < config.training_assignments;
-                let model = if use_model && !in_training {
-                    profile.deadline_dist(config.latency_model)
-                } else {
-                    None
-                };
-                Some(WorkerRow {
-                    id: wid,
-                    in_training,
-                    model,
-                })
-            })
-            .collect();
-        GraphBuilder { config, rows }
-    }
-
-    /// The phase-A rows, in pool order.
-    pub fn rows(&self) -> &[WorkerRow] {
-        &self.rows
-    }
-
-    /// **Phase B**: edge instantiation over the precomputed rows.
-    pub fn instantiate(
-        &self,
-        profiling: &ProfilingComponent,
-        tasks: &TaskManagementComponent,
-        now: f64,
-    ) -> (BipartiteGraph, Vec<WorkerId>, Vec<TaskId>, usize) {
-        let (task_ids, recs) = Self::task_rows(tasks);
-        let deadline_model = DeadlineModel::new(self.config.deadline);
-        let mut graph = BipartiteGraph::new(self.rows.len(), task_ids.len());
-        let mut pruned = 0usize;
-        for (u, row) in self.rows.iter().enumerate() {
-            // Keep row `u` aligned with worker_ids() even if the profile
-            // vanished between phases: the row just contributes no edges.
-            let Ok(profile) = profiling.profile(row.id) else {
-                debug_assert!(false, "phase-A {} vanished from the registry", row.id);
-                continue;
-            };
-            let (edges, row_pruned) =
-                Self::row_edges(self.config, &deadline_model, row, profile, &recs, now);
-            for (v, weight) in edges {
-                Self::push_edge(&mut graph, u, v, weight);
-            }
-            pruned += row_pruned;
-        }
-        (graph, self.worker_ids(), task_ids, pruned)
-    }
-
-    fn worker_ids(&self) -> Vec<WorkerId> {
-        self.rows.iter().map(|r| r.id).collect()
-    }
-
-    fn task_rows(tasks: &TaskManagementComponent) -> (Vec<TaskId>, Vec<&TaskRecord>) {
-        let unassigned = tasks.unassigned();
-        let mut task_ids = Vec::with_capacity(unassigned.len());
-        let mut recs = Vec::with_capacity(unassigned.len());
-        for &tid in unassigned {
-            let Ok(rec) = tasks.record(tid) else {
-                debug_assert!(false, "unassigned {tid} is not tracked");
-                continue;
-            };
-            task_ids.push(tid);
-            recs.push(rec);
-        }
-        (task_ids, recs)
-    }
-
-    /// The pure per-row kernel of phase B: the edges
-    /// (task index, weight) one worker contributes, plus how many of
-    /// their candidate edges the two pruning rules dropped.
-    fn row_edges(
-        config: &Config,
-        deadline_model: &DeadlineModel,
-        row: &WorkerRow,
-        profile: &WorkerProfile,
-        recs: &[&TaskRecord],
-        now: f64,
-    ) -> (Vec<(u32, f64)>, usize) {
-        let mut edges = Vec::new();
-        let mut pruned = 0usize;
-        for (v, rec) in recs.iter().enumerate() {
-            // Pricing extension (Sec. III-C): a task whose reward falls
-            // outside the worker's declared range never gets an edge.
-            if !profile.accepts_reward(rec.task.reward) {
-                pruned += 1;
-                continue;
-            }
-            let weight = if row.in_training {
-                // Training rule: maximum F.
-                1.0
-            } else {
-                config.weight.evaluate(profile, &rec.task)
-            };
-            if let Some(m) = &row.model {
-                let ttd = rec.remaining_time(now);
-                if !deadline_model.should_instantiate_edge(m, ttd) {
-                    pruned += 1;
-                    continue;
-                }
-            }
-            edges.push((v as u32, weight));
-        }
-        (edges, pruned)
-    }
-
-    fn push_edge(graph: &mut BipartiteGraph, u: usize, v: u32, weight: f64) {
-        // Both builders only emit in-range indices and weights the
-        // graph accepts; a rejection would mean the builder itself is
-        // broken, so drop the edge instead of aborting the batch.
-        let pushed = graph.add_edge_unchecked(WorkerIdx(u as u32), TaskIdx(v), weight);
-        debug_assert!(pushed.is_ok(), "builder emitted an invalid edge");
-    }
-}
-
-/// One row of the [`BatchScratch`] table: the snapshot
-/// [`GraphBuilder::prepare`] would take of this worker, the memoized
+/// One row of the [`BatchScratch`] table: what the cold build reads of
+/// this worker's profile before its pairs, the memoized
 /// Eq. (3) gate derived from the model, and what the emission walk would
 /// otherwise read off the profile. Valid until the worker's next epoch.
 #[derive(Debug, Clone)]
@@ -244,14 +79,14 @@ struct CachedRow {
     model: Option<FittedModel>,
     /// Inverted deadline kernel for `model` (present iff `model` is).
     gate: Option<EdgeGate>,
-    /// The Eq. (1) weight for the one category of a single-class batch,
+    /// The Eq. (1) weight for the one category of a one-category batch,
     /// with that category. Filled by the first such batch that emits the
     /// row — a snapshot has no batch, hence no category, to evaluate for.
     weight: Option<(TaskCategory, f64)>,
 }
 
 impl CachedRow {
-    /// Phase A for one worker.
+    /// The row of one worker as its profile stands.
     fn snapshot(
         config: &Config,
         deadline_model: &DeadlineModel,
@@ -314,7 +149,7 @@ pub struct BuiltBatchGraph<'s> {
 }
 
 /// Incremental assignment-graph builder: the hot-path counterpart to
-/// [`GraphBuilder`] that a [`crate::ReactServer`] keeps alive across
+/// [`SchedulingComponent::build_graph`] that a [`crate::ReactServer`] keeps alive across
 /// ticks. It holds one row per *registered* worker, refreshes the rows
 /// whose worker changed since its last build, and emits the pool's rows
 /// in id order; what holds for a whole row is decided once per row, not
@@ -338,8 +173,9 @@ pub struct BuiltBatchGraph<'s> {
 /// * **Row-level verdicts** — the reward test is skipped for a worker who
 ///   declared no range; a weight that depends on the task only through
 ///   its category ([`WeightFunction::per_category`](crate::WeightFunction))
-///   is evaluated once per distinct category of the batch, and when the
-///   batch has only one it is remembered in the row; and Eq. (3) is
+///   is one weight for the row when the batch has one category, and is
+///   remembered in the row (any other weight is evaluated per pair); and
+///   Eq. (3) is
 ///   settled for the whole row when the gate already keeps the batch's
 ///   smallest time-to-deadline or already prunes its largest — every
 ///   [`EdgeGate`] answer is monotone in TTD (`Never` is constant, `Above`
@@ -350,14 +186,13 @@ pub struct BuiltBatchGraph<'s> {
 ///   ([`EdgeGate::walk_row`]) and each pair goes through that variant's
 ///   rule and, on the narrow ambiguous band, the exact CCDF evaluation,
 ///   as the cold path's does.
-/// * **One write per edge** — the batch's weight-class column goes to the
-///   graph once per batch ([`BipartiteGraph::reset_with_classes`]), so a
-///   row's append checks only its worker and its weights. A row kept
-///   whole is one exact-size [`BipartiteGraph::append_row`]; any other
-///   row is one [`BipartiteGraph::append_row_where`] that asks each
-///   pair's verdict as it writes the pair's edge, with no mask between.
-/// * **Buffers** — the edge arena and the graph's class column
-///   ([`BipartiteGraph::reset`] is `O(1)`), the pool and task-id maps and
+/// * **One write per edge** — a row's weights are one [`RowWeights`],
+///   picked once per row. A row kept whole is one exact-size
+///   [`BipartiteGraph::append_row`]; any other row is one
+///   [`BipartiteGraph::append_row_where`] that asks each pair's verdict
+///   as it writes the pair's edge, with no mask between.
+/// * **Buffers** — the edge arena ([`BipartiteGraph::reset`] is `O(1)`),
+///   the pool and task-id maps and
 ///   the per-batch task columns keep their capacity across batches, and
 ///   what a build reads of a task comes off the unassigned queue's own
 ///   columns (`TaskManagementComponent::queue`), not out of the registry.
@@ -365,9 +200,10 @@ pub struct BuiltBatchGraph<'s> {
 ///   only what a refit allocates.
 ///
 /// The built graph is bit-identical, edge for edge and in the same
-/// order, to a cold [`GraphBuilder`] pass; under the `debug-invariants`
-/// feature every build re-runs the cold path and asserts it, and holds
-/// the row table to a fresh phase A of the whole registry.
+/// order, to [`SchedulingComponent::build_graph`]; under the
+/// `debug-invariants` feature every build re-runs the cold path and
+/// asserts it, and holds the row table to a fresh snapshot of the whole
+/// registry.
 #[derive(Debug, Clone, Default)]
 pub struct BatchScratch {
     /// One row per registered worker, ascending by id, as of `synced`.
@@ -382,13 +218,7 @@ pub struct BatchScratch {
     task_ids: Vec<TaskId>,
     /// Each task's time to deadline at `now` (aligned with `task_ids`).
     ttds: Vec<f64>,
-    /// Column of the first task of each weight class in the batch (the
-    /// graph holds each task's class, an index into this): tasks the
-    /// weight function cannot tell apart share one — a task category
-    /// when it is [`WeightFunction::per_category`](crate::WeightFunction),
-    /// else every task is its own.
-    class_reps: Vec<u32>,
-    /// The current row's weight per class, unless it remembers its one.
+    /// The current row's weight per task, when it has no one weight.
     weights: Vec<f64>,
     graph: BipartiteGraph,
     /// Fingerprint of the config the rows were snapshotted under; any
@@ -416,11 +246,10 @@ impl BatchScratch {
             + self.pool.capacity() * size_of::<WorkerId>()
             + self.task_ids.capacity() * size_of::<TaskId>()
             + (self.ttds.capacity() + self.weights.capacity()) * size_of::<f64>()
-            + self.class_reps.capacity() * size_of::<u32>()
     }
 
-    /// Brings `rows` up to the component's current epoch — phase A for
-    /// the workers that changed since `synced`, or for all of them when
+    /// Brings `rows` up to the component's current epoch — a snapshot of
+    /// the workers that changed since `synced`, or of all of them when
     /// the feed cannot say which — and returns how many rows now in the
     /// pool it re-snapshotted.
     fn sync_rows(
@@ -471,7 +300,7 @@ impl BatchScratch {
         refreshed
     }
 
-    /// The row table is what phase A over the whole registry would
+    /// The row table is what a snapshot of the whole registry would
     /// produce now; a weight a row remembers is the one its profile
     /// evaluates to.
     #[cfg(feature = "debug-invariants")]
@@ -521,10 +350,10 @@ impl BatchScratch {
         self.assert_rows_fresh(config, &deadline_model, profiling);
         let per_category = config.weight.per_category();
 
-        // Task columns, off the queue's own (the cold path's
-        // GraphBuilder::task_rows reads the same facts from the registry):
-        // each TTD (`TaskRecord::remaining_time(now)`), the batch's TTD
-        // range and its weight classes, in passes that do not chain.
+        // Task columns, off the queue's own (the cold path reads the
+        // same facts from the registry): each TTD
+        // (`TaskRecord::remaining_time(now)`) and the batch's TTD range,
+        // in passes that do not chain.
         let queue = tasks.queue();
         self.task_ids.clear();
         self.task_ids.extend_from_slice(&queue.ids);
@@ -541,37 +370,17 @@ impl BatchScratch {
             (_, _, true) => (f64::NAN, f64::NAN),
             (lo, hi, false) => (lo, hi),
         };
-        // Each task's weight class, written straight into the graph's
-        // column: the class of the first task of its category when the
-        // weight reads nothing else of a task, else its own.
-        self.class_reps.clear();
-        let class_reps = &mut self.class_reps;
-        let class_of = queue.category.iter().enumerate().map(|(v, category)| {
-            let same_category = |&rep: &u32| queue.category[rep as usize] == *category;
-            let known = if per_category {
-                class_reps.iter().position(same_category)
-            } else {
-                None
-            };
-            known.unwrap_or_else(|| {
-                class_reps.push(v as u32);
-                class_reps.len() - 1
-            }) as u32
-        });
-        // The walk (below) emits the pool's rows in id order into the
-        // reused graph, in the cold builder's (row, task) order.
-        let columns = self
-            .graph
-            .reset_with_classes(0, self.task_ids.len(), class_of);
-        debug_assert!(columns.is_ok(), "builder emitted an invalid class column");
-        self.pool.clear();
         // The one category every task of the batch shares, when the
-        // weight reads nothing else of a task: a row may remember its
-        // weight for it.
-        let shared_category = match (per_category, &self.class_reps[..]) {
-            (true, &[rep]) => Some(queue.category[rep as usize]),
+        // weight reads nothing else of a task: a row then has one weight,
+        // which it may remember.
+        let shared_category = match queue.category.split_first() {
+            Some((&first, rest)) if per_category && rest.iter().all(|&c| c == first) => Some(first),
             _ => None,
         };
+        // The walk (below) emits the pool's rows in id order into the
+        // reused graph, in the cold builder's (row, task) order.
+        self.graph.reset(0, self.task_ids.len());
+        self.pool.clear();
 
         let n = self.task_ids.len();
         let mut pruned = 0usize;
@@ -607,19 +416,17 @@ impl BatchScratch {
                 continue;
             }
 
-            // The row's weight per class: maximum F under the training
-            // rule, else Eq. (1) — off the row when it remembers this
-            // batch's one category, off the profile otherwise.
+            // The row's weights: maximum F under the training rule, else
+            // Eq. (1) — one for the row when the batch has one category
+            // (off the row when it remembers it), else one per task.
             let remembered = match (shared_category, row.weight) {
                 (Some(category), Some((held_for, weight))) if held_for == category => Some(weight),
                 _ => None,
             };
             let weights = if row.in_training {
-                self.weights.clear();
-                self.weights.resize(self.class_reps.len(), 1.0);
-                &self.weights[..]
-            } else if let Some(weight) = &remembered {
-                std::slice::from_ref(weight)
+                RowWeights::Same(1.0)
+            } else if let Some(weight) = remembered {
+                RowWeights::Same(weight)
             } else {
                 // Rows mirror the registry; a miss would mean it mutated
                 // mid-build. The row then contributes no edges, as in the
@@ -628,17 +435,26 @@ impl BatchScratch {
                     debug_assert!(false, "row {} is not registered", row.id);
                     continue;
                 };
-                let weight_of = |&rep: &u32| {
-                    let (category, location) =
-                        (queue.category[rep as usize], &queue.location[rep as usize]);
-                    config.weight.evaluate_at(profile, category, location)
-                };
-                self.weights.clear();
-                self.weights.extend(self.class_reps.iter().map(weight_of));
-                if let Some(category) = shared_category {
-                    row.weight = Some((category, self.weights[0]));
+                match shared_category {
+                    Some(category) => {
+                        let weight =
+                            config
+                                .weight
+                                .evaluate_at(profile, category, &queue.location[0]);
+                        row.weight = Some((category, weight));
+                        RowWeights::Same(weight)
+                    }
+                    None => {
+                        self.weights.clear();
+                        self.weights
+                            .extend(queue.category.iter().zip(&queue.location).map(
+                                |(&category, location)| {
+                                    config.weight.evaluate_at(profile, category, location)
+                                },
+                            ));
+                        RowWeights::PerTask(&self.weights)
+                    }
                 }
-                &self.weights[..]
             };
 
             // Each pair's verdict as its edge is written: the reward
@@ -672,9 +488,8 @@ impl BatchScratch {
 
         #[cfg(feature = "debug-invariants")]
         {
-            let builder = GraphBuilder::prepare(config, profiling);
             let (cold, cold_workers, cold_tasks, cold_pruned) =
-                builder.instantiate(profiling, tasks, now);
+                SchedulingComponent::build_graph(config, profiling, tasks, now);
             assert_eq!(
                 self.graph.edges(),
                 cold.edges(),
@@ -700,7 +515,7 @@ impl BatchScratch {
 struct RowEmit<'a> {
     graph: &'a mut BipartiteGraph,
     worker: WorkerIdx,
-    weights: &'a [f64],
+    weights: RowWeights<'a>,
     ttds: &'a [f64],
     rewards: &'a [f64],
     reward_range: Option<(f64, f64)>,
@@ -771,20 +586,81 @@ fn extremes(values: &[f64]) -> (f64, f64, bool) {
 pub struct SchedulingComponent;
 
 impl SchedulingComponent {
-    /// Builds the assignment graph. Returns the graph plus the
+    /// Builds the assignment graph: the cold reference the warm
+    /// [`BatchScratch::build`] is held to. Returns the graph plus the
     /// worker/task index maps and the number of pruned edges.
     ///
     /// `now` is the assignment timepoint used for `TimeToDeadline`
     /// (assignments made by this batch start now).
-    ///
-    /// Convenience wrapper over the two [`GraphBuilder`] phases.
     pub fn build_graph(
         config: &Config,
         profiling: &mut ProfilingComponent,
         tasks: &TaskManagementComponent,
         now: f64,
     ) -> (BipartiteGraph, Vec<WorkerId>, Vec<TaskId>, usize) {
-        GraphBuilder::prepare(config, profiling).instantiate(profiling, tasks, now)
+        let mut task_ids = Vec::new();
+        let mut recs = Vec::new();
+        for &tid in tasks.unassigned() {
+            let Ok(rec) = tasks.record(tid) else {
+                debug_assert!(false, "unassigned {tid} is not tracked");
+                continue;
+            };
+            task_ids.push(tid);
+            recs.push(rec);
+        }
+        let pool = if config.matcher.uses_availability() {
+            profiling.available_workers()
+        } else {
+            profiling.online_workers()
+        };
+        let use_model = config.matcher.uses_probabilistic_model();
+        let deadline_model = DeadlineModel::new(config.deadline);
+        let mut graph = BipartiteGraph::new(0, task_ids.len());
+        let mut workers = Vec::with_capacity(pool.len());
+        let mut pruned = 0usize;
+        for wid in pool {
+            // The pool scan just read these ids out of the registry; a
+            // miss would mean the registry mutated mid-build. Drop the
+            // row rather than abort the batch.
+            let Ok(profile) = profiling.profile_mut(wid) else {
+                debug_assert!(false, "pool scan returned unregistered {wid}");
+                continue;
+            };
+            let in_training = profile.assignments_served() < config.training_assignments;
+            let model = if use_model && !in_training {
+                profile.deadline_dist(config.latency_model)
+            } else {
+                None
+            };
+            let profile = &*profile;
+            workers.push(wid);
+            let worker = graph.add_worker();
+            for (v, rec) in recs.iter().enumerate() {
+                // Pricing extension (Sec. III-C): a task whose reward
+                // falls outside the worker's declared range never gets an
+                // edge.
+                let keep = profile.accepts_reward(rec.task.reward)
+                    && model.as_ref().is_none_or(|m| {
+                        deadline_model.should_instantiate_edge(m, rec.remaining_time(now))
+                    });
+                if !keep {
+                    pruned += 1;
+                    continue;
+                }
+                // Training rule: maximum F.
+                let weight = if in_training {
+                    1.0
+                } else {
+                    config.weight.evaluate(profile, &rec.task)
+                };
+                // Only in-range indices and weights the graph accepts are
+                // emitted; a rejection would mean this builder is broken,
+                // so the edge is dropped rather than the batch aborted.
+                let pushed = graph.add_edge_unchecked(worker, TaskIdx(v as u32), weight);
+                debug_assert!(pushed.is_ok(), "builder emitted an invalid edge");
+            }
+        }
+        (graph, workers, task_ids, pruned)
     }
 
     /// The matching stage over an already-built graph: runs the
@@ -1162,24 +1038,6 @@ mod tests {
         assert!((big / small - 2.0).abs() < 1e-9);
     }
 
-    #[test]
-    fn graph_builder_phases_match_combined_entry_point() {
-        let config = Config::paper_defaults();
-        let (mut p, mut tm) = setup(6, 5);
-        season_worker(&mut p, WorkerId(0), &[50.0, 80.0, 120.0]);
-        season_worker(&mut p, WorkerId(1), &[1.0, 1.5, 2.0]);
-        tm.submit(task(100, 10.0), 0.0).unwrap();
-        let builder = GraphBuilder::prepare(&config, &mut p);
-        assert_eq!(builder.rows().len(), 6);
-        let (staged, workers_a, tasks_a, pruned_a) = builder.instantiate(&p, &tm, 0.0);
-        let (combined, workers_b, tasks_b, pruned_b) =
-            SchedulingComponent::build_graph(&config, &mut p, &tm, 0.0);
-        assert_eq!(staged.edges(), combined.edges());
-        assert_eq!(workers_a, workers_b);
-        assert_eq!(tasks_a, tasks_b);
-        assert_eq!(pruned_a, pruned_b);
-    }
-
     /// Seasons a mixed pool (training / seasoned-fast / seasoned-slow /
     /// reward-constrained) with a mixed task queue so every pruning rule
     /// fires, then returns the components.
@@ -1202,10 +1060,7 @@ mod tests {
         let (config, mut p, tm) = mixed_setup();
         let mut scratch = BatchScratch::new();
         for now in [0.0, 1.0, 5.0] {
-            let (cold, cw, ct, cp) = {
-                let b = GraphBuilder::prepare(&config, &mut p);
-                b.instantiate(&p, &tm, now)
-            };
+            let (cold, cw, ct, cp) = SchedulingComponent::build_graph(&config, &mut p, &tm, now);
             let built = scratch.build(&config, &mut p, &tm, now);
             assert_eq!(built.graph.edges(), cold.edges(), "now={now}");
             assert_eq!(built.workers, &cw[..]);

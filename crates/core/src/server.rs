@@ -373,9 +373,14 @@ impl ReactServer {
                 // no worker row would be.
                 #[cfg(feature = "debug-invariants")]
                 assert!(
-                    crate::scheduling::GraphBuilder::prepare(&self.config, &mut self.profiling)
-                        .rows()
-                        .is_empty(),
+                    SchedulingComponent::build_graph(
+                        &self.config,
+                        &mut self.profiling,
+                        &self.tasks,
+                        now
+                    )
+                    .1
+                    .is_empty(),
                     "idle batch at t={now} while the cold build has a pool"
                 );
                 SchedulingComponent::idle_batch(
@@ -893,15 +898,19 @@ mod tests {
         assert!(out.recalls.is_empty(), "within the widened allowance");
         let out = s.tick(35.0);
         assert_eq!(out.timeout_recalls, 1, "second strike past 11+20");
-        let suspicions = |s: &ReactServer| s.profiling().profile(WorkerId(1)).unwrap().suspicions();
-        assert_eq!(suspicions(&s), 0, "two strikes are below SUSPECT_AFTER");
+        let accuracy = |s: &ReactServer| {
+            let profile = s.profiling().profile(WorkerId(1)).unwrap();
+            profile.accuracy(TaskCategory(0))
+        };
+        // Two strikes are below SUSPECT_AFTER: no penalty yet. With no
+        // completions the accuracy is the optimistic 1.0 times a penalty of 1.0.
+        let trusted = accuracy(&s);
+        assert_eq!(trusted, 1.0, "two strikes are below SUSPECT_AFTER");
         // Attempt 2 gets 40 s, which is also the cap.
         assert!(s.tick(74.0).recalls.is_empty());
         assert_eq!(s.tick(76.0).timeout_recalls, 1, "third strike past 35+40");
         // SUSPECT_AFTER strikes ⇒ suspect, weight decayed.
-        assert_eq!(suspicions(&s), 1);
-        let prof = s.profiling().profile(WorkerId(1)).unwrap();
-        assert!((prof.weight_penalty() - SUSPECT_DECAY).abs() < 1e-12);
+        assert!((accuracy(&s) - trusted * SUSPECT_DECAY).abs() < 1e-12);
         // Attempt 3 stays at LADDER_CAP × base rather than doubling to 80 s.
         assert!(s.tick(115.0).recalls.is_empty());
         assert_eq!(s.tick(117.0).timeout_recalls, 1, "capped allowance, 76+40");

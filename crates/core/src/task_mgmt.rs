@@ -11,8 +11,7 @@
 //! records sit in a `Vec` in no particular order and an [`IdMap`] gives
 //! each id its slot, so a lookup is one fixed-key hash and a removal is a
 //! `swap_remove` plus re-pointing the one record it moved. The map is
-//! only looked up, never iterated; [`TaskManagementComponent::iter`]
-//! sorts by id on demand. A record that retires — completed or expired —
+//! only looked up, never iterated. A record that retires — completed or expired —
 //! also joins a list of retirements in the order they happened, which is
 //! what [`TaskManagementComponent::prune_retired`] walks, so a long run's
 //! registry holds its open tasks and its recent retirements, and a prune
@@ -672,15 +671,6 @@ impl TaskManagementComponent {
         });
         self.retired = retired;
         before - self.records.len()
-    }
-
-    /// Iterates over all records, in ascending task-id order. Sorts the
-    /// whole registry on every call, so it is for tests and run-end
-    /// reads, not for a per-tick loop.
-    pub fn iter(&self) -> impl Iterator<Item = &TaskRecord> {
-        let mut by_id: Vec<&TaskRecord> = self.records.iter().collect();
-        by_id.sort_unstable_by_key(|rec| rec.task.id);
-        by_id.into_iter()
     }
 }
 

@@ -235,8 +235,8 @@ mod tests {
         for w in &pop {
             match w.exec {
                 ExecModel::UniformWithDelay { service_range, .. } => {
-                    assert!(service_range.lo() >= 1.0);
-                    assert!(service_range.hi() <= 20.0);
+                    let mut draws = (0..20).map(|_| service_range.sample(&mut g));
+                    assert!(draws.all(|s| (1.0..=20.0).contains(&s)));
                 }
                 _ => panic!("paper model expected"),
             }

@@ -47,11 +47,6 @@ impl TaskGenerator {
         self
     }
 
-    /// The arrival rate (tasks/second).
-    pub fn rate(&self) -> f64 {
-        self.arrivals.rate()
-    }
-
     /// Draws the next arrival: its timestamp and the task itself.
     pub fn next<R: Rng + ?Sized>(&mut self, rng: &mut R) -> (f64, Task) {
         let at = self.arrivals.next_arrival(rng);

@@ -550,6 +550,7 @@ pub fn replication_rows(params: &AblationParams) -> Vec<KpiRow> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use react_metrics::KpiValue;
 
     fn rendered(rows: Vec<KpiRow>) -> String {
         KpiReport::from_rows(rows).table("ablation", None).render()
@@ -668,7 +669,9 @@ mod tests {
         for (name, title, _, _) in SUITE {
             assert!(out.text.contains(title), "missing table {title}");
             assert!(
-                out.rows.iter().any(|r| r.text("ablation") == Some(name)),
+                out.rows
+                    .iter()
+                    .any(|r| r.get("ablation") == Some(&KpiValue::Text((*name).into()))),
                 "no rows tagged {name}"
             );
         }

@@ -257,11 +257,6 @@ impl Manifest {
         })
     }
 
-    /// Looks up a shared knob.
-    pub fn knob(&self, name: &str) -> Option<&ManifestValue> {
-        self.knobs.iter().find(|(k, _)| k == name).map(|(_, v)| v)
-    }
-
     /// Number of permutations the axes expand to (per suite).
     pub fn permutations(&self) -> usize {
         self.axes.iter().map(|(_, vs)| vs.len()).product()
@@ -376,8 +371,9 @@ flag = true
         assert_eq!(m.name, "quick");
         assert_eq!(m.seed, 7);
         assert_eq!(m.suites, vec!["scenario"]);
-        assert_eq!(m.knob("tasks"), Some(&ManifestValue::Int(150)));
-        assert_eq!(m.knob("arrival_rate"), Some(&ManifestValue::Float(2.5)));
+        let knob = |name: &str| m.knobs.iter().find(|(k, _)| k == name).map(|(_, v)| v);
+        assert_eq!(knob("tasks"), Some(&ManifestValue::Int(150)));
+        assert_eq!(knob("arrival_rate"), Some(&ManifestValue::Float(2.5)));
         assert_eq!(m.axes.len(), 4);
         assert_eq!(m.axes[0].0, "pool");
         assert_eq!(

@@ -611,8 +611,9 @@ mod tests {
         let cols_a: Vec<&str> = first[0].columns().collect();
         let cols_b: Vec<&str> = single[0].columns().collect();
         assert_eq!(cols_a, cols_b, "cluster and single rows share one schema");
-        assert!(first[0].metric("kpi.shards") == Some(2.0));
-        assert!(single[0].metric("kpi.received").unwrap_or(0.0) > 0.0);
+        let metric = |row: &KpiRow, name| row.get(name).and_then(KpiValue::as_f64);
+        assert!(metric(&first[0], "kpi.shards") == Some(2.0));
+        assert!(metric(&single[0], "kpi.received").unwrap_or(0.0) > 0.0);
     }
 
     #[test]

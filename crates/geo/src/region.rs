@@ -35,17 +35,6 @@ impl BoundingBox {
         })
     }
 
-    /// A box covering a whole metropolitan area around a centre point —
-    /// convenient for examples (`half_deg` degrees in each direction).
-    pub fn around(center: GeoPoint, half_deg: f64) -> Option<Self> {
-        Self::new(
-            center.lat() - half_deg,
-            center.lat() + half_deg,
-            center.lon() - half_deg,
-            center.lon() + half_deg,
-        )
-    }
-
     /// Minimum latitude (inclusive).
     pub fn lat_min(&self) -> f64 {
         self.lat_min
@@ -144,16 +133,6 @@ mod tests {
         assert!(!b.contains(&GeoPoint::new(38.2, 23.7)), "lat_max outside");
         assert!(!b.contains(&GeoPoint::new(37.9, 24.0)), "lon_max outside");
         assert!(b.contains(&b.center()));
-    }
-
-    #[test]
-    fn around_builds_centered_box() {
-        let c = GeoPoint::new(37.98, 23.72);
-        let b = BoundingBox::around(c, 0.25).unwrap();
-        let got = b.center();
-        assert!((got.lat() - 37.98).abs() < 1e-9);
-        assert!((got.lon() - 23.72).abs() < 1e-9);
-        assert!((b.lat_span() - 0.5).abs() < 1e-9);
     }
 
     #[test]

@@ -95,18 +95,22 @@ pub struct Edge {
     pub weight: f64,
 }
 
+/// A row's weights for a whole-row append
+/// ([`BipartiteGraph::append_row`]).
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum RowWeights<'a> {
+    /// One weight for every task's edge.
+    Same(f64),
+    /// Task `v`'s edge weighs the `v`-th: exactly one per task.
+    PerTask(&'a [f64]),
+}
+
 /// A weighted bipartite graph `G = (U, V, E)`.
 #[derive(Debug, Clone, Default)]
 pub struct BipartiteGraph {
     n_workers: usize,
     n_tasks: usize,
     edges: Vec<Edge>,
-    /// Each task's weight class, for the whole-row appends: set per
-    /// batch by [`BipartiteGraph::reset_with_classes`], empty otherwise.
-    class_of: Vec<u32>,
-    /// One past the largest class in `class_of`: the fewest weights a
-    /// row may carry.
-    n_classes: usize,
     /// Built on first use; every `&mut self` method clears it.
     task_index: OnceLock<TaskIndex>,
 }
@@ -155,45 +159,11 @@ impl BipartiteGraph {
     /// edges in `O(1)`, keeping the edge arena's allocation, so a scratch
     /// graph reused across scheduling batches stops allocating once it
     /// reaches steady-state size.
-    ///
-    /// Drops the class column too: a row appended after a plain reset
-    /// has no tasks.
     pub fn reset(&mut self, n_workers: usize, n_tasks: usize) {
         self.task_index.take();
         self.edges.clear();
-        self.class_of.clear();
-        self.n_classes = 0;
         self.n_workers = n_workers;
         self.n_tasks = n_tasks;
-    }
-
-    /// [`Self::reset`], then takes the batch's weight-class column for
-    /// the whole-row appends: a row will have an edge candidate for each
-    /// task `v` of the column, weighted by the row's weight for class
-    /// `class_of[v]`. The column is checked here, once per batch, and
-    /// written into storage the graph keeps across resets.
-    ///
-    /// A column longer than `n_tasks` is refused
-    /// ([`GraphError::VertexOutOfRange`]) and leaves the graph reset with
-    /// an empty column, so the rows appended after it have no tasks.
-    pub fn reset_with_classes(
-        &mut self,
-        n_workers: usize,
-        n_tasks: usize,
-        class_of: impl IntoIterator<Item = u32>,
-    ) -> Result<(), GraphError> {
-        self.reset(n_workers, n_tasks);
-        self.class_of.extend(class_of);
-        if self.class_of.len() > n_tasks {
-            self.class_of.clear();
-            return Err(self.out_of_range());
-        }
-        self.n_classes = self
-            .class_of
-            .iter()
-            .max()
-            .map_or(0, |&max| max as usize + 1);
-        Ok(())
     }
 
     /// Appends a worker vertex and returns its index, for a builder that
@@ -205,14 +175,12 @@ impl BipartiteGraph {
         WorkerIdx(self.n_workers as u32 - 1)
     }
 
-    /// Heap bytes currently reserved by the edge arena and the class
-    /// column — the capacity a [`BipartiteGraph::reset`]-based reuse
+    /// Heap bytes currently reserved by the edge arena — the capacity a [`BipartiteGraph::reset`]-based reuse
     /// cycle retains instead of reallocating — plus the task index if one
     /// is built.
     pub fn allocated_bytes(&self) -> usize {
         use std::mem::size_of;
         self.edges.capacity() * size_of::<Edge>()
-            + self.class_of.capacity() * size_of::<u32>()
             + self.task_index.get().map_or(0, |index| {
                 index.starts.capacity() * size_of::<u32>()
                     + index.ids.capacity() * size_of::<EdgeId>()
@@ -312,32 +280,40 @@ impl BipartiteGraph {
         Ok(self.push(worker, task, weight))
     }
 
-    /// Appends one worker's whole row: an edge to every task `v` of the
-    /// class column [`Self::reset_with_classes`] took, in ascending task
-    /// order, weighted `weights[class_of[v]]` — what one
-    /// [`Self::add_edge_unchecked`] call per task would push, for a
+    /// Appends one worker's whole row: an edge to every task of the
+    /// graph, in ascending task order, weighted as `weights` says — what
+    /// one [`Self::add_edge_unchecked`] call per task would push, for a
     /// builder that decides a row at a time. Returns how many edges it
     /// appended.
     ///
     /// The row is checked before anything is written: `worker` in range,
-    /// a weight for every class of the column (else
+    /// exactly one weight per task for [`RowWeights::PerTask`] (else
     /// [`GraphError::InvalidWeight`] of NaN) and every weight finite and
-    /// non-negative, whether an edge uses it or not. The column itself
-    /// was checked by the reset. Like `add_edge_unchecked`, rows must
-    /// arrive in ascending worker order, which only a `debug_assert`
-    /// holds.
+    /// non-negative. Like `add_edge_unchecked`, rows must arrive in
+    /// ascending worker order, which only a `debug_assert` holds.
     #[inline]
-    pub fn append_row(&mut self, worker: WorkerIdx, weights: &[f64]) -> Result<usize, GraphError> {
+    pub fn append_row(
+        &mut self,
+        worker: WorkerIdx,
+        weights: RowWeights<'_>,
+    ) -> Result<usize, GraphError> {
         self.check_row(worker, weights)?;
-        // An exact-size iterator: one reservation, no per-edge capacity
+        let edge = move |(v, weight)| Edge {
+            worker,
+            task: TaskIdx(v as u32),
+            weight,
+        };
+        // Exact-size iterators: one reservation, no per-edge capacity
         // check.
-        self.edges
-            .extend(self.class_of.iter().enumerate().map(|(v, &class)| Edge {
-                worker,
-                task: TaskIdx(v as u32),
-                weight: weights[class as usize],
-            }));
-        Ok(self.class_of.len())
+        match weights {
+            RowWeights::Same(weight) => self
+                .edges
+                .extend((0..self.n_tasks).map(|v| edge((v, weight)))),
+            RowWeights::PerTask(weights) => self
+                .edges
+                .extend(weights.iter().copied().enumerate().map(edge)),
+        }
+        Ok(self.n_tasks)
     }
 
     /// [`Self::append_row`] keeping only the tasks `v` for which
@@ -347,43 +323,61 @@ impl BipartiteGraph {
     pub fn append_row_where(
         &mut self,
         worker: WorkerIdx,
-        weights: &[f64],
-        mut keep: impl FnMut(usize) -> bool,
+        weights: RowWeights<'_>,
+        keep: impl FnMut(usize) -> bool,
     ) -> Result<usize, GraphError> {
         self.check_row(worker, weights)?;
-        // Branch-free compaction: every edge is written at the cursor,
-        // which only a kept one advances.
+        // The weight form is picked once per row: each arm is a loop of
+        // its own.
+        Ok(match weights {
+            RowWeights::Same(weight) => self.write_row_where(worker, |_| weight, keep),
+            RowWeights::PerTask(weights) => self.write_row_where(worker, |v| weights[v], keep),
+        })
+    }
+
+    /// The write of [`Self::append_row_where`] once the row passed its
+    /// checks. Branch-free compaction: every edge is written at the
+    /// cursor, which only a kept one advances.
+    #[inline(always)]
+    fn write_row_where(
+        &mut self,
+        worker: WorkerIdx,
+        weight: impl Fn(usize) -> f64,
+        mut keep: impl FnMut(usize) -> bool,
+    ) -> usize {
         let start = self.edges.len();
         let filler = Edge {
             worker,
             task: TaskIdx(0),
             weight: 0.0,
         };
-        self.edges.resize(start + self.class_of.len(), filler);
+        self.edges.resize(start + self.n_tasks, filler);
         let mut cursor = start;
-        for (v, &class) in self.class_of.iter().enumerate() {
+        for v in 0..self.n_tasks {
             self.edges[cursor] = Edge {
                 worker,
                 task: TaskIdx(v as u32),
-                weight: weights[class as usize],
+                weight: weight(v),
             };
             cursor += usize::from(keep(v));
         }
         self.edges.truncate(cursor);
-        Ok(cursor - start)
+        cursor - start
     }
 
     /// The checks of a whole-row append; drops the task index when the
     /// row passes, as every append then writes.
     #[inline]
-    fn check_row(&mut self, worker: WorkerIdx, weights: &[f64]) -> Result<(), GraphError> {
+    fn check_row(&mut self, worker: WorkerIdx, weights: RowWeights<'_>) -> Result<(), GraphError> {
         if worker.0 as usize >= self.n_workers {
             return Err(self.out_of_range());
         }
-        if weights.len() < self.n_classes {
-            return Err(GraphError::InvalidWeight(f64::NAN));
-        }
-        if let Some(&bad) = weights.iter().find(|&&w| !is_valid_weight(w)) {
+        let bad = match weights {
+            RowWeights::Same(weight) => (!is_valid_weight(weight)).then_some(weight),
+            RowWeights::PerTask(weights) if weights.len() != self.n_tasks => Some(f64::NAN),
+            RowWeights::PerTask(weights) => weights.iter().copied().find(|&w| !is_valid_weight(w)),
+        };
+        if let Some(bad) = bad {
             return Err(GraphError::InvalidWeight(bad));
         }
         debug_assert!(
@@ -460,11 +454,6 @@ impl BipartiteGraph {
             .find(|&e| self.edges[e.0 as usize].worker == worker)
     }
 
-    /// Sum of all edge weights (an upper bound on any matching weight).
-    pub fn total_weight(&self) -> f64 {
-        self.edges.iter().map(|e| e.weight).sum()
-    }
-
     /// The largest possible matching size: `min(|U|, |V|)`.
     pub fn max_matching_size(&self) -> usize {
         self.n_workers.min(self.n_tasks)
@@ -497,7 +486,6 @@ mod tests {
         assert_eq!(g.task_edges(TaskIdx(1)), &[e1]);
         assert_eq!(g.find_edge(WorkerIdx(1), TaskIdx(0)), Some(e2));
         assert_eq!(g.find_edge(WorkerIdx(1), TaskIdx(1)), None);
-        assert!((g.total_weight() - 1.5).abs() < 1e-12);
     }
 
     #[test]
@@ -663,26 +651,23 @@ mod tests {
 
     /// One whole-row append: the row's weights, and which tasks it keeps
     /// (all of them when `None`).
-    type Row<'a> = (&'a [f64], Option<&'a [bool]>);
+    type Row<'a> = (RowWeights<'a>, Option<&'a [bool]>);
 
-    /// The whole-row appends of one batch (`class_of` taken by the reset)
-    /// against the per-edge entry they stand in for.
-    fn per_edge(
-        n_tasks: usize,
-        class_of: &[u32],
-        rows: &[Row],
-    ) -> (BipartiteGraph, BipartiteGraph) {
+    /// The whole-row appends of one batch against the per-edge entry
+    /// they stand in for.
+    fn per_edge(n_tasks: usize, rows: &[Row]) -> (BipartiteGraph, BipartiteGraph) {
         let mut by_row = BipartiteGraph::new(0, 0);
-        by_row
-            .reset_with_classes(rows.len(), n_tasks, class_of.iter().copied())
-            .unwrap();
+        by_row.reset(rows.len(), n_tasks);
         let mut by_edge = BipartiteGraph::new(rows.len(), n_tasks);
         for (u, &(weights, keep)) in rows.iter().enumerate() {
             let worker = WorkerIdx(u as u32);
             let mut expected = 0;
-            for (v, &class) in class_of.iter().enumerate() {
+            for v in 0..n_tasks {
                 if keep.is_none_or(|keep| keep[v]) {
-                    let weight = weights[class as usize];
+                    let weight = match weights {
+                        RowWeights::Same(weight) => weight,
+                        RowWeights::PerTask(weights) => weights[v],
+                    };
                     by_edge
                         .add_edge_unchecked(worker, TaskIdx(v as u32), weight)
                         .unwrap();
@@ -700,33 +685,32 @@ mod tests {
 
     #[test]
     fn append_row_equals_one_add_edge_per_kept_task() {
-        let batches: [(&[u32], &[Row]); 4] = [
-            // A full row of one class; a row that keeps none.
-            (
-                &[0, 0, 0, 0],
-                &[(&[0.7], None), (&[1.0], Some(&[false; 4]))],
-            ),
-            // A full row of several classes; a filtered one.
-            (
-                &[0, 1, 0, 2],
-                &[
-                    (&[0.1, 0.2, 0.3], None),
-                    (&[0.4, 0.5, 0.6], Some(&[false, true, true, false])),
-                ],
-            ),
+        use RowWeights::{PerTask, Same};
+        let batches: [&[Row]; 4] = [
+            // A full row of one weight; a row that keeps none.
+            &[(Same(0.7), None), (Same(1.0), Some(&[false; 4]))],
+            // A full row of a weight per task; a filtered row of each form.
+            &[
+                (PerTask(&[0.1, 0.2, 0.1, 0.3]), None),
+                (
+                    PerTask(&[0.4, 0.5, 0.4, 0.6]),
+                    Some(&[false, true, true, false]),
+                ),
+                (Same(0.0), Some(&[false, true, false, true])),
+            ],
             // Filtered rows: the ends, all.
-            (
-                &[1, 1, 0, 0],
-                &[(&[0.8, 0.9], Some(&[true, false, false, true]))],
-            ),
-            (
-                &[0, 1, 2, 3],
-                &[(&[0.0, 0.25, 0.5, 0.75], Some(&[true; 4]))],
-            ),
+            &[(
+                PerTask(&[0.8, 0.8, 0.9, 0.9]),
+                Some(&[true, false, false, true]),
+            )],
+            &[
+                (Same(0.25), Some(&[true; 4])),
+                (PerTask(&[0.0, 0.25, 0.5, 0.75]), Some(&[true; 4])),
+            ],
         ];
         let mut n_edges = 0;
-        for (class_of, rows) in batches {
-            let (by_row, by_edge) = per_edge(4, class_of, rows);
+        for rows in batches {
+            let (by_row, by_edge) = per_edge(4, rows);
             assert_eq!(by_row.edges(), by_edge.edges());
             for v in 0..4 {
                 assert_eq!(
@@ -736,23 +720,25 @@ mod tests {
             }
             n_edges += by_row.n_edges();
         }
-        assert_eq!(n_edges, 16);
-        // An empty column, and a column over a prefix of the tasks.
-        let (by_row, by_edge) = per_edge(3, &[], &[(&[], None)]);
+        assert_eq!(n_edges, 22);
+        // No task: a row of either form has no edge.
+        let rows: &[Row] = &[
+            (Same(0.5), None),
+            (PerTask(&[]), None),
+            (PerTask(&[]), Some(&[])),
+        ];
+        let (by_row, by_edge) = per_edge(0, rows);
         assert_eq!(by_row.edges(), by_edge.edges());
         assert_eq!(by_row.n_edges(), 0);
-        let (by_row, by_edge) = per_edge(3, &[0, 0], &[(&[0.5], None)]);
-        assert_eq!(by_row.edges(), by_edge.edges());
-        assert_eq!(by_row.n_edges(), 2);
     }
 
     #[test]
     fn append_row_drops_a_built_task_index() {
         let mut g = BipartiteGraph::new(0, 0);
-        g.reset_with_classes(2, 2, [0, 0]).unwrap();
-        g.append_row(WorkerIdx(0), &[0.5]).unwrap();
+        g.reset(2, 2);
+        g.append_row(WorkerIdx(0), RowWeights::Same(0.5)).unwrap();
         assert_eq!(g.task_edges(TaskIdx(1)), &[EdgeId(1)]);
-        g.append_row_where(WorkerIdx(1), &[0.5], |v| v == 1)
+        g.append_row_where(WorkerIdx(1), RowWeights::PerTask(&[0.5, 0.5]), |v| v == 1)
             .unwrap();
         assert_eq!(g.task_edges(TaskIdx(1)), &[EdgeId(1), EdgeId(2)]);
         assert_eq!(g.task_edges(TaskIdx(0)), &[EdgeId(0)]);
@@ -760,9 +746,9 @@ mod tests {
 
     #[test]
     fn append_row_rejects_a_bad_row_having_appended_nothing() {
-        let mut g = BipartiteGraph::new(0, 0);
-        g.reset_with_classes(2, 3, [0, 0, 1]).unwrap();
-        g.append_row(WorkerIdx(0), &[0.5, 0.5]).unwrap();
+        use RowWeights::{PerTask, Same};
+        let mut g = BipartiteGraph::new(2, 3);
+        g.append_row(WorkerIdx(0), Same(0.5)).unwrap();
         let before = g.edges().to_vec();
         let out_of_range = |r: Result<usize, GraphError>| {
             matches!(
@@ -774,43 +760,52 @@ mod tests {
             )
         };
         let invalid = |r: Result<usize, GraphError>| matches!(r, Err(GraphError::InvalidWeight(_)));
-        // The worker. The width is the reset's to check (below), and a
-        // verdict, called once per task, has no width to get wrong.
-        assert!(out_of_range(g.append_row(WorkerIdx(2), &[0.5, 0.5])));
-        assert!(out_of_range(g.append_row_where(
-            WorkerIdx(2),
-            &[0.5, 0.5],
-            |_| true
-        )));
-        let mut wide = BipartiteGraph::new(0, 0);
-        assert!(out_of_range(
-            wide.reset_with_classes(2, 3, [0; 4]).map(|()| 0)
-        ));
-        // A weight the graph does not accept — last of the row's, and of
-        // a class no kept edge uses — and a class without a weight.
+        // The worker, in either form.
+        for weights in [Same(0.5), PerTask(&[0.5; 3])] {
+            assert!(out_of_range(g.append_row(WorkerIdx(2), weights)));
+            assert!(out_of_range(g.append_row_where(
+                WorkerIdx(2),
+                weights,
+                |_| true
+            )));
+        }
+        // A weight the graph does not accept, in either form — per task,
+        // on the last task, which the verdict drops — and a slice one
+        // weight short or long.
         let mask = |v: usize| v < 2;
         for bad in [f64::NAN, -0.1, f64::INFINITY, f64::NEG_INFINITY] {
-            assert!(invalid(g.append_row(WorkerIdx(1), &[0.5, bad])));
-            assert!(invalid(g.append_row_where(WorkerIdx(1), &[0.5, bad], mask)));
+            for weights in [Same(bad), PerTask(&[0.5, 0.5, bad])] {
+                assert!(invalid(g.append_row(WorkerIdx(1), weights)));
+                assert!(invalid(g.append_row_where(WorkerIdx(1), weights, mask)));
+            }
         }
-        assert!(invalid(g.append_row(WorkerIdx(1), &[0.5])));
-        assert!(invalid(g.append_row_where(WorkerIdx(1), &[0.5], mask)));
+        for weights in [PerTask(&[0.5; 2]), PerTask(&[0.5; 4])] {
+            assert!(invalid(g.append_row(WorkerIdx(1), weights)));
+            assert!(invalid(g.append_row_where(WorkerIdx(1), weights, mask)));
+        }
         assert_eq!(g.edges(), &before[..], "a rejected row must leave no edge");
         // The graph is still usable.
-        assert_eq!(g.append_row_where(WorkerIdx(1), &[0.0, 1.0], mask), Ok(2));
+        assert_eq!(
+            g.append_row_where(WorkerIdx(1), PerTask(&[0.0, 1.0, 0.5]), mask),
+            Ok(2)
+        );
         assert_eq!(g.n_edges(), 5);
     }
 
     #[test]
     fn append_row_where_asks_each_task_once_in_column_order() {
-        let mut g = BipartiteGraph::new(0, 0);
-        g.reset_with_classes(3, 6, [2, 0, 1, 0, 2]).unwrap();
+        let mut g = BipartiteGraph::new(3, 5);
         for (u, pattern) in [[true; 5], [false; 5], [false, true, true, false, true]]
             .iter()
             .enumerate()
         {
+            let weights = if u == 1 {
+                RowWeights::Same(0.2)
+            } else {
+                RowWeights::PerTask(&[0.3, 0.1, 0.2, 0.1, 0.3])
+            };
             let mut asked = Vec::new();
-            let appended = g.append_row_where(WorkerIdx(u as u32), &[0.1, 0.2, 0.3], |v| {
+            let appended = g.append_row_where(WorkerIdx(u as u32), weights, |v| {
                 asked.push(v);
                 pattern[v]
             });
@@ -825,47 +820,33 @@ mod tests {
 
     #[test]
     fn a_rejected_row_writes_nothing_and_never_asks_a_verdict() {
-        let mut g = BipartiteGraph::new(0, 0);
-        g.reset_with_classes(2, 2, [0, 1]).unwrap();
-        g.append_row(WorkerIdx(0), &[0.5, 0.5]).unwrap();
+        use RowWeights::{PerTask, Same};
+        let mut g = BipartiteGraph::new(2, 2);
+        g.append_row(WorkerIdx(0), Same(0.5)).unwrap();
         let before = g.edges().to_vec();
-        let bad_rows: [(u32, &[f64]); 4] = [
-            (2, &[0.5, 0.5]),
-            (1, &[0.5]),
-            (1, &[0.5, f64::NAN]),
-            (1, &[-1.0, 0.5]),
+        let mut bad_rows = vec![
+            (2, Same(0.5)),
+            (2, PerTask(&[0.5, 0.5])),
+            (1, PerTask(&[0.5])),
+            (1, PerTask(&[0.5, 0.5, 0.5])),
         ];
+        let bads = [f64::NAN, -0.1, f64::INFINITY, f64::NEG_INFINITY];
+        let per_task = bads.map(|bad| [bad, 0.5]);
+        for (&bad, weights) in bads.iter().zip(&per_task) {
+            bad_rows.extend([(1, Same(bad)), (1, PerTask(weights))]);
+        }
         for (worker, weights) in bad_rows {
             let mut asked = 0;
-            let r = g.append_row_where(WorkerIdx(worker), weights, |_| {
+            // The verdict would drop the first task, where any bad
+            // per-task weight sits.
+            let r = g.append_row_where(WorkerIdx(worker), weights, |v| {
                 asked += 1;
-                true
+                v > 0
             });
             assert!(r.is_err(), "row {worker} {weights:?}");
             assert_eq!(asked, 0, "row {worker} {weights:?}");
             assert_eq!(g.edges(), &before[..]);
         }
-    }
-
-    #[test]
-    fn a_class_column_wider_than_the_tasks_is_refused() {
-        let mut g = BipartiteGraph::new(0, 0);
-        g.reset_with_classes(2, 2, [0, 0]).unwrap();
-        g.append_row(WorkerIdx(0), &[0.5]).unwrap();
-        assert_eq!(
-            g.reset_with_classes(2, 2, [0, 1, 0]),
-            Err(GraphError::VertexOutOfRange {
-                workers: 2,
-                tasks: 2
-            })
-        );
-        // Reset all the same, with no column: a row has no tasks.
-        assert_eq!((g.n_workers(), g.n_tasks(), g.n_edges()), (2, 2, 0));
-        assert_eq!(g.append_row(WorkerIdx(1), &[]), Ok(0));
-        assert_eq!(g.n_edges(), 0);
-        // As wide as |V| is fine.
-        assert_eq!(g.reset_with_classes(2, 3, [0, 1, 0]), Ok(()));
-        assert_eq!(g.append_row(WorkerIdx(0), &[0.1, 0.2]), Ok(3));
     }
 
     #[test]

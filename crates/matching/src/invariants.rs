@@ -447,7 +447,8 @@ mod tests {
     #[test]
     fn consistent_state_passes() {
         let g = graph();
-        let mut s = MatchingState::new(&g);
+        let mut s = MatchingState::default();
+        s.reset(&g);
         let e = g.find_edge(WorkerIdx(0), TaskIdx(2)).unwrap();
         s.insert(e, g.edge(e));
         let e = g.find_edge(WorkerIdx(1), TaskIdx(0)).unwrap();
@@ -460,7 +461,8 @@ mod tests {
     #[test]
     fn desynchronised_state_caught_from_either_side() {
         let g = graph();
-        let mut consistent = MatchingState::new(&g);
+        let mut consistent = MatchingState::default();
+        consistent.reset(&g);
         let e = g.find_edge(WorkerIdx(0), TaskIdx(2)).unwrap();
         consistent.insert(e, g.edge(e));
         let stray = g.find_edge(WorkerIdx(1), TaskIdx(0)).unwrap();
@@ -507,7 +509,8 @@ mod tests {
     #[test]
     fn a_stale_slot_weight_is_caught() {
         let g = graph();
-        let mut consistent = MatchingState::new(&g);
+        let mut consistent = MatchingState::default();
+        consistent.reset(&g);
         let e = g.find_edge(WorkerIdx(0), TaskIdx(2)).unwrap();
         consistent.insert(e, g.edge(e));
         let validator = MatchingValidator::new(&g);

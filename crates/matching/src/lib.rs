@@ -56,7 +56,7 @@ pub mod state;
 
 pub use cost::CostModel;
 pub use engine::{MatcherEngine, MatcherPolicy};
-pub use graph::{BipartiteGraph, EdgeId, GraphError, TaskIdx, WorkerIdx};
+pub use graph::{BipartiteGraph, EdgeId, GraphError, RowWeights, TaskIdx, WorkerIdx};
 pub use greedy::GreedyMatcher;
 pub use hungarian::HungarianMatcher;
 pub use invariants::{InvariantViolation, MatchingValidator};

@@ -62,13 +62,6 @@ pub struct MatchingState {
 }
 
 impl MatchingState {
-    /// The empty matching over `graph`.
-    pub fn new(graph: &BipartiteGraph) -> Self {
-        let mut state = MatchingState::default();
-        state.reset(graph);
-        state
-    }
-
     /// Empties the matching and sizes it for `graph` in `O(|U| + |V|)`,
     /// keeping the two slot arrays' storage.
     pub(crate) fn reset(&mut self, graph: &BipartiteGraph) {
@@ -294,7 +287,8 @@ mod tests {
     #[test]
     fn select_deselect_roundtrip() {
         let g = diamond();
-        let mut s = MatchingState::new(&g);
+        let mut s = MatchingState::default();
+        s.reset(&g);
         let e = g.find_edge(WorkerIdx(0), TaskIdx(0)).unwrap();
         s.insert(e, g.edge(e));
         assert!(s.holds(e, g.edge(e)));
@@ -313,7 +307,8 @@ mod tests {
     #[test]
     fn conflicts_detected_on_both_sides() {
         let g = diamond();
-        let mut s = MatchingState::new(&g);
+        let mut s = MatchingState::default();
+        s.reset(&g);
         let e00 = g.find_edge(WorkerIdx(0), TaskIdx(0)).unwrap();
         let e01 = g.find_edge(WorkerIdx(0), TaskIdx(1)).unwrap();
         let e10 = g.find_edge(WorkerIdx(1), TaskIdx(0)).unwrap();
@@ -337,7 +332,8 @@ mod tests {
     #[test]
     fn full_matching_fitness() {
         let g = diamond();
-        let mut s = MatchingState::new(&g);
+        let mut s = MatchingState::default();
+        s.reset(&g);
         let e = g.find_edge(WorkerIdx(0), TaskIdx(0)).unwrap();
         s.insert(e, g.edge(e));
         let e = g.find_edge(WorkerIdx(1), TaskIdx(1)).unwrap();
@@ -353,7 +349,8 @@ mod tests {
     #[cfg(debug_assertions)]
     fn select_conflicting_edge_panics() {
         let g = diamond();
-        let mut s = MatchingState::new(&g);
+        let mut s = MatchingState::default();
+        s.reset(&g);
         let e = g.find_edge(WorkerIdx(0), TaskIdx(0)).unwrap();
         s.insert(e, g.edge(e));
         let e = g.find_edge(WorkerIdx(0), TaskIdx(1)).unwrap();
@@ -369,7 +366,8 @@ mod tests {
         let e1 = g.add_edge(WorkerIdx(0), TaskIdx(1), 0.5).unwrap();
         let e2 = g.add_edge(WorkerIdx(1), TaskIdx(1), 0.9).unwrap();
         let e3 = g.add_edge(WorkerIdx(1), TaskIdx(0), 0.7).unwrap();
-        let mut s = MatchingState::new(&g);
+        let mut s = MatchingState::default();
+        s.reset(&g);
         for e in [e3, e1, e0] {
             s.insert(e, g.edge(e));
         }
@@ -392,7 +390,8 @@ mod tests {
                 0.1 + f64::from((u.0 * 5 + v.0 * 3) % 7)
             })
             .unwrap();
-            let mut s = MatchingState::new(&g);
+            let mut s = MatchingState::default();
+            s.reset(&g);
             // Against both orders: worker 1 takes the last task, worker 0
             // the first.
             let last = TaskIdx(n_tasks as u32 - 1);
@@ -417,7 +416,8 @@ mod tests {
     #[should_panic(expected = "worker 1 is matched by an edge its task does not hold")]
     fn verify_catches_a_worker_entry_without_its_task_twin() {
         let g = diamond();
-        let mut s = MatchingState::new(&g);
+        let mut s = MatchingState::default();
+        s.reset(&g);
         let e = g.find_edge(WorkerIdx(0), TaskIdx(0)).unwrap();
         s.insert(e, g.edge(e));
         let stray = g.find_edge(WorkerIdx(1), TaskIdx(1)).unwrap();
@@ -429,7 +429,8 @@ mod tests {
     #[should_panic(expected = "task 1 is matched by an edge its worker does not hold")]
     fn verify_catches_a_task_entry_without_its_worker_twin() {
         let g = diamond();
-        let mut s = MatchingState::new(&g);
+        let mut s = MatchingState::default();
+        s.reset(&g);
         let e = g.find_edge(WorkerIdx(0), TaskIdx(0)).unwrap();
         s.insert(e, g.edge(e));
         let stray = g.find_edge(WorkerIdx(1), TaskIdx(1)).unwrap();
@@ -445,7 +446,8 @@ mod tests {
     #[should_panic(expected = "task 0 caches a stale weight")]
     fn verify_catches_a_stale_task_weight() {
         let g = diamond();
-        let mut s = MatchingState::new(&g);
+        let mut s = MatchingState::default();
+        s.reset(&g);
         let e = g.find_edge(WorkerIdx(0), TaskIdx(0)).unwrap();
         s.insert(e, g.edge(e));
         s.desync_task(TaskIdx(0), Some((e, f64::from_bits(0.9f64.to_bits() + 1))));
@@ -456,7 +458,8 @@ mod tests {
     #[should_panic(expected = "worker 1 has a stale free slot")]
     fn verify_catches_a_free_slot_with_a_weight() {
         let g = diamond();
-        let mut s = MatchingState::new(&g);
+        let mut s = MatchingState::default();
+        s.reset(&g);
         s.desync_worker(WorkerIdx(1), Some((EdgeId(NONE), 0.0)));
         s.verify(&g);
     }
@@ -464,7 +467,8 @@ mod tests {
     #[test]
     fn slots_cache_the_matched_weight_and_free_to_minus_infinity() {
         let g = diamond();
-        let mut s = MatchingState::new(&g);
+        let mut s = MatchingState::default();
+        s.reset(&g);
         let e = g.find_edge(WorkerIdx(1), TaskIdx(1)).unwrap();
         assert_eq!(s.slots(g.edge(e)), (Slot::FREE, Slot::FREE));
         s.insert(e, g.edge(e));
@@ -480,7 +484,8 @@ mod tests {
     #[test]
     fn verify_recomputes_fitness() {
         let g = diamond();
-        let mut s = MatchingState::new(&g);
+        let mut s = MatchingState::default();
+        s.reset(&g);
         let e = g.find_edge(WorkerIdx(1), TaskIdx(0)).unwrap();
         s.insert(e, g.edge(e));
         let f = s.verify(&g);

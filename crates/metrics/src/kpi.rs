@@ -164,19 +164,6 @@ impl KpiRow {
         self.cells.iter().find(|(n, _)| n == name).map(|(_, v)| v)
     }
 
-    /// Numeric readout of a cell, when present and numeric.
-    pub fn metric(&self, name: &str) -> Option<f64> {
-        self.get(name).and_then(KpiValue::as_f64)
-    }
-
-    /// Text readout of a cell, when present and textual.
-    pub fn text(&self, name: &str) -> Option<&str> {
-        match self.get(name) {
-            Some(KpiValue::Text(s)) => Some(s.as_str()),
-            _ => None,
-        }
-    }
-
     /// Column names in insertion order.
     pub fn columns(&self) -> impl Iterator<Item = &str> {
         self.cells.iter().map(|(n, _)| n.as_str())
@@ -186,16 +173,6 @@ impl KpiRow {
     /// (e.g. prefixing identity columns in the sweep driver).
     pub fn cells(&self) -> impl Iterator<Item = (&str, &KpiValue)> {
         self.cells.iter().map(|(n, v)| (n.as_str(), v))
-    }
-
-    /// Number of cells.
-    pub fn len(&self) -> usize {
-        self.cells.len()
-    }
-
-    /// Whether the row has no cells.
-    pub fn is_empty(&self) -> bool {
-        self.cells.is_empty()
     }
 
     /// The row as one JSON object (insertion order preserved).
@@ -346,7 +323,7 @@ mod tests {
         row.set("tasks.completed", KpiValue::Int(43));
         let cols: Vec<&str> = row.columns().collect();
         assert_eq!(cols[1], "tasks.completed");
-        assert_eq!(row.metric("tasks.completed"), Some(43.0));
+        assert_eq!(row.get("tasks.completed"), Some(&KpiValue::Int(43)));
     }
 
     #[test]

@@ -16,11 +16,6 @@ impl TimeSeries {
         }
     }
 
-    /// The series name (used as a CSV column header).
-    pub fn name(&self) -> &str {
-        &self.name
-    }
-
     /// Appends a point.
     ///
     /// # Panics
@@ -35,26 +30,6 @@ impl TimeSeries {
             );
         }
         self.points.push((x, y));
-    }
-
-    /// The recorded points in order.
-    pub fn points(&self) -> &[(f64, f64)] {
-        &self.points
-    }
-
-    /// Number of points.
-    pub fn len(&self) -> usize {
-        self.points.len()
-    }
-
-    /// True when no points were recorded.
-    pub fn is_empty(&self) -> bool {
-        self.points.is_empty()
-    }
-
-    /// The last recorded point.
-    pub fn last(&self) -> Option<(f64, f64)> {
-        self.points.last().copied()
     }
 
     /// Downsamples to at most `n` evenly spaced points (keeps endpoints).
@@ -84,13 +59,11 @@ mod tests {
     #[test]
     fn push_and_query() {
         let mut s = TimeSeries::new("deadline_met");
-        assert!(s.is_empty());
+        assert!(s.thin(10).is_empty());
         s.push(0.0, 0.0);
         s.push(1.0, 2.0);
         s.push(1.0, 3.0); // equal x allowed
-        assert_eq!(s.len(), 3);
-        assert_eq!(s.last(), Some((1.0, 3.0)));
-        assert_eq!(s.name(), "deadline_met");
+        assert_eq!(s.thin(10), [(0.0, 0.0), (1.0, 2.0), (1.0, 3.0)]);
     }
 
     #[test]

@@ -1,16 +1,5 @@
 //! Exponential-bucket histogram for latency-like distributions.
 
-/// One histogram bucket: counts values in `(lower, upper]`.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct HistogramBucket {
-    /// Exclusive lower bound (0 for the first bucket).
-    pub lower: f64,
-    /// Inclusive upper bound (`f64::INFINITY` for the overflow bucket).
-    pub upper: f64,
-    /// Number of recorded values that fell in this bucket.
-    pub count: u64,
-}
-
 /// A histogram with exponentially growing bucket bounds.
 ///
 /// Latency distributions in the scheduler span many orders of magnitude
@@ -26,7 +15,7 @@ pub struct Histogram {
     counts: Vec<u64>,
     count: u64,
     sum: f64,
-    min: f64,
+    /// The largest finite value recorded: the quantiles' ceiling.
     max: f64,
 }
 
@@ -58,7 +47,6 @@ impl Histogram {
             counts: vec![0; buckets],
             count: 0,
             sum: 0.0,
-            min: f64::INFINITY,
             max: f64::NEG_INFINITY,
         }
     }
@@ -70,7 +58,6 @@ impl Histogram {
         self.count += 1;
         if value.is_finite() {
             self.sum += value;
-            self.min = self.min.min(value);
             self.max = self.max.max(value);
         }
     }
@@ -102,29 +89,9 @@ impl Histogram {
         }
     }
 
-    /// All buckets with their bounds and counts.
-    pub fn buckets(&self) -> Vec<HistogramBucket> {
-        (0..self.counts.len())
-            .map(|i| HistogramBucket {
-                lower: if i == 0 {
-                    0.0
-                } else {
-                    self.bucket_upper(i - 1)
-                },
-                upper: self.bucket_upper(i),
-                count: self.counts[i],
-            })
-            .collect()
-    }
-
     /// Total number of recorded values.
     pub fn count(&self) -> u64 {
         self.count
-    }
-
-    /// Sum of all finite recorded values.
-    pub fn sum(&self) -> f64 {
-        self.sum
     }
 
     /// Mean of finite recorded values, or `None` when empty.
@@ -133,24 +100,6 @@ impl Histogram {
             None
         } else {
             Some(self.sum / self.count as f64)
-        }
-    }
-
-    /// Smallest finite recorded value, or `None` when empty.
-    pub fn min(&self) -> Option<f64> {
-        if self.min.is_finite() {
-            Some(self.min)
-        } else {
-            None
-        }
-    }
-
-    /// Largest finite recorded value, or `None` when empty.
-    pub fn max(&self) -> Option<f64> {
-        if self.max.is_finite() {
-            Some(self.max)
-        } else {
-            None
         }
     }
 
@@ -217,32 +166,14 @@ mod tests {
     }
 
     #[test]
-    fn record_tracks_count_sum_min_max() {
+    fn record_tracks_count_and_mean() {
         let mut h = Histogram::new();
         assert_eq!(h.mean(), None);
         for v in [0.001, 0.002, 0.004] {
             h.record(v);
         }
         assert_eq!(h.count(), 3);
-        assert!((h.sum() - 0.007).abs() < 1e-12);
         assert!((h.mean().unwrap() - 0.007 / 3.0).abs() < 1e-12);
-        assert_eq!(h.min(), Some(0.001));
-        assert_eq!(h.max(), Some(0.004));
-    }
-
-    #[test]
-    fn buckets_partition_all_records() {
-        let mut h = Histogram::with_layout(0.5, 2.0, 6);
-        for i in 0..100 {
-            h.record(i as f64 * 0.137);
-        }
-        let total: u64 = h.buckets().iter().map(|b| b.count).sum();
-        assert_eq!(total, 100);
-        // Adjacent buckets tile the line: upper(i) == lower(i+1).
-        let bs = h.buckets();
-        for w in bs.windows(2) {
-            assert_eq!(w[0].upper, w[1].lower);
-        }
     }
 
     #[test]
@@ -254,7 +185,7 @@ mod tests {
         let q50 = h.quantile(0.5).unwrap();
         let q99 = h.quantile(0.99).unwrap();
         assert!(q50 <= q99);
-        assert!(q99 <= h.max().unwrap() * 2.0 + 1e-12);
+        assert!(q99 <= 1000.0 * 1e-5 * 2.0 + 1e-12);
         assert_eq!(Histogram::new().quantile(0.5), None);
     }
 

@@ -33,10 +33,10 @@ mod observer;
 mod recording;
 mod timer;
 
-pub use histogram::{Histogram, HistogramBucket};
+pub use histogram::Histogram;
 pub use json::JsonLinesObserver;
 pub use observer::{
     null_observer, CounterKind, HistogramKind, NullObserver, Observer, ObserverHandle, SpanKind,
 };
-pub use recording::{CounterEntry, RecordingObserver, SpanStats};
+pub use recording::{RecordingObserver, SpanStats};
 pub use timer::SpanTimer;

@@ -73,7 +73,7 @@ pub enum CounterKind {
     MatcherRebuilds,
     /// Worker latency profiles refit during graph build.
     ProfileRefits,
-    /// Graph-build rows served from the batch scratch's phase-A cache
+    /// Graph-build rows served from the batch scratch's row table
     /// (profile epoch unchanged since the previous batch).
     BuildRowsReused,
     /// Eq.(3) edge decisions answered by the memoized deadline gate

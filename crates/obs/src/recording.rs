@@ -39,15 +39,6 @@ impl SpanStats {
     }
 }
 
-/// One named counter value, as returned by [`RecordingObserver::counters`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct CounterEntry {
-    /// Stable dotted counter name.
-    pub name: &'static str,
-    /// Accumulated value.
-    pub value: u64,
-}
-
 #[derive(Default)]
 struct Inner {
     spans: BTreeMap<&'static str, SpanStats>,
@@ -88,69 +79,6 @@ impl RecordingObserver {
     /// Snapshot of the histogram for `kind`, or `None` if empty.
     pub fn histogram(&self, kind: HistogramKind) -> Option<Histogram> {
         self.inner.lock().histograms.get(kind.name()).cloned()
-    }
-
-    /// All non-zero counters in name order.
-    pub fn counters(&self) -> Vec<CounterEntry> {
-        self.inner
-            .lock()
-            .counters
-            .iter()
-            .map(|(&name, &value)| CounterEntry { name, value })
-            .collect()
-    }
-
-    /// All span stats in name order.
-    pub fn spans(&self) -> Vec<(&'static str, SpanStats)> {
-        self.inner
-            .lock()
-            .spans
-            .iter()
-            .map(|(&n, &s)| (n, s))
-            .collect()
-    }
-
-    /// Discard everything recorded so far.
-    pub fn reset(&self) {
-        let mut inner = self.inner.lock();
-        inner.spans.clear();
-        inner.counters.clear();
-        inner.histograms.clear();
-    }
-
-    /// Human-readable multi-line summary (spans, then counters), used by
-    /// bench reports and debugging.
-    pub fn summary(&self) -> String {
-        let inner = self.inner.lock();
-        let mut out = String::new();
-        out.push_str("spans:\n");
-        for (name, s) in &inner.spans {
-            out.push_str(&format!(
-                "  {:<18} count={:<8} total={:.6}s mean={:.9}s max={:.9}s\n",
-                name,
-                s.count,
-                s.total_seconds,
-                s.mean_seconds(),
-                s.max_seconds,
-            ));
-        }
-        out.push_str("counters:\n");
-        for (name, v) in &inner.counters {
-            out.push_str(&format!("  {:<28} {}\n", name, v));
-        }
-        if !inner.histograms.is_empty() {
-            out.push_str("histograms:\n");
-            for (name, h) in &inner.histograms {
-                out.push_str(&format!(
-                    "  {:<18} count={} mean={:.6} p99<={:.6}\n",
-                    name,
-                    h.count(),
-                    h.mean().unwrap_or(0.0),
-                    h.quantile(0.99).unwrap_or(0.0),
-                ));
-            }
-        }
-        out
     }
 }
 
@@ -216,12 +144,9 @@ mod tests {
 
         assert_eq!(rec.counter(CounterKind::TasksAssigned), 5);
         assert_eq!(rec.counter(CounterKind::TasksExpired), 0);
-        assert_eq!(
-            rec.histogram(HistogramKind::MatchingSeconds)
-                .unwrap()
-                .count(),
-            1
-        );
+        let matching = rec.histogram(HistogramKind::MatchingSeconds).unwrap();
+        assert_eq!(matching.count(), 1);
+        assert_eq!(matching.mean(), Some(0.01));
         assert!(rec.histogram(HistogramKind::ExecSeconds).is_none());
     }
 
@@ -231,19 +156,5 @@ mod tests {
         let clone = rec.clone();
         clone.incr(CounterKind::BatchesRun, 4);
         assert_eq!(rec.counter(CounterKind::BatchesRun), 4);
-        rec.reset();
-        assert_eq!(clone.counter(CounterKind::BatchesRun), 0);
-    }
-
-    #[test]
-    fn summary_names_everything_recorded() {
-        let rec = RecordingObserver::new();
-        rec.span(SpanKind::StageMatch, 0.1);
-        rec.incr(CounterKind::MatcherCycles, 10);
-        rec.observe(HistogramKind::BatchSize, 12.0);
-        let s = rec.summary();
-        assert!(s.contains("tick.match"));
-        assert!(s.contains("matcher.cycles"));
-        assert!(s.contains("batch.size"));
     }
 }

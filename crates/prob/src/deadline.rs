@@ -85,11 +85,6 @@ impl DeadlineModel {
         DeadlineModel { config }
     }
 
-    /// The thresholds in use.
-    pub fn config(&self) -> &DeadlineModelConfig {
-        &self.config
-    }
-
     /// **Eq. (3)**: probability that this worker completes a fresh task
     /// within `time_to_deadline` seconds, i.e. `1 − P(TTD)`.
     ///

@@ -42,26 +42,6 @@ impl EmpiricalDist {
         Some(EmpiricalDist { sorted })
     }
 
-    /// Number of samples.
-    pub fn len(&self) -> usize {
-        self.sorted.len()
-    }
-
-    /// Always false — construction requires ≥ 1 sample.
-    pub fn is_empty(&self) -> bool {
-        false
-    }
-
-    /// Smallest sample.
-    pub fn min(&self) -> f64 {
-        self.sorted[0]
-    }
-
-    /// Largest sample.
-    pub fn max(&self) -> f64 {
-        self.sorted[self.sorted.len() - 1]
-    }
-
     /// CDF `Pr(K < k)`: fraction of samples strictly below `k`.
     pub fn cdf(&self, k: f64) -> f64 {
         let below = self.sorted.partition_point(|&s| s < k);
@@ -111,12 +91,9 @@ mod tests {
     #[test]
     fn construction_filters_and_sorts() {
         let d = EmpiricalDist::from_samples(&[2.0, f64::NAN, 1.0, f64::INFINITY]).unwrap();
-        assert_eq!(d.len(), 2);
-        assert_eq!(d.min(), 1.0);
-        assert_eq!(d.max(), 2.0);
+        assert_eq!(d.sorted_samples(), &[1.0, 2.0]);
         assert!(EmpiricalDist::from_samples(&[]).is_none());
         assert!(EmpiricalDist::from_samples(&[f64::NAN]).is_none());
-        assert!(!dist().is_empty());
     }
 
     #[test]

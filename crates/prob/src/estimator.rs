@@ -81,11 +81,6 @@ impl ExecTimeEstimator {
         Self::new(EstimatorConfig::default())
     }
 
-    /// The configuration this estimator was built with.
-    pub fn config(&self) -> &EstimatorConfig {
-        &self.config
-    }
-
     /// Records one completed-task execution time (seconds).
     ///
     /// Non-finite or non-positive observations are ignored: execution
@@ -135,11 +130,6 @@ impl ExecTimeEstimator {
     /// True once enough samples exist for [`Self::model`] to return one.
     pub fn is_warm(&self) -> bool {
         self.samples.len() >= self.config.min_samples.max(1)
-    }
-
-    /// The smallest retained sample (the `k_min` the fit will use).
-    pub fn k_min(&self) -> Option<f64> {
-        (!self.samples.is_empty()).then_some(self.k_min)
     }
 
     /// The retained samples, in arrival order.
@@ -196,22 +186,6 @@ impl ExecTimeEstimator {
             self.empirical().map(FittedModel::Empirical)
         }
     }
-
-    /// Drops all samples.
-    pub fn reset(&mut self) {
-        self.samples.clear();
-        self.k_min = f64::INFINITY;
-        self.log_sum = 0.0;
-    }
-
-    /// Sample mean of retained execution times (`None` when empty).
-    pub fn mean(&self) -> Option<f64> {
-        if self.samples.is_empty() {
-            None
-        } else {
-            Some(self.samples.iter().sum::<f64>() / self.samples.len() as f64)
-        }
-    }
 }
 
 #[cfg(test)]
@@ -248,7 +222,6 @@ mod tests {
         for s in [9.0, 4.0, 11.0] {
             est.observe(s);
         }
-        assert_eq!(est.k_min(), Some(4.0));
         let model = est.model().unwrap();
         assert_eq!(model.k_min(), 4.0);
     }
@@ -264,7 +237,7 @@ mod tests {
             est.observe(s);
         }
         assert_eq!(est.samples(), &[3.0, 4.0, 5.0]);
-        assert_eq!(est.k_min(), Some(3.0));
+        assert_eq!(est.model().unwrap().k_min(), 3.0);
     }
 
     #[test]
@@ -311,8 +284,7 @@ mod tests {
         assert!(est.empirical().is_none(), "cold estimator");
         est.observe(8.0);
         let emp = est.empirical().unwrap();
-        assert_eq!(emp.len(), 3);
-        assert_eq!(emp.min(), 2.0);
+        assert_eq!(emp.sorted_samples(), &[2.0, 4.0, 8.0]);
         use crate::empirical::LatencyCcdf;
         assert!((emp.ccdf(4.0) - 2.0 / 3.0).abs() < 1e-12);
     }
@@ -355,28 +327,5 @@ mod tests {
         // A permissive threshold keeps the parametric model.
         let m = est.auto_model(1.0).unwrap();
         assert!(matches!(m, FittedModel::PowerLaw(_)));
-    }
-
-    #[test]
-    fn reset_clears_everything() {
-        let mut est = ExecTimeEstimator::with_defaults();
-        for s in [2.0, 4.0, 8.0] {
-            est.observe(s);
-        }
-        assert!(est.model().is_some());
-        est.reset();
-        assert!(est.is_empty());
-        assert!(est.model().is_none());
-        assert_eq!(est.k_min(), None);
-    }
-
-    #[test]
-    fn mean_of_samples() {
-        let mut est = ExecTimeEstimator::with_defaults();
-        assert_eq!(est.mean(), None);
-        for s in [2.0, 4.0] {
-            est.observe(s);
-        }
-        assert_eq!(est.mean(), Some(3.0));
     }
 }

@@ -155,15 +155,6 @@ impl PowerLaw {
         1.0 - self.ccdf(k)
     }
 
-    /// Mean of the distribution; `None` when `α ≤ 2` (infinite mean).
-    pub fn mean(&self) -> Option<f64> {
-        if self.alpha > 2.0 {
-            Some((self.alpha - 1.0) / (self.alpha - 2.0) * self.k_min)
-        } else {
-            None
-        }
-    }
-
     /// The `q`-quantile (`0 ≤ q < 1`): the value `k` with `cdf(k) = q`.
     pub fn quantile(&self, q: f64) -> f64 {
         debug_assert!((0.0..1.0).contains(&q));
@@ -175,11 +166,6 @@ impl PowerLaw {
     /// small `p` is not first rounded through `1 − p`.
     pub fn inverse_ccdf(&self, p: f64) -> f64 {
         self.k_min * p.powf(self.inv_exp)
-    }
-
-    /// Median of the distribution.
-    pub fn median(&self) -> f64 {
-        self.quantile(0.5)
     }
 
     /// Draws one sample via inverse-transform sampling:
@@ -333,21 +319,12 @@ mod tests {
     }
 
     #[test]
-    fn mean_exists_only_above_two() {
-        assert!(PowerLaw::new(1.8, 1.0).unwrap().mean().is_none());
-        let pl = PowerLaw::new(3.0, 2.0).unwrap();
-        // mean = (α−1)/(α−2) · k_min = 2/1 · 2 = 4
-        assert!((pl.mean().unwrap() - 4.0).abs() < 1e-12);
-    }
-
-    #[test]
     fn quantile_inverts_cdf() {
         let pl = PowerLaw::new(2.2, 3.0).unwrap();
         for q in [0.0, 0.1, 0.5, 0.9, 0.999] {
             let k = pl.quantile(q);
             assert!((pl.cdf(k) - q).abs() < 1e-9, "q={q}");
         }
-        assert!((pl.median() - pl.quantile(0.5)).abs() < 1e-12);
     }
 
     #[test]
@@ -358,7 +335,7 @@ mod tests {
         let mut sorted = samples.clone();
         sorted.sort_by(|a, b| a.partial_cmp(b).unwrap());
         let emp_median = sorted[sorted.len() / 2];
-        let theo = pl.median();
+        let theo = pl.quantile(0.5);
         assert!(
             (emp_median - theo).abs() / theo < 0.05,
             "empirical {emp_median} vs theoretical {theo}"

@@ -77,12 +77,6 @@ impl SimDuration {
         );
         SimDuration(seconds)
     }
-
-    /// Length in seconds.
-    #[inline]
-    pub fn as_secs(&self) -> f64 {
-        self.0
-    }
 }
 
 #[cfg(test)]
@@ -94,7 +88,7 @@ mod tests {
         let t = SimTime::from_secs(5.5);
         assert_eq!(t.as_secs(), 5.5);
         let d = SimDuration::from_secs(2.0);
-        assert_eq!(d.as_secs(), 2.0);
+        assert_eq!((t + d).as_secs(), 7.5);
     }
 
     #[test]

@@ -5,6 +5,7 @@
         [--seed 2013] [--trace 0|1] [--metric NAME ...]
         [--scratch DIR] [--record FILE --pr N]
     python3 scripts/ab.py --check
+    python3 scripts/ab.py --trend WORKLOAD METRIC
 
 PARENT and CHANGE are git revisions, or `.` for the working tree as it
 stands (tracked files and untracked ones that are not ignored). Each
@@ -47,6 +48,11 @@ IQR and the win count agree with what was recorded to within the lists'
 own rounding step. It also validates every line of
 `BENCH_history.jsonl`: every field present, and the medians, IQR and
 wins recomputed from the two run lists.
+
+`--trend WORKLOAD METRIC` runs no benchmark either: it prints every
+series of METRIC on WORKLOAD recorded in `BENCH_history.jsonl`, in PR
+order — the PR, both medians, the change's difference, its wins and the
+parent's IQR — and exits 1 when there is none.
 """
 
 import argparse
@@ -149,6 +155,19 @@ def fmt(x):
     return f"{x:.6g}"
 
 
+def delta(parent, change):
+    """The change's difference from the parent, in percent of it."""
+    return f"{(change - parent) / abs(parent):+.2%}" if parent else "-"
+
+
+def table(rows):
+    """`rows` in columns, the first left-aligned, the others right."""
+    widths = [max(len(row[i]) for row in rows) for i in range(len(rows[0]))]
+    for row in rows:
+        print("  ".join(cell.ljust(w) if i == 0 else cell.rjust(w)
+                        for i, (cell, w) in enumerate(zip(row, widths))))
+
+
 def report(names, better, parent_runs, change_runs, claim):
     parent = [run["metrics"] for run in parent_runs]
     change = [run["metrics"] for run in change_runs]
@@ -158,15 +177,11 @@ def report(names, better, parent_runs, change_runs, claim):
         p = [run[name] for run in parent]
         c = [run[name] for run in change]
         pq, cq = quartiles(p), quartiles(c)
-        delta = f"{(cq[1] - pq[1]) / abs(pq[1]):+.2%}" if pq[1] else "-"
         won = wins(p, c, better.get(name, "higher") == "higher")
         rows.append((name, f"{fmt(pq[1])} [{fmt(pq[0])}, {fmt(pq[2])}]",
-                     f"{fmt(cq[1])} [{fmt(cq[0])}, {fmt(cq[2])}]", delta,
+                     f"{fmt(cq[1])} [{fmt(cq[0])}, {fmt(cq[2])}]", delta(pq[1], cq[1]),
                      fmt(pq[2] - pq[0]), f"{won}/{len(p)}"))
-    widths = [max(len(row[i]) for row in rows) for i in range(6)]
-    for row in rows:
-        print("  ".join(cell.ljust(w) if i == 0 else cell.rjust(w)
-                        for i, (cell, w) in enumerate(zip(row, widths))))
+    table(rows)
     print("\nevery run, pair order (parent; change):")
     for name in names:
         p = ", ".join(fmt(run[name]) for run in parent)
@@ -314,6 +329,25 @@ def check_history(path=HISTORY):
     return not bad
 
 
+def trend(workload, metric, path=HISTORY):
+    """Every series of `metric` on `workload` in the history, PR order."""
+    lines = [json.loads(text) for text in path.read_text().splitlines()] if path.exists() else []
+    found = sorted((line for line in lines
+                    if line["workload"] == workload and line["metric"] == metric),
+                   key=lambda line: line["pr"])
+    if not found:
+        print(f"no series of {metric} on {workload} in {path.name}")
+        return 1
+    rows = [("PR", "parent median", "change median", "change", "wins", "parent IQR")]
+    for line in found:
+        p, c = line["parent_median"], line["change_median"]
+        rows.append((str(line["pr"]), fmt(p), fmt(c), delta(p, c),
+                     f"{line['wins']}/{len(line['parent'])}", fmt(line["parent_iqr"])))
+    print(f"{workload} {metric} ({found[0]['better']} is better)\n")
+    table(rows)
+    return 0
+
+
 def main():
     ap = argparse.ArgumentParser(description=__doc__.split("\n", 1)[0])
     ap.add_argument("parent", nargs="?")
@@ -327,9 +361,12 @@ def main():
     ap.add_argument("--record", metavar="FILE")
     ap.add_argument("--pr", type=int)
     ap.add_argument("--check", action="store_true")
+    ap.add_argument("--trend", nargs=2, metavar=("WORKLOAD", "METRIC"))
     opts = ap.parse_args()
     if opts.check:
         return 0 if check() & check_history() else 1
+    if opts.trend:
+        return trend(*opts.trend)
     if not (opts.parent and opts.change and opts.workload):
         ap.error("PARENT, CHANGE and --workload are required")
     if (opts.record is None) != (opts.pr is None):

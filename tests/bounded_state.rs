@@ -319,8 +319,7 @@ fn the_audit_log_agrees_with_a_vec_across_segment_boundaries() {
         for &e in &reference {
             push(&mut log, e);
         }
-        assert_eq!(log.len(), n, "{n} events");
-        assert_eq!(log.is_empty(), n == 0, "{n} events");
+        assert_eq!(log.events().count(), n, "{n} events");
         assert!(log.events().eq(reference.iter()), "{n} events");
         for task in (0..14).map(TaskId) {
             let history: Vec<TaskEvent> = reference
@@ -375,7 +374,7 @@ fn a_backwards_timestamp_across_a_segment_boundary_is_caught() {
             worker: WorkerId(1),
         },
     );
-    assert_eq!(log.len(), SEGMENT + 1);
+    assert_eq!(log.events().count(), SEGMENT + 1);
     verify_lifecycles(&log);
 }
 
@@ -415,7 +414,6 @@ proptest! {
             est.observe(s);
             let retained = est.samples();
             let k_min = retained.iter().copied().fold(f64::INFINITY, f64::min);
-            prop_assert_eq!(est.k_min(), (!retained.is_empty()).then_some(k_min));
             let refit = if est.is_warm() {
                 PowerLaw::fit(retained, k_min, fit_method).ok()
             } else {

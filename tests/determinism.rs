@@ -18,7 +18,7 @@ fn full_simulation_is_bit_reproducible() {
     assert_eq!(a.reassignments, b.reassignments);
     assert_eq!(a.exec_times, b.exec_times);
     assert_eq!(a.total_times, b.total_times);
-    assert_eq!(a.series_met.points(), b.series_met.points());
+    assert_eq!(a.series_met, b.series_met);
     assert_eq!(a.sim_duration, b.sim_duration);
 }
 

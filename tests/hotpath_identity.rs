@@ -158,8 +158,9 @@ fn arb_latency_model() -> impl Strategy<Value = LatencyModelKind> {
     ]
 }
 
-/// `Accuracy` is evaluated once per (row, category); the other two read
-/// the task's location and must stay per pair.
+/// `Accuracy` is one weight per row when the batch has one category, one
+/// per pair otherwise; the other two read the task's location and stay
+/// per pair.
 fn arb_weight() -> impl Strategy<Value = WeightFunction> {
     prop_oneof![
         Just(WeightFunction::Accuracy),
@@ -327,7 +328,8 @@ proptest! {
     /// a second component that evolves on its own from the same start
     /// (same ids, same epochs): a reader must not take that feed for the
     /// continuation of the one it last read. In about half the cases
-    /// every task is of one category (a batch of one weight class), and
+    /// every task is of one category (one weight per row under
+    /// `Accuracy`), and
     /// the queue starts up to 47 tasks long.
     #[test]
     fn incremental_build_is_bit_identical_to_cold_build(

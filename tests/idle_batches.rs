@@ -19,7 +19,7 @@
 //!    batches, so the idle branch ran;
 //! 4. random small overloaded runs conserve their tasks. Under
 //!    `--features debug-invariants` each idle batch also checks that the
-//!    cold `GraphBuilder` finds no pool row.
+//!    cold `SchedulingComponent::build_graph` finds no pool row.
 
 mod common;
 

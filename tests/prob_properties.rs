@@ -255,7 +255,7 @@ proptest! {
             _ => samples.clone(),
         };
         let expect = retained.iter().copied().fold(f64::INFINITY, f64::min);
-        prop_assert_eq!(est.k_min(), Some(expect));
+        prop_assert_eq!(est.samples().iter().copied().fold(f64::INFINITY, f64::min), expect);
         // The fitted model (if any) uses that k_min.
         if let Some(m) = est.model() {
             prop_assert_eq!(m.k_min(), expect);
