@@ -42,7 +42,6 @@ pub struct WorkerProfile {
     by_category: BTreeMap<TaskCategory, CategoryStats>,
     estimator: ExecTimeEstimator,
     assignments_served: u64,
-    reward_range: Option<(f64, f64)>,
     /// Times the recovery layer flagged this worker for failing progress
     /// deadlines.
     suspicions: u32,
@@ -60,7 +59,6 @@ impl WorkerProfile {
             by_category: BTreeMap::new(),
             estimator: ExecTimeEstimator::new(estimator_config),
             assignments_served: 0,
-            reward_range: None,
             suspicions: 0,
             weight_penalty: 1.0,
         }
@@ -146,20 +144,6 @@ impl WorkerProfile {
         }
     }
 
-    /// The worker's acceptable reward range, if they declared one.
-    ///
-    /// The paper's pricing extension (Sec. III-C, *Task Rewards*): when a
-    /// task's reward falls outside this range the `(worker, task)` edge
-    /// is never instantiated. `None` means the worker takes any reward.
-    pub fn reward_range(&self) -> Option<(f64, f64)> {
-        self.reward_range
-    }
-
-    /// True when the worker would accept a task paying `reward`.
-    pub fn accepts_reward(&self, reward: f64) -> bool {
-        range_accepts(self.reward_range, reward)
-    }
-
     /// True when the worker belongs to a batch's pool: available, or
     /// merely online when the policy has no availability signal
     /// (`include_busy`).
@@ -169,15 +153,6 @@ impl WorkerProfile {
             Availability::Busy => include_busy,
             Availability::Offline => false,
         }
-    }
-}
-
-/// [`WorkerProfile::accepts_reward`] over a declared range, for a reader
-/// that holds the range without the profile.
-pub(crate) fn range_accepts(range: Option<(f64, f64)>, reward: f64) -> bool {
-    match range {
-        None => true,
-        Some((lo, hi)) => reward >= lo && reward <= hi,
     }
 }
 
@@ -415,19 +390,6 @@ impl ProfilingComponent {
     /// Updates a worker's reported location.
     pub fn set_location(&mut self, id: WorkerId, location: GeoPoint) -> Result<(), CoreError> {
         self.touch(id)?.location = location;
-        Ok(())
-    }
-
-    /// Declares (or clears, with `None`) a worker's acceptable reward
-    /// range — the paper's pricing extension. The range can be changed
-    /// at any time *"based on the user's current needs and mood"*.
-    pub fn set_reward_range(
-        &mut self,
-        id: WorkerId,
-        range: Option<(f64, f64)>,
-    ) -> Result<(), CoreError> {
-        let normalized = range.map(|(a, b)| if a <= b { (a, b) } else { (b, a) });
-        self.touch(id)?.reward_range = normalized;
         Ok(())
     }
 
@@ -677,30 +639,6 @@ mod tests {
     }
 
     #[test]
-    fn reward_range_declaration() {
-        let mut p = profiler_with_worker();
-        let prof = p.profile(WorkerId(1)).unwrap();
-        assert_eq!(prof.reward_range(), None);
-        assert!(prof.accepts_reward(0.0));
-        p.set_reward_range(WorkerId(1), Some((0.05, 0.50))).unwrap();
-        let prof = p.profile(WorkerId(1)).unwrap();
-        assert!(prof.accepts_reward(0.05));
-        assert!(prof.accepts_reward(0.50));
-        assert!(!prof.accepts_reward(0.01));
-        assert!(!prof.accepts_reward(0.51));
-        // Reversed bounds are normalised.
-        p.set_reward_range(WorkerId(1), Some((0.9, 0.1))).unwrap();
-        assert_eq!(
-            p.profile(WorkerId(1)).unwrap().reward_range(),
-            Some((0.1, 0.9))
-        );
-        // Clearing restores accept-anything.
-        p.set_reward_range(WorkerId(1), None).unwrap();
-        assert!(p.profile(WorkerId(1)).unwrap().accepts_reward(1e9));
-        assert!(p.set_reward_range(WorkerId(2), None).is_err());
-    }
-
-    #[test]
     fn suspicion_decays_accuracy_weight() {
         let mut p = profiler_with_worker();
         let cat = TaskCategory(0);
@@ -740,8 +678,6 @@ mod tests {
         p.set_location(WorkerId(1), GeoPoint::new(40.0, 22.0))
             .unwrap();
         expect_bump(&p, "set_location");
-        p.set_reward_range(WorkerId(1), Some((0.1, 0.9))).unwrap();
-        expect_bump(&p, "set_reward_range");
         p.mark_suspect(WorkerId(1), 0.5).unwrap();
         expect_bump(&p, "mark_suspect");
         // Lazy model access is output-idempotent and must NOT bump.
@@ -750,7 +686,7 @@ mod tests {
         // A failed mutation takes no epoch: nobody would hold it.
         let before = p.epoch_now();
         assert!(p.record_assignment(WorkerId(9)).is_err());
-        assert!(p.set_reward_range(WorkerId(9), None).is_err());
+        assert!(p.set_location(WorkerId(9), here()).is_err());
         assert!(p.register(WorkerId(1), here()).is_err());
         assert_eq!(p.epoch_now(), before);
     }

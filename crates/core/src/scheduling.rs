@@ -26,19 +26,19 @@
 //! incremental builder: it keeps a snapshot of every registered worker
 //! in place across ticks and retakes it only for the workers the
 //! profiler's change feed names since its last build, reuses the edge
-//! arena, decides per row what is per row (reward range, one weight when
-//! the batch has one category, Eq. (3) when the batch's extreme TTDs
-//! settle it), answers the remaining Eq. (3) decisions
-//! through a memoized [`EdgeGate`] and appends each row's edges to the
-//! graph in one call. What it reads of a queued task (expiry instant, reward,
-//! category, location) it reads off the unassigned queue's columns; the
+//! arena, decides per row what is per row (one weight when the batch has
+//! one category, Eq. (3) when the batch's extreme TTDs settle it),
+//! answers the remaining Eq. (3) decisions through a memoized
+//! [`EdgeGate`] and appends each row's edges to the graph in one call.
+//! What it reads of a queued task (expiry instant, category, location)
+//! it reads off the unassigned queue's columns; the
 //! cold path reads the same facts out of the task registry. The graph is
 //! bit-identical to the cold build (asserted under the `debug-invariants`
 //! feature, which thereby also holds the columns to the registry).
 
 use crate::config::{Config, MatcherPolicy};
 use crate::ids::{TaskCategory, TaskId, WorkerId};
-use crate::profiling::{range_accepts, ProfilingComponent, WorkerProfile};
+use crate::profiling::{ProfilingComponent, WorkerProfile};
 use crate::task_mgmt::TaskManagementComponent;
 use rand::RngCore;
 use react_matching::{BipartiteGraph, GraphError, MatcherEngine, RowWeights, TaskIdx, WorkerIdx};
@@ -75,7 +75,6 @@ struct CachedRow {
     /// a model: a worker outside the pool takes an epoch to enter it.
     in_pool: bool,
     in_training: bool,
-    reward_range: Option<(f64, f64)>,
     model: Option<FittedModel>,
     /// Inverted deadline kernel for `model` (present iff `model` is).
     gate: Option<EdgeGate>,
@@ -103,7 +102,6 @@ impl CachedRow {
             id: profile.id(),
             in_pool,
             in_training,
-            reward_range: profile.reward_range(),
             gate: model.as_ref().map(|m| deadline_model.edge_gate(m)),
             model,
             weight: None,
@@ -142,7 +140,7 @@ pub struct BuiltBatchGraph<'s> {
     pub workers: &'s [WorkerId],
     /// Column → task id map, in submission order.
     pub task_ids: &'s [TaskId],
-    /// Edges dropped by the reward-range and Eq. (3) pruning rules.
+    /// Edges dropped by the Eq. (3) pruning rule.
     pub pruned: usize,
     /// Reuse/memoization tallies for this build.
     pub stats: BuildStats,
@@ -156,8 +154,8 @@ pub struct BuiltBatchGraph<'s> {
 /// once per (row, task) pair.
 ///
 /// * **The row table** — each worker's pool membership, training flag,
-///   reward range, fitted latency model and memoized [`EdgeGate`], in id
-///   order, kept in place between builds. A build re-snapshots only the
+///   fitted latency model and memoized [`EdgeGate`], in id order, kept
+///   in place between builds. A build re-snapshots only the
 ///   workers the component's change feed
 ///   (`ProfilingComponent::touched_since`) names since the epoch this
 ///   scratch last read — a handful out of thousands in steady state —
@@ -170,17 +168,17 @@ pub struct BuiltBatchGraph<'s> {
 ///   read (`ProfilingComponent::instance`) re-read every profile instead,
 ///   which is a cold start. Each scratch keeps its own cursor, so any
 ///   number of them can read one component.
-/// * **Row-level verdicts** — the reward test is skipped for a worker who
-///   declared no range; a weight that depends on the task only through
-///   its category ([`WeightFunction::per_category`](crate::WeightFunction))
-///   is one weight for the row when the batch has one category, and is
+/// * **Row-level verdicts** — a weight that depends on the task only
+///   through its category
+///   ([`WeightFunction::per_category`](crate::WeightFunction)) is one
+///   weight for the row when the batch has one category, and is
 ///   remembered in the row (any other weight is evaluated per pair); and
-///   Eq. (3) is
-///   settled for the whole row when the gate already keeps the batch's
-///   smallest time-to-deadline or already prunes its largest — every
-///   [`EdgeGate`] answer is monotone in TTD (`Never` is constant, `Above`
-///   and `Bracket` say `true` only above a cut and `false` only below
-///   one), so the extremes decide for everything between them. A row
+///   Eq. (3) is settled for the whole row when the gate already keeps
+///   the batch's smallest time-to-deadline or already prunes its
+///   largest — every [`EdgeGate`] answer is monotone in TTD (`Never` is
+///   constant, `Above` and `Bracket` say `true` only above a cut and
+///   `false` only below one), so the extremes decide for everything
+///   between them. A row
 ///   pruned outright is done before its weights are computed. Otherwise,
 ///   and whenever a TTD is NaN, the gate is matched once for the row
 ///   ([`EdgeGate::walk_row`]) and each pair goes through that variant's
@@ -403,15 +401,8 @@ impl BatchScratch {
             };
             if settled == Some(false) {
                 // Pruned outright, before any weight: a gate answered
-                // each pair the reward test let through.
-                stats.cdf_memo_hits += match row.reward_range {
-                    None => n,
-                    range => queue
-                        .reward
-                        .iter()
-                        .filter(|&&r| range_accepts(range, r))
-                        .count(),
-                } as u64;
+                // each pair.
+                stats.cdf_memo_hits += n as u64;
                 pruned += n;
                 continue;
             }
@@ -457,29 +448,31 @@ impl BatchScratch {
                 }
             };
 
-            // Each pair's verdict as its edge is written: the reward
-            // test, then Eq. (3) by the row's gate, matched once for the
-            // row, and the exact CCDF where the gate does not answer.
-            let emit = RowEmit {
-                graph: &mut self.graph,
-                worker,
-                weights,
-                ttds: &self.ttds,
-                rewards: &queue.reward,
-                reward_range: row.reward_range,
-                model: row.model.as_ref(),
-                deadline_model: &deadline_model,
-                cdf_memo_hits: &mut stats.cdf_memo_hits,
-                pruned: &mut pruned,
-            };
             // Only in-range indices and weights the graph accepts are
             // emitted; a rejection would mean this builder is broken, so
             // the row is dropped rather than the batch aborted.
-            let appended = match (settled, row.gate) {
-                (Some(_), _) if row.reward_range.is_none() => emit.all(),
-                (None, Some(gate)) => gate.walk_row(emit),
-                // Settled to keep: only the reward test is left.
-                _ => emit.run(|_| Some(true)),
+            let appended = match (settled, row.gate, &row.model) {
+                // Each pair's verdict as its edge is written: Eq. (3) by
+                // the row's gate, matched once for the row, and the exact
+                // CCDF where the gate does not answer.
+                (None, Some(gate), Some(model)) => gate.walk_row(RowEmit {
+                    graph: &mut self.graph,
+                    worker,
+                    weights,
+                    ttds: &self.ttds,
+                    model,
+                    deadline_model: &deadline_model,
+                    cdf_memo_hits: &mut stats.cdf_memo_hits,
+                    pruned: &mut pruned,
+                }),
+                // Kept whole: each Eq. (3) decision, if the row has a
+                // model, answered by its gate.
+                _ => {
+                    if row.model.is_some() {
+                        stats.cdf_memo_hits += n as u64;
+                    }
+                    self.graph.append_row(worker, weights)
+                }
             };
             debug_assert!(appended.is_ok(), "builder emitted an invalid row");
         }
@@ -510,30 +503,18 @@ impl BatchScratch {
     }
 }
 
-/// One pool row on its way into the graph in [`BatchScratch::build`]:
-/// what its pairs' verdicts read, and the tallies they feed.
+/// One pool row that Eq. (3) does not settle whole, on its way into the
+/// graph in [`BatchScratch::build`]: what its pairs' verdicts read, and
+/// the tallies they feed.
 struct RowEmit<'a> {
     graph: &'a mut BipartiteGraph,
     worker: WorkerIdx,
     weights: RowWeights<'a>,
     ttds: &'a [f64],
-    rewards: &'a [f64],
-    reward_range: Option<(f64, f64)>,
-    model: Option<&'a FittedModel>,
+    model: &'a FittedModel,
     deadline_model: &'a DeadlineModel,
     cdf_memo_hits: &'a mut u64,
     pruned: &'a mut usize,
-}
-
-impl RowEmit<'_> {
-    /// A row no pair of which needs a verdict: every task kept, each
-    /// Eq. (3) decision (if the row has a model) answered by its gate.
-    fn all(self) -> Result<usize, GraphError> {
-        if self.model.is_some() {
-            *self.cdf_memo_hits += self.ttds.len() as u64;
-        }
-        self.graph.append_row(self.worker, self.weights)
-    }
 }
 
 impl GatedRow for RowEmit<'_> {
@@ -545,21 +526,17 @@ impl GatedRow for RowEmit<'_> {
             worker,
             weights,
             ttds,
-            rewards,
-            reward_range,
             model,
             deadline_model,
             cdf_memo_hits,
             pruned,
         } = self;
         graph.append_row_where(worker, weights, |v| {
-            let keep = range_accepts(reward_range, rewards[v])
-                && model.is_none_or(|m| {
-                    let ttd = ttds[v];
-                    let verdict = rule(ttd);
-                    *cdf_memo_hits += u64::from(verdict.is_some());
-                    verdict.unwrap_or_else(|| deadline_model.should_instantiate_edge(m, ttd))
-                });
+            let ttd = ttds[v];
+            let verdict = rule(ttd);
+            *cdf_memo_hits += u64::from(verdict.is_some());
+            let keep =
+                verdict.unwrap_or_else(|| deadline_model.should_instantiate_edge(model, ttd));
             *pruned += usize::from(!keep);
             keep
         })
@@ -636,13 +613,9 @@ impl SchedulingComponent {
             workers.push(wid);
             let worker = graph.add_worker();
             for (v, rec) in recs.iter().enumerate() {
-                // Pricing extension (Sec. III-C): a task whose reward
-                // falls outside the worker's declared range never gets an
-                // edge.
-                let keep = profile.accepts_reward(rec.task.reward)
-                    && model.as_ref().is_none_or(|m| {
-                        deadline_model.should_instantiate_edge(m, rec.remaining_time(now))
-                    });
+                let keep = model.as_ref().is_none_or(|m| {
+                    deadline_model.should_instantiate_edge(m, rec.remaining_time(now))
+                });
                 if !keep {
                     pruned += 1;
                     continue;
@@ -940,31 +913,6 @@ mod tests {
     }
 
     #[test]
-    fn reward_range_prunes_underpaying_tasks() {
-        let config = Config::paper_defaults();
-        let (mut p, mut tm) = setup(1, 0);
-        p.set_reward_range(WorkerId(0), Some((0.5, 2.0))).unwrap();
-        // Default test task pays 0.05 — outside the range.
-        tm.submit(task(1, 60.0), 0.0).unwrap();
-        // A generous task pays 1.0 — inside.
-        tm.submit(
-            Task::new(TaskId(2), here(), 60.0, 1.0, TaskCategory(0), "well-paid"),
-            0.0,
-        )
-        .unwrap();
-        let (graph, _, tasks, pruned) = SchedulingComponent::build_graph(&config, &mut p, &tm, 0.0);
-        assert_eq!(pruned, 1);
-        assert_eq!(graph.n_edges(), 1);
-        let edge = &graph.edges()[0];
-        assert_eq!(tasks[edge.task.0 as usize], TaskId(2));
-        // Clearing the range restores both edges.
-        p.set_reward_range(WorkerId(0), None).unwrap();
-        let (graph, _, _, pruned) = SchedulingComponent::build_graph(&config, &mut p, &tm, 0.0);
-        assert_eq!(pruned, 0);
-        assert_eq!(graph.n_edges(), 2);
-    }
-
-    #[test]
     fn a_batch_assigns_each_task_once() {
         let config = Config::paper_defaults();
         let (mut p, tm) = setup(10, 5);
@@ -1038,9 +986,9 @@ mod tests {
         assert!((big / small - 2.0).abs() < 1e-9);
     }
 
-    /// Seasons a mixed pool (training / seasoned-fast / seasoned-slow /
-    /// reward-constrained) with a mixed task queue so every pruning rule
-    /// fires, then returns the components.
+    /// Seasons a mixed pool (training / seasoned-fast / seasoned-slow)
+    /// with a mixed task queue so the pruning rule fires, then returns
+    /// the components.
     fn mixed_setup() -> (Config, ProfilingComponent, TaskManagementComponent) {
         let config = Config::paper_defaults();
         let (mut p, mut tm) = setup(40, 12);
@@ -1050,7 +998,6 @@ mod tests {
         for w in 10..20 {
             season_worker(&mut p, WorkerId(w), &[1.0, 1.5, 2.0]);
         }
-        p.set_reward_range(WorkerId(21), Some((0.5, 2.0))).unwrap();
         tm.submit(task(100, 8.0), 0.0).unwrap();
         (config, p, tm)
     }

@@ -161,7 +161,6 @@ pub(crate) struct UnassignedQueue {
     /// [`TaskRecord::deadline_at`], by that very expression, so a time to
     /// deadline derived from the column has the registry's bits.
     pub(crate) deadline_at: Vec<f64>,
-    pub(crate) reward: Vec<f64>,
     pub(crate) category: Vec<TaskCategory>,
     pub(crate) location: Vec<GeoPoint>,
 }
@@ -171,7 +170,6 @@ impl UnassignedQueue {
     fn push(&mut self, rec: &TaskRecord) {
         self.ids.push(rec.task.id);
         self.deadline_at.push(rec.deadline_at());
-        self.reward.push(rec.task.reward);
         self.category.push(rec.task.category);
         self.location.push(rec.task.location);
     }
@@ -181,7 +179,6 @@ impl UnassignedQueue {
     fn move_rows(&mut self, from: Range<usize>, to: usize) {
         self.ids.copy_within(from.clone(), to);
         self.deadline_at.copy_within(from.clone(), to);
-        self.reward.copy_within(from.clone(), to);
         self.category.copy_within(from.clone(), to);
         self.location.copy_within(from, to);
     }
@@ -190,7 +187,6 @@ impl UnassignedQueue {
     fn truncate(&mut self, len: usize) {
         self.ids.truncate(len);
         self.deadline_at.truncate(len);
-        self.reward.truncate(len);
         self.category.truncate(len);
         self.location.truncate(len);
     }
@@ -246,7 +242,6 @@ impl UnassignedQueue {
         (
             &self.ids,
             bits(&self.deadline_at),
-            bits(&self.reward),
             &self.category,
             location
                 .map(|at| (at.lat().to_bits(), at.lon().to_bits()))
@@ -814,12 +809,12 @@ mod tests {
 
     /// A task whose every queue column depends on `id`, so a row that
     /// ends up beside the wrong id shows.
-    fn varied(id: u64, deadline: f64, reward: f64) -> Task {
+    fn varied(id: u64, deadline: f64) -> Task {
         Task::new(
             TaskId(id),
             GeoPoint::new(37.0 + id as f64 / 100.0, 23.0 - id as f64 / 100.0),
             deadline,
-            reward,
+            0.05,
             TaskCategory(id as u32 % 3),
             "t",
         )
@@ -839,11 +834,10 @@ mod tests {
             (6, 90.0),
         ];
         for (id, deadline) in queued {
-            tm.submit(varied(id, deadline, id as f64 / 10.0), 0.0)
-                .unwrap();
+            tm.submit(varied(id, deadline), 0.0).unwrap();
         }
         // A recalled task rejoins at the back with its original deadline.
-        tm.submit(varied(3, 15.0, 0.3), 1.0).unwrap();
+        tm.submit(varied(3, 15.0), 1.0).unwrap();
         tm.mark_assigned(TaskId(3), WorkerId(1), 2.0).unwrap();
         tm.mark_unassigned(TaskId(3)).unwrap();
         tm.assert_queue_matches_registry();
@@ -881,8 +875,7 @@ mod tests {
     fn mid_queue_assignment_removes_one_row_from_every_column() {
         let mut tm = TaskManagementComponent::new();
         for id in 1..=5 {
-            tm.submit(varied(id, 60.0 + id as f64, id as f64 / 10.0), id as f64)
-                .unwrap();
+            tm.submit(varied(id, 60.0 + id as f64), id as f64).unwrap();
         }
         tm.mark_assigned(TaskId(3), WorkerId(4), 6.0).unwrap();
         assert_eq!(

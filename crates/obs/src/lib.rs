@@ -11,8 +11,6 @@
 //!   bit-identical with or without it.
 //! * [`RecordingObserver`] — accumulates span statistics, counters, and
 //!   histograms in memory for tests, benches, and report generation.
-//! * [`JsonLinesObserver`] — streams one JSON object per event to any
-//!   `Write` sink for offline analysis.
 //!
 //! This crate is a *leaf*: it sits below `react-core` and therefore
 //! cannot use `react-runtime`'s clock layer (which depends on core).
@@ -28,13 +26,11 @@
 #![warn(missing_docs)]
 
 mod histogram;
-mod json;
 mod observer;
 mod recording;
 mod timer;
 
 pub use histogram::Histogram;
-pub use json::JsonLinesObserver;
 pub use observer::{
     null_observer, CounterKind, HistogramKind, NullObserver, Observer, ObserverHandle, SpanKind,
 };

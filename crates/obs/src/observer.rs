@@ -33,7 +33,7 @@ pub enum SpanKind {
 }
 
 impl SpanKind {
-    /// Stable dotted name used by sinks (JSON lines, metrics bridge).
+    /// Stable dotted name used by sinks.
     pub fn name(self) -> &'static str {
         match self {
             SpanKind::Tick => "tick",

@@ -22,9 +22,16 @@ sides.
 For every end-to-end metric of `BENCHMARK.json` (and each `--metric`,
 for per-layer names of a traced run) it prints each side's median and
 quartiles, the change's difference from the parent, the parent's IQR and
-in how many pairs the change was better, then every run in pair order.
-Quartiles are `statistics.quantiles(..., method="inclusive")` (linear
-between order statistics). The closing line judges the first listed
+in how many pairs the change was better, the manifest's bound and a
+no-regression verdict, then every run in pair order. Quartiles are
+`statistics.quantiles(..., method="inclusive")` (linear between order
+statistics). The verdict is `worse beyond bound` when the change's
+median is worse than the parent's by more than the bound (a share of
+the parent's median); else `unresolved` when the parent's IQR (the
+wider of the inclusive and exclusive methods) is a larger share of its
+median than the bound, unless every change run beats every parent run;
+else `ok`. A line after the table names every metric that is not `ok`.
+The closing line judges the first listed
 metric (`goodput_per_s` unless `--metric` names one) the way a claim is
 judged: better in at least nine of ten pairs, and a median gap wider
 than the parent's IQR, which it gives by both the inclusive and the
@@ -46,13 +53,15 @@ the parent's IQR (inclusive method) and the change's win count.
 run lists in EXPERIMENTS.md and exits 1 unless the medians, the parent
 IQR and the win count agree with what was recorded to within the lists'
 own rounding step. It also validates every line of
-`BENCH_history.jsonl`: every field present, and the medians, IQR and
-wins recomputed from the two run lists.
+`BENCH_history.jsonl` (every field present, and the medians, IQR and
+wins recomputed from the two run lists) and runs the no-regression
+verdict on fixed run lists, one per outcome.
 
 `--trend WORKLOAD METRIC` runs no benchmark either: it prints every
 series of METRIC on WORKLOAD recorded in `BENCH_history.jsonl`, in PR
-order — the PR, both medians, the change's difference, its wins and the
-parent's IQR — and exits 1 when there is none.
+order — the PR, both medians, the change's difference, its wins, the
+parent's IQR, the bound and the verdict — and exits 1 when there is
+none.
 """
 
 import argparse
@@ -160,6 +169,45 @@ def delta(parent, change):
     return f"{(change - parent) / abs(parent):+.2%}" if parent else "-"
 
 
+def verdict(parent, change, higher_is_better, bound):
+    """The no-regression verdict on one metric's two run lists (pair
+    order) against its `bound`, a share of the parent's median; `-` for a
+    metric the manifest gives no bound."""
+    if bound is None:
+        return "-"
+    p_med, c_med = statistics.median(parent), statistics.median(change)
+    if min(change) > max(parent) if higher_is_better else max(change) < min(parent):
+        return "ok"
+    if (p_med - c_med if higher_is_better else c_med - p_med) > bound * abs(p_med):
+        return "worse beyond bound"
+    if max(iqr(parent), iqr(parent, "exclusive")) > bound * abs(p_med):
+        return "unresolved"
+    return "ok"
+
+
+# (parent runs, change runs, higher is better, bound, verdict) that
+# `--check` holds `verdict` to: one line per outcome.
+VERDICTS = [
+    ([100, 101, 99, 100, 102], [99, 100, 98, 101, 100], True, 0.25, "ok"),
+    ([100, 101, 99, 100, 102], [70, 72, 71, 69, 73], True, 0.25, "worse beyond bound"),
+    # The wire-steady setup_s shape: a parent spread wider than the bound.
+    ([0.18, 0.36, 0.44, 0.20, 0.40], [0.35, 0.38, 0.30, 0.41, 0.37], False, 0.25,
+     "unresolved"),
+    # As wide, but every change run beats every parent run.
+    ([0.18, 0.36, 0.44, 0.20, 0.40], [0.10, 0.12, 0.09, 0.11, 0.15], False, 0.25, "ok"),
+]
+
+
+def check_verdicts():
+    bad = [case for case in VERDICTS if verdict(*case[:4]) != case[4]]
+    for parent, change, higher, bound, want in bad:
+        print(f"BAD verdict {verdict(parent, change, higher, bound)!r}, want {want!r}: "
+              f"{parent}; {change}")
+    if not bad:
+        print(f"ok  verdict: {len(VERDICTS)} fixed cases")
+    return not bad
+
+
 def table(rows):
     """`rows` in columns, the first left-aligned, the others right."""
     widths = [max(len(row[i]) for row in rows) for i in range(len(rows[0]))]
@@ -168,20 +216,25 @@ def table(rows):
                         for i, (cell, w) in enumerate(zip(row, widths))))
 
 
-def report(names, better, parent_runs, change_runs, claim):
+def report(names, better, bounds, parent_runs, change_runs, claim):
     parent = [run["metrics"] for run in parent_runs]
     change = [run["metrics"] for run in change_runs]
     rows = [("metric", "parent median [q1, q3]", "change median [q1, q3]", "change",
-             "parent IQR", "wins")]
+             "parent IQR", "wins", "bound", "verdict")]
     for name in names:
         p = [run[name] for run in parent]
         c = [run[name] for run in change]
         pq, cq = quartiles(p), quartiles(c)
-        won = wins(p, c, better.get(name, "higher") == "higher")
+        higher = better.get(name, "higher") == "higher"
+        bound = bounds.get(name)
         rows.append((name, f"{fmt(pq[1])} [{fmt(pq[0])}, {fmt(pq[2])}]",
                      f"{fmt(cq[1])} [{fmt(cq[0])}, {fmt(cq[2])}]", delta(pq[1], cq[1]),
-                     fmt(pq[2] - pq[0]), f"{won}/{len(p)}"))
+                     fmt(pq[2] - pq[0]), f"{wins(p, c, higher)}/{len(p)}",
+                     "-" if bound is None else fmt(bound), verdict(p, c, higher, bound)))
     table(rows)
+    flagged = [f"{row[0]} ({row[7]})" for row in rows[1:] if row[7] not in ("ok", "-")]
+    print("\nnot ok: " + ", ".join(flagged) if flagged
+          else "\nevery metric with a bound: ok")
     print("\nevery run, pair order (parent; change):")
     for name in names:
         p = ", ".join(fmt(run[name]) for run in parent)
@@ -329,7 +382,7 @@ def check_history(path=HISTORY):
     return not bad
 
 
-def trend(workload, metric, path=HISTORY):
+def trend(workload, metric, bounds, path=HISTORY):
     """Every series of `metric` on `workload` in the history, PR order."""
     lines = [json.loads(text) for text in path.read_text().splitlines()] if path.exists() else []
     found = sorted((line for line in lines
@@ -338,11 +391,15 @@ def trend(workload, metric, path=HISTORY):
     if not found:
         print(f"no series of {metric} on {workload} in {path.name}")
         return 1
-    rows = [("PR", "parent median", "change median", "change", "wins", "parent IQR")]
+    bound = bounds.get(metric)
+    rows = [("PR", "parent median", "change median", "change", "wins", "parent IQR", "bound",
+             "verdict")]
     for line in found:
         p, c = line["parent_median"], line["change_median"]
         rows.append((str(line["pr"]), fmt(p), fmt(c), delta(p, c),
-                     f"{line['wins']}/{len(line['parent'])}", fmt(line["parent_iqr"])))
+                     f"{line['wins']}/{len(line['parent'])}", fmt(line["parent_iqr"]),
+                     "-" if bound is None else fmt(bound),
+                     verdict(line["parent"], line["change"], line["better"] == "higher", bound)))
     print(f"{workload} {metric} ({found[0]['better']} is better)\n")
     table(rows)
     return 0
@@ -363,16 +420,17 @@ def main():
     ap.add_argument("--check", action="store_true")
     ap.add_argument("--trend", nargs=2, metavar=("WORKLOAD", "METRIC"))
     opts = ap.parse_args()
+    manifest = json.loads((ROOT / "BENCHMARK.json").read_text())
+    bounds = {m["name"]: m["bound"] for m in manifest["end_to_end"]}
     if opts.check:
-        return 0 if check() & check_history() else 1
+        return 0 if check() & check_history() & check_verdicts() else 1
     if opts.trend:
-        return trend(*opts.trend)
+        return trend(*opts.trend, bounds)
     if not (opts.parent and opts.change and opts.workload):
         ap.error("PARENT, CHANGE and --workload are required")
     if (opts.record is None) != (opts.pr is None):
         ap.error("--record and --pr go together")
 
-    manifest = json.loads((ROOT / "BENCHMARK.json").read_text())
     seconds = manifest["run_seconds"]
     better = {m["name"]: m["better"] for m in manifest["end_to_end"] + manifest["per_layer"]}
     names = opts.metric + [m["name"] for m in manifest["end_to_end"]
@@ -409,7 +467,7 @@ def main():
     print(f"{opts.workload}, seed {opts.seed}, {seconds} s runs, {len(kept)} pairs, "
           f"parent {opts.parent}, change {opts.change}\n")
     claim = (opts.metric or ["goodput_per_s"])[0]
-    report(names, better, [p for p, _ in kept], [c for _, c in kept], claim)
+    report(names, better, bounds, [p for p, _ in kept], [c for _, c in kept], claim)
     if opts.record:
         record(opts.record, opts.pr, opts, digests, seconds, names, better,
                [p for p, _ in kept], [c for _, c in kept])

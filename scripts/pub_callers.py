@@ -65,17 +65,14 @@ KEPT = {
     "matcher_rebuilds": "ReactServer: tests/matcher_policy.rs pins the adaptive budget's rebuilds",
     "max_matching_size": "BipartiteGraph: tests/matching_properties.rs bounds every matching by it",
     "add_edge": "BipartiteGraph: tests/matching_properties.rs builds graphs edge by edge",
-    "shared_buffer": "JsonLinesObserver: tests/observability.rs reads the JSON lines back",
     "shed_rate": "IngestReport: tests/load_soak.rs checks the admission ladder's share",
     "permutations": "Manifest: crates/experiments/tests/golden_expansion.rs counts a sweep's runs",
     "pdf": "PowerLaw: the density the CDF is cross-checked against (paper Sec. III-B)",
-    "set_reward_range": "ProfilingComponent: a worker's declared reward range (paper Sec. III-C)",
     # Kept by the type-resolved check only: a function of that name is
     # called elsewhere.
     "MatchingState::verify": "the reference validator tests/matching_properties.rs holds every matcher to",
     "RecallGate::classify": "tests/prob_properties.rs holds the memoized Eq. (2) gate to the exact check",
     "IngestRuntime::replay": "tests/des_live_oracle.rs runs the live loop on a virtual clock against the DES",
-    "JsonLinesObserver::flush": "pushes out what a buffered writer holds; a flush stays without a caller",
     "RegionRouter::load": "the router's unit tests read a cell's load after registrations and splits",
     "FaultSchedule::is_noop": "the faults unit tests hold the empty plan's schedule to injecting nothing",
     "WorkerBehavior::uniform": "tests/crowd_model.rs and tests/hotpath_allocs.rs build the paper's uniform worker",

@@ -109,8 +109,8 @@ fn here() -> GeoPoint {
     GeoPoint::new(37.98, 23.72)
 }
 
-/// 300 workers — two thirds with a fitted latency model, every seventh
-/// with a reward range, some busy or offline — and a queue of 12 tasks
+/// 300 workers — two thirds with a fitted latency model, some busy or
+/// offline — and a queue of 12 tasks
 /// over `categories` categories whose deadlines straddle the models.
 fn components(categories: u32) -> (ProfilingComponent, TaskManagementComponent) {
     let mut p = ProfilingComponent::default();
@@ -124,9 +124,6 @@ fn components(categories: u32) -> (ProfilingComponent, TaskManagementComponent) 
                 p.record_completion(id, TaskCategory(k % 2), exec, k != 1)
                     .unwrap();
             }
-        }
-        if w % 7 == 0 {
-            p.set_reward_range(id, Some((0.04, 0.5))).unwrap();
         }
         if w % 11 == 0 {
             p.record_assignment(id).unwrap();

@@ -5,7 +5,7 @@
 //! and worker dropouts, however many of them pass between two of its
 //! builds and whichever component it is handed — the property the row
 //! table and the change feed that refreshes it, the memoized deadline
-//! gates, the row-level reward/weight/Eq. (3) verdicts, the whole-row
+//! gates, the row-level weight/Eq. (3) verdicts, the whole-row
 //! append into the edge-only graph arena and the unassigned queue's
 //! columns (which the warm build reads where the cold one reads the task
 //! registry) are designed to preserve.
@@ -56,11 +56,6 @@ enum Op {
     Offline(u64),
     /// Worker returns.
     Online(u64),
-    /// Declare or clear a reward range (prunes edges).
-    Reward {
-        worker: u64,
-        range: Option<(f64, f64)>,
-    },
     /// The worker moves (changes every `Distance`/`Blend` weight).
     SetLocation { worker: u64, to: u64 },
     /// The recovery layer's penalty (scales every accuracy weight).
@@ -69,7 +64,6 @@ enum Op {
     Submit {
         id: u64,
         deadline: f64,
-        reward: f64,
         category: u32,
     },
     /// Assign the `nth` queued task (modulo the queue length) to a
@@ -114,26 +108,21 @@ fn arb_pool_op() -> impl Strategy<Value = Op> {
         worker().prop_map(Op::Assign),
         worker().prop_map(Op::Offline),
         worker().prop_map(Op::Online),
-        (worker(), proptest::option::of((0.01f64..0.5, 0.5f64..2.0)))
-            .prop_map(|(worker, range)| Op::Reward { worker, range }),
         (worker(), 0u64..400).prop_map(|(worker, to)| Op::SetLocation { worker, to }),
         (worker(), 0.1f64..1.0).prop_map(|(worker, decay)| Op::MarkSuspect { worker, decay }),
     ]
 }
 
-/// A queued task's `(deadline, reward, category)`. Rewards straddle the
-/// declarable ranges ([0.01, 0.5) to [0.5, 2.0)), so a constrained row is
-/// pruned in part.
-fn arb_task() -> impl Strategy<Value = (f64, f64, u32)> {
-    (5.0f64..120.0, 0.0f64..2.5, 0u32..4)
+/// A queued task's `(deadline, category)`.
+fn arb_task() -> impl Strategy<Value = (f64, u32)> {
+    (5.0f64..120.0, 0u32..4)
 }
 
 fn arb_queue_op() -> impl Strategy<Value = Op> {
     prop_oneof![
-        (0u64..200, arb_task()).prop_map(|(id, (deadline, reward, category))| Op::Submit {
+        (0u64..200, arb_task()).prop_map(|(id, (deadline, category))| Op::Submit {
             id,
             deadline,
-            reward,
             category
         }),
         (0usize..64, worker(), any::<bool>()).prop_map(|(nth, worker, requeue)| Op::AssignNth {
@@ -209,9 +198,6 @@ fn apply(op: &Op, p: &mut ProfilingComponent, tm: &mut TaskManagementComponent, 
         Op::Online(w) => {
             let _ = p.set_availability(WorkerId(w), Availability::Available);
         }
-        Op::Reward { worker, range } => {
-            let _ = p.set_reward_range(WorkerId(worker), range);
-        }
         Op::SetLocation { worker, to } => {
             let _ = p.set_location(WorkerId(worker), spot(to));
         }
@@ -221,14 +207,13 @@ fn apply(op: &Op, p: &mut ProfilingComponent, tm: &mut TaskManagementComponent, 
         Op::Submit {
             id,
             deadline,
-            reward,
             category,
         } => {
             let task = Task::new(
                 TaskId(id),
                 spot(100 + id),
                 deadline,
-                reward,
+                0.05,
                 TaskCategory(category),
                 "prop",
             );
@@ -294,8 +279,7 @@ fn assert_identical(
     built.stats
 }
 
-/// A pool whose workers already carry a latency model, every other one
-/// a reward range too, so the gates and the queue's reward column are
+/// A pool whose workers already carry a latency model, so the gates are
 /// exercised from the first step. Built twice it gives two components
 /// with the same ids at the same epochs.
 fn seasoned_pool(seasoned: &[f64]) -> ProfilingComponent {
@@ -303,9 +287,6 @@ fn seasoned_pool(seasoned: &[f64]) -> ProfilingComponent {
     for (w, &base) in seasoned.iter().enumerate() {
         let id = WorkerId(w as u64);
         p.register(id, spot(w as u64)).unwrap();
-        if w % 2 == 0 {
-            p.set_reward_range(id, Some((0.3, 1.2))).unwrap();
-        }
         for (k, scale) in [1.0, 1.3, 1.7].into_iter().enumerate() {
             p.record_assignment(id).unwrap();
             p.record_completion(id, TaskCategory(k as u32), base * scale, k != 1)
@@ -347,10 +328,9 @@ proptest! {
         let ops: Vec<Op> = ops
             .into_iter()
             .map(|op| match op {
-                Op::Submit { id, deadline, reward, category } => Op::Submit {
+                Op::Submit { id, deadline, category } => Op::Submit {
                     id,
                     deadline,
-                    reward,
                     category: category % categories,
                 },
                 op => op,
@@ -365,10 +345,10 @@ proptest! {
         let mut other = seasoned_pool(&seasoned);
         let mut tm = TaskManagementComponent::new();
         // A queue long enough to lose rows from its middle.
-        for (t, &(deadline, reward, category)) in queued.iter().enumerate() {
+        for (t, &(deadline, category)) in queued.iter().enumerate() {
             let id = 200 + t as u64;
             let category = category % categories;
-            let submit = Op::Submit { id, deadline, reward, category };
+            let submit = Op::Submit { id, deadline, category };
             apply(&submit, &mut p, &mut tm, &mut 0.0);
         }
         let (mut first, mut second) = (BatchScratch::new(), BatchScratch::new());
@@ -395,8 +375,8 @@ proptest! {
 }
 
 /// An overloaded shard's batch: a backlog of about 272 tasks of one
-/// category against a pool of one to three rows, every row warm, the
-/// even ones with a reward range, for four backlog lengths. A NaN
+/// category against a pool of one to three rows, every row warm, for
+/// four backlog lengths. A NaN
 /// expiry at the front, in the middle or at the end must keep every row
 /// from settling (the spread deadlines leave the fast row unsettled
 /// anyway, the long ones would settle it to keep); and one task of
@@ -426,19 +406,18 @@ fn a_long_one_category_backlog_against_a_small_pool() {
                         for t in 0..len {
                             let spread = (t * 37 % 300) as f64;
                             let deadline = if long { 200.0 + spread } else { 1.0 + spread };
-                            let reward = if t % 5 == 0 { 0.1 } else { 0.6 };
                             // Seasoned categories 0 and 2 succeeded, 1 did
                             // not: the odd task's weight differs.
-                            let (category, deadline, reward) = if odd == Some(t) {
-                                (1, 500.0, 0.6)
+                            let (category, deadline) = if odd == Some(t) {
+                                (1, 500.0)
                             } else {
-                                (2, deadline, reward)
+                                (2, deadline)
                             };
                             let task = Task::new(
                                 TaskId(t as u64),
                                 spot(t as u64),
                                 deadline,
-                                reward,
+                                0.6,
                                 TaskCategory(category),
                                 "backlog",
                             );
@@ -471,42 +450,39 @@ fn one_worker(times: &[f64]) -> (Config, ProfilingComponent) {
     (config, p)
 }
 
-fn submit(tm: &mut TaskManagementComponent, id: u64, deadline: f64, reward: f64) {
+fn submit(tm: &mut TaskManagementComponent, id: u64, deadline: f64) {
     let task = Task::new(
         TaskId(id),
         spot(id),
         deadline,
-        reward,
+        0.05,
         TaskCategory(0),
         "case",
     );
     tm.submit(task, 0.0).unwrap();
 }
 
-/// Regression: a row with a reward range that the gate prunes outright.
-/// It emits nothing, so no weight is computed for it and none may be
-/// read; and the gate answers only the pairs the reward test let through,
-/// as when each pair is decided on its own.
+/// Regression: a row that the gate prunes outright emits nothing, so no
+/// weight is computed for it and none may be read; and the gate answers
+/// each of its pairs, as when each pair is decided on its own.
 #[test]
-fn a_ranged_row_the_gate_prunes_outright_reads_no_weight() {
+fn a_row_the_gate_prunes_outright_reads_no_weight() {
     let (config, mut p) = one_worker(&[50.0, 80.0, 120.0]);
-    p.set_reward_range(WorkerId(0), Some((0.5, 2.0))).unwrap();
     let mut tm = TaskManagementComponent::new();
-    // Hopeless deadlines for a worker who never finished under 50 s; two
-    // of the three rewards are in range.
-    for (id, reward) in [(1, 1.0), (2, 0.05), (3, 0.7)] {
-        submit(&mut tm, id, 5.0 + id as f64, reward);
+    // Hopeless deadlines for a worker who never finished under 50 s.
+    for id in 1..=3 {
+        submit(&mut tm, id, 5.0 + id as f64);
     }
     let mut scratch = BatchScratch::new();
     for round in 0..2 {
         let stats = assert_identical(&mut scratch, &config, &mut p, &tm, 0.0, &round);
-        assert_eq!(stats.cdf_memo_hits, 2, "one per reward-accepted pair");
+        assert_eq!(stats.cdf_memo_hits, 3, "one per pair");
         assert_eq!(scratch.build(&config, &mut p, &tm, 0.0).pruned, 3);
     }
     // The same row once a deadline is feasible: now it has a weight.
-    submit(&mut tm, 4, 10_000.0, 1.5);
+    submit(&mut tm, 4, 10_000.0);
     let stats = assert_identical(&mut scratch, &config, &mut p, &tm, 0.0, &"feasible");
-    assert_eq!(stats.cdf_memo_hits, 3);
+    assert_eq!(stats.cdf_memo_hits, 4);
     assert_eq!(scratch.build(&config, &mut p, &tm, 0.0).graph.n_edges(), 1);
 }
 
@@ -523,7 +499,7 @@ fn a_row_snapshotted_on_an_empty_queue_gets_its_weight_later() {
     let mut scratch = BatchScratch::new();
     let stats = assert_identical(&mut scratch, &config, &mut p, &tm, 0.0, &"empty");
     assert_eq!((stats.rows_total, stats.rows_reused), (1, 0));
-    submit(&mut tm, 1, 60.0, 0.05);
+    submit(&mut tm, 1, 60.0);
     for round in 0..2 {
         let stats = assert_identical(&mut scratch, &config, &mut p, &tm, 0.0, &round);
         assert_eq!(stats.rows_reused, 1, "the row itself did not change");
@@ -555,7 +531,7 @@ fn a_reader_the_feed_has_overrun_resyncs() {
     }
     let mut tm = TaskManagementComponent::new();
     for id in 0..5 {
-        submit(&mut tm, id, 30.0 + 15.0 * id as f64, 0.05);
+        submit(&mut tm, id, 30.0 + 15.0 * id as f64);
     }
     let (mut lagging, mut prompt) = (BatchScratch::new(), BatchScratch::new());
     assert_identical(&mut lagging, &config, &mut p, &tm, 0.0, &"first");
@@ -603,7 +579,7 @@ fn row_verdicts_agree_with_the_cold_build_at_every_gate_boundary() {
         config.latency_model = kind;
         let mut p = ProfilingComponent::default();
         // Worker 0 carries the gate under test; 1 is much faster (kept
-        // throughout), 2 still in training, 3 constrained by reward.
+        // throughout), 2 still in training, 3 another seasoned row.
         for (w, times) in [
             (0u64, &[20.0, 26.0, 31.0, 44.0][..]),
             (1, &[1.0, 1.5, 2.0]),
@@ -617,7 +593,6 @@ fn row_verdicts_agree_with_the_cold_build_at_every_gate_boundary() {
                 p.record_completion(id, TaskCategory(0), t, true).unwrap();
             }
         }
-        p.set_reward_range(WorkerId(3), Some((0.04, 0.06))).unwrap();
         let model = p
             .profile_mut(WorkerId(0))
             .unwrap()
@@ -659,12 +634,11 @@ fn row_verdicts_agree_with_the_cold_build_at_every_gate_boundary() {
         let queue = |batch: &[(f64, f64)]| {
             let mut tm = TaskManagementComponent::new();
             for (t, &(submitted_at, deadline)) in batch.iter().enumerate() {
-                let reward = if t % 2 == 0 { 0.05 } else { 0.5 };
                 let task = Task::new(
                     TaskId(t as u64),
                     spot(t as u64),
                     deadline,
-                    reward,
+                    0.05,
                     TaskCategory(0),
                     "edge",
                 );

@@ -5,7 +5,7 @@
 
 use react::core::prelude::*;
 use react::crowd::{Scenario, ScenarioRunner};
-use react::obs::{CounterKind, HistogramKind, JsonLinesObserver, RecordingObserver, SpanKind};
+use react::obs::{CounterKind, HistogramKind, RecordingObserver, SpanKind};
 use std::fs;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -104,26 +104,6 @@ fn recording_observer_captures_the_full_catalog() {
         .histogram(HistogramKind::ExecSeconds)
         .expect("exec.seconds histogram");
     assert_eq!(exec.count(), report.completed);
-}
-
-#[test]
-fn json_lines_exporter_streams_well_formed_events() {
-    let (json, buffer) = JsonLinesObserver::shared_buffer();
-    let _ = run_with(5, Some(Arc::new(json)));
-    let bytes = buffer.lock().clone();
-    let text = String::from_utf8(bytes).expect("exporter writes UTF-8");
-    assert!(!text.is_empty());
-    let mut saw_span = false;
-    let mut saw_counter = false;
-    for line in text.lines() {
-        assert!(line.starts_with('{') && line.ends_with('}'), "{line}");
-        saw_span |= line.contains("\"event\":\"span\"");
-        saw_counter |= line.contains("\"event\":\"counter\"");
-    }
-    assert!(saw_span, "no span events exported");
-    assert!(saw_counter, "no counter events exported");
-    assert!(text.contains("\"name\":\"tick.match\""));
-    assert!(text.contains("\"name\":\"matcher.cycles\""));
 }
 
 /// The build-stage counters are counts of decisions, not of how the
