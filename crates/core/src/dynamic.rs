@@ -159,7 +159,7 @@ impl DynamicAssignmentComponent {
     /// once, at an elapsed time [`DeadlineModel::recall_gate`] brackets
     /// from the worker's model and the assignment's TTD. The first check
     /// of an assignment evaluates it exactly (so a stale model is refit
-    /// when it always was) and stores the bracket's lower end in the
+    /// when it always was) and stores the cut's lower end, `lo`, in the
     /// in-flight entry; until the elapsed time reaches it the entry costs
     /// one compare per tick, and from then on it is evaluated exactly
     /// again. A past-due task and a cold profile can never produce a
@@ -188,7 +188,7 @@ impl DynamicAssignmentComponent {
         let mut exact_checks = 0u64;
         for (task, entry) in tasks.in_flight_mut() {
             let elapsed = entry.held_for(now);
-            if elapsed < entry.recall_keep_before {
+            if elapsed < entry.recall_lo {
                 continue;
             }
             exact_checks += 1;
@@ -198,7 +198,7 @@ impl DynamicAssignmentComponent {
                 remaining: entry.remaining_time(now),
             };
             match Self::evaluate(config, &deadline_model, profiling, held, entry.worker) {
-                Verdict::Settled => entry.recall_keep_before = f64::INFINITY,
+                Verdict::Settled => entry.recall_lo = f64::INFINITY,
                 Verdict::Skipped => {}
                 Verdict::Evaluated {
                     decision,
@@ -211,9 +211,8 @@ impl DynamicAssignmentComponent {
                             worker: entry.worker,
                             probability: decision.probability(),
                         });
-                    } else if entry.recall_keep_before.is_nan() {
-                        entry.recall_keep_before =
-                            deadline_model.recall_gate(&model, ttd).keep_before();
+                    } else if entry.recall_lo.is_nan() {
+                        entry.recall_lo = deadline_model.recall_gate(&model, ttd).lo;
                     }
                 }
             }

@@ -28,8 +28,8 @@
 //! profiler's change feed names since its last build, reuses the edge
 //! arena, decides per row what is per row (one weight when the batch has
 //! one category, Eq. (3) when the batch's extreme TTDs settle it),
-//! answers the remaining Eq. (3) decisions through a memoized
-//! [`EdgeGate`] and appends each row's edges to the graph in one call.
+//! answers the remaining Eq. (3) decisions through each row's memoized
+//! [`Cut`] and appends each row's edges to the graph in one call.
 //! What it reads of a queued task (expiry instant, category, location)
 //! it reads off the unassigned queue's columns; the
 //! cold path reads the same facts out of the task registry. The graph is
@@ -41,8 +41,8 @@ use crate::ids::{TaskCategory, TaskId, WorkerId};
 use crate::profiling::{ProfilingComponent, WorkerProfile};
 use crate::task_mgmt::TaskManagementComponent;
 use rand::RngCore;
-use react_matching::{BipartiteGraph, GraphError, MatcherEngine, RowWeights, TaskIdx, WorkerIdx};
-use react_prob::{DeadlineModel, EdgeGate, FittedModel, GatedRow};
+use react_matching::{BipartiteGraph, MatcherEngine, RowWeights, TaskIdx};
+use react_prob::{Cut, DeadlineModel, FittedModel};
 
 /// The outcome of one scheduling batch.
 #[derive(Debug, Clone)]
@@ -64,9 +64,9 @@ pub struct BatchResult {
 }
 
 /// One row of the [`BatchScratch`] table: what the cold build reads of
-/// this worker's profile before its pairs, the memoized
-/// Eq. (3) gate derived from the model, and what the emission walk would
-/// otherwise read off the profile. Valid until the worker's next epoch.
+/// this worker's profile before its pairs, the Eq. (3) cut derived from
+/// its model, and what the emission walk would otherwise read off the
+/// profile. Valid until the worker's next epoch.
 #[derive(Debug, Clone)]
 struct CachedRow {
     id: WorkerId,
@@ -75,9 +75,8 @@ struct CachedRow {
     /// a model: a worker outside the pool takes an epoch to enter it.
     in_pool: bool,
     in_training: bool,
-    model: Option<FittedModel>,
-    /// Inverted deadline kernel for `model` (present iff `model` is).
-    gate: Option<EdgeGate>,
+    /// The fitted latency model and its Eq. (3) cut over the TTD.
+    model: Option<(FittedModel, Cut)>,
     /// The Eq. (1) weight for the one category of a one-category batch,
     /// with that category. Filled by the first such batch that emits the
     /// row — a snapshot has no batch, hence no category, to evaluate for.
@@ -102,8 +101,10 @@ impl CachedRow {
             id: profile.id(),
             in_pool,
             in_training,
-            gate: model.as_ref().map(|m| deadline_model.edge_gate(m)),
-            model,
+            model: model.map(|m| {
+                let cut = deadline_model.edge_gate(&m);
+                (m, cut)
+            }),
             weight: None,
         }
     }
@@ -120,8 +121,8 @@ pub struct BuildStats {
     /// Rows carrying a latency model this batch (cached or refit) —
     /// the quantity the `profile.refits` counter has always reported.
     pub refits: usize,
-    /// Eq. (3) decisions answered by the memoized gate instead of an
-    /// exact CCDF evaluation: one per (row, task) pair, whether the gate
+    /// Eq. (3) decisions answered by a row's memoized cut instead of an
+    /// exact CCDF evaluation: one per (row, task) pair, whether the cut
     /// settled the pair on its own or the whole row at once.
     pub cdf_memo_hits: u64,
     /// Heap bytes of graph/pool buffers carried over from the
@@ -154,7 +155,7 @@ pub struct BuiltBatchGraph<'s> {
 /// once per (row, task) pair.
 ///
 /// * **The row table** — each worker's pool membership, training flag,
-///   fitted latency model and memoized [`EdgeGate`], in id order, kept
+///   fitted latency model and its Eq. (3) [`Cut`], in id order, kept
 ///   in place between builds. A build re-snapshots only the
 ///   workers the component's change feed
 ///   (`ProfilingComponent::touched_since`) names since the epoch this
@@ -173,17 +174,14 @@ pub struct BuiltBatchGraph<'s> {
 ///   ([`WeightFunction::per_category`](crate::WeightFunction)) is one
 ///   weight for the row when the batch has one category, and is
 ///   remembered in the row (any other weight is evaluated per pair); and
-///   Eq. (3) is settled for the whole row when the gate already keeps
-///   the batch's smallest time-to-deadline or already prunes its
-///   largest — every [`EdgeGate`] answer is monotone in TTD (`Never` is
-///   constant, `Above` and `Bracket` say `true` only above a cut and
-///   `false` only below one), so the extremes decide for everything
-///   between them. A row
-///   pruned outright is done before its weights are computed. Otherwise,
-///   and whenever a TTD is NaN, the gate is matched once for the row
-///   ([`EdgeGate::walk_row`]) and each pair goes through that variant's
-///   rule and, on the narrow ambiguous band, the exact CCDF evaluation,
-///   as the cold path's does.
+///   Eq. (3) is settled for the whole row when the row's cut already
+///   keeps the batch's smallest time-to-deadline (it is above `hi`) or
+///   already prunes its largest (below `lo`): a [`Cut`]'s answer is
+///   monotone in TTD, so the extremes decide for everything between
+///   them. A row pruned outright is done before its weights are
+///   computed. Otherwise, and whenever a TTD is NaN, each pair goes
+///   through [`Cut::classify`] and, between `lo` and `hi`, the exact CCDF
+///   evaluation, as the cold path's does.
 /// * **One write per edge** — a row's weights are one [`RowWeights`],
 ///   picked once per row. A row kept whole is one exact-size
 ///   [`BipartiteGraph::append_row`]; any other row is one
@@ -364,7 +362,7 @@ impl BatchScratch {
         );
         let (ttd_min, ttd_max) = match extremes(&self.ttds) {
             // A NaN TTD resolves through the exact evaluation; as the
-            // batch's extremes it keeps every gate from settling a row.
+            // batch's extremes it keeps every cut from settling a row.
             (_, _, true) => (f64::NAN, f64::NAN),
             (lo, hi, false) => (lo, hi),
         };
@@ -391,16 +389,16 @@ impl BatchScratch {
 
             // Eq. (3) for the whole row: nothing to test without a model,
             // and with one, whatever the batch's extreme TTDs decide.
-            let settled = match row.gate {
+            let settled = match &row.model {
                 None => Some(true),
-                Some(gate) => match (gate.classify(ttd_min), gate.classify(ttd_max)) {
+                Some((_, cut)) => match (cut.classify(ttd_min), cut.classify(ttd_max)) {
                     (Some(true), _) => Some(true),
                     (_, Some(false)) => Some(false),
                     _ => None,
                 },
             };
             if settled == Some(false) {
-                // Pruned outright, before any weight: a gate answered
+                // Pruned outright, before any weight: the cut answered
                 // each pair.
                 stats.cdf_memo_hits += n as u64;
                 pruned += n;
@@ -451,22 +449,25 @@ impl BatchScratch {
             // Only in-range indices and weights the graph accepts are
             // emitted; a rejection would mean this builder is broken, so
             // the row is dropped rather than the batch aborted.
-            let appended = match (settled, row.gate, &row.model) {
+            let appended = match (settled, &row.model) {
                 // Each pair's verdict as its edge is written: Eq. (3) by
-                // the row's gate, matched once for the row, and the exact
-                // CCDF where the gate does not answer.
-                (None, Some(gate), Some(model)) => gate.walk_row(RowEmit {
-                    graph: &mut self.graph,
-                    worker,
-                    weights,
-                    ttds: &self.ttds,
-                    model,
-                    deadline_model: &deadline_model,
-                    cdf_memo_hits: &mut stats.cdf_memo_hits,
-                    pruned: &mut pruned,
-                }),
+                // the row's cut, and the exact CCDF where it does not
+                // answer.
+                (None, Some((model, cut))) => {
+                    let (cut, ttds) = (*cut, &self.ttds);
+                    let hits = &mut stats.cdf_memo_hits;
+                    self.graph.append_row_where(worker, weights, |v| {
+                        let ttd = ttds[v];
+                        let verdict = cut.classify(ttd);
+                        *hits += u64::from(verdict.is_some());
+                        let keep = verdict
+                            .unwrap_or_else(|| deadline_model.should_instantiate_edge(model, ttd));
+                        pruned += usize::from(!keep);
+                        keep
+                    })
+                }
                 // Kept whole: each Eq. (3) decision, if the row has a
-                // model, answered by its gate.
+                // model, answered by its cut.
                 _ => {
                     if row.model.is_some() {
                         stats.cdf_memo_hits += n as u64;
@@ -500,46 +501,6 @@ impl BatchScratch {
             pruned,
             stats,
         }
-    }
-}
-
-/// One pool row that Eq. (3) does not settle whole, on its way into the
-/// graph in [`BatchScratch::build`]: what its pairs' verdicts read, and
-/// the tallies they feed.
-struct RowEmit<'a> {
-    graph: &'a mut BipartiteGraph,
-    worker: WorkerIdx,
-    weights: RowWeights<'a>,
-    ttds: &'a [f64],
-    model: &'a FittedModel,
-    deadline_model: &'a DeadlineModel,
-    cdf_memo_hits: &'a mut u64,
-    pruned: &'a mut usize,
-}
-
-impl GatedRow for RowEmit<'_> {
-    type Output = Result<usize, GraphError>;
-
-    fn run(self, rule: impl Fn(f64) -> Option<bool>) -> Self::Output {
-        let RowEmit {
-            graph,
-            worker,
-            weights,
-            ttds,
-            model,
-            deadline_model,
-            cdf_memo_hits,
-            pruned,
-        } = self;
-        graph.append_row_where(worker, weights, |v| {
-            let ttd = ttds[v];
-            let verdict = rule(ttd);
-            *cdf_memo_hits += u64::from(verdict.is_some());
-            let keep =
-                verdict.unwrap_or_else(|| deadline_model.should_instantiate_edge(model, ttd));
-            *pruned += usize::from(!keep);
-            keep
-        })
     }
 }
 

@@ -98,7 +98,7 @@ pub(crate) struct InFlight {
     /// Elapsed time strictly below which the Eq. (2) check is known to
     /// keep (or skip) the assignment. NaN — which fails every compare —
     /// until the assignment's first check derives it.
-    pub(crate) recall_keep_before: f64,
+    pub(crate) recall_lo: f64,
     /// The timeout ladder's allowance for this attempt; NaN until the
     /// ladder first sees the assignment.
     timeout_allowance: f64,
@@ -112,7 +112,7 @@ impl InFlight {
             assigned_at,
             deadline_at: rec.deadline_at(),
             assignment_count: rec.assignment_count,
-            recall_keep_before: f64::NAN,
+            recall_lo: f64::NAN,
             timeout_allowance: f64::NAN,
         }
     }

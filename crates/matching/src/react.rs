@@ -269,6 +269,7 @@ fn accept_worse<R: RngCore + ?Sized>(delta: f64, rng: &mut R) -> bool {
 mod tests {
     use super::*;
     use crate::graph::{TaskIdx, WorkerIdx};
+    use crate::invariants::MatchingValidator;
     use rand::rngs::SmallRng;
     use rand::SeedableRng;
 
@@ -369,7 +370,7 @@ mod tests {
         ReactMatcher::with_cycles(3_000)
             .walk()
             .run_in(&g, &mut state, &mut rng());
-        state.verify(&g);
+        assert_eq!(MatchingValidator::new(&g).check_state(&state), Ok(()));
     }
 
     #[test]
@@ -407,7 +408,7 @@ mod tests {
             assert_eq!(reused.total_weight.to_bits(), fresh.total_weight.to_bits());
             assert_eq!(reused.stats, fresh.stats);
             assert_eq!(stats.cycles, 1000);
-            state.verify(g);
+            assert_eq!(MatchingValidator::new(g).check_state(&state), Ok(()));
         }
     }
 
@@ -500,7 +501,7 @@ mod tests {
         MetropolisMatcher::with_cycles(3_000)
             .walk()
             .run_in(&g, &mut state, &mut metropolis_rng());
-        state.verify(&g);
+        assert_eq!(MatchingValidator::new(&g).check_state(&state), Ok(()));
     }
 
     #[test]

@@ -190,62 +190,6 @@ impl MatchingState {
         out.extend(side.iter().filter_map(|slot| slot.edge()));
         out.sort_unstable();
     }
-
-    /// Exhaustive consistency check for tests: verifies the two slot
-    /// arrays describe one set of edges (each matched vertex points at an
-    /// edge of its own whose other endpoint points back, and caches its
-    /// weight bit for bit; each free slot is `(−∞, NONE)`), and that
-    /// fitness and size agree with it. Returns the recomputed fitness.
-    pub fn verify(&self, graph: &BipartiteGraph) -> f64 {
-        for (u, slot) in self.worker_slots.iter().enumerate() {
-            match slot.edge() {
-                Some(e) => {
-                    let edge = graph.edge(e);
-                    assert_eq!(edge.worker.0 as usize, u, "worker {u} holds a foreign edge");
-                    assert_eq!(
-                        self.task_slots[edge.task.0 as usize].edge, e.0,
-                        "worker {u} is matched by an edge its task does not hold"
-                    );
-                    assert_eq!(
-                        slot.weight.to_bits(),
-                        edge.weight.to_bits(),
-                        "worker {u} caches a stale weight"
-                    );
-                }
-                None => assert_eq!(*slot, Slot::FREE, "worker {u} has a stale free slot"),
-            }
-        }
-        let mut fitness = 0.0;
-        let mut size = 0;
-        for (v, slot) in self.task_slots.iter().enumerate() {
-            match slot.edge() {
-                Some(e) => {
-                    let edge = graph.edge(e);
-                    assert_eq!(edge.task.0 as usize, v, "task {v} holds a foreign edge");
-                    assert_eq!(
-                        self.worker_slots[edge.worker.0 as usize].edge, e.0,
-                        "task {v} is matched by an edge its worker does not hold"
-                    );
-                    assert_eq!(
-                        slot.weight.to_bits(),
-                        edge.weight.to_bits(),
-                        "task {v} caches a stale weight"
-                    );
-                    fitness += edge.weight;
-                    size += 1;
-                }
-                None => assert_eq!(*slot, Slot::FREE, "task {v} has a stale free slot"),
-            }
-        }
-        assert_eq!(size, self.size, "size out of sync");
-        assert!(
-            (fitness - self.fitness).abs() < 1e-9 * (1.0 + fitness.abs()),
-            "fitness out of sync: incremental {} vs recomputed {}",
-            self.fitness,
-            fitness
-        );
-        fitness
-    }
 }
 
 #[cfg(test)]
@@ -271,6 +215,12 @@ fn desynced(slot: Option<(EdgeId, f64)>) -> Slot {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::invariants::MatchingValidator;
+
+    /// The validator finds `s` consistent with `g`.
+    fn assert_consistent(g: &BipartiteGraph, s: &MatchingState) {
+        assert_eq!(MatchingValidator::new(g).check_state(s), Ok(()));
+    }
 
     fn diamond() -> BipartiteGraph {
         // 2 workers × 2 tasks, all four edges.
@@ -296,12 +246,12 @@ mod tests {
         assert!((s.fitness() - 0.9).abs() < 1e-12);
         assert_eq!(s.worker_match(WorkerIdx(0)), Some(e));
         assert_eq!(s.task_match(TaskIdx(0)), Some(e));
-        s.verify(&g);
+        assert_consistent(&g, &s);
         s.remove(e, g.edge(e));
         assert!(!s.holds(e, g.edge(e)));
         assert_eq!(s.size(), 0);
         assert!(s.fitness().abs() < 1e-12);
-        s.verify(&g);
+        assert_consistent(&g, &s);
     }
 
     #[test]
@@ -341,7 +291,7 @@ mod tests {
         assert_eq!(s.size(), 2);
         assert!((s.fitness() - 1.7).abs() < 1e-12);
         assert_eq!(s.selected_edges().len(), 2);
-        s.verify(&g);
+        assert_consistent(&g, &s);
     }
 
     #[test]
@@ -373,12 +323,12 @@ mod tests {
         }
         assert_eq!(s.selected_edges(), vec![e0, e1, e3]);
         assert!(!s.holds(e2, g.edge(e2)), "its task is matched by e1");
-        s.verify(&g);
+        assert_consistent(&g, &s);
         s.remove(e1, g.edge(e1));
         s.remove(e3, g.edge(e3));
         s.insert(e2, g.edge(e2));
         assert_eq!(s.selected_edges(), vec![e0, e2]);
-        s.verify(&g);
+        assert_consistent(&g, &s);
     }
 
     /// Read back from the worker side (fewer workers than tasks) or the
@@ -406,62 +356,8 @@ mod tests {
             by_worker.sort_unstable();
             assert_eq!(by_task, by_worker);
             assert_eq!(s.selected_edges(), by_task, "{n_workers} × {n_tasks}");
-            s.verify(&g);
+            assert_consistent(&g, &s);
         }
-    }
-
-    /// With no third vector to cross-check against, `verify` must catch
-    /// the two slot arrays disagreeing from either side.
-    #[test]
-    #[should_panic(expected = "worker 1 is matched by an edge its task does not hold")]
-    fn verify_catches_a_worker_entry_without_its_task_twin() {
-        let g = diamond();
-        let mut s = MatchingState::default();
-        s.reset(&g);
-        let e = g.find_edge(WorkerIdx(0), TaskIdx(0)).unwrap();
-        s.insert(e, g.edge(e));
-        let stray = g.find_edge(WorkerIdx(1), TaskIdx(1)).unwrap();
-        s.desync_worker(WorkerIdx(1), Some((stray, g.edge(stray).weight)));
-        s.verify(&g);
-    }
-
-    #[test]
-    #[should_panic(expected = "task 1 is matched by an edge its worker does not hold")]
-    fn verify_catches_a_task_entry_without_its_worker_twin() {
-        let g = diamond();
-        let mut s = MatchingState::default();
-        s.reset(&g);
-        let e = g.find_edge(WorkerIdx(0), TaskIdx(0)).unwrap();
-        s.insert(e, g.edge(e));
-        let stray = g.find_edge(WorkerIdx(1), TaskIdx(1)).unwrap();
-        s.desync_task(TaskIdx(1), Some((stray, g.edge(stray).weight)));
-        s.verify(&g);
-    }
-
-    /// A slot whose edge is right but whose cached weight is not that
-    /// edge's, bit for bit, is what would let Algorithm 1 decide a flip
-    /// against a weight the matching does not hold: `verify` catches it
-    /// on either side.
-    #[test]
-    #[should_panic(expected = "task 0 caches a stale weight")]
-    fn verify_catches_a_stale_task_weight() {
-        let g = diamond();
-        let mut s = MatchingState::default();
-        s.reset(&g);
-        let e = g.find_edge(WorkerIdx(0), TaskIdx(0)).unwrap();
-        s.insert(e, g.edge(e));
-        s.desync_task(TaskIdx(0), Some((e, f64::from_bits(0.9f64.to_bits() + 1))));
-        s.verify(&g);
-    }
-
-    #[test]
-    #[should_panic(expected = "worker 1 has a stale free slot")]
-    fn verify_catches_a_free_slot_with_a_weight() {
-        let g = diamond();
-        let mut s = MatchingState::default();
-        s.reset(&g);
-        s.desync_worker(WorkerIdx(1), Some((EdgeId(NONE), 0.0)));
-        s.verify(&g);
     }
 
     #[test]
@@ -482,13 +378,13 @@ mod tests {
     }
 
     #[test]
-    fn verify_recomputes_fitness() {
+    fn one_edge_fitness_is_its_weight() {
         let g = diamond();
         let mut s = MatchingState::default();
         s.reset(&g);
         let e = g.find_edge(WorkerIdx(1), TaskIdx(0)).unwrap();
         s.insert(e, g.edge(e));
-        let f = s.verify(&g);
-        assert!((f - 0.4).abs() < 1e-12);
+        assert_consistent(&g, &s);
+        assert!((s.fitness() - 0.4).abs() < 1e-12);
     }
 }

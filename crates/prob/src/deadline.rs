@@ -134,97 +134,104 @@ impl DeadlineModel {
         self.pr_complete_before(model, time_to_deadline) > self.config.edge_probability_threshold
     }
 
-    /// Inverts Eq. (3) into a memoized per-model [`EdgeGate`], so the
-    /// per-edge [`DeadlineModel::should_instantiate_edge`] `powf` becomes
-    /// a float compare on the graph-build hot path.
+    /// Inverts Eq. (3) into a memoized per-model [`Cut`] over the
+    /// time-to-deadline, so the per-edge
+    /// [`DeadlineModel::should_instantiate_edge`] `powf` becomes a float
+    /// compare on the graph-build hot path: pruned below `lo`, kept above
+    /// `hi`.
     ///
     /// The CCDF is monotone non-increasing in TTD, so the edge predicate
     /// `1 − P(TTD) > θ` flips exactly once, at the critical threshold
     /// `ttd* = quantile(θ) = k_min · (1 − θ)^{−1/(α−1)}` for the power
     /// law. To keep the fast path *bit-identical* to the exact `powf`
-    /// evaluation, the power-law gate is a conservative bracket around
-    /// `ttd*`: decisions outside the bracket are provably on the same
-    /// side as the exact predicate (the bracket's relative margin dwarfs
-    /// `powf`'s few-ULP error), and the rare TTD inside it falls back to
-    /// the exact evaluation. Step CCDFs invert exactly, with no bracket.
-    pub fn edge_gate(&self, model: &FittedModel) -> EdgeGate {
+    /// evaluation, the power-law cut is a conservative band around
+    /// `ttd*`: decisions outside the band are provably on the same side
+    /// as the exact predicate (the band's relative margin dwarfs `powf`'s
+    /// few-ULP error), and the rare TTD inside it falls back to the exact
+    /// evaluation. A step CCDF inverts exactly at a sample `c`: `lo` is
+    /// the smallest float above `c`, `hi` is `c`. A threshold no TTD
+    /// clears prunes every finite TTD (`lo = hi = +∞`).
+    pub fn edge_gate(&self, model: &FittedModel) -> Cut {
         let theta = self.config.edge_probability_threshold;
         // Pr is clamped to [0, 1]: a threshold ≥ 1 can never be exceeded,
         // and anything non-finite or negative is left to the exact path.
         if !(0.0..1.0).contains(&theta) {
-            return if theta >= 1.0 {
-                EdgeGate::Never
-            } else {
-                EdgeGate::Exact
-            };
+            return if theta >= 1.0 { Cut::NEVER } else { Cut::EXACT };
         }
         match model {
-            FittedModel::PowerLaw(pl) => match exact_band(pl.quantile(theta), pl.alpha()) {
-                Some((lo, hi)) => EdgeGate::Bracket { lo, hi },
-                None => EdgeGate::Exact,
-            },
+            FittedModel::PowerLaw(pl) => {
+                exact_band(pl.quantile(theta), pl.alpha()).unwrap_or(Cut::EXACT)
+            }
             FittedModel::Empirical(emp) => {
                 // Pr(TTD) steps only at sample values: find the minimal
                 // count `c` of samples strictly below TTD whose
                 // probability — computed through the exact float chain the
                 // slow path uses — clears the threshold. The edge then
-                // instantiates iff TTD exceeds the c-th smallest sample.
+                // instantiates iff TTD exceeds the c-th smallest sample
+                // (and 0, below which the exact path reads probability 0).
                 let sorted = emp.sorted_samples();
                 let n = sorted.len() as f64;
                 for (c, &cut) in sorted.iter().enumerate() {
                     let pr = (1.0 - (1.0 - (c + 1) as f64 / n)).clamp(0.0, 1.0);
                     if pr > theta {
-                        return EdgeGate::Above { cut };
+                        let hi = cut.max(0.0);
+                        return Cut {
+                            lo: next_up(hi),
+                            hi,
+                        };
                     }
                 }
-                EdgeGate::Never
+                Cut::NEVER
             }
         }
     }
 
-    /// Inverts Eq. (2) for one assignment into a [`RecallGate`], so the
-    /// per-tick [`DeadlineModel::check_in_flight`] becomes a float compare
-    /// until the assignment nears the one elapsed time at which its
-    /// verdict can flip.
+    /// Inverts Eq. (2) for one assignment into a [`Cut`] over the elapsed
+    /// time, so the per-tick [`DeadlineModel::check_in_flight`] becomes a
+    /// float compare until the assignment nears the one elapsed time at
+    /// which its verdict can flip: kept below `lo`, reassigned above `hi`.
     ///
     /// For a fixed model and TTD, `P(t) − P(TTD)` is monotone
     /// non-increasing in the elapsed time `t`, so `Keep` turns into
     /// `Reassign` once, where `P(t) = θ + P(TTD)`: at
     /// `t* = k_min · (θ + P(TTD))^{−1/(α−1)}` for the power law. As in
-    /// [`DeadlineModel::edge_gate`] the power-law gate is a conservative
-    /// bracket around `t*`. `P(TTD)` is the very float the exact chain
+    /// [`DeadlineModel::edge_gate`] the power-law cut is a conservative
+    /// band around `t*`. `P(TTD)` is the very float the exact chain
     /// subtracts, so it contributes no error; what remains — one rounding
     /// of `θ + P(TTD)`, `powf`'s few ULPs and the `(α−1)`-fold
     /// amplification of the division inside the CCDF — stays below
     /// `~10⁻¹⁵ + (α−1)·10⁻¹⁶` relative, against a margin of at least
     /// `(α−1)·rel ≥ 10⁻¹⁰` relative to `θ + P(TTD)`. That sum is held
     /// above `10⁻³` so the margin also dwarfs the absolute rounding of
-    /// the final subtraction. The step CCDF inverts exactly at a sample.
-    /// Everything else — `θ ∉ (0, 1)`, a degenerate or NaN TTD,
-    /// `θ + P(TTD)` outside `[10⁻³, 1)`, a non-finite `t*` — is left to
-    /// the exact evaluation.
-    pub fn recall_gate(&self, model: &FittedModel, time_to_deadline: f64) -> RecallGate {
+    /// the final subtraction. The step CCDF inverts exactly at a sample
+    /// `c` (`lo = hi = c`; `−∞` for both when the probability is below
+    /// the threshold from the start). Everything else — `θ ∉ (0, 1)`, a
+    /// degenerate or NaN TTD, `θ + P(TTD)` outside `[10⁻³, 1)`, a
+    /// non-finite `t*` — is left to the exact evaluation. The exact
+    /// evaluation counts a negative elapsed time as 0 and the cut does
+    /// not, so ask the cut of `max(elapsed, 0)`.
+    pub fn recall_gate(&self, model: &FittedModel, time_to_deadline: f64) -> Cut {
         let theta = self.config.reassign_threshold;
         // The probability is clamped to [0, 1]: θ = 0 never fires and
         // θ ≥ 1 fires on (almost) anything, neither through an inversion.
         // NaN fails all three compares.
         let invertible = theta > 0.0 && theta < 1.0 && time_to_deadline > 0.0;
         if !invertible {
-            return RecallGate::Exact;
+            return Cut::EXACT;
         }
         match model {
             FittedModel::PowerLaw(pl) => {
                 let critical = theta + pl.ccdf(time_to_deadline);
                 if !(1e-3..1.0).contains(&critical) {
-                    return RecallGate::Exact;
+                    return Cut::EXACT;
                 }
                 match exact_band(pl.inverse_ccdf(critical), pl.alpha()) {
-                    // The window closes at TTD whatever the bracket says.
-                    Some((lo, hi)) => RecallGate::Bracket {
-                        lo: lo.min(time_to_deadline),
-                        hi,
+                    // The window closes at TTD whatever the band says.
+                    Some(band) => Cut {
+                        lo: band.lo.min(time_to_deadline),
+                        hi: band.hi,
                     },
-                    None => RecallGate::Exact,
+                    None => Cut::EXACT,
                 }
             }
             FittedModel::Empirical(emp) => {
@@ -242,13 +249,11 @@ impl DeadlineModel {
                 for c in 0..=sorted.len() {
                     let pr = ((1.0 - c as f64 / n) - at_deadline).clamp(0.0, 1.0);
                     if pr < theta {
-                        return match c.checked_sub(1) {
-                            Some(i) => RecallGate::After { cut: sorted[i] },
-                            None => RecallGate::Always,
-                        };
+                        let cut = c.checked_sub(1).map_or(f64::NEG_INFINITY, |i| sorted[i]);
+                        return Cut { lo: cut, hi: cut };
                     }
                 }
-                RecallGate::Exact
+                Cut::EXACT
             }
         }
     }
@@ -270,178 +275,78 @@ impl DeadlineModel {
     }
 }
 
-/// The exact-fallback band `(lo, hi)` around an analytically inverted
-/// power-law critical point, shared by both gates. Its relative
-/// half-width is wide enough that a decision outside it differs from the
-/// true predicate value by ≥ `(α−1)·rel` relative in CCDF space, orders
-/// of magnitude beyond `powf`'s rounding error. `None` when no usable
-/// band exists (non-finite centre, `α` so close to 1 that the band would
-/// swallow the axis).
-fn exact_band(center: f64, alpha: f64) -> Option<(f64, f64)> {
+/// The exact-fallback band around an analytically inverted power-law
+/// critical point, shared by both rules. Its relative half-width is wide
+/// enough that a decision outside it differs from the true predicate
+/// value by ≥ `(α−1)·rel` relative in CCDF space, orders of magnitude
+/// beyond `powf`'s rounding error. `None` when no usable band exists
+/// (non-finite centre, `α` so close to 1 that the band would swallow the
+/// axis).
+fn exact_band(center: f64, alpha: f64) -> Option<Cut> {
     let rel = (1e-10 / (alpha - 1.0)).max(1e-6);
     if !center.is_finite() || rel >= 1.0 {
         return None;
     }
-    Some((center * (1.0 - rel), center * (1.0 + rel)))
+    Some(Cut {
+        lo: center * (1.0 - rel),
+        hi: center * (1.0 + rel),
+    })
 }
 
-/// Memoized inversion of the Eq. (3) edge predicate for one fitted model
-/// at one threshold (see [`DeadlineModel::edge_gate`]).
-///
-/// [`EdgeGate::classify`] answers most TTDs with a compare; `None` means
-/// the caller must evaluate [`DeadlineModel::should_instantiate_edge`]
-/// exactly. Every `Some` answer is guaranteed to equal what the exact
-/// evaluation would have returned.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum EdgeGate {
-    /// No fast path: evaluate Eq. (3) exactly for every TTD.
-    Exact,
-    /// No finite TTD clears the threshold.
-    Never,
-    /// Instantiate iff `ttd > cut` (and `ttd > 0`): the exact inversion
-    /// of a step CCDF.
-    Above {
-        /// The critical sample value the TTD must exceed.
-        cut: f64,
-    },
-    /// Fast decision outside `[lo, hi]`; inside the band, Eq. (3)
-    /// decides (the band brackets the analytic critical point `ttd*`).
-    Bracket {
-        /// Below this the edge is certainly pruned.
-        lo: f64,
-        /// Above this the edge is certainly instantiated.
-        hi: f64,
-    },
-}
-
-/// Work over one pool row's (worker, task) pairs that asks Eq. (3) of
-/// each pair's time-to-deadline. [`EdgeGate::walk_row`] matches the gate
-/// once and runs the row with that variant's per-pair rule, so the loop
-/// over the row's pairs carries no `match`.
-pub trait GatedRow {
-    /// What walking the row yields.
-    type Output;
-
-    /// Walks the row. `rule(ttd)` is [`EdgeGate::classify`]`(ttd)` for
-    /// the gate the walk started from: `None` asks for the exact
-    /// [`DeadlineModel::should_instantiate_edge`].
-    fn run(self, rule: impl Fn(f64) -> Option<bool>) -> Self::Output;
-}
-
-/// `Above { cut }`'s rule: a NaN TTD goes to the exact path, any other
-/// is kept iff it is positive and above the cut.
-#[inline]
-fn above(cut: f64, ttd: f64) -> Option<bool> {
-    if ttd.is_nan() {
-        None
+/// The smallest `f64` above a finite `c ≥ 0` (`f64::next_up` is newer
+/// than the workspace's minimum Rust).
+fn next_up(c: f64) -> f64 {
+    debug_assert!(c.is_finite() && c >= 0.0, "next_up({c})");
+    if c == 0.0 {
+        f64::from_bits(1)
     } else {
-        Some(ttd > 0.0 && ttd > cut)
+        f64::from_bits(c.to_bits() + 1)
     }
 }
 
-/// `Bracket { lo, hi }`'s rule: kept above `hi`, pruned below `lo`, the
-/// exact path inside the band (and for NaN).
-#[inline]
-fn bracket(lo: f64, hi: f64, ttd: f64) -> Option<bool> {
-    if ttd > hi {
-        Some(true)
-    } else if ttd < lo {
-        Some(false)
-    } else {
-        None
-    }
-}
-
-impl EdgeGate {
-    /// Fast-path decision for a time-to-deadline; `None` requests the
-    /// exact Eq. (3) evaluation (NaN TTDs also land here and resolve to
-    /// "prune" through the exact path).
-    #[inline]
-    pub fn classify(&self, ttd: f64) -> Option<bool> {
-        match *self {
-            EdgeGate::Exact => None,
-            EdgeGate::Never => Some(false),
-            EdgeGate::Above { cut } => above(cut, ttd),
-            EdgeGate::Bracket { lo, hi } => bracket(lo, hi, ttd),
-        }
-    }
-
-    /// Runs `row` with this gate's per-pair rule — [`Self::classify`]
-    /// with the variant matched here, once, instead of once per pair.
-    #[inline]
-    pub fn walk_row<R: GatedRow>(self, row: R) -> R::Output {
-        match self {
-            EdgeGate::Exact => row.run(|_| None),
-            EdgeGate::Never => row.run(|_| Some(false)),
-            EdgeGate::Above { cut } => row.run(move |ttd| above(cut, ttd)),
-            EdgeGate::Bracket { lo, hi } => row.run(move |ttd| bracket(lo, hi, ttd)),
-        }
-    }
-}
-
-/// Inversion of the Eq. (2) in-flight predicate for one fitted model,
-/// one threshold and one time-to-deadline (see
-/// [`DeadlineModel::recall_gate`]).
+/// One of the paper's deadline rules inverted in its one variable — the
+/// time-to-deadline for Eq. (3) ([`DeadlineModel::edge_gate`]), the
+/// elapsed time for Eq. (2) ([`DeadlineModel::recall_gate`]): the answer
+/// is *no* below `lo`, *yes* above `hi`, and only the exact model can
+/// tell in between.
 ///
-/// [`RecallGate::classify`] answers most elapsed times with a compare;
-/// `None` means the caller must evaluate
-/// [`DeadlineModel::check_in_flight`] exactly. Every `Some` answer equals
-/// what the exact evaluation would have decided.
+/// Every `Some` answer of [`Cut::classify`] equals what the exact
+/// evaluation decides. `lo ≤ hi` except where a step CCDF inverts
+/// exactly (`lo` is then the next float above `hi`, and nothing is left
+/// between them).
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub enum RecallGate {
-    /// No fast path: evaluate Eq. (2) exactly at every elapsed time.
-    Exact,
-    /// Reassign at every elapsed time: the probability is below the
-    /// threshold before the worker has spent any time on the task.
-    Always,
-    /// Reassign iff `elapsed > cut`: the exact inversion of a step CCDF.
-    After {
-        /// The sample value the elapsed time must exceed.
-        cut: f64,
-    },
-    /// Fast decision outside `[lo, hi]`; inside the band Eq. (2) decides
-    /// (the band brackets the analytic critical point `t*`).
-    Bracket {
-        /// Below this the assignment is certainly kept.
-        lo: f64,
-        /// Above this the task is certainly reassigned.
-        hi: f64,
-    },
+pub struct Cut {
+    /// Below this the answer is certainly *no*: the edge is pruned, the
+    /// assignment kept.
+    pub lo: f64,
+    /// Above this the answer is certainly *yes*: the edge is
+    /// instantiated, the task reassigned.
+    pub hi: f64,
 }
 
-impl RecallGate {
-    /// Fast-path decision for an elapsed time — `Some(true)` reassigns,
-    /// `Some(false)` keeps — or `None` to request the exact Eq. (2)
-    /// evaluation. Negative and NaN elapsed times count as 0, as they do
-    /// on the exact path.
-    #[inline]
-    pub fn classify(&self, elapsed: f64) -> Option<bool> {
-        let elapsed = elapsed.max(0.0);
-        match *self {
-            RecallGate::Exact => None,
-            RecallGate::Always => Some(true),
-            RecallGate::After { cut } => Some(elapsed > cut),
-            RecallGate::Bracket { lo, hi } => {
-                if elapsed < lo {
-                    Some(false)
-                } else if elapsed > hi {
-                    Some(true)
-                } else {
-                    None
-                }
-            }
-        }
-    }
+impl Cut {
+    /// Nothing is certain: the exact evaluation decides every input.
+    const EXACT: Cut = Cut {
+        lo: f64::NEG_INFINITY,
+        hi: f64::INFINITY,
+    };
 
-    /// The elapsed time strictly below which the assignment is certainly
-    /// kept (`−∞` when nothing is certain): what a caller stores to skip
-    /// the check with one compare per tick.
+    /// *No* for every finite input.
+    const NEVER: Cut = Cut {
+        lo: f64::INFINITY,
+        hi: f64::INFINITY,
+    };
+
+    /// `Some(true)` above `hi`, `Some(false)` below `lo`, and `None` —
+    /// evaluate the rule exactly — in between and for NaN.
     #[inline]
-    pub fn keep_before(&self) -> f64 {
-        match *self {
-            RecallGate::Exact | RecallGate::Always => f64::NEG_INFINITY,
-            RecallGate::After { cut } => cut,
-            RecallGate::Bracket { lo, .. } => lo,
+    pub fn classify(&self, x: f64) -> Option<bool> {
+        if x > self.hi {
+            Some(true)
+        } else if x < self.lo {
+            Some(false)
+        } else {
+            None
         }
     }
 }
@@ -630,8 +535,92 @@ mod tests {
             reassign_threshold: 0.1,
         });
         let m = FittedModel::PowerLaw(model());
-        assert_eq!(dm.edge_gate(&m), EdgeGate::Never);
+        assert_eq!(dm.edge_gate(&m), Cut::NEVER);
         assert_eq!(dm.edge_gate(&m).classify(1e12), Some(false));
         assert!(!dm.should_instantiate_edge(&m, 1e12));
+    }
+
+    /// Every shape the two inversions produce, probed at its cut points
+    /// and one ULP either side of each, then at 0, −0, +∞, −∞ and NaN
+    /// (`T`/`F` for `Some(true)`/`Some(false)`, `-` for `None`). `rule`
+    /// is the shape's own definition — Eq. (3): exact everywhere, never,
+    /// kept iff `ttd > 0 && ttd > cut` (NaN exact), or a band; Eq. (2),
+    /// where a negative or NaN elapsed time counts as 0: exact, always,
+    /// reassigned iff `elapsed > cut`, or a band — and `cut` what
+    /// [`Cut::classify`] answers. They may differ only where the cut
+    /// sends an input to the exact path that no build or recall check
+    /// meets: NaN, ±∞, and a recall cut's `lo`, where the recall stage,
+    /// which skips an assignment only while `elapsed < lo`, evaluates
+    /// exactly either way. Anywhere else a `Some` turned `None` would move
+    /// `build.cdf_memo_hits` or `recall.exact_checks`.
+    #[test]
+    fn each_rule_shape_keeps_its_answers_at_its_boundaries() {
+        let dm = |edge, recall| {
+            DeadlineModel::new(DeadlineModelConfig {
+                edge_probability_threshold: edge,
+                reassign_threshold: recall,
+            })
+        };
+        let pl = FittedModel::PowerLaw(model());
+        let steps = |s: &[f64]| FittedModel::Empirical(EmpiricalDist::from_samples(s).unwrap());
+        let (emp, neg) = (
+            steps(&[3.0, 3.0, 7.0, 12.0, 20.0]),
+            steps(&[-2.0, 3.0, 7.0]),
+        );
+        let (inf, tiny) = (f64::INFINITY, f64::from_bits(1));
+        let band = Cut {
+            lo: 5.555549999999999,
+            hi: 5.5555611111111105,
+        };
+        let recall_band = Cut {
+            lo: 24.999975,
+            hi: 25.000024999999997,
+        };
+        let three = Cut {
+            lo: 3.0f64.next_up(),
+            hi: 3.0,
+        };
+        #[rustfmt::skip]
+        let rows = [
+            // (shape, derived cut, expected cut, cut points, rule, cut, recall)
+            ("exact", dm(-0.2, 0.1).edge_gate(&pl), Cut::EXACT, vec![], "-----", "-----", false),
+            ("never", dm(1.0, 0.1).edge_gate(&pl), Cut::NEVER, vec![], "FFFFF", "FF-F-", false),
+            ("above", dm(0.1, 0.1).edge_gate(&emp), three, vec![3.0], "FFTFFTF-", "FFTFFTF-", false),
+            ("above < 0", dm(0.1, 0.1).edge_gate(&neg), Cut { lo: tiny, hi: 0.0 }, vec![-2.0, 0.0],
+                "FFFFFTFFTF-", "FFFFFTFFTF-", false),
+            ("bracket", dm(0.1, 0.1).edge_gate(&pl), band, vec![band.lo, band.hi],
+                "F----TFFTF-", "F----TFFTF-", false),
+            ("recall exact", dm(0.1, 0.0).recall_gate(&pl, 50.0), Cut::EXACT, vec![],
+                "-----", "-----", true),
+            ("recall always", dm(0.1, 0.1).recall_gate(&emp, 2.0), Cut { lo: -inf, hi: -inf }, vec![],
+                "TTTTT", "TTT--", true),
+            ("recall after", dm(0.1, 0.1).recall_gate(&emp, 15.0), Cut { lo: 12.0, hi: 12.0 }, vec![12.0],
+                "FFTFFTFF", "F-TFFTF-", true),
+            ("recall bracket", dm(0.1, 0.1).recall_gate(&pl, 50.0), recall_band,
+                vec![recall_band.lo, recall_band.hi], "F----TFFTFF", "F----TFFTF-", true),
+        ];
+        let answer = |c: char| match c {
+            'T' => Some(true),
+            'F' => Some(false),
+            _ => None,
+        };
+        for (shape, derived, expected, points, rule, cut, recall) in rows {
+            assert_eq!(derived, expected, "{shape}");
+            let mut probes: Vec<f64> = points
+                .iter()
+                .flat_map(|&c: &f64| [c.next_down(), c, c.next_up()])
+                .collect();
+            probes.extend([0.0, -0.0, inf, -inf, f64::NAN]);
+            assert_eq!(probes.len(), rule.len(), "{shape}");
+            for ((x, r), c) in probes.into_iter().zip(rule.chars()).zip(cut.chars()) {
+                let (rule, cut) = (answer(r), answer(c));
+                assert_eq!(derived.classify(x), cut, "{shape} at {x}");
+                let unmet = x.is_nan() || x.is_infinite() || (recall && x == derived.lo);
+                assert!(
+                    cut == rule || (cut.is_none() && unmet),
+                    "{shape} at {x}: {rule:?} became {cut:?}"
+                );
+            }
+        }
     }
 }

@@ -42,9 +42,7 @@ pub mod estimator;
 pub mod powerlaw;
 pub mod stats;
 
-pub use deadline::{
-    DeadlineDecision, DeadlineModel, DeadlineModelConfig, EdgeGate, GatedRow, RecallGate,
-};
+pub use deadline::{Cut, DeadlineDecision, DeadlineModel, DeadlineModelConfig};
 pub use empirical::{EmpiricalDist, FittedModel, LatencyCcdf};
 pub use estimator::{EstimatorConfig, ExecTimeEstimator};
 pub use powerlaw::{FitMethod, PowerLaw, PowerLawError};

@@ -70,8 +70,6 @@ KEPT = {
     "pdf": "PowerLaw: the density the CDF is cross-checked against (paper Sec. III-B)",
     # Kept by the type-resolved check only: a function of that name is
     # called elsewhere.
-    "MatchingState::verify": "the reference validator tests/matching_properties.rs holds every matcher to",
-    "RecallGate::classify": "tests/prob_properties.rs holds the memoized Eq. (2) gate to the exact check",
     "IngestRuntime::replay": "tests/des_live_oracle.rs runs the live loop on a virtual clock against the DES",
     "RegionRouter::load": "the router's unit tests read a cell's load after registrations and splits",
     "FaultSchedule::is_noop": "the faults unit tests hold the empty plan's schedule to injecting nothing",

@@ -25,7 +25,7 @@ use react::core::{
 use react::crowd::{Scenario, ScenarioRunner};
 use react::faults::FaultPlan;
 use react::geo::GeoPoint;
-use react::prob::{DeadlineModel, EdgeGate};
+use react::prob::{Cut, DeadlineModel};
 
 /// Distinct locations a few km apart, so `Distance`/`Blend` weights
 /// differ between any two (worker, task) pairs.
@@ -598,13 +598,13 @@ fn row_verdicts_agree_with_the_cold_build_at_every_gate_boundary() {
             .unwrap()
             .deadline_dist(kind)
             .expect("four completions warm the estimator");
-        let cuts = match (kind, DeadlineModel::new(config.deadline).edge_gate(&model)) {
-            (LatencyModelKind::PowerLaw, EdgeGate::Bracket { lo, hi }) => {
-                assert!(0.0 < lo && lo < hi);
-                vec![lo, lo + (hi - lo) / 2.0, hi]
-            }
-            (LatencyModelKind::Empirical, EdgeGate::Above { cut }) => vec![cut],
-            (_, gate) => panic!("{kind:?} produced {gate:?}"),
+        let Cut { lo, hi } = DeadlineModel::new(config.deadline).edge_gate(&model);
+        let cuts = match kind {
+            // A band around the critical TTD.
+            LatencyModelKind::PowerLaw if 0.0 < lo && lo < hi => vec![lo, lo + (hi - lo) / 2.0, hi],
+            // A step CCDF's exact inversion: pruned up to the sample.
+            LatencyModelKind::Empirical if lo == nudge(hi, 1) => vec![hi],
+            _ => panic!("{kind:?} produced {:?}", Cut { lo, hi }),
         };
         let mut points = vec![1e-9, cuts[0] / 2.0, cuts[cuts.len() - 1] * 2.0];
         for &cut in &cuts {

@@ -4,9 +4,11 @@ use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use react::prob::{
-    DeadlineModel, DeadlineModelConfig, EdgeGate, EmpiricalDist, EstimatorConfig,
-    ExecTimeEstimator, FitMethod, FittedModel, GatedRow, PowerLaw, RecallGate,
+    Cut, DeadlineModel, DeadlineModelConfig, EmpiricalDist, EstimatorConfig, ExecTimeEstimator,
+    FitMethod, FittedModel, PowerLaw,
 };
+
+mod common;
 
 /// Thresholds inside and outside the range the Eq. (2) inversion handles.
 fn thresholds() -> impl Strategy<Value = f64> {
@@ -33,17 +35,18 @@ fn horizons() -> impl Strategy<Value = f64> {
     ]
 }
 
-/// The contract `react-core`'s recall stage rests on: wherever the gate
-/// answers, it answers what the exact Eq. (2) check decides, and below
-/// `keep_before` the exact check never reassigns. Probes the given
-/// elapsed times plus the gate's own critical points and their
-/// neighbours; returns the gate.
+/// The contract `react-core`'s recall stage rests on: wherever the cut
+/// answers for an elapsed time (clamped at 0, as the stage clamps it), it
+/// answers what the exact Eq. (2) check decides, and below `lo` the exact
+/// check never reassigns. Probes the given elapsed times plus the cut's
+/// own finite points, the middle of its band, and their neighbours;
+/// returns the cut.
 fn assert_recall_gate_agrees(
     theta: f64,
     model: &FittedModel,
     ttd: f64,
     elapsed: &[f64],
-) -> Result<RecallGate, TestCaseError> {
+) -> Result<Cut, TestCaseError> {
     let dm = DeadlineModel::new(DeadlineModelConfig {
         edge_probability_threshold: 0.1,
         reassign_threshold: theta,
@@ -59,11 +62,14 @@ fn assert_recall_gate_agrees(
         f64::NAN,
         f64::INFINITY,
     ]);
-    let critical = match gate {
-        RecallGate::Exact | RecallGate::Always => vec![],
-        RecallGate::After { cut } => vec![cut],
-        RecallGate::Bracket { lo, hi } => vec![lo, hi, 0.5 * (lo + hi)],
-    };
+    let mut critical: Vec<f64> = [gate.lo, gate.hi]
+        .into_iter()
+        .filter(|c| c.is_finite())
+        .collect();
+    if gate.lo < gate.hi && critical.len() == 2 {
+        critical.push(0.5 * (gate.lo + gate.hi));
+    }
+    critical.dedup();
     for c in critical {
         let ulps = |n: i64| f64::from_bits((c.to_bits() as i64 + n) as u64);
         probes.extend([c, ulps(-1), ulps(1), ulps(-64), ulps(64)]);
@@ -71,7 +77,7 @@ fn assert_recall_gate_agrees(
     }
     for e in probes {
         let exact = dm.check_in_flight(model, e, ttd).is_reassign();
-        if let Some(fast) = gate.classify(e) {
+        if let Some(fast) = gate.classify(e.max(0.0)) {
             prop_assert_eq!(
                 fast,
                 exact,
@@ -82,7 +88,7 @@ fn assert_recall_gate_agrees(
                 theta
             );
         }
-        if e.max(0.0) < gate.keep_before() {
+        if e.max(0.0) < gate.lo {
             prop_assert!(
                 !exact,
                 "{:?} keeps elapsed={} ttd={} θ={}",
@@ -96,70 +102,36 @@ fn assert_recall_gate_agrees(
     Ok(gate)
 }
 
-/// A row of Eq. (3) verdicts reached the way the warm graph build
-/// reaches them: the per-pair rule [`EdgeGate::walk_row`] hands over,
-/// and the exact evaluation where it does not answer. Each verdict comes
-/// with whether the rule answered it.
-struct RowVerdicts<'a> {
-    dm: &'a DeadlineModel,
-    model: &'a FittedModel,
-    ttds: &'a [f64],
-}
-
-impl GatedRow for RowVerdicts<'_> {
-    type Output = Vec<(bool, bool)>;
-
-    fn run(self, rule: impl Fn(f64) -> Option<bool>) -> Self::Output {
-        let verdict = |ttd: f64| {
-            let answer = rule(ttd);
-            let exact = || self.dm.should_instantiate_edge(self.model, ttd);
-            (answer.unwrap_or_else(exact), answer.is_some())
-        };
-        self.ttds.iter().map(|&ttd| verdict(ttd)).collect()
-    }
-}
-
-/// The row rule of `model`'s gate at threshold `theta` equals
-/// `classify(ttd).unwrap_or(exact)` on `ttds`, ±0, NaN and each of the
-/// gate's cut points with its neighbours one ULP either side. Returns
-/// the gate.
+/// The warm graph build's per-pair rule: wherever `classify(ttd)` answers,
+/// it answers what the exact Eq. (3) evaluation decides, on `ttds`, ±0,
+/// NaN and each of the cut's finite points with its neighbours one ULP
+/// either side. Returns the cut.
 fn assert_row_rule_is_classify(
     theta: f64,
     model: &FittedModel,
     ttds: &[f64],
-) -> Result<EdgeGate, TestCaseError> {
+) -> Result<Cut, TestCaseError> {
     let dm = DeadlineModel::new(DeadlineModelConfig {
         edge_probability_threshold: theta,
         reassign_threshold: 0.1,
     });
     let gate = dm.edge_gate(model);
-    let cuts = match gate {
-        EdgeGate::Exact | EdgeGate::Never => vec![],
-        EdgeGate::Above { cut } => vec![cut],
-        EdgeGate::Bracket { lo, hi } => vec![lo, hi],
-    };
     let mut probes = ttds.to_vec();
     probes.extend([0.0, -0.0, f64::NAN]);
-    for c in cuts {
+    for c in [gate.lo, gate.hi].into_iter().filter(|c| c.is_finite()) {
         probes.extend([c.next_down(), c, c.next_up()]);
     }
-    let row = gate.walk_row(RowVerdicts {
-        dm: &dm,
-        model,
-        ttds: &probes,
-    });
-    prop_assert_eq!(row.len(), probes.len());
-    for (&ttd, &(verdict, answered)) in probes.iter().zip(&row) {
-        let fast = gate.classify(ttd);
-        let expected = fast.unwrap_or_else(|| dm.should_instantiate_edge(model, ttd));
-        prop_assert_eq!(verdict, expected, "{:?} at ttd={} θ={}", gate, ttd, theta);
-        prop_assert_eq!(answered, fast.is_some(), "{:?} at ttd={}", gate, ttd);
+    for ttd in probes {
+        if let Some(fast) = gate.classify(ttd) {
+            let exact = dm.should_instantiate_edge(model, ttd);
+            prop_assert_eq!(fast, exact, "{:?} at ttd={} θ={}", gate, ttd, theta);
+        }
     }
     Ok(gate)
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(128))]
+    #![proptest_config(ProptestConfig::with_cases(common::cases(128)))]
 
     #[test]
     fn ccdf_is_monotone_nonincreasing(
@@ -291,15 +263,17 @@ proptest! {
             elapsed.extend([s, s - 1e-9, s + 1e-9]);
         }
         let gate = assert_recall_gate_agrees(theta, &model, ttd, &elapsed)?;
-        // A step CCDF inverts exactly: no elapsed time falls back.
-        if theta > 0.0 && theta < 1.0 && ttd > 0.0 {
-            prop_assert!(gate.classify(window_frac * ttd).is_some(), "{:?}", gate);
+        // A step CCDF inverts exactly: only the cut itself falls back.
+        let e = (window_frac * ttd).max(0.0);
+        if theta > 0.0 && theta < 1.0 && ttd > 0.0 && e != gate.lo {
+            prop_assert!(gate.classify(e).is_some(), "{:?}", gate);
         }
     }
 
-    /// Every case walks all four gates: the power law's `Bracket`, the
-    /// step CCDF's `Above`, and both models at a threshold no TTD clears
-    /// (`Never`) and at one the gate cannot invert (`Exact`).
+    /// Every case walks all four cut shapes: the power law's band
+    /// (`lo < hi`), the step CCDF's exact inversion (`lo` the next float
+    /// above `hi`), and both models at a threshold no TTD clears (`+∞`
+    /// for both) and at one the rule cannot invert (`−∞`, `+∞`).
     #[test]
     fn row_rule_is_classify_then_exact(
         alpha in prop_oneof![1.0001f64..1.1, 1.1f64..8.0, 8.0f64..64.0],
@@ -316,15 +290,15 @@ proptest! {
             let expected = match model {
                 // Unless `ttd*` overflows, as near α = 1 it may.
                 FittedModel::PowerLaw(pl) => {
-                    matches!(gate, EdgeGate::Bracket { .. }) || !pl.quantile(theta).is_finite()
+                    (gate.lo < gate.hi && gate.hi.is_finite()) || !pl.quantile(theta).is_finite()
                 }
-                FittedModel::Empirical(_) => matches!(gate, EdgeGate::Above { .. }),
+                FittedModel::Empirical(_) => gate.lo == gate.hi.next_up(),
             };
             prop_assert!(expected, "{:?} from {:?}", gate, model);
             let never = assert_row_rule_is_classify(1.0, model, &ttds)?;
-            prop_assert_eq!(never, EdgeGate::Never);
+            prop_assert_eq!(never, Cut { lo: f64::INFINITY, hi: f64::INFINITY });
             let exact = assert_row_rule_is_classify(-0.2, model, &ttds)?;
-            prop_assert_eq!(exact, EdgeGate::Exact);
+            prop_assert_eq!(exact, Cut { lo: f64::NEG_INFINITY, hi: f64::INFINITY });
         }
     }
 }
