@@ -20,7 +20,7 @@
 //!   3. **admission caps** — a hard per-shard open-task ceiling shedding
 //!      excess ingress at the door, reported on `shard.admission_shed`.
 //! * [`ClusterRunner`] — a discrete-event harness driving a whole
-//!   crowdsourcing scenario (arrivals, churn, faults, completions)
+//!   crowdsourcing scenario (arrivals, faults, completions)
 //!   through a [`Cluster`] on one thread, with per-shard reports, a
 //!   cluster-wide conservation identity, and same-seed bit-identity.
 //!

@@ -1,7 +1,7 @@
 //! The cluster-wide discrete-event harness.
 //!
 //! [`ClusterRunner`] drives a whole crowdsourcing scenario — arrivals,
-//! worker faults and churn, completions — through a [`Cluster`], i.e.
+//! worker faults, completions — through a [`Cluster`], i.e.
 //! through *interacting* shards: tasks hand off between shards when a
 //! pool collapses, idle workers migrate toward backlogs, and admission
 //! caps shed overload at the door. Under
@@ -12,16 +12,16 @@
 //! the middleware, on one thread: the same timeline as
 //! `react_crowd::ScenarioRunner`'s — the workload's arrivals, a grid of
 //! control ticks and the one `react_crowd::Crowd` all shards share, whose
-//! `pop_due` yields the completions, the fault plan's dropouts, rejoins
-//! and bursts and the churn cycles in time order. An arrival ticks the
+//! `pop_due` yields the completions and the fault plan's dropouts,
+//! rejoins and bursts in time order. An arrival ticks the
 //! shard that took it in, a burst ticks nothing, and a grid tick steps all
 //! shards in shard order and then runs the cluster passes, so the same
 //! scenario and seed give the same [`ClusterReport`] bit for bit.
 //!
 //! Scope of the coupled mode: `global.replication` is ignored (replica
-//! voting stays on the single-server runner); worker faults, bursts,
-//! abandons and message loss from `react_faults::FaultPlan` and
-//! `global.churn` are fully supported.
+//! voting stays on the single-server runner); worker dropouts and
+//! rejoins, bursts, abandons and message loss from
+//! `react_faults::FaultPlan` are fully supported.
 
 use crate::cluster::Cluster;
 use crate::policy::ClusterPolicy;
@@ -243,9 +243,8 @@ impl ClusterRunner {
             cluster.register_worker(WorkerId(w as u64), *location);
         }
         let crowd = Crowd::new(behaviors, sc.faults.as_ref(), &streams);
-        let mut lap = Lap::new(cluster, crowd, sc.region)
-            .with_bursts(sc.deadline_range, sc.n_categories)
-            .with_churn(sc.churn);
+        let mut lap =
+            Lap::new(cluster, crowd, sc.region).with_bursts(sc.deadline_range, sc.n_categories);
 
         let server_ids = lap.server.server_ids();
         let shard = |server| ShardReport {
@@ -341,8 +340,6 @@ impl Ledger<usize> for Books {
         self.duplicated += 1;
         self.duplicates_rejected += u64::from(rejected);
     }
-
-    fn offline(&mut self, _worker: WorkerId, _recalled: &[TaskId]) {}
 
     fn burst(&mut self, _task: &Task) {
         self.burst_tasks += 1;

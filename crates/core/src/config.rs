@@ -100,8 +100,8 @@ pub struct Config {
     pub batch: BatchTrigger,
     /// Eq. (2)/(3) thresholds.
     pub deadline: DeadlineModelConfig,
-    /// Per-worker execution-time estimator settings (min samples = the
-    /// paper's "at least 3 completed tasks").
+    /// Per-worker execution-time estimator settings (a worker gets a
+    /// model after the paper's "at least 3 completed tasks").
     pub estimator: EstimatorConfig,
     /// Training rule `z`: a worker's first `z` assignments get maximum
     /// edge weight and bypass pruning, to bootstrap the profile.
@@ -223,7 +223,7 @@ mod tests {
         assert_eq!(c.matcher, MatcherPolicy::React { cycles: 1000 });
         assert_eq!(c.batch.min_unassigned, 10);
         assert_eq!(c.deadline.reassign_threshold, 0.1);
-        assert_eq!(c.estimator.min_samples, 3);
+        assert_eq!(react_prob::MIN_SAMPLES, 3);
         assert_eq!(c.training_assignments, 3);
         assert!(c.charge_matching_time);
     }

@@ -6,14 +6,15 @@
 //! the crowd is data, not threads: [`Crowd`] owns every worker's
 //! behaviour and calendar, the `behavior` RNG stream, the materialised
 //! fault schedule, one attempt counter per task in the middleware's
-//! hands, one queue of the instants at which assignments finish, the
-//! plan's timeline of dropouts, rejoins and bursts, and the behaviour
-//! model's connectivity churn ([`Crowd::set_churn`]) with its `churn`
-//! stream. The loop that owns the middleware tells it what each tick
-//! assigned and recalled ([`Crowd::apply`]) and which workers left
-//! ([`Crowd::offline`]), and asks what is due ([`Crowd::pop_due`]):
-//! completions, the plan's events and churn's, one at a time in time
-//! order and in that order on a tie.
+//! hands, one queue of the instants at which assignments finish, and the
+//! plan's timeline of dropouts, rejoins and bursts. A worker leaves and
+//! comes back only as the plan's dropouts say: each takes the worker away
+//! at one instant and, when its plan has an `offline_range`, brings it
+//! back after a drawn offline period. The loop that owns the middleware
+//! tells the crowd what each tick assigned and recalled ([`Crowd::apply`])
+//! and which workers left ([`Crowd::offline`]), and asks what is due
+//! ([`Crowd::pop_due`]): completions, then the plan's events, one at a
+//! time in time order and in that order on a tie.
 //! Every call takes the crowd time as an argument — no clock, no thread —
 //! so the two discrete-event runners and the live scheduler thread drive
 //! the same model, book the same faults in the same order, and a
@@ -37,14 +38,12 @@
 //!   slots of tasks already queued where they are.
 
 use crate::behavior::WorkerBehavior;
-use crate::scenario::ChurnParams;
 use rand::rngs::SmallRng;
 use rand::Rng;
 use react_core::{IdMap, Task, TaskCategory, TaskId, TickOutcome, WorkerId};
 use react_faults::{FaultPlan, FaultSchedule, BURST_ID_BASE};
 use react_geo::BoundingBox;
-use react_prob::distributions::{Exponential, UniformRange};
-use react_sim::{EventQueue, RngStreams, SimDuration, SimTime};
+use react_sim::{EventQueue, RngStreams, SimTime};
 
 /// A completion report reaching the middleware.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -68,10 +67,10 @@ pub struct Delivery {
 pub enum CrowdEvent {
     /// A completion report reaches the middleware.
     Done(Delivery),
-    /// The fault plan or churn takes the worker offline; the loop recalls
-    /// what it holds and tells the crowd ([`Crowd::offline`]).
+    /// The fault plan takes the worker offline; the loop recalls what it
+    /// holds and tells the crowd ([`Crowd::offline`]).
     Offline(WorkerId),
-    /// A worker the plan or churn took offline comes back.
+    /// A worker the plan took offline comes back.
     Online(WorkerId),
     /// The fault plan injects `size` extra tasks at one instant, each
     /// minted by [`Crowd::burst_task`].
@@ -87,12 +86,10 @@ pub struct Crowd {
     behaviors: Vec<WorkerBehavior>,
     rng: SmallRng,
     faults: FaultSchedule,
-    /// The plan's dropouts, rejoins and bursts, then churn's departures
-    /// and rejoins, not yet popped, each flagged whether the plan's. At one
-    /// instant they pop as pushed: the plan's in its schedule's order (each
-    /// dropout's departure, then its rejoin; dropouts before bursts), then
-    /// churn's.
-    timeline: EventQueue<(CrowdEvent, bool)>,
+    /// The plan's dropouts, rejoins and bursts not yet popped. At one
+    /// instant they pop in the schedule's order: each dropout's departure,
+    /// then its rejoin; dropouts before bursts.
+    timeline: EventQueue<CrowdEvent>,
     /// The `fault.burst-tasks` stream burst tasks are drawn from.
     burst_rng: SmallRng,
     /// Burst tasks minted so far: the next one's id offset.
@@ -107,10 +104,6 @@ pub struct Crowd {
     /// `(worker, task, attempt)` at the instant the assignment finishes.
     /// An entry is stale once the task's attempt number has moved on.
     due: EventQueue<(WorkerId, TaskId, u32)>,
-    /// Connectivity churn, when the run has it.
-    churn: Option<ChurnParams>,
-    /// The `churn` stream its online and offline periods are drawn from.
-    churn_rng: SmallRng,
     /// `(from, length)` once the workload's last task has arrived: the run
     /// drains for `length` seconds from `from`, which a later burst moves.
     drain: Option<(f64, f64)>,
@@ -135,7 +128,7 @@ impl Crowd {
         };
         let (dropouts, bursts) = (faults.dropouts(), faults.bursts());
         let mut timeline = EventQueue::with_capacity(2 * dropouts.len() + bursts.len());
-        let mut plan = |at, event| timeline.push(SimTime::from_secs(at), (event, true));
+        let mut plan = |at, event| timeline.push(SimTime::from_secs(at), event);
         for d in dropouts {
             let worker = WorkerId(d.worker as u64);
             plan(d.at, CrowdEvent::Offline(worker));
@@ -156,28 +149,10 @@ impl Crowd {
             bursts_minted: 0,
             attempts: IdMap::default(),
             due: EventQueue::new(),
-            churn: None,
-            churn_rng: streams.stream("churn"),
             drain: None,
             dropouts: 0,
             abandoned: 0,
             lost: 0,
-        }
-    }
-
-    /// Workers churn: each leaves after an online period drawn from the
-    /// `churn` stream, every worker's first one now, in worker order. A
-    /// worker that leaves, by churn or by the fault plan, draws its
-    /// offline period and comes back after it; a worker that comes back
-    /// draws its next online period, until the run has drained
-    /// ([`Crowd::drained`]).
-    pub fn set_churn(&mut self, churn: ChurnParams) {
-        self.churn = Some(churn);
-        let online = Exponential::with_mean(churn.mean_online);
-        for w in 0..self.behaviors.len() {
-            let at = SimTime::from_secs(online.sample(&mut self.churn_rng));
-            let leave = CrowdEvent::Offline(WorkerId(w as u64));
-            self.timeline.push(at, (leave, false));
         }
     }
 
@@ -221,8 +196,7 @@ impl Crowd {
         )
     }
 
-    /// Workers the fault plan took offline (churn's departures are not
-    /// counted).
+    /// Workers the fault plan took offline.
     pub fn dropouts(&self) -> u64 {
         self.dropouts
     }
@@ -302,12 +276,11 @@ impl Crowd {
     }
 
     /// The earliest event due at or before `until` and its instant: a
-    /// completion report, the fault timeline's next dropout, rejoin or
-    /// burst, or churn's next departure or rejoin — in that order when they
-    /// fall on one instant. A report the fault plan loses is counted and
-    /// never surfaces: its task stays assigned until the middleware
-    /// recalls it. Popping a departure or a rejoin draws the worker's next
-    /// churn period, and popping a burst moves the drain window.
+    /// completion report, or the fault timeline's next dropout, rejoin or
+    /// burst — in that order when they fall on one instant. A report the
+    /// fault plan loses is counted and never surfaces: its task stays
+    /// assigned until the middleware recalls it. Popping a burst moves the
+    /// drain window.
     pub fn pop_due(&mut self, until: f64) -> Option<(f64, CrowdEvent)> {
         let next_at = self.timeline.peek_time().map_or(until, |at| at.as_secs());
         if let Some(done) = self.pop_delivery(next_at.min(until)) {
@@ -316,38 +289,13 @@ impl Crowd {
         if next_at > until {
             return None;
         }
-        let (at, (event, planned)) = self.timeline.pop()?;
+        let (at, event) = self.timeline.pop()?;
         let at = at.as_secs();
         if let (CrowdEvent::Burst { .. }, Some((from, _))) = (event, &mut self.drain) {
             *from = at;
         }
-        self.dropouts += u64::from(planned && matches!(event, CrowdEvent::Offline(_)));
-        self.churn_after(event, at);
+        self.dropouts += u64::from(matches!(event, CrowdEvent::Offline(_)));
         Some((at, event))
-    }
-
-    /// Under churn, a worker that left at `at` comes back after an
-    /// offline period, and one that came back leaves again after an
-    /// online period unless the run has drained.
-    fn churn_after(&mut self, event: CrowdEvent, at: f64) {
-        let (Some(churn), drained) = (self.churn, self.drained(at)) else {
-            return;
-        };
-        let rng = &mut self.churn_rng;
-        let (after, next) = match event {
-            CrowdEvent::Offline(worker) => {
-                let (lo, hi) = churn.offline_range;
-                let off = UniformRange::new(lo, hi).sample(rng).max(0.001);
-                (off, CrowdEvent::Online(worker))
-            }
-            CrowdEvent::Online(worker) if !drained => {
-                let online = Exponential::with_mean(churn.mean_online).sample(rng);
-                (online, CrowdEvent::Offline(worker))
-            }
-            _ => return,
-        };
-        let at = SimTime::from_secs(at) + SimDuration::from_secs(after);
-        self.timeline.push(at, (next, false));
     }
 
     /// The earliest completion report due at or before `until`.

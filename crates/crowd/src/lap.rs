@@ -30,7 +30,6 @@
 use crate::arrivals::{Next, Source};
 use crate::behavior::{generate_population, BehaviorParams};
 use crate::crowd::{Crowd, CrowdEvent, Delivery};
-use crate::scenario::ChurnParams;
 use react_core::{
     CompletionOutcome, Config, CoreError, ReactServer, Task, TaskId, TickOutcome, WorkerId,
 };
@@ -136,7 +135,9 @@ pub trait Ledger<S = ()> {
     /// middleware refused the copy, as it must.
     fn duplicated(&mut self, rejected: bool);
     /// `worker` went offline and the middleware took `recalled` back.
-    fn offline(&mut self, worker: WorkerId, recalled: &[TaskId]);
+    fn offline(&mut self, worker: WorkerId, recalled: &[TaskId]) {
+        let _ = (worker, recalled);
+    }
     /// A burst task, about to be submitted.
     fn burst(&mut self, task: &Task);
 }
@@ -206,14 +207,6 @@ impl<D: Dispatch> Lap<D> {
     pub fn with_bursts(mut self, deadline_range: (f64, f64), n_categories: u32) -> Self {
         self.burst_deadlines = deadline_range;
         self.burst_categories = n_categories;
-        self
-    }
-
-    /// The crowd churns ([`Crowd::set_churn`]) when `churn` is set.
-    pub fn with_churn(mut self, churn: Option<ChurnParams>) -> Self {
-        if let Some(churn) = churn {
-            self.crowd.set_churn(churn);
-        }
         self
     }
 

@@ -20,9 +20,8 @@
 //!   with replica expansion, or `react-runtime`'s live door.
 //! * [`Crowd`] — the worker side of a run as clock-free data: calendars,
 //!   the `behavior` stream, the fault shims, one queue of due completions,
-//!   the fault plan's timeline of dropouts, rejoins and bursts, and the
-//!   behaviour model's connectivity churn, popped as one time-ordered
-//!   stream of [`CrowdEvent`]s. The one model [`ScenarioRunner`],
+//!   and the fault plan's timeline of dropouts, rejoins and bursts, popped
+//!   as one time-ordered stream of [`CrowdEvent`]s. The one model [`ScenarioRunner`],
 //!   `react-cluster`'s runner and `react-runtime`'s live scheduler thread
 //!   all drive.
 //! * [`Lap`] — the middleware (anything that [`Dispatch`]es: one
@@ -58,4 +57,4 @@ pub use crowd::{Crowd, CrowdEvent, Delivery};
 pub use generator::TaskGenerator;
 pub use lap::{Dispatch, Lap, Ledger, Trigger};
 pub use runner::{FaultStats, RunReport, ScenarioRunner};
-pub use scenario::{ChurnParams, Scenario};
+pub use scenario::Scenario;

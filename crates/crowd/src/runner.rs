@@ -16,7 +16,7 @@
 //! timeline — the scenario's [`Arrivals`] (preset or Poisson, replicas
 //! expanded), middleware control ticks on a fixed grid (expiry sweep,
 //! Eq. 2 recalls, batch matching) and the [`Crowd`](crate::Crowd)'s
-//! completions, fault-plan events and churn, popped in time order by
+//! completions and fault-plan events, popped in time order by
 //! [`Crowd::pop_due`](crate::Crowd::pop_due). At one instant the crowd's
 //! events go first, then the tick, then the arrival. `react-cluster`'s
 //! runner and the live scheduler thread run the same loop, and every run
@@ -26,7 +26,7 @@ use crate::arrivals::Arrivals;
 use crate::crowd::Delivery;
 use crate::lap::{Lap, Ledger};
 use crate::scenario::Scenario;
-use react_core::{AuditLog, CompletionOutcome, IdMap, Task, TaskId, TickOutcome, WorkerId};
+use react_core::{AuditLog, CompletionOutcome, IdMap, Task, TaskId, TickOutcome};
 use react_faults::BURST_ID_BASE;
 use react_metrics::TimeSeries;
 use react_obs::{null_observer, CounterKind, ObserverHandle};
@@ -36,8 +36,7 @@ use react_sim::RngStreams;
 /// fault-free run, so reports stay comparable across scenarios.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FaultStats {
-    /// Worker dropouts injected by the fault plan. Each is also one of
-    /// the departures [`RunReport::churn_events`] counts.
+    /// Worker dropouts injected by the fault plan.
     pub dropouts: u64,
     /// Assignments silently abandoned (worker never reports back).
     pub abandons: u64,
@@ -101,8 +100,6 @@ pub struct RunReport {
     pub expired_unassigned: u64,
     /// Eq. (2) recalls performed.
     pub reassignments: u64,
-    /// Worker departures: churn cycles and fault-plan dropouts alike.
-    pub churn_events: u64,
     /// Matching batches run.
     pub batches: u64,
     /// Total modelled scheduler compute time (seconds).
@@ -216,8 +213,7 @@ impl ScenarioRunner {
             sc.faults.as_ref(),
             self.observer.clone(),
         )
-        .with_bursts(sc.deadline_range, sc.n_categories)
-        .with_churn(sc.churn);
+        .with_bursts(sc.deadline_range, sc.n_categories);
         // Replica bookkeeping. At replication 1 a group is its one task,
         // which completes once, so it needs no map.
         let k = sc.replication.max(1);
@@ -321,10 +317,6 @@ impl Ledger for Books {
         if rejected {
             self.report.faults.duplicates_rejected += 1;
         }
-    }
-
-    fn offline(&mut self, _worker: WorkerId, _recalled: &[TaskId]) {
-        self.report.churn_events += 1;
     }
 
     fn burst(&mut self, _task: &Task) {
@@ -458,42 +450,46 @@ mod tests {
         );
     }
 
+    /// A smoke run whose workers each drop out with `probability` inside
+    /// the arrival span and rejoin after `offline_range` seconds.
+    fn dropouts_with_rejoin(seed: u64, probability: f64, offline_range: (f64, f64)) -> RunReport {
+        use react_faults::{DropoutPlan, FaultPlan};
+        let mut sc = Scenario::smoke(MatcherPolicy::React { cycles: 200 }, seed);
+        sc.faults = Some(FaultPlan {
+            dropout: Some(DropoutPlan {
+                probability,
+                window: (0.0, 60.0),
+                offline_range: Some(offline_range),
+            }),
+            ..FaultPlan::none()
+        });
+        ScenarioRunner::new(sc).run()
+    }
+
     #[test]
     fn churn_recalls_tasks_and_still_terminates() {
-        use crate::scenario::ChurnParams;
-        let mut sc = Scenario::smoke(MatcherPolicy::React { cycles: 200 }, 6);
-        sc.churn = Some(ChurnParams {
-            mean_online: 30.0,
-            offline_range: (5.0, 20.0),
-        });
-        let r = ScenarioRunner::new(sc).run();
+        let r = dropouts_with_rejoin(6, 0.5, (5.0, 20.0));
         assert_eq!(r.received, 120);
-        assert!(r.churn_events > 0, "churn must actually fire");
+        assert!(r.faults.dropouts > 0, "dropouts must actually fire");
         assert_eq!(
             r.completed + r.expired_unassigned,
             r.received,
-            "tasks conserved under churn: {r:?}"
+            "tasks conserved under dropouts: {r:?}"
         );
-        // Stable crowd for comparison: no churn events.
+        // Stable crowd for comparison: no dropouts.
         let stable = run(MatcherPolicy::React { cycles: 200 }, 6);
-        assert_eq!(stable.churn_events, 0);
+        assert_eq!(stable.faults.dropouts, 0);
     }
 
     #[test]
     fn heavy_churn_degrades_but_never_breaks() {
-        use crate::scenario::ChurnParams;
-        let mut sc = Scenario::smoke(MatcherPolicy::React { cycles: 200 }, 7);
-        sc.churn = Some(ChurnParams {
-            mean_online: 5.0,
-            offline_range: (30.0, 60.0),
-        });
-        let r = ScenarioRunner::new(sc).run();
+        let r = dropouts_with_rejoin(7, 1.0, (30.0, 60.0));
         assert_eq!(r.completed + r.expired_unassigned, r.received);
         // With most of the crowd offline most of the time, some tasks
         // must fail to find a worker in time.
         assert!(
             r.expired_unassigned > 0,
-            "extreme churn should cause queue expiries"
+            "a crowd mostly offline should cause queue expiries"
         );
     }
 
@@ -556,10 +552,6 @@ mod tests {
         sc.faults = Some(FaultPlan::dropout_only(1.0));
         let r = ScenarioRunner::new(sc).run();
         assert!(r.faults.dropouts > 0, "every worker must drop out");
-        assert!(
-            r.churn_events >= r.faults.dropouts,
-            "each dropout fires a worker-offline event"
-        );
         assert_eq!(
             r.completed + r.expired_unassigned + r.faults.stranded,
             r.received

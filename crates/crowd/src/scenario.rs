@@ -9,19 +9,6 @@ use crate::behavior::BehaviorParams;
 use react_core::{Config, MatcherPolicy};
 use react_geo::BoundingBox;
 
-/// Worker connectivity churn: the paper stresses that *"even the most
-/// reliable workers may have short connectivity cycles"*. Each worker
-/// stays online for an exponentially distributed period, goes offline
-/// (abandoning any task in hand — the server reassigns it) for a uniform
-/// duration, then returns.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ChurnParams {
-    /// Mean online period per worker (seconds).
-    pub mean_online: f64,
-    /// Offline duration range (seconds).
-    pub offline_range: (f64, f64),
-}
-
 /// Full parameter set of one simulation run.
 #[derive(Debug, Clone)]
 pub struct Scenario {
@@ -43,9 +30,6 @@ pub struct Scenario {
     pub deadline_range: (f64, f64),
     /// Number of task categories.
     pub n_categories: u32,
-    /// Worker connectivity churn (`None` = a stable crowd, as in the
-    /// paper's evaluation).
-    pub churn: Option<ChurnParams>,
     /// Replication factor `k`: every logical task is submitted as `k`
     /// replicas to distinct workers and judged by majority vote — the
     /// CDAS/Karger-style redundancy scheme the paper's related work
@@ -91,7 +75,6 @@ impl Scenario {
             region: Self::default_region(),
             deadline_range: (60.0, 120.0),
             n_categories: 1,
-            churn: None,
             replication: 1,
             tick_interval: 1.0,
             drain_horizon: 300.0,
@@ -137,7 +120,6 @@ impl Scenario {
             region: Self::default_region(),
             deadline_range: (60.0, 120.0),
             n_categories: 2,
-            churn: None,
             replication: 1,
             tick_interval: 1.0,
             drain_horizon: 200.0,

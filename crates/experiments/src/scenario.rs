@@ -409,60 +409,30 @@ fn run_config(cfg: &RunConfig, spec: &RunSpec) -> KpiRow {
     }
 }
 
+/// The observer counters every sweep row carries, in column order.
+const ROW_COUNTERS: [CounterKind; 13] = [
+    CounterKind::TasksAssigned,
+    CounterKind::TasksCompleted,
+    CounterKind::DeadlinesMet,
+    CounterKind::PositiveFeedback,
+    CounterKind::TasksExpired,
+    CounterKind::Reassignments,
+    CounterKind::BatchesRun,
+    CounterKind::TimeoutRecalls,
+    CounterKind::FaultDropouts,
+    CounterKind::FaultAbandons,
+    CounterKind::ShardHandoffs,
+    CounterKind::ShardWorkersRebalanced,
+    CounterKind::ShardAdmissionShed,
+];
+
 /// Columns shared by single-server and cluster rows, so the aggregated
 /// report has one stable schema.
 fn base_row(spec: &RunSpec, rec: &RecordingObserver) -> KpiRow {
-    KpiRow::new()
-        .label("faults", spec.str_param("faults").unwrap_or("none"))
-        .int(
-            "tasks.assigned",
-            rec.counter(CounterKind::TasksAssigned) as i64,
-        )
-        .int(
-            "tasks.completed",
-            rec.counter(CounterKind::TasksCompleted) as i64,
-        )
-        .int(
-            "deadlines.met",
-            rec.counter(CounterKind::DeadlinesMet) as i64,
-        )
-        .int(
-            "feedback.positive",
-            rec.counter(CounterKind::PositiveFeedback) as i64,
-        )
-        .int(
-            "tasks.expired",
-            rec.counter(CounterKind::TasksExpired) as i64,
-        )
-        .int(
-            "tasks.reassigned",
-            rec.counter(CounterKind::Reassignments) as i64,
-        )
-        .int("batches.run", rec.counter(CounterKind::BatchesRun) as i64)
-        .int(
-            "recovery.timeout_recalls",
-            rec.counter(CounterKind::TimeoutRecalls) as i64,
-        )
-        .int(
-            "fault.dropouts",
-            rec.counter(CounterKind::FaultDropouts) as i64,
-        )
-        .int(
-            "fault.abandons",
-            rec.counter(CounterKind::FaultAbandons) as i64,
-        )
-        .int(
-            "shard.handoffs",
-            rec.counter(CounterKind::ShardHandoffs) as i64,
-        )
-        .int(
-            "shard.workers_rebalanced",
-            rec.counter(CounterKind::ShardWorkersRebalanced) as i64,
-        )
-        .int(
-            "shard.admission_shed",
-            rec.counter(CounterKind::ShardAdmissionShed) as i64,
-        )
+    let row = KpiRow::new().label("faults", spec.str_param("faults").unwrap_or("none"));
+    ROW_COUNTERS.into_iter().fold(row, |row, kind| {
+        row.int(kind.name(), rec.counter(kind) as i64)
+    })
 }
 
 fn single_row(spec: &RunSpec, report: &RunReport, rec: &RecordingObserver) -> KpiRow {

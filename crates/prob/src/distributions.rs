@@ -58,11 +58,6 @@ impl Exponential {
         Exponential { lambda }
     }
 
-    /// Creates an exponential with the given mean (`1/rate`).
-    pub fn with_mean(mean: f64) -> Self {
-        Self::new(1.0 / mean)
-    }
-
     /// Inverse-transform sample: `−ln(u)/λ`, `u ~ U(0,1]`.
     pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> f64 {
         let u = 1.0 - rng.gen::<f64>(); // (0, 1]
@@ -188,7 +183,7 @@ mod tests {
 
     #[test]
     fn exponential_mean_matches() {
-        let e = Exponential::with_mean(8.0);
+        let e = Exponential::new(1.0 / 8.0);
         let mut g = rng();
         let n = 50_000;
         let mean: f64 = (0..n).map(|_| e.sample(&mut g)).sum::<f64>() / n as f64;

@@ -44,7 +44,7 @@ pub mod stats;
 
 pub use deadline::{Cut, DeadlineDecision, DeadlineModel, DeadlineModelConfig};
 pub use empirical::{EmpiricalDist, FittedModel, LatencyCcdf};
-pub use estimator::{EstimatorConfig, ExecTimeEstimator};
+pub use estimator::{EstimatorConfig, ExecTimeEstimator, MIN_SAMPLES};
 pub use powerlaw::{FitMethod, PowerLaw, PowerLawError};
 
 /// Result alias for fallible operations in this crate.

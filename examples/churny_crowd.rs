@@ -1,9 +1,12 @@
-//! Churny crowd — connectivity churn and multi-region decomposition.
+//! Churny crowd — workers that leave and come back, and multi-region
+//! decomposition.
 //!
 //! The paper warns that *"even the most reliable workers may have short
 //! connectivity cycles"*. This demo runs the same REACT workload over an
-//! increasingly flaky crowd, then shows the paper's proposed remedy for
-//! overload: splitting the area into more regions.
+//! increasingly flaky crowd — a fault plan that takes each worker away
+//! once with probability p and brings it back 10–40 s later — then shows
+//! the paper's proposed remedy for overload: splitting the area into more
+//! regions.
 //!
 //! ```text
 //! cargo run --release --example churny_crowd
@@ -11,36 +14,38 @@
 
 use react::cluster::{ClusterPolicy, ClusterRunner, ClusterScenario};
 use react::core::MatcherPolicy;
-use react::crowd::{ChurnParams, Scenario, ScenarioRunner};
+use react::crowd::{Scenario, ScenarioRunner};
+use react::faults::{DropoutPlan, FaultPlan};
 use react::metrics::Table;
 
 fn main() {
-    // Part 1 — a 150-worker region under growing churn.
+    // Part 1 — a 150-worker region under growing dropout, each worker
+    // leaving at most once inside the 640 s arrival span.
     let mut table = Table::new(&[
-        "mean online s",
-        "churn events",
+        "dropout p",
+        "dropouts",
         "met deadline %",
         "reassigned",
         "expired",
     ])
-    .with_title("REACT under worker connectivity churn (150 workers, 1200 tasks)");
-    for mean_online in [f64::INFINITY, 120.0, 45.0, 15.0] {
+    .with_title("REACT under worker dropout with rejoin (150 workers, 1200 tasks)");
+    for probability in [0.0, 0.25, 0.5, 0.9] {
         let mut sc = Scenario::paper_fig5(MatcherPolicy::React { cycles: 1000 }, 99);
         sc.n_workers = 150;
         sc.arrival_rate = 1.875;
         sc.total_tasks = 1200;
-        sc.churn = mean_online.is_finite().then_some(ChurnParams {
-            mean_online,
-            offline_range: (10.0, 40.0),
+        sc.faults = Some(FaultPlan {
+            dropout: Some(DropoutPlan {
+                probability,
+                window: (0.0, 640.0),
+                offline_range: Some((10.0, 40.0)),
+            }),
+            ..FaultPlan::none()
         });
         let r = ScenarioRunner::new(sc).run();
         table.add_row(vec![
-            if mean_online.is_finite() {
-                format!("{mean_online}")
-            } else {
-                "stable".to_string()
-            },
-            r.churn_events.to_string(),
+            format!("{probability}"),
+            r.faults.dropouts.to_string(),
             format!("{:.1}%", 100.0 * r.deadline_ratio()),
             r.reassignments.to_string(),
             r.expired_unassigned.to_string(),

@@ -40,6 +40,11 @@ side's operations attempted and failed, summed over its runs, and a
 claim does not hold when the change fails a larger share than the
 parent.
 
+With one whole pair (`--pairs 1`, or every other pair lost to a failed
+run) there is nothing to compare: it prints each side's value of every
+reported metric and the change's difference, with no verdict and no
+claim, and exits 0 when both runs were correct.
+
 `--record FILE --pr N` appends one JSON line per reported metric to
 FILE (the history is the root `BENCH_history.jsonl`): the PR number, the
 workload and metric, both revisions resolved to commits (`.` as the
@@ -47,15 +52,17 @@ commit it sits on plus `+worktree.` and the first 12 hex digits of a
 SHA-256 over the exported files' names and bytes, the history file
 left out, so two uncommitted builds on one commit are told apart), seed, seconds, trace, which way is
 better, the parent's and the change's runs in pair order, both medians,
-the parent's IQR (inclusive method) and the change's win count.
+the parent's IQR (inclusive method) and the change's win count. It
+refuses fewer than two pairs.
 
 `--check` runs no benchmark: it recomputes two recorded series from the
 run lists in EXPERIMENTS.md and exits 1 unless the medians, the parent
 IQR and the win count agree with what was recorded to within the lists'
 own rounding step. It also validates every line of
 `BENCH_history.jsonl` (every field present, and the medians, IQR and
-wins recomputed from the two run lists) and runs the no-regression
-verdict on fixed run lists, one per outcome.
+wins recomputed from the two run lists), runs the no-regression
+verdict on fixed run lists, one per outcome, and holds the one-pair
+table to a fixed pair.
 
 `--trend WORKLOAD METRIC` runs no benchmark either: it prints every
 series of METRIC on WORKLOAD recorded in `BENCH_history.jsonl`, in PR
@@ -216,6 +223,50 @@ def table(rows):
                         for i, (cell, w) in enumerate(zip(row, widths))))
 
 
+def one_pair_rows(names, parent, change):
+    """The one-pair table: each metric's two values (`parent` and
+    `change` map names to values) and the change's difference."""
+    rows = [("metric", "parent", "change", "change")]
+    for name in names:
+        rows.append((name, fmt(parent[name]), fmt(change[name]),
+                     delta(parent[name], change[name])))
+    return rows
+
+
+# (metric names, parent values, change values, the table `one_pair_rows`
+# gives) that `--check` holds it to.
+ONE_PAIR = (["goodput_per_s", "setup_s", "faults.dropouts"],
+            {"goodput_per_s": 145800.0, "setup_s": 0.0004, "faults.dropouts": 0.0},
+            {"goodput_per_s": 149812.5, "setup_s": 0.0005, "faults.dropouts": 0.0},
+            [("metric", "parent", "change", "change"),
+             ("goodput_per_s", "145800", "149812", "+2.75%"),
+             ("setup_s", "0.0004", "0.0005", "+25.00%"),
+             ("faults.dropouts", "0", "0", "-")])
+
+
+def check_one_pair():
+    names, parent, change, want = ONE_PAIR
+    got = one_pair_rows(names, parent, change)
+    if got != want:
+        print(f"BAD one-pair table {got}, want {want}")
+        return False
+    print("ok  one-pair table: fixed pair")
+    return True
+
+
+def failures(label, runs):
+    print(f"{label}: {sum(run['failed'] for run in runs)} of "
+          f"{sum(run['attempted'] for run in runs)} operations failed, "
+          f"{sum(not run['correct'] for run in runs)} of {len(runs)} runs not correct")
+
+
+def report_one_pair(names, parent_run, change_run):
+    table(one_pair_rows(names, parent_run["metrics"], change_run["metrics"]))
+    print("\none pair: no verdict and no claim\n")
+    failures("parent", [parent_run])
+    failures("change", [change_run])
+
+
 def report(names, better, bounds, parent_runs, change_runs, claim):
     parent = [run["metrics"] for run in parent_runs]
     change = [run["metrics"] for run in change_runs]
@@ -242,9 +293,7 @@ def report(names, better, bounds, parent_runs, change_runs, claim):
         print(f"- {name}: {p}; {c}")
     print()
     for label, runs in (("parent", parent_runs), ("change", change_runs)):
-        print(f"{label}: {sum(run['failed'] for run in runs)} of "
-              f"{sum(run['attempted'] for run in runs)} operations failed, "
-              f"{sum(not run['correct'] for run in runs)} of {len(runs)} runs not correct")
+        failures(label, runs)
     if claim not in names:
         return
     p = [run[claim] for run in parent]
@@ -423,13 +472,15 @@ def main():
     manifest = json.loads((ROOT / "BENCHMARK.json").read_text())
     bounds = {m["name"]: m["bound"] for m in manifest["end_to_end"]}
     if opts.check:
-        return 0 if check() & check_history() & check_verdicts() else 1
+        return 0 if check() & check_history() & check_verdicts() & check_one_pair() else 1
     if opts.trend:
         return trend(*opts.trend, bounds)
     if not (opts.parent and opts.change and opts.workload):
         ap.error("PARENT, CHANGE and --workload are required")
     if (opts.record is None) != (opts.pr is None):
         ap.error("--record and --pr go together")
+    if opts.record and opts.pairs < 2:
+        ap.error("--record needs at least two pairs")
 
     seconds = manifest["run_seconds"]
     better = {m["name"]: m["better"] for m in manifest["end_to_end"] + manifest["per_layer"]}
@@ -461,17 +512,20 @@ def main():
     kept = [(p, c) for p, c in zip(sides["parent"][2], sides["change"][2]) if p and c]
     if missing:
         print(f"{missing} runs printed no result; {len(kept)} whole pairs kept")
-    if len(kept) < 2:
-        print("fewer than two whole pairs: nothing to compare")
+    if not kept:
+        print("no whole pair: nothing to report")
         return 1
     print(f"{opts.workload}, seed {opts.seed}, {seconds} s runs, {len(kept)} pairs, "
           f"parent {opts.parent}, change {opts.change}\n")
+    incorrect = any(not run["correct"] for pair in kept for run in pair)
+    if len(kept) == 1:
+        report_one_pair(names, *kept[0])
+        return 1 if missing or incorrect else 0
     claim = (opts.metric or ["goodput_per_s"])[0]
     report(names, better, bounds, [p for p, _ in kept], [c for _, c in kept], claim)
     if opts.record:
         record(opts.record, opts.pr, opts, digests, seconds, names, better,
                [p for p, _ in kept], [c for _, c in kept])
-    incorrect = any(not run["correct"] for pair in kept for run in pair)
     return 1 if missing or incorrect else 0
 
 

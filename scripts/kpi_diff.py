@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Compares two `all.kpi.jsonl` reports row by row.
 
-The figure CSVs do not carry every KPI a run reports (the churn counts,
+The figure CSVs do not carry every KPI a run reports (the fault counts,
 for one), so a change that must leave the runs alone is checked on the
 KPI rows as well. Two reports agree when they have the same rows in the
 same order and each pair of rows is equal outside the wall-clock keys

@@ -1,11 +1,12 @@
 //! End-to-end lifecycle auditing: every task in a full simulated run —
-//! including reassignments, churn-driven recalls and expiries — must
+//! including reassignments, dropout-driven recalls and expiries — must
 //! follow the legal lifecycle
 //! `Submitted (Assigned (Recalled)?)* (Completed | Expired)?`
 //! with non-decreasing timestamps and matching workers.
 
 use react::core::{verify_lifecycles, MatcherPolicy, TaskEventKind};
-use react::crowd::{ChurnParams, Scenario, ScenarioRunner};
+use react::crowd::{Scenario, ScenarioRunner};
+use react::faults::{DropoutPlan, FaultPlan};
 
 fn audited_scenario(matcher: MatcherPolicy, seed: u64) -> Scenario {
     let mut sc = Scenario::smoke(matcher, seed);
@@ -42,12 +43,16 @@ fn traditional_run_has_legal_lifecycles() {
 #[test]
 fn churny_run_has_legal_lifecycles() {
     let mut sc = audited_scenario(MatcherPolicy::React { cycles: 300 }, 3);
-    sc.churn = Some(ChurnParams {
-        mean_online: 20.0,
-        offline_range: (5.0, 30.0),
+    sc.faults = Some(FaultPlan {
+        dropout: Some(DropoutPlan {
+            probability: 0.5,
+            window: (0.0, 60.0),
+            offline_range: Some((5.0, 30.0)),
+        }),
+        ..FaultPlan::none()
     });
     let r = ScenarioRunner::new(sc).run();
-    assert!(r.churn_events > 0);
+    assert!(r.faults.dropouts > 0);
     let log = r.audit.as_ref().expect("audit enabled");
     verify_lifecycles(log);
     // Completion events in the log match the report.

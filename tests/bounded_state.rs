@@ -405,17 +405,14 @@ proptest! {
     fn the_running_fit_is_the_refit_bit_for_bit(
         samples in proptest::collection::vec(exec_time(), 1..120),
         window in proptest::option::of(1usize..12),
-        paper in any::<bool>(),
-        min_samples in 1usize..4,
     ) {
-        let fit_method = if paper { FitMethod::Paper } else { FitMethod::Continuous };
-        let mut est = ExecTimeEstimator::new(EstimatorConfig { min_samples, window, fit_method });
+        let mut est = ExecTimeEstimator::new(EstimatorConfig { window });
         for s in samples {
             est.observe(s);
             let retained = est.samples();
             let k_min = retained.iter().copied().fold(f64::INFINITY, f64::min);
             let refit = if est.is_warm() {
-                PowerLaw::fit(retained, k_min, fit_method).ok()
+                PowerLaw::fit(retained, k_min, FitMethod::Paper).ok()
             } else {
                 None
             };

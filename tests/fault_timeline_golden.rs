@@ -10,7 +10,7 @@
 
 use react::cluster::{ClusterPolicy, ClusterRunner, ClusterScenario};
 use react::core::{MatcherPolicy, RecoveryConfig};
-use react::crowd::{ChurnParams, FaultStats, RunReport, Scenario, ScenarioRunner};
+use react::crowd::{FaultStats, RunReport, Scenario, ScenarioRunner};
 use react::faults::{BurstPlan, DropoutPlan, FaultPlan};
 
 /// FNV-1a over the bits of `xs`, in order.
@@ -27,7 +27,6 @@ struct Outcome {
     completed: u64,
     met_deadline: u64,
     reassignments: u64,
-    churn_events: u64,
     sim_duration_bits: u64,
     exec_times_fold: u64,
     faults: FaultStats,
@@ -39,7 +38,6 @@ fn outcome(r: &RunReport) -> Outcome {
         completed: r.completed,
         met_deadline: r.met_deadline,
         reassignments: r.reassignments,
-        churn_events: r.churn_events,
         sim_duration_bits: r.sim_duration.to_bits(),
         exec_times_fold: fold(r.exec_times.iter().copied()),
         faults: r.faults,
@@ -59,7 +57,6 @@ fn a_chaos_scenario_run_keeps_its_exact_outcome() {
             completed: 70,
             met_deadline: 62,
             reassignments: 86,
-            churn_events: 12,
             sim_duration_bits: 4640924231633207296,
             exec_times_fold: 10861026033411165920,
             faults: FaultStats {
@@ -71,35 +68,6 @@ fn a_chaos_scenario_run_keeps_its_exact_outcome() {
                 burst_tasks: 24,
                 timeout_recalls: 60,
                 stranded: 0,
-            },
-        }
-    );
-}
-
-/// Plan dropouts under churn: each one takes the churn arm, which
-/// schedules the worker's churn rejoin beside the plan's own.
-#[test]
-fn a_churned_dropout_scenario_run_keeps_its_exact_outcome() {
-    let mut sc = Scenario::smoke(MatcherPolicy::React { cycles: 200 }, 31);
-    sc.churn = Some(ChurnParams {
-        mean_online: 60.0,
-        offline_range: (5.0, 20.0),
-    });
-    sc.faults = Some(FaultPlan::dropout_only(0.5));
-    let r = ScenarioRunner::new(sc).run();
-    assert_eq!(
-        outcome(&r),
-        Outcome {
-            received: 120,
-            completed: 77,
-            met_deadline: 73,
-            reassignments: 20,
-            churn_events: 283,
-            sim_duration_bits: 4647168099091631953,
-            exec_times_fold: 13058778804508315430,
-            faults: FaultStats {
-                dropouts: 16,
-                ..FaultStats::default()
             },
         }
     );

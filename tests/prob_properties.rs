@@ -214,11 +214,7 @@ proptest! {
         samples in proptest::collection::vec(0.01f64..1000.0, 1..50),
         window in proptest::option::of(1usize..20),
     ) {
-        let mut est = ExecTimeEstimator::new(EstimatorConfig {
-            min_samples: 1,
-            window,
-            fit_method: FitMethod::Paper,
-        });
+        let mut est = ExecTimeEstimator::new(EstimatorConfig { window });
         for &s in &samples {
             est.observe(s);
         }
